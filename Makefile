@@ -35,7 +35,7 @@ test:
 race:
 	$(GO) test -race ./internal/comm/... ./internal/trace/... ./internal/core/... ./internal/spmv/... ./internal/fault/... ./internal/hpfexec/... ./internal/serve/... ./internal/cluster/... ./internal/mg/... ./internal/mfree/...
 
-check: build vet test race e23-smoke mg-smoke mfree-smoke pipelined-smoke docs-lint
+check: build vet test race e23-smoke mg-smoke mfree-smoke pipelined-smoke serve-smoke cluster-smoke docs-lint
 
 # Documentation floor: every package carries a package doc comment, and
 # the strict packages (internal/comm, internal/core, internal/hpfexec)
@@ -50,17 +50,21 @@ e23-smoke:
 	$(GO) run ./cmd/cgbench -exp E23 -quick > /dev/null
 
 # Quick pass over the HPCG path: a V-cycle-preconditioned solve through
-# hpfrun (smoother, transfers, FoM print) plus the E24 sweep with its
-# enforced pcg-beats-cg and bit-identity claims.
+# hpfrun (smoother, transfers, FoM print), once more under the watchdog
+# every backend now shares, plus the E24 sweep with its enforced
+# pcg-beats-cg and bit-identity claims.
 mg-smoke:
 	$(GO) run ./cmd/hpfrun -hpcg 6,6,6 -np 4 > /dev/null
+	$(GO) run ./cmd/hpfrun -hpcg 6,6,6 -timeout 30s > /dev/null
 	$(GO) run ./cmd/cgbench -exp E24 -quick > /dev/null
 
 # Quick pass over the matrix-free stencil path: an assembly-free solve
-# through hpfrun (geometric halo, zero modeled setup) plus the E25
-# sweep with its enforced bit-identity and setup-elimination claims.
+# through hpfrun (geometric halo, zero modeled setup), once more under
+# the watchdog, plus the E25 sweep with its enforced bit-identity and
+# setup-elimination claims.
 mfree-smoke:
 	$(GO) run ./cmd/hpfrun -stencil 5pt:32,24 -np 4 > /dev/null
+	$(GO) run ./cmd/hpfrun -stencil 5pt:32,24 -timeout 30s > /dev/null
 	$(GO) run ./cmd/cgbench -exp E25 -quick > /dev/null
 
 # Quick pass over the pipelined overlap path: a hidden-round solve
@@ -87,13 +91,14 @@ bench:
 	$(GO) run ./cmd/cgbench -exp E26 -quick -json BENCH_E26_quick.json
 
 # End-to-end service check: start hpfserve on a loopback port, submit a
-# job to it over HTTP, assert convergence.
+# job to it over HTTP, assert convergence. Part of `make check`: it
+# exercises the scheduler's one dispatch over real HTTP.
 serve-smoke:
 	$(GO) run ./cmd/hpfserve -smoke
 
 # End-to-end cluster check: in-process router + two shards, repeat
 # traffic through the router, same shard both times, plan-registry hit
-# on the second solve, bit-identical answers.
+# on the second solve, bit-identical answers. Part of `make check`.
 cluster-smoke:
 	$(GO) run ./cmd/hpfserve -cluster-smoke
 

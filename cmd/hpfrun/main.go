@@ -85,83 +85,15 @@ func main() {
 	)
 	flag.Parse()
 
-	if *pipelined {
-		switch {
-		case *sstep >= 0:
-			fatal(fmt.Errorf("-pipelined does not combine with -sstep (overlap and blocking attack the same latency term)"))
-		case *resilient:
-			fatal(fmt.Errorf("-pipelined does not combine with -resilient (checkpointing follows the plain recurrence)"))
-		case *hpcg != "":
-			fatal(fmt.Errorf("-pipelined does not combine with -hpcg (the V-cycle is the inner solve)"))
-		}
-	}
-	if *hpcg != "" {
-		runHPCG(*hpcg, *np, *topoName, *tol, *levels, *smooths)
-		return
-	}
-	if *stencil != "" {
-		runStencil(*stencil, *np, *topoName, *tol, *pipelined)
-		return
-	}
-
-	var src string
+	// The solver variant the flags ask for; which backend and mode it
+	// combines with is hpfexec.CheckVariant's table, consulted by
+	// WithVariant and SolveCGResilient below.
+	variant := hpfexec.Variant{Pipelined: *pipelined}
 	switch {
-	case *demo != "":
-		var ok bool
-		src, ok = demos[*demo]
-		if !ok {
-			fatal(fmt.Errorf("unknown demo %q", *demo))
-		}
-	case flag.NArg() > 0:
-		data, err := os.ReadFile(flag.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		src = string(data)
-	default:
-		fatal(fmt.Errorf("need a directive file argument or -demo"))
-	}
-
-	var A *sparse.CSR
-	var err error
-	matrixName := *matrixSpec
-	if *matrixFile != "" {
-		f, ferr := os.Open(*matrixFile)
-		if ferr != nil {
-			fatal(ferr)
-		}
-		A, err = sparse.ReadMatrixMarket(f)
-		f.Close()
-		matrixName = *matrixFile
-	} else {
-		A, err = sparse.GeneratorByName(*matrixSpec)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	if A.NRows != A.NCols {
-		fatal(fmt.Errorf("matrix %s is not square (%dx%d)", matrixName, A.NRows, A.NCols))
-	}
-	n, nz := A.NRows, A.NNZ()
-	b := sparse.RandomVector(n, 42) // deterministic, nontrivial rhs
-
-	prog, err := hpf.Parse(src)
-	if err != nil {
-		fatal(err)
-	}
-	sizes := map[string]int{
-		"p": n, "q": n, "r": n, "x": n, "b": n,
-		"row": n + 1, "col": nz, "a": nz,
-		"colptr": n + 1, "rowidx": nz,
-	}
-	if _, csr := findFormat(prog); csr {
-		sizes["row"], sizes["col"] = n+1, nz
-	} else {
-		sizes["row"] = nz // CSC trio row indices
-	}
-	plan, err := hpf.Bind(prog, *np, sizes, map[string]int{"n": n, "nz": nz})
-	if err != nil {
-		fatal(err)
+	case *sstep == 0:
+		variant.SStep = hpfexec.AutoSStep
+	case *sstep > 0:
+		variant.SStep = *sstep
 	}
 
 	topo, err := topology.ByName(*topoName)
@@ -180,58 +112,78 @@ func main() {
 		}
 		m.AttachInjector(inj)
 	}
-	if *sstep >= 0 && *resilient {
-		fatal(fmt.Errorf("-sstep does not combine with -resilient (checkpointing is per-iteration)"))
-	}
-	var res *hpfexec.Result
+
+	// The three problem kinds differ in how the handle is prepared and
+	// in the lines that describe the problem; the solve is one call.
+	var pr *hpfexec.Prepared
+	var describe func()
 	switch {
-	case *resilient:
-		rres, rerr := hpfexec.SolveCGResilient(m, plan, A, b, core.Options{Tol: *tol},
-			hpfexec.ResilientOptions{Interval: *ckpt, MaxRestarts: *restarts})
-		if rerr != nil {
-			fatal(rerr)
+	case *hpcg != "":
+		pr, describe = prepareHPCG(m, *hpcg, *levels, *smooths)
+	case *stencil != "":
+		pr, describe = prepareStencil(m, *stencil)
+	default:
+		pr, describe = prepareDirectives(m, *demo, *matrixSpec, *matrixFile)
+	}
+	if err := pr.WithVariant(variant); err != nil {
+		fatal(err)
+	}
+	b := sparse.RandomVector(pr.N(), 42) // deterministic, nontrivial rhs
+	opts := []core.Options{{Tol: *tol}}
+
+	var out *hpfexec.BatchResult
+	start := time.Now()
+	if *resilient {
+		rres, err := hpfexec.SolveCGResilient(pr, b, opts[0], hpfexec.ResilientOptions{Interval: *ckpt, MaxRestarts: *restarts})
+		if err != nil {
+			fatal(err)
 		}
-		res = &rres.Result
+		out = rres.Final
 		fmt.Printf("faults:   attempts=%d failures=%d lost_iters=%d mission_t=%.6gs\n",
 			rres.Attempts, len(rres.Failures), rres.LostIterations, rres.TotalModelTime)
 		for _, pf := range rres.Failures {
 			fmt.Printf("          %v\n", pf)
 		}
-	case *pipelined && *timeout > 0:
-		res, err = hpfexec.SolveCGPipelinedTimeout(m, plan, A, b, core.Options{Tol: *tol}, *timeout)
-	case *pipelined:
-		res, err = hpfexec.SolveCGPipelined(m, plan, A, b, core.Options{Tol: *tol})
-	case *sstep >= 0 && *timeout > 0:
-		res, err = hpfexec.SolveCGSStepTimeout(m, plan, A, b, core.Options{Tol: *tol}, *sstep, *timeout)
-	case *sstep >= 0:
-		res, err = hpfexec.SolveCGSStep(m, plan, A, b, core.Options{Tol: *tol}, *sstep)
-	case *timeout > 0:
-		res, err = hpfexec.SolveCGTimeout(m, plan, A, b, core.Options{Tol: *tol}, *timeout)
-	default:
-		res, err = hpfexec.SolveCG(m, plan, A, b, core.Options{Tol: *tol})
-	}
-	if err != nil {
+	} else if out, err = pr.SolveBatchTimeout([][]float64{b}, opts, *timeout); err != nil {
 		fatal(err)
 	}
+	wall := time.Since(start).Seconds()
+	res := out.Results[0]
+	if res.Err != nil {
+		fatal(res.Err)
+	}
+
 	if *sstep >= 0 {
 		fmt.Printf("sstep:    s=%d (requested %d) guard_trips=%d\n",
 			res.Strategy.SStep, *sstep, res.Stats.Replacements)
 	}
 	if *pipelined {
-		hidden, exposed := res.Run.ReduceOverlap()
-		fmt.Printf("overlap:  reductions=%d hidden=%.6gs exposed=%.6gs guard_trips=%d\n",
-			res.Stats.Reductions, hidden, exposed, res.Stats.Replacements)
+		hidden, exposed := out.Run.ReduceOverlap()
+		fmt.Printf("overlap:  reductions=%d hidden=%.6gs exposed=%.6gs", res.Stats.Reductions, hidden, exposed)
+		if *stencil == "" {
+			fmt.Printf(" guard_trips=%d", res.Stats.Replacements)
+		}
+		fmt.Println()
 	}
-
-	fmt.Printf("matrix:   n=%d nnz=%d (%s)\n", n, nz, matrixName)
-	fmt.Printf("plan:\n%s", plan.Describe())
+	describe()
 	fmt.Printf("strategy: %s\n", res.Strategy)
 	fmt.Printf("solver:   %s\n", res.Stats)
-	fmt.Printf("model:    time=%.6gs comm=%.6gs msgs=%d bytes=%d imbalance=%.3f\n",
-		res.Run.ModelTime, res.Run.CommTime(), res.Run.TotalMsgs, res.Run.TotalBytes,
-		res.Run.FlopImbalance())
+	setup := ""
+	if *stencil != "" {
+		setup = fmt.Sprintf(" setup=%.6gs", out.SetupModelTime)
+	}
+	fmt.Printf("model:    time=%.6gs comm=%.6gs%s msgs=%d bytes=%d imbalance=%.3f\n",
+		out.Run.ModelTime, out.Run.CommTime(), setup, out.Run.TotalMsgs, out.Run.TotalBytes,
+		out.Run.FlopImbalance())
+	if *hpcg != "" {
+		// The HPCG-style figure of merit: charged flops over the modeled
+		// makespan and over wall clock.
+		fmt.Printf("fom:      model=%.4g GF/s wall=%.4g GF/s (flops=%d)\n",
+			report.GFlopRate(out.Run.TotalFlops, out.Run.ModelTime),
+			report.GFlopRate(out.Run.TotalFlops, wall), out.Run.TotalFlops)
+	}
 	if *commMatrix {
-		if err := report.BytesMatrixTable("communication matrix (bytes sent)", res.Run.BytesMatrix).Render(os.Stdout); err != nil {
+		if err := report.BytesMatrixTable("communication matrix (bytes sent)", out.Run.BytesMatrix).Render(os.Stdout); err != nil {
 			fatal(err)
 		}
 	}
@@ -240,52 +192,100 @@ func main() {
 	}
 }
 
-// runHPCG is the -hpcg path: V-cycle multigrid-preconditioned CG on
-// the 27-point stencil, each rank owning an nx×ny×nz brick. Prints the
-// solver stats, the modeled machine line, and the HPCG-style figure of
-// merit (charged flops over the modeled makespan and over wall clock).
-func runHPCG(brick string, np int, topoName string, tol float64, levels, smooths int) {
+// prepareDirectives is the default path: parse a directive program
+// (file argument or -demo), bind it to the matrix, and prepare the
+// execution the directives imply.
+func prepareDirectives(m *comm.Machine, demo, matrixSpec, matrixFile string) (*hpfexec.Prepared, func()) {
+	var src string
+	switch {
+	case demo != "":
+		var ok bool
+		src, ok = demos[demo]
+		if !ok {
+			fatal(fmt.Errorf("unknown demo %q", demo))
+		}
+	case flag.NArg() > 0:
+		data, err := os.ReadFile(flag.Arg(0))
+		if err != nil {
+			fatal(err)
+		}
+		src = string(data)
+	default:
+		fatal(fmt.Errorf("need a directive file argument or -demo"))
+	}
+
+	var A *sparse.CSR
+	var err error
+	matrixName := matrixSpec
+	if matrixFile != "" {
+		f, ferr := os.Open(matrixFile)
+		if ferr != nil {
+			fatal(ferr)
+		}
+		A, err = sparse.ReadMatrixMarket(f)
+		f.Close()
+		matrixName = matrixFile
+	} else {
+		A, err = sparse.GeneratorByName(matrixSpec)
+	}
+	if err != nil {
+		fatal(err)
+	}
+	if A.NRows != A.NCols {
+		fatal(fmt.Errorf("matrix %s is not square (%dx%d)", matrixName, A.NRows, A.NCols))
+	}
+	n, nz := A.NRows, A.NNZ()
+
+	prog, err := hpf.Parse(src)
+	if err != nil {
+		fatal(err)
+	}
+	sizes := map[string]int{
+		"p": n, "q": n, "r": n, "x": n, "b": n,
+		"row": n + 1, "col": nz, "a": nz,
+		"colptr": n + 1, "rowidx": nz,
+	}
+	if _, csr := findFormat(prog); csr {
+		sizes["row"], sizes["col"] = n+1, nz
+	} else {
+		sizes["row"] = nz // CSC trio row indices
+	}
+	plan, err := hpf.Bind(prog, m.NP(), sizes, map[string]int{"n": n, "nz": nz})
+	if err != nil {
+		fatal(err)
+	}
+	pr, err := hpfexec.Prepare(m, plan, A)
+	if err != nil {
+		fatal(err)
+	}
+	return pr, func() {
+		fmt.Printf("matrix:   n=%d nnz=%d (%s)\n", n, nz, matrixName)
+		fmt.Printf("plan:\n%s", plan.Describe())
+	}
+}
+
+// prepareHPCG is the -hpcg path: V-cycle multigrid-preconditioned CG
+// on the 27-point stencil, each rank owning an nx×ny×nz brick.
+func prepareHPCG(m *comm.Machine, brick string, levels, smooths int) (*hpfexec.Prepared, func()) {
 	var nx, ny, nz int
 	if _, err := fmt.Sscanf(brick, "%d,%d,%d", &nx, &ny, &nz); err != nil {
 		fatal(fmt.Errorf("-hpcg wants nx,ny,nz (e.g. 8,8,8), got %q", brick))
 	}
-	topo, err := topology.ByName(topoName)
-	if err != nil {
-		fatal(err)
-	}
-	m := comm.NewMachine(np, topo, topology.DefaultCostParams())
 	pr, err := hpfexec.PrepareMG(m, mg.Spec{Nx: nx, Ny: ny, Nz: nz, Levels: levels, Smooths: smooths})
 	if err != nil {
 		fatal(err)
 	}
-	b := sparse.RandomVector(pr.N(), 42)
-	start := time.Now()
-	out, err := pr.SolveHPCGBatch([][]float64{b}, []core.Options{{Tol: tol}})
-	if err != nil {
-		fatal(err)
-	}
-	wall := time.Since(start).Seconds()
-	res := out.Results[0]
-	fmt.Printf("stencil:  27-pt, brick %dx%dx%d per rank, n=%d np=%d levels=%d\n",
-		nx, ny, nz, pr.N(), np, pr.MGLevels())
-	fmt.Printf("strategy: %s\n", res.Strategy)
-	fmt.Printf("solver:   %s\n", res.Stats)
-	fmt.Printf("model:    time=%.6gs comm=%.6gs msgs=%d bytes=%d imbalance=%.3f\n",
-		out.Run.ModelTime, out.Run.CommTime(), out.Run.TotalMsgs, out.Run.TotalBytes,
-		out.Run.FlopImbalance())
-	fmt.Printf("fom:      model=%.4g GF/s wall=%.4g GF/s (flops=%d)\n",
-		report.GFlopRate(out.Run.TotalFlops, out.Run.ModelTime),
-		report.GFlopRate(out.Run.TotalFlops, wall), out.Run.TotalFlops)
-	if !res.Stats.Converged {
-		os.Exit(2)
+	return pr, func() {
+		fmt.Printf("stencil:  27-pt, brick %dx%dx%d per rank, n=%d np=%d levels=%d\n",
+			nx, ny, nz, pr.N(), m.NP(), pr.Strategy().Levels)
 	}
 }
 
-// runStencil is the -stencil path: CG on the matrix-free stencil
+// prepareStencil is the -stencil path: CG on the matrix-free stencil
 // operator — nothing assembled, halo schedules derived from the slab
 // geometry, modeled setup exactly zero. With -pipelined the solve runs
 // the overlap recurrence, the stencil application hiding the round.
-func runStencil(arg string, np int, topoName string, tol float64, pipelined bool) {
+func prepareStencil(m *comm.Machine, arg string) (*hpfexec.Prepared, func()) {
 	spec := mfree.Spec{}
 	kind, dims, ok := strings.Cut(arg, ":")
 	if !ok {
@@ -304,40 +304,13 @@ func runStencil(arg string, np int, topoName string, tol float64, pipelined bool
 	if err != nil {
 		fatal(fmt.Errorf("-stencil %q: %w", arg, err))
 	}
-	topo, err := topology.ByName(topoName)
+	pr, err := hpfexec.PrepareStencil(m, spec)
 	if err != nil {
 		fatal(err)
 	}
-	m := comm.NewMachine(np, topo, topology.DefaultCostParams())
-	prepare := hpfexec.PrepareStencil
-	if pipelined {
-		prepare = hpfexec.PrepareStencilPipelined
-	}
-	pr, err := prepare(m, spec)
-	if err != nil {
-		fatal(err)
-	}
-	b := sparse.RandomVector(pr.N(), 42)
-	out, err := pr.SolveStencilBatch([][]float64{b}, []core.Options{{Tol: tol}})
-	if err != nil {
-		fatal(err)
-	}
-	res := out.Results[0]
-	if pipelined {
-		hidden, exposed := out.Run.ReduceOverlap()
-		fmt.Printf("overlap:  reductions=%d hidden=%.6gs exposed=%.6gs\n",
-			res.Stats.Reductions, hidden, exposed)
-	}
-	s := pr.Stencil()
-	fmt.Printf("stencil:  %s matrix-free, global %s, n=%d nnz=%d np=%d\n",
-		s.Stencil, dims, pr.N(), s.NNZ(), np)
-	fmt.Printf("strategy: %s\n", res.Strategy)
-	fmt.Printf("solver:   %s\n", res.Stats)
-	fmt.Printf("model:    time=%.6gs comm=%.6gs setup=%.6gs msgs=%d bytes=%d imbalance=%.3f\n",
-		out.Run.ModelTime, out.Run.CommTime(), out.SetupModelTime,
-		out.Run.TotalMsgs, out.Run.TotalBytes, out.Run.FlopImbalance())
-	if !res.Stats.Converged {
-		os.Exit(2)
+	return pr, func() {
+		fmt.Printf("stencil:  %s matrix-free, global %s, n=%d nnz=%d np=%d\n",
+			kind, dims, pr.N(), spec.WithDefaults().NNZ(), m.NP())
 	}
 }
 

@@ -78,7 +78,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			out, err := pr.SolveStencilBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
+			out, err := pr.SolveBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -150,7 +150,7 @@ func E25(cfg Config) ([]*report.Table, error) {
 			b := sparse.RandomVector(pr.N(), cfg.Seed)
 
 			mfStart := time.Now()
-			out, err := pr.SolveStencilBatch([][]float64{b}, opts)
+			out, err := pr.SolveBatch([][]float64{b}, opts)
 			mfWall := time.Since(mfStart).Seconds()
 			if err != nil {
 				return nil, fmt.Errorf("E25 np=%d %s mfree: %w", np, spec.Stencil, err)
@@ -221,11 +221,11 @@ func E25(cfg Config) ([]*report.Table, error) {
 			return nil, err
 		}
 		b := sparse.RandomVector(pr.N(), cfg.Seed)
-		cold, err := pr.SolveStencilBatch([][]float64{b}, opts)
+		cold, err := pr.SolveBatch([][]float64{b}, opts)
 		if err != nil {
 			return nil, err
 		}
-		warm, err := pr.SolveStencilBatch([][]float64{b}, opts)
+		warm, err := pr.SolveBatch([][]float64{b}, opts)
 		if err != nil {
 			return nil, err
 		}

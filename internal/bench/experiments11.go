@@ -91,19 +91,21 @@ func E26(cfg Config) ([]*report.Table, error) {
 	}
 	sawWin := false
 	for _, scale := range scales {
-		plainPr, err := hpfexec.PrepareSStep(machineAt(np, scale), plan, A, 1)
+		solve := func(v hpfexec.Variant) (*hpfexec.BatchResult, error) {
+			pr, err := hpfexec.Prepare(machineAt(np, scale), plan, A)
+			if err != nil {
+				return nil, err
+			}
+			if err := pr.WithVariant(v); err != nil {
+				return nil, err
+			}
+			return pr.SolveBatch([][]float64{b}, opts)
+		}
+		plainOut, err := solve(hpfexec.Variant{SStep: 1})
 		if err != nil {
 			return nil, fmt.Errorf("E26 scale=%g plain: %w", scale, err)
 		}
-		plainOut, err := plainPr.SolveBatch([][]float64{b}, opts)
-		if err != nil {
-			return nil, fmt.Errorf("E26 scale=%g plain: %w", scale, err)
-		}
-		pipePr, err := hpfexec.PreparePipelined(machineAt(np, scale), plan, A)
-		if err != nil {
-			return nil, fmt.Errorf("E26 scale=%g pipelined: %w", scale, err)
-		}
-		pipeOut, err := pipePr.SolveBatch([][]float64{b}, opts)
+		pipeOut, err := solve(hpfexec.Variant{Pipelined: true})
 		if err != nil {
 			return nil, fmt.Errorf("E26 scale=%g pipelined: %w", scale, err)
 		}

@@ -82,7 +82,7 @@ func E24(cfg Config) ([]*report.Table, error) {
 		}
 		b := sparse.RandomVector(pr.N(), cfg.Seed)
 		start := time.Now()
-		out, err := pr.SolveHPCGBatch([][]float64{b}, []core.Options{{Tol: 1e-8}})
+		out, err := pr.SolveBatch([][]float64{b}, []core.Options{{Tol: 1e-8}})
 		wall := time.Since(start).Seconds()
 		if err != nil {
 			return nil, nil, 0, err

@@ -10,22 +10,29 @@
 // and reusing one pooled core.Workspace per processor, so every solve
 // after the first is allocation-free on the hot path.
 //
-// Bit-identity: each RHS's solution is bit-identical to what a solo
-// SolveCG with the same spec would produce — the workspace hands back
+// Bit-identity: each RHS's solution is bit-identical to what a batch
+// of one with the same spec would produce — the workspace hands back
 // zeroed vectors exactly like fresh allocation, the operator's pooled
 // gather buffers are PR 2's bit-stable reuse, and the solver sequence
-// per RHS is unchanged. TestBatchBitIdenticalToSolo holds this.
+// per RHS is unchanged. TestSolvePathConformance holds this for every
+// backend and variant.
+//
+// There is one loop. Every backend (assembled matrix, multigrid
+// hierarchy, matrix-free stencil) and every variant (plain, s-step,
+// pipelined, the resilient driver) runs through Prepared.run; they
+// differ in the per-rank cold build and in the solver function, which
+// are both resolved before the SPMD region starts.
 package hpfexec
 
 import (
 	"fmt"
+	"time"
 
 	"hpfcg/internal/comm"
 	"hpfcg/internal/core"
 	"hpfcg/internal/darray"
+	"hpfcg/internal/dist"
 	"hpfcg/internal/hpf"
-	"hpfcg/internal/mfree"
-	"hpfcg/internal/mg"
 	"hpfcg/internal/sparse"
 	"hpfcg/internal/spmv"
 )
@@ -88,90 +95,87 @@ func PlanForLayout(layout string, np, n, nz int) (*hpf.Plan, error) {
 	return hpf.Bind(prog, np, sizes, map[string]int{"n": n, "nz": nz})
 }
 
-// Prepared is a reusable prepared-matrix handle: the RHS-independent
-// part of a directive-driven solve (plan validation, execution
-// strategy, partitioner redistribution, CSC conversion), bound to one
-// machine. One Prepared serves any number of SolveBatch calls; after
-// the first, the per-rank operators (including the ghost executor's
-// inspector schedule) are cached and rebound into each new run, so a
-// warm SolveBatch pays zero modeled setup — the property the plan
-// registry (Registry) exposes to the serving tier.
+// backend is the operator family behind a Prepared handle: the
+// directive-planned assembled matrix, the multigrid hierarchy, or the
+// matrix-free stencil. Everything else about a solve — validation,
+// workspace, the per-RHS loop, clock marks — is shared (Prepared.run).
+type backend interface {
+	// kind names the backend's row in the legality table (CheckVariant).
+	kind() string
+	n() int
+	memoryBytes() int64
+	// build constructs rank p's operator state inside the SPMD region.
+	// It is collective: every rank calls it at the same point, and an
+	// error is deterministic in (spec, np), so all ranks fail alike and
+	// control flow stays aligned. sstep is the handle's resolved
+	// blocking factor (only the CSR executor choice depends on it).
+	build(p *comm.Proc, sstep int) (rankOps, error)
+}
+
+// rankOps is one rank's solver inputs, cached in the handle after the
+// cold build and rebound into each later run.
+type rankOps struct {
+	op spmv.Rebindable
+	M  core.Preconditioner // nil = unpreconditioned
+	d  dist.Dist
+	// mode, when set, is the executor choice the cold build made
+	// collectively (CSR: ghost halo vs broadcast); it replaces
+	// Strategy.Mode once the first run has decided it.
+	mode string
+}
+
+// Prepared is a reusable prepared-problem handle: the RHS-independent
+// part of a solve (plan validation, execution strategy, partitioner
+// redistribution, CSC conversion — or just a validated stencil spec),
+// bound to one machine. One Prepared serves any number of SolveBatch
+// calls; after the first, the per-rank operators (including the ghost
+// executor's inspector schedule or the multigrid hierarchy) are cached
+// and rebound into each new run, so a warm SolveBatch pays zero
+// modeled setup — the property the plan registry (Registry) exposes to
+// the serving tier.
 //
 // A Prepared is not safe for concurrent SolveBatch calls: it owns its
 // machine and its cached operators. Registry entries serialize access.
 type Prepared struct {
 	m        *comm.Machine
-	A        *sparse.CSR
-	pc       *preparedCG
+	be       backend
 	strategy Strategy
+	// variant is the recurrence as requested; WithVariant resolves it,
+	// once, to strategy.SStep (the blocking factor the cold build sees)
+	// and solve (the solver every right-hand side runs).
+	variant Variant
+	solve   solveFn
 
-	// ops[r] is rank r's operator, cached after the first batch run;
+	// ranks[r] is rank r's operator state, cached by the first run;
 	// warm gates the reuse. Each rank writes only its own slot inside
 	// the SPMD region, and warm flips only between runs.
-	ops  []spmv.Operator
-	warm bool
+	ranks []rankOps
+	warm  bool
+}
 
-	// MG handles (PrepareMG) carry a stencil spec instead of a matrix:
-	// A and pc are nil, and mgProbs[r] caches rank r's level hierarchy
-	// after the first SolveHPCGBatch the way ops caches operators.
-	mgSpec   *mg.Spec
-	mgLevels int
-	mgProbs  []*mg.Problem
-
-	// Matrix-free handles (PrepareStencil) carry only an mfree spec:
-	// no matrix, no hierarchy, and — uniquely — no setup cost at all,
-	// cold or warm, because the geometric halo schedule is computed
-	// locally from brick coordinates. mfOps[r] caches rank r's operator
-	// after the first SolveStencilBatch.
-	mfSpec *mfree.Spec
-	mfOps  []*mfree.Operator
-
-	// pipelined selects core.CGPipelined for stencil handles
-	// (PrepareStencilPipelined); matrix handles carry the flag in pc.
-	pipelined bool
+func newPrepared(m *comm.Machine, be backend, strategy Strategy) *Prepared {
+	return &Prepared{m: m, be: be, strategy: strategy, solve: solvePlain, ranks: make([]rankOps, m.NP())}
 }
 
 // Prepare validates the plan against the matrix and fixes the
 // execution strategy, returning the handle batch solves run from.
 func Prepare(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR) (*Prepared, error) {
-	pc, err := analyzeCG(m, plan, A)
+	mb, strategy, err := analyzeCG(m, plan, A)
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{m: m, A: A, pc: pc, strategy: pc.strategy, ops: make([]spmv.Operator, m.NP())}, nil
+	return newPrepared(m, mb, strategy), nil
 }
 
 // Warm reports whether the handle has run at least one batch and so
 // holds cached per-rank operators (the next run skips setup).
 func (pr *Prepared) Warm() bool { return pr.warm }
 
-// MemoryBytes estimates the resident size of the cached plan: the CSR
-// arrays, the CSC copy when the layout declared one, and a per-row
-// overhead for operator slices and ghost schedules. The registry's
-// byte budget accounts in these units; the estimate is deliberately
-// simple — it is a cache-pressure signal, not an allocator.
-func (pr *Prepared) MemoryBytes() int64 {
-	const intB, floatB = 8, 8
-	if pr.mfSpec != nil {
-		// Matrix-free handles hold two ghost planes per rank and a
-		// descriptor; the estimate is analytic in the spec.
-		return pr.mfSpec.ModelBytes(pr.m.NP())
-	}
-	if pr.mgSpec != nil {
-		// MG handles never materialize a matrix; the hierarchy's size
-		// is analytic in the spec.
-		return pr.mgSpec.ModelBytes(pr.m.NP())
-	}
-	sz := int64(len(pr.A.RowPtr)+len(pr.A.Col))*intB + int64(len(pr.A.Val))*floatB
-	if pr.pc.csc != nil {
-		sz += int64(len(pr.pc.csc.ColPtr)+len(pr.pc.csc.Row))*intB + int64(len(pr.pc.csc.Val))*floatB
-	}
-	// Operator-side copies (row remaps, ghost buffers) are at most
-	// another matrix-sized working set per machine.
-	sz *= 2
-	sz += int64(pr.A.NRows) * 2 * floatB
-	return sz
-}
+// MemoryBytes estimates the resident size of the cached plan, the
+// unit the registry's byte budget accounts in. It is a cache-pressure
+// signal, not an allocator: matrix handles count their CSR/CSC arrays
+// twice over (operator-side copies), spec-only handles are analytic.
+func (pr *Prepared) MemoryBytes() int64 { return pr.be.memoryBytes() }
 
 // Strategy returns the execution strategy the directives selected.
 // For the CSR layout the executor choice (ghost vs broadcast) is made
@@ -179,25 +183,15 @@ func (pr *Prepared) MemoryBytes() int64 {
 func (pr *Prepared) Strategy() Strategy { return pr.strategy }
 
 // N returns the system size.
-func (pr *Prepared) N() int {
-	if pr.mfSpec != nil {
-		return pr.mfSpec.N()
-	}
-	if pr.mgSpec != nil {
-		fine, err := pr.mgSpec.Fine(pr.m.NP())
-		if err != nil {
-			return 0
-		}
-		return fine.N()
-	}
-	return pr.A.NRows
-}
+func (pr *Prepared) N() int { return pr.be.n() }
 
 // BatchResult is a completed multi-RHS batch solve.
 type BatchResult struct {
 	// Results holds one Result per right-hand side, in input order.
 	// Each Result.Run is the shared batch run's statistics (the run is
 	// one SPMD program; per-RHS modeled spans are in SolveModelTime).
+	// A right-hand side whose solver broke down carries Result.Err and
+	// no X; its neighbours are unaffected.
 	Results []*Result
 	// Run is the whole batch's machine statistics.
 	Run comm.RunStats
@@ -207,35 +201,48 @@ type BatchResult struct {
 	// the cost batching amortizes across len(Results) solves.
 	SetupModelTime float64
 	// SolveModelTime[k] is the modeled span of solve k alone (max rank
-	// clock after solve k minus max rank clock before it).
+	// clock after solve k minus max rank clock before it). Because each
+	// end is a maximum over ranks, the span includes the rank skew the
+	// previous solve left behind: the same right-hand side measures
+	// about 4e-6 (relative) differently by batch position, while X and
+	// the iteration count are bit-equal. That is the definition, not
+	// drift — compare Run.ModelTime across runs, not spans across
+	// positions.
 	SolveModelTime []float64
 }
 
-// SolveCGBatch solves A·x = b_k for every right-hand side in rhs in a
-// single SPMD run: the mat-vec operator is built (and its inspector
+// SolveBatch solves the prepared system for every right-hand side in
+// rhs in a single SPMD run: the operator is built (and its inspector
 // schedule exchanged) once, then each RHS is solved in order reusing
 // one pooled core.Workspace per processor. opts[k] configures solve k;
 // a single-element opts slice applies to every RHS.
-func SolveCGBatch(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, rhs [][]float64, opts []core.Options) (*BatchResult, error) {
-	pr, err := Prepare(m, plan, A)
+func (pr *Prepared) SolveBatch(rhs [][]float64, opts []core.Options) (*BatchResult, error) {
+	return pr.SolveBatchTimeout(rhs, opts, 0)
+}
+
+// SolveBatchTimeout is SolveBatch under a deadlock watchdog: with
+// d > 0, a run that does not finish within d (wall time) is aborted
+// and the machine's deadlock diagnostic is returned instead of
+// hanging. The handle stays usable afterwards. d <= 0 waits forever.
+// A processor killed by the fault layer surfaces as a typed
+// comm.PeerFailure error either way.
+func (pr *Prepared) SolveBatchTimeout(rhs [][]float64, opts []core.Options, d time.Duration) (*BatchResult, error) {
+	out, err := pr.run(rhs, opts, d, pr.solve)
 	if err != nil {
 		return nil, err
 	}
-	return pr.SolveBatch(rhs, opts)
+	return out, nil
 }
 
-// SolveBatch runs one batch of right-hand sides (see SolveCGBatch).
-func (pr *Prepared) SolveBatch(rhs [][]float64, opts []core.Options) (*BatchResult, error) {
-	if pr.mfSpec != nil {
-		return pr.SolveStencilBatch(rhs, opts)
-	}
-	if pr.mgSpec != nil {
-		return pr.SolveHPCGBatch(rhs, opts)
-	}
+// run is the one solve loop. On a machine-level failure (fault layer,
+// watchdog) it returns the error together with a BatchResult holding
+// only Run — the failed attempt's cost, which the resilient driver
+// books as lost work.
+func (pr *Prepared) run(rhs [][]float64, opts []core.Options, d time.Duration, solve solveFn) (*BatchResult, error) {
 	if len(rhs) == 0 {
 		return nil, fmt.Errorf("hpfexec: empty batch")
 	}
-	n := pr.A.NRows
+	n := pr.N()
 	for k, b := range rhs {
 		if len(b) != n {
 			return nil, fmt.Errorf("hpfexec: rhs %d length %d != %d", k, len(b), n)
@@ -244,101 +251,86 @@ func (pr *Prepared) SolveBatch(rhs [][]float64, opts []core.Options) (*BatchResu
 	if len(opts) != 1 && len(opts) != len(rhs) {
 		return nil, fmt.Errorf("hpfexec: got %d option sets for %d right-hand sides", len(opts), len(rhs))
 	}
-	optFor := func(k int) core.Options {
-		if len(opts) == 1 {
-			return opts[0]
-		}
-		return opts[k]
-	}
 
-	pc := pr.pc
-	np := pr.m.NP()
-	out := &BatchResult{
-		Results:        make([]*Result, len(rhs)),
-		SolveModelTime: make([]float64, len(rhs)),
-	}
-	// marks[r][0] is rank r's clock after setup; marks[r][k+1] after
-	// solve k. Each rank writes only its own row, so no locking.
-	marks := make([][]float64, np)
-	for r := range marks {
-		marks[r] = make([]float64, len(rhs)+1)
-	}
-	stats := make([]core.Stats, len(rhs))
-	xs := make([][]float64, len(rhs))
-	var solveErr error
-	var ghostChosen bool
+	np, nrhs := pr.m.NP(), len(rhs)
+	results := make([]Result, nrhs)
+	// marks[r*(nrhs+1)] is rank r's clock after setup, the next nrhs
+	// entries its clock after each solve. Each rank writes only its own
+	// stretch, so no locking.
+	marks := make([]float64, np*(nrhs+1))
+	var buildErr error
+	var mode string
 
 	warm := pr.warm
-	run, err := pr.m.RunChecked(func(p *comm.Proc) {
-		var op spmv.Operator
+	body := func(p *comm.Proc) {
+		r := p.Rank()
+		ro := &pr.ranks[r]
 		if warm {
 			// Warm start: reuse the rank's cached operator, rebound to
 			// this run's Proc. No partitioning, no inspector exchange,
 			// no executor-selection collective — modeled setup is zero.
-			op = pr.ops[p.Rank()]
-			if rb, ok := op.(spmv.Rebindable); ok {
-				rb.Rebind(p)
-			}
+			ro.op.Rebind(p)
 		} else {
-			var ghost bool
-			op, ghost = pc.operator(p)
-			pr.ops[p.Rank()] = op
-			if ghost && p.Rank() == 0 {
-				ghostChosen = true
-			}
-		}
-		bv := darray.New(p, pc.d)
-		xv := darray.New(p, pc.d)
-		work := core.NewWorkspace()
-		marks[p.Rank()][0] = p.Clock()
-		for k := range rhs {
-			b := rhs[k]
-			bv.SetGlobal(func(g int) float64 { return b[g] })
-			xv.Fill(0)
-			opt := optFor(k)
-			opt.Work = work
-			var st core.Stats
-			var err error
-			switch {
-			case pc.pipelined:
-				st, err = core.CGPipelined(p, op, bv, xv, opt, true)
-			case pc.sstep >= 2:
-				st, err = core.CGSStep(p, op, bv, xv, opt, pc.sstep)
-			default:
-				st, err = core.CG(p, op, bv, xv, opt)
-			}
+			built, err := pr.be.build(p, pr.strategy.SStep)
 			if err != nil {
-				if p.Rank() == 0 {
-					solveErr = fmt.Errorf("hpfexec: batch rhs %d: %w", k, err)
+				if r == 0 {
+					buildErr = err
 				}
 				return
 			}
-			full := xv.Gather()
-			if p.Rank() == 0 {
-				xs[k] = full
-				stats[k] = st
+			*ro = built
+			if r == 0 {
+				mode = built.mode
 			}
-			marks[p.Rank()][k+1] = p.Clock()
 		}
-	})
+		bv := darray.New(p, ro.d)
+		xv := darray.New(p, ro.d)
+		work := core.NewWorkspace()
+		mk := marks[r*(nrhs+1) : (r+1)*(nrhs+1)]
+		mk[0] = p.Clock()
+		for k, b := range rhs {
+			bv.SetGlobal(func(g int) float64 { return b[g] })
+			xv.Fill(0)
+			opt := opts[0]
+			if len(opts) > 1 {
+				opt = opts[k]
+			}
+			opt.Work = work
+			st, err := solve(p, ro.op, ro.M, bv, xv, opt)
+			if err != nil {
+				// Solver errors are collective — every rank sees the
+				// same merged scalar — so all ranks skip the gather
+				// together and move on: one right-hand side that breaks
+				// down must not void its neighbours.
+				if r == 0 {
+					results[k].Err = fmt.Errorf("hpfexec: batch rhs %d: %w", k, err)
+				}
+			} else if full := xv.Gather(); r == 0 {
+				results[k].X = full
+			}
+			if r == 0 {
+				results[k].Stats = st
+			}
+			mk[k+1] = p.Clock()
+		}
+	}
+	var run comm.RunStats
+	var err error
+	if d > 0 {
+		run, err = pr.m.RunTimeout(body, d)
+	} else {
+		run, err = pr.m.RunChecked(body)
+	}
 	if err != nil {
-		return nil, err
+		return &BatchResult{Run: run}, err
 	}
-	if solveErr != nil {
-		return nil, solveErr
+	if buildErr != nil {
+		return nil, buildErr
 	}
-
-	strategy := pr.strategy
 	if !warm {
-		strategy = pc.strategy
-		if pc.format == "csr" {
-			if ghostChosen {
-				strategy.Mode = "local(ghost)"
-			} else {
-				strategy.Mode = "local(broadcast)"
-			}
+		if mode != "" {
+			pr.strategy.Mode = mode
 		}
-		pr.strategy = strategy
 		pr.warm = true
 	}
 
@@ -346,22 +338,25 @@ func (pr *Prepared) SolveBatch(rhs [][]float64, opts []core.Options) (*BatchResu
 	maxAt := func(j int) float64 {
 		m := 0.0
 		for r := 0; r < np; r++ {
-			if marks[r][j] > m {
-				m = marks[r][j]
+			if t := marks[r*(nrhs+1)+j]; t > m {
+				m = t
 			}
 		}
 		return m
 	}
-	out.SetupModelTime = maxAt(0)
+	out := &BatchResult{
+		Results:        make([]*Result, nrhs),
+		Run:            run,
+		SetupModelTime: maxAt(0),
+		SolveModelTime: make([]float64, nrhs),
+	}
 	prev := out.SetupModelTime
-	for k := range rhs {
+	for k := range results {
 		end := maxAt(k + 1)
 		out.SolveModelTime[k] = end - prev
 		prev = end
-	}
-	out.Run = run
-	for k := range rhs {
-		out.Results[k] = &Result{X: xs[k], Stats: stats[k], Run: run, Strategy: strategy}
+		results[k].Run, results[k].Strategy = run, pr.strategy
+		out.Results[k] = &results[k]
 	}
 	return out, nil
 }

@@ -4,9 +4,20 @@ import (
 	"math"
 	"testing"
 
+	"hpfcg/internal/comm"
 	"hpfcg/internal/core"
+	"hpfcg/internal/hpf"
 	"hpfcg/internal/sparse"
 )
+
+// solveBatch is Prepare + SolveBatch on a fresh handle.
+func solveBatch(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, rhs [][]float64, opts []core.Options) (*BatchResult, error) {
+	pr, err := Prepare(m, plan, A)
+	if err != nil {
+		return nil, err
+	}
+	return pr.SolveBatch(rhs, opts)
+}
 
 // TestPlanForLayoutMatchesSolo: every canonical layout binds to a plan
 // that solves, and the selected strategy matches the layout's intent.
@@ -63,7 +74,7 @@ func TestBatchBitIdenticalToSolo(t *testing.T) {
 			for k := range rhs {
 				rhs[k] = sparse.RandomVector(n, int64(100+k))
 			}
-			batch, err := SolveCGBatch(machine(np), plan, A, rhs, []core.Options{opt})
+			batch, err := solveBatch(machine(np), plan, A, rhs, []core.Options{opt})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +111,7 @@ func TestBatchAmortizesSetup(t *testing.T) {
 	for k := range rhs {
 		rhs[k] = sparse.RandomVector(n, int64(k+1))
 	}
-	batch, err := SolveCGBatch(machine(np), plan, A, rhs, []core.Options{{Tol: 1e-10}})
+	batch, err := solveBatch(machine(np), plan, A, rhs, []core.Options{{Tol: 1e-10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +129,7 @@ func TestBatchAmortizesSetup(t *testing.T) {
 		t.Fatalf("stage spans sum %v != makespan %v", sum, batch.Run.ModelTime)
 	}
 	// One solo run pays the same setup the whole batch paid once.
-	solo, err := SolveCGBatch(machine(np), plan, A, rhs[:1], []core.Options{{Tol: 1e-10}})
+	solo, err := solveBatch(machine(np), plan, A, rhs[:1], []core.Options{{Tol: 1e-10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,14 +148,14 @@ func TestBatchValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := machine(np)
-	if _, err := SolveCGBatch(m, plan, A, nil, []core.Options{{}}); err == nil {
+	if _, err := solveBatch(m, plan, A, nil, []core.Options{{}}); err == nil {
 		t.Error("empty batch accepted")
 	}
-	if _, err := SolveCGBatch(m, plan, A, [][]float64{make([]float64, 15)}, []core.Options{{}}); err == nil {
+	if _, err := solveBatch(m, plan, A, [][]float64{make([]float64, 15)}, []core.Options{{}}); err == nil {
 		t.Error("short rhs accepted")
 	}
 	rhs := [][]float64{make([]float64, 16), make([]float64, 16)}
-	if _, err := SolveCGBatch(m, plan, A, rhs, make([]core.Options, 3)); err == nil {
+	if _, err := solveBatch(m, plan, A, rhs, make([]core.Options, 3)); err == nil {
 		t.Error("mismatched option count accepted")
 	}
 	bad, err := PlanForLayout("csr", np+1, A.NRows, A.NNZ())

@@ -1,0 +1,406 @@
+package hpfexec
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+	"time"
+
+	"hpfcg/internal/comm"
+	"hpfcg/internal/core"
+	"hpfcg/internal/mfree"
+	"hpfcg/internal/mg"
+	"hpfcg/internal/seq"
+	"hpfcg/internal/sparse"
+)
+
+// confBackend is one row of the conformance table: how to prepare a
+// fresh handle on a machine, the sequential reference operator at that
+// rank count, and the variants the legality table admits.
+type confBackend struct {
+	name     string
+	prepare  func(m *comm.Machine) (*Prepared, error)
+	matrix   func(np int) (*sparse.CSR, error)
+	variants []Variant
+	// coldSetupZero: the backend's cold build charges nothing, at any
+	// rank count. inspects: it exchanges an inspector schedule, so at
+	// np > 1 the cold build must charge something.
+	coldSetupZero bool
+	inspects      bool
+}
+
+func layoutBackend(layout string, A *sparse.CSR, variants []Variant) confBackend {
+	return confBackend{
+		name: layout,
+		prepare: func(m *comm.Machine) (*Prepared, error) {
+			plan, err := PlanForLayout(layout, m.NP(), A.NRows, A.NNZ())
+			if err != nil {
+				return nil, err
+			}
+			return Prepare(m, plan, A)
+		},
+		matrix:   func(int) (*sparse.CSR, error) { return A, nil },
+		variants: variants,
+		inspects: !strings.HasPrefix(layout, "csc"),
+	}
+}
+
+func stencilBackendRow(name string, spec mfree.Spec) confBackend {
+	return confBackend{
+		name:          name,
+		prepare:       func(m *comm.Machine) (*Prepared, error) { return PrepareStencil(m, spec) },
+		matrix:        func(int) (*sparse.CSR, error) { return spec.Assemble() },
+		variants:      []Variant{{}, {Pipelined: true}},
+		coldSetupZero: true,
+	}
+}
+
+func conformanceBackends() []confBackend {
+	A := sparse.Laplace2D(12, 12)
+	csrVariants := []Variant{{}, {SStep: 1}, {SStep: 4}, {SStep: AutoSStep}, {Pipelined: true}}
+	brick := mg.Spec{Nx: 4, Ny: 4, Nz: 4, Levels: 3}
+	return []confBackend{
+		layoutBackend("csr", A, csrVariants),
+		layoutBackend("csc-merge", A, []Variant{{}, {SStep: 1}, {SStep: AutoSStep}}),
+		layoutBackend("balanced", A, csrVariants),
+		{
+			name:    "mg-3level",
+			prepare: func(m *comm.Machine) (*Prepared, error) { return PrepareMG(m, brick) },
+			// The hierarchy's fine grid is the 27-point stencil over np
+			// stacked bricks.
+			matrix: func(np int) (*sparse.CSR, error) {
+				return mfree.Spec{Stencil: "27pt", Nx: brick.Nx, Ny: brick.Ny, Nz: brick.Nz * np}.WithDefaults().Assemble()
+			},
+			variants: []Variant{{}},
+			inspects: true,
+		},
+		stencilBackendRow("stencil-5pt", mfree.Spec{Stencil: "5pt", Nx: 12, Ny: 16}),
+		stencilBackendRow("stencil-27pt", mfree.Spec{Stencil: "27pt", Nx: 3, Ny: 3, Nz: 8}),
+	}
+}
+
+func variantName(v Variant) string {
+	switch {
+	case v.Pipelined:
+		return "pipelined"
+	case v.SStep == AutoSStep:
+		return "sstep-auto"
+	case v.SStep > 0:
+		return fmt.Sprintf("sstep-%d", v.SStep)
+	}
+	return "plain"
+}
+
+// sameSolves fails unless got holds, right-hand side by right-hand
+// side, exactly the bits and iteration counts of want.
+func sameSolves(t *testing.T, what string, got, want []*Result) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", what, len(got), len(want))
+	}
+	for k := range want {
+		if got[k].Err != nil || want[k].Err != nil {
+			t.Fatalf("%s: rhs %d errors %v / %v", what, k, got[k].Err, want[k].Err)
+		}
+		if got[k].Stats.Iterations != want[k].Stats.Iterations {
+			t.Fatalf("%s: rhs %d took %d iterations, want %d", what, k, got[k].Stats.Iterations, want[k].Stats.Iterations)
+		}
+		for i := range want[k].X {
+			if got[k].X[i] != want[k].X[i] {
+				t.Fatalf("%s: rhs %d x[%d] = %v, want %v (bit-identity broken)", what, k, i, got[k].X[i], want[k].X[i])
+			}
+		}
+	}
+}
+
+// TestSolvePathConformance holds every backend × legal variant × rank
+// count to the sequential reference and to the bit-identities the one
+// solve loop claims: a batch equals its right-hand sides solved one by
+// one, a warm rerun equals the cold run with zero modeled setup and a
+// repeatable modeled clock, and the watchdog form equals the plain
+// form when it does not fire and leaves the handle usable when it
+// does.
+func TestSolvePathConformance(t *testing.T) {
+	opts := []core.Options{{Tol: 1e-10}}
+	for _, be := range conformanceBackends() {
+		for _, v := range be.variants {
+			for _, np := range []int{1, 2, 3, 4, 8} {
+				be, v, np := be, v, np
+				t.Run(fmt.Sprintf("%s/%s/np=%d", be.name, variantName(v), np), func(t *testing.T) {
+					fresh := func() *Prepared {
+						pr, err := be.prepare(machine(np))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := pr.WithVariant(v); err != nil {
+							t.Fatal(err)
+						}
+						return pr
+					}
+					pr := fresh()
+					n := pr.N()
+					rhs := [][]float64{sparse.RandomVector(n, 1), sparse.RandomVector(n, 2), sparse.RandomVector(n, 3)}
+
+					cold, err := pr.SolveBatch(rhs, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if be.coldSetupZero && cold.SetupModelTime != 0 {
+						t.Errorf("cold setup %g, want exactly 0", cold.SetupModelTime)
+					}
+					if be.inspects && np > 1 && cold.SetupModelTime <= 0 {
+						t.Errorf("cold setup %g, want > 0 (inspector exchange)", cold.SetupModelTime)
+					}
+
+					// Against the sequential reference.
+					A, err := be.matrix(np)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for k, b := range rhs {
+						r := cold.Results[k]
+						if r.Err != nil || !r.Stats.Converged {
+							t.Fatalf("rhs %d: err %v stats %v", k, r.Err, r.Stats)
+						}
+						xs := make([]float64, n)
+						if _, err := seq.CG(A, b, xs, seq.Options{Tol: 1e-10}); err != nil {
+							t.Fatal(err)
+						}
+						for i := range xs {
+							if math.Abs(r.X[i]-xs[i]) > 1e-6 {
+								t.Fatalf("rhs %d: x[%d] = %v, sequential %v", k, i, r.X[i], xs[i])
+							}
+						}
+						if rr := relResidual(A, r.X, b); rr > 1e-8 {
+							t.Fatalf("rhs %d: relative residual %g", k, rr)
+						}
+					}
+
+					// A batch of 3 is three batches of 1.
+					ones := make([]*Result, len(rhs))
+					for k := range rhs {
+						one, err := fresh().SolveBatch(rhs[k:k+1], opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ones[k] = one.Results[0]
+					}
+					sameSolves(t, "batch of 3 vs batches of 1", cold.Results, ones)
+
+					// Warm reruns: zero setup, same bits, same clock.
+					if !pr.Warm() {
+						t.Fatal("handle not warm after its first batch")
+					}
+					warm, err := pr.SolveBatch(rhs, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					again, err := pr.SolveBatch(rhs, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if warm.SetupModelTime != 0 || again.SetupModelTime != 0 {
+						t.Errorf("warm setup %g / %g, want exactly 0", warm.SetupModelTime, again.SetupModelTime)
+					}
+					sameSolves(t, "warm vs cold", warm.Results, cold.Results)
+					sameSolves(t, "second warm vs cold", again.Results, cold.Results)
+					if again.Run.ModelTime != warm.Run.ModelTime {
+						t.Errorf("warm model time %v then %v, want a repeatable clock", warm.Run.ModelTime, again.Run.ModelTime)
+					}
+					if be.coldSetupZero && warm.Run.ModelTime != cold.Run.ModelTime {
+						t.Errorf("setup-free backend: warm model time %v != cold %v", warm.Run.ModelTime, cold.Run.ModelTime)
+					}
+
+					// The watchdog form with room to spare is the plain form.
+					timed, err := fresh().SolveBatchTimeout(rhs, opts, 30*time.Second)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameSolves(t, "SolveBatchTimeout vs SolveBatch", timed.Results, cold.Results)
+					if timed.Run.ModelTime != cold.Run.ModelTime || timed.SetupModelTime != cold.SetupModelTime {
+						t.Errorf("SolveBatchTimeout clock %v/%v, SolveBatch %v/%v",
+							timed.Run.ModelTime, timed.SetupModelTime, cold.Run.ModelTime, cold.SetupModelTime)
+					}
+
+					// With no room at all it reports the hang. A run that
+					// wins the race against a 1ns timer is legitimate, so
+					// try until the timer wins once.
+					tripped := false
+					for try := 0; try < 100 && !tripped; try++ {
+						_, err := pr.SolveBatchTimeout(rhs, opts, time.Nanosecond)
+						if err != nil {
+							if !strings.Contains(err.Error(), "deadlocked") {
+								t.Fatalf("1ns watchdog: %v, want the deadlock diagnostic", err)
+							}
+							tripped = true
+						}
+					}
+					if !tripped {
+						t.Fatal("1ns watchdog never fired")
+					}
+					after, err := pr.SolveBatch(rhs, opts)
+					if err != nil {
+						t.Fatalf("handle unusable after a watchdog abort: %v", err)
+					}
+					sameSolves(t, "after watchdog abort vs cold", after.Results, cold.Results)
+					if after.SetupModelTime != 0 || after.Run.ModelTime != warm.Run.ModelTime {
+						t.Errorf("after watchdog abort: setup %g model %v, want 0 and %v",
+							after.SetupModelTime, after.Run.ModelTime, warm.Run.ModelTime)
+					}
+				})
+			}
+		}
+	}
+}
+
+// breakdownSystem is a block-diagonal matrix of [[1,1],[1,1]] blocks
+// with a right-hand side CG solves, (1,1,…), and one it breaks down
+// on, (1,-1,…): p = r = b gives p·Ap = 0 at iteration 1.
+func breakdownSystem(n int) (A *sparse.CSR, good, bad []float64) {
+	coo := sparse.NewCOO(n, n)
+	good, bad = make([]float64, n), make([]float64, n)
+	for i := 0; i < n; i += 2 {
+		coo.Add(i, i, 1)
+		coo.Add(i, i+1, 1)
+		coo.Add(i+1, i, 1)
+		coo.Add(i+1, i+1, 1)
+		good[i], good[i+1] = 1, 1
+		bad[i], bad[i+1] = 1, -1
+	}
+	return coo.ToCSR(), good, bad
+}
+
+// TestBatchBreakdownIsolated: one right-hand side that breaks the
+// solver down fails alone. Its neighbours in the batch come back
+// converged and bit-identical to their solo solves.
+func TestBatchBreakdownIsolated(t *testing.T) {
+	A, good, bad := breakdownSystem(16)
+	opts := []core.Options{{Tol: 1e-10}}
+	for _, np := range []int{1, 2, 4} {
+		prepare := func() *Prepared {
+			plan, err := PlanForLayout("csr", np, A.NRows, A.NNZ())
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr, err := Prepare(machine(np), plan, A)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pr
+		}
+		solo, err := prepare().SolveBatch([][]float64{good}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if solo.Results[0].Err != nil || !solo.Results[0].Stats.Converged {
+			t.Fatalf("np=%d: the good right-hand side alone: err %v stats %v", np, solo.Results[0].Err, solo.Results[0].Stats)
+		}
+
+		out, err := prepare().SolveBatch([][]float64{good, bad, good}, opts)
+		if err != nil {
+			t.Fatalf("np=%d: batch with one breakdown failed as a whole: %v", np, err)
+		}
+		if e := out.Results[1].Err; !errors.Is(e, core.ErrBreakdown) || !strings.Contains(e.Error(), "rhs 1") {
+			t.Fatalf("np=%d: rhs 1 error %v, want a core.ErrBreakdown naming rhs 1", np, e)
+		}
+		if out.Results[1].X != nil {
+			t.Errorf("np=%d: broken-down rhs carries a solution", np)
+		}
+		sameSolves(t, fmt.Sprintf("np=%d neighbours vs solo", np),
+			[]*Result{out.Results[0], out.Results[2]}, []*Result{solo.Results[0], solo.Results[0]})
+
+		// The one-RHS front door reports the breakdown as its error.
+		plan, err := PlanForLayout("csr", np, A.NRows, A.NNZ())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := SolveCG(machine(np), plan, A, bad, opts[0]); !errors.Is(err, core.ErrBreakdown) {
+			t.Errorf("np=%d: SolveCG on the bad rhs: %v, want core.ErrBreakdown", np, err)
+		}
+	}
+}
+
+// TestVariantLegality enumerates every backend × variant × resilient
+// cell: CheckVariant's verdict is the one WithVariant and
+// SolveCGResilient act on, field named.
+func TestVariantLegality(t *testing.T) {
+	A := sparse.Laplace2D(8, 8)
+	b := sparse.RandomVector(A.NRows, 1)
+	handles := map[string]func() (*Prepared, error){
+		BackendCSR: func() (*Prepared, error) {
+			plan, err := PlanForLayout("csr", 2, A.NRows, A.NNZ())
+			if err != nil {
+				return nil, err
+			}
+			return Prepare(machine(2), plan, A)
+		},
+		BackendCSC: func() (*Prepared, error) {
+			plan, err := PlanForLayout("csc-merge", 2, A.NRows, A.NNZ())
+			if err != nil {
+				return nil, err
+			}
+			return Prepare(machine(2), plan, A)
+		},
+		BackendHPCG:    func() (*Prepared, error) { return PrepareMG(machine(2), mg.Spec{Nx: 4, Ny: 4, Nz: 4}) },
+		BackendStencil: func() (*Prepared, error) { return PrepareStencil(machine(2), mfree.Spec{Stencil: "5pt", Nx: 8, Ny: 8}) },
+	}
+	// legal[backend] lists the variants that run; everything else in
+	// the enumeration must be refused with the field in wantField.
+	type cell struct {
+		v         Variant
+		resilient bool
+	}
+	legal := map[string]map[cell]bool{
+		BackendCSR: {
+			{Variant{}, false}: true, {Variant{SStep: 1}, false}: true, {Variant{SStep: 4}, false}: true,
+			{Variant{SStep: AutoSStep}, false}: true, {Variant{Pipelined: true}, false}: true,
+			{Variant{SStep: 1, Pipelined: true}, false}: true,
+			{Variant{}, true}: true, {Variant{SStep: 1}, true}: true,
+		},
+		BackendCSC: {
+			{Variant{}, false}: true, {Variant{SStep: 1}, false}: true, {Variant{SStep: AutoSStep}, false}: true,
+			{Variant{}, true}: true, {Variant{SStep: 1}, true}: true,
+		},
+		BackendHPCG:    {{Variant{}, false}: true},
+		BackendStencil: {{Variant{}, false}: true, {Variant{Pipelined: true}, false}: true},
+	}
+	for backend, prepare := range handles {
+		for _, s := range []int{0, 1, 4, AutoSStep, MaxSStep + 1} {
+			for _, pipelined := range []bool{false, true} {
+				for _, resilient := range []bool{false, true} {
+					v := Variant{SStep: s, Pipelined: pipelined}
+					name := fmt.Sprintf("%s/%s+pipelined=%v+resilient=%v", backend, variantName(Variant{SStep: s}), pipelined, resilient)
+					want := legal[backend][cell{v, resilient}]
+					err := CheckVariant(backend, v, resilient)
+					if (err == nil) != want {
+						t.Errorf("%s: CheckVariant = %v, want legal=%v", name, err, want)
+						continue
+					}
+					if err != nil && !strings.Contains(err.Error(), "field ") {
+						t.Errorf("%s: error %q names no field", name, err)
+					}
+
+					// The library acts on the same verdict.
+					pr, perr := prepare()
+					if perr != nil {
+						t.Fatal(perr)
+					}
+					got := pr.WithVariant(v)
+					if resilient && got == nil {
+						_, got = SolveCGResilient(pr, b, core.Options{Tol: 1e-8}, ResilientOptions{})
+					}
+					switch {
+					case want && got != nil:
+						t.Errorf("%s: legal cell refused by the library: %v", name, got)
+					case !want && got == nil:
+						t.Errorf("%s: illegal cell ran", name)
+					case !want && !resilient && got.Error() != err.Error():
+						t.Errorf("%s: WithVariant says %q, CheckVariant %q", name, got, err)
+					}
+				}
+			}
+		}
+	}
+}

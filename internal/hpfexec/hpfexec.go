@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"hpfcg/internal/comm"
 	"hpfcg/internal/core"
@@ -38,11 +37,14 @@ type Strategy struct {
 	Balanced bool   // partitioner-redistributed
 	// SStep is the communication-avoiding blocking factor the solves
 	// run with: 0 when the s-step path was not requested, 1 for plain
-	// CG through the s-step entry points, >= 2 for s-step blocks.
+	// CG through the s-step path, >= 2 for s-step blocks.
 	SStep int
 	// Pipelined marks the overlap-based solver (core.CGPipelined): one
 	// nonblocking allreduce per iteration, hidden behind the mat-vec.
 	Pipelined bool
+	// Levels is the clamped multigrid hierarchy depth of an hpcg
+	// handle (0 for every other backend).
+	Levels int
 }
 
 // String renders the strategy for logs.
@@ -60,45 +62,37 @@ func (s Strategy) String() string {
 	return out
 }
 
-// Result is a completed directive-driven solve.
+// Result is one right-hand side's completed solve.
 type Result struct {
 	X        []float64
 	Stats    core.Stats
 	Run      comm.RunStats
 	Strategy Strategy
+	// Err is the solver's own failure on this right-hand side (a
+	// core.ErrBreakdown); X is nil when it is set. Machine-level
+	// failures are returned by the solve call instead.
+	Err error
 }
 
 // SolveCG executes the CG of the paper's Figure 2 under the bound
-// plan. A is the runtime matrix (CSR form; converted as the declared
-// storage format requires), b the right-hand side. A processor killed
-// by the fault layer surfaces as a typed comm.PeerFailure error (no
-// deadlock); use SolveCGResilient to recover instead.
+// plan: the one-RHS front door over Prepare + SolveBatch. A is the
+// runtime matrix (CSR form; converted as the declared storage format
+// requires), b the right-hand side. A processor killed by the fault
+// layer surfaces as a typed comm.PeerFailure error (no deadlock); use
+// SolveCGResilient to recover instead.
 func SolveCG(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options) (*Result, error) {
-	fn, finish, err := prepareCG(m, plan, A, b, opt, nil)
+	pr, err := Prepare(m, plan, A)
 	if err != nil {
 		return nil, err
 	}
-	run, err := m.RunChecked(fn)
+	out, err := pr.SolveBatch([][]float64{b}, []core.Options{opt})
 	if err != nil {
 		return nil, err
 	}
-	return finish(run)
-}
-
-// SolveCGTimeout is SolveCG under a deadlock watchdog: if the SPMD
-// solve does not finish within d (wall time), the run is aborted and
-// the machine's deadlock diagnostic is returned instead of hanging —
-// the safety net cmd/hpfrun's -timeout flag routes through.
-func SolveCGTimeout(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options, d time.Duration) (*Result, error) {
-	fn, finish, err := prepareCG(m, plan, A, b, opt, nil)
-	if err != nil {
-		return nil, err
+	if r := out.Results[0]; r.Err != nil {
+		return nil, r.Err
 	}
-	run, err := m.RunTimeout(fn, d)
-	if err != nil {
-		return nil, err
-	}
-	return finish(run)
+	return out.Results[0], nil
 }
 
 // ResilientOptions configures SolveCGResilient.
@@ -116,6 +110,10 @@ type ResilientOptions struct {
 // ResilientResult is a completed solve that may have survived failures.
 type ResilientResult struct {
 	Result
+	// Final is the successful last attempt as the one-RHS batch it ran
+	// as (Result is Final.Results[0]); its setup and solve spans are
+	// that attempt's alone.
+	Final *BatchResult
 	// Attempts counts runs including the successful one (1 = no failure).
 	Attempts int
 	// Failures lists the typed failures the restarts absorbed.
@@ -132,28 +130,31 @@ type ResilientResult struct {
 	LostIterations  int
 }
 
-// SolveCGResilient is SolveCG with checkpoint/rollback-restart: the
-// solve runs core.CGResilient over a shared in-memory checkpoint
-// store, and every comm.PeerFailure triggers a restart that resumes
-// from the newest complete checkpoint. When the machine's fault
-// injector carries a mission clock (an Advance(float64) method, as
-// fault.Injector does), it is advanced by each failed attempt's
+// SolveCGResilient solves one right-hand side on an assembled-matrix
+// handle with checkpoint/rollback-restart: every attempt is the shared
+// solve loop running core.CGResilient over a shared in-memory
+// checkpoint store, and every comm.PeerFailure triggers a restart that
+// resumes from the newest complete checkpoint. When the machine's
+// fault injector carries a mission clock (an Advance(float64) method,
+// as fault.Injector does), it is advanced by each failed attempt's
 // modeled time so the remaining fault schedule stays aligned.
-func SolveCGResilient(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options, ropt ResilientOptions) (*ResilientResult, error) {
+// Checkpointing follows the plain recurrence: a handle whose variant
+// or backend has no resilient form is rejected by the legality table
+// (CheckVariant).
+func SolveCGResilient(pr *Prepared, b []float64, opt core.Options, ropt ResilientOptions) (*ResilientResult, error) {
+	if err := CheckVariant(pr.be.kind(), pr.variant, true); err != nil {
+		return nil, err
+	}
 	if ropt.Interval == 0 {
 		ropt.Interval = 10
 	}
 	if ropt.MaxRestarts == 0 {
 		ropt.MaxRestarts = 3
 	}
-	store := core.NewCheckpointStore(m.NP())
+	store := core.NewCheckpointStore(pr.m.NP())
 	res := core.Resilience{Store: store, Interval: ropt.Interval, GuardTol: ropt.GuardTol}
-	fn, finish, err := prepareCG(m, plan, A, b, opt,
-		func(p *comm.Proc, op spmv.Operator, bv, xv *darray.Vector) (core.Stats, error) {
-			return core.CGResilient(p, op, bv, xv, opt, res)
-		})
-	if err != nil {
-		return nil, err
+	solve := func(p *comm.Proc, op spmv.Operator, _ core.Preconditioner, bv, xv *darray.Vector, opt core.Options) (core.Stats, error) {
+		return core.CGResilient(p, op, bv, xv, opt, res)
 	}
 	out := &ResilientResult{}
 	for {
@@ -164,21 +165,21 @@ func SolveCGResilient(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float6
 		if _, k := store.Latest(); k > 0 {
 			startIter = k
 		}
-		run, runErr := m.RunChecked(fn)
-		out.TotalModelTime += run.ModelTime
+		att, runErr := pr.run([][]float64{b}, []core.Options{opt}, 0, solve)
+		var pf comm.PeerFailure
+		if runErr != nil && !errors.As(runErr, &pf) {
+			return nil, runErr
+		}
+		out.TotalModelTime += att.Run.ModelTime
 		if runErr == nil {
-			r, err := finish(run)
-			if err != nil {
-				return nil, err
+			r := att.Results[0]
+			if r.Err != nil {
+				return nil, r.Err
 			}
-			out.Result = *r
+			out.Result, out.Final = *r, att
 			out.TotalIterations += r.Stats.Iterations - r.Stats.StartIteration
 			out.LostIterations = out.TotalIterations - r.Stats.Iterations
 			return out, nil
-		}
-		var pf comm.PeerFailure
-		if !errors.As(runErr, &pf) {
-			return nil, runErr
 		}
 		out.Failures = append(out.Failures, pf)
 		if got := store.Reached(); got > startIter {
@@ -187,82 +188,85 @@ func SolveCGResilient(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float6
 		if out.Attempts > ropt.MaxRestarts {
 			return nil, fmt.Errorf("hpfexec: solve failed after %d attempts: %w", out.Attempts, pf)
 		}
-		if adv, ok := m.Injector().(interface{ Advance(float64) }); ok {
-			adv.Advance(run.ModelTime)
+		if adv, ok := pr.m.Injector().(interface{ Advance(float64) }); ok {
+			adv.Advance(att.Run.ModelTime)
 		}
 	}
 }
 
-// solveFn is the solver a prepared run executes per processor; nil
-// selects the plain core.CG.
-type solveFn func(p *comm.Proc, op spmv.Operator, bv, xv *darray.Vector) (core.Stats, error)
-
-// preparedCG is the RHS-independent analysis of a directive-driven CG
-// solve: the validated execution strategy, the vector distribution
-// (after any partitioner redistribution), and the converted matrix
-// forms. Both the solo prepareCG path and the batch path (batch.go)
-// run from it, so they cannot drift.
-type preparedCG struct {
+// matrixBackend is the directive-planned assembled matrix: the
+// validated storage format, the vector distribution (after any
+// partitioner redistribution), and the converted matrix forms.
+type matrixBackend struct {
 	A        *sparse.CSR
 	csc      *sparse.CSC
 	format   string // "csr" or "csc"
 	hasMerge bool
 	d        dist.Contiguous
-	strategy Strategy
-	// sstep is the resolved s-step blocking factor (0 = the s-step
-	// path was not requested; set by PrepareSStep/SolveCGSStep).
-	sstep int
-	// pipelined selects core.CGPipelined for the solves (set by
-	// PreparePipelined/SolveCGPipelined; exclusive with sstep >= 2).
-	pipelined bool
 }
 
-// operator builds this rank's mat-vec operator inside the SPMD region.
-// For CSR it performs the inspector-based executor selection (ghost
-// halo vs broadcast) — a collective, so all ranks agree; ghost reports
-// the choice.
-func (pc *preparedCG) operator(p *comm.Proc) (op spmv.Operator, ghost bool) {
-	switch pc.format {
-	case "csr":
+func (mb *matrixBackend) kind() string { return mb.format }
+func (mb *matrixBackend) n() int       { return mb.A.NRows }
+
+// memoryBytes counts the CSR arrays, the CSC copy when the layout
+// declared one, and as much again for operator-side copies (row
+// remaps, ghost buffers), plus two vectors.
+func (mb *matrixBackend) memoryBytes() int64 {
+	const intB, floatB = 8, 8
+	sz := int64(len(mb.A.RowPtr)+len(mb.A.Col))*intB + int64(len(mb.A.Val))*floatB
+	if mb.csc != nil {
+		sz += int64(len(mb.csc.ColPtr)+len(mb.csc.Row))*intB + int64(len(mb.csc.Val))*floatB
+	}
+	return 2*sz + int64(mb.A.NRows)*2*floatB
+}
+
+// build constructs this rank's mat-vec operator. For CSR it performs
+// the inspector-based executor selection (ghost halo vs broadcast) — a
+// collective, so all ranks agree.
+func (mb *matrixBackend) build(p *comm.Proc, sstep int) (rankOps, error) {
+	ro := rankOps{d: mb.d}
+	switch {
+	case mb.format == "csc":
+		mode := spmv.ModeSerialized
+		if mb.hasMerge {
+			mode = spmv.ModePrivateMerge
+		}
+		ro.op = spmv.NewColBlockCSC(p, mb.csc, mb.d, mode)
+	case sstep >= 2:
 		// The s-step path always runs the matrix-powers executor: the
 		// widened ghost closure is what makes one exchange serve a whole
 		// basis block, so the broadcast fallback never applies.
-		if pc.sstep >= 2 {
-			return spmv.NewRowBlockCSRPowers(p, pc.A, pc.d, pc.sstep), true
-		}
+		ro.op, ro.mode = spmv.NewRowBlockCSRPowers(p, mb.A, mb.d, sstep), "local(ghost)"
+	default:
 		// Inspector-based executor selection: build the ghost schedule
 		// once; if the largest halo stays below a quarter of the vector,
 		// the halo exchange beats the broadcast (E14/E15), otherwise fall
 		// back to the allgather operator. The decision is collective so
 		// all processors take the same branch.
-		ghostOp := spmv.NewRowBlockCSRGhost(p, pc.A, pc.d)
+		ghostOp := spmv.NewRowBlockCSRGhost(p, mb.A, mb.d)
 		maxGhosts := p.AllreduceScalar(float64(ghostOp.NGhosts()), comm.OpMax)
-		if maxGhosts <= 0.25*float64(pc.A.NRows) {
-			return ghostOp, true
+		if maxGhosts <= 0.25*float64(mb.A.NRows) {
+			ro.op, ro.mode = ghostOp, "local(ghost)"
+		} else {
+			ro.op, ro.mode = spmv.NewRowBlockCSR(p, mb.A, mb.d), "local(broadcast)"
 		}
-		return spmv.NewRowBlockCSR(p, pc.A, pc.d), false
-	case "csc":
-		mode := spmv.ModeSerialized
-		if pc.hasMerge {
-			mode = spmv.ModePrivateMerge
-		}
-		return spmv.NewColBlockCSC(p, pc.csc, pc.d, mode), false
 	}
-	panic("hpfexec: unreachable format " + pc.format)
+	return ro, nil
 }
 
 // analyzeCG validates the plan against the matrix and fixes everything
 // a solve needs that does not depend on the right-hand side.
-func analyzeCG(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR) (*preparedCG, error) {
+func analyzeCG(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR) (*matrixBackend, Strategy, error) {
+	fail := func(err error) (*matrixBackend, Strategy, error) { return nil, Strategy{}, err }
 	if A.NRows != A.NCols {
-		return nil, fmt.Errorf("hpfexec: matrix must be square, got %dx%d", A.NRows, A.NCols)
+		return fail(fmt.Errorf("hpfexec: matrix must be square, got %dx%d", A.NRows, A.NCols))
 	}
 	n := A.NRows
 	if plan.NP != m.NP() {
-		return nil, fmt.Errorf("hpfexec: plan bound for %d processors, machine has %d", plan.NP, m.NP())
+		return fail(fmt.Errorf("hpfexec: plan bound for %d processors, machine has %d", plan.NP, m.NP()))
 	}
 	if len(plan.Sparse) != 1 {
-		return nil, fmt.Errorf("hpfexec: need exactly one SPARSE_MATRIX declaration, have %d", len(plan.Sparse))
+		return fail(fmt.Errorf("hpfexec: need exactly one SPARSE_MATRIX declaration, have %d", len(plan.Sparse)))
 	}
 	var sm hpf.SparseMatrix
 	var smName string
@@ -275,11 +279,11 @@ func analyzeCG(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR) (*preparedCG, err
 	// n-sized array.
 	vecPlan, err := vectorRoot(plan, n)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	d, ok := vecPlan.Dist.(dist.Contiguous)
 	if !ok {
-		return nil, fmt.Errorf("hpfexec: vector distribution %s is not contiguous; the mat-vec scenarios need BLOCK-like mappings", vecPlan.Dist.Name())
+		return fail(fmt.Errorf("hpfexec: vector distribution %s is not contiguous; the mat-vec scenarios need BLOCK-like mappings", vecPlan.Dist.Name()))
 	}
 
 	strategy := Strategy{}
@@ -293,7 +297,7 @@ func analyzeCG(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR) (*preparedCG, err
 		}
 		_, atomCuts, err := plan.BindPartitioner(smName, ptr)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		d = dist.NewIrregular(atomCuts)
 		strategy.Balanced = true
@@ -326,76 +330,10 @@ func analyzeCG(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR) (*preparedCG, err
 			strategy.Mode = "serialized"
 		}
 	default:
-		return nil, fmt.Errorf("hpfexec: unsupported sparse format %q", sm.Format)
+		return fail(fmt.Errorf("hpfexec: unsupported sparse format %q", sm.Format))
 	}
 
-	return &preparedCG{A: A, csc: csc, format: sm.Format, hasMerge: hasMerge, d: d, strategy: strategy}, nil
-}
-
-// prepareCG builds the SPMD body plus the post-run assembly for one
-// right-hand side, so the Solve variants share everything but the Run
-// call and the solver.
-func prepareCG(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options, solve solveFn) (func(p *comm.Proc), func(run comm.RunStats) (*Result, error), error) {
-	pc, err := analyzeCG(m, plan, A)
-	if err != nil {
-		return nil, nil, err
-	}
-	return prepareCGFrom(m, pc, b, opt, solve)
-}
-
-// prepareCGFrom is prepareCG past the analysis step: it builds the
-// SPMD body and the finisher from an already-prepared plan, so the
-// s-step entry points can resolve the blocking factor in between.
-func prepareCGFrom(m *comm.Machine, pc *preparedCG, b []float64, opt core.Options, solve solveFn) (func(p *comm.Proc), func(run comm.RunStats) (*Result, error), error) {
-	if solve == nil {
-		solve = func(p *comm.Proc, op spmv.Operator, bv, xv *darray.Vector) (core.Stats, error) {
-			return core.CG(p, op, bv, xv, opt)
-		}
-	}
-	A := pc.A
-	if len(b) != A.NRows {
-		return nil, nil, fmt.Errorf("hpfexec: rhs length %d != %d", len(b), A.NRows)
-	}
-
-	res := &Result{Strategy: pc.strategy}
-	var solveErr error
-	var ghostChosen bool
-	fn := func(p *comm.Proc) {
-		op, ghost := pc.operator(p)
-		if ghost && p.Rank() == 0 {
-			ghostChosen = true
-		}
-		bv := darray.New(p, pc.d)
-		xv := darray.New(p, pc.d)
-		bv.SetGlobal(func(g int) float64 { return b[g] })
-		st, err := solve(p, op, bv, xv)
-		if err != nil {
-			if p.Rank() == 0 {
-				solveErr = err
-			}
-			return
-		}
-		full := xv.Gather()
-		if p.Rank() == 0 {
-			res.X = full
-			res.Stats = st
-		}
-	}
-	finish := func(run comm.RunStats) (*Result, error) {
-		if solveErr != nil {
-			return nil, solveErr
-		}
-		if pc.format == "csr" {
-			if ghostChosen {
-				res.Strategy.Mode = "local(ghost)"
-			} else {
-				res.Strategy.Mode = "local(broadcast)"
-			}
-		}
-		res.Run = run
-		return res, nil
-	}
-	return fn, finish, nil
+	return &matrixBackend{A: A, csc: csc, format: sm.Format, hasMerge: hasMerge, d: d}, strategy, nil
 }
 
 // vectorRoot finds the array plan that plays the role of p in

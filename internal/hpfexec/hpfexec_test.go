@@ -57,6 +57,23 @@ const balancedPlan = csrPlan + `
 !EXT$ REDISTRIBUTE smA USING CG_BALANCED_PARTITIONER_1
 `
 
+// solveVariant is the one-RHS form of the surviving API: Prepare,
+// WithVariant, SolveBatchTimeout.
+func solveVariant(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options, v Variant, d time.Duration) (*Result, error) {
+	pr, err := Prepare(m, plan, A)
+	if err != nil {
+		return nil, err
+	}
+	if err := pr.WithVariant(v); err != nil {
+		return nil, err
+	}
+	out, err := pr.SolveBatchTimeout([][]float64{b}, []core.Options{opt}, d)
+	if err != nil {
+		return nil, err
+	}
+	return out.Results[0], out.Results[0].Err
+}
+
 func relResidual(A *sparse.CSR, x, b []float64) float64 {
 	r := make([]float64, A.NRows)
 	A.MulVec(x, r)
@@ -225,13 +242,13 @@ func TestSolveCGErrors(t *testing.T) {
 }
 
 // TestSolveCGTimeoutCompletes: a healthy solve under the watchdog
-// behaves exactly like SolveCG.
+// (SolveBatchTimeout with d > 0) behaves exactly like SolveCG.
 func TestSolveCGTimeoutCompletes(t *testing.T) {
 	A := sparse.Laplace2D(12, 12)
 	b := sparse.RandomVector(A.NRows, 3)
 	np := 4
 	plan := bindPlan(t, csrPlan, A.NRows, A.NNZ(), np)
-	res, err := SolveCGTimeout(machine(np), plan, A, b, core.Options{Tol: 1e-10}, 30*time.Second)
+	res, err := solveVariant(machine(np), plan, A, b, core.Options{Tol: 1e-10}, Variant{}, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-// The HPCG execution path: directive-free prepared handles for the
+// The HPCG backend: directive-free prepared handles for the
 // multigrid-preconditioned stencil solve. Where Prepare captures a
 // matrix's RHS-independent analysis, PrepareMG captures a stencil
 // problem's — the level hierarchy with its halo and transfer
@@ -12,16 +12,15 @@ import (
 	"fmt"
 
 	"hpfcg/internal/comm"
-	"hpfcg/internal/core"
-	"hpfcg/internal/darray"
 	"hpfcg/internal/grid"
 	"hpfcg/internal/mg"
 )
 
 // PrepareMG validates the HPCG spec against the machine and fixes the
-// execution strategy, returning the handle SolveHPCGBatch runs from.
-// The requested hierarchy depth clamps to what the geometry supports;
-// Strategy reports the clamped shape.
+// execution strategy, returning the handle whose solves run core.PCG
+// under the V-cycle preconditioner. The requested hierarchy depth
+// clamps to what the geometry supports; Strategy reports the clamped
+// shape (Mode and Levels).
 func PrepareMG(m *comm.Machine, spec mg.Spec) (*Prepared, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
@@ -32,159 +31,32 @@ func PrepareMG(m *comm.Machine, spec mg.Spec) (*Prepared, error) {
 		return nil, err
 	}
 	depth := grid.ClampLevels(fine, spec.Levels)
-	strategy := Strategy{
+	return newPrepared(m, &mgBackend{spec: spec, size: fine.N(), bytes: spec.ModelBytes(m.NP())}, Strategy{
 		Scenario: "hpcg 27-pt stencil",
 		Mode:     fmt.Sprintf("mg-vcycle(levels=%d,smooths=%d)", depth, spec.Smooths),
-	}
-	return &Prepared{
-		m:        m,
-		mgSpec:   &spec,
-		mgLevels: depth,
-		strategy: strategy,
-		mgProbs:  make([]*mg.Problem, m.NP()),
-	}, nil
+		Levels:   depth,
+	}), nil
 }
 
-// MG returns the handle's HPCG spec, or nil for matrix handles.
-func (pr *Prepared) MG() *mg.Spec { return pr.mgSpec }
-
-// MGLevels returns the clamped hierarchy depth of an MG handle
-// (0 for matrix handles).
-func (pr *Prepared) MGLevels() int { return pr.mgLevels }
-
-// SolveHPCG prepares and solves one HPCG-style system: V-cycle
-// multigrid-preconditioned CG on the 27-point stencil sized by spec.
-func SolveHPCG(m *comm.Machine, spec mg.Spec, b []float64, opt core.Options) (*Result, error) {
-	pr, err := PrepareMG(m, spec)
-	if err != nil {
-		return nil, err
-	}
-	out, err := pr.SolveHPCGBatch([][]float64{b}, []core.Options{opt})
-	if err != nil {
-		return nil, err
-	}
-	return out.Results[0], nil
+// mgBackend never materializes a matrix: the system size and the
+// hierarchy's resident size are analytic in the spec.
+type mgBackend struct {
+	spec  mg.Spec
+	size  int
+	bytes int64
 }
 
-// SolveHPCGBatch solves the prepared stencil problem for every
-// right-hand side in one SPMD run, exactly like SolveBatch does for
-// matrix handles: cold runs build the level hierarchy (collective
-// inspector exchanges per level) and cache the per-rank problems in
-// the handle; warm runs rebind the cached hierarchy into the new run,
-// so modeled setup is zero. Each RHS runs core.PCG under the V-cycle
-// preconditioner with one pooled workspace per rank, bit-identical
-// across repeat calls.
-func (pr *Prepared) SolveHPCGBatch(rhs [][]float64, opts []core.Options) (*BatchResult, error) {
-	if pr.mgSpec == nil {
-		return nil, fmt.Errorf("hpfexec: SolveHPCGBatch on a matrix handle (use SolveBatch)")
-	}
-	if len(rhs) == 0 {
-		return nil, fmt.Errorf("hpfexec: empty batch")
-	}
-	n := pr.N()
-	for k, b := range rhs {
-		if len(b) != n {
-			return nil, fmt.Errorf("hpfexec: rhs %d length %d != %d", k, len(b), n)
-		}
-	}
-	if len(opts) != 1 && len(opts) != len(rhs) {
-		return nil, fmt.Errorf("hpfexec: got %d option sets for %d right-hand sides", len(opts), len(rhs))
-	}
-	optFor := func(k int) core.Options {
-		if len(opts) == 1 {
-			return opts[0]
-		}
-		return opts[k]
-	}
+func (b *mgBackend) kind() string       { return BackendHPCG }
+func (b *mgBackend) n() int             { return b.size }
+func (b *mgBackend) memoryBytes() int64 { return b.bytes }
 
-	np := pr.m.NP()
-	out := &BatchResult{
-		Results:        make([]*Result, len(rhs)),
-		SolveModelTime: make([]float64, len(rhs)),
-	}
-	marks := make([][]float64, np)
-	for r := range marks {
-		marks[r] = make([]float64, len(rhs)+1)
-	}
-	stats := make([]core.Stats, len(rhs))
-	xs := make([][]float64, len(rhs))
-	var solveErr error
-
-	warm := pr.warm
-	run, err := pr.m.RunChecked(func(p *comm.Proc) {
-		var pb *mg.Problem
-		if warm {
-			// Warm start: the cached hierarchy rebinds its schedules to
-			// this run's Proc — no level setup, no inspector exchange,
-			// modeled setup is zero.
-			pb = pr.mgProbs[p.Rank()]
-			pb.Rebind(p)
-		} else {
-			var err error
-			pb, err = mg.NewProblem(p, *pr.mgSpec)
-			if err != nil {
-				// Deterministic in (spec, np), so every rank fails
-				// identically and control flow stays aligned.
-				if p.Rank() == 0 {
-					solveErr = err
-				}
-				return
-			}
-			pr.mgProbs[p.Rank()] = pb
-		}
-		op, M := pb.Operator(), pb.Precond()
-		bv := darray.New(p, pb.Dist())
-		xv := darray.New(p, pb.Dist())
-		work := core.NewWorkspace()
-		marks[p.Rank()][0] = p.Clock()
-		for k := range rhs {
-			b := rhs[k]
-			bv.SetGlobal(func(g int) float64 { return b[g] })
-			xv.Fill(0)
-			opt := optFor(k)
-			opt.Work = work
-			st, err := core.PCG(p, op, M, bv, xv, opt)
-			if err != nil {
-				if p.Rank() == 0 {
-					solveErr = fmt.Errorf("hpfexec: batch rhs %d: %w", k, err)
-				}
-				return
-			}
-			full := xv.Gather()
-			if p.Rank() == 0 {
-				xs[k] = full
-				stats[k] = st
-			}
-			marks[p.Rank()][k+1] = p.Clock()
-		}
-	})
+// build constructs the rank's level hierarchy (collective inspector
+// exchanges per level). Rebinding the cached operator rebinds the
+// whole problem, preconditioner included.
+func (b *mgBackend) build(p *comm.Proc, _ int) (rankOps, error) {
+	pb, err := mg.NewProblem(p, b.spec)
 	if err != nil {
-		return nil, err
+		return rankOps{}, err
 	}
-	if solveErr != nil {
-		return nil, solveErr
-	}
-	pr.warm = true
-
-	maxAt := func(j int) float64 {
-		m := 0.0
-		for r := 0; r < np; r++ {
-			if marks[r][j] > m {
-				m = marks[r][j]
-			}
-		}
-		return m
-	}
-	out.SetupModelTime = maxAt(0)
-	prev := out.SetupModelTime
-	for k := range rhs {
-		end := maxAt(k + 1)
-		out.SolveModelTime[k] = end - prev
-		prev = end
-	}
-	out.Run = run
-	for k := range rhs {
-		out.Results[k] = &Result{X: xs[k], Stats: stats[k], Run: run, Strategy: pr.strategy}
-	}
-	return out, nil
+	return rankOps{op: pb.Operator(), M: pb.Precond(), d: pb.Dist()}, nil
 }

@@ -23,7 +23,7 @@ func TestSolveHPCGConverges(t *testing.T) {
 		t.Fatalf("N = %d, want %d", n, want)
 	}
 	b := sparse.RandomVector(n, 42)
-	out, err := pr.SolveHPCGBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
+	out, err := pr.SolveBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,49 +34,11 @@ func TestSolveHPCGConverges(t *testing.T) {
 	if res.Strategy.Scenario != "hpcg 27-pt stencil" {
 		t.Errorf("scenario = %q", res.Strategy.Scenario)
 	}
-	if pr.MGLevels() != 3 {
-		t.Errorf("levels = %d, want 3", pr.MGLevels())
+	if res.Strategy.Levels != 3 || pr.Strategy().Levels != 3 {
+		t.Errorf("levels = %d (handle %d), want 3", res.Strategy.Levels, pr.Strategy().Levels)
 	}
 	if out.Run.TotalFlops <= 0 {
 		t.Errorf("no flops charged: %d", out.Run.TotalFlops)
-	}
-}
-
-// TestHPCGWarmBatchZeroSetup: the PR 5/6 registry semantics — a warm
-// handle rebinds the cached hierarchy, so the second batch's modeled
-// setup is exactly zero and its answers are bit-identical to the
-// cold batch's.
-func TestHPCGWarmBatchZeroSetup(t *testing.T) {
-	m := machine(4)
-	pr, err := PrepareMG(m, mgSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := sparse.RandomVector(pr.N(), 7)
-	opts := []core.Options{{Tol: 1e-10}}
-
-	cold, err := pr.SolveHPCGBatch([][]float64{b}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.SetupModelTime <= 0 {
-		t.Errorf("cold setup time %v, want > 0", cold.SetupModelTime)
-	}
-	if !pr.Warm() {
-		t.Fatal("handle not warm after first batch")
-	}
-	warm, err := pr.SolveHPCGBatch([][]float64{b}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.SetupModelTime != 0 {
-		t.Errorf("warm setup time %v, want exactly 0", warm.SetupModelTime)
-	}
-	x0, x1 := cold.Results[0].X, warm.Results[0].X
-	for i := range x0 {
-		if x0[i] != x1[i] {
-			t.Fatalf("warm answer differs at %d: %v vs %v", i, x0[i], x1[i])
-		}
 	}
 }
 
@@ -91,7 +53,7 @@ func TestHPCGBatchMultiRHS(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := sparse.RandomVector(pr.N(), seed)
-		out, err := pr.SolveHPCGBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
+		out, err := pr.SolveBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +69,7 @@ func TestHPCGBatchMultiRHS(t *testing.T) {
 		sparse.RandomVector(pr.N(), 2),
 		sparse.RandomVector(pr.N(), 3),
 	}
-	out, err := pr.SolveHPCGBatch(rhs, []core.Options{{Tol: 1e-10}})
+	out, err := pr.SolveBatch(rhs, []core.Options{{Tol: 1e-10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,26 +103,5 @@ func TestMGHandleMemoryBytes(t *testing.T) {
 	}
 	if pr.MemoryBytes() <= 0 {
 		t.Errorf("MemoryBytes = %d", pr.MemoryBytes())
-	}
-	if pr.MG() == nil {
-		t.Error("MG() nil on an MG handle")
-	}
-}
-
-// TestSolveBatchRoutesMGHandles: the generic batch entry point
-// dispatches MG handles to the HPCG path, so registry consumers need
-// no type switch.
-func TestSolveBatchRoutesMGHandles(t *testing.T) {
-	pr, err := PrepareMG(machine(2), mgSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := sparse.RandomVector(pr.N(), 9)
-	out, err := pr.SolveBatch([][]float64{b}, []core.Options{{Tol: 1e-8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Results[0].Stats.Converged {
-		t.Error("no convergence through SolveBatch routing")
 	}
 }

@@ -1,5 +1,5 @@
-// The pipelined execution path: overlap-based CG (core.CGPipelined)
-// under a directive plan, and its price in the paper's §4 cost model.
+// The price of overlap-based pipelined CG (core.CGPipelined, selected
+// by Variant.Pipelined) in the paper's §4 cost model.
 //
 // Where the s-step path amortizes the allreduce latency over s
 // iterations, the pipelined path hides it: one two-word nonblocking
@@ -14,14 +14,9 @@ package hpfexec
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"hpfcg/internal/comm"
-	"hpfcg/internal/core"
-	"hpfcg/internal/darray"
 	"hpfcg/internal/dist"
-	"hpfcg/internal/hpf"
-	"hpfcg/internal/mfree"
 	"hpfcg/internal/sparse"
 	"hpfcg/internal/spmv"
 	"hpfcg/internal/topology"
@@ -153,115 +148,4 @@ func ChooseVariant(m *comm.Machine, A *sparse.CSR, d dist.Contiguous) (string, [
 		}
 	}
 	return best.Name, models
-}
-
-// resolvePipelined validates the pipelined request against the
-// analyzed strategy: the overlap recurrence runs the row-block CSR
-// scenario (like s-step) and is mutually exclusive with s-step
-// blocking — the two attack the same latency term and do not compose.
-func resolvePipelined(pc *preparedCG) error {
-	if pc.format != "csr" {
-		return fmt.Errorf("hpfexec: pipelined CG needs the row-block CSR scenario, plan declares %s", pc.format)
-	}
-	if pc.sstep >= 2 {
-		return fmt.Errorf("hpfexec: pipelined CG cannot combine with s-step blocking (s=%d)", pc.sstep)
-	}
-	return nil
-}
-
-// PreparePipelined is Prepare with the overlap-based pipelined solver:
-// batch solves run core.CGPipelined with its nonblocking round hidden
-// behind the mat-vec. Warm registry hits rebind cached operators like
-// every other handle, so repeat traffic keeps SetupModelTime exactly 0.
-func PreparePipelined(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR) (*Prepared, error) {
-	pc, err := analyzeCG(m, plan, A)
-	if err != nil {
-		return nil, err
-	}
-	if err := resolvePipelined(pc); err != nil {
-		return nil, err
-	}
-	pc.pipelined = true
-	pc.strategy.Pipelined = true
-	return &Prepared{m: m, A: A, pc: pc, strategy: pc.strategy, ops: make([]spmv.Operator, m.NP())}, nil
-}
-
-// Pipelined reports whether the handle's solves run the overlap-based
-// pipelined solver.
-func (pr *Prepared) Pipelined() bool {
-	return (pr.pc != nil && pr.pc.pipelined) || pr.pipelined
-}
-
-// PrepareStencilPipelined is PrepareStencil with the pipelined solver:
-// the matrix-free operator application becomes the overlap window.
-// Setup stays exactly zero, cold and warm, like every stencil handle.
-func PrepareStencilPipelined(m *comm.Machine, spec mfree.Spec) (*Prepared, error) {
-	pr, err := PrepareStencil(m, spec)
-	if err != nil {
-		return nil, err
-	}
-	pr.pipelined = true
-	pr.strategy.Pipelined = true
-	return pr, nil
-}
-
-// SolveStencilPipelined prepares and solves one matrix-free stencil
-// system with the pipelined solver (cmd/hpfrun's -stencil -pipelined).
-func SolveStencilPipelined(m *comm.Machine, spec mfree.Spec, b []float64, opt core.Options) (*Result, error) {
-	pr, err := PrepareStencilPipelined(m, spec)
-	if err != nil {
-		return nil, err
-	}
-	out, err := pr.SolveStencilBatch([][]float64{b}, []core.Options{opt})
-	if err != nil {
-		return nil, err
-	}
-	return out.Results[0], nil
-}
-
-// SolveCGPipelined executes the directive-driven CG with the pipelined
-// overlap solver (core.CGPipelined): one nonblocking allreduce per
-// iteration, hidden behind the mat-vec on the modeled clock.
-func SolveCGPipelined(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options) (*Result, error) {
-	fn, finish, err := prepareCGPipelined(m, plan, A, b, opt)
-	if err != nil {
-		return nil, err
-	}
-	run, err := m.RunChecked(fn)
-	if err != nil {
-		return nil, err
-	}
-	return finish(run)
-}
-
-// SolveCGPipelinedTimeout is SolveCGPipelined under the same deadlock
-// watchdog as SolveCGTimeout.
-func SolveCGPipelinedTimeout(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options, d time.Duration) (*Result, error) {
-	fn, finish, err := prepareCGPipelined(m, plan, A, b, opt)
-	if err != nil {
-		return nil, err
-	}
-	run, err := m.RunTimeout(fn, d)
-	if err != nil {
-		return nil, err
-	}
-	return finish(run)
-}
-
-// prepareCGPipelined validates the pipelined request and builds the
-// SPMD body running core.CGPipelined.
-func prepareCGPipelined(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options) (func(p *comm.Proc), func(run comm.RunStats) (*Result, error), error) {
-	pc, err := analyzeCG(m, plan, A)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := resolvePipelined(pc); err != nil {
-		return nil, nil, err
-	}
-	pc.pipelined = true
-	pc.strategy.Pipelined = true
-	return prepareCGFrom(m, pc, b, opt,
-		func(p *comm.Proc, op spmv.Operator, bv, xv *darray.Vector) (core.Stats, error) {
-			return core.CGPipelined(p, op, bv, xv, opt, true)
-		})
 }

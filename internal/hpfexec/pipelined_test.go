@@ -14,8 +14,8 @@ import (
 	"hpfcg/internal/topology"
 )
 
-// TestSolveCGPipelinedConverges: the directive-driven pipelined entry
-// point converges on the row-block CSR scenario and on the
+// TestSolveCGPipelinedConverges: the directive-driven pipelined
+// variant converges on the row-block CSR scenario and on the
 // partitioner-balanced layout, reports the pipelined strategy, and —
 // on a clean solve — pays exactly one allreduce round per iteration
 // plus the setup/detection/confirmation rounds.
@@ -28,7 +28,7 @@ func TestSolveCGPipelinedConverges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := SolveCGPipelined(machine(np), plan, A, b, core.Options{Tol: 1e-10})
+		res, err := solveVariant(machine(np), plan, A, b, core.Options{Tol: 1e-10}, Variant{Pipelined: true}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,13 +63,11 @@ func TestPipelinedRejectsIncompatiblePlans(t *testing.T) {
 	b := sparse.RandomVector(A.NRows, 6)
 	np := 2
 	plan := bindPlan(t, cscPlanMerge, A.NRows, A.NNZ(), np)
-	if _, err := SolveCGPipelined(machine(np), plan, A, b, core.Options{}); err == nil {
+	if _, err := solveVariant(machine(np), plan, A, b, core.Options{}, Variant{Pipelined: true}, 0); err == nil {
 		t.Fatal("pipelined CG on a CSC plan did not error")
 	}
-	if _, err := PreparePipelined(machine(np), plan, A); err == nil {
-		t.Fatal("PreparePipelined on a CSC plan did not error")
-	}
-	if err := resolvePipelined(&preparedCG{format: "csr", sstep: 4}); err == nil {
+	csr := bindPlan(t, csrPlan, A.NRows, A.NNZ(), np)
+	if _, err := solveVariant(machine(np), csr, A, b, core.Options{}, Variant{SStep: 4, Pipelined: true}, 0); err == nil {
 		t.Fatal("pipelined + s-step blocking did not error")
 	}
 }
@@ -86,11 +84,14 @@ func TestRegistryWarmPipelinedHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := PreparePipelined(machine(np), plan, A)
+	pr, err := Prepare(machine(np), plan, A)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pr.Pipelined() {
+	if err := pr.WithVariant(Variant{Pipelined: true}); err != nil {
+		t.Fatal(err)
+	}
+	if !pr.Strategy().Pipelined {
 		t.Fatal("prepared handle does not report pipelined")
 	}
 	reg := NewRegistry(0)
@@ -213,15 +214,18 @@ func TestStencilPipelinedBitIdenticalToAssembled(t *testing.T) {
 	}
 	for _, np := range []int{1, 4} {
 		m := machine(np)
-		pr, err := PrepareStencilPipelined(m, spec)
+		pr, err := PrepareStencil(m, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !pr.Pipelined() || !pr.strategy.Pipelined {
+		if err := pr.WithVariant(Variant{Pipelined: true}); err != nil {
+			t.Fatal(err)
+		}
+		if !pr.Strategy().Pipelined {
 			t.Fatal("stencil handle does not report pipelined")
 		}
 		b := sparse.RandomVector(pr.N(), 5)
-		out, err := pr.SolveStencilBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
+		out, err := pr.SolveBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
 		if err != nil {
 			t.Fatal(err)
 		}

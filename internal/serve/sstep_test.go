@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"hpfcg/internal/comm"
-	"hpfcg/internal/core"
 	"hpfcg/internal/dist"
 	"hpfcg/internal/hpfexec"
 	"hpfcg/internal/sparse"
@@ -44,7 +43,7 @@ func TestSStepAutoSelection(t *testing.T) {
 }
 
 // A fixed sstep job must answer bit-identically to the direct
-// hpfexec.SolveCGSStep at the same factor.
+// a direct hpfexec s-step solve at the same factor.
 func TestSStepFixedBitIdenticalToDirect(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Drain(testCtx(t))
@@ -74,10 +73,7 @@ func TestSStepFixedBitIdenticalToDirect(t *testing.T) {
 	}
 	m := comm.NewMachine(spec.NP, topology.Hypercube{}, topology.DefaultCostParams())
 	b := sparse.RandomVector(A.NRows, spec.Seed)
-	want, err := hpfexec.SolveCGSStep(m, plan, A, b, core.Options{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := directVariant(t, m, plan, A, b, hpfexec.Variant{SStep: 4})
 	for i := range want.X {
 		if v.Result.X[i] != want.X[i] {
 			t.Fatalf("x[%d] service %v != direct %v", i, v.Result.X[i], want.X[i])
