@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench quick serve-smoke cluster-smoke e23-smoke mg-smoke mfree-smoke pipelined-smoke docs-lint
+.PHONY: all build vet test race check bench quick serve-smoke cluster-smoke e23-smoke mg-smoke mfree-smoke pipelined-smoke resilient-smoke docs-lint loc
 
 all: check
 
@@ -23,7 +23,7 @@ test:
 # mat-vec kernels now share pooled buffers and workspaces across those
 # goroutines, so they race-test too. The fault injector and the
 # checkpoint store are shared across ranks and restart attempts, so
-# internal/fault and the resilient hpfexec driver join the pass. The
+# internal/fault and hpfexec's resilient variant join the pass. The
 # solver service multiplexes jobs across worker goroutines and batches,
 # so internal/serve joins too. The cluster router proxies concurrent
 # submissions, scatters sweeps and merges metrics scrapes across
@@ -35,7 +35,7 @@ test:
 race:
 	$(GO) test -race ./internal/comm/... ./internal/trace/... ./internal/core/... ./internal/spmv/... ./internal/fault/... ./internal/hpfexec/... ./internal/serve/... ./internal/cluster/... ./internal/mg/... ./internal/mfree/...
 
-check: build vet test race e23-smoke mg-smoke mfree-smoke pipelined-smoke serve-smoke cluster-smoke docs-lint
+check: build vet test race e23-smoke mg-smoke mfree-smoke pipelined-smoke resilient-smoke serve-smoke cluster-smoke docs-lint
 
 # Documentation floor: every package carries a package doc comment, and
 # the strict packages (internal/comm, internal/core, internal/hpfexec)
@@ -73,6 +73,18 @@ mfree-smoke:
 pipelined-smoke:
 	$(GO) run ./cmd/hpfrun -np 4 -matrix banded:256:4 -demo csr -pipelined > /dev/null
 	$(GO) run ./cmd/cgbench -exp E26 -quick > /dev/null
+
+# Quick pass over the resilient variant through a binary: an injected
+# crash absorbed by checkpoint/restart, once more under the watchdog
+# that bounds every attempt.
+resilient-smoke:
+	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "crash:rank=2@t=0.5ms" -resilient -ckpt 5 > /dev/null
+	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "crash:rank=2@t=0.5ms" -resilient -ckpt 5 -timeout 30s > /dev/null
+
+# The size ROADMAP item 1 tracks: non-test, non-blank, non-comment
+# lines of internal/hpfexec + internal/serve.
+loc:
+	@ls internal/hpfexec/*.go internal/serve/*.go | grep -v _test.go | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'
 
 # Modeled-machine benchmarks (send path allocation counts included),
 # plus the E19 communication-avoidance, E20 resilience, E21 solver-

@@ -34,34 +34,6 @@ import (
 	"hpfcg/internal/topology"
 )
 
-// Built-in directive programs for -demo, mirroring the paper's listings.
-var demos = map[string]string{
-	"csr": `
-!HPF$ PROCESSORS :: PROCS(NP)
-!HPF$ ALIGN (:) WITH p(:) :: q, r, x, b
-!HPF$ DISTRIBUTE p(BLOCK)
-!HPF$ SPARSE_MATRIX (CSR) :: smA(row, col, a)
-`,
-	"csc-serial": `
-!HPF$ PROCESSORS :: PROCS(NP)
-!HPF$ DISTRIBUTE p(BLOCK)
-!HPF$ SPARSE_MATRIX (CSC) :: smA(colptr, rowidx, a)
-`,
-	"csc-merge": `
-!HPF$ PROCESSORS :: PROCS(NP)
-!HPF$ DISTRIBUTE p(BLOCK)
-!HPF$ SPARSE_MATRIX (CSC) :: smA(colptr, rowidx, a)
-!EXT$ ITERATION j ON PROCESSOR(j*np/n), PRIVATE(q(n)) WITH MERGE(+)
-`,
-	"balanced": `
-!HPF$ PROCESSORS :: PROCS(NP)
-!HPF$ DISTRIBUTE p(BLOCK)
-!HPF$ SPARSE_MATRIX (CSR) :: smA(row, col, a)
-!EXT$ INDIVISABLE a(ATOM:i) :: row(i:i+1)
-!EXT$ REDISTRIBUTE smA USING CG_BALANCED_PARTITIONER_1
-`,
-}
-
 func main() {
 	var (
 		np         = flag.Int("np", 4, "number of virtual processors")
@@ -73,7 +45,7 @@ func main() {
 		commMatrix = flag.Bool("commmatrix", false, "print the communication matrix")
 		timeout    = flag.Duration("timeout", 0, "abort a deadlocked SPMD solve after this long (0 = wait forever)")
 		faultStr   = flag.String("fault", "", `fault spec, e.g. "crash:rank=2@t=0.5ms,straggle:rank=1,x=4"`)
-		resilient  = flag.Bool("resilient", false, "survive injected crashes via checkpoint/restart (SolveCGResilient)")
+		resilient  = flag.Bool("resilient", false, "survive injected crashes via checkpoint/restart")
 		sstep      = flag.Int("sstep", -1, "s-step CG blocking factor: -1 = plain CG, 0 = auto from the cost model, s >= 1 fixed (CSR layouts)")
 		pipelined  = flag.Bool("pipelined", false, "pipelined CG: hide the per-iteration allreduce behind the mat-vec (CSR layouts and -stencil; excludes -sstep, -resilient, -hpcg)")
 		ckpt       = flag.Int("ckpt", 10, "checkpoint every N iterations (with -resilient)")
@@ -85,10 +57,10 @@ func main() {
 	)
 	flag.Parse()
 
-	// The solver variant the flags ask for; which backend and mode it
-	// combines with is hpfexec.CheckVariant's table, consulted by
-	// WithVariant and SolveCGResilient below.
-	variant := hpfexec.Variant{Pipelined: *pipelined}
+	// The solver variant the flags ask for; which backend it combines
+	// with is hpfexec.CheckVariant's table, consulted by WithVariant
+	// below.
+	variant := hpfexec.Variant{Pipelined: *pipelined, Resilient: *resilient, CkptInterval: *ckpt, MaxRestarts: *restarts}
 	switch {
 	case *sstep == 0:
 		variant.SStep = hpfexec.AutoSStep
@@ -129,22 +101,10 @@ func main() {
 		fatal(err)
 	}
 	b := sparse.RandomVector(pr.N(), 42) // deterministic, nontrivial rhs
-	opts := []core.Options{{Tol: *tol}}
 
-	var out *hpfexec.BatchResult
 	start := time.Now()
-	if *resilient {
-		rres, err := hpfexec.SolveCGResilient(pr, b, opts[0], hpfexec.ResilientOptions{Interval: *ckpt, MaxRestarts: *restarts})
-		if err != nil {
-			fatal(err)
-		}
-		out = rres.Final
-		fmt.Printf("faults:   attempts=%d failures=%d lost_iters=%d mission_t=%.6gs\n",
-			rres.Attempts, len(rres.Failures), rres.LostIterations, rres.TotalModelTime)
-		for _, pf := range rres.Failures {
-			fmt.Printf("          %v\n", pf)
-		}
-	} else if out, err = pr.SolveBatchTimeout([][]float64{b}, opts, *timeout); err != nil {
+	out, err := pr.SolveBatchTimeout([][]float64{b}, []core.Options{{Tol: *tol}}, *timeout)
+	if err != nil {
 		fatal(err)
 	}
 	wall := time.Since(start).Seconds()
@@ -153,6 +113,13 @@ func main() {
 		fatal(res.Err)
 	}
 
+	if rec := out.Recovery; rec != nil {
+		fmt.Printf("faults:   attempts=%d failures=%d lost_iters=%d mission_t=%.6gs\n",
+			rec.Attempts, len(rec.Failures), rec.LostIterations, rec.TotalModelTime)
+		for _, pf := range rec.Failures {
+			fmt.Printf("          %v\n", pf)
+		}
+	}
 	if *sstep >= 0 {
 		fmt.Printf("sstep:    s=%d (requested %d) guard_trips=%d\n",
 			res.Strategy.SStep, *sstep, res.Stats.Replacements)
@@ -192,28 +159,10 @@ func main() {
 	}
 }
 
-// prepareDirectives is the default path: parse a directive program
-// (file argument or -demo), bind it to the matrix, and prepare the
-// execution the directives imply.
+// prepareDirectives is the default path: bind a directive program
+// (-demo or the file argument) to the matrix and prepare the execution
+// the directives imply.
 func prepareDirectives(m *comm.Machine, demo, matrixSpec, matrixFile string) (*hpfexec.Prepared, func()) {
-	var src string
-	switch {
-	case demo != "":
-		var ok bool
-		src, ok = demos[demo]
-		if !ok {
-			fatal(fmt.Errorf("unknown demo %q", demo))
-		}
-	case flag.NArg() > 0:
-		data, err := os.ReadFile(flag.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		src = string(data)
-	default:
-		fatal(fmt.Errorf("need a directive file argument or -demo"))
-	}
-
 	var A *sparse.CSR
 	var err error
 	matrixName := matrixSpec
@@ -236,21 +185,18 @@ func prepareDirectives(m *comm.Machine, demo, matrixSpec, matrixFile string) (*h
 	}
 	n, nz := A.NRows, A.NNZ()
 
-	prog, err := hpf.Parse(src)
-	if err != nil {
-		fatal(err)
+	var plan *hpf.Plan
+	switch {
+	case demo != "":
+		plan, err = hpfexec.PlanForLayout(demo, m.NP(), n, nz)
+	case flag.NArg() > 0:
+		var src []byte
+		if src, err = os.ReadFile(flag.Arg(0)); err == nil {
+			plan, err = hpfexec.BindProgram(string(src), m.NP(), n, nz)
+		}
+	default:
+		err = fmt.Errorf("need a directive file argument or -demo")
 	}
-	sizes := map[string]int{
-		"p": n, "q": n, "r": n, "x": n, "b": n,
-		"row": n + 1, "col": nz, "a": nz,
-		"colptr": n + 1, "rowidx": nz,
-	}
-	if _, csr := findFormat(prog); csr {
-		sizes["row"], sizes["col"] = n+1, nz
-	} else {
-		sizes["row"] = nz // CSC trio row indices
-	}
-	plan, err := hpf.Bind(prog, m.NP(), sizes, map[string]int{"n": n, "nz": nz})
 	if err != nil {
 		fatal(err)
 	}
@@ -286,40 +232,19 @@ func prepareHPCG(m *comm.Machine, brick string, levels, smooths int) (*hpfexec.P
 // geometry, modeled setup exactly zero. With -pipelined the solve runs
 // the overlap recurrence, the stencil application hiding the round.
 func prepareStencil(m *comm.Machine, arg string) (*hpfexec.Prepared, func()) {
-	spec := mfree.Spec{}
-	kind, dims, ok := strings.Cut(arg, ":")
-	if !ok {
-		fatal(fmt.Errorf(`-stencil wants "5pt:nx,ny" or "27pt:nx,ny,nz", got %q`, arg))
-	}
-	spec.Stencil = kind
-	var err error
-	switch kind {
-	case "5pt":
-		_, err = fmt.Sscanf(dims, "%d,%d", &spec.Nx, &spec.Ny)
-	case "27pt":
-		_, err = fmt.Sscanf(dims, "%d,%d,%d", &spec.Nx, &spec.Ny, &spec.Nz)
-	default:
-		err = fmt.Errorf("stencil %q unsupported (5pt, 27pt)", kind)
-	}
+	spec, err := mfree.ParseSpec(arg)
 	if err != nil {
-		fatal(fmt.Errorf("-stencil %q: %w", arg, err))
+		fatal(fmt.Errorf("-stencil: %w", err))
 	}
 	pr, err := hpfexec.PrepareStencil(m, spec)
 	if err != nil {
 		fatal(err)
 	}
+	_, dims, _ := strings.Cut(arg, ":")
 	return pr, func() {
 		fmt.Printf("stencil:  %s matrix-free, global %s, n=%d nnz=%d np=%d\n",
-			kind, dims, pr.N(), spec.WithDefaults().NNZ(), m.NP())
+			spec.Stencil, dims, pr.N(), spec.WithDefaults().NNZ(), m.NP())
 	}
-}
-
-// findFormat reports whether the program declares a CSR sparse matrix.
-func findFormat(prog *hpf.Program) (format string, csr bool) {
-	for _, sm := range hpf.Find[hpf.SparseMatrix](prog) {
-		return sm.Format, sm.Format == "csr"
-	}
-	return "", true
 }
 
 func fatal(err error) {

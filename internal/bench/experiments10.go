@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"hpfcg/internal/comm"
@@ -14,30 +13,6 @@ import (
 	"hpfcg/internal/sparse"
 	"hpfcg/internal/spmv"
 )
-
-// parseMFreeSpec parses cgbench's -mfree argument: "5pt:nx,ny" or
-// "27pt:nx,ny,nz".
-func parseMFreeSpec(s string) (mfree.Spec, error) {
-	kind, dims, ok := strings.Cut(s, ":")
-	var spec mfree.Spec
-	if !ok {
-		return spec, fmt.Errorf("bench: -mfree wants 5pt:nx,ny or 27pt:nx,ny,nz, got %q", s)
-	}
-	spec.Stencil = kind
-	switch kind {
-	case "5pt":
-		if _, err := fmt.Sscanf(dims, "%d,%d", &spec.Nx, &spec.Ny); err != nil {
-			return spec, fmt.Errorf("bench: -mfree 5pt wants nx,ny, got %q", dims)
-		}
-	case "27pt":
-		if _, err := fmt.Sscanf(dims, "%d,%d,%d", &spec.Nx, &spec.Ny, &spec.Nz); err != nil {
-			return spec, fmt.Errorf("bench: -mfree 27pt wants nx,ny,nz, got %q", dims)
-		}
-	default:
-		return spec, fmt.Errorf("bench: -mfree stencil %q unsupported (5pt, 27pt)", kind)
-	}
-	return spec, nil
-}
 
 // E25 — matrix-free stencil CG vs the assembled CSR executor. Both arms
 // solve the identical system on the identical brick layout: the
@@ -67,9 +42,9 @@ func E25(cfg Config) ([]*report.Table, error) {
 		nps = []int{1, 2, 4}
 	}
 	if cfg.MFree != "" {
-		spec, err := parseMFreeSpec(cfg.MFree)
+		spec, err := mfree.ParseSpec(cfg.MFree)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("bench: -mfree: %w", err)
 		}
 		specs = []mfree.Spec{spec}
 	}

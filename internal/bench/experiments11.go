@@ -30,7 +30,7 @@ func relResidual(A *sparse.CSR, x, b []float64) float64 {
 // (plain vs pipelined per-iteration makespan from the modeled clock,
 // plus the hidden/exposed reduction split the overlap books record)
 // across machine-latency scales; Table 2 charts the §4 modeled
-// frontier (hpfexec.ChooseVariant) over the same scales. The claims
+// frontier (hpfexec.Frontier) over the same scales. The claims
 // are enforced, not observed — the runner errors unless: both solvers
 // converge to the tolerance at every scale (the Ghysels–Vanroose
 // recurrence is a different ordering of the same arithmetic, so
@@ -155,11 +155,11 @@ func E26(cfg Config) ([]*report.Table, error) {
 	t2 := &report.Table{
 		ID:    "E26",
 		Title: fmt.Sprintf("Modeled solver-variant frontier vs latency scale (banded n=%d, np=%d)", A2.NRows, np),
-		Header: []string{"latency_x", "winner", "t_plain_s", "t_fused_s", "t_sstep_best_s",
+		Header: []string{"latency_x", "winner", "t_plain_s", "t_sstep_best_s",
 			"t_pipe_s", "pipe_hidden_s"},
 		Notes: []string{
-			"hpfexec.ChooseVariant prices plain, fused, every s-step candidate and",
-			"pipelined CG per iteration (§4 constants, allreduce vs overlap window).",
+			"hpfexec.Frontier prices every servable variant (plain, each s-step",
+			"candidate, pipelined) per iteration (§4 constants, allreduce vs overlap window).",
 			"Enforced anchors: plain wins at 0.05x (the overlap recurrence's extra",
 			"6n flops are not free), pipelined wins at 1x (the round hides behind",
 			"the mat-vec), an s-step variant wins at 125x (a round this long cannot",
@@ -172,23 +172,22 @@ func E26(cfg Config) ([]*report.Table, error) {
 		frontierScales = []float64{0.05, 1, 125}
 	}
 	for _, scale := range frontierScales {
-		winner, models := hpfexec.ChooseVariant(machineAt(np, scale), A2, d2)
-		var tPlain, tFused, tPipe, tSBest, hiddenPipe float64
+		models := hpfexec.Frontier(machineAt(np, scale), A2, d2, hpfexec.SStepCandidates)
+		winner := hpfexec.Cheapest(models, nil).Name()
+		var tPlain, tPipe, tSBest, hiddenPipe float64
 		first := true
 		for _, mod := range models {
 			switch {
-			case mod.Name == "plain":
-				tPlain = mod.TimePerIter
-			case mod.Name == "fused":
-				tFused = mod.TimePerIter
-			case mod.Name == "pipelined":
+			case mod.Variant.Pipelined:
 				tPipe = mod.TimePerIter
 				hiddenPipe = mod.HiddenTime
-			case mod.S >= 2:
+			case mod.Variant.SStep >= 2:
 				if first || mod.TimePerIter < tSBest {
 					tSBest = mod.TimePerIter
 					first = false
 				}
+			default:
+				tPlain = mod.TimePerIter
 			}
 		}
 		if want, anchored := anchors[scale]; anchored {
@@ -200,7 +199,7 @@ func E26(cfg Config) ([]*report.Table, error) {
 				return nil, fmt.Errorf("E26 frontier scale=%g: winner %q, want %s (%+v)", scale, winner, want, models)
 			}
 		}
-		t2.AddRowf(fmt.Sprintf("%g", scale), winner, tPlain, tFused, tSBest, tPipe, hiddenPipe)
+		t2.AddRowf(fmt.Sprintf("%g", scale), winner, tPlain, tSBest, tPipe, hiddenPipe)
 	}
 	return []*report.Table{t1, t2}, nil
 }

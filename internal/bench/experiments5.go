@@ -31,8 +31,9 @@ type missionOutcome struct {
 // runMission drives core.CGResilient under a fault plan until the
 // solve converges: each comm.PeerFailure advances the injector's
 // mission clock by the failed attempt's modeled time and restarts from
-// the newest complete checkpoint (the same loop hpfexec.SolveCGResilient
-// runs, kept inline here so E20 can account lost work per attempt).
+// the newest complete checkpoint (the same loop a Resilient hpfexec
+// variant runs, kept inline here so E20 can account lost work per
+// attempt).
 func runMission(cfg Config, A *sparse.CSR, b []float64, np, interval int, plan fault.Plan, opt core.Options) (missionOutcome, error) {
 	var out missionOutcome
 	inj, err := fault.NewInjector(plan)

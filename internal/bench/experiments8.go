@@ -87,14 +87,26 @@ func E23(cfg Config) ([]*report.Table, error) {
 		Notes: []string{
 			"rounds/it = merge rounds per iteration, setup/confirm excluded: 2 for plain",
 			"CG, 1/s for the batched Gram recovery. pred_t/it = the cost model's per-",
-			"iteration price (hpfexec.ModelSStep); speedup_vs_s1 = simulated makespan",
+			"iteration price (hpfexec.Frontier); speedup_vs_s1 = simulated makespan",
 			"ratio against the s=1 run on the same np. repl > 0 would mean the",
 			"stability guard fell back to plain CG (it must stay 0 on this band).",
 		},
 	}
+	// prices is the cost-model frontier at np, and each blocking row's
+	// per-iteration price by factor (s = 1 is the plain row).
+	prices := func(np int, factors []int) ([]hpfexec.FrontierRow, map[int]float64) {
+		rows := hpfexec.Frontier(cfg.machine(np), A, dist.NewBlock(n, np), factors)
+		perIter := map[int]float64{}
+		for _, row := range rows {
+			if hpfexec.AutoServes(row.Variant) {
+				perIter[row.Variant.SStep] = row.TimePerIter
+			}
+		}
+		return rows, perIter
+	}
 	for _, np := range nps {
 		var baseT float64
-		d := dist.NewBlock(n, np)
+		_, pred := prices(np, factors)
 		for _, s := range factors {
 			st, _, rs, err := solve(np, A, b, s, core.Options{Tol: 1e-8})
 			if err != nil {
@@ -106,9 +118,8 @@ func E23(cfg Config) ([]*report.Table, error) {
 			if s == factors[0] {
 				baseT = rs.ModelTime
 			}
-			mod := hpfexec.ModelSStep(cfg.machine(np), A, d, s)
 			t1.AddRowf(np, s, st.Iterations, roundsPerIter(st, s), st.Replacements,
-				rs.ModelTime, mod.TimePerIter, baseT/rs.ModelTime)
+				rs.ModelTime, pred[s], baseT/rs.ModelTime)
 		}
 	}
 
@@ -162,7 +173,7 @@ func E23(cfg Config) ([]*report.Table, error) {
 		Header: []string{"np", "t/it_s1", "t/it_s2", "t/it_s4", "t/it_s8", "chosen", "sim_s1", "sim_chosen", "sim_agrees"},
 		Notes: []string{
 			"t/it_sK = modeled per-iteration time at blocking factor K; chosen = the",
-			"frontier argmin hpfexec.ChooseSStep picks (ties to smaller s). sim_s1 and",
+			"frontier argmin AutoSStep resolves to (ties to smaller s). sim_s1 and",
 			"sim_chosen are simulated makespans; sim_agrees marks that the simulated",
 			"machine confirms the model's verdict on whether s>1 wins.",
 		},
@@ -172,12 +183,8 @@ func E23(cfg Config) ([]*report.Table, error) {
 		selNPs = []int{1, 2, 4}
 	}
 	for _, np := range selNPs {
-		d := dist.NewBlock(n, np)
-		chosen, frontier := hpfexec.ChooseSStep(cfg.machine(np), A, d)
-		perIter := map[int]float64{}
-		for _, mod := range frontier {
-			perIter[mod.S] = mod.TimePerIter
-		}
+		frontier, perIter := prices(np, hpfexec.SStepCandidates)
+		chosen := hpfexec.Cheapest(frontier, hpfexec.AutoServes).Variant.SStep
 		_, _, rs1, err := solve(np, A, b, 1, core.Options{Tol: 1e-8})
 		if err != nil {
 			return nil, err

@@ -179,6 +179,11 @@ func TestCGPipelinedStagnationGuardFallsBack(t *testing.T) {
 // steady-state pipelined iterations stay off the heap. Measured as a
 // delta — a 40-iteration solve must allocate no more than a
 // 10-iteration solve — so per-solve constants cancel.
+// testing.AllocsPerRun counts every goroutine's mallocs (the other
+// ranks', and under -race the runtime's own): about one measurement in
+// three reads one malloc high, at either length. The minimum over
+// repeats sheds that, while a per-iteration allocation adds at least 30
+// to every long measurement and survives.
 func TestCGPipelinedSteadyStateIterationsNoAllocs(t *testing.T) {
 	A := sparse.Laplace2D(16, 16)
 	n := A.NRows
@@ -214,7 +219,14 @@ func TestCGPipelinedSteadyStateIterationsNoAllocs(t *testing.T) {
 		})
 		return allocs
 	}
-	short, long := allocsAt(10), allocsAt(40)
+	short := allocsAt(10)
+	for rep := 1; rep < 5; rep++ {
+		short = math.Min(short, allocsAt(10))
+	}
+	long := allocsAt(40)
+	for rep := 1; rep < 10 && long > short+0.5; rep++ {
+		long = math.Min(long, allocsAt(40))
+	}
 	if long > short+0.5 {
 		t.Errorf("40-iteration solve allocates %.1f, 10-iteration %.1f — iterations are hitting the heap (%.2f allocs/iter)",
 			long, short, (long-short)/30)

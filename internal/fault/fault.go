@@ -184,7 +184,7 @@ func (in *Injector) Offset() float64 { return in.offset }
 // Advance moves the mission clock forward by the modeled time of a
 // finished (usually failed) run. Crash events now in the past are
 // consumed: the processor already died once; after the restart it is
-// healthy until its next scheduled failure. hpfexec.SolveCGResilient
+// healthy until its next scheduled failure. A resilient hpfexec solve
 // calls this between attempts.
 func (in *Injector) Advance(elapsed float64) {
 	if elapsed < 0 {

@@ -19,12 +19,14 @@
 //
 // There is one loop. Every backend (assembled matrix, multigrid
 // hierarchy, matrix-free stencil) and every variant (plain, s-step,
-// pipelined, the resilient driver) runs through Prepared.run; they
-// differ in the per-rank cold build and in the solver function, which
-// are both resolved before the SPMD region starts.
+// pipelined, resilient) runs through Prepared.run; they differ in the
+// per-rank cold build and in the solver function, which are both
+// resolved before the SPMD region starts. A resilient variant calls it
+// once per attempt.
 package hpfexec
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -80,6 +82,14 @@ func PlanForLayout(layout string, np, n, nz int) (*hpf.Plan, error) {
 	if !ok {
 		return nil, fmt.Errorf("hpfexec: unknown layout %q (have %v)", layout, Layouts())
 	}
+	return BindProgram(src, np, n, nz)
+}
+
+// BindProgram parses directive source and binds it against an n×n
+// matrix with nz stored entries on np processors, sizing the arrays of
+// the paper's Figure 2: the vectors p, q, r, x, b and the CSR or CSC
+// trio the program declares.
+func BindProgram(src string, np, n, nz int) (*hpf.Plan, error) {
 	prog, err := hpf.Parse(src)
 	if err != nil {
 		return nil, err
@@ -89,8 +99,10 @@ func PlanForLayout(layout string, np, n, nz int) (*hpf.Plan, error) {
 		"row": n + 1, "col": nz, "a": nz,
 		"colptr": n + 1, "rowidx": nz,
 	}
-	if layout == "csc-serial" || layout == "csc-merge" {
-		sizes["row"] = nz // the CSC trio's row-index array
+	for _, sm := range hpf.Find[hpf.SparseMatrix](prog) {
+		if sm.Format == "csc" {
+			sizes["row"] = nz // the CSC trio's row-index array
+		}
 	}
 	return hpf.Bind(prog, np, sizes, map[string]int{"n": n, "nz": nz})
 }
@@ -209,6 +221,27 @@ type BatchResult struct {
 	// drift — compare Run.ModelTime across runs, not spans across
 	// positions.
 	SolveModelTime []float64
+	// Recovery is a Resilient variant's checkpoint/restart report; nil
+	// for every other variant. With it, Results, Run and the two spans
+	// above are the successful last attempt's alone.
+	Recovery *Recovery
+}
+
+// Recovery reports what surviving failures cost a resilient solve.
+type Recovery struct {
+	// Attempts counts runs including the successful one (1 = no failure).
+	Attempts int
+	// Failures lists the typed failures the restarts absorbed.
+	Failures []comm.PeerFailure
+	// TotalModelTime sums the modeled makespan over all attempts — the
+	// mission time, failed work and recovery included.
+	TotalModelTime float64
+	// TotalIterations counts CG iterations computed across attempts;
+	// LostIterations is the share rolled back by failures (computed
+	// past the last checkpoint and redone). Their difference is the
+	// result's Stats.Iterations, the useful work.
+	TotalIterations int
+	LostIterations  int
 }
 
 // SolveBatch solves the prepared system for every right-hand side in
@@ -225,19 +258,70 @@ func (pr *Prepared) SolveBatch(rhs [][]float64, opts []core.Options) (*BatchResu
 // and the machine's deadlock diagnostic is returned instead of
 // hanging. The handle stays usable afterwards. d <= 0 waits forever.
 // A processor killed by the fault layer surfaces as a typed
-// comm.PeerFailure error either way.
+// comm.PeerFailure error either way — unless the variant is Resilient:
+// then the one right-hand side is solved by core.CGResilient over an
+// in-memory checkpoint store, every comm.PeerFailure restarts the run
+// from the newest complete checkpoint (d bounds each attempt), and the
+// failure comes back only once MaxRestarts is exhausted. When the
+// machine's fault injector carries a mission clock (an Advance(float64)
+// method, as fault.Injector does), it is advanced by each failed
+// attempt's modeled time so the remaining fault schedule stays aligned.
 func (pr *Prepared) SolveBatchTimeout(rhs [][]float64, opts []core.Options, d time.Duration) (*BatchResult, error) {
-	out, err := pr.run(rhs, opts, d, pr.solve)
-	if err != nil {
-		return nil, err
+	v := pr.variant
+	if !v.Resilient {
+		out, err := pr.run(rhs, opts, d, pr.solve)
+		if err != nil {
+			return nil, err
+		}
+		return out, nil
 	}
-	return out, nil
+	if len(rhs) != 1 {
+		return nil, fmt.Errorf("hpfexec: a resilient solve takes one right-hand side, got %d", len(rhs))
+	}
+	store := core.NewCheckpointStore(pr.m.NP())
+	res := core.Resilience{Store: store, Interval: v.CkptInterval, GuardTol: v.GuardTol}
+	solve := func(p *comm.Proc, op spmv.Operator, _ core.Preconditioner, bv, xv *darray.Vector, opt core.Options) (core.Stats, error) {
+		return core.CGResilient(p, op, bv, xv, opt, res)
+	}
+	rec := &Recovery{}
+	for {
+		rec.Attempts++
+		// The iteration this attempt starts from: the newest complete
+		// checkpoint, or 0 on a scratch start.
+		startIter := 0
+		if _, k := store.Latest(); k > 0 {
+			startIter = k
+		}
+		out, err := pr.run(rhs, opts, d, solve)
+		var pf comm.PeerFailure
+		if err != nil && !errors.As(err, &pf) {
+			return nil, err
+		}
+		rec.TotalModelTime += out.Run.ModelTime
+		if err == nil {
+			st := out.Results[0].Stats
+			rec.TotalIterations += st.Iterations - st.StartIteration
+			rec.LostIterations = rec.TotalIterations - st.Iterations
+			out.Recovery = rec
+			return out, nil
+		}
+		rec.Failures = append(rec.Failures, pf)
+		if got := store.Reached(); got > startIter {
+			rec.TotalIterations += got - startIter
+		}
+		if rec.Attempts > v.MaxRestarts {
+			return nil, fmt.Errorf("hpfexec: solve failed after %d attempts: %w", rec.Attempts, pf)
+		}
+		if adv, ok := pr.m.Injector().(interface{ Advance(float64) }); ok {
+			adv.Advance(out.Run.ModelTime)
+		}
+	}
 }
 
 // run is the one solve loop. On a machine-level failure (fault layer,
 // watchdog) it returns the error together with a BatchResult holding
-// only Run — the failed attempt's cost, which the resilient driver
-// books as lost work.
+// only Run — the failed attempt's cost, which a resilient solve books
+// as lost work.
 func (pr *Prepared) run(rhs [][]float64, opts []core.Options, d time.Duration, solve solveFn) (*BatchResult, error) {
 	if len(rhs) == 0 {
 		return nil, fmt.Errorf("hpfexec: empty batch")

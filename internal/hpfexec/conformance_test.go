@@ -115,6 +115,25 @@ func sameSolves(t *testing.T, what string, got, want []*Result) {
 	}
 }
 
+// tripWatchdog solves under a 1ns watchdog until it reports the hang,
+// which must be the deadlock diagnostic. A run that wins the race
+// against a 1ns timer is legitimate, so it tries until the timer wins
+// once.
+func tripWatchdog(t *testing.T, pr *Prepared, rhs [][]float64, opts []core.Options) {
+	t.Helper()
+	for try := 0; try < 100; try++ {
+		_, err := pr.SolveBatchTimeout(rhs, opts, time.Nanosecond)
+		if err == nil {
+			continue
+		}
+		if !strings.Contains(err.Error(), "deadlocked") {
+			t.Fatalf("1ns watchdog: %v, want the deadlock diagnostic", err)
+		}
+		return
+	}
+	t.Fatal("1ns watchdog never fired")
+}
+
 // TestSolvePathConformance holds every backend × legal variant × rank
 // count to the sequential reference and to the bit-identities the one
 // solve loop claims: a batch equals its right-hand sides solved one by
@@ -224,22 +243,8 @@ func TestSolvePathConformance(t *testing.T) {
 							timed.Run.ModelTime, timed.SetupModelTime, cold.Run.ModelTime, cold.SetupModelTime)
 					}
 
-					// With no room at all it reports the hang. A run that
-					// wins the race against a 1ns timer is legitimate, so
-					// try until the timer wins once.
-					tripped := false
-					for try := 0; try < 100 && !tripped; try++ {
-						_, err := pr.SolveBatchTimeout(rhs, opts, time.Nanosecond)
-						if err != nil {
-							if !strings.Contains(err.Error(), "deadlocked") {
-								t.Fatalf("1ns watchdog: %v, want the deadlock diagnostic", err)
-							}
-							tripped = true
-						}
-					}
-					if !tripped {
-						t.Fatal("1ns watchdog never fired")
-					}
+					// With no room at all it reports the hang.
+					tripWatchdog(t, pr, rhs, opts)
 					after, err := pr.SolveBatch(rhs, opts)
 					if err != nil {
 						t.Fatalf("handle unusable after a watchdog abort: %v", err)
@@ -253,6 +258,41 @@ func TestSolvePathConformance(t *testing.T) {
 			}
 		}
 	}
+
+	// A resilient variant takes one right-hand side per call, so it gets
+	// a cell of its own: the watchdog bounds its attempts like any other
+	// run's, and the aborted handle then solves bit-identically to a
+	// fresh one.
+	t.Run("csr/resilient/np=4", func(t *testing.T) {
+		be := layoutBackend("csr", sparse.Laplace2D(12, 12), nil)
+		fresh := func() *Prepared {
+			pr, err := be.prepare(machine(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pr.WithVariant(Variant{Resilient: true, CkptInterval: 5}); err != nil {
+				t.Fatal(err)
+			}
+			return pr
+		}
+		pr := fresh()
+		rhs := [][]float64{sparse.RandomVector(pr.N(), 1)}
+		want, err := fresh().SolveBatch(rhs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tripWatchdog(t, pr, rhs, opts)
+		// The next solve is cold or warm depending on whether a try won
+		// the race before the watchdog did; the answer is the same.
+		after, err := pr.SolveBatch(rhs, opts)
+		if err != nil {
+			t.Fatalf("resilient handle unusable after a watchdog abort: %v", err)
+		}
+		sameSolves(t, "after watchdog abort vs fresh", after.Results, want.Results)
+		if rec := after.Recovery; rec == nil || rec.Attempts != 1 || len(rec.Failures) != 0 || rec.LostIterations != 0 {
+			t.Errorf("after watchdog abort: recovery %+v, want one clean attempt", rec)
+		}
+	})
 }
 
 // breakdownSystem is a block-diagonal matrix of [[1,1],[1,1]] blocks
@@ -323,11 +363,10 @@ func TestBatchBreakdownIsolated(t *testing.T) {
 }
 
 // TestVariantLegality enumerates every backend × variant × resilient
-// cell: CheckVariant's verdict is the one WithVariant and
-// SolveCGResilient act on, field named.
+// cell: CheckVariant's verdict is the one WithVariant acts on, field
+// named.
 func TestVariantLegality(t *testing.T) {
 	A := sparse.Laplace2D(8, 8)
-	b := sparse.RandomVector(A.NRows, 1)
 	handles := map[string]func() (*Prepared, error){
 		BackendCSR: func() (*Prepared, error) {
 			plan, err := PlanForLayout("csr", 2, A.NRows, A.NNZ())
@@ -348,32 +387,27 @@ func TestVariantLegality(t *testing.T) {
 	}
 	// legal[backend] lists the variants that run; everything else in
 	// the enumeration must be refused with the field in wantField.
-	type cell struct {
-		v         Variant
-		resilient bool
-	}
-	legal := map[string]map[cell]bool{
+	legal := map[string]map[Variant]bool{
 		BackendCSR: {
-			{Variant{}, false}: true, {Variant{SStep: 1}, false}: true, {Variant{SStep: 4}, false}: true,
-			{Variant{SStep: AutoSStep}, false}: true, {Variant{Pipelined: true}, false}: true,
-			{Variant{SStep: 1, Pipelined: true}, false}: true,
-			{Variant{}, true}: true, {Variant{SStep: 1}, true}: true,
+			{}: true, {SStep: 1}: true, {SStep: 4}: true,
+			{SStep: AutoSStep}: true, {Pipelined: true}: true,
+			{SStep: 1, Pipelined: true}: true, {Resilient: true}: true, {SStep: 1, Resilient: true}: true,
 		},
 		BackendCSC: {
-			{Variant{}, false}: true, {Variant{SStep: 1}, false}: true, {Variant{SStep: AutoSStep}, false}: true,
-			{Variant{}, true}: true, {Variant{SStep: 1}, true}: true,
+			{}: true, {SStep: 1}: true, {SStep: AutoSStep}: true,
+			{Resilient: true}: true, {SStep: 1, Resilient: true}: true,
 		},
-		BackendHPCG:    {{Variant{}, false}: true},
-		BackendStencil: {{Variant{}, false}: true, {Variant{Pipelined: true}, false}: true},
+		BackendHPCG:    {{}: true},
+		BackendStencil: {{}: true, {Pipelined: true}: true},
 	}
 	for backend, prepare := range handles {
 		for _, s := range []int{0, 1, 4, AutoSStep, MaxSStep + 1} {
 			for _, pipelined := range []bool{false, true} {
 				for _, resilient := range []bool{false, true} {
-					v := Variant{SStep: s, Pipelined: pipelined}
+					v := Variant{SStep: s, Pipelined: pipelined, Resilient: resilient}
 					name := fmt.Sprintf("%s/%s+pipelined=%v+resilient=%v", backend, variantName(Variant{SStep: s}), pipelined, resilient)
-					want := legal[backend][cell{v, resilient}]
-					err := CheckVariant(backend, v, resilient)
+					want := legal[backend][v]
+					err := CheckVariant(backend, v)
 					if (err == nil) != want {
 						t.Errorf("%s: CheckVariant = %v, want legal=%v", name, err, want)
 						continue
@@ -388,15 +422,12 @@ func TestVariantLegality(t *testing.T) {
 						t.Fatal(perr)
 					}
 					got := pr.WithVariant(v)
-					if resilient && got == nil {
-						_, got = SolveCGResilient(pr, b, core.Options{Tol: 1e-8}, ResilientOptions{})
-					}
 					switch {
 					case want && got != nil:
 						t.Errorf("%s: legal cell refused by the library: %v", name, got)
 					case !want && got == nil:
 						t.Errorf("%s: illegal cell ran", name)
-					case !want && !resilient && got.Error() != err.Error():
+					case !want && got.Error() != err.Error():
 						t.Errorf("%s: WithVariant says %q, CheckVariant %q", name, got, err)
 					}
 				}

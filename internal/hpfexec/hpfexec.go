@@ -17,13 +17,11 @@
 package hpfexec
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
 	"hpfcg/internal/comm"
 	"hpfcg/internal/core"
-	"hpfcg/internal/darray"
 	"hpfcg/internal/dist"
 	"hpfcg/internal/hpf"
 	"hpfcg/internal/sparse"
@@ -78,8 +76,8 @@ type Result struct {
 // plan: the one-RHS front door over Prepare + SolveBatch. A is the
 // runtime matrix (CSR form; converted as the declared storage format
 // requires), b the right-hand side. A processor killed by the fault
-// layer surfaces as a typed comm.PeerFailure error (no deadlock); use
-// SolveCGResilient to recover instead.
+// layer surfaces as a typed comm.PeerFailure error (no deadlock); a
+// handle whose Variant is Resilient recovers instead.
 func SolveCG(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options) (*Result, error) {
 	pr, err := Prepare(m, plan, A)
 	if err != nil {
@@ -93,105 +91,6 @@ func SolveCG(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt co
 		return nil, r.Err
 	}
 	return out.Results[0], nil
-}
-
-// ResilientOptions configures SolveCGResilient.
-type ResilientOptions struct {
-	// Interval checkpoints every Interval iterations (0 means 10).
-	Interval int
-	// MaxRestarts bounds how many failed attempts are retried before
-	// giving up (0 means 3).
-	MaxRestarts int
-	// GuardTol is the residual-replacement threshold at restore
-	// (core.Resilience.GuardTol; 0 means 1e-8).
-	GuardTol float64
-}
-
-// ResilientResult is a completed solve that may have survived failures.
-type ResilientResult struct {
-	Result
-	// Final is the successful last attempt as the one-RHS batch it ran
-	// as (Result is Final.Results[0]); its setup and solve spans are
-	// that attempt's alone.
-	Final *BatchResult
-	// Attempts counts runs including the successful one (1 = no failure).
-	Attempts int
-	// Failures lists the typed failures the restarts absorbed.
-	Failures []comm.PeerFailure
-	// TotalModelTime sums the modeled makespan over all attempts — the
-	// mission time, failed work and recovery included. Result.Run holds
-	// only the final attempt.
-	TotalModelTime float64
-	// TotalIterations counts CG iterations computed across attempts;
-	// LostIterations is the share rolled back by failures (computed
-	// past the last checkpoint and redone). Their difference is
-	// Result.Stats.Iterations, the useful work.
-	TotalIterations int
-	LostIterations  int
-}
-
-// SolveCGResilient solves one right-hand side on an assembled-matrix
-// handle with checkpoint/rollback-restart: every attempt is the shared
-// solve loop running core.CGResilient over a shared in-memory
-// checkpoint store, and every comm.PeerFailure triggers a restart that
-// resumes from the newest complete checkpoint. When the machine's
-// fault injector carries a mission clock (an Advance(float64) method,
-// as fault.Injector does), it is advanced by each failed attempt's
-// modeled time so the remaining fault schedule stays aligned.
-// Checkpointing follows the plain recurrence: a handle whose variant
-// or backend has no resilient form is rejected by the legality table
-// (CheckVariant).
-func SolveCGResilient(pr *Prepared, b []float64, opt core.Options, ropt ResilientOptions) (*ResilientResult, error) {
-	if err := CheckVariant(pr.be.kind(), pr.variant, true); err != nil {
-		return nil, err
-	}
-	if ropt.Interval == 0 {
-		ropt.Interval = 10
-	}
-	if ropt.MaxRestarts == 0 {
-		ropt.MaxRestarts = 3
-	}
-	store := core.NewCheckpointStore(pr.m.NP())
-	res := core.Resilience{Store: store, Interval: ropt.Interval, GuardTol: ropt.GuardTol}
-	solve := func(p *comm.Proc, op spmv.Operator, _ core.Preconditioner, bv, xv *darray.Vector, opt core.Options) (core.Stats, error) {
-		return core.CGResilient(p, op, bv, xv, opt, res)
-	}
-	out := &ResilientResult{}
-	for {
-		out.Attempts++
-		// The iteration this attempt starts from: the newest complete
-		// checkpoint, or 0 on a scratch start.
-		startIter := 0
-		if _, k := store.Latest(); k > 0 {
-			startIter = k
-		}
-		att, runErr := pr.run([][]float64{b}, []core.Options{opt}, 0, solve)
-		var pf comm.PeerFailure
-		if runErr != nil && !errors.As(runErr, &pf) {
-			return nil, runErr
-		}
-		out.TotalModelTime += att.Run.ModelTime
-		if runErr == nil {
-			r := att.Results[0]
-			if r.Err != nil {
-				return nil, r.Err
-			}
-			out.Result, out.Final = *r, att
-			out.TotalIterations += r.Stats.Iterations - r.Stats.StartIteration
-			out.LostIterations = out.TotalIterations - r.Stats.Iterations
-			return out, nil
-		}
-		out.Failures = append(out.Failures, pf)
-		if got := store.Reached(); got > startIter {
-			out.TotalIterations += got - startIter
-		}
-		if out.Attempts > ropt.MaxRestarts {
-			return nil, fmt.Errorf("hpfexec: solve failed after %d attempts: %w", out.Attempts, pf)
-		}
-		if adv, ok := pr.m.Injector().(interface{ Advance(float64) }); ok {
-			adv.Advance(att.Run.ModelTime)
-		}
-	}
 }
 
 // matrixBackend is the directive-planned assembled matrix: the

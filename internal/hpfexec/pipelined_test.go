@@ -169,7 +169,8 @@ func TestVariantFrontier(t *testing.T) {
 		c.TStartup *= tc.scale
 		c.THop *= tc.scale
 		m := comm.NewMachine(np, topology.Hypercube{}, c)
-		best, models := ChooseVariant(m, A, d)
+		models := Frontier(m, A, d, SStepCandidates)
+		best := Cheapest(models, nil).Name()
 		if best != tc.want {
 			t.Fatalf("scale %g: chose %q, want %q (%+v)", tc.scale, best, tc.want, models)
 		}
@@ -178,26 +179,28 @@ func TestVariantFrontier(t *testing.T) {
 		var tBest float64
 		var iBest int
 		for i, mod := range models {
-			if mod.Name == best {
+			if mod.Name() == best {
 				tBest, iBest = mod.TimePerIter, i
 			}
 		}
 		for i, mod := range models {
 			if mod.TimePerIter < tBest || (mod.TimePerIter == tBest && i < iBest) {
-				t.Fatalf("scale %g: chose %q (%.3g) but %q models %.3g", tc.scale, best, tBest, mod.Name, mod.TimePerIter)
+				t.Fatalf("scale %g: chose %q (%.3g) but %q models %.3g", tc.scale, best, tBest, mod.Name(), mod.TimePerIter)
 			}
 		}
 
-		pipe := ModelPipelined(m, A, d)
-		if pipe.RoundsPerIter != 1 {
-			t.Fatalf("scale %g: pipelined models %g rounds/iter, want 1", tc.scale, pipe.RoundsPerIter)
+		pipe := models[len(models)-1]
+		if !pipe.Variant.Pipelined || pipe.RoundsPerIter != 1 {
+			t.Fatalf("scale %g: last row %+v, want pipelined at 1 round/iter", tc.scale, pipe)
 		}
-		wantHidden := pipe.ReduceTime
-		if pipe.OverlapWindow < wantHidden {
-			wantHidden = pipe.OverlapWindow
+		reduce := topology.AllreduceTime(m.Topology(), c, np, 2)
+		window := haloTime(c, pipe.Ghosts, 1) + c.TFlop*2*float64(pipe.BlockEntries)
+		wantHidden := reduce
+		if window < wantHidden {
+			wantHidden = window
 		}
 		if pipe.HiddenTime != wantHidden {
-			t.Fatalf("scale %g: hidden %g != min(reduce %g, window %g)", tc.scale, pipe.HiddenTime, pipe.ReduceTime, pipe.OverlapWindow)
+			t.Fatalf("scale %g: hidden %g != min(reduce %g, window %g)", tc.scale, pipe.HiddenTime, reduce, window)
 		}
 	}
 }

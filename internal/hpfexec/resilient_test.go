@@ -11,18 +11,37 @@ import (
 	"hpfcg/internal/sparse"
 )
 
-// solveResilient is Prepare + SolveCGResilient on a fresh handle.
-func solveResilient(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options, ropt ResilientOptions) (*ResilientResult, error) {
+// resilientRun is one resilient solve: the right-hand side's Result
+// with the batch's Recovery report beside it.
+type resilientRun struct {
+	*Result
+	*Recovery
+}
+
+// solveResilient is Prepare + a Resilient variant + SolveBatch on a
+// fresh handle.
+func solveResilient(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options, v Variant) (*resilientRun, error) {
 	pr, err := Prepare(m, plan, A)
 	if err != nil {
 		return nil, err
 	}
-	return SolveCGResilient(pr, b, opt, ropt)
+	v.Resilient = true
+	if err := pr.WithVariant(v); err != nil {
+		return nil, err
+	}
+	out, err := pr.SolveBatch([][]float64{b}, []core.Options{opt})
+	if err != nil {
+		return nil, err
+	}
+	if out.Results[0].Err != nil {
+		return nil, out.Results[0].Err
+	}
+	return &resilientRun{out.Results[0], out.Recovery}, nil
 }
 
 // TestSolveCGResilientSurvivesCrash drives the full product path: an
 // hpf plan, a deterministic fault plan that kills one rank mid-solve,
-// SolveCG surfacing the typed failure, and SolveCGResilient absorbing
+// SolveCG surfacing the typed failure, and a Resilient variant absorbing
 // it via checkpoint/restart with a solution bit-identical to the
 // fault-free solve.
 func TestSolveCGResilientSurvivesCrash(t *testing.T) {
@@ -66,9 +85,9 @@ func TestSolveCGResilientSurvivesCrash(t *testing.T) {
 	}
 	m := machine(np)
 	m.AttachInjector(inj)
-	res, err := solveResilient(m, plan, A, b, opt, ResilientOptions{Interval: 4})
+	res, err := solveResilient(m, plan, A, b, opt, Variant{CkptInterval: 4})
 	if err != nil {
-		t.Fatalf("SolveCGResilient: %v", err)
+		t.Fatalf("resilient solve: %v", err)
 	}
 	if res.Attempts != 2 || len(res.Failures) != 1 {
 		t.Errorf("attempts = %d, failures = %d, want 2 and 1", res.Attempts, len(res.Failures))
@@ -115,7 +134,7 @@ func TestSolveCGResilientHealthy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := solveResilient(machine(np), plan, A, b, opt, ResilientOptions{Interval: 5})
+	res, err := solveResilient(machine(np), plan, A, b, opt, Variant{CkptInterval: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +180,7 @@ func TestSolveCGResilientGivesUp(t *testing.T) {
 	}
 	m := machine(np)
 	m.AttachInjector(inj)
-	_, err = solveResilient(m, plan, A, b, opt, ResilientOptions{Interval: 3, MaxRestarts: 2})
+	_, err = solveResilient(m, plan, A, b, opt, Variant{CkptInterval: 3, MaxRestarts: 2})
 	var pf comm.PeerFailure
 	if !errors.As(err, &pf) {
 		t.Fatalf("err = %v, want comm.PeerFailure after exhausting restarts", err)

@@ -112,39 +112,41 @@ func TestSStepCostModelSelection(t *testing.T) {
 	n := A.NRows
 
 	d1 := dist.NewBlock(n, 1)
-	s1, models1 := ChooseSStep(machine(1), A, d1)
+	models1 := Frontier(machine(1), A, d1, SStepCandidates)
+	s1 := Cheapest(models1, AutoServes).Variant.SStep
 	if s1 != 1 {
 		t.Fatalf("np=1 chose s=%d, want 1 (allreduces are free, overlap flops are not)", s1)
 	}
-	for _, mod := range models1 {
+	for _, mod := range blocking(models1) {
 		wantRounds := 2.0
-		if mod.S > 1 {
-			wantRounds = 1 / float64(mod.S)
+		if mod.Variant.SStep > 1 {
+			wantRounds = 1 / float64(mod.Variant.SStep)
 		}
 		if math.Abs(mod.RoundsPerIter-wantRounds) > 1e-12 {
-			t.Fatalf("s=%d models %g rounds/iter, want %g", mod.S, mod.RoundsPerIter, wantRounds)
+			t.Fatalf("s=%d models %g rounds/iter, want %g", mod.Variant.SStep, mod.RoundsPerIter, wantRounds)
 		}
 	}
 
 	np := 4
 	d4 := dist.NewBlock(n, np)
-	s4, models4 := ChooseSStep(machine(np), A, d4)
+	models4 := blocking(Frontier(machine(np), A, d4, SStepCandidates))
+	s4 := Cheapest(models4, AutoServes).Variant.SStep
 	if s4 <= 1 {
 		t.Fatalf("np=%d chose s=%d; latency-dominated regime should pick s>1", np, s4)
 	}
 	var t1, tBest float64
 	for _, mod := range models4 {
-		if mod.S == 1 {
+		if mod.Variant.SStep == 1 {
 			t1 = mod.TimePerIter
 		}
-		if mod.S == s4 {
+		if mod.Variant.SStep == s4 {
 			tBest = mod.TimePerIter
 		}
 	}
 	// The chosen s must be the frontier argmin (ties to smaller s).
 	for _, mod := range models4 {
-		if mod.TimePerIter < tBest || (mod.TimePerIter == tBest && mod.S < s4) {
-			t.Fatalf("selector picked s=%d (%.3g) but s=%d models %.3g", s4, tBest, mod.S, mod.TimePerIter)
+		if mod.TimePerIter < tBest || (mod.TimePerIter == tBest && mod.Variant.SStep < s4) {
+			t.Fatalf("selector picked s=%d (%.3g) but s=%d models %.3g", s4, tBest, mod.Variant.SStep, mod.TimePerIter)
 		}
 	}
 	if tBest >= t1 {
@@ -157,6 +159,17 @@ func TestSStepCostModelSelection(t *testing.T) {
 		models4[len(models4)-1].Ghosts <= models4[0].Ghosts {
 		t.Fatalf("model frontier not monotone in closure size: %+v", models4)
 	}
+}
+
+// blocking keeps the frontier rows the auto-selector chooses from.
+func blocking(rows []FrontierRow) []FrontierRow {
+	var out []FrontierRow
+	for _, row := range rows {
+		if AutoServes(row.Variant) {
+			out = append(out, row)
+		}
+	}
+	return out
 }
 
 // Satellite: a registry hit on an s-step Prepared must reuse the

@@ -1,9 +1,9 @@
 // The solver variant of a Prepared handle, and the one table that says
 // which variant runs on which backend. A variant differs from its
 // siblings in the recurrence (core.CG, core.CGSStep, core.CGPipelined,
-// core.PCG under a handle's preconditioner), not in plumbing: it is
-// resolved once to a solver function and the shared loop (Prepared.run)
-// calls that for every right-hand side.
+// core.CGResilient, core.PCG under a handle's preconditioner), not in
+// plumbing: it is resolved once to a solver function and the shared
+// loop (Prepared.run) calls that for every right-hand side.
 package hpfexec
 
 import (
@@ -27,8 +27,8 @@ const (
 
 // AutoSStep as Variant.SStep lets the §4 cost model choose the
 // blocking factor for the handle's machine, matrix and distribution
-// (ChooseSStep); storage formats with no matrix-powers form resolve
-// it to 1.
+// (the cheapest Frontier row AutoServes admits); storage formats with
+// no matrix-powers form resolve it to 1.
 const AutoSStep = -1
 
 // Variant selects the CG recurrence a handle's solves run. The zero
@@ -45,6 +45,20 @@ type Variant struct {
 	// mat-vec. It attacks the same latency term as s-step blocking, so
 	// the two do not combine.
 	Pipelined bool
+	// Resilient runs each solve under checkpoint/rollback-restart
+	// (core.CGResilient): every comm.PeerFailure restarts the run from
+	// the newest complete checkpoint, and BatchResult.Recovery reports
+	// what that cost. It checkpoints the plain recurrence on an assembled
+	// matrix, one right-hand side per solve call.
+	Resilient bool
+	// CkptInterval checkpoints every CkptInterval iterations (0 means
+	// 10), MaxRestarts bounds how many failed attempts are retried (0
+	// means 3), GuardTol is the residual-replacement threshold at
+	// restore (core.Resilience.GuardTol; 0 means 1e-8). All three apply
+	// with Resilient only.
+	CkptInterval int
+	MaxRestarts  int
+	GuardTol     float64
 }
 
 // blocked reports an s-step blocking request: a fixed factor >= 2 or
@@ -52,12 +66,11 @@ type Variant struct {
 func (v Variant) blocked() bool { return v.SStep >= 2 || v.SStep == AutoSStep }
 
 // CheckVariant is the backend × variant legality table — the only
-// place it lives. WithVariant and SolveCGResilient consult it for a
-// handle; the service consults it at admission, before any handle
-// exists, and returns its error as the 400 verbatim. resilient marks
-// the checkpoint/restart driver. Every error names the request field
+// place it lives. WithVariant consults it for a handle; the service
+// consults it at admission, before any handle exists, and returns its
+// error as the 400 verbatim. Every error names the request field
 // (sstep, pipelined, resilient) that has to change.
-func CheckVariant(backend string, v Variant, resilient bool) error {
+func CheckVariant(backend string, v Variant) error {
 	matrix := backend == BackendCSR || backend == BackendCSC
 	fail := func(field, format string, args ...any) error {
 		return fmt.Errorf("hpfexec: field %s: %s", field, fmt.Sprintf(format, args...))
@@ -75,11 +88,11 @@ func CheckVariant(backend string, v Variant, resilient bool) error {
 		return fail("pipelined", "does not apply to hpcg jobs (the V-cycle is the inner solve)")
 	case v.Pipelined && v.blocked():
 		return fail("pipelined", "cannot combine with s-step blocking (sstep=%d)", v.SStep)
-	case resilient && v.Pipelined:
+	case v.Resilient && v.Pipelined:
 		return fail("pipelined", "resilient mode checkpoints the plain recurrence only")
-	case resilient && v.blocked():
+	case v.Resilient && v.blocked():
 		return fail("sstep", "resilient mode checkpoints the plain recurrence only (sstep=%d)", v.SStep)
-	case resilient && !matrix:
+	case v.Resilient && !matrix:
 		return fail("resilient", "checkpoint/restart needs an assembled matrix, not a %s job", backend)
 	}
 	return nil
@@ -105,22 +118,30 @@ func solvePipelined(p *comm.Proc, op spmv.Operator, _ core.Preconditioner, b, x 
 // implies before any run: AutoSStep becomes a concrete factor, the
 // factor picks the operator the cold build constructs (s >= 2 runs the
 // matrix-powers executor, whose widened inspector schedule is cached
-// in the handle like every other operator), and the solver function is
-// fixed. Call it on a fresh handle: a warm handle already holds the
+// in the handle like every other operator), the solver function is
+// fixed, and a Resilient variant's zero tunables take their defaults
+// (its solver is bound per solve call, to that call's checkpoint
+// store). Call it on a fresh handle: a warm handle already holds the
 // operators of its current variant.
 func (pr *Prepared) WithVariant(v Variant) error {
 	if pr.warm {
 		return fmt.Errorf("hpfexec: WithVariant on a warm handle (choose the variant before the first solve)")
 	}
-	if err := CheckVariant(pr.be.kind(), v, false); err != nil {
+	if err := CheckVariant(pr.be.kind(), v); err != nil {
 		return err
 	}
 	s := v.SStep
 	if s == AutoSStep {
 		s = 1
 		if mb, ok := pr.be.(*matrixBackend); ok && mb.format == BackendCSR {
-			s, _ = ChooseSStep(pr.m, mb.A, mb.d)
+			s = Cheapest(Frontier(pr.m, mb.A, mb.d, SStepCandidates), AutoServes).Variant.SStep
 		}
+	}
+	if v.CkptInterval == 0 {
+		v.CkptInterval = 10
+	}
+	if v.MaxRestarts == 0 {
+		v.MaxRestarts = 3
 	}
 	switch {
 	case v.Pipelined:

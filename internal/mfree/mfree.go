@@ -26,6 +26,7 @@ package mfree
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"hpfcg/internal/grid"
 	"hpfcg/internal/sparse"
@@ -65,6 +66,29 @@ type Spec struct {
 	Nx, Ny, Nz int     // global dims; Nz ignored (0) for 5pt
 	Center     float64 // diagonal coefficient (0,0 -> canonical pair)
 	Off        float64 // neighbour coefficient
+}
+
+// ParseSpec parses the command-line form of a spec, "5pt:nx,ny" or
+// "27pt:nx,ny,nz": global grid dimensions, canonical coefficients.
+func ParseSpec(arg string) (Spec, error) {
+	kind, dims, ok := strings.Cut(arg, ":")
+	if !ok {
+		return Spec{}, fmt.Errorf(`mfree: want "5pt:nx,ny" or "27pt:nx,ny,nz", got %q`, arg)
+	}
+	s := Spec{Stencil: kind}
+	var err error
+	switch kind {
+	case "5pt":
+		_, err = fmt.Sscanf(dims, "%d,%d", &s.Nx, &s.Ny)
+	case "27pt":
+		_, err = fmt.Sscanf(dims, "%d,%d,%d", &s.Nx, &s.Ny, &s.Nz)
+	default:
+		err = fmt.Errorf("stencil %q unsupported (5pt, 27pt)", kind)
+	}
+	if err != nil {
+		return Spec{}, fmt.Errorf("mfree: %q: %w", arg, err)
+	}
+	return s, nil
 }
 
 // WithDefaults fills the canonical coefficient pair when both Center

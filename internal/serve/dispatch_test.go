@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"hpfcg/internal/core"
 	"hpfcg/internal/hpfexec"
 	"hpfcg/internal/sparse"
 )
@@ -123,6 +122,20 @@ func TestAttachedJobAccounting(t *testing.T) {
 	}
 }
 
+// runJob submits one job and waits for its terminal view.
+func runJob(t *testing.T, s *Scheduler, spec JobSpec) JobView {
+	t.Helper()
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatalf("%s job refused: %v", spec.Method, err)
+	}
+	v, err := s.Wait(testCtx(t), j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 // TestAttachmentsOnEveryMethod: trace, timeout_ms and fault are
 // accepted on hpcg and stencil jobs and do what they do on cg jobs — a
 // downloadable trace, a deadline error, a typed peer failure.
@@ -133,18 +146,7 @@ func TestAttachmentsOnEveryMethod(t *testing.T) {
 		"hpcg":    {Method: "hpcg", MG: &MGSpec{Nx: 8, Ny: 8, Nz: 8}, NP: 4},
 		"stencil": {Method: "stencil", Stencil: &StencilSpec{Stencil: "27pt", Nx: 12, Ny: 12, Nz: 16}, NP: 4},
 	}
-	run := func(spec JobSpec) JobView {
-		t.Helper()
-		j, err := s.Submit(spec)
-		if err != nil {
-			t.Fatalf("%s job refused: %v", spec.Method, err)
-		}
-		v, err := s.Wait(testCtx(t), j.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}
+	run := func(spec JobSpec) JobView { return runJob(t, s, spec) }
 	for name, base := range methods {
 		plain := run(base)
 		if plain.State != StateDone {
@@ -198,11 +200,48 @@ func TestAttachmentsOnEveryMethod(t *testing.T) {
 	}
 }
 
+// TestResilientJobUnderDeadline: resilient is a variant of the one
+// solve call, so a resilient job's timeout_ms is the watchdog of every
+// attempt (the separate resilient driver used to drop it), and without
+// a deadline the job reports its recovery as before.
+func TestResilientJobUnderDeadline(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Drain(testCtx(t))
+	run := func(spec JobSpec) JobView { return runJob(t, s, spec) }
+
+	// A 1 ms deadline on a solve that takes longer. Like any race
+	// against a timer it may legitimately finish first; try again.
+	tight := JobSpec{Matrix: "laplace2d:48:48", NP: 4, Resilient: true, TimeoutMS: 1, Tol: 1e-300, MaxIter: 2000}
+	tripped := false
+	for try := 0; try < 20 && !tripped; try++ {
+		v := run(tight)
+		tripped = v.State == StateFailed && strings.Contains(v.Error, "deadlocked")
+		if !tripped && v.State != StateDone {
+			t.Fatalf("resilient timeout job state %s err %q, want done or the deadline error", v.State, v.Error)
+		}
+	}
+	if !tripped {
+		t.Error("resilient job with timeout_ms=1 never produced a deadline error")
+	}
+
+	v := run(JobSpec{Matrix: "banded:192:4", NP: 4, Resilient: true, Fault: "crash:rank=1@t=0.2ms"})
+	if v.State != StateDone || !v.Result.Converged {
+		t.Fatalf("resilient job state %s err %q", v.State, v.Error)
+	}
+	r := v.Result
+	if r.Attempts != 2 || r.Failures != 1 || r.SStep != 1 {
+		t.Errorf("attempts %d failures %d sstep %d, want 2, 1 and the forced 1", r.Attempts, r.Failures, r.SStep)
+	}
+	if r.ModelTime <= r.SetupModelTime+r.SolveModelTime {
+		t.Errorf("model_time %g is not the mission time: the final attempt alone spans %g", r.ModelTime, r.SetupModelTime+r.SolveModelTime)
+	}
+}
+
 // TestAdmissionAgreesWithLibrary enumerates every backend × variant ×
 // mode × attachment cell. Admission (validate) and the library
-// (prepareHandle's WithVariant, SolveCGResilient) must give the same
-// verdict, and for an illegal cell the same message: the table lives
-// once, in hpfexec.CheckVariant.
+// (prepareHandle's WithVariant) must give the same verdict, and for an
+// illegal cell the same message: the table lives once, in
+// hpfexec.CheckVariant.
 func TestAdmissionAgreesWithLibrary(t *testing.T) {
 	backends := map[string]JobSpec{
 		"csr":        {Matrix: "laplace2d:8:8"},
@@ -235,10 +274,7 @@ func TestAdmissionAgreesWithLibrary(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						pr, lib := prepareHandle(m, spec, nil)
-						if lib == nil && resilient {
-							_, lib = hpfexec.SolveCGResilient(pr, sparse.RandomVector(pr.N(), 1), core.Options{Tol: 1e-8}, hpfexec.ResilientOptions{})
-						}
+						_, lib := prepareHandle(m, spec, nil)
 						switch {
 						case admit == nil && lib == nil:
 							legal++

@@ -5,7 +5,7 @@ package serve
 
 import (
 	"fmt"
-	"hash/fnv"
+	"hash/maphash"
 	"strings"
 	"time"
 
@@ -110,7 +110,7 @@ type JobSpec struct {
 	// typed "processor N failed" error.
 	Fault string `json:"fault,omitempty"`
 	// Resilient runs a cg job under checkpoint/restart
-	// (hpfexec.SolveCGResilient) so injected crashes are survived.
+	// (hpfexec.Variant.Resilient) so injected crashes are survived.
 	Resilient bool `json:"resilient,omitempty"`
 	// CkptInterval checkpoints every N iterations (with Resilient).
 	CkptInterval int `json:"ckpt_interval,omitempty"`
@@ -123,9 +123,47 @@ type JobSpec struct {
 	// Trace captures a Perfetto/Chrome trace of the solve (any
 	// method), downloadable from /jobs/{id}/trace.
 	Trace bool `json:"trace,omitempty"`
+
+	// id is what the job is, resolved once by normalize; every key and
+	// label below is an expression over it.
+	id identity
 }
 
-// normalize fills defaults in place.
+// identity is what a job is: its metrics label, its row in
+// hpfexec.CheckVariant's table, and the string naming its operator.
+type identity struct {
+	jobType string // "cg", "hpcg" or "stencil"
+	backend string // hpfexec.BackendCSR, BackendCSC, BackendHPCG, BackendStencil
+	// content is "gen:<generator spec>", "mm:<digest of the upload
+	// text>", "hpcg:<mg.Spec.Key()>" or "stencil:<mfree.Spec.Key()>".
+	content string
+}
+
+// uploadSeed keys the digest that stands for a Matrix Market upload in
+// batch keys, which never leave the process.
+var uploadSeed = maphash.MakeSeed()
+
+// identity resolves the job's identity from its method. A spec that
+// names hpcg or stencil without the block resolves as a cg job;
+// validation then rejects it by field.
+func (sp *JobSpec) identity() identity {
+	switch {
+	case sp.Method == "hpcg" && sp.MG != nil:
+		return identity{"hpcg", hpfexec.BackendHPCG, "hpcg:" + sp.MG.spec().Key()}
+	case sp.Method == "stencil" && sp.Stencil != nil:
+		return identity{"stencil", hpfexec.BackendStencil, "stencil:" + sp.Stencil.spec().Key()}
+	}
+	id := identity{"cg", hpfexec.BackendCSR, "gen:" + sp.Matrix}
+	if strings.HasPrefix(sp.Layout, "csc") {
+		id.backend = hpfexec.BackendCSC
+	}
+	if sp.MatrixMarket != "" {
+		id.content = fmt.Sprintf("mm:%016x", maphash.String(uploadSeed, sp.MatrixMarket))
+	}
+	return id
+}
+
+// normalize fills defaults in place and resolves the job's identity.
 func (sp *JobSpec) normalize() {
 	if sp.Layout == "" {
 		sp.Layout = "csr"
@@ -146,6 +184,7 @@ func (sp *JobSpec) normalize() {
 		sp.SStep = 1
 	}
 	sp.Matrix = strings.TrimSpace(sp.Matrix)
+	sp.id = sp.identity()
 }
 
 // fieldErr names the offending request field, so the HTTP 400 a
@@ -198,10 +237,10 @@ func (sp *JobSpec) validate(maxNP int) error {
 	if sp.SStep < 0 {
 		return fieldErr("sstep", "%d outside [0,%d]", sp.SStep, hpfexec.MaxSStep)
 	}
-	// Which solver variant and mode this backend runs is the library's
-	// table, not restated here: the same check guards WithVariant and
-	// SolveCGResilient, so admission and execution cannot disagree.
-	if err := hpfexec.CheckVariant(sp.backend(), sp.variant(), sp.Resilient); err != nil {
+	// Which solver variant this backend runs is the library's table, not
+	// restated here: the same check guards WithVariant, so admission and
+	// execution cannot disagree.
+	if err := hpfexec.CheckVariant(sp.id.backend, sp.variant()); err != nil {
 		return err
 	}
 	if _, err := topology.ByName(sp.Topology); err != nil {
@@ -291,37 +330,18 @@ func (sp *JobSpec) validateStencil() error {
 	return nil
 }
 
-// backend names the job's operator backend in hpfexec.CheckVariant's
-// terms: the method for generated problems, the layout's storage
-// format for cg jobs.
-func (sp *JobSpec) backend() string {
-	switch {
-	case sp.Method == "hpcg" || sp.Method == "stencil":
-		return sp.Method
-	case strings.HasPrefix(sp.Layout, "csc"):
-		return hpfexec.BackendCSC
-	}
-	return hpfexec.BackendCSR
-}
-
 // variant is the solver variant the job asks for. A cg job that names
 // neither knob gets the cost model's s-step choice — the served
 // default.
 func (sp *JobSpec) variant() hpfexec.Variant {
-	v := hpfexec.Variant{SStep: sp.SStep, Pipelined: sp.Pipelined}
-	if sp.Method == "cg" && sp.SStep == 0 && !sp.Pipelined {
+	v := hpfexec.Variant{
+		SStep: sp.SStep, Pipelined: sp.Pipelined,
+		Resilient: sp.Resilient, CkptInterval: sp.CkptInterval, MaxRestarts: sp.MaxRestarts,
+	}
+	if sp.id.jobType == "cg" && sp.SStep == 0 && !sp.Pipelined {
 		v.SStep = hpfexec.AutoSStep
 	}
 	return v
-}
-
-// jobType labels the job for metrics: "cg", "hpcg" or "stencil".
-func (sp *JobSpec) jobType() string {
-	switch sp.Method {
-	case "hpcg", "stencil":
-		return sp.Method
-	}
-	return "cg"
 }
 
 // batchable reports whether the job may coalesce with same-matrix
@@ -349,19 +369,7 @@ type batchKey struct {
 }
 
 func (sp *JobSpec) key() batchKey {
-	if sp.Method == "hpcg" {
-		return batchKey{matrix: "hpcg:" + sp.MG.spec().Key(), layout: sp.Layout, np: sp.NP, topology: sp.Topology}
-	}
-	if sp.Method == "stencil" {
-		return batchKey{matrix: "stencil:" + sp.Stencil.spec().Key(), layout: sp.Layout, np: sp.NP, topology: sp.Topology, pipelined: sp.Pipelined}
-	}
-	mat := "gen:" + sp.Matrix
-	if sp.MatrixMarket != "" {
-		h := fnv.New64a()
-		h.Write([]byte(sp.MatrixMarket))
-		mat = fmt.Sprintf("mm:%016x", h.Sum64())
-	}
-	return batchKey{matrix: mat, layout: sp.Layout, np: sp.NP, topology: sp.Topology, sstep: sp.SStep, pipelined: sp.Pipelined}
+	return batchKey{matrix: sp.id.content, layout: sp.Layout, np: sp.NP, topology: sp.Topology, sstep: sp.SStep, pipelined: sp.Pipelined}
 }
 
 // ContentHash returns the canonical content digest of the job's
@@ -372,57 +380,33 @@ func (sp *JobSpec) key() batchKey {
 // by this hash and the plan registry keys on it, which is what lands
 // repeat traffic on the node already holding the prepared plan.
 func (sp *JobSpec) ContentHash() (string, error) {
-	h, _, err := sp.contentHashMatrix()
+	h, _, err := sp.identity().contentHash(sp.MatrixMarket)
 	return h, err
 }
 
-// contentHashMatrix computes the content hash and, when hashing had to
-// assemble the matrix anyway (Matrix Market uploads), returns it so
-// the caller does not parse twice. Generator specs return a nil
-// matrix — on a plan-cache hit it is never built at all.
-func (sp *JobSpec) contentHashMatrix() (string, *sparse.CSR, error) {
-	if sp.Method == "hpcg" {
-		// The stencil problem is fully determined by its spec string;
-		// no matrix is ever assembled.
-		return sparse.HashGeneratorSpec("hpcg:" + sp.MG.spec().Key()), nil, nil
-	}
-	if sp.Method == "stencil" {
-		// Likewise matrix-free: the operator's content is its spec.
-		return sparse.HashGeneratorSpec("stencil:" + sp.Stencil.spec().Key()), nil, nil
-	}
-	if sp.MatrixMarket != "" {
-		A, err := sparse.ReadMatrixMarket(strings.NewReader(sp.MatrixMarket))
+// contentHash computes the content hash and, when hashing had to
+// assemble the matrix anyway (a Matrix Market upload, passed as text),
+// returns it so the caller does not parse twice. Generated problems
+// return a nil matrix — their content is their spec string, and on a
+// plan-cache hit no matrix is ever built.
+func (id identity) contentHash(upload string) (string, *sparse.CSR, error) {
+	if strings.HasPrefix(id.content, "mm:") {
+		A, err := sparse.ReadMatrixMarket(strings.NewReader(upload))
 		if err != nil {
 			return "", nil, fmt.Errorf("matrix: %w", err)
 		}
 		return sparse.ContentHash(A), A, nil
 	}
-	return sparse.HashGeneratorSpec(sp.Matrix), nil, nil
+	return sparse.HashGeneratorSpec(strings.TrimPrefix(id.content, "gen:")), nil, nil
 }
 
 // planKey is the registry key: the matrix content plus everything that
-// shapes the prepared plan (layout, machine size, topology, and the
-// requested s-step factor — a widened powers schedule is a different
-// cached artifact than the single-level ghost schedule).
+// shapes the prepared plan — layout, machine size, topology, and the
+// requested variant (a widened powers schedule or an overlap solver is
+// a different cached artifact than the single-level ghost schedule
+// under plain CG). A generated problem's shape is already in its hash.
 func (sp *JobSpec) planKey(hash string) string {
-	if sp.Method == "hpcg" {
-		s := sp.MG.spec()
-		return fmt.Sprintf("%s|hpcg|%d|%s|L%d:S%d", hash, sp.NP, sp.Topology, s.Levels, s.Smooths)
-	}
-	if sp.Method == "stencil" {
-		return fmt.Sprintf("%s|stencil|%d|%s%s", hash, sp.NP, sp.Topology, pipeSuffix(sp.Pipelined))
-	}
-	return fmt.Sprintf("%s|%s|%d|%s|s%d%s", hash, sp.Layout, sp.NP, sp.Topology, sp.SStep, pipeSuffix(sp.Pipelined))
-}
-
-// pipeSuffix distinguishes pipelined cached plans: the handle carries
-// the solver choice, so an overlap plan must never serve a blocking
-// request (or vice versa) even over the same matrix content.
-func pipeSuffix(pipelined bool) string {
-	if pipelined {
-		return "|pipe"
-	}
-	return ""
+	return fmt.Sprintf("%s|%s|%d|%s|s%d|p%t", hash, sp.Layout, sp.NP, sp.Topology, sp.SStep, sp.Pipelined)
 }
 
 // buildMatrix assembles the job's matrix.

@@ -13,9 +13,9 @@
 // (Scheduler.run): look the prepared handle up in the plan registry or
 // prepare it, solve, finish. Jobs with a fault plan, a trace, a
 // wall-clock timeout (hpfexec's SolveBatchTimeout) or resilient mode
-// (hpfexec.SolveCGResilient) differ only in that they never coalesce
-// and run from a fresh, uncached handle whose machine carries their
-// injector and tracer. Drain stops admission, rejects what is still
+// (a hpfexec.Variant like any other) differ only in that they never
+// coalesce and run from a fresh, uncached handle whose machine carries
+// their injector and tracer. Drain stops admission, rejects what is still
 // queued and lets in-flight batches finish, and Metrics renders live
 // Prometheus text (queue depth, in-flight, stage latency histograms,
 // batch occupancy, modeled machine-time totals).
@@ -195,7 +195,7 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	}
 	s.jobs[j.ID] = j
 	s.queue = append(s.queue, j)
-	s.met.submit(spec.jobType())
+	s.met.submit(spec.id.jobType)
 	s.met.setGauges(len(s.queue), s.inflight)
 	s.cond.Broadcast()
 	return j, nil
@@ -343,7 +343,7 @@ func (s *Scheduler) nextBatch() []*Job {
 	for i, j := range batch {
 		waits[i] = now.Sub(j.submitted).Seconds()
 	}
-	s.met.dispatch(head.Spec.jobType(), len(batch), waits)
+	s.met.dispatch(head.Spec.id.jobType, len(batch), waits)
 	return batch
 }
 
@@ -427,7 +427,7 @@ func (s *Scheduler) run(batch []*Job) {
 	if cached {
 		var hash string
 		var err error
-		if hash, A, err = spec.contentHashMatrix(); err != nil {
+		if hash, A, err = spec.id.contentHash(spec.MatrixMarket); err != nil {
 			s.failAll(batch, err)
 			return
 		}
@@ -464,20 +464,7 @@ func (s *Scheduler) run(batch []*Job) {
 		return
 	}
 	warm := pr.Warm()
-	var out *hpfexec.BatchResult
-	var rres *hpfexec.ResilientResult
-	var err error
-	if spec.Resilient {
-		rres, err = hpfexec.SolveCGResilient(pr, rhs[0], opts[0], hpfexec.ResilientOptions{
-			Interval:    spec.CkptInterval,
-			MaxRestarts: spec.MaxRestarts,
-		})
-		if err == nil {
-			out = rres.Final
-		}
-	} else {
-		out, err = pr.SolveBatchTimeout(rhs, opts, time.Duration(spec.TimeoutMS)*time.Millisecond)
-	}
+	out, err := pr.SolveBatchTimeout(rhs, opts, time.Duration(spec.TimeoutMS)*time.Millisecond)
 	if err != nil {
 		s.failAll(live, err)
 		return
@@ -492,7 +479,7 @@ func (s *Scheduler) run(batch []*Job) {
 			}
 		}
 	}
-	s.finishBatch(live, out, warm, rres)
+	s.finishBatch(live, out, warm)
 }
 
 // resolveRHS materializes each job's right-hand side; length
@@ -519,13 +506,13 @@ func (s *Scheduler) resolveRHS(batch []*Job, n int) (live []*Job, rhs [][]float6
 // finishBatch records model-time metrics and finishes every job of a
 // completed solve: a right-hand side whose solver broke down fails its
 // own job and no other. hpcg results also carry the HPCG figure of
-// merit (modeled GFLOP/s of the run). rres, for a resilient job, adds
-// the recovery report and makes ModelTime the mission time (every
-// attempt), while the setup and solve spans stay the final attempt's.
-func (s *Scheduler) finishBatch(live []*Job, out *hpfexec.BatchResult, warm bool, rres *hpfexec.ResilientResult) {
-	model := out.Run.ModelTime
-	if rres != nil {
-		model = rres.TotalModelTime
+// merit (modeled GFLOP/s of the run). A recovery report adds attempts
+// and failures and makes ModelTime the mission time (every attempt),
+// while the setup and solve spans stay the final attempt's.
+func (s *Scheduler) finishBatch(live []*Job, out *hpfexec.BatchResult, warm bool) {
+	model, attempts, failures := out.Run.ModelTime, 0, 0
+	if rec := out.Recovery; rec != nil {
+		model, attempts, failures = rec.TotalModelTime, rec.Attempts, len(rec.Failures)
 	}
 	s.met.addModel(model, out.Run.CommTime(), out.SetupModelTime)
 	for k, j := range live {
@@ -550,13 +537,12 @@ func (s *Scheduler) finishBatch(live []*Job, out *hpfexec.BatchResult, warm bool
 			CommTime:       out.Run.CommTime(),
 			BatchSize:      len(live),
 			PlanCacheHit:   warm,
+			Attempts:       attempts,
+			Failures:       failures,
 			Levels:         r.Strategy.Levels,
 		}
 		if res.Levels > 0 {
 			res.ModelGFlops = report.GFlopRate(out.Run.TotalFlops, out.Run.ModelTime)
-		}
-		if rres != nil {
-			res.Attempts, res.Failures = rres.Attempts, len(rres.Failures)
 		}
 		s.finishJob(j, res, nil)
 	}
@@ -574,7 +560,7 @@ func (s *Scheduler) finishJob(j *Job, res *JobResult, err error) {
 	now := time.Now()
 	// Count the job before releasing its waiters: whoever sees it
 	// finished must also find it in the metrics.
-	s.met.finish(j.Spec.jobType(), err == nil, now.Sub(j.started).Seconds())
+	s.met.finish(j.Spec.id.jobType, err == nil, now.Sub(j.started).Seconds())
 	s.mu.Lock()
 	j.finished = now
 	if err != nil {

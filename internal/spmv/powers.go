@@ -10,7 +10,7 @@
 // and builds ONE inspector.Schedule over the ring 1..s indices. Every
 // basis block then needs a single (wider) halo exchange; the redundant
 // flops on the overlap rows are the latency-for-flops trade the s-step
-// cost model (hpfexec.ModelSStep) weighs against saved allreduce and
+// cost model (hpfexec.Frontier) weighs against saved allreduce and
 // exchange startups.
 //
 // Level j of a depth-dep basis is computed only on the row prefix
