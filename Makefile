@@ -60,11 +60,15 @@ mg-smoke:
 
 # Quick pass over the matrix-free stencil path: an assembly-free solve
 # through hpfrun (geometric halo, zero modeled setup), once more under
-# the watchdog, plus the E25 sweep with its enforced bit-identity and
+# the watchdog, the 27-point kernel through the same binary (plain and
+# pipelined, two-plane slabs so ghost and local source planes both
+# occur), plus the E25 sweep with its enforced bit-identity and
 # setup-elimination claims.
 mfree-smoke:
 	$(GO) run ./cmd/hpfrun -stencil 5pt:32,24 -np 4 > /dev/null
 	$(GO) run ./cmd/hpfrun -stencil 5pt:32,24 -timeout 30s > /dev/null
+	$(GO) run ./cmd/hpfrun -stencil 27pt:8,8,8 -np 4 > /dev/null
+	$(GO) run ./cmd/hpfrun -stencil 27pt:8,8,8 -np 4 -pipelined > /dev/null
 	$(GO) run ./cmd/cgbench -exp E25 -quick > /dev/null
 
 # Quick pass over the pipelined overlap path: a hidden-round solve
@@ -86,13 +90,14 @@ resilient-smoke:
 loc:
 	@ls internal/hpfexec/*.go internal/serve/*.go | grep -v _test.go | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'
 
-# Modeled-machine benchmarks (send path allocation counts included),
+# Modeled-machine benchmarks (send path allocation counts included)
+# and the matrix-free apply kernels (ns/point, GFLOP/s, zero allocs),
 # plus the E19 communication-avoidance, E20 resilience, E21 solver-
 # service, E22 cluster, E23 s-step, E24 HPCG, E25 matrix-free and E26
 # pipelined-overlap smoke runs with JSON snapshots for regression
 # diffing.
 bench:
-	$(GO) test -bench . -benchmem -run NONE ./internal/comm/...
+	$(GO) test -bench . -benchmem -run NONE ./internal/comm/... ./internal/mfree/...
 	$(GO) run ./cmd/cgbench -exp E19 -quick -json BENCH_E19_quick.json
 	$(GO) run ./cmd/cgbench -exp E20 -quick -json BENCH_E20_quick.json
 	$(GO) run ./cmd/cgbench -exp E21 -quick -json BENCH_E21_quick.json

@@ -21,11 +21,26 @@
 // flop charges, so the equality is exact, not approximate, and every
 // CG iterate (and therefore every solve) agrees bit for bit. The E25
 // experiment and TestBitIdenticalToAssembled enforce this.
+//
+// Kernel shape: the sweeps are row-sliced (operator.go). Which source
+// plane a z-neighbour lives in (a ghost buffer or the local block) is
+// decided once per owned plane, which source rows exist once per
+// (z, y) row, and the x-interior of a row with all its neighbours then
+// runs as a straight-line chain of multiply-adds with no branch per
+// term; grid faces and the two x-end points take a generic per-row
+// loop. That shape is free to change. The order of additions is not:
+// one scalar per point, started from +0.0, terms in ascending global
+// column order, each term written s += coef * v as the CSR row loop
+// writes it, and one running x·y partial over the points in local
+// order — anything else (partial sums, a sum seeded with its first
+// product, a per-row dot) computes the same stencil to rounding and
+// breaks the contract above to the bit.
 package mfree
 
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"hpfcg/internal/grid"
@@ -69,24 +84,34 @@ type Spec struct {
 }
 
 // ParseSpec parses the command-line form of a spec, "5pt:nx,ny" or
-// "27pt:nx,ny,nz": global grid dimensions, canonical coefficients.
+// "27pt:nx,ny,nz": global grid dimensions, canonical coefficients. The
+// dimension list must be exactly that many comma-separated integers —
+// a trailing field or trailing characters are an error, not ignored.
 func ParseSpec(arg string) (Spec, error) {
 	kind, dims, ok := strings.Cut(arg, ":")
 	if !ok {
 		return Spec{}, fmt.Errorf(`mfree: want "5pt:nx,ny" or "27pt:nx,ny,nz", got %q`, arg)
 	}
 	s := Spec{Stencil: kind}
-	var err error
+	var into []*int
 	switch kind {
 	case "5pt":
-		_, err = fmt.Sscanf(dims, "%d,%d", &s.Nx, &s.Ny)
+		into = []*int{&s.Nx, &s.Ny}
 	case "27pt":
-		_, err = fmt.Sscanf(dims, "%d,%d,%d", &s.Nx, &s.Ny, &s.Nz)
+		into = []*int{&s.Nx, &s.Ny, &s.Nz}
 	default:
-		err = fmt.Errorf("stencil %q unsupported (5pt, 27pt)", kind)
+		return Spec{}, fmt.Errorf("mfree: %q: stencil %q unsupported (5pt, 27pt)", arg, kind)
 	}
-	if err != nil {
-		return Spec{}, fmt.Errorf("mfree: %q: %w", arg, err)
+	fields := strings.Split(dims, ",")
+	if len(fields) != len(into) {
+		return Spec{}, fmt.Errorf("mfree: %q: %s takes %d dimensions, got %d", arg, kind, len(into), len(fields))
+	}
+	for i, f := range fields {
+		v, err := strconv.Atoi(f)
+		if err != nil {
+			return Spec{}, fmt.Errorf("mfree: %q: dimension %q is not an integer", arg, f)
+		}
+		*into[i] = v
 	}
 	return s, nil
 }

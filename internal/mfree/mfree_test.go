@@ -1,6 +1,8 @@
 package mfree
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -86,19 +88,55 @@ func TestMulVecMatchesAssembled(t *testing.T) {
 	}
 }
 
-// TestBitIdenticalToAssembled is the subsystem's ground truth: at every
-// rank count (including uneven slab splits) the matrix-free Apply and
-// ApplyDot must produce bit-identical vectors — and bit-identical local
-// dot partials — to the assembled-CSR ghost executor over the same
-// brick layout, with the same local entry counts feeding the flop
-// charges.
+// bitIdentitySpecs is the edge table of TestBitIdenticalToAssembled:
+// every in-plane shape that selects a different kernel path (X, Y of 1
+// and 2 have no x- or y-interior, 3 has a one-point interior, 5 a real
+// one), slab dimensions that give ranks one plane, two planes and mixed
+// thicknesses at np ∈ {1,2,3,4,8}, and coefficient pairs of every sign
+// pattern — with Center and Off both negative every product of the zero
+// vector is -0, so a kernel that did not start its sum from +0 shows.
+func bitIdentitySpecs() []Spec {
+	coefs := [][2]float64{{0, 0}, {7.5, -0.25}, {-3.5, 0.5}, {-2, -0.5}}
+	var specs []Spec
+	for _, co := range coefs {
+		for _, nx := range []int{1, 2, 3, 5} {
+			for _, ny := range []int{1, 2, 3, 5} {
+				for _, nz := range []int{1, 2, 3, 8, 9, 16} {
+					specs = append(specs, Spec{Stencil: "27pt", Nx: nx, Ny: ny, Nz: nz, Center: co[0], Off: co[1]})
+				}
+			}
+		}
+		for _, nx := range []int{1, 2, 3, 8, 11, 16} {
+			for _, ny := range []int{1, 2, 3, 7} {
+				specs = append(specs, Spec{Stencil: "5pt", Nx: nx, Ny: ny, Center: co[0], Off: co[1]})
+			}
+		}
+	}
+	return append(specs, spec5, spec27)
+}
+
+// TestBitIdenticalToAssembled is the subsystem's ground truth: on every
+// kernel edge and at every rank count (including uneven slab splits)
+// the matrix-free Apply and ApplyDot must produce bit-identical vectors
+// — and bit-identical local dot partials — to the assembled-CSR ghost
+// executor over the same brick layout, with the same local entry counts
+// feeding the flop charges. Values compare by math.Float64bits, which
+// tells -0 from +0 where != cannot.
 func TestBitIdenticalToAssembled(t *testing.T) {
-	for _, s := range []Spec{spec5, spec27, {Stencil: "27pt", Nx: 2, Ny: 2, Nz: 8, Center: 7.5, Off: -0.25}} {
+	for _, s := range bitIdentitySpecs() {
 		A, err := s.Assemble()
 		if err != nil {
 			t.Fatal(err)
 		}
-		xs := sparse.RandomVector(s.N(), 3)
+		// A slice, not a map: every rank must walk the inputs in the
+		// same order or the halo exchanges pair different vectors.
+		inputs := []struct {
+			name string
+			xs   []float64
+		}{
+			{"random", sparse.RandomVector(s.N(), 3)},
+			{"zero", make([]float64, s.N())},
+		}
 		for _, np := range []int{1, 2, 3, 4, 8} {
 			if _, err := s.Brick(np); err != nil {
 				continue // slab dimension thinner than np
@@ -111,37 +149,46 @@ func TestBitIdenticalToAssembled(t *testing.T) {
 				}
 				ref := spmv.NewRowBlockCSRGhost(p, A, op.Dist())
 				if op.N() != ref.N() || op.NNZ() != ref.NNZ() {
-					t.Errorf("np=%d: shape %d/%d vs %d/%d", np, op.N(), op.NNZ(), ref.N(), ref.NNZ())
+					t.Errorf("%s np=%d: shape %d/%d vs %d/%d", s.Key(), np, op.N(), op.NNZ(), ref.N(), ref.NNZ())
 				}
 				if op.LocalNNZ() != ref.LocalNNZ() {
-					t.Errorf("np=%d rank %d: local nnz %d, assembled %d", np, p.Rank(), op.LocalNNZ(), ref.LocalNNZ())
+					t.Errorf("%s np=%d rank %d: local nnz %d, assembled %d", s.Key(), np, p.Rank(), op.LocalNNZ(), ref.LocalNNZ())
 				}
 				x := darray.New(p, op.Dist())
-				x.SetGlobal(func(g int) float64 { return xs[g] })
 				ym := darray.New(p, op.Dist())
 				ya := darray.New(p, op.Dist())
-				op.Apply(x, ym)
-				ref.Apply(x, ya)
-				ml, al := ym.Local(), ya.Local()
-				for i := range ml {
-					if ml[i] != al[i] {
-						t.Errorf("np=%d rank %d: Apply[%d] = %v, assembled %v", np, p.Rank(), i, ml[i], al[i])
+				sameBits := func(what string) bool {
+					ml, al := ym.Local(), ya.Local()
+					for i := range ml {
+						if math.Float64bits(ml[i]) != math.Float64bits(al[i]) {
+							t.Errorf("%s np=%d rank %d: %s y[%d] = %v, assembled %v", s.Key(), np, p.Rank(), what, i, ml[i], al[i])
+							return false
+						}
+					}
+					return true
+				}
+				for _, in := range inputs {
+					name, xs := in.name, in.xs
+					x.SetGlobal(func(g int) float64 { return xs[g] })
+					op.Apply(x, ym)
+					ref.Apply(x, ya)
+					if !sameBits(name + " Apply") {
 						return
 					}
-				}
-				dm := op.ApplyDot(x, ym)
-				da := ref.ApplyDot(x, ya)
-				if dm != da {
-					t.Errorf("np=%d rank %d: ApplyDot partial %v, assembled %v", np, p.Rank(), dm, da)
-				}
-				for i := range ml {
-					if ml[i] != al[i] {
-						t.Errorf("np=%d rank %d: ApplyDot y[%d] = %v, assembled %v", np, p.Rank(), i, ml[i], al[i])
+					// Poison y so a point ApplyDot skipped cannot pass on
+					// what Apply left behind.
+					ym.Fill(math.NaN())
+					dm := op.ApplyDot(x, ym)
+					da := ref.ApplyDot(x, ya)
+					if math.Float64bits(dm) != math.Float64bits(da) {
+						t.Errorf("%s np=%d rank %d: %s ApplyDot partial %v, assembled %v", s.Key(), np, p.Rank(), name, dm, da)
+					}
+					if !sameBits(name + " ApplyDot") {
 						return
 					}
 				}
 			}); err != nil {
-				t.Fatalf("np=%d: %v", np, err)
+				t.Fatalf("%s np=%d: %v", s.Key(), np, err)
 			}
 		}
 	}
@@ -290,6 +337,32 @@ func TestSpecValidate(t *testing.T) {
 	}
 	if _, err := New(nil, Spec{Stencil: "tri"}); err == nil {
 		t.Error("New with bad spec: expected error")
+	}
+}
+
+// TestParseSpec: the command-line form takes exactly the stencil's
+// dimension count, each field a whole integer. A parser that stops at
+// its last verb would solve a grid other than the one typed, silently;
+// every malformed string must fail with the argument named.
+func TestParseSpec(t *testing.T) {
+	good := map[string]Spec{
+		"5pt:32,24":   {Stencil: "5pt", Nx: 32, Ny: 24},
+		"27pt:8,8,10": {Stencil: "27pt", Nx: 8, Ny: 8, Nz: 10},
+	}
+	for arg, want := range good {
+		if got, err := ParseSpec(arg); err != nil || got != want {
+			t.Errorf("ParseSpec(%q) = %+v, %v; want %+v", arg, got, err, want)
+		}
+	}
+	for _, arg := range []string{
+		"5pt:32,24,99", "5pt:32,24junk", "27pt:4,4,4,4", "27pt:4,4,4x",
+		"5pt:32", "9pt:3,3", "27pt:4,4", "5pt:", "5pt:32, 24", "5pt", "",
+	} {
+		if got, err := ParseSpec(arg); err == nil {
+			t.Errorf("ParseSpec(%q) = %+v, want an error", arg, got)
+		} else if !strings.Contains(err.Error(), strconv.Quote(arg)) {
+			t.Errorf("ParseSpec(%q): error %q does not name the argument", arg, err)
+		}
 	}
 }
 

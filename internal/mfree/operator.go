@@ -12,9 +12,9 @@ import (
 // Operator is the matrix-free stencil executor: spmv.Operator,
 // spmv.FusedOperator and spmv.Rebindable over a slab-decomposed
 // regular grid, with no stored matrix. Each Apply exchanges the
-// geometric halo and evaluates the stencil point by point, reading
-// owned values from the local block and the two boundary planes from
-// the Halo buffers.
+// geometric halo and evaluates the stencil row by row (see sweep),
+// reading owned values from the local block and the two boundary
+// planes from the Halo buffers.
 //
 // Bit-identity contract: for every local row the stencil terms
 // accumulate into one scalar in ascending global column order — the
@@ -128,13 +128,7 @@ func (a *Operator) checkAligned(op string, x, y *darray.Vector) {
 // evaluate the stencil over the owned points.
 func (a *Operator) Apply(x, y *darray.Vector) {
 	a.checkAligned("Apply", x, y)
-	xl := x.Local()
-	low, high := a.halo.Exchange(xl)
-	if a.spec.Stencil == "5pt" {
-		a.sweep5(xl, low, high, y.Local(), nil)
-	} else {
-		a.sweep27(xl, low, high, y.Local(), nil)
-	}
+	a.sweep(x.Local(), y.Local())
 	a.p.Compute(2 * a.nnzLocal)
 }
 
@@ -143,118 +137,233 @@ func (a *Operator) Apply(x, y *darray.Vector) {
 // pass (see spmv.RowBlockCSR.ApplyDot for the bit-identity argument).
 func (a *Operator) ApplyDot(x, y *darray.Vector) float64 {
 	a.checkAligned("ApplyDot", x, y)
-	xl := x.Local()
-	low, high := a.halo.Exchange(xl)
 	yl := y.Local()
-	var dot float64
-	if a.spec.Stencil == "5pt" {
-		a.sweep5(xl, low, high, yl, &dot)
-	} else {
-		a.sweep27(xl, low, high, yl, &dot)
-	}
+	dot := a.sweep(x.Local(), yl)
 	a.p.Compute(2*a.nnzLocal + 2*len(yl))
 	return dot
 }
 
-// sweep5 evaluates the 5-point stencil over the owned planes. Brick
-// coordinates map to sparse.Laplace2D's grid as z = row i, x = col j
-// (Y = 1), so each point's neighbours in ascending global column order
-// are: (z-1,x), (z,x-1), self, (z,x+1), (z+1,x) — exactly a sorted CSR
-// row. dot, when non-nil, accumulates the fused x·y partial.
-func (a *Operator) sweep5(xl, low, high, yl []float64, dot *float64) {
-	nx, c, o := a.brick.X, a.spec.Center, a.spec.Off
-	li := 0
-	for z := a.zlo; z < a.zhi; z++ {
-		for x := 0; x < nx; x++ {
-			s := 0.0
-			if z > 0 {
-				if z == a.zlo {
-					s += o * low[x]
-				} else {
-					s += o * xl[li-nx]
-				}
-			}
-			if x > 0 {
-				s += o * xl[li-1]
-			}
-			s += c * xl[li]
-			if x < nx-1 {
-				s += o * xl[li+1]
-			}
-			if z < a.brick.Z-1 {
-				if z == a.zhi-1 {
-					s += o * high[x]
-				} else {
-					s += o * xl[li+nx]
-				}
-			}
-			yl[li] = s
-			if dot != nil {
-				*dot += xl[li] * s
-			}
-			li++
-		}
+// sweep exchanges the halo and runs the stencil kernel over the owned
+// points, returning the local x·y partial. Both kernels always carry
+// the partial — one multiply-add next to a point's 5 or 27 — and Apply
+// drops it; only ApplyDot is charged for it.
+//
+// Kernel shape (both stencils): everything that depends on where a
+// point sits is decided once per row, not once per term. Per owned
+// z-plane the up-to-three source planes are picked once (a ghost buffer
+// at the slab edge, a slice of the local block otherwise, nothing past
+// the global grid); per (z, y) row the source rows are sliced out of
+// them once, each exactly X long so the compiler can drop the bounds
+// checks; the x-interior 1 … X-2 of a row with all of its neighbour
+// rows then runs as a straight-line chain of multiply-adds. Rows on a
+// y/z face of the grid and the two x-end points of every row take the
+// generic per-row loop instead.
+//
+// What is NOT free to change is the order of additions. Each point sums
+// into one scalar that starts at +0.0, terms in ascending global column
+// order (z, then y, then x — how a sorted CSR row stores them), every
+// term the statement s += coef * v exactly as the CSR row loop writes
+// it (so a compiler that fuses or does not fuse it treats both sides
+// alike), and the x·y partial is one running scalar over the points
+// in local order. Splitting a sum into partials, seeding it with its
+// first product (which turns an all -0 sum into -0), or folding the
+// partial per row would each still be a correct stencil and would each
+// break the bit-identity contract above.
+func (a *Operator) sweep(xl, yl []float64) float64 {
+	low, high := a.halo.Exchange(xl)
+	if a.spec.Stencil == "5pt" {
+		return a.sweep5(xl, low, high, yl)
 	}
+	return a.sweep27(xl, low, high, yl)
 }
 
-// sweep27 evaluates the 27-point stencil. The dz, dy, dx loops ascend,
-// which is ascending global index order under Brick3's numbering (x
-// fastest, z slowest) — the same sorted order the assembled CSR row
-// stores and the same nesting internal/mg's level assembly uses.
-func (a *Operator) sweep27(xl, low, high, yl []float64, dot *float64) {
-	X, Y, Z := a.brick.X, a.brick.Y, a.brick.Z
-	c, o := a.spec.Center, a.spec.Off
-	plane := X * Y
-	li := 0
+// planes returns the source planes of owned plane z in ascending z:
+// the plane below (nil at the global bottom, the low ghost buffer at
+// the slab's first plane), the plane itself, and the plane above (nil
+// at the global top, the high ghost buffer at the slab's last plane).
+// Ghost buffers and local planes share the y·X+x in-plane layout.
+func (a *Operator) planes(xl, low, high []float64, z int) (below, own, above []float64) {
+	n := a.brick.X * a.brick.Y
+	off := (z - a.zlo) * n
+	own = xl[off : off+n]
+	switch {
+	case z == 0:
+	case z == a.zlo:
+		below = low
+	default:
+		below = xl[off-n : off]
+	}
+	switch {
+	case z == a.brick.Z-1:
+	case z == a.zhi-1:
+		above = high
+	default:
+		above = xl[off+n : off+2*n]
+	}
+	return below, own, above
+}
+
+// sweep5 evaluates the 5-point stencil over the owned planes. Brick
+// coordinates map to sparse.Laplace2D's grid as z = row i, x = col j
+// (Y = 1), so a plane is one grid row and each point's neighbours in
+// ascending global column order are: (z-1,x), (z,x-1), self, (z,x+1),
+// (z+1,x) — exactly a sorted CSR row.
+func (a *Operator) sweep5(xl, low, high, yl []float64) (dot float64) {
+	X, c, o := a.brick.X, a.spec.Center, a.spec.Off
 	for z := a.zlo; z < a.zhi; z++ {
-		for y := 0; y < Y; y++ {
-			for x := 0; x < X; x++ {
+		up, cur, dn := a.planes(xl, low, high, z)
+		yr := yl[(z-a.zlo)*X:][:X]
+		dot = point5(up, cur, dn, yr, 0, c, o, dot)
+		if up != nil && dn != nil {
+			up, cur, dn = up[:X], cur[:X], dn[:X]
+			for x := 1; x < X-1; x++ {
 				s := 0.0
-				for dz := -1; dz <= 1; dz++ {
-					zz := z + dz
-					if zz < 0 || zz >= Z {
-						continue
-					}
-					// Source plane: a ghost buffer for the one
-					// off-rank z on each side, the local block
-					// otherwise (ghost slot and local in-plane offset
-					// share the y·X+x layout).
-					var src []float64
-					base := 0
-					switch {
-					case zz < a.zlo:
-						src = low
-					case zz >= a.zhi:
-						src = high
-					default:
-						src = xl
-						base = (zz - a.zlo) * plane
-					}
-					for dy := -1; dy <= 1; dy++ {
-						yy := y + dy
-						if yy < 0 || yy >= Y {
-							continue
-						}
-						row := base + yy*X
-						for dx := -1; dx <= 1; dx++ {
-							xx := x + dx
-							if xx < 0 || xx >= X {
-								continue
-							}
-							if dz == 0 && dy == 0 && dx == 0 {
-								s += c * src[row+xx]
-							} else {
-								s += o * src[row+xx]
-							}
-						}
-					}
-				}
-				yl[li] = s
-				if dot != nil {
-					*dot += xl[li] * s
-				}
-				li++
+				s += o * up[x]
+				s += o * cur[x-1]
+				s += c * cur[x]
+				s += o * cur[x+1]
+				s += o * dn[x]
+				yr[x] = s
+				dot += cur[x] * s
+			}
+		} else {
+			for x := 1; x < X-1; x++ {
+				dot = point5(up, cur, dn, yr, x, c, o, dot)
 			}
 		}
+		if X > 1 {
+			dot = point5(up, cur, dn, yr, X-1, c, o, dot)
+		}
 	}
+	return dot
+}
+
+// point5 is sweep5's generic point: any x, either z-neighbour row
+// possibly absent. It stores y[x] and returns the advanced x·y partial.
+func point5(up, cur, dn, yr []float64, x int, c, o, dot float64) float64 {
+	s := 0.0
+	if up != nil {
+		s += o * up[x]
+	}
+	if x > 0 {
+		s += o * cur[x-1]
+	}
+	s += c * cur[x]
+	if x < len(cur)-1 {
+		s += o * cur[x+1]
+	}
+	if dn != nil {
+		s += o * dn[x]
+	}
+	yr[x] = s
+	return dot + cur[x]*s
+}
+
+// sweep27 evaluates the 27-point stencil. Source rows are gathered in
+// ascending (z, y) and each contributes its x-1, x, x+1 in that order,
+// which is ascending global index order under Brick3's numbering (x
+// fastest, z slowest) — the sorted order the assembled CSR row stores
+// and the nesting internal/mg's level assembly uses.
+func (a *Operator) sweep27(xl, low, high, yl []float64) (dot float64) {
+	X, Y := a.brick.X, a.brick.Y
+	c, o := a.spec.Center, a.spec.Off
+	for z := a.zlo; z < a.zhi; z++ {
+		below, own, above := a.planes(xl, low, high, z)
+		yp := yl[(z-a.zlo)*X*Y:][:X*Y]
+		for y := 0; y < Y; y++ {
+			// The in-grid source rows of row (z, y), and for each the
+			// coefficient of its middle term: Center in the row itself,
+			// Off everywhere else.
+			var rows [9][]float64
+			var mid [9]float64
+			k := 0
+			for dz, pl := range [3][]float64{below, own, above} {
+				if pl == nil {
+					continue
+				}
+				for yy := max(y-1, 0); yy <= min(y+1, Y-1); yy++ {
+					rows[k] = pl[yy*X:][:X]
+					mid[k] = o
+					if dz == 1 && yy == y {
+						mid[k] = c
+					}
+					k++
+				}
+			}
+			xr, yr := own[y*X:][:X], yp[y*X:][:X]
+			if k < 9 || X < 3 {
+				dot = span27(rows[:k], mid[:k], o, xr, yr, 0, X, dot)
+				continue
+			}
+			dot = span27(rows[:], mid[:], o, xr, yr, 0, 1, dot)
+			dot = interior27(&rows, c, o, yr, dot)
+			dot = span27(rows[:], mid[:], o, xr, yr, X-1, X, dot)
+		}
+	}
+	return dot
+}
+
+// span27 is sweep27's generic path: points [x0, x1) of one row over
+// whichever source rows exist, with the x-1 / x+1 terms dropped at the
+// row ends. xr is the row of x itself (the operand of the fused dot).
+func span27(rows [][]float64, mid []float64, o float64, xr, yr []float64, x0, x1 int, dot float64) float64 {
+	for x := x0; x < x1; x++ {
+		left, right := x > 0, x < len(yr)-1
+		s := 0.0
+		for j, r := range rows {
+			if left {
+				s += o * r[x-1]
+			}
+			s += mid[j] * r[x]
+			if right {
+				s += o * r[x+1]
+			}
+		}
+		yr[x] = s
+		dot += xr[x] * s
+	}
+	return dot
+}
+
+// interior27 is sweep27's fast path: points 1 … X-2 of a row whose nine
+// source rows all exist (r[4] is the row itself), 27 terms straight
+// down with no branch between them.
+func interior27(r *[9][]float64, c, o float64, yr []float64, dot float64) float64 {
+	X := len(yr)
+	r0, r1, r2 := r[0][:X], r[1][:X], r[2][:X]
+	r3, r4, r5 := r[3][:X], r[4][:X], r[5][:X]
+	r6, r7, r8 := r[6][:X], r[7][:X], r[8][:X]
+	for x := 1; x < X-1; x++ {
+		s := 0.0
+		s += o * r0[x-1]
+		s += o * r0[x]
+		s += o * r0[x+1]
+		s += o * r1[x-1]
+		s += o * r1[x]
+		s += o * r1[x+1]
+		s += o * r2[x-1]
+		s += o * r2[x]
+		s += o * r2[x+1]
+		s += o * r3[x-1]
+		s += o * r3[x]
+		s += o * r3[x+1]
+		s += o * r4[x-1]
+		s += c * r4[x]
+		s += o * r4[x+1]
+		s += o * r5[x-1]
+		s += o * r5[x]
+		s += o * r5[x+1]
+		s += o * r6[x-1]
+		s += o * r6[x]
+		s += o * r6[x+1]
+		s += o * r7[x-1]
+		s += o * r7[x]
+		s += o * r7[x+1]
+		s += o * r8[x-1]
+		s += o * r8[x]
+		s += o * r8[x+1]
+		yr[x] = s
+		dot += r4[x] * s
+	}
+	return dot
 }
