@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench quick serve-smoke cluster-smoke e23-smoke mg-smoke mfree-smoke pipelined-smoke resilient-smoke docs-lint loc
+.PHONY: all build vet test race check smoke golden bench quick docs-lint loc
 
 all: check
 
@@ -35,7 +35,7 @@ test:
 race:
 	$(GO) test -race ./internal/comm/... ./internal/trace/... ./internal/core/... ./internal/spmv/... ./internal/fault/... ./internal/hpfexec/... ./internal/serve/... ./internal/cluster/... ./internal/mg/... ./internal/mfree/...
 
-check: build vet test race e23-smoke mg-smoke mfree-smoke pipelined-smoke resilient-smoke serve-smoke cluster-smoke docs-lint
+check: build vet test race smoke docs-lint
 
 # Documentation floor: every package carries a package doc comment, and
 # the strict packages (internal/comm, internal/core, internal/hpfexec)
@@ -43,81 +43,45 @@ check: build vet test race e23-smoke mg-smoke mfree-smoke pipelined-smoke resili
 docs-lint:
 	$(GO) run ./cmd/doclint
 
-# Quick pass over the communication-avoiding s-step path: the E23
-# tables exercise the matrix-powers kernel, the batched Gram recovery,
-# the stability guard and the cost-model selector end to end.
-e23-smoke:
-	$(GO) run ./cmd/cgbench -exp E23 -quick > /dev/null
+# The experiments' committed full-size output. `go test ./internal/bench`
+# fails on any differing byte; a change that moves a modeled number
+# regenerates the file here and names the moved tables in CHANGES.md.
+golden:
+	$(GO) run ./cmd/cgbench > internal/bench/testdata/experiments.golden
 
-# Quick pass over the HPCG path: a V-cycle-preconditioned solve through
-# hpfrun (smoother, transfers, FoM print), once more under the watchdog
-# every backend now shares, plus the E24 sweep with its enforced
-# pcg-beats-cg and bit-identity claims.
-mg-smoke:
+# The binaries end to end, one mode each (the experiments and their
+# enforced claims already run under `test`): hpfrun through multigrid,
+# matrix-free (5-point; 27-point on two-plane slabs so ghost and local
+# source planes both occur, plain and pipelined), pipelined CSR and a
+# resilient solve absorbing an injected crash — each once more under the
+# -timeout watchdog every mode shares — then hpfserve's self-checks: a
+# job over real HTTP, and a router plus two shards routing repeat
+# traffic to the shard that holds the plan.
+smoke:
 	$(GO) run ./cmd/hpfrun -hpcg 6,6,6 -np 4 > /dev/null
 	$(GO) run ./cmd/hpfrun -hpcg 6,6,6 -timeout 30s > /dev/null
-	$(GO) run ./cmd/cgbench -exp E24 -quick > /dev/null
-
-# Quick pass over the matrix-free stencil path: an assembly-free solve
-# through hpfrun (geometric halo, zero modeled setup), once more under
-# the watchdog, the 27-point kernel through the same binary (plain and
-# pipelined, two-plane slabs so ghost and local source planes both
-# occur), plus the E25 sweep with its enforced bit-identity and
-# setup-elimination claims.
-mfree-smoke:
 	$(GO) run ./cmd/hpfrun -stencil 5pt:32,24 -np 4 > /dev/null
 	$(GO) run ./cmd/hpfrun -stencil 5pt:32,24 -timeout 30s > /dev/null
 	$(GO) run ./cmd/hpfrun -stencil 27pt:8,8,8 -np 4 > /dev/null
 	$(GO) run ./cmd/hpfrun -stencil 27pt:8,8,8 -np 4 -pipelined > /dev/null
-	$(GO) run ./cmd/cgbench -exp E25 -quick > /dev/null
-
-# Quick pass over the pipelined overlap path: a hidden-round solve
-# through hpfrun (overlap books printed) plus the E26 latency-regime
-# map with its enforced pipelined-beats-plain and frontier claims.
-pipelined-smoke:
 	$(GO) run ./cmd/hpfrun -np 4 -matrix banded:256:4 -demo csr -pipelined > /dev/null
-	$(GO) run ./cmd/cgbench -exp E26 -quick > /dev/null
-
-# Quick pass over the resilient variant through a binary: an injected
-# crash absorbed by checkpoint/restart, once more under the watchdog
-# that bounds every attempt.
-resilient-smoke:
 	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "crash:rank=2@t=0.5ms" -resilient -ckpt 5 > /dev/null
 	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "crash:rank=2@t=0.5ms" -resilient -ckpt 5 -timeout 30s > /dev/null
+	$(GO) run ./cmd/hpfserve -smoke
+	$(GO) run ./cmd/hpfserve -cluster-smoke
 
-# The size ROADMAP item 1 tracks: non-test, non-blank, non-comment
-# lines of internal/hpfexec + internal/serve.
+# Non-test, non-blank, non-comment lines: internal/hpfexec +
+# internal/serve (the size ROADMAP item 1 tracks), then internal/bench +
+# internal/report + cmd/cgbench (the experiment harness).
 loc:
 	@ls internal/hpfexec/*.go internal/serve/*.go | grep -v _test.go | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'
+	@ls internal/bench/*.go internal/report/*.go cmd/cgbench/*.go | grep -v _test.go | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'
 
-# Modeled-machine benchmarks (send path allocation counts included)
-# and the matrix-free apply kernels (ns/point, GFLOP/s, zero allocs),
-# plus the E19 communication-avoidance, E20 resilience, E21 solver-
-# service, E22 cluster, E23 s-step, E24 HPCG, E25 matrix-free and E26
-# pipelined-overlap smoke runs with JSON snapshots for regression
-# diffing.
+# Kernel guards in their own units: the modeled machine's send path
+# (allocation counts) and the matrix-free apply kernels (ns/point,
+# GFLOP/s, zero allocs). Every other wall number comes from benchmark/.
 bench:
 	$(GO) test -bench . -benchmem -run NONE ./internal/comm/... ./internal/mfree/...
-	$(GO) run ./cmd/cgbench -exp E19 -quick -json BENCH_E19_quick.json
-	$(GO) run ./cmd/cgbench -exp E20 -quick -json BENCH_E20_quick.json
-	$(GO) run ./cmd/cgbench -exp E21 -quick -json BENCH_E21_quick.json
-	$(GO) run ./cmd/cgbench -exp E22 -quick -json BENCH_E22_quick.json
-	$(GO) run ./cmd/cgbench -exp E23 -quick -json BENCH_E23_quick.json
-	$(GO) run ./cmd/cgbench -exp E24 -quick -json BENCH_E24_quick.json
-	$(GO) run ./cmd/cgbench -exp E25 -quick -json BENCH_E25_quick.json
-	$(GO) run ./cmd/cgbench -exp E26 -quick -json BENCH_E26_quick.json
-
-# End-to-end service check: start hpfserve on a loopback port, submit a
-# job to it over HTTP, assert convergence. Part of `make check`: it
-# exercises the scheduler's one dispatch over real HTTP.
-serve-smoke:
-	$(GO) run ./cmd/hpfserve -smoke
-
-# End-to-end cluster check: in-process router + two shards, repeat
-# traffic through the router, same shard both times, plan-registry hit
-# on the second solve, bit-identical answers. Part of `make check`.
-cluster-smoke:
-	$(GO) run ./cmd/hpfserve -cluster-smoke
 
 # Small-size smoke run of every experiment.
 quick:

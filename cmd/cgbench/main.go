@@ -1,6 +1,8 @@
 // Command cgbench regenerates the paper's evaluation: one experiment
 // table per figure/claim (see DESIGN.md §5 and EXPERIMENTS.md for the
-// index).
+// index). Every number it prints is modeled, so the output is a pure
+// function of the code and the flags; with no flags it is byte-for-byte
+// internal/bench/testdata/experiments.golden (`make golden`).
 //
 // Examples:
 //
@@ -8,7 +10,6 @@
 //	cgbench -exp E2,E3             # just the two mat-vec scenarios
 //	cgbench -quick                 # small sizes (CI smoke run)
 //	cgbench -exp E8 -csv           # CSV output for plotting
-//	cgbench -exp E19 -json out.json  # append JSON snapshots for regression diffing
 package main
 
 import (
@@ -16,11 +17,9 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"hpfcg/internal/bench"
 	"hpfcg/internal/fault"
-	"hpfcg/internal/report"
 	"hpfcg/internal/topology"
 )
 
@@ -30,7 +29,6 @@ func main() {
 		quick    = flag.Bool("quick", false, "small problem sizes")
 		topo     = flag.String("topology", "hypercube", "hypercube | ring | mesh2d | full")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		jsonPath = flag.String("json", "", "append per-experiment JSON snapshots to this file (BENCH_*.json)")
 		seed     = flag.Int64("seed", 1996, "matrix generator seed")
 		sstep    = flag.Int("sstep", 0, "restrict E23's s-step sweep to one blocking factor (0 = sweep 1,2,4,8)")
 		hpcg     = flag.String("hpcg", "", "restrict E24's per-rank brick sweep to one nx,ny,nz size (empty = full sweep)")
@@ -62,21 +60,18 @@ func main() {
 		cfg.Injector = inj
 	}
 
-	var jsonOut *os.File
-	if *jsonPath != "" {
-		jsonOut, err = os.OpenFile(*jsonPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fatal(err)
-		}
-		defer jsonOut.Close()
-	}
-
 	ids := bench.IDs()
 	if *exp != "all" {
 		ids = strings.Split(*exp, ",")
 	}
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
+		if !*csv {
+			if err := bench.RunAndRender(os.Stdout, id, cfg); err != nil {
+				fatal(err)
+			}
+			continue
+		}
 		runner, err := bench.Get(id)
 		if err != nil {
 			fatal(err)
@@ -86,29 +81,10 @@ func main() {
 			fatal(fmt.Errorf("%s: %w", id, err))
 		}
 		for _, tab := range tables {
-			if *csv {
-				if err := tab.RenderCSV(os.Stdout); err != nil {
-					fatal(err)
-				}
-				fmt.Println()
-			} else if err := tab.Render(os.Stdout); err != nil {
+			if err := tab.RenderCSV(os.Stdout); err != nil {
 				fatal(err)
 			}
-		}
-		if jsonOut != nil {
-			snap := &report.Snapshot{
-				Experiment: id,
-				Timestamp:  time.Now().UTC().Format(time.RFC3339),
-				Config: map[string]any{
-					"quick":    *quick,
-					"topology": *topo,
-					"seed":     *seed,
-				},
-				Tables: tables,
-			}
-			if err := snap.Write(jsonOut); err != nil {
-				fatal(err)
-			}
+			fmt.Println()
 		}
 	}
 }

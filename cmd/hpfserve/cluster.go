@@ -12,7 +12,7 @@
 // -cluster-smoke runs the whole topology in one process on loopback
 // ports — router + two shards — submits the same matrix twice through
 // the router and verifies both solves landed on the same shard with a
-// plan-registry hit on the second (used by `make cluster-smoke`).
+// plan-registry hit on the second (used by `make smoke`).
 package main
 
 import (

@@ -15,7 +15,7 @@
 //
 // -smoke starts the server on a loopback port, submits a job to itself
 // over real HTTP, asserts convergence and exits — a self-contained
-// end-to-end check (used by `make serve-smoke`).
+// end-to-end check (used by `make smoke`).
 package main
 
 import (

@@ -3,6 +3,13 @@
 // DESIGN.md and EXPERIMENTS.md). Each runner regenerates its tables
 // from scratch on the simulated machine, so `cgbench -exp all`
 // reproduces the whole evaluation.
+//
+// Every column is modeled — counted work or the simulated clock, never
+// a stopwatch — so the tables are a pure function of (code, Config).
+// The full-size output of all experiments is committed as
+// testdata/experiments.golden and compared byte for byte by the tests;
+// `make golden` regenerates it. Wall-clock numbers come only from
+// benchmark/.
 package bench
 
 import (
@@ -48,8 +55,8 @@ type Config struct {
 	Injector comm.Injector
 }
 
-// DefaultConfig returns the configuration the committed EXPERIMENTS.md
-// numbers were produced with.
+// DefaultConfig returns the configuration the committed golden file
+// (testdata/experiments.golden) was produced with.
 func DefaultConfig() Config {
 	return Config{
 		Topo: topology.Hypercube{},

@@ -2,7 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -31,7 +33,8 @@ func TestGetUnknown(t *testing.T) {
 }
 
 // Every experiment must run in quick mode and produce non-empty,
-// rectangular tables.
+// rectangular tables with no stopwatch column: the experiments report
+// modeled numbers only, wall numbers come only from benchmark/.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	cfg := quickCfg()
 	for _, id := range IDs() {
@@ -51,6 +54,11 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			for _, tab := range tables {
 				if len(tab.Rows) == 0 {
 					t.Fatalf("table %q empty", tab.Title)
+				}
+				for _, h := range tab.Header {
+					if strings.Contains(h, "wall") {
+						t.Errorf("table %q: column %q is a wall-clock number", tab.Title, h)
+					}
 				}
 				for _, row := range tab.Rows {
 					if len(row) != len(tab.Header) {
@@ -503,28 +511,22 @@ func TestE20ResilienceShape(t *testing.T) {
 	}
 }
 
-// E21: the solver service must amortize setup. Table 2 is
-// deterministic (one worker, preloaded queue, exact occupancy): the
-// per-job share of the modeled setup must fall monotonically with the
-// batch cap, and a batch of 4 must cut it to at most a third of the
-// solo cost while the per-solve model time stays flat.
+// E21: the solver service must amortize setup (one worker, preloaded
+// queue, exact occupancy): the per-job share of the modeled setup must
+// fall monotonically with the batch cap, and a batch of 4 must cut it
+// to at most a third of the solo cost while the per-solve model time
+// stays flat.
 func TestE21BatchingAmortizes(t *testing.T) {
 	tables, err := E21(quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 2 {
-		t.Fatalf("want 2 tables, got %d", len(tables))
-	}
-	// Table 1: every sweep cell processed its full job count.
-	for _, row := range tables[0].Rows {
-		if parseF(t, row[4]) <= 0 {
-			t.Errorf("non-positive throughput: %v", row)
-		}
+	if len(tables) != 1 {
+		t.Fatalf("want 1 table, got %d", len(tables))
 	}
 	perJobSetup := map[int]float64{}
 	perJobSolve := map[int]float64{}
-	for _, row := range tables[1].Rows {
+	for _, row := range tables[0].Rows {
 		b, _ := strconv.Atoi(row[0])
 		if occ := parseF(t, row[1]); occ != float64(b) {
 			t.Errorf("batch %d: occupancy %g not exact", b, occ)
@@ -549,25 +551,20 @@ func TestE21BatchingAmortizes(t *testing.T) {
 }
 
 // E22: the cluster must serve warm plan-cache traffic with zero
-// modeled setup. Table 2 is deterministic (sequential passes over a
-// fixed matrix set, occupancy 1): pass 0 is all misses with positive
-// setup, every later pass is all hits with setup exactly 0 and a
-// solve model time identical to the cold pass.
+// modeled setup (sequential passes over a fixed matrix set, occupancy
+// 1): pass 0 is all misses with positive setup, every later pass is
+// all hits with setup exactly 0 and a solve model time identical to
+// the cold pass.
 func TestE22WarmPathZeroSetup(t *testing.T) {
 	tables, err := E22(quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 2 {
-		t.Fatalf("want 2 tables, got %d", len(tables))
-	}
-	for _, row := range tables[0].Rows {
-		if parseF(t, row[3]) <= 0 {
-			t.Errorf("non-positive cluster throughput: %v", row)
-		}
+	if len(tables) != 1 {
+		t.Fatalf("want 1 table, got %d", len(tables))
 	}
 	var coldSolve float64
-	for i, row := range tables[1].Rows {
+	for i, row := range tables[0].Rows {
 		hitRate := parseF(t, row[3])
 		setup := parseF(t, row[4])
 		share := parseF(t, row[5])
@@ -591,5 +588,64 @@ func TestE22WarmPathZeroSetup(t *testing.T) {
 		if solve != coldSolve {
 			t.Errorf("pass %d solve model %g differs from cold %g", i, solve, coldSolve)
 		}
+	}
+}
+
+// renderAll renders every experiment the way `cgbench` prints them.
+func renderAll(t *testing.T, cfg Config) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, id := range IDs() {
+		if err := RunAndRender(&buf, id, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// firstDiff describes the first line at which two renderings differ.
+func firstDiff(got, want []byte) string {
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	title := ""
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if strings.HasPrefix(wl, "== ") {
+			title = wl
+		}
+		if gl != wl {
+			return fmt.Sprintf("line %d, under %q:\n  got:  %s\n  want: %s", i+1, title, gl, wl)
+		}
+	}
+	return "no difference"
+}
+
+// The experiments' output is a pure function of (code, Config): two
+// passes must render the same bytes.
+func TestExperimentsAreDeterministic(t *testing.T) {
+	cfg := quickCfg()
+	a, b := renderAll(t, cfg), renderAll(t, cfg)
+	if !bytes.Equal(a, b) {
+		t.Errorf("two quick passes rendered different bytes; first difference at %s", firstDiff(b, a))
+	}
+}
+
+// The full-size output of all 26 experiments is committed: a change
+// that moves a modeled number must regenerate the file (`make golden`)
+// and name the moved tables in CHANGES.md.
+func TestExperimentsMatchGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/experiments.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderAll(t, DefaultConfig()); !bytes.Equal(got, want) {
+		t.Errorf("experiment output differs from testdata/experiments.golden at %s\n"+
+			"if the change is intended, run `make golden` and list the moved tables in CHANGES.md",
+			firstDiff(got, want))
 	}
 }

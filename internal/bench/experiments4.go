@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"hpfcg/internal/comm"
 	"hpfcg/internal/core"
@@ -21,10 +20,9 @@ import (
 // the fused production CG (batched setup norms, fused mat-vec dot,
 // rho reuse — two rounds, bit-identical iterates), and the
 // single-reduction variant (all four scalars in one batched round, a
-// different floating-point trajectory). Each variant is timed both on
-// the modeled machine (t_s·rounds is what shrinks) and in wall-clock
-// over repeated solves from a shared workspace (where the
-// allocation-free hot path shows up). Table 2 maps the tree vs
+// different floating-point trajectory). Each variant is timed on the
+// modeled machine (t_s·rounds is what shrinks) over repeated solves
+// from a shared workspace. Table 2 maps the tree vs
 // Rabenseifner allreduce crossover that the auto-selection in
 // internal/comm navigates: closed-form and simulated model times per
 // message length, per processor count.
@@ -48,12 +46,12 @@ func E19(cfg Config) ([]*report.Table, error) {
 
 	t1 := &report.Table{
 		ID:     "E19",
-		Title:  fmt.Sprintf("CG reduction fusion: rounds, model time, wall clock (%d solves each)", repeats),
-		Header: []string{"variant", "np", "n", "iters", "rounds/it", "model_t_s", "wall_us"},
+		Title:  fmt.Sprintf("CG reduction fusion: rounds and model time (%d solves each)", repeats),
+		Header: []string{"variant", "np", "n", "iters", "rounds/it", "model_t_s"},
 		Notes: []string{
 			"rounds/it = allreduce merge rounds per iteration (setup rounds excluded);",
-			"model_t_s = simulated makespan per solve; wall_us = host wall clock per solve",
-			"over repeated solves reusing one workspace (unfused allocates per call).",
+			"model_t_s = simulated makespan per solve, over repeated solves reusing one",
+			"workspace (unfused allocates per call).",
 		},
 	}
 	for _, n := range sizes {
@@ -64,9 +62,7 @@ func E19(cfg Config) ([]*report.Table, error) {
 			for _, v := range variants {
 				var st core.Stats
 				var solveErr error
-				m := cfg.machine(np)
-				t0 := time.Now()
-				rs := m.Run(func(p *comm.Proc) {
+				rs := cfg.machine(np).Run(func(p *comm.Proc) {
 					op := spmv.NewRowBlockCSRGhost(p, A, d)
 					bv := darray.New(p, d)
 					bv.SetGlobal(func(g int) float64 { return b[g] })
@@ -87,7 +83,6 @@ func E19(cfg Config) ([]*report.Table, error) {
 						}
 					}
 				})
-				wall := time.Since(t0)
 				if solveErr != nil {
 					return nil, fmt.Errorf("%s np=%d n=%d: %w", v.name, np, n, solveErr)
 				}
@@ -102,9 +97,7 @@ func E19(cfg Config) ([]*report.Table, error) {
 					setup = 3
 				}
 				perIt := float64(st.Reductions-setup) / float64(st.Iterations)
-				t1.AddRowf(v.name, np, n, st.Iterations, perIt,
-					rs.ModelTime/float64(repeats),
-					float64(wall.Microseconds())/float64(repeats))
+				t1.AddRowf(v.name, np, n, st.Iterations, perIt, rs.ModelTime/float64(repeats))
 			}
 		}
 	}

@@ -81,7 +81,7 @@ func runMission(cfg Config, A *sparse.CSR, b []float64, np, interval int, plan f
 			return out, runErr
 		}
 		out.crashes++
-		if got := store.Reached(); got > startIter {
+		if got := store.Reached(pf.Rank); got > startIter {
 			out.lost += got - startIter
 		}
 		inj.Advance(rs.ModelTime)

@@ -2,153 +2,28 @@ package bench
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"hpfcg/internal/report"
 	"hpfcg/internal/serve"
 )
 
-// E21 — the solver service under load. Table 1 is a closed-loop
-// throughput/latency sweep: C clients each submit-wait-repeat against
-// a live scheduler, across worker batching limits and machine sizes;
-// backpressure (429-equivalent ErrQueueFull) is handled by client
-// retry, as a real closed-loop client would honour Retry-After. Table 2
-// isolates the headline amortization deterministically: one worker, a
-// paused queue preloaded with same-matrix jobs, and an exact batch
-// occupancy per row — the per-job share of the modeled setup time
-// (matrix partition + inspector exchange + executor selection) must
-// fall as 1/B while the per-solve time stays flat.
+// E21 — same-matrix batching in the solver service, isolated
+// deterministically: one worker, a paused queue preloaded with
+// same-matrix jobs, and an exact batch occupancy per row — the per-job
+// share of the modeled setup time (matrix partition + inspector
+// exchange + executor selection) must fall as 1/B while the per-solve
+// time stays flat. Throughput and occupancy under live load are wall
+// numbers and come from benchmark/ (serve.jobs_per_s,
+// serve.batch_occupancy_mean).
 func E21(cfg Config) ([]*report.Table, error) {
 	matrix := fmt.Sprintf("laplace2d:%d:%d", cfg.pick(24, 12), cfg.pick(24, 12))
-
-	t1, err := e21ClosedLoop(cfg, matrix)
-	if err != nil {
-		return nil, err
-	}
-	t2, err := e21Amortization(cfg, matrix)
-	if err != nil {
-		return nil, err
-	}
-	return []*report.Table{t1, t2}, nil
-}
-
-func e21ClosedLoop(cfg Config, matrix string) (*report.Table, error) {
-	clientCounts := []int{1, 4, 8}
-	batchCaps := []int{1, 8}
-	nps := []int{2, 4}
-	perClient := cfg.pick(8, 3)
-	if cfg.Quick {
-		clientCounts = []int{1, 4}
-		nps = []int{2}
-	}
-
-	t1 := &report.Table{
-		ID:     "E21",
-		Title:  fmt.Sprintf("Solver service closed-loop sweep (%d jobs per client, 2 workers)", perClient),
-		Header: []string{"clients", "max_batch", "np", "jobs", "jobs_per_s", "mean_lat_ms", "mean_occupancy", "retries"},
-		Notes: []string{
-			"Closed loop: each client submits, waits for the result, repeats; ErrQueueFull",
-			"(HTTP 429) is retried after the server's Retry-After hint. mean_occupancy is",
-			"the average number of same-matrix jobs coalesced into one SPMD run;",
-			"max_batch=1 disables batching. Wall-clock columns vary run to run.",
-		},
-	}
-
-	for _, nc := range clientCounts {
-		for _, mb := range batchCaps {
-			for _, np := range nps {
-				s := serve.New(serve.Options{
-					Workers:        2,
-					QueueCap:       nc * perClient,
-					MaxBatch:       mb,
-					RetryAfter:     2 * time.Millisecond,
-					PlanCacheBytes: -1, // registry off: E21 isolates batching (E22 measures the cache)
-				})
-				total := nc * perClient
-				var (
-					mu       sync.Mutex
-					latSum   float64
-					occSum   float64
-					retries  int
-					firstErr error
-				)
-				var wg sync.WaitGroup
-				start := time.Now()
-				for c := 0; c < nc; c++ {
-					wg.Add(1)
-					go func(c int) {
-						defer wg.Done()
-						for k := 0; k < perClient; k++ {
-							spec := serve.JobSpec{Matrix: matrix, NP: np, Seed: int64(1 + c*perClient + k)}
-							t0 := time.Now()
-							var j *serve.Job
-							for {
-								var err error
-								j, err = s.Submit(spec)
-								if err == nil {
-									break
-								}
-								if !errors.Is(err, serve.ErrQueueFull) {
-									mu.Lock()
-									if firstErr == nil {
-										firstErr = err
-									}
-									mu.Unlock()
-									return
-								}
-								mu.Lock()
-								retries++
-								mu.Unlock()
-								time.Sleep(s.RetryAfter())
-							}
-							v, err := s.Wait(context.Background(), j.ID)
-							lat := time.Since(t0)
-							mu.Lock()
-							if err != nil && firstErr == nil {
-								firstErr = err
-							}
-							if v.State != serve.StateDone && firstErr == nil {
-								firstErr = fmt.Errorf("job %s: %s (%s)", j.ID, v.State, v.Error)
-							}
-							latSum += lat.Seconds()
-							if v.Result != nil {
-								occSum += float64(v.Result.BatchSize)
-							}
-							mu.Unlock()
-						}
-					}(c)
-				}
-				wg.Wait()
-				wall := time.Since(start)
-				drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				err := s.Drain(drainCtx)
-				cancel()
-				if firstErr != nil {
-					return nil, firstErr
-				}
-				if err != nil {
-					return nil, err
-				}
-				t1.AddRowf(nc, mb, np, total,
-					float64(total)/wall.Seconds(),
-					latSum/float64(total)*1e3,
-					occSum/float64(total),
-					retries)
-			}
-		}
-	}
-	return t1, nil
-}
-
-func e21Amortization(cfg Config, matrix string) (*report.Table, error) {
 	const np = 4
 	const jobs = 8
 	batchCaps := []int{1, 2, 4, 8}
 
-	t2 := &report.Table{
+	t := &report.Table{
 		ID:     "E21",
 		Title:  fmt.Sprintf("Same-matrix batching amortization (%s, np=%d, %d jobs, 1 worker)", matrix, np, jobs),
 		Header: []string{"batch", "occupancy", "setup_model_s", "setup_per_job_s", "solve_per_job_s", "model_per_job_s"},
@@ -156,7 +31,7 @@ func e21Amortization(cfg Config, matrix string) (*report.Table, error) {
 			"One worker, queue preloaded while paused, so every dispatch coalesces exactly",
 			"`batch` jobs. setup_model_s is the modeled cost the batch pays once (matrix",
 			"partition, inspector ghost exchange, executor selection); setup_per_job_s is",
-			"each job's share. Model columns are deterministic.",
+			"each job's share.",
 		},
 	}
 
@@ -204,11 +79,11 @@ func e21Amortization(cfg Config, matrix string) (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t2.AddRowf(mb, occSum/float64(jobs),
+		t.AddRowf(mb, occSum/float64(jobs),
 			setupSum/float64(jobs), // each job reports its batch's setup -> mean per-batch setup
 			setupShare/float64(jobs),
 			solveSum/float64(jobs),
 			modelShare/float64(jobs))
 	}
-	return t2, nil
+	return []*report.Table{t}, nil
 }

@@ -7,34 +7,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"time"
 
 	"hpfcg/internal/cluster"
 	"hpfcg/internal/report"
 	"hpfcg/internal/serve"
 )
-
-// E22 — the sharded cluster under load. Table 1 extends E21's
-// closed-loop sweep across clients × shards: every request crosses the
-// real router tier over HTTP, lands on the shard owning its matrix's
-// content hash, and repeat traffic turns into Prepared-plan registry
-// hits. Table 2 isolates the warm-vs-cold plan-cache cost
-// deterministically: a fixed matrix set submitted in passes, where
-// pass 0 pays the full modeled setup (partition + inspector ghost
-// exchange + executor selection) on each owning shard and every later
-// pass must run at hit rate 1 with exactly zero modeled setup.
-func E22(cfg Config) ([]*report.Table, error) {
-	t1, err := e22ClosedLoop(cfg)
-	if err != nil {
-		return nil, err
-	}
-	t2, err := e22WarmCold(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return []*report.Table{t1, t2}, nil
-}
 
 // e22Cluster is an in-process cluster: a router HTTP server in front
 // of S real hpfserve shards, registered through the membership API.
@@ -84,14 +62,12 @@ func (c *e22Cluster) close() error {
 	return firstErr
 }
 
-// registryStats sums the plan-registry counters across shards.
-func (c *e22Cluster) registryStats() (hits, misses uint64) {
+// registryHits sums the plan-registry hit counter across shards.
+func (c *e22Cluster) registryHits() (hits uint64) {
 	for _, s := range c.scheds {
-		st := s.PlanCacheStats()
-		hits += st.Hits
-		misses += st.Misses
+		hits += s.PlanCacheStats().Hits
 	}
-	return hits, misses
+	return hits
 }
 
 // e22Result is the slice of the job view the experiment reads.
@@ -107,57 +83,43 @@ type e22Result struct {
 	} `json:"result"`
 }
 
-// submitAndWait pushes one spec through the router and waits for the
-// answer, retrying backpressure (429/503) after a short pause — the
-// closed-loop client contract. Returns the shard it landed on.
-func e22SubmitAndWait(base string, spec serve.JobSpec, retries *int) (string, e22Result, error) {
+// e22SubmitAndWait pushes one spec through the router and waits for
+// the converged answer.
+func e22SubmitAndWait(base string, spec serve.JobSpec) (e22Result, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
-		return "", e22Result{}, err
+		return e22Result{}, err
+	}
+	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return e22Result{}, err
 	}
 	var ack struct {
-		ID    string `json:"id"`
-		Shard string `json:"shard"`
+		ID string `json:"id"`
 	}
-	for {
-		resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return "", e22Result{}, err
-		}
-		code := resp.StatusCode
-		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
-			resp.Body.Close()
-			if retries != nil {
-				*retries++
-			}
-			time.Sleep(2 * time.Millisecond)
-			continue
-		}
-		err = json.NewDecoder(resp.Body).Decode(&ack)
-		resp.Body.Close()
-		if err != nil || code != http.StatusAccepted {
-			return "", e22Result{}, fmt.Errorf("submit: status %d (%v)", code, err)
-		}
-		break
+	err = json.NewDecoder(resp.Body).Decode(&ack)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		return e22Result{}, fmt.Errorf("submit: status %d (%v)", resp.StatusCode, err)
 	}
-	resp, err := http.Get(base + "/jobs/" + ack.ID + "?wait=1&timeout=60s")
+	resp, err = http.Get(base + "/jobs/" + ack.ID + "?wait=1&timeout=60s")
 	if err != nil {
-		return "", e22Result{}, err
+		return e22Result{}, err
 	}
 	defer resp.Body.Close()
 	var v e22Result
 	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return "", e22Result{}, err
+		return e22Result{}, err
 	}
 	if v.State != "done" || v.Result == nil || !v.Result.Converged {
-		return "", e22Result{}, fmt.Errorf("job %s: state=%s err=%q", ack.ID, v.State, v.Error)
+		return e22Result{}, fmt.Errorf("job %s: state=%s err=%q", ack.ID, v.State, v.Error)
 	}
-	return ack.Shard, v, nil
+	return v, nil
 }
 
-// e22Matrices is the sweep's matrix pool: distinct content hashes, so
-// the ring spreads them across shards while repeat traffic per matrix
-// stays shard-sticky.
+// e22Matrices is the matrix pool: distinct content hashes, so the ring
+// spreads them across shards while repeat traffic per matrix stays
+// shard-sticky.
 func e22Matrices(n, side int) []string {
 	out := make([]string, n)
 	for i := range out {
@@ -166,103 +128,22 @@ func e22Matrices(n, side int) []string {
 	return out
 }
 
-func e22ClosedLoop(cfg Config) (*report.Table, error) {
-	shardCounts := []int{1, 2, 4}
-	clientCounts := []int{1, 4, 8}
-	perClient := cfg.pick(8, 3)
-	side := cfg.pick(16, 10)
-	if cfg.Quick {
-		shardCounts = []int{1, 2}
-		clientCounts = []int{1, 4}
-	}
-	matrices := e22Matrices(4, side)
-
-	t1 := &report.Table{
-		ID:     "E22",
-		Title:  fmt.Sprintf("Cluster closed-loop sweep (%d jobs per client, %d-matrix pool)", perClient, len(matrices)),
-		Header: []string{"shards", "clients", "jobs", "jobs_per_s", "mean_lat_ms", "hit_rate", "retries"},
-		Notes: []string{
-			"Closed loop through the router tier over real HTTP: each client submits,",
-			"waits, repeats, retrying 429/503 backpressure. Jobs cycle a fixed matrix",
-			"pool, so the content-hash ring pins each matrix to one shard and repeat",
-			"traffic turns into plan-registry hits (hit_rate = hits/(hits+misses),",
-			"cluster-wide). Wall-clock columns vary run to run; hit_rate does not.",
-		},
-	}
-
-	for _, ns := range shardCounts {
-		for _, nc := range clientCounts {
-			c, err := newE22Cluster(ns, serve.Options{
-				Workers:    2,
-				QueueCap:   nc * perClient,
-				RetryAfter: 2 * time.Millisecond,
-			})
-			if err != nil {
-				return nil, err
-			}
-			total := nc * perClient
-			var (
-				mu       sync.Mutex
-				latSum   float64
-				retries  int
-				firstErr error
-			)
-			var wg sync.WaitGroup
-			start := time.Now()
-			for cl := 0; cl < nc; cl++ {
-				wg.Add(1)
-				go func(cl int) {
-					defer wg.Done()
-					for k := 0; k < perClient; k++ {
-						spec := serve.JobSpec{
-							Matrix: matrices[(cl*perClient+k)%len(matrices)],
-							NP:     2,
-							Seed:   int64(1 + cl*perClient + k),
-						}
-						t0 := time.Now()
-						var myRetries int
-						_, _, err := e22SubmitAndWait(c.rts.URL, spec, &myRetries)
-						lat := time.Since(t0)
-						mu.Lock()
-						if err != nil && firstErr == nil {
-							firstErr = err
-						}
-						latSum += lat.Seconds()
-						retries += myRetries
-						mu.Unlock()
-					}
-				}(cl)
-			}
-			wg.Wait()
-			wall := time.Since(start)
-			hits, misses := c.registryStats()
-			if err := c.close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			if firstErr != nil {
-				return nil, firstErr
-			}
-			hitRate := 0.0
-			if hits+misses > 0 {
-				hitRate = float64(hits) / float64(hits+misses)
-			}
-			t1.AddRowf(ns, nc, total,
-				float64(total)/wall.Seconds(),
-				latSum/float64(total)*1e3,
-				hitRate,
-				retries)
-		}
-	}
-	return t1, nil
-}
-
-func e22WarmCold(cfg Config) (*report.Table, error) {
+// E22 — the plan registry behind the cluster router, warm against
+// cold, isolated deterministically: a fixed matrix set submitted in
+// passes through the real router tier over HTTP, each matrix landing on
+// the shard that owns its content hash. Pass 0 pays the full modeled
+// setup (partition + inspector ghost exchange + executor selection) on
+// each owning shard; every later pass must run at hit rate 1 with
+// exactly zero modeled setup. Cluster throughput and latency under
+// load are wall numbers and come from benchmark/ (serve.jobs_per_s,
+// cluster.proxy_hop_ms_p50).
+func E22(cfg Config) ([]*report.Table, error) {
 	const nShards = 2
 	passes := cfg.pick(4, 3)
 	side := cfg.pick(16, 10)
 	matrices := e22Matrices(4, side)
 
-	t2 := &report.Table{
+	t := &report.Table{
 		ID:     "E22",
 		Title:  fmt.Sprintf("Warm vs cold plan cache (%d shards, %d matrices, sequential passes)", nShards, len(matrices)),
 		Header: []string{"pass", "jobs", "hits", "hit_rate", "setup_model_s", "setup_share", "solve_model_s"},
@@ -271,8 +152,7 @@ func e22WarmCold(cfg Config) (*report.Table, error) {
 			"shard, no batching, sequential — occupancy 1, so nothing amortizes except the",
 			"registry). Pass 0 pays the full modeled setup on each matrix's owning shard;",
 			"every later pass must be all registry hits with exactly zero modeled setup:",
-			"hit rate -> 1 and setup share -> 0 beyond the first touch per shard. Model",
-			"columns are deterministic.",
+			"hit rate -> 1 and setup share -> 0 beyond the first touch per shard.",
 		},
 	}
 
@@ -288,9 +168,9 @@ func e22WarmCold(cfg Config) (*report.Table, error) {
 		for k, m := range matrices {
 			// Same seed per matrix on every pass: warm passes must then
 			// reproduce the cold pass's solve model time exactly.
-			_, v, err := e22SubmitAndWait(c.rts.URL, serve.JobSpec{
+			v, err := e22SubmitAndWait(c.rts.URL, serve.JobSpec{
 				Matrix: m, NP: 2, Seed: int64(k + 1),
-			}, nil)
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -303,19 +183,19 @@ func e22WarmCold(cfg Config) (*report.Table, error) {
 			solveSum += v.Result.SolveModelTime
 			modelSum += v.Result.ModelTime
 		}
-		hits, _ := c.registryStats()
+		hits := c.registryHits()
 		passHits := hits - prevHits
 		prevHits = hits
 		setupShare := 0.0
 		if modelSum > 0 {
 			setupShare = setupSum / modelSum
 		}
-		t2.AddRowf(pass, len(matrices), int(passHits),
+		t.AddRowf(pass, len(matrices), int(passHits),
 			float64(passHits)/float64(len(matrices)),
 			setupSum, setupShare, solveSum)
 	}
 	if err := c.close(); err != nil {
 		return nil, err
 	}
-	return t2, nil
+	return []*report.Table{t}, nil
 }

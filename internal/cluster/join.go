@@ -88,8 +88,10 @@ func (j *Joiner) Run(ctx context.Context) error {
 				// The router evicted us (restart, long GC pause...):
 				// re-register instead of heartbeating into the void.
 				j.logf("cluster: shard %s was evicted, re-registering", j.opts.Name)
-				if err := j.registerUntil(ctx); err != nil {
-					return err
+				if j.registerUntil(ctx) != nil {
+					// ctx died mid-registration; the router may already
+					// hold us, so leave through the deregister path.
+					continue
 				}
 			} else if err != nil && ctx.Err() == nil {
 				j.logf("cluster: heartbeat to %s failed: %v", j.opts.RouterURL, err)

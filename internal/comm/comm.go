@@ -157,13 +157,40 @@ func (rs RunStats) FlopImbalance() float64 {
 }
 
 type runCtx struct {
-	mail      [][]chan message // mail[src][dst]
-	bytes     [][]int64        // bytes[src][dst]; row src written only by src's goroutine
-	abort     chan struct{}
-	abortOnce sync.Once
+	mail  [][]chan message // mail[src][dst]
+	bytes [][]int64        // bytes[src][dst]; row src written only by src's goroutine
+	// dead[r].ch is closed once rank r will send nothing more: it
+	// crashed, or it unwound because a rank it needed had. A peer blocked
+	// on r then unwinds too — but only after draining what r did send, so
+	// every survivor of an injected crash runs exactly as far as the
+	// messages that exist let it. That makes a failed run (who died
+	// when, which checkpoints were completed) a function of the modeled
+	// schedule rather than of which goroutine noticed the failure first.
+	dead []deadFlag
+	// aborted is set (before every dead flag is raised) when the whole
+	// run is being torn down: then a raised flag says nothing about its
+	// rank, and whoever sees it just unwinds.
+	aborted atomic.Bool
 }
 
-func (rc *runCtx) doAbort() { rc.abortOnce.Do(func() { close(rc.abort) }) }
+type deadFlag struct {
+	ch   chan struct{}
+	once sync.Once
+}
+
+func (rc *runCtx) markDead(rank int) {
+	d := &rc.dead[rank]
+	d.once.Do(func() { close(d.ch) })
+}
+
+// doAbort unwinds every rank at its next blocking point: the response
+// to a programming-error panic and to the RunTimeout watchdog.
+func (rc *runCtx) doAbort() {
+	rc.aborted.Store(true)
+	for r := range rc.dead {
+		rc.markDead(r)
+	}
+}
 
 // abortError marks panics injected into peers when some processor
 // failed first; Run suppresses these in favour of the primary panic.
@@ -238,10 +265,12 @@ func (m *Machine) Run(fn func(p *Proc)) RunStats {
 
 // RunChecked is Run for programs that may be killed by the fault
 // layer: an injected crash or a deadline-detected dead peer returns a
-// typed PeerFailure error together with the partial run's statistics
-// (its modeled clocks are the failed run's cost, which the resilient
-// solver accounts as lost work). Programming-error panics still
-// propagate as panics.
+// typed PeerFailure error together with the partial run's statistics.
+// The failed run's ModelTime is PeerFailure.Clock — the failure instant
+// on the modeled clock, which the resilient solver accounts as lost
+// work; the per-rank stats include what each survivor did before it
+// came to need the dead rank. Programming-error panics still propagate
+// as panics.
 func (m *Machine) RunChecked(fn func(p *Proc)) (RunStats, error) {
 	return m.run(fn, nil)
 }
@@ -250,17 +279,20 @@ func (m *Machine) run(fn func(p *Proc), rcHolder *atomic.Pointer[runCtx]) (RunSt
 	rc := &runCtx{
 		mail:  make([][]chan message, m.np),
 		bytes: make([][]int64, m.np),
-		abort: make(chan struct{}),
-	}
-	if rcHolder != nil {
-		rcHolder.Store(rc)
+		dead:  make([]deadFlag, m.np),
 	}
 	for s := 0; s < m.np; s++ {
 		rc.mail[s] = make([]chan message, m.np)
 		rc.bytes[s] = make([]int64, m.np)
+		rc.dead[s].ch = make(chan struct{})
 		for d := 0; d < m.np; d++ {
-			rc.mail[s][d] = make(chan message, 8+m.np)
+			if d != s { // no rank sends to itself
+				rc.mail[s][d] = make(chan message, 8+m.np)
+			}
 		}
+	}
+	if rcHolder != nil {
+		rcHolder.Store(rc)
 	}
 
 	var rec *trace.Recorder
@@ -299,7 +331,12 @@ func (m *Machine) run(fn func(p *Proc), rcHolder *atomic.Pointer[runCtx]) (RunSt
 			defer func() {
 				if e := recover(); e != nil {
 					panics[rank] = e
-					rc.doAbort()
+					switch e.(type) {
+					case crashPanic, PeerFailure, abortError:
+						rc.markDead(rank)
+					default:
+						rc.doAbort()
+					}
 				}
 			}()
 			fn(procs[rank])
@@ -310,23 +347,25 @@ func (m *Machine) run(fn func(p *Proc), rcHolder *atomic.Pointer[runCtx]) (RunSt
 	// Classify the panics: a programming error on any rank always wins
 	// and re-panics; injected-fault deaths (crashPanic from the dying
 	// rank, PeerFailure from a deadline-detecting survivor) become the
-	// run's error; secondary abortErrors are suppressed.
+	// run's error — the earliest on the modeled clock, whichever order
+	// the goroutines died in; secondary abortErrors are suppressed.
 	var bug any
-	var fail error
+	var fail *PeerFailure
 	aborted := false
+	consider := func(pf PeerFailure) {
+		if fail == nil || pf.Clock < fail.Clock {
+			fail = &pf
+		}
+	}
 	for _, e := range panics {
 		switch v := e.(type) {
 		case nil:
 		case abortError:
 			aborted = true
 		case crashPanic:
-			if fail == nil {
-				fail = PeerFailure{Rank: v.rank, Clock: v.clock}
-			}
+			consider(PeerFailure{Rank: v.rank, Clock: v.clock})
 		case PeerFailure:
-			if fail == nil {
-				fail = v
-			}
+			consider(v)
 		default:
 			if bug == nil {
 				bug = e
@@ -357,10 +396,18 @@ func (m *Machine) run(fn func(p *Proc), rcHolder *atomic.Pointer[runCtx]) (RunSt
 			rs.MaxFlops = p.stats.Flops
 		}
 	}
+	var err error
+	if fail != nil {
+		// A failed run costs the modeled instant of the failure: what
+		// the survivors computed while running on towards the dead rank
+		// is discarded, and a restart's fault schedule resumes from here.
+		rs.ModelTime = fail.Clock
+		err = *fail
+	}
 	if rec != nil {
 		rec.Seal(rs.ModelTime)
 	}
-	return rs, fail
+	return rs, err
 }
 
 // Proc is one virtual processor inside a Run. All methods must be
@@ -485,8 +532,12 @@ func (p *Proc) Send(dst, tag int, pl Payload) {
 	}
 	select {
 	case p.rc.mail[p.rank][dst] <- msg:
-	case <-p.rc.abort:
-		panic(abortError{})
+	case <-p.rc.dead[dst].ch:
+		if p.rc.aborted.Load() {
+			panic(abortError{})
+		}
+		// The reader is gone, so the message is lost — which only this
+		// rank's next Recv can make matter.
 	}
 }
 
@@ -514,9 +565,9 @@ func (p *Proc) Recv(src, tag int) Payload {
 		select {
 		case msg = <-p.rc.mail[src][p.rank]:
 			timer.Stop()
-		case <-p.rc.abort:
+		case <-p.rc.dead[src].ch:
 			timer.Stop()
-			panic(abortError{})
+			msg = p.lastWords(src)
 		case <-timer.C:
 			pf := PeerFailure{Rank: src, Clock: p.clock}
 			if p.tr != nil {
@@ -527,8 +578,8 @@ func (p *Proc) Recv(src, tag int) Payload {
 	} else {
 		select {
 		case msg = <-p.rc.mail[src][p.rank]:
-		case <-p.rc.abort:
-			panic(abortError{})
+		case <-p.rc.dead[src].ch:
+			msg = p.lastWords(src)
 		}
 	}
 	if msg.tag != tag {
@@ -557,6 +608,20 @@ func (p *Proc) Recv(src, tag int) Payload {
 		})
 	}
 	return msg.pl
+}
+
+// lastWords returns the next message src sent before it died, or
+// unwinds this rank when there is none. src's sends happen before its
+// dead flag closes, so whatever it sent is already in the mailbox.
+func (p *Proc) lastWords(src int) message {
+	if !p.rc.aborted.Load() {
+		select {
+		case msg := <-p.rc.mail[src][p.rank]:
+			return msg
+		default:
+		}
+	}
+	panic(abortError{})
 }
 
 // SendFloats sends a float slice (the slice is not copied; the caller

@@ -7,12 +7,13 @@
 // Send/Recv/Compute primitives.
 //
 // Failure semantics: an injected crash panics the affected rank with
-// an internal marker; the existing abort machinery then unwinds every
-// peer blocked in communication, and the run surfaces a typed
-// PeerFailure instead of a raw panic (RunChecked/RunTimeout return it
-// as an error). A dead peer that nobody can observe through the abort
-// channel — the receiver of a dropped message — is detected by the
-// per-recv deadline armed alongside the injector.
+// an internal marker and flags it dead; every peer runs on until it
+// needs a message the dead rank never sent, unwinds and is flagged in
+// turn, and the run surfaces a typed PeerFailure instead of a raw panic
+// (RunChecked/RunTimeout return it as an error). A dead peer that
+// nobody can observe through its flag — the receiver of a dropped
+// message — is detected by the per-recv deadline armed alongside the
+// injector.
 package comm
 
 import (
@@ -84,9 +85,9 @@ func (m *Machine) SetRecvDeadline(d time.Duration) { m.recvDeadline = d }
 
 // PeerFailure is the typed error a fault-injected run surfaces:
 // processor Rank failed (crashed, or stopped responding within the
-// recv deadline) at modeled time Clock. It propagates through the
-// abort machinery, so every surviving rank unwinds instead of hanging,
-// and RunChecked/RunTimeout return it as an error.
+// recv deadline) at modeled time Clock. Every surviving rank unwinds
+// when it comes to need the dead one instead of hanging, and
+// RunChecked/RunTimeout return the failure as an error.
 type PeerFailure struct {
 	Rank  int
 	Clock float64

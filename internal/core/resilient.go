@@ -35,7 +35,7 @@ import (
 type CheckpointStore struct {
 	np      int
 	slots   [2]ckptSlot
-	reached []int // per-rank highest iteration started (lost-work probe)
+	reached []int // per-rank iteration started in the latest attempt (lost-work probe)
 }
 
 type ckptSlot struct {
@@ -88,18 +88,12 @@ func (cs *CheckpointStore) Latest() (slot, iter int) {
 	return slot, iter
 }
 
-// Reached returns the highest iteration any rank had started — the
-// lost-work probe the restart driver uses to account iterations that a
-// failed attempt computed past its last checkpoint.
-func (cs *CheckpointStore) Reached() int {
-	max := 0
-	for _, k := range cs.reached {
-		if k > max {
-			max = k
-		}
-	}
-	return max
-}
+// Reached returns the iteration the given rank had started in the
+// latest attempt — the lost-work probe: asked about the rank a
+// comm.PeerFailure names, it is how far the failed attempt got before
+// the crash (the survivors run on a little further, until they need
+// the dead rank; that is not work the crash interrupted).
+func (cs *CheckpointStore) Reached(rank int) int { return cs.reached[rank] }
 
 // save snapshots one rank's loop state into a slot: payload first, the
 // iteration stamp last. The copies contain no communication or modeled
@@ -209,6 +203,7 @@ func CGResilient(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options
 		}
 	} else {
 		// Clean start: identical to CG's prologue.
+		cs.reached[rank] = 0
 		rnsq, bn = residual0(o, A, b, x, r)
 		rn = math.Sqrt(rnsq)
 		if rn/bn <= opt.Tol {

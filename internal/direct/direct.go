@@ -2,7 +2,7 @@
 // positions iterative methods against (§1): Gaussian elimination (LU
 // with partial pivoting) and Cholesky factorisation. They serve as
 // numerical oracles in tests and as the baseline in experiment E12
-// (storage and time crossover of direct vs CG on sparse systems).
+// (storage and arithmetic work of direct vs CG on sparse systems).
 package direct
 
 import (

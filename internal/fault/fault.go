@@ -93,6 +93,11 @@ func (p Plan) Validate() error {
 		if e.Rank < 0 {
 			return at("rank is required (got %d)", e.Rank)
 		}
+		for _, v := range []float64{e.At, e.Until, e.Factor, e.Delay} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return at("non-finite value %g", v)
+			}
+		}
 		if e.At < 0 {
 			return at("negative start time %g", e.At)
 		}

@@ -190,3 +190,53 @@ func TestStraggleAndSpikeWindows(t *testing.T) {
 		t.Errorf("after Advance(0.9): FlopFactor(0.2) = %g, want 4", got)
 	}
 }
+
+// FuzzFaultParse: the -fault / "fault" spec parser never panics; an
+// accepted plan carries finite, in-domain numbers and re-renders to a
+// canonical string that parses back to the same plan.
+func FuzzFaultParse(f *testing.F) {
+	for _, s := range []string{
+		"crash:rank=2@t=0.5ms", "crash:rank=2@t=0.5ms,straggle:rank=1,x=4",
+		"drop:rank=0,n=2,dst=1", "spike:rank=1,until=2s,x=3,delay=1us",
+		"crash:rank=nope", "crash", "rank=1", "", ",,", "crash:rank=1@t=-1s", "straggle:rank=1,x=0",
+		"crash:rank=1@t=NaN", "straggle:rank=1,x=Inf", "spike:rank=0,delay=+Inf", "crash:rank=1@t=0x1p-2",
+		"crash:rank=1,dst=-7", "crash:rank=1,bogus=3", "crash:rank=1@", "crash:rank==",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		for i, e := range p.Events {
+			for _, v := range []float64{e.At, e.Until, e.Factor, e.Delay} {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("Parse(%q): event %d carries non-finite %v", spec, i, v)
+				}
+			}
+			if e.Rank < 0 || e.At < 0 {
+				t.Fatalf("Parse(%q): event %d = %+v outside the domain Validate promises", spec, i, e)
+			}
+		}
+		canon := p.String()
+		back, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its canonical form %q does not parse: %v", spec, canon, err)
+		}
+		if back.String() != canon {
+			t.Fatalf("Parse(%q): canonical form %q re-renders as %q", spec, canon, back.String())
+		}
+		if len(back.Events) != len(p.Events) {
+			t.Fatalf("Parse(%q): %d events, canonical form %q has %d", spec, len(p.Events), canon, len(back.Events))
+		}
+		for i := range p.Events {
+			a, b := p.Events[i], back.Events[i]
+			// Every negative Dst means "any destination" and renders as none.
+			a.Dst, b.Dst = max(a.Dst, -1), max(b.Dst, -1)
+			if a != b {
+				t.Fatalf("Parse(%q): event %d = %+v, canonical form %q gives %+v", spec, i, a, canon, b)
+			}
+		}
+	})
+}

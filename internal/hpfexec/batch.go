@@ -306,7 +306,7 @@ func (pr *Prepared) SolveBatchTimeout(rhs [][]float64, opts []core.Options, d ti
 			return out, nil
 		}
 		rec.Failures = append(rec.Failures, pf)
-		if got := store.Reached(); got > startIter {
+		if got := store.Reached(pf.Rank); got > startIter {
 			rec.TotalIterations += got - startIter
 		}
 		if rec.Attempts > v.MaxRestarts {

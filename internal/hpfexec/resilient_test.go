@@ -2,6 +2,7 @@ package hpfexec
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"hpfcg/internal/comm"
@@ -184,5 +185,64 @@ func TestSolveCGResilientGivesUp(t *testing.T) {
 	var pf comm.PeerFailure
 	if !errors.As(err, &pf) {
 		t.Fatalf("err = %v, want comm.PeerFailure after exhausting restarts", err)
+	}
+}
+
+// TestSolveCGResilientDeterministic: what a failed attempt costs is a
+// function of the modeled schedule, not of when each surviving
+// goroutine happened to notice the abort. One resilient solve under a
+// fixed multi-crash plan, repeated, must report the same attempts,
+// mission time (to the bit), total and lost iterations, and solution.
+// The plan is E20's seeded Poisson schedule: crashes land in setup, in
+// the loop and right after restarts, and close enough together that a
+// perturbed mission clock changes which of them fire.
+func TestSolveCGResilientDeterministic(t *testing.T) {
+	A := sparse.Banded(288, 4)
+	b := sparse.RandomVector(A.NRows, 1996)
+	opt := core.Options{Tol: 1e-8}
+	for _, np := range []int{2, 4} {
+		plan := bindPlan(t, csrPlan, A.NRows, A.NNZ(), np)
+		ref, err := SolveCG(machine(np), plan, A, b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		T := ref.Run.ModelTime
+		fp := fault.RandomPlan(1996+int64(np), np, 0.4*T, 3*T)
+		var first *resilientRun
+		for rep := 0; rep < 20; rep++ {
+			inj, err := fault.NewInjector(fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := machine(np)
+			m.AttachInjector(inj)
+			res, err := solveResilient(m, plan, A, b, opt, Variant{CkptInterval: 3, MaxRestarts: 20})
+			if err != nil {
+				t.Fatalf("np=%d rep %d: %v", np, rep, err)
+			}
+			if first == nil {
+				first = res
+				if res.Attempts < 3 {
+					t.Fatalf("np=%d: %d attempts, want the plan to land at least two crashes", np, res.Attempts)
+				}
+				if res.TotalIterations != res.Stats.Iterations+res.LostIterations {
+					t.Fatalf("np=%d: total %d != useful %d + lost %d", np, res.TotalIterations, res.Stats.Iterations, res.LostIterations)
+				}
+				continue
+			}
+			if res.Attempts != first.Attempts ||
+				math.Float64bits(res.TotalModelTime) != math.Float64bits(first.TotalModelTime) ||
+				res.TotalIterations != first.TotalIterations ||
+				res.LostIterations != first.LostIterations {
+				t.Fatalf("np=%d rep %d: attempts=%d mission=%v total=%d lost=%d, first run had %d / %v / %d / %d",
+					np, rep, res.Attempts, res.TotalModelTime, res.TotalIterations, res.LostIterations,
+					first.Attempts, first.TotalModelTime, first.TotalIterations, first.LostIterations)
+			}
+			for g := range first.X {
+				if math.Float64bits(res.X[g]) != math.Float64bits(first.X[g]) {
+					t.Fatalf("np=%d rep %d: x[%d] = %v, first run had %v", np, rep, g, res.X[g], first.X[g])
+				}
+			}
+		}
 	}
 }

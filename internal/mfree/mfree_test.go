@@ -1,6 +1,7 @@
 package mfree
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -402,4 +403,36 @@ func TestModelBytesTiny(t *testing.T) {
 	if mb*100 > csrBytes {
 		t.Errorf("ModelBytes %d not well below assembled %d", mb, csrBytes)
 	}
+}
+
+// FuzzParseSpec: the command-line parser never panics, and an accepted
+// spec re-renders to a canonical string that parses to the same value;
+// one that also validates has every dimension inside [1, MaxDim].
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{
+		"5pt:32,24", "27pt:8,8,10", "5pt:32,24,99", "5pt:32,24junk", "27pt:4,4,4,4", "27pt:4,4,4x",
+		"5pt:32", "9pt:3,3", "27pt:4,4", "5pt:", "5pt:32, 24", "5pt", "", "5pt:+3,04", "27pt:-1,0,99999999999",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, arg string) {
+		s, err := ParseSpec(arg)
+		if err != nil {
+			return
+		}
+		canon := fmt.Sprintf("%s:%d,%d", s.Stencil, s.Nx, s.Ny)
+		if s.Stencil == "27pt" {
+			canon += fmt.Sprintf(",%d", s.Nz)
+		}
+		if back, err := ParseSpec(canon); err != nil || back != s {
+			t.Fatalf("ParseSpec(%q) = %+v, but its canonical form %q parses to %+v, %v", arg, s, canon, back, err)
+		}
+		if s.WithDefaults().Validate() == nil {
+			for _, d := range []int{s.Nx, s.Ny, max(s.Nz, 1)} {
+				if d < 1 || d > MaxDim {
+					t.Fatalf("ParseSpec(%q) = %+v validates with a dimension outside [1, %d]", arg, s, MaxDim)
+				}
+			}
+		}
+	})
 }

@@ -195,15 +195,20 @@ func fieldErr(field, format string, args ...any) error {
 
 // validate rejects requests the service cannot run, centrally and
 // with field-named errors — numeric bounds (sstep, np, dims, levels,
-// tolerances) fail here at admission time with a 400 instead of deep
-// in a worker. Matrix content errors (bad generator spec, malformed
-// Matrix Market) still surface when the job runs; validate only
-// checks what is knowable for free.
+// tolerances) and generator specs fail here at admission time with a
+// 400 instead of deep in a worker. A malformed Matrix Market upload
+// still surfaces when the job runs; validate only checks what is
+// knowable for free.
 func (sp *JobSpec) validate(maxNP int) error {
 	switch sp.Method {
 	case "cg":
 		if sp.Matrix == "" && sp.MatrixMarket == "" {
 			return fieldErr("matrix", "job needs matrix or matrix_market")
+		}
+		if sp.MatrixMarket == "" {
+			if err := sparse.CheckGeneratorSpec(sp.Matrix); err != nil {
+				return fieldErr("matrix", "%v", err)
+			}
 		}
 		if sp.MG != nil {
 			return fieldErr("mg", "only applies to hpcg jobs")

@@ -221,9 +221,22 @@ func TestValidation(t *testing.T) {
 			t.Errorf("spec %d: err = %v, want ValidationError", i, err)
 		}
 	}
-	// A bad generator spec is admitted (validation is free-only) and
-	// fails at run time.
-	j, err := s.Submit(JobSpec{Matrix: "nosuchgen:12"})
+	// A malformed generator spec — one that used to panic a worker, and
+	// the spellings Sscanf used to let through — is a 400 naming the
+	// field, at admission.
+	for _, m := range []string{
+		"laplace2d:-3:4", "laplace2d:32:32junk", "banded:512:4:99", "laplace2d:32:32:7",
+		"laplace2d: 4:4", "banded:8:-1", "laplace2d:0:0", "laplace1d:0", "nosuchgen:12",
+	} {
+		_, err := s.Submit(JobSpec{Matrix: m})
+		var verr *ValidationError
+		if !errors.As(err, &verr) || !strings.Contains(err.Error(), "field matrix") {
+			t.Errorf("matrix %q: err = %v, want a ValidationError naming field matrix", m, err)
+		}
+	}
+	// A malformed upload is only knowable by parsing it: admitted, then
+	// failed at run time — and the scheduler keeps serving.
+	j, err := s.Submit(JobSpec{MatrixMarket: "not a matrix market document"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +245,14 @@ func TestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v.State != StateFailed || v.Error == "" {
-		t.Fatalf("bad generator: state %s err %q, want failed", v.State, v.Error)
+		t.Fatalf("bad upload: state %s err %q, want failed", v.State, v.Error)
+	}
+	j, err = s.Submit(JobSpec{Matrix: "laplace1d:32", NP: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err = s.Wait(testCtx(t), j.ID); err != nil || v.State != StateDone {
+		t.Fatalf("job after the rejected ones: state %s err %v, want done", v.State, err)
 	}
 }
 
@@ -428,6 +448,11 @@ func TestHTTPEndToEnd(t *testing.T) {
 	respBad, _ := postJob(t, ts, map[string]any{"matrix": "laplace1d:32", "np": 9999})
 	if respBad.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad spec: %d, want 400", respBad.StatusCode)
+	}
+	// The request that used to panic a worker and take the process down.
+	respNeg, _ := postJob(t, ts, map[string]any{"matrix": "laplace2d:-3:4"})
+	if respNeg.StatusCode != http.StatusBadRequest {
+		t.Errorf("negative dimension: %d, want 400", respNeg.StatusCode)
 	}
 }
 

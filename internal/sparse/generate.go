@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 )
 
 // Laplace1D returns the n x n tridiagonal [-1 2 -1] matrix, the 1-D
@@ -324,49 +326,143 @@ func Ones(n int) []float64 {
 	return x
 }
 
-// GeneratorByName builds one of the named test matrices; used by the
-// CLIs. Supported: laplace1d:n, laplace2d:nx:ny, laplace3d:nx:ny:nz,
-// banded:n:halfband, randspd:n:nnzrow:seed, powerlaw:n:seed,
-// nascg:S|W|A:seed.
-func GeneratorByName(spec string) (*CSR, error) {
-	var (
-		a, b, c int
-		name    string
-	)
-	if n, _ := fmt.Sscanf(spec, "laplace1d:%d", &a); n == 1 {
-		return Laplace1D(a), nil
+// Bounds on what a generator spec may ask for. Specs arrive from the
+// command line and over HTTP, so the parser refuses sizes whose
+// arithmetic would overflow or whose assembly could not finish.
+const (
+	// MaxGeneratorN caps the order of a generated matrix.
+	MaxGeneratorN = 1 << 24
+	// MaxGeneratorRowNNZ caps the per-row density parameters
+	// (banded's half bandwidth, randspd's nnzrow).
+	MaxGeneratorRowNNZ = 1 << 10
+)
+
+// generator is a parsed generator spec: the family, its integer
+// parameters in spec order and, for nascg, the class letter.
+type generator struct {
+	family string
+	class  string
+	args   []int64
+}
+
+// generatorFamilies gives, per family, the number of integer fields
+// its spec takes and how many of them, leading, are dimensions that
+// multiply to the order n.
+var generatorFamilies = map[string]struct{ fields, dims int }{
+	"laplace1d": {1, 1}, "laplace2d": {2, 2}, "laplace3d": {3, 3},
+	"banded": {2, 1}, "randspd": {3, 1}, "powerlaw": {2, 1}, "powerlawc": {2, 1},
+	"nascg": {1, 0}, // after the class letter: a seed, the class fixes n
+}
+
+var nasClasses = map[string]NASCGClass{"S": NASClassS, "W": NASClassW, "A": NASClassA}
+
+// parseGenerator is the one reader of generator specs. The spec string
+// is a job's content identity (plan key, batch key, ring position), so
+// the grammar is exact: colon-separated fields, the field count of the
+// family, every integer in canonical decimal form, every dimension in
+// [1, MaxGeneratorN] and every parameter in its generator's domain.
+// Anything else is an error — never a panic, never a second spelling
+// of a matrix another string already names.
+func parseGenerator(spec string) (generator, error) {
+	fields := strings.Split(spec, ":")
+	g := generator{family: fields[0]}
+	fam, ok := generatorFamilies[g.family]
+	if !ok {
+		return generator{}, fmt.Errorf("sparse: unknown matrix spec %q", spec)
 	}
-	if n, _ := fmt.Sscanf(spec, "laplace2d:%d:%d", &a, &b); n == 2 {
-		return Laplace2D(a, b), nil
-	}
-	if n, _ := fmt.Sscanf(spec, "laplace3d:%d:%d:%d", &a, &b, &c); n == 3 {
-		return Laplace3D(a, b, c), nil
-	}
-	if n, _ := fmt.Sscanf(spec, "banded:%d:%d", &a, &b); n == 2 {
-		return Banded(a, b), nil
-	}
-	if n, _ := fmt.Sscanf(spec, "randspd:%d:%d:%d", &a, &b, &c); n == 3 {
-		return RandomSPD(a, b, int64(c)), nil
-	}
-	if n, _ := fmt.Sscanf(spec, "powerlawc:%d:%d", &a, &b); n == 2 {
-		return PowerLawClustered(a, a/8, int64(b)), nil
-	}
-	if n, _ := fmt.Sscanf(spec, "powerlaw:%d:%d", &a, &b); n == 2 {
-		return PowerLaw(a, 1.2, a/4, int64(b)), nil
-	}
-	if n, _ := fmt.Sscanf(spec, "nascg:%1s:%d", &name, &a); n == 2 {
-		var cls NASCGClass
-		switch name {
-		case "S":
-			cls = NASClassS
-		case "W":
-			cls = NASClassW
-		case "A":
-			cls = NASClassA
-		default:
-			return nil, fmt.Errorf("sparse: unknown NAS class %q", name)
+	fields = fields[1:]
+	if g.family == "nascg" {
+		if len(fields) == 0 {
+			return generator{}, fmt.Errorf("sparse: %q: nascg takes class:seed", spec)
 		}
-		return NASCGMatrix(cls, int64(a)), nil
+		if _, ok := nasClasses[fields[0]]; !ok {
+			return generator{}, fmt.Errorf("sparse: unknown NAS class %q", fields[0])
+		}
+		g.class, fields = fields[0], fields[1:]
 	}
-	return nil, fmt.Errorf("sparse: unknown matrix spec %q", spec)
+	if len(fields) != fam.fields {
+		return generator{}, fmt.Errorf("sparse: %q: %s takes %d integer fields, got %d", spec, g.family, fam.fields, len(fields))
+	}
+	for _, f := range fields {
+		v, err := strconv.ParseInt(f, 10, 64)
+		if err != nil || strconv.FormatInt(v, 10) != f {
+			return generator{}, fmt.Errorf("sparse: %q: field %q is not a canonical decimal integer", spec, f)
+		}
+		g.args = append(g.args, v)
+	}
+
+	n := int64(1)
+	for _, d := range g.args[:fam.dims] {
+		if d < 1 || d > MaxGeneratorN/n {
+			return generator{}, fmt.Errorf("sparse: %q: dimensions must be >= 1 with at most %d unknowns in all", spec, MaxGeneratorN)
+		}
+		n *= d
+	}
+	switch g.family {
+	case "banded":
+		if hb := g.args[1]; hb < 0 || hb >= n || hb > MaxGeneratorRowNNZ {
+			return generator{}, fmt.Errorf("sparse: %q: half bandwidth %d outside [0, min(n-1, %d)]", spec, hb, MaxGeneratorRowNNZ)
+		}
+	case "randspd":
+		if k := g.args[1]; k < 0 || k > MaxGeneratorRowNNZ {
+			return generator{}, fmt.Errorf("sparse: %q: nnzrow %d outside [0, %d]", spec, k, MaxGeneratorRowNNZ)
+		}
+	}
+	return g, nil
+}
+
+// String renders the spec back; for every accepted spec it is the
+// input, byte for byte.
+func (g generator) String() string {
+	var b strings.Builder
+	b.WriteString(g.family)
+	if g.class != "" {
+		b.WriteString(":" + g.class)
+	}
+	for _, a := range g.args {
+		b.WriteString(":" + strconv.FormatInt(a, 10))
+	}
+	return b.String()
+}
+
+func (g generator) build() *CSR {
+	a := func(i int) int { return int(g.args[i]) }
+	switch g.family {
+	case "laplace1d":
+		return Laplace1D(a(0))
+	case "laplace2d":
+		return Laplace2D(a(0), a(1))
+	case "laplace3d":
+		return Laplace3D(a(0), a(1), a(2))
+	case "banded":
+		return Banded(a(0), a(1))
+	case "randspd":
+		return RandomSPD(a(0), a(1), g.args[2])
+	case "powerlawc":
+		return PowerLawClustered(a(0), a(0)/8, g.args[1])
+	case "powerlaw":
+		return PowerLaw(a(0), 1.2, a(0)/4, g.args[1])
+	default: // nascg; parseGenerator admits no other family
+		return NASCGMatrix(nasClasses[g.class], g.args[0])
+	}
+}
+
+// CheckGeneratorSpec reports whether GeneratorByName would accept spec,
+// without building the matrix — the admission-time check.
+func CheckGeneratorSpec(spec string) error {
+	_, err := parseGenerator(spec)
+	return err
+}
+
+// GeneratorByName builds one of the named test matrices; used by the
+// CLIs and the solver service. Supported: laplace1d:n, laplace2d:nx:ny,
+// laplace3d:nx:ny:nz, banded:n:halfband, randspd:n:nnzrow:seed,
+// powerlaw:n:seed, powerlawc:n:seed, nascg:S|W|A:seed. The grammar is
+// exact (see parseGenerator): a malformed spec is an error.
+func GeneratorByName(spec string) (*CSR, error) {
+	g, err := parseGenerator(spec)
+	if err != nil {
+		return nil, err
+	}
+	return g.build(), nil
 }

@@ -358,34 +358,95 @@ func TestDense(t *testing.T) {
 	}
 }
 
+// generatorRejects are spec strings GeneratorByName must refuse: the
+// one that panicked NewCOO, the spellings Sscanf let through, empty
+// systems, out-of-domain parameters, sizes whose product overflows.
+var generatorRejects = []string{
+	"laplace2d:-3:4", "laplace2d:32:32junk", "banded:512:4:99", "laplace2d:32:32:7",
+	"laplace2d: 4:4", "banded:8:-1", "laplace2d:0:0", "laplace1d:0",
+	"", "laplace2d", "laplace2d:", "laplace2d:4", "laplace2d:4:", "laplace2d:04:4", "laplace2d:+4:4",
+	"laplace2d:4:4 ", "LAPLACE2D:4:4", "banded:8:8", "banded:4096:2000", "randspd:20:-1:7",
+	"randspd:20:4", "powerlaw:0:1", "powerlawc:30", "nascg:Q:1", "nascg:S", "nascg:1", "nascg",
+	"laplace2d:4294967296:4294967296", "laplace3d:65536:65536:65536", "laplace1d:99999999999999999999",
+	"nonsense:1",
+}
+
 func TestGeneratorByName(t *testing.T) {
 	specs := []struct {
 		spec string
-		n    int
+		want *CSR
 	}{
-		{"laplace1d:10", 10},
-		{"laplace2d:3:5", 15},
-		{"laplace3d:2:3:4", 24},
-		{"banded:12:2", 12},
-		{"randspd:20:4:7", 20},
-		{"powerlaw:30:1", 30},
-		{"nascg:S:3", 1400},
+		{"laplace1d:10", Laplace1D(10)},
+		{"laplace2d:3:5", Laplace2D(3, 5)},
+		{"laplace3d:2:3:4", Laplace3D(2, 3, 4)},
+		{"banded:12:2", Banded(12, 2)},
+		{"banded:1:0", Banded(1, 0)},
+		{"randspd:20:4:7", RandomSPD(20, 4, 7)},
+		{"randspd:20:4:-7", RandomSPD(20, 4, -7)},
+		{"powerlaw:30:1", PowerLaw(30, 1.2, 30/4, 1)},
+		{"powerlawc:30:1", PowerLawClustered(30, 30/8, 1)},
+		{"nascg:S:3", NASCGMatrix(NASClassS, 3)},
 	}
 	for _, s := range specs {
+		if err := CheckGeneratorSpec(s.spec); err != nil {
+			t.Fatalf("%s: %v", s.spec, err)
+		}
 		m, err := GeneratorByName(s.spec)
 		if err != nil {
 			t.Fatalf("%s: %v", s.spec, err)
 		}
-		if m.NRows != s.n {
-			t.Errorf("%s: size %d, want %d", s.spec, m.NRows, s.n)
+		if ContentHash(m) != ContentHash(s.want) {
+			t.Errorf("%s: not the matrix its generator builds directly", s.spec)
 		}
 	}
-	if _, err := GeneratorByName("nonsense:1"); err == nil {
-		t.Error("expected error for unknown spec")
+	for _, spec := range generatorRejects {
+		if m, err := GeneratorByName(spec); err == nil {
+			t.Errorf("%q accepted (%dx%d)", spec, m.NRows, m.NCols)
+		}
+		if err := CheckGeneratorSpec(spec); err == nil {
+			t.Errorf("%q passes CheckGeneratorSpec", spec)
+		}
 	}
-	if _, err := GeneratorByName("nascg:Q:1"); err == nil {
-		t.Error("expected error for unknown NAS class")
+}
+
+// FuzzGeneratorByName: the parser never panics, an accepted spec is
+// the canonical spelling of its own value, and (for sizes worth
+// building) the generator it names runs and yields a valid matrix of
+// the promised order.
+func FuzzGeneratorByName(f *testing.F) {
+	for _, s := range generatorRejects {
+		f.Add(s)
 	}
+	for _, s := range []string{"laplace1d:10", "laplace2d:3:5", "laplace3d:2:3:4", "banded:12:2",
+		"randspd:20:4:7", "powerlaw:30:1", "powerlawc:30:1", "nascg:S:3"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		g, err := parseGenerator(spec)
+		if err != nil {
+			return
+		}
+		if g.String() != spec {
+			t.Fatalf("accepted %q, which re-renders as %q", spec, g.String())
+		}
+		n := int64(1)
+		for _, d := range g.args[:generatorFamilies[g.family].dims] {
+			n *= d
+		}
+		if n < 1 || n > MaxGeneratorN {
+			t.Fatalf("accepted %q: order %d outside [1, %d]", spec, n, MaxGeneratorN)
+		}
+		if g.family == "nascg" || n > 2000 {
+			return // parse-only: too big to build per fuzz input
+		}
+		m := g.build()
+		if err := m.Validate(); err != nil {
+			t.Fatalf("%q: %v", spec, err)
+		}
+		if int64(m.NRows) != n {
+			t.Fatalf("%q: order %d, want %d", spec, m.NRows, n)
+		}
+	})
 }
 
 // Property: for random COO input, CSR conversion preserves the summed
