@@ -27,11 +27,12 @@ test:
 # solver service multiplexes jobs across worker goroutines and batches,
 # so internal/serve joins too. The cluster router proxies concurrent
 # submissions, scatters sweeps and merges metrics scrapes across
-# goroutines, so internal/cluster joins the pass. The multigrid
-# V-cycle shares smoother scratch and inspector ghost buffers across
-# all ranks of a run, so internal/mg joins the pass. The matrix-free
+# goroutines, so internal/cluster joins the pass. The matrix-free
 # halo exchange moves pooled plane buffers between rank goroutines every
-# iteration, so internal/mfree joins the pass.
+# iteration, so internal/mfree joins the pass. The multigrid V-cycle
+# runs those exchanges on every level, moves pooled transfer planes
+# between neighbours and reads one coarsest-grid factor from all ranks
+# of a run, so internal/mg joins the pass.
 race:
 	$(GO) test -race ./internal/comm/... ./internal/trace/... ./internal/core/... ./internal/spmv/... ./internal/fault/... ./internal/hpfexec/... ./internal/serve/... ./internal/cluster/... ./internal/mg/... ./internal/mfree/...
 
@@ -71,17 +72,22 @@ smoke:
 	$(GO) run ./cmd/hpfserve -cluster-smoke
 
 # Non-test, non-blank, non-comment lines: internal/hpfexec +
-# internal/serve (the size ROADMAP item 1 tracks), then internal/bench +
-# internal/report + cmd/cgbench (the experiment harness).
+# internal/serve (the solve path and the service), then internal/bench +
+# internal/report + cmd/cgbench (the experiment harness), then
+# internal/mg + internal/mfree (the stencil kernels and the hierarchy
+# built on them).
 loc:
 	@ls internal/hpfexec/*.go internal/serve/*.go | grep -v _test.go | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'
 	@ls internal/bench/*.go internal/report/*.go cmd/cgbench/*.go | grep -v _test.go | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'
+	@ls internal/mg/*.go internal/mfree/*.go | grep -v _test.go | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'
 
 # Kernel guards in their own units: the modeled machine's send path
-# (allocation counts) and the matrix-free apply kernels (ns/point,
-# GFLOP/s, zero allocs). Every other wall number comes from benchmark/.
+# (allocation counts), the matrix-free apply kernels (ns/point,
+# GFLOP/s, zero allocs) and the multigrid smoother, residual and
+# V-cycle at solve_hpcg's shape (ns/point-pass, GFLOP/s over charged
+# flops, zero allocs). Every other wall number comes from benchmark/.
 bench:
-	$(GO) test -bench . -benchmem -run NONE ./internal/comm/... ./internal/mfree/...
+	$(GO) test -bench . -benchmem -run NONE ./internal/comm/... ./internal/mfree/... ./internal/mg/...
 
 # Small-size smoke run of every experiment.
 quick:

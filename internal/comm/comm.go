@@ -171,6 +171,13 @@ type runCtx struct {
 	// run is being torn down: then a raised flag says nothing about its
 	// rank, and whoever sees it just unwinds.
 	aborted atomic.Bool
+	// shared backs Proc.Shared: key -> *sharedSlot.
+	shared sync.Map
+}
+
+type sharedSlot struct {
+	once sync.Once
+	v    any
 }
 
 type deadFlag struct {
@@ -470,6 +477,23 @@ func (p *Proc) Compute(flops int) {
 		p.tr.Add(trace.Event{Kind: trace.KindCompute, Peer: -1, Flops: flops, Start: start, End: p.clock})
 	}
 	p.checkCrash()
+}
+
+// Shared returns the value build produces for key, computed once per
+// run by whichever rank asks first and handed to every rank that asks
+// with an equal key. It is an economy of the simulator, not a feature of
+// the modeled machine: ranks that redundantly compute the same
+// deterministic read-only object (multigrid's coarsest-grid factor) hold
+// one copy of it in the host's memory instead of NP. The modeled clock
+// is untouched, so a caller still charges every rank the flops of
+// computing the value itself. build must not call into p, and no rank
+// may write to the value afterwards. Keys of a package-private type
+// cannot collide across packages.
+func (p *Proc) Shared(key any, build func() any) any {
+	v, _ := p.rc.shared.LoadOrStore(key, &sharedSlot{})
+	slot := v.(*sharedSlot)
+	slot.once.Do(func() { slot.v = build() })
+	return slot.v
 }
 
 // collEnd records a collective span [start, now) when tracing is on.

@@ -1,11 +1,15 @@
 // The HPCG backend: directive-free prepared handles for the
 // multigrid-preconditioned stencil solve. Where Prepare captures a
 // matrix's RHS-independent analysis, PrepareMG captures a stencil
-// problem's — the level hierarchy with its halo and transfer
-// schedules is built collectively on the first batch run and cached
-// in the handle, so a warm registry hit skips the coarse-grid setup
-// entirely and pays SetupModelTime of exactly zero, the same
-// semantics the CG plan cache established.
+// problem's. The level hierarchy is matrix-free — halo and transfers
+// are geometry, nothing is exchanged to set it up — so what the first
+// batch run builds and the handle caches is each rank's level scratch
+// and halo planes and, with a direct bottom solve, the coarsest-grid
+// Cholesky factor, one copy for all ranks (mg.Spec.ModelBytes counts
+// exactly these). The factor's ~cn³/3 flops per rank are the whole
+// modeled setup; a warm registry hit skips them and pays
+// SetupModelTime of exactly zero, the same semantics the CG plan cache
+// established.
 package hpfexec
 
 import (
@@ -50,9 +54,8 @@ func (b *mgBackend) kind() string       { return BackendHPCG }
 func (b *mgBackend) n() int             { return b.size }
 func (b *mgBackend) memoryBytes() int64 { return b.bytes }
 
-// build constructs the rank's level hierarchy (collective inspector
-// exchanges per level). Rebinding the cached operator rebinds the
-// whole problem, preconditioner included.
+// build constructs the rank's level hierarchy. Rebinding the cached
+// operator rebinds the whole problem, preconditioner included.
 func (b *mgBackend) build(p *comm.Proc, _ int) (rankOps, error) {
 	pb, err := mg.NewProblem(p, b.spec)
 	if err != nil {

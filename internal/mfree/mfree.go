@@ -35,6 +35,13 @@
 // order — anything else (partial sums, a sum seeded with its first
 // product, a per-row dot) computes the same stencil to rounding and
 // breaks the contract above to the bit.
+//
+// The 27-point operator also carries the two other kernels a multigrid
+// V-cycle needs, Residual and SymGS (smooth.go), in the same row-sliced
+// shape and under the same contract — there against the residual and
+// symmetric Gauss-Seidel loops over the same CSR rows. internal/mg
+// builds every level of its hierarchy from them (New27) and stores no
+// operator of its own.
 package mfree
 
 import (

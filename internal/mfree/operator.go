@@ -35,6 +35,7 @@ type Operator struct {
 	n        int
 	nnz      int
 	nnzLocal int
+	zeros    []float64 // one row of +0.0: the seed of a plain apply
 }
 
 // New builds rank p's slice of the stencil operator. Construction is
@@ -49,6 +50,19 @@ func New(p *comm.Proc, spec Spec) (*Operator, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newOperator(p, spec, b), nil
+}
+
+// New27 builds the canonical 27-point operator (Center27pt, OffDefault)
+// on rank p's slab of a brick the caller already holds. It is the
+// constructor of internal/mg's levels: their bricks come from
+// grid.Brick3.Coarsen rather than from a user's Spec, and their z-extent
+// grows with np past what Validate admits for one.
+func New27(p *comm.Proc, b grid.Brick3) *Operator {
+	return newOperator(p, Spec{Stencil: "27pt", Nx: b.X, Ny: b.Y, Nz: b.Z}.WithDefaults(), b)
+}
+
+func newOperator(p *comm.Proc, spec Spec, b grid.Brick3) *Operator {
 	zlo, zhi := b.ZRange(p.Rank())
 	d := b.VectorDist()
 	a := &Operator{
@@ -62,6 +76,7 @@ func New(p *comm.Proc, spec Spec) (*Operator, error) {
 		zhi:   zhi,
 		n:     spec.N(),
 		nnz:   spec.NNZ(),
+		zeros: make([]float64, b.X),
 	}
 	// Stored entries of the owned rows in the (never-assembled) global
 	// matrix: every in-grid stencil neighbour is one entry, whether its
@@ -83,7 +98,7 @@ func New(p *comm.Proc, spec Spec) (*Operator, error) {
 			a.nnzLocal += (3*b.X - 2) * (3*b.Y - 2) * zf
 		}
 	}
-	return a, nil
+	return a
 }
 
 // N implements spmv.Operator.
@@ -174,7 +189,7 @@ func (a *Operator) sweep(xl, yl []float64) float64 {
 	if a.spec.Stencil == "5pt" {
 		return a.sweep5(xl, low, high, yl)
 	}
-	return a.sweep27(xl, low, high, yl)
+	return a.sweep27(nil, xl, low, high, yl, a.spec.Center, a.spec.Off)
 }
 
 // planes returns the source planes of owned plane z in ascending z:
@@ -262,54 +277,69 @@ func point5(up, cur, dn, yr []float64, x int, c, o, dot float64) float64 {
 // sweep27 evaluates the 27-point stencil. Source rows are gathered in
 // ascending (z, y) and each contributes its x-1, x, x+1 in that order,
 // which is ascending global index order under Brick3's numbering (x
-// fastest, z slowest) — the sorted order the assembled CSR row stores
-// and the nesting internal/mg's level assembly uses.
-func (a *Operator) sweep27(xl, low, high, yl []float64) (dot float64) {
+// fastest, z slowest) — the sorted order the assembled CSR row stores.
+//
+// seed is what each point's sum starts from: nil for an apply (+0.0),
+// the right-hand side for Residual, which passes the negated
+// coefficients. s += (-coef)·v is the CSR residual loop's s -= coef·v
+// to the bit — IEEE subtraction is addition of the negation, and
+// negating a factor negates the rounded product — whereas r - (A·x)
+// would round differently.
+func (a *Operator) sweep27(seed, xl, low, high, yl []float64, c, o float64) (dot float64) {
 	X, Y := a.brick.X, a.brick.Y
-	c, o := a.spec.Center, a.spec.Off
+	var rows [9][]float64
+	var mid [9]float64
 	for z := a.zlo; z < a.zhi; z++ {
 		below, own, above := a.planes(xl, low, high, z)
-		yp := yl[(z-a.zlo)*X*Y:][:X*Y]
+		off := (z - a.zlo) * X * Y
 		for y := 0; y < Y; y++ {
-			// The in-grid source rows of row (z, y), and for each the
-			// coefficient of its middle term: Center in the row itself,
-			// Off everywhere else.
-			var rows [9][]float64
-			var mid [9]float64
-			k := 0
-			for dz, pl := range [3][]float64{below, own, above} {
-				if pl == nil {
-					continue
-				}
-				for yy := max(y-1, 0); yy <= min(y+1, Y-1); yy++ {
-					rows[k] = pl[yy*X:][:X]
-					mid[k] = o
-					if dz == 1 && yy == y {
-						mid[k] = c
-					}
-					k++
-				}
+			k := rows27(&rows, &mid, below, own, above, y, X, Y, c, o)
+			sr, xr, yr := a.zeros, own[y*X:][:X], yl[off+y*X:][:X]
+			if seed != nil {
+				sr = seed[off+y*X:][:X]
 			}
-			xr, yr := own[y*X:][:X], yp[y*X:][:X]
 			if k < 9 || X < 3 {
-				dot = span27(rows[:k], mid[:k], o, xr, yr, 0, X, dot)
+				dot = span27(rows[:k], mid[:k], o, sr, xr, yr, 0, X, dot)
 				continue
 			}
-			dot = span27(rows[:], mid[:], o, xr, yr, 0, 1, dot)
-			dot = interior27(&rows, c, o, yr, dot)
-			dot = span27(rows[:], mid[:], o, xr, yr, X-1, X, dot)
+			dot = span27(rows[:], mid[:], o, sr, xr, yr, 0, 1, dot)
+			dot = interior27(&rows, c, o, sr, yr, dot)
+			dot = span27(rows[:], mid[:], o, sr, xr, yr, X-1, X, dot)
 		}
 	}
 	return dot
 }
 
+// rows27 slices the in-grid source rows of row y out of the three
+// source planes, in ascending (z, y), and sets for each the coefficient
+// of its middle term: c in the row itself, o everywhere else. It returns
+// how many there are; with all nine, rows[4] is the row itself.
+func rows27(rows *[9][]float64, mid *[9]float64, below, own, above []float64, y, X, Y int, c, o float64) int {
+	k := 0
+	for dz, pl := range [3][]float64{below, own, above} {
+		if pl == nil {
+			continue
+		}
+		for yy := max(y-1, 0); yy <= min(y+1, Y-1); yy++ {
+			rows[k] = pl[yy*X:][:X]
+			mid[k] = o
+			if dz == 1 && yy == y {
+				mid[k] = c
+			}
+			k++
+		}
+	}
+	return k
+}
+
 // span27 is sweep27's generic path: points [x0, x1) of one row over
 // whichever source rows exist, with the x-1 / x+1 terms dropped at the
-// row ends. xr is the row of x itself (the operand of the fused dot).
-func span27(rows [][]float64, mid []float64, o float64, xr, yr []float64, x0, x1 int, dot float64) float64 {
+// row ends. sr is the seed row, xr the row of x itself (the operand of
+// the fused dot).
+func span27(rows [][]float64, mid []float64, o float64, sr, xr, yr []float64, x0, x1 int, dot float64) float64 {
 	for x := x0; x < x1; x++ {
 		left, right := x > 0, x < len(yr)-1
-		s := 0.0
+		s := sr[x]
 		for j, r := range rows {
 			if left {
 				s += o * r[x-1]
@@ -328,13 +358,14 @@ func span27(rows [][]float64, mid []float64, o float64, xr, yr []float64, x0, x1
 // interior27 is sweep27's fast path: points 1 … X-2 of a row whose nine
 // source rows all exist (r[4] is the row itself), 27 terms straight
 // down with no branch between them.
-func interior27(r *[9][]float64, c, o float64, yr []float64, dot float64) float64 {
+func interior27(r *[9][]float64, c, o float64, sr, yr []float64, dot float64) float64 {
 	X := len(yr)
+	sr = sr[:X]
 	r0, r1, r2 := r[0][:X], r[1][:X], r[2][:X]
 	r3, r4, r5 := r[3][:X], r[4][:X], r[5][:X]
 	r6, r7, r8 := r[6][:X], r[7][:X], r[8][:X]
 	for x := 1; x < X-1; x++ {
-		s := 0.0
+		s := sr[x]
 		s += o * r0[x-1]
 		s += o * r0[x]
 		s += o * r0[x+1]

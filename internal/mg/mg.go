@@ -1,17 +1,30 @@
 // Package mg is the HPCG-style multigrid subsystem: a deterministic
-// 27-point 3-D stencil problem generator over internal/grid's slab
-// decomposition, a distributed symmetric Gauss-Seidel smoother, and a
-// geometric V-cycle that plugs into core.PCG as a Preconditioner.
+// 27-point 3-D stencil problem over internal/grid's slab decomposition,
+// a distributed symmetric Gauss-Seidel smoother, and a geometric V-cycle
+// that plugs into core.PCG as a Preconditioner.
 //
 // The stencil is the HPCG benchmark operator — diagonal 26, every
 // interior point coupled to its 26 neighbours with -1 — symmetric
 // positive definite by diagonal dominance. Each rank owns a brick of
-// nx × ny × nz points (the global grid is nx × ny × nz·np, z-slabs),
-// so the halo is one x-y plane per side and the existing inspector
-// schedules carry it exactly like any other irregular gather. The
-// hierarchy halves every dimension per level; restriction is
-// injection, prolongation its transpose, so the V-cycle is symmetric
-// and PCG's theory applies.
+// nx × ny × nz points (the global grid is nx × ny × nz·np, z-slabs), so
+// the halo is one x-y plane per side. The hierarchy halves every
+// dimension per level; restriction is injection, prolongation its
+// transpose, so the V-cycle is symmetric and PCG's theory applies.
+//
+// Every level is that same stencil on a smaller brick, so the hierarchy
+// is matrix-free: the paper's §5 inspector exists for irregular
+// sparsity, and on a regular brick both the operator and its
+// communication schedule are geometry. A level holds no rows and no
+// schedule — apply, residual and smoother are internal/mfree's
+// row-sliced kernels over its geometric plane halo (the fine-grid
+// Operator IS an mfree.Operator), the transfers are index arithmetic
+// between two bricks (level.go), and nothing in NewProblem communicates.
+// The kernels keep the arithmetic of the assembled CSR level they
+// replaced to the bit, and the same flop charges and message sizes, so
+// answers, iteration counts and modeled solve times are what they were;
+// that assembled level lives on in assembled_test.go as the comparator
+// TestLevelKernelsMatchAssembled holds every kernel, transfer, V-cycle
+// and whole solve to.
 //
 // Everything about a problem is deterministic in (spec, np): level
 // setup, smoother sweep order, and the single halo exchange per sweep
@@ -117,17 +130,13 @@ func (s Spec) Key() string {
 	return fmt.Sprintf("27pt:%dx%dx%d:L%d:S%d:C%s", s.Nx, s.Ny, s.Nz, s.Levels, s.Smooths, coarse)
 }
 
-// stencilNNZ is the exact stored-entry count of the 27-point stencil
-// on an X × Y × Z grid: per-dimension neighbour counts factorize, and
-// a length-L line contributes 3L-2 (row, col) pairs in its dimension.
-func stencilNNZ(b grid.Brick3) int64 {
-	return int64(3*b.X-2) * int64(3*b.Y-2) * int64(3*b.Z-2)
-}
-
-// ModelBytes estimates the resident size of a prepared hierarchy at
-// np ranks — stencil rows (one int column + one float value per
-// entry, plus row pointers and diagonals) and the per-level scratch
-// vectors, summed over the clamped hierarchy. Like
+// ModelBytes estimates the resident size of a prepared hierarchy at np
+// ranks, summed over the clamped hierarchy. No level stores an operator,
+// so what is resident is the V-cycle's scratch vectors (the residual on
+// every level but the coarsest, right-hand side and correction on every
+// level but the finest), each rank's two halo planes per level, and —
+// with a coarsest-grid direct solve — the dense Cholesky factor, held
+// once for all ranks, plus three coarse-grid vectors per rank. Like
 // Prepared.MemoryBytes this is a cache-pressure signal for the plan
 // registry, not an allocator.
 func (s Spec) ModelBytes(np int) int64 {
@@ -136,21 +145,25 @@ func (s Spec) ModelBytes(np int) int64 {
 	if err != nil {
 		return 0
 	}
-	const intB, floatB = 8, 8
+	const floatB = 8
 	depth := grid.ClampLevels(b, s.Levels)
-	var total int64
+	var words int64
 	for l := 0; l < depth; l++ {
-		nnz := stencilNNZ(b)
-		n := int64(b.N())
-		total += nnz*(intB+floatB) + n*(intB+4*floatB)
+		vectors := 0
+		if l > 0 {
+			vectors += 2
+		}
+		if l+1 < depth {
+			vectors++
+		}
+		words += int64(vectors)*int64(b.N()) + 2*int64(np)*int64(b.X*b.Y)
 		if l+1 < depth {
 			b = b.Coarsen()
 		}
 	}
-	// A coarsest-grid direct solve caches the dense Cholesky factor on
-	// every rank (b is the coarsest brick after the loop).
+	// b is the coarsest brick after the loop.
 	if cn := int64(b.N()); s.Coarse != "smooth" && cn <= MaxCoarseDirect {
-		total += int64(np) * (cn*cn + 3*cn) * floatB
+		words += cn*cn + int64(np)*3*cn
 	}
-	return total
+	return words * floatB
 }

@@ -3,6 +3,7 @@ package mg
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"hpfcg/internal/comm"
@@ -323,6 +324,41 @@ func TestModelBytesPositive(t *testing.T) {
 	if small <= 0 || big <= small {
 		t.Errorf("ModelBytes: small=%d big=%d", small, big)
 	}
+}
+
+// TestModelBytesTracksRetainedHeap: the registry's sizing signal must
+// be the heap a built hierarchy actually holds, or the registry evicts
+// plans it has room for (over-report) or overruns its budget
+// (under-report). Measured on solve_hpcg's shape — 20³ per rank, four
+// ranks, three levels, direct bottom — as the live heap the four
+// Problems keep after a collection; the formula must land within 1.5x
+// either way.
+func TestModelBytesTracksRetainedHeap(t *testing.T) {
+	const np = 4
+	spec := Spec{Nx: 20, Ny: 20, Nz: 20, Levels: 3}
+	live := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	pbs := make([]*Problem, np)
+	before := live()
+	machine(np).Run(func(p *comm.Proc) {
+		pb, err := NewProblem(p, spec)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		pbs[p.Rank()] = pb
+	})
+	retained := float64(live() - before)
+	runtime.KeepAlive(pbs)
+	model := float64(spec.ModelBytes(np))
+	if model > 1.5*retained || retained > 1.5*model {
+		t.Errorf("ModelBytes = %.0f, built problem retains %.0f bytes (ratio %.2f, want within 1.5x)", model, retained, model/retained)
+	}
+	t.Logf("ModelBytes %.0f, retained %.0f", model, retained)
 }
 
 // TestCoarseDirectIterationRegression guards the coarsest-grid direct

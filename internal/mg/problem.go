@@ -13,7 +13,7 @@ import (
 	"hpfcg/internal/direct"
 	"hpfcg/internal/dist"
 	"hpfcg/internal/grid"
-	"hpfcg/internal/sparse"
+	"hpfcg/internal/mfree"
 )
 
 // Problem is one rank's handle on a prepared HPCG-style problem. It
@@ -31,11 +31,13 @@ type Problem struct {
 	fineD dist.Dist
 
 	// Coarsest-grid direct solve (nil coarseChol = smoother sweeps, the
-	// original HPCG convention). Every rank holds the same redundant
-	// dense Cholesky factor of the whole coarsest operator; the bottom
-	// of the V-cycle allgathers the coarse residual and solves it
-	// identically everywhere — deterministic, collective-aligned, and
-	// allocation-free on the preallocated buffers below.
+	// original HPCG convention). Every rank solves with the same dense
+	// Cholesky factor of the whole coarsest operator — on the modeled
+	// machine a redundant copy per rank, in the host one read-only object
+	// the ranks of a run share; the bottom of the V-cycle allgathers the
+	// coarse residual and solves it identically everywhere —
+	// deterministic, collective-aligned, and allocation-free on the
+	// per-rank buffers below.
 	coarseChol    *direct.Cholesky
 	coarseCounts  []int
 	coarseFull    []float64
@@ -45,7 +47,8 @@ type Problem struct {
 
 // NewProblem builds the hierarchy for the (defaulted, validated) spec
 // on p's machine. The requested depth clamps to what the geometry
-// supports (grid.ClampLevels), never errors on it. Collective.
+// supports (grid.ClampLevels), never errors on it. Every rank of a run
+// calls it; nothing in it communicates.
 func NewProblem(p *comm.Proc, spec Spec) (*Problem, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
@@ -58,17 +61,16 @@ func NewProblem(p *comm.Proc, spec Spec) (*Problem, error) {
 	depth := grid.ClampLevels(fine, spec.Levels)
 	pb := &Problem{p: p, spec: spec, smooths: spec.Smooths}
 	b := fine
+	var f *level
 	for l := 0; l < depth; l++ {
-		lv := newLevel(p, b)
-		if l > 0 {
-			lv.buildTransfer(p, pb.levels[l-1])
-		}
-		pb.levels = append(pb.levels, lv)
+		f = newLevel(p, b, f)
+		pb.levels = append(pb.levels, f)
 		if l+1 < depth {
+			f.res = make([]float64, f.n)
 			b = b.Coarsen()
 		}
 	}
-	pb.fineD = pb.levels[0].d
+	pb.fineD = pb.levels[0].op.Dist()
 	if err := pb.setupCoarse(); err != nil {
 		return nil, err
 	}
@@ -76,9 +78,9 @@ func NewProblem(p *comm.Proc, spec Spec) (*Problem, error) {
 }
 
 // setupCoarse resolves the spec's coarsest-grid treatment and, when the
-// direct solve is selected, assembles the whole coarsest operator
-// densely from geometry and factors it — identically on every rank
-// (redundant, no communication), so bottom solves agree bit for bit.
+// direct solve is selected, takes the factor of the whole coarsest
+// operator — the same bits on every rank, so bottom solves agree bit for
+// bit.
 func (pb *Problem) setupCoarse() error {
 	coarse := pb.levels[len(pb.levels)-1]
 	cn := coarse.b.N()
@@ -94,52 +96,44 @@ func (pb *Problem) setupCoarse() error {
 			return nil
 		}
 	}
-	b := coarse.b
-	A := sparse.NewDense(cn, cn)
-	for g := 0; g < cn; g++ {
-		x, y, z := b.Coords(g)
-		row := A.Row(g)
-		for dz := -1; dz <= 1; dz++ {
-			zz := z + dz
-			if zz < 0 || zz >= b.Z {
-				continue
-			}
-			for dy := -1; dy <= 1; dy++ {
-				yy := y + dy
-				if yy < 0 || yy >= b.Y {
-					continue
-				}
-				for dx := -1; dx <= 1; dx++ {
-					xx := x + dx
-					if xx < 0 || xx >= b.X {
-						continue
-					}
-					h := b.Index(xx, yy, zz)
-					if h == g {
-						row[h] = 26
-					} else {
-						row[h] = -1
-					}
-				}
-			}
-		}
+	f := pb.p.Shared(factorKey(coarse.b), func() any { return factorStencil(coarse.b) }).(coarseFactor)
+	if f.err != nil {
+		return fmt.Errorf("mg: coarsest-grid factorization: %w", f.err)
 	}
-	chol, err := direct.FactorCholesky(A)
-	if err != nil {
-		return fmt.Errorf("mg: coarsest-grid factorization: %w", err)
-	}
-	// The redundant factor costs ~N³/3 flops on every rank, charged
-	// once at setup where the inspector exchanges are charged.
+	// On the modeled machine every rank factors redundantly: ~N³/3
+	// flops each, charged at setup.
 	pb.p.Compute(cn * cn * cn / 3)
-	pb.coarseChol = chol
+	pb.coarseChol = f.chol
 	pb.coarseCounts = make([]int, pb.p.NP())
+	d := coarse.op.Dist()
 	for r := range pb.coarseCounts {
-		pb.coarseCounts[r] = coarse.d.Count(r)
+		pb.coarseCounts[r] = d.Count(r)
 	}
 	pb.coarseFull = make([]float64, cn)
 	pb.coarseSol = make([]float64, cn)
 	pb.coarseScratch = make([]float64, cn)
 	return nil
+}
+
+// coarseFactor is what the ranks of a run share through comm.Proc.Shared
+// under a factorKey, the coarsest brick: the factor is a function of it
+// alone.
+type coarseFactor struct {
+	chol *direct.Cholesky
+	err  error
+}
+
+type factorKey grid.Brick3
+
+// factorStencil assembles the 27-point operator on b densely and
+// factors it.
+func factorStencil(b grid.Brick3) coarseFactor {
+	A, err := mfree.Spec{Stencil: "27pt", Nx: b.X, Ny: b.Y, Nz: b.Z}.Assemble()
+	if err != nil {
+		return coarseFactor{err: err}
+	}
+	chol, err := direct.FactorCholesky(A.ToDense())
+	return coarseFactor{chol, err}
 }
 
 // CoarseDirect reports whether the hierarchy bottoms out in the dense
@@ -157,15 +151,14 @@ func (pb *Problem) Fine() grid.Brick3 { return pb.levels[0].b }
 
 // Dist returns the fine-grid vector distribution solve vectors must
 // align with.
-func (pb *Problem) Dist() dist.Irregular { return pb.levels[0].d }
+func (pb *Problem) Dist() dist.Irregular { return pb.levels[0].op.Dist() }
 
-// Rebind re-attaches the problem (all level schedules) to a fresh
-// Proc of the same rank and shape — no inspector exchange, no level
-// setup, the warm registry path.
+// Rebind re-attaches the problem (every level's halo) to a fresh Proc of
+// the same rank and shape — the warm registry path.
 func (pb *Problem) Rebind(p *comm.Proc) {
 	pb.p = p
 	for _, lv := range pb.levels {
-		lv.rebind(p)
+		lv.op.Rebind(p)
 	}
 }
 
@@ -197,27 +190,27 @@ func (pb *Problem) vcycle(l int, rl, xl []float64) {
 			if err := pb.coarseChol.SolveInto(pb.coarseSol, full, pb.coarseScratch); err != nil {
 				panic(err)
 			}
-			copy(xl, pb.coarseSol[lv.lo:lv.lo+lv.n])
+			copy(xl, pb.coarseSol[lv.zlo*lv.b.X*lv.b.Y:][:lv.n])
 			cn := pb.coarseChol.N()
 			pb.p.Compute(2 * cn * cn)
 			return
 		}
 		// Coarsest solve: the smoother alone (the HPCG convention).
 		for s := 0; s < pb.smooths; s++ {
-			lv.symgs(pb.p, rl, xl)
+			lv.op.SymGS(rl, xl)
 		}
 		return
 	}
 	for s := 0; s < pb.smooths; s++ {
-		lv.symgs(pb.p, rl, xl)
+		lv.op.SymGS(rl, xl)
 	}
-	lv.residual(pb.p, rl, xl, lv.res)
+	lv.op.Residual(rl, xl, lv.res)
 	next := pb.levels[l+1]
-	next.restrictFrom(pb.p, lv.res)
+	next.restrictFrom(pb.p, lv, lv.res)
 	pb.vcycle(l+1, next.r, next.x)
-	next.prolongInto(pb.p, xl)
+	next.prolongInto(pb.p, lv, xl)
 	for s := 0; s < pb.smooths; s++ {
-		lv.symgs(pb.p, rl, xl)
+		lv.op.SymGS(rl, xl)
 	}
 }
 
@@ -228,31 +221,28 @@ func (pb *Problem) Operator() *Operator { return &Operator{pb: pb} }
 // Precond returns the V-cycle as a core.Preconditioner.
 func (pb *Problem) Precond() *Precond { return &Precond{pb: pb} }
 
-// Operator is the fine-grid stencil mat-vec. It implements
-// spmv.Operator, spmv.FusedOperator and spmv.Rebindable.
+// Operator is the fine-grid stencil mat-vec — the fine level's
+// mfree.Operator, whose Rebind must take the whole hierarchy along. It
+// implements spmv.Operator, spmv.FusedOperator and spmv.Rebindable.
 type Operator struct {
 	pb *Problem
 }
 
 // N implements spmv.Operator.
-func (a *Operator) N() int { return a.pb.levels[0].b.N() }
+func (a *Operator) N() int { return a.pb.levels[0].op.N() }
 
 // NNZ implements spmv.Operator. The count is analytic — the stencil
-// is never materialized globally.
-func (a *Operator) NNZ() int { return int(a.pb.levels[0].nnzGlobal) }
+// is never materialized.
+func (a *Operator) NNZ() int { return a.pb.levels[0].op.NNZ() }
 
 // Apply implements spmv.Operator.
-func (a *Operator) Apply(x, y *darray.Vector) {
-	a.pb.levels[0].matvec(a.pb.p, a.pb.checkAligned(x), a.pb.checkAligned(y))
-}
+func (a *Operator) Apply(x, y *darray.Vector) { a.pb.levels[0].op.Apply(x, y) }
 
 // ApplyDot implements spmv.FusedOperator.
-func (a *Operator) ApplyDot(x, y *darray.Vector) float64 {
-	return a.pb.levels[0].matvecDot(a.pb.p, a.pb.checkAligned(x), a.pb.checkAligned(y))
-}
+func (a *Operator) ApplyDot(x, y *darray.Vector) float64 { return a.pb.levels[0].op.ApplyDot(x, y) }
 
 // Rebind implements spmv.Rebindable by rebinding the whole problem
-// (the preconditioner shares the fine level's schedule).
+// (the preconditioner's levels travel with the operator).
 func (a *Operator) Rebind(p *comm.Proc) { a.pb.Rebind(p) }
 
 // Precond is the V-cycle preconditioner z = M⁻¹·r.
