@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check smoke golden bench quick docs-lint loc
+.PHONY: all build vet test race check smoke golden bench fuzz quick docs-lint loc
 
 all: check
 
@@ -83,11 +83,25 @@ loc:
 
 # Kernel guards in their own units: the modeled machine's send path
 # (allocation counts), the matrix-free apply kernels (ns/point,
-# GFLOP/s, zero allocs) and the multigrid smoother, residual and
+# GFLOP/s, zero allocs), the multigrid smoother, residual and
 # V-cycle at solve_hpcg's shape (ns/point-pass, GFLOP/s over charged
-# flops, zero allocs). Every other wall number comes from benchmark/.
+# flops, zero allocs) and the Matrix Market reader and COO-to-CSR
+# conversion at serve_cold's upload shape (MB/s, a constant handful of
+# allocs). Every other wall number comes from benchmark/.
 bench:
-	$(GO) test -bench . -benchmem -run NONE ./internal/comm/... ./internal/mfree/... ./internal/mg/...
+	$(GO) test -bench . -benchmem -run NONE ./internal/comm/... ./internal/mfree/... ./internal/mg/... ./internal/sparse/...
+
+# Every fuzz target, FUZZTIME each (`go test -fuzz` takes one target and
+# one package per run). Under `test` they only replay their seeds. A
+# failing input is written to the package's testdata/fuzz/.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test ./internal/sparse -run '^$$' -fuzz '^FuzzReadMatrixMarket$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sparse -run '^$$' -fuzz '^FuzzGeneratorByName$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzFaultParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mfree -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/hpf -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 
 # Small-size smoke run of every experiment.
 quick:

@@ -4,7 +4,7 @@
 //
 //	hpfserve -cluster-router -addr :8080
 //
-// Worker shards join it, each with a content-hash share of the ring:
+// Worker shards join it, each with a share of the placement-key ring:
 //
 //	hpfserve -addr :8081 -join http://router:8080 -name shard-a \
 //	         -advertise http://10.0.0.5:8081

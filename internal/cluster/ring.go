@@ -1,6 +1,7 @@
 // Package cluster shards the solver service across nodes: a router
-// tier consistent-hashes jobs by matrix content hash onto hpfserve
-// worker shards, so repeat traffic against a hot matrix always lands
+// tier consistent-hashes jobs by placement key (a digest of the
+// generator spec, or of an upload's text) onto hpfserve worker shards,
+// so repeat traffic against a hot matrix always lands
 // on the shard whose Prepared-plan registry already holds its plan —
 // the cross-node extension of the content-addressed caching in
 // internal/serve. Membership is a small HTTP state API (register,
@@ -37,8 +38,8 @@ type ringPoint struct {
 }
 
 // ringHash places a key on the ring: the first 8 bytes of SHA-256,
-// matching the content-hash pipeline so placement is stable across
-// processes and platforms.
+// matching the digests the keys are made of, so placement is stable
+// across processes and platforms.
 func ringHash(key string) uint64 {
 	sum := sha256.Sum256([]byte(key))
 	return binary.BigEndian.Uint64(sum[:8])
@@ -79,7 +80,7 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	return r
 }
 
-// Owner maps a key (a matrix content hash) to the node owning it:
+// Owner maps a key (a job's placement key) to the node owning it:
 // the first virtual point clockwise from the key's position. Returns
 // false when the ring is empty.
 func (r *Ring) Owner(key string) (string, bool) {

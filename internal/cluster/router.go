@@ -1,6 +1,7 @@
 // The router tier: an HTTP front that mirrors the hpfserve job API
-// and consistent-hashes every job onto the shard owning its matrix
-// content hash. Job IDs returned to clients encode the shard
+// and consistent-hashes every job onto a shard by its placement key
+// (serve.JobSpec.PlacementKey), without building or parsing its
+// matrix. Job IDs returned to clients encode the shard
 // ("job-3@shard-a"), so status polls route without any router state;
 // backpressure (429/503 + Retry-After) passes through unmodified so
 // closed-loop clients behave exactly as against a single shard.
@@ -220,23 +221,21 @@ func DecodeJobID(id string) (bare, node string, ok bool) {
 	return id[:i], id[i+1:], true
 }
 
-// ownerFor places a spec's matrix on the ring. ContentHash already
-// canonicalizes (generator specs by trimmed lowercase parameters,
-// uploads by CSR digest), so no pre-normalization is needed.
-func (rt *Router) ownerFor(spec *serve.JobSpec) (Node, string, error) {
-	hash, err := spec.ContentHash()
-	if err != nil {
-		return Node{}, "", err
-	}
-	name, ok := rt.mem.Ring().Owner(hash)
+// ownerFor places a job on the ring by its placement key — a digest of
+// the generator spec or, for an upload, of the upload's text. The
+// router builds no matrix and parses no upload; a malformed one is the
+// owning shard's to report, as it is for a direct submission. The only
+// failure is an empty ring.
+func (rt *Router) ownerFor(spec *serve.JobSpec) (Node, error) {
+	name, ok := rt.mem.Ring().Owner(spec.PlacementKey())
 	if !ok {
-		return Node{}, hash, errNoShards
+		return Node{}, errNoShards
 	}
 	n, ok := rt.mem.Lookup(name)
 	if !ok {
-		return Node{}, hash, errNoShards
+		return Node{}, errNoShards
 	}
-	return n, hash, nil
+	return n, nil
 }
 
 var errNoShards = fmt.Errorf("cluster: no live shards in the ring")
@@ -261,17 +260,13 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	node, _, err := rt.ownerFor(&spec)
-	if err == errNoShards {
+	node, err := rt.ownerFor(&spec)
+	if err != nil {
 		rt.mu.Lock()
 		rt.noShard++
 		rt.mu.Unlock()
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		return
-	}
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
 
@@ -424,12 +419,9 @@ func (rt *Router) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 			res := &results[i]
 			res.Index = i
 			spec := req.Jobs[i]
-			node, _, err := rt.ownerFor(&spec)
+			node, err := rt.ownerFor(&spec)
 			if err != nil {
 				res.Status = http.StatusServiceUnavailable
-				if err != errNoShards {
-					res.Status = http.StatusBadRequest
-				}
 				res.Error = err.Error()
 				return
 			}

@@ -182,6 +182,103 @@ func TestClusterRepeatTrafficSameShardRegistryHits(t *testing.T) {
 	}
 }
 
+// uploadSpec is a job body carrying doc as an inline upload.
+func uploadSpec(t *testing.T, doc string) string {
+	t.Helper()
+	body, err := json.Marshal(serve.JobSpec{MatrixMarket: doc, NP: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
+// runJob submits a job body through the router and waits for it.
+func runJob(t *testing.T, routerURL, specJSON string) (submitAck, serve.JobView) {
+	t.Helper()
+	resp, ack := submitJob(t, routerURL, specJSON)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+	return ack, waitJob(t, routerURL, ack.ID)
+}
+
+// TestRouterPlacesUploadsByText: the router never parses an upload — it
+// places it by a digest of its text. Byte-identical uploads share a
+// shard and the second runs from the first's plan; the same matrix
+// encoded differently may land anywhere and returns the same bits; a
+// malformed upload is admitted and fails on its shard with the reader's
+// line-numbered error, exactly as a direct submission does.
+func TestRouterPlacesUploadsByText(t *testing.T) {
+	shards := map[string]*testShard{}
+	var list []*testShard
+	for _, name := range []string{"u1", "u2", "u3"} {
+		shards[name] = startShard(t, name, serve.Options{Workers: 1, MaxBatch: 1})
+		list = append(list, shards[name])
+	}
+	_, rts := startRouter(t, list...)
+
+	const doc = "%%MatrixMarket matrix coordinate real general\n3 3 7\n" +
+		"1 1 4.0\n1 2 -1.0\n2 1 -1.0\n2 2 4.0\n2 3 -1.0\n3 2 -1.0\n3 3 4.0\n"
+	first, v1 := runJob(t, rts.URL, uploadSpec(t, doc))
+	second, v2 := runJob(t, rts.URL, uploadSpec(t, doc))
+	if v1.State != serve.StateDone || v2.State != serve.StateDone {
+		t.Fatalf("uploads: %s (%s), %s (%s)", v1.State, v1.Error, v2.State, v2.Error)
+	}
+	if first.Shard != second.Shard {
+		t.Fatalf("byte-identical uploads landed on %s and %s", first.Shard, second.Shard)
+	}
+	if v1.Result.PlanCacheHit || !v2.Result.PlanCacheHit || v2.Result.SetupModelTime != 0 {
+		t.Fatalf("plan_cache_hit %v then %v (setup %g), want a miss then a free hit",
+			v1.Result.PlanCacheHit, v2.Result.PlanCacheHit, v2.Result.SetupModelTime)
+	}
+
+	// The same matrix in other clothes: entries reordered, a diagonal
+	// entry split in two, tabs, CRLF, comments. Several encodings, so
+	// that with three shards some land away from the first upload's.
+	recoded := []string{
+		"%%MatrixMarket matrix coordinate real general\n3 3 7\n" +
+			"3 3 4.0\n3 2 -1.0\n2 3 -1.0\n2 2 4.0\n2 1 -1.0\n1 2 -1.0\n1 1 4.0\n",
+		"%%MatrixMarket matrix coordinate real general\r\n% recoded\r\n3 3 8\r\n" +
+			"1\t1\t1.5\r\n1\t1\t2.5\r\n1 2 -1\r\n2 1 -1\r\n2 2 4\r\n2 3 -1\r\n3 2 -1\r\n3 3 4\r\n",
+		"%%MatrixMarket matrix coordinate real symmetric\n3 3 5\n1 1 4\n2 1 -1\n2 2 4\n3 2 -1\n3 3 4\n",
+		"%%MatrixMarket matrix coordinate real general\n3 3 7\n" +
+			"  1 1 4e0\n  1 2 -1e0\n  2 1 -1e0\n  2 2 4e0\n  2 3 -1e0\n  3 2 -1e0\n  3 3 4e0\n",
+	}
+	elsewhere := 0
+	for i, enc := range recoded {
+		ack, v := runJob(t, rts.URL, uploadSpec(t, enc))
+		if v.State != serve.StateDone {
+			t.Fatalf("encoding %d: %s (%s)", i, v.State, v.Error)
+		}
+		if ack.Shard != first.Shard {
+			elsewhere++
+		} else if !v.Result.PlanCacheHit {
+			t.Errorf("encoding %d met the first upload's shard and missed its plan", i)
+		}
+		if len(v.Result.X) != len(v1.Result.X) {
+			t.Fatalf("encoding %d: %d unknowns, want %d", i, len(v.Result.X), len(v1.Result.X))
+		}
+		for k := range v.Result.X {
+			if v.Result.X[k] != v1.Result.X[k] {
+				t.Fatalf("encoding %d on %s: x[%d] = %v, first upload %v", i, ack.Shard, k, v.Result.X[k], v1.Result.X[k])
+			}
+		}
+	}
+	if elsewhere == 0 {
+		t.Error("every encoding landed on the first upload's shard: the test no longer covers a placement miss")
+	}
+
+	// Malformed: 202 from the router, then failed on the shard.
+	ack, v := runJob(t, rts.URL, uploadSpec(t, "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 1.0\n"))
+	if v.State != serve.StateFailed || !strings.Contains(v.Error, "line 3: bad entry") {
+		t.Fatalf("malformed upload on %s: state %s error %q, want failed with the line 3 error", ack.Shard, v.State, v.Error)
+	}
+	ack, v = runJob(t, rts.URL, uploadSpec(t, "%%MatrixMarket matrix coordinate real general\n3000000000 1 0\n"))
+	if v.State != serve.StateFailed || !strings.Contains(v.Error, "line 2") {
+		t.Fatalf("oversized upload on %s: state %s error %q, want failed with a line 2 error", ack.Shard, v.State, v.Error)
+	}
+}
+
 // TestRouterBackpressurePassThrough: shard-side 429 (queue full) and
 // 503 (draining) must reach the client unmodified, Retry-After intact.
 func TestRouterBackpressurePassThrough(t *testing.T) {
@@ -338,8 +435,9 @@ func TestRouterReadyzAndEmptyRing(t *testing.T) {
 }
 
 // TestRouterSweepScatterGather: a multi-matrix sweep scatters each job
-// to the shard owning its matrix and gathers per-job acks; every job
-// completes through the shard-encoded status path.
+// — generated or uploaded — to the shard owning its placement key and
+// gathers per-job acks; every job completes through the shard-encoded
+// status path.
 func TestRouterSweepScatterGather(t *testing.T) {
 	sh1 := startShard(t, "s1", serve.Options{Workers: 2})
 	sh2 := startShard(t, "s2", serve.Options{Workers: 2})
@@ -350,6 +448,8 @@ func TestRouterSweepScatterGather(t *testing.T) {
 	for _, m := range matrices {
 		sweep.Jobs = append(sweep.Jobs, serve.JobSpec{Matrix: m, NP: 2, Seed: 3})
 	}
+	sweep.Jobs = append(sweep.Jobs, serve.JobSpec{NP: 2, Seed: 3,
+		MatrixMarket: "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 2.0\n2 2 2.0\n"})
 	body, _ := json.Marshal(sweep)
 	resp, err := http.Post(rts.URL+"/sweep", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -365,8 +465,8 @@ func TestRouterSweepScatterGather(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Jobs) != len(matrices) {
-		t.Fatalf("%d results, want %d", len(out.Jobs), len(matrices))
+	if len(out.Jobs) != len(sweep.Jobs) {
+		t.Fatalf("%d results, want %d", len(out.Jobs), len(sweep.Jobs))
 	}
 	ring := rt.Membership().Ring()
 	for i, res := range out.Jobs {
@@ -375,11 +475,7 @@ func TestRouterSweepScatterGather(t *testing.T) {
 		}
 		// The scatter must follow the ring, not round-robin.
 		spec := sweep.Jobs[i]
-		hash, err := spec.ContentHash()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := ring.Owner(hash)
+		want, _ := ring.Owner(spec.PlacementKey())
 		if res.Shard != want {
 			t.Fatalf("job %d (%s): landed on %s, ring owner %s", i, spec.Matrix, res.Shard, want)
 		}

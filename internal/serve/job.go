@@ -381,28 +381,51 @@ func (sp *JobSpec) key() batchKey {
 // matrix: generator specs are hashed by their parameters (the matrix
 // need not be generated), Matrix Market uploads by the canonical CSR
 // digest, so two uploads of the same matrix — reordered entries,
-// different whitespace — digest identically. The cluster router shards
-// by this hash and the plan registry keys on it, which is what lands
-// repeat traffic on the node already holding the prepared plan.
+// different whitespace — digest identically. The plan registry keys on
+// this hash; computing it parses an upload, so only the process that
+// solves the job does (the cluster router places by PlacementKey).
 func (sp *JobSpec) ContentHash() (string, error) {
 	h, _, err := sp.identity().contentHash(sp.MatrixMarket)
 	return h, err
 }
 
+// PlacementKey returns the string the cluster router consistent-hashes
+// to pick the job's shard, computed without parsing anything: for
+// generated problems the content hash itself, for an upload a digest of
+// its text. Byte-identical uploads therefore share a shard and, there,
+// a cached plan; a re-encoded upload of the same matrix may land on
+// another shard, where it costs a plan-cache miss and returns the same
+// answer, because the plan registry inside a shard keys on ContentHash.
+func (sp *JobSpec) PlacementKey() string {
+	id := sp.identity()
+	if id.upload() {
+		return sparse.HashUploadText(sp.MatrixMarket)
+	}
+	return id.generatedHash()
+}
+
+// upload reports whether the job's matrix is a Matrix Market upload.
+func (id identity) upload() bool { return strings.HasPrefix(id.content, "mm:") }
+
+// generatedHash is the content hash of a generated problem: its content
+// is its spec string, and on a plan-cache hit no matrix is ever built.
+func (id identity) generatedHash() string {
+	return sparse.HashGeneratorSpec(strings.TrimPrefix(id.content, "gen:"))
+}
+
 // contentHash computes the content hash and, when hashing had to
 // assemble the matrix anyway (a Matrix Market upload, passed as text),
 // returns it so the caller does not parse twice. Generated problems
-// return a nil matrix — their content is their spec string, and on a
-// plan-cache hit no matrix is ever built.
-func (id identity) contentHash(upload string) (string, *sparse.CSR, error) {
-	if strings.HasPrefix(id.content, "mm:") {
-		A, err := sparse.ReadMatrixMarket(strings.NewReader(upload))
-		if err != nil {
-			return "", nil, fmt.Errorf("matrix: %w", err)
-		}
-		return sparse.ContentHash(A), A, nil
+// return a nil matrix.
+func (id identity) contentHash(doc string) (string, *sparse.CSR, error) {
+	if !id.upload() {
+		return id.generatedHash(), nil, nil
 	}
-	return sparse.HashGeneratorSpec(strings.TrimPrefix(id.content, "gen:")), nil, nil
+	A, err := sparse.ParseMatrixMarket(doc)
+	if err != nil {
+		return "", nil, fmt.Errorf("matrix: %w", err)
+	}
+	return sparse.ContentHash(A), A, nil
 }
 
 // planKey is the registry key: the matrix content plus everything that
@@ -417,7 +440,7 @@ func (sp *JobSpec) planKey(hash string) string {
 // buildMatrix assembles the job's matrix.
 func (sp *JobSpec) buildMatrix() (*sparse.CSR, error) {
 	if sp.MatrixMarket != "" {
-		return sparse.ReadMatrixMarket(strings.NewReader(sp.MatrixMarket))
+		return sparse.ParseMatrixMarket(sp.MatrixMarket)
 	}
 	return sparse.GeneratorByName(sp.Matrix)
 }

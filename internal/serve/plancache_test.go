@@ -99,6 +99,57 @@ func TestPlanCacheHitAcrossMatrixMarketFormats(t *testing.T) {
 	}
 }
 
+// TestPlacementKey: the router's key is computed without parsing — for
+// generated problems it is the content hash, for uploads a digest of
+// the text in a namespace of its own, so a malformed upload still has
+// one, byte-identical uploads share it, and a re-encoded upload has a
+// different key and the same content hash.
+func TestPlacementKey(t *testing.T) {
+	for _, sp := range []JobSpec{
+		{Matrix: "laplace2d:12:12"},
+		{Matrix: " laplace2d:12:12 ", Layout: "csc-merge"},
+		{Method: "hpcg", MG: &MGSpec{Nx: 4, Ny: 4, Nz: 4}},
+		{Method: "stencil", Stencil: &StencilSpec{Stencil: "5pt", Nx: 8, Ny: 8}},
+	} {
+		h, err := sp.ContentHash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp.PlacementKey() != h {
+			t.Errorf("%+v: placement key %s, content hash %s", sp, sp.PlacementKey(), h)
+		}
+	}
+
+	doc := "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 2.0\n2 2 2.0\n"
+	reordered := "%%MatrixMarket matrix coordinate real general\n2 2 2\n2 2 2\n1 1 2\n"
+	a, b, c := JobSpec{MatrixMarket: doc, Seed: 1}, JobSpec{MatrixMarket: doc, Seed: 2, NP: 2}, JobSpec{MatrixMarket: reordered}
+	if a.PlacementKey() != b.PlacementKey() {
+		t.Error("byte-identical uploads have different placement keys")
+	}
+	if a.PlacementKey() == c.PlacementKey() {
+		t.Error("a re-encoded upload shares the placement key: the key is not of the text")
+	}
+	ha, _ := a.ContentHash()
+	hc, _ := c.ContentHash()
+	if ha == "" || ha != hc {
+		t.Errorf("re-encoded upload: content hashes %q and %q, want equal", ha, hc)
+	}
+	if a.PlacementKey() == ha {
+		t.Error("an upload's placement key collides with its content hash: the namespaces are not separate")
+	}
+	gen := JobSpec{Matrix: doc}
+	if gen.PlacementKey() == a.PlacementKey() {
+		t.Error("a generator spec and an upload of the same text share a placement key")
+	}
+	bad := JobSpec{MatrixMarket: "not a matrix market document"}
+	if bad.PlacementKey() == "" {
+		t.Error("malformed upload has no placement key")
+	}
+	if _, err := bad.ContentHash(); err == nil {
+		t.Error("malformed upload has a content hash")
+	}
+}
+
 // TestPlanCacheDisabled: PlanCacheBytes < 0 turns the registry off and
 // the service still solves correctly through the uncached path.
 func TestPlanCacheDisabled(t *testing.T) {

@@ -563,6 +563,10 @@ func (s *Scheduler) finishJob(j *Job, res *JobResult, err error) {
 	s.met.finish(j.Spec.id.jobType, err == nil, now.Sub(j.started).Seconds())
 	s.mu.Lock()
 	j.finished = now
+	// Nothing reads the inputs of a finished job, and the job table keeps
+	// it for as long as the scheduler lives: let go of the upload text
+	// and the explicit right-hand side.
+	j.Spec.MatrixMarket, j.Spec.RHS = "", nil
 	if err != nil {
 		j.state = StateFailed
 		j.err = err.Error()

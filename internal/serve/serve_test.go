@@ -378,6 +378,42 @@ func TestMatrixMarketUpload(t *testing.T) {
 	}
 }
 
+// TestFinishedJobReleasesInputs: the job table keeps finished jobs for
+// the scheduler's lifetime, so a terminal job — done or failed — must
+// not keep its upload text or explicit right-hand side alive.
+func TestFinishedJobReleasesInputs(t *testing.T) {
+	var mm bytes.Buffer
+	if err := sparse.WriteMatrixMarket(&mm, sparse.Laplace1D(12)); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{Workers: 1})
+	defer s.Drain(testCtx(t))
+	rhs := sparse.RandomVector(12, 3)
+	for _, c := range []struct {
+		name    string
+		spec    JobSpec
+		want    State
+		wantErr string
+	}{
+		{"done", JobSpec{MatrixMarket: mm.String(), NP: 2, RHS: rhs}, StateDone, ""},
+		{"failed in parse", JobSpec{MatrixMarket: "%%MatrixMarket matrix coordinate real general\n3000000000 1 0\n", RHS: rhs}, StateFailed, "line 2"},
+		{"failed on length", JobSpec{MatrixMarket: mm.String(), NP: 2, RHS: rhs[:5]}, StateFailed, "rhs length 5"},
+	} {
+		j, err := s.Submit(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		if v, _ := s.View(j.ID); v.State != c.want || !strings.Contains(v.Error, c.wantErr) {
+			t.Errorf("%s: state %s, error %q; want %s, error containing %q", c.name, v.State, v.Error, c.want, c.wantErr)
+		}
+		if j.Spec.MatrixMarket != "" || j.Spec.RHS != nil {
+			t.Errorf("%s: finished job still holds %d bytes of upload and %d right-hand-side values",
+				c.name, len(j.Spec.MatrixMarket), len(j.Spec.RHS))
+		}
+	}
+}
+
 // --- HTTP surface ---
 
 func postJob(t *testing.T, ts *httptest.Server, spec any) (*http.Response, submitResponse) {

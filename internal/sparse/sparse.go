@@ -49,16 +49,18 @@ func (c *COO) Add(i, j int, v float64) {
 func (c *COO) NNZ() int { return len(c.V) }
 
 // ToCSR converts the triplets to CSR, summing duplicates and sorting
-// column indices within each row.
+// column indices within each row. Rows whose triplets arrived in
+// strictly ascending column order — every row of a file written row by
+// row or column by column — are already sorted and duplicate-free and
+// are left alone.
 func (c *COO) ToCSR() *CSR {
 	n := c.NRows
-	rowCount := make([]int, n)
-	for _, i := range c.I {
-		rowCount[i]++
-	}
 	rowPtr := make([]int, n+1)
+	for _, i := range c.I {
+		rowPtr[i+1]++
+	}
 	for i := 0; i < n; i++ {
-		rowPtr[i+1] = rowPtr[i] + rowCount[i]
+		rowPtr[i+1] += rowPtr[i]
 	}
 	col := make([]int, len(c.V))
 	val := make([]float64, len(c.V))
@@ -70,8 +72,9 @@ func (c *COO) ToCSR() *CSR {
 		next[i]++
 	}
 	m := &CSR{NRows: n, NCols: c.NCols, RowPtr: rowPtr, Col: col, Val: val}
-	m.sortRows()
-	m.sumDuplicates()
+	if m.sortRows() {
+		m.sumDuplicates()
+	}
 	return m
 }
 
@@ -120,11 +123,27 @@ func (m *CSR) Validate() error {
 	return nil
 }
 
-func (m *CSR) sortRows() {
+// sortRows sorts every row that is not already strictly ascending by
+// column and reports whether there was one; only such a row can hold a
+// duplicate.
+func (m *CSR) sortRows() (sorted bool) {
 	for i := 0; i < m.NRows; i++ {
 		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		sort.Sort(&rowSorter{col: m.Col[lo:hi], val: m.Val[lo:hi]})
+		if !strictlyAscending(m.Col[lo:hi]) {
+			sort.Sort(&rowSorter{col: m.Col[lo:hi], val: m.Val[lo:hi]})
+			sorted = true
+		}
 	}
+	return sorted
+}
+
+func strictlyAscending(col []int) bool {
+	for k := 1; k < len(col); k++ {
+		if col[k] <= col[k-1] {
+			return false
+		}
+	}
+	return true
 }
 
 type rowSorter struct {

@@ -359,7 +359,7 @@ func TestDense(t *testing.T) {
 }
 
 // generatorRejects are spec strings GeneratorByName must refuse: the
-// one that panicked NewCOO, the spellings Sscanf let through, empty
+// one that panicked NewCOO, the spellings a scanf-style reader let through, empty
 // systems, out-of-domain parameters, sizes whose product overflows.
 var generatorRejects = []string{
 	"laplace2d:-3:4", "laplace2d:32:32junk", "banded:512:4:99", "laplace2d:32:32:7",
