@@ -75,11 +75,13 @@ smoke:
 # internal/serve (the solve path and the service), then internal/bench +
 # internal/report + cmd/cgbench (the experiment harness), then
 # internal/mg + internal/mfree (the stencil kernels and the hierarchy
-# built on them).
+# built on them), then internal/core + internal/spmv (the solvers and
+# the assembled mat-vec executors).
 loc:
 	@ls internal/hpfexec/*.go internal/serve/*.go | grep -v _test.go | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'
 	@ls internal/bench/*.go internal/report/*.go cmd/cgbench/*.go | grep -v _test.go | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'
 	@ls internal/mg/*.go internal/mfree/*.go | grep -v _test.go | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'
+	@ls internal/core/*.go internal/spmv/*.go | grep -v _test.go | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'
 
 # Kernel guards in their own units: the modeled machine's send path
 # (allocation counts), the matrix-free apply kernels (ns/point,

@@ -34,12 +34,11 @@ func relResidual(A *sparse.CSR, x, b []float64) float64 {
 // are enforced, not observed — the runner errors unless: both solvers
 // converge to the tolerance at every scale (the Ghysels–Vanroose
 // recurrence is a different ordering of the same arithmetic, so
-// answers are equal in exact arithmetic but not bitwise — bit-identity
-// is the overlap-disabled contract core's tests enforce, not this
-// one); at least one scale shows the pipelined per-iteration makespan
-// strictly below plain CG's with a strictly positive hidden reduction
-// time; every clean pipelined solve counts exactly iterations+3
-// allreduce rounds; and the modeled frontier pins the three-regime
+// answers are equal in exact arithmetic but not bitwise); at least one
+// scale shows the pipelined per-iteration makespan strictly below
+// plain CG's with a strictly positive hidden reduction time; every
+// clean pipelined solve counts exactly iterations+3 allreduce rounds;
+// and the modeled frontier pins the three-regime
 // story (plain at near-zero latency, pipelined at the default
 // constants, s-step once the round can no longer hide).
 func E26(cfg Config) ([]*report.Table, error) {

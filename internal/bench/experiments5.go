@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -10,6 +9,7 @@ import (
 	"hpfcg/internal/darray"
 	"hpfcg/internal/dist"
 	"hpfcg/internal/fault"
+	"hpfcg/internal/hpfexec"
 	"hpfcg/internal/report"
 	"hpfcg/internal/sparse"
 	"hpfcg/internal/spmv"
@@ -18,22 +18,16 @@ import (
 // missionOutcome is one resilient solve driven to completion across
 // restart attempts.
 type missionOutcome struct {
-	attempts int
-	crashes  int
-	useful   int // CG iterations in the converged trajectory
-	lost     int // iterations computed by failed attempts and rolled back
-	mission  float64
-	final    float64 // model time of the successful attempt
-	sol      []float64
-	st       core.Stats
+	rec *hpfexec.Recovery
+	sol []float64
+	st  core.Stats
 }
 
 // runMission drives core.CGResilient under a fault plan until the
-// solve converges: each comm.PeerFailure advances the injector's
+// solve converges, through hpfexec.Restart — the loop a Resilient
+// hpfexec variant runs: each comm.PeerFailure advances the injector's
 // mission clock by the failed attempt's modeled time and restarts from
-// the newest complete checkpoint (the same loop a Resilient hpfexec
-// variant runs, kept inline here so E20 can account lost work per
-// attempt).
+// the newest complete checkpoint.
 func runMission(cfg Config, A *sparse.CSR, b []float64, np, interval int, plan fault.Plan, opt core.Options) (missionOutcome, error) {
 	var out missionOutcome
 	inj, err := fault.NewInjector(plan)
@@ -57,35 +51,15 @@ func runMission(cfg Config, A *sparse.CSR, b []float64, np, interval int, plan f
 			out.sol, out.st, solveErr = full, st, err
 		}
 	}
-	for {
-		out.attempts++
-		if out.attempts > len(plan.Events)+2 {
-			return out, fmt.Errorf("np=%d interval=%d: no convergence after %d attempts", np, interval, out.attempts)
+	// Each scheduled crash can fail at most one attempt.
+	out.rec, err = hpfexec.Restart(m, store, len(plan.Events)+1, func() (comm.RunStats, core.Stats, error) {
+		rs, err := m.RunChecked(fn)
+		if err == nil {
+			err = solveErr
 		}
-		startIter := 0
-		if _, k := store.Latest(); k > 0 {
-			startIter = k
-		}
-		rs, runErr := m.RunChecked(fn)
-		out.mission += rs.ModelTime
-		if runErr == nil {
-			if solveErr != nil {
-				return out, solveErr
-			}
-			out.final = rs.ModelTime
-			out.useful = out.st.Iterations
-			return out, nil
-		}
-		var pf comm.PeerFailure
-		if !errors.As(runErr, &pf) {
-			return out, runErr
-		}
-		out.crashes++
-		if got := store.Reached(pf.Rank); got > startIter {
-			out.lost += got - startIter
-		}
-		inj.Advance(rs.ModelTime)
-	}
+		return rs, out.st, err
+	})
+	return out, err
 }
 
 // E20 — resilience: checkpoint/restart under deterministic fault
@@ -168,9 +142,9 @@ func E20(cfg Config) ([]*report.Table, error) {
 				return nil, fmt.Errorf("healthy np=%d interval=%d: %w", np, iv, err)
 			}
 			bl := base[np]
-			t1.AddRowf(np, n, iv, out.useful, out.st.Checkpoints,
-				bl.model, out.final,
-				100*(out.final-bl.model)/bl.model,
+			t1.AddRowf(np, n, iv, out.st.Iterations, out.st.Checkpoints,
+				bl.model, out.rec.TotalModelTime,
+				100*(out.rec.TotalModelTime-bl.model)/bl.model,
 				identical(bl.sol, out.sol))
 		}
 	}
@@ -199,8 +173,8 @@ func E20(cfg Config) ([]*report.Table, error) {
 				if !identical(base[np].sol, out.sol) {
 					return nil, fmt.Errorf("np=%d mtbf=%.2gT interval=%d: recovered solution not bit-identical", np, frac, iv)
 				}
-				t2.AddRowf(np, frac, iv, out.crashes, out.attempts, out.lost,
-					out.mission, out.mission/T)
+				t2.AddRowf(np, frac, iv, len(out.rec.Failures), out.rec.Attempts, out.rec.LostIterations,
+					out.rec.TotalModelTime, out.rec.TotalModelTime/T)
 			}
 		}
 	}
@@ -233,7 +207,7 @@ func E20(cfg Config) ([]*report.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("young sweep interval=%d: %w", iv, err)
 		}
-		t3.AddRowf(np3, iv, out.crashes, out.lost, out.mission, out.mission/T, young)
+		t3.AddRowf(np3, iv, len(out.rec.Failures), out.rec.LostIterations, out.rec.TotalModelTime, out.rec.TotalModelTime/T, young)
 	}
 	return []*report.Table{t1, t2, t3}, nil
 }

@@ -21,6 +21,15 @@
 // (SPMD); scalars such as rho and alpha are produced by collective
 // reductions, so control flow stays identical across processors.
 //
+// That loop is written once (the unexported cg recurrence: seed,
+// restart, iterate), and §2.1's view of every other method as a small
+// delta on it is how the CG family is built: CG and PCG are its
+// prologue, CGResilient a restore-or-clean prologue plus a checkpoint
+// hook on each iteration, CGSStep and CGPipelined replacement loops
+// whose guard-trip tail is restart + iterate. CGFused, and CGUnfused —
+// the literal three-round Figure 2 kept as E19's baseline — are
+// different recurrences and stand alone, as do BiCG, CGS and BiCGSTAB.
+//
 // The solvers are communication-avoiding in the scalar merges: local
 // dot-product partials that the textbook form merges one at a time are
 // batched into single comm.AllreduceScalars rounds (element-wise
@@ -228,66 +237,142 @@ func residual0(o ops, A spmv.Operator, b, x, r *darray.Vector) (rnsq, bn float64
 	return d[0], bn
 }
 
+// cg is the loop state of the plain (preconditioned) CG recurrence —
+// the one place the Figure 2 update lives. Every solver built on it
+// adds only what differs: CG and PCG a prologue, CGResilient a
+// restore-or-clean prologue and a checkpointer, CGSStep and CGPipelined
+// their own loops with restart + iterate as the guard-trip tail. The
+// Stats travel beside the state (in ops), not inside it, so they stay
+// on the caller's stack.
+type cg struct {
+	A spmv.Operator
+	M Preconditioner // nil: z aliases r and rho is ‖r‖²
+	// b and x are the caller's; r, z, p, q the solver's temporaries.
+	b, x, r, z, p, q *darray.Vector
+	rho, bn          float64
+	rel              float64 // ‖r‖/‖b‖ after the last completed step
+}
+
+// newCG takes the recurrence's temporaries from w.
+func newCG(w *Workspace, A spmv.Operator, M Preconditioner, b, x *darray.Vector) cg {
+	c := cg{A: A, M: M, b: b, x: x, r: w.take(b)}
+	c.z = c.r
+	if M != nil {
+		c.z = w.take(b)
+	}
+	c.p, c.q = w.take(b), w.take(b)
+	return c
+}
+
+// seed starts the recurrence from the residual held in r, whose merged
+// ‖r‖² is rnsq: p = z = M⁻¹·r and rho = r·z. It reports true, with the
+// Stats closed, when that residual already meets the tolerance.
+func (c *cg) seed(o ops, opt Options, rnsq float64) bool {
+	c.rel = math.Sqrt(rnsq) / c.bn
+	if c.rel <= opt.Tol {
+		o.s.Converged = true
+		o.s.Residual = c.rel
+		return true
+	}
+	c.rho = rnsq
+	if c.M != nil {
+		c.M.Apply(c.r, c.z)
+		c.rho = o.dot(c.r, c.z)
+	}
+	c.p.CopyFrom(c.z)
+	return false
+}
+
+// restart is the explicit residual replacement r = b − A·x followed by
+// seed: the recurrence starts over from the current x. It is what a
+// variant whose own recurrence drifted falls back through, and how a
+// convergence claim is confirmed against the true residual.
+func (c *cg) restart(o ops, opt Options) bool {
+	o.apply(c.A, c.x, c.r)
+	c.r.Scale(-1)
+	o.axpy(c.r, 1, c.b)
+	rnsq := o.mergeScalar(c.r.NormSqLocal())
+	o.s.DotProducts++
+	return c.seed(o, opt, rnsq)
+}
+
+// iterate runs the recurrence from iteration Stats.Iterations+1 to
+// convergence or MaxIter — the communication-avoiding restructuring of
+// Figure 2: the mat-vec is fused with DOT_PRODUCT(p,q) (one merge), the
+// residual update with its norm (a second merge), and the merged ‖r‖²
+// is reused as the next rho instead of recomputing DOT_PRODUCT(r,r) —
+// two allreduce rounds per iteration instead of three, with iterates
+// bit-identical to the textbook ordering (the dropped merge would have
+// reduced exactly the partials the norm merge already did). With a
+// preconditioner the solve z = M⁻¹·r is hoisted before the stopping
+// test so DOT_PRODUCT(r,z) batches with the norm: still two rounds, the
+// second two words wide (the hoist spends one discarded M-solve on the
+// final iteration). ck, when non-nil, is told of every iteration's
+// start and unconverged end.
+func (c *cg) iterate(o ops, opt Options, ck *checkpointer) error {
+	for k := o.s.Iterations + 1; k <= opt.MaxIter; k++ {
+		o.s.Iterations = k
+		ck.begin(k)
+		// Round 1: q = A·p fused with the p·q partial.
+		pq := o.mergeScalar(o.applyDotLocal(c.A, c.p, c.q))
+		if pq == 0 {
+			return fmt.Errorf("%w: p·Ap = 0 at iteration %d", ErrBreakdown, k)
+		}
+		alpha := c.rho / pq
+		o.axpy(c.x, alpha, c.p)
+		// Round 2: r -= alpha*q fused with ||r||², which serves the
+		// stopping test and — unpreconditioned — the next rho.
+		rho0 := c.rho
+		rnsq := o.axpyNormSqLocal(c.r, -alpha, c.q)
+		if c.M == nil {
+			rnsq = o.mergeScalar(rnsq)
+			c.rho = rnsq
+		} else {
+			c.M.Apply(c.r, c.z)
+			d := [2]float64{rnsq, o.dotLocal(c.r, c.z)}
+			o.merge(d[:])
+			rnsq, c.rho = d[0], d[1]
+		}
+		c.rel = math.Sqrt(rnsq) / c.bn
+		o.record(c.rel, opt)
+		if c.rel <= opt.Tol {
+			o.s.Converged = true
+			o.s.Residual = c.rel
+			return nil
+		}
+		if rho0 == 0 {
+			return fmt.Errorf("%w: rho = 0 at iteration %d", ErrBreakdown, k)
+		}
+		beta := c.rho / rho0
+		o.aypx(c.p, beta, c.z)
+		ck.end(k, c, o)
+	}
+	o.s.Residual = c.rel
+	return nil
+}
+
 // CG solves A·x = b on the distributed machine — the Figure 2 HPF
 // code. x carries the initial guess in and the solution out; b and x
-// must be aligned with A's vector distribution.
-//
-// The loop is the communication-avoiding restructuring of Figure 2:
-// the mat-vec is fused with DOT_PRODUCT(p,q) (one merge), the residual
-// update with its norm (a second merge), and the merged ||r||² is
-// reused as the next rho instead of recomputing DOT_PRODUCT(r,r) — two
-// allreduce rounds per iteration instead of three, with iterates that
-// are bit-identical to the textbook ordering (the dropped merge would
-// have reduced exactly the partials the norm merge already did).
+// must be aligned with A's vector distribution. It is PCG without a
+// preconditioner.
 func CG(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options) (Stats, error) {
+	return PCG(p, A, nil, b, x, opt)
+}
+
+// PCG is CG with a distributed preconditioner (z = M⁻¹r per
+// iteration); a nil M is plain CG, whose norm merge stays one word wide.
+func PCG(p *comm.Proc, A spmv.Operator, M Preconditioner, b, x *darray.Vector, opt Options) (Stats, error) {
 	opt = opt.withDefaults(A.N())
 	st := newStats(opt)
 	o := ops{s: &st, p: p}
-	w := opt.Work.begin()
-
-	r := w.take(b)
-	rnsq, bn := residual0(o, A, b, x, r)
-	rn := math.Sqrt(rnsq)
-	if rn/bn <= opt.Tol {
-		st.Converged = true
-		st.Residual = rn / bn
+	c := newCG(opt.Work.begin(), A, M, b, x)
+	var rnsq float64
+	rnsq, c.bn = residual0(o, A, b, x, c.r)
+	if c.seed(o, opt, rnsq) {
 		return st, nil
 	}
-	pv := w.take(b)
-	pv.CopyFrom(r)
-	q := w.take(b)
-	rho := rnsq // = DOT_PRODUCT(r,r): the setup merge already produced it
-
-	for k := 1; k <= opt.MaxIter; k++ {
-		st.Iterations = k
-		// Round 1: q = A·p fused with the p·q partial.
-		pq := o.mergeScalar(o.applyDotLocal(A, pv, q))
-		if pq == 0 {
-			return st, fmt.Errorf("%w: p·Ap = 0 at iteration %d", ErrBreakdown, k)
-		}
-		alpha := rho / pq
-		o.axpy(x, alpha, pv)
-		// Round 2: r -= alpha*q fused with ||r||², which serves both
-		// the stopping test and the next rho.
-		rnsq = o.mergeScalar(o.axpyNormSqLocal(r, -alpha, q))
-		rn = math.Sqrt(rnsq)
-		rel := rn / bn
-		o.record(rel, opt)
-		if rel <= opt.Tol {
-			st.Converged = true
-			st.Residual = rel
-			return st, nil
-		}
-		rho0 := rho
-		rho = rnsq
-		if rho0 == 0 {
-			return st, fmt.Errorf("%w: rho = 0 at iteration %d", ErrBreakdown, k)
-		}
-		beta := rho / rho0
-		o.aypx(pv, beta, r)
-	}
-	st.Residual = rn / bn
-	return st, nil
+	err := c.iterate(o, opt, nil)
+	return st, err
 }
 
 // CGFused is the single-reduction rearrangement of CG: the scalars an
@@ -429,65 +514,6 @@ func CGUnfused(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options) 
 		}
 		beta := rho / rho0
 		o.aypx(pv, beta, r)
-	}
-	st.Residual = rn / bn
-	return st, nil
-}
-
-// PCG is CG with a distributed preconditioner (z = M⁻¹r per
-// iteration). The preconditioner solve is hoisted before the stopping
-// test so DOT_PRODUCT(r,z) batches with the convergence norm — two
-// merge rounds per iteration instead of three, bit-identical iterates
-// (the hoist spends one discarded M-solve on the final iteration).
-func PCG(p *comm.Proc, A spmv.Operator, M Preconditioner, b, x *darray.Vector, opt Options) (Stats, error) {
-	opt = opt.withDefaults(A.N())
-	st := newStats(opt)
-	o := ops{s: &st, p: p}
-	w := opt.Work.begin()
-
-	r := w.take(b)
-	rnsq, bn := residual0(o, A, b, x, r)
-	rn := math.Sqrt(rnsq)
-	if rn/bn <= opt.Tol {
-		st.Converged = true
-		st.Residual = rn / bn
-		return st, nil
-	}
-	z := w.take(b)
-	M.Apply(r, z)
-	pv := w.take(b)
-	pv.CopyFrom(z)
-	q := w.take(b)
-	rho := o.dot(r, z)
-	var d [2]float64
-
-	for k := 1; k <= opt.MaxIter; k++ {
-		st.Iterations = k
-		pq := o.mergeScalar(o.applyDotLocal(A, pv, q))
-		if pq == 0 {
-			return st, fmt.Errorf("%w: p·Ap = 0 at iteration %d", ErrBreakdown, k)
-		}
-		alpha := rho / pq
-		o.axpy(x, alpha, pv)
-		d[0] = o.axpyNormSqLocal(r, -alpha, q)
-		M.Apply(r, z)
-		d[1] = o.dotLocal(r, z)
-		o.merge(d[:])
-		rn = math.Sqrt(d[0])
-		rel := rn / bn
-		o.record(rel, opt)
-		if rel <= opt.Tol {
-			st.Converged = true
-			st.Residual = rel
-			return st, nil
-		}
-		rho0 := rho
-		rho = d[1]
-		if rho0 == 0 {
-			return st, fmt.Errorf("%w: rho = 0 at iteration %d", ErrBreakdown, k)
-		}
-		beta := rho / rho0
-		o.aypx(pv, beta, z)
 	}
 	st.Residual = rn / bn
 	return st, nil

@@ -220,13 +220,16 @@ func TestWorkspaceReuse(t *testing.T) {
 // heap allocations on every rank. Measured as a delta — a 40-iteration
 // solve must allocate no more than a 10-iteration solve, so per-solve
 // constants (Stats, the workspace warm-up, gather targets) cancel and
-// only per-iteration allocations would fail the bound.
+// only per-iteration allocations would fail the bound. PCG and
+// CGResilient run the same recurrence, so they are held to the same
+// bound and to CG's per-solve count.
 func TestCGSteadyStateIterationsNoAllocs(t *testing.T) {
 	A := sparse.Laplace2D(16, 16)
 	n := A.NRows
 	const np = 4
 	d := dist.NewBlock(n, np)
 	b := sparse.RandomVector(n, 7)
+	store := NewCheckpointStore(np)
 
 	solvers := map[string]func(p *comm.Proc, op spmv.Operator, bv, xv *darray.Vector, opt Options) (Stats, error){
 		"cg": func(p *comm.Proc, op spmv.Operator, bv, xv *darray.Vector, opt Options) (Stats, error) {
@@ -235,7 +238,22 @@ func TestCGSteadyStateIterationsNoAllocs(t *testing.T) {
 		"cgfused": func(p *comm.Proc, op spmv.Operator, bv, xv *darray.Vector, opt Options) (Stats, error) {
 			return CGFused(p, op, bv, xv, opt)
 		},
+		// The recurrence's preconditioned branch (z vector, two-word
+		// merge) and its checkpoint hook, checkpoints being written.
+		"pcg": func(p *comm.Proc, op spmv.Operator, bv, xv *darray.Vector, opt Options) (Stats, error) {
+			return PCG(p, op, Identity{}, bv, xv, opt)
+		},
+		"cgresilient": func(p *comm.Proc, op spmv.Operator, bv, xv *darray.Vector, opt Options) (Stats, error) {
+			// Every solve starts clean: each rank drops its own stamps,
+			// and the barrier orders that before any rank's Latest scan.
+			for s := range store.slots {
+				store.slots[s].iter[p.Rank()] = -1
+			}
+			p.Barrier()
+			return CGResilient(p, op, bv, xv, opt, Resilience{Store: store, Interval: 5})
+		},
 	}
+	perSolve := map[string]float64{}
 	for name, solve := range solvers {
 		allocsAt := func(iters int) float64 {
 			var allocs float64
@@ -269,6 +287,15 @@ func TestCGSteadyStateIterationsNoAllocs(t *testing.T) {
 		if long > short+0.5 {
 			t.Errorf("%s: 40-iteration solve allocates %.1f, 10-iteration %.1f — iterations are hitting the heap (%.2f allocs/iter)",
 				name, long, short, (long-short)/30)
+		}
+		perSolve[name] = short
+	}
+	// What a solver adds to the one recurrence costs no allocation per
+	// solve either (one per rank would read as np here; a stray runtime
+	// allocation reads as 1).
+	for _, name := range []string{"pcg", "cgresilient"} {
+		if perSolve[name] > perSolve["cg"]+1.5 {
+			t.Errorf("%s: a solve allocates %.1f, CG's %.1f", name, perSolve[name], perSolve["cg"])
 		}
 	}
 }

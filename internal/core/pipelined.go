@@ -27,7 +27,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"hpfcg/internal/comm"
@@ -56,16 +55,12 @@ func (o ops) imerge(d []float64) *comm.ReduceHandle {
 // CGPipelined solves A·x = b with the Ghysels–Vanroose pipelined
 // recurrence: one nonblocking allreduce per iteration whose modeled
 // cost hides behind the iteration's mat-vec (Wait charges only the
-// exposed remainder — see comm.IallreduceScalars). overlap=false
-// delegates to CG, bit-identically, the same way CGSStep delegates at
-// s<=1; overlap=true changes the floating-point trajectory like
-// CGFused does, converges to the same tolerance, and falls back to
-// plain CG after one residual replacement if the drift guard trips.
-// Any spmv.Operator works, assembled or matrix-free.
-func CGPipelined(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options, overlap bool) (Stats, error) {
-	if !overlap {
-		return CG(p, A, b, x, opt)
-	}
+// exposed remainder — see comm.IallreduceScalars). It changes the
+// floating-point trajectory like CGFused does, converges to the same
+// tolerance, and falls back to plain CG after one residual replacement
+// if the drift guard trips. Any spmv.Operator works, assembled or
+// matrix-free.
+func CGPipelined(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options) (Stats, error) {
 	opt = opt.withDefaults(A.N())
 	st := newStats(opt)
 	st.Pipelined = true
@@ -160,20 +155,13 @@ func CGPipelined(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options
 		gammaOld, alphaOld = gamma, alpha
 	}
 
+	c := cg{A: A, b: b, x: x, r: r, z: r, p: pv, q: qv, bn: bn}
 	if claimed {
 		// The recurrence claims convergence: confirm against the true
 		// residual — an explicit replacement at the claim, like
 		// CGSStep's end-of-block confirmation. A confirmed claim
 		// returns; an unconfirmed one is drift and falls back.
-		o.apply(A, x, r)
-		r.Scale(-1)
-		o.axpy(r, 1, b)
-		rnsq = o.mergeScalar(r.NormSqLocal())
-		st.DotProducts++
-		rn = math.Sqrt(rnsq)
-		if rn/bn <= opt.Tol {
-			st.Converged = true
-			st.Residual = rn / bn
+		if c.restart(o, opt) {
 			return st, nil
 		}
 		fallback = true
@@ -184,49 +172,13 @@ func CGPipelined(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options
 		return st, nil
 	}
 
-	// The guard tripped: one explicit residual replacement, then plain
-	// CG (the CG loop verbatim) from the current x — stability priced,
-	// never the answer.
+	// The guard tripped: one explicit residual replacement, then the
+	// plain recurrence from the current x — stability priced, never the
+	// answer.
 	st.Replacements++
-	o.apply(A, x, r)
-	r.Scale(-1)
-	o.axpy(r, 1, b)
-	rnsq = o.mergeScalar(r.NormSqLocal())
-	st.DotProducts++
-	rn = math.Sqrt(rnsq)
-	if rn/bn <= opt.Tol {
-		st.Converged = true
-		st.Residual = rn / bn
+	if c.restart(o, opt) {
 		return st, nil
 	}
-	pv.CopyFrom(r)
-	rho := rnsq
-	q := qv
-	for st.Iterations < opt.MaxIter {
-		st.Iterations++
-		pq := o.mergeScalar(o.applyDotLocal(A, pv, q))
-		if pq == 0 {
-			return st, fmt.Errorf("%w: p·Ap = 0 at iteration %d", ErrBreakdown, st.Iterations)
-		}
-		alpha := rho / pq
-		o.axpy(x, alpha, pv)
-		rnsq = o.mergeScalar(o.axpyNormSqLocal(r, -alpha, q))
-		rn = math.Sqrt(rnsq)
-		rel := rn / bn
-		o.record(rel, opt)
-		if rel <= opt.Tol {
-			st.Converged = true
-			st.Residual = rel
-			return st, nil
-		}
-		rho0 := rho
-		rho = rnsq
-		if rho0 == 0 {
-			return st, fmt.Errorf("%w: rho = 0 at iteration %d", ErrBreakdown, st.Iterations)
-		}
-		beta := rho / rho0
-		o.aypx(pv, beta, r)
-	}
-	st.Residual = rn / bn
-	return st, nil
+	err := c.iterate(o, opt, nil)
+	return st, err
 }

@@ -18,7 +18,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"hpfcg/internal/comm"
@@ -149,110 +148,87 @@ func CGResilient(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options
 	opt = opt.withDefaults(A.N())
 	st := newStats(opt)
 	o := ops{s: &st, p: p}
-	w := opt.Work.begin()
-	cs := res.Store
-	rank := p.Rank()
+	c := newCG(opt.Work.begin(), A, nil, b, x)
+	ck := checkpointer{cs: res.Store, rank: p.Rank(), interval: res.Interval}
 	guard := res.GuardTol
 	if guard == 0 {
 		guard = 1e-8
 	}
 
-	r := w.take(b)
-	pv := w.take(b)
-	q := w.take(b)
-	var rnsq, rn, bn, rho float64
-	start := 0
-
-	if slot, citer := cs.Latest(); citer >= 0 {
+	if slot, citer := ck.cs.Latest(); citer >= 0 {
 		// Rollback restart: resume from the newest complete checkpoint.
 		// The restored (x, r, p, rho) are bit-exact copies of the loop
 		// state after iteration citer, so the continuation replays the
 		// fault-free trajectory exactly — unless the guard below finds
 		// the recurrence residual has drifted from the truth.
-		rho = cs.restore(slot, rank, x, r, pv)
+		c.rho = ck.cs.restore(slot, ck.rank, x, c.r, c.p)
 		st.Restores++
-		start = citer
-		cs.reached[rank] = citer
-		bn = math.Sqrt(o.mergeScalar(b.NormSqLocal()))
+		st.Iterations, st.StartIteration = citer, citer
+		ck.cs.reached[ck.rank] = citer
+		c.bn = math.Sqrt(o.mergeScalar(b.NormSqLocal()))
 		st.DotProducts++
-		if bn == 0 {
-			bn = 1
+		if c.bn == 0 {
+			c.bn = 1
 		}
 		// Residual-replacement guard: one extra mat-vec per restore.
-		o.apply(A, x, q)
-		q.Scale(-1)
-		o.axpy(q, 1, b) // q = b - A·x, the true residual
+		o.apply(A, x, c.q)
+		c.q.Scale(-1)
+		o.axpy(c.q, 1, b) // q = b - A·x, the true residual
 		var d [2]float64
-		d[0] = q.DiffNormSqLocal(r)
-		d[1] = q.NormSqLocal()
+		d[0] = c.q.DiffNormSqLocal(c.r)
+		d[1] = c.q.NormSqLocal()
 		st.DotProducts += 2
 		o.merge(d[:])
-		if math.Sqrt(d[0]) > guard*bn {
-			r.CopyFrom(q)
-			rho = d[1]
+		if math.Sqrt(d[0]) > guard*c.bn {
+			c.r.CopyFrom(c.q)
+			c.rho = d[1]
 			st.Replacements++
 		}
-		rnsq = rho
-		rn = math.Sqrt(rnsq)
-		if rn/bn <= opt.Tol {
-			st.Iterations = citer
-			st.StartIteration = citer
+		c.rel = math.Sqrt(c.rho) / c.bn
+		if c.rel <= opt.Tol {
 			st.Converged = true
-			st.Residual = rn / bn
+			st.Residual = c.rel
 			return st, nil
 		}
 	} else {
-		// Clean start: identical to CG's prologue.
-		cs.reached[rank] = 0
-		rnsq, bn = residual0(o, A, b, x, r)
-		rn = math.Sqrt(rnsq)
-		if rn/bn <= opt.Tol {
-			st.Converged = true
-			st.Residual = rn / bn
+		// Clean start: CG's prologue.
+		ck.cs.reached[ck.rank] = 0
+		var rnsq float64
+		rnsq, c.bn = residual0(o, A, b, x, c.r)
+		if c.seed(o, opt, rnsq) {
 			return st, nil
 		}
-		pv.CopyFrom(r)
-		rho = rnsq
 	}
-	st.StartIteration = start
+	err := c.iterate(o, opt, &ck)
+	return st, err
+}
 
-	// The loop body is CG's, verbatim — same merges, same arithmetic,
-	// bit-identical iterates — plus the periodic checkpoint.
-	for k := start + 1; k <= opt.MaxIter; k++ {
-		st.Iterations = k
-		cs.reached[rank] = k
-		pq := o.mergeScalar(o.applyDotLocal(A, pv, q))
-		if pq == 0 {
-			return st, fmt.Errorf("%w: p·Ap = 0 at iteration %d", ErrBreakdown, k)
-		}
-		alpha := rho / pq
-		o.axpy(x, alpha, pv)
-		rnsq = o.mergeScalar(o.axpyNormSqLocal(r, -alpha, q))
-		rn = math.Sqrt(rnsq)
-		rel := rn / bn
-		o.record(rel, opt)
-		if rel <= opt.Tol {
-			st.Converged = true
-			st.Residual = rel
-			return st, nil
-		}
-		rho0 := rho
-		rho = rnsq
-		if rho0 == 0 {
-			return st, fmt.Errorf("%w: rho = 0 at iteration %d", ErrBreakdown, k)
-		}
-		beta := rho / rho0
-		o.aypx(pv, beta, r)
-		if res.Interval > 0 && k%res.Interval == 0 {
-			// Alternate slots by checkpoint generation so a crash during
-			// generation g+1 leaves generation g intact.
-			cs.save((k/res.Interval)%2, rank, k, rho, x, r, pv)
-			st.Checkpoints++
-			// Charge the stable-storage write: three vectors of 8-byte
-			// words per rank, modeled like one message injection.
-			p.ChargeIO(3 * 8 * len(x.Local()))
-		}
+// checkpointer is what CGResilient adds to each iteration of the plain
+// recurrence. A nil checkpointer does nothing.
+type checkpointer struct {
+	cs             *CheckpointStore
+	rank, interval int
+}
+
+// begin records that iteration k has started — the lost-work probe, so
+// it never runs ahead of an iteration actually begun.
+func (ck *checkpointer) begin(k int) {
+	if ck != nil {
+		ck.cs.reached[ck.rank] = k
 	}
-	st.Residual = rn / bn
-	return st, nil
+}
+
+// end writes the checkpoint after an unconverged iteration k when one
+// is due.
+func (ck *checkpointer) end(k int, c *cg, o ops) {
+	if ck == nil || ck.interval <= 0 || k%ck.interval != 0 {
+		return
+	}
+	// Alternate slots by checkpoint generation so a crash during
+	// generation g+1 leaves generation g intact.
+	ck.cs.save((k/ck.interval)%2, ck.rank, k, c.rho, c.x, c.r, c.p)
+	o.s.Checkpoints++
+	// Charge the stable-storage write: three vectors of 8-byte words
+	// per rank, modeled like one message injection.
+	o.p.ChargeIO(3 * 8 * len(c.x.Local()))
 }

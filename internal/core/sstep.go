@@ -31,7 +31,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"hpfcg/internal/comm"
@@ -368,50 +367,14 @@ func CGSStep(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options, s 
 		return st, nil
 	}
 
-	// The guard tripped: one explicit residual replacement, then plain
-	// CG (the CG loop verbatim) from the current x. On an SPD system
-	// this always converges — the fallback can cost iterations, never
-	// the answer.
+	// The guard tripped: one explicit residual replacement, then the
+	// plain recurrence from the current x. On an SPD system this always
+	// converges — the fallback can cost iterations, never the answer.
 	st.Replacements++
-	o.apply(A, x, r)
-	r.Scale(-1)
-	o.axpy(r, 1, b)
-	rnsq = o.mergeScalar(r.NormSqLocal())
-	st.DotProducts++
-	rn = math.Sqrt(rnsq)
-	if rn/bn <= opt.Tol {
-		st.Converged = true
-		st.Residual = rn / bn
+	c := cg{A: A, b: b, x: x, r: r, z: r, p: pv, q: scratchR, bn: bn}
+	if c.restart(o, opt) {
 		return st, nil
 	}
-	pv.CopyFrom(r)
-	rho = rnsq
-	q := scratchR
-	for st.Iterations < opt.MaxIter {
-		st.Iterations++
-		pq := o.mergeScalar(o.applyDotLocal(A, pv, q))
-		if pq == 0 {
-			return st, fmt.Errorf("%w: p·Ap = 0 at iteration %d", ErrBreakdown, st.Iterations)
-		}
-		alpha := rho / pq
-		o.axpy(x, alpha, pv)
-		rnsq = o.mergeScalar(o.axpyNormSqLocal(r, -alpha, q))
-		rn = math.Sqrt(rnsq)
-		rel := rn / bn
-		o.record(rel, opt)
-		if rel <= opt.Tol {
-			st.Converged = true
-			st.Residual = rel
-			return st, nil
-		}
-		rho0 := rho
-		rho = rnsq
-		if rho0 == 0 {
-			return st, fmt.Errorf("%w: rho = 0 at iteration %d", ErrBreakdown, st.Iterations)
-		}
-		beta := rho / rho0
-		o.aypx(pv, beta, r)
-	}
-	st.Residual = rn / bn
-	return st, nil
+	err := c.iterate(o, opt, nil)
+	return st, err
 }

@@ -40,7 +40,7 @@ func TestIallreduceOverlapUnderStraggler(t *testing.T) {
 			bv := darray.New(p, d)
 			bv.SetGlobal(func(g int) float64 { return b[g] })
 			xv := darray.New(p, d)
-			got, err := core.CGPipelined(p, op, bv, xv, core.Options{Tol: 1e-10}, true)
+			got, err := core.CGPipelined(p, op, bv, xv, core.Options{Tol: 1e-10})
 			if err != nil {
 				t.Errorf("%v", err)
 				return

@@ -166,7 +166,7 @@ type Prepared struct {
 }
 
 func newPrepared(m *comm.Machine, be backend, strategy Strategy) *Prepared {
-	return &Prepared{m: m, be: be, strategy: strategy, solve: solvePlain, ranks: make([]rankOps, m.NP())}
+	return &Prepared{m: m, be: be, strategy: strategy, solve: core.PCG, ranks: make([]rankOps, m.NP())}
 }
 
 // Prepare validates the plan against the matrix and fixes the
@@ -262,18 +262,12 @@ func (pr *Prepared) SolveBatch(rhs [][]float64, opts []core.Options) (*BatchResu
 // then the one right-hand side is solved by core.CGResilient over an
 // in-memory checkpoint store, every comm.PeerFailure restarts the run
 // from the newest complete checkpoint (d bounds each attempt), and the
-// failure comes back only once MaxRestarts is exhausted. When the
-// machine's fault injector carries a mission clock (an Advance(float64)
-// method, as fault.Injector does), it is advanced by each failed
-// attempt's modeled time so the remaining fault schedule stays aligned.
+// failure comes back only once MaxRestarts is exhausted (see Restart).
 func (pr *Prepared) SolveBatchTimeout(rhs [][]float64, opts []core.Options, d time.Duration) (*BatchResult, error) {
 	v := pr.variant
 	if !v.Resilient {
-		out, err := pr.run(rhs, opts, d, pr.solve)
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
+		out, _, err := pr.run(rhs, opts, d, pr.solve)
+		return out, err
 	}
 	if len(rhs) != 1 {
 		return nil, fmt.Errorf("hpfexec: a resilient solve takes one right-hand side, got %d", len(rhs))
@@ -283,6 +277,32 @@ func (pr *Prepared) SolveBatchTimeout(rhs [][]float64, opts []core.Options, d ti
 	solve := func(p *comm.Proc, op spmv.Operator, _ core.Preconditioner, bv, xv *darray.Vector, opt core.Options) (core.Stats, error) {
 		return core.CGResilient(p, op, bv, xv, opt, res)
 	}
+	var out *BatchResult
+	rec, err := Restart(pr.m, store, v.MaxRestarts, func() (run comm.RunStats, st core.Stats, err error) {
+		if out, run, err = pr.run(rhs, opts, d, solve); err == nil {
+			st = out.Results[0].Stats
+		}
+		return run, st, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	out.Recovery = rec
+	return out, nil
+}
+
+// Restart drives one checkpointed solve across processor failures: it
+// calls attempt — one run on m of core.CGResilient over store,
+// returning the run's statistics and, on success, the solver's — until
+// an attempt succeeds. Every comm.PeerFailure is absorbed (restarting
+// from the newest complete checkpoint is CGResilient's own prologue)
+// and booked in the returned Recovery; it comes back as an error only
+// once maxRestarts failed attempts have been retried, and any other
+// error comes back at once. When m's fault injector carries a mission
+// clock (an Advance(float64) method, as fault.Injector does), it is
+// advanced by each failed attempt's modeled time so the remaining
+// fault schedule stays aligned.
+func Restart(m *comm.Machine, store *core.CheckpointStore, maxRestarts int, attempt func() (comm.RunStats, core.Stats, error)) (*Recovery, error) {
 	rec := &Recovery{}
 	for {
 		rec.Attempts++
@@ -292,48 +312,47 @@ func (pr *Prepared) SolveBatchTimeout(rhs [][]float64, opts []core.Options, d ti
 		if _, k := store.Latest(); k > 0 {
 			startIter = k
 		}
-		out, err := pr.run(rhs, opts, d, solve)
+		run, st, err := attempt()
 		var pf comm.PeerFailure
 		if err != nil && !errors.As(err, &pf) {
 			return nil, err
 		}
-		rec.TotalModelTime += out.Run.ModelTime
+		rec.TotalModelTime += run.ModelTime
 		if err == nil {
-			st := out.Results[0].Stats
 			rec.TotalIterations += st.Iterations - st.StartIteration
 			rec.LostIterations = rec.TotalIterations - st.Iterations
-			out.Recovery = rec
-			return out, nil
+			return rec, nil
 		}
 		rec.Failures = append(rec.Failures, pf)
 		if got := store.Reached(pf.Rank); got > startIter {
 			rec.TotalIterations += got - startIter
 		}
-		if rec.Attempts > v.MaxRestarts {
+		if rec.Attempts > maxRestarts {
 			return nil, fmt.Errorf("hpfexec: solve failed after %d attempts: %w", rec.Attempts, pf)
 		}
-		if adv, ok := pr.m.Injector().(interface{ Advance(float64) }); ok {
-			adv.Advance(out.Run.ModelTime)
+		if adv, ok := m.Injector().(interface{ Advance(float64) }); ok {
+			adv.Advance(run.ModelTime)
 		}
 	}
 }
 
-// run is the one solve loop. On a machine-level failure (fault layer,
-// watchdog) it returns the error together with a BatchResult holding
-// only Run — the failed attempt's cost, which a resilient solve books
-// as lost work.
-func (pr *Prepared) run(rhs [][]float64, opts []core.Options, d time.Duration, solve solveFn) (*BatchResult, error) {
+// run is the one solve loop. On any error the BatchResult is nil; the
+// RunStats are then what a machine-level failure (fault layer,
+// watchdog) cost — the failed attempt a resilient solve books as lost
+// work — and zero when the run never started.
+func (pr *Prepared) run(rhs [][]float64, opts []core.Options, d time.Duration, solve solveFn) (*BatchResult, comm.RunStats, error) {
+	var run comm.RunStats
 	if len(rhs) == 0 {
-		return nil, fmt.Errorf("hpfexec: empty batch")
+		return nil, run, fmt.Errorf("hpfexec: empty batch")
 	}
 	n := pr.N()
 	for k, b := range rhs {
 		if len(b) != n {
-			return nil, fmt.Errorf("hpfexec: rhs %d length %d != %d", k, len(b), n)
+			return nil, run, fmt.Errorf("hpfexec: rhs %d length %d != %d", k, len(b), n)
 		}
 	}
 	if len(opts) != 1 && len(opts) != len(rhs) {
-		return nil, fmt.Errorf("hpfexec: got %d option sets for %d right-hand sides", len(opts), len(rhs))
+		return nil, run, fmt.Errorf("hpfexec: got %d option sets for %d right-hand sides", len(opts), len(rhs))
 	}
 
 	np, nrhs := pr.m.NP(), len(rhs)
@@ -398,7 +417,6 @@ func (pr *Prepared) run(rhs [][]float64, opts []core.Options, d time.Duration, s
 			mk[k+1] = p.Clock()
 		}
 	}
-	var run comm.RunStats
 	var err error
 	if d > 0 {
 		run, err = pr.m.RunTimeout(body, d)
@@ -406,10 +424,10 @@ func (pr *Prepared) run(rhs [][]float64, opts []core.Options, d time.Duration, s
 		run, err = pr.m.RunChecked(body)
 	}
 	if err != nil {
-		return &BatchResult{Run: run}, err
+		return nil, run, err
 	}
 	if buildErr != nil {
-		return nil, buildErr
+		return nil, run, buildErr
 	}
 	if !warm {
 		if mode != "" {
@@ -442,5 +460,5 @@ func (pr *Prepared) run(rhs [][]float64, opts []core.Options, d time.Duration, s
 		results[k].Run, results[k].Strategy = run, pr.strategy
 		out.Results[k] = &results[k]
 	}
-	return out, nil
+	return out, run, nil
 }

@@ -119,36 +119,27 @@ func (mb *matrixBackend) memoryBytes() int64 {
 	return 2*sz + int64(mb.A.NRows)*2*floatB
 }
 
-// build constructs this rank's mat-vec operator. For CSR it performs
-// the inspector-based executor selection (ghost halo vs broadcast) — a
-// collective, so all ranks agree.
+// build constructs this rank's mat-vec operator. For CSR that is the
+// halo executor, inspected to the s-step depth; at depth 1 the build
+// falls back to the broadcast executor when the widest halo exceeds a
+// quarter of the vector (E14/E15) — a collective, so all ranks agree.
+// At depth >= 2 the widened closure is what makes one exchange serve a
+// whole basis block, so the fallback never applies.
 func (mb *matrixBackend) build(p *comm.Proc, sstep int) (rankOps, error) {
 	ro := rankOps{d: mb.d}
-	switch {
-	case mb.format == "csc":
+	if mb.format == "csc" {
 		mode := spmv.ModeSerialized
 		if mb.hasMerge {
 			mode = spmv.ModePrivateMerge
 		}
 		ro.op = spmv.NewColBlockCSC(p, mb.csc, mb.d, mode)
-	case sstep >= 2:
-		// The s-step path always runs the matrix-powers executor: the
-		// widened ghost closure is what makes one exchange serve a whole
-		// basis block, so the broadcast fallback never applies.
-		ro.op, ro.mode = spmv.NewRowBlockCSRPowers(p, mb.A, mb.d, sstep), "local(ghost)"
-	default:
-		// Inspector-based executor selection: build the ghost schedule
-		// once; if the largest halo stays below a quarter of the vector,
-		// the halo exchange beats the broadcast (E14/E15), otherwise fall
-		// back to the allgather operator. The decision is collective so
-		// all processors take the same branch.
-		ghostOp := spmv.NewRowBlockCSRGhost(p, mb.A, mb.d)
-		maxGhosts := p.AllreduceScalar(float64(ghostOp.NGhosts()), comm.OpMax)
-		if maxGhosts <= 0.25*float64(mb.A.NRows) {
-			ro.op, ro.mode = ghostOp, "local(ghost)"
-		} else {
-			ro.op, ro.mode = spmv.NewRowBlockCSR(p, mb.A, mb.d), "local(broadcast)"
-		}
+		return ro, nil
+	}
+	depth := max(1, sstep)
+	halo := spmv.NewRowBlockCSRPowers(p, mb.A, mb.d, depth)
+	ro.op, ro.mode = halo, "local(ghost)"
+	if depth == 1 && p.AllreduceScalar(float64(halo.NGhosts()), comm.OpMax) > 0.25*float64(mb.A.NRows) {
+		ro.op, ro.mode = spmv.NewRowBlockCSR(p, mb.A, mb.d), "local(broadcast)"
 	}
 	return ro, nil
 }

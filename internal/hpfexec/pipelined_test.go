@@ -251,7 +251,7 @@ func TestStencilPipelinedBitIdenticalToAssembled(t *testing.T) {
 			bv := darray.New(p, brick.VectorDist())
 			xv := darray.New(p, brick.VectorDist())
 			bv.SetGlobal(func(g int) float64 { return b[g] })
-			s, err := core.CGPipelined(p, op, bv, xv, core.Options{Tol: 1e-10}, true)
+			s, err := core.CGPipelined(p, op, bv, xv, core.Options{Tol: 1e-10})
 			if err != nil {
 				t.Error(err)
 				return

@@ -246,3 +246,49 @@ func TestSolveCGResilientDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveCGResilientCrashAfterLastIteration: a crash in the gather
+// window — after iteration MaxIter wrote its checkpoint, before the run
+// ends — restores at the iteration limit, so the retry has no iteration
+// left to run. It must still report the MaxIter iterations the solve
+// took, none of them lost.
+func TestSolveCGResilientCrashAfterLastIteration(t *testing.T) {
+	A := sparse.Laplace2D(16, 16)
+	b := sparse.RandomVector(A.NRows, 7)
+	np := 4
+	plan := bindPlan(t, csrPlan, A.NRows, A.NNZ(), np)
+	opt := core.Options{Tol: 1e-300, MaxIter: 20}
+	v := Variant{CkptInterval: 10}
+
+	ref, err := solveResilient(machine(np), plan, A, b, opt, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frac := range []float64{0.98, 0.985, 0.99, 0.995} {
+		inj, err := fault.NewInjector(fault.Plan{Events: []fault.Event{
+			{Kind: fault.Crash, Rank: 2, At: frac * ref.Run.ModelTime, Dst: -1},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := machine(np)
+		m.AttachInjector(inj)
+		res, err := solveResilient(m, plan, A, b, opt, v)
+		if err != nil {
+			t.Fatalf("crash at %g·T: %v", frac, err)
+		}
+		if res.Attempts != 2 || res.Stats.StartIteration != opt.MaxIter {
+			t.Fatalf("crash at %g·T: attempts=%d start=%d, want a restore at iteration %d",
+				frac, res.Attempts, res.Stats.StartIteration, opt.MaxIter)
+		}
+		if res.Stats.Iterations != opt.MaxIter || res.TotalIterations != opt.MaxIter || res.LostIterations != 0 {
+			t.Errorf("crash at %g·T: iterations=%d total=%d lost=%d, want %d / %d / 0",
+				frac, res.Stats.Iterations, res.TotalIterations, res.LostIterations, opt.MaxIter, opt.MaxIter)
+		}
+		for g := range ref.X {
+			if res.X[g] != ref.X[g] {
+				t.Fatalf("crash at %g·T: solution differs from the fault-free run at %d", frac, g)
+			}
+		}
+	}
+}

@@ -102,15 +102,8 @@ func CheckVariant(backend string, v Variant) error {
 // side. M is the backend's preconditioner, nil when it has none.
 type solveFn func(p *comm.Proc, op spmv.Operator, M core.Preconditioner, b, x *darray.Vector, opt core.Options) (core.Stats, error)
 
-func solvePlain(p *comm.Proc, op spmv.Operator, M core.Preconditioner, b, x *darray.Vector, opt core.Options) (core.Stats, error) {
-	if M != nil {
-		return core.PCG(p, op, M, b, x, opt)
-	}
-	return core.CG(p, op, b, x, opt)
-}
-
 func solvePipelined(p *comm.Proc, op spmv.Operator, _ core.Preconditioner, b, x *darray.Vector, opt core.Options) (core.Stats, error) {
-	return core.CGPipelined(p, op, b, x, opt, true)
+	return core.CGPipelined(p, op, b, x, opt)
 }
 
 // WithVariant sets the recurrence the handle's solves run, checked
@@ -153,7 +146,7 @@ func (pr *Prepared) WithVariant(v Variant) error {
 			return core.CGSStep(p, op, b, x, opt, s)
 		}
 	default:
-		pr.solve = solvePlain
+		pr.solve = core.PCG
 	}
 	pr.variant = v
 	pr.strategy.SStep, pr.strategy.Pipelined = s, v.Pipelined

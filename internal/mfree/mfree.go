@@ -14,7 +14,7 @@
 // adjacent boundary plane of ranks r±1, known without any exchange.
 //
 // Numerical contract: Apply/ApplyDot are bit-identical to the
-// assembled-CSR ghost executor (spmv.RowBlockCSRGhost over
+// assembled-CSR halo executor (spmv.NewRowBlockCSRGhost over
 // Spec.Assemble with the same brick layout). The kernels accumulate
 // stencil terms in ascending global column order — the order a sorted
 // CSR row stores them — with identical coefficient values and identical

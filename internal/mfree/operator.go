@@ -19,7 +19,7 @@ import (
 // Bit-identity contract: for every local row the stencil terms
 // accumulate into one scalar in ascending global column order — the
 // order a sorted CSR row stores its entries — with the identical
-// multiply-add sequence spmv.RowBlockCSRGhost performs over
+// multiply-add sequence spmv's depth-1 halo executor performs over
 // Spec.Assemble() on the same brick layout. Flop charges match too
 // (2·nnzLocal per Apply, +2·n for the fused dot), so matrix-free and
 // assembled CG runs produce identical iterates on identical modeled

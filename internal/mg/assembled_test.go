@@ -2,11 +2,11 @@
 // matrix-free — kept as the comparator every kernel, transfer and whole
 // solve of the matrix-free hierarchy is held to, bit for bit and on the
 // modeled clock: the local rows of the 27-point stencil in CSR form with
-// the ghost encoding RowBlockCSRGhost established (column >= 0 is a local
-// offset, column < 0 is ghost slot -(c+1)), one inspector halo schedule
-// for the smoother/mat-vec, and the injection restriction and its
-// transpose prolongation as inspector gather schedules over the
-// neighbouring level's distribution.
+// a signed ghost encoding (column >= 0 is a local offset, column < 0 is
+// ghost slot -(c+1)), one inspector halo schedule for the smoother and
+// mat-vec, and the injection restriction and its transpose prolongation
+// as inspector gather schedules over the neighbouring level's
+// distribution.
 package mg
 
 import (

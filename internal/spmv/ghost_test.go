@@ -116,3 +116,35 @@ func TestGhostWorksUnderGather(t *testing.T) {
 	}, false)
 	checkClose(t, "dense-ghost", got, want)
 }
+
+// The depth-1 executor must stay as small as the matrix allows: its
+// values are A's own (no copy), its column map is sized exactly, and the
+// basis-block work buffers do not exist until a block is asked for —
+// a plain CG solve never pays for them.
+func TestGhostAliasesMatrixAndDefersBlockBuffers(t *testing.T) {
+	A := sparse.Banded(64, 3)
+	np := 4
+	d := dist.NewBlock(64, np)
+	machine(np).Run(func(p *comm.Proc) {
+		op := NewRowBlockCSRGhost(p, A, d)
+		lo := A.RowPtr[d.Lo(p.Rank())]
+		if len(op.val) != op.nnzLocal || &op.val[0] != &A.Val[lo] {
+			t.Errorf("rank %d: values are a copy (%d entries for %d local)", p.Rank(), len(op.val), op.nnzLocal)
+		}
+		if len(op.colSlot) != op.nnzLocal || cap(op.colSlot) != op.nnzLocal {
+			t.Errorf("rank %d: column map len %d cap %d for %d entries", p.Rank(), len(op.colSlot), cap(op.colSlot), op.nnzLocal)
+		}
+		x := darray.New(p, d)
+		y := darray.New(p, d)
+		x.Fill(1)
+		op.Apply(x, y)
+		op.ApplyDot(x, y)
+		if op.work0 != nil || op.work1 != nil {
+			t.Errorf("rank %d: block buffers allocated before any ApplyPowersBlock", p.Rank())
+		}
+		op.ApplyPowersBlock([]*darray.Vector{x}, [][]*darray.Vector{{y}})
+		if len(op.work0) != op.nSlots || len(op.work1) != op.nSlots {
+			t.Errorf("rank %d: block buffers %d/%d after a block, want %d", p.Rank(), len(op.work0), len(op.work1), op.nSlots)
+		}
+	})
+}

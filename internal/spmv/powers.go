@@ -1,13 +1,22 @@
-// The matrix-powers kernel: the communication-avoiding step beyond the
-// single-level inspector-executor of ghost.go. An s-step Krylov solver
-// needs the whole basis block {A·v, A²·v, …, Aˢ·v} per outer iteration;
-// computing it with s ordinary Applies pays s ghost exchanges (s
-// per-neighbour message startups). The kernel here instead *widens* the
-// inspector: at construction it walks the s-level reachability closure
-// of this rank's row partition — ring 0 is the local rows, ring t the
-// column indices first reachable in t hops — stores replicated matrix
-// rows for rings 0..s-1 (the PA1 overlap of Demmel/Hoemmen/Mohiyuddin),
-// and builds ONE inspector.Schedule over the ring 1..s indices. Every
+// The halo executor: Scenario 1 with an inspector-executor instead of
+// the all-to-all broadcast. At construction the column indices of the
+// local rows are inspected, a communication schedule for just the
+// off-processor ("ghost") elements of p is built once, and every Apply
+// reuses it. For matrices with locality (banded, mesh) the halo is
+// O(bandwidth) instead of O(n), turning Scenario 1's t_w·n·(NP-1)/NP
+// broadcast into a neighbour exchange — the §5.1 inspector cost paid
+// once and amortised over CG iterations (experiment E14).
+//
+// That is depth 1 of the matrix-powers kernel, the communication-
+// avoiding step beyond it. An s-step Krylov solver needs the whole
+// basis block {A·v, A²·v, …, Aˢ·v} per outer iteration; computing it
+// with s ordinary Applies pays s ghost exchanges (s per-neighbour
+// message startups). The kernel instead *widens* the inspector: at
+// construction it walks the s-level reachability closure of this
+// rank's row partition — ring 0 is the local rows, ring t the column
+// indices first reachable in t hops — stores replicated matrix rows
+// for rings 0..s-1 (the PA1 overlap of Demmel/Hoemmen/Mohiyuddin), and
+// builds ONE inspector.Schedule over the ring 1..s indices. Every
 // basis block then needs a single (wider) halo exchange; the redundant
 // flops on the overlap rows are the latency-for-flops trade the s-step
 // cost model (hpfexec.Frontier) weighs against saved allreduce and
@@ -18,7 +27,7 @@
 // need), so the per-level sweep shrinks back to exactly the local rows
 // at the top level; summation per row is in the original CSR column
 // order, which keeps every produced vector bit-identical to the one
-// j repeated RowBlockCSRGhost.Applies would yield.
+// j repeated depth-1 Applies would yield.
 package spmv
 
 import (
@@ -47,10 +56,11 @@ type PowersOperator interface {
 	ApplyPowersBlock(seeds []*darray.Vector, outs [][]*darray.Vector)
 }
 
-// RowBlockCSRPowers is the row-block CSR matrix-powers kernel. It is a
-// drop-in Operator (Apply/ApplyDot are bit-identical in values to
-// RowBlockCSRGhost, over the widened schedule) that additionally
-// serves whole basis blocks through ApplyPowersBlock.
+// RowBlockCSRPowers is the row-block CSR halo executor, inspected to a
+// closure depth: an Operator whose Apply/ApplyDot exchange the (depth-
+// wide) halo and sum each local row in CSR order — the same values at
+// every depth — and that additionally serves whole basis blocks of up
+// to depth levels through ApplyPowersBlock.
 type RowBlockCSRPowers struct {
 	p     *comm.Proc
 	d     dist.Contiguous
@@ -75,7 +85,9 @@ type RowBlockCSRPowers struct {
 	// (sum of the per-level prefixes) — the flop-charge table.
 	cumEntries []int
 
-	// Ping-pong level buffers; steady state allocates nothing.
+	// Ping-pong level buffers, allocated by the first ApplyPowersBlock
+	// (a plain CG solve never needs them); steady state allocates
+	// nothing.
 	work0, work1 []float64
 	seedLocals   [][]float64 // reusable ExchangeBlock argument
 
@@ -123,10 +135,18 @@ func powersClosure(A *sparse.CSR, d dist.Contiguous, rank, depth int) (extRows, 
 	return extRows, ringEnd, ghosts
 }
 
+// NewRowBlockCSRGhost builds the single-level halo executor: the
+// depth-1 kernel, whose ghost set is exactly the off-processor columns
+// of the local rows.
+func NewRowBlockCSRGhost(p *comm.Proc, A *sparse.CSR, d dist.Contiguous) *RowBlockCSRPowers {
+	return NewRowBlockCSRPowers(p, A, d, 1)
+}
+
 // NewRowBlockCSRPowers slices the row strip, inspects the depth-level
 // closure and runs the widened inspector (collective: every processor
-// must construct it together, like NewRowBlockCSRGhost).
+// must construct it together).
 func NewRowBlockCSRPowers(p *comm.Proc, A *sparse.CSR, d dist.Contiguous, depth int) *RowBlockCSRPowers {
+	checkShape(p, A, d)
 	if depth < 1 {
 		panic(fmt.Sprintf("spmv: powers depth %d < 1", depth))
 	}
@@ -150,6 +170,18 @@ func NewRowBlockCSRPowers(p *comm.Proc, A *sparse.CSR, d dist.Contiguous, depth 
 		n:       A.NRows,
 		nnz:     A.NNZ(),
 	}
+	for ei, i := range extRows {
+		a.rowPtr[ei+1] = a.rowPtr[ei] + A.RowPtr[i+1] - A.RowPtr[i]
+	}
+	a.nnzLocal = a.rowPtr[cnt]
+	stored := a.rowPtr[len(extRows)]
+	// The local rows are contiguous in A, so the depth-1 kernel reads
+	// their values in place; only replicated overlap rows force a copy.
+	a.val = A.Val[A.RowPtr[lo] : A.RowPtr[lo]+a.nnzLocal]
+	if depth > 1 {
+		a.val = make([]float64, stored)
+	}
+	a.colSlot = make([]int, stored)
 	slot := func(g int) int {
 		if g >= lo && g < lo+cnt {
 			return g - lo
@@ -158,13 +190,15 @@ func NewRowBlockCSRPowers(p *comm.Proc, A *sparse.CSR, d dist.Contiguous, depth 
 	}
 	for ei, i := range extRows {
 		a.rowSlot[ei] = slot(i)
-		for k := A.RowPtr[i]; k < A.RowPtr[i+1]; k++ {
-			a.colSlot = append(a.colSlot, slot(A.Col[k]))
-			a.val = append(a.val, A.Val[k])
+		at := a.rowPtr[ei]
+		if depth > 1 {
+			copy(a.val[at:], A.Val[A.RowPtr[i]:A.RowPtr[i+1]])
 		}
-		a.rowPtr[ei+1] = len(a.val)
+		for k := A.RowPtr[i]; k < A.RowPtr[i+1]; k++ {
+			a.colSlot[at] = slot(A.Col[k])
+			at++
+		}
 	}
-	a.nnzLocal = a.rowPtr[cnt]
 	for t := 0; t < depth; t++ {
 		a.nnzAt[t] = a.rowPtr[a.ringEnd[t]]
 	}
@@ -178,8 +212,6 @@ func NewRowBlockCSRPowers(p *comm.Proc, A *sparse.CSR, d dist.Contiguous, depth 
 		}
 		a.cumEntries[dep] = sum
 	}
-	a.work0 = make([]float64, a.nSlots)
-	a.work1 = make([]float64, a.nSlots)
 	return a
 }
 
@@ -212,24 +244,25 @@ func (a *RowBlockCSRPowers) Rebind(p *comm.Proc) {
 	a.sched.Rebind(p)
 }
 
-// Apply implements Operator: one (widened) halo exchange, then the
-// local row loop. Values are bit-identical to RowBlockCSRGhost.Apply —
-// the summation runs over the same entries in the same CSR order —
-// only the modeled exchange is wider.
+// Apply implements Operator: one halo exchange, then the local row
+// loop reading either the local block or the ghost buffer. Values do
+// not depend on the depth — the summation runs over the same entries
+// in the same CSR order — only the modeled exchange widens with it.
 func (a *RowBlockCSRPowers) Apply(x, y *darray.Vector) {
 	checkAligned("RowBlockCSRPowers.Apply", a.d, x, y)
 	xl := x.Local()
 	ghosts := a.sched.Exchange(xl)
 	yl := y.Local()
+	nLocal := a.nLocal
 	for i := range yl {
 		s := 0.0
 		for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
 			c := a.colSlot[k]
 			var xv float64
-			if c < a.nLocal {
+			if c < nLocal {
 				xv = xl[c]
 			} else {
-				xv = ghosts[c-a.nLocal]
+				xv = ghosts[c-nLocal]
 			}
 			s += a.val[k] * xv
 		}
@@ -245,16 +278,17 @@ func (a *RowBlockCSRPowers) ApplyDot(x, y *darray.Vector) float64 {
 	xl := x.Local()
 	ghosts := a.sched.Exchange(xl)
 	yl := y.Local()
+	nLocal := a.nLocal
 	dot := 0.0
 	for i := range yl {
 		s := 0.0
 		for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
 			c := a.colSlot[k]
 			var xv float64
-			if c < a.nLocal {
+			if c < nLocal {
 				xv = xl[c]
 			} else {
-				xv = ghosts[c-a.nLocal]
+				xv = ghosts[c-nLocal]
 			}
 			s += a.val[k] * xv
 		}
@@ -288,6 +322,10 @@ func (a *RowBlockCSRPowers) ApplyPowersBlock(seeds []*darray.Vector, outs [][]*d
 		locals[v] = sv.Local()
 	}
 	ghosts := a.sched.ExchangeBlock(locals)
+	if a.work0 == nil {
+		a.work0 = make([]float64, a.nSlots)
+		a.work1 = make([]float64, a.nSlots)
+	}
 	entries := 0
 	for v := range seeds {
 		dep := len(outs[v])

@@ -28,7 +28,7 @@ func TestPowersApplyMatchesReference(t *testing.T) {
 
 // The load-bearing property of the kernel: a basis block produced by
 // ApplyPowersBlock must be bit-identical — not approximately equal —
-// to the vectors repeated RowBlockCSRGhost applies yield, because
+// to the vectors repeated depth-1 Applies yield, because
 // CGSStep's s=1 equivalence and its cross-s convergence accounting
 // both assume the block brings in no new rounding.
 func TestPowersBlockBitIdenticalToRepeatedApplies(t *testing.T) {

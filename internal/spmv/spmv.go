@@ -119,6 +119,18 @@ func checkAligned(op string, d dist.Dist, x, y *darray.Vector) {
 	}
 }
 
+// checkShape panics unless A is square and d distributes its rows over
+// p's machine.
+func checkShape(p *comm.Proc, A *sparse.CSR, d dist.Contiguous) {
+	if A.NRows != A.NCols {
+		panic(fmt.Sprintf("spmv: matrix must be square, got %dx%d", A.NRows, A.NCols))
+	}
+	if A.NRows != d.N() || d.NP() != p.NP() {
+		panic(fmt.Sprintf("spmv: distribution %dx%d does not match matrix %d / machine %d",
+			d.N(), d.NP(), A.NRows, p.NP()))
+	}
+}
+
 func checkRebind(op string, old, new *comm.Proc) {
 	if new.Rank() != old.Rank() || new.NP() != old.NP() {
 		panic(fmt.Sprintf("spmv: %s rebind rank %d/%d onto operator built for %d/%d",
@@ -145,13 +157,7 @@ type RowBlockCSR struct {
 // NewRowBlockCSR slices processor p's row strip out of the global
 // matrix A. Every processor must call it with the same A and d.
 func NewRowBlockCSR(p *comm.Proc, A *sparse.CSR, d dist.Contiguous) *RowBlockCSR {
-	if A.NRows != A.NCols {
-		panic(fmt.Sprintf("spmv: matrix must be square, got %dx%d", A.NRows, A.NCols))
-	}
-	if A.NRows != d.N() || d.NP() != p.NP() {
-		panic(fmt.Sprintf("spmv: distribution %dx%d does not match matrix %d / machine %d",
-			d.N(), d.NP(), A.NRows, p.NP()))
-	}
+	checkShape(p, A, d)
 	r := p.Rank()
 	lo := d.Lo(r)
 	hi := lo + d.Count(r)
