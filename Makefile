@@ -55,9 +55,10 @@ golden:
 # matrix-free (5-point; 27-point on two-plane slabs so ghost and local
 # source planes both occur, plain and pipelined), pipelined CSR and a
 # resilient solve absorbing an injected crash — each once more under the
-# -timeout watchdog every mode shares — then hpfserve's self-checks: a
-# job over real HTTP, and a router plus two shards routing repeat
-# traffic to the shard that holds the plan.
+# -timeout deadline every mode shares — and one absorbing a dropped
+# message, then hpfserve's self-checks: a job over real HTTP, and a
+# router plus two shards routing repeat traffic to the shard that holds
+# the plan.
 smoke:
 	$(GO) run ./cmd/hpfrun -hpcg 6,6,6 -np 4 > /dev/null
 	$(GO) run ./cmd/hpfrun -hpcg 6,6,6 -timeout 30s > /dev/null
@@ -68,6 +69,7 @@ smoke:
 	$(GO) run ./cmd/hpfrun -np 4 -matrix banded:256:4 -demo csr -pipelined > /dev/null
 	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "crash:rank=2@t=0.5ms" -resilient -ckpt 5 > /dev/null
 	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "crash:rank=2@t=0.5ms" -resilient -ckpt 5 -timeout 30s > /dev/null
+	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "drop:rank=1,n=1,dst=0" -resilient > /dev/null
 	$(GO) run ./cmd/hpfserve -smoke
 	$(GO) run ./cmd/hpfserve -cluster-smoke
 

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -43,7 +44,7 @@ func main() {
 		tol        = flag.Float64("tol", 1e-10, "relative residual tolerance")
 		demo       = flag.String("demo", "", "built-in directive program: csr | csc-serial | csc-merge | balanced")
 		commMatrix = flag.Bool("commmatrix", false, "print the communication matrix")
-		timeout    = flag.Duration("timeout", 0, "abort a deadlocked SPMD solve after this long (0 = wait forever)")
+		timeout    = flag.Duration("timeout", 0, "deadline on the whole solve: abort it after this long (0 = wait forever)")
 		faultStr   = flag.String("fault", "", `fault spec, e.g. "crash:rank=2@t=0.5ms,straggle:rank=1,x=4"`)
 		resilient  = flag.Bool("resilient", false, "survive injected crashes via checkpoint/restart")
 		sstep      = flag.Int("sstep", -1, "s-step CG blocking factor: -1 = plain CG, 0 = auto from the cost model, s >= 1 fixed (CSR layouts)")
@@ -102,8 +103,14 @@ func main() {
 	}
 	b := sparse.RandomVector(pr.N(), 42) // deterministic, nontrivial rhs
 
+	ctx := context.Background()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
 	start := time.Now()
-	out, err := pr.SolveBatchTimeout([][]float64{b}, []core.Options{{Tol: *tol}}, *timeout)
+	out, err := pr.SolveBatchContext(ctx, [][]float64{b}, []core.Options{{Tol: *tol}})
 	if err != nil {
 		fatal(err)
 	}

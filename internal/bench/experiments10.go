@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"hpfcg/internal/comm"
@@ -68,7 +69,7 @@ func E25(cfg Config) ([]*report.Table, error) {
 		var st core.Stats
 		setups := make([]float64, np)
 		var solveErr error
-		rs, err := cfg.machine(np).RunChecked(func(p *comm.Proc) {
+		rs, err := cfg.machine(np).RunContext(context.Background(), func(p *comm.Proc) {
 			op := spmv.NewRowBlockCSRGhost(p, A, brick.VectorDist())
 			setups[p.Rank()] = p.Clock()
 			bv := darray.New(p, brick.VectorDist())

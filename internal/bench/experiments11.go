@@ -85,7 +85,7 @@ func E26(cfg Config) ([]*report.Table, error) {
 			"Enforced: >= 1 scale with pipe_per_it strictly below plain_per_it and hidden",
 			"> 0, and both arms converged below tol at every scale. The two recurrences",
 			"order the same arithmetic differently, so answers agree to rounding, not",
-			"bitwise (bit-identity is the overlap-disabled contract, enforced in core).",
+			"bitwise.",
 		},
 	}
 	sawWin := false

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -53,7 +54,7 @@ func runMission(cfg Config, A *sparse.CSR, b []float64, np, interval int, plan f
 	}
 	// Each scheduled crash can fail at most one attempt.
 	out.rec, err = hpfexec.Restart(m, store, len(plan.Events)+1, func() (comm.RunStats, core.Stats, error) {
-		rs, err := m.RunChecked(fn)
+		rs, err := m.RunContext(context.Background(), fn)
 		if err == nil {
 			err = solveErr
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"hpfcg/internal/comm"
@@ -46,7 +47,7 @@ func E24(cfg Config) ([]*report.Table, error) {
 	plainCG := func(np int, spec mg.Spec) (core.Stats, comm.RunStats, error) {
 		var st core.Stats
 		var solveErr error
-		rs, err := cfg.machine(np).RunChecked(func(p *comm.Proc) {
+		rs, err := cfg.machine(np).RunContext(context.Background(), func(p *comm.Proc) {
 			pb, err := mg.NewProblem(p, spec)
 			if err != nil {
 				solveErr = err

@@ -16,11 +16,11 @@
 package comm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hpfcg/internal/topology"
 	"hpfcg/internal/trace"
@@ -40,20 +40,24 @@ type message struct {
 	tag    int
 	pl     Payload
 	depart float64 // sender's modeled clock when the message left
-	hops   int
 	delay  float64 // injected extra latency (fault layer); 0 when healthy
+	// hops is int32 so that lost shares its word: mailbox buffers, which
+	// a cached plan keeps alive through its last run, do not grow.
+	hops int32
+	// lost marks the place of a message the fault layer dropped: the
+	// receiver that reaches it fails instead of reading what follows.
+	lost bool
 }
 
 // Machine is an NP-processor virtual parallel computer with a fixed
 // interconnection topology and cost parameters. A Machine is reusable:
 // each Run gets fresh mailboxes.
 type Machine struct {
-	np           int
-	topo         topology.Topology
-	cost         topology.CostParams
-	tracer       *trace.Tracer
-	inj          Injector      // nil = fault injection disabled
-	recvDeadline time.Duration // 0 = wait forever (armed by AttachInjector)
+	np     int
+	topo   topology.Topology
+	cost   topology.CostParams
+	tracer *trace.Tracer
+	inj    Injector // nil = fault injection disabled
 }
 
 // NewMachine creates a machine of np processors connected by topo and
@@ -171,6 +175,9 @@ type runCtx struct {
 	// run is being torn down: then a raised flag says nothing about its
 	// rank, and whoever sees it just unwinds.
 	aborted atomic.Bool
+	// done is the run context's Done channel (nil for Run), polled by
+	// Compute.
+	done <-chan struct{}
 	// shared backs Proc.Shared: key -> *sharedSlot.
 	shared sync.Map
 }
@@ -191,7 +198,7 @@ func (rc *runCtx) markDead(rank int) {
 }
 
 // doAbort unwinds every rank at its next blocking point: the response
-// to a programming-error panic and to the RunTimeout watchdog.
+// to a programming-error panic and to the end of the run's context.
 func (rc *runCtx) doAbort() {
 	rc.aborted.Store(true)
 	for r := range rc.dead {
@@ -205,84 +212,49 @@ type abortError struct{}
 
 func (abortError) Error() string { return "comm: aborted because a peer processor failed" }
 
-// errAborted is run's internal result when every panic was a secondary
-// abortError — which only happens when an external watchdog (RunTimeout)
-// fired the abort. It never escapes the package.
-var errAborted = errors.New("comm: run aborted by watchdog")
-
-// RunTimeout is Run with a deadlock watchdog: if the SPMD program has
-// not finished within d, every processor blocked in communication is
-// aborted and an error describing the hang is returned (with zero
-// stats). Mismatched collectives — the classic SPMD bug where one
-// processor takes a different branch — hang forever under Run;
-// RunTimeout turns them into a diagnosable failure. Like RunChecked,
-// it returns injected-fault failures as typed PeerFailure errors.
-func (m *Machine) RunTimeout(fn func(p *Proc), d time.Duration) (RunStats, error) {
-	type outcome struct {
-		rs  RunStats
-		err error
+// stopped is the error of a run its context ended. A passed deadline
+// gets the deadlock diagnostic: mismatched collectives — the classic
+// SPMD bug where one processor takes a different branch — hang forever
+// under Run, and a deadline turns them into a diagnosable failure.
+func stopped(err error) error {
+	if errors.Is(err, context.Canceled) {
+		return fmt.Errorf("comm: SPMD program cancelled: %w", err)
 	}
-	done := make(chan outcome, 1)
-	panicked := make(chan any, 1)
-	var rcHolder atomic.Pointer[runCtx]
-	go func() {
-		defer func() {
-			if e := recover(); e != nil {
-				panicked <- e
-			}
-		}()
-		rs, err := m.run(fn, &rcHolder)
-		done <- outcome{rs, err}
-	}()
-	select {
-	case o := <-done:
-		return o.rs, o.err
-	case e := <-panicked:
-		panic(e)
-	case <-time.After(d):
-		if rc := rcHolder.Load(); rc != nil {
-			rc.doAbort()
-		}
-		// Wait for the aborted run to unwind; its procs report the
-		// secondary abortError panics, which run folds into errAborted.
-		select {
-		case o := <-done:
-			if o.err != nil && !errors.Is(o.err, errAborted) {
-				return o.rs, o.err
-			}
-		case e := <-panicked:
-			panic(e)
-		}
-		return RunStats{}, fmt.Errorf("comm: SPMD program deadlocked (no completion within %v); likely mismatched collectives or unmatched send/recv", d)
-	}
+	return fmt.Errorf("comm: SPMD program deadlocked (no completion before the deadline: %w); likely mismatched collectives or unmatched send/recv", err)
 }
 
 // Run executes fn on every processor concurrently (SPMD) and returns
 // aggregate statistics. If any processor panics, Run re-panics with the
 // first failure after all goroutines have stopped; an injected-fault
-// failure panics with the typed PeerFailure (use RunChecked to receive
+// failure panics with the typed PeerFailure (use RunContext to receive
 // it as an error instead).
 func (m *Machine) Run(fn func(p *Proc)) RunStats {
-	rs, err := m.run(fn, nil)
+	rs, err := m.run(context.Background(), fn)
 	if err != nil {
 		panic(err)
 	}
 	return rs
 }
 
-// RunChecked is Run for programs that may be killed by the fault
-// layer: an injected crash or a deadline-detected dead peer returns a
-// typed PeerFailure error together with the partial run's statistics.
-// The failed run's ModelTime is PeerFailure.Clock — the failure instant
+// RunContext is Run bounded by ctx and for programs that may be killed
+// by the fault layer. An injected crash or a lost message returns a
+// typed PeerFailure error together with the partial run's statistics:
+// the failed run's ModelTime is PeerFailure.Clock — the failure instant
 // on the modeled clock, which the resilient solver accounts as lost
-// work; the per-rank stats include what each survivor did before it
-// came to need the dead rank. Programming-error panics still propagate
-// as panics.
-func (m *Machine) RunChecked(fn func(p *Proc)) (RunStats, error) {
-	return m.run(fn, nil)
+// work — and the per-rank stats include what each survivor did before
+// it came to need the dead rank. When ctx ends first, every processor
+// unwinds at its next communication or Compute and the error (with
+// zero stats) wraps ctx.Err(); an already-ended ctx runs nothing. A run
+// that completes keeps its result. Programming-error panics still
+// propagate as panics.
+func (m *Machine) RunContext(ctx context.Context, fn func(p *Proc)) (RunStats, error) {
+	if err := ctx.Err(); err != nil {
+		return RunStats{}, stopped(err)
+	}
+	return m.run(ctx, fn)
 }
 
-func (m *Machine) run(fn func(p *Proc), rcHolder *atomic.Pointer[runCtx]) (RunStats, error) {
+func (m *Machine) run(ctx context.Context, fn func(p *Proc)) (RunStats, error) {
 	rc := &runCtx{
 		mail:  make([][]chan message, m.np),
 		bytes: make([][]int64, m.np),
@@ -298,8 +270,11 @@ func (m *Machine) run(fn func(p *Proc), rcHolder *atomic.Pointer[runCtx]) (RunSt
 			}
 		}
 	}
-	if rcHolder != nil {
-		rcHolder.Store(rc)
+	// Ranks blocked in communication learn that the context ended through
+	// the abort; computing ranks poll done. context.AfterFunc allocates
+	// even for a context that never ends, so Run's registers nothing.
+	if rc.done = ctx.Done(); rc.done != nil {
+		defer context.AfterFunc(ctx, rc.doAbort)()
 	}
 
 	var rec *trace.Recorder
@@ -320,7 +295,6 @@ func (m *Machine) run(fn func(p *Proc), rcHolder *atomic.Pointer[runCtx]) (RunSt
 			pool:       make([][]float64, 0, poolCap),
 			intPool:    make([][]int, 0, intPoolCap),
 			lastFactor: 1,
-			deadline:   m.recvDeadline,
 		}
 		if rec != nil {
 			p.tr = rec.Rank(r)
@@ -353,9 +327,10 @@ func (m *Machine) run(fn func(p *Proc), rcHolder *atomic.Pointer[runCtx]) (RunSt
 
 	// Classify the panics: a programming error on any rank always wins
 	// and re-panics; injected-fault deaths (crashPanic from the dying
-	// rank, PeerFailure from a deadline-detecting survivor) become the
+	// rank, PeerFailure from the receiver of a lost message) become the
 	// run's error — the earliest on the modeled clock, whichever order
-	// the goroutines died in; secondary abortErrors are suppressed.
+	// the goroutines died in; secondary abortErrors are suppressed, and
+	// when they are all there is, the context ended the run.
 	var bug any
 	var fail *PeerFailure
 	aborted := false
@@ -383,7 +358,7 @@ func (m *Machine) run(fn func(p *Proc), rcHolder *atomic.Pointer[runCtx]) (RunSt
 		panic(bug)
 	}
 	if fail == nil && aborted {
-		return RunStats{}, errAborted
+		return RunStats{}, stopped(ctx.Err())
 	}
 
 	var rs RunStats
@@ -430,13 +405,11 @@ type Proc struct {
 	// inj is this rank's fault schedule (nil = healthy, hook-free).
 	// crashAt/hasCrash cache the injected crash time so the hot-path
 	// check is two loads and a compare; lastFactor tracks straggle
-	// transitions for the trace markers; deadline bounds blocked Recvs
-	// when fault injection is armed.
+	// transitions for the trace markers.
 	inj        RankInjector
 	crashAt    float64
 	hasCrash   bool
 	lastFactor float64
-	deadline   time.Duration
 	// pool/intPool hold recycled scratch buffers (see GetBuf). They are
 	// owned by this rank's goroutine, so no locking is needed.
 	pool    [][]float64
@@ -460,10 +433,21 @@ func (p *Proc) Stats() ProcStats { return p.stats }
 
 // Compute charges flops floating-point operations to the modeled
 // clock. An attached injector can stretch the charge (straggler) or
-// kill the rank once its clock passes the scheduled crash time.
+// kill the rank once its clock passes the scheduled crash time. Compute
+// is also where a rank that never blocks — any rank at np = 1 — sees
+// that the run's context ended. It reads the context's Done channel
+// itself rather than waiting for the abort, so a rank that ends its own
+// run's context stops at its next Compute.
 func (p *Proc) Compute(flops int) {
 	if flops <= 0 {
 		return
+	}
+	if p.rc.done != nil {
+		select {
+		case <-p.rc.done:
+			panic(abortError{})
+		default:
+		}
 	}
 	start := p.clock
 	dt := float64(flops) * p.m.cost.TFlop
@@ -531,7 +515,7 @@ func (p *Proc) Send(dst, tag int, pl Payload) {
 		tag:    tag,
 		pl:     pl,
 		depart: p.clock,
-		hops:   p.m.topo.Distance(p.rank, dst, p.m.np),
+		hops:   int32(p.m.topo.Distance(p.rank, dst, p.m.np)),
 	}
 	if p.tr != nil {
 		p.tr.Add(trace.Event{Kind: trace.KindSend, Peer: dst, Tag: tag, Bytes: pl.Bytes(), Start: start, End: p.clock})
@@ -540,14 +524,14 @@ func (p *Proc) Send(dst, tag int, pl Payload) {
 		drop, delay := p.inj.SendFault(dst, p.clock, float64(msg.hops)*p.m.cost.THop)
 		if drop {
 			// The sender paid the start-up overhead and believes the
-			// message left; the network lost it. The receiver's recv
-			// deadline is what eventually notices.
+			// message left; the network lost it. A marker keeps its place
+			// in the link's order, so the receiver fails on it instead of
+			// reading the sender's next message in its stead.
 			if p.tr != nil {
 				p.tr.Add(trace.Event{Kind: trace.KindFault, Peer: dst, Tag: tag, Bytes: pl.Bytes(), Op: "drop", Start: p.clock, End: p.clock})
 			}
-			return
-		}
-		if delay > 0 {
+			msg = message{lost: true}
+		} else if delay > 0 {
 			msg.delay = delay
 			if p.tr != nil {
 				p.tr.Add(trace.Event{Kind: trace.KindFault, Peer: dst, Tag: tag, Op: "spike", Start: p.clock, End: p.clock})
@@ -568,7 +552,9 @@ func (p *Proc) Send(dst, tag int, pl Payload) {
 // Recv blocks until a message from src with the expected tag arrives
 // and returns its payload. Messages between a pair of processors are
 // delivered in order; a tag mismatch indicates a protocol error and
-// panics.
+// panics. Reaching the place of a message the fault layer dropped
+// fails this rank with a PeerFailure blaming src at the current
+// modeled instant.
 func (p *Proc) Recv(src, tag int) Payload {
 	if src < 0 || src >= p.m.np {
 		panic(fmt.Sprintf("comm: Recv from invalid rank %d (np=%d)", src, p.m.np))
@@ -579,32 +565,16 @@ func (p *Proc) Recv(src, tag int) Payload {
 	p.checkCrash()
 	start := p.clock
 	var msg message
-	if p.deadline > 0 {
-		// Fault-armed path: a peer that died silently (its message was
-		// dropped, so no abort fired) must not hang this rank forever.
-		// The deadline is wall-clock by necessity — a dead peer makes no
-		// modeled progress to measure — but the resulting PeerFailure
-		// carries modeled time like every other event.
-		timer := time.NewTimer(p.deadline)
-		select {
-		case msg = <-p.rc.mail[src][p.rank]:
-			timer.Stop()
-		case <-p.rc.dead[src].ch:
-			timer.Stop()
-			msg = p.lastWords(src)
-		case <-timer.C:
-			pf := PeerFailure{Rank: src, Clock: p.clock}
-			if p.tr != nil {
-				p.tr.Add(trace.Event{Kind: trace.KindFault, Peer: src, Op: "peer-timeout", Start: p.clock, End: p.clock})
-			}
-			panic(pf)
+	select {
+	case msg = <-p.rc.mail[src][p.rank]:
+	case <-p.rc.dead[src].ch:
+		msg = p.lastWords(src)
+	}
+	if msg.lost {
+		if p.tr != nil {
+			p.tr.Add(trace.Event{Kind: trace.KindFault, Peer: src, Op: "lost", Start: p.clock, End: p.clock})
 		}
-	} else {
-		select {
-		case msg = <-p.rc.mail[src][p.rank]:
-		case <-p.rc.dead[src].ch:
-			msg = p.lastWords(src)
-		}
+		panic(PeerFailure{Rank: src, Clock: p.clock})
 	}
 	if msg.tag != tag {
 		panic(fmt.Sprintf("comm: rank %d expected tag %d from %d, got %d", p.rank, tag, src, msg.tag))

@@ -1,6 +1,8 @@
 package comm
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -545,11 +547,18 @@ func TestBytesMatrix(t *testing.T) {
 	}
 }
 
-func TestRunTimeoutCompletes(t *testing.T) {
+// within returns a context that ends d from now (or with the test).
+func within(t *testing.T, d time.Duration) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	t.Cleanup(cancel)
+	return ctx
+}
+
+func TestRunContextCompletes(t *testing.T) {
 	m := testMachine(4)
-	rs, err := m.RunTimeout(func(p *Proc) {
+	rs, err := m.RunContext(within(t, 5*time.Second), func(p *Proc) {
 		p.AllreduceScalar(1, OpSum)
-	}, 5*time.Second)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,35 +567,72 @@ func TestRunTimeoutCompletes(t *testing.T) {
 	}
 }
 
-func TestRunTimeoutDetectsDeadlock(t *testing.T) {
+func TestRunContextDetectsDeadlock(t *testing.T) {
 	m := testMachine(2)
 	// Classic SPMD bug: rank 0 enters a collective, rank 1 does not.
-	_, err := m.RunTimeout(func(p *Proc) {
+	_, err := m.RunContext(within(t, 200*time.Millisecond), func(p *Proc) {
 		if p.Rank() == 0 {
 			p.Barrier()
 		}
-	}, 200*time.Millisecond)
+	})
 	if err == nil {
 		t.Fatal("deadlock not detected")
 	}
-	if !strings.Contains(err.Error(), "deadlock") {
+	if !strings.Contains(err.Error(), "deadlocked") || !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("unexpected error: %v", err)
 	}
 }
 
-func TestRunTimeoutForwardsPanics(t *testing.T) {
+// TestRunContextStopsComputeOnly: a rank that never communicates — any
+// rank at np = 1 — unwinds at its next Compute once the context ends,
+// by deadline or by cancellation, and an ended context runs nothing.
+func TestRunContextStopsComputeOnly(t *testing.T) {
+	m := testMachine(1)
+	spin := func(p *Proc) {
+		for {
+			p.Compute(1)
+		}
+	}
+	start := time.Now()
+	if _, err := m.RunContext(within(t, 20*time.Millisecond), spin); !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "deadlocked") {
+		t.Fatalf("deadline: err = %v, want the deadlock diagnostic", err)
+	}
+	if wall := time.Since(start); wall > 5*time.Second {
+		t.Errorf("a 20ms deadline took %v to stop the run", wall)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	_, err := m.RunContext(ctx, func(p *Proc) {
+		for i := 0; ; i++ {
+			if i == 1000 {
+				cancel()
+			}
+			p.Compute(1)
+		}
+	})
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "cancelled") {
+		t.Fatalf("cancel: err = %v, want the cancellation", err)
+	}
+
+	ran := false
+	if _, err := m.RunContext(ctx, func(*Proc) { ran = true }); !errors.Is(err, context.Canceled) || ran {
+		t.Errorf("ended context: err = %v ran = %v, want context.Canceled without running", err, ran)
+	}
+}
+
+func TestRunContextForwardsPanics(t *testing.T) {
 	m := testMachine(2)
 	defer func() {
 		if e := recover(); e == nil || e.(string) != "kaboom" {
 			t.Fatalf("panic not forwarded: %v", e)
 		}
 	}()
-	m.RunTimeout(func(p *Proc) {
+	m.RunContext(within(t, 5*time.Second), func(p *Proc) {
 		if p.Rank() == 1 {
 			panic("kaboom")
 		}
 		p.Barrier()
-	}, 5*time.Second)
+	})
 }
 
 // TestSharedBuildsOncePerRunAndKey: every rank asking for one key gets

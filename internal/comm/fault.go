@@ -10,15 +10,14 @@
 // an internal marker and flags it dead; every peer runs on until it
 // needs a message the dead rank never sent, unwinds and is flagged in
 // turn, and the run surfaces a typed PeerFailure instead of a raw panic
-// (RunChecked/RunTimeout return it as an error). A dead peer that
-// nobody can observe through its flag — the receiver of a dropped
-// message — is detected by the per-recv deadline armed alongside the
-// injector.
+// (RunContext returns it as an error). A dropped message leaves a
+// marker in its place on the link, and the receiver that reaches it
+// fails blaming the sender, so a lost message is an event on the
+// modeled clock like a crash.
 package comm
 
 import (
 	"fmt"
-	"time"
 
 	"hpfcg/internal/trace"
 )
@@ -52,42 +51,20 @@ type RankInjector interface {
 	SendFault(dst int, t, hopTime float64) (drop bool, delay float64)
 }
 
-// defaultRecvDeadline is armed when an injector is attached and no
-// explicit deadline was set: long enough that a healthy-but-slow run
-// never trips it, short enough that a run stalled on a dropped message
-// fails instead of hanging.
-const defaultRecvDeadline = 5 * time.Second
-
 // AttachInjector connects a fault injector: every subsequent Run
-// consults it at Send/Recv/Compute. Attaching also arms the per-recv
-// deadline (SetRecvDeadline overrides, before or after) so a rank
-// starved by a dropped message raises PeerFailure instead of hanging.
-// A nil injector — the default — disables injection and the deadline
-// with zero overhead on the communication paths. AttachInjector must
-// not be called concurrently with Run.
-func (m *Machine) AttachInjector(inj Injector) {
-	m.inj = inj
-	if inj == nil {
-		m.recvDeadline = 0
-	} else if m.recvDeadline == 0 {
-		m.recvDeadline = defaultRecvDeadline
-	}
-}
+// consults it at Send/Recv/Compute. A nil injector — the default —
+// disables injection with zero overhead on the communication paths.
+// AttachInjector must not be called concurrently with Run.
+func (m *Machine) AttachInjector(inj Injector) { m.inj = inj }
 
 // Injector returns the attached fault injector (nil when detached).
 func (m *Machine) Injector() Injector { return m.inj }
 
-// SetRecvDeadline sets the wall-clock deadline a blocked Recv waits
-// before declaring its peer dead (0 disables). The deadline is a
-// fault-detection device, not a model parameter: it only matters when
-// messages can be lost, so it is armed by AttachInjector.
-func (m *Machine) SetRecvDeadline(d time.Duration) { m.recvDeadline = d }
-
 // PeerFailure is the typed error a fault-injected run surfaces:
-// processor Rank failed (crashed, or stopped responding within the
-// recv deadline) at modeled time Clock. Every surviving rank unwinds
-// when it comes to need the dead one instead of hanging, and
-// RunChecked/RunTimeout return the failure as an error.
+// processor Rank failed (crashed, or lost a message a peer then came
+// to need) at modeled time Clock. Every surviving rank unwinds when it
+// comes to need the dead one instead of hanging, and RunContext
+// returns the failure as an error.
 type PeerFailure struct {
 	Rank  int
 	Clock float64

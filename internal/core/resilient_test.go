@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -130,7 +131,7 @@ func TestCGResilientSurvivesCrash(t *testing.T) {
 		}
 		m := machine(np)
 		m.AttachInjector(inj)
-		_, err = m.RunChecked(func(p *comm.Proc) {
+		_, err = m.RunContext(context.Background(), func(p *comm.Proc) {
 			op := spmv.NewRowBlockCSR(p, A, d)
 			bv := darray.New(p, d)
 			bv.SetGlobal(func(g int) float64 { return b[g] })
@@ -164,7 +165,7 @@ func TestCGResilientSurvivesCrash(t *testing.T) {
 		if attempts > 4 {
 			t.Fatal("solve did not complete within 4 attempts")
 		}
-		rs, err := m.RunChecked(fn)
+		rs, err := m.RunContext(context.Background(), fn)
 		if err == nil {
 			break
 		}

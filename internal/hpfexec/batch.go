@@ -26,9 +26,9 @@
 package hpfexec
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"hpfcg/internal/comm"
 	"hpfcg/internal/core"
@@ -250,23 +250,23 @@ type Recovery struct {
 // one pooled core.Workspace per processor. opts[k] configures solve k;
 // a single-element opts slice applies to every RHS.
 func (pr *Prepared) SolveBatch(rhs [][]float64, opts []core.Options) (*BatchResult, error) {
-	return pr.SolveBatchTimeout(rhs, opts, 0)
+	return pr.SolveBatchContext(context.Background(), rhs, opts)
 }
 
-// SolveBatchTimeout is SolveBatch under a deadlock watchdog: with
-// d > 0, a run that does not finish within d (wall time) is aborted
-// and the machine's deadlock diagnostic is returned instead of
-// hanging. The handle stays usable afterwards. d <= 0 waits forever.
-// A processor killed by the fault layer surfaces as a typed
-// comm.PeerFailure error either way — unless the variant is Resilient:
-// then the one right-hand side is solved by core.CGResilient over an
-// in-memory checkpoint store, every comm.PeerFailure restarts the run
-// from the newest complete checkpoint (d bounds each attempt), and the
-// failure comes back only once MaxRestarts is exhausted (see Restart).
-func (pr *Prepared) SolveBatchTimeout(rhs [][]float64, opts []core.Options, d time.Duration) (*BatchResult, error) {
+// SolveBatchContext is SolveBatch bounded by ctx: a run still going
+// when ctx ends is aborted and the machine's deadlock (or cancellation)
+// diagnostic is returned instead of hanging. The handle stays usable
+// afterwards. A processor killed by the fault layer surfaces as a typed
+// comm.PeerFailure error — unless the variant is Resilient: then the
+// one right-hand side is solved by core.CGResilient over an in-memory
+// checkpoint store, every comm.PeerFailure restarts the run from the
+// newest complete checkpoint, and the failure comes back only once
+// MaxRestarts is exhausted (see Restart). ctx bounds the whole mission,
+// every attempt included.
+func (pr *Prepared) SolveBatchContext(ctx context.Context, rhs [][]float64, opts []core.Options) (*BatchResult, error) {
 	v := pr.variant
 	if !v.Resilient {
-		out, _, err := pr.run(rhs, opts, d, pr.solve)
+		out, _, err := pr.run(ctx, rhs, opts, pr.solve)
 		return out, err
 	}
 	if len(rhs) != 1 {
@@ -279,7 +279,7 @@ func (pr *Prepared) SolveBatchTimeout(rhs [][]float64, opts []core.Options, d ti
 	}
 	var out *BatchResult
 	rec, err := Restart(pr.m, store, v.MaxRestarts, func() (run comm.RunStats, st core.Stats, err error) {
-		if out, run, err = pr.run(rhs, opts, d, solve); err == nil {
+		if out, run, err = pr.run(ctx, rhs, opts, solve); err == nil {
 			st = out.Results[0].Stats
 		}
 		return run, st, err
@@ -298,7 +298,9 @@ func (pr *Prepared) SolveBatchTimeout(rhs [][]float64, opts []core.Options, d ti
 // from the newest complete checkpoint is CGResilient's own prologue)
 // and booked in the returned Recovery; it comes back as an error only
 // once maxRestarts failed attempts have been retried, and any other
-// error comes back at once. When m's fault injector carries a mission
+// error — an ended context's diagnostic among them — comes back at
+// once, so a caller's deadline bounds every attempt together. When m's
+// fault injector carries a mission
 // clock (an Advance(float64) method, as fault.Injector does), it is
 // advanced by each failed attempt's modeled time so the remaining
 // fault schedule stays aligned.
@@ -337,10 +339,10 @@ func Restart(m *comm.Machine, store *core.CheckpointStore, maxRestarts int, atte
 }
 
 // run is the one solve loop. On any error the BatchResult is nil; the
-// RunStats are then what a machine-level failure (fault layer,
-// watchdog) cost — the failed attempt a resilient solve books as lost
+// RunStats are then what a machine-level failure (fault layer, ended
+// context) cost — the failed attempt a resilient solve books as lost
 // work — and zero when the run never started.
-func (pr *Prepared) run(rhs [][]float64, opts []core.Options, d time.Duration, solve solveFn) (*BatchResult, comm.RunStats, error) {
+func (pr *Prepared) run(ctx context.Context, rhs [][]float64, opts []core.Options, solve solveFn) (*BatchResult, comm.RunStats, error) {
 	var run comm.RunStats
 	if len(rhs) == 0 {
 		return nil, run, fmt.Errorf("hpfexec: empty batch")
@@ -417,12 +419,7 @@ func (pr *Prepared) run(rhs [][]float64, opts []core.Options, d time.Duration, s
 			mk[k+1] = p.Clock()
 		}
 	}
-	var err error
-	if d > 0 {
-		run, err = pr.m.RunTimeout(body, d)
-	} else {
-		run, err = pr.m.RunChecked(body)
-	}
+	run, err := pr.m.RunContext(ctx, body)
 	if err != nil {
 		return nil, run, err
 	}

@@ -1,6 +1,7 @@
 package hpfexec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -115,32 +116,53 @@ func sameSolves(t *testing.T, what string, got, want []*Result) {
 	}
 }
 
-// tripWatchdog solves under a 1ns watchdog until it reports the hang,
-// which must be the deadlock diagnostic. A run that wins the race
-// against a 1ns timer is legitimate, so it tries until the timer wins
-// once.
-func tripWatchdog(t *testing.T, pr *Prepared, rhs [][]float64, opts []core.Options) {
-	t.Helper()
-	for try := 0; try < 100; try++ {
-		_, err := pr.SolveBatchTimeout(rhs, opts, time.Nanosecond)
-		if err == nil {
-			continue
-		}
-		if !strings.Contains(err.Error(), "deadlocked") {
-			t.Fatalf("1ns watchdog: %v, want the deadlock diagnostic", err)
-		}
-		return
+// cancelAt cancels the run it is attached to from inside: once any
+// rank's modeled clock passes at, it calls cancel. Its flop factor is
+// 1, so no clock moves and the run is the plain one up to that point.
+type cancelAt struct {
+	at     float64
+	cancel context.CancelFunc
+}
+
+func (c *cancelAt) StartRun(np int) []comm.RankInjector {
+	out := make([]comm.RankInjector, np)
+	for r := range out {
+		out[r] = c
 	}
-	t.Fatal("1ns watchdog never fired")
+	return out
+}
+
+func (c *cancelAt) CrashTime() (float64, bool) { return 0, false }
+
+func (c *cancelAt) SendFault(int, float64, float64) (bool, float64) { return false, 0 }
+
+func (c *cancelAt) FlopFactor(t float64) float64 {
+	if t >= c.at {
+		c.cancel()
+	}
+	return 1
+}
+
+// cancelMidSolve solves under a context the run itself cancels at
+// modeled time at, and wants the cancellation diagnostic back.
+func cancelMidSolve(t *testing.T, pr *Prepared, rhs [][]float64, opts []core.Options, at float64) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pr.m.AttachInjector(&cancelAt{at: at, cancel: cancel})
+	defer pr.m.AttachInjector(nil)
+	_, err := pr.SolveBatchContext(ctx, rhs, opts)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "cancelled") {
+		t.Fatalf("cancelled at modeled t=%g: %v, want the cancellation diagnostic", at, err)
+	}
 }
 
 // TestSolvePathConformance holds every backend × legal variant × rank
 // count to the sequential reference and to the bit-identities the one
 // solve loop claims: a batch equals its right-hand sides solved one by
 // one, a warm rerun equals the cold run with zero modeled setup and a
-// repeatable modeled clock, and the watchdog form equals the plain
-// form when it does not fire and leaves the handle usable when it
-// does.
+// repeatable modeled clock, a live deadline leaves the solve the plain
+// one, and a cancellation mid-solve leaves the handle usable.
 func TestSolvePathConformance(t *testing.T) {
 	opts := []core.Options{{Tol: 1e-10}}
 	for _, be := range conformanceBackends() {
@@ -232,26 +254,29 @@ func TestSolvePathConformance(t *testing.T) {
 						t.Errorf("setup-free backend: warm model time %v != cold %v", warm.Run.ModelTime, cold.Run.ModelTime)
 					}
 
-					// The watchdog form with room to spare is the plain form.
-					timed, err := fresh().SolveBatchTimeout(rhs, opts, 30*time.Second)
+					// Under a deadline with room to spare it is the plain form.
+					ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+					defer cancel()
+					timed, err := fresh().SolveBatchContext(ctx, rhs, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sameSolves(t, "SolveBatchTimeout vs SolveBatch", timed.Results, cold.Results)
+					sameSolves(t, "SolveBatchContext vs SolveBatch", timed.Results, cold.Results)
 					if timed.Run.ModelTime != cold.Run.ModelTime || timed.SetupModelTime != cold.SetupModelTime {
-						t.Errorf("SolveBatchTimeout clock %v/%v, SolveBatch %v/%v",
+						t.Errorf("SolveBatchContext clock %v/%v, SolveBatch %v/%v",
 							timed.Run.ModelTime, timed.SetupModelTime, cold.Run.ModelTime, cold.SetupModelTime)
 					}
 
-					// With no room at all it reports the hang.
-					tripWatchdog(t, pr, rhs, opts)
+					// Cancelled halfway through a warm run, it reports the
+					// cancellation, and the handle solves on unharmed.
+					cancelMidSolve(t, pr, rhs, opts, warm.Run.ModelTime/2)
 					after, err := pr.SolveBatch(rhs, opts)
 					if err != nil {
-						t.Fatalf("handle unusable after a watchdog abort: %v", err)
+						t.Fatalf("handle unusable after a cancellation: %v", err)
 					}
-					sameSolves(t, "after watchdog abort vs cold", after.Results, cold.Results)
+					sameSolves(t, "after cancellation vs cold", after.Results, cold.Results)
 					if after.SetupModelTime != 0 || after.Run.ModelTime != warm.Run.ModelTime {
-						t.Errorf("after watchdog abort: setup %g model %v, want 0 and %v",
+						t.Errorf("after cancellation: setup %g model %v, want 0 and %v",
 							after.SetupModelTime, after.Run.ModelTime, warm.Run.ModelTime)
 					}
 				})
@@ -260,8 +285,8 @@ func TestSolvePathConformance(t *testing.T) {
 	}
 
 	// A resilient variant takes one right-hand side per call, so it gets
-	// a cell of its own: the watchdog bounds its attempts like any other
-	// run's, and the aborted handle then solves bit-identically to a
+	// a cell of its own: a cancellation ends its mission like any other
+	// run, and the cancelled handle then solves bit-identically to a
 	// fresh one.
 	t.Run("csr/resilient/np=4", func(t *testing.T) {
 		be := layoutBackend("csr", sparse.Laplace2D(12, 12), nil)
@@ -281,16 +306,14 @@ func TestSolvePathConformance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tripWatchdog(t, pr, rhs, opts)
-		// The next solve is cold or warm depending on whether a try won
-		// the race before the watchdog did; the answer is the same.
+		cancelMidSolve(t, pr, rhs, opts, want.Run.ModelTime/2)
 		after, err := pr.SolveBatch(rhs, opts)
 		if err != nil {
-			t.Fatalf("resilient handle unusable after a watchdog abort: %v", err)
+			t.Fatalf("resilient handle unusable after a cancellation: %v", err)
 		}
-		sameSolves(t, "after watchdog abort vs fresh", after.Results, want.Results)
+		sameSolves(t, "after cancellation vs fresh", after.Results, want.Results)
 		if rec := after.Recovery; rec == nil || rec.Attempts != 1 || len(rec.Failures) != 0 || rec.LostIterations != 0 {
-			t.Errorf("after watchdog abort: recovery %+v, want one clean attempt", rec)
+			t.Errorf("after cancellation: recovery %+v, want one clean attempt", rec)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package hpfexec
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -58,8 +59,8 @@ const balancedPlan = csrPlan + `
 `
 
 // solveVariant is the one-RHS form of the surviving API: Prepare,
-// WithVariant, SolveBatchTimeout.
-func solveVariant(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options, v Variant, d time.Duration) (*Result, error) {
+// WithVariant, SolveBatchContext.
+func solveVariant(ctx context.Context, m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options, v Variant) (*Result, error) {
 	pr, err := Prepare(m, plan, A)
 	if err != nil {
 		return nil, err
@@ -67,7 +68,7 @@ func solveVariant(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, o
 	if err := pr.WithVariant(v); err != nil {
 		return nil, err
 	}
-	out, err := pr.SolveBatchTimeout([][]float64{b}, []core.Options{opt}, d)
+	out, err := pr.SolveBatchContext(ctx, [][]float64{b}, []core.Options{opt})
 	if err != nil {
 		return nil, err
 	}
@@ -241,14 +242,16 @@ func TestSolveCGErrors(t *testing.T) {
 	}
 }
 
-// TestSolveCGTimeoutCompletes: a healthy solve under the watchdog
-// (SolveBatchTimeout with d > 0) behaves exactly like SolveCG.
+// TestSolveCGTimeoutCompletes: a healthy solve under a deadline
+// (SolveBatchContext with a timeout) behaves exactly like SolveCG.
 func TestSolveCGTimeoutCompletes(t *testing.T) {
 	A := sparse.Laplace2D(12, 12)
 	b := sparse.RandomVector(A.NRows, 3)
 	np := 4
 	plan := bindPlan(t, csrPlan, A.NRows, A.NNZ(), np)
-	res, err := solveVariant(machine(np), plan, A, b, core.Options{Tol: 1e-10}, Variant{}, 30*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := solveVariant(ctx, machine(np), plan, A, b, core.Options{Tol: 1e-10}, Variant{})
 	if err != nil {
 		t.Fatal(err)
 	}

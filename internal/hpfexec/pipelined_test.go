@@ -1,6 +1,7 @@
 package hpfexec
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestSolveCGPipelinedConverges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := solveVariant(machine(np), plan, A, b, core.Options{Tol: 1e-10}, Variant{Pipelined: true}, 0)
+		res, err := solveVariant(context.Background(), machine(np), plan, A, b, core.Options{Tol: 1e-10}, Variant{Pipelined: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,11 +64,11 @@ func TestPipelinedRejectsIncompatiblePlans(t *testing.T) {
 	b := sparse.RandomVector(A.NRows, 6)
 	np := 2
 	plan := bindPlan(t, cscPlanMerge, A.NRows, A.NNZ(), np)
-	if _, err := solveVariant(machine(np), plan, A, b, core.Options{}, Variant{Pipelined: true}, 0); err == nil {
+	if _, err := solveVariant(context.Background(), machine(np), plan, A, b, core.Options{}, Variant{Pipelined: true}); err == nil {
 		t.Fatal("pipelined CG on a CSC plan did not error")
 	}
 	csr := bindPlan(t, csrPlan, A.NRows, A.NNZ(), np)
-	if _, err := solveVariant(machine(np), csr, A, b, core.Options{}, Variant{SStep: 4, Pipelined: true}, 0); err == nil {
+	if _, err := solveVariant(context.Background(), machine(np), csr, A, b, core.Options{}, Variant{SStep: 4, Pipelined: true}); err == nil {
 		t.Fatal("pipelined + s-step blocking did not error")
 	}
 }
@@ -241,7 +242,7 @@ func TestStencilPipelinedBitIdenticalToAssembled(t *testing.T) {
 
 		var want []float64
 		var st core.Stats
-		if _, err := machine(np).RunChecked(func(p *comm.Proc) {
+		if _, err := machine(np).RunContext(context.Background(), func(p *comm.Proc) {
 			brick, err := spec.Brick(np)
 			if err != nil {
 				t.Error(err)

@@ -122,6 +122,58 @@ func TestSolveCGResilientSurvivesCrash(t *testing.T) {
 	}
 }
 
+// TestSolveCGResilientSurvivesDrop: a dropped message is a failure on
+// the modeled clock like a crash. Without resilience it comes back as a
+// typed failure blaming the sender — not as a tag mismatch on the
+// sender's next message — and a Resilient variant absorbs it in one
+// restart with the fault-free solution's bits.
+func TestSolveCGResilientSurvivesDrop(t *testing.T) {
+	A := sparse.Laplace2D(32, 32)
+	b := sparse.RandomVector(A.NRows, 42)
+	np := 4
+	plan := bindPlan(t, csrPlan, A.NRows, A.NNZ(), np)
+	opt := core.Options{Tol: 1e-10}
+	ref, err := SolveCG(machine(np), plan, A, b, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropping := func() *comm.Machine {
+		fp, err := fault.Parse("drop:rank=1,n=1,dst=0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj, err := fault.NewInjector(fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := machine(np)
+		m.AttachInjector(inj)
+		return m
+	}
+
+	var pf comm.PeerFailure
+	if _, err := SolveCG(dropping(), plan, A, b, opt); !errors.As(err, &pf) || pf.Rank != 1 {
+		t.Fatalf("SolveCG under a drop: err = %v, want comm.PeerFailure blaming rank 1", err)
+	}
+
+	res, err := solveResilient(dropping(), plan, A, b, opt, Variant{})
+	if err != nil {
+		t.Fatalf("resilient solve: %v", err)
+	}
+	if res.Attempts != 2 || len(res.Failures) != 1 || res.Failures[0].Rank != 1 || res.LostIterations != 0 {
+		t.Errorf("attempts=%d failures=%v lost=%d, want 2, one blaming rank 1, and 0",
+			res.Attempts, res.Failures, res.LostIterations)
+	}
+	if res.Stats.Iterations != ref.Stats.Iterations {
+		t.Errorf("iterations %d, fault-free %d", res.Stats.Iterations, ref.Stats.Iterations)
+	}
+	for g := range ref.X {
+		if res.X[g] != ref.X[g] {
+			t.Fatalf("solution differs from the fault-free run at %d: %v vs %v", g, res.X[g], ref.X[g])
+		}
+	}
+}
+
 // TestSolveCGResilientHealthy: with no injector the resilient driver is
 // one attempt with zero losses, matching SolveCG bit-for-bit.
 func TestSolveCGResilientHealthy(t *testing.T) {

@@ -1,6 +1,7 @@
 package hpfexec
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -22,7 +23,7 @@ func TestSolveCGSStepS1MatchesSolveCG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := solveVariant(machine(np), plan, A, b, opt, Variant{SStep: 1}, 0)
+	got, err := solveVariant(context.Background(), machine(np), plan, A, b, opt, Variant{SStep: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestSolveCGSStepReducesRounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		const s = 4
-		res, err := solveVariant(machine(np), plan, A, b, core.Options{Tol: 1e-10}, Variant{SStep: s}, 0)
+		res, err := solveVariant(context.Background(), machine(np), plan, A, b, core.Options{Tol: 1e-10}, Variant{SStep: s})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,17 +87,17 @@ func TestSolveCGSStepCSCFallsBackToPlain(t *testing.T) {
 	b := sparse.RandomVector(A.NRows, 6)
 	np := 2
 	plan := bindPlan(t, cscPlanMerge, A.NRows, A.NNZ(), np)
-	if _, err := solveVariant(machine(np), plan, A, b, core.Options{}, Variant{SStep: 4}, 0); err == nil {
+	if _, err := solveVariant(context.Background(), machine(np), plan, A, b, core.Options{}, Variant{SStep: 4}); err == nil {
 		t.Fatal("fixed s=4 on a CSC plan did not error")
 	}
-	res, err := solveVariant(machine(np), plan, A, b, core.Options{Tol: 1e-10}, Variant{SStep: AutoSStep}, 0)
+	res, err := solveVariant(context.Background(), machine(np), plan, A, b, core.Options{Tol: 1e-10}, Variant{SStep: AutoSStep})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Strategy.SStep != 1 || res.Stats.SStep != 1 {
 		t.Fatalf("auto on CSC resolved to s=%d, want 1", res.Strategy.SStep)
 	}
-	if _, err := solveVariant(machine(np), plan, A, b, core.Options{}, Variant{SStep: MaxSStep + 1}, 0); err == nil {
+	if _, err := solveVariant(context.Background(), machine(np), plan, A, b, core.Options{}, Variant{SStep: MaxSStep + 1}); err == nil {
 		t.Fatal("out-of-range s did not error")
 	}
 }

@@ -1,6 +1,7 @@
 package hpfexec
 
 import (
+	"context"
 	"testing"
 
 	"hpfcg/internal/comm"
@@ -65,7 +66,7 @@ func TestStencilBitIdenticalToAssembledCG(t *testing.T) {
 
 			var want []float64
 			var st core.Stats
-			if _, err := machine(np).RunChecked(func(p *comm.Proc) {
+			if _, err := machine(np).RunContext(context.Background(), func(p *comm.Proc) {
 				brick, err := spec.Brick(np)
 				if err != nil {
 					t.Error(err)

@@ -1,6 +1,7 @@
 package mfree
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strconv"
@@ -142,7 +143,7 @@ func TestBitIdenticalToAssembled(t *testing.T) {
 			if _, err := s.Brick(np); err != nil {
 				continue // slab dimension thinner than np
 			}
-			if _, err := machine(np).RunChecked(func(p *comm.Proc) {
+			if _, err := machine(np).RunContext(context.Background(), func(p *comm.Proc) {
 				op, err := New(p, s)
 				if err != nil {
 					t.Error(err)

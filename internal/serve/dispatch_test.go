@@ -168,10 +168,20 @@ func TestAttachmentsOnEveryMethod(t *testing.T) {
 			}
 		}
 
+		// A deadline is not an attachment: the job runs from the plain
+		// job's cached plan. (Its solve span may differ in the last
+		// digits by batch position, so only the answer is compared.)
 		roomy := base
 		roomy.TimeoutMS = 30000
-		if v := run(roomy); v.State != StateDone || v.Result.ModelTime != plain.Result.ModelTime {
-			t.Errorf("%s: timeout_ms=30000 job state %s err %q, want done on the plain job's modeled clock", name, v.State, v.Error)
+		if v := run(roomy); v.State != StateDone || !v.Result.PlanCacheHit || v.Result.Iterations != plain.Result.Iterations {
+			t.Errorf("%s: timeout_ms=30000 job state %s err %q, want done from the plain job's cached plan in %d iterations",
+				name, v.State, v.Error, plain.Result.Iterations)
+		} else {
+			for i := range plain.Result.X {
+				if v.Result.X[i] != plain.Result.X[i] {
+					t.Fatalf("%s: timeout_ms=30000 x[%d] = %v, plain %v", name, i, v.Result.X[i], plain.Result.X[i])
+				}
+			}
 		}
 
 		// A 1 ms deadline on a solve that takes longer. Like any race
@@ -200,10 +210,52 @@ func TestAttachmentsOnEveryMethod(t *testing.T) {
 	}
 }
 
+// TestDeadlineJobsBatchByBound: a deadline covers the dispatch a job
+// runs in, so same-matrix jobs coalesce only with jobs asking for the
+// same bound.
+func TestDeadlineJobsBatchByBound(t *testing.T) {
+	s := New(Options{Workers: 1, MaxBatch: 8, StartPaused: true})
+	defer s.Drain(testCtx(t))
+	var ids []string
+	for k, ms := range []int{30000, 30000, 0} {
+		j, err := s.Submit(JobSpec{Matrix: "laplace2d:12:12", NP: 4, Seed: int64(k + 1), TimeoutMS: ms})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, j.ID)
+	}
+	s.Resume()
+	for k, want := range []int{2, 2, 1} {
+		v, err := s.Wait(testCtx(t), ids[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.State != StateDone || v.Result.BatchSize != want {
+			t.Errorf("job %d: state %s err %q batch %+v, want done in a batch of %d", k, v.State, v.Error, v.Result, want)
+		}
+	}
+}
+
+// TestDroppedMessageJobFails: a fault spec that drops a message fails
+// its job with a typed failure naming the sender — it used to panic the
+// worker, taking the whole service down — and the scheduler serves the
+// next job as usual.
+func TestDroppedMessageJobFails(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Drain(testCtx(t))
+	v := runJob(t, s, JobSpec{Matrix: "laplace2d:32:32", NP: 4, Fault: "drop:rank=1,n=1,dst=0"})
+	if v.State != StateFailed || !strings.Contains(v.Error, "processor 1 failed") {
+		t.Fatalf("drop job state %s err %q, want failure naming processor 1", v.State, v.Error)
+	}
+	if v := runJob(t, s, JobSpec{Matrix: "laplace2d:32:32", NP: 4}); v.State != StateDone || !v.Result.Converged {
+		t.Fatalf("plain job after the drop: state %s err %q", v.State, v.Error)
+	}
+}
+
 // TestResilientJobUnderDeadline: resilient is a variant of the one
-// solve call, so a resilient job's timeout_ms is the watchdog of every
-// attempt (the separate resilient driver used to drop it), and without
-// a deadline the job reports its recovery as before.
+// solve call, so a resilient job's timeout_ms bounds its whole mission
+// (the separate resilient driver used to drop it), and without a
+// deadline the job reports its recovery as before.
 func TestResilientJobUnderDeadline(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Drain(testCtx(t))

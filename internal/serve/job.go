@@ -118,7 +118,9 @@ type JobSpec struct {
 	MaxRestarts int `json:"max_restarts,omitempty"`
 	// TimeoutMS aborts a solve of any method that has not finished
 	// after this much wall time, with the machine's deadlock
-	// diagnostic (hpfexec's SolveBatchTimeout).
+	// diagnostic (the context hpfexec's SolveBatchContext runs under).
+	// The bound covers the dispatch the job runs in, so a deadline job
+	// coalesces only with jobs asking for the same bound.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// Trace captures a Perfetto/Chrome trace of the solve (any
 	// method), downloadable from /jobs/{id}/trace.
@@ -350,11 +352,12 @@ func (sp *JobSpec) variant() hpfexec.Variant {
 }
 
 // batchable reports whether the job may coalesce with same-matrix
-// jobs and run from a cached plan. Fault injection, tracing, timeouts
-// and resilient mode all need a run (or a machine attachment) of
-// their own.
+// jobs and run from a cached plan. Fault injection and tracing are
+// attachments of a machine, which a cached plan must never carry, and
+// a resilient solve takes one right-hand side, so each needs a run of
+// its own.
 func (sp *JobSpec) batchable() bool {
-	return sp.Fault == "" && !sp.Resilient && sp.TimeoutMS == 0 && !sp.Trace
+	return sp.Fault == "" && !sp.Resilient && !sp.Trace
 }
 
 // batchKey identifies the shared setup two jobs can amortize: the same
@@ -371,10 +374,13 @@ type batchKey struct {
 	// pipelined jobs run the overlap solver: a different recurrence,
 	// never coalesced with blocking-clock jobs.
 	pipelined bool
+	// timeoutMS bounds the whole dispatch, so only jobs asking for the
+	// same bound share one.
+	timeoutMS int
 }
 
 func (sp *JobSpec) key() batchKey {
-	return batchKey{matrix: sp.id.content, layout: sp.Layout, np: sp.NP, topology: sp.Topology, sstep: sp.SStep, pipelined: sp.Pipelined}
+	return batchKey{matrix: sp.id.content, layout: sp.Layout, np: sp.NP, topology: sp.Topology, sstep: sp.SStep, pipelined: sp.Pipelined, timeoutMS: sp.TimeoutMS}
 }
 
 // ContentHash returns the canonical content digest of the job's

@@ -11,9 +11,10 @@
 // Every job, whatever its method (cg, hpcg, stencil), variant (plain,
 // s-step, pipelined) and attachments, runs through one dispatch
 // (Scheduler.run): look the prepared handle up in the plan registry or
-// prepare it, solve, finish. Jobs with a fault plan, a trace, a
-// wall-clock timeout (hpfexec's SolveBatchTimeout) or resilient mode
-// (a hpfexec.Variant like any other) differ only in that they never
+// prepare it, solve, finish. A wall-clock timeout is the context the
+// solve runs under (hpfexec's SolveBatchContext) and part of the batch
+// key. Jobs with a fault plan, a trace or resilient mode (a
+// hpfexec.Variant like any other) differ only in that they never
 // coalesce and run from a fresh, uncached handle whose machine carries
 // their injector and tracer. Drain stops admission, rejects what is still
 // queued and lets in-flight batches finish, and Metrics renders live
@@ -412,9 +413,10 @@ func (sp *JobSpec) newMachine() (*comm.Machine, *trace.Tracer, error) {
 // registry by matrix content hash — a warm hit runs with zero modeled
 // setup and answers bit-identical to the cold path — and cache it on a
 // miss; a nil registry is "always miss, never store". Jobs with
-// attachments (fault, trace, timeout, resilient) arrive alone and get
-// a fresh handle on a machine of their own, so an injector or tracer
-// never reaches a cached plan. Then every job solves the same way.
+// attachments (fault, trace, resilient) arrive alone and get a fresh
+// handle on a machine of their own, so an injector or tracer never
+// reaches a cached plan. Then every job solves the same way, under the
+// batch's shared timeout when it has one.
 func (s *Scheduler) run(batch []*Job) {
 	spec := batch[0].Spec
 	cached := spec.batchable() && s.reg != nil
@@ -463,8 +465,14 @@ func (s *Scheduler) run(batch []*Job) {
 	if len(live) == 0 {
 		return
 	}
+	ctx := context.Background()
+	if spec.TimeoutMS > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(spec.TimeoutMS)*time.Millisecond)
+		defer cancel()
+	}
 	warm := pr.Warm()
-	out, err := pr.SolveBatchTimeout(rhs, opts, time.Duration(spec.TimeoutMS)*time.Millisecond)
+	out, err := pr.SolveBatchContext(ctx, rhs, opts)
 	if err != nil {
 		s.failAll(live, err)
 		return

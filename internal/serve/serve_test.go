@@ -331,7 +331,7 @@ func TestSoloFaultJobFails(t *testing.T) {
 	}
 }
 
-// TestTimeoutJob: the per-job watchdog path solves fine when nothing
+// TestTimeoutJob: a job under a deadline solves fine when nothing
 // hangs.
 func TestTimeoutJob(t *testing.T) {
 	s := New(Options{Workers: 1})

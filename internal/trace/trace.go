@@ -37,7 +37,8 @@ const (
 	// collective's algorithm issued and carry the operation name in Op.
 	KindCollective
 	// KindFault is an injected-fault marker (crash, straggle window
-	// transition, dropped message, latency spike, peer-timeout). Fault
+	// transition, dropped message, latency spike, and "lost" where the
+	// receiver reached the place of a dropped message). Fault
 	// events are instants: Start == End, with the fault name in Op and
 	// the peer rank in Peer where one is involved (-1 otherwise).
 	KindFault
