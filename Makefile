@@ -32,9 +32,11 @@ test:
 # iteration, so internal/mfree joins the pass. The multigrid V-cycle
 # runs those exchanges on every level, moves pooled transfer planes
 # between neighbours and reads one coarsest-grid factor from all ranks
-# of a run, so internal/mg joins the pass.
+# of a run, so internal/mg joins the pass. The CSR halo executor fills
+# its slot vector from the inspector schedule's pooled receive path on
+# every iteration, so internal/inspector joins the pass.
 race:
-	$(GO) test -race ./internal/comm/... ./internal/trace/... ./internal/core/... ./internal/spmv/... ./internal/fault/... ./internal/hpfexec/... ./internal/serve/... ./internal/cluster/... ./internal/mg/... ./internal/mfree/...
+	$(GO) test -race ./internal/comm/... ./internal/trace/... ./internal/core/... ./internal/spmv/... ./internal/inspector/... ./internal/fault/... ./internal/hpfexec/... ./internal/serve/... ./internal/cluster/... ./internal/mg/... ./internal/mfree/...
 
 check: build vet test race smoke docs-lint
 
@@ -86,14 +88,16 @@ loc:
 	@ls internal/core/*.go internal/spmv/*.go | grep -v _test.go | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'
 
 # Kernel guards in their own units: the modeled machine's send path
-# (allocation counts), the matrix-free apply kernels (ns/point,
-# GFLOP/s, zero allocs), the multigrid smoother, residual and
-# V-cycle at solve_hpcg's shape (ns/point-pass, GFLOP/s over charged
-# flops, zero allocs) and the Matrix Market reader and COO-to-CSR
-# conversion at serve_cold's upload shape (MB/s, a constant handful of
-# allocs). Every other wall number comes from benchmark/.
+# (allocation counts), the CSR halo and broadcast executors at
+# solve_csr's matrix and an out-of-cache one (ns/nnz, GFLOP/s, zero
+# allocs), the matrix-free apply kernels (ns/point, GFLOP/s, zero
+# allocs), the multigrid smoother, residual and V-cycle at
+# solve_hpcg's shape (ns/point-pass, GFLOP/s over charged flops, zero
+# allocs) and the Matrix Market reader and COO-to-CSR conversion at
+# serve_cold's upload shape (MB/s, a constant handful of allocs).
+# Every other wall number comes from benchmark/.
 bench:
-	$(GO) test -bench . -benchmem -run NONE ./internal/comm/... ./internal/mfree/... ./internal/mg/... ./internal/sparse/...
+	$(GO) test -bench . -benchmem -run NONE ./internal/comm/... ./internal/spmv/... ./internal/mfree/... ./internal/mg/... ./internal/sparse/...
 
 # Every fuzz target, FUZZTIME each (`go test -fuzz` takes one target and
 # one package per run). Under `test` they only replay their seeds. A

@@ -1,0 +1,79 @@
+package spmv
+
+import (
+	"fmt"
+	"testing"
+
+	"hpfcg/internal/comm"
+	"hpfcg/internal/darray"
+	"hpfcg/internal/dist"
+	"hpfcg/internal/sparse"
+)
+
+// benchMatrices are the per-layer benchmark shapes: solve_csr's gated
+// Figure 2 matrix (1.3 MB, in L2) and one whose operator streams from
+// memory (21 MB).
+var benchMatrices = []string{"laplace2d:128:128", "laplace2d:512:512"}
+
+// benchSink keeps the fused dot alive.
+var benchSink float64
+
+// benchSweep times one operator call (exchange + row sweep) across all
+// np ranks of a machine: every rank runs the b.N loop in lockstep, rank
+// 0 owns the timer. ns/nnz and GFLOP/s are whole-matrix figures — the
+// wall time of one distributed apply over all NNZ stored entries and
+// all 2·NNZ (+2·N fused) flops — so np=1 and np=4 read on one scale.
+func benchSweep(b *testing.B, fused bool) {
+	for _, spec := range benchMatrices {
+		A, err := sparse.GeneratorByName(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, ex := range csrExecutors[:2] { // the halo and broadcast executors
+			for _, np := range []int{1, 4} {
+				b.Run(fmt.Sprintf("%s/%s/np=%d", ex.name, spec, np), func(b *testing.B) {
+					flops := 2 * float64(A.NNZ())
+					if fused {
+						flops += 2 * float64(A.NRows)
+					}
+					d := dist.NewBlock(A.NRows, np)
+					b.ReportAllocs()
+					machine(np).Run(func(p *comm.Proc) {
+						op := ex.build(p, A, d)
+						x := darray.New(p, d)
+						y := darray.New(p, d)
+						x.SetGlobal(func(g int) float64 { return float64(g%7) - 3 })
+						// Warm-up fills the buffer pools; the barrier keeps a
+						// lagging rank's warm-up out of the timed region.
+						op.ApplyDot(x, y)
+						p.Barrier()
+						if p.Rank() == 0 {
+							b.ResetTimer()
+						}
+						var dot float64
+						for i := 0; i < b.N; i++ {
+							if fused {
+								dot = op.ApplyDot(x, y)
+							} else {
+								op.Apply(x, y)
+							}
+						}
+						if p.Rank() == 0 {
+							b.StopTimer()
+							benchSink = dot
+						}
+					})
+					ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+					b.ReportMetric(ns/float64(A.NNZ()), "ns/nnz")
+					b.ReportMetric(flops/ns, "GFLOP/s")
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkApply measures the unfused CSR apply.
+func BenchmarkApply(b *testing.B) { benchSweep(b, false) }
+
+// BenchmarkApplyDot measures the apply with the fused x·y partial.
+func BenchmarkApplyDot(b *testing.B) { benchSweep(b, true) }

@@ -148,3 +148,26 @@ func TestGhostAliasesMatrixAndDefersBlockBuffers(t *testing.T) {
 		}
 	})
 }
+
+// Extended row i produces value slot i, so the slot vector is paid for
+// by keeping no per-row slot map: the depth-1 executor retains no slot
+// map at all, and a deeper one at most one entry per ghost, where the
+// closure's ring order differs from the exchange's.
+func TestGhostKeepsNoRowSlotMap(t *testing.T) {
+	A := sparse.Laplace2D(9, 8)
+	np := 4
+	d := dist.NewBlock(A.NRows, np)
+	machine(np).Run(func(p *comm.Proc) {
+		op := NewRowBlockCSRGhost(p, A, d)
+		if op.ghostSlot != nil {
+			t.Errorf("rank %d: depth-1 executor keeps a slot map of %d entries", p.Rank(), cap(op.ghostSlot))
+		}
+		if len(op.xs) != op.nSlots || cap(op.xs) != op.nSlots {
+			t.Errorf("rank %d: slot vector len %d cap %d, want %d", p.Rank(), len(op.xs), cap(op.xs), op.nSlots)
+		}
+		deep := NewRowBlockCSRPowers(p, A, d, 3)
+		if m := deep.ghostSlot; m != nil && (len(m) != deep.NGhosts() || cap(m) != deep.NGhosts()) {
+			t.Errorf("rank %d: depth-3 slot map len %d cap %d, want %d ghosts", p.Rank(), len(m), cap(m), deep.NGhosts())
+		}
+	})
+}

@@ -70,9 +70,17 @@ type RowBlockCSRPowers struct {
 	nLocal int // local rows (== ring 0 == value slots 0..nLocal-1)
 	nSlots int // nLocal + widened ghost count
 
-	// The replicated extended rows, ring-ordered: entry slots reference
-	// the value-slot space (locals first, then ghost slots).
-	rowSlot []int // extended row -> value slot of its global index
+	// The value-slot space is the local block, then the closure's ghosts
+	// in ring order (ring 1, ..., ring depth, each sorted by global
+	// index) — so extended row i, local or replicated, produces slot i,
+	// and a level of ApplyPowersBlock is one sweep over a row prefix.
+	// The exchange delivers ghosts in the inspector's order (sorted by
+	// global index); ghostSlot[s] is the value slot of inspector slot s.
+	// At depth 1 the two orders coincide and ghostSlot is nil: that
+	// executor keeps no slot map at all.
+	ghostSlot []int
+	// The replicated extended rows, ring-ordered, their entries'
+	// columns as value slots.
 	rowPtr  []int
 	colSlot []int
 	val     []float64
@@ -85,9 +93,13 @@ type RowBlockCSRPowers struct {
 	// (sum of the per-level prefixes) — the flop-charge table.
 	cumEntries []int
 
-	// Ping-pong level buffers, allocated by the first ApplyPowersBlock
-	// (a plain CG solve never needs them); steady state allocates
-	// nothing.
+	// xs is the slot vector Apply and ApplyDot sweep: x's local block and
+	// its exchanged ghosts, laid out in value slots.
+	xs []float64
+
+	// Ping-pong level buffers of ApplyPowersBlock, set up by its first
+	// call (a plain CG solve never needs them): work0 is xs itself,
+	// work1 a second slot vector. Steady state allocates nothing.
 	work0, work1 []float64
 	seedLocals   [][]float64 // reusable ExchangeBlock argument
 
@@ -135,6 +147,24 @@ func powersClosure(A *sparse.CSR, d dist.Contiguous, rank, depth int) (extRows, 
 	return extRows, ringEnd, ghosts
 }
 
+// ghostSlots maps the inspector's ghost slots to value slots, which
+// follow the closure's ring order (ghosts) after the base local ones.
+// It returns nil when the two orders coincide — at depth 1 both are the
+// halo sorted by global index.
+func ghostSlots(sched *inspector.Schedule, ghosts []int, base int) []int {
+	for j, g := range ghosts {
+		if sched.GhostSlot(g) == j {
+			continue
+		}
+		m := make([]int, len(ghosts))
+		for j, g := range ghosts {
+			m[sched.GhostSlot(g)] = base + j
+		}
+		return m
+	}
+	return nil
+}
+
 // NewRowBlockCSRGhost builds the single-level halo executor: the
 // depth-1 kernel, whose ghost set is exactly the off-processor columns
 // of the local rows.
@@ -157,18 +187,18 @@ func NewRowBlockCSRPowers(p *comm.Proc, A *sparse.CSR, d dist.Contiguous, depth 
 	sched := inspector.Build(p, d, ghosts)
 
 	a := &RowBlockCSRPowers{
-		p:       p,
-		d:       d,
-		depth:   depth,
-		sched:   sched,
-		nLocal:  cnt,
-		nSlots:  cnt + sched.NGhosts(),
-		rowSlot: make([]int, len(extRows)),
-		rowPtr:  make([]int, len(extRows)+1),
-		ringEnd: ringEnd,
-		nnzAt:   make([]int, depth),
-		n:       A.NRows,
-		nnz:     A.NNZ(),
+		p:         p,
+		d:         d,
+		depth:     depth,
+		sched:     sched,
+		nLocal:    cnt,
+		nSlots:    cnt + sched.NGhosts(),
+		ghostSlot: ghostSlots(sched, ghosts, cnt),
+		rowPtr:    make([]int, len(extRows)+1),
+		ringEnd:   ringEnd,
+		nnzAt:     make([]int, depth),
+		n:         A.NRows,
+		nnz:       A.NNZ(),
 	}
 	for ei, i := range extRows {
 		a.rowPtr[ei+1] = a.rowPtr[ei] + A.RowPtr[i+1] - A.RowPtr[i]
@@ -186,10 +216,12 @@ func NewRowBlockCSRPowers(p *comm.Proc, A *sparse.CSR, d dist.Contiguous, depth 
 		if g >= lo && g < lo+cnt {
 			return g - lo
 		}
-		return cnt + sched.GhostSlot(g)
+		if a.ghostSlot == nil {
+			return cnt + sched.GhostSlot(g)
+		}
+		return a.ghostSlot[sched.GhostSlot(g)]
 	}
 	for ei, i := range extRows {
-		a.rowSlot[ei] = slot(i)
 		at := a.rowPtr[ei]
 		if depth > 1 {
 			copy(a.val[at:], A.Val[A.RowPtr[i]:A.RowPtr[i+1]])
@@ -212,6 +244,7 @@ func NewRowBlockCSRPowers(p *comm.Proc, A *sparse.CSR, d dist.Contiguous, depth 
 		}
 		a.cumEntries[dep] = sum
 	}
+	a.xs = make([]float64, a.nSlots)
 	return a
 }
 
@@ -244,30 +277,29 @@ func (a *RowBlockCSRPowers) Rebind(p *comm.Proc) {
 	a.sched.Rebind(p)
 }
 
-// Apply implements Operator: one halo exchange, then the local row
-// loop reading either the local block or the ghost buffer. Values do
-// not depend on the depth — the summation runs over the same entries
-// in the same CSR order — only the modeled exchange widens with it.
+// fill lays a vector out in value slots in dst: its local block, then
+// the ghosts the exchange delivered for it.
+func (a *RowBlockCSRPowers) fill(dst, local, ghosts []float64) []float64 {
+	copy(dst, local)
+	if a.ghostSlot == nil {
+		copy(dst[a.nLocal:], ghosts)
+	} else {
+		for s, v := range ghosts {
+			dst[a.ghostSlot[s]] = v
+		}
+	}
+	return dst
+}
+
+// Apply implements Operator: one halo exchange into the slot vector,
+// then the local rows swept over it. Values do not depend on the depth
+// — the summation runs over the same entries in the same CSR order —
+// only the modeled exchange widens with it.
 func (a *RowBlockCSRPowers) Apply(x, y *darray.Vector) {
 	checkAligned("RowBlockCSRPowers.Apply", a.d, x, y)
 	xl := x.Local()
-	ghosts := a.sched.Exchange(xl)
-	yl := y.Local()
-	nLocal := a.nLocal
-	for i := range yl {
-		s := 0.0
-		for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-			c := a.colSlot[k]
-			var xv float64
-			if c < nLocal {
-				xv = xl[c]
-			} else {
-				xv = ghosts[c-nLocal]
-			}
-			s += a.val[k] * xv
-		}
-		yl[i] = s
-	}
+	xs := a.fill(a.xs, xl, a.sched.Exchange(xl))
+	sweepRows(y.Local(), a.rowPtr[:a.nLocal+1], a.colSlot, a.val, xs, nil)
 	a.p.Compute(2 * a.nnzLocal)
 }
 
@@ -276,26 +308,9 @@ func (a *RowBlockCSRPowers) Apply(x, y *darray.Vector) {
 func (a *RowBlockCSRPowers) ApplyDot(x, y *darray.Vector) float64 {
 	checkAligned("RowBlockCSRPowers.ApplyDot", a.d, x, y)
 	xl := x.Local()
-	ghosts := a.sched.Exchange(xl)
-	yl := y.Local()
-	nLocal := a.nLocal
-	dot := 0.0
-	for i := range yl {
-		s := 0.0
-		for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-			c := a.colSlot[k]
-			var xv float64
-			if c < nLocal {
-				xv = xl[c]
-			} else {
-				xv = ghosts[c-nLocal]
-			}
-			s += a.val[k] * xv
-		}
-		yl[i] = s
-		dot += xl[i] * s
-	}
-	a.p.Compute(2*a.nnzLocal + 2*len(yl))
+	xs := a.fill(a.xs, xl, a.sched.Exchange(xl))
+	dot := sweepRows(y.Local(), a.rowPtr[:a.nLocal+1], a.colSlot, a.val, xs, xl)
+	a.p.Compute(2*a.nnzLocal + 2*a.nLocal)
 	return dot
 }
 
@@ -323,26 +338,19 @@ func (a *RowBlockCSRPowers) ApplyPowersBlock(seeds []*darray.Vector, outs [][]*d
 	}
 	ghosts := a.sched.ExchangeBlock(locals)
 	if a.work0 == nil {
-		a.work0 = make([]float64, a.nSlots)
+		a.work0 = a.xs
 		a.work1 = make([]float64, a.nSlots)
 	}
 	entries := 0
 	for v := range seeds {
 		dep := len(outs[v])
 		// Level 0: the seed's values over every slot of the closure.
-		prev := a.work0
-		copy(prev[:a.nLocal], locals[v])
-		copy(prev[a.nLocal:a.nSlots], ghosts[v])
+		prev := a.fill(a.work0, locals[v], ghosts[v])
 		cur := a.work1
 		for j := 1; j <= dep; j++ {
-			rows := a.ringEnd[dep-j]
-			for i := 0; i < rows; i++ {
-				s := 0.0
-				for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-					s += a.val[k] * prev[a.colSlot[k]]
-				}
-				cur[a.rowSlot[i]] = s
-			}
+			// Extended row i produces value slot i, so a level writes its
+			// row prefix in place.
+			sweepRows(cur, a.rowPtr[:a.ringEnd[dep-j]+1], a.colSlot, a.val, prev, nil)
 			copy(outs[v][j-1].Local(), cur[:a.nLocal])
 			prev, cur = cur, prev
 		}

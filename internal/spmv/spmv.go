@@ -131,6 +131,39 @@ func checkShape(p *comm.Proc, A *sparse.CSR, d dist.Contiguous) {
 	}
 }
 
+// sweepRows is the package's one CSR row kernel — the Figure 2 FORALL
+// over rows with the inner DO over row(j):row(j+1)-1. For every row i of
+// ptr it sums val[k]·x[idx[k]] over k in [ptr[i], ptr[i+1]) in storage
+// order, starting from +0.0, and stores the sum in y[i]; the offsets in
+// ptr index idx and val directly, so a row range of a larger structure
+// is swept by passing its slice of ptr. idx holds value slots of x, so
+// every entry is one branch-free load. When dx is non-nil the sweep also
+// returns Σ dx[i]·y[i] accumulated in ascending row order — exactly the
+// partial x.DotLocal(y) computes afterwards, which is what lets a fused
+// ApplyDot stay bit-identical to Apply followed by DotLocal.
+func sweepRows(y []float64, ptr, idx []int, val, x, dx []float64) float64 {
+	k := ptr[0]
+	idx = idx[:ptr[len(ptr)-1]]
+	val = val[:len(idx)]
+	ptr = ptr[1:]
+	y = y[:len(ptr)]
+	if dx != nil {
+		dx = dx[:len(ptr)]
+	}
+	dot := 0.0
+	for i, end := range ptr {
+		s := 0.0
+		for ; k < end; k++ {
+			s += val[k] * x[idx[k]]
+		}
+		y[i] = s
+		if dx != nil {
+			dot += dx[i] * s
+		}
+	}
+	return dot
+}
+
 func checkRebind(op string, old, new *comm.Proc) {
 	if new.Rank() != old.Rank() || new.NP() != old.NP() {
 		panic(fmt.Sprintf("spmv: %s rebind rank %d/%d onto operator built for %d/%d",
@@ -199,15 +232,7 @@ func (a *RowBlockCSR) Rebind(p *comm.Proc) {
 // Figure 2 FORALL over j with the inner DO over row(j):row(j+1)-1.
 func (a *RowBlockCSR) Apply(x, y *darray.Vector) {
 	checkAligned("RowBlockCSR.Apply", a.d, x, y)
-	xFull := x.GatherInto(a.xfull)
-	yl := y.Local()
-	for i := range yl {
-		s := 0.0
-		for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-			s += a.val[k] * xFull[a.col[k]]
-		}
-		yl[i] = s
-	}
+	sweepRows(y.Local(), a.rowPtr, a.col, a.val, x.GatherInto(a.xfull), nil)
 	a.p.Compute(2 * a.nnzLocal)
 }
 
@@ -219,19 +244,9 @@ func (a *RowBlockCSR) Apply(x, y *darray.Vector) {
 // agree bit for bit. Flop charge is Apply's 2·nnz plus DotLocal's 2·n.
 func (a *RowBlockCSR) ApplyDot(x, y *darray.Vector) float64 {
 	checkAligned("RowBlockCSR.ApplyDot", a.d, x, y)
-	xFull := x.GatherInto(a.xfull)
 	xl := x.Local()
-	yl := y.Local()
-	dot := 0.0
-	for i := range yl {
-		s := 0.0
-		for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-			s += a.val[k] * xFull[a.col[k]]
-		}
-		yl[i] = s
-		dot += xl[i] * s
-	}
-	a.p.Compute(2*a.nnzLocal + 2*len(yl))
+	dot := sweepRows(y.Local(), a.rowPtr, a.col, a.val, x.GatherInto(a.xfull), xl)
+	a.p.Compute(2*a.nnzLocal + 2*len(xl))
 	return dot
 }
 
@@ -383,15 +398,7 @@ func (a *ColBlockCSC) applyPrivateMerge(x, y *darray.Vector) {
 // then a purely local row loop over A^T's rows.
 func (a *ColBlockCSC) ApplyT(x, y *darray.Vector) {
 	checkAligned("ColBlockCSC.ApplyT", a.d, x, y)
-	xFull := x.GatherInto(a.xfull)
-	yl := y.Local()
-	for j := range yl {
-		s := 0.0
-		for k := a.colPtr[j]; k < a.colPtr[j+1]; k++ {
-			s += a.val[k] * xFull[a.row[k]]
-		}
-		yl[j] = s
-	}
+	sweepRows(y.Local(), a.colPtr, a.row, a.val, x.GatherInto(a.xfull), nil)
 	a.p.Compute(2 * a.nnzLocal)
 }
 
