@@ -31,8 +31,9 @@ test:
 # halo exchange moves pooled plane buffers between rank goroutines every
 # iteration, so internal/mfree joins the pass. The multigrid V-cycle
 # runs those exchanges on every level, moves pooled transfer planes
-# between neighbours and reads one coarsest-grid factor from all ranks
-# of a run, so internal/mg joins the pass. The CSR halo executor fills
+# between neighbours and shares one coarsest-grid factor, and its
+# lock-guarded solve memo, among all ranks of a run, so internal/mg
+# joins the pass. The CSR halo executor fills
 # its slot vector from the inspector schedule's pooled receive path on
 # every iteration, so internal/inspector joins the pass.
 race:
@@ -93,11 +94,13 @@ loc:
 # allocs), the matrix-free apply kernels (ns/point, GFLOP/s, zero
 # allocs), the multigrid smoother, residual and V-cycle at
 # solve_hpcg's shape (ns/point-pass, GFLOP/s over charged flops, zero
-# allocs) and the Matrix Market reader and COO-to-CSR conversion at
-# serve_cold's upload shape (MB/s, a constant handful of allocs).
-# Every other wall number comes from benchmark/.
+# allocs), the packed Cholesky factor and solve of that shape's
+# 500-point coarsest grid (ns/op; the solve allocates nothing) and the
+# Matrix Market reader and COO-to-CSR conversion at serve_cold's upload
+# shape (MB/s, a constant handful of allocs). Every other wall number
+# comes from benchmark/.
 bench:
-	$(GO) test -bench . -benchmem -run NONE ./internal/comm/... ./internal/spmv/... ./internal/mfree/... ./internal/mg/... ./internal/sparse/...
+	$(GO) test -bench . -benchmem -run NONE ./internal/comm/... ./internal/spmv/... ./internal/mfree/... ./internal/mg/... ./internal/direct/... ./internal/sparse/...
 
 # Every fuzz target, FUZZTIME each (`go test -fuzz` takes one target and
 # one package per run). Under `test` they only replay their seeds. A

@@ -471,8 +471,14 @@ func (p *Proc) Compute(flops int) {
 // one copy of it in the host's memory instead of NP. The modeled clock
 // is untouched, so a caller still charges every rank the flops of
 // computing the value itself. build must not call into p, and no rank
-// may write to the value afterwards. Keys of a package-private type
-// cannot collide across packages.
+// may write to the value afterwards, with one exception: the value may
+// carry a lock-guarded memo of a pure function of inputs every rank
+// holds identically (multigrid's bottom solve of the gathered coarse
+// residual), so the first rank to ask computes it and the rest read the
+// bits they would have computed. Keyed on the input's bits, such a memo
+// assumes nothing about how ranks interleave, and its caller still
+// charges every rank the flops. Keys of a package-private type cannot
+// collide across packages.
 func (p *Proc) Shared(key any, build func() any) any {
 	v, _ := p.rc.shared.LoadOrStore(key, &sharedSlot{})
 	slot := v.(*sharedSlot)

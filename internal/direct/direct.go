@@ -111,37 +111,57 @@ func SolveCSR(A *sparse.CSR, b []float64) ([]float64, error) {
 }
 
 // Cholesky holds the lower-triangular factor of an SPD matrix: A = L·Lᵀ.
+// L is stored twice, packed by rows, so that both triangular sweeps of a
+// solve read contiguous memory: l holds row i of L (columns 0..i) at
+// offset i(i+1)/2, and u holds row i of Lᵀ (columns i..n-1) at offset
+// i·n − i(i−1)/2. Together they take n(n+1) words.
 type Cholesky struct {
-	n int
-	l *sparse.Dense
+	n    int
+	l, u []float64
 }
 
-// FactorCholesky computes the Cholesky factorisation of dense SPD A.
+// lRow returns row i of L, columns 0..i.
+func (c *Cholesky) lRow(i int) []float64 { return c.l[i*(i+1)/2:][:i+1] }
+
+// uRow returns row i of Lᵀ, columns i..n-1.
+func (c *Cholesky) uRow(i int) []float64 { return c.u[i*c.n-i*(i-1)/2:][:c.n-i] }
+
+// FactorCholesky computes the Cholesky factorisation of dense SPD A,
+// row by row: entry (i, j) of L subtracts row i's and row j's first j
+// entries in ascending order, so every entry, and the first non-positive
+// pivot, is the same whichever order the rows and columns are visited.
 func FactorCholesky(A *sparse.Dense) (*Cholesky, error) {
 	n := A.NRows
 	if n != A.NCols {
 		return nil, fmt.Errorf("direct: matrix must be square, got %dx%d", n, A.NCols)
 	}
-	l := sparse.NewDense(n, n)
-	for j := 0; j < n; j++ {
-		sum := A.At(j, j)
-		for k := 0; k < j; k++ {
-			sum -= l.At(j, k) * l.At(j, k)
+	c := &Cholesky{n: n, l: make([]float64, n*(n+1)/2), u: make([]float64, n*(n+1)/2)}
+	for i := 0; i < n; i++ {
+		a, li := A.Row(i), c.lRow(i)
+		for j := 0; j < i; j++ {
+			lj, lij := c.lRow(j), li[:j]
+			s := a[j]
+			for k, v := range lj[:j] {
+				s -= lij[k] * v
+			}
+			li[j] = s / lj[j]
+		}
+		sum := a[i]
+		for _, v := range li[:i] {
+			sum -= v * v
 		}
 		if sum <= 0 {
-			return nil, fmt.Errorf("%w: non-positive pivot %g at column %d", ErrSingular, sum, j)
+			return nil, fmt.Errorf("%w: non-positive pivot %g at column %d", ErrSingular, sum, i)
 		}
-		ljj := math.Sqrt(sum)
-		l.Set(j, j, ljj)
-		for i := j + 1; i < n; i++ {
-			s := A.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
-			}
-			l.Set(i, j, s/ljj)
+		li[i] = math.Sqrt(sum)
+	}
+	for i := 0; i < n; i++ {
+		ui := c.uRow(i)
+		for k := range ui {
+			ui[k] = c.lRow(i + k)[i]
 		}
 	}
-	return &Cholesky{n: n, l: l}, nil
+	return c, nil
 }
 
 // Solve returns x with A·x = b via the two triangular solves.
@@ -167,19 +187,23 @@ func (c *Cholesky) SolveInto(dst, b, scratch []float64) error {
 	}
 	y := scratch
 	for i := 0; i < c.n; i++ {
+		row, yj := c.lRow(i), y[:i]
 		sum := b[i]
-		for j := 0; j < i; j++ {
-			sum -= c.l.At(i, j) * y[j]
+		for j, v := range row[:i] {
+			sum -= v * yj[j]
 		}
-		y[i] = sum / c.l.At(i, i)
+		y[i] = sum / row[i]
 	}
 	x := dst
 	for i := c.n - 1; i >= 0; i-- {
+		row := c.uRow(i)
+		tail := row[1:]
+		xj := x[i+1:][:len(tail)]
 		sum := y[i]
-		for j := i + 1; j < c.n; j++ {
-			sum -= c.l.At(j, i) * x[j]
+		for j, v := range tail {
+			sum -= v * xj[j]
 		}
-		x[i] = sum / c.l.At(i, i)
+		x[i] = sum / row[0]
 	}
 	return nil
 }

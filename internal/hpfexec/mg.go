@@ -5,8 +5,8 @@
 // are geometry, nothing is exchanged to set it up — so what the first
 // batch run builds and the handle caches is each rank's level scratch
 // and halo planes and, with a direct bottom solve, the coarsest-grid
-// Cholesky factor, one copy for all ranks (mg.Spec.ModelBytes counts
-// exactly these). The factor's ~cn³/3 flops per rank are the whole
+// Cholesky factor and its solve memo, one copy for all ranks
+// (mg.Spec.ModelBytes counts exactly these). The factor's ~cn³/3 flops per rank are the whole
 // modeled setup; a warm registry hit skips them and pays
 // SetupModelTime of exactly zero, the same semantics the CG plan cache
 // established.

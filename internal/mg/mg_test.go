@@ -301,6 +301,135 @@ func TestVCycleAllocFree(t *testing.T) {
 	}
 }
 
+// TestVCycleMissAllocFree: the bottom solve's miss path allocates
+// nothing either. TestVCycleAllocFree repeats one right-hand side, so
+// after its warm-up every bottom solve is a memo hit; here consecutive
+// V-cycles alternate two, so every one of them solves.
+func TestVCycleMissAllocFree(t *testing.T) {
+	for _, np := range []int{1, 4} {
+		var allocs float64
+		var pb0 *Problem
+		var before int
+		const runs = 10
+		machine(np).Run(func(p *comm.Proc) {
+			pb, err := NewProblem(p, Spec{Nx: 4, Ny: 4, Nz: 4, Levels: 3})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			d := pb.Dist()
+			rs := []*darray.Vector{darray.New(p, d), darray.New(p, d)}
+			fill(rs[0].Local(), d.Lo(p.Rank()), 1)
+			fill(rs[1].Local(), d.Lo(p.Rank()), 2)
+			z := darray.New(p, d)
+			M := pb.Precond()
+			k := 0
+			apply := func() {
+				M.Apply(rs[k%2], z)
+				k++
+			}
+			apply() // warm-up: pools fill, block buffers size
+			apply()
+			// The barrier keeps a lagging rank's warm-up out of rank 0's
+			// count, and no rank can reach the next bottom solve before
+			// rank 0 does.
+			p.Barrier()
+			if p.Rank() == 0 {
+				pb0 = pb
+				pb.coarse.mu.Lock()
+				before = pb.coarse.solves
+				pb.coarse.mu.Unlock()
+				allocs = testing.AllocsPerRun(runs, apply)
+			} else {
+				for i := 0; i < runs+1; i++ {
+					apply()
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("np=%d: V-cycle allocates %v per application when every bottom solve misses", np, allocs)
+		}
+		if got := pb0.coarse.solves - before; got != runs+1 {
+			t.Errorf("np=%d: %d bottom solves over %d V-cycles with alternating right-hand sides, want one each", np, got, runs+1)
+		}
+	}
+}
+
+// TestCoarseSolveSharedOncePerRHS: the ranks of a run share the bottom
+// solve. A V-cycle with a new coarse right-hand side costs the run
+// exactly one factor solve, a repeat of the last one costs none, and
+// the bottom solution is chol.SolveInto's on the gathered right-hand
+// side. The V-cycle's answer and every rank's modeled clock are
+// bit-equal to a run in which each rank solves redundantly with a
+// factor of its own.
+func TestCoarseSolveSharedOncePerRHS(t *testing.T) {
+	spec := Spec{Nx: 8, Ny: 8, Nz: 4, Levels: 3, Coarse: "direct"}
+	salts := []int{1, 1, 2, 1, 2, 2}
+	wantSolves := []int{1, 1, 2, 3, 4, 4}
+	type step struct {
+		z     []float64
+		clock float64
+	}
+	for _, np := range []int{1, 2, 3, 4, 8} {
+		run := func(shared bool) [][]step {
+			steps := make([][]step, np)
+			machine(np).Run(func(p *comm.Proc) {
+				pb, err := NewProblem(p, spec)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				chol := pb.coarse.chol
+				cn := chol.N()
+				if !shared {
+					pb.coarse = &coarseFactor{chol: chol, in: make([]float64, cn), out: make([]float64, cn), scratch: make([]float64, cn)}
+				}
+				d := pb.Dist()
+				r, z := darray.New(p, d), darray.New(p, d)
+				bottom := pb.levels[len(pb.levels)-1]
+				sol, scratch := make([]float64, cn), make([]float64, cn)
+				for k, salt := range salts {
+					fill(r.Local(), d.Lo(p.Rank()), salt)
+					pb.Precond().Apply(r, z)
+					steps[p.Rank()] = append(steps[p.Rank()], step{append([]float64(nil), z.Local()...), p.Clock()})
+					if err := chol.SolveInto(sol, pb.coarseFull, scratch); err != nil {
+						t.Error(err)
+						return
+					}
+					if i := sameBits(bottom.x, sol[bottom.zlo*bottom.b.X*bottom.b.Y:][:bottom.n]); i >= 0 {
+						t.Errorf("np=%d shared=%v rank %d V-cycle %d: bottom x[%d] differs from chol.SolveInto", np, shared, p.Rank(), k, i)
+					}
+					// Every rank has called the bottom solve once the
+					// barrier returns, and none can call the next before
+					// rank 0 has entered its V-cycle.
+					p.Barrier()
+					if shared && p.Rank() == 0 {
+						pb.coarse.mu.Lock()
+						got := pb.coarse.solves
+						pb.coarse.mu.Unlock()
+						if got != wantSolves[k] {
+							t.Errorf("np=%d: %d bottom solves after V-cycle %d, want %d", np, got, k, wantSolves[k])
+						}
+					}
+				}
+			})
+			return steps
+		}
+		got, want := run(true), run(false)
+		for r := range want {
+			for k := range want[r] {
+				g, w := got[r][k], want[r][k]
+				if i := sameBits(g.z, w.z); i >= 0 {
+					t.Errorf("np=%d rank %d V-cycle %d: z[%d] = %v, redundant solve %v", np, r, k, i, g.z[i], w.z[i])
+				}
+				if g.clock != w.clock {
+					t.Errorf("np=%d rank %d V-cycle %d: modeled clock %v, redundant solve %v", np, r, k, g.clock, w.clock)
+				}
+			}
+		}
+	}
+}
+
 // TestPrecondName names the shape for reports.
 func TestPrecondName(t *testing.T) {
 	machine(2).Run(func(p *comm.Proc) {

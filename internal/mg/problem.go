@@ -7,6 +7,8 @@ package mg
 
 import (
 	"fmt"
+	"math"
+	"sync"
 
 	"hpfcg/internal/comm"
 	"hpfcg/internal/darray"
@@ -30,19 +32,17 @@ type Problem struct {
 	// into the interface per call.
 	fineD dist.Dist
 
-	// Coarsest-grid direct solve (nil coarseChol = smoother sweeps, the
-	// original HPCG convention). Every rank solves with the same dense
-	// Cholesky factor of the whole coarsest operator — on the modeled
-	// machine a redundant copy per rank, in the host one read-only object
-	// the ranks of a run share; the bottom of the V-cycle allgathers the
-	// coarse residual and solves it identically everywhere —
-	// deterministic, collective-aligned, and allocation-free on the
-	// per-rank buffers below.
-	coarseChol    *direct.Cholesky
-	coarseCounts  []int
-	coarseFull    []float64
-	coarseSol     []float64
-	coarseScratch []float64
+	// Coarsest-grid direct solve (nil coarse = smoother sweeps, the
+	// original HPCG convention). The bottom of the V-cycle allgathers the
+	// coarse residual into coarseFull, so every rank holds the same full
+	// vector, and solves it with the dense Cholesky factor of the whole
+	// coarsest operator. On the modeled machine every rank holds its own
+	// factor and solves redundantly; in the host the ranks of a run share
+	// one factor and one solve per distinct right-hand side through
+	// coarse. Deterministic, collective-aligned and allocation-free.
+	coarse       *coarseFactor
+	coarseCounts []int
+	coarseFull   []float64
 }
 
 // NewProblem builds the hierarchy for the (defaulted, validated) spec
@@ -96,49 +96,87 @@ func (pb *Problem) setupCoarse() error {
 			return nil
 		}
 	}
-	f := pb.p.Shared(factorKey(coarse.b), func() any { return factorStencil(coarse.b) }).(coarseFactor)
+	f := pb.p.Shared(factorKey(coarse.b), func() any { return factorStencil(coarse.b) }).(*coarseFactor)
 	if f.err != nil {
 		return fmt.Errorf("mg: coarsest-grid factorization: %w", f.err)
 	}
 	// On the modeled machine every rank factors redundantly: ~N³/3
 	// flops each, charged at setup.
 	pb.p.Compute(cn * cn * cn / 3)
-	pb.coarseChol = f.chol
+	pb.coarse = f
 	pb.coarseCounts = make([]int, pb.p.NP())
 	d := coarse.op.Dist()
 	for r := range pb.coarseCounts {
 		pb.coarseCounts[r] = d.Count(r)
 	}
 	pb.coarseFull = make([]float64, cn)
-	pb.coarseSol = make([]float64, cn)
-	pb.coarseScratch = make([]float64, cn)
 	return nil
 }
 
 // coarseFactor is what the ranks of a run share through comm.Proc.Shared
 // under a factorKey, the coarsest brick: the factor is a function of it
-// alone.
+// alone. It also memoises the last bottom solve, so the ranks of a
+// V-cycle, which all hold the same gathered right-hand side, pay for
+// one solve between them.
 type coarseFactor struct {
 	chol *direct.Cholesky
 	err  error
+
+	mu      sync.Mutex
+	in, out []float64 // the last right-hand side solved, and its solution
+	scratch []float64 // the forward sweep's intermediate
+	solves  int       // factor solves run; in and out are valid once it is > 0
 }
 
 type factorKey grid.Brick3
 
 // factorStencil assembles the 27-point operator on b densely and
 // factors it.
-func factorStencil(b grid.Brick3) coarseFactor {
+func factorStencil(b grid.Brick3) *coarseFactor {
 	A, err := mfree.Spec{Stencil: "27pt", Nx: b.X, Ny: b.Y, Nz: b.Z}.Assemble()
 	if err != nil {
-		return coarseFactor{err: err}
+		return &coarseFactor{err: err}
 	}
 	chol, err := direct.FactorCholesky(A.ToDense())
-	return coarseFactor{chol, err}
+	if err != nil {
+		return &coarseFactor{err: err}
+	}
+	n := chol.N()
+	return &coarseFactor{chol: chol, in: make([]float64, n), out: make([]float64, n), scratch: make([]float64, n)}
+}
+
+// solve writes entries [off, off+len(xl)) of A⁻¹·full into xl. The memo
+// is keyed on full's bits, not on a V-cycle count, so it assumes nothing
+// about how callers interleave: a late rank, a rebound warm plan or a
+// batch-mate with another right-hand side at worst solves again, to the
+// same bits. The caller charges the modeled solve itself, outside the
+// lock.
+func (f *coarseFactor) solve(xl, full []float64, off int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.solves == 0 || !bitsEqual(f.in, full) {
+		if err := f.chol.SolveInto(f.out, full, f.scratch); err != nil {
+			panic(err)
+		}
+		copy(f.in, full)
+		f.solves++
+	}
+	copy(xl, f.out[off:off+len(xl)])
+}
+
+// bitsEqual reports whether a and b, of equal length, hold the same bits.
+func bitsEqual(a, b []float64) bool {
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // CoarseDirect reports whether the hierarchy bottoms out in the dense
 // direct solve (false: smoother sweeps, the original HPCG convention).
-func (pb *Problem) CoarseDirect() bool { return pb.coarseChol != nil }
+func (pb *Problem) CoarseDirect() bool { return pb.coarse != nil }
 
 // Spec returns the (defaulted) spec the problem was built from.
 func (pb *Problem) Spec() Spec { return pb.spec }
@@ -181,17 +219,15 @@ func (pb *Problem) vcycle(l int, rl, xl []float64) {
 	}
 	pb.p.Compute(lv.n)
 	if l == len(pb.levels)-1 {
-		if pb.coarseChol != nil {
+		if pb.coarse != nil {
 			// Direct bottom solve: allgather the coarse residual (every
-			// rank sees the identical full vector), solve redundantly
-			// with the cached Cholesky factor, and keep the owned
-			// slice. Deterministic and allocation-free.
+			// rank sees the identical full vector), solve it with the
+			// shared Cholesky factor, whose memo lets the first rank's
+			// solve serve the rest, and keep the owned slice. Every
+			// rank is still charged the redundant solve.
 			full := pb.p.AllgatherVInto(rl, pb.coarseCounts, pb.coarseFull)
-			if err := pb.coarseChol.SolveInto(pb.coarseSol, full, pb.coarseScratch); err != nil {
-				panic(err)
-			}
-			copy(xl, pb.coarseSol[lv.zlo*lv.b.X*lv.b.Y:][:lv.n])
-			cn := pb.coarseChol.N()
+			pb.coarse.solve(xl, full, lv.zlo*lv.b.X*lv.b.Y)
+			cn := pb.coarse.chol.N()
 			pb.p.Compute(2 * cn * cn)
 			return
 		}

@@ -110,6 +110,9 @@ func TestApplySteadyStateNoAllocs(t *testing.T) {
 				x.SetGlobal(func(g int) float64 { return float64(g%7) - 3 })
 				y := darray.New(p, d)
 				op.ApplyDot(x, y) // warm-up: fills gather target and pools
+				// The barrier keeps a lagging rank's set-up out of rank
+				// 0's process-wide count.
+				p.Barrier()
 				if p.Rank() == 0 {
 					allocs = testing.AllocsPerRun(runs, func() {
 						op.ApplyDot(x, y)
