@@ -26,8 +26,8 @@ func main() {
 	var (
 		matrixSpec = flag.String("matrix", "laplace2d:32:32", "generator spec: laplace1d:n | laplace2d:nx:ny | laplace3d:nx:ny:nz | banded:n:halfband | randspd:n:nnzrow:seed | powerlaw:n:seed | nascg:S|W|A:seed")
 		file       = flag.String("file", "", "Matrix Market file (overrides -matrix)")
-		method     = flag.String("method", "cg", "cg | pcg | bicg | cgs | bicgstab")
-		layout     = flag.String("layout", "row-csr", "row-csr | col-csc-merge | col-csc-serial | dense-row | dense-col")
+		method     = flag.String("method", "cg", "cg | pcg | bicg | cgs | bicgstab | gmres")
+		layout     = flag.String("layout", "row-csr", "row-csr | row-csr-halo | col-csc-merge | col-csc-serial | dense-row | dense-col")
 		np         = flag.Int("np", 4, "number of virtual processors")
 		topo       = flag.String("topology", "hypercube", "hypercube | ring | mesh2d | full")
 		tol        = flag.Float64("tol", 1e-10, "relative residual tolerance")

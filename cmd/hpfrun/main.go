@@ -220,17 +220,18 @@ func prepareDirectives(m *comm.Machine, demo, matrixSpec, matrixFile string) (*h
 // prepareHPCG is the -hpcg path: V-cycle multigrid-preconditioned CG
 // on the 27-point stencil, each rank owning an nx×ny×nz brick.
 func prepareHPCG(m *comm.Machine, brick string, levels, smooths int) (*hpfexec.Prepared, func()) {
-	var nx, ny, nz int
-	if _, err := fmt.Sscanf(brick, "%d,%d,%d", &nx, &ny, &nz); err != nil {
-		fatal(fmt.Errorf("-hpcg wants nx,ny,nz (e.g. 8,8,8), got %q", brick))
+	spec, err := mg.ParseBrick(brick)
+	if err != nil {
+		fatal(fmt.Errorf("-hpcg: %w", err))
 	}
-	pr, err := hpfexec.PrepareMG(m, mg.Spec{Nx: nx, Ny: ny, Nz: nz, Levels: levels, Smooths: smooths})
+	spec.Levels, spec.Smooths = levels, smooths
+	pr, err := hpfexec.PrepareMG(m, spec)
 	if err != nil {
 		fatal(err)
 	}
 	return pr, func() {
 		fmt.Printf("stencil:  27-pt, brick %dx%dx%d per rank, n=%d np=%d levels=%d\n",
-			nx, ny, nz, pr.N(), m.NP(), pr.Strategy().Levels)
+			spec.Nx, spec.Ny, spec.Nz, pr.N(), m.NP(), pr.Strategy().Levels)
 	}
 }
 

@@ -20,12 +20,18 @@
 //     distributed (internal/core) and sequential with GMRES and
 //     Jacobi/SSOR/IC(0) preconditioners (internal/seq), plus dense
 //     direct baselines (internal/direct);
+//   - beyond the paper, matrix-free stencil operators and an
+//     HPCG-style multigrid preconditioner (internal/mfree, internal/mg);
 //   - the NAS-CG-like benchmark kernel (internal/nas) and the
 //     experiment harness that regenerates every figure-level claim
 //     (internal/bench, see EXPERIMENTS.md).
 //
-// This file is the high-level facade: build a simulated machine, pick
-// a method and a data layout, and solve.
+// This file is the high-level facade — build a simulated machine, pick
+// a method and a data layout, and solve — used by cmd/cgsolve,
+// examples/laplace2d and the Example functions. The directive-driven
+// path, a bound !HPF$/!EXT$ plan prepared once and solved in batches,
+// is internal/hpfexec, behind cmd/hpfrun and the solver service
+// (internal/serve, cmd/hpfserve).
 package hpfcg
 
 import (

@@ -34,11 +34,11 @@ func E24(cfg Config) ([]*report.Table, error) {
 		nps = []int{1, 2, 4}
 	}
 	if cfg.HPCG != "" {
-		var s size
-		if _, err := fmt.Sscanf(cfg.HPCG, "%d,%d,%d", &s.nx, &s.ny, &s.nz); err != nil {
-			return nil, fmt.Errorf("E24: -hpcg wants nx,ny,nz, got %q", cfg.HPCG)
+		spec, err := mg.ParseBrick(cfg.HPCG)
+		if err != nil {
+			return nil, fmt.Errorf("-hpcg: %w", err)
 		}
-		sizes = []size{s}
+		sizes = []size{{spec.Nx, spec.Ny, spec.Nz}}
 	}
 	levelSweep := []int{1, 2, mg.DefaultLevels}
 

@@ -100,53 +100,6 @@ func (p *Proc) BcastFloats(root int, x []float64) []float64 {
 	return p.Bcast(root, Payload{Floats: x}).Floats
 }
 
-// BcastInts broadcasts an int slice from root.
-func (p *Proc) BcastInts(root int, x []int) []int {
-	return p.Bcast(root, Payload{Ints: x}).Ints
-}
-
-// BcastFloat broadcasts a scalar from root.
-func (p *Proc) BcastFloat(root int, x float64) float64 {
-	return p.BcastFloats(root, []float64{x})[0]
-}
-
-// BcastInt broadcasts an int scalar from root.
-func (p *Proc) BcastInt(root int, x int) int {
-	return p.BcastInts(root, []int{x})[0]
-}
-
-// Reduce combines x element-wise across processors with op using a
-// binomial tree. The result is returned at root; other ranks get nil.
-// x is not modified.
-func (p *Proc) Reduce(root int, x []float64, op ReduceOp) []float64 {
-	defer p.collEnd("reduce", p.clock)
-	tag := p.nextTag(opReduce)
-	np := p.m.np
-	if root < 0 || root >= np {
-		panic(fmt.Sprintf("comm: Reduce invalid root %d", root))
-	}
-	acc := make([]float64, len(x))
-	copy(acc, x)
-	if np == 1 {
-		return acc
-	}
-	rel := (p.rank - root + np) % np
-	for mask := 1; mask < np; mask <<= 1 {
-		if rel&mask != 0 {
-			dst := ((rel ^ mask) + root) % np
-			p.Send(dst, tag, Payload{Floats: acc})
-			return nil
-		}
-		if rel|mask < np {
-			src := ((rel | mask) + root) % np
-			in := p.Recv(src, tag).Floats
-			op.combine(acc, in)
-			p.Compute(len(acc))
-		}
-	}
-	return acc
-}
-
 // Allreduce combines x element-wise across all processors and returns
 // the result on every rank. This is the "merge phase" of the paper's
 // inner products: t_s*log NP communication for the scalar case. The
@@ -195,39 +148,9 @@ func offsetsOf(counts []int) []int {
 	return offs
 }
 
-// GatherV collects variable-size blocks onto root in rank order. local
-// must have length counts[rank]. root returns the concatenation; other
-// ranks return nil.
-func (p *Proc) GatherV(root int, local []float64, counts []int) []float64 {
-	defer p.collEnd("gatherv", p.clock)
-	tag := p.nextTag(opGather)
-	np := p.m.np
-	total := checkCounts(counts, np)
-	if len(local) != counts[p.rank] {
-		panic(fmt.Sprintf("comm: GatherV rank %d local length %d != counts %d", p.rank, len(local), counts[p.rank]))
-	}
-	if p.rank != root {
-		p.Send(root, tag, Payload{Floats: local})
-		return nil
-	}
-	offs := offsetsOf(counts)
-	full := make([]float64, total)
-	copy(full[offs[root]:], local)
-	for r := 0; r < np; r++ {
-		if r == root {
-			continue
-		}
-		in := p.Recv(r, tag).Floats
-		if len(in) != counts[r] {
-			panic(fmt.Sprintf("comm: GatherV expected %d elements from %d, got %d", counts[r], r, len(in)))
-		}
-		copy(full[offs[r]:], in)
-	}
-	return full
-}
-
-// ScatterV is the inverse of GatherV: root holds the concatenation and
-// every rank receives its counts[rank]-sized block.
+// ScatterV distributes variable-size blocks from root: root holds the
+// concatenation in rank order and every rank receives its
+// counts[rank]-sized block.
 func (p *Proc) ScatterV(root int, full []float64, counts []int) []float64 {
 	defer p.collEnd("scatterv", p.clock)
 	tag := p.nextTag(opScatter)
@@ -260,33 +183,6 @@ func (p *Proc) ScatterV(root int, full []float64, counts []int) []float64 {
 // it falls back to the (NP-1)-step ring.
 func (p *Proc) AllgatherV(local []float64, counts []int) []float64 {
 	return p.AllgatherVInto(local, counts, nil)
-}
-
-// AllgatherVInts is AllgatherV for int blocks.
-func (p *Proc) AllgatherVInts(local []int, counts []int) []int {
-	defer p.collEnd("allgatherv-ints", p.clock)
-	tag := p.nextTag(opAllgather)
-	np := p.m.np
-	total := checkCounts(counts, np)
-	if len(local) != counts[p.rank] {
-		panic(fmt.Sprintf("comm: AllgatherVInts rank %d local length %d != counts %d", p.rank, len(local), counts[p.rank]))
-	}
-	offs := offsetsOf(counts)
-	full := make([]int, total)
-	copy(full[offs[p.rank]:], local)
-	if np == 1 {
-		return full
-	}
-	right := (p.rank + 1) % np
-	left := (p.rank - 1 + np) % np
-	for step := 0; step < np-1; step++ {
-		sendBlk := (p.rank - step + np) % np
-		recvBlk := (p.rank - step - 1 + np) % np
-		p.Send(right, tag, Payload{Ints: full[offs[sendBlk]:offs[sendBlk+1]]})
-		in := p.Recv(left, tag).Ints
-		copy(full[offs[recvBlk]:], in)
-	}
-	return full
 }
 
 // AlltoallV exchanges personalised blocks: segments[d] goes to rank d,

@@ -43,16 +43,11 @@ func TestSendRecv(t *testing.T) {
 	m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
 			p.SendFloats(1, 7, []float64{1, 2, 3})
-			p.SendInts(1, 8, []int{9, 10})
 		}
 		if p.Rank() == 1 {
 			f := p.RecvFloats(0, 7)
 			if !reflect.DeepEqual(f, []float64{1, 2, 3}) {
 				t.Errorf("RecvFloats = %v", f)
-			}
-			in := p.RecvInts(0, 8)
-			if !reflect.DeepEqual(in, []int{9, 10}) {
-				t.Errorf("RecvInts = %v", in)
 			}
 		}
 	})
@@ -138,23 +133,9 @@ func TestBcastIntsAndScalars(t *testing.T) {
 		if p.Rank() == 2 {
 			xi = []int{4, 5, 6}
 		}
-		got := p.BcastInts(2, xi)
+		got := p.Bcast(2, Payload{Ints: xi}).Ints
 		if !reflect.DeepEqual(got, []int{4, 5, 6}) {
-			t.Errorf("BcastInts = %v", got)
-		}
-		var s float64
-		if p.Rank() == 0 {
-			s = 2.25
-		}
-		if gs := p.BcastFloat(0, s); gs != 2.25 {
-			t.Errorf("BcastFloat = %v", gs)
-		}
-		var n int
-		if p.Rank() == 4 {
-			n = 42
-		}
-		if gn := p.BcastInt(4, n); gn != 42 {
-			t.Errorf("BcastInt = %v", gn)
+			t.Errorf("Bcast ints = %v", got)
 		}
 	})
 }
@@ -163,17 +144,6 @@ func TestReduceAllOps(t *testing.T) {
 	for _, np := range testNPs {
 		m := testMachine(np)
 		m.Run(func(p *Proc) {
-			x := []float64{float64(p.Rank()), float64(-p.Rank()), 1}
-			sum := p.Reduce(0, x, OpSum)
-			if p.Rank() == 0 {
-				n := float64(np)
-				want := []float64{n * (n - 1) / 2, -n * (n - 1) / 2, n}
-				if !reflect.DeepEqual(sum, want) {
-					t.Errorf("np=%d Reduce sum = %v, want %v", np, sum, want)
-				}
-			} else if sum != nil {
-				t.Errorf("non-root got %v", sum)
-			}
 			mx := p.Allreduce([]float64{float64(p.Rank())}, OpMax)
 			if mx[0] != float64(np-1) {
 				t.Errorf("np=%d Allreduce max = %v", np, mx)
@@ -224,15 +194,10 @@ func TestGatherScatterAllgather(t *testing.T) {
 			for i := range local {
 				local[i] = want[lo+i]
 			}
-			full := p.GatherV(0, local, counts)
+			var full []float64
 			if p.Rank() == 0 {
-				if !reflect.DeepEqual(full, want) {
-					t.Errorf("np=%d GatherV = %v", np, full)
-				}
-			} else if full != nil {
-				t.Errorf("np=%d non-root GatherV != nil", np)
+				full = want
 			}
-
 			back := p.ScatterV(0, full, counts)
 			if !reflect.DeepEqual(back, local) {
 				t.Errorf("np=%d rank=%d ScatterV = %v, want %v", np, p.Rank(), back, local)
@@ -241,26 +206,6 @@ func TestGatherScatterAllgather(t *testing.T) {
 			ag := p.AllgatherV(local, counts)
 			if !reflect.DeepEqual(ag, want) {
 				t.Errorf("np=%d rank=%d AllgatherV = %v", np, p.Rank(), ag)
-			}
-		})
-	}
-}
-
-func TestAllgatherVInts(t *testing.T) {
-	for _, np := range testNPs {
-		n := 2*np + 3
-		counts := blockCounts(n, np)
-		want := make([]int, n)
-		for i := range want {
-			want[i] = 7*i - 3
-		}
-		m := testMachine(np)
-		m.Run(func(p *Proc) {
-			lo := p.Rank() * n / np
-			local := append([]int(nil), want[lo:lo+counts[p.Rank()]]...)
-			got := p.AllgatherVInts(local, counts)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("np=%d rank=%d AllgatherVInts = %v", np, p.Rank(), got)
 			}
 		})
 	}

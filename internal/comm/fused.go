@@ -92,9 +92,10 @@ func (p *Proc) AllreduceScalars(xs []float64, op ReduceOp) {
 	p.bcastInPlaceTree(xs)
 }
 
-// reduceInPlaceTree is Reduce to rank 0 with the same binomial-tree
-// schedule (partners, message sizes, combine order and hence bitwise
-// results) as Reduce(0, ...), but in place and pooled. Non-root ranks
+// reduceInPlaceTree reduces acc to rank 0 over a binomial tree, in
+// place and pooled: in round mask, a rank with that bit set sends its
+// partial to rank^mask and leaves, and any other combines what
+// rank|mask sends. Non-root ranks
 // are left holding their partial accumulation; the following broadcast
 // overwrites it.
 func (p *Proc) reduceInPlaceTree(acc []float64, op ReduceOp) {

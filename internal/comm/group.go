@@ -140,11 +140,3 @@ func (g Group) ReduceSumFloats(p *Proc, rootIdx int, x []float64) []float64 {
 	}
 	return acc
 }
-
-// AllreduceSumFloats sums x across the group and returns the result on
-// every member (reduce to index 0, then broadcast).
-func (g Group) AllreduceSumFloats(p *Proc, x []float64) []float64 {
-	defer p.collEnd("group-allreduce", p.clock)
-	res := g.ReduceSumFloats(p, 0, x)
-	return g.BcastFloats(p, 0, res)
-}

@@ -194,18 +194,6 @@ func (v *Vector) Sum() float64 {
 	return v.p.AllreduceScalar(s, comm.OpSum)
 }
 
-// MaxAbs returns the infinity norm, used by stopping criteria.
-func (v *Vector) MaxAbs() float64 {
-	s := 0.0
-	for _, x := range v.loc {
-		if a := math.Abs(x); a > s {
-			s = a
-		}
-	}
-	v.p.Compute(len(v.loc))
-	return v.p.AllreduceScalar(s, comm.OpMax)
-}
-
 // Gather returns the full global vector on every processor — the
 // "all-to-all broadcast of the local vector elements" of Scenario 1.
 // Cost: (NP-1) ring steps of ~n/NP elements each. For non-contiguous
@@ -280,37 +268,4 @@ func (v *Vector) ReduceScatterFrom(priv []float64) {
 // String formats the local block for debugging.
 func (v *Vector) String() string {
 	return fmt.Sprintf("Vector{rank=%d, dist=%s, local=%v}", v.p.Rank(), v.d.Name(), v.loc)
-}
-
-// MaxVal is the HPF MAXVAL intrinsic: the maximum element value.
-func (v *Vector) MaxVal() float64 {
-	s := math.Inf(-1)
-	for _, x := range v.loc {
-		if x > s {
-			s = x
-		}
-	}
-	v.p.Compute(len(v.loc))
-	return v.p.AllreduceScalar(s, comm.OpMax)
-}
-
-// MinVal is the HPF MINVAL intrinsic: the minimum element value.
-func (v *Vector) MinVal() float64 {
-	s := math.Inf(1)
-	for _, x := range v.loc {
-		if x < s {
-			s = x
-		}
-	}
-	v.p.Compute(len(v.loc))
-	return v.p.AllreduceScalar(s, comm.OpMin)
-}
-
-// Hadamard computes v = v .* x (element-wise product), locally.
-func (v *Vector) Hadamard(x *Vector) {
-	v.sameDist(x)
-	for i := range v.loc {
-		v.loc[i] *= x.loc[i]
-	}
-	v.p.Compute(len(v.loc))
 }

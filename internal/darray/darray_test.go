@@ -138,25 +138,6 @@ func TestDotNormSum(t *testing.T) {
 	}
 }
 
-func TestMaxAbs(t *testing.T) {
-	np := 4
-	n := 17
-	d := dist.NewBlock(n, np)
-	m := machine(np)
-	m.Run(func(p *comm.Proc) {
-		v := New(p, d)
-		v.SetGlobal(func(g int) float64 {
-			if g == 11 {
-				return -42
-			}
-			return float64(g % 3)
-		})
-		if got := v.MaxAbs(); got != 42 {
-			t.Errorf("MaxAbs = %g, want 42", got)
-		}
-	})
-}
-
 func TestCloneCopyFill(t *testing.T) {
 	np := 3
 	d := dist.NewBlock(10, np)
@@ -317,43 +298,5 @@ func TestGatherQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMaxValMinValHadamard(t *testing.T) {
-	for _, np := range testNPs {
-		n := 5*np + 2
-		d := dist.NewBlock(n, np)
-		machine(np).Run(func(p *comm.Proc) {
-			v := New(p, d)
-			v.SetGlobal(func(g int) float64 { return float64((g*7)%11) - 3 })
-			wantMax, wantMin := math.Inf(-1), math.Inf(1)
-			for g := 0; g < n; g++ {
-				x := float64((g*7)%11) - 3
-				if x > wantMax {
-					wantMax = x
-				}
-				if x < wantMin {
-					wantMin = x
-				}
-			}
-			if got := v.MaxVal(); got != wantMax {
-				t.Errorf("np=%d MaxVal = %g, want %g", np, got, wantMax)
-			}
-			if got := v.MinVal(); got != wantMin {
-				t.Errorf("np=%d MinVal = %g, want %g", np, got, wantMin)
-			}
-			w := New(p, d)
-			w.SetGlobal(func(g int) float64 { return 2 })
-			v.Hadamard(w)
-			full := v.Gather()
-			for g := range full {
-				want := 2 * (float64((g*7)%11) - 3)
-				if full[g] != want {
-					t.Errorf("np=%d Hadamard[%d] = %g, want %g", np, g, full[g], want)
-					return
-				}
-			}
-		})
 	}
 }

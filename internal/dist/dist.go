@@ -181,9 +181,6 @@ func (b BlockSize) NP() int { return b.np }
 // Name implements Dist.
 func (b BlockSize) Name() string { return fmt.Sprintf("BLOCK(%d)", b.k) }
 
-// K returns the block size.
-func (b BlockSize) K() int { return b.k }
-
 // Lo implements Contiguous.
 func (b BlockSize) Lo(proc int) int {
 	lo := proc * b.k
@@ -245,9 +242,6 @@ func (c Cyclic) Name() string {
 	return fmt.Sprintf("CYCLIC(%d)", c.k)
 }
 
-// K returns the block size.
-func (c Cyclic) K() int { return c.k }
-
 // Owner implements Dist.
 func (c Cyclic) Owner(g int) int {
 	if g < 0 || g >= c.n {
@@ -284,44 +278,6 @@ func (c Cyclic) Count(proc int) int {
 	}
 	return count
 }
-
-// Replicated maps every element to every processor: HPF's unmapped /
-// replicated arrays (the small cut-off-point arrays of §5.2.1 are
-// "replicated over all processors"). Owner reports rank 0 as the
-// canonical owner.
-type Replicated struct {
-	n, np int
-}
-
-// NewReplicated creates a replicated descriptor.
-func NewReplicated(n, np int) Replicated {
-	check(n, np)
-	return Replicated{n: n, np: np}
-}
-
-// N implements Dist.
-func (r Replicated) N() int { return r.n }
-
-// NP implements Dist.
-func (r Replicated) NP() int { return r.np }
-
-// Name implements Dist.
-func (r Replicated) Name() string { return "REPLICATED" }
-
-// Owner implements Dist (canonical owner is rank 0).
-func (r Replicated) Owner(g int) int { return 0 }
-
-// Local implements Dist.
-func (r Replicated) Local(g int) (int, int) { return 0, g }
-
-// Global implements Dist.
-func (r Replicated) Global(proc, off int) int { return off }
-
-// Count implements Dist: every processor holds all n elements.
-func (r Replicated) Count(proc int) int { return r.n }
-
-// Lo implements Contiguous.
-func (r Replicated) Lo(proc int) int { return 0 }
 
 // Irregular is a contiguous distribution with explicit cut points:
 // processor r owns [cuts[r], cuts[r+1]). This is the descriptor shape

@@ -20,10 +20,7 @@ func roundTrip(t *testing.T, d Dist) {
 		total += c
 	}
 	if total != n {
-		// Replicated legitimately over-counts.
-		if _, repl := d.(Replicated); !repl {
-			t.Fatalf("%s n=%d np=%d: counts sum to %d", d.Name(), n, np, total)
-		}
+		t.Fatalf("%s n=%d np=%d: counts sum to %d", d.Name(), n, np, total)
 	}
 	seen := make(map[[2]int]bool)
 	for g := 0; g < n; g++ {
@@ -115,9 +112,6 @@ func TestBlockSize(t *testing.T) {
 	if b.Name() != "BLOCK(3)" {
 		t.Errorf("Name = %q", b.Name())
 	}
-	if b.K() != 3 {
-		t.Errorf("K = %d", b.K())
-	}
 	// Trailing processors may be empty.
 	b2 := NewBlockSize(5, 4, 5)
 	roundTrip(t, b2)
@@ -173,29 +167,8 @@ func TestCyclicShape(t *testing.T) {
 	if ck.Owner(7) != 0 || ck.Owner(9) != 1 {
 		t.Errorf("CYCLIC(3) owners wrong: %d %d", ck.Owner(7), ck.Owner(9))
 	}
-	if ck.Name() != "CYCLIC(3)" || ck.K() != 3 {
-		t.Errorf("Name=%q K=%d", ck.Name(), ck.K())
-	}
-}
-
-func TestReplicated(t *testing.T) {
-	r := NewReplicated(6, 3)
-	if r.N() != 6 || r.NP() != 3 || r.Name() != "REPLICATED" {
-		t.Errorf("descriptor wrong: %v %v %v", r.N(), r.NP(), r.Name())
-	}
-	for g := 0; g < 6; g++ {
-		if r.Owner(g) != 0 {
-			t.Errorf("Owner(%d) = %d", g, r.Owner(g))
-		}
-		pr, off := r.Local(g)
-		if pr != 0 || off != g {
-			t.Errorf("Local(%d) = (%d,%d)", g, pr, off)
-		}
-	}
-	for p := 0; p < 3; p++ {
-		if r.Count(p) != 6 || r.Lo(p) != 0 {
-			t.Errorf("proc %d: Count=%d Lo=%d", p, r.Count(p), r.Lo(p))
-		}
+	if ck.Name() != "CYCLIC(3)" {
+		t.Errorf("Name=%q", ck.Name())
 	}
 }
 
@@ -289,7 +262,6 @@ func TestContiguousInterface(t *testing.T) {
 	var _ Contiguous = NewBlock(10, 2)
 	var _ Contiguous = NewBlockSize(10, 2, 5)
 	var _ Contiguous = NewIrregular([]int{0, 3, 10})
-	var _ Contiguous = NewReplicated(10, 2)
 	// Cyclic must NOT be contiguous.
 	var d Dist = NewCyclic(10, 2)
 	if _, ok := d.(Contiguous); ok {
@@ -311,7 +283,6 @@ func TestSameDirect(t *testing.T) {
 		{NewIrregular([]int{0, 4, 10}), NewIrregular([]int{0, 4, 10}), true},
 		{NewIrregular([]int{0, 4, 10}), NewIrregular([]int{0, 6, 10}), false},
 		{NewIrregular([]int{0, 5, 10}), NewBlock(10, 2), false}, // same mapping, different name: Same is conservative
-		{NewReplicated(10, 2), NewReplicated(10, 2), true},
 	}
 	for i, c := range cases {
 		if got := Same(c.a, c.b); got != c.want {

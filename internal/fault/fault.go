@@ -183,9 +183,6 @@ func NewInjector(plan Plan) (*Injector, error) {
 // Plan returns the schedule the injector replays.
 func (in *Injector) Plan() Plan { return in.plan }
 
-// Offset returns the mission time consumed so far (sum of Advance calls).
-func (in *Injector) Offset() float64 { return in.offset }
-
 // Advance moves the mission clock forward by the modeled time of a
 // finished (usually failed) run. Crash events now in the past are
 // consumed: the processor already died once; after the restart it is

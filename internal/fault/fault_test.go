@@ -118,8 +118,8 @@ func TestCrashScheduleAndAdvance(t *testing.T) {
 			t.Fatal("all crashes consumed; none should be scheduled")
 		}
 	}
-	if in.Offset() != 3.2 {
-		t.Fatalf("Offset = %g, want 3.2", in.Offset())
+	if in.offset != 3.2 {
+		t.Fatalf("offset = %g, want 3.2", in.offset)
 	}
 }
 

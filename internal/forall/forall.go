@@ -19,15 +19,17 @@
 // assignment), and PrivateRegion (PRIVATE arrays with MERGE(+) or
 // DISCARD). It also provides Serialized, which emulates what an HPF-1
 // compiler must do with the unparallelisable loop — run it sequentially
-// on one processor after gathering the operands — so experiments can
-// quantify what the extension buys (experiment E4).
+// on one processor after gathering the operands. Experiments E3 and E4
+// do not run this package: they measure the same two strategies as
+// internal/spmv's CSC executor modes (ModeSerialized,
+// ModePrivateMerge); examples/directives runs the PRIVATE/MERGE loop
+// here.
 package forall
 
 import (
 	"fmt"
 
 	"hpfcg/internal/comm"
-	"hpfcg/internal/dist"
 )
 
 // IterMap assigns loop iterations to processors: the paper's ON
@@ -39,25 +41,13 @@ type IterMap interface {
 }
 
 // MapFunc adapts a function to an IterMap — the literal ON
-// PROCESSOR(f(i)) form.
+// PROCESSOR(f(i)) form. MapFunc(d.Owner) for a dist.Dist d is the
+// owner-computes rule HPF compilers default to; under dist.NewBlock it
+// is the paper's ON PROCESSOR(j/np) example (with HPF BLOCK sizing).
 type MapFunc func(i int) int
 
 // ProcOf implements IterMap.
 func (f MapFunc) ProcOf(i int) int { return f(i) }
-
-// OnDist maps iteration i to the owner of element i under d — the
-// owner-computes rule HPF compilers default to.
-type OnDist struct{ D dist.Dist }
-
-// ProcOf implements IterMap.
-func (m OnDist) ProcOf(i int) int { return m.D.Owner(i) }
-
-// OnBlock maps [0,n) iterations block-wise over np processors — the
-// paper's ON PROCESSOR(j/np) example (with HPF BLOCK block sizing).
-func OnBlock(n, np int) IterMap { return OnDist{D: dist.NewBlock(n, np)} }
-
-// OnCyclic maps iterations round-robin.
-func OnCyclic(n, np int) IterMap { return OnDist{D: dist.NewCyclic(n, np)} }
 
 // Indep executes body(i) for every owned iteration i in [lo, hi) — the
 // semantics of INDEPENDENT DO under an iteration mapping. Iterations
@@ -146,7 +136,8 @@ type PrivateRegion struct {
 // NewPrivate opens a private region with an n-element zeroed private
 // array on every processor. The paper notes the cost: NP temporary
 // vectors of length n ("unsatisfactory ... particularly if n >> NP"),
-// which is exactly what this allocates; experiment E4 measures it.
+// which is exactly what this allocates; experiment E4 reports that
+// storage for spmv's private-merge executor.
 func NewPrivate(p *comm.Proc, n int, mode MergeMode) *PrivateRegion {
 	if n < 0 {
 		panic(fmt.Sprintf("forall: private array length %d", n))

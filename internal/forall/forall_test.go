@@ -22,7 +22,7 @@ func TestIndepCoversEachIterationOnce(t *testing.T) {
 		var mu sync.Mutex
 		hits := make([]int, n)
 		machine(np).Run(func(p *comm.Proc) {
-			Indep(p, 0, n, OnBlock(n, np), 1, func(i int) {
+			Indep(p, 0, n, MapFunc(dist.NewBlock(n, np).Owner), 1, func(i int) {
 				mu.Lock()
 				hits[i]++
 				mu.Unlock()
@@ -40,7 +40,7 @@ func TestIndepRespectsMapping(t *testing.T) {
 	np := 4
 	n := 16
 	machine(np).Run(func(p *comm.Proc) {
-		Indep(p, 0, n, OnCyclic(n, np), 0, func(i int) {
+		Indep(p, 0, n, MapFunc(dist.NewCyclic(n, np).Owner), 0, func(i int) {
 			if i%np != p.Rank() {
 				t.Errorf("rank %d executed iteration %d under cyclic map", p.Rank(), i)
 			}
@@ -57,7 +57,7 @@ func TestIndepChargesOwnedIterationsOnly(t *testing.T) {
 	np := 4
 	n := 100
 	st := machine(np).Run(func(p *comm.Proc) {
-		Indep(p, 0, n, OnBlock(n, np), 10, func(i int) {})
+		Indep(p, 0, n, MapFunc(dist.NewBlock(n, np).Owner), 10, func(i int) {})
 	})
 	if st.TotalFlops != int64(n*10) {
 		t.Errorf("TotalFlops = %d, want %d", st.TotalFlops, n*10)
@@ -77,7 +77,7 @@ func TestForallTwoPhase(t *testing.T) {
 		for i := range a {
 			a[i] = float64(i)
 		}
-		Forall(p, 0, n, OnBlock(n, np), 1,
+		Forall(p, 0, n, MapFunc(dist.NewBlock(n, np).Owner), 1,
 			func(i int) float64 { return a[n-1-i] },
 			func(i int, v float64) { a[i] = v })
 		for i := range a {
@@ -94,7 +94,7 @@ func TestForallDistributed(t *testing.T) {
 		d := dist.NewBlock(n, np)
 		machine(np).Run(func(p *comm.Proc) {
 			out := make([]float64, n) // each proc writes only its part
-			Forall(p, 0, n, OnDist{D: d}, 2,
+			Forall(p, 0, n, MapFunc(d.Owner), 2,
 				func(i int) float64 { return 3 * float64(i) },
 				func(i int, v float64) { out[i] = v })
 			lo := d.Lo(p.Rank())
@@ -115,7 +115,7 @@ func TestPrivateMergeReplicated(t *testing.T) {
 		machine(np).Run(func(p *comm.Proc) {
 			region := NewPrivate(p, n, MergeSum)
 			// Every processor accumulates into scattered targets.
-			Indep(p, 0, n, OnBlock(n, np), 2, func(j int) {
+			Indep(p, 0, n, MapFunc(dist.NewBlock(n, np).Owner), 2, func(j int) {
 				region.Data()[(j*3)%n] += float64(j)
 			})
 			got := region.MergeReplicated()
@@ -210,7 +210,7 @@ func TestSerializedMatchesParallel(t *testing.T) {
 	}
 	machine(np).Run(func(p *comm.Proc) {
 		region := NewPrivate(p, n, MergeSum)
-		Indep(p, 0, n, OnBlock(n, np), 2, func(j int) {
+		Indep(p, 0, n, MapFunc(dist.NewBlock(n, np).Owner), 2, func(j int) {
 			region.Data()[j] = 2 * float64(j)
 		})
 		blk := region.MergeDistributed(counts)
@@ -241,7 +241,7 @@ func TestPrivateBeatsSerializedOnCompute(t *testing.T) {
 	})
 	parallel := machine(np).Run(func(p *comm.Proc) {
 		region := NewPrivate(p, n, MergeSum)
-		Indep(p, 0, n, OnBlock(n, np), flopsPer, func(j int) {})
+		Indep(p, 0, n, MapFunc(dist.NewBlock(n, np).Owner), flopsPer, func(j int) {})
 		region.MergeDistributed(counts)
 	})
 	if parallel.MaxFlops >= serial.MaxFlops {
@@ -266,7 +266,7 @@ func TestForallMasked(t *testing.T) {
 			for i := range out {
 				out[i] = -1
 			}
-			ForallMasked(p, 0, n, OnDist{D: d}, 3,
+			ForallMasked(p, 0, n, MapFunc(d.Owner), 3,
 				func(i int) bool { return i%2 == 0 },
 				func(i int) float64 { return float64(10 * i) },
 				func(i int, v float64) { out[i] = v })
@@ -304,7 +304,7 @@ func TestForallMaskedTwoPhase(t *testing.T) {
 		// i+1 was itself (oddly) untouched... and for chains a(0)=a(1),
 		// a(2)=a(3): no chaining issues since mask hits evens only, but
 		// verify against the spec semantics anyway.
-		ForallMasked(p, 0, n-1, OnBlock(n-1, 1), 1,
+		ForallMasked(p, 0, n-1, MapFunc(dist.NewBlock(n-1, 1).Owner), 1,
 			func(i int) bool { return i%2 == 0 },
 			func(i int) float64 { return a[i+1] },
 			func(i int, v float64) { a[i] = v })

@@ -72,7 +72,6 @@ func (g ProcGrid) ColRanks(pc int) []int {
 type DenseCheckerboard struct {
 	p        *comm.Proc
 	g        ProcGrid
-	rowD     dist.Block // n over grid rows
 	colD     dist.Block // n over grid cols
 	local    [][]float64
 	rowGroup comm.Group
@@ -104,7 +103,6 @@ func NewDenseCheckerboard(p *comm.Proc, A *sparse.Dense, g ProcGrid) *DenseCheck
 	return &DenseCheckerboard{
 		p:        p,
 		g:        g,
-		rowD:     rowD,
 		colD:     colD,
 		local:    local,
 		rowGroup: comm.NewGroup(p, g.RowRanks(pr)),
@@ -124,16 +122,6 @@ func (a *DenseCheckerboard) XLen() int {
 		return 0
 	}
 	return a.colD.Count(pc)
-}
-
-// YLen returns the length of this processor's y block if it is on grid
-// column 0, else 0.
-func (a *DenseCheckerboard) YLen() int {
-	pr, pc := a.g.Coords(a.p.Rank())
-	if pc != 0 {
-		return 0
-	}
-	return a.rowD.Count(pr)
 }
 
 // Apply computes y = A*x. xBlock must hold this processor's x block
@@ -161,22 +149,4 @@ func (a *DenseCheckerboard) Apply(xBlock []float64) []float64 {
 
 	// 3. Sum partials across each grid row onto column 0.
 	return a.rowGroup.ReduceSumFloats(a.p, 0, partial)
-}
-
-// GatherY collects the distributed y blocks (grid column 0) into the
-// full vector on rank 0; other ranks return nil. Used by tests and the
-// E13 experiment.
-func (a *DenseCheckerboard) GatherY(yBlock []float64) []float64 {
-	_, pc := a.g.Coords(a.p.Rank())
-	counts := make([]int, a.p.NP())
-	for pr := 0; pr < a.g.Rows; pr++ {
-		counts[a.g.Rank(pr, 0)] = a.rowD.Count(pr)
-	}
-	if pc != 0 {
-		yBlock = nil
-	}
-	if len(yBlock) != counts[a.p.Rank()] {
-		yBlock = make([]float64, counts[a.p.Rank()])
-	}
-	return a.p.GatherV(0, yBlock, counts)
 }

@@ -5,12 +5,25 @@ import (
 	"testing"
 
 	"hpfcg/internal/comm"
+	"hpfcg/internal/dist"
 	"hpfcg/internal/sparse"
 	"hpfcg/internal/topology"
 )
 
 func machine(np int) *comm.Machine {
 	return comm.NewMachine(np, topology.Hypercube{}, topology.DefaultCostParams())
+}
+
+// gatherY collects the y blocks a checkerboard Apply leaves on grid
+// column 0 (BLOCK over the grid rows) into the full vector on every
+// rank.
+func gatherY(p *comm.Proc, g ProcGrid, n int, y []float64) []float64 {
+	rowD := dist.NewBlock(n, g.Rows)
+	counts := make([]int, p.NP())
+	for pr := 0; pr < g.Rows; pr++ {
+		counts[g.Rank(pr, 0)] = rowD.Count(pr)
+	}
+	return p.AllgatherV(y, counts)
 }
 
 func TestProcGridLayout(t *testing.T) {
@@ -61,7 +74,7 @@ func checkerboardApply(t *testing.T, np, n int) {
 		if pc != 0 && y != nil {
 			t.Errorf("np=%d rank %d off column 0 got y", np, p.Rank())
 		}
-		full := cb.GatherY(y)
+		full := gatherY(p, g, n, y)
 		if p.Rank() == 0 {
 			got = full
 		}
@@ -101,7 +114,7 @@ func TestCheckerboardRepeatedApplies(t *testing.T) {
 				}
 			}
 			y := cb.Apply(xBlock)
-			full := cb.GatherY(y)
+			full := gatherY(p, g, n, y)
 			if p.Rank() == 0 {
 				want := make([]float64, n)
 				xf := make([]float64, n)

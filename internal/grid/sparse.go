@@ -20,7 +20,6 @@ import (
 type SparseCheckerboard struct {
 	p        *comm.Proc
 	g        ProcGrid
-	rowD     dist.Block
 	colD     dist.Block
 	rowPtr   []int // local block CSR, rebased to (0,0)
 	col      []int
@@ -65,7 +64,6 @@ func NewSparseCheckerboard(p *comm.Proc, A *sparse.CSR, g ProcGrid) *SparseCheck
 	return &SparseCheckerboard{
 		p:        p,
 		g:        g,
-		rowD:     rowD,
 		colD:     colD,
 		rowPtr:   rowPtr,
 		col:      col,
@@ -79,9 +77,6 @@ func NewSparseCheckerboard(p *comm.Proc, A *sparse.CSR, g ProcGrid) *SparseCheck
 
 // N returns the global dimension.
 func (a *SparseCheckerboard) N() int { return a.n }
-
-// LocalNNZ returns this processor's stored entries.
-func (a *SparseCheckerboard) LocalNNZ() int { return a.nnzLocal }
 
 // XLen mirrors DenseCheckerboard.XLen.
 func (a *SparseCheckerboard) XLen() int {
@@ -112,20 +107,4 @@ func (a *SparseCheckerboard) Apply(xBlock []float64) []float64 {
 	}
 	a.p.Compute(2 * a.nnzLocal)
 	return a.rowGroup.ReduceSumFloats(a.p, 0, partial)
-}
-
-// GatherY mirrors DenseCheckerboard.GatherY.
-func (a *SparseCheckerboard) GatherY(yBlock []float64) []float64 {
-	_, pc := a.g.Coords(a.p.Rank())
-	counts := make([]int, a.p.NP())
-	for pr := 0; pr < a.g.Rows; pr++ {
-		counts[a.g.Rank(pr, 0)] = a.rowD.Count(pr)
-	}
-	if pc != 0 {
-		yBlock = nil
-	}
-	if len(yBlock) != counts[a.p.Rank()] {
-		yBlock = make([]float64, counts[a.p.Rank()])
-	}
-	return a.p.GatherV(0, yBlock, counts)
 }

@@ -30,7 +30,7 @@ func sparseCheckerApply(t *testing.T, np, n int, A *sparse.CSR) {
 			xBlock = append([]float64(nil), x[lo:lo+cb.XLen()]...)
 		}
 		y := cb.Apply(xBlock)
-		full := cb.GatherY(y)
+		full := gatherY(p, g, n, y)
 		if p.Rank() == 0 {
 			got = full
 		}
@@ -60,7 +60,7 @@ func TestSparseCheckerboardBlockNNZ(t *testing.T) {
 	var totals [4]int
 	machine(np).Run(func(p *comm.Proc) {
 		cb := NewSparseCheckerboard(p, A, g)
-		totals[p.Rank()] = cb.LocalNNZ()
+		totals[p.Rank()] = cb.nnzLocal
 		if cb.N() != 16 {
 			t.Errorf("N = %d", cb.N())
 		}

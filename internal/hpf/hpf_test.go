@@ -8,6 +8,15 @@ import (
 	"hpfcg/internal/sparse"
 )
 
+// MustParse is Parse that panics on error, for tests.
+func MustParse(src string) *Program {
+	p, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 // figure2 is the directive block of the paper's Figure 2 (CSR-format
 // CG), with the paper's unbalanced-paren typo in the CYCLIC line
 // corrected.

@@ -48,15 +48,6 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
-// MustParse is Parse that panics on error, for tests and examples.
-func MustParse(src string) *Program {
-	p, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 type parser struct {
 	toks []token
 	pos  int

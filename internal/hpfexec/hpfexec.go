@@ -72,27 +72,6 @@ type Result struct {
 	Err error
 }
 
-// SolveCG executes the CG of the paper's Figure 2 under the bound
-// plan: the one-RHS front door over Prepare + SolveBatch. A is the
-// runtime matrix (CSR form; converted as the declared storage format
-// requires), b the right-hand side. A processor killed by the fault
-// layer surfaces as a typed comm.PeerFailure error (no deadlock); a
-// handle whose Variant is Resilient recovers instead.
-func SolveCG(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options) (*Result, error) {
-	pr, err := Prepare(m, plan, A)
-	if err != nil {
-		return nil, err
-	}
-	out, err := pr.SolveBatch([][]float64{b}, []core.Options{opt})
-	if err != nil {
-		return nil, err
-	}
-	if r := out.Results[0]; r.Err != nil {
-		return nil, r.Err
-	}
-	return out.Results[0], nil
-}
-
 // matrixBackend is the directive-planned assembled matrix: the
 // validated storage format, the vector distribution (after any
 // partitioner redistribution), and the converted matrix forms.

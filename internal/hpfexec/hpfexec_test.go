@@ -19,11 +19,36 @@ func machine(np int) *comm.Machine {
 	return comm.NewMachine(np, topology.Hypercube{}, topology.DefaultCostParams())
 }
 
+// SolveCG executes the CG of the paper's Figure 2 under the bound
+// plan: the one-RHS front door over Prepare + SolveBatch. A is the
+// runtime matrix (CSR form; converted as the declared storage format
+// requires), b the right-hand side. A processor killed by the fault
+// layer surfaces as a typed comm.PeerFailure error (no deadlock); a
+// handle whose Variant is Resilient recovers instead.
+func SolveCG(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options) (*Result, error) {
+	pr, err := Prepare(m, plan, A)
+	if err != nil {
+		return nil, err
+	}
+	out, err := pr.SolveBatch([][]float64{b}, []core.Options{opt})
+	if err != nil {
+		return nil, err
+	}
+	if r := out.Results[0]; r.Err != nil {
+		return nil, r.Err
+	}
+	return out.Results[0], nil
+}
+
 // bindPlan parses and binds directives for an n x n system with nz
 // nonzeros over np processors, supplying the standard array sizes.
 func bindPlan(t *testing.T, src string, n, nz, np int) *hpf.Plan {
 	t.Helper()
-	plan, err := hpf.Bind(hpf.MustParse(src), np,
+	prog, err := hpf.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := hpf.Bind(prog, np,
 		map[string]int{"p": n, "q": n, "r": n, "x": n, "b": n,
 			"row": n + 1, "col": nz, "a": nz,
 			"colptr": n + 1, "rowidx": nz},

@@ -37,6 +37,7 @@ import (
 	"fmt"
 
 	"hpfcg/internal/grid"
+	"hpfcg/internal/mfree"
 )
 
 // Spec bounds. Dimensions are per-rank brick sides; MaxDim keeps a
@@ -76,6 +77,16 @@ type Spec struct {
 	// convention: smoother sweeps only), or "direct" (require the
 	// direct solve; NewProblem errors if the coarsest grid is too big).
 	Coarse string
+}
+
+// ParseBrick reads a per-rank brick "nx,ny,nz" — the -hpcg argument of
+// hpfrun and cgbench — into a Spec's dimensions, by mfree.ParseSpec's
+// rules for the 27-point stencil: exactly three comma-separated
+// integers, no blanks, nothing after the last. Ranges are Validate's
+// job.
+func ParseBrick(arg string) (Spec, error) {
+	s, err := mfree.ParseSpec("27pt:" + arg)
+	return Spec{Nx: s.Nx, Ny: s.Ny, Nz: s.Nz}, err
 }
 
 // WithDefaults fills zero Levels/Smooths with the package defaults.

@@ -104,11 +104,7 @@ func (pb *Problem) setupCoarse() error {
 	// flops each, charged at setup.
 	pb.p.Compute(cn * cn * cn / 3)
 	pb.coarse = f
-	pb.coarseCounts = make([]int, pb.p.NP())
-	d := coarse.op.Dist()
-	for r := range pb.coarseCounts {
-		pb.coarseCounts[r] = d.Count(r)
-	}
+	pb.coarseCounts = dist.Counts(coarse.op.Dist())
 	pb.coarseFull = make([]float64, cn)
 	return nil
 }
@@ -218,27 +214,26 @@ func (pb *Problem) vcycle(l int, rl, xl []float64) {
 		xl[i] = 0
 	}
 	pb.p.Compute(lv.n)
-	if l == len(pb.levels)-1 {
-		if pb.coarse != nil {
-			// Direct bottom solve: allgather the coarse residual (every
-			// rank sees the identical full vector), solve it with the
-			// shared Cholesky factor, whose memo lets the first rank's
-			// solve serve the rest, and keep the owned slice. Every
-			// rank is still charged the redundant solve.
-			full := pb.p.AllgatherVInto(rl, pb.coarseCounts, pb.coarseFull)
-			pb.coarse.solve(xl, full, lv.zlo*lv.b.X*lv.b.Y)
-			cn := pb.coarse.chol.N()
-			pb.p.Compute(2 * cn * cn)
-			return
-		}
-		// Coarsest solve: the smoother alone (the HPCG convention).
-		for s := 0; s < pb.smooths; s++ {
-			lv.op.SymGS(rl, xl)
-		}
+	coarsest := l == len(pb.levels)-1
+	if coarsest && pb.coarse != nil {
+		// Direct bottom solve: allgather the coarse residual (every
+		// rank sees the identical full vector), solve it with the
+		// shared Cholesky factor, whose memo lets the first rank's
+		// solve serve the rest, and keep the owned slice. Every
+		// rank is still charged the redundant solve.
+		full := pb.p.AllgatherVInto(rl, pb.coarseCounts, pb.coarseFull)
+		pb.coarse.solve(xl, full, lv.zlo*lv.b.X*lv.b.Y)
+		cn := pb.coarse.chol.N()
+		pb.p.Compute(2 * cn * cn)
 		return
 	}
 	for s := 0; s < pb.smooths; s++ {
 		lv.op.SymGS(rl, xl)
+	}
+	if coarsest {
+		// Without the direct solve the smoother alone is the coarsest
+		// solve (the HPCG convention).
+		return
 	}
 	lv.op.Residual(rl, xl, lv.res)
 	next := pb.levels[l+1]

@@ -83,12 +83,6 @@ func axpy(y []float64, alpha float64, x []float64) {
 	}
 }
 
-// Run executes the sequential NAS-CG kernel for the class.
-func Run(cls sparse.NASCGClass, seed int64) Result {
-	A := sparse.NASCGMatrix(cls, seed)
-	return RunWithMatrix(cls, A)
-}
-
 // RunWithMatrix executes the kernel against a caller-provided matrix
 // (so distributed and sequential runs can share one).
 func RunWithMatrix(cls sparse.NASCGClass, A *sparse.CSR) Result {

@@ -13,7 +13,7 @@ import (
 var tiny = sparse.NASCGClass{Name: "T", N: 200, Nonzer: 5, Shift: 8, NIter: 10}
 
 func TestSequentialRun(t *testing.T) {
-	res := Run(tiny, 7)
+	res := RunWithMatrix(tiny, sparse.NASCGMatrix(tiny, 7))
 	if res.OuterIts != tiny.NIter || len(res.Zetas) != tiny.NIter {
 		t.Fatalf("trajectory length %d", len(res.Zetas))
 	}
@@ -31,12 +31,12 @@ func TestSequentialRun(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a := Run(tiny, 3)
-	b := Run(tiny, 3)
+	a := RunWithMatrix(tiny, sparse.NASCGMatrix(tiny, 3))
+	b := RunWithMatrix(tiny, sparse.NASCGMatrix(tiny, 3))
 	if a.FinalZeta() != b.FinalZeta() {
 		t.Errorf("same seed differs: %g vs %g", a.FinalZeta(), b.FinalZeta())
 	}
-	c := Run(tiny, 4)
+	c := RunWithMatrix(tiny, sparse.NASCGMatrix(tiny, 4))
 	if a.FinalZeta() == c.FinalZeta() {
 		t.Errorf("different seeds should differ")
 	}
@@ -69,7 +69,7 @@ func TestClassS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("class S takes a few seconds")
 	}
-	res := Run(sparse.NASClassS, 1)
+	res := RunWithMatrix(sparse.NASClassS, sparse.NASCGMatrix(sparse.NASClassS, 1))
 	if err := Verify(res); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestClassS(t *testing.T) {
 }
 
 func TestVerifyRejectsBadRuns(t *testing.T) {
-	good := Run(tiny, 2)
+	good := RunWithMatrix(tiny, sparse.NASCGMatrix(tiny, 2))
 	cases := map[string]func(Result) Result{
 		"short": func(r Result) Result {
 			r.Zetas = r.Zetas[:1]

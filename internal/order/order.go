@@ -187,24 +187,6 @@ func PermuteSym(A *sparse.CSR, perm Permutation) *sparse.CSR {
 	return coo.ToCSR()
 }
 
-// PermuteVec applies the permutation to a vector: out[new] = x[perm[new]].
-func PermuteVec(x []float64, perm Permutation) []float64 {
-	out := make([]float64, len(x))
-	for newIdx, oldIdx := range perm {
-		out[newIdx] = x[oldIdx]
-	}
-	return out
-}
-
-// UnpermuteVec inverts PermuteVec: out[perm[new]] = x[new].
-func UnpermuteVec(x []float64, perm Permutation) []float64 {
-	out := make([]float64, len(x))
-	for newIdx, oldIdx := range perm {
-		out[oldIdx] = x[newIdx]
-	}
-	return out
-}
-
 // Bandwidth returns max |i - j| over the stored entries of A.
 func Bandwidth(A *sparse.CSR) int {
 	bw := 0
@@ -220,20 +202,4 @@ func Bandwidth(A *sparse.CSR) int {
 		}
 	}
 	return bw
-}
-
-// Profile returns the sum over rows of the distance from the first
-// stored entry to the diagonal (the "envelope" size RCM minimises).
-func Profile(A *sparse.CSR) int {
-	total := 0
-	for i := 0; i < A.NRows; i++ {
-		if A.RowPtr[i] == A.RowPtr[i+1] {
-			continue
-		}
-		first := A.Col[A.RowPtr[i]]
-		if first < i {
-			total += i - first
-		}
-	}
-	return total
 }

@@ -81,12 +81,6 @@ func (a Atoms) ElemDist(atomCuts []int) dist.Irregular {
 	return dist.NewIrregular(cuts)
 }
 
-// AtomDist returns the atom-level Irregular distribution itself (which
-// atoms each processor owns).
-func (a Atoms) AtomDist(atomCuts []int) dist.Irregular {
-	return dist.NewIrregular(atomCuts)
-}
-
 // UniformAtomBlock is the proposed (ATOM: BLOCK) distribution for the
 // regular case of §5.2.1: atoms are dealt out in contiguous groups of
 // as equal *count* as possible (like HPF BLOCK, but in atom units). It

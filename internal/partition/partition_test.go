@@ -67,10 +67,6 @@ func TestElemDistNeverSplitsAtoms(t *testing.T) {
 			}
 		}
 	}
-	ad := a.AtomDist(cuts)
-	if ad.NP() != np || ad.N() != a.NAtoms() {
-		t.Errorf("atom dist shape wrong")
-	}
 }
 
 func TestElemDistValidation(t *testing.T) {

@@ -60,10 +60,6 @@ func (j *Jacobi) Apply(r, z []float64) {
 // Name implements Preconditioner.
 func (j *Jacobi) Name() string { return "jacobi" }
 
-// InvDiag exposes the reciprocal diagonal so distributed solvers can
-// apply the same preconditioner locally.
-func (j *Jacobi) InvDiag() []float64 { return j.invDiag }
-
 // SSOR is the symmetric successive over-relaxation preconditioner
 // M = (D/ω + L) · ω/(2−ω) · D⁻¹ · (D/ω + U), applied by a forward and
 // a backward triangular sweep.

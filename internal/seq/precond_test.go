@@ -38,8 +38,8 @@ func TestJacobiApply(t *testing.T) {
 	if M.Name() != "jacobi" {
 		t.Error("name")
 	}
-	if len(M.InvDiag()) != 3 || M.InvDiag()[0] != 0.5 {
-		t.Error("InvDiag wrong")
+	if len(M.invDiag) != 3 || M.invDiag[0] != 0.5 {
+		t.Error("invDiag wrong")
 	}
 }
 

@@ -59,45 +59,6 @@ func sturmCount(diag, off []float64, x float64) int {
 	return count
 }
 
-// TridiagEigBounds returns the smallest and largest eigenvalues of a
-// symmetric tridiagonal matrix by Sturm bisection inside the
-// Gershgorin interval.
-func TridiagEigBounds(diag, off []float64) (min, max float64) {
-	n := len(diag)
-	if n == 0 {
-		return 0, 0
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for i := 0; i < n; i++ {
-		r := 0.0
-		if i > 0 {
-			r += math.Abs(off[i-1])
-		}
-		if i < n-1 {
-			r += math.Abs(off[i])
-		}
-		if diag[i]-r < lo {
-			lo = diag[i] - r
-		}
-		if diag[i]+r > hi {
-			hi = diag[i] + r
-		}
-	}
-	bisect := func(target int) float64 {
-		a, b := lo, hi
-		for iter := 0; iter < 200 && b-a > 1e-13*math.Max(1, math.Abs(b)); iter++ {
-			mid := (a + b) / 2
-			if sturmCount(diag, off, mid) < target {
-				a = mid
-			} else {
-				b = mid
-			}
-		}
-		return (a + b) / 2
-	}
-	return bisect(1), bisect(n)
-}
-
 // TridiagEigAll returns all eigenvalues (ascending) by per-index Sturm
 // bisection — fine for the small T_k CG produces.
 func TridiagEigAll(diag, off []float64) []float64 {

@@ -9,16 +9,12 @@ import (
 
 func TestTridiagEigKnown(t *testing.T) {
 	// Diagonal tridiagonal: eigenvalues are the diagonal itself.
-	min, max := TridiagEigBounds([]float64{3, 1, 7}, []float64{0, 0})
-	if math.Abs(min-1) > 1e-9 || math.Abs(max-7) > 1e-9 {
-		t.Errorf("bounds (%g, %g), want (1, 7)", min, max)
+	all := TridiagEigAll([]float64{3, 1, 7}, []float64{0, 0})
+	if len(all) != 3 || math.Abs(all[0]-1) > 1e-9 || math.Abs(all[1]-3) > 1e-9 || math.Abs(all[2]-7) > 1e-9 {
+		t.Errorf("diagonal all = %v, want [1 3 7]", all)
 	}
 	// 2x2 [[2,1],[1,2]]: eigenvalues 1 and 3.
-	min, max = TridiagEigBounds([]float64{2, 2}, []float64{1})
-	if math.Abs(min-1) > 1e-9 || math.Abs(max-3) > 1e-9 {
-		t.Errorf("2x2 bounds (%g, %g), want (1, 3)", min, max)
-	}
-	all := TridiagEigAll([]float64{2, 2}, []float64{1})
+	all = TridiagEigAll([]float64{2, 2}, []float64{1})
 	if len(all) != 2 || math.Abs(all[0]-1) > 1e-9 || math.Abs(all[1]-3) > 1e-9 {
 		t.Errorf("all = %v", all)
 	}
@@ -32,14 +28,15 @@ func TestTridiagEigKnown(t *testing.T) {
 	for i := range off {
 		off[i] = -1
 	}
-	min, max = TridiagEigBounds(diag, off)
+	all = TridiagEigAll(diag, off)
+	min, max := all[0], all[n-1]
 	wantMin := 2 - 2*math.Cos(math.Pi/float64(n+1))
 	wantMax := 2 - 2*math.Cos(float64(n)*math.Pi/float64(n+1))
 	if math.Abs(min-wantMin) > 1e-8 || math.Abs(max-wantMax) > 1e-8 {
 		t.Errorf("Laplacian bounds (%g, %g), want (%g, %g)", min, max, wantMin, wantMax)
 	}
-	if mn, mx := TridiagEigBounds(nil, nil); mn != 0 || mx != 0 {
-		t.Errorf("empty bounds (%g, %g)", mn, mx)
+	if all := TridiagEigAll(nil, nil); len(all) != 0 {
+		t.Errorf("empty all = %v", all)
 	}
 }
 

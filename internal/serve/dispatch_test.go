@@ -82,8 +82,15 @@ func TestBatchBreakdownFailsOnlyItsJob(t *testing.T) {
 			}
 		}
 	}
-	if _, completed, failed, _ := s.Metrics().Snapshot(); completed != 2 || failed != 1 {
-		t.Errorf("metrics: %d completed %d failed, want 2 and 1", completed, failed)
+	var buf bytes.Buffer
+	s.Metrics().WriteProm(&buf)
+	for _, want := range []string{
+		"hpfserve_jobs_completed_total{job_type=\"cg\"} 2\n",
+		"hpfserve_jobs_failed_total{job_type=\"cg\"} 1\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("metrics lack %q", strings.TrimSpace(want))
+		}
 	}
 }
 

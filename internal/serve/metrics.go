@@ -155,26 +155,6 @@ func (mt *Metrics) addModel(makespan, comm, setup float64) {
 	mt.mu.Unlock()
 }
 
-// Snapshot returns headline counters for tests and logs, summed across
-// job types.
-func (mt *Metrics) Snapshot() (submitted, completed, failed, rejected uint64) {
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
-	for _, n := range mt.submitted {
-		submitted += n
-	}
-	for _, n := range mt.completed {
-		completed += n
-	}
-	for _, n := range mt.failed {
-		failed += n
-	}
-	for _, n := range mt.rejected {
-		rejected += n
-	}
-	return submitted, completed, failed, rejected
-}
-
 // sortedKeys returns the map's keys in deterministic exposition order.
 func sortedKeys[V any](m map[string]V) []string {
 	ks := make([]string, 0, len(m))

@@ -49,11 +49,18 @@ func directSolve(t *testing.T, spec JobSpec) *hpfexec.Result {
 		t.Fatal(err)
 	}
 	m := comm.NewMachine(spec.NP, topo, topology.DefaultCostParams())
-	res, err := hpfexec.SolveCG(m, plan, A, b, core.Options{Tol: spec.Tol, MaxIter: spec.MaxIter})
+	pr, err := hpfexec.Prepare(m, plan, A)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	out, err := pr.SolveBatch([][]float64{b}, []core.Options{{Tol: spec.Tol, MaxIter: spec.MaxIter}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := out.Results[0]; r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	return out.Results[0]
 }
 
 // directVariant solves one right-hand side straight through hpfexec
@@ -196,9 +203,10 @@ func TestBackpressure(t *testing.T) {
 	if _, err := s.Submit(spec); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow err = %v, want ErrQueueFull", err)
 	}
-	_, _, _, rejected := s.Metrics().Snapshot()
-	if rejected != 1 {
-		t.Errorf("rejected = %d, want 1", rejected)
+	var buf bytes.Buffer
+	s.Metrics().WriteProm(&buf)
+	if want := "hpfserve_jobs_rejected_total{reason=\"queue_full\"} 1\n"; !strings.Contains(buf.String(), want) {
+		t.Errorf("metrics lack %q", strings.TrimSpace(want))
 	}
 }
 

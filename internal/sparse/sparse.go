@@ -303,16 +303,6 @@ func (m *CSR) IsSymmetric(tol float64) bool {
 	return true
 }
 
-// RowNNZ returns the per-row nonzero counts, the weights the
-// CG_BALANCED_PARTITIONER of §5.2.2 balances.
-func (m *CSR) RowNNZ() []int {
-	w := make([]int, m.NRows)
-	for i := range w {
-		w[i] = m.RowPtr[i+1] - m.RowPtr[i]
-	}
-	return w
-}
-
 // ToDense expands to a dense matrix (for tests and small baselines).
 func (m *CSR) ToDense() *Dense {
 	d := NewDense(m.NRows, m.NCols)
@@ -344,12 +334,6 @@ func (m *CSC) Validate() error {
 		return fmt.Errorf("sparse: CSC invalid (checked as transposed CSR): %w", err)
 	}
 	return nil
-}
-
-// Col returns the row indices and values of column j (views).
-func (m *CSC) ColEntries(j int) (rows []int, vals []float64) {
-	lo, hi := m.ColPtr[j], m.ColPtr[j+1]
-	return m.Row[lo:hi], m.Val[lo:hi]
 }
 
 // At returns element (i, j), zero if not stored.
@@ -385,15 +369,6 @@ func (m *CSC) MulVec(x, y []float64) {
 func (m *CSC) ToCSR() *CSR {
 	asCSR := &CSR{NRows: m.NCols, NCols: m.NRows, RowPtr: m.ColPtr, Col: m.Row, Val: m.Val}
 	return asCSR.Transpose()
-}
-
-// ColNNZ returns per-column nonzero counts.
-func (m *CSC) ColNNZ() []int {
-	w := make([]int, m.NCols)
-	for j := range w {
-		w[j] = m.ColPtr[j+1] - m.ColPtr[j]
-	}
-	return w
 }
 
 // Dense is a row-major dense matrix, the paper's "dense storage

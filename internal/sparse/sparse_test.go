@@ -49,7 +49,7 @@ func TestFigure1CSC(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Column 1 (0-based 0) holds a11, a21, a31, a51 in row order.
-	rows, vals := csc.ColEntries(0)
+	rows, vals := csc.Row[csc.ColPtr[0]:csc.ColPtr[1]], csc.Val[csc.ColPtr[0]:csc.ColPtr[1]]
 	wantRows := []int{0, 1, 2, 4}
 	wantVals := []float64{11, 21, 31, 51}
 	if len(rows) != 4 {
@@ -61,7 +61,7 @@ func TestFigure1CSC(t *testing.T) {
 		}
 	}
 	// Column 6 (0-based 5) holds a26, a66.
-	rows, vals = csc.ColEntries(5)
+	rows, vals = csc.Row[csc.ColPtr[5]:csc.ColPtr[6]], csc.Val[csc.ColPtr[5]:csc.ColPtr[6]]
 	if len(rows) != 2 || rows[0] != 1 || rows[1] != 5 || vals[0] != 26 || vals[1] != 66 {
 		t.Errorf("col 5 entries = %v %v", rows, vals)
 	}
@@ -176,18 +176,14 @@ func TestDiagAndRowNNZ(t *testing.T) {
 			t.Errorf("Diag[%d] = %g, want 2", i, v)
 		}
 	}
-	w := m.RowNNZ()
 	want := []int{2, 3, 3, 3, 2}
-	for i := range want {
-		if w[i] != want[i] {
-			t.Errorf("RowNNZ[%d] = %d, want %d", i, w[i], want[i])
-		}
-	}
 	csc := m.ToCSC()
-	cw := csc.ColNNZ()
 	for i := range want {
-		if cw[i] != want[i] {
-			t.Errorf("ColNNZ[%d] = %d, want %d (symmetric)", i, cw[i], want[i])
+		if w := m.RowPtr[i+1] - m.RowPtr[i]; w != want[i] {
+			t.Errorf("row %d has %d entries, want %d", i, w, want[i])
+		}
+		if w := csc.ColPtr[i+1] - csc.ColPtr[i]; w != want[i] {
+			t.Errorf("column %d has %d entries, want %d (symmetric)", i, w, want[i])
 		}
 	}
 }
@@ -244,11 +240,10 @@ func TestBandedUniform(t *testing.T) {
 	if !m.IsSymmetric(0) {
 		t.Error("Banded not symmetric")
 	}
-	w := m.RowNNZ()
 	// Interior rows all have 2*2+1 = 5 entries: the uniform case.
 	for i := 2; i < 18; i++ {
-		if w[i] != 5 {
-			t.Errorf("row %d has %d entries, want 5", i, w[i])
+		if w := m.RowPtr[i+1] - m.RowPtr[i]; w != 5 {
+			t.Errorf("row %d has %d entries, want 5", i, w)
 		}
 	}
 }
@@ -280,9 +275,9 @@ func TestPowerLawSkew(t *testing.T) {
 	if !m.IsSymmetric(1e-12) {
 		t.Error("PowerLaw not symmetric")
 	}
-	w := m.RowNNZ()
-	mn, mx := w[0], w[0]
-	for _, c := range w {
+	mn, mx := m.NNZ(), 0
+	for i := 0; i < m.NRows; i++ {
+		c := m.RowPtr[i+1] - m.RowPtr[i]
 		if c < mn {
 			mn = c
 		}

@@ -109,11 +109,10 @@ func (l *RankLog) Add(ev Event) {
 // metadata. A Recorder is written during exactly one Machine.Run and
 // read-only afterwards.
 type Recorder struct {
-	np     int
-	logs   []*RankLog
-	label  string
-	mtime  float64 // modeled makespan, set by the machine at run end
-	sealed bool
+	np    int
+	logs  []*RankLog
+	label string
+	mtime float64 // modeled makespan, set by the machine at run end
 }
 
 // NewRecorder creates a recorder for an np-processor run.
@@ -142,9 +141,6 @@ func (r *Recorder) Rank(rank int) *RankLog {
 // Label returns the run label assigned by the tracer (or "").
 func (r *Recorder) Label() string { return r.label }
 
-// SetLabel names the run; exporters use it in file and track names.
-func (r *Recorder) SetLabel(s string) { r.label = s }
-
 // ModelTime returns the run's modeled makespan (the maximum processor
 // clock), as reported by the machine when the run finished.
 func (r *Recorder) ModelTime() float64 { return r.mtime }
@@ -153,11 +149,7 @@ func (r *Recorder) ModelTime() float64 { return r.mtime }
 // completes and the recorder becomes read-only.
 func (r *Recorder) Seal(modelTime float64) {
 	r.mtime = modelTime
-	r.sealed = true
 }
-
-// Sealed reports whether the run this recorder belongs to finished.
-func (r *Recorder) Sealed() bool { return r.sealed }
 
 // RankEvents returns one rank's events in the order they were
 // recorded. Primitive events (compute/send/recv) appear in execution
