@@ -111,10 +111,11 @@ loc:
 # allocs), the packed Cholesky factor and solve of that shape's
 # 500-point coarsest grid (ns/op; the solve allocates nothing) and the
 # Matrix Market reader and COO-to-CSR conversion at serve_cold's upload
-# shape (MB/s, a constant handful of allocs). Every other wall number
-# comes from benchmark/.
+# shape (MB/s, a constant handful of allocs), and the job-spec decoder on
+# a serve_cold body beside encoding/json over the same bytes (MB/s,
+# allocs). Every other wall number comes from benchmark/.
 bench:
-	$(GO) test -bench . -benchmem -run NONE ./internal/comm/... ./internal/spmv/... ./internal/mfree/... ./internal/mg/... ./internal/direct/... ./internal/sparse/...
+	$(GO) test -bench . -benchmem -run NONE ./internal/comm/... ./internal/spmv/... ./internal/mfree/... ./internal/mg/... ./internal/direct/... ./internal/sparse/... ./internal/serve/...
 
 # Every fuzz target, FUZZTIME each (`go test -fuzz` takes one target and
 # one package per run). Under `test` they only replay their seeds. A
@@ -124,6 +125,7 @@ fuzz:
 	$(GO) test ./internal/sparse -run '^$$' -fuzz '^FuzzReadMatrixMarket$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sparse -run '^$$' -fuzz '^FuzzGeneratorByName$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecodeJobSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzFaultParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mfree -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hpf -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)

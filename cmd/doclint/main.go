@@ -16,7 +16,8 @@
 //     another package's non-test file selects it as pkg.Name, or a
 //     non-test file of its own package names it outside its
 //     declaration. A method is reached when some non-test file selects
-//     .Name, when some interface type in the module declares a method
+//     .Name on a value (pkg.Name on an imported package selects no
+//     method), when some interface type in the module declares a method
 //     of that name, or when it is one of the standard library's
 //     interface methods in wellKnownMethods. Anything else is code only
 //     tests reach: delete it, or name it in allowed with its reason.
@@ -33,6 +34,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	pathpkg "path"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -290,13 +292,19 @@ func unreached(fset *token.FileSet, modPath string, pkgs []*pkg, allow map[strin
 		internal := strings.HasPrefix(p.dir, "internal/")
 		for _, f := range p.files {
 			imports := map[string]string{} // local name -> module package dir
+			pkgNames := map[string]bool{}  // every import's local name
 			for _, imp := range f.Imports {
 				path, _ := strconv.Unquote(imp.Path.Value)
-				if q := byPath[path]; q != nil {
-					local := q.name
-					if imp.Name != nil {
-						local = imp.Name.Name
-					}
+				local := pathpkg.Base(path)
+				q := byPath[path]
+				if q != nil {
+					local = q.name
+				}
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+				pkgNames[local] = true
+				if q != nil {
 					imports[local] = q.dir
 				}
 			}
@@ -344,13 +352,15 @@ func unreached(fset *token.FileSet, modPath string, pkgs []*pkg, allow map[strin
 				switch n := n.(type) {
 				case *ast.SelectorExpr:
 					skip[n.Sel] = true
-					selected[n.Sel.Name] = true
-					if id, ok := n.X.(*ast.Ident); ok {
+					// pkg.Name names a package member, not a method:
+					// utf8.Valid reaches no method called Valid.
+					if id, ok := n.X.(*ast.Ident); ok && pkgNames[id.Name] {
 						if dir, ok := imports[id.Name]; ok {
 							named[dir+"."+n.Sel.Name] = true
-							return false
 						}
+						return false
 					}
+					selected[n.Sel.Name] = true
 				case *ast.StructType:
 					for _, field := range n.Fields.List {
 						for _, id := range field.Names {

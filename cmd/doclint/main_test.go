@@ -7,7 +7,8 @@ import (
 )
 
 // TestReachabilityRule runs rule 3 on the testdata/mini module: an
-// exported func and a method that only a_test.go reaches are reported;
+// exported func and a method that only a_test.go reaches, and a method
+// named like a standard-library function cmd/app calls, are reported;
 // a method an interface declares, a String method, a name used only
 // inside its own package and an allow-listed name are not.
 func TestReachabilityRule(t *testing.T) {
@@ -20,6 +21,7 @@ func TestReachabilityRule(t *testing.T) {
 	const tail = " is reached only from tests; delete it or allow-list it with its reason"
 	want := []string{
 		"internal/a/a.go:25: exported method internal/a.T.Dead" + tail,
+		"internal/a/a.go:35: exported method internal/a.T.Quote" + tail,
 		"internal/a/a.go:8: exported func internal/a.Unused" + tail,
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -34,6 +36,7 @@ func TestAllowListHygiene(t *testing.T) {
 		"internal/a.Allowed": "because",
 		"internal/a.Unused":  "staged: fixture",
 		"internal/a.T.Dead":  "accessor: fixture",
+		"internal/a.T.Quote": "accessor: fixture",
 		"internal/a.Used":    "reference: fixture",
 		"internal/a.Gone":    "reference: fixture",
 	})

@@ -3,6 +3,7 @@ package main
 
 import (
 	"fmt"
+	"strconv"
 
 	"mini/internal/a"
 )
@@ -12,5 +13,5 @@ type Shaper interface{ Shape() int }
 
 func main() {
 	var s Shaper = a.T{}
-	fmt.Println(a.Used(), s)
+	fmt.Println(a.Used(), s, strconv.Quote("q"))
 }

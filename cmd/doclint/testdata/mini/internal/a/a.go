@@ -29,3 +29,7 @@ func (T) Shape() int { return 0 }
 
 // String satisfies fmt.Stringer.
 func (T) String() string { return fmt.Sprint("t") }
+
+// Quote shares its name with strconv.Quote, which cmd/app calls; a
+// package's function selects no method.
+func (T) Quote() {}

@@ -23,9 +23,6 @@ import (
 	"hpfcg/internal/serve"
 )
 
-// maxBodyBytes mirrors the shard-side submission bound.
-const maxBodyBytes = 64 << 20
-
 // RouterOptions configures a Router.
 type RouterOptions struct {
 	// Membership tuning (suspect/evict windows, vnode count, clock).
@@ -247,15 +244,13 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	reqID := serve.EnsureRequestID(r)
 	w.Header().Set(serve.RequestIDHeader, reqID)
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, status, err := serve.ReadBody(w, r)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "read body: " + err.Error()})
+		writeJSON(w, status, errorResponse{Error: "bad job spec: " + err.Error()})
 		return
 	}
-	var spec serve.JobSpec
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := serve.DecodeJobSpec(body)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad job spec: " + err.Error()})
 		return
 	}
@@ -376,10 +371,6 @@ func (rt *Router) countProxyError() {
 
 // --- scatter/gather sweep submission ---------------------------------
 
-type sweepRequest struct {
-	Jobs []serve.JobSpec `json:"jobs"`
-}
-
 // sweepResult is one scattered submission's outcome.
 type sweepResult struct {
 	Index     int    `json:"index"`
@@ -398,35 +389,36 @@ func (rt *Router) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	reqID := serve.EnsureRequestID(r)
 	w.Header().Set(serve.RequestIDHeader, reqID)
 
-	var req sweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	body, status, err := serve.ReadBody(w, r)
+	if err != nil {
+		writeJSON(w, status, errorResponse{Error: "bad sweep: " + err.Error()})
+		return
+	}
+	jobs, specs, err := decodeSweep(body)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad sweep: " + err.Error()})
 		return
 	}
-	if len(req.Jobs) == 0 {
+	if len(jobs) == 0 {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "sweep needs at least one job"})
 		return
 	}
 
-	results := make([]sweepResult, len(req.Jobs))
+	results := make([]sweepResult, len(jobs))
 	var wg sync.WaitGroup
-	for i := range req.Jobs {
+	for i := range jobs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			res := &results[i]
 			res.Index = i
-			spec := req.Jobs[i]
-			node, err := rt.ownerFor(&spec)
+			node, err := rt.ownerFor(&specs[i])
 			if err != nil {
 				res.Status = http.StatusServiceUnavailable
 				res.Error = err.Error()
 				return
 			}
-			body, _ := json.Marshal(spec)
-			status, _, respBody, err := rt.proxy(r.Context(), "POST", node.URL+"/jobs", body, reqID)
+			status, _, respBody, err := rt.proxy(r.Context(), "POST", node.URL+"/jobs", jobs[i], reqID)
 			if err != nil {
 				rt.countProxyError()
 				res.Status = http.StatusBadGateway
@@ -457,6 +449,28 @@ func (rt *Router) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": results})
+}
+
+// decodeSweep splits a sweep body, {"jobs": [spec, ...]}, into each
+// job as the client wrote it — the bytes proxied to its shard — and its
+// decoded spec, which places it. The envelope is as strict as a spec:
+// another member, data after the object or one malformed spec fails the
+// whole sweep, before anything is proxied.
+func decodeSweep(body []byte) ([]json.RawMessage, []serve.JobSpec, error) {
+	var env struct {
+		Jobs []json.RawMessage `json:"jobs"`
+	}
+	if err := serve.DecodeStrict(body, &env); err != nil {
+		return nil, nil, err
+	}
+	specs := make([]serve.JobSpec, len(env.Jobs))
+	for i, raw := range env.Jobs {
+		var err error
+		if specs[i], err = serve.DecodeJobSpec(raw); err != nil {
+			return nil, nil, fmt.Errorf("job %d: %w", i, err)
+		}
+	}
+	return env.Jobs, specs, nil
 }
 
 // --- metrics rollup --------------------------------------------------

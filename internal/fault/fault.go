@@ -180,9 +180,6 @@ func NewInjector(plan Plan) (*Injector, error) {
 	return in, nil
 }
 
-// Plan returns the schedule the injector replays.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Advance moves the mission clock forward by the modeled time of a
 // finished (usually failed) run. Crash events now in the past are
 // consumed: the processor already died once; after the restart it is

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 
 	"hpfcg/internal/hpfexec"
@@ -12,7 +10,7 @@ import (
 )
 
 // FuzzJobSpec drives a request body through the admission path the
-// HTTP handler runs — strict JSON decode, normalize, validate — and
+// HTTP handler runs — DecodeJobSpec, normalize, validate — and
 // holds an accepted spec to the bounds admission promises the workers:
 // np, every dimension, the iteration cap and the variant knobs are in
 // range, and a generator spec is one GeneratorByName will build.
@@ -35,10 +33,8 @@ func FuzzJobSpec(f *testing.F) {
 	}
 	const maxNP = 32
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var sp JobSpec
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if dec.Decode(&sp) != nil {
+		sp, err := DecodeJobSpec(body)
+		if err != nil {
 			return
 		}
 		sp.normalize()

@@ -14,6 +14,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -25,9 +26,39 @@ import (
 	"time"
 )
 
-// maxBodyBytes bounds a job submission (Matrix Market uploads can be
-// large, but not unbounded).
-const maxBodyBytes = 64 << 20
+// MaxBodyBytes bounds a submission body, at the shard and at the
+// cluster router alike (Matrix Market uploads can be large, but not
+// unbounded).
+const MaxBodyBytes = 64 << 20
+
+// maxPresize caps the buffer ReadBody reserves before a byte arrives.
+// A Content-Length is the client's claim, not data: a header declaring
+// MaxBodyBytes and then a trickle must not hold 64 MB per connection.
+// Bodies up to the cap (serve_cold's are ≈ 100 KB) still cost one
+// buffer; larger ones grow as they arrive.
+const maxPresize = 1 << 20
+
+// ReadBody reads a submission body once, into a buffer sized from its
+// Content-Length up to maxPresize. On failure it returns the status to
+// answer with: 413 for a body over MaxBodyBytes (refused unread when its
+// Content-Length says so), 400 for a read that failed.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, int, error) {
+	if r.ContentLength > MaxBodyBytes {
+		return nil, http.StatusRequestEntityTooLarge, &http.MaxBytesError{Limit: MaxBodyBytes}
+	}
+	// Room for the declared length and for the read that returns io.EOF,
+	// so a body of the declared size costs one buffer.
+	var buf bytes.Buffer
+	buf.Grow(int(min(max(r.ContentLength, 0), maxPresize)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes)); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return nil, http.StatusRequestEntityTooLarge, err
+		}
+		return nil, http.StatusBadRequest, err
+	}
+	return buf.Bytes(), 0, nil
+}
 
 // defaultWaitTimeout bounds ?wait=1 long-polls.
 const defaultWaitTimeout = 60 * time.Second
@@ -92,10 +123,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func handleSubmit(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(RequestIDHeader, EnsureRequestID(r))
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	body, status, err := ReadBody(w, r)
+	if err != nil {
+		writeJSON(w, status, errorResponse{Error: "bad job spec: " + err.Error()})
+		return
+	}
+	spec, err := DecodeJobSpec(body)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad job spec: " + err.Error()})
 		return
 	}
