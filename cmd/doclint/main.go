@@ -59,11 +59,10 @@ var wellKnownMethods = map[string]bool{
 // allowKinds are the reasons an exported name may be reached only from
 // tests. Every allowed entry's reason starts with one of them:
 // "reference:" is a reference implementation or fixture a test compares
-// against, "accessor:" a read-only view a guarantee test asserts on,
-// and "staged:" test-only code whose deletion would cost more test
-// functions than one change should drop — the ledger the next deletion
-// works from.
-var allowKinds = []string{"reference:", "accessor:", "staged:"}
+// against, and "accessor:" a read-only view a guarantee test asserts
+// on. Any other test-only code is deleted, together with the tests that
+// check only it.
+var allowKinds = []string{"reference:", "accessor:"}
 
 // allowed is rule 3's allow-list, keyed "dir.Name" for a package-level
 // identifier and "dir.Type.Method" for a method.
@@ -83,17 +82,6 @@ var allowed = map[string]string{
 	"internal/trace.CommMatrix.RowTotals":        "accessor: TestMatrixMatchesProcStats and TestMatrixMatchesRunStatsCSRSpMV hold per-sender bytes to ProcStats",
 	"internal/trace.CommMatrix.ColTotals":        "accessor: TestMatrixMatchesProcStats and TestMatrixMatchesRunStatsCSRSpMV hold per-receiver bytes to ProcStats",
 	"internal/trace.Recorder.RankEvents":         "accessor: the recorder tests and comm's TestIallreduceTracerSpans read one rank's recording order",
-
-	"internal/seq.PBiCGSTAB":                        "staged: pbicgstab.go, 4 test functions in pbicgstab_test.go",
-	"internal/seq.Chebyshev":                        "staged: chebyshev.go, 4 test functions in chebyshev_test.go",
-	"internal/sparse.CSR.ToELL":                     "staged: formats.go (ELL/DIA), 6 test functions in formats_test.go",
-	"internal/sparse.CSR.ToDIA":                     "staged: formats.go (ELL/DIA), 6 test functions in formats_test.go",
-	"internal/sparse.ELL.PaddingRatio":              "staged: formats.go (ELL/DIA), 6 test functions in formats_test.go",
-	"internal/darray.Vector.RedistributeTo":         "staged: redistribute.go, 5 test functions in redistribute_test.go",
-	"internal/forall.Forall":                        "staged: 2 test functions (TestForallTwoPhase, TestForallDistributed)",
-	"internal/forall.ForallMasked":                  "staged: 2 test functions (TestForallMasked, TestForallMaskedTwoPhase)",
-	"internal/forall.Serialized":                    "staged: 2 test functions (TestSerializedMatchesParallel, TestPrivateBeatsSerializedOnCompute)",
-	"internal/forall.PrivateRegion.MergeReplicated": "staged: TestPrivateMergeReplicated, the Figure 5 accumulation test, moves onto MergeDistributed when it goes",
 }
 
 func main() {

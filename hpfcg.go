@@ -196,11 +196,9 @@ func Solve(A *CSR, b []float64, spec SolveSpec) (*Result, error) {
 		if spec.Layout != LayoutRowCSR && spec.Layout != LayoutRowCSRHalo {
 			return nil, fmt.Errorf("hpfcg: Balanced requires a row-CSR layout, got %s", spec.Layout)
 		}
-		atoms := partition.AtomsFromPtr(A.RowPtr)
-		// Balance the whole CG iteration: one unit per stored entry plus
-		// ~6 vector multiply-adds per owned row (SAXPYs + dots).
-		weights := partition.CGWeights(atoms.Weights(), 6)
-		cuts := partition.BalancedContiguous(weights, spec.NP)
+		// CG_BALANCED_PARTITIONER_1, as hpf.Plan.BindPartitioner runs
+		// it: each row weighs its stored entries.
+		cuts := partition.BalancedContiguous(partition.AtomsFromPtr(A.RowPtr).Weights(), spec.NP)
 		d = dist.NewIrregular(cuts)
 	}
 

@@ -2,6 +2,7 @@ package hpfcg
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"hpfcg/internal/sparse"
@@ -192,6 +193,32 @@ func TestSolvePreconditioners(t *testing.T) {
 	}
 	if _, err := Solve(A, b, SolveSpec{Method: MethodPCG, Precond: "magic", NP: 2}); err == nil {
 		t.Error("unknown preconditioner accepted")
+	}
+}
+
+// A block that fails to factor on one processor fails the solve on
+// all of them, and the error names the failing processor: diag(-1,-1)
+// has no IC(0). In the first case it sits on processor 1, so rank 0,
+// whose error Solve returns, has no local cause to report.
+func TestSolveBlockJacobiErrorNamesProcessor(t *testing.T) {
+	for _, tc := range []struct {
+		diag []float64
+		want string
+	}{
+		{[]float64{2, 2, -1, -1}, "failed on processor 1"},
+		{[]float64{-1, -1, 2, 2}, "failed on processor 0"},
+	} {
+		coo := sparse.NewCOO(4, 4)
+		for i, v := range tc.diag {
+			coo.Add(i, i, v)
+		}
+		_, err := Solve(coo.ToCSR(), sparse.Ones(4), SolveSpec{Method: MethodPCG, Precond: "block-ic0", NP: 2})
+		if err == nil {
+			t.Fatalf("diag %v: indefinite block accepted", tc.diag)
+		}
+		if msg := err.Error(); !strings.Contains(msg, tc.want) || strings.Contains(msg, "<nil>") {
+			t.Errorf("diag %v: error %q, want it to name %q and no <nil>", tc.diag, msg, tc.want)
+		}
 	}
 }
 

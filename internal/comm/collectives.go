@@ -100,22 +100,12 @@ func (p *Proc) BcastFloats(root int, x []float64) []float64 {
 	return p.Bcast(root, Payload{Floats: x}).Floats
 }
 
-// Allreduce combines x element-wise across all processors and returns
-// the result on every rank. This is the "merge phase" of the paper's
-// inner products: t_s*log NP communication for the scalar case. The
-// algorithm is chosen per call by modeled cost: binomial tree
-// (reduce to rank 0, then broadcast) for short vectors, Rabenseifner's
-// bandwidth-optimal reduce-scatter + allgather for long ones (see
-// AllreduceWith to force one).
-func (p *Proc) Allreduce(x []float64, op ReduceOp) []float64 {
-	return p.AllreduceWith(x, op, AlgoAuto)
-}
-
-// AllreduceScalar is Allreduce for a single value, the shape of
-// DOT_PRODUCT's merge phase. It reuses a pooled 1-element buffer, so
-// the per-dot-product heap allocation the boxed form paid is gone; the
-// message schedule and result are bit-identical to the original
-// tree allreduce.
+// AllreduceScalar combines a single value across all processors over
+// the binomial tree: DOT_PRODUCT's merge phase, the t_s*log NP
+// communication of the paper's inner products. It reuses a pooled
+// 1-element buffer, so the per-dot-product heap allocation the boxed
+// form paid is gone; the message schedule and result are bit-identical
+// to the original tree allreduce.
 func (p *Proc) AllreduceScalar(x float64, op ReduceOp) float64 {
 	buf := p.GetBuf(1)
 	buf[0] = x

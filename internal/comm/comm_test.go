@@ -144,11 +144,11 @@ func TestReduceAllOps(t *testing.T) {
 	for _, np := range testNPs {
 		m := testMachine(np)
 		m.Run(func(p *Proc) {
-			mx := p.Allreduce([]float64{float64(p.Rank())}, OpMax)
+			mx := p.AllreduceWith([]float64{float64(p.Rank())}, OpMax, AlgoAuto)
 			if mx[0] != float64(np-1) {
 				t.Errorf("np=%d Allreduce max = %v", np, mx)
 			}
-			mn := p.Allreduce([]float64{float64(p.Rank())}, OpMin)
+			mn := p.AllreduceWith([]float64{float64(p.Rank())}, OpMin, AlgoAuto)
 			if mn[0] != 0 {
 				t.Errorf("np=%d Allreduce min = %v", np, mn)
 			}
@@ -333,7 +333,7 @@ func TestModelTimeDeterministic(t *testing.T) {
 			x := make([]float64, 100)
 			for i := 0; i < 5; i++ {
 				p.Compute(1000)
-				x = p.Allreduce(x, OpSum)
+				x = p.AllreduceWith(x, OpSum, AlgoAuto)
 				p.Barrier()
 			}
 		})

@@ -5,7 +5,7 @@
 // same 2·log NP startups but only 2·n·(NP-1)/NP words, which makes it
 // the bandwidth-optimal choice for long vectors (it is what MPICH and
 // Open MPI select for large allreduces). For scalars the byte term is
-// noise and the tree is kept; Allreduce picks per call from the
+// noise and the tree is kept; AlgoAuto picks per call from the
 // modeled-cost closed forms in package topology.
 package comm
 
@@ -61,7 +61,10 @@ func (p *Proc) chooseAllreduceAlgo(words int) AllreduceAlgo {
 	return AlgoTree
 }
 
-// AllreduceWith is Allreduce with an explicit algorithm choice. The
+// AllreduceWith combines x element-wise across all processors and
+// returns the result on every rank, by the algorithm algo selects:
+// binomial tree (reduce to rank 0, then broadcast) or Rabenseifner's
+// reduce-scatter + allgather, or AlgoAuto to pick by modeled cost. The
 // two algorithms produce bit-identical results for exact data (the
 // reduction operators are commutative and associative; floating-point
 // summation order differs between them, as it does between NP counts).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"hpfcg/internal/comm"
@@ -27,8 +28,9 @@ type BlockJacobi struct {
 // NewBlockJacobi extracts this processor's diagonal block of A under
 // the contiguous distribution d and builds the named local
 // preconditioner ("ic0", "ssor", "jacobi"). Like NewJacobi, failure is
-// collective: if any block fails to factor, every processor returns
-// the error.
+// collective: if any block fails to factor, every processor returns an
+// error naming the lowest failing processor, and that processor's error
+// also carries its local factorisation's cause.
 func NewBlockJacobi(p *comm.Proc, A *sparse.CSR, d dist.Contiguous, local string) (*BlockJacobi, error) {
 	r := p.Rank()
 	lo := d.Lo(r)
@@ -52,12 +54,16 @@ func NewBlockJacobi(p *comm.Proc, A *sparse.CSR, d dist.Contiguous, local string
 	block := coo.ToCSR()
 
 	M, err := seq.ByName(local, block)
-	bad := 0.0
+	first := p.NP() // lowest rank whose block failed; NP when none did
 	if err != nil {
-		bad = 1
+		first = r
 	}
-	if p.AllreduceScalar(bad, comm.OpMax) > 0 {
-		return nil, fmt.Errorf("core: block-Jacobi local factorisation failed on some processor (local %q): %v", local, err)
+	if bad := int(p.AllreduceScalar(float64(first), comm.OpMin)); bad < p.NP() {
+		msg := fmt.Sprintf("core: block-Jacobi local factorisation failed on processor %d (local %q)", bad, local)
+		if bad == r {
+			return nil, fmt.Errorf("%s: %w", msg, err)
+		}
+		return nil, errors.New(msg)
 	}
 	return &BlockJacobi{p: p, local: M, count: count}, nil
 }

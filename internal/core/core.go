@@ -450,7 +450,7 @@ func CGFused(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options) (S
 }
 
 // dotBoxed is the pre-fusion DOT_PRODUCT merge: one allreduce round per
-// scalar, through the slice-boxed general Allreduce (so it pays the
+// scalar, through the slice-boxed AllreduceWith (so it pays the
 // per-call allocations the pooled scalar path eliminated). Kept only
 // for CGUnfused, the E19 measurement baseline.
 func (o ops) dotBoxed(a, b *darray.Vector) float64 {

@@ -14,16 +14,12 @@
 // merge the private copies with a global reduction at region end.
 //
 // This package provides exactly those pieces: IterMap (the ON
-// PROCESSOR(f(i)) construct), Indep (INDEPENDENT DO under a mapping),
-// Forall (FORALL semantics: all right-hand sides evaluated before
-// assignment), and PrivateRegion (PRIVATE arrays with MERGE(+) or
-// DISCARD). It also provides Serialized, which emulates what an HPF-1
-// compiler must do with the unparallelisable loop — run it sequentially
-// on one processor after gathering the operands. Experiments E3 and E4
-// do not run this package: they measure the same two strategies as
-// internal/spmv's CSC executor modes (ModeSerialized,
-// ModePrivateMerge); examples/directives runs the PRIVATE/MERGE loop
-// here.
+// PROCESSOR(f(i)) construct), Indep (INDEPENDENT DO under a mapping)
+// and PrivateRegion (PRIVATE arrays with MERGE(+) or DISCARD).
+// examples/directives runs the PRIVATE/MERGE loop here. Experiments E3
+// and E4 do not run this package: they measure the private-merge loop
+// against the serialised HPF-1 one as internal/spmv's CSC executor
+// modes (ModePrivateMerge, ModeSerialized).
 package forall
 
 import (
@@ -67,49 +63,6 @@ func Indep(p *comm.Proc, lo, hi int, m IterMap, flopsPerIter int, body func(i in
 	p.Compute(count * flopsPerIter)
 }
 
-// Forall evaluates rhs(i) for all owned iterations first, then runs
-// assign(i, value) — the two-phase semantics of the HPF FORALL
-// construct ("all the right-hand sides should be computed before an
-// assignment to the left-hand sides be done"). Both phases follow the
-// iteration mapping.
-func Forall(p *comm.Proc, lo, hi int, m IterMap, flopsPerIter int, rhs func(i int) float64, assign func(i int, v float64)) {
-	r := p.Rank()
-	idx := make([]int, 0, (hi-lo)/p.NP()+1)
-	vals := make([]float64, 0, cap(idx))
-	for i := lo; i < hi; i++ {
-		if m.ProcOf(i) == r {
-			idx = append(idx, i)
-			vals = append(vals, rhs(i))
-		}
-	}
-	for k, i := range idx {
-		assign(i, vals[k])
-	}
-	p.Compute(len(idx) * flopsPerIter)
-}
-
-// ForallMasked is Forall with HPF's optional mask expression
-// (FORALL (i=lo:hi, mask(i)) lhs(i) = rhs(i)): only iterations whose
-// mask evaluates true participate, but the two-phase semantics (all
-// right-hand sides before any assignment) still hold across the masked
-// set. flopsPerIter is charged per executed iteration.
-func ForallMasked(p *comm.Proc, lo, hi int, m IterMap, flopsPerIter int,
-	mask func(i int) bool, rhs func(i int) float64, assign func(i int, v float64)) {
-	r := p.Rank()
-	idx := make([]int, 0, (hi-lo)/p.NP()+1)
-	vals := make([]float64, 0, cap(idx))
-	for i := lo; i < hi; i++ {
-		if m.ProcOf(i) == r && mask(i) {
-			idx = append(idx, i)
-			vals = append(vals, rhs(i))
-		}
-	}
-	for k, i := range idx {
-		assign(i, vals[k])
-	}
-	p.Compute(len(idx) * flopsPerIter)
-}
-
 // MergeMode selects what happens to PRIVATE data at region end, per the
 // paper's WITH MERGE / WITH DISCARD options.
 type MergeMode int
@@ -148,16 +101,6 @@ func NewPrivate(p *comm.Proc, n int, mode MergeMode) *PrivateRegion {
 // Data returns this processor's private copy.
 func (r *PrivateRegion) Data() []float64 { return r.priv }
 
-// MergeReplicated closes the region, combining the private copies into
-// a full-length result replicated on every processor (allreduce). For
-// Discard regions it returns nil.
-func (r *PrivateRegion) MergeReplicated() []float64 {
-	if r.mode == Discard {
-		return nil
-	}
-	return r.p.Allreduce(r.priv, comm.OpSum)
-}
-
 // MergeDistributed closes the region, combining the private copies
 // element-wise and leaving each processor with its counts[rank] block —
 // the merge a distributed LHS array (the BLOCK-distributed q of the
@@ -167,23 +110,4 @@ func (r *PrivateRegion) MergeDistributed(counts []int) []float64 {
 		return nil
 	}
 	return r.p.ReduceScatterSum(r.priv, counts)
-}
-
-// Serialized runs a loop the way an HPF-1 compiler must handle the
-// dependent CSC accumulation (§4 Scenario 2, "no parallel loop
-// execution is possible"): the distributed operand x is gathered,
-// rank 0 executes the whole loop body sequentially against a full-size
-// result array, and the result is scattered back by counts. body
-// receives the gathered input and the output buffer and must be the
-// sequential loop; flops is the total loop cost, charged to rank 0
-// only.
-func Serialized(p *comm.Proc, x []float64, xCounts, outCounts []int, n int, flops int, body func(xFull, out []float64)) []float64 {
-	xFull := p.AllgatherV(x, xCounts)
-	var out []float64
-	if p.Rank() == 0 {
-		out = make([]float64, n)
-		body(xFull, out)
-		p.Compute(flops)
-	}
-	return p.ScatterV(0, out, outCounts)
 }

@@ -225,21 +225,6 @@ func GreedyContiguous(weights []int, np int) []int {
 	return cuts
 }
 
-// CGWeights converts per-row nonzero counts into per-row CG work
-// weights: each stored entry costs one multiply-add in the mat-vec,
-// and each row additionally owns one element of the aligned vectors,
-// which see ~perRowExtra multiply-adds per iteration (the SAXPYs and
-// inner products of the Figure 2 loop; 6 for plain CG). Balancing
-// these combined weights balances the whole iteration, not just the
-// multiply — the tension §5.2.2 notes when A(k,i) and p(i) part ways.
-func CGWeights(rowNNZ []int, perRowExtra int) []int {
-	w := make([]int, len(rowNNZ))
-	for i, nz := range rowNNZ {
-		w[i] = nz + perRowExtra
-	}
-	return w
-}
-
 // Imbalance returns max/mean of the per-group weights implied by cuts
 // (1.0 = perfect). Groups may be empty; an all-zero weighting returns 1.
 func Imbalance(weights []int, cuts []int) float64 {

@@ -152,7 +152,7 @@ func TestCriticalPathBoundsMakespan(t *testing.T) {
 	colls := map[string]func(p *comm.Proc, counts []int){
 		"barrier":   func(p *comm.Proc, _ []int) { p.Barrier() },
 		"bcast":     func(p *comm.Proc, _ []int) { p.BcastFloats(0, make([]float64, 32)) },
-		"allreduce": func(p *comm.Proc, _ []int) { p.Allreduce(make([]float64, 32), comm.OpMax) },
+		"allreduce": func(p *comm.Proc, _ []int) { p.AllreduceWith(make([]float64, 32), comm.OpMax, comm.AlgoAuto) },
 		"allreduce-tree": func(p *comm.Proc, _ []int) {
 			p.AllreduceWith(make([]float64, 64), comm.OpSum, comm.AlgoTree)
 		},
