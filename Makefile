@@ -66,9 +66,10 @@ golden:
 # router plus two shards routing repeat traffic to the shard that holds
 # the plan. Then the kept examples, each of which exits non-zero when its
 # own check fails (heat and laplace2d under both operator backends), the
-# directive dump, one traced experiment and cgsolve's three documented
+# directive dump, one traced experiment, cgsolve's three documented
 # generator examples (block rows, the balanced partitioner, the CSC
-# private-merge layout).
+# private-merge layout) and BiCG on cgsolve's default layout, whose
+# executor must apply A^T.
 smoke:
 	$(GO) run ./cmd/hpfrun -hpcg 6,6,6 -np 4 > /dev/null
 	$(GO) run ./cmd/hpfrun -hpcg 6,6,6 -timeout 30s > /dev/null
@@ -90,8 +91,9 @@ smoke:
 	$(GO) run ./cmd/hpfdump -demo > /dev/null
 	$(GO) run ./cmd/hpftrace -exp E2 -quick -o '' > /dev/null
 	$(GO) run ./cmd/cgsolve -matrix laplace2d:64:64 -np 8 -q > /dev/null
-	$(GO) run ./cmd/cgsolve -matrix powerlaw:2000:1 -np 8 -balanced -q > /dev/null
-	$(GO) run ./cmd/cgsolve -matrix randspd:500:6:1 -method bicgstab -layout col-csc-merge -q > /dev/null
+	$(GO) run ./cmd/cgsolve -matrix powerlaw:2000:1 -np 8 -layout balanced -q > /dev/null
+	$(GO) run ./cmd/cgsolve -matrix randspd:500:6:1 -method bicgstab -layout csc-merge -q > /dev/null
+	$(GO) run ./cmd/cgsolve -matrix laplace2d:32:32 -np 4 -method bicg -q > /dev/null
 
 # Non-test, non-blank, non-comment lines: internal/hpfexec +
 # internal/serve (the solve path and the service), then internal/bench +

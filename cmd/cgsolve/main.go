@@ -1,13 +1,16 @@
 // Command cgsolve solves a linear system with the distributed CG
 // solver family on the simulated HPF-style machine, printing solver
 // and machine statistics. The matrix comes from a built-in generator
-// (-matrix) or a Matrix Market file (-file).
+// (-matrix) or a Matrix Market file (-file). The layouts are
+// hpfexec's directive programs: CG runs through hpfexec's prepared
+// path, as hpfrun does, and the other methods run directly on the
+// layout's executor.
 //
 // Examples:
 //
 //	cgsolve -matrix laplace2d:64:64 -np 8
-//	cgsolve -matrix powerlaw:2000:1 -np 8 -balanced
-//	cgsolve -matrix randspd:500:6:1 -method bicgstab -layout col-csc-merge
+//	cgsolve -matrix powerlaw:2000:1 -np 8 -layout balanced
+//	cgsolve -matrix randspd:500:6:1 -method bicgstab -layout csc-merge
 //	cgsolve -file system.mtx -method pcg -topology ring
 package main
 
@@ -26,19 +29,21 @@ func main() {
 	var (
 		matrixSpec = flag.String("matrix", "laplace2d:32:32", "generator spec: laplace1d:n | laplace2d:nx:ny | laplace3d:nx:ny:nz | banded:n:halfband | randspd:n:nnzrow:seed | powerlaw:n:seed | nascg:S|W|A:seed")
 		file       = flag.String("file", "", "Matrix Market file (overrides -matrix)")
-		method     = flag.String("method", "cg", "cg | pcg | bicg | cgs | bicgstab | gmres")
-		layout     = flag.String("layout", "row-csr", "row-csr | row-csr-halo | col-csc-merge | col-csc-serial | dense-row | dense-col")
+		method     = flag.String("method", "cg", "cg | pcg | bicg | cgs | bicgstab")
+		layout     = flag.String("layout", "csr", "csr | csc-serial | csc-merge | balanced (balanced: CG_BALANCED_PARTITIONER_1 rows)")
 		np         = flag.Int("np", 4, "number of virtual processors")
 		topo       = flag.String("topology", "hypercube", "hypercube | ring | mesh2d | full")
 		tol        = flag.Float64("tol", 1e-10, "relative residual tolerance")
 		maxIter    = flag.Int("maxiter", 0, "iteration cap (0 = 2n)")
-		balanced   = flag.Bool("balanced", false, "use CG_BALANCED_PARTITIONER_1 row distribution")
 		commMatrix = flag.Bool("commmatrix", false, "print the per-pair communication matrix")
 		history    = flag.Bool("history", false, "print the residual history as CSV (iteration,relres)")
 		spectrum   = flag.Bool("spectrum", false, "estimate A's extremal eigenvalues with a sequential CG probe (CG-Lanczos Ritz values)")
 		quiet      = flag.Bool("q", false, "print only the summary line")
 	)
 	flag.Parse()
+	if *np < 1 {
+		fatal(fmt.Errorf("-np must be >= 1, got %d", *np))
+	}
 
 	A, err := loadMatrix(*file, *matrixSpec)
 	if err != nil {
@@ -49,7 +54,6 @@ func main() {
 	res, err := hpfcg.Solve(A, b, hpfcg.SolveSpec{
 		Method:   hpfcg.Method(*method),
 		Layout:   hpfcg.Layout(*layout),
-		Balanced: *balanced,
 		Tol:      *tol,
 		MaxIter:  *maxIter,
 		NP:       *np,
@@ -62,8 +66,8 @@ func main() {
 
 	if !*quiet {
 		fmt.Printf("matrix: n=%d nnz=%d\n", A.NRows, A.NNZ())
-		fmt.Printf("machine: np=%d topology=%s layout=%s method=%s balanced=%v\n",
-			*np, *topo, *layout, *method, *balanced)
+		fmt.Printf("machine: np=%d topology=%s layout=%s method=%s\n",
+			*np, *topo, *layout, *method)
 		fmt.Printf("solver: %s\n", res.Stats)
 		fmt.Printf("model:  time=%.6gs comm=%.6gs msgs=%d bytes=%d flop_imbalance=%.3f\n",
 			res.Run.ModelTime, res.Run.CommTime(), res.Run.TotalMsgs, res.Run.TotalBytes,

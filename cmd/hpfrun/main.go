@@ -23,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"hpfcg"
 	"hpfcg/internal/comm"
 	"hpfcg/internal/core"
 	"hpfcg/internal/fault"
@@ -32,7 +33,6 @@ import (
 	"hpfcg/internal/mg"
 	"hpfcg/internal/report"
 	"hpfcg/internal/sparse"
-	"hpfcg/internal/topology"
 )
 
 func main() {
@@ -69,11 +69,10 @@ func main() {
 		variant.SStep = *sstep
 	}
 
-	topo, err := topology.ByName(*topoName)
+	m, err := hpfcg.NewMachine(hpfcg.Config{NP: *np, Topology: *topoName})
 	if err != nil {
 		fatal(err)
 	}
-	m := comm.NewMachine(*np, topo, topology.DefaultCostParams())
 	if *faultStr != "" {
 		fp, err := fault.Parse(*faultStr)
 		if err != nil {

@@ -14,7 +14,7 @@ func ExampleSolve() {
 	b := sparse.Ones(A.NRows)
 	res, err := hpfcg.Solve(A, b, hpfcg.SolveSpec{
 		Method: hpfcg.MethodCG,
-		Layout: hpfcg.LayoutRowCSR,
+		Layout: hpfcg.LayoutCSR,
 		NP:     4,
 		Tol:    1e-10,
 	})
@@ -33,13 +33,13 @@ func ExampleSolve_scenario2() {
 	A := sparse.Banded(128, 3)
 	b := sparse.RandomVector(128, 1)
 	serial, err := hpfcg.Solve(A, b, hpfcg.SolveSpec{
-		Layout: hpfcg.LayoutColCSCSerial, NP: 4, Tol: 1e-10,
+		Layout: hpfcg.LayoutCSCSerial, NP: 4, Tol: 1e-10,
 	})
 	if err != nil {
 		panic(err)
 	}
 	merged, err := hpfcg.Solve(A, b, hpfcg.SolveSpec{
-		Layout: hpfcg.LayoutColCSCMerge, NP: 4, Tol: 1e-10,
+		Layout: hpfcg.LayoutCSCMerge, NP: 4, Tol: 1e-10,
 	})
 	if err != nil {
 		panic(err)
@@ -60,7 +60,7 @@ func ExampleSolve_balanced() {
 	if err != nil {
 		panic(err)
 	}
-	bal, err := hpfcg.Solve(A, b, hpfcg.SolveSpec{NP: 4, Tol: 1e-8, Balanced: true})
+	bal, err := hpfcg.Solve(A, b, hpfcg.SolveSpec{NP: 4, Tol: 1e-8, Layout: hpfcg.LayoutBalanced})
 	if err != nil {
 		panic(err)
 	}

@@ -28,19 +28,23 @@
 //
 // This file is the high-level facade — build a simulated machine, pick
 // a method and a data layout, and solve — used by cmd/cgsolve,
-// examples/laplace2d and the Example functions. The directive-driven
-// path, a bound !HPF$/!EXT$ plan prepared once and solved in batches,
-// is internal/hpfexec, behind cmd/hpfrun and the solver service
-// (internal/serve, cmd/hpfserve).
+// examples/laplace2d and the Example functions. Its layouts are the
+// directive programs of internal/hpfexec, and CG runs through that
+// package's prepared path: the one behind cmd/hpfrun and the solver
+// service (internal/serve, cmd/hpfserve), which hpfexec's conformance
+// suite holds to the sequential reference. The §2.1 methods, which
+// have no directive program, run directly on internal/core.
 package hpfcg
 
 import (
 	"fmt"
+	"slices"
 
 	"hpfcg/internal/comm"
 	"hpfcg/internal/core"
 	"hpfcg/internal/darray"
 	"hpfcg/internal/dist"
+	"hpfcg/internal/hpfexec"
 	"hpfcg/internal/partition"
 	"hpfcg/internal/sparse"
 	"hpfcg/internal/spmv"
@@ -104,46 +108,41 @@ type Method string
 
 // Supported methods (§2 and §2.1 of the paper).
 const (
-	MethodCG       Method = "cg"
+	MethodCG       Method = "cg"   // hpfexec's prepared path
 	MethodPCG      Method = "pcg"  // CG with a distributed preconditioner (see SolveSpec.Precond)
-	MethodBiCG     Method = "bicg" // needs a transpose-capable layout
+	MethodBiCG     Method = "bicg" // applies A^T as well as A
 	MethodCGS      Method = "cgs"
 	MethodBiCGSTAB Method = "bicgstab"
-	MethodGMRES    Method = "gmres" // restarted; see SolveSpec.Restart
 )
 
-// Layout selects the matrix storage and partitioning (§3-§4).
+var methods = []Method{MethodCG, MethodPCG, MethodBiCG, MethodCGS, MethodBiCGSTAB}
+
+// Layout selects the matrix storage and partitioning (§3-§4). The
+// names are hpfexec.Layouts(), each a canonical directive program.
 type Layout string
 
-// Supported layouts. RowCSR is the paper's Scenario 1; RowCSRHalo is
-// Scenario 1 with the inspector-executor ghost exchange instead of the
-// broadcast (cheap for matrices with locality); the ColCSC layouts are
-// Scenario 2 in its two executions (HPF-1 serialized vs the proposed
-// PRIVATE/MERGE extension); the dense layouts are the Figure 3/4 dense
-// variants.
+// Supported layouts. CSR is the paper's Scenario 1; the CSC layouts
+// are Scenario 2 in its two executions (HPF-1 serialized vs the
+// proposed PRIVATE/MERGE(+) extension); Balanced is Scenario 1 with
+// rows redistributed by CG_BALANCED_PARTITIONER_1 (whole rows, stored
+// entries balanced — §5.2.2). For CG on the CSR layouts hpfexec picks
+// the halo or the broadcast executor from the halo width it measures;
+// the other methods run the broadcast executor, whose A^T BiCG needs.
 const (
-	LayoutRowCSR       Layout = "row-csr"
-	LayoutRowCSRHalo   Layout = "row-csr-halo"
-	LayoutColCSCMerge  Layout = "col-csc-merge"
-	LayoutColCSCSerial Layout = "col-csc-serial"
-	LayoutDenseRow     Layout = "dense-row"
-	LayoutDenseCol     Layout = "dense-col"
+	LayoutCSR       Layout = "csr"
+	LayoutCSCSerial Layout = "csc-serial"
+	LayoutCSCMerge  Layout = "csc-merge"
+	LayoutBalanced  Layout = "balanced"
 )
 
 // SolveSpec configures a distributed solve.
 type SolveSpec struct {
 	Method Method // default MethodCG
-	Layout Layout // default LayoutRowCSR
-	// Balanced distributes rows with CG_BALANCED_PARTITIONER_1 (whole
-	// rows, nonzeros balanced — §5.2.2) instead of plain BLOCK. Only
-	// valid with the row-CSR layouts.
-	Balanced bool
+	Layout Layout // default LayoutCSR
 	// Precond selects the preconditioner for MethodPCG: "jacobi"
 	// (default), "block-ic0" or "block-ssor" (block-Jacobi with a local
 	// IC(0)/SSOR solve per processor block).
 	Precond string
-	// Restart is the GMRES restart length (0 -> 30).
-	Restart int
 	// Tol is the relative-residual tolerance (0 -> 1e-10).
 	Tol float64
 	// MaxIter caps iterations (0 -> 2n).
@@ -173,76 +172,95 @@ func Solve(A *CSR, b []float64, spec SolveSpec) (*Result, error) {
 	if A.NRows != A.NCols {
 		return nil, fmt.Errorf("hpfcg: matrix must be square, got %dx%d", A.NRows, A.NCols)
 	}
-	n := A.NRows
-	if len(b) != n {
-		return nil, fmt.Errorf("hpfcg: rhs length %d != %d", len(b), n)
+	if len(b) != A.NRows {
+		return nil, fmt.Errorf("hpfcg: rhs length %d != %d", len(b), A.NRows)
 	}
 	if spec.Method == "" {
 		spec.Method = MethodCG
 	}
 	if spec.Layout == "" {
-		spec.Layout = LayoutRowCSR
+		spec.Layout = LayoutCSR
 	}
 	if spec.NP == 0 {
 		spec.NP = 1
+	}
+	if !slices.Contains(methods, spec.Method) {
+		return nil, fmt.Errorf("hpfcg: unknown method %q (have %v)", spec.Method, methods)
+	}
+	if !slices.Contains(hpfexec.Layouts(), string(spec.Layout)) {
+		return nil, fmt.Errorf("hpfcg: unknown layout %q (have %v)", spec.Layout, hpfexec.Layouts())
 	}
 	m, err := NewMachine(Config{NP: spec.NP, Topology: spec.Topology, Cost: spec.Cost})
 	if err != nil {
 		return nil, err
 	}
+	opt := core.Options{Tol: spec.Tol, MaxIter: spec.MaxIter, History: spec.History}
+	if spec.Method == MethodCG {
+		return solvePrepared(m, A, b, spec.Layout, opt)
+	}
+	return solveDirect(m, A, b, spec, opt)
+}
 
-	var d dist.Contiguous = dist.NewBlock(n, spec.NP)
-	if spec.Balanced {
-		if spec.Layout != LayoutRowCSR && spec.Layout != LayoutRowCSRHalo {
-			return nil, fmt.Errorf("hpfcg: Balanced requires a row-CSR layout, got %s", spec.Layout)
-		}
+// solvePrepared is CG as cmd/hpfrun and the solver service run it: the
+// layout's directive program bound, prepared and solved as a batch of
+// one right-hand side.
+func solvePrepared(m *Machine, A *CSR, b []float64, layout Layout, opt core.Options) (*Result, error) {
+	plan, err := hpfexec.PlanForLayout(string(layout), m.NP(), A.NRows, A.NNZ())
+	if err != nil {
+		return nil, err
+	}
+	pr, err := hpfexec.Prepare(m, plan, A)
+	if err != nil {
+		return nil, err
+	}
+	out, err := pr.SolveBatch([][]float64{b}, []core.Options{opt})
+	if err != nil {
+		return nil, err
+	}
+	res := out.Results[0]
+	if res.Err != nil {
+		return nil, res.Err
+	}
+	return &Result{X: res.X, Stats: res.Stats, Run: out.Run}, nil
+}
+
+// solveDirect runs a §2.1 method in one SPMD body over the layout's
+// executor: the broadcast row-block CSR executor on the block or the
+// balanced distribution, or the column-block CSC executor in the
+// layout's mode.
+func solveDirect(m *Machine, A *CSR, b []float64, spec SolveSpec, opt core.Options) (*Result, error) {
+	var d dist.Contiguous = dist.NewBlock(A.NRows, spec.NP)
+	if spec.Layout == LayoutBalanced {
 		// CG_BALANCED_PARTITIONER_1, as hpf.Plan.BindPartitioner runs
 		// it: each row weighs its stored entries.
 		cuts := partition.BalancedContiguous(partition.AtomsFromPtr(A.RowPtr).Weights(), spec.NP)
 		d = dist.NewIrregular(cuts)
 	}
-
-	// Pre-build shared global structures outside the SPMD region.
+	// Pre-build the shared CSC copy outside the SPMD region.
 	var csc *sparse.CSC
-	var dense *sparse.Dense
-	switch spec.Layout {
-	case LayoutRowCSR, LayoutRowCSRHalo:
-	case LayoutColCSCMerge, LayoutColCSCSerial:
+	if spec.Layout == LayoutCSCSerial || spec.Layout == LayoutCSCMerge {
 		csc = A.ToCSC()
-	case LayoutDenseRow, LayoutDenseCol:
-		dense = A.ToDense()
-	default:
-		return nil, fmt.Errorf("hpfcg: unknown layout %q", spec.Layout)
 	}
 
 	res := &Result{}
 	var solveErr error
 	run := m.Run(func(p *Proc) {
-		var op spmv.Operator
+		var op spmv.TransposeOperator
 		switch spec.Layout {
-		case LayoutRowCSR:
-			op = spmv.NewRowBlockCSR(p, A, d)
-		case LayoutRowCSRHalo:
-			op = spmv.NewRowBlockCSRGhost(p, A, d)
-		case LayoutColCSCMerge:
-			op = spmv.NewColBlockCSC(p, csc, d, spmv.ModePrivateMerge)
-		case LayoutColCSCSerial:
+		case LayoutCSCSerial:
 			op = spmv.NewColBlockCSC(p, csc, d, spmv.ModeSerialized)
-		case LayoutDenseRow:
-			op = spmv.NewDenseRowBlock(p, dense, d)
-		case LayoutDenseCol:
-			op = spmv.NewDenseColBlock(p, dense, d, spmv.ModePrivateMerge)
+		case LayoutCSCMerge:
+			op = spmv.NewColBlockCSC(p, csc, d, spmv.ModePrivateMerge)
+		default:
+			op = spmv.NewRowBlockCSR(p, A, d)
 		}
 		bv := darray.New(p, d)
 		xv := darray.New(p, d)
 		bv.SetGlobal(func(g int) float64 { return b[g] })
-		opt := core.Options{Tol: spec.Tol, MaxIter: spec.MaxIter, History: spec.History}
 
 		var st core.Stats
 		var err error
 		switch spec.Method {
-		case MethodCG:
-			st, err = core.CG(p, op, bv, xv, opt)
 		case MethodPCG:
 			var M core.Preconditioner
 			switch spec.Precond {
@@ -259,27 +277,11 @@ func Solve(A *CSR, b []float64, spec SolveSpec) (*Result, error) {
 				st, err = core.PCG(p, op, M, bv, xv, opt)
 			}
 		case MethodBiCG:
-			top, ok := op.(spmv.TransposeOperator)
-			if !ok {
-				err = fmt.Errorf("hpfcg: layout %s cannot apply A^T (required by BiCG)", spec.Layout)
-			} else {
-				st, err = core.BiCG(p, top, bv, xv, opt)
-			}
+			st, err = core.BiCG(p, op, bv, xv, opt)
 		case MethodCGS:
 			st, err = core.CGS(p, op, bv, xv, opt)
 		case MethodBiCGSTAB:
 			st, err = core.BiCGSTAB(p, op, bv, xv, opt)
-		case MethodGMRES:
-			restart := spec.Restart
-			if restart == 0 {
-				restart = 30
-			}
-			if opt.MaxIter == 0 {
-				opt.MaxIter = 20 * n // restarted GMRES converges slowly
-			}
-			st, err = core.GMRES(p, op, bv, xv, restart, opt)
-		default:
-			err = fmt.Errorf("hpfcg: unknown method %q", spec.Method)
 		}
 		if err != nil {
 			if p.Rank() == 0 {

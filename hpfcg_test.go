@@ -1,11 +1,19 @@
 package hpfcg
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"hpfcg/internal/core"
+	"hpfcg/internal/darray"
+	"hpfcg/internal/dist"
+	"hpfcg/internal/hpfexec"
+	"hpfcg/internal/partition"
 	"hpfcg/internal/sparse"
+	"hpfcg/internal/spmv"
 )
 
 func residual(A *CSR, x, b []float64) float64 {
@@ -23,12 +31,9 @@ func TestSolveAllMethodsAndLayouts(t *testing.T) {
 	A := sparse.Laplace2D(6, 6)
 	b := sparse.RandomVector(A.NRows, 4)
 	methods := []Method{MethodCG, MethodPCG, MethodBiCG, MethodCGS, MethodBiCGSTAB}
-	layouts := []Layout{LayoutRowCSR, LayoutRowCSRHalo, LayoutColCSCMerge, LayoutColCSCSerial, LayoutDenseRow, LayoutDenseCol}
+	layouts := []Layout{LayoutCSR, LayoutCSCSerial, LayoutCSCMerge, LayoutBalanced}
 	for _, method := range methods {
 		for _, layout := range layouts {
-			if method == MethodBiCG && (layout == LayoutDenseCol || layout == LayoutRowCSRHalo) {
-				continue // no transpose support, tested separately
-			}
 			res, err := Solve(A, b, SolveSpec{Method: method, Layout: layout, NP: 4, Tol: 1e-9})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", method, layout, err)
@@ -65,7 +70,7 @@ func TestSolveBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bal, err := Solve(A, b, SolveSpec{NP: 4, Tol: 1e-8, Balanced: true})
+	bal, err := Solve(A, b, SolveSpec{NP: 4, Tol: 1e-8, Layout: LayoutBalanced})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +89,6 @@ func TestSolveErrors(t *testing.T) {
 	cases := []SolveSpec{
 		{Layout: "triangular"},
 		{Method: "sor"},
-		{Method: MethodBiCG, Layout: LayoutDenseCol},
-		{Balanced: true, Layout: LayoutColCSCMerge},
 		{NP: -2},
 		{Topology: "moebius"},
 	}
@@ -95,6 +98,25 @@ func TestSolveErrors(t *testing.T) {
 		}
 		if _, err := Solve(A, b, spec); err == nil {
 			t.Errorf("case %d (%+v): expected error", i, spec)
+		}
+	}
+	// The retired names are refused, and the error lists the accepted ones.
+	for _, tc := range []struct {
+		spec SolveSpec
+		have []string
+	}{
+		{SolveSpec{Layout: "row-csr"}, hpfexec.Layouts()},
+		{SolveSpec{Layout: "row-csr-halo"}, hpfexec.Layouts()},
+		{SolveSpec{Layout: "dense-col"}, hpfexec.Layouts()},
+		{SolveSpec{Method: "gmres"}, []string{"cg", "pcg", "bicg", "cgs", "bicgstab"}},
+	} {
+		_, err := Solve(A, b, tc.spec)
+		if err == nil {
+			t.Errorf("%+v: retired name accepted", tc.spec)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "["+strings.Join(tc.have, " ")+"]") {
+			t.Errorf("%+v: error %q does not list %v", tc.spec, msg, tc.have)
 		}
 	}
 	rect := sparse.NewCOO(2, 3)
@@ -129,7 +151,7 @@ func TestSolveMatchesAcrossLayouts(t *testing.T) {
 	A := sparse.RandomSPD(40, 5, 8)
 	b := sparse.RandomVector(40, 2)
 	var base []float64
-	for i, layout := range []Layout{LayoutRowCSR, LayoutColCSCMerge, LayoutColCSCSerial} {
+	for i, layout := range []Layout{LayoutCSR, LayoutCSCMerge, LayoutCSCSerial} {
 		res, err := Solve(A, b, SolveSpec{Layout: layout, NP: 3, Tol: 1e-11})
 		if err != nil {
 			t.Fatal(err)
@@ -143,31 +165,6 @@ func TestSolveMatchesAcrossLayouts(t *testing.T) {
 				t.Fatalf("%s: solution differs at %d", layout, g)
 			}
 		}
-	}
-}
-
-func TestSolveGMRES(t *testing.T) {
-	// Nonsymmetric: GMRES through the facade.
-	n := 30
-	coo := sparse.NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		coo.Add(i, i, 4)
-		if i+1 < n {
-			coo.Add(i, i+1, -1.5)
-			coo.Add(i+1, i, -0.5)
-		}
-	}
-	A := coo.ToCSR()
-	b := sparse.RandomVector(n, 8)
-	res, err := Solve(A, b, SolveSpec{Method: MethodGMRES, NP: 3, Tol: 1e-9, Restart: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stats.Converged {
-		t.Fatalf("GMRES: %v", res.Stats)
-	}
-	if rr := residual(A, res.X, b); rr > 1e-7 {
-		t.Errorf("residual %g", rr)
 	}
 }
 
@@ -239,7 +236,7 @@ func TestSolveHistory(t *testing.T) {
 func TestSolveLayoutTopologyMatrix(t *testing.T) {
 	A := sparse.Laplace2D(5, 5)
 	b := sparse.RandomVector(A.NRows, 6)
-	layouts := []Layout{LayoutRowCSR, LayoutRowCSRHalo, LayoutColCSCMerge, LayoutColCSCSerial}
+	layouts := []Layout{LayoutCSR, LayoutCSCSerial, LayoutCSCMerge, LayoutBalanced}
 	topos := []string{"hypercube", "ring", "mesh2d", "full"}
 	for _, layout := range layouts {
 		for _, topo := range topos {
@@ -259,4 +256,101 @@ func TestSolveLayoutTopologyMatrix(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The facade's CG is hpfexec's prepared path: X bits, iterations and
+// modeled time equal a batch of one through PlanForLayout, Prepare and
+// SolveBatch. Its answer is also core.CG's over the executor the layout
+// names (broadcast row blocks on the block or balanced distribution, or
+// column blocks in the layout's mode): hpfexec may run the halo
+// executor instead, which changes the clock but not one bit of X.
+func TestSolveCGIsThePreparedPath(t *testing.T) {
+	for _, spec := range []string{"laplace2d:12:12", "powerlawc:500:1", "randspd:200:6:3"} {
+		A, err := sparse.GeneratorByName(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := sparse.RandomVector(A.NRows, 42)
+		for _, layout := range hpfexec.Layouts() {
+			for _, np := range []int{1, 3, 4, 8} {
+				name := fmt.Sprintf("%s/%s/np=%d", spec, layout, np)
+				got, err := Solve(A, b, SolveSpec{Layout: Layout(layout), NP: np})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				want := preparedCG(t, A, b, layout, np)
+				if got.Stats.Iterations != want.Results[0].Stats.Iterations || !sameBits(got.X, want.Results[0].X) {
+					t.Errorf("%s: facade differs from the prepared path", name)
+				}
+				if got.Run.ModelTime != want.Run.ModelTime {
+					t.Errorf("%s: facade model time %v, prepared path %v", name, got.Run.ModelTime, want.Run.ModelTime)
+				}
+				x, iters := directCG(t, A, b, layout, np)
+				if got.Stats.Iterations != iters || !sameBits(got.X, x) {
+					t.Errorf("%s: %d iterations, core.CG over the layout's executor %d, or X bits differ", name, got.Stats.Iterations, iters)
+				}
+			}
+		}
+	}
+}
+
+func preparedCG(t *testing.T, A *CSR, b []float64, layout string, np int) *hpfexec.BatchResult {
+	t.Helper()
+	m, err := NewMachine(Config{NP: np})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := hpfexec.PlanForLayout(layout, np, A.NRows, A.NNZ())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := hpfexec.Prepare(m, plan, A)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := pr.SolveBatch([][]float64{b}, []core.Options{{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func directCG(t *testing.T, A *CSR, b []float64, layout string, np int) ([]float64, int) {
+	t.Helper()
+	m, err := NewMachine(Config{NP: np})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d dist.Contiguous = dist.NewBlock(A.NRows, np)
+	if layout == "balanced" {
+		d = dist.NewIrregular(partition.BalancedContiguous(partition.AtomsFromPtr(A.RowPtr).Weights(), np))
+	}
+	csc := A.ToCSC()
+	var x []float64
+	var iters int
+	m.Run(func(p *Proc) {
+		var op spmv.Operator
+		switch layout {
+		case "csc-serial":
+			op = spmv.NewColBlockCSC(p, csc, d, spmv.ModeSerialized)
+		case "csc-merge":
+			op = spmv.NewColBlockCSC(p, csc, d, spmv.ModePrivateMerge)
+		default:
+			op = spmv.NewRowBlockCSR(p, A, d)
+		}
+		bv, xv := darray.New(p, d), darray.New(p, d)
+		bv.SetGlobal(func(g int) float64 { return b[g] })
+		st, err := core.CG(p, op, bv, xv, core.Options{})
+		if err != nil {
+			t.Errorf("%s np=%d: %v", layout, np, err)
+		}
+		if full := xv.Gather(); p.Rank() == 0 {
+			x, iters = full, st.Iterations
+		}
+	})
+	return x, iters
+}
+
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) })
 }

@@ -7,100 +7,9 @@ import (
 	"hpfcg/internal/comm"
 	"hpfcg/internal/darray"
 	"hpfcg/internal/dist"
-	"hpfcg/internal/seq"
 	"hpfcg/internal/sparse"
 	"hpfcg/internal/spmv"
 )
-
-func TestDistributedGMRESSolves(t *testing.T) {
-	// Nonsymmetric system: CG is inapplicable, GMRES must work.
-	n := 48
-	coo := sparse.NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		coo.Add(i, i, 4)
-		if i+1 < n {
-			coo.Add(i, i+1, -1.5)
-			coo.Add(i+1, i, -0.5)
-		}
-	}
-	A := coo.ToCSR()
-	b := sparse.RandomVector(n, 7)
-	for _, np := range []int{1, 2, 4} {
-		d := dist.NewBlock(n, np)
-		machine(np).Run(func(p *comm.Proc) {
-			op := spmv.NewRowBlockCSR(p, A, d)
-			bv := darray.New(p, d)
-			xv := darray.New(p, d)
-			bv.SetGlobal(func(g int) float64 { return b[g] })
-			st, err := GMRES(p, op, bv, xv, 20, Options{Tol: 1e-10, MaxIter: 20 * n})
-			if err != nil {
-				t.Errorf("np=%d: %v", np, err)
-				return
-			}
-			if !st.Converged {
-				t.Errorf("np=%d: not converged: %v", np, st)
-				return
-			}
-			sol := xv.Gather()
-			if p.Rank() == 0 {
-				if rr := relResidual(A, sol, b); rr > 1e-7 {
-					t.Errorf("np=%d: residual %g", np, rr)
-				}
-			}
-		})
-	}
-}
-
-func TestDistributedGMRESMatchesSequential(t *testing.T) {
-	A := sparse.Laplace2D(6, 6)
-	b := sparse.RandomVector(A.NRows, 3)
-	xs := make([]float64, A.NRows)
-	seqSt, err := seq.GMRES(A, b, xs, 15, seq.Options{Tol: 1e-10, MaxIter: 40 * A.NRows})
-	if err != nil {
-		t.Fatal(err)
-	}
-	np := 3
-	d := dist.NewBlock(A.NRows, np)
-	machine(np).Run(func(p *comm.Proc) {
-		op := spmv.NewRowBlockCSR(p, A, d)
-		bv := darray.New(p, d)
-		xv := darray.New(p, d)
-		bv.SetGlobal(func(g int) float64 { return b[g] })
-		st, err := GMRES(p, op, bv, xv, 15, Options{Tol: 1e-10, MaxIter: 40 * A.NRows})
-		if err != nil {
-			t.Errorf("%v", err)
-			return
-		}
-		if st.Iterations != seqSt.Iterations {
-			t.Errorf("distributed %d iterations, sequential %d", st.Iterations, seqSt.Iterations)
-		}
-		sol := xv.Gather()
-		if p.Rank() == 0 {
-			for i := range xs {
-				if math.Abs(sol[i]-xs[i]) > 1e-6 {
-					t.Errorf("solutions differ at %d: %g vs %g", i, sol[i], xs[i])
-					return
-				}
-			}
-		}
-	})
-}
-
-func TestDistributedGMRESValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("restart < 1 should panic")
-		}
-	}()
-	A := sparse.Laplace1D(8)
-	d := dist.NewBlock(8, 1)
-	machine(1).Run(func(p *comm.Proc) {
-		op := spmv.NewRowBlockCSR(p, A, d)
-		b := darray.New(p, d)
-		x := darray.New(p, d)
-		GMRES(p, op, b, x, 0, Options{})
-	})
-}
 
 func TestBlockJacobiStrongerThanPointJacobi(t *testing.T) {
 	// Size chosen so the block coupling reliably beats diagonal scaling.

@@ -12,16 +12,12 @@ import (
 // fusedBuilders enumerates every operator that implements
 // FusedOperator.
 func fusedBuilders(A *sparse.CSR) map[string]func(p *comm.Proc, d dist.Contiguous) FusedOperator {
-	dense := A.ToDense()
 	return map[string]func(p *comm.Proc, d dist.Contiguous) FusedOperator{
 		"rowblock-csr": func(p *comm.Proc, d dist.Contiguous) FusedOperator {
 			return NewRowBlockCSR(p, A, d)
 		},
 		"rowblock-csr-ghost": func(p *comm.Proc, d dist.Contiguous) FusedOperator {
 			return NewRowBlockCSRGhost(p, A, d)
-		},
-		"dense-rowblock": func(p *comm.Proc, d dist.Contiguous) FusedOperator {
-			return NewDenseRowBlock(p, dense, d)
 		},
 	}
 }

@@ -1,6 +1,7 @@
 // Package spmv implements the distributed matrix-vector products of §4
-// of the paper, for dense and compressed sparse storage, under the two
-// partitioning scenarios it analyses:
+// of the paper, for compressed sparse storage, under the two
+// partitioning scenarios it analyses (plus Scenario 1's dense row
+// strips, Figure 3, which E13 compares with a checkerboard):
 //
 // Scenario 1 (row-wise): the matrix is distributed (BLOCK, *) — each
 // processor owns a strip of whole rows, aligned with the result vector
@@ -446,115 +447,4 @@ func (a *DenseRowBlock) Apply(x, y *darray.Vector) {
 		yl[i] = s
 	}
 	a.p.Compute(2 * a.n * len(a.rows))
-}
-
-// ApplyDot implements FusedOperator (see RowBlockCSR.ApplyDot for the
-// bit-identity argument).
-func (a *DenseRowBlock) ApplyDot(x, y *darray.Vector) float64 {
-	checkAligned("DenseRowBlock.ApplyDot", a.d, x, y)
-	xFull := x.GatherInto(a.xfull)
-	xl := x.Local()
-	yl := y.Local()
-	dot := 0.0
-	for i, row := range a.rows {
-		s := 0.0
-		for j, v := range row {
-			s += v * xFull[j]
-		}
-		yl[i] = s
-		dot += xl[i] * s
-	}
-	a.p.Compute(2*a.n*len(a.rows) + 2*len(yl))
-	return dot
-}
-
-// ApplyT implements TransposeOperator via private accumulation and
-// merge, mirroring RowBlockCSR.ApplyT.
-func (a *DenseRowBlock) ApplyT(x, y *darray.Vector) {
-	checkAligned("DenseRowBlock.ApplyT", a.d, x, y)
-	xl := x.Local()
-	priv := make([]float64, a.n)
-	for i, row := range a.rows {
-		xi := xl[i]
-		for j, v := range row {
-			priv[j] += v * xi
-		}
-	}
-	a.p.Compute(2 * a.n * len(a.rows))
-	y.ReduceScatterFrom(priv)
-}
-
-// DenseColBlock is Scenario 2 with dense storage (Figure 4):
-// A distributed (*, BLOCK), supporting both accumulation modes.
-type DenseColBlock struct {
-	p    *comm.Proc
-	d    dist.Contiguous
-	lo   int
-	cols [][]float64 // local columns, copied column-major
-	n    int
-	mode Mode
-}
-
-// NewDenseColBlock slices (and transposes into column-major) processor
-// p's column strip of dense A.
-func NewDenseColBlock(p *comm.Proc, A *sparse.Dense, d dist.Contiguous, mode Mode) *DenseColBlock {
-	if A.NRows != A.NCols || A.NRows != d.N() || d.NP() != p.NP() {
-		panic("spmv: DenseColBlock shape mismatch")
-	}
-	r := p.Rank()
-	lo := d.Lo(r)
-	cols := make([][]float64, d.Count(r))
-	for c := range cols {
-		col := make([]float64, A.NRows)
-		for i := 0; i < A.NRows; i++ {
-			col[i] = A.At(i, lo+c)
-		}
-		cols[c] = col
-	}
-	return &DenseColBlock{p: p, d: d, lo: lo, cols: cols, n: A.NRows, mode: mode}
-}
-
-// N implements Operator.
-func (a *DenseColBlock) N() int { return a.n }
-
-// NNZ implements Operator.
-func (a *DenseColBlock) NNZ() int { return a.n * a.n }
-
-func (a *DenseColBlock) accumulate(xl, q []float64) {
-	for c, col := range a.cols {
-		pj := xl[c]
-		for i, v := range col {
-			q[i] += v * pj
-		}
-	}
-	a.p.Compute(2 * a.n * len(a.cols))
-}
-
-// Apply implements Operator in the configured mode (see ColBlockCSC).
-func (a *DenseColBlock) Apply(x, y *darray.Vector) {
-	checkAligned("DenseColBlock.Apply", a.d, x, y)
-	switch a.mode {
-	case ModeSerialized:
-		const tagQ = 102
-		np := a.p.NP()
-		r := a.p.Rank()
-		var q []float64
-		if r == 0 {
-			q = make([]float64, a.n)
-		} else {
-			q = a.p.RecvFloats(r-1, tagQ)
-		}
-		a.accumulate(x.Local(), q)
-		if r < np-1 {
-			a.p.SendFloats(r+1, tagQ, q)
-			q = nil
-		}
-		y.ScatterFrom(np-1, q)
-	case ModePrivateMerge:
-		priv := make([]float64, a.n)
-		a.accumulate(x.Local(), priv)
-		y.ReduceScatterFrom(priv)
-	default:
-		panic(fmt.Sprintf("spmv: unknown mode %v", a.mode))
-	}
 }

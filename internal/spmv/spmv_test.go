@@ -142,24 +142,11 @@ func TestDenseOperators(t *testing.T) {
 	A := sparse.RandomSPD(20, 4, 5)
 	den := A.ToDense()
 	want := reference(A, false)
-	wantT := reference(A, true)
 	for _, np := range testNPs {
 		got := runApply(t, np, A, func(p *comm.Proc, d dist.Contiguous) Operator {
 			return NewDenseRowBlock(p, den, d)
 		}, false)
 		checkClose(t, "denserow", got, want)
-
-		got = runApply(t, np, A, func(p *comm.Proc, d dist.Contiguous) Operator {
-			return NewDenseRowBlock(p, den, d)
-		}, true)
-		checkClose(t, "denserowT", got, wantT)
-
-		for _, mode := range []Mode{ModeSerialized, ModePrivateMerge} {
-			got = runApply(t, np, A, func(p *comm.Proc, d dist.Contiguous) Operator {
-				return NewDenseColBlock(p, den, d, mode)
-			}, false)
-			checkClose(t, "densecol/"+mode.String(), got, want)
-		}
 	}
 }
 
@@ -207,10 +194,6 @@ func TestOperatorMetadata(t *testing.T) {
 		den := NewDenseRowBlock(p, A.ToDense(), d)
 		if den.NNZ() != 100 {
 			t.Errorf("dense NNZ = %d", den.NNZ())
-		}
-		dcb := NewDenseColBlock(p, A.ToDense(), d, ModeSerialized)
-		if dcb.N() != 10 || dcb.NNZ() != 100 {
-			t.Errorf("dense col metadata wrong")
 		}
 	})
 	if ModeSerialized.String() != "serialized" || ModePrivateMerge.String() != "private-merge" {
