@@ -20,6 +20,7 @@ import (
 
 	"hpfcg/internal/bench"
 	"hpfcg/internal/fault"
+	"hpfcg/internal/hpfexec"
 	"hpfcg/internal/topology"
 )
 
@@ -30,12 +31,15 @@ func main() {
 		topo     = flag.String("topology", "hypercube", "hypercube | ring | mesh2d | full")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		seed     = flag.Int64("seed", 1996, "matrix generator seed")
-		sstep    = flag.Int("sstep", 0, "restrict E23's s-step sweep to one blocking factor (0 = sweep 1,2,4,8)")
+		sstep    = flag.Int("sstep", 0, fmt.Sprintf("restrict E23's s-step sweep to one blocking factor in 1..%d (0 = sweep 1,2,4,8)", hpfexec.MaxSStep))
 		hpcg     = flag.String("hpcg", "", "restrict E24's per-rank brick sweep to one nx,ny,nz size (empty = full sweep)")
 		mfreeArg = flag.String("mfree", "", `restrict E25's stencil sweep to one spec, "5pt:nx,ny" or "27pt:nx,ny,nz" (empty = full sweep)`)
 		faultStr = flag.String("fault", "", `fault spec injected into every machine, e.g. "crash:rank=2@t=0.5ms,straggle:rank=1,x=4"`)
 	)
 	flag.Parse()
+	if *sstep < 0 || *sstep > hpfexec.MaxSStep {
+		fatal(fmt.Errorf("-sstep %d outside [0,%d]", *sstep, hpfexec.MaxSStep))
+	}
 
 	cfg := bench.DefaultConfig()
 	cfg.Quick = *quick

@@ -175,6 +175,12 @@ func Solve(A *CSR, b []float64, spec SolveSpec) (*Result, error) {
 	if len(b) != A.NRows {
 		return nil, fmt.Errorf("hpfcg: rhs length %d != %d", len(b), A.NRows)
 	}
+	if spec.Tol < 0 {
+		return nil, fmt.Errorf("hpfcg: negative tolerance %g", spec.Tol)
+	}
+	if spec.MaxIter < 0 {
+		return nil, fmt.Errorf("hpfcg: negative iteration cap %d", spec.MaxIter)
+	}
 	if spec.Method == "" {
 		spec.Method = MethodCG
 	}

@@ -91,6 +91,10 @@ func TestSolveErrors(t *testing.T) {
 		{Method: "sor"},
 		{NP: -2},
 		{Topology: "moebius"},
+		{Tol: -1},
+		{MaxIter: -5},
+		{Method: MethodBiCGSTAB, Tol: -1},
+		{Method: MethodPCG, MaxIter: -5},
 	}
 	for i, spec := range cases {
 		if spec.NP == 0 {

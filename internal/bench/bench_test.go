@@ -373,17 +373,16 @@ func TestE18WeakScaling(t *testing.T) {
 // E19: the communication-avoidance ledger must show up in the harness —
 // reduction rounds per iteration strictly decreasing from the unfused
 // baseline through fused CG to the single-reduction variant, with the
-// modeled time following, and the Rabenseifner crossover table showing
-// the tree winning short vectors and losing long ones.
+// modeled time following.
 func TestE19FusionWins(t *testing.T) {
 	tables, err := E19(quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 2 {
-		t.Fatalf("want 2 tables, got %d", len(tables))
+	if len(tables) != 1 {
+		t.Fatalf("want 1 table, got %d", len(tables))
 	}
-	// Group table-1 rows by (np, n) and compare the three variants.
+	// Group the rows by (np, n) and compare the three variants.
 	type key struct{ np, n string }
 	rounds := map[key]map[string]float64{}
 	model := map[key]map[string]float64{}
@@ -408,15 +407,39 @@ func TestE19FusionWins(t *testing.T) {
 			t.Errorf("np=%s n=%s: fused model time %g not below unfused %g", k.np, k.n, m["fused_2round"], m["unfused_3round"])
 		}
 	}
-	// Table 2: tree wins a 1-word merge, Rabenseifner wins 4096 words.
-	for _, row := range tables[1].Rows {
-		words := row[1]
-		winner := row[6]
-		if words == "1" && winner != "tree" {
-			t.Errorf("np=%s words=1: winner %s, want tree", row[0], winner)
+}
+
+// TestE23FilteredSpeedupUsesS1: with the sweep filtered to s = 4
+// (cgbench -sstep 4), Table 1 prints only s = 4 rows, and each row's
+// speedup is still against the s = 1 run: the same cell the full sweep
+// prints for s = 4 on that np, not the s = 4 run divided by itself.
+func TestE23FilteredSpeedupUsesS1(t *testing.T) {
+	full, err := E23(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{} // np -> speedup_vs_s1 at s = 4
+	for _, row := range full[0].Rows {
+		if row[1] == "4" {
+			want[row[0]] = row[7]
 		}
-		if words == "4096" && winner != "recursive" {
-			t.Errorf("np=%s words=4096: winner %s, want recursive", row[0], winner)
+	}
+	cfg := quickCfg()
+	cfg.SStep = 4
+	filtered, err := E23(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := filtered[0].Rows
+	if len(rows) != len(want) {
+		t.Fatalf("filtered Table 1 has %d rows, want one per np (%d)", len(rows), len(want))
+	}
+	for _, row := range rows {
+		if row[1] != "4" {
+			t.Errorf("np=%s: filtered row at s=%s", row[0], row[1])
+		}
+		if row[7] != want[row[0]] || parseF(t, row[7]) == 1 {
+			t.Errorf("np=%s: speedup_vs_s1 %s, full sweep has %s", row[0], row[7], want[row[0]])
 		}
 	}
 }

@@ -10,22 +10,18 @@ import (
 	"hpfcg/internal/report"
 	"hpfcg/internal/sparse"
 	"hpfcg/internal/spmv"
-	"hpfcg/internal/topology"
 )
 
-// E19 — the communication-avoiding CG hot path. Table 1 pits the three
+// E19 — the communication-avoiding CG hot path. Its one table pits the three
 // CG formulations against each other across processor counts and
 // problem sizes: the literal Figure 2 transcription (three allreduce
-// rounds per iteration, fresh vectors and boxed merges every call),
+// rounds per iteration, fresh vectors every call),
 // the fused production CG (batched setup norms, fused mat-vec dot,
 // rho reuse — two rounds, bit-identical iterates), and the
 // single-reduction variant (all four scalars in one batched round, a
 // different floating-point trajectory). Each variant is timed on the
 // modeled machine (t_s·rounds is what shrinks) over repeated solves
-// from a shared workspace. Table 2 maps the tree vs
-// Rabenseifner allreduce crossover that the auto-selection in
-// internal/comm navigates: closed-form and simulated model times per
-// message length, per processor count.
+// from a shared workspace.
 func E19(cfg Config) ([]*report.Table, error) {
 	type variant struct {
 		name  string
@@ -101,41 +97,5 @@ func E19(cfg Config) ([]*report.Table, error) {
 			}
 		}
 	}
-
-	t2 := &report.Table{
-		ID:     "E19",
-		Title:  "allreduce algorithm crossover: binomial tree vs Rabenseifner",
-		Header: []string{"np", "words", "tree_model", "rec_model", "tree_sim", "rec_sim", "winner"},
-		Notes: []string{
-			"model = closed-form AllreduceTime / RabenseifnerAllreduceTime;",
-			"sim = simulated makespan of one AllreduceInPlace; winner by sim.",
-			"The auto selection pins tree below 16 words, then follows the closed forms.",
-		},
-	}
-	crossNPs := []int{4, 8, 16}
-	words := []int{1, 16, 256, 4096, 65536}
-	if cfg.Quick {
-		crossNPs = []int{4, 8}
-		words = []int{1, 256, 4096}
-	}
-	for _, np := range crossNPs {
-		for _, w := range words {
-			treeModel := topology.AllreduceTime(cfg.Topo, cfg.Cost, np, w)
-			recModel := topology.RabenseifnerAllreduceTime(cfg.Topo, cfg.Cost, np, w)
-			sim := func(algo comm.AllreduceAlgo) float64 {
-				return cfg.machine(np).Run(func(p *comm.Proc) {
-					buf := make([]float64, w)
-					p.AllreduceInPlace(buf, comm.OpSum, algo)
-				}).ModelTime
-			}
-			treeSim := sim(comm.AlgoTree)
-			recSim := sim(comm.AlgoRecursive)
-			winner := "tree"
-			if recSim < treeSim {
-				winner = "recursive"
-			}
-			t2.AddRowf(np, w, treeModel, recModel, treeSim, recSim, winner)
-		}
-	}
-	return []*report.Table{t1, t2}, nil
+	return []*report.Table{t1}, nil
 }

@@ -105,8 +105,17 @@ func E23(cfg Config) ([]*report.Table, error) {
 		return rows, perIter
 	}
 	for _, np := range nps {
-		var baseT float64
 		_, pred := prices(np, factors)
+		// speedup_vs_s1's base is the s = 1 run, solved apart (and not
+		// printed) when the sweep is filtered to one s >= 2.
+		var baseT float64
+		if factors[0] != 1 {
+			_, _, rs, err := solve(np, A, b, 1, core.Options{Tol: 1e-8})
+			if err != nil {
+				return nil, fmt.Errorf("E23 np=%d s=1: %w", np, err)
+			}
+			baseT = rs.ModelTime
+		}
 		for _, s := range factors {
 			st, _, rs, err := solve(np, A, b, s, core.Options{Tol: 1e-8})
 			if err != nil {
@@ -115,7 +124,7 @@ func E23(cfg Config) ([]*report.Table, error) {
 			if !st.Converged {
 				return nil, fmt.Errorf("E23 np=%d s=%d: did not converge: %v", np, s, st)
 			}
-			if s == factors[0] {
+			if s == 1 {
 				baseT = rs.ModelTime
 			}
 			t1.AddRowf(np, s, st.Iterations, roundsPerIter(st, s), st.Replacements,

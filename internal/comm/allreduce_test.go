@@ -24,12 +24,11 @@ func serialReduce(np, n int, op ReduceOp, gen func(rank, i int) float64) []float
 	return ref
 }
 
-// TestAllreduceAlgosBitIdentical: the tree and Rabenseifner algorithms
-// must agree bit for bit on integer-valued data (where every
-// combination order is exact) for every operator, processor count —
-// including the odd counts that exercise the non-power-of-two fold —
-// and vector length, including lengths that do not divide evenly into
-// the power-of-two block decomposition.
+// TestAllreduceAlgosBitIdentical: the tree allreduce must agree bit
+// for bit with a serial rank-order reduction on integer-valued data
+// (where every combination order is exact) for every operator,
+// processor count — including the odd counts whose trees are ragged —
+// and vector length.
 func TestAllreduceAlgosBitIdentical(t *testing.T) {
 	sizes := []int{1, 3, 17, 64, 257}
 	gen := func(rank, i int) float64 { return float64((rank*31+i*7)%23 - 11) }
@@ -37,21 +36,20 @@ func TestAllreduceAlgosBitIdentical(t *testing.T) {
 		for _, n := range sizes {
 			for _, op := range []ReduceOp{OpSum, OpMax, OpMin} {
 				ref := serialReduce(np, n, op, gen)
-				for _, algo := range []AllreduceAlgo{AlgoTree, AlgoRecursive, AlgoAuto} {
-					got := make([][]float64, np)
-					testMachine(np).Run(func(p *Proc) {
-						x := make([]float64, n)
-						for i := range x {
-							x[i] = gen(p.Rank(), i)
-						}
-						got[p.Rank()] = p.AllreduceWith(x, op, algo)
-					})
-					for r := 0; r < np; r++ {
-						for i := range ref {
-							if got[r][i] != ref[i] {
-								t.Fatalf("np=%d n=%d op=%d algo=%v rank=%d elem %d: got %v want %v",
-									np, n, op, algo, r, i, got[r][i], ref[i])
-							}
+				got := make([][]float64, np)
+				testMachine(np).Run(func(p *Proc) {
+					x := make([]float64, n)
+					for i := range x {
+						x[i] = gen(p.Rank(), i)
+					}
+					p.AllreduceScalars(x, op)
+					got[p.Rank()] = x
+				})
+				for r := 0; r < np; r++ {
+					for i := range ref {
+						if got[r][i] != ref[i] {
+							t.Fatalf("np=%d n=%d op=%d rank=%d elem %d: got %v want %v",
+								np, n, op, r, i, got[r][i], ref[i])
 						}
 					}
 				}
@@ -60,114 +58,21 @@ func TestAllreduceAlgosBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAllreduceInPlaceMatchesAllreduce: the in-place form and the
-// copying form are the same collective.
-func TestAllreduceInPlaceMatchesAllreduce(t *testing.T) {
-	testMachine(4).Run(func(p *Proc) {
-		a := make([]float64, 33)
-		b := make([]float64, 33)
-		for i := range a {
-			a[i] = float64(p.Rank()*i + 1)
-			b[i] = a[i]
-		}
-		out := p.AllreduceWith(a, OpSum, AlgoRecursive)
-		p.AllreduceInPlace(b, OpSum, AlgoRecursive)
-		for i := range out {
-			if out[i] != b[i] {
-				t.Errorf("elem %d: AllreduceWith %v != AllreduceInPlace %v", i, out[i], b[i])
-			}
-			if a[i] != float64(p.Rank()*i+1) {
-				t.Errorf("AllreduceWith mutated its input at %d", i)
-			}
-		}
-	})
-}
-
-// TestAllreduceStartupAsymptotics: under a startup-only cost model both
-// algorithms pay the same 2·log2 NP sequential message steps on a
-// power-of-two machine; the non-power-of-two fold adds exactly one
-// step to the recursive algorithm's critical path.
+// TestAllreduceStartupAsymptotics: under a startup-only cost model the
+// tree allreduce on a power-of-two machine is 2·log2 NP sequential
+// message steps — log2 NP up to rank 0 and log2 NP back down, the
+// t_s·log NP of §4 twice.
 func TestAllreduceStartupAsymptotics(t *testing.T) {
 	tsOnly := topology.CostParams{TStartup: 1}
-	run := func(np int, algo AllreduceAlgo) float64 {
+	for _, np := range []int{2, 4, 8, 16} {
 		m := NewMachine(np, topology.Hypercube{}, tsOnly)
-		return m.Run(func(p *Proc) {
-			p.AllreduceInPlace(make([]float64, 64), OpSum, algo)
+		got := m.Run(func(p *Proc) {
+			p.AllreduceScalars(make([]float64, 64), OpSum)
 		}).ModelTime
-	}
-	for _, np := range []int{2, 4, 8, 16} {
-		tree, rec := run(np, AlgoTree), run(np, AlgoRecursive)
-		if tree != rec {
-			t.Errorf("np=%d: startup-only makespan tree=%g recursive=%g, want equal", np, tree, rec)
+		if want := float64(2 * topology.Log2Ceil(np)); got != want {
+			t.Errorf("np=%d: startup-only makespan %g, want %g", np, got, want)
 		}
 	}
-	for _, np := range []int{3, 5, 7} {
-		tree, rec := run(np, AlgoTree), run(np, AlgoRecursive)
-		if rec != tree+1 {
-			t.Errorf("np=%d: startup-only makespan tree=%g recursive=%g, want fold cost of exactly one extra step", np, tree, rec)
-		}
-	}
-}
-
-// TestAllreduceBandwidthWin: under a byte-only cost model Rabenseifner
-// moves 2·n·(NP-1)/NP words against the tree's 2·n·log2 NP — strictly
-// less for NP >= 2, and the gap widens with NP.
-func TestAllreduceBandwidthWin(t *testing.T) {
-	twOnly := topology.CostParams{TByte: 1}
-	const words = 4096
-	prevRatio := 1.0
-	for _, np := range []int{2, 4, 8, 16} {
-		m := NewMachine(np, topology.Hypercube{}, twOnly)
-		times := map[AllreduceAlgo]float64{}
-		for _, algo := range []AllreduceAlgo{AlgoTree, AlgoRecursive} {
-			times[algo] = m.Run(func(p *Proc) {
-				p.AllreduceInPlace(make([]float64, words), OpSum, algo)
-			}).ModelTime
-		}
-		if times[AlgoRecursive] >= times[AlgoTree] {
-			t.Errorf("np=%d: byte-only makespan recursive %g >= tree %g", np, times[AlgoRecursive], times[AlgoTree])
-		}
-		ratio := times[AlgoRecursive] / times[AlgoTree]
-		if np > 2 && ratio >= prevRatio {
-			t.Errorf("np=%d: bandwidth advantage ratio %g did not improve on %g", np, ratio, prevRatio)
-		}
-		prevRatio = ratio
-	}
-}
-
-// TestAllreduceAutoSelection: the per-call choice is tree for scalars
-// (pinned below rabenseifnerMinWords) and recursive for long vectors on
-// the default machine, and matches the closed-form comparison in
-// between.
-func TestAllreduceAutoSelection(t *testing.T) {
-	testMachine(8).Run(func(p *Proc) {
-		if got := p.chooseAllreduceAlgo(1); got != AlgoTree {
-			t.Errorf("1 word: chose %v, want tree", got)
-		}
-		if got := p.chooseAllreduceAlgo(rabenseifnerMinWords - 1); got != AlgoTree {
-			t.Errorf("%d words: chose %v, want tree", rabenseifnerMinWords-1, got)
-		}
-		if got := p.chooseAllreduceAlgo(4096); got != AlgoRecursive {
-			t.Errorf("4096 words: chose %v, want recursive", got)
-		}
-		// Above the pin the choice must agree with the closed forms.
-		for _, words := range []int{rabenseifnerMinWords, 256, 65536} {
-			rec := topology.RabenseifnerAllreduceTime(topology.Hypercube{}, topology.DefaultCostParams(), 8, words)
-			tree := topology.AllreduceTime(topology.Hypercube{}, topology.DefaultCostParams(), 8, words)
-			want := AlgoTree
-			if rec < tree {
-				want = AlgoRecursive
-			}
-			if got := p.chooseAllreduceAlgo(words); got != want {
-				t.Errorf("%d words: chose %v, closed forms say %v", words, got, want)
-			}
-		}
-	})
-	testMachine(1).Run(func(p *Proc) {
-		if got := p.chooseAllreduceAlgo(1 << 20); got != AlgoTree {
-			t.Errorf("np=1: chose %v, want tree (nothing to communicate)", got)
-		}
-	})
 }
 
 // TestAllreduceScalarsMatchesSeparate: batching k scalars into one
@@ -221,30 +126,27 @@ func TestAllreduceScalarNoAllocs(t *testing.T) {
 	}
 }
 
-// TestAllreduceInPlaceNoAllocs: both algorithms run allocation-free in
-// steady state on pooled buffers (vectors sized above the auto
-// crossover so the recursive path is the one that matters in practice).
+// TestAllreduceInPlaceNoAllocs: a 128-word tree allreduce runs in
+// place and allocation-free in steady state on pooled buffers.
 func TestAllreduceInPlaceNoAllocs(t *testing.T) {
 	const runs = 7
-	for _, algo := range []AllreduceAlgo{AlgoTree, AlgoRecursive} {
-		m := testMachine(4)
-		var allocs float64
-		m.Run(func(p *Proc) {
-			x := make([]float64, 128)
-			p.AllreduceInPlace(x, OpSum, algo)
-			if p.Rank() == 0 {
-				allocs = testing.AllocsPerRun(runs, func() {
-					p.AllreduceInPlace(x, OpSum, algo)
-				})
-			} else {
-				for i := 0; i < runs+1; i++ {
-					p.AllreduceInPlace(x, OpSum, algo)
-				}
+	m := testMachine(4)
+	var allocs float64
+	m.Run(func(p *Proc) {
+		x := make([]float64, 128)
+		p.AllreduceScalars(x, OpSum)
+		if p.Rank() == 0 {
+			allocs = testing.AllocsPerRun(runs, func() {
+				p.AllreduceScalars(x, OpSum)
+			})
+		} else {
+			for i := 0; i < runs+1; i++ {
+				p.AllreduceScalars(x, OpSum)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("AllreduceInPlace(%v) allocated %.1f times per call in steady state, want 0", algo, allocs)
 		}
+	})
+	if allocs != 0 {
+		t.Errorf("AllreduceScalars(128 words) allocated %.1f times per call in steady state, want 0", allocs)
 	}
 }
 

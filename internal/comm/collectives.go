@@ -6,7 +6,7 @@ import "fmt"
 type ReduceOp int
 
 // Supported reduction operators. All are commutative and associative,
-// which the tree algorithms require.
+// which the tree reduction requires.
 const (
 	OpSum ReduceOp = iota
 	OpMax
@@ -51,53 +51,6 @@ func (p *Proc) Barrier() {
 		p.Send(dst, tag, Payload{})
 		p.Recv(src, tag)
 	}
-}
-
-// Bcast distributes root's payload to every processor using a binomial
-// tree (ceil(log2 NP) message steps, the t_s*log NP pattern of §4).
-// root passes the data; every rank returns it.
-func (p *Proc) Bcast(root int, pl Payload) Payload {
-	defer p.collEnd("bcast", p.clock)
-	tag := p.nextTag(opBcast)
-	np := p.m.np
-	if root < 0 || root >= np {
-		panic(fmt.Sprintf("comm: Bcast invalid root %d", root))
-	}
-	if np == 1 {
-		return pl
-	}
-	rel := (p.rank - root + np) % np
-	// Receive from the parent (clear the lowest set bit of rel).
-	mask := 1
-	for mask < np {
-		if rel&mask != 0 {
-			src := ((rel ^ mask) + root) % np
-			pl = p.Recv(src, tag)
-			break
-		}
-		mask <<= 1
-	}
-	if rel == 0 {
-		mask = 1
-		for mask < np {
-			mask <<= 1
-		}
-	}
-	// Forward to children (descending masks below our receive bit).
-	mask >>= 1
-	for mask > 0 {
-		if rel+mask < np {
-			dst := (rel + mask + root) % np
-			p.Send(dst, tag, pl)
-		}
-		mask >>= 1
-	}
-	return pl
-}
-
-// BcastFloats broadcasts a float slice from root.
-func (p *Proc) BcastFloats(root int, x []float64) []float64 {
-	return p.Bcast(root, Payload{Floats: x}).Floats
 }
 
 // AllreduceScalar combines a single value across all processors over
@@ -179,23 +132,42 @@ func (p *Proc) AllgatherV(local []float64, counts []int) []float64 {
 // and the returned slice holds what each rank sent to us (indexed by
 // source rank). segments[rank] is passed through (copied) untouched.
 func (p *Proc) AlltoallV(segments [][]float64) [][]float64 {
-	defer p.collEnd("alltoallv", p.clock)
+	return alltoallv(p, segments, "alltoallv",
+		func(s []float64) Payload { return Payload{Floats: s} },
+		func(pl Payload) []float64 { return pl.Floats })
+}
+
+// AlltoallVInts is AlltoallV for int payloads (used by the
+// inspector-executor schedule construction, where processors exchange
+// the index lists they need from each other).
+func (p *Proc) AlltoallVInts(segments [][]int) [][]int {
+	return alltoallv(p, segments, "alltoallv-ints",
+		func(s []int) Payload { return Payload{Ints: s} },
+		func(pl Payload) []int { return pl.Ints })
+}
+
+// alltoallv is the one personalised all-to-all schedule: NP-1 sends in
+// rank order starting after the caller, then NP-1 receives in reverse
+// rank order starting before it. wrap and unwrap move a segment in and
+// out of a Payload; span names the trace span.
+func alltoallv[T any](p *Proc, segments [][]T, span string, wrap func([]T) Payload, unwrap func(Payload) []T) [][]T {
+	defer p.collEnd(span, p.clock)
 	tag := p.nextTag(opAlltoall)
 	np := p.m.np
 	if len(segments) != np {
-		panic(fmt.Sprintf("comm: AlltoallV needs %d segments, got %d", np, len(segments)))
+		panic(fmt.Sprintf("comm: %s needs %d segments, got %d", span, np, len(segments)))
 	}
-	out := make([][]float64, np)
-	own := make([]float64, len(segments[p.rank]))
+	out := make([][]T, np)
+	own := make([]T, len(segments[p.rank]))
 	copy(own, segments[p.rank])
 	out[p.rank] = own
 	for off := 1; off < np; off++ {
 		dst := (p.rank + off) % np
-		p.Send(dst, tag, Payload{Floats: segments[dst]})
+		p.Send(dst, tag, wrap(segments[dst]))
 	}
 	for off := 1; off < np; off++ {
 		src := (p.rank - off + np) % np
-		out[src] = p.Recv(src, tag).Floats
+		out[src] = unwrap(p.Recv(src, tag))
 	}
 	return out
 }

@@ -2,9 +2,11 @@
 // HPF runtime compiles to. Go has no MPI or array-parallel library, so
 // this package builds one: a Machine runs NP virtual processors as
 // goroutines in SPMD style, each with typed point-to-point sends over
-// buffered channels and the usual collectives (barrier, broadcast,
-// reduce, allreduce, gather/scatter, allgather, alltoall,
-// reduce-scatter) built from binomial-tree and ring algorithms.
+// buffered channels and the collectives built on them: a dissemination
+// barrier, scatter, allgather (recursive doubling or ring), all-to-all,
+// reduce-scatter, and one binomial tree (tree.go) — a reduce to member
+// 0 and a broadcast from it — behind every allreduce, blocking or not,
+// and every Group collective.
 //
 // Alongside real execution, every processor advances a modeled clock
 // using the Kumar-style cost model the paper's §4 analysis uses: a
@@ -489,7 +491,7 @@ func (p *Proc) Shared(key any, build func() any) any {
 // collEnd records a collective span [start, now) when tracing is on.
 // Collectives call it via `defer p.collEnd(op, p.clock)`, which pins
 // start at entry time while End reads the clock at return — including
-// on the early-return paths of the tree algorithms.
+// on the early-return path of the tree reduce.
 func (p *Proc) collEnd(op string, start float64) {
 	if p.tr != nil {
 		p.tr.Add(trace.Event{Kind: trace.KindCollective, Peer: -1, Op: op, Start: start, End: p.clock})

@@ -107,17 +107,25 @@ func TestBarrier(t *testing.T) {
 	}
 }
 
+// TestBcast: the tree broadcast reaches every rank from any root — a
+// root other than rank 0 heads the group's rank list.
 func TestBcast(t *testing.T) {
 	for _, np := range testNPs {
 		for root := 0; root < np; root += max(1, np/3) {
 			m := testMachine(np)
 			want := []float64{3.5, -1, float64(root)}
+			ranks := []int{root}
+			for r := 0; r < np; r++ {
+				if r != root {
+					ranks = append(ranks, r)
+				}
+			}
 			m.Run(func(p *Proc) {
 				var in []float64
 				if p.Rank() == root {
 					in = want
 				}
-				out := p.BcastFloats(root, in)
+				out := NewGroup(p, ranks).BcastFloats(p, in)
 				if !reflect.DeepEqual(out, want) {
 					t.Errorf("np=%d root=%d rank=%d: bcast = %v", np, root, p.Rank(), out)
 				}
@@ -126,30 +134,16 @@ func TestBcast(t *testing.T) {
 	}
 }
 
-func TestBcastIntsAndScalars(t *testing.T) {
-	m := testMachine(5)
-	m.Run(func(p *Proc) {
-		var xi []int
-		if p.Rank() == 2 {
-			xi = []int{4, 5, 6}
-		}
-		got := p.Bcast(2, Payload{Ints: xi}).Ints
-		if !reflect.DeepEqual(got, []int{4, 5, 6}) {
-			t.Errorf("Bcast ints = %v", got)
-		}
-	})
-}
-
 func TestReduceAllOps(t *testing.T) {
 	for _, np := range testNPs {
 		m := testMachine(np)
 		m.Run(func(p *Proc) {
-			mx := p.AllreduceWith([]float64{float64(p.Rank())}, OpMax, AlgoAuto)
-			if mx[0] != float64(np-1) {
+			mx := p.AllreduceScalar(float64(p.Rank()), OpMax)
+			if mx != float64(np-1) {
 				t.Errorf("np=%d Allreduce max = %v", np, mx)
 			}
-			mn := p.AllreduceWith([]float64{float64(p.Rank())}, OpMin, AlgoAuto)
-			if mn[0] != 0 {
+			mn := p.AllreduceScalar(float64(p.Rank()), OpMin)
+			if mn != 0 {
 				t.Errorf("np=%d Allreduce min = %v", np, mn)
 			}
 		})
@@ -333,7 +327,7 @@ func TestModelTimeDeterministic(t *testing.T) {
 			x := make([]float64, 100)
 			for i := 0; i < 5; i++ {
 				p.Compute(1000)
-				x = p.AllreduceWith(x, OpSum, AlgoAuto)
+				p.AllreduceScalars(x, OpSum)
 				p.Barrier()
 			}
 		})
@@ -354,8 +348,12 @@ func TestBcastMatchesAnalyticShape(t *testing.T) {
 	cost := topology.CostParams{TStartup: 1e-4, THop: 0, TByte: 0, TFlop: 0}
 	for _, np := range []int{2, 4, 8, 16, 32} {
 		m := NewMachine(np, topology.FullyConnected{}, cost)
+		all := make([]int, np)
+		for r := range all {
+			all[r] = r
+		}
 		st := m.Run(func(p *Proc) {
-			p.BcastFloats(0, []float64{1})
+			NewGroup(p, all).BcastFloats(p, []float64{1})
 		})
 		want := float64(topology.Log2Ceil(np)) * cost.TStartup
 		if math.Abs(st.ModelTime-want) > 1e-12 {
@@ -409,7 +407,7 @@ func TestInvalidArgsPanic(t *testing.T) {
 		{"send-self", func(p *Proc) { p.SendFloats(p.Rank(), 0, nil) }},
 		{"send-range", func(p *Proc) { p.SendFloats(99, 0, nil) }},
 		{"recv-range", func(p *Proc) { p.RecvFloats(-1, 0) }},
-		{"bad-root", func(p *Proc) { p.BcastFloats(12, nil) }},
+		{"bad-root", func(p *Proc) { p.ScatterV(12, nil, []int{0, 0}) }},
 		{"bad-counts", func(p *Proc) { p.AllgatherV(nil, []int{1, 2, 3}) }},
 	}
 	for _, c := range cases {

@@ -44,44 +44,38 @@ func (s stubInjector) StartRun(np int) []RankInjector {
 
 // TestCrashMidAllreduceUnwinds is the abort-propagation regression
 // test: killing one rank halfway through a run leaves its peers
-// blocked in Recv inside the collective, and both allreduce algorithms
-// must observe the abort and unwind into a typed PeerFailure — at
-// every np, including non-powers-of-two, with no deadlock.
+// blocked in Recv inside the tree allreduce, and they must observe the
+// abort and unwind into a typed PeerFailure — at every np, including
+// non-powers-of-two, with no deadlock.
 func TestCrashMidAllreduceUnwinds(t *testing.T) {
-	algos := []struct {
-		name string
-		algo AllreduceAlgo
-	}{{"tree", AlgoTree}, {"recursive", AlgoRecursive}}
 	for _, np := range []int{2, 3, 4, 8} {
-		for _, a := range algos {
-			prog := func(p *Proc) {
-				buf := make([]float64, 64)
-				for i := range buf {
-					buf[i] = float64(p.Rank() + i)
-				}
-				for i := 0; i < 4; i++ {
-					p.Compute(200)
-					p.AllreduceInPlace(buf, OpSum, a.algo)
-				}
+		prog := func(p *Proc) {
+			buf := make([]float64, 64)
+			for i := range buf {
+				buf[i] = float64(p.Rank() + i)
 			}
-			healthy := testMachine(np).Run(prog)
-			victim := np / 2
-			m := testMachine(np)
-			m.AttachInjector(stubInjector{ranks: map[int]*stubRank{
-				victim: {crashAt: healthy.ModelTime / 2, hasCrash: true},
-			}})
-			_, err := m.RunContext(within(t, 5*time.Second), prog)
-			var pf PeerFailure
-			if !errors.As(err, &pf) {
-				t.Fatalf("np=%d %s: err = %v, want PeerFailure", np, a.name, err)
+			for i := 0; i < 4; i++ {
+				p.Compute(200)
+				p.AllreduceScalars(buf, OpSum)
 			}
-			if pf.Rank != victim {
-				t.Errorf("np=%d %s: failed rank = %d, want %d", np, a.name, pf.Rank, victim)
-			}
-			if pf.Clock < healthy.ModelTime/2 {
-				t.Errorf("np=%d %s: failure clock %g before scheduled crash %g",
-					np, a.name, pf.Clock, healthy.ModelTime/2)
-			}
+		}
+		healthy := testMachine(np).Run(prog)
+		victim := np / 2
+		m := testMachine(np)
+		m.AttachInjector(stubInjector{ranks: map[int]*stubRank{
+			victim: {crashAt: healthy.ModelTime / 2, hasCrash: true},
+		}})
+		_, err := m.RunContext(within(t, 5*time.Second), prog)
+		var pf PeerFailure
+		if !errors.As(err, &pf) {
+			t.Fatalf("np=%d: err = %v, want PeerFailure", np, err)
+		}
+		if pf.Rank != victim {
+			t.Errorf("np=%d: failed rank = %d, want %d", np, pf.Rank, victim)
+		}
+		if pf.Clock < healthy.ModelTime/2 {
+			t.Errorf("np=%d: failure clock %g before scheduled crash %g",
+				np, pf.Clock, healthy.ModelTime/2)
 		}
 	}
 }

@@ -88,73 +88,15 @@ func (p *Proc) putIntBuf(b []int) {
 // pool.
 func (p *Proc) AllreduceScalars(xs []float64, op ReduceOp) {
 	defer p.collEnd("allreduce", p.clock)
-	p.reduceInPlaceTree(xs, op)
-	p.bcastInPlaceTree(xs)
+	p.allreduceTree(xs, op)
 }
 
-// reduceInPlaceTree reduces acc to rank 0 over a binomial tree, in
-// place and pooled: in round mask, a rank with that bit set sends its
-// partial to rank^mask and leaves, and any other combines what
-// rank|mask sends. Non-root ranks
-// are left holding their partial accumulation; the following broadcast
-// overwrites it.
-func (p *Proc) reduceInPlaceTree(acc []float64, op ReduceOp) {
-	defer p.collEnd("reduce", p.clock)
-	tag := p.nextTag(opReduce)
-	np := p.m.np
-	if np == 1 {
-		return
-	}
-	for mask := 1; mask < np; mask <<= 1 {
-		if p.rank&mask != 0 {
-			out := p.GetBuf(len(acc))
-			copy(out, acc)
-			p.Send(p.rank^mask, tag, Payload{Floats: out})
-			return
-		}
-		if p.rank|mask < np {
-			in := p.Recv(p.rank|mask, tag).Floats
-			op.combine(acc, in)
-			p.Compute(len(acc))
-			p.PutBuf(in)
-		}
-	}
-}
-
-// bcastInPlaceTree is Bcast from rank 0 with the same binomial-tree
-// schedule as Bcast(0, ...), in place and pooled.
-func (p *Proc) bcastInPlaceTree(x []float64) {
-	defer p.collEnd("bcast", p.clock)
-	tag := p.nextTag(opBcast)
-	np := p.m.np
-	if np == 1 {
-		return
-	}
-	rel := p.rank
-	mask := 1
-	for mask < np {
-		if rel&mask != 0 {
-			in := p.Recv(rel^mask, tag).Floats
-			copy(x, in)
-			p.PutBuf(in)
-			break
-		}
-		mask <<= 1
-	}
-	if rel == 0 {
-		for mask < np {
-			mask <<= 1
-		}
-	}
-	mask >>= 1
-	for mask > 0 {
-		if rel+mask < np {
-			out := p.GetBuf(len(x))
-			copy(out, x)
-			p.Send(rel+mask, tag, Payload{Floats: out})
-		}
-		mask >>= 1
-	}
+// allreduceTree is the machine-wide binomial tree both allreduces run:
+// a reduce to rank 0, then a broadcast from it.
+func (p *Proc) allreduceTree(xs []float64, op ReduceOp) {
+	all := Group{me: p.rank}
+	p.reduceTree(all, xs, op, "reduce")
+	p.bcastTree(all, xs, "bcast")
 }
 
 // AllgatherVInto is AllgatherV writing into a caller-provided buffer

@@ -57,13 +57,13 @@ func TestGridGroups(t *testing.T) {
 		if pr == 0 {
 			x = []float64{float64(100 + pc)}
 		}
-		x = colG.BcastFloats(p, 0, x)
+		x = colG.BcastFloats(p, x)
 		if x[0] != float64(100+pc) {
 			t.Errorf("rank %d col bcast got %v", p.Rank(), x)
 		}
 
 		// Reduce across each row onto column 0.
-		sum := rowG.ReduceSumFloats(p, 0, []float64{float64(pc + 1)})
+		sum := rowG.ReduceSumFloats(p, []float64{float64(pc + 1)})
 		if pc == 0 {
 			want := float64(cols*(cols+1)) / 2
 			if sum[0] != want {
@@ -80,23 +80,23 @@ func TestGroupNonContiguousRanks(t *testing.T) {
 	m := testMachine(np)
 	m.Run(func(p *Proc) {
 		// Odd ranks form a group; even ranks a second group, exercising
-		// concurrent groups with arbitrary members.
+		// concurrent groups with arbitrary members in an order that does
+		// not start at the lowest rank.
 		var ranks []int
-		for r := p.Rank() % 2; r < np; r += 2 {
+		for r := np - 2 + p.Rank()%2; r >= 0; r -= 2 {
 			ranks = append(ranks, r)
 		}
 		g := NewGroup(p, ranks)
-		root := 1 // member index 1
 		var x []float64
-		if g.Index() == root {
+		if g.Index() == 0 {
 			x = []float64{float64(p.Rank())}
 		}
-		x = g.BcastFloats(p, root, x)
-		want := float64(ranks[root])
+		x = g.BcastFloats(p, x)
+		want := float64(ranks[0])
 		if x[0] != want {
 			t.Errorf("rank %d group bcast got %g want %g", p.Rank(), x[0], want)
 		}
-		sum := g.ReduceSumFloats(p, 0, []float64{float64(p.Rank())})
+		sum := g.ReduceSumFloats(p, []float64{float64(p.Rank())})
 		if g.Index() != 0 {
 			return
 		}
@@ -114,11 +114,11 @@ func TestGroupSingleton(t *testing.T) {
 	m := testMachine(3)
 	m.Run(func(p *Proc) {
 		g := NewGroup(p, []int{p.Rank()})
-		x := g.BcastFloats(p, 0, []float64{7})
+		x := g.BcastFloats(p, []float64{7})
 		if x[0] != 7 {
 			t.Errorf("singleton bcast %v", x)
 		}
-		s := g.ReduceSumFloats(p, 0, []float64{3})
+		s := g.ReduceSumFloats(p, []float64{3})
 		if s[0] != 3 {
 			t.Errorf("singleton reduce %v", s)
 		}
@@ -137,10 +137,6 @@ func TestGroupValidation(t *testing.T) {
 		}},
 		{"out-of-range", func(p *Proc) { NewGroup(p, []int{p.Rank(), 99}) }},
 		{"duplicate", func(p *Proc) { NewGroup(p, []int{p.Rank(), p.Rank()}) }},
-		{"bad-root", func(p *Proc) {
-			g := NewGroup(p, []int{0, 1})
-			g.BcastFloats(p, 5, nil)
-		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

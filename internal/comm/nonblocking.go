@@ -61,8 +61,7 @@ func (p *Proc) IallreduceScalars(xs []float64, op ReduceOp) *ReduceHandle {
 	// not at their eager wall positions, so the span is the truth.
 	tr := p.tr
 	p.tr = nil
-	p.reduceInPlaceTree(xs, op)
-	p.bcastInPlaceTree(xs)
+	p.allreduceTree(xs, op)
 	p.tr = tr
 	cost := p.clock - start
 	// Rewind: the reduction is in flight, not paid for. Message and flop

@@ -449,23 +449,13 @@ func CGFused(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options) (S
 	return st, nil
 }
 
-// dotBoxed is the pre-fusion DOT_PRODUCT merge: one allreduce round per
-// scalar, through the slice-boxed AllreduceWith (so it pays the
-// per-call allocations the pooled scalar path eliminated). Kept only
-// for CGUnfused, the E19 measurement baseline.
-func (o ops) dotBoxed(a, b *darray.Vector) float64 {
-	o.s.DotProducts++
-	o.s.Reductions++
-	return o.p.AllreduceWith([]float64{a.DotLocal(b)}, comm.OpSum, comm.AlgoTree)[0]
-}
-
 // CGUnfused is the literal Figure 2 transcription kept as the
 // measurement baseline for experiment E19: every scalar merges in its
 // own allreduce round — DOT_PRODUCT(p,q), the convergence norm, and a
-// recomputed DOT_PRODUCT(r,r), three rounds per iteration — with the
-// boxed per-merge allocations the fused path eliminated. Its iterates
-// are bit-identical to CG's (the fusions reorder no arithmetic); only
-// the synchronisation and allocation behaviour differ.
+// recomputed DOT_PRODUCT(r,r), three rounds per iteration — with fresh
+// work vectors every call. Its iterates are bit-identical to CG's (the
+// fusions reorder no arithmetic); only the synchronisation and
+// allocation behaviour differ.
 func CGUnfused(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options) (Stats, error) {
 	opt = opt.withDefaults(A.N())
 	st := newStats(opt)
@@ -475,8 +465,8 @@ func CGUnfused(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options) 
 	o.apply(A, x, r)
 	r.Scale(-1)
 	o.axpy(r, 1, b)
-	rn := math.Sqrt(o.dotBoxed(r, r))
-	bn := math.Sqrt(o.dotBoxed(b, b))
+	rn := math.Sqrt(o.dot(r, r))
+	bn := math.Sqrt(o.dot(b, b))
 	if bn == 0 {
 		bn = 1
 	}
@@ -487,19 +477,19 @@ func CGUnfused(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options) 
 	}
 	pv := r.Clone()
 	q := darray.NewAligned(b)
-	rho := o.dotBoxed(r, r)
+	rho := o.dot(r, r)
 
 	for k := 1; k <= opt.MaxIter; k++ {
 		st.Iterations = k
 		o.apply(A, pv, q)
-		pq := o.dotBoxed(pv, q)
+		pq := o.dot(pv, q)
 		if pq == 0 {
 			return st, fmt.Errorf("%w: p·Ap = 0 at iteration %d", ErrBreakdown, k)
 		}
 		alpha := rho / pq
 		o.axpy(x, alpha, pv)
 		o.axpy(r, -alpha, q)
-		rn = math.Sqrt(o.dotBoxed(r, r))
+		rn = math.Sqrt(o.dot(r, r))
 		rel := rn / bn
 		o.record(rel, opt)
 		if rel <= opt.Tol {
@@ -508,7 +498,7 @@ func CGUnfused(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options) 
 			return st, nil
 		}
 		rho0 := rho
-		rho = o.dotBoxed(r, r)
+		rho = o.dot(r, r)
 		if rho0 == 0 {
 			return st, fmt.Errorf("%w: rho = 0 at iteration %d", ErrBreakdown, k)
 		}

@@ -134,7 +134,7 @@ func (a *DenseCheckerboard) Apply(xBlock []float64) []float64 {
 	}
 	// 1. Broadcast the x block down each grid column (root: grid row 0,
 	//    which is column-group member index 0).
-	xb := a.colGroup.BcastFloats(a.p, 0, xBlock)
+	xb := a.colGroup.BcastFloats(a.p, xBlock)
 
 	// 2. Local block multiply.
 	partial := make([]float64, len(a.local))
@@ -148,5 +148,5 @@ func (a *DenseCheckerboard) Apply(xBlock []float64) []float64 {
 	a.p.Compute(2 * len(a.local) * len(xb))
 
 	// 3. Sum partials across each grid row onto column 0.
-	return a.rowGroup.ReduceSumFloats(a.p, 0, partial)
+	return a.rowGroup.ReduceSumFloats(a.p, partial)
 }

@@ -95,7 +95,7 @@ func (a *SparseCheckerboard) Apply(xBlock []float64) []float64 {
 	if pr == 0 && len(xBlock) != a.colD.Count(pc) {
 		panic(fmt.Sprintf("grid: x block length %d, want %d", len(xBlock), a.colD.Count(pc)))
 	}
-	xb := a.colGroup.BcastFloats(a.p, 0, xBlock)
+	xb := a.colGroup.BcastFloats(a.p, xBlock)
 	rn := len(a.rowPtr) - 1
 	partial := make([]float64, rn)
 	for i := 0; i < rn; i++ {
@@ -106,5 +106,5 @@ func (a *SparseCheckerboard) Apply(xBlock []float64) []float64 {
 		partial[i] = s
 	}
 	a.p.Compute(2 * a.nnzLocal)
-	return a.rowGroup.ReduceSumFloats(a.p, 0, partial)
+	return a.rowGroup.ReduceSumFloats(a.p, partial)
 }

@@ -356,6 +356,14 @@ func (pr *Prepared) run(ctx context.Context, rhs [][]float64, opts []core.Option
 	if len(opts) != 1 && len(opts) != len(rhs) {
 		return nil, run, fmt.Errorf("hpfexec: got %d option sets for %d right-hand sides", len(opts), len(rhs))
 	}
+	for k, o := range opts {
+		if o.Tol < 0 {
+			return nil, run, fmt.Errorf("hpfexec: option set %d: negative tolerance %g", k, o.Tol)
+		}
+		if o.MaxIter < 0 {
+			return nil, run, fmt.Errorf("hpfexec: option set %d: negative iteration cap %d", k, o.MaxIter)
+		}
+	}
 
 	np, nrhs := pr.m.NP(), len(rhs)
 	results := make([]Result, nrhs)

@@ -158,6 +158,11 @@ func TestBatchValidation(t *testing.T) {
 	if _, err := solveBatch(m, plan, A, rhs, make([]core.Options, 3)); err == nil {
 		t.Error("mismatched option count accepted")
 	}
+	for _, o := range []core.Options{{Tol: -1}, {MaxIter: -5}} {
+		if _, err := solveBatch(m, plan, A, rhs, []core.Options{{}, o}); err == nil {
+			t.Errorf("%+v accepted", o)
+		}
+	}
 	bad, err := PlanForLayout("csr", np+1, A.NRows, A.NNZ())
 	if err != nil {
 		t.Fatal(err)

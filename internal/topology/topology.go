@@ -207,36 +207,6 @@ func AllreduceTime(t Topology, c CostParams, np, words int) float64 {
 	return ReduceTime(t, c, np, words) + TreeBcastTime(t, c, np, words*8)
 }
 
-// RabenseifnerAllreduceTime is the closed-form cost of Rabenseifner's
-// allreduce (recursive-halving reduce-scatter + recursive-doubling
-// allgather) of a words-element vector: the same 2·log2 NP' startups as
-// the tree on the power-of-two group NP' but only 2·n·(NP'-1)/NP' words
-// on the wire (plus the combine flops of the reduce-scatter half). For
-// non-power-of-two NP the MPICH fold adds two full-vector messages and
-// one combine. Like the other closed forms, the hop term uses the
-// topology diameter as the pessimistic per-step distance.
-func RabenseifnerAllreduceTime(t Topology, c CostParams, np, words int) float64 {
-	if np <= 1 {
-		return 0
-	}
-	pof2 := 1
-	for pof2*2 <= np {
-		pof2 *= 2
-	}
-	perStep := c.TStartup + float64(t.Diameter(np))*c.THop
-	total := 0.0
-	if pof2 < np {
-		total += 2*c.PtToPtTime(t.Diameter(np), words*8) + float64(words)*c.TFlop
-	}
-	steps := Log2Ceil(pof2)
-	moved := float64(words) * float64(pof2-1) / float64(pof2)
-	// Reduce-scatter: log NP' startups, (NP'-1)/NP' of the vector moved
-	// and combined; allgather: the same traffic back without the flops.
-	total += float64(steps)*perStep + moved*8*c.TByte + moved*c.TFlop
-	total += float64(steps)*perStep + moved*8*c.TByte
-	return total
-}
-
 // RingAllgatherTime is the closed-form cost of the (np-1)-step ring
 // all-gather of blocks of blockBytes each: (np-1)*(t_s + t_h + m*t_w).
 // This is the "all-to-all broadcast of the local vector elements" the

@@ -150,15 +150,15 @@ func TestMatrixMatchesProcStats(t *testing.T) {
 // collective moved anything.
 func TestCriticalPathBoundsMakespan(t *testing.T) {
 	colls := map[string]func(p *comm.Proc, counts []int){
-		"barrier":   func(p *comm.Proc, _ []int) { p.Barrier() },
-		"bcast":     func(p *comm.Proc, _ []int) { p.BcastFloats(0, make([]float64, 32)) },
-		"allreduce": func(p *comm.Proc, _ []int) { p.AllreduceWith(make([]float64, 32), comm.OpMax, comm.AlgoAuto) },
-		"allreduce-tree": func(p *comm.Proc, _ []int) {
-			p.AllreduceWith(make([]float64, 64), comm.OpSum, comm.AlgoTree)
+		"barrier": func(p *comm.Proc, _ []int) { p.Barrier() },
+		"group-bcast": func(p *comm.Proc, c []int) {
+			all := make([]int, len(c))
+			for r := range all {
+				all[r] = r
+			}
+			comm.NewGroup(p, all).BcastFloats(p, make([]float64, 32))
 		},
-		"allreduce-rec": func(p *comm.Proc, _ []int) {
-			p.AllreduceWith(make([]float64, 64), comm.OpSum, comm.AlgoRecursive)
-		},
+		"allreduce":  func(p *comm.Proc, _ []int) { p.AllreduceScalars(make([]float64, 32), comm.OpMax) },
 		"scatterv":   func(p *comm.Proc, c []int) { p.ScatterV(0, scatterFull(p, c), c) },
 		"allgatherv": func(p *comm.Proc, c []int) { p.AllgatherV(make([]float64, c[p.Rank()]), c) },
 		"alltoallv": func(p *comm.Proc, _ []int) {
