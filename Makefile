@@ -28,14 +28,17 @@ test:
 # so internal/serve joins too. The cluster router proxies concurrent
 # submissions, scatters sweeps and merges metrics scrapes across
 # goroutines, so internal/cluster joins the pass. The matrix-free
-# halo exchange moves pooled plane buffers between rank goroutines every
-# iteration, so internal/mfree joins the pass. The multigrid V-cycle
+# operator runs the inspector's exchange on its plane schedule every
+# iteration, moving pooled plane buffers between rank goroutines, so
+# internal/mfree joins the pass. The multigrid V-cycle
 # runs those exchanges on every level, moves pooled transfer planes
 # between neighbours and shares one coarsest-grid factor, and its
 # lock-guarded solve memo, among all ranks of a run, so internal/mg
 # joins the pass. The CSR halo executor fills
 # its slot vector from the inspector schedule's pooled receive path on
-# every iteration, so internal/inspector joins the pass.
+# every iteration, and that exchange loop is the only one the halo
+# executors and the stencil operators share, so internal/inspector
+# joins the pass.
 race:
 	$(GO) test -race ./internal/comm/... ./internal/trace/... ./internal/core/... ./internal/spmv/... ./internal/inspector/... ./internal/fault/... ./internal/hpfexec/... ./internal/serve/... ./internal/cluster/... ./internal/mg/... ./internal/mfree/...
 
@@ -114,7 +117,10 @@ loc:
 
 # Kernel guards in their own units: the modeled machine's send path
 # (allocation counts) and its one tree allreduce at np 2, 4, 8 over 1, 2
-# and 45 words (ns/op, zero allocs), the CSR halo and broadcast executors at
+# and 45 words (ns/op, zero allocs), the one ghost exchange on a CSR
+# halo schedule (solve_csr's matrix) and on the stencil plane schedules
+# of solve_mfree and serve_hot at np 2, 4, 8 over 1 and 2 vectors (ns/op,
+# zero allocs), the CSR halo and broadcast executors at
 # solve_csr's matrix and an out-of-cache one (ns/nnz, GFLOP/s, zero
 # allocs), the matrix-free apply kernels (ns/point, GFLOP/s, zero
 # allocs), the multigrid smoother, residual and V-cycle at
@@ -126,7 +132,7 @@ loc:
 # a serve_cold body beside encoding/json over the same bytes (MB/s,
 # allocs). Every other wall number comes from benchmark/.
 bench:
-	$(GO) test -bench . -benchmem -run NONE ./internal/comm/... ./internal/spmv/... ./internal/mfree/... ./internal/mg/... ./internal/direct/... ./internal/sparse/... ./internal/serve/...
+	$(GO) test -bench . -benchmem -run NONE ./internal/comm/... ./internal/inspector/... ./internal/spmv/... ./internal/mfree/... ./internal/mg/... ./internal/direct/... ./internal/sparse/... ./internal/serve/...
 
 # Every fuzz target, FUZZTIME each (`go test -fuzz` takes one target and
 # one package per run). Under `test` they only replay their seeds. A

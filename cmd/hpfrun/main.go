@@ -60,7 +60,11 @@ func main() {
 
 	// The solver variant the flags ask for; which backend it combines
 	// with is hpfexec.CheckVariant's table, consulted by WithVariant
-	// below.
+	// below. -sstep has a flag-only value, -1, so its range is checked
+	// here.
+	if *sstep < -1 || *sstep > hpfexec.MaxSStep {
+		fatal(fmt.Errorf("-sstep %d outside [-1,%d]", *sstep, hpfexec.MaxSStep))
+	}
 	variant := hpfexec.Variant{Pipelined: *pipelined, Resilient: *resilient, CkptInterval: *ckpt, MaxRestarts: *restarts}
 	switch {
 	case *sstep == 0:

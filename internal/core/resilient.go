@@ -124,11 +124,12 @@ type Resilience struct {
 	// Interval checkpoints every Interval iterations (0 disables
 	// checkpointing; the solve then always restarts from scratch).
 	Interval int
-	// GuardTol triggers residual replacement at restore when the
-	// restored recurrence residual deviates from the true residual
-	// b - A·x by more than GuardTol·||b||. Zero means 1e-8.
-	GuardTol float64
 }
+
+// restoreGuardTol triggers residual replacement at restore when the
+// restored recurrence residual deviates from the true residual b - A·x
+// by more than restoreGuardTol·||b||.
+const restoreGuardTol = 1e-8
 
 // CGResilient is CG with coordinated in-memory checkpointing and
 // rollback restart. Run it like CG; when the machine kills the run
@@ -150,10 +151,6 @@ func CGResilient(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options
 	o := ops{s: &st, p: p}
 	c := newCG(opt.Work.begin(), A, nil, b, x)
 	ck := checkpointer{cs: res.Store, rank: p.Rank(), interval: res.Interval}
-	guard := res.GuardTol
-	if guard == 0 {
-		guard = 1e-8
-	}
 
 	if slot, citer := ck.cs.Latest(); citer >= 0 {
 		// Rollback restart: resume from the newest complete checkpoint.
@@ -179,7 +176,7 @@ func CGResilient(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options
 		d[1] = c.q.NormSqLocal()
 		st.DotProducts += 2
 		o.merge(d[:])
-		if math.Sqrt(d[0]) > guard*c.bn {
+		if math.Sqrt(d[0]) > restoreGuardTol*c.bn {
 			c.r.CopyFrom(c.q)
 			c.rho = d[1]
 			st.Replacements++

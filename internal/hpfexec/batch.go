@@ -273,7 +273,7 @@ func (pr *Prepared) SolveBatchContext(ctx context.Context, rhs [][]float64, opts
 		return nil, fmt.Errorf("hpfexec: a resilient solve takes one right-hand side, got %d", len(rhs))
 	}
 	store := core.NewCheckpointStore(pr.m.NP())
-	res := core.Resilience{Store: store, Interval: v.CkptInterval, GuardTol: v.GuardTol}
+	res := core.Resilience{Store: store, Interval: v.CkptInterval}
 	solve := func(p *comm.Proc, op spmv.Operator, _ core.Preconditioner, bv, xv *darray.Vector, opt core.Options) (core.Stats, error) {
 		return core.CGResilient(p, op, bv, xv, opt, res)
 	}

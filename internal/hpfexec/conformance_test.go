@@ -385,6 +385,43 @@ func TestBatchBreakdownIsolated(t *testing.T) {
 	}
 }
 
+// TestVariantNegativeBounds: a negative checkpoint interval or restart
+// budget is refused by name on every backend, resilient or not, and
+// WithVariant acts on the same verdict — never a solve that checkpoints
+// at |k| or gives up after one attempt.
+func TestVariantNegativeBounds(t *testing.T) {
+	A := sparse.Laplace2D(8, 8)
+	plan, err := PlanForLayout("csr", 2, A.NRows, A.NNZ())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		v    Variant
+		want string
+	}{
+		{Variant{Resilient: true, CkptInterval: -3}, "field ckpt_interval: negative bound -3"},
+		{Variant{Resilient: true, MaxRestarts: -2}, "field max_restarts: negative bound -2"},
+		{Variant{CkptInterval: -1}, "field ckpt_interval"},
+		{Variant{MaxRestarts: -1}, "field max_restarts"},
+	} {
+		for _, backend := range []string{BackendCSR, BackendCSC, BackendHPCG, BackendStencil} {
+			if c.v.Resilient && backend != BackendCSR && backend != BackendCSC {
+				continue // refused for the resilient field first
+			}
+			if err := CheckVariant(backend, c.v); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s %+v: CheckVariant = %v, want %q", backend, c.v, err, c.want)
+			}
+		}
+		pr, err := Prepare(machine(2), plan, A)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pr.WithVariant(c.v); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: WithVariant = %v, want %q", c.v, err, c.want)
+		}
+	}
+}
+
 // TestVariantLegality enumerates every backend × variant × resilient
 // cell: CheckVariant's verdict is the one WithVariant acts on, field
 // named.

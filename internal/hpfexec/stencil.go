@@ -3,8 +3,9 @@
 // conversion and the inspector's ghost-schedule exchange, and PrepareMG
 // pays for a level hierarchy, PrepareStencil pays for nothing the
 // modeled clock can see: the operator is two coefficients plus brick
-// geometry, and its halo schedule is computed locally from the brick
-// coordinates (mfree.Halo). SetupModelTime is therefore exactly zero on
+// geometry, and its halo schedule is written down locally from the brick
+// coordinates (mfree.NewHalo, an inspector.Schedule built by FromLists
+// with no request exchange). SetupModelTime is therefore exactly zero on
 // COLD runs as well as warm ones — the assembled path's setup cost is
 // not amortized here, it is eliminated (experiment E25 prices both).
 package hpfexec

@@ -52,13 +52,11 @@ type Variant struct {
 	// matrix, one right-hand side per solve call.
 	Resilient bool
 	// CkptInterval checkpoints every CkptInterval iterations (0 means
-	// 10), MaxRestarts bounds how many failed attempts are retried (0
-	// means 3), GuardTol is the residual-replacement threshold at
-	// restore (core.Resilience.GuardTol; 0 means 1e-8). All three apply
-	// with Resilient only.
+	// 10) and MaxRestarts bounds how many failed attempts are retried (0
+	// means 3). Both apply with Resilient only; a negative value is
+	// refused either way.
 	CkptInterval int
 	MaxRestarts  int
-	GuardTol     float64
 }
 
 // blocked reports an s-step blocking request: a fixed factor >= 2 or
@@ -69,7 +67,8 @@ func (v Variant) blocked() bool { return v.SStep >= 2 || v.SStep == AutoSStep }
 // place it lives. WithVariant consults it for a handle; the service
 // consults it at admission, before any handle exists, and returns its
 // error as the 400 verbatim. Every error names the request field
-// (sstep, pipelined, resilient) that has to change.
+// (sstep, pipelined, resilient, ckpt_interval, max_restarts) that has to
+// change.
 func CheckVariant(backend string, v Variant) error {
 	matrix := backend == BackendCSR || backend == BackendCSC
 	fail := func(field, format string, args ...any) error {
@@ -94,6 +93,10 @@ func CheckVariant(backend string, v Variant) error {
 		return fail("sstep", "resilient mode checkpoints the plain recurrence only (sstep=%d)", v.SStep)
 	case v.Resilient && !matrix:
 		return fail("resilient", "checkpoint/restart needs an assembled matrix, not a %s job", backend)
+	case v.CkptInterval < 0:
+		return fail("ckpt_interval", "negative bound %d", v.CkptInterval)
+	case v.MaxRestarts < 0:
+		return fail("max_restarts", "negative bound %d", v.MaxRestarts)
 	}
 	return nil
 }

@@ -13,6 +13,11 @@
 // inspectors are "costly in nature" — the cost is paid once here and
 // amortised by schedule reuse across CG iterations ("communication
 // schedule reuse", ref [20]); experiment E14 quantifies both sides.
+//
+// A pattern that needs no inspection — a stencil's boundary planes,
+// known to both sides from the grid geometry — builds the same Schedule
+// with FromLists and no communication. Either way ExchangeBlock is the
+// one executor loop; Exchange is its one-vector case.
 package inspector
 
 import (
@@ -27,13 +32,17 @@ import (
 // remote elements of a distributed vector.
 type Schedule struct {
 	p *comm.Proc
-	d dist.Dist
+	// nloc is the length of the local block every exchanged vector must
+	// have.
+	nloc int
 
 	// ghostOf maps a needed remote global index to its slot in the
-	// ghost buffer (dense positions 0..nGhost-1, sorted by global).
+	// ghost buffer (dense positions 0..nGhost-1, sorted by global). A
+	// schedule built by FromLists has none: its ghosts are addressed by
+	// position.
 	ghostOf map[int]int
-	// recvFrom[src] lists how many ghosts arrive from src (they arrive
-	// sorted by global index and are stored contiguously).
+	// recvCount[src] ghosts arrive from src; they are stored
+	// contiguously from recvStart[src], sources in ascending order.
 	recvCount []int
 	recvStart []int
 	// sendTo[dst] lists the local offsets this processor must send to
@@ -41,13 +50,40 @@ type Schedule struct {
 	sendTo [][]int
 
 	nGhost int
-	// ghosts is the reusable receive buffer Exchange returns, so the
-	// executor steady state allocates nothing.
-	ghosts []float64
-	// blockGhosts are the reusable receive buffers ExchangeBlock
-	// returns, one per exchanged vector; grown on first use and reused
-	// afterwards so the block executor steady state allocates nothing.
-	blockGhosts [][]float64
+	// ghosts are the reusable receive buffers ExchangeBlock returns, one
+	// per exchanged vector: the first is allocated with the schedule,
+	// more on the first block that needs them, so the executor steady
+	// state allocates nothing.
+	ghosts [][]float64
+	// one is the one-vector block Exchange hands to ExchangeBlock.
+	one [1][]float64
+}
+
+// FromLists builds the schedule of a traffic pattern both sides already
+// know, with no communication at all: sendTo[dst] lists the offsets into
+// the nloc-element local block that go to dst, in the order dst stores
+// them, and recvCount[src] says how many ghosts arrive from src. Ghosts
+// are laid out by ascending source, each source's run in its send order.
+// Each rank passes its own lists; they must agree with its partners'
+// (what rank a sends to b is what b expects from a).
+func FromLists(p *comm.Proc, nloc int, sendTo [][]int, recvCount []int) *Schedule {
+	np := p.NP()
+	if len(sendTo) != np || len(recvCount) != np {
+		panic(fmt.Sprintf("inspector: %d send and %d receive lists on a %d-processor machine", len(sendTo), len(recvCount), np))
+	}
+	s := &Schedule{
+		p:         p,
+		nloc:      nloc,
+		recvCount: recvCount,
+		recvStart: make([]int, np+1),
+		sendTo:    sendTo,
+	}
+	for src, c := range recvCount {
+		s.recvStart[src+1] = s.recvStart[src] + c
+	}
+	s.nGhost = s.recvStart[np]
+	s.ghosts = [][]float64{make([]float64, s.nGhost)}
+	return s
 }
 
 // Build runs the inspector: needs lists the global indices the caller
@@ -55,8 +91,7 @@ type Schedule struct {
 // vector's distribution. Build is collective — every processor must
 // call it, with its own needs.
 func Build(p *comm.Proc, d dist.Dist, needs []int) *Schedule {
-	np := p.NP()
-	r := p.Rank()
+	np, r := p.NP(), p.Rank()
 
 	// Unique, sorted remote indices.
 	uniq := make(map[int]bool)
@@ -74,51 +109,40 @@ func Build(p *comm.Proc, d dist.Dist, needs []int) *Schedule {
 	}
 	sort.Ints(remote)
 
-	s := &Schedule{
-		p:         p,
-		d:         d,
-		ghostOf:   make(map[int]int, len(remote)),
-		recvCount: make([]int, np),
-		recvStart: make([]int, np+1),
-		sendTo:    make([][]int, np),
-		nGhost:    len(remote),
-		ghosts:    make([]float64, len(remote)),
-	}
-
 	// Group requests by owner; remote is sorted so each owner's request
 	// list is sorted too, and ghost slots are assigned in global order
 	// grouped by owner (which is the order values will arrive).
 	requests := make([][]int, np)
+	recvCount := make([]int, np)
 	for _, g := range remote {
-		requests[d.Owner(g)] = append(requests[d.Owner(g)], g)
+		src := d.Owner(g)
+		requests[src] = append(requests[src], g)
+		recvCount[src]++
 	}
-	slot := 0
-	for src := 0; src < np; src++ {
-		s.recvStart[src] = slot
-		for _, g := range requests[src] {
-			s.ghostOf[g] = slot
-			slot++
-		}
-		s.recvCount[src] = len(requests[src])
-	}
-	s.recvStart[np] = slot
 
 	// The request exchange: each owner learns which of its elements
-	// every other processor wants, translated to local offsets.
+	// every other processor wants, translated to local offsets (its own
+	// request list is empty: remote holds no owned index).
 	wanted := p.AlltoallVInts(requests)
-	for dst := 0; dst < np; dst++ {
-		if dst == r {
-			continue
-		}
-		offs := make([]int, len(wanted[dst]))
-		for i, g := range wanted[dst] {
+	sendTo := make([][]int, np)
+	for dst, want := range wanted {
+		offs := make([]int, len(want))
+		for i, g := range want {
 			owner, off := d.Local(g)
 			if owner != r {
 				panic(fmt.Sprintf("inspector: rank %d asked rank %d for element %d owned by %d", dst, r, g, owner))
 			}
 			offs[i] = off
 		}
-		s.sendTo[dst] = offs
+		sendTo[dst] = offs
+	}
+
+	s := FromLists(p, d.Count(r), sendTo, recvCount)
+	s.ghostOf = make(map[int]int, len(remote))
+	for src, req := range requests {
+		for i, g := range req {
+			s.ghostOf[g] = s.recvStart[src] + i
+		}
 	}
 	return s
 }
@@ -128,7 +152,7 @@ func (s *Schedule) NGhosts() int { return s.nGhost }
 
 // Rebind re-attaches the schedule to a fresh processor handle of the
 // same rank — the warm-start path of plan caching. The schedule's data
-// (ghost slots, send/recv lists, the reusable ghost buffer) is
+// (ghost slots, send/recv lists, the reusable ghost buffers) is
 // machine-shape-specific but run-independent, so a cached schedule can
 // serve a new SPMD run without re-running the inspector exchange; only
 // the Proc, whose mailboxes belong to the current run, must be swapped.
@@ -150,52 +174,27 @@ func (s *Schedule) GhostSlot(g int) int {
 	return slot
 }
 
-// tagGhost is the point-to-point tag of executor traffic. Messages
-// between a pair are FIFO, so repeated Exchanges stay matched.
-// tagGhostBlock carries the packed multi-vector exchange of
-// ExchangeBlock under its own tag so single and block executors can
-// interleave without cross-matching.
-const (
-	tagGhost      = 201
-	tagGhostBlock = 202
-)
+// tagGhost is the point-to-point tag of executor traffic, single and
+// block alike. Messages between a pair are FIFO and every processor
+// runs its exchanges in the same order, so repeated exchanges stay
+// matched.
+const tagGhost = 202
 
-// Exchange runs the executor: given the local block of the distributed
-// vector, it sends the locally-owned elements other processors need
-// and returns the ghost buffer with the remote elements this processor
-// needs (indexed by GhostSlot). Unlike the Scenario 1 broadcast, only
-// processor pairs that actually share halo elements exchange messages.
-// Collective (in the sense that every processor must call it);
-// reusable any number of times — the schedule-reuse of ref [20].
-// The returned slice is the schedule's own buffer, valid until the next
-// Exchange; sends draw on the processor's buffer pool and received
-// messages are recycled into it, so the steady state allocates nothing.
+// Exchange runs the executor on one vector: given the local block of the
+// distributed vector, it sends the locally-owned elements other
+// processors need and returns the ghost buffer with the remote elements
+// this processor needs (indexed by GhostSlot). Unlike the Scenario 1
+// broadcast, only processor pairs that actually share halo elements
+// exchange messages. Collective (in the sense that every processor must
+// call it); reusable any number of times — the schedule-reuse of ref
+// [20]. It is ExchangeBlock of a one-vector block, so the returned slice
+// is the schedule's own buffer, valid until the next exchange, and the
+// steady state allocates nothing.
 func (s *Schedule) Exchange(local []float64) []float64 {
-	np := s.p.NP()
-	r := s.p.Rank()
-	for dst, offs := range s.sendTo {
-		if len(offs) == 0 {
-			continue
-		}
-		buf := s.p.GetBuf(len(offs))
-		for i, off := range offs {
-			buf[i] = local[off]
-		}
-		s.p.SendFloats(dst, tagGhost, buf)
-	}
-	for off := 1; off < np; off++ {
-		src := (r - off + np) % np
-		if s.recvCount[src] == 0 {
-			continue
-		}
-		part := s.p.RecvFloats(src, tagGhost)
-		if len(part) != s.recvCount[src] {
-			panic(fmt.Sprintf("inspector: expected %d ghosts from %d, got %d", s.recvCount[src], src, len(part)))
-		}
-		copy(s.ghosts[s.recvStart[src]:s.recvStart[src+1]], part)
-		s.p.PutBuf(part)
-	}
-	return s.ghosts
+	s.one[0] = local
+	ghosts := s.ExchangeBlock(s.one[:])[0]
+	s.one[0] = nil
+	return ghosts
 }
 
 // ExchangeBlock is the executor for a block of vectors sharing this
@@ -203,19 +202,23 @@ func (s *Schedule) Exchange(local []float64) []float64 {
 // neighbour pair (k·count packed words, vector-major) instead of k
 // messages, so a matrix-powers kernel that widens the schedule to the
 // s-level reachability closure pays a single startup per neighbour per
-// basis block. Returned slice v holds vector v's ghosts, indexed by
-// GhostSlot; the buffers are the schedule's own, valid until the next
-// ExchangeBlock with the same or larger k. Collective, like Exchange;
-// sends draw on the processor's buffer pool, so after the first call
-// (which sizes the reusable ghost buffers) the steady state allocates
-// nothing.
+// basis block. Sends go in ascending destination order, receives in
+// (r-off+np)%np order. Returned slice v holds vector v's ghosts, indexed
+// by GhostSlot; the buffers are the schedule's own, valid until the next
+// exchange. Collective, like Exchange; sends draw on the processor's
+// buffer pool and received messages are recycled into it, so after the
+// first call with a given k the steady state allocates nothing.
 func (s *Schedule) ExchangeBlock(locals [][]float64) [][]float64 {
 	k := len(locals)
-	for len(s.blockGhosts) < k {
-		s.blockGhosts = append(s.blockGhosts, make([]float64, s.nGhost))
+	for _, lv := range locals {
+		if len(lv) != s.nloc {
+			panic(fmt.Sprintf("inspector: exchange of %d elements, rank owns %d", len(lv), s.nloc))
+		}
 	}
-	np := s.p.NP()
-	r := s.p.Rank()
+	for len(s.ghosts) < k {
+		s.ghosts = append(s.ghosts, make([]float64, s.nGhost))
+	}
+	np, r := s.p.NP(), s.p.Rank()
 	for dst, offs := range s.sendTo {
 		if len(offs) == 0 {
 			continue
@@ -228,7 +231,7 @@ func (s *Schedule) ExchangeBlock(locals [][]float64) [][]float64 {
 				pos++
 			}
 		}
-		s.p.SendFloats(dst, tagGhostBlock, buf)
+		s.p.SendFloats(dst, tagGhost, buf)
 	}
 	for off := 1; off < np; off++ {
 		src := (r - off + np) % np
@@ -236,14 +239,14 @@ func (s *Schedule) ExchangeBlock(locals [][]float64) [][]float64 {
 		if cnt == 0 {
 			continue
 		}
-		part := s.p.RecvFloats(src, tagGhostBlock)
+		part := s.p.RecvFloats(src, tagGhost)
 		if len(part) != k*cnt {
-			panic(fmt.Sprintf("inspector: expected %d block ghosts from %d, got %d", k*cnt, src, len(part)))
+			panic(fmt.Sprintf("inspector: expected %d ghosts from %d, got %d", k*cnt, src, len(part)))
 		}
 		for v := 0; v < k; v++ {
-			copy(s.blockGhosts[v][s.recvStart[src]:s.recvStart[src+1]], part[v*cnt:(v+1)*cnt])
+			copy(s.ghosts[v][s.recvStart[src]:s.recvStart[src+1]], part[v*cnt:(v+1)*cnt])
 		}
 		s.p.PutBuf(part)
 	}
-	return s.blockGhosts[:k]
+	return s.ghosts[:k]
 }

@@ -1,7 +1,9 @@
 package inspector
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -113,6 +115,69 @@ func TestBuildValidation(t *testing.T) {
 	m.Run(func(p *comm.Proc) {
 		Build(p, dist.NewBlock(4, 2), []int{9})
 	})
+}
+
+// An exchanged block that is not the rank's local block is refused
+// before anything is sent, for Build's schedules and FromLists' alike.
+func TestExchangeWrongLengthPanics(t *testing.T) {
+	d := dist.NewBlock(4, 2)
+	for name, build := range map[string]func(p *comm.Proc) *Schedule{
+		"Build": func(p *comm.Proc) *Schedule { return Build(p, d, []int{0, 3}) },
+		"FromLists": func(p *comm.Proc) *Schedule {
+			other := 1 - p.Rank()
+			sendTo, recvCount := make([][]int, 2), make([]int, 2)
+			sendTo[other], recvCount[other] = []int{0}, 1
+			return FromLists(p, 2, sendTo, recvCount)
+		},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "exchange of 3 elements, rank owns 2") {
+					t.Errorf("%s: recovered %v, want the wrong-length panic", name, r)
+				}
+			}()
+			machine(2).Run(func(p *comm.Proc) {
+				s := build(p)
+				s.ExchangeBlock([][]float64{make([]float64, 2), make([]float64, 3)})
+			})
+		}()
+	}
+}
+
+// FromLists lays ghosts out by ascending source, each source's run in
+// its send order, and needs no communication to build.
+func TestFromListsDelivers(t *testing.T) {
+	const np = 3
+	st := machine(np).Run(func(p *comm.Proc) {
+		r := p.Rank()
+		local := []float64{float64(10 * r), float64(10*r + 1), float64(10*r + 2)}
+		// Every rank sends its offsets 2, 0 to each other rank.
+		sendTo, recvCount := make([][]int, np), make([]int, np)
+		for q := 0; q < np; q++ {
+			if q != r {
+				sendTo[q], recvCount[q] = []int{2, 0}, 2
+			}
+		}
+		s := FromLists(p, len(local), sendTo, recvCount)
+		if p.Stats().MsgsSent != 0 {
+			t.Errorf("rank %d: FromLists sent %d messages", r, p.Stats().MsgsSent)
+		}
+		var want []float64
+		for q := 0; q < np; q++ {
+			if q != r {
+				want = append(want, float64(10*q+2), float64(10*q))
+			}
+		}
+		for rep := 0; rep < 2; rep++ {
+			got := s.Exchange(local)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("rank %d rep %d: ghosts %v, want %v", r, rep, got, want)
+			}
+		}
+	})
+	if st.TotalMsgs != 2*np*(np-1) {
+		t.Errorf("%d messages for two exchanges, want %d", st.TotalMsgs, 2*np*(np-1))
+	}
 }
 
 func TestGhostSlotUnknownPanics(t *testing.T) {

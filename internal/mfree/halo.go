@@ -5,132 +5,62 @@ import (
 
 	"hpfcg/internal/comm"
 	"hpfcg/internal/grid"
+	"hpfcg/internal/inspector"
 )
 
-// tagHalo carries the geometric plane exchange under its own tag so it
-// can interleave with the inspector's 201/202 traffic without
-// cross-matching.
-const tagHalo = 203
-
-// Halo is the geometric communication schedule of a slab-decomposed
-// stencil: under grid.Brick3's z-slab decomposition (every rank owns at
+// NewHalo builds rank p's ghost schedule over brick b from geometry
+// alone. Under grid.Brick3's z-slab decomposition (every rank owns at
 // least one whole z-plane) a ±1 stencil reads exactly the adjacent
 // boundary plane of ranks r-1 and r+1 — nothing else, and both sides
-// know it from the brick dimensions alone. That makes the schedule
-// purely local to construct: no AlltoallVInts request exchange, no
-// ghost-index discovery, no collective of any kind. Where the
-// inspector's Build is the setup cost E14/E25 price, NewHalo is free on
-// the modeled clock — cold and warm prepares both report setup 0.
-//
-// Exchange mirrors inspector.Schedule.Exchange's mechanics exactly
-// (pooled send buffers, ascending destination order, the same
-// (r-off+np)%np receive order) with the same message sizes a built
-// schedule would produce for these stencils — a full X·Y plane per
-// neighbour — so per-iteration modeled communication matches the
-// assembled executor's and only setup differs.
-type Halo struct {
-	p     *comm.Proc
-	plane int // X*Y points per z-plane
-	nloc  int // owned points
-	// low receives rank r-1's top boundary plane (ghost z = zlo-1);
-	// high receives rank r+1's bottom boundary plane (ghost z = zhi).
-	// Preallocated at construction — Exchange allocates nothing.
-	low, high []float64
-	hasLow    bool
-	hasHigh   bool
-}
-
-// NewHalo builds the geometric schedule for rank p over brick b. Purely
-// local: every rank computes its neighbour set and buffer sizes from
-// the brick coordinates it already holds.
-func NewHalo(p *comm.Proc, b grid.Brick3) *Halo {
+// know it from the brick dimensions. So the send and receive lists are
+// written down directly (local's first plane goes to r-1, its last to
+// r+1, one X·Y plane arrives from each) and handed to
+// inspector.FromLists: no request exchange, no ghost-index discovery, no
+// collective of any kind. Where the inspector's Build is the setup cost
+// E14/E25 price, NewHalo is free on the modeled clock — cold and warm
+// prepares both report setup 0. The exchange is the inspector's own
+// executor, so per-iteration traffic is exactly the assembled halo
+// executor's.
+func NewHalo(p *comm.Proc, b grid.Brick3) *inspector.Schedule {
 	if p.NP() != b.Procs {
 		panic(fmt.Sprintf("mfree: halo over brick with %d procs on machine with %d", b.Procs, p.NP()))
 	}
-	r := p.Rank()
+	r, np := p.Rank(), p.NP()
 	zlo, zhi := b.ZRange(r)
-	plane := b.X * b.Y
-	h := &Halo{
-		p:       p,
-		plane:   plane,
-		nloc:    (zhi - zlo) * plane,
-		hasLow:  r > 0,
-		hasHigh: r < b.Procs-1,
-	}
-	if h.hasLow {
-		h.low = make([]float64, plane)
-	}
-	if h.hasHigh {
-		h.high = make([]float64, plane)
-	}
-	return h
-}
-
-// Exchange swaps boundary planes with the z-neighbours: local's first
-// plane goes down to r-1, its last plane up to r+1, and the returned
-// low/high buffers hold the neighbours' boundary planes (nil on the
-// domain boundary, where the kernels never read them). The ghost value
-// of in-plane coordinates (x, y) sits at slot y·X+x of its buffer.
-// Collective across ranks like the inspector executor; sends draw on
-// the processor's buffer pool and receives recycle into it, so the
-// steady state allocates nothing.
-func (h *Halo) Exchange(local []float64) (low, high []float64) {
-	if len(local) != h.nloc {
-		panic(fmt.Sprintf("mfree: halo exchange of %d elements, rank owns %d", len(local), h.nloc))
-	}
-	r := h.p.Rank()
-	// Sends in ascending destination order, as the inspector does.
-	if h.hasLow {
-		buf := h.p.GetBuf(h.plane)
-		copy(buf, local[:h.plane])
-		h.p.SendFloats(r-1, tagHalo, buf)
-	}
-	if h.hasHigh {
-		buf := h.p.GetBuf(h.plane)
-		copy(buf, local[h.nloc-h.plane:])
-		h.p.SendFloats(r+1, tagHalo, buf)
-	}
-	// Receives in the inspector's (r-off+np)%np order: r-1 first,
-	// r+1 last.
-	if h.hasLow {
-		part := h.p.RecvFloats(r-1, tagHalo)
-		if len(part) != h.plane {
-			panic(fmt.Sprintf("mfree: expected %d-point plane from %d, got %d", h.plane, r-1, len(part)))
+	n := b.X * b.Y
+	nloc := (zhi - zlo) * n
+	plane := func(first int) []int {
+		offs := make([]int, n)
+		for i := range offs {
+			offs[i] = first + i
 		}
-		copy(h.low, part)
-		h.p.PutBuf(part)
+		return offs
 	}
-	if h.hasHigh {
-		part := h.p.RecvFloats(r+1, tagHalo)
-		if len(part) != h.plane {
-			panic(fmt.Sprintf("mfree: expected %d-point plane from %d, got %d", h.plane, r+1, len(part)))
-		}
-		copy(h.high, part)
-		h.p.PutBuf(part)
+	sendTo := make([][]int, np)
+	recvCount := make([]int, np)
+	if r > 0 {
+		sendTo[r-1], recvCount[r-1] = plane(0), n
 	}
-	return h.low, h.high
+	if r < np-1 {
+		sendTo[r+1], recvCount[r+1] = plane(nloc-n), n
+	}
+	return inspector.FromLists(p, nloc, sendTo, recvCount)
 }
 
-// NGhosts returns how many remote elements Exchange fetches — the
-// geometric analogue of inspector.Schedule.NGhosts.
-func (h *Halo) NGhosts() int {
-	n := 0
-	if h.hasLow {
-		n += h.plane
+// exchange runs the halo schedule on x's local block and splits the
+// ghosts into the two planes the kernels read: low is rank r-1's top
+// boundary plane (ghost z = zlo-1), high rank r+1's bottom one (ghost
+// z = zhi), each nil on the domain boundary, where the kernels never
+// read it. Ghosts come by ascending source rank, so low is first; the
+// ghost value of in-plane coordinates (x, y) sits at slot y·X+x.
+func (a *Operator) exchange(xl []float64) (low, high []float64) {
+	g := a.halo.Exchange(xl)
+	n := a.brick.X * a.brick.Y
+	if a.zlo > 0 {
+		low = g[:n]
 	}
-	if h.hasHigh {
-		n += h.plane
+	if a.zhi < a.brick.Z {
+		high = g[len(g)-n:]
 	}
-	return n
-}
-
-// Rebind re-attaches the schedule to a fresh processor handle of the
-// same rank — the warm plan-cache path, mirroring
-// inspector.Schedule.Rebind.
-func (h *Halo) Rebind(p *comm.Proc) {
-	if p.Rank() != h.p.Rank() || p.NP() != h.p.NP() {
-		panic(fmt.Sprintf("mfree: rebind rank %d/%d onto halo built for %d/%d",
-			p.Rank(), p.NP(), h.p.Rank(), h.p.NP()))
-	}
-	h.p = p
+	return low, high
 }

@@ -9,9 +9,11 @@
 // removes the whole setup pipeline — COO assembly, CSR conversion,
 // content hashing of values, and the inspector's collective
 // ghost-index discovery all disappear. The halo schedule is computed
-// geometrically from grid.Brick3 coordinates instead (see Halo): under
-// the z-slab decomposition each rank's ghost set is exactly the
-// adjacent boundary plane of ranks r±1, known without any exchange.
+// geometrically from grid.Brick3 coordinates instead (see NewHalo):
+// under the z-slab decomposition each rank's ghost set is exactly the
+// adjacent boundary plane of ranks r±1, known without any exchange, so
+// the lists go straight into an inspector.Schedule and the exchange is
+// the inspector's own executor.
 //
 // Numerical contract: Apply/ApplyDot are bit-identical to the
 // assembled-CSR halo executor (spmv.NewRowBlockCSRGhost over

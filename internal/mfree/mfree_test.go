@@ -223,6 +223,56 @@ func TestGhostCountMatchesInspector(t *testing.T) {
 	}
 }
 
+// TestHaloTrafficMatchesAssembled pins the per-apply traffic: K applies
+// of the matrix-free operator and K applies of the assembled halo
+// executor over the same layout move the same messages and bytes, sent
+// and received, and charge the same flops, on every rank. Counted after
+// construction, so the inspector's request exchange is not part of the
+// comparison.
+func TestHaloTrafficMatchesAssembled(t *testing.T) {
+	const K = 3
+	for _, s := range []Spec{spec5, spec27} {
+		A, err := s.Assemble()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for np := 1; np <= 8; np++ {
+			if _, err := s.Brick(np); err != nil {
+				continue
+			}
+			machine(np).Run(func(p *comm.Proc) {
+				op, err := New(p, s)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ref := spmv.NewRowBlockCSRGhost(p, A, op.Dist())
+				x := darray.New(p, op.Dist())
+				y := darray.New(p, op.Dist())
+				x.Fill(1)
+				delta := func(o spmv.Operator) comm.ProcStats {
+					before := p.Stats()
+					for i := 0; i < K; i++ {
+						o.Apply(x, y)
+					}
+					after := p.Stats()
+					return comm.ProcStats{
+						MsgsSent:  after.MsgsSent - before.MsgsSent,
+						BytesSent: after.BytesSent - before.BytesSent,
+						MsgsRecv:  after.MsgsRecv - before.MsgsRecv,
+						BytesRecv: after.BytesRecv - before.BytesRecv,
+						Flops:     after.Flops - before.Flops,
+					}
+				}
+				got, want := delta(op), delta(ref)
+				if got != want {
+					t.Errorf("%s np=%d rank %d: matrix-free traffic %+v, assembled %+v", s.Key(), np, p.Rank(), got, want)
+				}
+			})
+		}
+	}
+}
+
 // TestApplyAllocFree: the stencil hot path allocates nothing in steady
 // state. AllocsPerRun counts process-wide allocations, so every rank
 // runs the measured loop in lockstep (the halo exchange keeps them

@@ -7,14 +7,15 @@ import (
 	"hpfcg/internal/darray"
 	"hpfcg/internal/dist"
 	"hpfcg/internal/grid"
+	"hpfcg/internal/inspector"
 )
 
 // Operator is the matrix-free stencil executor: spmv.Operator,
 // spmv.FusedOperator and spmv.Rebindable over a slab-decomposed
-// regular grid, with no stored matrix. Each Apply exchanges the
-// geometric halo and evaluates the stencil row by row (see sweep),
-// reading owned values from the local block and the two boundary
-// planes from the Halo buffers.
+// regular grid, with no stored matrix. Each Apply runs the geometric
+// halo schedule (NewHalo) and evaluates the stencil row by row (see
+// sweep), reading owned values from the local block and the two
+// boundary planes from the schedule's ghost buffer.
 //
 // Bit-identity contract: for every local row the stencil terms
 // accumulate into one scalar in ascending global column order — the
@@ -30,7 +31,7 @@ type Operator struct {
 	brick    grid.Brick3
 	d        dist.Irregular
 	dd       dist.Dist // d boxed once: alignment checks allocate nothing
-	halo     *Halo
+	halo     *inspector.Schedule
 	zlo, zhi int
 	n        int
 	nnz      int
@@ -123,14 +124,12 @@ func (a *Operator) Spec() Spec { return a.spec }
 func (a *Operator) Dist() dist.Irregular { return a.d }
 
 // Rebind implements spmv.Rebindable: the warm plan-cache path swaps in
-// the new run's processor handle; buffers and geometry carry over.
+// the new run's processor handle; buffers and geometry carry over. The
+// halo schedule's Rebind refuses a handle of another rank or machine
+// shape before anything changes.
 func (a *Operator) Rebind(p *comm.Proc) {
-	if p.Rank() != a.p.Rank() || p.NP() != a.p.NP() {
-		panic(fmt.Sprintf("mfree: rebind rank %d/%d onto operator built for %d/%d",
-			p.Rank(), p.NP(), a.p.Rank(), a.p.NP()))
-	}
-	a.p = p
 	a.halo.Rebind(p)
+	a.p = p
 }
 
 func (a *Operator) checkAligned(op string, x, y *darray.Vector) {
@@ -185,7 +184,7 @@ func (a *Operator) ApplyDot(x, y *darray.Vector) float64 {
 // partial per row would each still be a correct stencil and would each
 // break the bit-identity contract above.
 func (a *Operator) sweep(xl, yl []float64) float64 {
-	low, high := a.halo.Exchange(xl)
+	low, high := a.exchange(xl)
 	if a.spec.Stencil == "5pt" {
 		return a.sweep5(xl, low, high, yl)
 	}

@@ -11,7 +11,7 @@ package mfree
 // of x, then the apply sweep seeded with r (see sweep27).
 func (a *Operator) Residual(r, x, res []float64) {
 	a.need27("Residual")
-	low, high := a.halo.Exchange(x)
+	low, high := a.exchange(x)
 	a.sweep27(r, x, low, high, res, -a.spec.Center, -a.spec.Off)
 	a.p.Compute(2*a.nnzLocal + len(res))
 }
@@ -29,7 +29,7 @@ func (a *Operator) Residual(r, x, res []float64) {
 // before.
 func (a *Operator) SymGS(r, x []float64) {
 	a.need27("SymGS")
-	low, high := a.halo.Exchange(x)
+	low, high := a.exchange(x)
 	Y := a.brick.Y
 	for z := a.zlo; z < a.zhi; z++ {
 		for y := 0; y < Y; {

@@ -262,12 +262,6 @@ func (sp *JobSpec) validate(maxNP int) error {
 	if sp.TimeoutMS < 0 {
 		return fieldErr("timeout_ms", "negative bound %d", sp.TimeoutMS)
 	}
-	if sp.CkptInterval < 0 {
-		return fieldErr("ckpt_interval", "negative bound %d", sp.CkptInterval)
-	}
-	if sp.MaxRestarts < 0 {
-		return fieldErr("max_restarts", "negative bound %d", sp.MaxRestarts)
-	}
 	if sp.Fault != "" {
 		if _, err := fault.Parse(sp.Fault); err != nil {
 			return err

@@ -165,6 +165,23 @@ func sweepRows(y []float64, ptr, idx []int, val, x, dx []float64) float64 {
 	return dot
 }
 
+// scatterCols is the package's one column-scatter kernel — Scenario 2's
+// many-to-one accumulation over a local strip. For every local column j
+// of ptr it adds val[k]·x[j] into q[idx[k]] over k in [ptr[j], ptr[j+1])
+// in storage order, columns ascending; idx holds global indices of q.
+// Only local x elements are read: x is aligned with the columns, so
+// "performing the element-wise multiplication will not require any
+// interprocessor communication". The CSC executors run it over their
+// column strips and RowBlockCSR.ApplyT over its rows, which are A^T's
+// columns; each caller charges the strip's 2·nnz flops.
+func scatterCols(q []float64, ptr, idx []int, val, x []float64) {
+	for j, xj := range x {
+		for k := ptr[j]; k < ptr[j+1]; k++ {
+			q[idx[k]] += val[k] * xj
+		}
+	}
+}
+
 func checkRebind(op string, old, new *comm.Proc) {
 	if new.Rank() != old.Rank() || new.NP() != old.NP() {
 		panic(fmt.Sprintf("spmv: %s rebind rank %d/%d onto operator built for %d/%d",
@@ -258,14 +275,8 @@ func (a *RowBlockCSR) ApplyDot(x, y *darray.Vector) float64 {
 // re-introduces the merge communication the row distribution avoided.
 func (a *RowBlockCSR) ApplyT(x, y *darray.Vector) {
 	checkAligned("RowBlockCSR.ApplyT", a.d, x, y)
-	xl := x.Local()
 	priv := make([]float64, a.n)
-	for i := range xl {
-		xi := xl[i]
-		for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-			priv[a.col[k]] += a.val[k] * xi
-		}
-	}
+	scatterCols(priv, a.rowPtr, a.col, a.val, x.Local())
 	a.p.Compute(2 * a.nnzLocal)
 	y.ReduceScatterFrom(priv)
 }
@@ -336,20 +347,6 @@ func (a *ColBlockCSC) Rebind(p *comm.Proc) {
 	a.p = p
 }
 
-// accumulate adds this processor's column contributions into the
-// full-length vector q using only local x elements (p is aligned with
-// the columns, so "performing the element-wise multiplication will not
-// require any interprocessor communication").
-func (a *ColBlockCSC) accumulate(xl []float64, q []float64) {
-	for j := range xl {
-		pj := xl[j]
-		for k := a.colPtr[j]; k < a.colPtr[j+1]; k++ {
-			q[a.row[k]] += a.val[k] * pj
-		}
-	}
-	a.p.Compute(2 * a.nnzLocal)
-}
-
 // Apply implements Operator in the configured mode.
 func (a *ColBlockCSC) Apply(x, y *darray.Vector) {
 	checkAligned("ColBlockCSC.Apply", a.d, x, y)
@@ -377,7 +374,8 @@ func (a *ColBlockCSC) applySerialized(x, y *darray.Vector) {
 	} else {
 		q = a.p.RecvFloats(r-1, tagQ)
 	}
-	a.accumulate(x.Local(), q)
+	scatterCols(q, a.colPtr, a.row, a.val, x.Local())
+	a.p.Compute(2 * a.nnzLocal)
 	if r < np-1 {
 		a.p.SendFloats(r+1, tagQ, q)
 		q = nil
@@ -390,7 +388,8 @@ func (a *ColBlockCSC) applySerialized(x, y *darray.Vector) {
 // then MERGE(+) via reduce-scatter onto y's distribution.
 func (a *ColBlockCSC) applyPrivateMerge(x, y *darray.Vector) {
 	priv := make([]float64, a.n)
-	a.accumulate(x.Local(), priv)
+	scatterCols(priv, a.colPtr, a.row, a.val, x.Local())
+	a.p.Compute(2 * a.nnzLocal)
 	y.ReduceScatterFrom(priv)
 }
 
