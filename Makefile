@@ -69,7 +69,8 @@ golden:
 # router plus two shards routing repeat traffic to the shard that holds
 # the plan. Then the kept examples, each of which exits non-zero when its
 # own check fails (heat and laplace2d under both operator backends), the
-# directive dump, one traced experiment, cgsolve's three documented
+# directive dump, two traced experiments (one of them E17, whose
+# machines change a cost constant per row), cgsolve's three documented
 # generator examples (block rows, the balanced partitioner, the CSC
 # private-merge layout) and BiCG on cgsolve's default layout, whose
 # executor must apply A^T.
@@ -93,6 +94,7 @@ smoke:
 	$(GO) run ./examples/laplace2d -backend assembled > /dev/null
 	$(GO) run ./cmd/hpfdump -demo > /dev/null
 	$(GO) run ./cmd/hpftrace -exp E2 -quick -o '' > /dev/null
+	$(GO) run ./cmd/hpftrace -exp E17 -quick -o '' -notables -notimeline -nomatrix > /dev/null
 	$(GO) run ./cmd/cgsolve -matrix laplace2d:64:64 -np 8 -q > /dev/null
 	$(GO) run ./cmd/cgsolve -matrix powerlaw:2000:1 -np 8 -layout balanced -q > /dev/null
 	$(GO) run ./cmd/cgsolve -matrix randspd:500:6:1 -method bicgstab -layout csc-merge -q > /dev/null

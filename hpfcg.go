@@ -109,7 +109,7 @@ type Method string
 // Supported methods (§2 and §2.1 of the paper).
 const (
 	MethodCG       Method = "cg"   // hpfexec's prepared path
-	MethodPCG      Method = "pcg"  // CG with a distributed preconditioner (see SolveSpec.Precond)
+	MethodPCG      Method = "pcg"  // CG with the point-Jacobi preconditioner
 	MethodBiCG     Method = "bicg" // applies A^T as well as A
 	MethodCGS      Method = "cgs"
 	MethodBiCGSTAB Method = "bicgstab"
@@ -139,10 +139,6 @@ const (
 type SolveSpec struct {
 	Method Method // default MethodCG
 	Layout Layout // default LayoutCSR
-	// Precond selects the preconditioner for MethodPCG: "jacobi"
-	// (default), "block-ic0" or "block-ssor" (block-Jacobi with a local
-	// IC(0)/SSOR solve per processor block).
-	Precond string
 	// Tol is the relative-residual tolerance (0 -> 1e-10).
 	Tol float64
 	// MaxIter caps iterations (0 -> 2n).
@@ -268,18 +264,8 @@ func solveDirect(m *Machine, A *CSR, b []float64, spec SolveSpec, opt core.Optio
 		var err error
 		switch spec.Method {
 		case MethodPCG:
-			var M core.Preconditioner
-			switch spec.Precond {
-			case "", "jacobi":
-				M, err = core.NewJacobi(p, A, d)
-			case "block-ic0":
-				M, err = core.NewBlockJacobi(p, A, d, "ic0")
-			case "block-ssor":
-				M, err = core.NewBlockJacobi(p, A, d, "ssor")
-			default:
-				err = fmt.Errorf("hpfcg: unknown preconditioner %q", spec.Precond)
-			}
-			if err == nil {
+			var M *core.Jacobi
+			if M, err = core.NewJacobi(p, A, d); err == nil {
 				st, err = core.PCG(p, op, M, bv, xv, opt)
 			}
 		case MethodBiCG:

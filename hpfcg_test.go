@@ -172,57 +172,6 @@ func TestSolveMatchesAcrossLayouts(t *testing.T) {
 	}
 }
 
-func TestSolvePreconditioners(t *testing.T) {
-	// Large enough that block-IC0's intra-block coupling beats diagonal
-	// scaling (on small well-conditioned grids the IC0 drop error can
-	// outweigh the gain).
-	A := sparse.Laplace2D(24, 24)
-	b := sparse.Ones(A.NRows)
-	iters := map[string]int{}
-	for _, pname := range []string{"jacobi", "block-ic0", "block-ssor"} {
-		res, err := Solve(A, b, SolveSpec{Method: MethodPCG, Precond: pname, NP: 4, Tol: 1e-9})
-		if err != nil {
-			t.Fatalf("%s: %v", pname, err)
-		}
-		if !res.Stats.Converged {
-			t.Fatalf("%s: %v", pname, res.Stats)
-		}
-		iters[pname] = res.Stats.Iterations
-	}
-	if iters["block-ic0"] >= iters["jacobi"] {
-		t.Errorf("block-ic0 %d >= jacobi %d", iters["block-ic0"], iters["jacobi"])
-	}
-	if _, err := Solve(A, b, SolveSpec{Method: MethodPCG, Precond: "magic", NP: 2}); err == nil {
-		t.Error("unknown preconditioner accepted")
-	}
-}
-
-// A block that fails to factor on one processor fails the solve on
-// all of them, and the error names the failing processor: diag(-1,-1)
-// has no IC(0). In the first case it sits on processor 1, so rank 0,
-// whose error Solve returns, has no local cause to report.
-func TestSolveBlockJacobiErrorNamesProcessor(t *testing.T) {
-	for _, tc := range []struct {
-		diag []float64
-		want string
-	}{
-		{[]float64{2, 2, -1, -1}, "failed on processor 1"},
-		{[]float64{-1, -1, 2, 2}, "failed on processor 0"},
-	} {
-		coo := sparse.NewCOO(4, 4)
-		for i, v := range tc.diag {
-			coo.Add(i, i, v)
-		}
-		_, err := Solve(coo.ToCSR(), sparse.Ones(4), SolveSpec{Method: MethodPCG, Precond: "block-ic0", NP: 2})
-		if err == nil {
-			t.Fatalf("diag %v: indefinite block accepted", tc.diag)
-		}
-		if msg := err.Error(); !strings.Contains(msg, tc.want) || strings.Contains(msg, "<nil>") {
-			t.Errorf("diag %v: error %q, want it to name %q and no <nil>", tc.diag, msg, tc.want)
-		}
-	}
-}
-
 func TestSolveHistory(t *testing.T) {
 	A := sparse.Laplace1D(25)
 	b := sparse.Ones(25)

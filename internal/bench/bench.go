@@ -43,9 +43,9 @@ type Config struct {
 	// E25's global-grid sweep to that single spec (cgbench -mfree).
 	MFree string
 	// Tracer, when non-nil, is attached to every machine the
-	// experiment builds: each Machine.Run deposits a trace.Recorder on
-	// it, so any experiment gains event-level drill-down (see
-	// cmd/hpftrace) without the runner knowing about tracing.
+	// experiment builds: each run deposits a trace.Recorder on it, so
+	// any experiment gains event-level drill-down (see cmd/hpftrace)
+	// without the runner knowing about tracing.
 	Tracer *trace.Tracer
 	// Injector, when non-nil, is attached to every machine the
 	// experiment builds (cmd/cgbench's -fault flag): the same
@@ -65,6 +65,10 @@ func DefaultConfig() Config {
 	}
 }
 
+// machine is the one machine builder: every experiment's machines come
+// from it, so Tracer and Injector reach all of them. An experiment that
+// sweeps a cost constant or the topology copies the Config and changes
+// the field.
 func (c Config) machine(np int) *comm.Machine {
 	m := comm.NewMachine(np, c.Topo, c.Cost)
 	if c.Tracer != nil {

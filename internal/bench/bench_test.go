@@ -8,6 +8,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"hpfcg/internal/fault"
+	"hpfcg/internal/trace"
 )
 
 func quickCfg() Config {
@@ -65,6 +68,69 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 						t.Fatalf("table %q: row width %d != header %d", tab.Title, len(row), len(tab.Header))
 					}
 				}
+			}
+		})
+	}
+}
+
+// machineFree lists the experiments that build no machine of their own:
+// E5, E7, E9 and E12 run no SPMD program, and E21 and E22 run theirs
+// inside the solver service, which builds its own machines.
+var machineFree = map[string]bool{"E5": true, "E7": true, "E9": true, "E12": true, "E21": true, "E22": true}
+
+// Config.Tracer reaches every machine an experiment builds: each
+// machine-building experiment deposits at least one recorder, so
+// cmd/hpftrace can drill into any of them, and the exempt ones none.
+func TestTracerReachesEveryMachine(t *testing.T) {
+	for _, id := range IDs() {
+		t.Run(id, func(t *testing.T) {
+			cfg := quickCfg()
+			cfg.Tracer = &trace.Tracer{}
+			r, err := Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r(cfg); err != nil {
+				t.Fatal(err)
+			}
+			got := len(cfg.Tracer.Runs())
+			if machineFree[id] && got != 0 {
+				t.Errorf("exempt experiment traced %d runs", got)
+			}
+			if !machineFree[id] && got == 0 {
+				t.Error("no traced machine runs")
+			}
+		})
+	}
+}
+
+// An injected crash ends an experiment with an error (or, when no
+// crashed rank exists or the crash instant is never reached, not at
+// all), never with a panic: every run goes through RunContext.
+func TestInjectedCrashIsAnError(t *testing.T) {
+	plan, err := fault.Parse("crash:rank=1@t=0.1ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range IDs() {
+		t.Run(id, func(t *testing.T) {
+			inj, err := fault.NewInjector(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := quickCfg()
+			cfg.Injector = inj
+			r, err := Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if e := recover(); e != nil {
+					t.Errorf("panicked: %v", e)
+				}
+			}()
+			if _, err := r(cfg); err != nil && !strings.Contains(err.Error(), "processor 1 failed") {
+				t.Errorf("error %q does not name the crashed processor", err)
 			}
 		})
 	}

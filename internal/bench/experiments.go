@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -35,22 +36,11 @@ func E1(cfg Config) ([]*report.Table, error) {
 	}
 	var t1 float64
 	for _, np := range cfg.npSweep() {
-		d := dist.NewBlock(n, np)
-		var st core.Stats
-		var solveErr error
-		rs := cfg.machine(np).Run(func(p *comm.Proc) {
-			op := spmv.NewRowBlockCSR(p, A, d)
-			bv := darray.New(p, d)
-			xv := darray.New(p, d)
-			bv.SetGlobal(func(g int) float64 { return b[g] })
-			s, err := core.CG(p, op, bv, xv, core.Options{Tol: 1e-8})
-			if p.Rank() == 0 {
-				st, solveErr = s, err
-			}
-		})
-		if solveErr != nil {
-			return nil, solveErr
+		r, err := solveOn(cfg.machine(np), dist.NewBlock(n, np), b, false, csrOp(A), cgSolve(core.Options{Tol: 1e-8}))
+		if err != nil {
+			return nil, err
 		}
+		st, rs := r.st, r.run
 		if np == 1 {
 			t1 = rs.ModelTime
 		}
@@ -86,14 +76,10 @@ func E2(cfg Config) ([]*report.Table, error) {
 		if cfg.Quick && np > 4 {
 			break
 		}
-		d := dist.NewBlock(n, np)
-		rs := hcCfg.machine(np).Run(func(p *comm.Proc) {
-			op := spmv.NewRowBlockCSR(p, A, d)
-			x := darray.New(p, d)
-			y := darray.New(p, d)
-			x.Fill(1)
-			op.Apply(x, y)
-		})
+		rs, err := applyOn(hcCfg.machine(np), dist.NewBlock(n, np), 1, csrApply(A))
+		if err != nil {
+			return nil, err
+		}
 		pred := topology.HypercubeAllgatherTime(hcCfg.Cost, np, 8*(n/np))
 		meas := rs.CommTime()
 		t.AddRowf(np, meas, pred, meas/pred, rs.TotalBytes)
@@ -101,17 +87,14 @@ func E2(cfg Config) ([]*report.Table, error) {
 	return []*report.Table{t}, nil
 }
 
-// e3data runs one column-partitioned CSC mat-vec in both execution
-// modes and returns the run stats.
-func e3data(cfg Config, A *sparse.CSC, n, np int, mode spmv.Mode) comm.RunStats {
-	d := dist.NewBlock(n, np)
-	return cfg.machine(np).Run(func(p *comm.Proc) {
-		op := spmv.NewColBlockCSC(p, A, d, mode)
-		x := darray.New(p, d)
-		y := darray.New(p, d)
-		x.Fill(1)
-		op.Apply(x, y)
-	})
+// e3data runs one column-partitioned CSC mat-vec in each execution
+// mode, serialized then merge, and returns the two runs.
+func e3data(cfg Config, A *sparse.CSC, np int) (ser, mer comm.RunStats, err error) {
+	d := dist.NewBlock(A.NRows, np)
+	if ser, err = applyOn(cfg.machine(np), d, 1, cscApply(A, spmv.ModeSerialized)); err == nil {
+		mer, err = applyOn(cfg.machine(np), d, 1, cscApply(A, spmv.ModePrivateMerge))
+	}
+	return ser, mer, err
 }
 
 // E3 — Figure 4 / Scenario 2: column-wise partitioned CSC mat-vec,
@@ -131,8 +114,10 @@ func E3(cfg Config) ([]*report.Table, error) {
 		},
 	}
 	for _, np := range cfg.npSweep() {
-		ser := e3data(cfg, A, n, np, spmv.ModeSerialized)
-		mer := e3data(cfg, A, n, np, spmv.ModePrivateMerge)
+		ser, mer, err := e3data(cfg, A, np)
+		if err != nil {
+			return nil, err
+		}
 		t.AddRowf(np, ser.ModelTime, mer.ModelTime, ser.TotalBytes, mer.TotalBytes)
 	}
 	return []*report.Table{t}, nil
@@ -153,8 +138,10 @@ func E4(cfg Config) ([]*report.Table, error) {
 		},
 	}
 	for _, np := range cfg.npSweep() {
-		ser := e3data(cfg, A, n, np, spmv.ModeSerialized)
-		mer := e3data(cfg, A, n, np, spmv.ModePrivateMerge)
+		ser, mer, err := e3data(cfg, A, np)
+		if err != nil {
+			return nil, err
+		}
 		t.AddRowf(np, ser.ModelTime/mer.ModelTime, ser.MaxFlops, mer.MaxFlops,
 			float64(np*n*8)/1024)
 	}
@@ -226,21 +213,16 @@ func E6(cfg Config) ([]*report.Table, error) {
 			continue
 		}
 		d := dist.NewBlock(n, np)
-		run := func(transpose bool) comm.RunStats {
-			return cfg.machine(np).Run(func(p *comm.Proc) {
-				op := spmv.NewRowBlockCSR(p, A, d)
-				x := darray.New(p, d)
-				y := darray.New(p, d)
-				x.Fill(1)
-				if transpose {
-					op.ApplyT(x, y)
-				} else {
-					op.Apply(x, y)
-				}
-			})
+		fwd, err := applyOn(cfg.machine(np), d, 1, csrApply(A))
+		if err != nil {
+			return nil, err
 		}
-		fwd := run(false)
-		bwd := run(true)
+		bwd, err := applyOn(cfg.machine(np), d, 1, func(p *comm.Proc, d dist.Contiguous) func(x, y *darray.Vector) {
+			return spmv.NewRowBlockCSR(p, A, d).ApplyT
+		})
+		if err != nil {
+			return nil, err
+		}
 		t.AddRowf(np, fwd.ModelTime, bwd.ModelTime, bwd.ModelTime/fwd.ModelTime,
 			fwd.TotalBytes, bwd.TotalBytes)
 	}
@@ -308,16 +290,11 @@ func E8(cfg Config) ([]*report.Table, error) {
 		{"balanced_optimal", partition.BalancedContiguous(weights, np)},
 	}
 	for _, c := range cases {
-		d := dist.NewIrregular(c.cuts) // row cut points = vector cut points
-		rs := cfg.machine(np).Run(func(p *comm.Proc) {
-			op := spmv.NewRowBlockCSR(p, A, d)
-			x := darray.New(p, d)
-			y := darray.New(p, d)
-			x.Fill(1)
-			for rep := 0; rep < 10; rep++ {
-				op.Apply(x, y)
-			}
-		})
+		// Row cut points = vector cut points.
+		rs, err := applyOn(cfg.machine(np), dist.NewIrregular(c.cuts), 10, csrApply(A))
+		if err != nil {
+			return nil, err
+		}
 		t.AddRowf(c.name, partition.Imbalance(weights, c.cuts),
 			partition.Bottleneck(weights, c.cuts), rs.ModelTime, rs.FlopImbalance())
 	}
@@ -400,16 +377,22 @@ func E10(cfg Config) ([]*report.Table, error) {
 	}
 	for _, np := range cfg.npSweep() {
 		d := dist.NewBlock(n, np)
-		axpyRS := cfg.machine(np).Run(func(p *comm.Proc) {
+		axpyRS, err := cfg.machine(np).RunContext(context.Background(), func(p *comm.Proc) {
 			v := darray.New(p, d)
 			w := darray.New(p, d)
 			v.AXPY(2, w)
 		})
-		dotRS := cfg.machine(np).Run(func(p *comm.Proc) {
+		if err != nil {
+			return nil, err
+		}
+		dotRS, err := cfg.machine(np).RunContext(context.Background(), func(p *comm.Proc) {
 			v := darray.New(p, d)
 			v.Fill(1)
 			v.Dot(v)
 		})
+		if err != nil {
+			return nil, err
+		}
 		blk := (n + np - 1) / np
 		axpyPred := 2 * float64(blk) * cfg.Cost.TFlop
 		steps := float64(topology.Log2Ceil(np))
@@ -443,12 +426,15 @@ func E11(cfg Config) ([]*report.Table, error) {
 	t.AddRowf("sequential", seqRes.Zetas[0], seqRes.FinalZeta(), seqRes.MatVecs, "-")
 	for _, np := range []int{2, 4} {
 		var res nas.Result
-		rs := cfg.machine(np).Run(func(p *comm.Proc) {
+		rs, err := cfg.machine(np).RunContext(context.Background(), func(p *comm.Proc) {
 			r := nas.RunDistributed(p, cls, A)
 			if p.Rank() == 0 {
 				res = r
 			}
 		})
+		if err != nil {
+			return nil, err
+		}
 		if err := nas.Verify(res); err != nil {
 			return nil, err
 		}

@@ -1,17 +1,14 @@
 package bench
 
 import (
-	"context"
 	"fmt"
+	"slices"
 
-	"hpfcg/internal/comm"
 	"hpfcg/internal/core"
-	"hpfcg/internal/darray"
 	"hpfcg/internal/hpfexec"
 	"hpfcg/internal/mfree"
 	"hpfcg/internal/report"
 	"hpfcg/internal/sparse"
-	"hpfcg/internal/spmv"
 )
 
 // E25 — matrix-free stencil CG vs the assembled CSR executor. Both arms
@@ -52,49 +49,19 @@ func E25(cfg Config) ([]*report.Table, error) {
 
 	// assembled runs CG over the generator-assembled CSR with the ghost
 	// executor on the SAME brick layout the matrix-free operator uses,
-	// so the two arms differ only in where the operator comes from.
-	// Returns the solution, stats, run stats and the modeled setup clock
-	// (max over ranks at the moment the executor finished its inspector
-	// exchange).
-	assembled := func(np int, spec mfree.Spec, b []float64) ([]float64, core.Stats, comm.RunStats, float64, error) {
+	// so the two arms differ only in where the operator comes from. Its
+	// setup is the modeled clock once the executor finished its
+	// inspector exchange.
+	assembled := func(np int, spec mfree.Spec, b []float64) (solved, error) {
 		A, err := spec.Assemble()
 		if err != nil {
-			return nil, core.Stats{}, comm.RunStats{}, 0, err
+			return solved{}, err
 		}
 		brick, err := spec.Brick(np)
 		if err != nil {
-			return nil, core.Stats{}, comm.RunStats{}, 0, err
+			return solved{}, err
 		}
-		var x []float64
-		var st core.Stats
-		setups := make([]float64, np)
-		var solveErr error
-		rs, err := cfg.machine(np).RunContext(context.Background(), func(p *comm.Proc) {
-			op := spmv.NewRowBlockCSRGhost(p, A, brick.VectorDist())
-			setups[p.Rank()] = p.Clock()
-			bv := darray.New(p, brick.VectorDist())
-			xv := darray.New(p, brick.VectorDist())
-			bv.SetGlobal(func(g int) float64 { return b[g] })
-			s, err := core.CG(p, op, bv, xv, opts[0])
-			if err != nil {
-				solveErr = err
-				return
-			}
-			full := xv.Gather()
-			if p.Rank() == 0 {
-				x, st = full, s
-			}
-		})
-		if err == nil {
-			err = solveErr
-		}
-		var setup float64
-		for _, s := range setups {
-			if s > setup {
-				setup = s
-			}
-		}
-		return x, st, rs, setup, err
+		return solveOn(cfg.machine(np), brick.VectorDist(), b, true, ghostOp(A), cgSolve(opts[0]))
 	}
 
 	t1 := &report.Table{
@@ -135,10 +102,11 @@ func E25(cfg Config) ([]*report.Table, error) {
 				return nil, fmt.Errorf("E25 np=%d %s: matrix-free CG did not converge", np, spec.Stencil)
 			}
 
-			ax, ast, ars, asmSetup, err := assembled(np, spec, b)
+			asm, err := assembled(np, spec, b)
 			if err != nil {
 				return nil, fmt.Errorf("E25 np=%d %s assembled: %w", np, spec.Stencil, err)
 			}
+			ast, ars, asmSetup := asm.st, asm.run, asm.setup
 			if np > 1 && asmSetup <= 0 {
 				return nil, fmt.Errorf("E25 np=%d %s: assembled setup %g, want > 0 (inspector not charged?)",
 					np, spec.Stencil, asmSetup)
@@ -147,11 +115,9 @@ func E25(cfg Config) ([]*report.Table, error) {
 				return nil, fmt.Errorf("E25 np=%d %s: %d matrix-free iterations vs %d assembled",
 					np, spec.Stencil, mfRes.Stats.Iterations, ast.Iterations)
 			}
-			for i := range ax {
-				if mfRes.X[i] != ax[i] {
-					return nil, fmt.Errorf("E25 np=%d %s: x[%d] = %v matrix-free vs %v assembled — not bit-identical",
-						np, spec.Stencil, i, mfRes.X[i], ax[i])
-				}
+			if !slices.Equal(mfRes.X, asm.x) {
+				return nil, fmt.Errorf("E25 np=%d %s: matrix-free solution not bit-identical to assembled",
+					np, spec.Stencil)
 			}
 			if out.Run.ModelTime > ars.ModelTime {
 				return nil, fmt.Errorf("E25 np=%d %s: matrix-free total %g > assembled %g",
@@ -204,13 +170,7 @@ func E25(cfg Config) ([]*report.Table, error) {
 			return nil, fmt.Errorf("E25 np=%d: setup cold %g warm %g, want exactly 0/0",
 				np, cold.SetupModelTime, warm.SetupModelTime)
 		}
-		identical := true
-		for i := range cold.Results[0].X {
-			if cold.Results[0].X[i] != warm.Results[0].X[i] {
-				identical = false
-				break
-			}
-		}
+		identical := slices.Equal(cold.Results[0].X, warm.Results[0].X)
 		tEqual := cold.SolveModelTime[0] == warm.SolveModelTime[0]
 		if !identical || !tEqual {
 			return nil, fmt.Errorf("E25 np=%d: warm batch diverged (bits %v, clock %v)", np, identical, tEqual)

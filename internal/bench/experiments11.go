@@ -2,27 +2,13 @@ package bench
 
 import (
 	"fmt"
-	"math"
 
-	"hpfcg/internal/comm"
 	"hpfcg/internal/core"
 	"hpfcg/internal/dist"
 	"hpfcg/internal/hpfexec"
 	"hpfcg/internal/report"
 	"hpfcg/internal/sparse"
 )
-
-// relResidual computes ||b - Ax|| / ||b|| on the host.
-func relResidual(A *sparse.CSR, x, b []float64) float64 {
-	r := make([]float64, A.NRows)
-	A.MulVec(x, r)
-	rn, bn := 0.0, 0.0
-	for i := range r {
-		rn += (r[i] - b[i]) * (r[i] - b[i])
-		bn += b[i] * b[i]
-	}
-	return math.Sqrt(rn / bn)
-}
 
 // E26 — the latency-regime map for pipelined CG: where hiding the
 // per-iteration allreduce behind the mat-vec beats plain CG, and where
@@ -42,20 +28,13 @@ func relResidual(A *sparse.CSR, x, b []float64) float64 {
 // story (plain at near-zero latency, pipelined at the default
 // constants, s-step once the round can no longer hide).
 func E26(cfg Config) ([]*report.Table, error) {
-	// machineAt scales the startup/hop constants — the latency knobs the
+	// at scales the startup/hop constants — the latency knobs the
 	// overlap can hide — leaving bandwidth and flop cost alone.
-	machineAt := func(np int, scale float64) *comm.Machine {
-		c := cfg.Cost
-		c.TStartup *= scale
-		c.THop *= scale
-		m := comm.NewMachine(np, cfg.Topo, c)
-		if cfg.Tracer != nil {
-			m.AttachTracer(cfg.Tracer)
-		}
-		if cfg.Injector != nil {
-			m.AttachInjector(cfg.Injector)
-		}
-		return m
+	at := func(scale float64) Config {
+		c := cfg
+		c.Cost.TStartup *= scale
+		c.Cost.THop *= scale
+		return c
 	}
 
 	scales := []float64{0.05, 0.2, 1, 5, 25}
@@ -91,7 +70,7 @@ func E26(cfg Config) ([]*report.Table, error) {
 	sawWin := false
 	for _, scale := range scales {
 		solve := func(v hpfexec.Variant) (*hpfexec.BatchResult, error) {
-			pr, err := hpfexec.Prepare(machineAt(np, scale), plan, A)
+			pr, err := hpfexec.Prepare(at(scale).machine(np), plan, A)
 			if err != nil {
 				return nil, err
 			}
@@ -118,7 +97,7 @@ func E26(cfg Config) ([]*report.Table, error) {
 				scale, pipeRes.Stats.Replacements)
 		}
 		for arm, x := range map[string][]float64{"plain": plainRes.X, "pipelined": pipeRes.X} {
-			if rr := relResidual(A, x, b); rr > 1e-8 {
+			if rr := trueRelResidual(A, x, b); rr > 1e-8 {
 				return nil, fmt.Errorf("E26 scale=%g: %s relative residual %g", scale, arm, rr)
 			}
 		}
@@ -171,7 +150,7 @@ func E26(cfg Config) ([]*report.Table, error) {
 		frontierScales = []float64{0.05, 1, 125}
 	}
 	for _, scale := range frontierScales {
-		models := hpfexec.Frontier(machineAt(np, scale), A2, d2, hpfexec.SStepCandidates)
+		models := hpfexec.Frontier(at(scale).machine(np), A2, d2, hpfexec.SStepCandidates)
 		winner := hpfexec.Cheapest(models, nil).Name()
 		var tPlain, tPipe, tSBest, hiddenPipe float64
 		first := true

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"hpfcg/internal/comm"
@@ -21,85 +22,85 @@ import (
 // would have bought.
 func E13(cfg Config) ([]*report.Table, error) {
 	n := cfg.pick(1024, 256)
-	A := sparse.Banded(n, 2).ToDense()
-	t := &report.Table{
-		ID:     "E13",
-		Title:  fmt.Sprintf("striped vs checkerboard dense mat-vec, n=%d", n),
-		Header: []string{"np", "grid", "t_striped_s", "t_checker_s", "bytes_striped", "bytes_checker"},
-		Notes: []string{
-			"striped = (BLOCK,*) rows + allgather of x (Scenario 1, Figure 3)",
-			"checkerboard = (BLOCK,BLOCK) + column bcast + row reduce (Kumar et al.)",
-			"per-processor comm drops from O(t_w·n) to O(t_w·n/sqrt(NP)·log NP)",
-		},
-	}
+	dA := sparse.Banded(n, 2).ToDense()
+	sA := sparse.Banded(n, 8)
 	nps := []int{4, 16}
 	if !cfg.Quick {
 		nps = []int{4, 16, 64}
 	}
-	for _, np := range nps {
-		d := dist.NewBlock(n, np)
-		striped := cfg.machine(np).Run(func(p *comm.Proc) {
-			op := spmv.NewDenseRowBlock(p, A, d)
-			x := darray.New(p, d)
-			y := darray.New(p, d)
-			x.Fill(1)
-			op.Apply(x, y)
-		})
-		g := grid.NewProcGrid(np)
-		checker := cfg.machine(np).Run(func(p *comm.Proc) {
-			cb := grid.NewDenseCheckerboard(p, A, g)
-			var xBlock []float64
-			if pr, _ := g.Coords(p.Rank()); pr == 0 {
-				xBlock = make([]float64, cb.XLen())
-				for i := range xBlock {
-					xBlock[i] = 1
-				}
-			}
-			cb.Apply(xBlock)
-		})
-		t.AddRowf(np, fmt.Sprintf("%dx%d", g.Rows, g.Cols),
-			striped.ModelTime, checker.ModelTime, striped.TotalBytes, checker.TotalBytes)
-	}
-
-	// The same comparison for the storage format the paper cares about:
-	// sparse CSR blocks.
-	sA := sparse.Banded(n, 8)
-	ts := &report.Table{
-		ID:     "E13",
-		Title:  fmt.Sprintf("striped vs checkerboard sparse mat-vec, banded n=%d nnz=%d", n, sA.NNZ()),
-		Header: []string{"np", "grid", "t_striped_s", "t_checker_s", "bytes_striped", "bytes_checker"},
-		Notes: []string{
-			"sparse twist: bytes still drop ~sqrt(NP)x, but the sparse multiply is so",
-			"cheap that the checkerboard's two collectives (bcast+reduce) cost more",
-			"startup latency than the single allgather — the bandwidth win only pays",
-			"off for dense blocks or far larger n. An honest negative result.",
+	// The dense comparison, then the same one for the storage format
+	// the paper cares about: sparse CSR blocks.
+	kinds := []struct {
+		title   string
+		notes   []string
+		striped buildApply
+		checker func(p *comm.Proc, g grid.ProcGrid) checkerboard
+	}{
+		{
+			fmt.Sprintf("striped vs checkerboard dense mat-vec, n=%d", n),
+			[]string{
+				"striped = (BLOCK,*) rows + allgather of x (Scenario 1, Figure 3)",
+				"checkerboard = (BLOCK,BLOCK) + column bcast + row reduce (Kumar et al.)",
+				"per-processor comm drops from O(t_w·n) to O(t_w·n/sqrt(NP)·log NP)",
+			},
+			func(p *comm.Proc, d dist.Contiguous) func(x, y *darray.Vector) {
+				return spmv.NewDenseRowBlock(p, dA, d).Apply
+			},
+			func(p *comm.Proc, g grid.ProcGrid) checkerboard { return grid.NewDenseCheckerboard(p, dA, g) },
+		},
+		{
+			fmt.Sprintf("striped vs checkerboard sparse mat-vec, banded n=%d nnz=%d", n, sA.NNZ()),
+			[]string{
+				"sparse twist: bytes still drop ~sqrt(NP)x, but the sparse multiply is so",
+				"cheap that the checkerboard's two collectives (bcast+reduce) cost more",
+				"startup latency than the single allgather — the bandwidth win only pays",
+				"off for dense blocks or far larger n. An honest negative result.",
+			},
+			csrApply(sA),
+			func(p *comm.Proc, g grid.ProcGrid) checkerboard { return grid.NewSparseCheckerboard(p, sA, g) },
 		},
 	}
-	for _, np := range nps {
-		d := dist.NewBlock(n, np)
-		striped := cfg.machine(np).Run(func(p *comm.Proc) {
-			op := spmv.NewRowBlockCSR(p, sA, d)
-			x := darray.New(p, d)
-			y := darray.New(p, d)
-			x.Fill(1)
-			op.Apply(x, y)
-		})
-		g := grid.NewProcGrid(np)
-		checker := cfg.machine(np).Run(func(p *comm.Proc) {
-			cb := grid.NewSparseCheckerboard(p, sA, g)
-			var xBlock []float64
-			if pr, _ := g.Coords(p.Rank()); pr == 0 {
-				xBlock = make([]float64, cb.XLen())
-				for i := range xBlock {
-					xBlock[i] = 1
-				}
+	var tables []*report.Table
+	for _, k := range kinds {
+		t := &report.Table{
+			ID:     "E13",
+			Title:  k.title,
+			Header: []string{"np", "grid", "t_striped_s", "t_checker_s", "bytes_striped", "bytes_checker"},
+			Notes:  k.notes,
+		}
+		for _, np := range nps {
+			striped, err := applyOn(cfg.machine(np), dist.NewBlock(n, np), 1, k.striped)
+			if err != nil {
+				return nil, err
 			}
-			cb.Apply(xBlock)
-		})
-		ts.AddRowf(np, fmt.Sprintf("%dx%d", g.Rows, g.Cols),
-			striped.ModelTime, checker.ModelTime, striped.TotalBytes, checker.TotalBytes)
+			g := grid.NewProcGrid(np)
+			checker, err := cfg.machine(np).RunContext(context.Background(), func(p *comm.Proc) {
+				cb := k.checker(p, g)
+				var xBlock []float64
+				if pr, _ := g.Coords(p.Rank()); pr == 0 {
+					xBlock = make([]float64, cb.XLen())
+					for i := range xBlock {
+						xBlock[i] = 1
+					}
+				}
+				cb.Apply(xBlock)
+			})
+			if err != nil {
+				return nil, err
+			}
+			t.AddRowf(np, fmt.Sprintf("%dx%d", g.Rows, g.Cols),
+				striped.ModelTime, checker.ModelTime, striped.TotalBytes, checker.TotalBytes)
+		}
+		tables = append(tables, t)
 	}
-	return []*report.Table{t, ts}, nil
+	return tables, nil
+}
+
+// checkerboard is the one face of grid's dense and sparse (BLOCK,
+// BLOCK) operators that E13 runs.
+type checkerboard interface {
+	XLen() int
+	Apply(xBlock []float64) []float64
 }
 
 // E14 — the inspector-executor alternative to Scenario 1's broadcast
@@ -128,28 +129,15 @@ func E14(cfg Config) ([]*report.Table, error) {
 			continue
 		}
 		d := dist.NewBlock(n, np)
-		bc := cfg.machine(np).Run(func(p *comm.Proc) {
-			op := spmv.NewRowBlockCSR(p, A, d)
-			x := darray.New(p, d)
-			y := darray.New(p, d)
-			x.Fill(1)
-			for i := 0; i < applies; i++ {
-				op.Apply(x, y)
-			}
-		})
+		bc, err := applyOn(cfg.machine(np), d, applies, csrApply(A))
+		if err != nil {
+			return nil, err
+		}
 		var ghosts int
-		gh := cfg.machine(np).Run(func(p *comm.Proc) {
-			op := spmv.NewRowBlockCSRGhost(p, A, d) // inspector included
-			x := darray.New(p, d)
-			y := darray.New(p, d)
-			x.Fill(1)
-			for i := 0; i < applies; i++ {
-				op.Apply(x, y)
-			}
-			if p.Rank() == np/2 {
-				ghosts = op.NGhosts()
-			}
-		})
+		gh, err := applyOn(cfg.machine(np), d, applies, ghostApply(A, &ghosts))
+		if err != nil {
+			return nil, err
+		}
 		t.AddRowf(np, bc.ModelTime, gh.ModelTime, bc.ModelTime/gh.ModelTime,
 			bc.TotalBytes, gh.TotalBytes, ghosts)
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"hpfcg/internal/comm"
@@ -52,37 +53,30 @@ func E15(cfg Config) ([]*report.Table, error) {
 				"ghost = inspector-executor halo (inspector included)",
 			},
 		}
+		execs := []struct {
+			name  string
+			build buildApply
+		}{
+			{"bcast", csrApply(A)},
+			{"merge", cscApply(csc, spmv.ModePrivateMerge)},
+			{"ghost", ghostApply(A, nil)},
+		}
 		for _, ts := range []float64{1e-6, 10e-6, 100e-6, 1e-3} {
-			cost := cfg.Cost
-			cost.TStartup = ts
-			mk := func() *comm.Machine { return comm.NewMachine(np, cfg.Topo, cost) }
-
-			run := func(build func(p *comm.Proc) spmv.Operator) comm.RunStats {
-				return mk().Run(func(p *comm.Proc) {
-					op := build(p)
-					x := darray.New(p, d)
-					y := darray.New(p, d)
-					x.Fill(1)
-					for i := 0; i < applies; i++ {
-						op.Apply(x, y)
-					}
-				})
+			c := cfg
+			c.Cost.TStartup = ts
+			row := []any{fmt.Sprintf("%.0e", ts)}
+			best, bt := "", math.Inf(1)
+			for _, e := range execs {
+				rs, err := applyOn(c.machine(np), d, applies, e.build)
+				if err != nil {
+					return nil, err
+				}
+				row = append(row, rs.ModelTime)
+				if rs.ModelTime < bt {
+					best, bt = e.name, rs.ModelTime
+				}
 			}
-			bcast := run(func(p *comm.Proc) spmv.Operator { return spmv.NewRowBlockCSR(p, A, d) })
-			merge := run(func(p *comm.Proc) spmv.Operator {
-				return spmv.NewColBlockCSC(p, csc, d, spmv.ModePrivateMerge)
-			})
-			ghost := run(func(p *comm.Proc) spmv.Operator { return spmv.NewRowBlockCSRGhost(p, A, d) })
-
-			best := "bcast"
-			bt := bcast.ModelTime
-			if merge.ModelTime < bt {
-				best, bt = "merge", merge.ModelTime
-			}
-			if ghost.ModelTime < bt {
-				best = "ghost"
-			}
-			t.AddRowf(fmt.Sprintf("%.0e", ts), bcast.ModelTime, merge.ModelTime, ghost.ModelTime, best)
+			t.AddRowf(append(row, best)...)
 		}
 		tables = append(tables, t)
 	}
@@ -134,18 +128,10 @@ func E16(cfg Config) ([]*report.Table, error) {
 	} {
 		A := c.A
 		var ghosts int
-		rs := cfg.machine(np).Run(func(p *comm.Proc) {
-			op := spmv.NewRowBlockCSRGhost(p, A, d)
-			x := darray.New(p, d)
-			y := darray.New(p, d)
-			x.Fill(1)
-			for i := 0; i < applies; i++ {
-				op.Apply(x, y)
-			}
-			if p.Rank() == np/2 {
-				ghosts = op.NGhosts()
-			}
-		})
+		rs, err := applyOn(cfg.machine(np), d, applies, ghostApply(A, &ghosts))
+		if err != nil {
+			return nil, err
+		}
 		t.AddRowf(c.name, order.Bandwidth(A), ghosts, rs.ModelTime, rs.TotalBytes)
 	}
 	return []*report.Table{t}, nil
@@ -191,39 +177,23 @@ func E17(cfg Config) ([]*report.Table, error) {
 				probe.Spectrum.EigMin, probe.Spectrum.EigMax),
 		},
 	}
+	opt := core.Options{Tol: tol, MaxIter: 40 * n}
+	cheb := func(p *comm.Proc, op spmv.Operator, b, x *darray.Vector) (core.Stats, error) {
+		return core.Chebyshev(p, op, b, x, eigMin, eigMax, opt)
+	}
 	for _, ts := range []float64{1e-6, 10e-6, 100e-6, 1e-3} {
-		cost := cfg.Cost
-		cost.TStartup = ts
-		var cgIt, chIt int
-		var solveErr error
-		cgRS := comm.NewMachine(np, cfg.Topo, cost).Run(func(p *comm.Proc) {
-			op := spmv.NewRowBlockCSR(p, A, d)
-			bv := darray.New(p, d)
-			xv := darray.New(p, d)
-			bv.SetGlobal(func(g int) float64 { return b[g] })
-			st, err := core.CG(p, op, bv, xv, core.Options{Tol: tol, MaxIter: 40 * n})
-			if p.Rank() == 0 {
-				cgIt, solveErr = st.Iterations, err
-			}
-		})
-		if solveErr != nil {
-			return nil, solveErr
+		c := cfg
+		c.Cost.TStartup = ts
+		cg, err := solveOn(c.machine(np), d, b, false, csrOp(A), cgSolve(opt))
+		if err != nil {
+			return nil, err
 		}
-		chRS := comm.NewMachine(np, cfg.Topo, cost).Run(func(p *comm.Proc) {
-			op := spmv.NewRowBlockCSR(p, A, d)
-			bv := darray.New(p, d)
-			xv := darray.New(p, d)
-			bv.SetGlobal(func(g int) float64 { return b[g] })
-			st, err := core.Chebyshev(p, op, bv, xv, eigMin, eigMax, core.Options{Tol: tol, MaxIter: 40 * n})
-			if p.Rank() == 0 {
-				chIt, solveErr = st.Iterations, err
-			}
-		})
-		if solveErr != nil {
-			return nil, solveErr
+		ch, err := solveOn(c.machine(np), d, b, false, csrOp(A), cheb)
+		if err != nil {
+			return nil, err
 		}
-		t.AddRowf(fmt.Sprintf("%.0e", ts), cgIt, cgRS.ModelTime, chIt, chRS.ModelTime,
-			chRS.ModelTime/cgRS.ModelTime)
+		t.AddRowf(fmt.Sprintf("%.0e", ts), cg.st.Iterations, cg.run.ModelTime, ch.st.Iterations, ch.run.ModelTime,
+			ch.run.ModelTime/cg.run.ModelTime)
 	}
 	return []*report.Table{t}, nil
 }
@@ -250,22 +220,12 @@ func E18(cfg Config) ([]*report.Table, error) {
 		n := base * np
 		A := sparse.Banded(n, 4)
 		b := sparse.RandomVector(n, cfg.Seed)
-		d := dist.NewBlock(n, np)
-		var iters int
-		var solveErr error
-		rs := cfg.machine(np).Run(func(p *comm.Proc) {
-			op := spmv.NewRowBlockCSRGhost(p, A, d)
-			bv := darray.New(p, d)
-			xv := darray.New(p, d)
-			bv.SetGlobal(func(g int) float64 { return b[g] })
-			st, err := core.CG(p, op, bv, xv, core.Options{Tol: 1e-8, MaxIter: 10 * n})
-			if p.Rank() == 0 {
-				iters, solveErr = st.Iterations, err
-			}
-		})
-		if solveErr != nil {
-			return nil, solveErr
+		r, err := solveOn(cfg.machine(np), dist.NewBlock(n, np), b, false, ghostOp(A),
+			cgSolve(core.Options{Tol: 1e-8, MaxIter: 10 * n}))
+		if err != nil {
+			return nil, err
 		}
+		iters, rs := r.st.Iterations, r.run
 		perIter := rs.ModelTime / float64(iters)
 		if np == 1 {
 			perIter1 = perIter

@@ -56,32 +56,27 @@ func E19(cfg Config) ([]*report.Table, error) {
 		for _, np := range nps {
 			d := dist.NewBlock(n, np)
 			for _, v := range variants {
-				var st core.Stats
-				var solveErr error
-				rs := cfg.machine(np).Run(func(p *comm.Proc) {
-					op := spmv.NewRowBlockCSRGhost(p, A, d)
-					bv := darray.New(p, d)
-					bv.SetGlobal(func(g int) float64 { return b[g] })
-					xv := darray.New(p, d)
-					opt := core.Options{Tol: 1e-8}
-					if v.reuse {
-						opt.Work = core.NewWorkspace()
-					}
-					for rep := 0; rep < repeats; rep++ {
-						xv.Fill(0)
-						s, err := v.solve(p, op, bv, xv, opt)
-						if err != nil {
-							solveErr = err
-							return
+				r, err := solveOn(cfg.machine(np), d, b, false, ghostOp(A),
+					func(p *comm.Proc, op spmv.Operator, bv, xv *darray.Vector) (core.Stats, error) {
+						opt := core.Options{Tol: 1e-8}
+						if v.reuse {
+							opt.Work = core.NewWorkspace()
 						}
-						if p.Rank() == 0 {
+						var st core.Stats
+						for rep := 0; rep < repeats; rep++ {
+							xv.Fill(0)
+							s, err := v.solve(p, op, bv, xv, opt)
+							if err != nil {
+								return s, err
+							}
 							st = s
 						}
-					}
-				})
-				if solveErr != nil {
-					return nil, fmt.Errorf("%s np=%d n=%d: %w", v.name, np, n, solveErr)
+						return st, nil
+					})
+				if err != nil {
+					return nil, fmt.Errorf("%s np=%d n=%d: %w", v.name, np, n, err)
 				}
+				st, rs := r.st, r.run
 				if !st.Converged {
 					return nil, fmt.Errorf("%s np=%d n=%d: did not converge: %v", v.name, np, n, st)
 				}

@@ -1,9 +1,9 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"hpfcg/internal/comm"
 	"hpfcg/internal/core"
@@ -17,11 +17,10 @@ import (
 )
 
 // missionOutcome is one resilient solve driven to completion across
-// restart attempts.
+// restart attempts: the recovery record and the last attempt's solve.
 type missionOutcome struct {
 	rec *hpfexec.Recovery
-	sol []float64
-	st  core.Stats
+	solved
 }
 
 // runMission drives core.CGResilient under a fault plan until the
@@ -37,28 +36,17 @@ func runMission(cfg Config, A *sparse.CSR, b []float64, np, interval int, plan f
 	}
 	d := dist.NewBlock(A.NRows, np)
 	store := core.NewCheckpointStore(np)
-	m := cfg.machine(np)
-	m.AttachInjector(inj)
-	var solveErr error
-	fn := func(p *comm.Proc) {
-		op := spmv.NewRowBlockCSRGhost(p, A, d)
-		bv := darray.New(p, d)
-		bv.SetGlobal(func(g int) float64 { return b[g] })
-		x := darray.New(p, d)
-		st, err := core.CGResilient(p, op, bv, x, opt,
-			core.Resilience{Store: store, Interval: interval})
-		full := x.Gather()
-		if p.Rank() == 0 {
-			out.sol, out.st, solveErr = full, st, err
-		}
+	c := cfg
+	c.Injector = inj
+	m := c.machine(np)
+	resilient := func(p *comm.Proc, op spmv.Operator, bv, x *darray.Vector) (core.Stats, error) {
+		return core.CGResilient(p, op, bv, x, opt, core.Resilience{Store: store, Interval: interval})
 	}
 	// Each scheduled crash can fail at most one attempt.
 	out.rec, err = hpfexec.Restart(m, store, len(plan.Events)+1, func() (comm.RunStats, core.Stats, error) {
-		rs, err := m.RunContext(context.Background(), fn)
-		if err == nil {
-			err = solveErr
-		}
-		return rs, out.st, err
+		r, err := solveOn(m, d, b, true, ghostOp(A), resilient)
+		out.solved = r
+		return r.run, r.st, err
 	})
 	return out, err
 }
@@ -88,41 +76,13 @@ func E20(cfg Config) ([]*report.Table, error) {
 	}
 
 	// Fault-free baselines per np: plain CG solution, iterations, makespan.
-	type baseline struct {
-		sol   []float64
-		iters int
-		model float64
-	}
-	base := map[int]baseline{}
+	base := map[int]solved{}
 	for _, np := range nps {
-		d := dist.NewBlock(n, np)
-		var bl baseline
-		var solveErr error
-		rs := cfg.machine(np).Run(func(p *comm.Proc) {
-			op := spmv.NewRowBlockCSRGhost(p, A, d)
-			bv := darray.New(p, d)
-			bv.SetGlobal(func(g int) float64 { return b[g] })
-			x := darray.New(p, d)
-			st, err := core.CG(p, op, bv, x, opt)
-			full := x.Gather()
-			if p.Rank() == 0 {
-				bl.sol, bl.iters, solveErr = full, st.Iterations, err
-			}
-		})
-		if solveErr != nil {
-			return nil, fmt.Errorf("baseline np=%d: %w", np, solveErr)
+		r, err := solveOn(cfg.machine(np), dist.NewBlock(n, np), b, true, ghostOp(A), cgSolve(opt))
+		if err != nil {
+			return nil, fmt.Errorf("baseline np=%d: %w", np, err)
 		}
-		bl.model = rs.ModelTime
-		base[np] = bl
-	}
-
-	identical := func(a, b []float64) bool {
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
+		base[np] = r
 	}
 
 	t1 := &report.Table{
@@ -142,11 +102,11 @@ func E20(cfg Config) ([]*report.Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("healthy np=%d interval=%d: %w", np, iv, err)
 			}
-			bl := base[np]
+			bl := base[np].run.ModelTime
 			t1.AddRowf(np, n, iv, out.st.Iterations, out.st.Checkpoints,
-				bl.model, out.rec.TotalModelTime,
-				100*(out.rec.TotalModelTime-bl.model)/bl.model,
-				identical(bl.sol, out.sol))
+				bl, out.rec.TotalModelTime,
+				100*(out.rec.TotalModelTime-bl)/bl,
+				slices.Equal(base[np].x, out.x))
 		}
 	}
 
@@ -163,7 +123,7 @@ func E20(cfg Config) ([]*report.Table, error) {
 	mtbfFracs := []float64{0.4, 1.0}
 	intervals2 := []int{3, 10}
 	for _, np := range nps {
-		T := base[np].model
+		T := base[np].run.ModelTime
 		for _, frac := range mtbfFracs {
 			plan := fault.RandomPlan(cfg.Seed+int64(np), np, frac*T, 3*T)
 			for _, iv := range intervals2 {
@@ -171,7 +131,7 @@ func E20(cfg Config) ([]*report.Table, error) {
 				if err != nil {
 					return nil, fmt.Errorf("np=%d mtbf=%.2gT interval=%d: %w", np, frac, iv, err)
 				}
-				if !identical(base[np].sol, out.sol) {
+				if !slices.Equal(base[np].x, out.x) {
 					return nil, fmt.Errorf("np=%d mtbf=%.2gT interval=%d: recovered solution not bit-identical", np, frac, iv)
 				}
 				t2.AddRowf(np, frac, iv, len(out.rec.Failures), out.rec.Attempts, out.rec.LostIterations,
@@ -192,11 +152,10 @@ func E20(cfg Config) ([]*report.Table, error) {
 		},
 	}
 	np3 := cfg.pick(4, 2)
-	T := base[np3].model
-	bl := base[np3]
+	T := base[np3].run.ModelTime
 	mtbf := 0.5 * T
 	ckptCost := cfg.Cost.TStartup + 24*float64((n+np3-1)/np3)*cfg.Cost.TByte
-	tIter := T / float64(bl.iters)
+	tIter := T / float64(base[np3].st.Iterations)
 	young := math.Sqrt(2*mtbf*ckptCost) / tIter
 	plan := fault.RandomPlan(cfg.Seed+100, np3, mtbf, 3*T)
 	intervals3 := []int{0, 2, 5, 10, 20, 40}

@@ -33,32 +33,17 @@ func E23(cfg Config) ([]*report.Table, error) {
 		factors = []int{cfg.SStep}
 	}
 
-	// One s-step solve on a fresh machine; returns the stats, the
-	// gathered solution and the run's modeled time.
-	solve := func(np int, A *sparse.CSR, b []float64, s int, opt core.Options) (core.Stats, []float64, comm.RunStats, error) {
-		n := A.NRows
-		d := dist.NewBlock(n, np)
-		var st core.Stats
-		var x []float64
-		var solveErr error
-		rs := cfg.machine(np).Run(func(p *comm.Proc) {
-			op := spmv.NewRowBlockCSRPowers(p, A, d, s)
-			bv := darray.New(p, d)
-			bv.SetGlobal(func(g int) float64 { return b[g] })
-			xv := darray.New(p, d)
-			o := opt
-			o.Work = core.NewWorkspace()
-			stats, err := core.CGSStep(p, op, bv, xv, o, s)
-			if err != nil {
-				solveErr = err
-				return
-			}
-			full := xv.Gather()
-			if p.Rank() == 0 {
-				st, x = stats, full
-			}
-		})
-		return st, x, rs, solveErr
+	// One s-step solve on a fresh machine, its solution gathered.
+	solve := func(np int, A *sparse.CSR, b []float64, s int, opt core.Options) (solved, error) {
+		powers := func(p *comm.Proc, d dist.Contiguous) (spmv.Operator, error) {
+			return spmv.NewRowBlockCSRPowers(p, A, d, s), nil
+		}
+		return solveOn(cfg.machine(np), dist.NewBlock(A.NRows, np), b, true, powers,
+			func(p *comm.Proc, op spmv.Operator, bv, xv *darray.Vector) (core.Stats, error) {
+				o := opt
+				o.Work = core.NewWorkspace()
+				return core.CGSStep(p, op, bv, xv, o, s)
+			})
 	}
 
 	// roundsPerIter strips the setup/confirm rounds: plain CG pays one
@@ -110,17 +95,18 @@ func E23(cfg Config) ([]*report.Table, error) {
 		// printed) when the sweep is filtered to one s >= 2.
 		var baseT float64
 		if factors[0] != 1 {
-			_, _, rs, err := solve(np, A, b, 1, core.Options{Tol: 1e-8})
+			r, err := solve(np, A, b, 1, core.Options{Tol: 1e-8})
 			if err != nil {
 				return nil, fmt.Errorf("E23 np=%d s=1: %w", np, err)
 			}
-			baseT = rs.ModelTime
+			baseT = r.run.ModelTime
 		}
 		for _, s := range factors {
-			st, _, rs, err := solve(np, A, b, s, core.Options{Tol: 1e-8})
+			r, err := solve(np, A, b, s, core.Options{Tol: 1e-8})
 			if err != nil {
 				return nil, fmt.Errorf("E23 np=%d s=%d: %w", np, s, err)
 			}
+			st, rs := r.st, r.run
 			if !st.Converged {
 				return nil, fmt.Errorf("E23 np=%d s=%d: did not converge: %v", np, s, st)
 			}
@@ -166,12 +152,12 @@ func E23(cfg Config) ([]*report.Table, error) {
 			// The ill-conditioned diagonal needs room for the guard's
 			// plain-CG fallback tail; 20n covers every suite member.
 			opt := core.Options{Tol: 1e-10, MaxIter: 20 * tc.A.NRows}
-			st, x, _, err := solve(4, tc.A, bb, s, opt)
+			r, err := solve(4, tc.A, bb, s, opt)
 			if err != nil {
 				return nil, fmt.Errorf("E23 %s s=%d: %w", tc.name, s, err)
 			}
-			t2.AddRowf(tc.name, s, st.Converged, st.Iterations, st.Replacements,
-				trueRelResidual(tc.A, x, bb))
+			t2.AddRowf(tc.name, s, r.st.Converged, r.st.Iterations, r.st.Replacements,
+				trueRelResidual(tc.A, r.x, bb))
 		}
 	}
 
@@ -194,16 +180,17 @@ func E23(cfg Config) ([]*report.Table, error) {
 	for _, np := range selNPs {
 		frontier, perIter := prices(np, hpfexec.SStepCandidates)
 		chosen := hpfexec.Cheapest(frontier, hpfexec.AutoServes).Variant.SStep
-		_, _, rs1, err := solve(np, A, b, 1, core.Options{Tol: 1e-8})
+		s1, err := solve(np, A, b, 1, core.Options{Tol: 1e-8})
 		if err != nil {
 			return nil, err
 		}
-		simChosen := rs1
+		sc := s1
 		if chosen > 1 {
-			if _, _, simChosen, err = solve(np, A, b, chosen, core.Options{Tol: 1e-8}); err != nil {
+			if sc, err = solve(np, A, b, chosen, core.Options{Tol: 1e-8}); err != nil {
 				return nil, err
 			}
 		}
+		rs1, simChosen := s1.run, sc.run
 		agrees := (chosen > 1) == (simChosen.ModelTime < rs1.ModelTime)
 		if chosen == 1 {
 			agrees = true // nothing to beat: model and sim trivially agree

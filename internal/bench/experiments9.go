@@ -1,17 +1,18 @@
 package bench
 
 import (
-	"context"
 	"fmt"
+	"slices"
 
 	"hpfcg/internal/comm"
 	"hpfcg/internal/core"
-	"hpfcg/internal/darray"
+	"hpfcg/internal/dist"
 	"hpfcg/internal/grid"
 	"hpfcg/internal/hpfexec"
 	"hpfcg/internal/mg"
 	"hpfcg/internal/report"
 	"hpfcg/internal/sparse"
+	"hpfcg/internal/spmv"
 )
 
 // E24 — HPCG-style multigrid-preconditioned CG on the 27-point
@@ -43,34 +44,20 @@ func E24(cfg Config) ([]*report.Table, error) {
 	levelSweep := []int{1, 2, mg.DefaultLevels}
 
 	// plainCG solves the same stencil operator without the
-	// preconditioner, on a fresh machine of the same shape.
-	plainCG := func(np int, spec mg.Spec) (core.Stats, comm.RunStats, error) {
-		var st core.Stats
-		var solveErr error
-		rs, err := cfg.machine(np).RunContext(context.Background(), func(p *comm.Proc) {
+	// preconditioner, on a fresh machine of the same shape; fine is the
+	// spec's fine grid at np.
+	plainCG := func(np int, spec mg.Spec, fine grid.Brick3) (core.Stats, error) {
+		n := fine.N()
+		stencil := func(p *comm.Proc, _ dist.Contiguous) (spmv.Operator, error) {
 			pb, err := mg.NewProblem(p, spec)
 			if err != nil {
-				solveErr = err
-				return
+				return nil, err
 			}
-			n := pb.Fine().N()
-			b := sparse.RandomVector(n, cfg.Seed)
-			bv := darray.New(p, pb.Dist())
-			bv.SetGlobal(func(g int) float64 { return b[g] })
-			xv := darray.New(p, pb.Dist())
-			stats, err := core.CG(p, pb.Operator(), bv, xv, core.Options{Tol: 1e-8, MaxIter: 10 * n})
-			if err != nil {
-				solveErr = err
-				return
-			}
-			if p.Rank() == 0 {
-				st = stats
-			}
-		})
-		if err == nil {
-			err = solveErr
+			return pb.Operator(), nil
 		}
-		return st, rs, err
+		r, err := solveOn(cfg.machine(np), fine.VectorDist(), sparse.RandomVector(n, cfg.Seed), false,
+			stencil, cgSolve(core.Options{Tol: 1e-8, MaxIter: 10 * n}))
+		return r.st, err
 	}
 
 	// pcg solves through the hpfexec handle — the same path the service
@@ -109,7 +96,7 @@ func E24(cfg Config) ([]*report.Table, error) {
 					continue // clamp collapsed this depth into a row already emitted
 				}
 				seen[lv] = true
-				cgStats, _, err := plainCG(np, spec)
+				cgStats, err := plainCG(np, spec, fine)
 				if err != nil {
 					return nil, fmt.Errorf("E24 np=%d %v cg: %w", np, sz, err)
 				}
@@ -161,11 +148,7 @@ func E24(cfg Config) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		x1, x2 := out1.Results[0].X, out2.Results[0].X
-		identical := len(x1) == len(x2)
-		for i := 0; identical && i < len(x1); i++ {
-			identical = x1[i] == x2[i]
-		}
+		identical := slices.Equal(out1.Results[0].X, out2.Results[0].X)
 		tEqual := out1.Run.ModelTime == out2.Run.ModelTime
 		if !identical || !tEqual {
 			return nil, fmt.Errorf("E24 np=%d: repeat run diverged (bits %v, clock %v)", np, identical, tEqual)
