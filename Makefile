@@ -72,8 +72,10 @@ golden:
 # directive dump, two traced experiments (one of them E17, whose
 # machines change a cost constant per row), cgsolve's three documented
 # generator examples (block rows, the balanced partitioner, the CSC
-# private-merge layout) and BiCG on cgsolve's default layout, whose
-# executor must apply A^T.
+# private-merge layout), BiCG on cgsolve's default layout, whose
+# executor must apply A^T, and the two other §2.1 methods: PCG with
+# point Jacobi on a matrix whose diagonal varies, and CGS on the CSC
+# serial layout.
 smoke:
 	$(GO) run ./cmd/hpfrun -hpcg 6,6,6 -np 4 > /dev/null
 	$(GO) run ./cmd/hpfrun -hpcg 6,6,6 -timeout 30s > /dev/null
@@ -99,6 +101,8 @@ smoke:
 	$(GO) run ./cmd/cgsolve -matrix powerlaw:2000:1 -np 8 -layout balanced -q > /dev/null
 	$(GO) run ./cmd/cgsolve -matrix randspd:500:6:1 -method bicgstab -layout csc-merge -q > /dev/null
 	$(GO) run ./cmd/cgsolve -matrix laplace2d:32:32 -np 4 -method bicg -q > /dev/null
+	$(GO) run ./cmd/cgsolve -matrix randspd:500:6:1 -np 4 -method pcg -q > /dev/null
+	$(GO) run ./cmd/cgsolve -matrix laplace2d:32:32 -np 4 -method cgs -layout csc-serial -q > /dev/null
 
 # Non-test, non-blank, non-comment lines: internal/hpfexec +
 # internal/serve (the solve path and the service), then internal/bench +

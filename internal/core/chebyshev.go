@@ -22,32 +22,23 @@ func Chebyshev(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, eigMin, eigMa
 	if !(eigMin > 0) || !(eigMax >= eigMin) {
 		return Stats{}, fmt.Errorf("core: Chebyshev needs 0 < eigMin <= eigMax, got [%g, %g]", eigMin, eigMax)
 	}
-	opt = opt.withDefaults(A.N())
-	st := newStats(opt)
-	o := ops{s: &st, p: p}
-	w := opt.Work.begin()
-
-	r := w.take(b)
-	rnsq, bn := residual0(o, A, b, x, r)
-	rn := math.Sqrt(rnsq)
-	if rn/bn <= opt.Tol {
-		st.Converged = true
-		st.Residual = rn / bn
-		return st, nil
+	var o solver
+	if _, done := o.open(p, A, b, x, opt); done {
+		return o.finish()
 	}
-
+	r := o.r
 	d := (eigMax + eigMin) / 2
 	cc := (eigMax - eigMin) / 2
-	pv := w.take(b)
-	q := w.take(b)
+	pv := o.w.take(b)
+	q := o.w.take(b)
 	var alpha, beta float64
 	const checkEvery = 10
 
-	for k := 1; k <= opt.MaxIter; k++ {
-		st.Iterations = k
+	for k := 1; k <= o.opt.MaxIter; k++ {
+		o.Iterations = k
 		if k == 1 {
 			pv.CopyFrom(r)
-			st.AXPYs++
+			o.AXPYs++
 			alpha = 1 / d
 		} else {
 			beta = (cc * alpha / 2) * (cc * alpha / 2)
@@ -57,23 +48,10 @@ func Chebyshev(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, eigMin, eigMa
 		o.axpy(x, alpha, pv)
 		o.apply(A, pv, q)
 		o.axpy(r, -alpha, q)
-		if k%checkEvery == 0 || k == opt.MaxIter {
-			rn = math.Sqrt(o.mergeScalar(r.NormSqLocal()))
-			st.DotProducts++
-			rel := rn / bn
-			o.record(rel, opt)
-			if rel <= opt.Tol {
-				st.Converged = true
-				st.Residual = rel
-				return st, nil
-			}
+		// The one norm per checkEvery iterations, and one at the last.
+		if (k%checkEvery == 0 || k == o.opt.MaxIter) && o.check(math.Sqrt(o.normSq(r))/o.bn) {
+			return o.finish()
 		}
 	}
-	rn = math.Sqrt(o.mergeScalar(r.NormSqLocal()))
-	st.DotProducts++
-	st.Residual = rn / bn
-	if st.Residual <= opt.Tol {
-		st.Converged = true
-	}
-	return st, nil
+	return o.finish()
 }

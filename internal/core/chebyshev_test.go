@@ -59,3 +59,35 @@ func TestDistributedChebyshevValidation(t *testing.T) {
 		}
 	})
 }
+
+// A solve that runs out of iterations pays one norm round per
+// checkEvery iterations plus the one at MaxIter, and no more: 25
+// iterations check at 10, 20 and 25, so with the setup round that is 4
+// rounds and 5 dots, and Residual is the iteration-25 check.
+func TestChebyshevMaxIterMergesOnce(t *testing.T) {
+	n := 64
+	A := sparse.Laplace1D(n)
+	eigMin := 2 - 2*math.Cos(math.Pi/float64(n+1))
+	eigMax := 2 - 2*math.Cos(float64(n)*math.Pi/float64(n+1))
+	b := sparse.RandomVector(n, 6)
+	for _, np := range []int{1, 4} {
+		d := dist.NewBlock(n, np)
+		machine(np).Run(func(p *comm.Proc) {
+			op := spmv.NewRowBlockCSR(p, A, d)
+			bv := darray.New(p, d)
+			xv := darray.New(p, d)
+			bv.SetGlobal(func(g int) float64 { return b[g] })
+			st, err := Chebyshev(p, op, bv, xv, eigMin, eigMax, Options{Tol: 1e-300, MaxIter: 25, History: true})
+			if err != nil {
+				t.Errorf("np=%d: %v", np, err)
+				return
+			}
+			if st.Converged || st.Iterations != 25 || st.Reductions != 4 || st.DotProducts != 5 {
+				t.Errorf("np=%d: %v, want 25 unconverged iterations in 4 rounds and 5 dots", np, st)
+			}
+			if len(st.History) != 3 || st.Residual != st.History[2] {
+				t.Errorf("np=%d: residual %g, history %v: want the last of 3 checks", np, st.Residual, st.History)
+			}
+		})
+	}
+}

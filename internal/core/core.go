@@ -21,14 +21,23 @@
 // (SPMD); scalars such as rho and alpha are produced by collective
 // reductions, so control flow stays identical across processors.
 //
-// That loop is written once (the unexported cg recurrence: seed,
-// restart, iterate), and §2.1's view of every other method as a small
-// delta on it is how the CG family is built: CG and PCG are its
-// prologue, CGResilient a restore-or-clean prologue plus a checkpoint
-// hook on each iteration, CGSStep and CGPipelined replacement loops
-// whose guard-trip tail is restart + iterate. CGFused, and CGUnfused —
-// the literal three-round Figure 2 kept as E19's baseline — are
-// different recurrences and stand alone, as do BiCG, CGS and BiCGSTAB.
+// What every method shares is written once, in the unexported solver
+// skeleton: one prologue (open: defaulted options, the Stats, the
+// workspace, r = b − A·x and ‖b‖ merged in one round, and the early
+// exit when x already meets the tolerance), one r = b − A·x step, one
+// stop test (check, or stop outside an iteration), one close (finish)
+// and one breakdown error. Each method keeps only its recurrence.
+//
+// The Figure 2 loop itself is written once too (the unexported cg
+// recurrence: seed, restart, iterate), and §2.1's view of every other
+// method as a small delta on it is how the CG family is built: CG and
+// PCG are the prologue plus that loop, CGResilient a restore-or-clean
+// prologue plus a checkpoint hook on each iteration, CGSStep and
+// CGPipelined replacement loops whose guard-trip tail is restart +
+// iterate. CGFused, and CGUnfused — the literal three-round Figure 2
+// kept as E19's baseline, which keeps its unbatched setup rounds — are
+// different recurrences on the same skeleton, as are BiCG, CGS,
+// BiCGSTAB and Chebyshev.
 //
 // The solvers are communication-avoiding in the scalar merges: local
 // dot-product partials that the textbook form merges one at a time are
@@ -100,7 +109,8 @@ type Stats struct {
 	// Checkpoints, Restores and Replacements count CGResilient's
 	// resilience actions in this attempt: checkpoints written, restores
 	// performed at entry, and residual replacements the guard forced.
-	// Zero for the non-resilient solvers.
+	// CGSStep and CGPipelined count their guard trip as a replacement
+	// too: the tail of such a solve ran as plain CG. Zero otherwise.
 	Checkpoints  int
 	Restores     int
 	Replacements int
@@ -108,15 +118,6 @@ type Stats struct {
 	// clean start); Iterations stays the global count, so the attempt
 	// itself ran Iterations - StartIteration iterations.
 	StartIteration int
-	// SStep is the s-step blocking factor CGSStep ran with (1 = plain
-	// CG, 0 for the other solvers). When the stability guard tripped,
-	// Replacements is nonzero and the tail of the solve ran at s=1.
-	SStep int
-	// Pipelined reports that CGPipelined ran with overlap enabled: one
-	// nonblocking allreduce per iteration, hidden behind the mat-vec.
-	// When its drift guard tripped, Replacements is nonzero and the
-	// tail of the solve ran as plain CG.
-	Pipelined bool
 }
 
 // String summarises the stats.
@@ -125,175 +126,66 @@ func (s Stats) String() string {
 		s.Iterations, s.Converged, s.Residual, s.MatVecs, s.TransMatVecs, s.DotProducts, s.AXPYs, s.Reductions)
 }
 
-// newStats builds the Stats for a solve, preallocating the residual
-// history to its MaxIter bound so record never reallocates mid-solve.
-func newStats(opt Options) Stats {
-	var st Stats
-	if opt.History {
-		st.History = make([]float64, 0, opt.MaxIter)
-	}
-	return st
-}
-
-type ops struct {
-	s *Stats
-	p *comm.Proc
-}
-
-func (o ops) dot(a, b *darray.Vector) float64 {
-	o.s.DotProducts++
-	o.s.Reductions++
-	return a.Dot(b)
-}
-
-// dotLocal is the communication-free half of a dot product; the caller
-// batches the partial into a merge round.
-func (o ops) dotLocal(a, b *darray.Vector) float64 {
-	o.s.DotProducts++
-	return a.DotLocal(b)
-}
-
-// mergeScalar merges one local partial sum in a single allreduce round.
-func (o ops) mergeScalar(v float64) float64 {
-	o.s.Reductions++
-	return o.p.AllreduceScalar(v, comm.OpSum)
-}
-
-// merge combines several local partial sums in ONE batched allreduce
-// round — the fused form of len(d) separate mergeScalar calls, with
-// identical element-wise arithmetic (so identical results) but a single
-// t_s·log NP synchronisation.
-func (o ops) merge(d []float64) {
-	o.s.Reductions++
-	o.p.AllreduceScalars(d, comm.OpSum)
-}
-
-func (o ops) axpy(y *darray.Vector, alpha float64, x *darray.Vector) {
-	o.s.AXPYs++
-	y.AXPY(alpha, x)
-}
-
-// axpyNormSqLocal fuses y += alpha*x with the local partial of the
-// updated ||y||² (one sweep instead of two, bit-identical results).
-func (o ops) axpyNormSqLocal(y *darray.Vector, alpha float64, x *darray.Vector) float64 {
-	o.s.AXPYs++
-	o.s.DotProducts++
-	return y.AXPYNormSqLocal(alpha, x)
-}
-
-func (o ops) aypx(y *darray.Vector, beta float64, x *darray.Vector) {
-	o.s.AXPYs++
-	y.AYPX(beta, x)
-}
-
-func (o ops) apply(A spmv.Operator, x, y *darray.Vector) {
-	o.s.MatVecs++
-	A.Apply(x, y)
-}
-
-// applyDotLocal computes y = A·x and the local partial of x·y — in one
-// matrix pass when the operator supports fusion (spmv.FusedOperator),
-// or as Apply followed by the local dot otherwise. Either way the
-// partial is bit-identical and no communication happens here; the
-// caller batches it into a merge round.
-func (o ops) applyDotLocal(A spmv.Operator, x, y *darray.Vector) float64 {
-	o.s.MatVecs++
-	o.s.DotProducts++
-	if f, ok := A.(spmv.FusedOperator); ok {
-		return f.ApplyDot(x, y)
-	}
-	A.Apply(x, y)
-	return x.DotLocal(y)
-}
-
-func (o ops) applyT(A spmv.TransposeOperator, x, y *darray.Vector) {
-	o.s.TransMatVecs++
-	A.ApplyT(x, y)
-}
-
-func (o ops) record(rel float64, opt Options) {
-	if opt.History {
-		o.s.History = append(o.s.History, rel)
-	}
-}
-
-// residual0 computes r = b - A*x and returns (||r||², ||b||), merging
-// the two setup norms in one batched round (counting one matvec and two
-// dots). ||r||² is returned unsquare-rooted because CG reuses it as the
-// initial rho.
-func residual0(o ops, A spmv.Operator, b, x, r *darray.Vector) (rnsq, bn float64) {
-	o.apply(A, x, r)
-	r.Scale(-1)
-	o.axpy(r, 1, b)
-	var d [2]float64
-	d[0] = r.NormSqLocal()
-	d[1] = b.NormSqLocal()
-	o.s.DotProducts += 2
-	o.merge(d[:])
-	bn = math.Sqrt(d[1])
-	if bn == 0 {
-		bn = 1
-	}
-	return d[0], bn
-}
-
 // cg is the loop state of the plain (preconditioned) CG recurrence —
 // the one place the Figure 2 update lives. Every solver built on it
-// adds only what differs: CG and PCG a prologue, CGResilient a
+// adds only what differs: CG and PCG the prologue, CGResilient a
 // restore-or-clean prologue and a checkpointer, CGSStep and CGPipelined
 // their own loops with restart + iterate as the guard-trip tail. The
-// Stats travel beside the state (in ops), not inside it, so they stay
-// on the caller's stack.
+// Stats travel beside the state (in the solver), not inside it.
 type cg struct {
 	A spmv.Operator
 	M Preconditioner // nil: z aliases r and rho is ‖r‖²
 	// b and x are the caller's; r, z, p, q the solver's temporaries.
 	b, x, r, z, p, q *darray.Vector
-	rho, bn          float64
-	rel              float64 // ‖r‖/‖b‖ after the last completed step
+	rho              float64
 }
 
-// newCG takes the recurrence's temporaries from w.
-func newCG(w *Workspace, A spmv.Operator, M Preconditioner, b, x *darray.Vector) cg {
-	c := cg{A: A, M: M, b: b, x: x, r: w.take(b)}
-	c.z = c.r
+// newCG builds the recurrence over the solver's r, taking the other
+// temporaries from its workspace.
+func newCG(o *solver, A spmv.Operator, M Preconditioner, b, x *darray.Vector) cg {
+	c := cg{A: A, M: M, b: b, x: x, r: o.r, z: o.r}
 	if M != nil {
-		c.z = w.take(b)
+		c.z = o.w.take(b)
 	}
-	c.p, c.q = w.take(b), w.take(b)
+	c.p, c.q = o.w.take(b), o.w.take(b)
 	return c
 }
 
 // seed starts the recurrence from the residual held in r, whose merged
-// ‖r‖² is rnsq: p = z = M⁻¹·r and rho = r·z. It reports true, with the
-// Stats closed, when that residual already meets the tolerance.
-func (c *cg) seed(o ops, opt Options, rnsq float64) bool {
-	c.rel = math.Sqrt(rnsq) / c.bn
-	if c.rel <= opt.Tol {
-		o.s.Converged = true
-		o.s.Residual = c.rel
-		return true
-	}
+// ‖r‖² is rnsq: p = z = M⁻¹·r and rho = r·z.
+func (c *cg) seed(o *solver, rnsq float64) {
 	c.rho = rnsq
 	if c.M != nil {
 		c.M.Apply(c.r, c.z)
 		c.rho = o.dot(c.r, c.z)
 	}
 	c.p.CopyFrom(c.z)
-	return false
 }
 
 // restart is the explicit residual replacement r = b − A·x followed by
-// seed: the recurrence starts over from the current x. It is what a
-// variant whose own recurrence drifted falls back through, and how a
+// seed: the recurrence starts over from the current x. It reports true
+// when that residual already meets the tolerance. It is what a variant
+// whose own recurrence drifted falls back through, and how a
 // convergence claim is confirmed against the true residual.
-func (c *cg) restart(o ops, opt Options) bool {
-	o.apply(c.A, c.x, c.r)
-	c.r.Scale(-1)
-	o.axpy(c.r, 1, c.b)
-	rnsq := o.mergeScalar(c.r.NormSqLocal())
-	o.s.DotProducts++
-	return c.seed(o, opt, rnsq)
+func (c *cg) restart(o *solver) bool {
+	o.residual(c.A, c.b, c.x, c.r)
+	rnsq := o.normSq(c.r)
+	if o.stop(math.Sqrt(rnsq) / o.bn) {
+		return true
+	}
+	c.seed(o, rnsq)
+	return false
+}
+
+// resume is the guard-trip tail of CGSStep and CGPipelined: one
+// counted residual replacement, then the plain recurrence from the
+// current x — stability priced, never the answer.
+func (c *cg) resume(o *solver) (Stats, error) {
+	o.Replacements++
+	if c.restart(o) {
+		return o.finish()
+	}
+	return c.iterate(o, nil)
 }
 
 // iterate runs the recurrence from iteration Stats.Iterations+1 to
@@ -309,14 +201,14 @@ func (c *cg) restart(o ops, opt Options) bool {
 // second two words wide (the hoist spends one discarded M-solve on the
 // final iteration). ck, when non-nil, is told of every iteration's
 // start and unconverged end.
-func (c *cg) iterate(o ops, opt Options, ck *checkpointer) error {
-	for k := o.s.Iterations + 1; k <= opt.MaxIter; k++ {
-		o.s.Iterations = k
+func (c *cg) iterate(o *solver, ck *checkpointer) (Stats, error) {
+	for k := o.Iterations + 1; k <= o.opt.MaxIter; k++ {
+		o.Iterations = k
 		ck.begin(k)
 		// Round 1: q = A·p fused with the p·q partial.
 		pq := o.mergeScalar(o.applyDotLocal(c.A, c.p, c.q))
 		if pq == 0 {
-			return fmt.Errorf("%w: p·Ap = 0 at iteration %d", ErrBreakdown, k)
+			return o.breakdown("p·Ap", k)
 		}
 		alpha := c.rho / pq
 		o.axpy(c.x, alpha, c.p)
@@ -333,22 +225,17 @@ func (c *cg) iterate(o ops, opt Options, ck *checkpointer) error {
 			o.merge(d[:])
 			rnsq, c.rho = d[0], d[1]
 		}
-		c.rel = math.Sqrt(rnsq) / c.bn
-		o.record(c.rel, opt)
-		if c.rel <= opt.Tol {
-			o.s.Converged = true
-			o.s.Residual = c.rel
-			return nil
+		if o.check(math.Sqrt(rnsq) / o.bn) {
+			return o.finish()
 		}
 		if rho0 == 0 {
-			return fmt.Errorf("%w: rho = 0 at iteration %d", ErrBreakdown, k)
+			return o.breakdown("rho", k)
 		}
 		beta := c.rho / rho0
 		o.aypx(c.p, beta, c.z)
 		ck.end(k, c, o)
 	}
-	o.s.Residual = c.rel
-	return nil
+	return o.finish()
 }
 
 // CG solves A·x = b on the distributed machine — the Figure 2 HPF
@@ -362,17 +249,14 @@ func CG(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options) (Stats,
 // PCG is CG with a distributed preconditioner (z = M⁻¹r per
 // iteration); a nil M is plain CG, whose norm merge stays one word wide.
 func PCG(p *comm.Proc, A spmv.Operator, M Preconditioner, b, x *darray.Vector, opt Options) (Stats, error) {
-	opt = opt.withDefaults(A.N())
-	st := newStats(opt)
-	o := ops{s: &st, p: p}
-	c := newCG(opt.Work.begin(), A, M, b, x)
-	var rnsq float64
-	rnsq, c.bn = residual0(o, A, b, x, c.r)
-	if c.seed(o, opt, rnsq) {
-		return st, nil
+	var o solver
+	rnsq, done := o.open(p, A, b, x, opt)
+	if done {
+		return o.finish()
 	}
-	err := c.iterate(o, opt, nil)
-	return st, err
+	c := newCG(&o, A, M, b, x)
+	c.seed(&o, rnsq)
+	return c.iterate(&o, nil)
 }
 
 // CGFused is the single-reduction rearrangement of CG: the scalars an
@@ -391,26 +275,17 @@ func PCG(p *comm.Proc, A spmv.Operator, M Preconditioner, b, x *darray.Vector, o
 // explicitly merged norm whenever the recurrence goes nonpositive or
 // signals convergence.
 func CGFused(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options) (Stats, error) {
-	opt = opt.withDefaults(A.N())
-	st := newStats(opt)
-	o := ops{s: &st, p: p}
-	w := opt.Work.begin()
-
-	r := w.take(b)
-	rnsq, bn := residual0(o, A, b, x, r)
-	rn := math.Sqrt(rnsq)
-	if rn/bn <= opt.Tol {
-		st.Converged = true
-		st.Residual = rn / bn
-		return st, nil
+	var o solver
+	if _, done := o.open(p, A, b, x, opt); done {
+		return o.finish()
 	}
-	pv := w.take(b)
-	pv.CopyFrom(r)
-	q := w.take(b)
+	r := o.r
+	pv := o.w.copyOf(r)
+	q := o.w.take(b)
 	var d [4]float64
 
-	for k := 1; k <= opt.MaxIter; k++ {
-		st.Iterations = k
+	for k := 1; k <= o.opt.MaxIter; k++ {
+		o.Iterations = k
 		// The single round: {p·q, r·q, q·q, r·r} batched.
 		d[0] = o.applyDotLocal(A, pv, q)
 		d[1] = o.dotLocal(r, q)
@@ -420,93 +295,71 @@ func CGFused(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options) (S
 		pq, rq, qq := d[0], d[1], d[2]
 		rho := d[3]
 		if pq == 0 {
-			return st, fmt.Errorf("%w: p·Ap = 0 at iteration %d", ErrBreakdown, k)
+			return o.breakdown("p·Ap", k)
 		}
 		alpha := rho / pq
 		o.axpy(x, alpha, pv)
 		o.axpy(r, -alpha, q)
-		rnsq = rho - 2*alpha*rq + alpha*alpha*qq
-		rn = math.Sqrt(rnsq)
-		if rnsq <= 0 || rn/bn <= opt.Tol {
+		rnsq := rho - 2*alpha*rq + alpha*alpha*qq
+		if rnsq <= 0 || math.Sqrt(rnsq)/o.bn <= o.opt.Tol {
 			// The recurrence has drifted or claims convergence:
 			// confirm with an explicit norm (one extra round, only
 			// paid near the end of the solve).
-			rnsq = o.mergeScalar(r.NormSqLocal())
-			st.DotProducts++
-			rn = math.Sqrt(rnsq)
+			rnsq = o.normSq(r)
 		}
-		rel := rn / bn
-		o.record(rel, opt)
-		if rel <= opt.Tol {
-			st.Converged = true
-			st.Residual = rel
-			return st, nil
+		if o.check(math.Sqrt(rnsq) / o.bn) {
+			return o.finish()
 		}
 		beta := rnsq / rho
 		o.aypx(pv, beta, r)
 	}
-	st.Residual = rn / bn
-	return st, nil
+	return o.finish()
 }
 
 // CGUnfused is the literal Figure 2 transcription kept as the
 // measurement baseline for experiment E19: every scalar merges in its
-// own allreduce round — DOT_PRODUCT(p,q), the convergence norm, and a
-// recomputed DOT_PRODUCT(r,r), three rounds per iteration — with fresh
-// work vectors every call. Its iterates are bit-identical to CG's (the
-// fusions reorder no arithmetic); only the synchronisation and
-// allocation behaviour differ.
+// own allreduce round — the two setup norms, DOT_PRODUCT(p,q), the
+// convergence norm, and a recomputed DOT_PRODUCT(r,r), three rounds per
+// iteration — with fresh work vectors every call. Its iterates are
+// bit-identical to CG's (the fusions reorder no arithmetic); only the
+// synchronisation and allocation behaviour differ.
 func CGUnfused(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options) (Stats, error) {
-	opt = opt.withDefaults(A.N())
-	st := newStats(opt)
-	o := ops{s: &st, p: p}
-
-	r := darray.NewAligned(b)
-	o.apply(A, x, r)
-	r.Scale(-1)
-	o.axpy(r, 1, b)
+	var o solver
+	opt.Work = nil // the baseline allocates its vectors fresh
+	o.begin(p, A.N(), b, opt)
+	r := o.r
+	o.residual(A, b, x, r)
 	rn := math.Sqrt(o.dot(r, r))
-	bn := math.Sqrt(o.dot(b, b))
-	if bn == 0 {
-		bn = 1
+	o.setNorm(o.dot(b, b))
+	if o.stop(rn / o.bn) {
+		return o.finish()
 	}
-	if rn/bn <= opt.Tol {
-		st.Converged = true
-		st.Residual = rn / bn
-		return st, nil
-	}
-	pv := r.Clone()
-	q := darray.NewAligned(b)
+	pv := o.w.copyOf(r)
+	q := o.w.take(b)
 	rho := o.dot(r, r)
 
-	for k := 1; k <= opt.MaxIter; k++ {
-		st.Iterations = k
+	for k := 1; k <= o.opt.MaxIter; k++ {
+		o.Iterations = k
 		o.apply(A, pv, q)
 		pq := o.dot(pv, q)
 		if pq == 0 {
-			return st, fmt.Errorf("%w: p·Ap = 0 at iteration %d", ErrBreakdown, k)
+			return o.breakdown("p·Ap", k)
 		}
 		alpha := rho / pq
 		o.axpy(x, alpha, pv)
 		o.axpy(r, -alpha, q)
-		rn = math.Sqrt(o.dot(r, r))
-		rel := rn / bn
-		o.record(rel, opt)
-		if rel <= opt.Tol {
-			st.Converged = true
-			st.Residual = rel
-			return st, nil
+		if o.check(math.Sqrt(o.dot(r, r)) / o.bn) {
+			return o.finish()
 		}
 		rho0 := rho
 		rho = o.dot(r, r)
 		if rho0 == 0 {
-			return st, fmt.Errorf("%w: rho = 0 at iteration %d", ErrBreakdown, k)
+			return o.breakdown("rho", k)
 		}
 		beta := rho / rho0
 		o.aypx(pv, beta, r)
 	}
-	st.Residual = rn / bn
-	return st, nil
+	return o.finish()
 }
 
 // BiCG solves a general system using the two-residual recurrence. A
@@ -515,37 +368,27 @@ func CGUnfused(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options) 
 // why the paper singles BiCG out. The convergence norm and
 // DOT_PRODUCT(r̃,r) batch into one round: two merges per iteration.
 func BiCG(p *comm.Proc, A spmv.TransposeOperator, b, x *darray.Vector, opt Options) (Stats, error) {
-	opt = opt.withDefaults(A.N())
-	st := newStats(opt)
-	o := ops{s: &st, p: p}
-	w := opt.Work.begin()
-
-	r := w.take(b)
-	rnsq, bn := residual0(o, A, b, x, r)
-	rn := math.Sqrt(rnsq)
-	if rn/bn <= opt.Tol {
-		st.Converged = true
-		st.Residual = rn / bn
-		return st, nil
+	var o solver
+	// r̃ = r initially, so DOT_PRODUCT(r̃,r) = ||r||².
+	rho, done := o.open(p, A, b, x, opt)
+	if done {
+		return o.finish()
 	}
-	rt := w.take(b)
-	rt.CopyFrom(r)
-	pv := w.take(b)
-	pv.CopyFrom(r)
-	pt := w.take(b)
-	pt.CopyFrom(rt)
+	r, w := o.r, o.w
+	rt := w.copyOf(r)
+	pv := w.copyOf(r)
+	pt := w.copyOf(rt)
 	q := w.take(b)
 	qt := w.take(b)
-	rho := rnsq // r̃ = r initially, so DOT_PRODUCT(r̃,r) = ||r||²
 	var d [2]float64
 
-	for k := 1; k <= opt.MaxIter; k++ {
-		st.Iterations = k
+	for k := 1; k <= o.opt.MaxIter; k++ {
+		o.Iterations = k
 		o.apply(A, pv, q)
 		o.applyT(A, pt, qt)
 		ptq := o.mergeScalar(o.dotLocal(pt, q))
 		if ptq == 0 {
-			return st, fmt.Errorf("%w: p̃·Ap = 0 at iteration %d", ErrBreakdown, k)
+			return o.breakdown("p̃·Ap", k)
 		}
 		alpha := rho / ptq
 		o.axpy(x, alpha, pv)
@@ -553,62 +396,45 @@ func BiCG(p *comm.Proc, A spmv.TransposeOperator, b, x *darray.Vector, opt Optio
 		o.axpy(rt, -alpha, qt)
 		d[1] = o.dotLocal(rt, r)
 		o.merge(d[:])
-		rn = math.Sqrt(d[0])
-		rel := rn / bn
-		o.record(rel, opt)
-		if rel <= opt.Tol {
-			st.Converged = true
-			st.Residual = rel
-			return st, nil
+		if o.check(math.Sqrt(d[0]) / o.bn) {
+			return o.finish()
 		}
 		rho0 := rho
 		rho = d[1]
 		if rho == 0 || rho0 == 0 {
-			return st, fmt.Errorf("%w: rho = 0 at iteration %d", ErrBreakdown, k)
+			return o.breakdown("rho", k)
 		}
 		beta := rho / rho0
 		o.aypx(pv, beta, r)
 		o.aypx(pt, beta, rt)
 	}
-	st.Residual = rn / bn
-	return st, nil
+	return o.finish()
 }
 
 // CGS avoids A^T with two forward products per iteration (§2.1), at
 // the cost of possibly irregular convergence. Two merge rounds per
 // iteration (sigma, then the batched norm + rho).
 func CGS(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options) (Stats, error) {
-	opt = opt.withDefaults(A.N())
-	st := newStats(opt)
-	o := ops{s: &st, p: p}
-	w := opt.Work.begin()
-
-	r := w.take(b)
-	rnsq, bn := residual0(o, A, b, x, r)
-	rn := math.Sqrt(rnsq)
-	if rn/bn <= opt.Tol {
-		st.Converged = true
-		st.Residual = rn / bn
-		return st, nil
+	var o solver
+	rho, done := o.open(p, A, b, x, opt)
+	if done {
+		return o.finish()
 	}
-	rt := w.take(b)
-	rt.CopyFrom(r)
-	pv := w.take(b)
-	pv.CopyFrom(r)
-	u := w.take(b)
-	u.CopyFrom(r)
+	r, w := o.r, o.w
+	rt := w.copyOf(r)
+	pv := w.copyOf(r)
+	u := w.copyOf(r)
 	qv := w.take(b)
 	vh := w.take(b)
 	uq := w.take(b)
-	rho := rnsq
 	var d [2]float64
 
-	for k := 1; k <= opt.MaxIter; k++ {
-		st.Iterations = k
+	for k := 1; k <= o.opt.MaxIter; k++ {
+		o.Iterations = k
 		o.apply(A, pv, vh)
 		sigma := o.mergeScalar(o.dotLocal(rt, vh))
 		if sigma == 0 {
-			return st, fmt.Errorf("%w: r̃·Ap = 0 at iteration %d", ErrBreakdown, k)
+			return o.breakdown("r̃·Ap", k)
 		}
 		alpha := rho / sigma
 		qv.CopyFrom(u)
@@ -620,18 +446,13 @@ func CGS(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options) (Stats
 		d[0] = o.axpyNormSqLocal(r, -alpha, vh)
 		d[1] = o.dotLocal(rt, r)
 		o.merge(d[:])
-		rn = math.Sqrt(d[0])
-		rel := rn / bn
-		o.record(rel, opt)
-		if rel <= opt.Tol {
-			st.Converged = true
-			st.Residual = rel
-			return st, nil
+		if o.check(math.Sqrt(d[0]) / o.bn) {
+			return o.finish()
 		}
 		rho0 := rho
 		rho = d[1]
 		if rho == 0 || rho0 == 0 {
-			return st, fmt.Errorf("%w: rho = 0 at iteration %d", ErrBreakdown, k)
+			return o.breakdown("rho", k)
 		}
 		beta := rho / rho0
 		u.CopyFrom(r)
@@ -640,8 +461,7 @@ func CGS(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options) (Stats
 		o.aypx(pv, beta, qv) // p = beta*p + q
 		o.aypx(pv, beta, u)  // p = beta*p + u
 	}
-	st.Residual = rn / bn
-	return st, nil
+	return o.finish()
 }
 
 // BiCGSTAB is the stabilized variant: no A^T, two forward products and
@@ -649,35 +469,25 @@ func CGS(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options) (Stats
 // the DOT_PRODUCT intrinsic. Batching pairs them into three allreduce
 // merges per loop: r̃·Ap, then {t·t, t·s}, then the norm with r̃·r.
 func BiCGSTAB(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options) (Stats, error) {
-	opt = opt.withDefaults(A.N())
-	st := newStats(opt)
-	o := ops{s: &st, p: p}
-	w := opt.Work.begin()
-
-	r := w.take(b)
-	rnsq, bn := residual0(o, A, b, x, r)
-	rn := math.Sqrt(rnsq)
-	if rn/bn <= opt.Tol {
-		st.Converged = true
-		st.Residual = rn / bn
-		return st, nil
+	var o solver
+	rho, done := o.open(p, A, b, x, opt)
+	if done {
+		return o.finish()
 	}
-	rt := w.take(b)
-	rt.CopyFrom(r)
-	pv := w.take(b)
-	pv.CopyFrom(r)
+	r, w := o.r, o.w
+	rt := w.copyOf(r)
+	pv := w.copyOf(r)
 	v := w.take(b)
 	s := w.take(b)
 	tv := w.take(b)
-	rho := rnsq
 	var d [2]float64
 
-	for k := 1; k <= opt.MaxIter; k++ {
-		st.Iterations = k
+	for k := 1; k <= o.opt.MaxIter; k++ {
+		o.Iterations = k
 		o.apply(A, pv, v)
 		rtv := o.mergeScalar(o.dotLocal(rt, v))
 		if rtv == 0 {
-			return st, fmt.Errorf("%w: r̃·Ap = 0 at iteration %d", ErrBreakdown, k)
+			return o.breakdown("r̃·Ap", k)
 		}
 		alpha := rho / rtv
 		s.CopyFrom(r)
@@ -694,16 +504,10 @@ func BiCGSTAB(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options) (
 		if omega == 0 {
 			o.axpy(x, alpha, pv)
 			r.CopyFrom(s)
-			rn = math.Sqrt(o.mergeScalar(r.NormSqLocal()))
-			st.DotProducts++
-			rel := rn / bn
-			o.record(rel, opt)
-			if rel <= opt.Tol {
-				st.Converged = true
-				st.Residual = rel
-				return st, nil
+			if o.check(math.Sqrt(o.normSq(r)) / o.bn) {
+				return o.finish()
 			}
-			return st, fmt.Errorf("%w: omega = 0 at iteration %d", ErrBreakdown, k)
+			return o.breakdown("omega", k)
 		}
 		o.axpy(x, alpha, pv)
 		o.axpy(x, omega, s)
@@ -711,23 +515,17 @@ func BiCGSTAB(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options) (
 		d[0] = o.axpyNormSqLocal(r, -omega, tv)
 		d[1] = o.dotLocal(rt, r)
 		o.merge(d[:])
-		rn = math.Sqrt(d[0])
-		rel := rn / bn
-		o.record(rel, opt)
-		if rel <= opt.Tol {
-			st.Converged = true
-			st.Residual = rel
-			return st, nil
+		if o.check(math.Sqrt(d[0]) / o.bn) {
+			return o.finish()
 		}
 		rho0 := rho
 		rho = d[1]
 		if rho == 0 || rho0 == 0 {
-			return st, fmt.Errorf("%w: rho = 0 at iteration %d", ErrBreakdown, k)
+			return o.breakdown("rho", k)
 		}
 		beta := (rho / rho0) * (alpha / omega)
 		o.axpy(pv, -omega, v) // p = p - omega*v
 		o.aypx(pv, beta, r)   // p = beta*p + r
 	}
-	st.Residual = rn / bn
-	return st, nil
+	return o.finish()
 }

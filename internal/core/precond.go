@@ -14,8 +14,6 @@ import (
 type Preconditioner interface {
 	// Apply computes z = M⁻¹·r; r and z must be aligned.
 	Apply(r, z *darray.Vector)
-	// Name identifies the preconditioner in reports.
-	Name() string
 }
 
 // Identity is the no-op preconditioner.
@@ -23,9 +21,6 @@ type Identity struct{}
 
 // Apply implements Preconditioner.
 func (Identity) Apply(r, z *darray.Vector) { z.CopyFrom(r) }
-
-// Name implements Preconditioner.
-func (Identity) Name() string { return "none" }
 
 // Jacobi is distributed diagonal scaling. Because the diagonal is
 // aligned with the vectors, the application is purely local — the only
@@ -76,6 +71,3 @@ func (j *Jacobi) Apply(r, z *darray.Vector) {
 	}
 	j.p.Compute(len(rl))
 }
-
-// Name implements Preconditioner.
-func (j *Jacobi) Name() string { return "jacobi" }

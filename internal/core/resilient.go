@@ -146,58 +146,46 @@ func CGResilient(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options
 	if res.Store == nil {
 		panic("core: CGResilient requires Resilience.Store")
 	}
-	opt = opt.withDefaults(A.N())
-	st := newStats(opt)
-	o := ops{s: &st, p: p}
-	c := newCG(opt.Work.begin(), A, nil, b, x)
+	var o solver
 	ck := checkpointer{cs: res.Store, rank: p.Rank(), interval: res.Interval}
-
-	if slot, citer := ck.cs.Latest(); citer >= 0 {
-		// Rollback restart: resume from the newest complete checkpoint.
-		// The restored (x, r, p, rho) are bit-exact copies of the loop
-		// state after iteration citer, so the continuation replays the
-		// fault-free trajectory exactly — unless the guard below finds
-		// the recurrence residual has drifted from the truth.
-		c.rho = ck.cs.restore(slot, ck.rank, x, c.r, c.p)
-		st.Restores++
-		st.Iterations, st.StartIteration = citer, citer
-		ck.cs.reached[ck.rank] = citer
-		c.bn = math.Sqrt(o.mergeScalar(b.NormSqLocal()))
-		st.DotProducts++
-		if c.bn == 0 {
-			c.bn = 1
-		}
-		// Residual-replacement guard: one extra mat-vec per restore.
-		o.apply(A, x, c.q)
-		c.q.Scale(-1)
-		o.axpy(c.q, 1, b) // q = b - A·x, the true residual
-		var d [2]float64
-		d[0] = c.q.DiffNormSqLocal(c.r)
-		d[1] = c.q.NormSqLocal()
-		st.DotProducts += 2
-		o.merge(d[:])
-		if math.Sqrt(d[0]) > restoreGuardTol*c.bn {
-			c.r.CopyFrom(c.q)
-			c.rho = d[1]
-			st.Replacements++
-		}
-		c.rel = math.Sqrt(c.rho) / c.bn
-		if c.rel <= opt.Tol {
-			st.Converged = true
-			st.Residual = c.rel
-			return st, nil
-		}
-	} else {
+	slot, citer := ck.cs.Latest()
+	if citer < 0 {
 		// Clean start: CG's prologue.
 		ck.cs.reached[ck.rank] = 0
-		var rnsq float64
-		rnsq, c.bn = residual0(o, A, b, x, c.r)
-		if c.seed(o, opt, rnsq) {
-			return st, nil
+		rnsq, done := o.open(p, A, b, x, opt)
+		if done {
+			return o.finish()
 		}
+		c := newCG(&o, A, nil, b, x)
+		c.seed(&o, rnsq)
+		return c.iterate(&o, &ck)
 	}
-	err := c.iterate(o, opt, &ck)
-	return st, err
+	// Rollback restart: resume from the newest complete checkpoint. The
+	// restored (x, r, p, rho) are bit-exact copies of the loop state
+	// after iteration citer, so the continuation replays the fault-free
+	// trajectory exactly — unless the guard below finds the recurrence
+	// residual has drifted from the truth.
+	o.begin(p, A.N(), b, opt)
+	c := newCG(&o, A, nil, b, x)
+	c.rho = ck.cs.restore(slot, ck.rank, x, c.r, c.p)
+	o.Restores++
+	o.Iterations, o.StartIteration = citer, citer
+	ck.cs.reached[ck.rank] = citer
+	o.setNorm(o.normSq(b))
+	// Residual-replacement guard: one extra mat-vec per restore.
+	o.residual(A, b, x, c.q) // q = b - A·x, the true residual
+	d := [2]float64{c.q.DiffNormSqLocal(c.r), c.q.NormSqLocal()}
+	o.DotProducts += 2
+	o.merge(d[:])
+	if math.Sqrt(d[0]) > restoreGuardTol*o.bn {
+		c.r.CopyFrom(c.q)
+		c.rho = d[1]
+		o.Replacements++
+	}
+	if o.stop(math.Sqrt(c.rho) / o.bn) {
+		return o.finish()
+	}
+	return c.iterate(&o, &ck)
 }
 
 // checkpointer is what CGResilient adds to each iteration of the plain
@@ -217,14 +205,14 @@ func (ck *checkpointer) begin(k int) {
 
 // end writes the checkpoint after an unconverged iteration k when one
 // is due.
-func (ck *checkpointer) end(k int, c *cg, o ops) {
+func (ck *checkpointer) end(k int, c *cg, o *solver) {
 	if ck == nil || ck.interval <= 0 || k%ck.interval != 0 {
 		return
 	}
 	// Alternate slots by checkpoint generation so a crash during
 	// generation g+1 leaves generation g intact.
 	ck.cs.save((k/ck.interval)%2, ck.rank, k, c.rho, c.x, c.r, c.p)
-	o.s.Checkpoints++
+	o.Checkpoints++
 	// Charge the stable-storage write: three vectors of 8-byte words
 	// per rank, modeled like one message injection.
 	o.p.ChargeIO(3 * 8 * len(c.x.Local()))

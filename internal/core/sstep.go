@@ -56,27 +56,15 @@ const driftTol = 1e-3
 // iterations.
 func CGSStep(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options, s int) (Stats, error) {
 	if s <= 1 {
-		st, err := CG(p, A, b, x, opt)
-		st.SStep = 1
-		return st, err
+		return CG(p, A, b, x, opt)
 	}
-	opt = opt.withDefaults(A.N())
-	st := newStats(opt)
-	st.SStep = s
-	o := ops{s: &st, p: p}
-	w := opt.Work.begin()
-
-	r := w.take(b)
-	rnsq, bn := residual0(o, A, b, x, r)
-	rn := math.Sqrt(rnsq)
-	if rn/bn <= opt.Tol {
-		st.Converged = true
-		st.Residual = rn / bn
-		return st, nil
+	var o solver
+	rho, done := o.open(p, A, b, x, opt)
+	if done {
+		return o.finish()
 	}
-	pv := w.take(b)
-	pv.CopyFrom(r)
-	rho := rnsq
+	r, w := o.r, o.w
+	pv := w.copyOf(r)
 
 	// Basis storage: V_j = A^j·p lives in bl[j] (V_0 = p itself), W_j =
 	// A^j·r in bl[s+1+j] (W_0 = r itself). All taken from the workspace
@@ -194,12 +182,12 @@ func CGSStep(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options, s 
 	sinceBest := 0
 
 	fallback := false
-	for st.Iterations < opt.MaxIter && !fallback {
+	for o.Iterations < o.opt.MaxIter && !fallback {
 		// One widened exchange brings both chains' halos; one batched
 		// round merges the whole Gram triangle.
 		if usePowers {
 			pow.ApplyPowersBlock(seeds, outs)
-			st.MatVecs += 2*s - 1
+			o.MatVecs += 2*s - 1
 		} else {
 			cur := pv
 			for j := 0; j < s; j++ {
@@ -223,7 +211,7 @@ func CGSStep(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options, s 
 				idx++
 			}
 		}
-		st.DotProducts += nG
+		o.DotProducts += nG
 		o.p.Compute(2 * nloc * nG)
 		o.merge(g)
 
@@ -263,12 +251,12 @@ func CGSStep(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options, s 
 
 		claimed := false
 		rhoPrev := rho
-		for i := 0; i < s && st.Iterations < opt.MaxIter; i++ {
+		for i := 0; i < s && o.Iterations < o.opt.MaxIter; i++ {
 			copy(xcP, xc)
 			copy(rcP, rc)
 			copy(pcP, pc)
 			rhoPrev = rho
-			st.Iterations++
+			o.Iterations++
 			// q = A·p is the coefficient shift V_j→V_{j+1}, W_j→W_{j+1}
 			// (with the scaling ratio d_j/d_{j+1}, since A·B̂_j =
 			// (d_j/d_{j+1})·B̂_{j+1}); the degree induction (deg_V(p) ≤ i,
@@ -283,9 +271,9 @@ func CGSStep(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options, s 
 				qc[s+2+j] = pc[s+1+j] * dscale[s+1+j] / dscale[s+2+j]
 			}
 			pq := quad(pc, qc)
-			st.DotProducts++
+			o.DotProducts++
 			if math.IsNaN(pq) || pq <= 0 {
-				st.Iterations--
+				o.Iterations--
 				copy(xc, xcP)
 				copy(rc, rcP)
 				copy(pc, pcP)
@@ -299,11 +287,11 @@ func CGSStep(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options, s 
 				rc[j] -= alpha * qc[j]
 			}
 			o.p.Compute(4 * m)
-			st.AXPYs += 2
+			o.AXPYs += 2
 			rhoNew := quad(rc, rc)
-			st.DotProducts++
+			o.DotProducts++
 			if math.IsNaN(rhoNew) || rhoNew < 0 {
-				st.Iterations--
+				o.Iterations--
 				copy(xc, xcP)
 				copy(rc, rcP)
 				copy(pc, pcP)
@@ -313,9 +301,7 @@ func CGSStep(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options, s 
 			}
 			rho0 := rho
 			rho = rhoNew
-			rel := math.Sqrt(rhoNew) / bn
-			o.record(rel, opt)
-			if rel <= opt.Tol {
+			if o.check(math.Sqrt(rhoNew) / o.bn) {
 				claimed = true
 				break
 			}
@@ -324,7 +310,7 @@ func CGSStep(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options, s 
 				pc[j] = rc[j] + beta*pc[j]
 			}
 			o.p.Compute(2 * m)
-			st.AXPYs++
+			o.AXPYs++
 		}
 
 		// Recover the iterates: x += B·xc, and r/p through scratch (they
@@ -334,19 +320,14 @@ func CGSStep(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options, s 
 		recover(pc, scratchP.Local(), false)
 		copy(r.Local(), scratchR.Local())
 		copy(pv.Local(), scratchP.Local())
-		st.AXPYs += 3
+		o.AXPYs += 3
 
 		if claimed {
 			// The recurrence says converged: confirm with an explicit
 			// merged norm, like CGFused (one extra round, paid only near
 			// the end). Unconfirmed claims are drift — guard trips.
-			rnsq = o.mergeScalar(r.NormSqLocal())
-			st.DotProducts++
-			rn = math.Sqrt(rnsq)
-			if rn/bn <= opt.Tol {
-				st.Converged = true
-				st.Residual = rn / bn
-				return st, nil
+			if o.stop(math.Sqrt(o.normSq(r)) / o.bn) {
+				return o.finish()
 			}
 			fallback = true
 		}
@@ -363,18 +344,12 @@ func CGSStep(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options, s 
 	}
 
 	if !fallback {
-		st.Residual = math.Sqrt(math.Max(rho, 0)) / bn
-		return st, nil
+		// MaxIter exhausted; the last check measured the final rho.
+		return o.finish()
 	}
-
-	// The guard tripped: one explicit residual replacement, then the
-	// plain recurrence from the current x. On an SPD system this always
-	// converges — the fallback can cost iterations, never the answer.
-	st.Replacements++
-	c := cg{A: A, b: b, x: x, r: r, z: r, p: pv, q: scratchR, bn: bn}
-	if c.restart(o, opt) {
-		return st, nil
-	}
-	err := c.iterate(o, opt, nil)
-	return st, err
+	// The guard tripped: the plain recurrence from the current x. On an
+	// SPD system this always converges — the fallback can cost
+	// iterations, never the answer.
+	c := cg{A: A, b: b, x: x, r: r, z: r, p: pv, q: scratchR}
+	return c.resume(&o)
 }

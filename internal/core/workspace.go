@@ -61,3 +61,10 @@ func (w *Workspace) take(proto *darray.Vector) *darray.Vector {
 	w.next++
 	return v
 }
+
+// copyOf is take followed by a copy of v: an aligned pooled copy.
+func (w *Workspace) copyOf(v *darray.Vector) *darray.Vector {
+	c := w.take(v)
+	c.CopyFrom(v)
+	return c
+}

@@ -40,8 +40,8 @@ func TestSolveCGPipelinedConverges(t *testing.T) {
 		if rr := relResidual(A, res.X, b); rr > 1e-8 {
 			t.Fatalf("%s: relative residual %g", layout, rr)
 		}
-		if !st.Pipelined || !res.Strategy.Pipelined {
-			t.Fatalf("%s: pipelined run reported stats=%v strategy=%v", layout, st.Pipelined, res.Strategy.Pipelined)
+		if !res.Strategy.Pipelined {
+			t.Fatalf("%s: pipelined run reported strategy %v", layout, res.Strategy)
 		}
 		if !strings.Contains(res.Strategy.String(), "pipelined") {
 			t.Fatalf("%s: strategy string %q lacks the pipelined marker", layout, res.Strategy)
@@ -133,8 +133,8 @@ func TestRegistryWarmPipelinedHit(t *testing.T) {
 		t.Fatalf("warm pipelined setup model time %g, want exactly 0", warm.SetupModelTime)
 	}
 	for k := range rhs {
-		if !warm.Results[k].Stats.Pipelined {
-			t.Fatalf("rhs %d: warm stats not pipelined", k)
+		if !warm.Results[k].Strategy.Pipelined {
+			t.Fatalf("rhs %d: warm strategy not pipelined", k)
 		}
 		cx, wx := cold.Results[k].X, warm.Results[k].X
 		for i := range cx {
@@ -236,8 +236,8 @@ func TestStencilPipelinedBitIdenticalToAssembled(t *testing.T) {
 		if out.SetupModelTime != 0 {
 			t.Fatalf("np=%d: stencil setup time %g, want exactly 0", np, out.SetupModelTime)
 		}
-		if !out.Results[0].Stats.Pipelined {
-			t.Fatalf("np=%d: stats not pipelined", np)
+		if !out.Results[0].Strategy.Pipelined {
+			t.Fatalf("np=%d: strategy not pipelined", np)
 		}
 
 		var want []float64

@@ -35,8 +35,8 @@ func TestSolveCGSStepS1MatchesSolveCG(t *testing.T) {
 	if got.Stats.Iterations != ref.Stats.Iterations {
 		t.Fatalf("iterations %d vs %d", got.Stats.Iterations, ref.Stats.Iterations)
 	}
-	if got.Stats.SStep != 1 || got.Strategy.SStep != 1 {
-		t.Fatalf("s=1 run reported stats s=%d strategy s=%d", got.Stats.SStep, got.Strategy.SStep)
+	if got.Strategy.SStep != 1 {
+		t.Fatalf("s=1 run reported strategy s=%d", got.Strategy.SStep)
 	}
 }
 
@@ -64,8 +64,8 @@ func TestSolveCGSStepReducesRounds(t *testing.T) {
 		if rr := relResidual(A, res.X, b); rr > 1e-8 {
 			t.Fatalf("%s: relative residual %g", layout, rr)
 		}
-		if st.SStep != s {
-			t.Fatalf("%s: stats report s=%d, want %d", layout, st.SStep, s)
+		if res.Strategy.SStep != s {
+			t.Fatalf("%s: strategy reports s=%d, want %d", layout, res.Strategy.SStep, s)
 		}
 		if st.Replacements != 0 {
 			t.Fatalf("%s: stability guard tripped (%d replacements) on a well-conditioned band", layout, st.Replacements)
@@ -94,7 +94,7 @@ func TestSolveCGSStepCSCFallsBackToPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Strategy.SStep != 1 || res.Stats.SStep != 1 {
+	if res.Strategy.SStep != 1 {
 		t.Fatalf("auto on CSC resolved to s=%d, want 1", res.Strategy.SStep)
 	}
 	if _, err := solveVariant(context.Background(), machine(np), plan, A, b, core.Options{}, Variant{SStep: MaxSStep + 1}); err == nil {
@@ -233,8 +233,8 @@ func TestRegistryWarmSStepHit(t *testing.T) {
 		t.Fatalf("warm s-step setup model time %g, want exactly 0", warm.SetupModelTime)
 	}
 	for k := range rhs {
-		if got, want := warm.Results[k].Stats.SStep, s; got != want {
-			t.Fatalf("rhs %d: warm stats report s=%d, want %d", k, got, want)
+		if got, want := warm.Results[k].Strategy.SStep, s; got != want {
+			t.Fatalf("rhs %d: warm strategy reports s=%d, want %d", k, got, want)
 		}
 		st := warm.Results[k].Stats
 		if wantRed := 2 + (st.Iterations+s-1)/s; st.Reductions != wantRed {

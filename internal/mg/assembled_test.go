@@ -382,7 +382,6 @@ func (a asmOperator) ApplyDot(x, y *darray.Vector) float64 {
 type asmPrecond struct{ ap *asmProblem }
 
 func (m asmPrecond) Apply(r, z *darray.Vector) { m.ap.vcycle(0, r.Local(), z.Local()) }
-func (m asmPrecond) Name() string              { return "assembled-vcycle" }
 
 // stencilNNZ is the exact stored-entry count of the 27-point stencil on
 // an X × Y × Z grid: per-dimension neighbour counts factorize, and a

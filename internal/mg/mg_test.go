@@ -1,7 +1,6 @@
 package mg
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -428,21 +427,6 @@ func TestCoarseSolveSharedOncePerRHS(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestPrecondName names the shape for reports.
-func TestPrecondName(t *testing.T) {
-	machine(2).Run(func(p *comm.Proc) {
-		pb, err := NewProblem(p, Spec{Nx: 4, Ny: 4, Nz: 4, Levels: 3, Smooths: 2})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		want := fmt.Sprintf("mg-vcycle(levels=%d,smooths=%d)", pb.Levels(), 2)
-		if got := pb.Precond().Name(); got != want {
-			t.Errorf("Name = %q, want %q", got, want)
-		}
-	})
 }
 
 // TestModelBytesPositive: the registry sizing signal scales with the

@@ -285,8 +285,3 @@ type Precond struct {
 func (m *Precond) Apply(r, z *darray.Vector) {
 	m.pb.vcycle(0, m.pb.checkAligned(r), m.pb.checkAligned(z))
 }
-
-// Name implements core.Preconditioner.
-func (m *Precond) Name() string {
-	return fmt.Sprintf("mg-vcycle(levels=%d,smooths=%d)", len(m.pb.levels), m.pb.smooths)
-}

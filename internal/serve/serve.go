@@ -537,7 +537,7 @@ func (s *Scheduler) finishBatch(live []*Job, out *hpfexec.BatchResult, warm bool
 			Strategy:       r.Strategy.String(),
 			SStep:          r.Strategy.SStep,
 			Replacements:   r.Stats.Replacements,
-			Pipelined:      r.Stats.Pipelined,
+			Pipelined:      r.Strategy.Pipelined,
 			Reductions:     r.Stats.Reductions,
 			ModelTime:      model,
 			SolveModelTime: out.SolveModelTime[k],
