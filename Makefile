@@ -26,7 +26,7 @@ test:
 # internal/fault and hpfexec's resilient variant join the pass. The
 # solver service multiplexes jobs across worker goroutines and batches,
 # so internal/serve joins too. The cluster router proxies concurrent
-# submissions, scatters sweeps and merges metrics scrapes across
+# submissions and merges metrics scrapes across
 # goroutines, so internal/cluster joins the pass. The matrix-free
 # operator runs the inspector's exchange on its plane schedule every
 # iteration, moving pooled plane buffers between rank goroutines, so
@@ -60,34 +60,58 @@ golden:
 	$(GO) run ./cmd/cgbench > internal/bench/testdata/experiments.golden
 
 # The binaries end to end, one mode each (the experiments and their
-# enforced claims already run under `test`): hpfrun through multigrid,
-# matrix-free (5-point; 27-point on two-plane slabs so ghost and local
-# source planes both occur, plain and pipelined), pipelined CSR and a
-# resilient solve absorbing an injected crash — each once more under the
-# -timeout deadline every mode shares — and one absorbing a dropped
-# message, then hpfserve's self-checks: a job over real HTTP, and a
-# router plus two shards routing repeat traffic to the shard that holds
-# the plan. Then the kept examples, each of which exits non-zero when its
-# own check fails (heat and laplace2d under both operator backends), the
-# directive dump, two traced experiments (one of them E17, whose
-# machines change a cost constant per row), cgsolve's three documented
+# enforced claims already run under `test`); every line exits non-zero
+# when its own check fails, and together they set every flag, route and
+# job field cmd/doclint's surface ledger lists. hpfrun through multigrid
+# (at a chosen depth and smoothing count), matrix-free (5-point; 27-point
+# on two-plane slabs so ghost and local source planes both occur, plain
+# and pipelined), pipelined CSR, fixed-factor s-step CG, and a resilient
+# solve absorbing an injected crash under a restart budget — each of
+# multigrid, 5-point and resilient once more under the -timeout deadline
+# every mode shares — and one absorbing a dropped message; hpfrun and
+# cgsolve on a Matrix Market file on a ring at a chosen tolerance with
+# the communication matrix (cgsolve also under an iteration cap, with its
+# residual history; a solve that does not converge exits 2), and hpfrun
+# on a directive file. Then hpfserve's self-checks: a table of jobs over
+# real HTTP on a shard sized by every pool flag (each job field set, each
+# result and view field read back, traces, probes, metrics, the -maxnp
+# bound, readiness 503 after the drain), and a router plus two shards
+# listed by GET /cluster/nodes, routing repeat traffic to the shard that
+# holds the plan and a trace back through the router. Then the kept
+# examples, each of which exits non-zero when its own check fails (heat
+# and laplace2d under both operator backends), the directive dump (the
+# paper's block, then the directive file by argument and on stdin), two
+# experiments (one on a ring with another seed, one under an injected
+# straggler), three traced experiments (one of them E17, whose machines
+# change a cost constant per row; one on a ring under a straggler with
+# a chosen detail run and timeline width), cgsolve's three documented
 # generator examples (block rows, the balanced partitioner, the CSC
 # private-merge layout), BiCG on cgsolve's default layout, whose
 # executor must apply A^T, and the two other §2.1 methods: PCG with
 # point Jacobi on a matrix whose diagonal varies, and CGS on the CSC
-# serial layout.
+# serial layout. The Matrix Market file (the 4 x 4 1-D Laplacian, stored
+# symmetric) and the directive file (the CSR program) are written into
+# SMOKE_DIR first, not committed.
+SMOKE_DIR = .smoke
 smoke:
-	$(GO) run ./cmd/hpfrun -hpcg 6,6,6 -np 4 > /dev/null
+	mkdir -p $(SMOKE_DIR)
+	printf '%s\n' '%%MatrixMarket matrix coordinate real symmetric' '4 4 7' '1 1 2' '2 1 -1' '2 2 2' '3 2 -1' '3 3 2' '4 3 -1' '4 4 2' > $(SMOKE_DIR)/laplace1d4.mtx
+	printf '%s\n' '!HPF$$ PROCESSORS :: PROCS(NP)' '!HPF$$ DISTRIBUTE p(BLOCK)' '!HPF$$ SPARSE_MATRIX (CSR) :: smA(row, col, a)' > $(SMOKE_DIR)/csr.hpf
+	$(GO) run ./cmd/hpfrun -hpcg 6,6,6 -np 4 -levels 2 -smooths 2 > /dev/null
 	$(GO) run ./cmd/hpfrun -hpcg 6,6,6 -timeout 30s > /dev/null
 	$(GO) run ./cmd/hpfrun -stencil 5pt:32,24 -np 4 > /dev/null
 	$(GO) run ./cmd/hpfrun -stencil 5pt:32,24 -timeout 30s > /dev/null
 	$(GO) run ./cmd/hpfrun -stencil 27pt:8,8,8 -np 4 > /dev/null
 	$(GO) run ./cmd/hpfrun -stencil 27pt:8,8,8 -np 4 -pipelined > /dev/null
 	$(GO) run ./cmd/hpfrun -np 4 -matrix banded:256:4 -demo csr -pipelined > /dev/null
-	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "crash:rank=2@t=0.5ms" -resilient -ckpt 5 > /dev/null
+	$(GO) run ./cmd/hpfrun -np 4 -demo csr -sstep 4 > /dev/null
+	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "crash:rank=2@t=0.5ms" -resilient -ckpt 5 -restarts 2 > /dev/null
 	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "crash:rank=2@t=0.5ms" -resilient -ckpt 5 -timeout 30s > /dev/null
 	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "drop:rank=1,n=1,dst=0" -resilient > /dev/null
-	$(GO) run ./cmd/hpfserve -smoke
+	$(GO) run ./cmd/hpfrun -np 2 -file $(SMOKE_DIR)/laplace1d4.mtx -demo csr -topology ring -tol 1e-8 -commmatrix > /dev/null
+	$(GO) run ./cmd/cgsolve -file $(SMOKE_DIR)/laplace1d4.mtx -np 2 -topology ring -tol 1e-8 -maxiter 50 -commmatrix -history > /dev/null
+	$(GO) run ./cmd/hpfrun -np 4 -matrix banded:256:4 $(SMOKE_DIR)/csr.hpf > /dev/null
+	$(GO) run ./cmd/hpfserve -smoke -workers 1 -queue 8 -batch 2 -maxnp 8 -plan-cache-mb 16
 	$(GO) run ./cmd/hpfserve -cluster-smoke
 	$(GO) run ./examples/directives > /dev/null
 	$(GO) run ./examples/heat -backend mfree > /dev/null
@@ -95,8 +119,13 @@ smoke:
 	$(GO) run ./examples/laplace2d -backend mfree > /dev/null
 	$(GO) run ./examples/laplace2d -backend assembled > /dev/null
 	$(GO) run ./cmd/hpfdump -demo > /dev/null
+	$(GO) run ./cmd/hpfdump -np 2 -n 100 -nz 500 -size p=100 $(SMOKE_DIR)/csr.hpf > /dev/null
+	$(GO) run ./cmd/hpfdump -np 2 -size p=100 < $(SMOKE_DIR)/csr.hpf > /dev/null
+	$(GO) run ./cmd/cgbench -quick -exp E1 -topology ring -seed 7 > /dev/null
+	$(GO) run ./cmd/cgbench -quick -exp E2 -fault "straggle:rank=1,x=4" > /dev/null
 	$(GO) run ./cmd/hpftrace -exp E2 -quick -o '' > /dev/null
 	$(GO) run ./cmd/hpftrace -exp E17 -quick -o '' -notables -notimeline -nomatrix > /dev/null
+	$(GO) run ./cmd/hpftrace -exp E2 -quick -o '' -topology ring -seed 7 -run 0 -width 60 -fault "straggle:rank=1,x=4" > /dev/null
 	$(GO) run ./cmd/cgsolve -matrix laplace2d:64:64 -np 8 -q > /dev/null
 	$(GO) run ./cmd/cgsolve -matrix powerlaw:2000:1 -np 8 -layout balanced -q > /dev/null
 	$(GO) run ./cmd/cgsolve -matrix randspd:500:6:1 -method bicgstab -layout csc-merge -q > /dev/null

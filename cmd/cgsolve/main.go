@@ -21,7 +21,6 @@ import (
 
 	"hpfcg"
 	"hpfcg/internal/report"
-	"hpfcg/internal/seq"
 	"hpfcg/internal/sparse"
 )
 
@@ -37,7 +36,6 @@ func main() {
 		maxIter    = flag.Int("maxiter", 0, "iteration cap (0 = 2n)")
 		commMatrix = flag.Bool("commmatrix", false, "print the per-pair communication matrix")
 		history    = flag.Bool("history", false, "print the residual history as CSV (iteration,relres)")
-		spectrum   = flag.Bool("spectrum", false, "estimate A's extremal eigenvalues with a sequential CG probe (CG-Lanczos Ritz values)")
 		quiet      = flag.Bool("q", false, "print only the summary line")
 	)
 	flag.Parse()
@@ -72,16 +70,6 @@ func main() {
 		fmt.Printf("model:  time=%.6gs comm=%.6gs msgs=%d bytes=%d flop_imbalance=%.3f\n",
 			res.Run.ModelTime, res.Run.CommTime(), res.Run.TotalMsgs, res.Run.TotalBytes,
 			res.Run.FlopImbalance())
-	}
-	if *spectrum {
-		probeX := make([]float64, A.NRows)
-		probe, perr := seq.CG(A, b, probeX, seq.Options{MaxIter: 50, Tol: 1e-30, EstimateSpectrum: true})
-		if perr != nil && probe.Spectrum == nil {
-			fatal(perr)
-		}
-		sp := probe.Spectrum
-		fmt.Printf("spectrum (Ritz, %d-step CG probe): eig in ~[%.6g, %.6g], cond ~ %.6g\n",
-			probe.Iterations, sp.EigMin, sp.EigMax, sp.Cond)
 	}
 	if *history {
 		fmt.Println("iteration,relres")

@@ -57,6 +57,9 @@ func main() {
 		stencil    = flag.String("stencil", "", `solve a stencil system matrix-free (no assembly, no inspector): "5pt:nx,ny" or "27pt:nx,ny,nz" global grid (combines with -np, -tol, -topology)`)
 	)
 	flag.Parse()
+	if err := unusedFlag(*resilient); err != nil {
+		fatal(err)
+	}
 
 	// The solver variant the flags ask for; which backend it combines
 	// with is hpfexec.CheckVariant's table, consulted by WithVariant
@@ -256,6 +259,41 @@ func prepareStencil(m *comm.Machine, arg string) (*hpfexec.Prepared, func()) {
 		fmt.Printf("stencil:  %s matrix-free, global %s, n=%d nnz=%d np=%d\n",
 			spec.Stencil, dims, pr.N(), spec.WithDefaults().NNZ(), m.NP())
 	}
+}
+
+// unusedFlag refuses a flag that was set but that the problem or the
+// variant it picks does not read: -hpcg and -stencil each exclude the
+// other and the matrix inputs (-demo, -matrix, -file, a directive
+// file), -levels and -smooths need -hpcg, -ckpt and -restarts need
+// -resilient.
+func unusedFlag(resilient bool) error {
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, gen := range []string{"hpcg", "stencil"} {
+		if !set[gen] {
+			continue
+		}
+		for _, other := range []string{"hpcg", "stencil", "demo", "matrix", "file"} {
+			if other != gen && set[other] {
+				return fmt.Errorf("-%s does not apply with -%s", other, gen)
+			}
+		}
+		if flag.NArg() > 0 {
+			return fmt.Errorf("a directive file does not apply with -%s", gen)
+		}
+	}
+	for _, need := range []struct {
+		flag, with string
+		ok         bool
+	}{
+		{"levels", "hpcg", set["hpcg"]}, {"smooths", "hpcg", set["hpcg"]},
+		{"ckpt", "resilient", resilient}, {"restarts", "resilient", resilient},
+	} {
+		if set[need.flag] && !need.ok {
+			return fmt.Errorf("-%s needs -%s", need.flag, need.with)
+		}
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -10,21 +10,24 @@
 //	         -advertise http://10.0.0.5:8081
 //
 // -cluster-smoke runs the whole topology in one process on loopback
-// ports — router + two shards — submits the same matrix twice through
+// ports — router + two shards — waits until GET /cluster/nodes lists
+// both alive and heartbeating, submits the same matrix twice through
 // the router and verifies both solves landed on the same shard with a
-// plan-registry hit on the second (used by `make smoke`).
+// plan-registry hit on the second, fetches a traced job's trace through
+// the router, checks the router's probes and metrics rollup, and that
+// the shards leave the member list when they deregister (used by `make
+// smoke`).
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -94,133 +97,139 @@ func startJoiner(routerURL, name, advertise, addr string) (stop func(), err erro
 }
 
 // runClusterSmoke is the end-to-end cluster self-test: a router and
-// two shards on loopback ports, registered through the real state API,
-// repeat traffic through the router, plan-registry hit verified.
+// two shards on loopback ports, registered and heartbeating through the
+// real state API as GET /cluster/nodes shows, repeat traffic through the
+// router with the plan-registry hit verified, a traced job's trace
+// fetched through the router, the /metrics rollup, and an empty member
+// list once the shards deregister.
 func runClusterSmoke(opts serve.Options) error {
-	// Router.
 	rt := cluster.NewRouter(cluster.RouterOptions{})
 	defer rt.Close()
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
+	routerURL, _, err := listen(rt.Handler())
 	if err != nil {
 		return err
 	}
-	rsrv := &http.Server{Handler: rt.Handler()}
-	go func() { _ = rsrv.Serve(rln) }()
-	routerURL := "http://" + rln.Addr().String()
 	log.Printf("cluster-smoke: router on %s", routerURL)
+	if err := probe(routerURL, http.StatusOK, http.StatusServiceUnavailable); err != nil {
+		return fmt.Errorf("empty ring: %w", err)
+	}
 
-	// Two worker shards.
 	var scheds []*serve.Scheduler
+	var stops []func()
+	defer func() {
+		for _, stop := range stops {
+			stop()
+		}
+	}()
 	for i := 0; i < 2; i++ {
 		sched := serve.New(opts)
 		scheds = append(scheds, sched)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		shardURL, _, err := listen(serve.NewHandler(sched))
 		if err != nil {
 			return err
 		}
-		srv := &http.Server{Handler: serve.NewHandler(sched)}
-		go func() { _ = srv.Serve(ln) }()
-		shardURL := "http://" + ln.Addr().String()
 		stop, err := startJoiner(routerURL, fmt.Sprintf("shard-%d", i+1), shardURL, "")
 		if err != nil {
 			return err
 		}
-		defer stop()
+		stops = append(stops, stop)
 		log.Printf("cluster-smoke: shard-%d on %s", i+1, shardURL)
 	}
-	// Registration is asynchronous; wait for readiness.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(routerURL + "/readyz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK && rt.Membership().AliveCount() == 2 {
-				break
+	// Registration is asynchronous, and the first heartbeat comes a
+	// period later: wait until the router lists both shards alive with
+	// a beat newer than the one it first listed.
+	first := map[string]time.Time{}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		nodes, err := listNodes(routerURL)
+		if err != nil {
+			return err
+		}
+		beating := 0
+		for _, n := range nodes {
+			if t, ok := first[n.Name]; !ok {
+				first[n.Name] = n.LastBeat
+			} else if n.State == cluster.StateAlive && n.LastBeat.After(t) {
+				beating++
 			}
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("router never became ready with 2 shards")
+		if beating == 2 {
+			break
 		}
-		time.Sleep(20 * time.Millisecond)
+		if time.Now().After(deadline) {
+			return fmt.Errorf("router lists %d of 2 shards alive and heartbeating", beating)
+		}
+	}
+	if err := probe(routerURL, http.StatusOK, http.StatusOK); err != nil {
+		return err
 	}
 
 	// The same matrix twice: must land on one shard, hit its registry.
-	spec := `{"matrix":"laplace2d:16:16","np":4,"seed":7}`
+	const spec = `{"matrix":"laplace2d:16:16","np":4,"seed":7}`
 	var shard string
 	var x0 []float64
 	for round := 0; round < 2; round++ {
-		resp, err := http.Post(routerURL+"/jobs", "application/json", strings.NewReader(spec))
+		id, owner, err := submit(routerURL, spec)
 		if err != nil {
 			return err
-		}
-		var ack struct {
-			ID    string `json:"id"`
-			Shard string `json:"shard"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&ack)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusAccepted {
-			return fmt.Errorf("round %d: submit status %d (%v)", round, resp.StatusCode, err)
 		}
 		if round == 0 {
-			shard = ack.Shard
-		} else if ack.Shard != shard {
-			return fmt.Errorf("repeat traffic split: %s then %s", shard, ack.Shard)
+			shard = owner
+		} else if owner != shard {
+			return fmt.Errorf("repeat traffic split: %s then %s", shard, owner)
 		}
-
-		get, err := http.Get(routerURL + "/jobs/" + ack.ID + "?wait=1&timeout=60s")
+		v, err := wait(routerURL, id)
 		if err != nil {
 			return err
 		}
-		var view struct {
-			State  string `json:"state"`
-			Error  string `json:"error"`
-			Result *struct {
-				X            []float64 `json:"x"`
-				Converged    bool      `json:"converged"`
-				Iterations   int       `json:"iterations"`
-				PlanCacheHit bool      `json:"plan_cache_hit"`
-				SetupModel   float64   `json:"setup_model_time"`
-			} `json:"result"`
+		// The shard's view names its own ID, not the router's.
+		bare, _, _ := cluster.DecodeJobID(id)
+		if err := checkView(v, bare, serve.StateDone); err != nil {
+			return fmt.Errorf("round %d: %w", round, err)
 		}
-		err = json.NewDecoder(get.Body).Decode(&view)
-		get.Body.Close()
-		if err != nil {
-			return err
-		}
-		if view.State != "done" || view.Result == nil || !view.Result.Converged {
-			return fmt.Errorf("round %d: state=%s err=%q", round, view.State, view.Error)
-		}
-		if view.Result.PlanCacheHit != (round > 0) {
-			return fmt.Errorf("round %d: plan_cache_hit=%v", round, view.Result.PlanCacheHit)
+		if v.Result.PlanCacheHit != (round > 0) {
+			return fmt.Errorf("round %d: plan_cache_hit=%v", round, v.Result.PlanCacheHit)
 		}
 		if round == 0 {
-			x0 = view.Result.X
+			x0 = v.Result.X
 		} else {
-			if view.Result.SetupModel != 0 {
-				return fmt.Errorf("warm solve paid setup %g", view.Result.SetupModel)
+			if v.Result.SetupModelTime != 0 {
+				return fmt.Errorf("warm solve paid setup %g", v.Result.SetupModelTime)
 			}
-			for i := range x0 {
-				if view.Result.X[i] != x0[i] {
-					return fmt.Errorf("warm answer differs at x[%d]", i)
-				}
+			if !slices.Equal(v.Result.X, x0) {
+				return fmt.Errorf("warm answer differs from the cold one")
 			}
 		}
 		log.Printf("cluster-smoke: round %d on %s, %d iterations, cache_hit=%v",
-			round, ack.Shard, view.Result.Iterations, view.Result.PlanCacheHit)
+			round, owner, v.Result.Iterations, v.Result.PlanCacheHit)
 	}
 
-	// The rollup must show the hit with the owning shard's label.
-	mresp, err := http.Get(routerURL + "/metrics")
+	// A traced job's trace comes back through the router.
+	id, _, err := submit(routerURL, `{"matrix":"laplace1d:32","np":2,"trace":true}`)
 	if err != nil {
 		return err
 	}
-	var mbuf bytes.Buffer
-	_, _ = mbuf.ReadFrom(mresp.Body)
-	mresp.Body.Close()
-	want := fmt.Sprintf("hpfserve_plan_cache_hits_total{shard=%q} 1", shard)
-	if !bytes.Contains(mbuf.Bytes(), []byte(want)) {
-		return fmt.Errorf("metrics rollup missing %q", want)
+	if v, err := wait(routerURL, id); err != nil || !v.HasTrace {
+		return fmt.Errorf("traced job %s: has_trace=%v (%v)", id, v.HasTrace, err)
+	}
+	if err := fetchTrace(routerURL, id); err != nil {
+		return err
+	}
+
+	// The rollup must show the hit with the owning shard's label.
+	metrics, err := get(routerURL+"/metrics", http.StatusOK)
+	if err != nil {
+		return err
+	}
+	if line := fmt.Sprintf("hpfserve_plan_cache_hits_total{shard=%q} 1", shard); !strings.Contains(metrics, line) {
+		return fmt.Errorf("metrics rollup missing %q", line)
+	}
+
+	// Leaving deregisters: the router lists no shard afterwards.
+	for _, stop := range stops {
+		stop()
+	}
+	if nodes, err := listNodes(routerURL); err != nil || len(nodes) != 0 {
+		return fmt.Errorf("after the shards left the router lists %v (%v)", nodes, err)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -231,4 +240,15 @@ func runClusterSmoke(opts serve.Options) error {
 		}
 	}
 	return nil
+}
+
+// listNodes reads the router's member list.
+func listNodes(routerURL string) ([]cluster.Node, error) {
+	body, err := get(routerURL+"/cluster/nodes", http.StatusOK)
+	if err != nil {
+		return nil, err
+	}
+	var nodes []cluster.Node
+	err = json.Unmarshal([]byte(body), &nodes)
+	return nodes, err
 }

@@ -3,7 +3,7 @@
 // /metrics. Same-matrix jobs coalesce into one SPMD run so the matrix
 // is partitioned and inspector-exchanged once per batch.
 //
-//	hpfserve -addr :8080 -workers 2 -queue 64 -batch 8
+//	hpfserve -addr :8080 -workers 2 -queue 64 -batch 8 -maxnp 32 -plan-cache-mb 256
 //
 // Submit a job and wait for the answer:
 //
@@ -13,20 +13,23 @@
 // SIGINT/SIGTERM drain gracefully: admission closes, queued jobs are
 // rejected, in-flight batches finish, then the listener closes.
 //
-// -smoke starts the server on a loopback port, submits a job to itself
-// over real HTTP, asserts convergence and exits — a self-contained
+// -smoke starts the server on a loopback port, submits a table of jobs
+// to itself over real HTTP — together they set every job field and
+// read every result field back — checks each answer, the probes, the
+// traces and the metrics, drains and exits: a self-contained
 // end-to-end check (used by `make smoke`).
+//
+// A pool flag below 1, or a negative or overflowing -plan-cache-mb,
+// exits 1: serve.Options would take a zero for its default but run a
+// negative size as a service that starts no worker or admits no job.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -43,7 +46,7 @@ func main() {
 		queueCap = flag.Int("queue", 64, "admission queue capacity (backpressure beyond it)")
 		maxBatch = flag.Int("batch", 8, "max same-matrix jobs coalesced per dispatch")
 		maxNP    = flag.Int("maxnp", 32, "max virtual processors per job")
-		smoke    = flag.Bool("smoke", false, "self-test: serve on a loopback port, submit a job over HTTP, verify, exit")
+		smoke    = flag.Bool("smoke", false, "self-test: serve on a loopback port, submit a table of jobs over HTTP, verify each, exit")
 
 		planCacheMB = flag.Int64("plan-cache-mb", 256, "prepared-plan registry budget in MiB (0 disables)")
 
@@ -55,18 +58,10 @@ func main() {
 	)
 	flag.Parse()
 
-	// The flag speaks MiB with 0 = off; serve.Options speaks bytes with
-	// 0 = default and negative = off.
-	planCacheBytes := *planCacheMB << 20
-	if *planCacheMB <= 0 {
-		planCacheBytes = -1
-	}
-	opts := serve.Options{
-		Workers:        *workers,
-		QueueCap:       *queueCap,
-		MaxBatch:       *maxBatch,
-		MaxNP:          *maxNP,
-		PlanCacheBytes: planCacheBytes,
+	opts, err := options(*workers, *queueCap, *maxBatch, *maxNP, *planCacheMB)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hpfserve:", err)
+		os.Exit(1)
 	}
 
 	if *smoke {
@@ -99,7 +94,6 @@ func main() {
 	// rebalances immediately.
 	var leaveCluster func()
 	if *joinURL != "" {
-		var err error
 		leaveCluster, err = startJoiner(*joinURL, *shardName, *advertiseURL, *addr)
 		if err != nil {
 			log.Fatalf("cluster join: %v", err)
@@ -136,75 +130,26 @@ func main() {
 	log.Print("hpfserve stopped")
 }
 
-// runSmoke is the end-to-end self-test: real listener, real HTTP
-// round-trips, real drain.
-func runSmoke(opts serve.Options) error {
-	sched := serve.New(opts)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
+// options turns the pool flags into serve.Options, refusing a pool size
+// below 1 and a plan-cache budget that is negative or overflows bytes.
+func options(workers, queue, batch, maxNP int, planCacheMB int64) (serve.Options, error) {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"workers", workers}, {"queue", queue}, {"batch", batch}, {"maxnp", maxNP}} {
+		if f.v < 1 {
+			return serve.Options{}, fmt.Errorf("-%s %d: must be at least 1", f.name, f.v)
+		}
 	}
-	srv := &http.Server{Handler: serve.NewHandler(sched)}
-	go func() { _ = srv.Serve(ln) }()
-	base := "http://" + ln.Addr().String()
-	log.Printf("smoke: serving on %s", base)
-
-	spec := map[string]any{"matrix": "laplace2d:16:16", "np": 4, "seed": 7}
-	body, _ := json.Marshal(spec)
-	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
+	const maxMB = math.MaxInt64 >> 20
+	if planCacheMB < 0 || planCacheMB > maxMB {
+		return serve.Options{}, fmt.Errorf("-plan-cache-mb %d outside [0,%d]", planCacheMB, int64(maxMB))
 	}
-	var sub struct {
-		ID string `json:"id"`
+	// The flag speaks MiB with 0 = off; serve.Options speaks bytes with
+	// 0 = default and negative = off.
+	planCacheBytes := planCacheMB << 20
+	if planCacheMB == 0 {
+		planCacheBytes = -1
 	}
-	err = json.NewDecoder(resp.Body).Decode(&sub)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusAccepted || sub.ID == "" {
-		return fmt.Errorf("submit failed: status %d id %q err %v", resp.StatusCode, sub.ID, err)
-	}
-	log.Printf("smoke: submitted %s", sub.ID)
-
-	get, err := http.Get(base + "/jobs/" + sub.ID + "?wait=1&timeout=60s")
-	if err != nil {
-		return err
-	}
-	var view struct {
-		State  string `json:"state"`
-		Error  string `json:"error"`
-		Result *struct {
-			Converged  bool    `json:"converged"`
-			Iterations int     `json:"iterations"`
-			Residual   float64 `json:"residual"`
-			Strategy   string  `json:"strategy"`
-		} `json:"result"`
-	}
-	err = json.NewDecoder(get.Body).Decode(&view)
-	get.Body.Close()
-	if err != nil {
-		return err
-	}
-	if view.State != "done" || view.Result == nil || !view.Result.Converged {
-		return fmt.Errorf("job did not converge: state=%s err=%q", view.State, view.Error)
-	}
-	log.Printf("smoke: %s converged in %d iterations (residual %.3e, %s)",
-		sub.ID, view.Result.Iterations, view.Result.Residual, view.Result.Strategy)
-
-	mresp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return err
-	}
-	var mbuf bytes.Buffer
-	_, _ = mbuf.ReadFrom(mresp.Body)
-	mresp.Body.Close()
-	if !bytes.Contains(mbuf.Bytes(), []byte(`hpfserve_jobs_completed_total{job_type="cg"} 1`)) {
-		return errors.New("metrics did not count the completed job")
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := sched.Drain(ctx); err != nil {
-		return err
-	}
-	return srv.Shutdown(ctx)
+	return serve.Options{Workers: workers, QueueCap: queue, MaxBatch: batch, MaxNP: maxNP, PlanCacheBytes: planCacheBytes}, nil
 }

@@ -7,12 +7,12 @@
 // "where does the modeled makespan come from" view behind each paper
 // figure.
 //
-// Examples:
+// Examples (the last three are `make smoke` lines):
 //
 //	hpftrace -exp E2                      # trace Scenario 1, write traces/E2-*.trace.json
-//	hpftrace -exp E1 -quick -o /tmp/tr    # small sizes, custom output dir
-//	hpftrace -exp E3 -run 2 -width 100    # detail view of the experiment's 3rd run
-//	hpftrace -exp E14 -notimeline         # matrices and critical paths only
+//	hpftrace -exp E2 -quick -o ''         # small sizes, no files
+//	hpftrace -exp E17 -quick -o '' -notables -notimeline -nomatrix
+//	hpftrace -exp E2 -quick -o '' -topology ring -seed 7 -run 0 -width 60 -fault "straggle:rank=1,x=4"
 //
 // Load the written trace.json files in ui.perfetto.dev or
 // chrome://tracing; timestamps are the modeled clock in microseconds.

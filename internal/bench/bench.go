@@ -33,15 +33,6 @@ type Config struct {
 	Cost topology.CostParams
 	// Seed makes the synthetic matrices reproducible.
 	Seed int64
-	// SStep, when nonzero, restricts E23's blocking-factor sweep to
-	// that single factor (cgbench -sstep); 0 sweeps {1, 2, 4, 8}.
-	SStep int
-	// HPCG, when non-empty ("nx,ny,nz"), restricts E24's per-rank brick
-	// sweep to that single size (cgbench -hpcg).
-	HPCG string
-	// MFree, when non-empty ("5pt:nx,ny" or "27pt:nx,ny,nz"), restricts
-	// E25's global-grid sweep to that single spec (cgbench -mfree).
-	MFree string
 	// Tracer, when non-nil, is attached to every machine the
 	// experiment builds: each run deposits a trace.Recorder on it, so
 	// any experiment gains event-level drill-down (see cmd/hpftrace)

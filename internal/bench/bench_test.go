@@ -475,68 +475,6 @@ func TestE19FusionWins(t *testing.T) {
 	}
 }
 
-// TestE23FilteredSpeedupUsesS1: with the sweep filtered to s = 4
-// (cgbench -sstep 4), Table 1 prints only s = 4 rows, and each row's
-// speedup is still against the s = 1 run: the same cell the full sweep
-// prints for s = 4 on that np, not the s = 4 run divided by itself.
-func TestE23FilteredSpeedupUsesS1(t *testing.T) {
-	full, err := E23(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]string{} // np -> speedup_vs_s1 at s = 4
-	for _, row := range full[0].Rows {
-		if row[1] == "4" {
-			want[row[0]] = row[7]
-		}
-	}
-	cfg := quickCfg()
-	cfg.SStep = 4
-	filtered, err := E23(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := filtered[0].Rows
-	if len(rows) != len(want) {
-		t.Fatalf("filtered Table 1 has %d rows, want one per np (%d)", len(rows), len(want))
-	}
-	for _, row := range rows {
-		if row[1] != "4" {
-			t.Errorf("np=%s: filtered row at s=%s", row[0], row[1])
-		}
-		if row[7] != want[row[0]] || parseF(t, row[7]) == 1 {
-			t.Errorf("np=%s: speedup_vs_s1 %s, full sweep has %s", row[0], row[7], want[row[0]])
-		}
-	}
-}
-
-// The CSV rendering path used by `cgbench -csv` must produce parseable
-// output for a real experiment table.
-func TestExperimentTableCSV(t *testing.T) {
-	tables, err := E5(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tables[0].RenderCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	var dataLines int
-	for _, ln := range lines {
-		if strings.HasPrefix(ln, "#") {
-			continue
-		}
-		if got := len(strings.Split(ln, ",")); got != len(tables[0].Header) {
-			t.Fatalf("csv row %q has %d fields, want %d", ln, got, len(tables[0].Header))
-		}
-		dataLines++
-	}
-	if dataLines != len(tables[0].Rows)+1 {
-		t.Errorf("csv has %d data lines, want %d", dataLines, len(tables[0].Rows)+1)
-	}
-}
-
 // E20: resilience must be free when healthy (bit-identical solutions,
 // overhead only from checkpoint writes), and under injected crashes
 // the checkpointed solves must recover — with some work lost — while

@@ -38,13 +38,6 @@ func E25(cfg Config) ([]*report.Table, error) {
 		}
 		nps = []int{1, 2, 4}
 	}
-	if cfg.MFree != "" {
-		spec, err := mfree.ParseSpec(cfg.MFree)
-		if err != nil {
-			return nil, fmt.Errorf("bench: -mfree: %w", err)
-		}
-		specs = []mfree.Spec{spec}
-	}
 	opts := []core.Options{{Tol: 1e-8}}
 
 	// assembled runs CG over the generator-assembled CSR with the ghost

@@ -29,9 +29,6 @@ import (
 // (the frontier argmin) is confirmed by the simulated machine.
 func E23(cfg Config) ([]*report.Table, error) {
 	factors := []int{1, 2, 4, 8}
-	if cfg.SStep > 0 {
-		factors = []int{cfg.SStep}
-	}
 
 	// One s-step solve on a fresh machine, its solution gathered.
 	solve := func(np int, A *sparse.CSR, b []float64, s int, opt core.Options) (solved, error) {
@@ -91,16 +88,7 @@ func E23(cfg Config) ([]*report.Table, error) {
 	}
 	for _, np := range nps {
 		_, pred := prices(np, factors)
-		// speedup_vs_s1's base is the s = 1 run, solved apart (and not
-		// printed) when the sweep is filtered to one s >= 2.
-		var baseT float64
-		if factors[0] != 1 {
-			r, err := solve(np, A, b, 1, core.Options{Tol: 1e-8})
-			if err != nil {
-				return nil, fmt.Errorf("E23 np=%d s=1: %w", np, err)
-			}
-			baseT = r.run.ModelTime
-		}
+		var baseT float64 // the s = 1 run's makespan, the first factor
 		for _, s := range factors {
 			r, err := solve(np, A, b, s, core.Options{Tol: 1e-8})
 			if err != nil {

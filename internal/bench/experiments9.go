@@ -34,13 +34,6 @@ func E24(cfg Config) ([]*report.Table, error) {
 		sizes = []size{{4, 4, 4}, {6, 6, 6}}
 		nps = []int{1, 2, 4}
 	}
-	if cfg.HPCG != "" {
-		spec, err := mg.ParseBrick(cfg.HPCG)
-		if err != nil {
-			return nil, fmt.Errorf("-hpcg: %w", err)
-		}
-		sizes = []size{{spec.Nx, spec.Ny, spec.Nz}}
-	}
 	levelSweep := []int{1, 2, mg.DefaultLevels}
 
 	// plainCG solves the same stencil operator without the

@@ -7,8 +7,9 @@
 // internal/serve. Membership is a small HTTP state API (register,
 // heartbeat, deregister) with suspect-then-evict failure handling, and
 // the router mirrors the hpfserve job API (submit proxying with
-// backpressure pass-through, shard-encoded job IDs, scatter/gather
-// sweep submission, cluster-wide /metrics rollup).
+// backpressure pass-through, shard-encoded job IDs, cluster-wide
+// /metrics rollup, /healthz and /readyz) and lists its members at
+// GET /cluster/nodes.
 package cluster
 
 import (

@@ -47,7 +47,6 @@ type Router struct {
 	routed      map[string]uint64 // submissions proxied, by shard
 	proxyErrors uint64
 	noShard     uint64
-	sweepJobs   uint64
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -118,7 +117,6 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("POST /jobs", rt.handleSubmit)
 	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) { rt.proxyJobGet(w, r, "") })
 	mux.HandleFunc("GET /jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) { rt.proxyJobGet(w, r, "/trace") })
-	mux.HandleFunc("POST /sweep", rt.handleSweepSubmit)
 	mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	mux.HandleFunc("POST /cluster/register", rt.handleRegister)
 	mux.HandleFunc("POST /cluster/heartbeat", rt.handleHeartbeat)
@@ -369,110 +367,6 @@ func (rt *Router) countProxyError() {
 	rt.mu.Unlock()
 }
 
-// --- scatter/gather sweep submission ---------------------------------
-
-// sweepResult is one scattered submission's outcome.
-type sweepResult struct {
-	Index     int    `json:"index"`
-	ID        string `json:"id,omitempty"`
-	StatusURL string `json:"status_url,omitempty"`
-	Shard     string `json:"shard,omitempty"`
-	Status    int    `json:"status"`
-	Error     string `json:"error,omitempty"`
-}
-
-// handleSweepSubmit scatters a multi-matrix sweep across the ring —
-// each job goes to the shard owning its matrix — and gathers the
-// per-job acknowledgements into one response. Partial failure is
-// first-class: each element carries its own status.
-func (rt *Router) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	reqID := serve.EnsureRequestID(r)
-	w.Header().Set(serve.RequestIDHeader, reqID)
-
-	body, status, err := serve.ReadBody(w, r)
-	if err != nil {
-		writeJSON(w, status, errorResponse{Error: "bad sweep: " + err.Error()})
-		return
-	}
-	jobs, specs, err := decodeSweep(body)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad sweep: " + err.Error()})
-		return
-	}
-	if len(jobs) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "sweep needs at least one job"})
-		return
-	}
-
-	results := make([]sweepResult, len(jobs))
-	var wg sync.WaitGroup
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res := &results[i]
-			res.Index = i
-			node, err := rt.ownerFor(&specs[i])
-			if err != nil {
-				res.Status = http.StatusServiceUnavailable
-				res.Error = err.Error()
-				return
-			}
-			status, _, respBody, err := rt.proxy(r.Context(), "POST", node.URL+"/jobs", jobs[i], reqID)
-			if err != nil {
-				rt.countProxyError()
-				res.Status = http.StatusBadGateway
-				res.Error = err.Error()
-				return
-			}
-			res.Status = status
-			res.Shard = node.Name
-			if status == http.StatusAccepted {
-				var sub struct {
-					ID string `json:"id"`
-				}
-				if json.Unmarshal(respBody, &sub) == nil && sub.ID != "" {
-					res.ID = EncodeJobID(sub.ID, node.Name)
-					res.StatusURL = "/jobs/" + res.ID
-					rt.mu.Lock()
-					rt.routed[node.Name]++
-					rt.sweepJobs++
-					rt.mu.Unlock()
-					return
-				}
-			}
-			var e errorResponse
-			if json.Unmarshal(respBody, &e) == nil && e.Error != "" {
-				res.Error = e.Error
-			}
-		}(i)
-	}
-	wg.Wait()
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": results})
-}
-
-// decodeSweep splits a sweep body, {"jobs": [spec, ...]}, into each
-// job as the client wrote it — the bytes proxied to its shard — and its
-// decoded spec, which places it. The envelope is as strict as a spec:
-// another member, data after the object or one malformed spec fails the
-// whole sweep, before anything is proxied.
-func decodeSweep(body []byte) ([]json.RawMessage, []serve.JobSpec, error) {
-	var env struct {
-		Jobs []json.RawMessage `json:"jobs"`
-	}
-	if err := serve.DecodeStrict(body, &env); err != nil {
-		return nil, nil, err
-	}
-	specs := make([]serve.JobSpec, len(env.Jobs))
-	for i, raw := range env.Jobs {
-		var err error
-		if specs[i], err = serve.DecodeJobSpec(raw); err != nil {
-			return nil, nil, fmt.Errorf("job %d: %w", i, err)
-		}
-	}
-	return env.Jobs, specs, nil
-}
-
 // --- metrics rollup --------------------------------------------------
 
 // handleMetrics renders the router's own counters, then scrapes every
@@ -499,9 +393,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "# HELP hpfrouter_no_shard_total Submissions rejected because the ring was empty.")
 	fmt.Fprintln(w, "# TYPE hpfrouter_no_shard_total counter")
 	fmt.Fprintf(w, "hpfrouter_no_shard_total %d\n", rt.noShard)
-	fmt.Fprintln(w, "# HELP hpfrouter_sweep_jobs_total Jobs submitted through scatter/gather sweeps.")
-	fmt.Fprintln(w, "# TYPE hpfrouter_sweep_jobs_total counter")
-	fmt.Fprintf(w, "hpfrouter_sweep_jobs_total %d\n", rt.sweepJobs)
 	rt.mu.Unlock()
 
 	nodes := rt.mem.Nodes()

@@ -434,58 +434,6 @@ func TestRouterReadyzAndEmptyRing(t *testing.T) {
 	}
 }
 
-// TestRouterSweepScatterGather: a multi-matrix sweep scatters each job
-// — generated or uploaded — to the shard owning its placement key and
-// gathers per-job acks; every job completes through the shard-encoded
-// status path.
-func TestRouterSweepScatterGather(t *testing.T) {
-	sh1 := startShard(t, "s1", serve.Options{Workers: 2})
-	sh2 := startShard(t, "s2", serve.Options{Workers: 2})
-	rt, rts := startRouter(t, sh1, sh2)
-
-	matrices := []string{"laplace1d:32", "laplace1d:48", "laplace2d:6:6", "banded:40:2"}
-	var sweep sweepRequest
-	for _, m := range matrices {
-		sweep.Jobs = append(sweep.Jobs, serve.JobSpec{Matrix: m, NP: 2, Seed: 3})
-	}
-	sweep.Jobs = append(sweep.Jobs, serve.JobSpec{NP: 2, Seed: 3,
-		MatrixMarket: "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 2.0\n2 2 2.0\n"})
-	body, _ := json.Marshal(sweep)
-	resp, err := http.Post(rts.URL+"/sweep", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep: %d", resp.StatusCode)
-	}
-	var out struct {
-		Jobs []sweepResult `json:"jobs"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Jobs) != len(sweep.Jobs) {
-		t.Fatalf("%d results, want %d", len(out.Jobs), len(sweep.Jobs))
-	}
-	ring := rt.Membership().Ring()
-	for i, res := range out.Jobs {
-		if res.Status != http.StatusAccepted {
-			t.Fatalf("job %d: status %d (%s)", i, res.Status, res.Error)
-		}
-		// The scatter must follow the ring, not round-robin.
-		spec := sweep.Jobs[i]
-		want, _ := ring.Owner(spec.PlacementKey())
-		if res.Shard != want {
-			t.Fatalf("job %d (%s): landed on %s, ring owner %s", i, spec.Matrix, res.Shard, want)
-		}
-		v := waitJob(t, rts.URL, res.ID)
-		if v.State != serve.StateDone || !v.Result.Converged {
-			t.Fatalf("job %d: %s (%s)", i, v.State, v.Error)
-		}
-	}
-}
-
 // TestRouterMetricsRollup: the cluster /metrics merges every shard's
 // exposition under shard="name" labels with one HELP/TYPE block per
 // family, alongside the router's own counters.

@@ -17,11 +17,6 @@ import (
 	"hpfcg/internal/serve"
 )
 
-// sweepRequest is the body of POST /sweep as a client builds it.
-type sweepRequest struct {
-	Jobs []serve.JobSpec `json:"jobs"`
-}
-
 // errorText decodes an error response's message.
 func errorText(t *testing.T, body io.Reader) string {
 	t.Helper()
@@ -58,9 +53,8 @@ func TestTrailingDataRefusedAtBothHops(t *testing.T) {
 }
 
 // TestRouterRefusesBeforeProxying: a spec the strict decoder refuses —
-// an unknown field, trailing data, a sweep with one bad element or an
-// unknown envelope member — is a 400 from the router itself, and the
-// shard never sees the request.
+// an unknown field or trailing data — is a 400 from the router itself,
+// and the shard never sees the request.
 func TestRouterRefusesBeforeProxying(t *testing.T) {
 	sh := startShard(t, "guarded", serve.Options{Workers: 1})
 	var hits atomic.Int64
@@ -70,20 +64,17 @@ func TestRouterRefusesBeforeProxying(t *testing.T) {
 		inner.ServeHTTP(w, r)
 	})
 	_, rts := startRouter(t, sh)
-	for _, c := range []struct{ path, body string }{
-		{"/jobs", `{"matrix":"laplace1d:8","np":2,"bogus":1}`},
-		{"/jobs", `{"matrix":"laplace1d:8","np":2} junk`},
-		{"/sweep", `{"jobs":[{"matrix":"laplace1d:8"},{"matrix":"laplace1d:8","bogus":1}]}`},
-		{"/sweep", `{"jobs":[{"matrix":"laplace1d:8"}],"bogus":1}`},
-		{"/sweep", `{"jobs":[{"matrix":"laplace1d:8"}]} junk`},
+	for _, body := range []string{
+		`{"matrix":"laplace1d:8","np":2,"bogus":1}`,
+		`{"matrix":"laplace1d:8","np":2} junk`,
 	} {
-		resp, err := http.Post(rts.URL+c.path, "application/json", strings.NewReader(c.body))
+		resp, err := http.Post(rts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s %s: status %d, want 400", c.path, c.body, resp.StatusCode)
+			t.Errorf("%s: status %d, want 400", body, resp.StatusCode)
 		}
 	}
 	if n := hits.Load(); n != 0 {

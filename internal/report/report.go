@@ -1,6 +1,6 @@
 // Package report renders the experiment tables the benchmark harness
 // produces, in aligned plain text (the form the paper's tables would
-// take) and CSV for downstream plotting.
+// take).
 package report
 
 import (
@@ -101,37 +101,4 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	_, err := fmt.Fprintln(w)
 	return err
-}
-
-// RenderCSV writes the table as CSV (header row first, notes as
-// trailing comment lines).
-func (t *Table) RenderCSV(w io.Writer) error {
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	writeRow := func(cells []string) error {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
-			parts[i] = esc(c)
-		}
-		_, err := fmt.Fprintln(w, strings.Join(parts, ","))
-		return err
-	}
-	if err := writeRow(t.Header); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := writeRow(row); err != nil {
-			return err
-		}
-	}
-	for _, n := range t.Notes {
-		if _, err := fmt.Fprintf(w, "# %s\n", n); err != nil {
-			return err
-		}
-	}
-	return nil
 }

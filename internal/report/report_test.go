@@ -38,34 +38,6 @@ func TestRenderAligned(t *testing.T) {
 	}
 }
 
-func TestRenderCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sample().RenderCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "np,time,name\n") {
-		t.Errorf("csv header wrong:\n%s", out)
-	}
-	if !strings.Contains(out, "16,0.125,longer-name") {
-		t.Errorf("csv row missing:\n%s", out)
-	}
-	if !strings.Contains(out, "# a note") {
-		t.Errorf("csv note missing:\n%s", out)
-	}
-}
-
-func TestCSVEscaping(t *testing.T) {
-	tab := &Table{Header: []string{"a"}, Rows: [][]string{{`va"l,ue`}}}
-	var buf bytes.Buffer
-	if err := tab.RenderCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"va""l,ue"`) {
-		t.Errorf("escaping wrong: %s", buf.String())
-	}
-}
-
 func TestEmptyTable(t *testing.T) {
 	tab := &Table{Header: []string{"only"}}
 	var buf bytes.Buffer

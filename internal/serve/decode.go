@@ -27,16 +27,16 @@ func DecodeJobSpec(body []byte) (JobSpec, error) {
 	var sp JobSpec
 	lo, hi, ok := uploadSpan(body)
 	if !ok {
-		return sp, DecodeStrict(body, &sp)
+		return sp, decodeStrict(body, &sp)
 	}
 	mm, ok := unquote(body[lo+1 : hi-1])
 	if !ok && json.Unmarshal(body[lo:hi], &mm) != nil {
 		// A malformed upload string: the whole body reports it.
-		return sp, DecodeStrict(body, &sp)
+		return sp, decodeStrict(body, &sp)
 	}
 	rest := make([]byte, 0, len(body)-(hi-lo)+2)
 	rest = append(append(append(rest, body[:lo]...), `""`...), body[hi:]...)
-	if err := DecodeStrict(rest, &sp); err != nil {
+	if err := decodeStrict(rest, &sp); err != nil {
 		return sp, err
 	}
 	sp.MatrixMarket = mm
@@ -45,11 +45,10 @@ func DecodeJobSpec(body []byte) (JobSpec, error) {
 
 var errTrailing = errors.New("json: data after the top-level value")
 
-// DecodeStrict is the standard-library decode every request body goes
-// through — a job spec's small remainder here, a sweep's envelope at
-// the cluster router: encoding/json with unknown fields refused, then
+// decodeStrict is the standard-library decode under a job spec's
+// small remainder: encoding/json with unknown fields refused, then
 // nothing but whitespace after the value.
-func DecodeStrict(data []byte, v any) error {
+func decodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
