@@ -62,10 +62,11 @@ golden:
 # The binaries end to end, one mode each (the experiments and their
 # enforced claims already run under `test`); every line exits non-zero
 # when its own check fails, and together they set every flag, route and
-# job field cmd/doclint's surface ledger lists. hpfrun through multigrid
-# (at a chosen depth and smoothing count), matrix-free (5-point; 27-point
-# on two-plane slabs so ghost and local source planes both occur, plain
-# and pipelined), pipelined CSR, fixed-factor s-step CG, and a resilient
+# job field cmd/doclint's surface ledger lists. hpfrun through one
+# -problem string per backend: multigrid (at a chosen depth and smoothing
+# count), matrix-free (5-point; 27-point on two-plane slabs so ghost and
+# local source planes both occur, plain and pipelined), a generator under
+# -demo and under a directive file, pipelined CSR, fixed-factor s-step CG, and a resilient
 # solve absorbing an injected crash under a restart budget — each of
 # multigrid, 5-point and resilient once more under the -timeout deadline
 # every mode shares — and one absorbing a dropped message; hpfrun and
@@ -97,20 +98,20 @@ smoke:
 	mkdir -p $(SMOKE_DIR)
 	printf '%s\n' '%%MatrixMarket matrix coordinate real symmetric' '4 4 7' '1 1 2' '2 1 -1' '2 2 2' '3 2 -1' '3 3 2' '4 3 -1' '4 4 2' > $(SMOKE_DIR)/laplace1d4.mtx
 	printf '%s\n' '!HPF$$ PROCESSORS :: PROCS(NP)' '!HPF$$ DISTRIBUTE p(BLOCK)' '!HPF$$ SPARSE_MATRIX (CSR) :: smA(row, col, a)' > $(SMOKE_DIR)/csr.hpf
-	$(GO) run ./cmd/hpfrun -hpcg 6,6,6 -np 4 -levels 2 -smooths 2 > /dev/null
-	$(GO) run ./cmd/hpfrun -hpcg 6,6,6 -timeout 30s > /dev/null
-	$(GO) run ./cmd/hpfrun -stencil 5pt:32,24 -np 4 > /dev/null
-	$(GO) run ./cmd/hpfrun -stencil 5pt:32,24 -timeout 30s > /dev/null
-	$(GO) run ./cmd/hpfrun -stencil 27pt:8,8,8 -np 4 > /dev/null
-	$(GO) run ./cmd/hpfrun -stencil 27pt:8,8,8 -np 4 -pipelined > /dev/null
-	$(GO) run ./cmd/hpfrun -np 4 -matrix banded:256:4 -demo csr -pipelined > /dev/null
+	$(GO) run ./cmd/hpfrun -problem hpcg:6x6x6:L2:S2 -np 4 > /dev/null
+	$(GO) run ./cmd/hpfrun -problem hpcg:6x6x6 -timeout 30s > /dev/null
+	$(GO) run ./cmd/hpfrun -problem stencil:5pt:32x24 -np 4 > /dev/null
+	$(GO) run ./cmd/hpfrun -problem stencil:5pt:32x24 -timeout 30s > /dev/null
+	$(GO) run ./cmd/hpfrun -problem stencil:27pt:8x8x8 -np 4 > /dev/null
+	$(GO) run ./cmd/hpfrun -problem stencil:27pt:8x8x8 -np 4 -pipelined > /dev/null
+	$(GO) run ./cmd/hpfrun -np 4 -problem banded:256:4 -demo csr -pipelined > /dev/null
 	$(GO) run ./cmd/hpfrun -np 4 -demo csr -sstep 4 > /dev/null
 	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "crash:rank=2@t=0.5ms" -resilient -ckpt 5 -restarts 2 > /dev/null
 	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "crash:rank=2@t=0.5ms" -resilient -ckpt 5 -timeout 30s > /dev/null
 	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "drop:rank=1,n=1,dst=0" -resilient > /dev/null
 	$(GO) run ./cmd/hpfrun -np 2 -file $(SMOKE_DIR)/laplace1d4.mtx -demo csr -topology ring -tol 1e-8 -commmatrix > /dev/null
 	$(GO) run ./cmd/cgsolve -file $(SMOKE_DIR)/laplace1d4.mtx -np 2 -topology ring -tol 1e-8 -maxiter 50 -commmatrix -history > /dev/null
-	$(GO) run ./cmd/hpfrun -np 4 -matrix banded:256:4 $(SMOKE_DIR)/csr.hpf > /dev/null
+	$(GO) run ./cmd/hpfrun -np 4 -problem banded:256:4 $(SMOKE_DIR)/csr.hpf > /dev/null
 	$(GO) run ./cmd/hpfserve -smoke -workers 1 -queue 8 -batch 2 -maxnp 8 -plan-cache-mb 16
 	$(GO) run ./cmd/hpfserve -cluster-smoke
 	$(GO) run ./examples/directives > /dev/null
@@ -179,7 +180,7 @@ fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecodeJobSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzFaultParse$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/mfree -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/hpfexec -run '^$$' -fuzz '^FuzzParseProblem$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hpf -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 
 # Small-size smoke run of every experiment.

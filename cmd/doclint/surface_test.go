@@ -93,24 +93,20 @@ var ledger = map[string]string{
 	"cmd/hpfdump arg 0": "Makefile: -size p=100 $(SMOKE_DIR)/csr.hpf",
 
 	"cmd/hpfrun -np":         "Makefile: cmd/hpfrun -np 4",
-	"cmd/hpfrun -matrix":     "Makefile: cmd/hpfrun -np 4 -matrix banded:256:4",
+	"cmd/hpfrun -problem":    "Makefile: cmd/hpfrun -np 4 -problem banded:256:4",
 	"cmd/hpfrun -file":       "Makefile: cmd/hpfrun -np 2 -file $(SMOKE_DIR)/laplace1d4.mtx",
 	"cmd/hpfrun -topology":   "Makefile: -demo csr -topology ring",
 	"cmd/hpfrun -tol":        "Makefile: -demo csr -topology ring -tol 1e-8",
 	"cmd/hpfrun -demo":       "Makefile: cmd/hpfrun -np 4 -demo csr",
 	"cmd/hpfrun -commmatrix": "Makefile: -demo csr -topology ring -tol 1e-8 -commmatrix",
-	"cmd/hpfrun -timeout":    "Makefile: cmd/hpfrun -hpcg 6,6,6 -timeout 30s",
+	"cmd/hpfrun -timeout":    "Makefile: cmd/hpfrun -problem hpcg:6x6x6 -timeout 30s",
 	"cmd/hpfrun -fault":      `Makefile: -fault "crash:rank=2@t=0.5ms"`,
 	"cmd/hpfrun -resilient":  `Makefile: -fault "drop:rank=1,n=1,dst=0" -resilient`,
 	"cmd/hpfrun -sstep":      "Makefile: cmd/hpfrun -np 4 -demo csr -sstep 4",
-	"cmd/hpfrun -pipelined":  "Makefile: cmd/hpfrun -stencil 27pt:8,8,8 -np 4 -pipelined",
+	"cmd/hpfrun -pipelined":  "Makefile: cmd/hpfrun -problem stencil:27pt:8x8x8 -np 4 -pipelined",
 	"cmd/hpfrun -ckpt":       "Makefile: -resilient -ckpt 5",
 	"cmd/hpfrun -restarts":   "Makefile: -resilient -ckpt 5 -restarts 2",
-	"cmd/hpfrun -hpcg":       "Makefile: cmd/hpfrun -hpcg 6,6,6",
-	"cmd/hpfrun -levels":     "Makefile: cmd/hpfrun -hpcg 6,6,6 -np 4 -levels 2",
-	"cmd/hpfrun -smooths":    "Makefile: cmd/hpfrun -hpcg 6,6,6 -np 4 -levels 2 -smooths 2",
-	"cmd/hpfrun -stencil":    "Makefile: cmd/hpfrun -stencil 5pt:32,24",
-	"cmd/hpfrun arg 0":       "Makefile: cmd/hpfrun -np 4 -matrix banded:256:4 $(SMOKE_DIR)/csr.hpf",
+	"cmd/hpfrun arg 0":       "Makefile: cmd/hpfrun -np 4 -problem banded:256:4 $(SMOKE_DIR)/csr.hpf",
 
 	"cmd/hpfserve -addr":           "deployment: the listen address of a long-running shard or router",
 	"cmd/hpfserve -workers":        "Makefile: cmd/hpfserve -smoke -workers 1",

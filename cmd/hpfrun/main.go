@@ -4,15 +4,21 @@
 // imply — the closest thing this repository has to "compiling and
 // running" the paper's Figure 2.
 //
+// What is solved is one -problem string (hpfexec.ParseProblem's
+// grammar) or a Matrix Market -file; how it runs is a directive file,
+// or -demo's canonical layout for a matrix (csr when neither is given).
+// A stencil problem's dimensions are the global grid, an hpcg
+// problem's each rank's brick; neither takes a layout.
+//
 // Examples:
 //
-//	hpfrun -np 4 -matrix banded:512:4 figure2.hpf
-//	hpfrun -np 8 -matrix powerlawc:2000:1 -demo balanced
-//	hpfrun -np 4 -matrix banded:512:4 -demo csc-merge -commmatrix
-//	hpfrun -np 4 -matrix banded:512:4 -demo csr -timeout 30s
+//	hpfrun -np 4 -problem banded:512:4 figure2.hpf
+//	hpfrun -np 8 -problem powerlawc:2000:1 -demo balanced
+//	hpfrun -np 4 -problem banded:512:4 -demo csc-merge -commmatrix
+//	hpfrun -np 4 -problem banded:512:4 -demo csr -timeout 30s
 //	hpfrun -np 4 -file matrix.mtx -demo csr
-//	hpfrun -np 4 -hpcg 8,8,8 -levels 3
-//	hpfrun -np 4 -stencil 5pt:64,48
+//	hpfrun -np 4 -problem hpcg:8x8x8:L3
+//	hpfrun -np 4 -problem stencil:5pt:64x48
 package main
 
 import (
@@ -20,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"hpfcg"
@@ -29,8 +34,6 @@ import (
 	"hpfcg/internal/fault"
 	"hpfcg/internal/hpf"
 	"hpfcg/internal/hpfexec"
-	"hpfcg/internal/mfree"
-	"hpfcg/internal/mg"
 	"hpfcg/internal/report"
 	"hpfcg/internal/sparse"
 )
@@ -38,23 +41,19 @@ import (
 func main() {
 	var (
 		np         = flag.Int("np", 4, "number of virtual processors")
-		matrixSpec = flag.String("matrix", "banded:512:4", "generator spec (see cgsolve -help)")
-		matrixFile = flag.String("file", "", "Matrix Market file to solve (overrides -matrix)")
+		problemArg = flag.String("problem", "banded:512:4", `what to solve: a generator spec ("laplace2d:64:64"), "stencil:5pt:<nx>x<ny>" or "stencil:27pt:<nx>x<ny>x<nz>" (global grid, matrix-free), or "hpcg:<nx>x<ny>x<nz>[:L<levels>][:S<smooths>]" (each rank's brick, multigrid)`)
+		matrixFile = flag.String("file", "", "Matrix Market file to solve instead of -problem")
 		topoName   = flag.String("topology", "hypercube", "hypercube | ring | mesh2d | full")
 		tol        = flag.Float64("tol", 1e-10, "relative residual tolerance")
-		demo       = flag.String("demo", "", "built-in directive program: csr | csc-serial | csc-merge | balanced")
+		demo       = flag.String("demo", "", "a matrix problem's built-in directive program: csr | csc-serial | csc-merge | balanced (csr without it or a directive file)")
 		commMatrix = flag.Bool("commmatrix", false, "print the communication matrix")
 		timeout    = flag.Duration("timeout", 0, "deadline on the whole solve: abort it after this long (0 = wait forever)")
 		faultStr   = flag.String("fault", "", `fault spec, e.g. "crash:rank=2@t=0.5ms,straggle:rank=1,x=4"`)
 		resilient  = flag.Bool("resilient", false, "survive injected crashes via checkpoint/restart")
 		sstep      = flag.Int("sstep", -1, "s-step CG blocking factor: -1 = plain CG, 0 = auto from the cost model, s >= 1 fixed (CSR layouts)")
-		pipelined  = flag.Bool("pipelined", false, "pipelined CG: hide the per-iteration allreduce behind the mat-vec (CSR layouts and -stencil; excludes -sstep, -resilient, -hpcg)")
+		pipelined  = flag.Bool("pipelined", false, "pipelined CG: hide the per-iteration allreduce behind the mat-vec (CSR layouts and stencil problems; excludes -sstep, -resilient, hpcg)")
 		ckpt       = flag.Int("ckpt", 10, "checkpoint every N iterations (with -resilient)")
 		restarts   = flag.Int("restarts", 3, "max restart attempts after failures (with -resilient)")
-		hpcg       = flag.String("hpcg", "", "solve the HPCG 27-point stencil instead of a directive program: per-rank brick as nx,ny,nz (combines with -np, -tol, -topology)")
-		levels     = flag.Int("levels", 0, "V-cycle hierarchy depth with -hpcg (0 = default, clamped to the grid)")
-		smooths    = flag.Int("smooths", 0, "Gauss-Seidel sweeps per V-cycle stage with -hpcg (0 = default)")
-		stencil    = flag.String("stencil", "", `solve a stencil system matrix-free (no assembly, no inspector): "5pt:nx,ny" or "27pt:nx,ny,nz" global grid (combines with -np, -tol, -topology)`)
 	)
 	flag.Parse()
 	if err := unusedFlag(*resilient); err != nil {
@@ -92,17 +91,15 @@ func main() {
 		m.AttachInjector(inj)
 	}
 
-	// The three problem kinds differ in how the handle is prepared and
-	// in the lines that describe the problem; the solve is one call.
+	// One problem, opened through its backend — or, for a directive
+	// file, bound to its matrix; the solve is one call either way.
+	prob, name := problem(*problemArg, *matrixFile)
 	var pr *hpfexec.Prepared
-	var describe func()
-	switch {
-	case *hpcg != "":
-		pr, describe = prepareHPCG(m, *hpcg, *levels, *smooths)
-	case *stencil != "":
-		pr, describe = prepareStencil(m, *stencil)
-	default:
-		pr, describe = prepareDirectives(m, *demo, *matrixSpec, *matrixFile)
+	var plan *hpf.Plan
+	if *demo == "" && flag.NArg() > 0 {
+		pr, plan = prepareDirectives(m, prob, flag.Arg(0))
+	} else if pr, err = hpfexec.Open(m, prob, *demo); err != nil {
+		fatal(err)
 	}
 	if err := pr.WithVariant(variant); err != nil {
 		fatal(err)
@@ -140,22 +137,25 @@ func main() {
 	if *pipelined {
 		hidden, exposed := out.Run.ReduceOverlap()
 		fmt.Printf("overlap:  reductions=%d hidden=%.6gs exposed=%.6gs", res.Stats.Reductions, hidden, exposed)
-		if *stencil == "" {
+		if prob.Kind() != hpfexec.BackendStencil {
 			fmt.Printf(" guard_trips=%d", res.Stats.Replacements)
 		}
 		fmt.Println()
 	}
-	describe()
+	fmt.Printf("problem:  %s n=%d np=%d\n", name, pr.N(), m.NP())
+	if plan != nil {
+		fmt.Printf("plan:\n%s", plan.Describe())
+	}
 	fmt.Printf("strategy: %s\n", res.Strategy)
 	fmt.Printf("solver:   %s\n", res.Stats)
 	setup := ""
-	if *stencil != "" {
+	if prob.Kind() == hpfexec.BackendStencil {
 		setup = fmt.Sprintf(" setup=%.6gs", out.SetupModelTime)
 	}
 	fmt.Printf("model:    time=%.6gs comm=%.6gs%s msgs=%d bytes=%d imbalance=%.3f\n",
 		out.Run.ModelTime, out.Run.CommTime(), setup, out.Run.TotalMsgs, out.Run.TotalBytes,
 		out.Run.FlopImbalance())
-	if *hpcg != "" {
+	if prob.Kind() == hpfexec.BackendHPCG {
 		// The HPCG-style figure of merit: charged flops over the modeled
 		// makespan and over wall clock.
 		fmt.Printf("fom:      model=%.4g GF/s wall=%.4g GF/s (flops=%d)\n",
@@ -172,44 +172,35 @@ func main() {
 	}
 }
 
-// prepareDirectives is the default path: bind a directive program
-// (-demo or the file argument) to the matrix and prepare the execution
-// the directives imply.
-func prepareDirectives(m *comm.Machine, demo, matrixSpec, matrixFile string) (*hpfexec.Prepared, func()) {
-	var A *sparse.CSR
-	var err error
-	matrixName := matrixSpec
-	if matrixFile != "" {
-		f, ferr := os.Open(matrixFile)
-		if ferr != nil {
-			fatal(ferr)
+// problem is what -problem or, when set, -file describes, and the name
+// the output gives it: the canonical problem string, or the file.
+func problem(arg, file string) (hpfexec.Problem, string) {
+	if file == "" {
+		p, err := hpfexec.ParseProblem(arg)
+		if err != nil {
+			fatal(err)
 		}
-		A, err = sparse.ReadMatrixMarket(f)
-		f.Close()
-		matrixName = matrixFile
-	} else {
-		A, err = sparse.GeneratorByName(matrixSpec)
+		return p, p.String()
 	}
+	doc, err := os.ReadFile(file)
 	if err != nil {
 		fatal(err)
 	}
-	if A.NRows != A.NCols {
-		fatal(fmt.Errorf("matrix %s is not square (%dx%d)", matrixName, A.NRows, A.NCols))
-	}
-	n, nz := A.NRows, A.NNZ()
+	return hpfexec.Upload(string(doc)), file
+}
 
-	var plan *hpf.Plan
-	switch {
-	case demo != "":
-		plan, err = hpfexec.PlanForLayout(demo, m.NP(), n, nz)
-	case flag.NArg() > 0:
-		var src []byte
-		if src, err = os.ReadFile(flag.Arg(0)); err == nil {
-			plan, err = hpfexec.BindProgram(string(src), m.NP(), n, nz)
-		}
-	default:
-		err = fmt.Errorf("need a directive file argument or -demo")
+// prepareDirectives binds a directive file to the problem's matrix and
+// prepares the execution the directives imply.
+func prepareDirectives(m *comm.Machine, prob hpfexec.Problem, file string) (*hpfexec.Prepared, *hpf.Plan) {
+	A, err := prob.Matrix()
+	if err != nil {
+		fatal(err)
 	}
+	src, err := os.ReadFile(file)
+	if err != nil {
+		fatal(err)
+	}
+	plan, err := hpfexec.BindProgram(string(src), m.NP(), A.NRows, A.NNZ())
 	if err != nil {
 		fatal(err)
 	}
@@ -217,80 +208,20 @@ func prepareDirectives(m *comm.Machine, demo, matrixSpec, matrixFile string) (*h
 	if err != nil {
 		fatal(err)
 	}
-	return pr, func() {
-		fmt.Printf("matrix:   n=%d nnz=%d (%s)\n", n, nz, matrixName)
-		fmt.Printf("plan:\n%s", plan.Describe())
-	}
+	return pr, plan
 }
 
-// prepareHPCG is the -hpcg path: V-cycle multigrid-preconditioned CG
-// on the 27-point stencil, each rank owning an nx×ny×nz brick.
-func prepareHPCG(m *comm.Machine, brick string, levels, smooths int) (*hpfexec.Prepared, func()) {
-	spec, err := mg.ParseBrick(brick)
-	if err != nil {
-		fatal(fmt.Errorf("-hpcg: %w", err))
-	}
-	spec.Levels, spec.Smooths = levels, smooths
-	pr, err := hpfexec.PrepareMG(m, spec)
-	if err != nil {
-		fatal(err)
-	}
-	return pr, func() {
-		fmt.Printf("stencil:  27-pt, brick %dx%dx%d per rank, n=%d np=%d levels=%d\n",
-			spec.Nx, spec.Ny, spec.Nz, pr.N(), m.NP(), pr.Strategy().Levels)
-	}
-}
-
-// prepareStencil is the -stencil path: CG on the matrix-free stencil
-// operator — nothing assembled, halo schedules derived from the slab
-// geometry, modeled setup exactly zero. With -pipelined the solve runs
-// the overlap recurrence, the stencil application hiding the round.
-func prepareStencil(m *comm.Machine, arg string) (*hpfexec.Prepared, func()) {
-	spec, err := mfree.ParseSpec(arg)
-	if err != nil {
-		fatal(fmt.Errorf("-stencil: %w", err))
-	}
-	pr, err := hpfexec.PrepareStencil(m, spec)
-	if err != nil {
-		fatal(err)
-	}
-	_, dims, _ := strings.Cut(arg, ":")
-	return pr, func() {
-		fmt.Printf("stencil:  %s matrix-free, global %s, n=%d nnz=%d np=%d\n",
-			spec.Stencil, dims, pr.N(), spec.WithDefaults().NNZ(), m.NP())
-	}
-}
-
-// unusedFlag refuses a flag that was set but that the problem or the
-// variant it picks does not read: -hpcg and -stencil each exclude the
-// other and the matrix inputs (-demo, -matrix, -file, a directive
-// file), -levels and -smooths need -hpcg, -ckpt and -restarts need
-// -resilient.
+// unusedFlag refuses a flag that was set but that the solve does not
+// read: -problem with -file, -ckpt and -restarts without -resilient.
 func unusedFlag(resilient bool) error {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	for _, gen := range []string{"hpcg", "stencil"} {
-		if !set[gen] {
-			continue
-		}
-		for _, other := range []string{"hpcg", "stencil", "demo", "matrix", "file"} {
-			if other != gen && set[other] {
-				return fmt.Errorf("-%s does not apply with -%s", other, gen)
-			}
-		}
-		if flag.NArg() > 0 {
-			return fmt.Errorf("a directive file does not apply with -%s", gen)
-		}
+	if set["problem"] && set["file"] {
+		return fmt.Errorf("-problem does not apply with -file")
 	}
-	for _, need := range []struct {
-		flag, with string
-		ok         bool
-	}{
-		{"levels", "hpcg", set["hpcg"]}, {"smooths", "hpcg", set["hpcg"]},
-		{"ckpt", "resilient", resilient}, {"restarts", "resilient", resilient},
-	} {
-		if set[need.flag] && !need.ok {
-			return fmt.Errorf("-%s needs -%s", need.flag, need.with)
+	for _, name := range []string{"ckpt", "restarts"} {
+		if set[name] && !resilient {
+			return fmt.Errorf("-%s needs -resilient", name)
 		}
 	}
 	return nil

@@ -12,10 +12,10 @@ import (
 // re-entered as main) and wants every out-of-range variant flag refused
 // with exit 1 and one stderr line naming it, not a solve that runs with
 // some other value: a negative checkpoint interval or restart budget, or
-// an -sstep outside [-1,16]. A flag the solve would not read is refused
-// the same way: -hpcg and -stencil with each other or with a matrix
-// input, -levels/-smooths without -hpcg, -ckpt/-restarts without
-// -resilient.
+// an -sstep outside [-1,16]. A -problem the grammar does not take exactly
+// is refused naming the argument, and a flag the solve would not read is
+// refused too: -problem with -file, a layout (-demo) or a directive file
+// with a stencil problem, -ckpt/-restarts without -resilient.
 func TestRefusesOutOfRangeVariantFlags(t *testing.T) {
 	if args := os.Getenv("HPFRUN_ARGS"); args != "" {
 		os.Args = append([]string{"hpfrun"}, strings.Fields(args)...)
@@ -29,14 +29,17 @@ func TestRefusesOutOfRangeVariantFlags(t *testing.T) {
 		"-demo csr -sstep -5":  "-sstep -5 outside [-1,16]",
 		"-demo csr -sstep 99":  "-sstep 99 outside [-1,16]",
 
-		"-stencil 5pt:32,24 -hpcg 4,4,4":           "-stencil does not apply with -hpcg",
-		"-hpcg 4,4,4 -demo csc-merge -matrix nope": "-demo does not apply with -hpcg",
-		"-stencil 5pt:32,24 -file m.mtx":           "-file does not apply with -stencil",
-		"-stencil 5pt:32,24 figure2.hpf":           "a directive file does not apply with -stencil",
-		"-demo csr -levels 3 -smooths 2":           "-levels needs -hpcg",
-		"-stencil 5pt:32,24 -smooths 2":            "-smooths needs -hpcg",
-		"-demo csr -ckpt 5":                        "-ckpt needs -resilient",
-		"-demo csr -resilient=false -restarts 2":   "-restarts needs -resilient",
+		"-problem stencil:5pt:32x24junk":         `problem "stencil:5pt:32x24junk"`,
+		"-problem stencil:27pt:4x4x4x4":          `problem "stencil:27pt:4x4x4x4"`,
+		"-problem hpcg:4x4x4junk":                `problem "hpcg:4x4x4junk"`,
+		"-problem hpcg:4x4x4x9":                  `problem "hpcg:4x4x4x9"`,
+		"-problem hpcg:0x4x4":                    "field mg.nx: 0 outside [1, 256]",
+		"-problem hpcg:4x4x4 -demo csc-merge":    "field layout: does not apply to hpcg problems",
+		"-problem stencil:5pt:32x24 -demo csr":   "field layout: does not apply to stencil problems",
+		"-problem stencil:5pt:32x24 -file m.mtx": "-problem does not apply with -file",
+		"-problem stencil:5pt:32x24 figure2.hpf": "a stencil problem is never assembled",
+		"-demo csr -ckpt 5":                      "-ckpt needs -resilient",
+		"-demo csr -resilient=false -restarts 2": "-restarts needs -resilient",
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestRefusesOutOfRangeVariantFlags$")
 		cmd.Env = append(os.Environ(), "HPFRUN_ARGS="+args)

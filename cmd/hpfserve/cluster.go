@@ -181,9 +181,8 @@ func runClusterSmoke(opts serve.Options) error {
 		if err != nil {
 			return err
 		}
-		// The shard's view names its own ID, not the router's.
-		bare, _, _ := cluster.DecodeJobID(id)
-		if err := checkView(v, bare, serve.StateDone); err != nil {
+		// The view names the job by the ID the router handed out.
+		if err := checkView(v, id, serve.StateDone); err != nil {
 			return fmt.Errorf("round %d: %w", round, err)
 		}
 		if v.Result.PlanCacheHit != (round > 0) {

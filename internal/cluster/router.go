@@ -16,6 +16,7 @@ import (
 	"log"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -297,7 +298,8 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // proxyJobGet routes GET /jobs/{id}[/trace] by the shard encoded in
-// the ID, preserving the query string (?wait=1&timeout=...).
+// the ID, preserving the query string (?wait=1&timeout=...). A job view
+// names the job as the client does, by its cluster ID.
 func (rt *Router) proxyJobGet(w http.ResponseWriter, r *http.Request, suffix string) {
 	id := r.PathValue("id")
 	bare, nodeName, ok := DecodeJobID(id)
@@ -330,7 +332,27 @@ func (rt *Router) proxyJobGet(w http.ResponseWriter, r *http.Request, suffix str
 		copyHeader(w, resp.Header, h)
 	}
 	w.WriteHeader(resp.StatusCode)
+	if suffix == "" && resp.StatusCode == http.StatusOK {
+		writeViewHead(w, resp.Body, bare, id)
+	}
 	_, _ = io.Copy(w, resp.Body)
+}
+
+// writeViewHead copies the opening of a shard's job view, which names
+// the shard-local ID ({"id":"job-1",...), as the same opening naming
+// the cluster ID. It reads only that prefix: the rest of the view, the
+// solution vector included, streams through undecoded. A body that
+// does not open that way is copied as read.
+func writeViewHead(w io.Writer, body io.Reader, bare, id string) {
+	const open = `{"id":`
+	head := make([]byte, len(open)+len(bare)+2)
+	n, _ := io.ReadFull(body, head)
+	head = head[:n]
+	if string(head) == open+strconv.Quote(bare) {
+		quoted, _ := json.Marshal(id)
+		head = append(head[:len(open)], quoted...)
+	}
+	_, _ = w.Write(head)
 }
 
 // proxy performs one round-trip and slurps the response.

@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -544,5 +545,45 @@ func TestJoinerLifecycle(t *testing.T) {
 	}
 	if rt.Membership().AliveCount() != 0 {
 		t.Fatal("shard still registered after graceful shutdown")
+	}
+}
+
+// TestRouterViewNamesClusterID: a job view read through the router
+// names the job by the ID the router handed out, polled or long-polled;
+// a trace and a non-200 answer pass through byte for byte.
+func TestRouterViewNamesClusterID(t *testing.T) {
+	sh := startShard(t, "s1", serve.Options{Workers: 1})
+	_, rts := startRouter(t, sh)
+	ack, v := runJob(t, rts.URL, `{"matrix":"laplace1d:16","np":2,"trace":true}`)
+	if ack.ID != "job-1@s1" || v.ID != ack.ID {
+		t.Fatalf("submitted as %q, the long-polled view names %q", ack.ID, v.ID)
+	}
+	get := func(url string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+	code, body := get(rts.URL + "/jobs/" + ack.ID)
+	var polled serve.JobView
+	if err := json.Unmarshal(body, &polled); err != nil || code != http.StatusOK || polled.ID != ack.ID || polled.Result == nil {
+		t.Fatalf("polled view: %d %v, id %q", code, err, polled.ID)
+	}
+	for _, path := range []string{"/jobs/job-1/trace", "/jobs/job-9"} {
+		wantCode, want := get(sh.ts.URL + path)
+		bare, suffix, _ := strings.Cut(strings.TrimPrefix(path, "/jobs/"), "/")
+		if suffix != "" {
+			suffix = "/" + suffix
+		}
+		if code, got := get(rts.URL + "/jobs/" + bare + "@s1" + suffix); code != wantCode || !bytes.Equal(got, want) {
+			t.Errorf("%s through the router: %d, %d bytes; the shard's own answer %d, %d bytes", path, code, len(got), wantCode, len(want))
+		}
 	}
 }

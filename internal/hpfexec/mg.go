@@ -27,7 +27,7 @@ import (
 // shape (Mode and Levels).
 func PrepareMG(m *comm.Machine, spec mg.Spec) (*Prepared, error) {
 	spec = spec.WithDefaults()
-	if err := spec.Validate(); err != nil {
+	if err := MG(spec).Validate(m.NP()); err != nil {
 		return nil, err
 	}
 	fine, err := spec.Fine(m.NP())

@@ -26,10 +26,7 @@ import (
 // geometric schedule makes setup free.
 func PrepareStencil(m *comm.Machine, spec mfree.Spec) (*Prepared, error) {
 	spec = spec.WithDefaults()
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if _, err := spec.Brick(m.NP()); err != nil {
+	if err := Stencil(spec).Validate(m.NP()); err != nil {
 		return nil, err
 	}
 	return newPrepared(m, &stencilBackend{spec: spec, bytes: spec.ModelBytes(m.NP())}, Strategy{

@@ -49,8 +49,6 @@ package mfree
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 
 	"hpfcg/internal/grid"
 	"hpfcg/internal/sparse"
@@ -90,39 +88,6 @@ type Spec struct {
 	Nx, Ny, Nz int     // global dims; Nz ignored (0) for 5pt
 	Center     float64 // diagonal coefficient (0,0 -> canonical pair)
 	Off        float64 // neighbour coefficient
-}
-
-// ParseSpec parses the command-line form of a spec, "5pt:nx,ny" or
-// "27pt:nx,ny,nz": global grid dimensions, canonical coefficients. The
-// dimension list must be exactly that many comma-separated integers —
-// a trailing field or trailing characters are an error, not ignored.
-func ParseSpec(arg string) (Spec, error) {
-	kind, dims, ok := strings.Cut(arg, ":")
-	if !ok {
-		return Spec{}, fmt.Errorf(`mfree: want "5pt:nx,ny" or "27pt:nx,ny,nz", got %q`, arg)
-	}
-	s := Spec{Stencil: kind}
-	var into []*int
-	switch kind {
-	case "5pt":
-		into = []*int{&s.Nx, &s.Ny}
-	case "27pt":
-		into = []*int{&s.Nx, &s.Ny, &s.Nz}
-	default:
-		return Spec{}, fmt.Errorf("mfree: %q: stencil %q unsupported (5pt, 27pt)", arg, kind)
-	}
-	fields := strings.Split(dims, ",")
-	if len(fields) != len(into) {
-		return Spec{}, fmt.Errorf("mfree: %q: %s takes %d dimensions, got %d", arg, kind, len(into), len(fields))
-	}
-	for i, f := range fields {
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			return Spec{}, fmt.Errorf("mfree: %q: dimension %q is not an integer", arg, f)
-		}
-		*into[i] = v
-	}
-	return s, nil
 }
 
 // WithDefaults fills the canonical coefficient pair when both Center

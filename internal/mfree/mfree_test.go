@@ -2,9 +2,7 @@ package mfree
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -392,32 +390,6 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-// TestParseSpec: the command-line form takes exactly the stencil's
-// dimension count, each field a whole integer. A parser that stops at
-// its last verb would solve a grid other than the one typed, silently;
-// every malformed string must fail with the argument named.
-func TestParseSpec(t *testing.T) {
-	good := map[string]Spec{
-		"5pt:32,24":   {Stencil: "5pt", Nx: 32, Ny: 24},
-		"27pt:8,8,10": {Stencil: "27pt", Nx: 8, Ny: 8, Nz: 10},
-	}
-	for arg, want := range good {
-		if got, err := ParseSpec(arg); err != nil || got != want {
-			t.Errorf("ParseSpec(%q) = %+v, %v; want %+v", arg, got, err, want)
-		}
-	}
-	for _, arg := range []string{
-		"5pt:32,24,99", "5pt:32,24junk", "27pt:4,4,4,4", "27pt:4,4,4x",
-		"5pt:32", "9pt:3,3", "27pt:4,4", "5pt:", "5pt:32, 24", "5pt", "",
-	} {
-		if got, err := ParseSpec(arg); err == nil {
-			t.Errorf("ParseSpec(%q) = %+v, want an error", arg, got)
-		} else if !strings.Contains(err.Error(), strconv.Quote(arg)) {
-			t.Errorf("ParseSpec(%q): error %q does not name the argument", arg, err)
-		}
-	}
-}
-
 // TestKeyAndDefaults: the cache key carries the coefficients (they are
 // the operator's values) and defaulting picks the canonical pair.
 func TestKeyAndDefaults(t *testing.T) {
@@ -454,36 +426,4 @@ func TestModelBytesTiny(t *testing.T) {
 	if mb*100 > csrBytes {
 		t.Errorf("ModelBytes %d not well below assembled %d", mb, csrBytes)
 	}
-}
-
-// FuzzParseSpec: the command-line parser never panics, and an accepted
-// spec re-renders to a canonical string that parses to the same value;
-// one that also validates has every dimension inside [1, MaxDim].
-func FuzzParseSpec(f *testing.F) {
-	for _, s := range []string{
-		"5pt:32,24", "27pt:8,8,10", "5pt:32,24,99", "5pt:32,24junk", "27pt:4,4,4,4", "27pt:4,4,4x",
-		"5pt:32", "9pt:3,3", "27pt:4,4", "5pt:", "5pt:32, 24", "5pt", "", "5pt:+3,04", "27pt:-1,0,99999999999",
-	} {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, arg string) {
-		s, err := ParseSpec(arg)
-		if err != nil {
-			return
-		}
-		canon := fmt.Sprintf("%s:%d,%d", s.Stencil, s.Nx, s.Ny)
-		if s.Stencil == "27pt" {
-			canon += fmt.Sprintf(",%d", s.Nz)
-		}
-		if back, err := ParseSpec(canon); err != nil || back != s {
-			t.Fatalf("ParseSpec(%q) = %+v, but its canonical form %q parses to %+v, %v", arg, s, canon, back, err)
-		}
-		if s.WithDefaults().Validate() == nil {
-			for _, d := range []int{s.Nx, s.Ny, max(s.Nz, 1)} {
-				if d < 1 || d > MaxDim {
-					t.Fatalf("ParseSpec(%q) = %+v validates with a dimension outside [1, %d]", arg, s, MaxDim)
-				}
-			}
-		}
-	})
 }

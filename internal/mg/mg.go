@@ -37,7 +37,6 @@ import (
 	"fmt"
 
 	"hpfcg/internal/grid"
-	"hpfcg/internal/mfree"
 )
 
 // Spec bounds. Dimensions are per-rank brick sides; MaxDim keeps a
@@ -79,16 +78,6 @@ type Spec struct {
 	Coarse string
 }
 
-// ParseBrick reads a per-rank brick "nx,ny,nz" — the -hpcg argument of
-// hpfrun and cgbench — into a Spec's dimensions, by mfree.ParseSpec's
-// rules for the 27-point stencil: exactly three comma-separated
-// integers, no blanks, nothing after the last. Ranges are Validate's
-// job.
-func ParseBrick(arg string) (Spec, error) {
-	s, err := mfree.ParseSpec("27pt:" + arg)
-	return Spec{Nx: s.Nx, Ny: s.Ny, Nz: s.Nz}, err
-}
-
 // WithDefaults fills zero Levels/Smooths with the package defaults.
 func (s Spec) WithDefaults() Spec {
 	if s.Levels == 0 {
@@ -100,28 +89,29 @@ func (s Spec) WithDefaults() Spec {
 	return s
 }
 
-// Validate checks the (defaulted) spec against the package bounds.
-// Errors name the offending field so the serving tier can surface
-// them as admission-time 400s.
+// Validate checks the (defaulted) spec against the package bounds, the
+// one check of an hpcg problem. Errors name the offending field as a
+// served job's JSON spells it (mg.nx, mg.levels, ...), so the serving
+// tier returns them as admission-time 400s unchanged.
 func (s Spec) Validate() error {
 	for _, d := range []struct {
 		name string
 		v    int
 	}{{"nx", s.Nx}, {"ny", s.Ny}, {"nz", s.Nz}} {
 		if d.v < 1 || d.v > MaxDim {
-			return fmt.Errorf("mg: %s = %d outside [1, %d]", d.name, d.v, MaxDim)
+			return fmt.Errorf("field mg.%s: %d outside [1, %d]", d.name, d.v, MaxDim)
 		}
 	}
 	if s.Levels < 1 || s.Levels > MaxLevels {
-		return fmt.Errorf("mg: levels = %d outside [1, %d]", s.Levels, MaxLevels)
+		return fmt.Errorf("field mg.levels: %d outside [1, %d] (0 selects %d)", s.Levels, MaxLevels, DefaultLevels)
 	}
 	if s.Smooths < 1 || s.Smooths > MaxSmooths {
-		return fmt.Errorf("mg: smooths = %d outside [1, %d]", s.Smooths, MaxSmooths)
+		return fmt.Errorf("field mg.smooths: %d outside [1, %d] (0 selects %d)", s.Smooths, MaxSmooths, DefaultSmooths)
 	}
 	switch s.Coarse {
 	case "", "smooth", "direct":
 	default:
-		return fmt.Errorf("mg: coarse = %q unsupported (auto %q, smooth, direct)", s.Coarse, "")
+		return fmt.Errorf("field mg.coarse: %q unsupported (auto %q, smooth, direct)", s.Coarse, "")
 	}
 	return nil
 }

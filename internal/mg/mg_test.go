@@ -548,32 +548,3 @@ func TestCoarseDirectDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestParseBrick: the -hpcg brick is exactly three integers; trailing
-// junk, a fourth field and blanks are errors, not a silently smaller
-// brick.
-func TestParseBrick(t *testing.T) {
-	for _, c := range []struct {
-		arg  string
-		want Spec
-		ok   bool
-	}{
-		{"4,4,4", Spec{Nx: 4, Ny: 4, Nz: 4}, true},
-		{"8,6,20", Spec{Nx: 8, Ny: 6, Nz: 20}, true},
-		{"0,-1,2", Spec{Nx: 0, Ny: -1, Nz: 2}, true}, // ranges are Validate's
-		{"4,4,4junk", Spec{}, false},
-		{"4,4,4,9", Spec{}, false},
-		{"4,4", Spec{}, false},
-		{"4, 4,4", Spec{}, false},
-		{" 4,4,4", Spec{}, false},
-		{"4,4,4 ", Spec{}, false},
-		{"4,,4", Spec{}, false},
-		{"", Spec{}, false},
-		{"4x4x4", Spec{}, false},
-	} {
-		got, err := ParseBrick(c.arg)
-		if (err == nil) != c.ok || got != c.want {
-			t.Errorf("ParseBrick(%q) = %+v, %v; want %+v, ok=%v", c.arg, got, err, c.want, c.ok)
-		}
-	}
-}

@@ -298,7 +298,7 @@ func TestResilientJobUnderDeadline(t *testing.T) {
 
 // TestAdmissionAgreesWithLibrary enumerates every backend × variant ×
 // mode × attachment cell. Admission (validate) and the library
-// (prepareHandle's WithVariant) must give the same verdict, and for an
+// (prepare's WithVariant) must give the same verdict, and for an
 // illegal cell the same message: the table lives once, in
 // hpfexec.CheckVariant.
 func TestAdmissionAgreesWithLibrary(t *testing.T) {
@@ -333,7 +333,7 @@ func TestAdmissionAgreesWithLibrary(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						_, lib := prepareHandle(m, spec, nil)
+						_, lib := spec.prepare(m)
 						switch {
 						case admit == nil && lib == nil:
 							legal++

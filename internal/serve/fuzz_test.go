@@ -48,7 +48,7 @@ func FuzzJobSpec(f *testing.F) {
 			sp.CkptInterval < 0 || sp.MaxRestarts < 0 || sp.Tol < 0 {
 			t.Fatalf("accepted out-of-range knob: %+v", sp)
 		}
-		switch sp.id.jobType {
+		switch sp.Method {
 		case "cg":
 			if sp.MatrixMarket == "" {
 				if err := sparse.CheckGeneratorSpec(sp.Matrix); err != nil {
@@ -65,7 +65,7 @@ func FuzzJobSpec(f *testing.F) {
 				t.Fatalf("accepted mg depth %+v", *sp.MG)
 			}
 		case "stencil":
-			st := sp.Stencil.spec()
+			st := mfree.Spec(*sp.Stencil)
 			for _, d := range []int{st.Nx, st.Ny, max(st.Nz, 1)} {
 				if d < 1 || d > mfree.MaxDim {
 					t.Fatalf("accepted stencil dims %+v", st)
@@ -75,7 +75,7 @@ func FuzzJobSpec(f *testing.F) {
 				t.Fatalf("accepted stencil %+v does not split over np=%d: %v", st, sp.NP, err)
 			}
 		default:
-			t.Fatalf("accepted job type %q", sp.id.jobType)
+			t.Fatalf("accepted job type %q", sp.Method)
 		}
 	})
 }

@@ -4,8 +4,8 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
-	"hash/maphash"
 	"strings"
 	"time"
 
@@ -19,8 +19,9 @@ import (
 
 // MGSpec sizes an hpcg job's stencil problem: each rank owns an
 // nx × ny × nz brick of the 27-point operator, solved by V-cycle
-// multigrid-preconditioned CG (mg.Spec mirrors the fields; zero
-// levels/smooths select the package defaults).
+// multigrid-preconditioned CG (zero levels/smooths select the package
+// defaults). It is mg.Spec field for field, so a job converts to it
+// exactly, and the two cannot drift apart and still compile.
 type MGSpec struct {
 	Nx      int `json:"nx"`
 	Ny      int `json:"ny"`
@@ -32,16 +33,12 @@ type MGSpec struct {
 	Coarse string `json:"coarse,omitempty"`
 }
 
-// spec converts to the mg package's form with defaults applied.
-func (m *MGSpec) spec() mg.Spec {
-	return mg.Spec{Nx: m.Nx, Ny: m.Ny, Nz: m.Nz, Levels: m.Levels, Smooths: m.Smooths, Coarse: m.Coarse}.WithDefaults()
-}
-
 // StencilSpec sizes a stencil job's matrix-free problem: the global
 // grid dimensions and the stencil coefficients. Unlike MGSpec the
 // dimensions are global — the service splits the grid into z-slabs
 // over NP ranks. Zero center and off select the canonical Laplacian
-// pair for the stencil kind.
+// pair for the stencil kind. It is mfree.Spec field for field, as
+// MGSpec is mg.Spec.
 type StencilSpec struct {
 	// Stencil is "5pt" (2-D, nx × ny) or "27pt" (3-D, nx × ny × nz).
 	Stencil string  `json:"stencil"`
@@ -50,11 +47,6 @@ type StencilSpec struct {
 	Nz      int     `json:"nz,omitempty"`
 	Center  float64 `json:"center,omitempty"`
 	Off     float64 `json:"off,omitempty"`
-}
-
-// spec converts to the mfree package's form with defaults applied.
-func (st *StencilSpec) spec() mfree.Spec {
-	return mfree.Spec{Stencil: st.Stencil, Nx: st.Nx, Ny: st.Ny, Nz: st.Nz, Center: st.Center, Off: st.Off}.WithDefaults()
 }
 
 // JobSpec is one solve request. The matrix comes either from a
@@ -126,67 +118,41 @@ type JobSpec struct {
 	// method), downloadable from /jobs/{id}/trace.
 	Trace bool `json:"trace,omitempty"`
 
-	// id is what the job is, resolved once by normalize; every key and
-	// label below is an expression over it.
-	id identity
+	// prob is what the job solves, built once by normalize from the
+	// problem fields above; the batch key, the plan key and the
+	// prepared handle are all expressions over it.
+	prob hpfexec.Problem
 }
 
-// identity is what a job is: its metrics label, its row in
-// hpfexec.CheckVariant's table, and the string naming its operator.
-type identity struct {
-	jobType string // "cg", "hpcg" or "stencil"
-	backend string // hpfexec.BackendCSR, BackendCSC, BackendHPCG, BackendStencil
-	// content is "gen:<generator spec>", "mm:<digest of the upload
-	// text>", "hpcg:<mg.Spec.Key()>" or "stencil:<mfree.Spec.Key()>".
-	content string
-}
-
-// uploadSeed keys the digest that stands for a Matrix Market upload in
-// batch keys, which never leave the process.
-var uploadSeed = maphash.MakeSeed()
-
-// identity resolves the job's identity from its method. A spec that
-// names hpcg or stencil without the block resolves as a cg job;
-// validation then rejects it by field.
-func (sp *JobSpec) identity() identity {
+// problem turns the job's three JSON shapes into its one problem
+// description. A spec that names hpcg or stencil without the block
+// describes its matrix fields instead; validation then rejects it by
+// field.
+func (sp *JobSpec) problem() hpfexec.Problem {
 	switch {
 	case sp.Method == "hpcg" && sp.MG != nil:
-		return identity{"hpcg", hpfexec.BackendHPCG, "hpcg:" + sp.MG.spec().Key()}
+		return hpfexec.MG(mg.Spec(*sp.MG))
 	case sp.Method == "stencil" && sp.Stencil != nil:
-		return identity{"stencil", hpfexec.BackendStencil, "stencil:" + sp.Stencil.spec().Key()}
+		return hpfexec.Stencil(mfree.Spec(*sp.Stencil))
+	case sp.MatrixMarket != "":
+		return hpfexec.Upload(sp.MatrixMarket)
 	}
-	id := identity{"cg", hpfexec.BackendCSR, "gen:" + sp.Matrix}
-	if strings.HasPrefix(sp.Layout, "csc") {
-		id.backend = hpfexec.BackendCSC
-	}
-	if sp.MatrixMarket != "" {
-		id.content = fmt.Sprintf("mm:%016x", maphash.String(uploadSeed, sp.MatrixMarket))
-	}
-	return id
+	return hpfexec.Generated(sp.Matrix)
 }
 
-// normalize fills defaults in place and resolves the job's identity.
+// normalize fills defaults in place and builds the job's problem. Only
+// a matrix job has a layout to default: the stencil backends take none.
 func (sp *JobSpec) normalize() {
-	if sp.Layout == "" {
-		sp.Layout = "csr"
+	sp.Method = cmp.Or(sp.Method, "cg")
+	if sp.Method == "cg" {
+		sp.Layout = cmp.Or(sp.Layout, "csr")
 	}
-	if sp.Method == "" {
-		sp.Method = "cg"
-	}
-	if sp.NP == 0 {
-		sp.NP = 4
-	}
-	if sp.Topology == "" {
-		sp.Topology = "hypercube"
-	}
-	if sp.Seed == 0 {
-		sp.Seed = 42
-	}
+	sp.NP, sp.Topology, sp.Seed = cmp.Or(sp.NP, 4), cmp.Or(sp.Topology, "hypercube"), cmp.Or(sp.Seed, 42)
 	if sp.Resilient && sp.Method == "cg" {
 		sp.SStep = 1
 	}
 	sp.Matrix = strings.TrimSpace(sp.Matrix)
-	sp.id = sp.identity()
+	sp.prob = sp.problem()
 }
 
 // fieldErr names the offending request field, so the HTTP 400 a
@@ -198,56 +164,43 @@ func fieldErr(field, format string, args ...any) error {
 // validate rejects requests the service cannot run, centrally and
 // with field-named errors — numeric bounds (sstep, np, dims, levels,
 // tolerances) and generator specs fail here at admission time with a
-// 400 instead of deep in a worker. A malformed Matrix Market upload
-// still surfaces when the job runs; validate only checks what is
-// knowable for free.
+// 400 instead of deep in a worker. The problem and the variant are the
+// library's own checks, so admission and execution cannot disagree;
+// what stays here is the JSON's: which problem block goes with which
+// method. A malformed Matrix Market upload still surfaces when the job
+// runs; validate only checks what is knowable for free.
 func (sp *JobSpec) validate(maxNP int) error {
-	switch sp.Method {
-	case "cg":
-		if sp.Matrix == "" && sp.MatrixMarket == "" {
-			return fieldErr("matrix", "job needs matrix or matrix_market")
-		}
-		if sp.MatrixMarket == "" {
-			if err := sparse.CheckGeneratorSpec(sp.Matrix); err != nil {
-				return fieldErr("matrix", "%v", err)
-			}
-		}
-		if sp.MG != nil {
-			return fieldErr("mg", "only applies to hpcg jobs")
-		}
-		if sp.Stencil != nil {
-			return fieldErr("stencil", "only applies to stencil jobs")
-		}
-	case "hpcg":
-		if err := sp.validateMG(); err != nil {
-			return err
-		}
-	case "stencil":
-		if err := sp.validateStencil(); err != nil {
-			return err
-		}
-	default:
+	matrix := sp.Matrix != "" || sp.MatrixMarket != ""
+	switch {
+	case sp.Method != "cg" && sp.Method != "hpcg" && sp.Method != "stencil":
 		return fieldErr("method", "unsupported %q (cg, hpcg and stencil are served)", sp.Method)
-	}
-	valid := false
-	for _, l := range hpfexec.Layouts() {
-		if sp.Layout == l {
-			valid = true
-		}
-	}
-	if !valid {
-		return fieldErr("layout", "unknown %q (have %v)", sp.Layout, hpfexec.Layouts())
+	case sp.MG != nil && sp.Method != "hpcg":
+		return fieldErr("mg", "only applies to hpcg jobs")
+	case sp.Stencil != nil && sp.Method != "stencil":
+		return fieldErr("stencil", "only applies to stencil jobs")
+	case sp.Method == "hpcg" && sp.MG == nil:
+		return fieldErr("mg", "hpcg jobs need the mg block ({nx,ny,nz,...})")
+	case sp.Method == "stencil" && sp.Stencil == nil:
+		return fieldErr("stencil", "stencil jobs need the stencil block ({stencil,nx,ny,...})")
+	case sp.Method != "cg" && matrix:
+		return fieldErr("matrix", "does not apply to %s jobs (the operator is generated)", sp.Method)
+	case sp.Method == "cg" && !matrix:
+		return fieldErr("matrix", "job needs matrix or matrix_market")
 	}
 	if sp.NP < 1 || sp.NP > maxNP {
 		return fieldErr("np", "%d outside [1,%d]", sp.NP, maxNP)
 	}
+	if err := sp.prob.Validate(sp.NP); err != nil {
+		return err
+	}
+	backend, err := sp.prob.Backend(sp.Layout)
+	if err != nil {
+		return err
+	}
 	if sp.SStep < 0 {
 		return fieldErr("sstep", "%d outside [0,%d]", sp.SStep, hpfexec.MaxSStep)
 	}
-	// Which solver variant this backend runs is the library's table, not
-	// restated here: the same check guards WithVariant, so admission and
-	// execution cannot disagree.
-	if err := hpfexec.CheckVariant(sp.id.backend, sp.variant()); err != nil {
+	if err := hpfexec.CheckVariant(backend, sp.variant()); err != nil {
 		return err
 	}
 	if _, err := topology.ByName(sp.Topology); err != nil {
@@ -270,67 +223,6 @@ func (sp *JobSpec) validate(maxNP int) error {
 	return nil
 }
 
-// validateMG checks the hpcg job shape: the stencil dims and V-cycle
-// bounds, and the matrix fields that have no meaning for a generated
-// stencil problem.
-func (sp *JobSpec) validateMG() error {
-	if sp.MG == nil {
-		return fieldErr("mg", "hpcg jobs need the mg block ({nx,ny,nz,...})")
-	}
-	for _, d := range []struct {
-		name string
-		v    int
-	}{{"mg.nx", sp.MG.Nx}, {"mg.ny", sp.MG.Ny}, {"mg.nz", sp.MG.Nz}} {
-		if d.v < 1 || d.v > mg.MaxDim {
-			return fieldErr(d.name, "%d outside [1,%d]", d.v, mg.MaxDim)
-		}
-	}
-	if sp.MG.Levels < 0 || sp.MG.Levels > mg.MaxLevels {
-		return fieldErr("mg.levels", "%d outside [0,%d] (0 selects %d)", sp.MG.Levels, mg.MaxLevels, mg.DefaultLevels)
-	}
-	if sp.MG.Smooths < 0 || sp.MG.Smooths > mg.MaxSmooths {
-		return fieldErr("mg.smooths", "%d outside [0,%d] (0 selects %d)", sp.MG.Smooths, mg.MaxSmooths, mg.DefaultSmooths)
-	}
-	switch sp.MG.Coarse {
-	case "", "smooth", "direct":
-	default:
-		return fieldErr("mg.coarse", "unsupported %q (auto %q, smooth, direct)", sp.MG.Coarse, "")
-	}
-	if sp.Stencil != nil {
-		return fieldErr("stencil", "only applies to stencil jobs")
-	}
-	if sp.Matrix != "" || sp.MatrixMarket != "" {
-		return fieldErr("matrix", "does not apply to hpcg jobs (the stencil is generated)")
-	}
-	return nil
-}
-
-// validateStencil checks the stencil job shape: the spec itself (the
-// mfree bounds, coefficient finiteness), that the grid admits a z-slab
-// per rank, and the matrix fields that have no meaning for a generated
-// matrix-free problem.
-func (sp *JobSpec) validateStencil() error {
-	if sp.Stencil == nil {
-		return fieldErr("stencil", "stencil jobs need the stencil block ({stencil,nx,ny,...})")
-	}
-	st := sp.Stencil.spec()
-	if err := st.Validate(); err != nil {
-		return fieldErr("stencil", "%v", err)
-	}
-	if sp.NP >= 1 {
-		if _, err := st.Brick(sp.NP); err != nil {
-			return fieldErr("stencil", "%v", err)
-		}
-	}
-	if sp.MG != nil {
-		return fieldErr("mg", "only applies to hpcg jobs")
-	}
-	if sp.Matrix != "" || sp.MatrixMarket != "" {
-		return fieldErr("matrix", "does not apply to stencil jobs (the operator is never assembled)")
-	}
-	return nil
-}
-
 // variant is the solver variant the job asks for. A cg job that names
 // neither knob gets the cost model's s-step choice — the served
 // default.
@@ -339,7 +231,7 @@ func (sp *JobSpec) variant() hpfexec.Variant {
 		SStep: sp.SStep, Pipelined: sp.Pipelined,
 		Resilient: sp.Resilient, CkptInterval: sp.CkptInterval, MaxRestarts: sp.MaxRestarts,
 	}
-	if sp.id.jobType == "cg" && sp.SStep == 0 && !sp.Pipelined {
+	if sp.Method == "cg" && sp.SStep == 0 && !sp.Pipelined {
 		v.SStep = hpfexec.AutoSStep
 	}
 	return v
@@ -374,19 +266,20 @@ type batchKey struct {
 }
 
 func (sp *JobSpec) key() batchKey {
-	return batchKey{matrix: sp.id.content, layout: sp.Layout, np: sp.NP, topology: sp.Topology, sstep: sp.SStep, pipelined: sp.Pipelined, timeoutMS: sp.TimeoutMS}
+	return batchKey{matrix: sp.prob.String(), layout: sp.Layout, np: sp.NP, topology: sp.Topology, sstep: sp.SStep, pipelined: sp.Pipelined, timeoutMS: sp.TimeoutMS}
 }
 
 // ContentHash returns the canonical content digest of the job's
-// matrix: generator specs are hashed by their parameters (the matrix
-// need not be generated), Matrix Market uploads by the canonical CSR
-// digest, so two uploads of the same matrix — reordered entries,
-// different whitespace — digest identically. The plan registry keys on
-// this hash; computing it parses an upload, so only the process that
-// solves the job does (the cluster router places by PlacementKey).
+// problem (hpfexec.Problem.Hash): generated problems are hashed by
+// their parameters (the matrix need not be generated), Matrix Market
+// uploads by the canonical CSR digest, so two uploads of the same
+// matrix — reordered entries, different whitespace — digest
+// identically. The plan registry keys on this hash; computing it parses
+// an upload, so only the process that solves the job does (the cluster
+// router places by PlacementKey).
 func (sp *JobSpec) ContentHash() (string, error) {
-	h, _, err := sp.identity().contentHash(sp.MatrixMarket)
-	return h, err
+	p := sp.problem()
+	return p.Hash()
 }
 
 // PlacementKey returns the string the cluster router consistent-hashes
@@ -397,35 +290,12 @@ func (sp *JobSpec) ContentHash() (string, error) {
 // another shard, where it costs a plan-cache miss and returns the same
 // answer, because the plan registry inside a shard keys on ContentHash.
 func (sp *JobSpec) PlacementKey() string {
-	id := sp.identity()
-	if id.upload() {
+	p := sp.problem()
+	if p.Kind() == "mm" {
 		return sparse.HashUploadText(sp.MatrixMarket)
 	}
-	return id.generatedHash()
-}
-
-// upload reports whether the job's matrix is a Matrix Market upload.
-func (id identity) upload() bool { return strings.HasPrefix(id.content, "mm:") }
-
-// generatedHash is the content hash of a generated problem: its content
-// is its spec string, and on a plan-cache hit no matrix is ever built.
-func (id identity) generatedHash() string {
-	return sparse.HashGeneratorSpec(strings.TrimPrefix(id.content, "gen:"))
-}
-
-// contentHash computes the content hash and, when hashing had to
-// assemble the matrix anyway (a Matrix Market upload, passed as text),
-// returns it so the caller does not parse twice. Generated problems
-// return a nil matrix.
-func (id identity) contentHash(doc string) (string, *sparse.CSR, error) {
-	if !id.upload() {
-		return id.generatedHash(), nil, nil
-	}
-	A, err := sparse.ParseMatrixMarket(doc)
-	if err != nil {
-		return "", nil, fmt.Errorf("matrix: %w", err)
-	}
-	return sparse.ContentHash(A), A, nil
+	h, _ := p.Hash()
+	return h
 }
 
 // planKey is the registry key: the matrix content plus everything that
@@ -435,14 +305,6 @@ func (id identity) contentHash(doc string) (string, *sparse.CSR, error) {
 // under plain CG). A generated problem's shape is already in its hash.
 func (sp *JobSpec) planKey(hash string) string {
 	return fmt.Sprintf("%s|%s|%d|%s|s%d|p%t", hash, sp.Layout, sp.NP, sp.Topology, sp.SStep, sp.Pipelined)
-}
-
-// buildMatrix assembles the job's matrix.
-func (sp *JobSpec) buildMatrix() (*sparse.CSR, error) {
-	if sp.MatrixMarket != "" {
-		return sparse.ParseMatrixMarket(sp.MatrixMarket)
-	}
-	return sparse.GeneratorByName(sp.Matrix)
 }
 
 // State is a job's lifecycle position.

@@ -24,6 +24,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -85,21 +86,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Workers == 0 {
-		o.Workers = 2
-	}
-	if o.QueueCap == 0 {
-		o.QueueCap = 64
-	}
-	if o.MaxBatch == 0 {
-		o.MaxBatch = 8
-	}
-	if o.MaxNP == 0 {
-		o.MaxNP = 32
-	}
-	if o.RetryAfter == 0 {
-		o.RetryAfter = time.Second
-	}
+	o.Workers, o.QueueCap, o.MaxBatch = cmp.Or(o.Workers, 2), cmp.Or(o.QueueCap, 64), cmp.Or(o.MaxBatch, 8)
+	o.MaxNP, o.RetryAfter = cmp.Or(o.MaxNP, 32), cmp.Or(o.RetryAfter, time.Second)
 	return o
 }
 
@@ -196,7 +184,7 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	}
 	s.jobs[j.ID] = j
 	s.queue = append(s.queue, j)
-	s.met.submit(spec.id.jobType)
+	s.met.submit(spec.Method)
 	s.met.setGauges(len(s.queue), s.inflight)
 	s.cond.Broadcast()
 	return j, nil
@@ -344,42 +332,20 @@ func (s *Scheduler) nextBatch() []*Job {
 	for i, j := range batch {
 		waits[i] = now.Sub(j.submitted).Seconds()
 	}
-	s.met.dispatch(head.Spec.id.jobType, len(batch), waits)
+	s.met.dispatch(head.Spec.Method, len(batch), waits)
 	return batch
 }
 
-// prepareHandle builds the job's prepared handle on m — one switch
-// over the operator backends — and sets its solver variant.
-// hpfexec.WithVariant consults the same legality table validation did,
-// and resolves sstep=0 through the cost model. A is the matrix when
-// hashing an upload already assembled it, nil otherwise.
-func prepareHandle(m *comm.Machine, spec JobSpec, A *sparse.CSR) (*hpfexec.Prepared, error) {
-	var pr *hpfexec.Prepared
-	var err error
-	switch spec.Method {
-	case "hpcg":
-		pr, err = hpfexec.PrepareMG(m, spec.MG.spec())
-	case "stencil":
-		pr, err = hpfexec.PrepareStencil(m, spec.Stencil.spec())
-	default:
-		if A == nil {
-			if A, err = spec.buildMatrix(); err != nil {
-				return nil, fmt.Errorf("matrix: %w", err)
-			}
-		}
-		if A.NRows != A.NCols {
-			return nil, fmt.Errorf("matrix: not square (%dx%d)", A.NRows, A.NCols)
-		}
-		plan, perr := hpfexec.PlanForLayout(spec.Layout, spec.NP, A.NRows, A.NNZ())
-		if perr != nil {
-			return nil, perr
-		}
-		pr, err = hpfexec.Prepare(m, plan, A)
-	}
+// prepare opens the job's problem on m (hpfexec.Open, the one front
+// over the backends) and sets its solver variant. hpfexec.WithVariant
+// consults the same legality table validation did, and resolves
+// sstep=0 through the cost model.
+func (sp *JobSpec) prepare(m *comm.Machine) (*hpfexec.Prepared, error) {
+	pr, err := hpfexec.Open(m, sp.prob, sp.Layout)
 	if err != nil {
 		return nil, err
 	}
-	return pr, pr.WithVariant(spec.variant())
+	return pr, pr.WithVariant(sp.variant())
 }
 
 // newMachine builds the job's machine with its attachments: the fault
@@ -425,11 +391,11 @@ func (s *Scheduler) run(batch []*Job) {
 	var entry *hpfexec.Entry
 	var tr *trace.Tracer
 	var key string
-	var A *sparse.CSR
 	if cached {
-		var hash string
-		var err error
-		if hash, A, err = spec.id.contentHash(spec.MatrixMarket); err != nil {
+		// Hashing an upload parses it; spec.prob keeps the matrix, so a
+		// miss opens it without parsing again.
+		hash, err := spec.prob.Hash()
+		if err != nil {
 			s.failAll(batch, err)
 			return
 		}
@@ -441,7 +407,7 @@ func (s *Scheduler) run(batch []*Job) {
 		// single worker, and the entry lock serializes runs on it.
 		m, t, err := spec.newMachine()
 		if err == nil {
-			pr, err = prepareHandle(m, spec, A)
+			pr, err = spec.prepare(m)
 		}
 		if err != nil {
 			s.failAll(batch, err)
@@ -568,13 +534,13 @@ func (s *Scheduler) finishJob(j *Job, res *JobResult, err error) {
 	now := time.Now()
 	// Count the job before releasing its waiters: whoever sees it
 	// finished must also find it in the metrics.
-	s.met.finish(j.Spec.id.jobType, err == nil, now.Sub(j.started).Seconds())
+	s.met.finish(j.Spec.Method, err == nil, now.Sub(j.started).Seconds())
 	s.mu.Lock()
 	j.finished = now
 	// Nothing reads the inputs of a finished job, and the job table keeps
 	// it for as long as the scheduler lives: let go of the upload text
-	// and the explicit right-hand side.
-	j.Spec.MatrixMarket, j.Spec.RHS = "", nil
+	// (the spec's and its problem's) and the explicit right-hand side.
+	j.Spec.MatrixMarket, j.Spec.RHS, j.Spec.prob = "", nil, hpfexec.Problem{}
 	if err != nil {
 		j.state = StateFailed
 		j.err = err.Error()

@@ -143,6 +143,12 @@ func TestStencilValidationFieldNames(t *testing.T) {
 		{JobSpec{Matrix: "laplace1d:8", Stencil: &StencilSpec{Stencil: "5pt", Nx: 8, Ny: 8}}, "stencil"},
 		{JobSpec{Method: "hpcg", MG: &MGSpec{Nx: 4, Ny: 4, Nz: 4}, Stencil: &StencilSpec{Stencil: "5pt", Nx: 8, Ny: 8}}, "stencil"},
 		{JobSpec{Method: "hpcg", MG: &MGSpec{Nx: 4, Ny: 4, Nz: 4, Coarse: "cholesky"}}, "mg.coarse"},
+		// A layout applies to an assembled matrix only: the stencil
+		// backends never read it, so naming one is refused, not keyed.
+		{JobSpec{Method: "stencil", Stencil: &StencilSpec{Stencil: "5pt", Nx: 8, Ny: 8}, Layout: "csc-merge"}, "layout"},
+		{JobSpec{Method: "stencil", Stencil: &StencilSpec{Stencil: "5pt", Nx: 8, Ny: 8}, Layout: "balanced"}, "layout"},
+		{JobSpec{Method: "stencil", Stencil: &StencilSpec{Stencil: "5pt", Nx: 8, Ny: 8}, Layout: "csr"}, "layout"},
+		{JobSpec{Method: "hpcg", MG: &MGSpec{Nx: 4, Ny: 4, Nz: 4}, Layout: "csc-serial"}, "layout"},
 	}
 	for i, c := range cases {
 		_, err := s.Submit(c.spec)

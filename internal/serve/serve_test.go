@@ -32,7 +32,7 @@ func testCtx(t *testing.T) context.Context {
 func directSolve(t *testing.T, spec JobSpec) *hpfexec.Result {
 	t.Helper()
 	spec.normalize()
-	A, err := spec.buildMatrix()
+	A, err := spec.prob.Matrix()
 	if err != nil {
 		t.Fatal(err)
 	}
