@@ -38,7 +38,11 @@ test:
 # its slot vector from the inspector schedule's pooled receive path on
 # every iteration, and that exchange loop is the only one the halo
 # executors and the stencil operators share, so internal/inspector
-# joins the pass.
+# joins the pass. An unobserved run's allreduce is a rendezvous whose
+# last arriving rank replays the tree onto every other rank's clock,
+# stats and communication-matrix row while those ranks wait, so the
+# comm pass also checks that the rendezvous orders those writes before
+# each rank's wake.
 race:
 	$(GO) test -race ./internal/comm/... ./internal/trace/... ./internal/core/... ./internal/spmv/... ./internal/inspector/... ./internal/fault/... ./internal/hpfexec/... ./internal/serve/... ./internal/cluster/... ./internal/mg/... ./internal/mfree/...
 
@@ -156,7 +160,9 @@ loc:
 # and 45 words (ns/op, zero allocs), the one ghost exchange on a CSR
 # halo schedule (solve_csr's matrix) and on the stencil plane schedules
 # of solve_mfree and serve_hot at np 2, 4, 8 over 1 and 2 vectors (ns/op,
-# zero allocs), the CSR halo and broadcast executors at
+# zero allocs), CG's local vector updates and dot partials at a served
+# job's block and a large one (ns/element, zero allocs), the CSR halo
+# and broadcast executors at
 # solve_csr's matrix and an out-of-cache one (ns/nnz, GFLOP/s, zero
 # allocs), the matrix-free apply kernels (ns/point, GFLOP/s, zero
 # allocs), the multigrid smoother, residual and V-cycle at
@@ -168,7 +174,7 @@ loc:
 # a serve_cold body beside encoding/json over the same bytes (MB/s,
 # allocs). Every other wall number comes from benchmark/.
 bench:
-	$(GO) test -bench . -benchmem -run NONE ./internal/comm/... ./internal/inspector/... ./internal/spmv/... ./internal/mfree/... ./internal/mg/... ./internal/direct/... ./internal/sparse/... ./internal/serve/...
+	$(GO) test -bench . -benchmem -run NONE ./internal/comm/... ./internal/inspector/... ./internal/darray/... ./internal/spmv/... ./internal/mfree/... ./internal/mg/... ./internal/direct/... ./internal/sparse/... ./internal/serve/...
 
 # Every fuzz target, FUZZTIME each (`go test -fuzz` takes one target and
 # one package per run). Under `test` they only replay their seeds. A

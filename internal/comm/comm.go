@@ -6,7 +6,10 @@
 // barrier, scatter, allgather (recursive doubling or ring), all-to-all,
 // reduce-scatter, and one binomial tree (tree.go) — a reduce to member
 // 0 and a broadcast from it — behind every allreduce, blocking or not,
-// and every Group collective.
+// and every Group collective. An unobserved run (no tracer, no
+// injector) charges the allreduce's tree by replay at one rendezvous
+// (rendezvous.go); a traced or faulted run performs it message by
+// message. Both give every value, clock and stat the same bits.
 //
 // Alongside real execution, every processor advances a modeled clock
 // using the Kumar-style cost model the paper's §4 analysis uses: a
@@ -182,6 +185,10 @@ type runCtx struct {
 	done <-chan struct{}
 	// shared backs Proc.Shared: key -> *sharedSlot.
 	shared sync.Map
+	// rdv is where an unobserved run's allreduces meet (rendezvous.go);
+	// nil when a tracer or an injector is attached, and the tree's
+	// messages are sent one by one.
+	rdv *rendezvous
 }
 
 type sharedSlot struct {
@@ -287,6 +294,9 @@ func (m *Machine) run(ctx context.Context, fn func(p *Proc)) (RunStats, error) {
 	if m.inj != nil {
 		injs = m.inj.StartRun(m.np)
 	}
+	if m.tracer == nil && m.inj == nil {
+		rc.rdv = getRendezvous(m.np)
+	}
 
 	procs := make([]*Proc, m.np)
 	panics := make([]any, m.np)
@@ -358,6 +368,11 @@ func (m *Machine) run(ctx context.Context, fn func(p *Proc)) (RunStats, error) {
 	}
 	if bug != nil {
 		panic(bug)
+	}
+	if rc.rdv != nil && fail == nil && !aborted {
+		// Only a run every rank completed leaves its rendezvous with no
+		// arrival pending and no wake token unread.
+		putRendezvous(rc.rdv)
 	}
 	if fail == nil && aborted {
 		return RunStats{}, stopped(ctx.Err())
@@ -456,13 +471,19 @@ func (p *Proc) Compute(flops int) {
 	if p.inj != nil {
 		dt *= p.straggleFactor(start)
 	}
-	p.clock += dt
-	p.stats.ComputeTime += dt
-	p.stats.Flops += int64(flops)
+	p.chargeCompute(flops, dt)
 	if p.tr != nil {
 		p.tr.Add(trace.Event{Kind: trace.KindCompute, Peer: -1, Flops: flops, Start: start, End: p.clock})
 	}
 	p.checkCrash()
+}
+
+// chargeCompute books flops taking modeled time dt. Compute and the
+// allreduce replay both charge through it.
+func (p *Proc) chargeCompute(flops int, dt float64) {
+	p.clock += dt
+	p.stats.ComputeTime += dt
+	p.stats.Flops += int64(flops)
 }
 
 // Shared returns the value build produces for key, computed once per
@@ -514,11 +535,7 @@ func (p *Proc) Send(dst, tag int, pl Payload) {
 	}
 	p.checkCrash()
 	start := p.clock
-	p.clock += p.m.cost.TStartup
-	p.stats.SendTime += p.m.cost.TStartup
-	p.stats.MsgsSent++
-	p.stats.BytesSent += int64(pl.Bytes())
-	p.rc.bytes[p.rank][dst] += int64(pl.Bytes())
+	p.chargeSend(dst, pl.Bytes())
 	msg := message{
 		tag:    tag,
 		pl:     pl,
@@ -594,15 +611,7 @@ func (p *Proc) Recv(src, tag int) Payload {
 	// an all-to-all would absorb NP-1 transfers for the price of one.
 	// msg.delay is the fault layer's injected latency (0 when healthy).
 	head := msg.depart + float64(msg.hops)*p.m.cost.THop + msg.delay
-	if head > p.clock {
-		p.stats.WaitTime += head - p.clock
-		p.clock = head
-	}
-	body := float64(msg.pl.Bytes()) * p.m.cost.TByte
-	p.clock += body
-	p.stats.WaitTime += body
-	p.stats.MsgsRecv++
-	p.stats.BytesRecv += int64(msg.pl.Bytes())
+	p.chargeRecv(head, msg.pl.Bytes())
 	if p.tr != nil {
 		p.tr.Add(trace.Event{
 			Kind: trace.KindRecv, Peer: src, Tag: msg.tag, Bytes: msg.pl.Bytes(),
@@ -610,6 +619,34 @@ func (p *Proc) Recv(src, tag int) Payload {
 		})
 	}
 	return msg.pl
+}
+
+// chargeSend books one message of b bytes to dst on the sender: the
+// start-up overhead t_s on its clock and the message in its counts and
+// in the communication matrix. Send and the allreduce replay
+// (rendezvous.go) both charge through it.
+func (p *Proc) chargeSend(dst, b int) {
+	p.clock += p.m.cost.TStartup
+	p.stats.SendTime += p.m.cost.TStartup
+	p.stats.MsgsSent++
+	p.stats.BytesSent += int64(b)
+	p.rc.bytes[p.rank][dst] += int64(b)
+}
+
+// chargeRecv books one received message of b bytes whose head arrives
+// at modeled time head: the receiver waits for the head, then its link
+// carries the body for b·t_w. Recv and the allreduce replay both charge
+// through it.
+func (p *Proc) chargeRecv(head float64, b int) {
+	if head > p.clock {
+		p.stats.WaitTime += head - p.clock
+		p.clock = head
+	}
+	body := float64(b) * p.m.cost.TByte
+	p.clock += body
+	p.stats.WaitTime += body
+	p.stats.MsgsRecv++
+	p.stats.BytesRecv += int64(b)
 }
 
 // lastWords returns the next message src sent before it died, or

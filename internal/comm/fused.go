@@ -84,7 +84,11 @@ func (p *Proc) putIntBuf(b []int) {
 // allreduces, so the batched results are bit-identical to the unbatched
 // ones; only the number of message rounds changes (2·ceil(log2 NP)
 // messages of k words instead of k times that many 1-word messages).
-// Steady state allocates nothing: all internal messages use the buffer
+// An unobserved run (no tracer, no injector) charges the tree by replay
+// at one rendezvous of all ranks; a traced or faulted run performs it
+// message by message; the values, clocks, stats and communication
+// matrix have identical bits either way. Steady state allocates
+// nothing: the rendezvous is pooled and every message uses the buffer
 // pool.
 func (p *Proc) AllreduceScalars(xs []float64, op ReduceOp) {
 	defer p.collEnd("allreduce", p.clock)
@@ -92,8 +96,13 @@ func (p *Proc) AllreduceScalars(xs []float64, op ReduceOp) {
 }
 
 // allreduceTree is the machine-wide binomial tree both allreduces run:
-// a reduce to rank 0, then a broadcast from it.
+// a reduce to rank 0, then a broadcast from it. An unobserved run
+// charges it by replay at one rendezvous instead (rendezvous.go).
 func (p *Proc) allreduceTree(xs []float64, op ReduceOp) {
+	if p.rc.rdv != nil {
+		p.rc.rdv.allreduce(p, xs, op)
+		return
+	}
 	all := Group{me: p.rank}
 	p.reduceTree(all, xs, op, "reduce")
 	p.bcastTree(all, xs, "bcast")

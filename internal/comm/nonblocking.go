@@ -5,11 +5,12 @@
 // processor keeps computing; the caller pays only whatever part of the
 // reduction the intervening compute did not cover. This file models
 // exactly that contract on the simulated machine. IallreduceScalars
-// runs the *real* tree reduction eagerly — same partners, same message
-// sizes, same combine order as the blocking AllreduceScalars, so the
-// numerical results are bit-identical — then rewinds the modeled clock
-// to the start time. The returned handle remembers what the blocking
-// reduction would have cost; Wait charges
+// charges the blocking AllreduceScalars' tree eagerly — same partners,
+// same message sizes, same combine order, so the numerical results are
+// bit-identical; an unobserved run charges it by replay at a
+// rendezvous, a traced or faulted run message by message — then
+// rewinds the modeled clock to the start time. The returned handle
+// remembers what the blocking reduction would have cost; Wait charges
 //
 //	max(reduction_cost, overlapped_compute)
 //
@@ -21,9 +22,9 @@
 // Handles are recycled through a small per-processor freelist, so the
 // steady-state start/compute/wait cycle allocates nothing (guarded by
 // TestIallreduceSteadyStateNoAllocs). Wait is idempotent, and an
-// outstanding handle at the end of a Run is harmless: the reduction's
-// messages were already drained eagerly, and a cost that was never
-// waited on is simply never charged.
+// outstanding handle at the end of a Run is harmless: the reduction
+// already completed eagerly, and a cost that was never waited on is
+// simply never charged.
 package comm
 
 import "hpfcg/internal/trace"
@@ -46,9 +47,9 @@ const handlePoolCap = 4
 // IallreduceScalars starts a nonblocking element-wise allreduce of xs
 // across all processors. It is a collective: every rank must call it at
 // the same point in the program, like AllreduceScalars. On return xs
-// already holds the fully reduced values on every rank — the tree
-// exchange runs eagerly with the exact schedule and combine order of
-// the blocking path, so results are bit-identical to AllreduceScalars —
+// already holds the fully reduced values on every rank — the tree is
+// charged eagerly with the exact schedule and combine order of the
+// blocking path, so results are bit-identical to AllreduceScalars —
 // but the modeled clock is rewound to the start time: the cost is
 // settled by Wait on the returned handle, net of whatever compute the
 // caller charged in between. The nil-tracer path allocates nothing in
