@@ -11,6 +11,7 @@ import (
 	"math"
 
 	"hpfcg/internal/comm"
+	"hpfcg/internal/darray"
 	"hpfcg/internal/dist"
 	"hpfcg/internal/forall"
 	"hpfcg/internal/hpf"
@@ -79,16 +80,18 @@ func main() {
 	m := comm.NewMachine(np, topology.Hypercube{}, topology.DefaultCostParams())
 	var got []float64
 	m.Run(func(p *comm.Proc) {
-		region := forall.NewPrivate(p, n, forall.MergeSum)
-		q := region.Data()
+		region := forall.NewPrivate(counts)
+		q := region.Open()
 		forall.Indep(p, 0, n, forall.MapFunc(iterMap), 0, func(j int) {
 			pj := xRef[j]
 			for k := csc.ColPtr[j]; k < csc.ColPtr[j+1]; k++ {
 				q[csc.Row[k]] += csc.Val[k] * pj
 			}
 		})
-		blk := region.MergeDistributed(counts)
-		full := p.AllgatherV(blk, counts)
+		// MERGE(+) onto the BLOCK-distributed q the directives declare.
+		qv := darray.New(p, vecDist)
+		region.MergeDistributed(p, qv.Local())
+		full := qv.Gather()
 		if p.Rank() == 0 {
 			got = full
 		}

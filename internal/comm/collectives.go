@@ -68,23 +68,27 @@ func (p *Proc) AllreduceScalar(x float64, op ReduceOp) float64 {
 	return v
 }
 
-func checkCounts(counts []int, np int) int {
+// checkCounts panics unless counts holds np non-negative block sizes,
+// and returns their sum and the largest.
+func checkCounts(counts []int, np int) (total, widest int) {
 	if len(counts) != np {
 		panic(fmt.Sprintf("comm: counts length %d != np %d", len(counts), np))
 	}
-	total := 0
 	for r, c := range counts {
 		if c < 0 {
 			panic(fmt.Sprintf("comm: negative count %d for rank %d", c, r))
 		}
 		total += c
+		widest = max(widest, c)
 	}
-	return total
+	return total, widest
 }
 
-// offsetsOf returns the prefix-sum offsets of counts.
-func offsetsOf(counts []int) []int {
-	offs := make([]int, len(counts)+1)
+// offsets returns the prefix-sum offsets of counts in a pooled buffer,
+// which the caller returns with putIntBuf.
+func (p *Proc) offsets(counts []int) []int {
+	offs := p.getIntBuf(len(counts) + 1)
+	offs[0] = 0
 	for i, c := range counts {
 		offs[i+1] = offs[i] + c
 	}
@@ -98,12 +102,13 @@ func (p *Proc) ScatterV(root int, full []float64, counts []int) []float64 {
 	defer p.collEnd("scatterv", p.clock)
 	tag := p.nextTag(opScatter)
 	np := p.m.np
-	total := checkCounts(counts, np)
-	offs := offsetsOf(counts)
+	total, _ := checkCounts(counts, np)
 	if p.rank == root {
 		if len(full) != total {
 			panic(fmt.Sprintf("comm: ScatterV full length %d != sum counts %d", len(full), total))
 		}
+		offs := p.offsets(counts)
+		defer p.putIntBuf(offs)
 		for r := 0; r < np; r++ {
 			if r == root {
 				continue
@@ -128,86 +133,92 @@ func (p *Proc) AllgatherV(local []float64, counts []int) []float64 {
 	return p.AllgatherVInto(local, counts, nil)
 }
 
-// AlltoallV exchanges personalised blocks: segments[d] goes to rank d,
-// and the returned slice holds what each rank sent to us (indexed by
-// source rank). segments[rank] is passed through (copied) untouched.
-func (p *Proc) AlltoallV(segments [][]float64) [][]float64 {
-	return alltoallv(p, segments, "alltoallv",
-		func(s []float64) Payload { return Payload{Floats: s} },
-		func(pl Payload) []float64 { return pl.Floats })
-}
-
-// AlltoallVInts is AlltoallV for int payloads (used by the
-// inspector-executor schedule construction, where processors exchange
-// the index lists they need from each other).
+// AlltoallVInts exchanges personalised int blocks: segments[d] goes to
+// rank d, and the returned slice holds what each rank sent to us
+// (indexed by source rank); segments[rank] is passed through (copied)
+// untouched. The inspector-executor schedule construction runs it to
+// exchange the index lists processors need from each other. It sends
+// NP-1 blocks in rank order starting after the caller, then receives
+// NP-1 in reverse rank order starting before it — the schedule
+// ReduceScatterSum also runs.
 func (p *Proc) AlltoallVInts(segments [][]int) [][]int {
-	return alltoallv(p, segments, "alltoallv-ints",
-		func(s []int) Payload { return Payload{Ints: s} },
-		func(pl Payload) []int { return pl.Ints })
-}
-
-// alltoallv is the one personalised all-to-all schedule: NP-1 sends in
-// rank order starting after the caller, then NP-1 receives in reverse
-// rank order starting before it. wrap and unwrap move a segment in and
-// out of a Payload; span names the trace span.
-func alltoallv[T any](p *Proc, segments [][]T, span string, wrap func([]T) Payload, unwrap func(Payload) []T) [][]T {
-	defer p.collEnd(span, p.clock)
+	defer p.collEnd("alltoallv-ints", p.clock)
 	tag := p.nextTag(opAlltoall)
 	np := p.m.np
 	if len(segments) != np {
-		panic(fmt.Sprintf("comm: %s needs %d segments, got %d", span, np, len(segments)))
+		panic(fmt.Sprintf("comm: AlltoallVInts needs %d segments, got %d", np, len(segments)))
 	}
-	out := make([][]T, np)
-	own := make([]T, len(segments[p.rank]))
-	copy(own, segments[p.rank])
-	out[p.rank] = own
+	out := make([][]int, np)
+	out[p.rank] = append([]int{}, segments[p.rank]...)
 	for off := 1; off < np; off++ {
 		dst := (p.rank + off) % np
-		p.Send(dst, tag, wrap(segments[dst]))
+		p.Send(dst, tag, Payload{Ints: segments[dst]})
 	}
 	for off := 1; off < np; off++ {
 		src := (p.rank - off + np) % np
-		out[src] = unwrap(p.Recv(src, tag))
+		out[src] = p.Recv(src, tag).Ints
 	}
 	return out
 }
 
 // ReduceScatterSum sums a full-length vector contributed by every
-// processor and leaves each rank with its counts[rank]-sized block of
-// the sum. This is exactly the MERGE(+) operation of the paper's
-// proposed PRIVATE extension (§5.1): each processor's private full-size
-// accumulator is merged and re-distributed. Implemented as a
-// personalised all-to-all of the blocks followed by local summation:
-// (NP-1) messages of ~n/NP elements each, the same asymptotic cost as
-// Scenario 1's broadcast, matching the paper's observation that the two
-// partitionings have equal communication time.
-func (p *Proc) ReduceScatterSum(full []float64, counts []int) []float64 {
+// processor and writes this rank's counts[rank]-sized block of the sum
+// into dst. This is exactly the MERGE(+) operation of the paper's
+// proposed PRIVATE extension (§5.1), which forall.PrivateRegion runs:
+// each processor's private full-size accumulator is merged and
+// re-distributed. It is a personalised all-to-all of the blocks — NP-1
+// sends in rank order starting after the caller, NP-1 receives in
+// reverse rank order starting before it — followed by local summation
+// in a fixed order: the rank's own block first, then the other ranks'
+// blocks in ascending rank. That is (NP-1) messages of ~n/NP elements
+// each, the same asymptotic cost as Scenario 1's broadcast, matching
+// the paper's observation that the two partitionings have equal
+// communication time.
+//
+// Each block travels as a pool-owned copy, so the caller may reuse full
+// as soon as the call returns, and the received blocks wait in per-rank
+// scratch until the ordered sum; the steady state allocates nothing.
+func (p *Proc) ReduceScatterSum(full []float64, counts []int, dst []float64) {
 	defer p.collEnd("reduce-scatter", p.clock)
+	tag := p.nextTag(opAlltoall)
 	np := p.m.np
-	total := checkCounts(counts, np)
+	total, widest := checkCounts(counts, np)
 	if len(full) != total {
 		panic(fmt.Sprintf("comm: ReduceScatterSum full length %d != sum counts %d", len(full), total))
 	}
-	offs := offsetsOf(counts)
-	segs := make([][]float64, np)
-	for r := 0; r < np; r++ {
-		segs[r] = full[offs[r]:offs[r+1]]
+	if len(dst) != counts[p.rank] {
+		panic(fmt.Sprintf("comm: ReduceScatterSum rank %d block length %d != counts %d", p.rank, len(dst), counts[p.rank]))
 	}
-	parts := p.AlltoallV(segs)
-	out := make([]float64, counts[p.rank])
-	copy(out, parts[p.rank])
-	for r := 0; r < np; r++ {
+	offs := p.offsets(counts)
+	for off := 1; off < np; off++ {
+		d := (p.rank + off) % np
+		// Every block is drawn at the widest block's capacity, so the
+		// buffers that circulate fit any rank's next send and the pools
+		// stay warm however unequal the counts are.
+		out := p.GetBuf(widest)[:counts[d]]
+		copy(out, full[offs[d]:offs[d+1]])
+		p.Send(d, tag, Payload{Floats: out})
+	}
+	if p.parts == nil {
+		p.parts = make([][]float64, np)
+	}
+	for off := 1; off < np; off++ {
+		src := (p.rank - off + np) % np
+		p.parts[src] = p.Recv(src, tag).Floats
+	}
+	copy(dst, full[offs[p.rank]:offs[p.rank+1]])
+	p.putIntBuf(offs)
+	for r, part := range p.parts {
 		if r == p.rank {
 			continue
 		}
-		part := parts[r]
-		if len(part) != len(out) {
-			panic(fmt.Sprintf("comm: ReduceScatterSum expected %d elements from %d, got %d", len(out), r, len(part)))
+		if len(part) != len(dst) {
+			panic(fmt.Sprintf("comm: ReduceScatterSum expected %d elements from %d, got %d", len(dst), r, len(part)))
 		}
 		for i, v := range part {
-			out[i] += v
+			dst[i] += v
 		}
-		p.Compute(len(out))
+		p.Compute(len(dst))
+		p.PutBuf(part)
 	}
-	return out
 }

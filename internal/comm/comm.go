@@ -3,13 +3,14 @@
 // this package builds one: a Machine runs NP virtual processors as
 // goroutines in SPMD style, each with typed point-to-point sends over
 // buffered channels and the collectives built on them: a dissemination
-// barrier, scatter, allgather (recursive doubling or ring), all-to-all,
-// reduce-scatter, and one binomial tree (tree.go) — a reduce to member
-// 0 and a broadcast from it — behind every allreduce, blocking or not,
-// and every Group collective. An unobserved run (no tracer, no
-// injector) charges the allreduce's tree by replay at one rendezvous
-// (rendezvous.go); a traced or faulted run performs it message by
-// message. Both give every value, clock and stat the same bits.
+// barrier, scatter, allgather (recursive doubling or ring), an
+// all-to-all of index lists, the reduce-scatter behind MERGE(+), and
+// one binomial tree (tree.go) — a reduce to member 0 and a broadcast
+// from it — behind every allreduce, blocking or not, and every Group
+// collective. An unobserved run (no tracer, no injector) charges the
+// allreduce's tree by replay at one rendezvous (rendezvous.go); a
+// traced or faulted run performs it message by message. Both give every
+// value, clock and stat the same bits.
 //
 // Alongside real execution, every processor advances a modeled clock
 // using the Kumar-style cost model the paper's §4 analysis uses: a
@@ -434,6 +435,9 @@ type Proc struct {
 	// handles is the freelist of recycled nonblocking-collective
 	// handles (see IallreduceScalars), also goroutine-owned.
 	handles []*ReduceHandle
+	// parts holds the blocks ReduceScatterSum has received until its
+	// ordered sum, also goroutine-owned.
+	parts [][]float64
 }
 
 // Rank returns this processor's rank in [0, NP).

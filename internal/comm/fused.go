@@ -119,7 +119,7 @@ func (p *Proc) AllgatherVInto(local []float64, counts []int, full []float64) []f
 	defer p.collEnd("allgatherv", p.clock)
 	tag := p.nextTag(opAllgather)
 	np := p.m.np
-	total := checkCounts(counts, np)
+	total, _ := checkCounts(counts, np)
 	if len(local) != counts[p.rank] {
 		panic(fmt.Sprintf("comm: AllgatherVInto rank %d local length %d != counts %d", p.rank, len(local), counts[p.rank]))
 	}
@@ -128,11 +128,7 @@ func (p *Proc) AllgatherVInto(local []float64, counts []int, full []float64) []f
 	} else if len(full) != total {
 		panic(fmt.Sprintf("comm: AllgatherVInto buffer length %d != sum counts %d", len(full), total))
 	}
-	offs := p.getIntBuf(np + 1)
-	offs[0] = 0
-	for i, c := range counts {
-		offs[i+1] = offs[i] + c
-	}
+	offs := p.offsets(counts)
 	copy(full[offs[p.rank]:offs[p.rank+1]], local)
 	if np == 1 {
 		p.putIntBuf(offs)

@@ -253,8 +253,10 @@ func TestCGSteadyStateIterationsNoAllocs(t *testing.T) {
 			return CGResilient(p, op, bv, xv, opt, Resilience{Store: store, Interval: 5})
 		},
 		// The §2.1 methods and Chebyshev open through the same prologue
-		// and take their vectors from the same workspace. BiCG is not
-		// here: the transpose product allocates on every call.
+		// and take their vectors from the same workspace.
+		"bicg": func(p *comm.Proc, op spmv.Operator, bv, xv *darray.Vector, opt Options) (Stats, error) {
+			return BiCG(p, op.(spmv.TransposeOperator), bv, xv, opt)
+		},
 		"cgs": func(p *comm.Proc, op spmv.Operator, bv, xv *darray.Vector, opt Options) (Stats, error) {
 			return CGS(p, op, bv, xv, opt)
 		},

@@ -168,31 +168,6 @@ func TestCloneCopyFill(t *testing.T) {
 	})
 }
 
-func TestReduceScatterFrom(t *testing.T) {
-	for _, np := range testNPs {
-		n := 4 * np
-		d := dist.NewBlock(n, np)
-		m := machine(np)
-		m.Run(func(p *comm.Proc) {
-			v := New(p, d)
-			priv := make([]float64, n)
-			for i := range priv {
-				priv[i] = float64((p.Rank() + 1) * i)
-			}
-			v.ReduceScatterFrom(priv)
-			full := v.Gather()
-			sumRanks := float64(np*(np+1)) / 2
-			for i := range full {
-				want := sumRanks * float64(i)
-				if math.Abs(full[i]-want) > 1e-9 {
-					t.Errorf("np=%d merge elem %d = %g, want %g", np, i, full[i], want)
-					return
-				}
-			}
-		})
-	}
-}
-
 func TestAlignmentEnforced(t *testing.T) {
 	m := machine(2)
 	defer func() {

@@ -15,11 +15,12 @@
 //
 // This package provides exactly those pieces: IterMap (the ON
 // PROCESSOR(f(i)) construct), Indep (INDEPENDENT DO under a mapping)
-// and PrivateRegion (PRIVATE arrays with MERGE(+) or DISCARD).
-// examples/directives runs the PRIVATE/MERGE loop here. Experiments E3
-// and E4 do not run this package: they measure the private-merge loop
-// against the serialised HPF-1 one as internal/spmv's CSC executor
-// modes (ModePrivateMerge, ModeSerialized).
+// and PrivateRegion (a PRIVATE array WITH MERGE(+)). PrivateRegion is
+// the repo's one private accumulator: spmv's private-merge CSC executor
+// (so experiments E3/E4 and the served csc-merge layout),
+// RowBlockCSR.ApplyT and examples/directives all open one. WITH DISCARD
+// needs no code of its own: a region that is not merged is simply
+// zeroed when it next opens.
 package forall
 
 import (
@@ -63,51 +64,51 @@ func Indep(p *comm.Proc, lo, hi int, m IterMap, flopsPerIter int, body func(i in
 	p.Compute(count * flopsPerIter)
 }
 
-// MergeMode selects what happens to PRIVATE data at region end, per the
-// paper's WITH MERGE / WITH DISCARD options.
-type MergeMode int
-
-const (
-	// MergeSum merges the private copies into a single global copy with
-	// element-wise addition: WITH MERGE(+).
-	MergeSum MergeMode = iota
-	// Discard throws the private copies away: WITH DISCARD.
-	Discard
-)
-
 // PrivateRegion is the paper's PRIVATE abstraction (Figure 5): each
-// processor forks a private n-element array that stays alive for the
-// whole region (unlike NEW variables, which live one iteration), runs
-// its iterations against the private copy, and the region ends with a
-// merge or discard.
+// processor holds a private copy of a distributed array that stays
+// alive for the whole region (unlike NEW variables, which live one
+// iteration), runs its iterations against the private copy, and the
+// region ends with a merge. The copy is allocated once and reused by
+// every region opened on it, so an operator that builds its region once
+// applies with no allocation. The region holds no processor handle:
+// operators carried across runs by a plan cache are rebound to each
+// run's processor, and the merge takes the calling rank's.
 type PrivateRegion struct {
-	p    *comm.Proc
-	priv []float64
-	mode MergeMode
+	priv   []float64
+	counts []int
 }
 
-// NewPrivate opens a private region with an n-element zeroed private
-// array on every processor. The paper notes the cost: NP temporary
-// vectors of length n ("unsatisfactory ... particularly if n >> NP"),
-// which is exactly what this allocates; experiment E4 reports that
-// storage for spmv's private-merge executor.
-func NewPrivate(p *comm.Proc, n int, mode MergeMode) *PrivateRegion {
-	if n < 0 {
-		panic(fmt.Sprintf("forall: private array length %d", n))
+// NewPrivate allocates a private copy of an array distributed in
+// contiguous blocks of counts[r] elements on rank r — its full length
+// is the sum of counts. The paper notes the cost: NP temporary vectors
+// of length n ("unsatisfactory ... particularly if n >> NP"), which is
+// exactly what one region per processor holds; experiment E4 reports
+// that storage for spmv's private-merge executor. counts is kept, not
+// copied.
+func NewPrivate(counts []int) *PrivateRegion {
+	n := 0
+	for r, c := range counts {
+		if c < 0 {
+			panic(fmt.Sprintf("forall: private array block %d has length %d", r, c))
+		}
+		n += c
 	}
-	return &PrivateRegion{p: p, priv: make([]float64, n), mode: mode}
+	return &PrivateRegion{priv: make([]float64, n), counts: counts}
 }
 
-// Data returns this processor's private copy.
-func (r *PrivateRegion) Data() []float64 { return r.priv }
+// Open starts a region: it zeroes this processor's private copy and
+// returns it for the region's iterations to accumulate into.
+func (r *PrivateRegion) Open() []float64 {
+	clear(r.priv)
+	return r.priv
+}
 
-// MergeDistributed closes the region, combining the private copies
-// element-wise and leaving each processor with its counts[rank] block —
-// the merge a distributed LHS array (the BLOCK-distributed q of the
-// paper's loop) needs. For Discard regions it returns nil.
-func (r *PrivateRegion) MergeDistributed(counts []int) []float64 {
-	if r.mode == Discard {
-		return nil
-	}
-	return r.p.ReduceScatterSum(r.priv, counts)
+// MergeDistributed closes the region WITH MERGE(+): it sums every
+// processor's private copy element-wise and writes this processor's
+// block of the sum into dst — the merge a distributed LHS array (the
+// BLOCK-distributed q of the paper's loop) needs. Every processor calls
+// it with its own p; dst must hold the calling rank's counts[rank]
+// elements.
+func (r *PrivateRegion) MergeDistributed(p *comm.Proc, dst []float64) {
+	p.ReduceScatterSum(r.priv, r.counts, dst)
 }

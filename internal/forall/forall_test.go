@@ -76,12 +76,15 @@ func TestPrivateMergeReplicated(t *testing.T) {
 		d := dist.NewBlock(n, np)
 		counts := dist.Counts(d)
 		machine(np).Run(func(p *comm.Proc) {
-			region := NewPrivate(p, n, MergeSum)
+			region := NewPrivate(counts)
+			q := region.Open()
 			// Every processor accumulates into scattered targets.
 			Indep(p, 0, n, MapFunc(d.Owner), 2, func(j int) {
-				region.Data()[(j*3)%n] += float64(j)
+				q[(j*3)%n] += float64(j)
 			})
-			got := p.AllgatherV(region.MergeDistributed(counts), counts)
+			blk := make([]float64, counts[p.Rank()])
+			region.MergeDistributed(p, blk)
+			got := p.AllgatherV(blk, counts)
 			want := make([]float64, n)
 			for j := 0; j < n; j++ {
 				want[(j*3)%n] += float64(j)
@@ -101,32 +104,24 @@ func TestPrivateMergeDistributed(t *testing.T) {
 		d := dist.NewBlock(n, np)
 		counts := dist.Counts(d)
 		machine(np).Run(func(p *comm.Proc) {
-			region := NewPrivate(p, n, MergeSum)
-			for i := 0; i < n; i++ {
-				region.Data()[i] = float64(p.Rank() + 1)
-			}
-			blk := region.MergeDistributed(counts)
-			if len(blk) != counts[p.Rank()] {
-				t.Fatalf("np=%d: block len %d", np, len(blk))
-			}
-			sum := float64(np*(np+1)) / 2
-			for _, v := range blk {
-				if v != sum {
-					t.Fatalf("np=%d: merged %g, want %g", np, v, sum)
+			region := NewPrivate(counts)
+			blk := make([]float64, counts[p.Rank()])
+			// The second region proves Open zeroes what the first left.
+			for round := 1; round <= 2; round++ {
+				q := region.Open()
+				for i := range q {
+					q[i] += float64(round * (p.Rank() + 1))
+				}
+				region.MergeDistributed(p, blk)
+				sum := float64(round*np*(np+1)) / 2
+				for _, v := range blk {
+					if v != sum {
+						t.Fatalf("np=%d round %d: merged %g, want %g", np, round, v, sum)
+					}
 				}
 			}
 		})
 	}
-}
-
-func TestPrivateDiscard(t *testing.T) {
-	machine(3).Run(func(p *comm.Proc) {
-		region := NewPrivate(p, 5, Discard)
-		region.Data()[0] = 1
-		if got := region.MergeDistributed([]int{2, 2, 1}); got != nil {
-			t.Errorf("Discard MergeDistributed = %v", got)
-		}
-	})
 }
 
 func TestNewPrivateValidation(t *testing.T) {
@@ -136,6 +131,6 @@ func TestNewPrivateValidation(t *testing.T) {
 		}
 	}()
 	machine(1).Run(func(p *comm.Proc) {
-		NewPrivate(p, -1, MergeSum)
+		NewPrivate([]int{2, -1})
 	})
 }

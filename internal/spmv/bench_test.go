@@ -18,18 +18,34 @@ var benchMatrices = []string{"laplace2d:128:128", "laplace2d:512:512"}
 // benchSink keeps the fused dot alive.
 var benchSink float64
 
-// benchSweep times one operator call (exchange + row sweep) across all
-// np ranks of a machine: every rank runs the b.N loop in lockstep, rank
-// 0 owns the timer. ns/nnz and GFLOP/s are whole-matrix figures — the
-// wall time of one distributed apply over all NNZ stored entries and
-// all 2·NNZ (+2·N fused) flops — so np=1 and np=4 read on one scale.
+// benchSweep times one operator call (exchange + sweep, or sweep +
+// merge) across all np ranks of a machine: every rank runs the b.N loop
+// in lockstep, rank 0 owns the timer. ns/nnz and GFLOP/s are
+// whole-matrix figures — the wall time of one distributed apply over
+// all NNZ stored entries and all 2·NNZ (+2·N fused) flops — so np=1 and
+// np=4 read on one scale. The unfused sweep also times the §5.1 private
+// merge behind the csc-merge layout.
 func benchSweep(b *testing.B, fused bool) {
 	for _, spec := range benchMatrices {
 		A, err := sparse.GeneratorByName(spec)
 		if err != nil {
 			b.Fatal(err)
 		}
+		type executor struct {
+			name  string
+			build func(p *comm.Proc, d dist.Contiguous) Operator
+		}
+		var execs []executor
 		for _, ex := range csrExecutors[:2] { // the halo and broadcast executors
+			execs = append(execs, executor{ex.name, func(p *comm.Proc, d dist.Contiguous) Operator { return ex.build(p, A, d) }})
+		}
+		if !fused {
+			csc := A.ToCSC()
+			execs = append(execs, executor{"csc-merge", func(p *comm.Proc, d dist.Contiguous) Operator {
+				return NewColBlockCSC(p, csc, d, ModePrivateMerge)
+			}})
+		}
+		for _, ex := range execs {
 			for _, np := range []int{1, 4} {
 				b.Run(fmt.Sprintf("%s/%s/np=%d", ex.name, spec, np), func(b *testing.B) {
 					flops := 2 * float64(A.NNZ())
@@ -39,24 +55,25 @@ func benchSweep(b *testing.B, fused bool) {
 					d := dist.NewBlock(A.NRows, np)
 					b.ReportAllocs()
 					machine(np).Run(func(p *comm.Proc) {
-						op := ex.build(p, A, d)
+						op := ex.build(p, d)
 						x := darray.New(p, d)
 						y := darray.New(p, d)
 						x.SetGlobal(func(g int) float64 { return float64(g%7) - 3 })
+						var dot float64
+						apply := func() { op.Apply(x, y) }
+						if fused {
+							f := op.(FusedOperator)
+							apply = func() { dot = f.ApplyDot(x, y) }
+						}
 						// Warm-up fills the buffer pools; the barrier keeps a
 						// lagging rank's warm-up out of the timed region.
-						op.ApplyDot(x, y)
+						apply()
 						p.Barrier()
 						if p.Rank() == 0 {
 							b.ResetTimer()
 						}
-						var dot float64
 						for i := 0; i < b.N; i++ {
-							if fused {
-								dot = op.ApplyDot(x, y)
-							} else {
-								op.Apply(x, y)
-							}
+							apply()
 						}
 						if p.Rank() == 0 {
 							b.StopTimer()
@@ -72,7 +89,8 @@ func benchSweep(b *testing.B, fused bool) {
 	}
 }
 
-// BenchmarkApply measures the unfused CSR apply.
+// BenchmarkApply measures the unfused apply: the CSR executors and the
+// csc-merge one.
 func BenchmarkApply(b *testing.B) { benchSweep(b, false) }
 
 // BenchmarkApplyDot measures the apply with the fused x·y partial.

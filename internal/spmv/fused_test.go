@@ -87,40 +87,62 @@ func TestApplyDotChargesApplyPlusDot(t *testing.T) {
 	}
 }
 
-// TestApplySteadyStateNoAllocs: with the reusable gather target and the
-// pooled collectives, the row-block mat-vec allocates nothing per call
-// in steady state — the per-iteration term of the tentpole's
-// allocation-free CG hot path.
+// TestApplySteadyStateNoAllocs: with the reusable gather target, the
+// PRIVATE region built once per operator and the pooled collectives,
+// every mat-vec a solver calls per iteration allocates nothing in
+// steady state — the row-block ApplyDot, and the §5.1 private merge
+// behind the csc-merge Apply and the row-block transpose.
 func TestApplySteadyStateNoAllocs(t *testing.T) {
 	A := sparse.Laplace2D(8, 8)
 	n := A.NRows
+	csc := A.ToCSC()
+	fused := fusedBuilders(A)
 	const runs = 7
-	for _, name := range []string{"rowblock-csr", "rowblock-csr-ghost"} {
-		build := fusedBuilders(A)[name]
-		for _, np := range []int{3, 4} {
+	calls := []struct {
+		name string
+		nps  []int
+		call func(p *comm.Proc, d dist.Contiguous) func(x, y *darray.Vector)
+	}{
+		{"rowblock-csr ApplyDot", []int{3, 4}, func(p *comm.Proc, d dist.Contiguous) func(x, y *darray.Vector) {
+			op := fused["rowblock-csr"](p, d)
+			return func(x, y *darray.Vector) { op.ApplyDot(x, y) }
+		}},
+		{"rowblock-csr-ghost ApplyDot", []int{3, 4}, func(p *comm.Proc, d dist.Contiguous) func(x, y *darray.Vector) {
+			op := fused["rowblock-csr-ghost"](p, d)
+			return func(x, y *darray.Vector) { op.ApplyDot(x, y) }
+		}},
+		{"csc-merge Apply", []int{1, 3, 4}, func(p *comm.Proc, d dist.Contiguous) func(x, y *darray.Vector) {
+			return NewColBlockCSC(p, csc, d, ModePrivateMerge).Apply
+		}},
+		{"rowblock-csr ApplyT", []int{1, 3, 4}, func(p *comm.Proc, d dist.Contiguous) func(x, y *darray.Vector) {
+			return NewRowBlockCSR(p, A, d).ApplyT
+		}},
+	}
+	for _, c := range calls {
+		for _, np := range c.nps {
 			d := dist.NewBlock(n, np)
 			var allocs float64
 			machine(np).Run(func(p *comm.Proc) {
-				op := build(p, d)
+				call := c.call(p, d)
 				x := darray.New(p, d)
 				x.SetGlobal(func(g int) float64 { return float64(g%7) - 3 })
 				y := darray.New(p, d)
-				op.ApplyDot(x, y) // warm-up: fills gather target and pools
+				call(x, y) // warm-up: fills gather target, region and pools
 				// The barrier keeps a lagging rank's set-up out of rank
 				// 0's process-wide count.
 				p.Barrier()
 				if p.Rank() == 0 {
 					allocs = testing.AllocsPerRun(runs, func() {
-						op.ApplyDot(x, y)
+						call(x, y)
 					})
 				} else {
 					for i := 0; i < runs+1; i++ {
-						op.ApplyDot(x, y)
+						call(x, y)
 					}
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("%s np=%d: ApplyDot allocated %.1f times per call in steady state, want 0", name, np, allocs)
+				t.Errorf("%s np=%d: allocated %.1f times per call in steady state, want 0", c.name, np, allocs)
 			}
 		}
 	}

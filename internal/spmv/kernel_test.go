@@ -84,12 +84,42 @@ var csrExecutors = []struct {
 	}},
 }
 
+// stripMerge is the §5.1 private merge computed sequentially: y = M·x
+// for M given column by column (ptr over columns, idx the row of each
+// entry). Each rank's partial sums its strip of d's columns in storage
+// order from +0.0, and row i's value adds the partials in the merge's
+// order — its owner's first, then the other ranks' in ascending rank.
+func stripMerge(ptr, idx []int, val, x []float64, d dist.Contiguous) []float64 {
+	n := len(x)
+	partial := make([][]float64, d.NP())
+	for r := range partial {
+		partial[r] = make([]float64, n)
+		for j := d.Lo(r); j < d.Lo(r)+d.Count(r); j++ {
+			for k := ptr[j]; k < ptr[j+1]; k++ {
+				partial[r][idx[k]] += val[k] * x[j]
+			}
+		}
+	}
+	y := make([]float64, n)
+	for i := range y {
+		own := d.Owner(i)
+		y[i] = partial[own][i]
+		for r := range partial {
+			if r != own {
+				y[i] += partial[r][i]
+			}
+		}
+	}
+	return y
+}
+
 // TestKernelBitExact holds every CSR executor to the sequential
 // sparse.CSR.MulVec bit for bit — same order of additions, each row from
 // +0.0 — at every np, and the fused ApplyDot partial to the row-order
 // sum of x·y over the rank's rows. The powers kernel's basis blocks are
 // held to repeated sequential products, and the CSC transpose to
-// MulVec over the transpose's rows.
+// MulVec over the transpose's rows. The two private merges — the
+// csc-merge Apply and the row-block ApplyT — are held to stripMerge.
 func TestKernelBitExact(t *testing.T) {
 	for name, A := range kernelMatrices() {
 		n := A.NRows
@@ -111,6 +141,8 @@ func TestKernelBitExact(t *testing.T) {
 
 		for _, np := range testNPs {
 			d := dist.NewBlock(n, np)
+			wantMerge := stripMerge(csc.ColPtr, csc.Row, csc.Val, xs, d)
+			wantMergeT := stripMerge(A.RowPtr, A.Col, A.Val, xs, d)
 			machine(np).Run(func(p *comm.Proc) {
 				lo, cnt := d.Lo(p.Rank()), d.Count(p.Rank())
 				at := func(v []float64) []float64 { return v[lo : lo+cnt] }
@@ -156,6 +188,14 @@ func TestKernelBitExact(t *testing.T) {
 				op := NewColBlockCSC(p, csc, d, ModePrivateMerge)
 				op.ApplyT(x, y)
 				sameBits(t, fmt.Sprintf("%s/csc ApplyT np=%d rank=%d", name, np, p.Rank()), y.Local(), at(wantT))
+				// Twice each, so the second call runs on a reused region.
+				rt := NewRowBlockCSR(p, A, d)
+				for range 2 {
+					op.Apply(x, y)
+					sameBits(t, fmt.Sprintf("%s/csc-merge Apply np=%d rank=%d", name, np, p.Rank()), y.Local(), at(wantMerge))
+					rt.ApplyT(x, y)
+					sameBits(t, fmt.Sprintf("%s/rowblock ApplyT np=%d rank=%d", name, np, p.Rank()), y.Local(), at(wantMergeT))
+				}
 			})
 		}
 	}

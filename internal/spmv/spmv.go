@@ -41,6 +41,7 @@ import (
 	"hpfcg/internal/comm"
 	"hpfcg/internal/darray"
 	"hpfcg/internal/dist"
+	"hpfcg/internal/forall"
 	"hpfcg/internal/sparse"
 )
 
@@ -141,7 +142,11 @@ func checkShape(p *comm.Proc, A *sparse.CSR, d dist.Contiguous) {
 // every entry is one branch-free load. When dx is non-nil the sweep also
 // returns Σ dx[i]·y[i] accumulated in ascending row order — exactly the
 // partial x.DotLocal(y) computes afterwards, which is what lets a fused
-// ApplyDot stay bit-identical to Apply followed by DotLocal.
+// ApplyDot stay bit-identical to Apply followed by DotLocal. A row runs
+// four entries per trip through fixed-length subslices, then a scalar
+// tail, adding into s in storage order either way: like darray's vector
+// updates, the rolled loop's speed swung with where the linker placed
+// it (≈ 15 % on the Figure 2 matrix), and the unrolled one does not.
 func sweepRows(y []float64, ptr, idx []int, val, x, dx []float64) float64 {
 	k := ptr[0]
 	idx = idx[:ptr[len(ptr)-1]]
@@ -154,6 +159,13 @@ func sweepRows(y []float64, ptr, idx []int, val, x, dx []float64) float64 {
 	dot := 0.0
 	for i, end := range ptr {
 		s := 0.0
+		for ; k+4 <= end; k += 4 {
+			vb, ib := val[k:k+4:k+4], idx[k:k+4:k+4]
+			s += vb[0] * x[ib[0]]
+			s += vb[1] * x[ib[1]]
+			s += vb[2] * x[ib[2]]
+			s += vb[3] * x[ib[3]]
+		}
 		for ; k < end; k++ {
 			s += val[k] * x[idx[k]]
 		}
@@ -173,10 +185,17 @@ func sweepRows(y []float64, ptr, idx []int, val, x, dx []float64) float64 {
 // "performing the element-wise multiplication will not require any
 // interprocessor communication". The CSC executors run it over their
 // column strips and RowBlockCSR.ApplyT over its rows, which are A^T's
-// columns; each caller charges the strip's 2·nnz flops.
+// columns; each caller charges the strip's 2·nnz flops. Like sweepRows
+// it runs one flat k over operands resliced to the strip, so the inner
+// loop checks no bound but q's.
 func scatterCols(q []float64, ptr, idx []int, val, x []float64) {
-	for j, xj := range x {
-		for k := ptr[j]; k < ptr[j+1]; k++ {
+	k := ptr[0]
+	idx = idx[:ptr[len(x)]]
+	val = val[:len(idx)]
+	ptr = ptr[1 : len(x)+1]
+	for j, end := range ptr {
+		xj := x[j]
+		for ; k < end; k++ {
 			q[idx[k]] += val[k] * xj
 		}
 	}
@@ -203,6 +222,10 @@ type RowBlockCSR struct {
 	nnz      int
 	nnzLocal int
 	xfull    []float64 // reusable gather target: Apply allocates nothing in steady state
+	// priv is ApplyT's PRIVATE accumulator, built by the first transpose
+	// product, so a solve that never transposes holds no second n-word
+	// array.
+	priv *forall.PrivateRegion
 }
 
 // NewRowBlockCSR slices processor p's row strip out of the global
@@ -275,10 +298,12 @@ func (a *RowBlockCSR) ApplyDot(x, y *darray.Vector) float64 {
 // re-introduces the merge communication the row distribution avoided.
 func (a *RowBlockCSR) ApplyT(x, y *darray.Vector) {
 	checkAligned("RowBlockCSR.ApplyT", a.d, x, y)
-	priv := make([]float64, a.n)
-	scatterCols(priv, a.rowPtr, a.col, a.val, x.Local())
+	if a.priv == nil {
+		a.priv = forall.NewPrivate(dist.Counts(a.d))
+	}
+	scatterCols(a.priv.Open(), a.rowPtr, a.col, a.val, x.Local())
 	a.p.Compute(2 * a.nnzLocal)
-	y.ReduceScatterFrom(priv)
+	a.priv.MergeDistributed(a.p, y.Local())
 }
 
 // ColBlockCSC is Scenario 2 with CSC storage: processor r holds the
@@ -295,6 +320,10 @@ type ColBlockCSC struct {
 	nnzLocal int
 	mode     Mode
 	xfull    []float64 // reusable gather target for ApplyT
+	// priv is the private-merge mode's PRIVATE accumulator; q0 is the
+	// serialised mode's running q on rank 0, where its chain starts.
+	priv *forall.PrivateRegion
+	q0   []float64
 }
 
 // NewColBlockCSC slices processor p's column strip out of A.
@@ -314,7 +343,7 @@ func NewColBlockCSC(p *comm.Proc, A *sparse.CSC, d dist.Contiguous, mode Mode) *
 	for j := lo; j <= hi; j++ {
 		colPtr[j-lo] = A.ColPtr[j] - base
 	}
-	return &ColBlockCSC{
+	a := &ColBlockCSC{
 		p:        p,
 		d:        d,
 		lo:       lo,
@@ -327,6 +356,13 @@ func NewColBlockCSC(p *comm.Proc, A *sparse.CSC, d dist.Contiguous, mode Mode) *
 		mode:     mode,
 		xfull:    make([]float64, A.NRows),
 	}
+	switch {
+	case mode == ModePrivateMerge:
+		a.priv = forall.NewPrivate(dist.Counts(d))
+	case r == 0:
+		a.q0 = make([]float64, A.NRows)
+	}
+	return a
 }
 
 // N implements Operator.
@@ -364,13 +400,16 @@ func (a *ColBlockCSC) Apply(x, y *darray.Vector) {
 // the running q travels rank to rank (each processor's compute starts
 // only after its predecessor's finishes — the modeled clock enforces
 // the serialisation), then the final q is scattered to its owners.
+// Rank 0 starts the chain in its own q0 each time: once rank 0 has its
+// block of the scatter, every rank is done with the previous q.
 func (a *ColBlockCSC) applySerialized(x, y *darray.Vector) {
 	const tagQ = 101
 	np := a.p.NP()
 	r := a.p.Rank()
 	var q []float64
 	if r == 0 {
-		q = make([]float64, a.n)
+		q = a.q0
+		clear(q)
 	} else {
 		q = a.p.RecvFloats(r-1, tagQ)
 	}
@@ -387,10 +426,9 @@ func (a *ColBlockCSC) applySerialized(x, y *darray.Vector) {
 // applyPrivateMerge is the §5.1 extension path: private accumulation,
 // then MERGE(+) via reduce-scatter onto y's distribution.
 func (a *ColBlockCSC) applyPrivateMerge(x, y *darray.Vector) {
-	priv := make([]float64, a.n)
-	scatterCols(priv, a.colPtr, a.row, a.val, x.Local())
+	scatterCols(a.priv.Open(), a.colPtr, a.row, a.val, x.Local())
 	a.p.Compute(2 * a.nnzLocal)
-	y.ReduceScatterFrom(priv)
+	a.priv.MergeDistributed(a.p, y.Local())
 }
 
 // ApplyT implements TransposeOperator: the local columns of A are rows

@@ -112,7 +112,7 @@ func TestMatrixMatchesProcStats(t *testing.T) {
 	m, tr := tracedMachine(4)
 	rs := m.Run(func(p *comm.Proc) {
 		p.AllgatherV(make([]float64, 8), []int{8, 8, 8, 8})
-		p.AlltoallV([][]float64{{1}, {2, 2}, {3}, {4, 4, 4}})
+		p.AlltoallVInts([][]int{{1}, {2, 2}, {3}, {4, 4, 4}})
 		p.Barrier()
 	})
 	rec := tr.Runs()[0]
@@ -162,18 +162,18 @@ func TestCriticalPathBoundsMakespan(t *testing.T) {
 		"scatterv":   func(p *comm.Proc, c []int) { p.ScatterV(0, scatterFull(p, c), c) },
 		"allgatherv": func(p *comm.Proc, c []int) { p.AllgatherV(make([]float64, c[p.Rank()]), c) },
 		"alltoallv": func(p *comm.Proc, _ []int) {
-			segs := make([][]float64, p.NP())
+			segs := make([][]int, p.NP())
 			for i := range segs {
-				segs[i] = make([]float64, 4)
+				segs[i] = make([]int, 4)
 			}
-			p.AlltoallV(segs)
+			p.AlltoallVInts(segs)
 		},
 		"reduce-scatter": func(p *comm.Proc, c []int) {
 			total := 0
 			for _, x := range c {
 				total += x
 			}
-			p.ReduceScatterSum(make([]float64, total), c)
+			p.ReduceScatterSum(make([]float64, total), c, make([]float64, c[p.Rank()]))
 		},
 	}
 	for name, coll := range colls {
