@@ -1,8 +1,9 @@
 // Package bench is the experiment harness: one runner per figure or
 // analytic claim of the paper (the per-experiment index lives in
-// DESIGN.md and EXPERIMENTS.md). Each runner regenerates its tables
-// from scratch on the simulated machine, so `cgbench -exp all`
-// reproduces the whole evaluation.
+// DESIGN.md and EXPERIMENTS.md; the claim ledger in bench_test.go names
+// the test that fails when each claim does). Each runner regenerates
+// its tables from scratch on the simulated machine, so `cgbench -exp
+// all` reproduces the whole evaluation.
 //
 // Every column is modeled — counted work or the simulated clock, never
 // a stopwatch — so the tables are a pure function of (code, Config).
@@ -104,8 +105,6 @@ var experiments = map[string]Runner{
 	"E18": E18,
 	"E19": E19,
 	"E20": E20,
-	"E21": E21,
-	"E22": E22,
 	"E23": E23,
 	"E24": E24,
 	"E25": E25,

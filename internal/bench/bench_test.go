@@ -3,8 +3,13 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,10 +24,146 @@ func quickCfg() Config {
 	return c
 }
 
+// claims is the claim ledger: every experiment names the paper section
+// or figure it reproduces, or the guarantee it enforces, and the test
+// that fails when that claim stops holding. A test is "TestX" in this
+// package or "dir.TestX" for a test in module directory dir; "the
+// runner" means the experiment returns an error when the claim fails,
+// so the test that runs it fails.
+var claims = map[string]struct{ claim, test string }{
+	"E1":  {"Figure 2: CG's iteration count is NP-invariant and the modeled time speeds up", "TestE1Shape"},
+	"E2":  {"Figure 3, Scenario 1: the broadcast costs §4's t_s·log NP + t_w·n·(NP-1)/NP", "TestE2MatchesFormula"},
+	"E3":  {"Figure 4, Scenario 2: the serialized CSC loop does not scale, PRIVATE/MERGE does", "TestE4ExtensionWins"},
+	"E4":  {"Figure 5, §5.1: the PRIVATE/MERGE(+) extension beats the serialized loop", "TestE4ExtensionWins"},
+	"E5":  {"§2, §2.1: the per-iteration products, inner products and SAXPYs of each solver", "internal/seq.TestComputationalStructure"},
+	"E6":  {"§2.1: BiCG's transpose product brings back the merge phase", "TestE6TransposePenalty"},
+	"E7":  {"§5.2.1: ATOM:BLOCK never splits an atom", "internal/partition.TestElemDistNeverSplitsAtoms"},
+	"E8":  {"§5.2.2: the balanced partitioner beats uniform atom blocks", "TestE8BalancedWins"},
+	"E9":  {"§2: CG ends within the distinct-eigenvalue count; preconditioning cuts iterations", "TestE9Convergence"},
+	"E10": {"§4: SAXPY scales as n/NP, DOT_PRODUCT adds a merge", "TestE10VectorOps"},
+	"E11": {"§1: the NAS-CG kernel distributed reproduces the sequential zeta trajectory", "internal/nas.TestDistributedMatchesSequential"},
+	"E12": {"§1: iterative vs direct; sparse CG and dense LU agree on every size (the runner)", "TestAllExperimentsRunQuick"},
+	"E13": {"§4 extended: a checkerboard moves fewer bytes than striping", "TestE13CheckerboardBytes"},
+	"E14": {"§5.1's inspector loops: the halo executor beats the broadcast, inspector included", "TestE14GhostWins"},
+	"E15": {"HPF's portability premise: the best mat-vec execution flips with t_s", "TestE15WinnerFlips"},
+	"E16": {"§5.2.2's irregular order: RCM shrinks a scrambled matrix's halo", "TestE16RCMShrinksHalo"},
+	"E17": {"§4: the inner products are CG's only synchronisations; dot-free Chebyshev wins at high t_s", "TestE17ChebyshevWinsAtHighStartup"},
+	"E18": {"§4: at fixed work per processor only the t_s·log NP merges grow", "TestE18WeakScaling"},
+	"E19": {"Figure 2's three merges per iteration: fusion cuts the rounds and the modeled time", "TestE19FusionWins"},
+	"E20": {"guarantee: checkpoint/restart is bit-identical when healthy and recovers from crashes", "TestE20ResilienceShape"},
+	"E23": {"§4's t_s·log NP term: s-step CG merges 1/s times per iteration", "internal/core.TestCGSStepRoundsPerIteration"},
+	"E24": {"guarantee: the V-cycle cuts CG's iterations and repeats bit for bit (the runner)", "TestAllExperimentsRunQuick"},
+	"E25": {"guarantee: matrix-free CG is bit-identical to assembled with zero setup (the runner)", "TestAllExperimentsRunQuick"},
+	"E26": {"§4's merge term: pipelined CG hides the allreduce, iterations+3 rounds (the runner)", "TestAllExperimentsRunQuick"},
+}
+
+// moduleTests returns every top-level test function of the module as
+// "dir.TestX", dir relative to the module root.
+func moduleTests(t *testing.T) map[string]bool {
+	t.Helper()
+	const root = "../.."
+	fset := token.NewFileSet()
+	tests := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() && path != root && (strings.HasPrefix(e.Name(), ".") || e.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if e.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Test") {
+				tests[filepath.ToSlash(dir)+"."+fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tests
+}
+
+// Every registered experiment has a ledger entry, every entry a
+// registered experiment, and every named test exists.
+func TestClaimLedger(t *testing.T) {
+	tests := moduleTests(t)
+	for _, id := range IDs() {
+		if _, ok := claims[id]; !ok {
+			t.Errorf("%s: no claims entry", id)
+		}
+	}
+	for id, c := range claims {
+		if _, err := Get(id); err != nil {
+			t.Errorf("claims entry %s: no such experiment", id)
+		}
+		name := c.test
+		if !strings.Contains(name, ".") {
+			name = "internal/bench." + name
+		}
+		if !tests[name] {
+			t.Errorf("%s: test %s does not exist", id, c.test)
+		}
+	}
+}
+
+// The harness runs the modeled machine only: nothing internal/bench or
+// cmd/cgbench imports, however indirectly, is the solver service or the
+// cluster tier.
+func TestHarnessIsModeledOnly(t *testing.T) {
+	fset := token.NewFileSet()
+	via := map[string]string{"internal/bench": "", "cmd/cgbench": ""}
+	queue := []string{"internal/bench", "cmd/cgbench"}
+	for len(queue) > 0 {
+		dir := queue[0]
+		queue = queue[1:]
+		if dir == "internal/serve" || dir == "internal/cluster" {
+			chain := dir
+			for d := via[dir]; d != ""; d = via[d] {
+				chain = d + " -> " + chain
+			}
+			t.Errorf("the harness reaches %s: %s", dir, chain)
+			continue
+		}
+		files, err := filepath.Glob(filepath.Join("../..", dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range files {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				path, _ := strconv.Unquote(imp.Path.Value) // the parser accepted the literal
+				dep, local := strings.CutPrefix(path, "hpfcg/")
+				if _, seen := via[dep]; local && !seen {
+					via[dep] = dir
+					queue = append(queue, dep)
+				}
+			}
+		}
+	}
+}
+
 func TestIDsOrderedAndComplete(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 26 {
-		t.Fatalf("%d experiments registered, want 26", len(ids))
+	if len(ids) != len(claims) {
+		t.Fatalf("%d experiments registered, the claim ledger has %d", len(ids), len(claims))
 	}
 	if ids[0] != "E1" || ids[1] != "E2" || ids[len(ids)-1] != "E26" {
 		t.Errorf("order wrong: %v", ids)
@@ -73,10 +214,9 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 	}
 }
 
-// machineFree lists the experiments that build no machine of their own:
-// E5, E7, E9 and E12 run no SPMD program, and E21 and E22 run theirs
-// inside the solver service, which builds its own machines.
-var machineFree = map[string]bool{"E5": true, "E7": true, "E9": true, "E12": true, "E21": true, "E22": true}
+// machineFree lists the experiments that run no SPMD program and so
+// build no machine: E5, E7, E9 and E12.
+var machineFree = map[string]bool{"E5": true, "E7": true, "E9": true, "E12": true}
 
 // Config.Tracer reaches every machine an experiment builds: each
 // machine-building experiment deposits at least one recorder, so
@@ -150,13 +290,6 @@ func TestRunAndRender(t *testing.T) {
 	if err := RunAndRender(&buf, "E99", quickCfg()); err == nil {
 		t.Error("unknown id accepted")
 	}
-}
-
-func cell(t *testing.T, tab interface {
-	// minimal view over report.Table
-}, _ int, _ int) string {
-	t.Helper()
-	return ""
 }
 
 func parseF(t *testing.T, s string) float64 {
@@ -538,86 +671,6 @@ func TestE20ResilienceShape(t *testing.T) {
 	}
 }
 
-// E21: the solver service must amortize setup (one worker, preloaded
-// queue, exact occupancy): the per-job share of the modeled setup must
-// fall monotonically with the batch cap, and a batch of 4 must cut it
-// to at most a third of the solo cost while the per-solve model time
-// stays flat.
-func TestE21BatchingAmortizes(t *testing.T) {
-	tables, err := E21(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 1 {
-		t.Fatalf("want 1 table, got %d", len(tables))
-	}
-	perJobSetup := map[int]float64{}
-	perJobSolve := map[int]float64{}
-	for _, row := range tables[0].Rows {
-		b, _ := strconv.Atoi(row[0])
-		if occ := parseF(t, row[1]); occ != float64(b) {
-			t.Errorf("batch %d: occupancy %g not exact", b, occ)
-		}
-		perJobSetup[b] = parseF(t, row[3])
-		perJobSolve[b] = parseF(t, row[4])
-	}
-	if perJobSetup[1] <= 0 {
-		t.Fatal("solo setup share is zero — stage attribution broken")
-	}
-	if !(perJobSetup[8] < perJobSetup[4] && perJobSetup[4] < perJobSetup[2] && perJobSetup[2] < perJobSetup[1]) {
-		t.Errorf("setup share not monotone in batch size: %v", perJobSetup)
-	}
-	if perJobSetup[4] > perJobSetup[1]/3 {
-		t.Errorf("batch=4 setup share %g not under 1/3 of solo %g", perJobSetup[4], perJobSetup[1])
-	}
-	for b, s := range perJobSolve {
-		if rel := math.Abs(s-perJobSolve[1]) / perJobSolve[1]; rel > 0.05 {
-			t.Errorf("batch %d per-solve model time drifted %g%% from solo", b, rel*100)
-		}
-	}
-}
-
-// E22: the cluster must serve warm plan-cache traffic with zero
-// modeled setup (sequential passes over a fixed matrix set, occupancy
-// 1): pass 0 is all misses with positive setup, every later pass is
-// all hits with setup exactly 0 and a solve model time identical to
-// the cold pass.
-func TestE22WarmPathZeroSetup(t *testing.T) {
-	tables, err := E22(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 1 {
-		t.Fatalf("want 1 table, got %d", len(tables))
-	}
-	var coldSolve float64
-	for i, row := range tables[0].Rows {
-		hitRate := parseF(t, row[3])
-		setup := parseF(t, row[4])
-		share := parseF(t, row[5])
-		solve := parseF(t, row[6])
-		if i == 0 {
-			if hitRate != 0 {
-				t.Errorf("cold pass hit rate %g, want 0", hitRate)
-			}
-			if setup <= 0 {
-				t.Errorf("cold pass setup %g, want > 0", setup)
-			}
-			coldSolve = solve
-			continue
-		}
-		if hitRate != 1 {
-			t.Errorf("pass %d hit rate %g, want 1", i, hitRate)
-		}
-		if setup != 0 || share != 0 {
-			t.Errorf("pass %d warm setup %g (share %g), want exactly 0", i, setup, share)
-		}
-		if solve != coldSolve {
-			t.Errorf("pass %d solve model %g differs from cold %g", i, solve, coldSolve)
-		}
-	}
-}
-
 // renderAll renders every experiment the way `cgbench` prints them.
 func renderAll(t *testing.T, cfg Config) []byte {
 	t.Helper()
@@ -662,7 +715,7 @@ func TestExperimentsAreDeterministic(t *testing.T) {
 	}
 }
 
-// The full-size output of all 26 experiments is committed: a change
+// The full-size output of every experiment is committed: a change
 // that moves a modeled number must regenerate the file (`make golden`)
 // and name the moved tables in CHANGES.md.
 func TestExperimentsMatchGolden(t *testing.T) {

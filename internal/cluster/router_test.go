@@ -301,7 +301,6 @@ func TestRouterBackpressurePassThrough(t *testing.T) {
 	}
 
 	// Drain the shard; a 503 must also pass through.
-	sh.s.Resume()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	if err := sh.s.Drain(ctx); err != nil {

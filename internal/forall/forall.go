@@ -19,8 +19,7 @@
 // the repo's one private accumulator: spmv's private-merge CSC executor
 // (so experiments E3/E4 and the served csc-merge layout),
 // RowBlockCSR.ApplyT and examples/directives all open one. WITH DISCARD
-// needs no code of its own: a region that is not merged is simply
-// zeroed when it next opens.
+// has no executor: hpfexec refuses it with the directive's line.
 package forall
 
 import (

@@ -173,13 +173,15 @@ func analyzeCG(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR) (*matrixBackend, 
 	}
 
 	// The §5.1 extension: any ITERATION clause PRIVATE ... WITH MERGE(+)
-	// unlocks the parallel execution of the CSC accumulation.
+	// unlocks the parallel execution of the CSC accumulation. WITH
+	// DISCARD parses but has no executor, so it is refused.
 	hasMerge := false
 	for _, it := range plan.Iterations {
 		for _, cl := range it.Clauses {
-			if cl.Kind == "private" && cl.Merge == "+" {
-				hasMerge = true
+			if cl.Kind == "private" && cl.Merge == "discard" {
+				return fail(fmt.Errorf("hpf: line %d: PRIVATE(%s) WITH DISCARD has no executor; only WITH MERGE(+) runs", it.Line(), cl.Array))
 			}
+			hasMerge = hasMerge || cl.Kind == "private" && cl.Merge == "+"
 		}
 	}
 

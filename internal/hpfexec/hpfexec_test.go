@@ -256,6 +256,11 @@ func TestSolveCGErrors(t *testing.T) {
 	if _, err := SolveCG(machine(np), plan, A, b[:3], core.Options{}); err == nil {
 		t.Error("short rhs accepted")
 	}
+	// PRIVATE ... WITH DISCARD parses but has no executor.
+	discard := bindPlan(t, cscPlanSerial+"!EXT$ ITERATION j ON PROCESSOR(j*np/n), PRIVATE(q(n)) WITH DISCARD\n", 8, A.NNZ(), np)
+	if _, err := SolveCG(machine(np), discard, A, b, core.Options{}); err == nil || !strings.Contains(err.Error(), "hpf: line 6: PRIVATE(q) WITH DISCARD") {
+		t.Errorf("WITH DISCARD: err = %v, want a line 6 refusal", err)
+	}
 	// No array of vector size.
 	tiny := bindPlan(t, `
 !HPF$ DISTRIBUTE col(BLOCK)

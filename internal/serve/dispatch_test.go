@@ -58,7 +58,7 @@ func TestBatchBreakdownFailsOnlyItsJob(t *testing.T) {
 		}
 		ids = append(ids, j.ID)
 	}
-	s.Resume()
+	s.resume()
 	for k, id := range ids {
 		v, err := s.Wait(testCtx(t), id)
 		if err != nil {
@@ -231,7 +231,7 @@ func TestDeadlineJobsBatchByBound(t *testing.T) {
 		}
 		ids = append(ids, j.ID)
 	}
-	s.Resume()
+	s.resume()
 	for k, want := range []int{2, 2, 1} {
 		v, err := s.Wait(testCtx(t), ids[k])
 		if err != nil {

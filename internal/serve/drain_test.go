@@ -41,7 +41,7 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s.Resume()
+	s.resume()
 	<-started // j1 is in flight, j2/j3 still queued
 
 	drainErr := make(chan error, 1)

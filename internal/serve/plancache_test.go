@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 )
@@ -56,6 +57,57 @@ func TestPlanCacheWarmHit(t *testing.T) {
 	st := s.PlanCacheStats()
 	if st.Hits < 1 || st.Misses < 1 {
 		t.Fatalf("registry stats %+v, want >=1 hit and >=1 miss", st)
+	}
+}
+
+// TestWarmPathZeroSetup: after one cold pass, every repeat of the same
+// problem hits the registry, pays exactly zero modeled setup and
+// replays the cold solve's modeled clock.
+func TestWarmPathZeroSetup(t *testing.T) {
+	s := New(Options{Workers: 1, MaxBatch: 1})
+	defer s.Drain(testCtx(t))
+	spec := JobSpec{Matrix: "laplace2d:10:10", NP: 4, Seed: 3}
+
+	const passes = 3
+	var cold JobResult
+	for pass := 0; pass < passes; pass++ {
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := s.Wait(testCtx(t), j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.State != StateDone {
+			t.Fatalf("pass %d: state %s (%s)", pass, v.State, v.Error)
+		}
+		r := *v.Result
+		if pass == 0 {
+			if r.PlanCacheHit {
+				t.Fatal("cold pass reported a plan-cache hit")
+			}
+			if r.SetupModelTime <= 0 {
+				t.Fatalf("cold pass setup %g, want > 0", r.SetupModelTime)
+			}
+			cold = r
+			continue
+		}
+		if !r.PlanCacheHit {
+			t.Fatalf("pass %d missed the plan cache", pass)
+		}
+		if r.SetupModelTime != 0 {
+			t.Fatalf("pass %d warm setup %g, want exactly 0", pass, r.SetupModelTime)
+		}
+		// The warm plan replays the cold solve's modeled clock. Only to
+		// rounding: the cold span is a difference of clocks that started
+		// after setup, the warm one of clocks that started at zero.
+		if c, w := cold.SolveModelTime, r.SolveModelTime; math.Abs(w-c) > 1e-12*c {
+			t.Fatalf("pass %d solve model time %v differs from cold %v", pass, w, c)
+		}
+	}
+	if st := s.PlanCacheStats(); st.Hits != passes-1 || st.Misses != 1 {
+		t.Fatalf("registry stats %+v, want %d hits and 1 miss", st, passes-1)
 	}
 }
 
@@ -226,7 +278,7 @@ func TestDrainKeepsPlanCacheReadable(t *testing.T) {
 		}
 		ids = append(ids, j.ID)
 	}
-	s.Resume()
+	s.resume()
 	inflight := <-started
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -75,9 +75,9 @@ type Options struct {
 	// inspector ghost exchange across batch windows. 0 selects
 	// hpfexec.DefaultRegistryBudget; negative disables the registry.
 	PlanCacheBytes int64
-	// StartPaused creates the scheduler with dispatch paused; Resume
-	// starts it. Tests and benchmarks use this to preload the queue so
-	// batch composition is deterministic.
+	// StartPaused creates the scheduler with dispatch paused; resume
+	// starts it. Tests use this to preload the queue so batch
+	// composition is deterministic.
 	StartPaused bool
 	// BatchStarted, when non-nil, is called synchronously by a worker
 	// after it marks a batch running and before it solves. Tests use it
@@ -229,8 +229,8 @@ func (s *Scheduler) Wait(ctx context.Context, id string) (JobView, error) {
 	return v, nil
 }
 
-// Resume starts dispatch on a paused scheduler.
-func (s *Scheduler) Resume() {
+// resume starts dispatch on a paused scheduler.
+func (s *Scheduler) resume() {
 	s.mu.Lock()
 	s.paused = false
 	s.cond.Broadcast()

@@ -66,7 +66,7 @@ func TestHPCGBatchingAndWarmPlan(t *testing.T) {
 		}
 		ids[k] = j.ID
 	}
-	s.Resume()
+	s.resume()
 	var x0 []float64
 	for k, id := range ids {
 		v, err := s.Wait(testCtx(t), id)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -138,7 +139,7 @@ func TestBatchCoalescingBitIdentical(t *testing.T) {
 		}
 		ids[k] = j.ID
 	}
-	s.Resume()
+	s.resume()
 	for k, id := range ids {
 		v, err := s.Wait(testCtx(t), id)
 		if err != nil {
@@ -164,6 +165,65 @@ func TestBatchCoalescingBitIdentical(t *testing.T) {
 	}
 }
 
+// TestBatchSetupPaidOnce: at forced occupancy (one worker, a paused
+// and preloaded queue, the registry off so every batch pays setup),
+// every job of a batch of B reports the same SetupModelTime as a solo
+// job, so each job's share is exactly setup/B. SolveModelTime stays
+// within 5 % of the same right-hand side solved solo; it cannot be
+// exact, because a solve's modeled span drifts with its position in
+// the batch.
+func TestBatchSetupPaidOnce(t *testing.T) {
+	const njobs = 8
+	run := func(maxBatch int) []*JobResult {
+		s := New(Options{Workers: 1, QueueCap: njobs, MaxBatch: maxBatch, StartPaused: true, PlanCacheBytes: -1})
+		defer s.Drain(testCtx(t))
+		ids := make([]string, njobs)
+		for k := range ids {
+			j, err := s.Submit(JobSpec{Matrix: "laplace2d:12:12", NP: 4, Seed: int64(k + 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[k] = j.ID
+		}
+		s.resume()
+		out := make([]*JobResult, njobs)
+		for k, id := range ids {
+			v, err := s.Wait(testCtx(t), id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.State != StateDone || !v.Result.Converged {
+				t.Fatalf("batch %d job %d: state %s (err %q)", maxBatch, k, v.State, v.Error)
+			}
+			if v.Result.BatchSize != maxBatch {
+				t.Fatalf("batch %d job %d: occupancy %d", maxBatch, k, v.Result.BatchSize)
+			}
+			out[k] = v.Result
+		}
+		return out
+	}
+	solo := run(1)
+	setup := solo[0].SetupModelTime
+	if setup <= 0 {
+		t.Fatalf("solo setup %g, want > 0", setup)
+	}
+	for _, b := range []int{1, 2, 4, 8} {
+		got := solo
+		if b > 1 {
+			got = run(b)
+		}
+		for k, r := range got {
+			if math.Float64bits(r.SetupModelTime) != math.Float64bits(setup) {
+				t.Errorf("batch %d job %d: setup %v, want the solo %v paid once per batch", b, k, r.SetupModelTime, setup)
+			}
+			if rel := math.Abs(r.SolveModelTime-solo[k].SolveModelTime) / solo[k].SolveModelTime; rel > 0.05 {
+				t.Errorf("batch %d job %d: solve model time %g drifted %.1f %% from solo %g",
+					b, k, r.SolveModelTime, 100*rel, solo[k].SolveModelTime)
+			}
+		}
+	}
+}
+
 // TestBatchKeySeparates: different matrices never coalesce.
 func TestBatchKeySeparates(t *testing.T) {
 	s := New(Options{Workers: 1, MaxBatch: 8, StartPaused: true})
@@ -176,7 +236,7 @@ func TestBatchKeySeparates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Resume()
+	s.resume()
 	for _, id := range []string{j1.ID, j2.ID} {
 		v, err := s.Wait(testCtx(t), id)
 		if err != nil {
@@ -374,7 +434,7 @@ func TestMatrixMarketUpload(t *testing.T) {
 		}
 		ids = append(ids, j.ID)
 	}
-	s.Resume()
+	s.resume()
 	for _, id := range ids {
 		v, err := s.Wait(testCtx(t), id)
 		if err != nil {
@@ -518,7 +578,7 @@ func TestHTTPBackpressure429(t *testing.T) {
 	if resp2.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	s.Resume()
+	s.resume()
 }
 
 func TestHTTPTraceDownload(t *testing.T) {

@@ -129,7 +129,7 @@ func TestSStepBatchKeySeparates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Resume()
+	s.resume()
 	for _, id := range []string{j1.ID, j2.ID} {
 		v, err := s.Wait(testCtx(t), id)
 		if err != nil {
