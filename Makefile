@@ -70,7 +70,9 @@ golden:
 # -problem string per backend: multigrid (at a chosen depth and smoothing
 # count), matrix-free (5-point; 27-point on two-plane slabs so ghost and
 # local source planes both occur, plain and pipelined), a generator under
-# -demo and under a directive file, pipelined CSR, fixed-factor s-step CG, and a resilient
+# -demo and under a directive file, and one -variant string per
+# recurrence: pipelined CSR, fixed-factor s-step CG, s-step CG at the
+# cost model's factor, and a resilient
 # solve absorbing an injected crash under a restart budget — each of
 # multigrid, 5-point and resilient once more under the -timeout deadline
 # every mode shares — and one absorbing a dropped message; hpfrun and
@@ -107,12 +109,13 @@ smoke:
 	$(GO) run ./cmd/hpfrun -problem stencil:5pt:32x24 -np 4 > /dev/null
 	$(GO) run ./cmd/hpfrun -problem stencil:5pt:32x24 -timeout 30s > /dev/null
 	$(GO) run ./cmd/hpfrun -problem stencil:27pt:8x8x8 -np 4 > /dev/null
-	$(GO) run ./cmd/hpfrun -problem stencil:27pt:8x8x8 -np 4 -pipelined > /dev/null
-	$(GO) run ./cmd/hpfrun -np 4 -problem banded:256:4 -demo csr -pipelined > /dev/null
-	$(GO) run ./cmd/hpfrun -np 4 -demo csr -sstep 4 > /dev/null
-	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "crash:rank=2@t=0.5ms" -resilient -ckpt 5 -restarts 2 > /dev/null
-	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "crash:rank=2@t=0.5ms" -resilient -ckpt 5 -timeout 30s > /dev/null
-	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "drop:rank=1,n=1,dst=0" -resilient > /dev/null
+	$(GO) run ./cmd/hpfrun -problem stencil:27pt:8x8x8 -np 4 -variant pipelined > /dev/null
+	$(GO) run ./cmd/hpfrun -np 4 -problem banded:256:4 -demo csr -variant pipelined > /dev/null
+	$(GO) run ./cmd/hpfrun -np 4 -demo csr -variant sstep:4 > /dev/null
+	$(GO) run ./cmd/hpfrun -np 8 -problem laplace2d:32:32 -variant sstep:auto > /dev/null
+	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "crash:rank=2@t=0.5ms" -variant resilient:ckpt=5,restarts=2 > /dev/null
+	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "crash:rank=2@t=0.5ms" -variant resilient:ckpt=5 -timeout 30s > /dev/null
+	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "drop:rank=1,n=1,dst=0" -variant resilient > /dev/null
 	$(GO) run ./cmd/hpfrun -np 2 -file $(SMOKE_DIR)/laplace1d4.mtx -demo csr -topology ring -tol 1e-8 -commmatrix > /dev/null
 	$(GO) run ./cmd/cgsolve -file $(SMOKE_DIR)/laplace1d4.mtx -np 2 -topology ring -tol 1e-8 -maxiter 50 -commmatrix -history > /dev/null
 	$(GO) run ./cmd/hpfrun -np 4 -problem banded:256:4 $(SMOKE_DIR)/csr.hpf > /dev/null
@@ -187,6 +190,8 @@ fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecodeJobSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzFaultParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hpfexec -run '^$$' -fuzz '^FuzzParseProblem$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/hpfexec -run '^$$' -fuzz '^FuzzParseVariant$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/hpfexec -run '^$$' -fuzz '^FuzzBindPrepare$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hpf -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 
 # Small-size smoke run of every experiment.

@@ -101,11 +101,7 @@ var ledger = map[string]string{
 	"cmd/hpfrun -commmatrix": "Makefile: -demo csr -topology ring -tol 1e-8 -commmatrix",
 	"cmd/hpfrun -timeout":    "Makefile: cmd/hpfrun -problem hpcg:6x6x6 -timeout 30s",
 	"cmd/hpfrun -fault":      `Makefile: -fault "crash:rank=2@t=0.5ms"`,
-	"cmd/hpfrun -resilient":  `Makefile: -fault "drop:rank=1,n=1,dst=0" -resilient`,
-	"cmd/hpfrun -sstep":      "Makefile: cmd/hpfrun -np 4 -demo csr -sstep 4",
-	"cmd/hpfrun -pipelined":  "Makefile: cmd/hpfrun -problem stencil:27pt:8x8x8 -np 4 -pipelined",
-	"cmd/hpfrun -ckpt":       "Makefile: -resilient -ckpt 5",
-	"cmd/hpfrun -restarts":   "Makefile: -resilient -ckpt 5 -restarts 2",
+	"cmd/hpfrun -variant":    "Makefile: -variant resilient:ckpt=5,restarts=2",
 	"cmd/hpfrun arg 0":       "Makefile: cmd/hpfrun -np 4 -problem banded:256:4 $(SMOKE_DIR)/csr.hpf",
 
 	"cmd/hpfserve -addr":           "deployment: the listen address of a long-running shard or router",

@@ -8,7 +8,9 @@
 // grammar) or a Matrix Market -file; how it runs is a directive file,
 // or -demo's canonical layout for a matrix (csr when neither is given).
 // A stencil problem's dimensions are the global grid, an hpcg
-// problem's each rank's brick; neither takes a layout.
+// problem's each rank's brick; neither takes a layout. The recurrence
+// the solve runs is one -variant string (hpfexec.ParseVariant's
+// grammar), plain CG by default.
 //
 // Examples:
 //
@@ -19,6 +21,8 @@
 //	hpfrun -np 4 -file matrix.mtx -demo csr
 //	hpfrun -np 4 -problem hpcg:8x8x8:L3
 //	hpfrun -np 4 -problem stencil:5pt:64x48
+//	hpfrun -np 8 -problem laplace2d:128:128 -variant sstep:auto
+//	hpfrun -np 4 -demo csr -fault "crash:rank=2@t=0.5ms" -variant resilient:ckpt=5
 package main
 
 import (
@@ -49,30 +53,19 @@ func main() {
 		commMatrix = flag.Bool("commmatrix", false, "print the communication matrix")
 		timeout    = flag.Duration("timeout", 0, "deadline on the whole solve: abort it after this long (0 = wait forever)")
 		faultStr   = flag.String("fault", "", `fault spec, e.g. "crash:rank=2@t=0.5ms,straggle:rank=1,x=4"`)
-		resilient  = flag.Bool("resilient", false, "survive injected crashes via checkpoint/restart")
-		sstep      = flag.Int("sstep", -1, "s-step CG blocking factor: -1 = plain CG, 0 = auto from the cost model, s >= 1 fixed (CSR layouts)")
-		pipelined  = flag.Bool("pipelined", false, "pipelined CG: hide the per-iteration allreduce behind the mat-vec (CSR layouts and stencil problems; excludes -sstep, -resilient, hpcg)")
-		ckpt       = flag.Int("ckpt", 10, "checkpoint every N iterations (with -resilient)")
-		restarts   = flag.Int("restarts", 3, "max restart attempts after failures (with -resilient)")
+		variantArg = flag.String("variant", "plain", `the recurrence: "plain", "sstep:<s>" (s-step CG, 2 <= s <= 16, CSR layouts), "sstep:auto" (the cost model's s), "pipelined" (CSR layouts and stencil problems) or "resilient[:ckpt=<n>[,restarts=<n>]]" (survive injected crashes by checkpoint/restart, default ckpt=10,restarts=3)`)
 	)
 	flag.Parse()
-	if err := unusedFlag(*resilient); err != nil {
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["problem"] && set["file"] {
+		fatal(fmt.Errorf("-problem does not apply with -file"))
+	}
+	// Which backend the variant combines with is hpfexec.CheckVariant's
+	// table, consulted by WithVariant below.
+	variant, err := hpfexec.ParseVariant(*variantArg)
+	if err != nil {
 		fatal(err)
-	}
-
-	// The solver variant the flags ask for; which backend it combines
-	// with is hpfexec.CheckVariant's table, consulted by WithVariant
-	// below. -sstep has a flag-only value, -1, so its range is checked
-	// here.
-	if *sstep < -1 || *sstep > hpfexec.MaxSStep {
-		fatal(fmt.Errorf("-sstep %d outside [-1,%d]", *sstep, hpfexec.MaxSStep))
-	}
-	variant := hpfexec.Variant{Pipelined: *pipelined, Resilient: *resilient, CkptInterval: *ckpt, MaxRestarts: *restarts}
-	switch {
-	case *sstep == 0:
-		variant.SStep = hpfexec.AutoSStep
-	case *sstep > 0:
-		variant.SStep = *sstep
 	}
 
 	m, err := hpfcg.NewMachine(hpfcg.Config{NP: *np, Topology: *topoName})
@@ -130,11 +123,11 @@ func main() {
 			fmt.Printf("          %v\n", pf)
 		}
 	}
-	if *sstep >= 0 {
-		fmt.Printf("sstep:    s=%d (requested %d) guard_trips=%d\n",
-			res.Strategy.SStep, *sstep, res.Stats.Replacements)
+	if variant.Kind() == "sstep" {
+		fmt.Printf("sstep:    s=%d (requested %s) guard_trips=%d\n",
+			res.Strategy.Variant.Factor(), variant, res.Stats.Replacements)
 	}
-	if *pipelined {
+	if variant == hpfexec.Pipelined() {
 		hidden, exposed := out.Run.ReduceOverlap()
 		fmt.Printf("overlap:  reductions=%d hidden=%.6gs exposed=%.6gs", res.Stats.Reductions, hidden, exposed)
 		if prob.Kind() != hpfexec.BackendStencil {
@@ -209,22 +202,6 @@ func prepareDirectives(m *comm.Machine, prob hpfexec.Problem, file string) (*hpf
 		fatal(err)
 	}
 	return pr, plan
-}
-
-// unusedFlag refuses a flag that was set but that the solve does not
-// read: -problem with -file, -ckpt and -restarts without -resilient.
-func unusedFlag(resilient bool) error {
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["problem"] && set["file"] {
-		return fmt.Errorf("-problem does not apply with -file")
-	}
-	for _, name := range []string{"ckpt", "restarts"} {
-		if set[name] && !resilient {
-			return fmt.Errorf("-%s needs -resilient", name)
-		}
-	}
-	return nil
 }
 
 func fatal(err error) {

@@ -9,25 +9,36 @@ import (
 )
 
 // TestRefusesOutOfRangeVariantFlags runs the command (this test binary,
-// re-entered as main) and wants every out-of-range variant flag refused
-// with exit 1 and one stderr line naming it, not a solve that runs with
-// some other value: a negative checkpoint interval or restart budget, or
-// an -sstep outside [-1,16]. A -problem the grammar does not take exactly
-// is refused naming the argument, and a flag the solve would not read is
-// refused too: -problem with -file, a layout (-demo) or a directive file
-// with a stencil problem, -ckpt/-restarts without -resilient.
+// re-entered as main) and wants every -variant the grammar does not
+// take exactly refused with exit 1 and one stderr line naming it, not a
+// solve that runs some other variant: a negative checkpoint interval or
+// restart budget, an s-step factor outside [2,16] (s = 1 is plain), an
+// unknown kind, or trailing junk. A variant the problem's backend does
+// not run is refused by the legality table. A -problem the grammar
+// does not take exactly is refused naming the argument, and a flag the
+// solve would not read is refused too: -problem with -file, a layout
+// (-demo) or a directive file with a stencil problem.
 func TestRefusesOutOfRangeVariantFlags(t *testing.T) {
 	if args := os.Getenv("HPFRUN_ARGS"); args != "" {
 		os.Args = append([]string{"hpfrun"}, strings.Fields(args)...)
 		main()
 		os.Exit(0)
 	}
-	const crash = "-np 4 -demo csr -fault crash:rank=2@t=0.5ms -resilient "
+	const crash = "-np 4 -demo csr -fault crash:rank=2@t=0.5ms -variant "
 	for args, want := range map[string]string{
-		crash + "-ckpt -3":     "field ckpt_interval: negative bound -3",
-		crash + "-restarts -2": "field max_restarts: negative bound -2",
-		"-demo csr -sstep -5":  "-sstep -5 outside [-1,16]",
-		"-demo csr -sstep 99":  "-sstep 99 outside [-1,16]",
+		crash + "resilient:ckpt=-3":                      `variant "resilient:ckpt=-3": field ckpt_interval: negative bound -3`,
+		crash + "resilient:ckpt=5,restarts=-2":           `variant "resilient:ckpt=5,restarts=-2": field max_restarts: negative bound -2`,
+		"-demo csr -variant sstep:-5":                    `variant "sstep:-5": field sstep: -5 outside [2,16]`,
+		"-demo csr -variant sstep:99":                    `variant "sstep:99": field sstep: 99 outside [2,16]`,
+		"-demo csr -variant sstep:1":                     `variant "sstep:1": s = 1 is plain CG`,
+		"-demo csr -variant gmres":                       `variant "gmres": want plain`,
+		"-demo csr -variant sstep:4junk":                 `variant "sstep:4junk": want plain`,
+		"-demo csr -variant pipelined,sstep:4":           `variant "pipelined,sstep:4": want plain`,
+		"-demo csr -variant resilient:ckpt=5:x":          `variant "resilient:ckpt=5:x": want plain`,
+		"-demo csc-merge -variant sstep:4":               "field sstep: 4 needs a CSR layout, got csc",
+		"-problem hpcg:4x4x4 -variant pipelined":         "field pipelined: does not apply to hpcg jobs",
+		"-problem stencil:5pt:32x24 -variant sstep:auto": "field sstep: does not apply to stencil jobs",
+		"-problem stencil:5pt:32x24 -variant resilient":  "field resilient: checkpoint/restart needs an assembled matrix",
 
 		"-problem stencil:5pt:32x24junk":         `problem "stencil:5pt:32x24junk"`,
 		"-problem stencil:27pt:4x4x4x4":          `problem "stencil:27pt:4x4x4x4"`,
@@ -38,8 +49,6 @@ func TestRefusesOutOfRangeVariantFlags(t *testing.T) {
 		"-problem stencil:5pt:32x24 -demo csr":   "field layout: does not apply to stencil problems",
 		"-problem stencil:5pt:32x24 -file m.mtx": "-problem does not apply with -file",
 		"-problem stencil:5pt:32x24 figure2.hpf": "a stencil problem is never assembled",
-		"-demo csr -ckpt 5":                      "-ckpt needs -resilient",
-		"-demo csr -resilient=false -restarts 2": "-restarts needs -resilient",
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestRefusesOutOfRangeVariantFlags$")
 		cmd.Env = append(os.Environ(), "HPFRUN_ARGS="+args)

@@ -79,11 +79,11 @@ func E26(cfg Config) ([]*report.Table, error) {
 			}
 			return pr.SolveBatch([][]float64{b}, opts)
 		}
-		plainOut, err := solve(hpfexec.Variant{SStep: 1})
+		plainOut, err := solve(hpfexec.Plain())
 		if err != nil {
 			return nil, fmt.Errorf("E26 scale=%g plain: %w", scale, err)
 		}
-		pipeOut, err := solve(hpfexec.Variant{Pipelined: true})
+		pipeOut, err := solve(hpfexec.Pipelined())
 		if err != nil {
 			return nil, fmt.Errorf("E26 scale=%g pipelined: %w", scale, err)
 		}
@@ -151,15 +151,15 @@ func E26(cfg Config) ([]*report.Table, error) {
 	}
 	for _, scale := range frontierScales {
 		models := hpfexec.Frontier(at(scale).machine(np), A2, d2, hpfexec.SStepCandidates)
-		winner := hpfexec.Cheapest(models, nil).Name()
+		winner := hpfexec.Cheapest(models, nil).Variant.String()
 		var tPlain, tPipe, tSBest, hiddenPipe float64
 		first := true
 		for _, mod := range models {
-			switch {
-			case mod.Variant.Pipelined:
+			switch mod.Variant.Kind() {
+			case "pipelined":
 				tPipe = mod.TimePerIter
 				hiddenPipe = mod.HiddenTime
-			case mod.Variant.SStep >= 2:
+			case "sstep":
 				if first || mod.TimePerIter < tSBest {
 					tSBest = mod.TimePerIter
 					first = false

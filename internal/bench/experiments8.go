@@ -81,7 +81,7 @@ func E23(cfg Config) ([]*report.Table, error) {
 		perIter := map[int]float64{}
 		for _, row := range rows {
 			if hpfexec.AutoServes(row.Variant) {
-				perIter[row.Variant.SStep] = row.TimePerIter
+				perIter[row.Variant.Factor()] = row.TimePerIter
 			}
 		}
 		return rows, perIter
@@ -167,7 +167,7 @@ func E23(cfg Config) ([]*report.Table, error) {
 	}
 	for _, np := range selNPs {
 		frontier, perIter := prices(np, hpfexec.SStepCandidates)
-		chosen := hpfexec.Cheapest(frontier, hpfexec.AutoServes).Variant.SStep
+		chosen := hpfexec.Cheapest(frontier, hpfexec.AutoServes).Variant.Factor()
 		s1, err := solve(np, A, b, 1, core.Options{Tol: 1e-8})
 		if err != nil {
 			return nil, err

@@ -13,6 +13,8 @@ import (
 	"log"
 	"net/http"
 	"time"
+
+	"hpfcg/internal/serve"
 )
 
 // JoinOptions configure a shard's membership loop.
@@ -145,7 +147,7 @@ func (j *Joiner) post(ctx context.Context, path string, check func(status int) e
 		}
 	}
 	if resp.StatusCode/100 != 2 {
-		var e errorResponse
+		var e serve.ErrorResponse
 		_ = json.NewDecoder(resp.Body).Decode(&e)
 		if e.Error != "" {
 			return fmt.Errorf("%s: %s", resp.Status, e.Error)

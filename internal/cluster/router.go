@@ -123,7 +123,7 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("POST /cluster/heartbeat", rt.handleHeartbeat)
 	mux.HandleFunc("POST /cluster/deregister", rt.handleDeregister)
 	mux.HandleFunc("GET /cluster/nodes", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, rt.mem.Nodes())
+		serve.WriteJSON(w, http.StatusOK, rt.mem.Nodes())
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -141,18 +141,6 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
 // --- state API -------------------------------------------------------
 
 type registerRequest struct {
@@ -163,41 +151,41 @@ type registerRequest struct {
 func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error()})
 		return
 	}
 	if err := rt.mem.Register(req.Name, req.URL); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error()})
 		return
 	}
 	rt.logf("cluster: shard %s registered at %s (%d live)", req.Name, req.URL, rt.mem.AliveCount())
-	writeJSON(w, http.StatusOK, map[string]int{"live": rt.mem.AliveCount()})
+	serve.WriteJSON(w, http.StatusOK, map[string]int{"live": rt.mem.AliveCount()})
 }
 
 func (rt *Router) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error()})
 		return
 	}
 	if !rt.mem.Heartbeat(req.Name) {
 		// Unknown: the shard was evicted (or never joined) — 404 tells
 		// it to re-register.
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown node " + req.Name})
+		serve.WriteJSON(w, http.StatusNotFound, serve.ErrorResponse{Error: "unknown node " + req.Name})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (rt *Router) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error()})
 		return
 	}
 	rt.mem.Deregister(req.Name)
 	rt.logf("cluster: shard %s deregistered (%d live)", req.Name, rt.mem.AliveCount())
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // --- job routing -----------------------------------------------------
@@ -245,12 +233,12 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	body, status, err := serve.ReadBody(w, r)
 	if err != nil {
-		writeJSON(w, status, errorResponse{Error: "bad job spec: " + err.Error()})
+		serve.WriteJSON(w, status, serve.ErrorResponse{Error: "bad job spec: " + err.Error()})
 		return
 	}
 	spec, err := serve.DecodeJobSpec(body)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad job spec: " + err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "bad job spec: " + err.Error()})
 		return
 	}
 
@@ -260,14 +248,14 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		rt.noShard++
 		rt.mu.Unlock()
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+		serve.WriteJSON(w, http.StatusServiceUnavailable, serve.ErrorResponse{Error: err.Error()})
 		return
 	}
 
 	status, hdr, respBody, err := rt.proxy(r.Context(), "POST", node.URL+"/jobs", body, reqID)
 	if err != nil {
 		rt.countProxyError()
-		writeJSON(w, http.StatusBadGateway, errorResponse{Error: "shard " + node.Name + ": " + err.Error()})
+		serve.WriteJSON(w, http.StatusBadGateway, serve.ErrorResponse{Error: "shard " + node.Name + ": " + err.Error()})
 		return
 	}
 	rt.mu.Lock()
@@ -283,7 +271,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		if json.Unmarshal(respBody, &sub) == nil && sub.ID != "" {
 			cid := EncodeJobID(sub.ID, node.Name)
-			writeJSON(w, http.StatusAccepted, map[string]string{
+			serve.WriteJSON(w, http.StatusAccepted, map[string]string{
 				"id":         cid,
 				"status_url": "/jobs/" + cid,
 				"shard":      node.Name,
@@ -304,12 +292,12 @@ func (rt *Router) proxyJobGet(w http.ResponseWriter, r *http.Request, suffix str
 	id := r.PathValue("id")
 	bare, nodeName, ok := DecodeJobID(id)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "job ID " + id + " does not encode a shard (want id@node)"})
+		serve.WriteJSON(w, http.StatusNotFound, serve.ErrorResponse{Error: "job ID " + id + " does not encode a shard (want id@node)"})
 		return
 	}
 	node, ok := rt.mem.Lookup(nodeName)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown shard " + nodeName})
+		serve.WriteJSON(w, http.StatusNotFound, serve.ErrorResponse{Error: "unknown shard " + nodeName})
 		return
 	}
 	url := node.URL + "/jobs/" + bare + suffix
@@ -318,13 +306,13 @@ func (rt *Router) proxyJobGet(w http.ResponseWriter, r *http.Request, suffix str
 	}
 	req, err := http.NewRequestWithContext(r.Context(), "GET", url, nil)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		serve.WriteJSON(w, http.StatusInternalServerError, serve.ErrorResponse{Error: err.Error()})
 		return
 	}
 	resp, err := rt.cli.Do(req)
 	if err != nil {
 		rt.countProxyError()
-		writeJSON(w, http.StatusBadGateway, errorResponse{Error: "shard " + nodeName + ": " + err.Error()})
+		serve.WriteJSON(w, http.StatusBadGateway, serve.ErrorResponse{Error: "shard " + nodeName + ": " + err.Error()})
 		return
 	}
 	defer resp.Body.Close()

@@ -20,7 +20,7 @@ import (
 // errorText decodes an error response's message.
 func errorText(t *testing.T, body io.Reader) string {
 	t.Helper()
-	var e errorResponse
+	var e serve.ErrorResponse
 	if err := json.NewDecoder(body).Decode(&e); err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,9 @@
 // There is one loop. Every backend (assembled matrix, multigrid
 // hierarchy, matrix-free stencil) and every variant (plain, s-step,
 // pipelined, resilient) runs through Prepared.run; they differ in the
-// per-rank cold build and in the solver function, which are both
-// resolved before the SPMD region starts. A resilient variant calls it
-// once per attempt.
+// per-rank cold build and in the recurrence the resolved variant runs,
+// both fixed before the SPMD region starts. A resilient variant calls
+// it once per attempt.
 package hpfexec
 
 import (
@@ -149,14 +149,11 @@ type rankOps struct {
 // A Prepared is not safe for concurrent SolveBatch calls: it owns its
 // machine and its cached operators. Registry entries serialize access.
 type Prepared struct {
-	m        *comm.Machine
-	be       backend
+	m  *comm.Machine
+	be backend
+	// strategy.Variant is the resolved recurrence every right-hand side
+	// runs; its factor is the blocking depth the cold build sees.
 	strategy Strategy
-	// variant is the recurrence as requested; WithVariant resolves it,
-	// once, to strategy.SStep (the blocking factor the cold build sees)
-	// and solve (the solver every right-hand side runs).
-	variant Variant
-	solve   solveFn
 
 	// ranks[r] is rank r's operator state, cached by the first run;
 	// warm gates the reuse. Each rank writes only its own slot inside
@@ -166,7 +163,7 @@ type Prepared struct {
 }
 
 func newPrepared(m *comm.Machine, be backend, strategy Strategy) *Prepared {
-	return &Prepared{m: m, be: be, strategy: strategy, solve: core.PCG, ranks: make([]rankOps, m.NP())}
+	return &Prepared{m: m, be: be, strategy: strategy, ranks: make([]rankOps, m.NP())}
 }
 
 // Prepare validates the plan against the matrix and fixes the
@@ -221,7 +218,7 @@ type BatchResult struct {
 	// drift — compare Run.ModelTime across runs, not spans across
 	// positions.
 	SolveModelTime []float64
-	// Recovery is a Resilient variant's checkpoint/restart report; nil
+	// Recovery is a resilient variant's checkpoint/restart report; nil
 	// for every other variant. With it, Results, Run and the two spans
 	// above are the successful last attempt's alone.
 	Recovery *Recovery
@@ -257,29 +254,26 @@ func (pr *Prepared) SolveBatch(rhs [][]float64, opts []core.Options) (*BatchResu
 // when ctx ends is aborted and the machine's deadlock (or cancellation)
 // diagnostic is returned instead of hanging. The handle stays usable
 // afterwards. A processor killed by the fault layer surfaces as a typed
-// comm.PeerFailure error — unless the variant is Resilient: then the
+// comm.PeerFailure error — unless the variant is resilient: then the
 // one right-hand side is solved by core.CGResilient over an in-memory
 // checkpoint store, every comm.PeerFailure restarts the run from the
-// newest complete checkpoint, and the failure comes back only once
-// MaxRestarts is exhausted (see Restart). ctx bounds the whole mission,
-// every attempt included.
+// newest complete checkpoint, and the failure comes back only once the
+// restart budget is exhausted (see Restart). ctx bounds the whole
+// mission, every attempt included.
 func (pr *Prepared) SolveBatchContext(ctx context.Context, rhs [][]float64, opts []core.Options) (*BatchResult, error) {
-	v := pr.variant
-	if !v.Resilient {
-		out, _, err := pr.run(ctx, rhs, opts, pr.solve)
+	v := pr.strategy.Variant
+	if v.Kind() != "resilient" {
+		out, _, err := pr.run(ctx, rhs, opts, core.Resilience{})
 		return out, err
 	}
 	if len(rhs) != 1 {
 		return nil, fmt.Errorf("hpfexec: a resilient solve takes one right-hand side, got %d", len(rhs))
 	}
 	store := core.NewCheckpointStore(pr.m.NP())
-	res := core.Resilience{Store: store, Interval: v.CkptInterval}
-	solve := func(p *comm.Proc, op spmv.Operator, _ core.Preconditioner, bv, xv *darray.Vector, opt core.Options) (core.Stats, error) {
-		return core.CGResilient(p, op, bv, xv, opt, res)
-	}
+	res := core.Resilience{Store: store, Interval: v.ckpt}
 	var out *BatchResult
-	rec, err := Restart(pr.m, store, v.MaxRestarts, func() (run comm.RunStats, st core.Stats, err error) {
-		if out, run, err = pr.run(ctx, rhs, opts, solve); err == nil {
+	rec, err := Restart(pr.m, store, v.restarts, func() (run comm.RunStats, st core.Stats, err error) {
+		if out, run, err = pr.run(ctx, rhs, opts, res); err == nil {
 			st = out.Results[0].Stats
 		}
 		return run, st, err
@@ -342,7 +336,7 @@ func Restart(m *comm.Machine, store *core.CheckpointStore, maxRestarts int, atte
 // RunStats are then what a machine-level failure (fault layer, ended
 // context) cost — the failed attempt a resilient solve books as lost
 // work — and zero when the run never started.
-func (pr *Prepared) run(ctx context.Context, rhs [][]float64, opts []core.Options, solve solveFn) (*BatchResult, comm.RunStats, error) {
+func (pr *Prepared) run(ctx context.Context, rhs [][]float64, opts []core.Options, res core.Resilience) (*BatchResult, comm.RunStats, error) {
 	var run comm.RunStats
 	if len(rhs) == 0 {
 		return nil, run, fmt.Errorf("hpfexec: empty batch")
@@ -384,7 +378,7 @@ func (pr *Prepared) run(ctx context.Context, rhs [][]float64, opts []core.Option
 			// no executor-selection collective — modeled setup is zero.
 			ro.op.Rebind(p)
 		} else {
-			built, err := pr.be.build(p, pr.strategy.SStep)
+			built, err := pr.be.build(p, pr.strategy.Variant.Factor())
 			if err != nil {
 				if r == 0 {
 					buildErr = err
@@ -409,7 +403,7 @@ func (pr *Prepared) run(ctx context.Context, rhs [][]float64, opts []core.Option
 				opt = opts[k]
 			}
 			opt.Work = work
-			st, err := solve(p, ro.op, ro.M, bv, xv, opt)
+			st, err := pr.strategy.Variant.solve(p, ro, bv, xv, opt, res)
 			if err != nil {
 				// Solver errors are collective — every rank sees the
 				// same merged scalar — so all ranks skip the gather

@@ -24,7 +24,7 @@ type confBackend struct {
 	name     string
 	prepare  func(m *comm.Machine) (*Prepared, error)
 	matrix   func(np int) (*sparse.CSR, error)
-	variants []Variant
+	variants []string
 	// coldSetupZero: the backend's cold build charges nothing, at any
 	// rank count. inspects: it exchanges an inspector schedule, so at
 	// np > 1 the cold build must charge something.
@@ -32,7 +32,7 @@ type confBackend struct {
 	inspects      bool
 }
 
-func layoutBackend(layout string, A *sparse.CSR, variants []Variant) confBackend {
+func layoutBackend(layout string, A *sparse.CSR, variants []string) confBackend {
 	return confBackend{
 		name: layout,
 		prepare: func(m *comm.Machine) (*Prepared, error) {
@@ -53,18 +53,18 @@ func stencilBackendRow(name string, spec mfree.Spec) confBackend {
 		name:          name,
 		prepare:       func(m *comm.Machine) (*Prepared, error) { return PrepareStencil(m, spec) },
 		matrix:        func(int) (*sparse.CSR, error) { return spec.Assemble() },
-		variants:      []Variant{{}, {Pipelined: true}},
+		variants:      []string{"plain", "pipelined"},
 		coldSetupZero: true,
 	}
 }
 
 func conformanceBackends() []confBackend {
 	A := sparse.Laplace2D(12, 12)
-	csrVariants := []Variant{{}, {SStep: 1}, {SStep: 4}, {SStep: AutoSStep}, {Pipelined: true}}
+	csrVariants := []string{"plain", "sstep-1", "sstep-4", "sstep-auto", "pipelined"}
 	brick := mg.Spec{Nx: 4, Ny: 4, Nz: 4, Levels: 3}
 	return []confBackend{
 		layoutBackend("csr", A, csrVariants),
-		layoutBackend("csc-merge", A, []Variant{{}, {SStep: 1}, {SStep: AutoSStep}}),
+		layoutBackend("csc-merge", A, []string{"plain", "sstep-1", "sstep-auto"}),
 		layoutBackend("balanced", A, csrVariants),
 		{
 			name:    "mg-3level",
@@ -74,7 +74,7 @@ func conformanceBackends() []confBackend {
 			matrix: func(np int) (*sparse.CSR, error) {
 				return mfree.Spec{Stencil: "27pt", Nx: brick.Nx, Ny: brick.Ny, Nz: brick.Nz * np}.WithDefaults().Assemble()
 			},
-			variants: []Variant{{}},
+			variants: []string{"plain"},
 			inspects: true,
 		},
 		stencilBackendRow("stencil-5pt", mfree.Spec{Stencil: "5pt", Nx: 12, Ny: 16}),
@@ -82,16 +82,20 @@ func conformanceBackends() []confBackend {
 	}
 }
 
-func variantName(v Variant) string {
-	switch {
-	case v.Pipelined:
-		return "pipelined"
-	case v.SStep == AutoSStep:
-		return "sstep-auto"
-	case v.SStep > 0:
-		return fmt.Sprintf("sstep-%d", v.SStep)
+// cellVariant is the variant a conformance cell's name spells: its
+// canonical form with the colon written as a dash. sstep-1 is SStep(1),
+// which is plain CG, so that cell holds the s = 1 factor to the plain
+// cell's bits.
+func cellVariant(t *testing.T, name string) Variant {
+	t.Helper()
+	if name == "sstep-1" {
+		return SStep(1)
 	}
-	return "plain"
+	v, err := ParseVariant(strings.Replace(name, "-", ":", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 // sameSolves fails unless got holds, right-hand side by right-hand
@@ -166,10 +170,11 @@ func cancelMidSolve(t *testing.T, pr *Prepared, rhs [][]float64, opts []core.Opt
 func TestSolvePathConformance(t *testing.T) {
 	opts := []core.Options{{Tol: 1e-10}}
 	for _, be := range conformanceBackends() {
-		for _, v := range be.variants {
+		for _, name := range be.variants {
 			for _, np := range []int{1, 2, 3, 4, 8} {
-				be, v, np := be, v, np
-				t.Run(fmt.Sprintf("%s/%s/np=%d", be.name, variantName(v), np), func(t *testing.T) {
+				be, name, np := be, name, np
+				t.Run(fmt.Sprintf("%s/%s/np=%d", be.name, name, np), func(t *testing.T) {
+					v := cellVariant(t, name)
 					fresh := func() *Prepared {
 						pr, err := be.prepare(machine(np))
 						if err != nil {
@@ -295,7 +300,7 @@ func TestSolvePathConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := pr.WithVariant(Variant{Resilient: true, CkptInterval: 5}); err != nil {
+			if err := pr.WithVariant(Resilient(5, 0)); err != nil {
 				t.Fatal(err)
 			}
 			return pr
@@ -386,9 +391,9 @@ func TestBatchBreakdownIsolated(t *testing.T) {
 }
 
 // TestVariantNegativeBounds: a negative checkpoint interval or restart
-// budget is refused by name on every backend, resilient or not, and
-// WithVariant acts on the same verdict — never a solve that checkpoints
-// at |k| or gives up after one attempt.
+// budget is refused by name on every backend, and WithVariant acts on
+// the same verdict — never a solve that checkpoints at |k| or gives up
+// after one attempt.
 func TestVariantNegativeBounds(t *testing.T) {
 	A := sparse.Laplace2D(8, 8)
 	plan, err := PlanForLayout("csr", 2, A.NRows, A.NNZ())
@@ -399,17 +404,13 @@ func TestVariantNegativeBounds(t *testing.T) {
 		v    Variant
 		want string
 	}{
-		{Variant{Resilient: true, CkptInterval: -3}, "field ckpt_interval: negative bound -3"},
-		{Variant{Resilient: true, MaxRestarts: -2}, "field max_restarts: negative bound -2"},
-		{Variant{CkptInterval: -1}, "field ckpt_interval"},
-		{Variant{MaxRestarts: -1}, "field max_restarts"},
+		{Resilient(-3, 0), "field ckpt_interval: negative bound -3"},
+		{Resilient(0, -2), "field max_restarts: negative bound -2"},
+		{Resilient(-1, -1), "field ckpt_interval"},
 	} {
 		for _, backend := range []string{BackendCSR, BackendCSC, BackendHPCG, BackendStencil} {
-			if c.v.Resilient && backend != BackendCSR && backend != BackendCSC {
-				continue // refused for the resilient field first
-			}
 			if err := CheckVariant(backend, c.v); err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Errorf("%s %+v: CheckVariant = %v, want %q", backend, c.v, err, c.want)
+				t.Errorf("%s %v: CheckVariant = %v, want %q", backend, c.v, err, c.want)
 			}
 		}
 		pr, err := Prepare(machine(2), plan, A)
@@ -417,14 +418,14 @@ func TestVariantNegativeBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := pr.WithVariant(c.v); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%+v: WithVariant = %v, want %q", c.v, err, c.want)
+			t.Errorf("%v: WithVariant = %v, want %q", c.v, err, c.want)
 		}
 	}
 }
 
-// TestVariantLegality enumerates every backend × variant × resilient
-// cell: CheckVariant's verdict is the one WithVariant acts on, field
-// named.
+// TestVariantLegality enumerates every backend × variant kind cell, an
+// out-of-range factor among them: CheckVariant's verdict is the one
+// WithVariant acts on, field named.
 func TestVariantLegality(t *testing.T) {
 	A := sparse.Laplace2D(8, 8)
 	handles := map[string]func() (*Prepared, error){
@@ -446,51 +447,40 @@ func TestVariantLegality(t *testing.T) {
 		BackendStencil: func() (*Prepared, error) { return PrepareStencil(machine(2), mfree.Spec{Stencil: "5pt", Nx: 8, Ny: 8}) },
 	}
 	// legal[backend] lists the variants that run; everything else in
-	// the enumeration must be refused with the field in wantField.
+	// the enumeration must be refused, naming a field.
 	legal := map[string]map[Variant]bool{
-		BackendCSR: {
-			{}: true, {SStep: 1}: true, {SStep: 4}: true,
-			{SStep: AutoSStep}: true, {Pipelined: true}: true,
-			{SStep: 1, Pipelined: true}: true, {Resilient: true}: true, {SStep: 1, Resilient: true}: true,
-		},
-		BackendCSC: {
-			{}: true, {SStep: 1}: true, {SStep: AutoSStep}: true,
-			{Resilient: true}: true, {SStep: 1, Resilient: true}: true,
-		},
-		BackendHPCG:    {{}: true},
-		BackendStencil: {{}: true, {Pipelined: true}: true},
+		BackendCSR:     {Plain(): true, SStep(4): true, SStepAuto(): true, Pipelined(): true, Resilient(0, 0): true},
+		BackendCSC:     {Plain(): true, SStepAuto(): true, Resilient(0, 0): true},
+		BackendHPCG:    {Plain(): true},
+		BackendStencil: {Plain(): true, Pipelined(): true},
 	}
+	variants := []Variant{Plain(), SStep(4), SStepAuto(), SStep(MaxSStep + 1), Pipelined(), Resilient(0, 0)}
 	for backend, prepare := range handles {
-		for _, s := range []int{0, 1, 4, AutoSStep, MaxSStep + 1} {
-			for _, pipelined := range []bool{false, true} {
-				for _, resilient := range []bool{false, true} {
-					v := Variant{SStep: s, Pipelined: pipelined, Resilient: resilient}
-					name := fmt.Sprintf("%s/%s+pipelined=%v+resilient=%v", backend, variantName(Variant{SStep: s}), pipelined, resilient)
-					want := legal[backend][v]
-					err := CheckVariant(backend, v)
-					if (err == nil) != want {
-						t.Errorf("%s: CheckVariant = %v, want legal=%v", name, err, want)
-						continue
-					}
-					if err != nil && !strings.Contains(err.Error(), "field ") {
-						t.Errorf("%s: error %q names no field", name, err)
-					}
+		for _, v := range variants {
+			name := backend + "/" + v.String()
+			want := legal[backend][v]
+			err := CheckVariant(backend, v)
+			if (err == nil) != want {
+				t.Errorf("%s: CheckVariant = %v, want legal=%v", name, err, want)
+				continue
+			}
+			if err != nil && !strings.Contains(err.Error(), "field ") {
+				t.Errorf("%s: error %q names no field", name, err)
+			}
 
-					// The library acts on the same verdict.
-					pr, perr := prepare()
-					if perr != nil {
-						t.Fatal(perr)
-					}
-					got := pr.WithVariant(v)
-					switch {
-					case want && got != nil:
-						t.Errorf("%s: legal cell refused by the library: %v", name, got)
-					case !want && got == nil:
-						t.Errorf("%s: illegal cell ran", name)
-					case !want && got.Error() != err.Error():
-						t.Errorf("%s: WithVariant says %q, CheckVariant %q", name, got, err)
-					}
-				}
+			// The library acts on the same verdict.
+			pr, perr := prepare()
+			if perr != nil {
+				t.Fatal(perr)
+			}
+			got := pr.WithVariant(v)
+			switch {
+			case want && got != nil:
+				t.Errorf("%s: legal cell refused by the library: %v", name, got)
+			case !want && got == nil:
+				t.Errorf("%s: illegal cell ran", name)
+			case !want && got.Error() != err.Error():
+				t.Errorf("%s: WithVariant says %q, CheckVariant %q", name, got, err)
 			}
 		}
 	}

@@ -1,6 +1,6 @@
 // The variant frontier: one price list, in the paper's §4 cost model
 // (topology.CostParams), of every CG variant a handle can run, and the
-// one argmin that both reports it (E23, E26) and resolves AutoSStep.
+// one argmin that both reports it (E23, E26) and resolves SStepAuto.
 //
 // Plain CG pays two one-word allreduce rounds and one halo exchange per
 // iteration. The s-step variant amortizes the latency: one
@@ -17,7 +17,6 @@
 package hpfexec
 
 import (
-	"fmt"
 	"math"
 
 	"hpfcg/internal/comm"
@@ -41,8 +40,7 @@ var SStepCandidates = []int{1, 2, 4, 8}
 // concrete machine/matrix/distribution triple.
 type FrontierRow struct {
 	// Variant is the servable variant the row prices — what WithVariant
-	// takes to run it: {SStep: 1} for plain CG, {SStep: s} for an s-step
-	// row, {Pipelined: true} for the overlap solver.
+	// takes to run it: Plain, SStep(s) or Pipelined.
 	Variant Variant
 	// TimePerIter is the modeled makespan of one CG iteration (an s-step
 	// row's block cost divided by s).
@@ -60,17 +58,6 @@ type FrontierRow struct {
 	// plain and pipelined); Ghosts the halo width it fetches.
 	BlockEntries int
 	Ghosts       int
-}
-
-// Name is "plain", "sstep(s=N)" or "pipelined".
-func (r FrontierRow) Name() string {
-	switch {
-	case r.Variant.Pipelined:
-		return "pipelined"
-	case r.Variant.SStep >= 2:
-		return fmt.Sprintf("sstep(s=%d)", r.Variant.SStep)
-	}
-	return "plain"
 }
 
 // Frontier prices plain CG, s-step CG at every factor >= 2 in factors
@@ -93,7 +80,7 @@ func Frontier(m *comm.Machine, A *sparse.CSR, d dist.Contiguous, factors []int) 
 	// Plain CG: per iteration, one mat-vec (halo g1), two scalar
 	// allreduces, and the 5 length-n vector ops of Figure 2.
 	rows := append(make([]FrontierRow, 0, len(factors)+2), FrontierRow{
-		Variant:       Variant{SStep: 1},
+		Variant:       Plain(),
 		RoundsPerIter: 2,
 		BlockEntries:  entries,
 		Ghosts:        ghosts,
@@ -120,7 +107,7 @@ func Frontier(m *comm.Machine, A *sparse.CSR, d dist.Contiguous, factors []int) 
 			haloTime(c, sGhosts, 2) +
 			c.TFlop*blockFlops
 		rows = append(rows, FrontierRow{
-			Variant:       Variant{SStep: s},
+			Variant:       SStep(s),
 			RoundsPerIter: 1 / float64(s),
 			BlockEntries:  sEntries,
 			Ghosts:        sGhosts,
@@ -135,7 +122,7 @@ func Frontier(m *comm.Machine, A *sparse.CSR, d dist.Contiguous, factors []int) 
 	red := topology.AllreduceTime(topo, c, np, 2)
 	window := haloTime(c, ghosts, 1) + c.TFlop*2*float64(entries)
 	return append(rows, FrontierRow{
-		Variant:       Variant{Pipelined: true},
+		Variant:       Pipelined(),
 		RoundsPerIter: 1,
 		HiddenTime:    math.Min(red, window),
 		BlockEntries:  entries,
@@ -154,10 +141,10 @@ func haloTime(c topology.CostParams, ghosts, k int) float64 {
 	return c.PtToPtTime(1, k*8*ghosts)
 }
 
-// AutoServes is the part of the frontier AutoSStep chooses from: the
+// AutoServes is the part of the frontier SStepAuto chooses from: the
 // blocking rows. Pipelined stays an explicit request — it reorders the
 // recurrence, so its iteration counts differ from plain CG's.
-func AutoServes(v Variant) bool { return !v.Pipelined }
+func AutoServes(v Variant) bool { return v.Kind() != "pipelined" }
 
 // Cheapest returns the row of least TimePerIter among those keep admits
 // (nil admits every row). Ties go to the earlier row — plain, then

@@ -33,13 +33,9 @@ type Strategy struct {
 	Scenario string // "row-block CSR" or "col-block CSC"
 	Mode     string // "local", "serialized" or "private-merge"
 	Balanced bool   // partitioner-redistributed
-	// SStep is the communication-avoiding blocking factor the solves
-	// run with: 0 when the s-step path was not requested, 1 for plain
-	// CG through the s-step path, >= 2 for s-step blocks.
-	SStep int
-	// Pipelined marks the overlap-based solver (core.CGPipelined): one
-	// nonblocking allreduce per iteration, hidden behind the mat-vec.
-	Pipelined bool
+	// Variant is the recurrence the solves run, resolved: WithVariant
+	// turns sstep:auto into the factor it chose or plain.
+	Variant Variant
 	// Levels is the clamped multigrid hierarchy depth of an hpcg
 	// handle (0 for every other backend).
 	Levels int
@@ -51,10 +47,10 @@ func (s Strategy) String() string {
 	if s.Balanced {
 		out += " / balanced"
 	}
-	if s.SStep >= 2 {
-		out += fmt.Sprintf(" / s-step(s=%d)", s.SStep)
-	}
-	if s.Pipelined {
+	switch s.Variant.Kind() {
+	case "sstep":
+		out += fmt.Sprintf(" / s-step(s=%d)", s.Variant.s)
+	case "pipelined":
 		out += " / pipelined"
 	}
 	return out

@@ -24,7 +24,7 @@ func machine(np int) *comm.Machine {
 // runtime matrix (CSR form; converted as the declared storage format
 // requires), b the right-hand side. A processor killed by the fault
 // layer surfaces as a typed comm.PeerFailure error (no deadlock); a
-// handle whose Variant is Resilient recovers instead.
+// handle whose variant is resilient recovers instead.
 func SolveCG(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options) (*Result, error) {
 	pr, err := Prepare(m, plan, A)
 	if err != nil {
@@ -281,7 +281,7 @@ func TestSolveCGTimeoutCompletes(t *testing.T) {
 	plan := bindPlan(t, csrPlan, A.NRows, A.NNZ(), np)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	res, err := solveVariant(ctx, machine(np), plan, A, b, core.Options{Tol: 1e-10}, Variant{})
+	res, err := solveVariant(ctx, machine(np), plan, A, b, core.Options{Tol: 1e-10}, Plain())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,4 +298,43 @@ func TestSolveCGTimeoutCompletes(t *testing.T) {
 	if res.Stats.Iterations != plain.Stats.Iterations {
 		t.Errorf("timeout path took %d iterations, plain path %d", res.Stats.Iterations, plain.Stats.Iterations)
 	}
+}
+
+// FuzzBindPrepare drives the directive front door end to end, not just
+// the parser: any directive text is bound against laplace2d:4:4 on 1 to
+// 8 processors, prepared, and solved once under a 40-iteration cap. Each
+// step returns an error or a result; none panics or hangs.
+func FuzzBindPrepare(f *testing.F) {
+	for i, name := range Layouts() {
+		f.Add(layoutPrograms[name], uint8(i))
+	}
+	for i, src := range []string{
+		"!HPF$ PROCESSORS :: PROCS(NP)\n!HPF$ DISTRIBUTE p(CYCLIC)\n!HPF$ SPARSE_MATRIX (CSR) :: smA(row, col, a)\n",
+		"!HPF$ PROCESSORS :: PROCS(NP)\n!HPF$ DISTRIBUTE p(CYCLIC((n+NP-1)/np))\n!HPF$ SPARSE_MATRIX (CSC) :: smA(colptr, rowidx, a)\n",
+		"!HPF$ PROCESSORS :: PROCS(NP)\n!HPF$ ALIGN (:) WITH p(:) :: q, r, x, b\n!HPF$ DISTRIBUTE p(BLOCK(4))\n!HPF$ SPARSE_MATRIX (CSR) :: smA(row, col, a)\n",
+		"!HPF$ PROCESSORS :: PROCS(NP)\n!HPF$ DISTRIBUTE p(BLOCK((n+NP-1)/NP))\n!HPF$ SPARSE_MATRIX (CSC) :: smA(colptr, rowidx, a)\n",
+		"!HPF$ PROCESSORS :: PROCS(NP)\n!HPF$ DISTRIBUTE p(BLOCK)\n!HPF$ SPARSE_MATRIX (CSR) :: smA(row, col, a)\n!EXT$ ITERATION i ON PROCESSOR(i*np/n)\n",
+		"!HPF$ PROCESSORS :: PROCS(NP)\n!HPF$ DISTRIBUTE p(BLOCK)\n!HPF$ SPARSE_MATRIX (CSC) :: smA(colptr, rowidx, a)\n!EXT$ ITERATION j ON PROCESSOR(j/np), &\n!EXT$ PRIVATE(q(n)) WITH DISCARD\n",
+	} {
+		f.Add(src, uint8(i+5))
+	}
+	A := sparse.Laplace2D(4, 4)
+	b := sparse.RandomVector(A.NRows, 1)
+	f.Fuzz(func(t *testing.T, src string, procs uint8) {
+		np := 1 + int(procs%8)
+		plan, err := BindProgram(src, np, A.NRows, A.NNZ())
+		if err != nil {
+			return
+		}
+		pr, err := Prepare(machine(np), plan, A)
+		if err != nil {
+			return
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		out, err := pr.SolveBatchContext(ctx, [][]float64{b}, []core.Options{{Tol: 1e-10, MaxIter: 40}})
+		if err == nil && (out == nil || len(out.Results) != 1) {
+			t.Fatalf("np=%d: a solve with no error returned %+v", np, out)
+		}
+	})
 }

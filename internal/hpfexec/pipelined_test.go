@@ -29,7 +29,7 @@ func TestSolveCGPipelinedConverges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := solveVariant(context.Background(), machine(np), plan, A, b, core.Options{Tol: 1e-10}, Variant{Pipelined: true})
+		res, err := solveVariant(context.Background(), machine(np), plan, A, b, core.Options{Tol: 1e-10}, Pipelined())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func TestSolveCGPipelinedConverges(t *testing.T) {
 		if rr := relResidual(A, res.X, b); rr > 1e-8 {
 			t.Fatalf("%s: relative residual %g", layout, rr)
 		}
-		if !res.Strategy.Pipelined {
+		if res.Strategy.Variant != Pipelined() {
 			t.Fatalf("%s: pipelined run reported strategy %v", layout, res.Strategy)
 		}
 		if !strings.Contains(res.Strategy.String(), "pipelined") {
@@ -57,19 +57,20 @@ func TestSolveCGPipelinedConverges(t *testing.T) {
 }
 
 // TestPipelinedRejectsIncompatiblePlans: the overlap recurrence has no
-// CSC form, and it does not compose with s-step blocking — both are
-// plan errors at prepare time, not silent fallbacks.
+// CSC form — a plan error at prepare time, not a silent fallback — and
+// it does not compose with s-step blocking: no variant text names both.
 func TestPipelinedRejectsIncompatiblePlans(t *testing.T) {
 	A := sparse.Laplace2D(8, 8)
 	b := sparse.RandomVector(A.NRows, 6)
 	np := 2
 	plan := bindPlan(t, cscPlanMerge, A.NRows, A.NNZ(), np)
-	if _, err := solveVariant(context.Background(), machine(np), plan, A, b, core.Options{}, Variant{Pipelined: true}); err == nil {
+	if _, err := solveVariant(context.Background(), machine(np), plan, A, b, core.Options{}, Pipelined()); err == nil {
 		t.Fatal("pipelined CG on a CSC plan did not error")
 	}
-	csr := bindPlan(t, csrPlan, A.NRows, A.NNZ(), np)
-	if _, err := solveVariant(context.Background(), machine(np), csr, A, b, core.Options{}, Variant{SStep: 4, Pipelined: true}); err == nil {
-		t.Fatal("pipelined + s-step blocking did not error")
+	for _, arg := range []string{"pipelined:sstep:4", "sstep:4,pipelined", "pipelined+sstep:4"} {
+		if v, err := ParseVariant(arg); err == nil {
+			t.Fatalf("ParseVariant(%q) = %v, want no variant that is pipelined and blocked", arg, v)
+		}
 	}
 }
 
@@ -89,10 +90,10 @@ func TestRegistryWarmPipelinedHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pr.WithVariant(Variant{Pipelined: true}); err != nil {
+	if err := pr.WithVariant(Pipelined()); err != nil {
 		t.Fatal(err)
 	}
-	if !pr.Strategy().Pipelined {
+	if pr.Strategy().Variant != Pipelined() {
 		t.Fatal("prepared handle does not report pipelined")
 	}
 	reg := NewRegistry(0)
@@ -133,7 +134,7 @@ func TestRegistryWarmPipelinedHit(t *testing.T) {
 		t.Fatalf("warm pipelined setup model time %g, want exactly 0", warm.SetupModelTime)
 	}
 	for k := range rhs {
-		if !warm.Results[k].Strategy.Pipelined {
+		if warm.Results[k].Strategy.Variant != Pipelined() {
 			t.Fatalf("rhs %d: warm strategy not pipelined", k)
 		}
 		cx, wx := cold.Results[k].X, warm.Results[k].X
@@ -164,14 +165,14 @@ func TestVariantFrontier(t *testing.T) {
 	}{
 		{0.05, "plain"},
 		{1, "pipelined"},
-		{125, "sstep(s=8)"},
+		{125, "sstep:8"},
 	} {
 		c := topology.DefaultCostParams()
 		c.TStartup *= tc.scale
 		c.THop *= tc.scale
 		m := comm.NewMachine(np, topology.Hypercube{}, c)
 		models := Frontier(m, A, d, SStepCandidates)
-		best := Cheapest(models, nil).Name()
+		best := Cheapest(models, nil).Variant.String()
 		if best != tc.want {
 			t.Fatalf("scale %g: chose %q, want %q (%+v)", tc.scale, best, tc.want, models)
 		}
@@ -180,18 +181,18 @@ func TestVariantFrontier(t *testing.T) {
 		var tBest float64
 		var iBest int
 		for i, mod := range models {
-			if mod.Name() == best {
+			if mod.Variant.String() == best {
 				tBest, iBest = mod.TimePerIter, i
 			}
 		}
 		for i, mod := range models {
 			if mod.TimePerIter < tBest || (mod.TimePerIter == tBest && i < iBest) {
-				t.Fatalf("scale %g: chose %q (%.3g) but %q models %.3g", tc.scale, best, tBest, mod.Name(), mod.TimePerIter)
+				t.Fatalf("scale %g: chose %q (%.3g) but %q models %.3g", tc.scale, best, tBest, mod.Variant.String(), mod.TimePerIter)
 			}
 		}
 
 		pipe := models[len(models)-1]
-		if !pipe.Variant.Pipelined || pipe.RoundsPerIter != 1 {
+		if pipe.Variant != Pipelined() || pipe.RoundsPerIter != 1 {
 			t.Fatalf("scale %g: last row %+v, want pipelined at 1 round/iter", tc.scale, pipe)
 		}
 		reduce := topology.AllreduceTime(m.Topology(), c, np, 2)
@@ -222,10 +223,10 @@ func TestStencilPipelinedBitIdenticalToAssembled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pr.WithVariant(Variant{Pipelined: true}); err != nil {
+		if err := pr.WithVariant(Pipelined()); err != nil {
 			t.Fatal(err)
 		}
-		if !pr.Strategy().Pipelined {
+		if pr.Strategy().Variant != Pipelined() {
 			t.Fatal("stencil handle does not report pipelined")
 		}
 		b := sparse.RandomVector(pr.N(), 5)
@@ -236,7 +237,7 @@ func TestStencilPipelinedBitIdenticalToAssembled(t *testing.T) {
 		if out.SetupModelTime != 0 {
 			t.Fatalf("np=%d: stencil setup time %g, want exactly 0", np, out.SetupModelTime)
 		}
-		if !out.Results[0].Strategy.Pipelined {
+		if out.Results[0].Strategy.Variant != Pipelined() {
 			t.Fatalf("np=%d: strategy not pipelined", np)
 		}
 

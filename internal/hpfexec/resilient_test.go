@@ -19,15 +19,15 @@ type resilientRun struct {
 	*Recovery
 }
 
-// solveResilient is Prepare + a Resilient variant + SolveBatch on a
-// fresh handle.
-func solveResilient(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options, v Variant) (*resilientRun, error) {
+// solveResilient is Prepare + a resilient variant with checkpoint
+// interval ckpt and restart budget restarts (0 = the default) +
+// SolveBatch on a fresh handle.
+func solveResilient(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR, b []float64, opt core.Options, ckpt, restarts int) (*resilientRun, error) {
 	pr, err := Prepare(m, plan, A)
 	if err != nil {
 		return nil, err
 	}
-	v.Resilient = true
-	if err := pr.WithVariant(v); err != nil {
+	if err := pr.WithVariant(Resilient(ckpt, restarts)); err != nil {
 		return nil, err
 	}
 	out, err := pr.SolveBatch([][]float64{b}, []core.Options{opt})
@@ -86,7 +86,7 @@ func TestSolveCGResilientSurvivesCrash(t *testing.T) {
 	}
 	m := machine(np)
 	m.AttachInjector(inj)
-	res, err := solveResilient(m, plan, A, b, opt, Variant{CkptInterval: 4})
+	res, err := solveResilient(m, plan, A, b, opt, 4, 0)
 	if err != nil {
 		t.Fatalf("resilient solve: %v", err)
 	}
@@ -156,7 +156,7 @@ func TestSolveCGResilientSurvivesDrop(t *testing.T) {
 		t.Fatalf("SolveCG under a drop: err = %v, want comm.PeerFailure blaming rank 1", err)
 	}
 
-	res, err := solveResilient(dropping(), plan, A, b, opt, Variant{})
+	res, err := solveResilient(dropping(), plan, A, b, opt, 0, 0)
 	if err != nil {
 		t.Fatalf("resilient solve: %v", err)
 	}
@@ -187,7 +187,7 @@ func TestSolveCGResilientHealthy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := solveResilient(machine(np), plan, A, b, opt, Variant{CkptInterval: 5})
+	res, err := solveResilient(machine(np), plan, A, b, opt, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestSolveCGResilientHealthy(t *testing.T) {
 }
 
 // TestSolveCGResilientGivesUp: a plan that kills a rank immediately on
-// every attempt exhausts MaxRestarts and returns the typed failure.
+// every attempt exhausts the restart budget and returns the typed failure.
 func TestSolveCGResilientGivesUp(t *testing.T) {
 	A := sparse.Laplace2D(8, 8)
 	b := sparse.RandomVector(A.NRows, 5)
@@ -221,7 +221,7 @@ func TestSolveCGResilientGivesUp(t *testing.T) {
 
 	// Crashes every fifth of the healthy makespan: each restart makes at
 	// most a fifth of the remaining progress before the next one lands,
-	// so MaxRestarts=2 cannot reach convergence. Advance consumes at
+	// so a budget of 2 restarts cannot reach convergence. Advance consumes at
 	// most the attempt's modeled time, leaving later crashes pending.
 	evs := make([]fault.Event, 12)
 	for i := range evs {
@@ -233,7 +233,7 @@ func TestSolveCGResilientGivesUp(t *testing.T) {
 	}
 	m := machine(np)
 	m.AttachInjector(inj)
-	_, err = solveResilient(m, plan, A, b, opt, Variant{CkptInterval: 3, MaxRestarts: 2})
+	_, err = solveResilient(m, plan, A, b, opt, 3, 2)
 	var pf comm.PeerFailure
 	if !errors.As(err, &pf) {
 		t.Fatalf("err = %v, want comm.PeerFailure after exhausting restarts", err)
@@ -268,7 +268,7 @@ func TestSolveCGResilientDeterministic(t *testing.T) {
 			}
 			m := machine(np)
 			m.AttachInjector(inj)
-			res, err := solveResilient(m, plan, A, b, opt, Variant{CkptInterval: 3, MaxRestarts: 20})
+			res, err := solveResilient(m, plan, A, b, opt, 3, 20)
 			if err != nil {
 				t.Fatalf("np=%d rep %d: %v", np, rep, err)
 			}
@@ -310,9 +310,8 @@ func TestSolveCGResilientCrashAfterLastIteration(t *testing.T) {
 	np := 4
 	plan := bindPlan(t, csrPlan, A.NRows, A.NNZ(), np)
 	opt := core.Options{Tol: 1e-300, MaxIter: 20}
-	v := Variant{CkptInterval: 10}
 
-	ref, err := solveResilient(machine(np), plan, A, b, opt, v)
+	ref, err := solveResilient(machine(np), plan, A, b, opt, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +324,7 @@ func TestSolveCGResilientCrashAfterLastIteration(t *testing.T) {
 		}
 		m := machine(np)
 		m.AttachInjector(inj)
-		res, err := solveResilient(m, plan, A, b, opt, v)
+		res, err := solveResilient(m, plan, A, b, opt, 10, 0)
 		if err != nil {
 			t.Fatalf("crash at %g·T: %v", frac, err)
 		}

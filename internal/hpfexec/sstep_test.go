@@ -6,14 +6,21 @@ import (
 	"strings"
 	"testing"
 
+	"hpfcg/internal/comm"
 	"hpfcg/internal/core"
+	"hpfcg/internal/darray"
 	"hpfcg/internal/dist"
 	"hpfcg/internal/sparse"
+	"hpfcg/internal/spmv"
 )
 
-// The s-step variant at s=1 must be SolveCG in every bit: same solver
-// (CGSStep delegates to CG), same operator, same plan analysis.
+// s-step CG at s = 1 is plain CG: SStep(1) is the Plain variant, and
+// a plain handle's solve equals core.CGSStep at s = 1 (which delegates
+// to CG) over the same halo executor in every bit.
 func TestSolveCGSStepS1MatchesSolveCG(t *testing.T) {
+	if SStep(1) != Plain() {
+		t.Fatalf("SStep(1) = %v, want plain", SStep(1))
+	}
 	A := sparse.Laplace2D(12, 12)
 	b := sparse.RandomVector(A.NRows, 4)
 	np := 4
@@ -23,20 +30,33 @@ func TestSolveCGSStepS1MatchesSolveCG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := solveVariant(context.Background(), machine(np), plan, A, b, opt, Variant{SStep: 1})
-	if err != nil {
+	if ref.Strategy.Variant != Plain() || ref.Strategy.Variant.Factor() != 1 || ref.Strategy.Mode != "local(ghost)" {
+		t.Fatalf("plain run reported strategy %+v, want plain at factor 1 on the halo executor", ref.Strategy)
+	}
+	var x []float64
+	var st core.Stats
+	if _, err := machine(np).RunContext(context.Background(), func(p *comm.Proc) {
+		d := dist.NewBlock(A.NRows, np)
+		bv, xv := darray.New(p, d), darray.New(p, d)
+		bv.SetGlobal(func(g int) float64 { return b[g] })
+		s, err := core.CGSStep(p, spmv.NewRowBlockCSRGhost(p, A, d), bv, xv, opt, 1)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if full := xv.Gather(); p.Rank() == 0 {
+			x, st = full, s
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range ref.X {
-		if got.X[i] != ref.X[i] {
-			t.Fatalf("x[%d] differs: %v vs %v", i, got.X[i], ref.X[i])
+		if x[i] != ref.X[i] {
+			t.Fatalf("x[%d] differs: %v vs %v", i, x[i], ref.X[i])
 		}
 	}
-	if got.Stats.Iterations != ref.Stats.Iterations {
-		t.Fatalf("iterations %d vs %d", got.Stats.Iterations, ref.Stats.Iterations)
-	}
-	if got.Strategy.SStep != 1 {
-		t.Fatalf("s=1 run reported strategy s=%d", got.Strategy.SStep)
+	if st.Iterations != ref.Stats.Iterations {
+		t.Fatalf("iterations %d vs %d", st.Iterations, ref.Stats.Iterations)
 	}
 }
 
@@ -53,7 +73,7 @@ func TestSolveCGSStepReducesRounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		const s = 4
-		res, err := solveVariant(context.Background(), machine(np), plan, A, b, core.Options{Tol: 1e-10}, Variant{SStep: s})
+		res, err := solveVariant(context.Background(), machine(np), plan, A, b, core.Options{Tol: 1e-10}, SStep(s))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,8 +84,8 @@ func TestSolveCGSStepReducesRounds(t *testing.T) {
 		if rr := relResidual(A, res.X, b); rr > 1e-8 {
 			t.Fatalf("%s: relative residual %g", layout, rr)
 		}
-		if res.Strategy.SStep != s {
-			t.Fatalf("%s: strategy reports s=%d, want %d", layout, res.Strategy.SStep, s)
+		if res.Strategy.Variant != SStep(s) {
+			t.Fatalf("%s: strategy reports %v, want %v", layout, res.Strategy.Variant, SStep(s))
 		}
 		if st.Replacements != 0 {
 			t.Fatalf("%s: stability guard tripped (%d replacements) on a well-conditioned band", layout, st.Replacements)
@@ -87,17 +107,17 @@ func TestSolveCGSStepCSCFallsBackToPlain(t *testing.T) {
 	b := sparse.RandomVector(A.NRows, 6)
 	np := 2
 	plan := bindPlan(t, cscPlanMerge, A.NRows, A.NNZ(), np)
-	if _, err := solveVariant(context.Background(), machine(np), plan, A, b, core.Options{}, Variant{SStep: 4}); err == nil {
+	if _, err := solveVariant(context.Background(), machine(np), plan, A, b, core.Options{}, SStep(4)); err == nil {
 		t.Fatal("fixed s=4 on a CSC plan did not error")
 	}
-	res, err := solveVariant(context.Background(), machine(np), plan, A, b, core.Options{Tol: 1e-10}, Variant{SStep: AutoSStep})
+	res, err := solveVariant(context.Background(), machine(np), plan, A, b, core.Options{Tol: 1e-10}, SStepAuto())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Strategy.SStep != 1 {
-		t.Fatalf("auto on CSC resolved to s=%d, want 1", res.Strategy.SStep)
+	if res.Strategy.Variant != Plain() {
+		t.Fatalf("auto on CSC resolved to %v, want plain", res.Strategy.Variant)
 	}
-	if _, err := solveVariant(context.Background(), machine(np), plan, A, b, core.Options{}, Variant{SStep: MaxSStep + 1}); err == nil {
+	if _, err := solveVariant(context.Background(), machine(np), plan, A, b, core.Options{}, SStep(MaxSStep+1)); err == nil {
 		t.Fatal("out-of-range s did not error")
 	}
 }
@@ -114,40 +134,40 @@ func TestSStepCostModelSelection(t *testing.T) {
 
 	d1 := dist.NewBlock(n, 1)
 	models1 := Frontier(machine(1), A, d1, SStepCandidates)
-	s1 := Cheapest(models1, AutoServes).Variant.SStep
+	s1 := Cheapest(models1, AutoServes).Variant.Factor()
 	if s1 != 1 {
 		t.Fatalf("np=1 chose s=%d, want 1 (allreduces are free, overlap flops are not)", s1)
 	}
 	for _, mod := range blocking(models1) {
 		wantRounds := 2.0
-		if mod.Variant.SStep > 1 {
-			wantRounds = 1 / float64(mod.Variant.SStep)
+		if mod.Variant.Factor() > 1 {
+			wantRounds = 1 / float64(mod.Variant.Factor())
 		}
 		if math.Abs(mod.RoundsPerIter-wantRounds) > 1e-12 {
-			t.Fatalf("s=%d models %g rounds/iter, want %g", mod.Variant.SStep, mod.RoundsPerIter, wantRounds)
+			t.Fatalf("s=%d models %g rounds/iter, want %g", mod.Variant.Factor(), mod.RoundsPerIter, wantRounds)
 		}
 	}
 
 	np := 4
 	d4 := dist.NewBlock(n, np)
 	models4 := blocking(Frontier(machine(np), A, d4, SStepCandidates))
-	s4 := Cheapest(models4, AutoServes).Variant.SStep
+	s4 := Cheapest(models4, AutoServes).Variant.Factor()
 	if s4 <= 1 {
 		t.Fatalf("np=%d chose s=%d; latency-dominated regime should pick s>1", np, s4)
 	}
 	var t1, tBest float64
 	for _, mod := range models4 {
-		if mod.Variant.SStep == 1 {
+		if mod.Variant.Factor() == 1 {
 			t1 = mod.TimePerIter
 		}
-		if mod.Variant.SStep == s4 {
+		if mod.Variant.Factor() == s4 {
 			tBest = mod.TimePerIter
 		}
 	}
 	// The chosen s must be the frontier argmin (ties to smaller s).
 	for _, mod := range models4 {
-		if mod.TimePerIter < tBest || (mod.TimePerIter == tBest && mod.Variant.SStep < s4) {
-			t.Fatalf("selector picked s=%d (%.3g) but s=%d models %.3g", s4, tBest, mod.Variant.SStep, mod.TimePerIter)
+		if mod.TimePerIter < tBest || (mod.TimePerIter == tBest && mod.Variant.Factor() < s4) {
+			t.Fatalf("selector picked s=%d (%.3g) but s=%d models %.3g", s4, tBest, mod.Variant.Factor(), mod.TimePerIter)
 		}
 	}
 	if tBest >= t1 {
@@ -189,11 +209,11 @@ func TestRegistryWarmSStepHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pr.WithVariant(Variant{SStep: s}); err != nil {
+	if err := pr.WithVariant(SStep(s)); err != nil {
 		t.Fatal(err)
 	}
-	if pr.Strategy().SStep != s {
-		t.Fatalf("prepared handle reports s=%d, want %d", pr.Strategy().SStep, s)
+	if pr.Strategy().Variant != SStep(s) {
+		t.Fatalf("prepared handle reports %v, want %v", pr.Strategy().Variant, SStep(s))
 	}
 	reg := NewRegistry(0)
 	if _, ok := reg.Put("sstep-plan", pr); !ok {
@@ -233,7 +253,7 @@ func TestRegistryWarmSStepHit(t *testing.T) {
 		t.Fatalf("warm s-step setup model time %g, want exactly 0", warm.SetupModelTime)
 	}
 	for k := range rhs {
-		if got, want := warm.Results[k].Strategy.SStep, s; got != want {
+		if got, want := warm.Results[k].Strategy.Variant.Factor(), s; got != want {
 			t.Fatalf("rhs %d: warm strategy reports s=%d, want %d", k, got, want)
 		}
 		st := warm.Results[k].Stats

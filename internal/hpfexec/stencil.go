@@ -19,7 +19,7 @@ import (
 
 // PrepareStencil validates the stencil spec against the machine and
 // returns the handle whose solves run core.CG — whose fused fast path
-// engages mfree's ApplyDot — or, with Variant.Pipelined,
+// engages mfree's ApplyDot — or, with the Pipelined variant,
 // core.CGPipelined with the stencil application as the overlap window.
 // Answers are bit-identical to the assembled-CSR executor over the
 // same brick layout. No collective work happens here or later: the

@@ -1,18 +1,38 @@
 // The solver variant of a Prepared handle, and the one table that says
 // which variant runs on which backend. A variant differs from its
-// siblings in the recurrence (core.CG, core.CGSStep, core.CGPipelined,
-// core.CGResilient, core.PCG under a handle's preconditioner), not in
-// plumbing: it is resolved once to a solver function and the shared
-// loop (Prepared.run) calls that for every right-hand side.
+// siblings in the recurrence (core.PCG, core.CGSStep, core.CGPipelined,
+// core.CGResilient), not in plumbing: it is resolved once, and the
+// shared loop (Prepared.run) runs the resolved variant's recurrence for
+// every right-hand side. Like a Problem, a Variant is a value with one
+// canonical string, and every variant that arrives as text (hpfrun's
+// -variant) is parsed here.
+//
+// The text grammar is the canonical form String prints:
+//
+//	plain                        the Figure 2 recurrence (core.PCG under the backend's preconditioner)
+//	sstep:<s>                    s-step CG at a fixed factor, 2 <= s <= MaxSStep (core.CGSStep)
+//	sstep:auto                   s-step CG at the §4 cost model's factor
+//	pipelined                    the overlap solver (core.CGPipelined)
+//	resilient[:ckpt=<n>[,restarts=<n>]]
+//	resilient:restarts=<n>       checkpoint/rollback-restart (core.CGResilient)
+//
+// A left-out checkpoint interval or restart budget takes its default,
+// and String writes both, so ParseVariant(v.String()) is v. No value
+// combines two recurrences, and plain CG has one spelling: s-step CG at
+// s = 1 is plain, and sstep:1 is refused.
 package hpfexec
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"regexp"
+	"strconv"
+	"strings"
 
 	"hpfcg/internal/comm"
 	"hpfcg/internal/core"
 	"hpfcg/internal/darray"
-	"hpfcg/internal/spmv"
 )
 
 // The backend names of the legality table. The assembled-matrix
@@ -25,100 +45,158 @@ const (
 	BackendStencil = "stencil"
 )
 
-// AutoSStep as Variant.SStep lets the §4 cost model choose the
-// blocking factor for the handle's machine, matrix and distribution
-// (the cheapest Frontier row AutoServes admits); storage formats with
-// no matrix-powers form resolve it to 1.
-const AutoSStep = -1
-
-// Variant selects the CG recurrence a handle's solves run. The zero
-// value is plain CG (core.PCG when the backend brings a
-// preconditioner).
+// Variant is the CG recurrence a handle's solves run. Build it with
+// ParseVariant, Plain, SStep, SStepAuto, Pipelined or Resilient; the
+// zero value is Plain.
 type Variant struct {
-	// SStep requests the communication-avoiding s-step path: 0 leaves
-	// it off, AutoSStep lets the cost model choose, 1 forces plain CG
-	// through it (Strategy.SStep then reports 1), 2..MaxSStep fixes the
-	// blocking factor.
-	SStep int
-	// Pipelined selects the overlap-based solver (core.CGPipelined):
-	// one nonblocking allreduce per iteration, hidden behind the
-	// mat-vec. It attacks the same latency term as s-step blocking, so
-	// the two do not combine.
-	Pipelined bool
-	// Resilient runs each solve under checkpoint/rollback-restart
-	// (core.CGResilient): every comm.PeerFailure restarts the run from
-	// the newest complete checkpoint, and BatchResult.Recovery reports
-	// what that cost. It checkpoints the plain recurrence on an assembled
-	// matrix, one right-hand side per solve call.
-	Resilient bool
-	// CkptInterval checkpoints every CkptInterval iterations (0 means
-	// 10) and MaxRestarts bounds how many failed attempts are retried (0
-	// means 3). Both apply with Resilient only; a negative value is
-	// refused either way.
-	CkptInterval int
-	MaxRestarts  int
+	key            string // String(), computed once by the constructor; "" for plain
+	s              int    // an s-step variant's fixed factor, 0 for sstep:auto
+	ckpt, restarts int    // a resilient variant's interval and budget
 }
 
-// blocked reports an s-step blocking request: a fixed factor >= 2 or
-// the selector, which may choose one.
-func (v Variant) blocked() bool { return v.SStep >= 2 || v.SStep == AutoSStep }
+// Plain is the Figure 2 recurrence: core.PCG under the backend's
+// preconditioner, which without one is core.CG.
+func Plain() Variant { return Variant{} }
 
-// CheckVariant is the backend × variant legality table — the only
-// place it lives. WithVariant consults it for a handle; the service
-// consults it at admission, before any handle exists, and returns its
-// error as the 400 verbatim. Every error names the request field
-// (sstep, pipelined, resilient, ckpt_interval, max_restarts) that has to
-// change.
+// SStep is communication-avoiding s-step CG (core.CGSStep) at the fixed
+// blocking factor s. The recurrence at s = 1 is plain CG, so SStep(1)
+// is Plain; CheckVariant refuses any other s outside [2, MaxSStep].
+func SStep(s int) Variant {
+	if s == 1 {
+		return Plain()
+	}
+	return Variant{key: "sstep:" + strconv.Itoa(s), s: s}
+}
+
+// SStepAuto is s-step CG at the blocking factor the §4 cost model
+// chooses for the handle's machine, matrix and distribution: the
+// cheapest Frontier row AutoServes admits, which may be the plain row.
+// Storage formats with no matrix-powers form resolve it to Plain.
+func SStepAuto() Variant { return Variant{key: "sstep:auto"} }
+
+// Pipelined is the overlap-based solver (core.CGPipelined): one
+// nonblocking allreduce per iteration, hidden behind the mat-vec. It
+// attacks the same latency term as s-step blocking.
+func Pipelined() Variant { return Variant{key: "pipelined"} }
+
+// Resilient runs each solve under checkpoint/rollback-restart
+// (core.CGResilient): every comm.PeerFailure restarts the run from the
+// newest complete checkpoint, and BatchResult.Recovery reports what
+// that cost. It checkpoints every ckpt iterations (0 means 10) and
+// retries at most restarts failed attempts (0 means 3); CheckVariant
+// refuses a negative bound. It checkpoints the plain recurrence on an
+// assembled matrix, one right-hand side per solve call.
+func Resilient(ckpt, restarts int) Variant {
+	ckpt, restarts = cmp.Or(ckpt, 10), cmp.Or(restarts, 3)
+	return Variant{key: fmt.Sprintf("resilient:ckpt=%d,restarts=%d", ckpt, restarts), ckpt: ckpt, restarts: restarts}
+}
+
+// variantForm is the grammar of the file comment: the s-step factor is
+// group 1, the resilient interval group 2, the budget group 3 or 4.
+var variantForm = regexp.MustCompile(`^(?:plain|pipelined|sstep:auto|sstep:(-?\d+)|resilient(?::ckpt=(-?\d+)(?:,restarts=(-?\d+))?|:restarts=(-?\d+))?)$`)
+
+// ParseVariant reads the text grammar of the file comment. The grammar
+// is exact: an unknown kind, a malformed or trailing field, a factor
+// outside [2, MaxSStep] or a negative bound is an error naming the
+// argument, never a variant other than the one written.
+func ParseVariant(s string) (Variant, error) {
+	m := variantForm.FindStringSubmatch(s)
+	var err error // the first field that does not parse
+	num := func(t string) int { n, e := strconv.Atoi(cmp.Or(t, "0")); err = cmp.Or(err, e); return n }
+	v := Variant{key: s} // pipelined and sstep:auto are their own keys
+	switch {
+	case m == nil:
+		return Variant{}, fmt.Errorf("hpfexec: variant %q: want plain, sstep:<s>, sstep:auto, pipelined or resilient[:ckpt=<n>[,restarts=<n>]]", s)
+	case s == "plain":
+		v = Plain()
+	case m[1] != "":
+		if v = SStep(num(m[1])); v == Plain() {
+			err = fmt.Errorf("s = 1 is plain CG; write plain")
+		}
+	case strings.HasPrefix(s, "resilient"):
+		v = Resilient(num(m[2]), num(m[3]+m[4]))
+	}
+	// Every kind runs on CSR, so there the table checks ranges alone.
+	if err = cmp.Or(err, errors.Unwrap(CheckVariant(BackendCSR, v))); err != nil {
+		return Variant{}, fmt.Errorf("hpfexec: variant %q: %w", s, err)
+	}
+	return v, nil
+}
+
+// String is the canonical form: the text ParseVariant reads back.
+func (v Variant) String() string { return cmp.Or(v.key, "plain") }
+
+// Kind is the prefix of String that names the recurrence: "plain",
+// "sstep", "pipelined" or "resilient".
+func (v Variant) Kind() string { kind, _, _ := strings.Cut(v.String(), ":"); return kind }
+
+// Factor is the s-step blocking factor the variant's recurrence runs
+// at: s for an s-step variant, 1 for the plain recurrence that plain and
+// resilient run (and for sstep:auto until WithVariant resolves it), 0
+// for pipelined, which does not block.
+func (v Variant) Factor() int {
+	if v == Pipelined() {
+		return 0
+	}
+	return max(v.s, 1)
+}
+
+// CheckVariant holds the variant to its own ranges and then to the
+// backend × kind legality table — the only place either lives.
+// WithVariant consults it for a handle; the service consults it at
+// admission, before any handle exists, and returns its error as the
+// 400 verbatim. Every error names the request field (sstep, pipelined,
+// resilient, ckpt_interval, max_restarts) that has to change.
 func CheckVariant(backend string, v Variant) error {
 	matrix := backend == BackendCSR || backend == BackendCSC
-	fail := func(field, format string, args ...any) error {
-		return fmt.Errorf("hpfexec: field %s: %s", field, fmt.Sprintf(format, args...))
+	var why error
+	switch kind := v.Kind(); {
+	case kind == "sstep" && v != SStepAuto() && (v.s < 2 || v.s > MaxSStep):
+		why = fmt.Errorf("field sstep: %d outside [2,%d]", v.s, MaxSStep)
+	case v.ckpt < 0:
+		why = fmt.Errorf("field ckpt_interval: negative bound %d", v.ckpt)
+	case v.restarts < 0:
+		why = fmt.Errorf("field max_restarts: negative bound %d", v.restarts)
+	case kind == "sstep" && !matrix:
+		why = fmt.Errorf("field sstep: does not apply to %s jobs (the matrix-powers kernel needs an assembled matrix)", backend)
+	case kind == "sstep" && backend == BackendCSC && v != SStepAuto():
+		why = fmt.Errorf("field sstep: %d needs a CSR layout, got %s", v.s, backend)
+	case kind == "pipelined" && backend == BackendCSC:
+		why = fmt.Errorf("field pipelined: needs a CSR layout, got %s", backend)
+	case kind == "pipelined" && backend == BackendHPCG:
+		why = fmt.Errorf("field pipelined: does not apply to hpcg jobs (the V-cycle is the inner solve)")
+	case kind == "resilient" && !matrix:
+		why = fmt.Errorf("field resilient: checkpoint/restart needs an assembled matrix, not a %s job", backend)
+	default:
+		return nil
 	}
-	switch {
-	case v.SStep < AutoSStep || v.SStep > MaxSStep:
-		return fail("sstep", "%d outside [0,%d]", v.SStep, MaxSStep)
-	case v.SStep != 0 && !matrix:
-		return fail("sstep", "does not apply to %s jobs (the matrix-powers kernel needs an assembled matrix)", backend)
-	case v.SStep >= 2 && backend != BackendCSR:
-		return fail("sstep", "%d needs a CSR layout, got %s", v.SStep, backend)
-	case v.Pipelined && backend == BackendCSC:
-		return fail("pipelined", "needs a CSR layout, got %s", backend)
-	case v.Pipelined && backend == BackendHPCG:
-		return fail("pipelined", "does not apply to hpcg jobs (the V-cycle is the inner solve)")
-	case v.Pipelined && v.blocked():
-		return fail("pipelined", "cannot combine with s-step blocking (sstep=%d)", v.SStep)
-	case v.Resilient && v.Pipelined:
-		return fail("pipelined", "resilient mode checkpoints the plain recurrence only")
-	case v.Resilient && v.blocked():
-		return fail("sstep", "resilient mode checkpoints the plain recurrence only (sstep=%d)", v.SStep)
-	case v.Resilient && !matrix:
-		return fail("resilient", "checkpoint/restart needs an assembled matrix, not a %s job", backend)
-	case v.CkptInterval < 0:
-		return fail("ckpt_interval", "negative bound %d", v.CkptInterval)
-	case v.MaxRestarts < 0:
-		return fail("max_restarts", "negative bound %d", v.MaxRestarts)
-	}
-	return nil
+	return fmt.Errorf("hpfexec: %w", why)
 }
 
-// solveFn is the solver a run executes per processor and right-hand
-// side. M is the backend's preconditioner, nil when it has none.
-type solveFn func(p *comm.Proc, op spmv.Operator, M core.Preconditioner, b, x *darray.Vector, opt core.Options) (core.Stats, error)
-
-func solvePipelined(p *comm.Proc, op spmv.Operator, _ core.Preconditioner, b, x *darray.Vector, opt core.Options) (core.Stats, error) {
-	return core.CGPipelined(p, op, b, x, opt)
+// solve runs the variant's recurrence for one right-hand side on rank
+// p over the rank's operators; res is the checkpoint store and interval
+// of a resilient solve call, unread by every other kind.
+func (v Variant) solve(p *comm.Proc, ro *rankOps, b, x *darray.Vector, opt core.Options, res core.Resilience) (core.Stats, error) {
+	switch v.Kind() {
+	case "sstep":
+		return core.CGSStep(p, ro.op, b, x, opt, v.s)
+	case "pipelined":
+		return core.CGPipelined(p, ro.op, b, x, opt)
+	case "resilient":
+		return core.CGResilient(p, ro.op, b, x, opt, res)
+	}
+	return core.PCG(p, ro.op, ro.M, b, x, opt)
 }
 
 // WithVariant sets the recurrence the handle's solves run, checked
 // against the legality table. It resolves everything the variant
-// implies before any run: AutoSStep becomes a concrete factor, the
-// factor picks the operator the cold build constructs (s >= 2 runs the
-// matrix-powers executor, whose widened inspector schedule is cached
-// in the handle like every other operator), the solver function is
-// fixed, and a Resilient variant's zero tunables take their defaults
-// (its solver is bound per solve call, to that call's checkpoint
-// store). Call it on a fresh handle: a warm handle already holds the
-// operators of its current variant.
+// implies before any run: sstep:auto becomes a concrete factor or
+// plain, and the factor picks the operator the cold build constructs
+// (s >= 2 runs the matrix-powers executor, whose widened inspector
+// schedule is cached in the handle like every other operator).
+// Strategy().Variant reports the resolved variant, which every solve
+// then runs. Call it on a fresh handle: a warm handle already holds
+// the operators of its current variant.
 func (pr *Prepared) WithVariant(v Variant) error {
 	if pr.warm {
 		return fmt.Errorf("hpfexec: WithVariant on a warm handle (choose the variant before the first solve)")
@@ -126,32 +204,12 @@ func (pr *Prepared) WithVariant(v Variant) error {
 	if err := CheckVariant(pr.be.kind(), v); err != nil {
 		return err
 	}
-	s := v.SStep
-	if s == AutoSStep {
-		s = 1
+	if v == SStepAuto() {
+		v = Plain()
 		if mb, ok := pr.be.(*matrixBackend); ok && mb.format == BackendCSR {
-			s = Cheapest(Frontier(pr.m, mb.A, mb.d, SStepCandidates), AutoServes).Variant.SStep
+			v = Cheapest(Frontier(pr.m, mb.A, mb.d, SStepCandidates), AutoServes).Variant
 		}
 	}
-	if v.CkptInterval == 0 {
-		v.CkptInterval = 10
-	}
-	if v.MaxRestarts == 0 {
-		v.MaxRestarts = 3
-	}
-	switch {
-	case v.Pipelined:
-		s = 0
-		pr.solve = solvePipelined
-	case s >= 1:
-		// s = 1 is core.CG inside core.CGSStep, reported as s = 1.
-		pr.solve = func(p *comm.Proc, op spmv.Operator, _ core.Preconditioner, b, x *darray.Vector, opt core.Options) (core.Stats, error) {
-			return core.CGSStep(p, op, b, x, opt, s)
-		}
-	default:
-		pr.solve = core.PCG
-	}
-	pr.variant = v
-	pr.strategy.SStep, pr.strategy.Pipelined = s, v.Pipelined
+	pr.strategy.Variant = v
 	return nil
 }

@@ -13,7 +13,10 @@ import (
 // HTTP handler runs — DecodeJobSpec, normalize, validate — and
 // holds an accepted spec to the bounds admission promises the workers:
 // np, every dimension, the iteration cap and the variant knobs are in
-// range, and a generator spec is one GeneratorByName will build.
+// range (sstep only where it is read: a resilient job runs plain), the
+// variant the workers run is one the legality table admits on the
+// job's backend, and a generator spec is one GeneratorByName will
+// build.
 func FuzzJobSpec(f *testing.F) {
 	for _, s := range []string{
 		`{"matrix":"laplace2d:32:32","np":4}`,
@@ -27,7 +30,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"method":"hpcg","mg":{"nx":-8,"ny":8,"nz":100000}}`,
 		`{"method":"stencil","stencil":{"stencil":"27pt","nx":8,"ny":8,"nz":8},"np":2}`,
 		`{"method":"stencil","stencil":{"stencil":"5pt","nx":0,"ny":8},"pipelined":true}`,
-		`{"matrix":"laplace1d:32","unknown_field":1}`, `{`, ``, `null`, `[]`,
+		`{"matrix":"laplace1d:32","sstep":99,"resilient":true}`, `{"matrix":"laplace1d:32","unknown_field":1}`, `{`, ``, `null`, `[]`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -44,9 +47,16 @@ func FuzzJobSpec(f *testing.F) {
 		if sp.NP < 1 || sp.NP > maxNP {
 			t.Fatalf("accepted np = %d", sp.NP)
 		}
-		if sp.MaxIter < 0 || sp.SStep < 0 || sp.SStep > hpfexec.MaxSStep || sp.TimeoutMS < 0 ||
+		if sp.MaxIter < 0 || !sp.Resilient && (sp.SStep < 0 || sp.SStep > hpfexec.MaxSStep) || sp.TimeoutMS < 0 ||
 			sp.CkptInterval < 0 || sp.MaxRestarts < 0 || sp.Tol < 0 {
 			t.Fatalf("accepted out-of-range knob: %+v", sp)
+		}
+		backend, err := sp.prob.Backend(sp.Layout)
+		if err == nil {
+			err = hpfexec.CheckVariant(backend, sp.variant)
+		}
+		if err != nil {
+			t.Fatalf("accepted variant %v on %+v: %v", sp.variant, sp, err)
 		}
 		switch sp.Method {
 		case "cg":

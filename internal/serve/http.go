@@ -109,11 +109,15 @@ type submitResponse struct {
 	StatusURL string `json:"status_url"`
 }
 
-type errorResponse struct {
+// ErrorResponse is the body of every failed request, shard's and
+// router's alike.
+type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers with status code and v as the JSON body, HTML left
+// unescaped: the one writer the shard's and the router's answers share.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -125,12 +129,12 @@ func handleSubmit(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(RequestIDHeader, EnsureRequestID(r))
 	body, status, err := ReadBody(w, r)
 	if err != nil {
-		writeJSON(w, status, errorResponse{Error: "bad job spec: " + err.Error()})
+		WriteJSON(w, status, ErrorResponse{Error: "bad job spec: " + err.Error()})
 		return
 	}
 	spec, err := DecodeJobSpec(body)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad job spec: " + err.Error()})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad job spec: " + err.Error()})
 		return
 	}
 	j, err := s.Submit(spec)
@@ -139,21 +143,21 @@ func handleSubmit(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 		var verr *ValidationError
 		switch {
 		case errors.As(err, &verr):
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+			WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		case errors.Is(err, ErrQueueFull):
 			// Backpressure: the queue is at capacity. 429 + Retry-After
 			// tells closed-loop clients when to come back.
 			w.Header().Set("Retry-After", retry)
-			writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
+			WriteJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: err.Error()})
 		case errors.Is(err, ErrDraining):
 			w.Header().Set("Retry-After", retry)
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+			WriteJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: err.Error()})
 		default:
-			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+			WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		}
 		return
 	}
-	writeJSON(w, http.StatusAccepted, submitResponse{ID: j.ID, StatusURL: "/jobs/" + j.ID})
+	WriteJSON(w, http.StatusAccepted, submitResponse{ID: j.ID, StatusURL: "/jobs/" + j.ID})
 }
 
 func handleGet(s *Scheduler, w http.ResponseWriter, r *http.Request) {
@@ -163,7 +167,7 @@ func handleGet(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 		if ts := r.URL.Query().Get("timeout"); ts != "" {
 			d, err := time.ParseDuration(ts)
 			if err != nil {
-				writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad timeout: " + err.Error()})
+				WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad timeout: " + err.Error()})
 				return
 			}
 			timeout = d
@@ -173,41 +177,41 @@ func handleGet(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 		v, err := s.Wait(ctx, id)
 		switch {
 		case err == nil:
-			writeJSON(w, http.StatusOK, v)
+			WriteJSON(w, http.StatusOK, v)
 		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 			// Long-poll expired: report the current state instead.
 			if v, ok := s.View(id); ok {
-				writeJSON(w, http.StatusOK, v)
+				WriteJSON(w, http.StatusOK, v)
 				return
 			}
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job " + id})
+			WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "unknown job " + id})
 		default:
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
+			WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: err.Error()})
 		}
 		return
 	}
 	v, ok := s.View(id)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job " + id})
+		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "unknown job " + id})
 		return
 	}
-	writeJSON(w, http.StatusOK, v)
+	WriteJSON(w, http.StatusOK, v)
 }
 
 func handleTrace(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	v, ok := s.View(id)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job " + id})
+		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "unknown job " + id})
 		return
 	}
 	if v.State == StateQueued || v.State == StateRunning {
-		writeJSON(w, http.StatusConflict, errorResponse{Error: "job " + id + " still " + string(v.State)})
+		WriteJSON(w, http.StatusConflict, ErrorResponse{Error: "job " + id + " still " + string(v.State)})
 		return
 	}
 	tr, ok := s.TraceJSON(id)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "job " + id + " has no trace (submit with trace:true)"})
+		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "job " + id + " has no trace (submit with trace:true)"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -6,6 +6,7 @@ package serve
 import (
 	"cmp"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -77,8 +78,8 @@ type JobSpec struct {
 	// 0 (or absent) lets the cost model choose per machine shape, 1
 	// forces plain CG, 2..hpfexec.MaxSStep fixes the factor. Resilient
 	// jobs always run plain CG — the checkpoint machinery is
-	// per-iteration. Which method, layout and mode it combines with is
-	// hpfexec.CheckVariant's table, as for Pipelined and Resilient.
+	// per-iteration — and do not read it. SStep, Pipelined and
+	// Resilient become the job's one hpfexec.Variant at admission.
 	SStep int `json:"sstep,omitempty"`
 	// Pipelined runs the overlap-based pipelined CG solver: one
 	// nonblocking two-word allreduce per iteration, hidden behind the
@@ -101,8 +102,8 @@ type JobSpec struct {
 	// uncached plan. Without Resilient a crash fails the job with a
 	// typed "processor N failed" error.
 	Fault string `json:"fault,omitempty"`
-	// Resilient runs a cg job under checkpoint/restart
-	// (hpfexec.Variant.Resilient) so injected crashes are survived.
+	// Resilient runs a cg job under checkpoint/restart (the
+	// hpfexec.Resilient variant) so injected crashes are survived.
 	Resilient bool `json:"resilient,omitempty"`
 	// CkptInterval checkpoints every N iterations (with Resilient).
 	CkptInterval int `json:"ckpt_interval,omitempty"`
@@ -119,9 +120,11 @@ type JobSpec struct {
 	Trace bool `json:"trace,omitempty"`
 
 	// prob is what the job solves, built once by normalize from the
-	// problem fields above; the batch key, the plan key and the
-	// prepared handle are all expressions over it.
-	prob hpfexec.Problem
+	// problem fields above, and variant the recurrence it runs, read
+	// once by validate from the variant fields; the batch key, the plan
+	// key and the prepared handle are all expressions over the two.
+	prob    hpfexec.Problem
+	variant hpfexec.Variant
 }
 
 // problem turns the job's three JSON shapes into its one problem
@@ -148,9 +151,6 @@ func (sp *JobSpec) normalize() {
 		sp.Layout = cmp.Or(sp.Layout, "csr")
 	}
 	sp.NP, sp.Topology, sp.Seed = cmp.Or(sp.NP, 4), cmp.Or(sp.Topology, "hypercube"), cmp.Or(sp.Seed, 42)
-	if sp.Resilient && sp.Method == "cg" {
-		sp.SStep = 1
-	}
 	sp.Matrix = strings.TrimSpace(sp.Matrix)
 	sp.prob = sp.problem()
 }
@@ -164,11 +164,12 @@ func fieldErr(field, format string, args ...any) error {
 // validate rejects requests the service cannot run, centrally and
 // with field-named errors — numeric bounds (sstep, np, dims, levels,
 // tolerances) and generator specs fail here at admission time with a
-// 400 instead of deep in a worker. The problem and the variant are the
-// library's own checks, so admission and execution cannot disagree;
-// what stays here is the JSON's: which problem block goes with which
-// method. A malformed Matrix Market upload still surfaces when the job
-// runs; validate only checks what is knowable for free.
+// 400 instead of deep in a worker — and reads the job's variant. The
+// problem and the variant are the library's own checks, so admission
+// and execution cannot disagree; what stays here is the JSON's: which
+// problem block goes with which method, and which variant knobs go
+// together. A malformed Matrix Market upload still surfaces when the
+// job runs; validate only checks what is knowable for free.
 func (sp *JobSpec) validate(maxNP int) error {
 	matrix := sp.Matrix != "" || sp.MatrixMarket != ""
 	switch {
@@ -197,10 +198,7 @@ func (sp *JobSpec) validate(maxNP int) error {
 	if err != nil {
 		return err
 	}
-	if sp.SStep < 0 {
-		return fieldErr("sstep", "%d outside [0,%d]", sp.SStep, hpfexec.MaxSStep)
-	}
-	if err := hpfexec.CheckVariant(backend, sp.variant()); err != nil {
+	if sp.variant, err = sp.readVariant(backend); err != nil {
 		return err
 	}
 	if _, err := topology.ByName(sp.Topology); err != nil {
@@ -215,6 +213,12 @@ func (sp *JobSpec) validate(maxNP int) error {
 	if sp.TimeoutMS < 0 {
 		return fieldErr("timeout_ms", "negative bound %d", sp.TimeoutMS)
 	}
+	if sp.CkptInterval < 0 {
+		return fieldErr("ckpt_interval", "negative bound %d", sp.CkptInterval)
+	}
+	if sp.MaxRestarts < 0 {
+		return fieldErr("max_restarts", "negative bound %d", sp.MaxRestarts)
+	}
 	if sp.Fault != "" {
 		if _, err := fault.Parse(sp.Fault); err != nil {
 			return err
@@ -223,18 +227,39 @@ func (sp *JobSpec) validate(maxNP int) error {
 	return nil
 }
 
-// variant is the solver variant the job asks for. A cg job that names
-// neither knob gets the cost model's s-step choice — the served
-// default.
-func (sp *JobSpec) variant() hpfexec.Variant {
-	v := hpfexec.Variant{
-		SStep: sp.SStep, Pipelined: sp.Pipelined,
-		Resilient: sp.Resilient, CkptInterval: sp.CkptInterval, MaxRestarts: sp.MaxRestarts,
+// readVariant turns the job's three variant knobs into its one
+// variant, checked against backend. A cg job that names neither sstep
+// nor pipelined gets sstep:auto, the served default; sstep 1 is plain,
+// and so is every job of another method; a resilient cg job runs the
+// plain recurrence and does not read sstep. The combinations only the
+// JSON can spell — a factor out of range, sstep on hpcg or stencil,
+// pipelined with blocking or with resilient — are refused here, each
+// naming its field; a fixed factor the layout does not run is the
+// library's refusal even beside pipelined. On a library refusal the
+// variant it refused is returned with the error.
+func (sp *JobSpec) readVariant(backend string) (hpfexec.Variant, error) {
+	s, cg := sp.SStep, sp.Method == "cg"
+	if sp.Resilient && cg {
+		s = 1
 	}
-	if sp.Method == "cg" && sp.SStep == 0 && !sp.Pipelined {
-		v.SStep = hpfexec.AutoSStep
+	v := hpfexec.SStep(max(s, 1))
+	switch {
+	case s < 0 || s > hpfexec.MaxSStep:
+		return v, fieldErr("sstep", "%d outside [0,%d]", s, hpfexec.MaxSStep)
+	case s != 0 && !cg:
+		return v, fieldErr("sstep", "does not apply to %s jobs (the matrix-powers kernel needs an assembled matrix)", sp.Method)
+	case sp.Pipelined && s >= 2:
+		return v, cmp.Or(hpfexec.CheckVariant(backend, v), fieldErr("pipelined", "cannot combine with s-step blocking (sstep=%d)", s))
+	case sp.Pipelined && sp.Resilient:
+		return v, fieldErr("pipelined", "resilient mode checkpoints the plain recurrence only")
+	case sp.Pipelined:
+		v = hpfexec.Pipelined()
+	case sp.Resilient:
+		v = hpfexec.Resilient(sp.CkptInterval, sp.MaxRestarts)
+	case s == 0 && cg:
+		v = hpfexec.SStepAuto()
 	}
-	return v
+	return v, hpfexec.CheckVariant(backend, v)
 }
 
 // batchable reports whether the job may coalesce with same-matrix
@@ -254,19 +279,16 @@ type batchKey struct {
 	layout   string
 	np       int
 	topology string
-	// sstep is the requested blocking factor: jobs asking for different
-	// factors run different solvers and must not share a dispatch.
-	sstep int
-	// pipelined jobs run the overlap solver: a different recurrence,
-	// never coalesced with blocking-clock jobs.
-	pipelined bool
+	// variant is the requested recurrence: jobs asking for different
+	// ones run different solvers and must not share a dispatch.
+	variant hpfexec.Variant
 	// timeoutMS bounds the whole dispatch, so only jobs asking for the
 	// same bound share one.
 	timeoutMS int
 }
 
 func (sp *JobSpec) key() batchKey {
-	return batchKey{matrix: sp.prob.String(), layout: sp.Layout, np: sp.NP, topology: sp.Topology, sstep: sp.SStep, pipelined: sp.Pipelined, timeoutMS: sp.TimeoutMS}
+	return batchKey{matrix: sp.prob.String(), layout: sp.Layout, np: sp.NP, topology: sp.Topology, variant: sp.variant, timeoutMS: sp.TimeoutMS}
 }
 
 // ContentHash returns the canonical content digest of the job's
@@ -300,11 +322,12 @@ func (sp *JobSpec) PlacementKey() string {
 
 // planKey is the registry key: the matrix content plus everything that
 // shapes the prepared plan — layout, machine size, topology, and the
-// requested variant (a widened powers schedule or an overlap solver is
-// a different cached artifact than the single-level ghost schedule
-// under plain CG). A generated problem's shape is already in its hash.
+// requested variant's canonical form (a widened powers schedule or an
+// overlap solver is a different cached artifact than the single-level
+// ghost schedule under plain CG). A generated problem's shape is
+// already in its hash.
 func (sp *JobSpec) planKey(hash string) string {
-	return fmt.Sprintf("%s|%s|%d|%s|s%d|p%t", hash, sp.Layout, sp.NP, sp.Topology, sp.SStep, sp.Pipelined)
+	return hash + "|" + sp.Layout + "|" + strconv.Itoa(sp.NP) + "|" + sp.Topology + "|" + sp.variant.String()
 }
 
 // State is a job's lifecycle position.

@@ -53,7 +53,7 @@ func TestPipelinedJobBitIdenticalToDirect(t *testing.T) {
 	}
 	m := comm.NewMachine(spec.NP, topology.Hypercube{}, topology.DefaultCostParams())
 	b := sparse.RandomVector(A.NRows, spec.Seed)
-	want := directVariant(t, m, plan, A, b, hpfexec.Variant{Pipelined: true})
+	want := directVariant(t, m, plan, A, b, hpfexec.Pipelined())
 	for i := range want.X {
 		if v.Result.X[i] != want.X[i] {
 			t.Fatalf("x[%d] = %v, direct %v", i, v.Result.X[i], want.X[i])

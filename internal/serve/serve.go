@@ -339,13 +339,13 @@ func (s *Scheduler) nextBatch() []*Job {
 // prepare opens the job's problem on m (hpfexec.Open, the one front
 // over the backends) and sets its solver variant. hpfexec.WithVariant
 // consults the same legality table validation did, and resolves
-// sstep=0 through the cost model.
+// sstep:auto through the cost model.
 func (sp *JobSpec) prepare(m *comm.Machine) (*hpfexec.Prepared, error) {
 	pr, err := hpfexec.Open(m, sp.prob, sp.Layout)
 	if err != nil {
 		return nil, err
 	}
-	return pr, pr.WithVariant(sp.variant())
+	return pr, pr.WithVariant(sp.variant)
 }
 
 // newMachine builds the job's machine with its attachments: the fault
@@ -495,15 +495,21 @@ func (s *Scheduler) finishBatch(live []*Job, out *hpfexec.BatchResult, warm bool
 			s.finishJob(j, nil, r.Err)
 			continue
 		}
+		// A cg job reports the factor its recurrence ran at, 1 for
+		// plain; the other methods have no s-step form and report none.
+		sstep := 0
+		if j.Spec.Method == "cg" {
+			sstep = r.Strategy.Variant.Factor()
+		}
 		res := &JobResult{
 			X:              r.X,
 			Converged:      r.Stats.Converged,
 			Iterations:     r.Stats.Iterations,
 			Residual:       r.Stats.Residual,
 			Strategy:       r.Strategy.String(),
-			SStep:          r.Strategy.SStep,
+			SStep:          sstep,
 			Replacements:   r.Stats.Replacements,
-			Pipelined:      r.Strategy.Pipelined,
+			Pipelined:      r.Strategy.Variant == hpfexec.Pipelined(),
 			Reductions:     r.Stats.Reductions,
 			ModelTime:      model,
 			SolveModelTime: out.SolveModelTime[k],

@@ -36,7 +36,7 @@ func TestSStepAutoSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := comm.NewMachine(4, topology.Hypercube{}, topology.DefaultCostParams())
-	want := hpfexec.Cheapest(hpfexec.Frontier(m, A, dist.NewBlock(A.NRows, 4), hpfexec.SStepCandidates), hpfexec.AutoServes).Variant.SStep
+	want := hpfexec.Cheapest(hpfexec.Frontier(m, A, dist.NewBlock(A.NRows, 4), hpfexec.SStepCandidates), hpfexec.AutoServes).Variant.Factor()
 	if v.Result.SStep != want {
 		t.Fatalf("service chose s=%d, cost model says %d", v.Result.SStep, want)
 	}
@@ -73,7 +73,7 @@ func TestSStepFixedBitIdenticalToDirect(t *testing.T) {
 	}
 	m := comm.NewMachine(spec.NP, topology.Hypercube{}, topology.DefaultCostParams())
 	b := sparse.RandomVector(A.NRows, spec.Seed)
-	want := directVariant(t, m, plan, A, b, hpfexec.Variant{SStep: 4})
+	want := directVariant(t, m, plan, A, b, hpfexec.SStep(4))
 	for i := range want.X {
 		if v.Result.X[i] != want.X[i] {
 			t.Fatalf("x[%d] service %v != direct %v", i, v.Result.X[i], want.X[i])
