@@ -38,13 +38,16 @@ test:
 # its slot vector from the inspector schedule's pooled receive path on
 # every iteration, and that exchange loop is the only one the halo
 # executors and the stencil operators share, so internal/inspector
-# joins the pass. An unobserved run's allreduce is a rendezvous whose
+# joins the pass. The csc-merge executor's private region merges by
+# running the inspector's schedule in reverse, moving pooled partial-sum
+# buffers between rank goroutines, so internal/forall joins the pass. An
+# unobserved run's allreduce is a rendezvous whose
 # last arriving rank replays the tree onto every other rank's clock,
 # stats and communication-matrix row while those ranks wait, so the
 # comm pass also checks that the rendezvous orders those writes before
 # each rank's wake.
 race:
-	$(GO) test -race ./internal/comm/... ./internal/trace/... ./internal/core/... ./internal/spmv/... ./internal/inspector/... ./internal/fault/... ./internal/hpfexec/... ./internal/serve/... ./internal/cluster/... ./internal/mg/... ./internal/mfree/...
+	$(GO) test -race ./internal/comm/... ./internal/trace/... ./internal/core/... ./internal/spmv/... ./internal/inspector/... ./internal/forall/... ./internal/fault/... ./internal/hpfexec/... ./internal/serve/... ./internal/cluster/... ./internal/mg/... ./internal/mfree/...
 
 check: build vet test race smoke docs-lint
 
@@ -163,9 +166,11 @@ loc:
 # and 45 words (ns/op, zero allocs), the one ghost exchange on a CSR
 # halo schedule (solve_csr's matrix) and on the stencil plane schedules
 # of solve_mfree and serve_hot at np 2, 4, 8 over 1 and 2 vectors (ns/op,
-# zero allocs), CG's local vector updates and dot partials at a served
-# job's block and a large one (ns/element, zero allocs), the CSR halo
-# and broadcast executors at
+# zero allocs), the same executor run in reverse — the csc-merge merge —
+# on the halos of serve_hot's csc-merge matrix and solve_csr's at np 2,
+# 4, 8 (ns/op, zero allocs), CG's local vector updates and dot partials
+# at a served job's block and a large one (ns/element, zero allocs), the
+# CSR halo and broadcast executors and the two CSC merges at
 # solve_csr's matrix and an out-of-cache one (ns/nnz, GFLOP/s, zero
 # allocs), the matrix-free apply kernels (ns/point, GFLOP/s, zero
 # allocs), the multigrid smoother, residual and V-cycle at

@@ -337,7 +337,9 @@ func TestE2MatchesFormula(t *testing.T) {
 }
 
 // E3/E4: the private-merge execution must beat the serialized one for
-// np > 1 and the serialized compute must not scale.
+// np > 1 and the serialized compute must not scale; the inspected merge,
+// its inspector included, must move no more bytes than the dense one at
+// any np.
 func TestE4ExtensionWins(t *testing.T) {
 	tables, err := E4(quickCfg())
 	if err != nil {
@@ -348,6 +350,15 @@ func TestE4ExtensionWins(t *testing.T) {
 		speedup := parseF(t, row[1])
 		if np > 1 && speedup <= 1 {
 			t.Errorf("np=%d: extension speedup %g <= 1", np, speedup)
+		}
+	}
+	e3, err := E3(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range e3[0].Rows {
+		if dense, inspected := parseF(t, row[4]), parseF(t, row[6]); inspected > dense {
+			t.Errorf("np=%s: inspected merge moved %g bytes > dense merge %g", row[0], inspected, dense)
 		}
 	}
 }

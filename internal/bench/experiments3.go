@@ -58,7 +58,7 @@ func E15(cfg Config) ([]*report.Table, error) {
 			build buildApply
 		}{
 			{"bcast", csrApply(A)},
-			{"merge", cscApply(csc, spmv.ModePrivateMerge)},
+			{"merge", cscApply(csc, spmv.ModeDenseMerge)},
 			{"ghost", ghostApply(A, nil)},
 		}
 		for _, ts := range []float64{1e-6, 10e-6, 100e-6, 1e-3} {

@@ -16,16 +16,22 @@
 // This package provides exactly those pieces: IterMap (the ON
 // PROCESSOR(f(i)) construct), Indep (INDEPENDENT DO under a mapping)
 // and PrivateRegion (a PRIVATE array WITH MERGE(+)). PrivateRegion is
-// the repo's one private accumulator: spmv's private-merge CSC executor
-// (so experiments E3/E4 and the served csc-merge layout),
-// RowBlockCSR.ApplyT and examples/directives all open one. WITH DISCARD
-// has no executor: hpfexec refuses it with the directive's line.
+// the repo's one private accumulator, in two sizes. The paper's region
+// (NewPrivate) holds a full-length copy merged by a reduce-scatter:
+// spmv's dense-merge CSC executor (experiments E3/E4/E15),
+// RowBlockCSR.ApplyT and examples/directives open one. An inspected
+// region (NewPrivateInspected) holds only the owned block and the ghost
+// slots of an inspector schedule and merges by running that schedule in
+// reverse: spmv's private-merge CSC executor, so the served csc-merge
+// layout, opens one. WITH DISCARD has no executor: hpfexec refuses it
+// with the directive's line.
 package forall
 
 import (
 	"fmt"
 
 	"hpfcg/internal/comm"
+	"hpfcg/internal/inspector"
 )
 
 // IterMap assigns loop iterations to processors: the paper's ON
@@ -69,12 +75,17 @@ func Indep(p *comm.Proc, lo, hi int, m IterMap, flopsPerIter int, body func(i in
 // iteration), runs its iterations against the private copy, and the
 // region ends with a merge. The copy is allocated once and reused by
 // every region opened on it, so an operator that builds its region once
-// applies with no allocation. The region holds no processor handle:
-// operators carried across runs by a plan cache are rebound to each
-// run's processor, and the merge takes the calling rank's.
+// applies with no allocation. A dense region holds no processor
+// handle: operators carried across runs by a plan cache are rebound to
+// each run's processor, and the merge takes the calling rank's. An
+// inspected region merges on its schedule's processor, which the
+// operator rebinds with the schedule.
 type PrivateRegion struct {
-	priv   []float64
+	priv []float64
+	// counts are the blocks of the dense region's reduce-scatter; sched
+	// is the inspected region's schedule, nil for a dense region.
 	counts []int
+	sched  *inspector.Schedule
 }
 
 // NewPrivate allocates a private copy of an array distributed in
@@ -82,7 +93,7 @@ type PrivateRegion struct {
 // is the sum of counts. The paper notes the cost: NP temporary vectors
 // of length n ("unsatisfactory ... particularly if n >> NP"), which is
 // exactly what one region per processor holds; experiment E4 reports
-// that storage for spmv's private-merge executor. counts is kept, not
+// that storage for spmv's dense-merge executor. counts is kept, not
 // copied.
 func NewPrivate(counts []int) *PrivateRegion {
 	n := 0
@@ -93,6 +104,19 @@ func NewPrivate(counts []int) *PrivateRegion {
 		n += c
 	}
 	return &PrivateRegion{priv: make([]float64, n), counts: counts}
+}
+
+// NewPrivateInspected allocates a private copy of only the elements an
+// inspector schedule names: the nloc elements this processor owns, then
+// the schedule's ghost slots — nloc + s.NGhosts() words instead of the
+// array's full length, the storage the paper finds "unsatisfactory ...
+// particularly if n >> NP" cut to what the region's iterations write.
+// Iterations accumulate into an owned element at its local offset and
+// into remote element g at nloc + s.GhostSlot(g). The merge runs the schedule in
+// reverse on the schedule's own processor, so whoever rebinds the
+// schedule to a new run rebinds the merge with it.
+func NewPrivateInspected(nloc int, s *inspector.Schedule) *PrivateRegion {
+	return &PrivateRegion{priv: make([]float64, nloc+s.NGhosts()), sched: s}
 }
 
 // Open starts a region: it zeroes this processor's private copy and
@@ -106,8 +130,19 @@ func (r *PrivateRegion) Open() []float64 {
 // processor's private copy element-wise and writes this processor's
 // block of the sum into dst — the merge a distributed LHS array (the
 // BLOCK-distributed q of the paper's loop) needs. Every processor calls
-// it with its own p; dst must hold the calling rank's counts[rank]
-// elements.
+// it with its own p; dst must hold the calling rank's block. Each
+// element of the sum is the owner's partial, then the other ranks' in
+// ascending rank: a dense region reduce-scatters the full copies, an
+// inspected one sends each ghost partial to its owner alone, and since
+// every partial is summed from +0.0 (never -0.0), the +0.0 the dense
+// merge adds for a rank that never wrote an element is an identity —
+// the two merges agree bit for bit.
 func (r *PrivateRegion) MergeDistributed(p *comm.Proc, dst []float64) {
-	p.ReduceScatterSum(r.priv, r.counts, dst)
+	if r.sched == nil {
+		p.ReduceScatterSum(r.priv, r.counts, dst)
+		return
+	}
+	nloc := len(r.priv) - r.sched.NGhosts()
+	copy(dst, r.priv[:nloc])
+	r.sched.ReverseExchange(r.priv[nloc:], dst)
 }

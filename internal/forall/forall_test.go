@@ -7,6 +7,7 @@ import (
 
 	"hpfcg/internal/comm"
 	"hpfcg/internal/dist"
+	"hpfcg/internal/inspector"
 	"hpfcg/internal/topology"
 )
 
@@ -117,6 +118,55 @@ func TestPrivateMergeDistributed(t *testing.T) {
 				for _, v := range blk {
 					if v != sum {
 						t.Fatalf("np=%d round %d: merged %g, want %g", np, round, v, sum)
+					}
+				}
+			}
+		})
+	}
+}
+
+// An inspected region holds the owned block and the ghost slots only,
+// and merges to the dense region's bits: Figure 5's accumulation into
+// scattered targets, run into both and merged by each.
+func TestPrivateInspectedMatchesDense(t *testing.T) {
+	for _, np := range testNPs {
+		n := 5*np + 2
+		d := dist.NewBlock(n, np)
+		counts := dist.Counts(d)
+		target := func(j, k int) int { return (j*7 + k*(n/2+1)) % n }
+		machine(np).Run(func(p *comm.Proc) {
+			r := p.Rank()
+			lo, cnt := d.Lo(r), counts[r]
+			var needs []int
+			for j := lo; j < lo+cnt; j++ {
+				needs = append(needs, target(j, 0), target(j, 1))
+			}
+			sched := inspector.Build(p, d, needs)
+			dense, inspected := NewPrivate(counts), NewPrivateInspected(cnt, sched)
+			slot := func(g int) int {
+				if g >= lo && g < lo+cnt {
+					return g - lo
+				}
+				return cnt + sched.GhostSlot(g)
+			}
+			want, got := make([]float64, cnt), make([]float64, cnt)
+			for round := 1; round <= 2; round++ {
+				q, qs := dense.Open(), inspected.Open()
+				if len(qs) != cnt+sched.NGhosts() {
+					t.Fatalf("np=%d rank %d: inspected copy of %d words, want %d", np, r, len(qs), cnt+sched.NGhosts())
+				}
+				for j := lo; j < lo+cnt; j++ {
+					for k := range 2 {
+						v := math.Sin(float64(j*round+k)) * 1e3
+						q[target(j, k)] += v
+						qs[slot(target(j, k))] += v
+					}
+				}
+				dense.MergeDistributed(p, want)
+				inspected.MergeDistributed(p, got)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("np=%d rank %d round %d: merged[%d] = %v, dense %v", np, r, round, i, got[i], want[i])
 					}
 				}
 			}

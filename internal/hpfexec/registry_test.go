@@ -2,6 +2,7 @@ package hpfexec
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"hpfcg/internal/comm"
@@ -41,10 +42,11 @@ func TestWarmBatchBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// CSR layouts pay a modeled setup (inspector exchange +
-			// executor-selection collective); CSC setup is host-side
-			// conversion, so its modeled span is legitimately zero.
-			if layout != "csc-merge" && cold.SetupModelTime <= 0 {
+			// Every layout pays a modeled setup: the CSR layouts their
+			// inspector exchange and executor-selection collective,
+			// csc-merge the inspector over its strips' rows. A warm hit
+			// pays none, and its np 4 solve runs the rebound schedule.
+			if cold.SetupModelTime <= 0 {
 				t.Fatalf("cold setup model time %g, want > 0", cold.SetupModelTime)
 			}
 			if !pr.Warm() {
@@ -70,6 +72,14 @@ func TestWarmBatchBitIdentical(t *testing.T) {
 				}
 				if cold.Results[k].Stats.Iterations != warm.Results[k].Stats.Iterations {
 					t.Fatalf("rhs %d: iteration counts differ", k)
+				}
+				// The warm spans are the cold ones up to the rank skew the
+				// cold setup leaves behind (≈ 4e-5 relative here): a
+				// schedule left bound to the cold run would charge its
+				// exchanges to that run's clocks and shrink them by far
+				// more.
+				if c, w := cold.SolveModelTime[k], warm.SolveModelTime[k]; math.Abs(c-w) > 1e-3*c {
+					t.Fatalf("rhs %d: warm solve model time %g, cold %g", k, w, c)
 				}
 			}
 			if cold.Results[0].Strategy != warm.Results[0].Strategy {

@@ -92,3 +92,38 @@ func BenchmarkExchange(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReverseExchange times one reverse exchange — the inspected
+// merge behind the csc-merge layout — across all np ranks of a machine.
+// The schedules are the CSR halos of serve_hot's csc-merge matrix and of
+// solve_csr's: for a symmetric matrix a column strip touches exactly the
+// rows a row strip's columns read. Every rank runs the b.N loop in
+// lockstep and rank 0 owns the timer, so ns/op is the wall time of one
+// distributed merge; allocs/op must be 0.
+func BenchmarkReverseExchange(b *testing.B) {
+	for _, spec := range []struct{ nx, ny int }{{32, 32}, {128, 128}} {
+		A := sparse.Laplace2D(spec.nx, spec.ny)
+		for _, np := range []int{2, 4, 8} {
+			b.Run(fmt.Sprintf("laplace2d:%d:%d/np=%d", spec.nx, spec.ny, np), func(b *testing.B) {
+				b.ReportAllocs()
+				comm.NewMachine(np, topology.Hypercube{}, topology.DefaultCostParams()).Run(func(p *comm.Proc) {
+					sched, nloc := csrHalo(A)(p)
+					ghosts, local := make([]float64, sched.NGhosts()), make([]float64, nloc)
+					// Warm-up fills the buffer pools; the barrier keeps a
+					// lagging rank's warm-up out of the timed region.
+					sched.ReverseExchange(ghosts, local)
+					p.Barrier()
+					if p.Rank() == 0 {
+						b.ResetTimer()
+					}
+					for i := 0; i < b.N; i++ {
+						sched.ReverseExchange(ghosts, local)
+					}
+					if p.Rank() == 0 {
+						b.StopTimer()
+					}
+				})
+			})
+		}
+	}
+}

@@ -17,7 +17,10 @@
 // A pattern that needs no inspection — a stencil's boundary planes,
 // known to both sides from the grid geometry — builds the same Schedule
 // with FromLists and no communication. Either way ExchangeBlock is the
-// one executor loop; Exchange is its one-vector case.
+// one executor loop; Exchange is its one-vector case. ReverseExchange
+// runs the same schedule backwards: the ghost slots hold partial sums
+// that go back to their owners — the sparse MERGE(+) of a PRIVATE
+// accumulator whose writes follow the inspected pattern.
 package inspector
 
 import (
@@ -175,10 +178,13 @@ func (s *Schedule) GhostSlot(g int) int {
 }
 
 // tagGhost is the point-to-point tag of executor traffic, single and
-// block alike. Messages between a pair are FIFO and every processor
-// runs its exchanges in the same order, so repeated exchanges stay
-// matched.
-const tagGhost = 202
+// block alike, and tagReverse that of the reverse executor. Messages
+// between a pair are FIFO and every processor runs its exchanges in the
+// same order, so repeated exchanges stay matched.
+const (
+	tagGhost   = 202
+	tagReverse = 203
+)
 
 // Exchange runs the executor on one vector: given the local block of the
 // distributed vector, it sends the locally-owned elements other
@@ -249,4 +255,47 @@ func (s *Schedule) ExchangeBlock(locals [][]float64) [][]float64 {
 		s.p.PutBuf(part)
 	}
 	return s.ghosts[:k]
+}
+
+// ReverseExchange runs the executor backwards — the transpose of
+// Exchange. ghosts holds this processor's values for its ghost slots
+// (indexed by GhostSlot); each goes back to its owner, which adds it
+// into local at the offset Exchange reads it from. An owner adds the
+// values after whatever local already holds, source by source in
+// ascending rank, each source's in its send order: the order a dense
+// reduce-scatter adds the ranks' full-length partials in, so a PRIVATE
+// accumulator that only ever wrote its owned block and its ghost slots
+// merges to the same bits (a +0.0 partial from a rank that touched
+// nothing is an identity). Only the processor pairs that share ghosts
+// exchange messages, one per pair, and the owner is charged one flop per
+// value added. Collective, like Exchange; sends draw on the processor's
+// buffer pool and received messages are recycled into it, so the steady
+// state allocates nothing.
+func (s *Schedule) ReverseExchange(ghosts, local []float64) {
+	if len(ghosts) != s.nGhost || len(local) != s.nloc {
+		panic(fmt.Sprintf("inspector: reverse exchange of %d ghosts into %d elements, schedule has %d and %d",
+			len(ghosts), len(local), s.nGhost, s.nloc))
+	}
+	for src, cnt := range s.recvCount {
+		if cnt == 0 {
+			continue
+		}
+		buf := s.p.GetBuf(cnt)
+		copy(buf, ghosts[s.recvStart[src]:s.recvStart[src+1]])
+		s.p.SendFloats(src, tagReverse, buf)
+	}
+	for dst, offs := range s.sendTo {
+		if len(offs) == 0 {
+			continue
+		}
+		part := s.p.RecvFloats(dst, tagReverse)
+		if len(part) != len(offs) {
+			panic(fmt.Sprintf("inspector: expected %d partials from %d, got %d", len(offs), dst, len(part)))
+		}
+		for i, off := range offs {
+			local[off] += part[i]
+		}
+		s.p.Compute(len(offs))
+		s.p.PutBuf(part)
+	}
 }

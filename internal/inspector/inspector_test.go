@@ -233,3 +233,87 @@ func TestExchangeQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// ReverseExchange sends each ghost value back to its owner, which adds
+// it at the offset the forward exchange reads it from, after what the
+// offset already holds and in ascending source rank; only pairs that
+// share ghosts exchange, one message each; and after a warm-up call it
+// allocates nothing.
+func TestReverseExchangeAddsInSourceOrder(t *testing.T) {
+	const np = 3
+	big := 1e16 // a variable, so the checks below round at run time
+	// Every rank sends its offsets 2, 0 to each other rank, so rank r's
+	// two ghosts from q are q's offsets 2 then 0. Offset 2 starts at big
+	// and takes 1 from the lower-ranked of its two sources and -big from
+	// the higher: ascending order rounds 1 away ((big+1)-big = 0),
+	// descending order keeps it ((big-big)+1 = 1). Offset 1 is never a
+	// ghost and keeps its value.
+	if (big+1)-big == (big-big)+1 {
+		t.Fatal("values do not tell the two orders apart")
+	}
+	var allocs float64
+	machine(np).Run(func(p *comm.Proc) {
+		r := p.Rank()
+		sendTo, recvCount := make([][]int, np), make([]int, np)
+		for q := 0; q < np; q++ {
+			if q != r {
+				sendTo[q], recvCount[q] = []int{2, 0}, 2
+			}
+		}
+		s := FromLists(p, 3, sendTo, recvCount)
+		ghosts := make([]float64, 0, s.NGhosts())
+		for q := 0; q < np; q++ {
+			if q == r {
+				continue
+			}
+			toBig := 1.0
+			if r > 3-q-r { // r is the higher of q's two sources
+				toBig = -big
+			}
+			ghosts = append(ghosts, toBig, float64(10*r+q))
+		}
+		local := []float64{0.5, 7, big}
+		sent := p.Stats().MsgsSent
+		s.ReverseExchange(ghosts, local)
+		if got := p.Stats().MsgsSent - sent; got != np-1 {
+			t.Errorf("rank %d: sent %d messages, want %d", r, got, np-1)
+		}
+		want0 := 0.5
+		for q := 0; q < np; q++ {
+			if q != r {
+				want0 += float64(10*q + r)
+			}
+		}
+		if want := []float64{want0, 7, 0}; fmt.Sprint(local) != fmt.Sprint(want) {
+			t.Errorf("rank %d: merged %v, want %v", r, local, want)
+		}
+
+		p.Barrier()
+		if r == 0 {
+			allocs = testing.AllocsPerRun(5, func() { s.ReverseExchange(ghosts, local) })
+		} else {
+			for range 6 {
+				s.ReverseExchange(ghosts, local)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ReverseExchange allocated %.1f times per call in steady state, want 0", allocs)
+	}
+}
+
+// A reverse exchange whose ghost or local block does not match the
+// schedule is refused before anything is sent.
+func TestReverseExchangeWrongLengthPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "reverse exchange of 1 ghosts into 2 elements") {
+			t.Errorf("recovered %v, want the wrong-length panic", r)
+		}
+	}()
+	machine(2).Run(func(p *comm.Proc) {
+		other := 1 - p.Rank()
+		sendTo, recvCount := make([][]int, 2), make([]int, 2)
+		sendTo[other], recvCount[other] = []int{0}, 1
+		FromLists(p, 3, sendTo, recvCount).ReverseExchange(make([]float64, 1), make([]float64, 2))
+	})
+}

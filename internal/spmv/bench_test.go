@@ -24,7 +24,8 @@ var benchSink float64
 // whole-matrix figures — the wall time of one distributed apply over
 // all NNZ stored entries and all 2·NNZ (+2·N fused) flops — so np=1 and
 // np=4 read on one scale. The unfused sweep also times the §5.1 private
-// merge behind the csc-merge layout.
+// merges side by side: the inspected one behind the csc-merge layout and
+// the paper's dense one.
 func benchSweep(b *testing.B, fused bool) {
 	for _, spec := range benchMatrices {
 		A, err := sparse.GeneratorByName(spec)
@@ -41,9 +42,14 @@ func benchSweep(b *testing.B, fused bool) {
 		}
 		if !fused {
 			csc := A.ToCSC()
-			execs = append(execs, executor{"csc-merge", func(p *comm.Proc, d dist.Contiguous) Operator {
-				return NewColBlockCSC(p, csc, d, ModePrivateMerge)
-			}})
+			for _, m := range []struct {
+				name string
+				mode Mode
+			}{{"csc-merge", ModePrivateMerge}, {"csc-dense-merge", ModeDenseMerge}} {
+				execs = append(execs, executor{m.name, func(p *comm.Proc, d dist.Contiguous) Operator {
+					return NewColBlockCSC(p, csc, d, m.mode)
+				}})
+			}
 		}
 		for _, ex := range execs {
 			for _, np := range []int{1, 4} {
@@ -90,7 +96,7 @@ func benchSweep(b *testing.B, fused bool) {
 }
 
 // BenchmarkApply measures the unfused apply: the CSR executors and the
-// csc-merge one.
+// two CSC merges.
 func BenchmarkApply(b *testing.B) { benchSweep(b, false) }
 
 // BenchmarkApplyDot measures the apply with the fused x·y partial.

@@ -90,8 +90,10 @@ func TestApplyDotChargesApplyPlusDot(t *testing.T) {
 // TestApplySteadyStateNoAllocs: with the reusable gather target, the
 // PRIVATE region built once per operator and the pooled collectives,
 // every mat-vec a solver calls per iteration allocates nothing in
-// steady state — the row-block ApplyDot, and the §5.1 private merge
-// behind the csc-merge Apply and the row-block transpose.
+// steady state — the row-block ApplyDot, and the §5.1 private merges:
+// the inspected one behind the csc-merge Apply (its reverse exchange on
+// pooled buffers), the dense one the experiments measure, and the
+// row-block transpose.
 func TestApplySteadyStateNoAllocs(t *testing.T) {
 	A := sparse.Laplace2D(8, 8)
 	n := A.NRows
@@ -113,6 +115,9 @@ func TestApplySteadyStateNoAllocs(t *testing.T) {
 		}},
 		{"csc-merge Apply", []int{1, 3, 4}, func(p *comm.Proc, d dist.Contiguous) func(x, y *darray.Vector) {
 			return NewColBlockCSC(p, csc, d, ModePrivateMerge).Apply
+		}},
+		{"csc dense-merge Apply", []int{1, 3, 4}, func(p *comm.Proc, d dist.Contiguous) func(x, y *darray.Vector) {
+			return NewColBlockCSC(p, csc, d, ModeDenseMerge).Apply
 		}},
 		{"rowblock-csr ApplyT", []int{1, 3, 4}, func(p *comm.Proc, d dist.Contiguous) func(x, y *darray.Vector) {
 			return NewRowBlockCSR(p, A, d).ApplyT

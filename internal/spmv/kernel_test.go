@@ -16,7 +16,10 @@ import (
 // whose columns are unsorted and duplicated (2), a row of one entry that
 // multiplies a -0.0 (3: its sum must still be +0.0), and a row made only
 // of columns another rank owns once np >= 2 (6). With 7 rows, np = 8
-// leaves one rank with no rows at all.
+// leaves one rank with no rows at all. "cancel" is built so that column
+// strips send exactly cancelling partials to rows other ranks own: every
+// column of rows 0 and 5 appears twice with opposite values, so a strip
+// holding it sums v·x + (-v)·x, which is exactly +0.0.
 func kernelMatrices() map[string]*sparse.CSR {
 	hand := &sparse.CSR{
 		NRows:  7,
@@ -25,8 +28,16 @@ func kernelMatrices() map[string]*sparse.CSR {
 		Col:    []int{6, 0, 5, 1, 2, 5, 0, 3, 6, 0, 1, 0},
 		Val:    []float64{0.5, 4, -1.25, 3, 1e-3, 7, -2, 2.5, 1.5, -0.75, 1e8, -3},
 	}
+	cancel := &sparse.CSR{
+		NRows:  8,
+		NCols:  8,
+		RowPtr: []int{0, 4, 5, 6, 7, 8, 12, 13, 14},
+		Col:    []int{7, 6, 7, 6, 1, 2, 3, 4, 1, 3, 3, 1, 6, 7},
+		Val:    []float64{3, 1.5, -3, -1.5, 2, 2, 2, 2, 0.25, -7, 7, -0.25, 2, 2},
+	}
 	return map[string]*sparse.CSR{
 		"hand":      hand,
+		"cancel":    cancel,
 		"laplace2d": sparse.Laplace2D(9, 7),
 		"banded":    sparse.Banded(50, 3),
 		"randspd":   sparse.RandomSPD(40, 6, 11),
@@ -118,8 +129,15 @@ func stripMerge(ptr, idx []int, val, x []float64, d dist.Contiguous) []float64 {
 // +0.0 — at every np, and the fused ApplyDot partial to the row-order
 // sum of x·y over the rank's rows. The powers kernel's basis blocks are
 // held to repeated sequential products, and the CSC transpose to
-// MulVec over the transpose's rows. The two private merges — the
-// csc-merge Apply and the row-block ApplyT — are held to stripMerge.
+// MulVec over the transpose's rows. The private merges — the CSC Apply
+// under both merge modes and the row-block ApplyT — are held to
+// stripMerge, which adds every rank's partial to every row. The
+// inspected merge adds only the partials of ranks whose strip touches
+// the row, and that is the same sum bit for bit: each partial is summed
+// from +0.0, and in round-to-nearest a sum is -0.0 only if both
+// operands are, so no partial is ever -0.0 and the +0.0 of an untouched
+// row is an identity. "cancel" checks it where a touching strip's
+// partial is itself exactly +0.0.
 func TestKernelBitExact(t *testing.T) {
 	for name, A := range kernelMatrices() {
 		n := A.NRows
@@ -185,14 +203,19 @@ func TestKernelBitExact(t *testing.T) {
 						sameBits(t, fmt.Sprintf("%s block A^%d r", label, j+1), v.Local(), at(rpowers[j]))
 					}
 				}
-				op := NewColBlockCSC(p, csc, d, ModePrivateMerge)
-				op.ApplyT(x, y)
-				sameBits(t, fmt.Sprintf("%s/csc ApplyT np=%d rank=%d", name, np, p.Rank()), y.Local(), at(wantT))
-				// Twice each, so the second call runs on a reused region.
 				rt := NewRowBlockCSR(p, A, d)
+				for _, mode := range []Mode{ModePrivateMerge, ModeDenseMerge} {
+					op := NewColBlockCSC(p, csc, d, mode)
+					op.ApplyT(x, y)
+					sameBits(t, fmt.Sprintf("%s/csc %v ApplyT np=%d rank=%d", name, mode, np, p.Rank()), y.Local(), at(wantT))
+					// Twice each, so the second call runs on a reused region.
+					for range 2 {
+						y.Fill(math.NaN())
+						op.Apply(x, y)
+						sameBits(t, fmt.Sprintf("%s/csc %v Apply np=%d rank=%d", name, mode, np, p.Rank()), y.Local(), at(wantMerge))
+					}
+				}
 				for range 2 {
-					op.Apply(x, y)
-					sameBits(t, fmt.Sprintf("%s/csc-merge Apply np=%d rank=%d", name, np, p.Rank()), y.Local(), at(wantMerge))
 					rt.ApplyT(x, y)
 					sameBits(t, fmt.Sprintf("%s/rowblock ApplyT np=%d rank=%d", name, np, p.Rank()), y.Local(), at(wantMergeT))
 				}

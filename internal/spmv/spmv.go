@@ -22,12 +22,19 @@
 //     elements) and finally scattered. The modeled clock serialises the
 //     compute exactly as the paper describes ("no parallel loop
 //     execution is possible").
-//   - ModePrivateMerge is the paper's proposed §5.1 extension: each
-//     processor accumulates into a PRIVATE full-length copy of q and the
-//     copies are merged with MERGE(+) — a reduce-scatter costing the
-//     same asymptotically as Scenario 1's broadcast, which is the
-//     paper's conclusion that neither regular striping can reduce the
-//     communication time.
+//   - ModeDenseMerge is the paper's proposed §5.1 extension as
+//     written: each processor accumulates into a PRIVATE full-length
+//     copy of q and the copies are merged with MERGE(+) — a
+//     reduce-scatter costing the same asymptotically as Scenario 1's
+//     broadcast, which is the paper's conclusion that neither regular
+//     striping can reduce the communication time.
+//   - ModePrivateMerge is the same extension with the merge inspected
+//     (§5.1, refs [15], [19], [20]): at construction the strip's row
+//     indices are inspected once, the PRIVATE copy holds only the owned
+//     rows and the rows the strip touches on other processors, and the
+//     merge runs the inspector's exchange in reverse — each touched
+//     row's partial goes to its owner alone. Its result is bit-equal to
+//     the dense merge's; it never sends more words or messages.
 //
 // Transpose products (ApplyT) are provided for BiCG: under row-wise
 // partitioning A^T must be applied column-wise and vice versa, so "any
@@ -42,6 +49,7 @@ import (
 	"hpfcg/internal/darray"
 	"hpfcg/internal/dist"
 	"hpfcg/internal/forall"
+	"hpfcg/internal/inspector"
 	"hpfcg/internal/sparse"
 )
 
@@ -100,8 +108,12 @@ const (
 	// order, as HPF-1 forces.
 	ModeSerialized Mode = iota
 	// ModePrivateMerge uses the paper's proposed PRIVATE/MERGE(+)
-	// extension.
+	// extension over the inspected rows: the served csc-merge layout.
 	ModePrivateMerge
+	// ModeDenseMerge uses the extension as the paper writes it, a
+	// full-length private copy merged by reduce-scatter: the baseline
+	// the experiments measure.
+	ModeDenseMerge
 )
 
 // String implements fmt.Stringer.
@@ -111,6 +123,8 @@ func (m Mode) String() string {
 		return "serialized"
 	case ModePrivateMerge:
 		return "private-merge"
+	case ModeDenseMerge:
+		return "dense-merge"
 	}
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
@@ -180,8 +194,9 @@ func sweepRows(y []float64, ptr, idx []int, val, x, dx []float64) float64 {
 // scatterCols is the package's one column-scatter kernel — Scenario 2's
 // many-to-one accumulation over a local strip. For every local column j
 // of ptr it adds val[k]·x[j] into q[idx[k]] over k in [ptr[j], ptr[j+1])
-// in storage order, columns ascending; idx holds global indices of q.
-// Only local x elements are read: x is aligned with the columns, so
+// in storage order, columns ascending; idx holds the indices of q's
+// elements (global rows, or slots of an inspected private copy). Only
+// local x elements are read: x is aligned with the columns, so
 // "performing the element-wise multiplication will not require any
 // interprocessor communication". The CSC executors run it over their
 // column strips and RowBlockCSR.ApplyT over its rows, which are A^T's
@@ -320,13 +335,22 @@ type ColBlockCSC struct {
 	nnzLocal int
 	mode     Mode
 	xfull    []float64 // reusable gather target for ApplyT
-	// priv is the private-merge mode's PRIVATE accumulator; q0 is the
-	// serialised mode's running q on rank 0, where its chain starts.
-	priv *forall.PrivateRegion
-	q0   []float64
+	// priv is the merge modes' PRIVATE accumulator and slot the row
+	// index of each entry in it: the global row under the dense merge;
+	// the owned row's offset, or the local count plus the ghost slot of
+	// a row another rank owns, under the inspected merge, whose schedule
+	// is sched. q0 is the serialised mode's running q on rank 0, where
+	// its chain starts.
+	priv  *forall.PrivateRegion
+	slot  []int
+	sched *inspector.Schedule
+	q0    []float64
 }
 
-// NewColBlockCSC slices processor p's column strip out of A.
+// NewColBlockCSC slices processor p's column strip out of A. In
+// ModePrivateMerge it runs the inspector over the strip's row indices,
+// which is collective: every processor must call it, with the same A
+// and d.
 func NewColBlockCSC(p *comm.Proc, A *sparse.CSC, d dist.Contiguous, mode Mode) *ColBlockCSC {
 	if A.NRows != A.NCols {
 		panic(fmt.Sprintf("spmv: matrix must be square, got %dx%d", A.NRows, A.NCols))
@@ -358,6 +382,19 @@ func NewColBlockCSC(p *comm.Proc, A *sparse.CSC, d dist.Contiguous, mode Mode) *
 	}
 	switch {
 	case mode == ModePrivateMerge:
+		a.sched = inspector.Build(p, d, a.row)
+		cnt := hi - lo
+		a.slot = make([]int, len(a.row))
+		for k, g := range a.row {
+			if g >= lo && g < hi {
+				a.slot[k] = g - lo
+			} else {
+				a.slot[k] = cnt + a.sched.GhostSlot(g)
+			}
+		}
+		a.priv = forall.NewPrivateInspected(cnt, a.sched)
+	case mode == ModeDenseMerge:
+		a.slot = a.row
 		a.priv = forall.NewPrivate(dist.Counts(d))
 	case r == 0:
 		a.q0 = make([]float64, A.NRows)
@@ -377,10 +414,24 @@ func (a *ColBlockCSC) LocalNNZ() int { return a.nnzLocal }
 // Mode returns the accumulation mode.
 func (a *ColBlockCSC) Mode() Mode { return a.mode }
 
+// NGhosts returns how many rows owned by other processors the strip
+// touches: the ghost slots of the inspected merge's private copy, each
+// merged by sending its partial to the row's owner (0 in the other
+// modes, which inspect nothing).
+func (a *ColBlockCSC) NGhosts() int {
+	if a.sched == nil {
+		return 0
+	}
+	return a.sched.NGhosts()
+}
+
 // Rebind implements Rebindable.
 func (a *ColBlockCSC) Rebind(p *comm.Proc) {
 	checkRebind("ColBlockCSC", a.p, p)
 	a.p = p
+	if a.sched != nil {
+		a.sched.Rebind(p)
+	}
 }
 
 // Apply implements Operator in the configured mode.
@@ -389,7 +440,7 @@ func (a *ColBlockCSC) Apply(x, y *darray.Vector) {
 	switch a.mode {
 	case ModeSerialized:
 		a.applySerialized(x, y)
-	case ModePrivateMerge:
+	case ModePrivateMerge, ModeDenseMerge:
 		a.applyPrivateMerge(x, y)
 	default:
 		panic(fmt.Sprintf("spmv: unknown mode %v", a.mode))
@@ -424,9 +475,10 @@ func (a *ColBlockCSC) applySerialized(x, y *darray.Vector) {
 }
 
 // applyPrivateMerge is the §5.1 extension path: private accumulation,
-// then MERGE(+) via reduce-scatter onto y's distribution.
+// then MERGE(+) onto y's distribution — a reduce-scatter of the full
+// copies, or the inspected rows' reverse exchange.
 func (a *ColBlockCSC) applyPrivateMerge(x, y *darray.Vector) {
-	scatterCols(a.priv.Open(), a.colPtr, a.row, a.val, x.Local())
+	scatterCols(a.priv.Open(), a.colPtr, a.slot, a.val, x.Local())
 	a.p.Compute(2 * a.nnzLocal)
 	a.priv.MergeDistributed(a.p, y.Local())
 }

@@ -115,7 +115,7 @@ func TestColBlockCSCBothModes(t *testing.T) {
 		csc := A.ToCSC()
 		want := reference(A, false)
 		for _, np := range testNPs {
-			for _, mode := range []Mode{ModeSerialized, ModePrivateMerge} {
+			for _, mode := range []Mode{ModeSerialized, ModePrivateMerge, ModeDenseMerge} {
 				got := runApply(t, np, A, func(p *comm.Proc, d dist.Contiguous) Operator {
 					return NewColBlockCSC(p, csc, d, mode)
 				}, false)
@@ -196,7 +196,8 @@ func TestOperatorMetadata(t *testing.T) {
 			t.Errorf("dense NNZ = %d", den.NNZ())
 		}
 	})
-	if ModeSerialized.String() != "serialized" || ModePrivateMerge.String() != "private-merge" {
+	if ModeSerialized.String() != "serialized" || ModePrivateMerge.String() != "private-merge" ||
+		ModeDenseMerge.String() != "dense-merge" {
 		t.Error("mode names wrong")
 	}
 	if Mode(9).String() == "" {
@@ -237,7 +238,8 @@ func TestConstructorValidation(t *testing.T) {
 
 // §4's central claim: with regular striping, row-wise and column-wise
 // (with the extension) have the same asymptotic communication, while
-// the serialized column version also serialises the compute.
+// the serialized column version also serialises the compute. Both
+// merges beat it, the inspected one with its inspector included.
 func TestSerializedSlowerThanPrivateMerge(t *testing.T) {
 	A := sparse.Banded(512, 8)
 	csc := A.ToCSC()
@@ -253,10 +255,11 @@ func TestSerializedSlowerThanPrivateMerge(t *testing.T) {
 		})
 	}
 	serial := run(ModeSerialized)
-	merge := run(ModePrivateMerge)
-	if merge.ModelTime >= serial.ModelTime {
-		t.Errorf("private-merge model time %.3g should beat serialized %.3g",
-			merge.ModelTime, serial.ModelTime)
+	for _, mode := range []Mode{ModePrivateMerge, ModeDenseMerge} {
+		if merge := run(mode); merge.ModelTime >= serial.ModelTime {
+			t.Errorf("%v model time %.3g should beat serialized %.3g",
+				mode, merge.ModelTime, serial.ModelTime)
+		}
 	}
 }
 
