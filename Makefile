@@ -31,14 +31,12 @@ test:
 # operator runs the inspector's exchange on its plane schedule every
 # iteration, moving pooled plane buffers between rank goroutines, so
 # internal/mfree joins the pass. The multigrid V-cycle
-# runs those exchanges on every level, moves pooled transfer planes
-# between neighbours and shares one coarsest-grid factor, and its
-# lock-guarded solve memo, among all ranks of a run, so internal/mg
-# joins the pass. The CSR halo executor fills
-# its slot vector from the inspector schedule's pooled receive path on
-# every iteration, and that exchange loop is the only one the halo
-# executors and the stencil operators share, so internal/inspector
-# joins the pass. The csc-merge executor's private region merges by
+# runs those exchanges on every level and moves pooled transfer planes
+# between neighbours, so internal/mg joins the pass. The CSR halo
+# executor fills its slot vector from the inspector schedule's pooled
+# receive path on every iteration, and that exchange loop is the only
+# one the halo executors and the stencil operators share, so
+# internal/inspector joins the pass. The csc-merge executor's private region merges by
 # running the inspector's schedule in reverse, moving pooled partial-sum
 # buffers between rank goroutines, so internal/forall joins the pass. An
 # unobserved run's allreduce is a rendezvous whose
@@ -175,14 +173,12 @@ loc:
 # allocs), the matrix-free apply kernels (ns/point, GFLOP/s, zero
 # allocs), the multigrid smoother, residual and V-cycle at
 # solve_hpcg's shape (ns/point-pass, GFLOP/s over charged flops, zero
-# allocs), the packed Cholesky factor and solve of that shape's
-# 500-point coarsest grid (ns/op; the solve allocates nothing) and the
-# Matrix Market reader and COO-to-CSR conversion at serve_cold's upload
+# allocs) and the Matrix Market reader and COO-to-CSR conversion at serve_cold's upload
 # shape (MB/s, a constant handful of allocs), and the job-spec decoder on
 # a serve_cold body beside encoding/json over the same bytes (MB/s,
 # allocs). Every other wall number comes from benchmark/.
 bench:
-	$(GO) test -bench . -benchmem -run NONE ./internal/comm/... ./internal/inspector/... ./internal/darray/... ./internal/spmv/... ./internal/mfree/... ./internal/mg/... ./internal/direct/... ./internal/sparse/... ./internal/serve/...
+	$(GO) test -bench . -benchmem -run NONE ./internal/comm/... ./internal/inspector/... ./internal/darray/... ./internal/spmv/... ./internal/mfree/... ./internal/mg/... ./internal/sparse/... ./internal/serve/...
 
 # Every fuzz target, FUZZTIME each (`go test -fuzz` takes one target and
 # one package per run). Under `test` they only replay their seeds. A

@@ -78,7 +78,6 @@ var allowed = map[string]string{
 	"internal/spmv.RowBlockCSRPowers.LocalNNZ":   "accessor: TestPowersStatsMatchesKernel and TestGhostMetadata read the ring-0 stored entries",
 	"internal/spmv.RowBlockCSRPowers.OverlapNNZ": "accessor: TestPowersStatsMatchesKernel reads the replicated ring entries",
 	"internal/mfree.Operator.LocalNNZ":           "accessor: TestBitIdenticalToAssembled and mg's assembled comparison read the per-rank stencil entries",
-	"internal/mg.Problem.CoarseDirect":           "accessor: TestCoarseModeSelection and the assembled comparator read which bottom solve a problem took",
 	"internal/trace.CommMatrix.RowTotals":        "accessor: TestMatrixMatchesProcStats and TestMatrixMatchesRunStatsCSRSpMV hold per-sender bytes to ProcStats",
 	"internal/trace.CommMatrix.ColTotals":        "accessor: TestMatrixMatchesProcStats and TestMatrixMatchesRunStatsCSRSpMV hold per-receiver bytes to ProcStats",
 	"internal/trace.Recorder.RankEvents":         "accessor: the recorder tests and comm's TestIallreduceTracerSpans read one rank's recording order",

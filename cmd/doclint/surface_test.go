@@ -44,7 +44,7 @@ var deployable = map[string]bool{
 const (
 	smokeGo   = "cmd/hpfserve/smoke.go: "
 	clusterGo = "cmd/hpfserve/cluster.go: "
-	mgBlock   = smokeGo + `"mg":{"nx":4,"ny":4,"nz":4,"levels":2,"smooths":2,"coarse":"direct"}`
+	mgBlock   = smokeGo + `"mg":{"nx":4,"ny":4,"nz":4,"levels":2,"smooths":2}`
 	stBlock   = smokeGo + `"stencil":{"stencil":"27pt","nx":6,"ny":6,"nz":8,"center":30,"off":-1}`
 )
 
@@ -158,7 +158,6 @@ var ledger = map[string]string{
 	"internal/serve.MGSpec.nz":      mgBlock,
 	"internal/serve.MGSpec.levels":  mgBlock,
 	"internal/serve.MGSpec.smooths": mgBlock,
-	"internal/serve.MGSpec.coarse":  mgBlock,
 
 	"internal/serve.StencilSpec.stencil": stBlock,
 	"internal/serve.StencilSpec.nx":      stBlock,

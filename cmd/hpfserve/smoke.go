@@ -39,8 +39,8 @@ var smokeJobs = []smokeJob{
 	{`{"matrix":"laplace2d:16:16","np":4,"seed":7}`, serve.StateDone, func(v serve.JobView) error {
 		return want(v.Result.PlanCacheHit && v.Result.SetupModelTime == 0, "the repeat job missed the plan cache or paid setup")
 	}},
-	{`{"method":"hpcg","mg":{"nx":4,"ny":4,"nz":4,"levels":2,"smooths":2,"coarse":"direct"},"np":2}`, serve.StateDone, func(v serve.JobView) error {
-		return want(v.Result.Levels == 2 && v.Result.ModelGFlops > 0, "the hpcg job did not report 2 levels and a GFLOP rate")
+	{`{"method":"hpcg","mg":{"nx":4,"ny":4,"nz":4,"levels":2,"smooths":2},"np":2}`, serve.StateDone, func(v serve.JobView) error {
+		return want(v.Result.Levels == 2 && v.Result.ModelGFlops > 0 && v.Result.SetupModelTime == 0, "the hpcg job did not report 2 levels, a GFLOP rate and no setup")
 	}},
 	{`{"method":"stencil","stencil":{"stencil":"27pt","nx":6,"ny":6,"nz":8,"center":30,"off":-1},"np":2}`, serve.StateDone, func(v serve.JobView) error {
 		return want(v.Result.SetupModelTime == 0, "the matrix-free job paid setup")

@@ -52,7 +52,7 @@ var claims = map[string]struct{ claim, test string }{
 	"E19": {"Figure 2's three merges per iteration: fusion cuts the rounds and the modeled time", "TestE19FusionWins"},
 	"E20": {"guarantee: checkpoint/restart is bit-identical when healthy and recovers from crashes", "TestE20ResilienceShape"},
 	"E23": {"§4's t_s·log NP term: s-step CG merges 1/s times per iteration", "internal/core.TestCGSStepRoundsPerIteration"},
-	"E24": {"guarantee: the V-cycle cuts CG's iterations and repeats bit for bit (the runner)", "TestAllExperimentsRunQuick"},
+	"E24": {"guarantee: the V-cycle cuts CG's iterations (its modeled time only on the smallest bricks) and repeats bit for bit (the runner)", "TestAllExperimentsRunQuick"},
 	"E25": {"guarantee: matrix-free CG is bit-identical to assembled with zero setup (the runner)", "TestAllExperimentsRunQuick"},
 	"E26": {"§4's merge term: pipelined CG hides the allreduce, iterations+3 rounds (the runner)", "TestAllExperimentsRunQuick"},
 }

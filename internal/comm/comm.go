@@ -184,17 +184,10 @@ type runCtx struct {
 	// done is the run context's Done channel (nil for Run), polled by
 	// Compute.
 	done <-chan struct{}
-	// shared backs Proc.Shared: key -> *sharedSlot.
-	shared sync.Map
 	// rdv is where an unobserved run's allreduces meet (rendezvous.go);
 	// nil when a tracer or an injector is attached, and the tree's
 	// messages are sent one by one.
 	rdv *rendezvous
-}
-
-type sharedSlot struct {
-	once sync.Once
-	v    any
 }
 
 type deadFlag struct {
@@ -488,29 +481,6 @@ func (p *Proc) chargeCompute(flops int, dt float64) {
 	p.clock += dt
 	p.stats.ComputeTime += dt
 	p.stats.Flops += int64(flops)
-}
-
-// Shared returns the value build produces for key, computed once per
-// run by whichever rank asks first and handed to every rank that asks
-// with an equal key. It is an economy of the simulator, not a feature of
-// the modeled machine: ranks that redundantly compute the same
-// deterministic read-only object (multigrid's coarsest-grid factor) hold
-// one copy of it in the host's memory instead of NP. The modeled clock
-// is untouched, so a caller still charges every rank the flops of
-// computing the value itself. build must not call into p, and no rank
-// may write to the value afterwards, with one exception: the value may
-// carry a lock-guarded memo of a pure function of inputs every rank
-// holds identically (multigrid's bottom solve of the gathered coarse
-// residual), so the first rank to ask computes it and the rest read the
-// bits they would have computed. Keyed on the input's bits, such a memo
-// assumes nothing about how ranks interleave, and its caller still
-// charges every rank the flops. Keys of a package-private type cannot
-// collide across packages.
-func (p *Proc) Shared(key any, build func() any) any {
-	v, _ := p.rc.shared.LoadOrStore(key, &sharedSlot{})
-	slot := v.(*sharedSlot)
-	slot.once.Do(func() { slot.v = build() })
-	return slot.v
 }
 
 // collEnd records a collective span [start, now) when tracing is on.

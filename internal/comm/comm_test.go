@@ -565,38 +565,3 @@ func TestRunContextForwardsPanics(t *testing.T) {
 		p.Barrier()
 	})
 }
-
-// TestSharedBuildsOncePerRunAndKey: every rank asking for one key gets
-// the one value a single build produced; another key, and the same key
-// in a later run, build again; the modeled clock never moves.
-func TestSharedBuildsOncePerRunAndKey(t *testing.T) {
-	type key int
-	const np = 8
-	m := testMachine(np)
-	var builds atomic.Int64
-	build := func() any { builds.Add(1); return new(int) }
-	for run := 1; run <= 2; run++ {
-		got := make([]any, np)
-		var other any
-		rs := m.Run(func(p *Proc) {
-			got[p.Rank()] = p.Shared(key(1), build)
-			if p.Rank() == 3 {
-				other = p.Shared(key(2), build)
-			}
-		})
-		for r := range got {
-			if got[r] != got[0] {
-				t.Errorf("run %d: rank %d holds a different value than rank 0", run, r)
-			}
-		}
-		if other == got[0] {
-			t.Errorf("run %d: two keys share one value", run)
-		}
-		if n := builds.Load(); n != int64(2*run) {
-			t.Errorf("after run %d: %d builds, want %d", run, n, 2*run)
-		}
-		if rs.ModelTime != 0 {
-			t.Errorf("run %d: Shared moved the modeled clock to %g", run, rs.ModelTime)
-		}
-	}
-}

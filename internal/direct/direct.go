@@ -1,8 +1,8 @@
-// Package direct implements the dense direct solvers the paper
+// Package direct implements the dense direct solver the paper
 // positions iterative methods against (§1): Gaussian elimination (LU
-// with partial pivoting) and Cholesky factorisation. They serve as
-// numerical oracles in tests and as the baseline in experiment E12
-// (storage and arithmetic work of direct vs CG on sparse systems).
+// with partial pivoting). It serves as a numerical oracle in tests and
+// as the baseline in experiment E12 (storage and arithmetic work of
+// direct vs CG on sparse systems).
 package direct
 
 import (
@@ -13,8 +13,7 @@ import (
 	"hpfcg/internal/sparse"
 )
 
-// ErrSingular is returned when elimination meets a zero (or, for
-// Cholesky, non-positive) pivot.
+// ErrSingular is returned when elimination meets a zero pivot.
 var ErrSingular = errors.New("direct: matrix is singular to working precision")
 
 // LU holds a dense LU factorisation with partial pivoting: P·A = L·U.
@@ -108,102 +107,4 @@ func SolveDense(A *sparse.Dense, b []float64) ([]float64, error) {
 // storage and O(n³) time experiment E12 quantifies.
 func SolveCSR(A *sparse.CSR, b []float64) ([]float64, error) {
 	return SolveDense(A.ToDense(), b)
-}
-
-// Cholesky holds the lower-triangular factor of an SPD matrix: A = L·Lᵀ.
-// L is stored twice, packed by rows, so that both triangular sweeps of a
-// solve read contiguous memory: l holds row i of L (columns 0..i) at
-// offset i(i+1)/2, and u holds row i of Lᵀ (columns i..n-1) at offset
-// i·n − i(i−1)/2. Together they take n(n+1) words.
-type Cholesky struct {
-	n    int
-	l, u []float64
-}
-
-// lRow returns row i of L, columns 0..i.
-func (c *Cholesky) lRow(i int) []float64 { return c.l[i*(i+1)/2:][:i+1] }
-
-// uRow returns row i of Lᵀ, columns i..n-1.
-func (c *Cholesky) uRow(i int) []float64 { return c.u[i*c.n-i*(i-1)/2:][:c.n-i] }
-
-// FactorCholesky computes the Cholesky factorisation of dense SPD A,
-// row by row: entry (i, j) of L subtracts row i's and row j's first j
-// entries in ascending order, so every entry, and the first non-positive
-// pivot, is the same whichever order the rows and columns are visited.
-func FactorCholesky(A *sparse.Dense) (*Cholesky, error) {
-	n := A.NRows
-	if n != A.NCols {
-		return nil, fmt.Errorf("direct: matrix must be square, got %dx%d", n, A.NCols)
-	}
-	c := &Cholesky{n: n, l: make([]float64, n*(n+1)/2), u: make([]float64, n*(n+1)/2)}
-	for i := 0; i < n; i++ {
-		a, li := A.Row(i), c.lRow(i)
-		for j := 0; j < i; j++ {
-			lj, lij := c.lRow(j), li[:j]
-			s := a[j]
-			for k, v := range lj[:j] {
-				s -= lij[k] * v
-			}
-			li[j] = s / lj[j]
-		}
-		sum := a[i]
-		for _, v := range li[:i] {
-			sum -= v * v
-		}
-		if sum <= 0 {
-			return nil, fmt.Errorf("%w: non-positive pivot %g at column %d", ErrSingular, sum, i)
-		}
-		li[i] = math.Sqrt(sum)
-	}
-	for i := 0; i < n; i++ {
-		ui := c.uRow(i)
-		for k := range ui {
-			ui[k] = c.lRow(i + k)[i]
-		}
-	}
-	return c, nil
-}
-
-// Solve returns x with A·x = b via the two triangular solves.
-func (c *Cholesky) Solve(b []float64) ([]float64, error) {
-	x := make([]float64, len(b))
-	if err := c.SolveInto(x, b, make([]float64, len(b))); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// N returns the factored dimension.
-func (c *Cholesky) N() int { return c.n }
-
-// SolveInto solves A·x = b into dst, using scratch for the forward
-// substitution intermediate; all three slices must have length n and b
-// may alias neither output. Unlike Solve it allocates nothing, which is
-// what lets the multigrid coarsest-grid direct solve run inside a
-// zero-allocation V-cycle.
-func (c *Cholesky) SolveInto(dst, b, scratch []float64) error {
-	if len(b) != c.n || len(dst) != c.n || len(scratch) != c.n {
-		return fmt.Errorf("direct: SolveInto lengths %d/%d/%d != %d", len(dst), len(b), len(scratch), c.n)
-	}
-	y := scratch
-	for i := 0; i < c.n; i++ {
-		row, yj := c.lRow(i), y[:i]
-		sum := b[i]
-		for j, v := range row[:i] {
-			sum -= v * yj[j]
-		}
-		y[i] = sum / row[i]
-	}
-	x := dst
-	for i := c.n - 1; i >= 0; i-- {
-		row := c.uRow(i)
-		tail := row[1:]
-		xj := x[i+1:][:len(tail)]
-		sum := y[i]
-		for j, v := range tail {
-			sum -= v * xj[j]
-		}
-		x[i] = sum / row[0]
-	}
-	return nil
 }

@@ -92,60 +92,6 @@ func TestSolveCSR(t *testing.T) {
 	}
 }
 
-func TestCholesky(t *testing.T) {
-	A := sparse.RandomSPD(25, 5, 6).ToDense()
-	c, err := FactorCholesky(A)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := sparse.RandomVector(25, 2)
-	x, err := c.Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := residual(A, x, b); r > 1e-8 {
-		t.Fatalf("residual %g", r)
-	}
-	if _, err := c.Solve([]float64{1}); err == nil {
-		t.Fatal("expected length error")
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	A := sparse.NewDense(2, 2)
-	A.Set(0, 0, 1)
-	A.Set(1, 1, -1)
-	if _, err := FactorCholesky(A); !errors.Is(err, ErrSingular) {
-		t.Fatalf("expected ErrSingular, got %v", err)
-	}
-	rect := sparse.NewDense(2, 3)
-	if _, err := FactorCholesky(rect); err == nil {
-		t.Fatal("expected error for rectangular matrix")
-	}
-}
-
-func TestLUMatchesCholeskyOnSPD(t *testing.T) {
-	A := sparse.RandomSPD(30, 4, 9).ToDense()
-	b := sparse.RandomVector(30, 3)
-	xl, err := SolveDense(A, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := FactorCholesky(A)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xc, err := c.Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range xl {
-		if math.Abs(xl[i]-xc[i]) > 1e-8 {
-			t.Fatalf("LU and Cholesky disagree at %d: %g vs %g", i, xl[i], xc[i])
-		}
-	}
-}
-
 func TestFactorReuse(t *testing.T) {
 	A := sparse.RandomSPD(15, 3, 4).ToDense()
 	f, err := Factor(A)

@@ -2,14 +2,12 @@
 // multigrid-preconditioned stencil solve. Where Prepare captures a
 // matrix's RHS-independent analysis, PrepareMG captures a stencil
 // problem's. The level hierarchy is matrix-free — halo and transfers
-// are geometry, nothing is exchanged to set it up — so what the first
-// batch run builds and the handle caches is each rank's level scratch
-// and halo planes and, with a direct bottom solve, the coarsest-grid
-// Cholesky factor and its solve memo, one copy for all ranks
-// (mg.Spec.ModelBytes counts exactly these). The factor's ~cn³/3 flops per rank are the whole
-// modeled setup; a warm registry hit skips them and pays
-// SetupModelTime of exactly zero, the same semantics the CG plan cache
-// established.
+// are geometry, nothing is exchanged to set it up, and the coarsest
+// level is smoothed, not factored — so what the first batch run builds
+// and the handle caches is each rank's level scratch and halo planes
+// (mg.Spec.ModelBytes counts exactly these). Building them charges
+// nothing: cold and warm solves both report SetupModelTime of exactly
+// zero, as the stencil backend's do.
 package hpfexec
 
 import (

@@ -13,15 +13,15 @@
 //	gen:<generator spec>                    laplace2d:128:128 (sparse.GeneratorByName)
 //	stencil:<5pt|27pt>:<global grid>[:c<center>][:o<off>]
 //	                                        stencil:5pt:48x48, stencil:27pt:32x32x32:c26:o-1
-//	hpcg:[27pt:]<per-rank brick>[:L<levels>][:S<smooths>][:C<auto|smooth|direct>]
-//	                                        hpcg:8x8x8:L2:S2, hpcg:27pt:8x8x8:L4:S1:Cauto
+//	hpcg:[27pt:]<per-rank brick>[:L<levels>][:S<smooths>]
+//	                                        hpcg:8x8x8:L2:S2, hpcg:27pt:8x8x8:L4:S1
 //
 // The two stencil forms differ in what their dimensions size: a stencil
 // problem's are the GLOBAL grid (nx x ny for 5pt, nx x ny x nz for
 // 27pt), split into z-slabs over the ranks; an hpcg problem's are each
 // RANK's brick, so its global grid is nx x ny x nz·np (the HPCG
 // convention). The "gen:" prefix may be left out. Left-out coefficients,
-// levels, smooths and coarse take the backend defaults, and String
+// levels and smooths take the backend defaults, and String
 // writes them all, so ParseProblem(p.String()) is p. An upload has no
 // text form: it is built by Upload from the document itself.
 package hpfexec
@@ -82,7 +82,7 @@ func MG(s mg.Spec) Problem {
 // The two stencil forms of the grammar; a generator spec's is sparse's.
 var (
 	stencilForm = regexp.MustCompile(`^stencil:(5pt|27pt):(-?\d+)x(-?\d+)(?:x(-?\d+))?(?::c([^:]+))?(?::o([^:]+))?$`)
-	hpcgForm    = regexp.MustCompile(`^hpcg:(?:27pt:)?(-?\d+)x(-?\d+)x(-?\d+)(?::L(-?\d+))?(?::S(-?\d+))?(?::C(auto|smooth|direct))?$`)
+	hpcgForm    = regexp.MustCompile(`^hpcg:(?:27pt:)?(-?\d+)x(-?\d+)x(-?\d+)(?::L(-?\d+))?(?::S(-?\d+))?$`)
 )
 
 // ParseProblem reads the text grammar of the file comment. The grammar
@@ -99,11 +99,11 @@ func ParseProblem(s string) (Problem, error) {
 	if m := stencilForm.FindStringSubmatch(s); m != nil && (m[1] == "27pt") == (m[4] != "") {
 		p = Stencil(mfree.Spec{Stencil: m[1], Nx: num(m[2]), Ny: num(m[3]), Nz: num(m[4]), Center: float(m[5]), Off: float(m[6])})
 	} else if m := hpcgForm.FindStringSubmatch(s); m != nil {
-		p = MG(mg.Spec{Nx: num(m[1]), Ny: num(m[2]), Nz: num(m[3]), Levels: num(m[4]), Smooths: num(m[5]), Coarse: strings.TrimPrefix(m[6], "auto")})
+		p = MG(mg.Spec{Nx: num(m[1]), Ny: num(m[2]), Nz: num(m[3]), Levels: num(m[4]), Smooths: num(m[5])})
 	} else if kind == BackendStencil {
 		err = fmt.Errorf("want stencil:5pt:<nx>x<ny> or stencil:27pt:<nx>x<ny>x<nz> (the global grid), then [:c<center>][:o<off>]")
 	} else if kind == BackendHPCG {
-		err = fmt.Errorf("want hpcg:<nx>x<ny>x<nz> (each rank's brick), then [:L<levels>][:S<smooths>][:C<auto|smooth|direct>]")
+		err = fmt.Errorf("want hpcg:<nx>x<ny>x<nz> (each rank's brick), then [:L<levels>][:S<smooths>]")
 	} else {
 		spec := strings.TrimPrefix(s, "gen:")
 		p, err = Generated(spec), sparse.CheckGeneratorSpec(spec)

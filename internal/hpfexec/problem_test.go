@@ -64,7 +64,6 @@ func TestProblemChecksNameTheField(t *testing.T) {
 		{MG(mg.Spec{Nx: 4, Ny: 4, Nz: mg.MaxDim + 1}), "", "mg.nz"},
 		{MG(mg.Spec{Nx: 4, Ny: 4, Nz: 4, Levels: 99}), "", "mg.levels"},
 		{MG(mg.Spec{Nx: 4, Ny: 4, Nz: 4, Smooths: -1}), "", "mg.smooths"},
-		{MG(mg.Spec{Nx: 4, Ny: 4, Nz: 4, Coarse: "cholesky"}), "", "mg.coarse"},
 		{MG(mg.Spec{Nx: 4, Ny: 4, Nz: 4}), "balanced", "layout"},
 	} {
 		_, err := Open(machine(4), c.p, c.layout)
@@ -150,7 +149,7 @@ func FuzzParseProblem(f *testing.F) {
 		"stencil:5pt:32x24", "stencil:27pt:8x8x10", "stencil:5pt:32x24x99", "stencil:5pt:32x24junk",
 		"stencil:27pt:4x4x4x4", "stencil:27pt:4x4x4x", "stencil:5pt:32", "stencil:9pt:3x3", "stencil:27pt:4x4",
 		"stencil:5pt:", "stencil:5pt:32x 24", "stencil:5pt", "", "stencil:5pt:+3x04", "stencil:27pt:-1x0x99999999999",
-		"hpcg:4x4x4", "hpcg:27pt:8x8x8:L4:S1:Cauto", "hpcg:8x8x8:L2:S2:Cdirect", "hpcg:4x4x4:L99:S-1:Cx",
+		"hpcg:4x4x4", "hpcg:27pt:8x8x8:L4:S1", "hpcg:8x8x8:L2:S2:Cdirect", "hpcg:4x4x4:L99:S-1:Cx",
 		"laplace2d:32:32", "gen:banded:256:4", "nascg:S:1", "stencil:5pt:8x8:c1e400:oNaN", "stencil:27pt:4x4x4:c-0:o0",
 	} {
 		f.Add(s)

@@ -54,7 +54,12 @@ func NewHalo(p *comm.Proc, b grid.Brick3) *inspector.Schedule {
 // read it. Ghosts come by ascending source rank, so low is first; the
 // ghost value of in-plane coordinates (x, y) sits at slot y·X+x.
 func (a *Operator) exchange(xl []float64) (low, high []float64) {
-	g := a.halo.Exchange(xl)
+	return a.ghostPlanes(a.halo.Exchange(xl))
+}
+
+// ghostPlanes splits the schedule's ghost buffer g into exchange's two
+// planes.
+func (a *Operator) ghostPlanes(g []float64) (low, high []float64) {
 	n := a.brick.X * a.brick.Y
 	if a.zlo > 0 {
 		low = g[:n]

@@ -1,9 +1,9 @@
 package mfree
 
-// The two kernels internal/mg's V-cycle needs beside the apply, on the
+// The kernels internal/mg's V-cycle needs beside the apply, on the
 // 27-point stencil only (nothing smooths a 5-point operator). They take
 // and return the rank's local blocks, as the V-cycle's level scratch is
-// plain slices. Both are bit-identical to the assembled level's CSR
+// plain slices. All are bit-identical to the assembled level's CSR
 // loops — s = r[i], then s -= coef·v over the row's entries in ascending
 // column order, the diagonal included — and carry the same flop charges.
 
@@ -30,6 +30,26 @@ func (a *Operator) Residual(r, x, res []float64) {
 func (a *Operator) SymGS(r, x []float64) {
 	a.need27("SymGS")
 	low, high := a.exchange(x)
+	a.symGS(r, x, low, high)
+}
+
+// SymGSFromZero is SymGS from x = 0, the first pre-smoothing sweep of a
+// V-cycle level: it sets x to +0.0 (one flop per point, the zeroing's
+// charge) and sweeps with ghost planes of +0.0 — exactly what an
+// exchange of the neighbours' zeroed x would bring — so no message
+// moves, and x and the flop charges are SymGS's bit for bit. The planes
+// are the halo schedule's own ghost buffer, zeroed in place.
+func (a *Operator) SymGSFromZero(r, x []float64) {
+	a.need27("SymGSFromZero")
+	clear(x)
+	a.p.Compute(len(x))
+	low, high := a.ghostPlanes(a.halo.ZeroGhosts())
+	a.symGS(r, x, low, high)
+}
+
+// symGS is the sweep body of SymGS and SymGSFromZero over the ghost
+// planes low and high.
+func (a *Operator) symGS(r, x, low, high []float64) {
 	Y := a.brick.Y
 	for z := a.zlo; z < a.zhi; z++ {
 		for y := 0; y < Y; {

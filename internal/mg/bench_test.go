@@ -71,8 +71,9 @@ func BenchmarkResidual(b *testing.B) {
 
 // BenchmarkVCycle measures the whole preconditioner application. Each
 // call negates r first, so consecutive V-cycles alternate two
-// right-hand sides and every one pays the bottom solve a PCG iteration
-// pays, not a hit in the shared factor's memo.
+// right-hand sides as a solve's do. No V-cycle state is keyed on r, so
+// there is no memo for the repeat to hit; the negation stays so the
+// figure remains comparable with earlier runs of this benchmark.
 func BenchmarkVCycle(b *testing.B) {
 	benchKernel(b, 5, func(pb *Problem, r, x *darray.Vector) {
 		rl := r.Local()

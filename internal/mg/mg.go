@@ -26,11 +26,17 @@
 // TestLevelKernelsMatchAssembled holds every kernel, transfer, V-cycle
 // and whole solve to.
 //
+// The coarsest level is smoothed, not solved: its pre-smoothing sweeps
+// are the bottom of the V-cycle, as in the HPCG reference, so no rank
+// repeats a computation every other rank also does. The first sweep on
+// each level starts from a correction of +0.0, whose halo is +0.0 too,
+// so it reads ghost planes of zeros and exchanges nothing.
+//
 // Everything about a problem is deterministic in (spec, np): level
-// setup, smoother sweep order, and the single halo exchange per sweep
-// are all sequential per rank with frozen ghosts, so repeated solves
-// are bit-identical — the property the serving tier's plan registry
-// and the E24 experiment both assert.
+// setup, smoother sweep order, and the one halo exchange per later
+// sweep are all sequential per rank with frozen ghosts, so repeated
+// solves are bit-identical — the property the serving tier's plan
+// registry and the E24 experiment both assert.
 package mg
 
 import (
@@ -49,15 +55,6 @@ const (
 	MaxLevels      = 8
 	MaxSmooths     = 8
 	MaxDim         = 256
-
-	// MaxCoarseDirect bounds the coarsest-grid direct solve: on the
-	// modeled machine each rank redundantly factors the whole coarsest
-	// operator densely and solves it every V-cycle (the host factors once
-	// per run and solves once per V-cycle for all ranks), so the grid
-	// must be small enough that the O(N³) factor and O(N²) solves stay
-	// cheap next to a smoother sweep. Auto mode falls back to smoothing
-	// above this size instead of erroring.
-	MaxCoarseDirect = 512
 )
 
 // Spec sizes one HPCG-style problem: each rank owns an Nx × Ny × Nz
@@ -65,17 +62,12 @@ const (
 // deep (clamped to what the geometry supports; 0 selects
 // DefaultLevels), and every V-cycle level runs Smooths symmetric
 // Gauss-Seidel sweeps before and after coarse correction (0 selects
-// DefaultSmooths).
+// DefaultSmooths); the coarsest level runs its Smooths pre-smoothing
+// sweeps alone, the HPCG reference's bottom solve.
 type Spec struct {
 	Nx, Ny, Nz int
 	Levels     int
 	Smooths    int
-	// Coarse selects the coarsest-grid treatment: "" (auto — a direct
-	// Cholesky solve when the coarsest grid has at most MaxCoarseDirect
-	// points, smoother sweeps otherwise), "smooth" (the original HPCG
-	// convention: smoother sweeps only), or "direct" (require the
-	// direct solve; NewProblem errors if the coarsest grid is too big).
-	Coarse string
 }
 
 // WithDefaults fills zero Levels/Smooths with the package defaults.
@@ -108,11 +100,6 @@ func (s Spec) Validate() error {
 	if s.Smooths < 1 || s.Smooths > MaxSmooths {
 		return fmt.Errorf("field mg.smooths: %d outside [1, %d] (0 selects %d)", s.Smooths, MaxSmooths, DefaultSmooths)
 	}
-	switch s.Coarse {
-	case "", "smooth", "direct":
-	default:
-		return fmt.Errorf("field mg.coarse: %q unsupported (auto %q, smooth, direct)", s.Coarse, "")
-	}
 	return nil
 }
 
@@ -126,21 +113,14 @@ func (s Spec) Fine(np int) (grid.Brick3, error) {
 // equal keys build identical problems at equal np.
 func (s Spec) Key() string {
 	s = s.WithDefaults()
-	coarse := s.Coarse
-	if coarse == "" {
-		coarse = "auto"
-	}
-	return fmt.Sprintf("27pt:%dx%dx%d:L%d:S%d:C%s", s.Nx, s.Ny, s.Nz, s.Levels, s.Smooths, coarse)
+	return fmt.Sprintf("27pt:%dx%dx%d:L%d:S%d", s.Nx, s.Ny, s.Nz, s.Levels, s.Smooths)
 }
 
 // ModelBytes estimates the resident size of a prepared hierarchy at np
 // ranks, summed over the clamped hierarchy. No level stores an operator,
 // so what is resident is the V-cycle's scratch vectors (the residual on
 // every level but the coarsest, right-hand side and correction on every
-// level but the finest), each rank's two halo planes per level, and —
-// with a coarsest-grid direct solve — the packed Cholesky factor (L and
-// Lᵀ, cn(cn+1) words) and its three-vector solve memo, held once for
-// all ranks, plus each rank's gathered coarse right-hand side. Like
+// level but the finest) and each rank's two halo planes per level. Like
 // Prepared.MemoryBytes this is a cache-pressure signal for the plan
 // registry, not an allocator.
 func (s Spec) ModelBytes(np int) int64 {
@@ -164,10 +144,6 @@ func (s Spec) ModelBytes(np int) int64 {
 		if l+1 < depth {
 			b = b.Coarsen()
 		}
-	}
-	// b is the coarsest brick after the loop.
-	if cn := int64(b.N()); s.Coarse != "smooth" && cn <= MaxCoarseDirect {
-		words += cn*(cn+1) + 3*cn + int64(np)*cn
 	}
 	return words * floatB
 }

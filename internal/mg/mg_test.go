@@ -300,135 +300,6 @@ func TestVCycleAllocFree(t *testing.T) {
 	}
 }
 
-// TestVCycleMissAllocFree: the bottom solve's miss path allocates
-// nothing either. TestVCycleAllocFree repeats one right-hand side, so
-// after its warm-up every bottom solve is a memo hit; here consecutive
-// V-cycles alternate two, so every one of them solves.
-func TestVCycleMissAllocFree(t *testing.T) {
-	for _, np := range []int{1, 4} {
-		var allocs float64
-		var pb0 *Problem
-		var before int
-		const runs = 10
-		machine(np).Run(func(p *comm.Proc) {
-			pb, err := NewProblem(p, Spec{Nx: 4, Ny: 4, Nz: 4, Levels: 3})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			d := pb.Dist()
-			rs := []*darray.Vector{darray.New(p, d), darray.New(p, d)}
-			fill(rs[0].Local(), d.Lo(p.Rank()), 1)
-			fill(rs[1].Local(), d.Lo(p.Rank()), 2)
-			z := darray.New(p, d)
-			M := pb.Precond()
-			k := 0
-			apply := func() {
-				M.Apply(rs[k%2], z)
-				k++
-			}
-			apply() // warm-up: pools fill, block buffers size
-			apply()
-			// The barrier keeps a lagging rank's warm-up out of rank 0's
-			// count, and no rank can reach the next bottom solve before
-			// rank 0 does.
-			p.Barrier()
-			if p.Rank() == 0 {
-				pb0 = pb
-				pb.coarse.mu.Lock()
-				before = pb.coarse.solves
-				pb.coarse.mu.Unlock()
-				allocs = testing.AllocsPerRun(runs, apply)
-			} else {
-				for i := 0; i < runs+1; i++ {
-					apply()
-				}
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("np=%d: V-cycle allocates %v per application when every bottom solve misses", np, allocs)
-		}
-		if got := pb0.coarse.solves - before; got != runs+1 {
-			t.Errorf("np=%d: %d bottom solves over %d V-cycles with alternating right-hand sides, want one each", np, got, runs+1)
-		}
-	}
-}
-
-// TestCoarseSolveSharedOncePerRHS: the ranks of a run share the bottom
-// solve. A V-cycle with a new coarse right-hand side costs the run
-// exactly one factor solve, a repeat of the last one costs none, and
-// the bottom solution is chol.SolveInto's on the gathered right-hand
-// side. The V-cycle's answer and every rank's modeled clock are
-// bit-equal to a run in which each rank solves redundantly with a
-// factor of its own.
-func TestCoarseSolveSharedOncePerRHS(t *testing.T) {
-	spec := Spec{Nx: 8, Ny: 8, Nz: 4, Levels: 3, Coarse: "direct"}
-	salts := []int{1, 1, 2, 1, 2, 2}
-	wantSolves := []int{1, 1, 2, 3, 4, 4}
-	type step struct {
-		z     []float64
-		clock float64
-	}
-	for _, np := range []int{1, 2, 3, 4, 8} {
-		run := func(shared bool) [][]step {
-			steps := make([][]step, np)
-			machine(np).Run(func(p *comm.Proc) {
-				pb, err := NewProblem(p, spec)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				chol := pb.coarse.chol
-				cn := chol.N()
-				if !shared {
-					pb.coarse = &coarseFactor{chol: chol, in: make([]float64, cn), out: make([]float64, cn), scratch: make([]float64, cn)}
-				}
-				d := pb.Dist()
-				r, z := darray.New(p, d), darray.New(p, d)
-				bottom := pb.levels[len(pb.levels)-1]
-				sol, scratch := make([]float64, cn), make([]float64, cn)
-				for k, salt := range salts {
-					fill(r.Local(), d.Lo(p.Rank()), salt)
-					pb.Precond().Apply(r, z)
-					steps[p.Rank()] = append(steps[p.Rank()], step{append([]float64(nil), z.Local()...), p.Clock()})
-					if err := chol.SolveInto(sol, pb.coarseFull, scratch); err != nil {
-						t.Error(err)
-						return
-					}
-					if i := sameBits(bottom.x, sol[bottom.zlo*bottom.b.X*bottom.b.Y:][:bottom.n]); i >= 0 {
-						t.Errorf("np=%d shared=%v rank %d V-cycle %d: bottom x[%d] differs from chol.SolveInto", np, shared, p.Rank(), k, i)
-					}
-					// Every rank has called the bottom solve once the
-					// barrier returns, and none can call the next before
-					// rank 0 has entered its V-cycle.
-					p.Barrier()
-					if shared && p.Rank() == 0 {
-						pb.coarse.mu.Lock()
-						got := pb.coarse.solves
-						pb.coarse.mu.Unlock()
-						if got != wantSolves[k] {
-							t.Errorf("np=%d: %d bottom solves after V-cycle %d, want %d", np, got, k, wantSolves[k])
-						}
-					}
-				}
-			})
-			return steps
-		}
-		got, want := run(true), run(false)
-		for r := range want {
-			for k := range want[r] {
-				g, w := got[r][k], want[r][k]
-				if i := sameBits(g.z, w.z); i >= 0 {
-					t.Errorf("np=%d rank %d V-cycle %d: z[%d] = %v, redundant solve %v", np, r, k, i, g.z[i], w.z[i])
-				}
-				if g.clock != w.clock {
-					t.Errorf("np=%d rank %d V-cycle %d: modeled clock %v, redundant solve %v", np, r, k, g.clock, w.clock)
-				}
-			}
-		}
-	}
-}
-
 // TestModelBytesPositive: the registry sizing signal scales with the
 // problem and never returns zero for a valid spec.
 func TestModelBytesPositive(t *testing.T) {
@@ -443,7 +314,7 @@ func TestModelBytesPositive(t *testing.T) {
 // be the heap a built hierarchy actually holds, or the registry evicts
 // plans it has room for (over-report) or overruns its budget
 // (under-report). Measured on solve_hpcg's shape — 20³ per rank, four
-// ranks, three levels, direct bottom — as the live heap the four
+// ranks, three levels — as the live heap the four
 // Problems keep after a collection; the formula must land within 1.5x
 // either way.
 func TestModelBytesTracksRetainedHeap(t *testing.T) {
@@ -474,77 +345,85 @@ func TestModelBytesTracksRetainedHeap(t *testing.T) {
 	t.Logf("ModelBytes %.0f, retained %.0f", model, retained)
 }
 
-// TestCoarseDirectIterationRegression guards the coarsest-grid direct
-// solve: against the same problem and tolerance, the exact bottom solve
-// must never need more PCG iterations than the smoother-only bottom —
-// and the answers of both variants must converge. This is the
-// regression fence for the "remaining depth" item the direct solve
-// closes.
-func TestCoarseDirectIterationRegression(t *testing.T) {
-	for _, np := range []int{1, 4} {
-		smooth := Spec{Nx: 4, Ny: 4, Nz: 4, Levels: 3, Coarse: "smooth"}
-		dir := Spec{Nx: 4, Ny: 4, Nz: 4, Levels: 3, Coarse: "direct"}
-		_, itSmooth, _ := solveBoth(t, np, smooth, 1e-10)
-		_, itDirect, _ := solveBoth(t, np, dir, 1e-10)
-		if itDirect > itSmooth {
-			t.Errorf("np=%d: direct coarse solve needs %d PCG iterations, smoother-only %d", np, itDirect, itSmooth)
-		}
+// vcycleExchanging is vcycle with every sweep exchanging its halo: the
+// first pre-smooth runs SymGS on the zeroed x instead of SymGSFromZero.
+func (pb *Problem) vcycleExchanging(l int, rl, xl []float64) {
+	lv := pb.levels[l]
+	for i := range xl {
+		xl[i] = 0
+	}
+	pb.p.Compute(lv.n)
+	for s := 0; s < pb.smooths; s++ {
+		lv.op.SymGS(rl, xl)
+	}
+	if l == len(pb.levels)-1 {
+		return
+	}
+	lv.op.Residual(rl, xl, lv.res)
+	next := pb.levels[l+1]
+	next.restrictFrom(pb.p, lv, lv.res)
+	pb.vcycleExchanging(l+1, next.r, next.x)
+	next.prolongInto(pb.p, lv, xl)
+	for s := 0; s < pb.smooths; s++ {
+		lv.op.SymGS(rl, xl)
 	}
 }
 
-// TestCoarseModeSelection: auto picks the direct solve when the
-// coarsest grid is small enough and falls back to smoothing when it is
-// not; explicit "direct" on an oversized coarsest grid is an error, not
-// a silent fallback.
-func TestCoarseModeSelection(t *testing.T) {
-	machine(2).Run(func(p *comm.Proc) {
-		pb, err := NewProblem(p, Spec{Nx: 4, Ny: 4, Nz: 4, Levels: 3})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if !pb.CoarseDirect() {
-			t.Error("auto did not select the direct solve for a tiny coarsest grid")
-		}
-		pb, err = NewProblem(p, Spec{Nx: 4, Ny: 4, Nz: 4, Levels: 3, Coarse: "smooth"})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if pb.CoarseDirect() {
-			t.Error("explicit smooth still built a factor")
-		}
-		// 16×16×16 per rank at depth 1: the coarsest grid IS the fine
-		// grid (8192 points), far over MaxCoarseDirect.
-		big := Spec{Nx: 16, Ny: 16, Nz: 16, Levels: 1}
-		pb, err = NewProblem(p, big)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if pb.CoarseDirect() {
-			t.Error("auto built a dense factor over an oversized coarsest grid")
-		}
-		big.Coarse = "direct"
-		if _, err := NewProblem(p, big); err == nil {
-			t.Error("explicit direct accepted an oversized coarsest grid")
-		}
-	})
-	if err := (Spec{Nx: 4, Ny: 4, Nz: 4, Coarse: "cholesky"}).WithDefaults().Validate(); err == nil {
-		t.Error("unknown coarse mode validated")
-	}
-}
-
-// TestCoarseDirectDeterministic: the redundant bottom solve is
-// bit-identical across repeat runs (every rank factors and solves the
-// same dense system).
-func TestCoarseDirectDeterministic(t *testing.T) {
-	spec := Spec{Nx: 4, Ny: 4, Nz: 4, Levels: 3, Coarse: "direct"}
-	_, _, x0 := solveBoth(t, 4, spec, 1e-10)
-	_, _, x1 := solveBoth(t, 4, spec, 1e-10)
-	for i := range x0 {
-		if x0[i] != x1[i] {
-			t.Fatalf("x[%d] differs across runs: %v vs %v", i, x0[i], x1[i])
+// TestFirstSweepExchangesNothing: the first pre-smooth on each level
+// starts from x = +0.0, whose halo is +0.0, so the V-cycle sends exactly
+// one SymGS halo exchange per level fewer than vcycleExchanging —
+// messages and bytes, sent and received, each level's exchange measured
+// on its own SymGS — charges the same flops, and returns the same bits.
+func TestFirstSweepExchangesNothing(t *testing.T) {
+	for _, np := range []int{1, 2, 3, 4, 8} {
+		for _, smooths := range []int{1, 2} {
+			spec := Spec{Nx: 4, Ny: 4, Nz: 4, Levels: 3, Smooths: smooths}
+			machine(np).Run(func(p *comm.Proc) {
+				pb, err := NewProblem(p, spec)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if pb.Levels() != 3 {
+					t.Errorf("np=%d: %d levels, want 3", np, pb.Levels())
+					return
+				}
+				// The message and flop counts run moves on this rank.
+				delta := func(run func()) comm.ProcStats {
+					s0 := p.Stats()
+					run()
+					s1 := p.Stats()
+					return comm.ProcStats{MsgsSent: s1.MsgsSent - s0.MsgsSent, BytesSent: s1.BytesSent - s0.BytesSent,
+						MsgsRecv: s1.MsgsRecv - s0.MsgsRecv, BytesRecv: s1.BytesRecv - s0.BytesRecv, Flops: s1.Flops - s0.Flops}
+				}
+				// One SymGS exchange per level, measured on sweeps that
+				// leave nonzero ghosts behind for the V-cycle's first
+				// sweep to ignore.
+				exchanges := delta(func() {
+					for l, lv := range pb.levels {
+						rl, xl := make([]float64, lv.n), make([]float64, lv.n)
+						fill(rl, lv.zlo*lv.b.X*lv.b.Y, 2+l)
+						fill(xl, lv.zlo*lv.b.X*lv.b.Y, 3+l)
+						lv.op.SymGS(rl, xl)
+					}
+				})
+				exchanges.Flops = 0 // skipping an exchange saves no flops
+				d := pb.Dist()
+				r := make([]float64, d.Count(p.Rank()))
+				fill(r, d.Lo(p.Rank()), 1)
+				z, want := make([]float64, len(r)), make([]float64, len(r))
+				got := delta(func() { pb.vcycle(0, r, z) })
+				ref := delta(func() { pb.vcycleExchanging(0, r, want) })
+				saved := comm.ProcStats{MsgsSent: ref.MsgsSent - got.MsgsSent, BytesSent: ref.BytesSent - got.BytesSent,
+					MsgsRecv: ref.MsgsRecv - got.MsgsRecv, BytesRecv: ref.BytesRecv - got.BytesRecv, Flops: ref.Flops - got.Flops}
+				if saved != exchanges {
+					t.Errorf("np=%d S%d rank %d: the V-cycle saves %+v against an exchanging first sweep, want one SymGS exchange per level, %+v",
+						np, smooths, p.Rank(), saved, exchanges)
+				}
+				if i := sameBits(z, want); i >= 0 {
+					t.Errorf("np=%d S%d rank %d: z[%d] = %v, exchanging first sweep %v", np, smooths, p.Rank(), i, z[i], want[i])
+				}
+			})
 		}
 	}
 }

@@ -68,7 +68,7 @@ func TestServedVariantAdmissionPinned(t *testing.T) {
 		"cg/csc/s=-1/p=false/r=true":   "ok resilient sstep=1 pipelined=false it=44 t=0.0087518",
 		"cg/csc/s=-1/p=true/r=false":   "400 sstep",
 		"cg/csc/s=-1/p=true/r=true":    "400 pipelined",
-		"hpcg/s=0/p=false/r=false":     "ok plain sstep=0 pipelined=false it=6 t=0.00201202",
+		"hpcg/s=0/p=false/r=false":     "ok plain sstep=0 pipelined=false it=6 t=0.00178928",
 		"hpcg/s=0/p=false/r=true":      "400 resilient",
 		"hpcg/s=0/p=true/r=false":      "400 pipelined",
 		"hpcg/s=0/p=true/r=true":       "400 pipelined",

@@ -29,9 +29,6 @@ type MGSpec struct {
 	Nz      int `json:"nz"`
 	Levels  int `json:"levels,omitempty"`
 	Smooths int `json:"smooths,omitempty"`
-	// Coarse selects the coarsest-grid treatment: "" (auto), "smooth"
-	// (HPCG-convention smoother sweeps) or "direct" (dense Cholesky).
-	Coarse string `json:"coarse,omitempty"`
 }
 
 // StencilSpec sizes a stencil job's matrix-free problem: the global

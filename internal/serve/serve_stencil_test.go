@@ -142,7 +142,6 @@ func TestStencilValidationFieldNames(t *testing.T) {
 		{JobSpec{Method: "hpcg", MG: &MGSpec{Nx: 4, Ny: 4, Nz: 4}, Resilient: true}, "resilient"},
 		{JobSpec{Matrix: "laplace1d:8", Stencil: &StencilSpec{Stencil: "5pt", Nx: 8, Ny: 8}}, "stencil"},
 		{JobSpec{Method: "hpcg", MG: &MGSpec{Nx: 4, Ny: 4, Nz: 4}, Stencil: &StencilSpec{Stencil: "5pt", Nx: 8, Ny: 8}}, "stencil"},
-		{JobSpec{Method: "hpcg", MG: &MGSpec{Nx: 4, Ny: 4, Nz: 4, Coarse: "cholesky"}}, "mg.coarse"},
 		// A layout applies to an assembled matrix only: the stencil
 		// backends never read it, so naming one is refused, not keyed.
 		{JobSpec{Method: "stencil", Stencil: &StencilSpec{Stencil: "5pt", Nx: 8, Ny: 8}, Layout: "csc-merge"}, "layout"},
@@ -160,6 +159,12 @@ func TestStencilValidationFieldNames(t *testing.T) {
 		if !strings.Contains(err.Error(), "field "+c.field) {
 			t.Errorf("case %d: error %q does not name field %q", i, err, c.field)
 		}
+	}
+	// The mg block has no coarse-solve knob: the decoder refuses one as
+	// it refuses any unknown field.
+	body := `{"method":"hpcg","mg":{"nx":4,"ny":4,"nz":4,"coarse":"direct"}}`
+	if _, err := DecodeJobSpec([]byte(body)); err == nil || !strings.Contains(err.Error(), `unknown field "coarse"`) {
+		t.Errorf("DecodeJobSpec(%s) = %v, want the unknown-field refusal", body, err)
 	}
 }
 
@@ -218,43 +223,5 @@ func TestStencilRegistryDisabled(t *testing.T) {
 	}
 	if v.Result.SetupModelTime != 0 {
 		t.Errorf("setup_model_time = %g, want exactly 0", v.Result.SetupModelTime)
-	}
-}
-
-// TestMGCoarsePassThrough: the mg.coarse knob reaches the hierarchy —
-// explicit smooth and direct produce different plan keys, so they never
-// share a cached plan.
-func TestMGCoarsePassThrough(t *testing.T) {
-	smooth := JobSpec{Method: "hpcg", MG: &MGSpec{Nx: 4, Ny: 4, Nz: 4, Levels: 3, Coarse: "smooth"}, NP: 2}
-	direct := JobSpec{Method: "hpcg", MG: &MGSpec{Nx: 4, Ny: 4, Nz: 4, Levels: 3, Coarse: "direct"}, NP: 2}
-	smooth.normalize()
-	direct.normalize()
-	if smooth.key() == direct.key() {
-		t.Error("smooth and direct coarse modes share a batch key")
-	}
-	hs, err := smooth.ContentHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hd, err := direct.ContentHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hs == hd {
-		t.Error("smooth and direct coarse modes share a content hash")
-	}
-
-	s := New(Options{Workers: 1})
-	defer s.Drain(testCtx(t))
-	j, err := s.Submit(direct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := s.Wait(testCtx(t), j.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.State != StateDone || !v.Result.Converged {
-		t.Fatalf("coarse=direct job: state %s (err %q)", v.State, v.Error)
 	}
 }
