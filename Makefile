@@ -52,9 +52,10 @@ check: build vet test race smoke docs-lint
 # Documentation and reachability floor: every package carries a package
 # doc comment, the strict packages (internal/comm, internal/core,
 # internal/hpfexec) document every exported identifier, and every
-# exported identifier in internal/ is reached from non-test code or
-# allow-listed with its reason. See cmd/doclint; its own tests run the
-# same rules under `test`.
+# exported identifier in internal/ is reached from non-test code (a use
+# go/types resolves to it, not a name that matches) or allow-listed with
+# its reason. See cmd/doclint; its own tests run the same rules under
+# `test`.
 docs-lint:
 	$(GO) run ./cmd/doclint
 

@@ -12,32 +12,41 @@
 //     These are the packages other layers program against; an exported
 //     name without a contract is an API nobody can hold.
 //  3. Every exported identifier in internal/ is reached from non-test
-//     code. A package-level func, type, var or const is reached when
-//     another package's non-test file selects it as pkg.Name, or a
-//     non-test file of its own package names it outside its
-//     declaration. A method is reached when some non-test file selects
-//     .Name on a value (pkg.Name on an imported package selects no
-//     method), when some interface type in the module declares a method
-//     of that name, or when it is one of the standard library's
-//     interface methods in wellKnownMethods. Anything else is code only
-//     tests reach: delete it, or name it in allowed with its reason.
+//     code. Every non-test package of the module (benchmark/, cmd/ and
+//     examples/ included) is type-checked with go/types, the standard
+//     library read from the build cache's export data (`go list
+//     -export`), so a use counts only for the object it resolves to,
+//     never for another of the same spelling. A package-level func,
+//     type, var or const is reached when a non-test use outside its own
+//     declaration resolves to it; a use in a method's receiver does
+//     not count. A method is reached when a non-test selection resolves
+//     to it, when a non-test call resolves to a method of an interface
+//     its type implements, or when it is one of the standard library's
+//     interface methods in wellKnownMethods, which the standard library
+//     calls on the module's behalf. Anything else is code only tests
+//     reach: delete it, or name it in allowed with its reason.
 //
 // Run from the module root: `go run ./cmd/doclint` (the docs-lint
-// Makefile target). Exit status 1 lists every violation.
+// Makefile target). Exit status 1 lists every violation; a package go
+// list cannot load or go/types cannot check is one too.
 package main
 
 import (
-	"bufio"
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	pathpkg "path"
 	"path/filepath"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -72,6 +81,8 @@ var allowed = map[string]string{
 	"internal/core.Identity":              "reference: the no-op preconditioner TestPCGIdentityMatchesCG holds PCG to CG with; TestCGSteadyStateIterationsNoAllocs runs PCG under it",
 	"internal/hpf.Format":                 "reference: the printer FuzzParse and the format tests round-trip every parsed program through",
 	"internal/order.Permutation.Valid":    "reference: the check the RCM tests hold every RCM ordering to",
+	"internal/sparse.CSR.Validate":        "reference: the structural invariants FuzzGeneratorByName, FuzzReadMatrixMarket and TestCOOCSRQuick hold every built CSR to",
+	"internal/grid.Brick3.Coords":         "reference: the point-to-coordinate map mg's assembled levels, the reference TestLevelKernelsMatchAssembled holds the V-cycle to, are built with",
 
 	"internal/spmv.RowBlockCSR.LocalNNZ":         "accessor: TestOperatorMetadata reads the per-rank stored entries",
 	"internal/spmv.ColBlockCSC.LocalNNZ":         "accessor: TestOperatorMetadata reads the per-rank stored entries",
@@ -81,6 +92,9 @@ var allowed = map[string]string{
 	"internal/trace.CommMatrix.RowTotals":        "accessor: TestMatrixMatchesProcStats and TestMatrixMatchesRunStatsCSRSpMV hold per-sender bytes to ProcStats",
 	"internal/trace.CommMatrix.ColTotals":        "accessor: TestMatrixMatchesProcStats and TestMatrixMatchesRunStatsCSRSpMV hold per-receiver bytes to ProcStats",
 	"internal/trace.Recorder.RankEvents":         "accessor: the recorder tests and comm's TestIallreduceTracerSpans read one rank's recording order",
+	"internal/comm.ReduceHandle.Cost":            "accessor: TestIallreduceOverlapChargesMax holds Wait's hidden and exposed shares to the blocking cost",
+	"internal/hpfexec.Prepared.Strategy":         "accessor: TestRegistryWarmSStepHit and TestRegistryWarmPipelinedHit read the variant a handle carries before any solve",
+	"internal/mfree.Operator.NGhosts":            "accessor: TestGhostCountMatchesInspector holds the geometric ghost count to the inspector's",
 }
 
 func main() {
@@ -98,102 +112,293 @@ func main() {
 	}
 }
 
-// pkg is one directory's non-test files.
+// listed is one package as `go list -json` prints it.
+type listed struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string // the build cache's export data, with -export
+	Standard   bool
+	Error      *struct{ Err string }
+}
+
+// pkg is one module package's non-test files, type-checked.
 type pkg struct {
 	dir   string // slash path relative to the module root
-	name  string
 	files []*ast.File
+	types *types.Package
+	info  *types.Info
 }
 
 // lint runs all three rules over the module rooted at root and returns
-// every violation, positions relative to root.
+// every violation, positions relative to root. A package go list
+// reports broken, a parse error and a type error are violations too.
 func lint(root string, allow map[string]string) ([]string, error) {
-	modPath, err := modulePath(filepath.Join(root, "go.mod"))
+	list, err := goList(root, "-e", "-deps", "./...")
 	if err != nil {
 		return nil, err
 	}
-	paths := map[string][]string{} // dir -> non-test .go files
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if path != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(rel))
-		paths[dir] = append(paths[dir], rel)
-		return nil
-	})
+	abs, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
 	}
-
-	var problems []string
-	dirs := make([]string, 0, len(paths))
-	for dir := range paths {
-		dirs = append(dirs, dir)
+	var std []string
+	for _, l := range list {
+		if l.Standard {
+			std = append(std, l.ImportPath)
+		}
 	}
-	sort.Strings(dirs)
+	exports := map[string]string{}
+	if len(std) > 0 {
+		built, err := goList(root, append([]string{"-export"}, std...)...)
+		if err != nil {
+			return nil, err
+		}
+		for _, l := range built {
+			exports[l.ImportPath] = l.Export
+		}
+	}
 	fset := token.NewFileSet()
+	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(exports[path])
+	})
+	var problems []string
+	checked := map[string]*types.Package{} // module import path -> package
+	conf := types.Config{
+		Importer: importerFunc(func(path string) (*types.Package, error) {
+			if p, ok := checked[path]; ok {
+				return p, nil
+			}
+			return gc.Import(path)
+		}),
+		Error: func(err error) { problems = append(problems, err.Error()) },
+	}
 	var pkgs []*pkg
-	for _, dir := range dirs {
-		p := &pkg{dir: dir}
+	for _, l := range list { // go list -deps lists a package after its imports
+		if l.Standard {
+			continue
+		}
+		if l.Error != nil {
+			problems = append(problems, l.Error.Err)
+		}
+		if len(l.GoFiles) == 0 {
+			continue
+		}
+		rel, err := filepath.Rel(abs, l.Dir)
+		if err != nil {
+			return nil, err
+		}
+		p := &pkg{dir: filepath.ToSlash(rel)}
 		hasPkgDoc := false
-		for _, rel := range paths[dir] {
-			src, err := os.ReadFile(filepath.Join(root, rel))
+		for _, name := range l.GoFiles {
+			src, err := os.ReadFile(filepath.Join(l.Dir, name))
 			if err != nil {
 				return nil, err
 			}
-			f, err := parser.ParseFile(fset, filepath.ToSlash(rel), src, parser.ParseComments)
+			f, err := parser.ParseFile(fset, pathpkg.Join(p.dir, name), src, parser.ParseComments)
 			if err != nil {
 				problems = append(problems, err.Error())
 				continue
 			}
-			p.name = f.Name.Name
 			p.files = append(p.files, f)
 			if f.Doc != nil {
 				hasPkgDoc = true
 			}
-			if strictPkgs[dir] {
+			if strictPkgs[p.dir] {
 				problems = append(problems, lintExported(fset, f)...)
 			}
 		}
 		if !hasPkgDoc {
-			problems = append(problems, fmt.Sprintf("%s: package has no package doc comment", dir))
+			problems = append(problems, fmt.Sprintf("%s: package has no package doc comment", p.dir))
 		}
+		p.info = &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
+		p.types, _ = conf.Check(l.ImportPath, fset, p.files, p.info)
+		checked[l.ImportPath] = p.types
 		pkgs = append(pkgs, p)
 	}
-	return append(problems, unreached(fset, modPath, pkgs, allow)...), nil
+	problems = append(problems, unreached(fset, pkgs, allow)...)
+	sort.Strings(problems)
+	return problems, nil
 }
 
-// modulePath reads the module line of a go.mod file.
-func modulePath(gomod string) (string, error) {
-	f, err := os.Open(gomod)
+// goList runs `go list -json` with args in the module rooted at root.
+func goList(root string, args ...string) ([]listed, error) {
+	args = append([]string{"list", "-json=ImportPath,Dir,GoFiles,Export,Standard,Error"}, args...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = root
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return "", err
+		return nil, fmt.Errorf("go list: %v: %s", err, strings.TrimSpace(stderr.String()))
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if rest, ok := strings.CutPrefix(strings.TrimSpace(sc.Text()), "module "); ok {
-			return strings.Trim(strings.TrimSpace(rest), `"`), nil
+	var list []listed
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var l listed
+		if err := dec.Decode(&l); err != nil {
+			return nil, fmt.Errorf("go list: %v", err)
+		}
+		list = append(list, l)
+	}
+	return list, nil
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// unreached is rule 3: every exported identifier declared in internal/
+// that no non-test code reaches and allow does not name, plus every
+// allow entry that is malformed, names nothing, or is reached after all.
+func unreached(fset *token.FileSet, pkgs []*pkg, allow map[string]string) []string {
+	reached := map[types.Object]bool{}
+	ifaceUses := map[*types.Interface]map[string]bool{} // interface -> methods called on it
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				// A use inside the declaration of what it names, or in
+				// a method's receiver, does not reach it.
+				var own []ast.Node
+				var self []types.Object
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					own, self = []ast.Node{d.Type}, []types.Object{p.info.Defs[d.Name]}
+					if d.Body != nil {
+						own = append(own, d.Body)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						var names []*ast.Ident
+						switch sp := spec.(type) {
+						case *ast.TypeSpec:
+							names = []*ast.Ident{sp.Name}
+						case *ast.ValueSpec:
+							names = sp.Names
+						}
+						own = append(own, spec)
+						for _, id := range names {
+							self = append(self, p.info.Defs[id])
+						}
+					}
+				}
+				for _, n := range own {
+					ast.Inspect(n, func(n ast.Node) bool {
+						id, ok := n.(*ast.Ident)
+						if !ok {
+							return true
+						}
+						obj := origin(p.info.Uses[id])
+						if obj == nil || slices.Contains(self, obj) {
+							return true
+						}
+						reached[obj] = true
+						if fn, ok := obj.(*types.Func); ok {
+							if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+								iface := recv.Type().Underlying().(*types.Interface)
+								if ifaceUses[iface] == nil {
+									ifaceUses[iface] = map[string]bool{}
+								}
+								ifaceUses[iface][fn.Name()] = true
+							}
+						}
+						return true
+					})
+				}
+			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return "", err
+	// A method called through an interface reaches the method every
+	// module type that implements the interface runs for it.
+	for _, p := range pkgs {
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+				continue
+			}
+			for iface, methods := range ifaceUses {
+				t := types.Type(types.NewPointer(tn.Type()))
+				if !types.Implements(t, iface) {
+					continue
+				}
+				for m := range methods {
+					obj, _, _ := types.LookupFieldOrMethod(t, false, tn.Pkg(), m)
+					reached[origin(obj)] = true
+				}
+			}
+		}
 	}
-	return "", fmt.Errorf("%s: no module line", gomod)
+
+	var problems []string
+	exists := map[string]bool{}
+	judge := func(obj types.Object, key, kind string) {
+		exists[key] = true
+		reason, listed := allow[key]
+		ok := reached[obj] || kind == "method" && wellKnownMethods[obj.Name()]
+		switch {
+		case listed && ok:
+			problems = append(problems, fmt.Sprintf("allow-list entry %s (%q): reached from non-test code; drop the entry", key, reason))
+		case !listed && !ok:
+			pos := fset.Position(obj.Pos())
+			problems = append(problems, fmt.Sprintf("%s:%d: exported %s %s is reached only from tests; delete it or allow-list it with its reason",
+				pos.Filename, pos.Line, kind, key))
+		}
+	}
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.dir, "internal/") {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if obj.Exported() {
+				judge(obj, p.dir+"."+name, kindOf(obj))
+			}
+			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+				named, _ := tn.Type().(*types.Named)
+				for i := 0; named != nil && i < named.NumMethods(); i++ {
+					if m := named.Method(i); m.Exported() {
+						judge(m, p.dir+"."+name+"."+m.Name(), "method")
+					}
+				}
+			}
+		}
+	}
+	for key, reason := range allow {
+		if !exists[key] {
+			problems = append(problems, fmt.Sprintf("allow-list entry %s: no such exported identifier in internal/", key))
+		}
+		if !hasKind(reason) {
+			problems = append(problems, fmt.Sprintf("allow-list entry %s: reason %q must start with one of %s", key, reason, strings.Join(allowKinds, " ")))
+		}
+	}
+	return problems
+}
+
+// origin maps an instantiated generic function or method to its
+// declaration.
+func origin(obj types.Object) types.Object {
+	if fn, ok := obj.(*types.Func); ok {
+		return fn.Origin()
+	}
+	return obj
+}
+
+// kindOf names a package-level object's kind as rule 3 reports it.
+func kindOf(obj types.Object) string {
+	switch obj.(type) {
+	case *types.Func:
+		return "func"
+	case *types.TypeName:
+		return "type"
+	case *types.Const:
+		return "const"
+	}
+	return "var"
 }
 
 // lintExported reports every exported top-level identifier in f that
@@ -247,159 +452,6 @@ func lintExported(fset *token.FileSet, f *ast.File) []string {
 			}
 		}
 	}
-	return problems
-}
-
-// exported is one exported declaration rule 3 judges.
-type exported struct {
-	key    string // "dir.Name" or "dir.Type.Method"
-	kind   string // func, type, var, const or method
-	pos    token.Pos
-	method string // the method name; "" for a package-level identifier
-}
-
-// unreached is rule 3: every exported identifier declared in internal/
-// that no non-test code reaches and allow does not name, plus every
-// allow entry that is malformed, names nothing, or is reached after all.
-func unreached(fset *token.FileSet, modPath string, pkgs []*pkg, allow map[string]string) []string {
-	byPath := map[string]*pkg{}
-	for _, p := range pkgs {
-		path := modPath
-		if p.dir != "." {
-			path += "/" + p.dir
-		}
-		byPath[path] = p
-	}
-
-	var decls []exported
-	named := map[string]bool{}    // "dir.Name" reached
-	selected := map[string]bool{} // every .Name any selector picks
-	declared := map[string]bool{} // every interface method name
-	for _, p := range pkgs {
-		internal := strings.HasPrefix(p.dir, "internal/")
-		for _, f := range p.files {
-			imports := map[string]string{} // local name -> module package dir
-			pkgNames := map[string]bool{}  // every import's local name
-			for _, imp := range f.Imports {
-				path, _ := strconv.Unquote(imp.Path.Value)
-				local := pathpkg.Base(path)
-				q := byPath[path]
-				if q != nil {
-					local = q.name
-				}
-				if imp.Name != nil {
-					local = imp.Name.Name
-				}
-				pkgNames[local] = true
-				if q != nil {
-					imports[local] = q.dir
-				}
-			}
-			skip := map[*ast.Ident]bool{} // idents that declare, not reference
-			for _, decl := range f.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					skip[d.Name] = true
-					if d.Recv != nil {
-						ast.Inspect(d.Recv, func(n ast.Node) bool {
-							if id, ok := n.(*ast.Ident); ok {
-								skip[id] = true
-							}
-							return true
-						})
-					}
-					if !internal || !d.Name.IsExported() {
-						continue
-					}
-					if d.Recv == nil {
-						decls = append(decls, exported{key: p.dir + "." + d.Name.Name, kind: "func", pos: d.Name.Pos()})
-					} else {
-						decls = append(decls, exported{key: p.dir + "." + receiverName(d.Recv) + "." + d.Name.Name, kind: "method", pos: d.Name.Pos(), method: d.Name.Name})
-					}
-				case *ast.GenDecl:
-					for _, spec := range d.Specs {
-						var names []*ast.Ident
-						kind := "type"
-						switch sp := spec.(type) {
-						case *ast.TypeSpec:
-							names = []*ast.Ident{sp.Name}
-						case *ast.ValueSpec:
-							names, kind = sp.Names, d.Tok.String()
-						}
-						for _, id := range names {
-							skip[id] = true
-							if internal && id.IsExported() {
-								decls = append(decls, exported{key: p.dir + "." + id.Name, kind: kind, pos: id.Pos()})
-							}
-						}
-					}
-				}
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					skip[n.Sel] = true
-					// pkg.Name names a package member, not a method:
-					// utf8.Valid reaches no method called Valid.
-					if id, ok := n.X.(*ast.Ident); ok && pkgNames[id.Name] {
-						if dir, ok := imports[id.Name]; ok {
-							named[dir+"."+n.Sel.Name] = true
-						}
-						return false
-					}
-					selected[n.Sel.Name] = true
-				case *ast.StructType:
-					for _, field := range n.Fields.List {
-						for _, id := range field.Names {
-							skip[id] = true
-						}
-					}
-				case *ast.InterfaceType:
-					for _, m := range n.Methods.List {
-						for _, id := range m.Names {
-							skip[id] = true
-							declared[id.Name] = true
-						}
-					}
-				case *ast.Ident:
-					if !skip[n] {
-						named[p.dir+"."+n.Name] = true
-					}
-				}
-				return true
-			})
-		}
-	}
-
-	reached := func(d exported) bool {
-		if d.method == "" {
-			return named[d.key]
-		}
-		return selected[d.method] || declared[d.method] || wellKnownMethods[d.method]
-	}
-	var problems []string
-	exists := map[string]bool{}
-	for _, d := range decls {
-		exists[d.key] = true
-		reason, listed := allow[d.key]
-		switch {
-		case listed && reached(d):
-			problems = append(problems, fmt.Sprintf("allow-list entry %s (%q): reached from non-test code; drop the entry", d.key, reason))
-		case !listed && !reached(d):
-			pos := fset.Position(d.pos)
-			problems = append(problems, fmt.Sprintf("%s:%d: exported %s %s is reached only from tests; delete it or allow-list it with its reason",
-				pos.Filename, pos.Line, d.kind, d.key))
-		}
-	}
-	for key, reason := range allow {
-		if !exists[key] {
-			problems = append(problems, fmt.Sprintf("allow-list entry %s: no such exported identifier in internal/", key))
-		}
-		if !hasKind(reason) {
-			problems = append(problems, fmt.Sprintf("allow-list entry %s: reason %q must start with one of %s", key, reason, strings.Join(allowKinds, " ")))
-		}
-	}
-	sort.Strings(problems)
 	return problems
 }
 

@@ -8,10 +8,18 @@ import (
 	"mini/internal/a"
 )
 
-// Shaper is satisfied by a.T.
+// Shaper is satisfied by a.T, and called.
 type Shaper interface{ Shape() int }
+
+// Sizer is satisfied by a.T, and never called.
+type Sizer interface{ Size() int }
+
+// job has a field named like a.T's Spec method.
+type job struct{ Spec int }
 
 func main() {
 	var s Shaper = a.T{}
-	fmt.Println(a.Used(), s, strconv.Quote("q"))
+	var z Sizer = a.T{}
+	a.U{}.Run()
+	fmt.Println(a.Used(), s.Shape(), z, job{}.Spec, strconv.Quote("q"))
 }

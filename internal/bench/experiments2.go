@@ -5,12 +5,10 @@ import (
 	"fmt"
 
 	"hpfcg/internal/comm"
-	"hpfcg/internal/darray"
 	"hpfcg/internal/dist"
 	"hpfcg/internal/grid"
 	"hpfcg/internal/report"
 	"hpfcg/internal/sparse"
-	"hpfcg/internal/spmv"
 )
 
 // E13 — beyond the paper's conclusion (§4: striping cannot reduce the
@@ -22,19 +20,19 @@ import (
 // would have bought.
 func E13(cfg Config) ([]*report.Table, error) {
 	n := cfg.pick(1024, 256)
-	dA := sparse.Banded(n, 2).ToDense()
+	dA := stored(sparse.Banded(n, 2))
 	sA := sparse.Banded(n, 8)
 	nps := []int{4, 16}
 	if !cfg.Quick {
 		nps = []int{4, 16, 64}
 	}
 	// The dense comparison, then the same one for the storage format
-	// the paper cares about: sparse CSR blocks.
+	// the paper cares about: sparse CSR blocks. Both sides run the CSR
+	// executors; the dense operand is a CSR that stores every entry.
 	kinds := []struct {
-		title   string
-		notes   []string
-		striped buildApply
-		checker func(p *comm.Proc, g grid.ProcGrid) checkerboard
+		title string
+		notes []string
+		A     *sparse.CSR
 	}{
 		{
 			fmt.Sprintf("striped vs checkerboard dense mat-vec, n=%d", n),
@@ -43,10 +41,7 @@ func E13(cfg Config) ([]*report.Table, error) {
 				"checkerboard = (BLOCK,BLOCK) + column bcast + row reduce (Kumar et al.)",
 				"per-processor comm drops from O(t_w·n) to O(t_w·n/sqrt(NP)·log NP)",
 			},
-			func(p *comm.Proc, d dist.Contiguous) func(x, y *darray.Vector) {
-				return spmv.NewDenseRowBlock(p, dA, d).Apply
-			},
-			func(p *comm.Proc, g grid.ProcGrid) checkerboard { return grid.NewDenseCheckerboard(p, dA, g) },
+			dA,
 		},
 		{
 			fmt.Sprintf("striped vs checkerboard sparse mat-vec, banded n=%d nnz=%d", n, sA.NNZ()),
@@ -56,8 +51,7 @@ func E13(cfg Config) ([]*report.Table, error) {
 				"startup latency than the single allgather — the bandwidth win only pays",
 				"off for dense blocks or far larger n. An honest negative result.",
 			},
-			csrApply(sA),
-			func(p *comm.Proc, g grid.ProcGrid) checkerboard { return grid.NewSparseCheckerboard(p, sA, g) },
+			sA,
 		},
 	}
 	var tables []*report.Table
@@ -69,13 +63,13 @@ func E13(cfg Config) ([]*report.Table, error) {
 			Notes:  k.notes,
 		}
 		for _, np := range nps {
-			striped, err := applyOn(cfg.machine(np), dist.NewBlock(n, np), 1, k.striped)
+			striped, err := applyOn(cfg.machine(np), dist.NewBlock(n, np), 1, csrApply(k.A))
 			if err != nil {
 				return nil, err
 			}
 			g := grid.NewProcGrid(np)
 			checker, err := cfg.machine(np).RunContext(context.Background(), func(p *comm.Proc) {
-				cb := k.checker(p, g)
+				cb := grid.NewSparseCheckerboard(p, k.A, g)
 				var xBlock []float64
 				if pr, _ := g.Coords(p.Rank()); pr == 0 {
 					xBlock = make([]float64, cb.XLen())
@@ -96,11 +90,19 @@ func E13(cfg Config) ([]*report.Table, error) {
 	return tables, nil
 }
 
-// checkerboard is the one face of grid's dense and sparse (BLOCK,
-// BLOCK) operators that E13 runs.
-type checkerboard interface {
-	XLen() int
-	Apply(xBlock []float64) []float64
+// stored returns A as a CSR that stores all n² entries, zeros
+// included: dense storage, row-major, run by the sparse executors.
+func stored(A *sparse.CSR) *sparse.CSR {
+	d := A.ToDense()
+	m := &sparse.CSR{NRows: d.NRows, NCols: d.NCols, RowPtr: make([]int, d.NRows+1),
+		Col: make([]int, 0, len(d.Data)), Val: d.Data}
+	for i := 0; i < d.NRows; i++ {
+		for j := 0; j < d.NCols; j++ {
+			m.Col = append(m.Col, j)
+		}
+		m.RowPtr[i+1] = len(m.Col)
+	}
+	return m
 }
 
 // E14 — the inspector-executor alternative to Scenario 1's broadcast

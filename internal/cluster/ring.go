@@ -96,8 +96,5 @@ func (r *Ring) Owner(key string) (string, bool) {
 	return r.points[i].node, true
 }
 
-// Nodes returns the sorted member names.
-func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
-
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.nodes) }

@@ -96,7 +96,4 @@ func TestRingDuplicateNames(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("Len %d, want 2", r.Len())
 	}
-	if got := r.Nodes(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Nodes %v", got)
-	}
 }

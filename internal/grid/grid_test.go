@@ -51,58 +51,34 @@ func TestProcGridLayout(t *testing.T) {
 	}
 }
 
-func checkerboardApply(t *testing.T, np, n int) {
-	t.Helper()
-	A := sparse.RandomSPD(n, 5, int64(n+np)).ToDense()
-	g := NewProcGrid(np)
-	want := make([]float64, n)
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = math.Cos(float64(i))
+// stored returns A as a CSR that stores all n² entries, zeros
+// included: the dense operand E13 runs.
+func stored(A *sparse.CSR) *sparse.CSR {
+	d := A.ToDense()
+	m := &sparse.CSR{NRows: d.NRows, NCols: d.NCols, RowPtr: make([]int, d.NRows+1), Val: d.Data}
+	for i := 0; i < d.NRows; i++ {
+		for j := 0; j < d.NCols; j++ {
+			m.Col = append(m.Col, j)
+		}
+		m.RowPtr[i+1] = len(m.Col)
 	}
-	A.MulVec(x, want)
-	var got []float64
-	machine(np).Run(func(p *comm.Proc) {
-		cb := NewDenseCheckerboard(p, A, g)
-		var xBlock []float64
-		pr, pc := g.Coords(p.Rank())
-		if pr == 0 {
-			lo := pc * n / g.Cols
-			xBlock = append([]float64(nil), x[lo:lo+cb.XLen()]...)
-		}
-		y := cb.Apply(xBlock)
-		if pc != 0 && y != nil {
-			t.Errorf("np=%d rank %d off column 0 got y", np, p.Rank())
-		}
-		full := gatherY(p, g, n, y)
-		if p.Rank() == 0 {
-			got = full
-		}
-	})
-	if len(got) != n {
-		t.Fatalf("np=%d: gathered %d elements", np, len(got))
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("np=%d n=%d: elem %d = %g, want %g", np, n, i, got[i], want[i])
-		}
-	}
+	return m
 }
 
 func TestCheckerboardApply(t *testing.T) {
 	for _, c := range []struct{ np, n int }{
 		{1, 7}, {2, 10}, {4, 16}, {4, 17}, {6, 23}, {9, 30}, {16, 32},
 	} {
-		checkerboardApply(t, c.np, c.n)
+		sparseCheckerApply(t, c.np, c.n, stored(sparse.RandomSPD(c.n, 5, int64(c.n+c.np))))
 	}
 }
 
 func TestCheckerboardRepeatedApplies(t *testing.T) {
 	n, np := 20, 4
-	A := sparse.Laplace1D(n).ToDense()
+	A := stored(sparse.Laplace1D(n))
 	g := NewProcGrid(np)
 	machine(np).Run(func(p *comm.Proc) {
-		cb := NewDenseCheckerboard(p, A, g)
+		cb := NewSparseCheckerboard(p, A, g)
 		pr, pc := g.Coords(p.Rank())
 		for rep := 1; rep <= 3; rep++ {
 			var xBlock []float64
@@ -137,18 +113,18 @@ func TestCheckerboardRepeatedApplies(t *testing.T) {
 // bytes per processor than the row-striped broadcast.
 func TestCheckerboardBeatsStripesOnBytes(t *testing.T) {
 	n, np := 512, 16
-	A := sparse.Banded(n, 2).ToDense()
+	A := stored(sparse.Banded(n, 2))
 	g := NewProcGrid(np)
 
 	cbStats := machine(np).Run(func(p *comm.Proc) {
-		cb := NewDenseCheckerboard(p, A, g)
+		cb := NewSparseCheckerboard(p, A, g)
 		var xBlock []float64
 		if pr, _ := g.Coords(p.Rank()); pr == 0 {
 			xBlock = make([]float64, cb.XLen())
 		}
 		cb.Apply(xBlock)
 	})
-	// Striped comparison: an allgather of the whole x (the DenseRowBlock
+	// Striped comparison: an allgather of the whole x (the row-block
 	// path) moves n*(np-1)/np elements into every processor.
 	stripeBytes := int64(8 * n * (np - 1) / np * np) // total across procs
 	if cbStats.TotalBytes >= stripeBytes {
@@ -162,13 +138,13 @@ func TestCheckerboardValidation(t *testing.T) {
 		fn   func(p *comm.Proc)
 	}{
 		{"grid-mismatch", func(p *comm.Proc) {
-			NewDenseCheckerboard(p, sparse.NewDense(4, 4), ProcGrid{Rows: 3, Cols: 3})
+			NewSparseCheckerboard(p, sparse.NewCOO(4, 4).ToCSR(), ProcGrid{Rows: 3, Cols: 3})
 		}},
 		{"rectangular", func(p *comm.Proc) {
-			NewDenseCheckerboard(p, sparse.NewDense(4, 5), NewProcGrid(p.NP()))
+			NewSparseCheckerboard(p, sparse.NewCOO(4, 5).ToCSR(), NewProcGrid(p.NP()))
 		}},
 		{"bad-x-block", func(p *comm.Proc) {
-			cb := NewDenseCheckerboard(p, sparse.NewDense(8, 8), NewProcGrid(p.NP()))
+			cb := NewSparseCheckerboard(p, sparse.NewCOO(8, 8).ToCSR(), NewProcGrid(p.NP()))
 			cb.Apply(make([]float64, 99))
 		}},
 	}

@@ -8,15 +8,17 @@ import (
 	"hpfcg/internal/sparse"
 )
 
-// SparseCheckerboard is the sparse analogue of DenseCheckerboard:
-// the CSR matrix distributed (BLOCK, BLOCK) over the processor grid,
-// each processor holding its (row-strip x column-strip) sub-matrix in
-// CSR with rebased indices. The mat-vec follows the same three steps
-// (column broadcast, local sparse block multiply, row reduction), so
-// for a sparse matrix with ~uniform row density the per-processor
-// communication is O(n/√NP·log NP) versus the striped O(n) — the same
-// escape from §4's striping bound, but for the storage format the
-// paper actually cares about.
+// SparseCheckerboard is a CSR matrix distributed (BLOCK, BLOCK) over
+// the processor grid: processor (pr, pc) holds its (row-strip x
+// column-strip) sub-matrix in CSR with rebased indices. The mat-vec
+// follows the textbook algorithm: the operand x lives block-distributed
+// along grid row 0 (processor (0, pc) holds the pc-th column block of
+// x) and the result y along grid column 0 (processor (pr, 0) ends with
+// the pr-th row block). Apply performs a column broadcast of x blocks,
+// a local sparse block multiply and a row reduction of partial results,
+// so the per-processor communication is O(n/√NP·log NP) versus the
+// striped O(n) — §4's striping bound escaped. A dense matrix is a CSR
+// that stores every entry, which E13 runs as its dense operand.
 type SparseCheckerboard struct {
 	p        *comm.Proc
 	g        ProcGrid
@@ -75,10 +77,8 @@ func NewSparseCheckerboard(p *comm.Proc, A *sparse.CSR, g ProcGrid) *SparseCheck
 	}
 }
 
-// N returns the global dimension.
-func (a *SparseCheckerboard) N() int { return a.n }
-
-// XLen mirrors DenseCheckerboard.XLen.
+// XLen returns the length of this processor's x block if it is on grid
+// row 0, else 0.
 func (a *SparseCheckerboard) XLen() int {
 	pr, pc := a.g.Coords(a.p.Rank())
 	if pr != 0 {
@@ -87,9 +87,8 @@ func (a *SparseCheckerboard) XLen() int {
 	return a.colD.Count(pc)
 }
 
-// Apply computes y = A*x with the same block conventions as
-// DenseCheckerboard: x blocks on grid row 0 in, y blocks on grid
-// column 0 out (nil elsewhere).
+// Apply computes y = A*x: x blocks on grid row 0 in (nil elsewhere),
+// y blocks on grid column 0 out (nil elsewhere).
 func (a *SparseCheckerboard) Apply(xBlock []float64) []float64 {
 	pr, pc := a.g.Coords(a.p.Rank())
 	if pr == 0 && len(xBlock) != a.colD.Count(pc) {

@@ -76,14 +76,6 @@ func (p *parser) errf(format string, args ...any) error {
 
 func (p *parser) peek() token { return p.toks[p.pos] }
 
-func (p *parser) next() token {
-	t := p.toks[p.pos]
-	if t.kind != tokEOF {
-		p.pos++
-	}
-	return t
-}
-
 func (p *parser) accept(k tokKind) bool {
 	if p.peek().kind == k {
 		p.pos++

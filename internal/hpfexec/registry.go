@@ -55,9 +55,6 @@ func (e *Entry) Unlock() { e.mu.Unlock() }
 // Prepared returns the cached handle; call under Lock.
 func (e *Entry) Prepared() *Prepared { return e.pr }
 
-// Key returns the entry's cache key.
-func (e *Entry) Key() string { return e.key }
-
 // NewRegistry builds a registry with the given byte budget
 // (<=0 selects DefaultRegistryBudget).
 func NewRegistry(budgetBytes int64) *Registry {

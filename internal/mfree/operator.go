@@ -116,9 +116,6 @@ func (a *Operator) LocalNNZ() int { return a.nnzLocal }
 // NGhosts returns the remote elements each Apply fetches.
 func (a *Operator) NGhosts() int { return a.halo.NGhosts() }
 
-// Spec returns the (defaulted) stencil spec.
-func (a *Operator) Spec() Spec { return a.spec }
-
 // Dist returns the operator's vector distribution — the brick's slab
 // layout callers must align operand vectors with.
 func (a *Operator) Dist() dist.Irregular { return a.d }

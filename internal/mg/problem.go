@@ -18,7 +18,6 @@ import (
 // warm path that lets hpfexec cache hierarchies across batch windows.
 type Problem struct {
 	p       *comm.Proc
-	spec    Spec
 	levels  []*level
 	smooths int
 	// fineD is the fine-grid distribution boxed once — alignment
@@ -41,7 +40,7 @@ func NewProblem(p *comm.Proc, spec Spec) (*Problem, error) {
 		return nil, err
 	}
 	depth := grid.ClampLevels(fine, spec.Levels)
-	pb := &Problem{p: p, spec: spec, smooths: spec.Smooths}
+	pb := &Problem{p: p, smooths: spec.Smooths}
 	b := fine
 	var f *level
 	for l := 0; l < depth; l++ {
@@ -56,14 +55,8 @@ func NewProblem(p *comm.Proc, spec Spec) (*Problem, error) {
 	return pb, nil
 }
 
-// Spec returns the (defaulted) spec the problem was built from.
-func (pb *Problem) Spec() Spec { return pb.spec }
-
 // Levels returns the clamped hierarchy depth actually built.
 func (pb *Problem) Levels() int { return len(pb.levels) }
-
-// Fine returns the fine-grid brick.
-func (pb *Problem) Fine() grid.Brick3 { return pb.levels[0].b }
 
 // Dist returns the fine-grid vector distribution solve vectors must
 // align with.

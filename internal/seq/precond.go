@@ -16,8 +16,6 @@ type Preconditioner interface {
 	// Apply computes z = M⁻¹ r. r is not modified; z must have the same
 	// length.
 	Apply(r, z []float64)
-	// Name identifies the preconditioner in reports.
-	Name() string
 }
 
 // Identity is the no-op preconditioner (PCG(Identity) == CG).
@@ -25,9 +23,6 @@ type Identity struct{}
 
 // Apply implements Preconditioner.
 func (Identity) Apply(r, z []float64) { copy(z, r) }
-
-// Name implements Preconditioner.
-func (Identity) Name() string { return "none" }
 
 // Jacobi is diagonal scaling: M = diag(A). It is fully parallel under
 // any aligned distribution (a pure element-wise operation), which makes
@@ -56,9 +51,6 @@ func (j *Jacobi) Apply(r, z []float64) {
 		z[i] = r[i] * j.invDiag[i]
 	}
 }
-
-// Name implements Preconditioner.
-func (j *Jacobi) Name() string { return "jacobi" }
 
 // SSOR is the symmetric successive over-relaxation preconditioner
 // M = (D/ω + L) · ω/(2−ω) · D⁻¹ · (D/ω + U), applied by a forward and
@@ -121,9 +113,6 @@ func (s *SSOR) Apply(r, z []float64) {
 		z[i] *= f
 	}
 }
-
-// Name implements Preconditioner.
-func (s *SSOR) Name() string { return fmt.Sprintf("ssor(%g)", s.omega) }
 
 // ErrNotSPD is returned by NewIC0 when the incomplete factorisation
 // hits a non-positive pivot.
@@ -232,9 +221,6 @@ func (ic *IC0) Apply(r, z []float64) {
 		}
 	}
 }
-
-// Name implements Preconditioner.
-func (ic *IC0) Name() string { return "ic0" }
 
 // ByName constructs a preconditioner from its CLI name: "none",
 // "jacobi", "ssor" (omega 1.2) or "ic0".

@@ -598,7 +598,7 @@ func BenchmarkToCSR(b *testing.B) {
 		}
 	}
 	shuffled := &COO{NRows: A.NRows, NCols: A.NCols, I: append([]int(nil), sorted.I...), J: append([]int(nil), sorted.J...), V: append([]float64(nil), sorted.V...)}
-	rand.New(rand.NewSource(1)).Shuffle(shuffled.NNZ(), func(a, c int) {
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled.V), func(a, c int) {
 		shuffled.I[a], shuffled.I[c] = shuffled.I[c], shuffled.I[a]
 		shuffled.J[a], shuffled.J[c] = shuffled.J[c], shuffled.J[a]
 		shuffled.V[a], shuffled.V[c] = shuffled.V[c], shuffled.V[a]

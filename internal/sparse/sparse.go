@@ -45,9 +45,6 @@ func (c *COO) Add(i, j int, v float64) {
 	c.V = append(c.V, v)
 }
 
-// NNZ returns the number of stored entries (duplicates counted).
-func (c *COO) NNZ() int { return len(c.V) }
-
 // ToCSR converts the triplets to CSR, summing duplicates and sorting
 // column indices within each row. Rows whose triplets arrived in
 // strictly ascending column order — every row of a file written row by
@@ -77,9 +74,6 @@ func (c *COO) ToCSR() *CSR {
 	}
 	return m
 }
-
-// ToCSC converts the triplets to CSC via CSR transposition.
-func (c *COO) ToCSC() *CSC { return c.ToCSR().ToCSC() }
 
 // CSR is the Compressed Sparse Row format: for row i, the entries are
 // Val[RowPtr[i]:RowPtr[i+1]] in columns Col[RowPtr[i]:RowPtr[i+1]],
@@ -327,50 +321,6 @@ type CSC struct {
 // NNZ returns the number of stored entries.
 func (m *CSC) NNZ() int { return len(m.Val) }
 
-// Validate checks structural invariants.
-func (m *CSC) Validate() error {
-	asCSR := &CSR{NRows: m.NCols, NCols: m.NRows, RowPtr: m.ColPtr, Col: m.Row, Val: m.Val}
-	if err := asCSR.Validate(); err != nil {
-		return fmt.Errorf("sparse: CSC invalid (checked as transposed CSR): %w", err)
-	}
-	return nil
-}
-
-// At returns element (i, j), zero if not stored.
-func (m *CSC) At(i, j int) float64 {
-	lo, hi := m.ColPtr[j], m.ColPtr[j+1]
-	rows := m.Row[lo:hi]
-	k := sort.SearchInts(rows, i)
-	if k < len(rows) && rows[k] == i {
-		return m.Val[lo+k]
-	}
-	return 0
-}
-
-// MulVec computes y = A*x sequentially in column order — the paper's
-// Scenario 2 loop: "each i-iteration gives a partial sum at several
-// elements of q".
-func (m *CSC) MulVec(x, y []float64) {
-	if len(x) != m.NCols || len(y) != m.NRows {
-		panic(fmt.Sprintf("sparse: MulVec shapes: A %dx%d, x %d, y %d", m.NRows, m.NCols, len(x), len(y)))
-	}
-	for i := range y {
-		y[i] = 0
-	}
-	for j := 0; j < m.NCols; j++ {
-		pj := x[j]
-		for k := m.ColPtr[j]; k < m.ColPtr[j+1]; k++ {
-			y[m.Row[k]] += m.Val[k] * pj
-		}
-	}
-}
-
-// ToCSR converts to compressed sparse row form.
-func (m *CSC) ToCSR() *CSR {
-	asCSR := &CSR{NRows: m.NCols, NCols: m.NRows, RowPtr: m.ColPtr, Col: m.Row, Val: m.Val}
-	return asCSR.Transpose()
-}
-
 // Dense is a row-major dense matrix, the paper's "dense storage
 // format" alternative (§4).
 type Dense struct {
@@ -394,34 +344,6 @@ func (d *Dense) Set(i, j int, v float64) { d.Data[i*d.NCols+j] = v }
 
 // Row returns row i as a view.
 func (d *Dense) Row(i int) []float64 { return d.Data[i*d.NCols : (i+1)*d.NCols] }
-
-// MulVec computes y = A*x.
-func (d *Dense) MulVec(x, y []float64) {
-	if len(x) != d.NCols || len(y) != d.NRows {
-		panic(fmt.Sprintf("sparse: MulVec shapes: A %dx%d, x %d, y %d", d.NRows, d.NCols, len(x), len(y)))
-	}
-	for i := 0; i < d.NRows; i++ {
-		row := d.Row(i)
-		s := 0.0
-		for j, a := range row {
-			s += a * x[j]
-		}
-		y[i] = s
-	}
-}
-
-// ToCSR compresses, dropping exact zeros.
-func (d *Dense) ToCSR() *CSR {
-	coo := NewCOO(d.NRows, d.NCols)
-	for i := 0; i < d.NRows; i++ {
-		for j := 0; j < d.NCols; j++ {
-			if v := d.At(i, j); v != 0 {
-				coo.Add(i, j, v)
-			}
-		}
-	}
-	return coo.ToCSR()
-}
 
 // Clone returns a deep copy.
 func (d *Dense) Clone() *Dense {

@@ -41,11 +41,16 @@ func TestCOOValidation(t *testing.T) {
 	NewCOO(2, 2).Add(2, 0, 1)
 }
 
+// transposed reads a CSC's arrays as the CSR of the transpose.
+func transposed(c *CSC) *CSR {
+	return &CSR{NRows: c.NCols, NCols: c.NRows, RowPtr: c.ColPtr, Col: c.Row, Val: c.Val}
+}
+
 func TestFigure1CSC(t *testing.T) {
 	// Figure 1 of the paper gives the CSC arrays for its 6x6 example.
 	m := Figure1Matrix()
 	csc := m.ToCSC()
-	if err := csc.Validate(); err != nil {
+	if err := transposed(csc).Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// Column 1 (0-based 0) holds a11, a21, a31, a51 in row order.
@@ -72,7 +77,7 @@ func TestFigure1CSC(t *testing.T) {
 
 func TestCSRCSCRoundTrip(t *testing.T) {
 	m := RandomSPD(50, 6, 1)
-	back := m.ToCSC().ToCSR()
+	back := transposed(m.ToCSC()).Transpose()
 	if err := back.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -93,20 +98,15 @@ func TestMulVecAgainstDense(t *testing.T) {
 	m := RandomSPD(40, 5, 7)
 	d := m.ToDense()
 	x := RandomVector(40, 2)
-	ys, yd := make([]float64, 40), make([]float64, 40)
+	ys := make([]float64, 40)
 	m.MulVec(x, ys)
-	d.MulVec(x, yd)
 	for i := range ys {
-		if math.Abs(ys[i]-yd[i]) > 1e-10 {
-			t.Fatalf("CSR MulVec differs from dense at %d: %g vs %g", i, ys[i], yd[i])
+		yd := 0.0
+		for j, a := range d.Row(i) {
+			yd += a * x[j]
 		}
-	}
-	csc := m.ToCSC()
-	yc := make([]float64, 40)
-	csc.MulVec(x, yc)
-	for i := range yc {
-		if math.Abs(yc[i]-yd[i]) > 1e-10 {
-			t.Fatalf("CSC MulVec differs from dense at %d", i)
+		if math.Abs(ys[i]-yd) > 1e-10 {
+			t.Fatalf("CSR MulVec differs from dense at %d: %g vs %g", i, ys[i], yd)
 		}
 	}
 }
@@ -336,20 +336,13 @@ func TestDense(t *testing.T) {
 	if d.At(0, 1) != 5 || d.At(1, 2) != -2 || d.At(0, 0) != 0 {
 		t.Error("Set/At wrong")
 	}
-	x := []float64{1, 2, 3}
-	y := make([]float64, 2)
-	d.MulVec(x, y)
-	if y[0] != 10 || y[1] != -6 {
-		t.Errorf("MulVec = %v", y)
+	if r := d.Row(1); len(r) != 3 || r[2] != -2 {
+		t.Errorf("Row(1) = %v", r)
 	}
 	c := d.Clone()
 	c.Set(0, 0, 9)
 	if d.At(0, 0) != 0 {
 		t.Error("Clone aliases original")
-	}
-	m := d.ToCSR()
-	if m.NNZ() != 2 || m.At(0, 1) != 5 {
-		t.Errorf("ToCSR wrong: nnz=%d", m.NNZ())
 	}
 }
 
@@ -452,12 +445,8 @@ func TestCOOCSRQuick(t *testing.T) {
 		nnz := int(nnzRaw % 60)
 		rng := rand.New(rand.NewSource(seed))
 		coo := NewCOO(n, n)
-		dense := NewDense(n, n)
 		for k := 0; k < nnz; k++ {
-			i, j := rng.Intn(n), rng.Intn(n)
-			v := rng.NormFloat64()
-			coo.Add(i, j, v)
-			dense.Set(i, j, dense.At(i, j)+v)
+			coo.Add(rng.Intn(n), rng.Intn(n), rng.NormFloat64())
 		}
 		m := coo.ToCSR()
 		if m.Validate() != nil {
@@ -469,7 +458,9 @@ func TestCOOCSRQuick(t *testing.T) {
 		}
 		y1, y2 := make([]float64, n), make([]float64, n)
 		m.MulVec(x, y1)
-		dense.MulVec(x, y2)
+		for k, v := range coo.V {
+			y2[coo.I[k]] += v * x[coo.J[k]]
+		}
 		for i := range y1 {
 			if math.Abs(y1[i]-y2[i]) > 1e-9 {
 				return false

@@ -1,7 +1,8 @@
 // Package spmv implements the distributed matrix-vector products of §4
 // of the paper, for compressed sparse storage, under the two
-// partitioning scenarios it analyses (plus Scenario 1's dense row
-// strips, Figure 3, which E13 compares with a checkerboard):
+// partitioning scenarios it analyses (Scenario 1's dense row strips,
+// Figure 3, are the row executor over a CSR that stores every entry,
+// which E13 compares with a checkerboard):
 //
 // Scenario 1 (row-wise): the matrix is distributed (BLOCK, *) — each
 // processor owns a strip of whole rows, aligned with the result vector
@@ -411,9 +412,6 @@ func (a *ColBlockCSC) NNZ() int { return a.nnz }
 // LocalNNZ returns this processor's stored entries.
 func (a *ColBlockCSC) LocalNNZ() int { return a.nnzLocal }
 
-// Mode returns the accumulation mode.
-func (a *ColBlockCSC) Mode() Mode { return a.mode }
-
 // NGhosts returns how many rows owned by other processors the strip
 // touches: the ghost slots of the inspected merge's private copy, each
 // merged by sending its partial to the row's owner (0 in the other
@@ -490,50 +488,4 @@ func (a *ColBlockCSC) ApplyT(x, y *darray.Vector) {
 	checkAligned("ColBlockCSC.ApplyT", a.d, x, y)
 	sweepRows(y.Local(), a.colPtr, a.row, a.val, x.GatherInto(a.xfull), nil)
 	a.p.Compute(2 * a.nnzLocal)
-}
-
-// DenseRowBlock is Scenario 1 with dense storage (Figure 3):
-// A distributed (BLOCK, *).
-type DenseRowBlock struct {
-	p     *comm.Proc
-	d     dist.Contiguous
-	lo    int
-	rows  [][]float64 // local rows (views into A)
-	n     int
-	xfull []float64 // reusable gather target: Apply allocates nothing in steady state
-}
-
-// NewDenseRowBlock slices processor p's row strip out of dense A.
-func NewDenseRowBlock(p *comm.Proc, A *sparse.Dense, d dist.Contiguous) *DenseRowBlock {
-	if A.NRows != A.NCols || A.NRows != d.N() || d.NP() != p.NP() {
-		panic("spmv: DenseRowBlock shape mismatch")
-	}
-	r := p.Rank()
-	lo := d.Lo(r)
-	rows := make([][]float64, d.Count(r))
-	for i := range rows {
-		rows[i] = A.Row(lo + i)
-	}
-	return &DenseRowBlock{p: p, d: d, lo: lo, rows: rows, n: A.NRows, xfull: make([]float64, A.NRows)}
-}
-
-// N implements Operator.
-func (a *DenseRowBlock) N() int { return a.n }
-
-// NNZ implements Operator.
-func (a *DenseRowBlock) NNZ() int { return a.n * a.n }
-
-// Apply implements Operator: allgather p, local dense row loop.
-func (a *DenseRowBlock) Apply(x, y *darray.Vector) {
-	checkAligned("DenseRowBlock.Apply", a.d, x, y)
-	xFull := x.GatherInto(a.xfull)
-	yl := y.Local()
-	for i, row := range a.rows {
-		s := 0.0
-		for j, v := range row {
-			s += v * xFull[j]
-		}
-		yl[i] = s
-	}
-	a.p.Compute(2 * a.n * len(a.rows))
 }

@@ -16,8 +16,6 @@ import (
 // np processors. Distance reports the number of hops a message between
 // two ranks traverses; it is used by the communication cost model.
 type Topology interface {
-	// Name identifies the topology in reports ("hypercube", "ring", ...).
-	Name() string
 	// Distance returns the hop count between ranks a and b on an
 	// np-processor instance of this network. Distance(a, a, np) == 0.
 	Distance(a, b, np int) int
@@ -32,9 +30,6 @@ type Topology interface {
 // distances).
 type Hypercube struct{}
 
-// Name implements Topology.
-func (Hypercube) Name() string { return "hypercube" }
-
 // Distance implements Topology: Hamming distance between the ranks.
 func (Hypercube) Distance(a, b, np int) int {
 	return bits.OnesCount(uint(a ^ b))
@@ -45,9 +40,6 @@ func (Hypercube) Diameter(np int) int { return Log2Ceil(np) }
 
 // Ring is a bidirectional ring; messages take the shorter way round.
 type Ring struct{}
-
-// Name implements Topology.
-func (Ring) Name() string { return "ring" }
 
 // Distance implements Topology.
 func (Ring) Distance(a, b, np int) int {
@@ -67,9 +59,6 @@ func (Ring) Diameter(np int) int { return np / 2 }
 // Mesh2D is a 2-D mesh (no wraparound) with near-square dimensions
 // chosen by Dims. Ranks are laid out row-major.
 type Mesh2D struct{}
-
-// Name implements Topology.
-func (Mesh2D) Name() string { return "mesh2d" }
 
 // Distance implements Topology: Manhattan distance on the grid.
 func (Mesh2D) Distance(a, b, np int) int {
@@ -96,9 +85,6 @@ func (Mesh2D) Diameter(np int) int {
 // apart. It is the "communication distance does not matter" reference.
 type FullyConnected struct{}
 
-// Name implements Topology.
-func (FullyConnected) Name() string { return "full" }
-
 // Distance implements Topology.
 func (FullyConnected) Distance(a, b, np int) int {
 	if a == b {
@@ -115,7 +101,7 @@ func (FullyConnected) Diameter(np int) int {
 	return 1
 }
 
-// ByName returns the topology with the given Name. It is used by the
+// ByName returns the topology with the given name. It is used by the
 // CLIs to select a network from a flag.
 func ByName(name string) (Topology, error) {
 	switch name {

@@ -76,13 +76,13 @@ func TestFullyConnected(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"hypercube", "ring", "mesh2d", "full"} {
+	for name, want := range map[string]Topology{"hypercube": Hypercube{}, "ring": Ring{}, "mesh2d": Mesh2D{}, "full": FullyConnected{}} {
 		topo, err := ByName(name)
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
 		}
-		if topo.Name() != name {
-			t.Errorf("ByName(%q).Name() = %q", name, topo.Name())
+		if topo != want {
+			t.Errorf("ByName(%q) = %T, want %T", name, topo, want)
 		}
 	}
 	if _, err := ByName("torus9d"); err == nil {

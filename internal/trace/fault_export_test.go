@@ -54,12 +54,14 @@ func TestChromeTraceExportsFaultInstants(t *testing.T) {
 
 	wantFaults := 0
 	faultRanks := map[int]bool{}
-	for _, e := range rec.Events() {
-		if e.Kind == trace.KindFault {
-			wantFaults++
-			faultRanks[e.Rank] = true
-			if e.Start != e.End {
-				t.Errorf("fault event %q has nonzero duration %g", e.Op, e.Duration())
+	for r := 0; r < rec.NP(); r++ {
+		for _, e := range rec.RankEvents(r) {
+			if e.Kind == trace.KindFault {
+				wantFaults++
+				faultRanks[e.Rank] = true
+				if e.Start != e.End {
+					t.Errorf("fault event %q has nonzero duration %g", e.Op, e.Duration())
+				}
 			}
 		}
 	}

@@ -15,7 +15,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -156,22 +155,6 @@ func (r *Recorder) Seal(modelTime float64) {
 // order with non-decreasing Start; collective spans are appended at
 // their end time, after the primitives they enclose.
 func (r *Recorder) RankEvents(rank int) []Event { return r.Rank(rank).events }
-
-// Events returns all events of the run, sorted by Start time (ties
-// broken by rank, then by recording order).
-func (r *Recorder) Events() []Event {
-	var all []Event
-	for _, l := range r.logs {
-		all = append(all, l.events...)
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].Start != all[j].Start {
-			return all[i].Start < all[j].Start
-		}
-		return all[i].Rank < all[j].Rank
-	})
-	return all
-}
 
 // NumEvents returns the total event count across ranks.
 func (r *Recorder) NumEvents() int {

@@ -53,9 +53,11 @@ func TestRecorderCapturesSendRecvCompute(t *testing.T) {
 	if recv.Depart <= 0 || recv.Head < recv.Depart || recv.End < recv.Head {
 		t.Errorf("recv timestamps inconsistent: %+v", recv)
 	}
-	for _, e := range rec.Events() {
-		if e.End < e.Start {
-			t.Errorf("event %+v has End < Start", e)
+	for _, evs := range [][]trace.Event{r0, r1} {
+		for _, e := range evs {
+			if e.End < e.Start {
+				t.Errorf("event %+v has End < Start", e)
+			}
 		}
 	}
 }
