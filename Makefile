@@ -74,7 +74,8 @@ golden:
 # local source planes both occur, plain and pipelined), a generator under
 # -demo and under a directive file, and one -variant string per
 # recurrence: pipelined CSR, fixed-factor s-step CG, s-step CG at the
-# cost model's factor, and a resilient
+# cost model's factor, BiCGSTAB on the CSC private-merge layout, and a
+# resilient
 # solve absorbing an injected crash under a restart budget — each of
 # multigrid, 5-point and resilient once more under the -timeout deadline
 # every mode shares — and one absorbing a dropped message; hpfrun and
@@ -115,6 +116,7 @@ smoke:
 	$(GO) run ./cmd/hpfrun -np 4 -problem banded:256:4 -demo csr -variant pipelined > /dev/null
 	$(GO) run ./cmd/hpfrun -np 4 -demo csr -variant sstep:4 > /dev/null
 	$(GO) run ./cmd/hpfrun -np 8 -problem laplace2d:32:32 -variant sstep:auto > /dev/null
+	$(GO) run ./cmd/hpfrun -np 4 -problem randspd:500:6:1 -demo csc-merge -variant bicgstab > /dev/null
 	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "crash:rank=2@t=0.5ms" -variant resilient:ckpt=5,restarts=2 > /dev/null
 	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "crash:rank=2@t=0.5ms" -variant resilient:ckpt=5 -timeout 30s > /dev/null
 	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "drop:rank=1,n=1,dst=0" -variant resilient > /dev/null

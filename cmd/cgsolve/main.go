@@ -2,9 +2,9 @@
 // solver family on the simulated HPF-style machine, printing solver
 // and machine statistics. The matrix comes from a built-in generator
 // (-matrix) or a Matrix Market file (-file). The layouts are
-// hpfexec's directive programs: CG runs through hpfexec's prepared
-// path, as hpfrun does, and the other methods run directly on the
-// layout's executor.
+// hpfexec's directive programs and the methods its solver variants, so
+// every solve runs through hpfexec's one prepared loop, as hpfrun's
+// does.
 //
 // Examples:
 //

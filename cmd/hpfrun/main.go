@@ -10,7 +10,8 @@
 // A stencil problem's dimensions are the global grid, an hpcg
 // problem's each rank's brick; neither takes a layout. The recurrence
 // the solve runs is one -variant string (hpfexec.ParseVariant's
-// grammar), plain CG by default.
+// grammar), plain CG by default; a matrix problem also takes the §2.1
+// methods (pcg, bicg, cgs, bicgstab).
 //
 // Examples:
 //
@@ -22,6 +23,7 @@
 //	hpfrun -np 4 -problem hpcg:8x8x8:L3
 //	hpfrun -np 4 -problem stencil:5pt:64x48
 //	hpfrun -np 8 -problem laplace2d:128:128 -variant sstep:auto
+//	hpfrun -np 4 -problem randspd:500:6:1 -demo csc-merge -variant bicgstab
 //	hpfrun -np 4 -demo csr -fault "crash:rank=2@t=0.5ms" -variant resilient:ckpt=5
 package main
 
@@ -53,7 +55,7 @@ func main() {
 		commMatrix = flag.Bool("commmatrix", false, "print the communication matrix")
 		timeout    = flag.Duration("timeout", 0, "deadline on the whole solve: abort it after this long (0 = wait forever)")
 		faultStr   = flag.String("fault", "", `fault spec, e.g. "crash:rank=2@t=0.5ms,straggle:rank=1,x=4"`)
-		variantArg = flag.String("variant", "plain", `the recurrence: "plain", "sstep:<s>" (s-step CG, 2 <= s <= 16, CSR layouts), "sstep:auto" (the cost model's s), "pipelined" (CSR layouts and stencil problems) or "resilient[:ckpt=<n>[,restarts=<n>]]" (survive injected crashes by checkpoint/restart, default ckpt=10,restarts=3)`)
+		variantArg = flag.String("variant", "plain", `the recurrence: "plain", "pcg", "bicg", "cgs" or "bicgstab" (the §2.1 methods, matrix problems), "sstep:<s>" (s-step CG, 2 <= s <= 16, CSR layouts), "sstep:auto" (the cost model's s), "pipelined" (CSR layouts and stencil problems) or "resilient[:ckpt=<n>[,restarts=<n>]]" (survive injected crashes by checkpoint/restart, default ckpt=10,restarts=3)`)
 	)
 	flag.Parse()
 	set := map[string]bool{}

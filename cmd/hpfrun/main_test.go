@@ -39,6 +39,8 @@ func TestRefusesOutOfRangeVariantFlags(t *testing.T) {
 		"-problem hpcg:4x4x4 -variant pipelined":         "field pipelined: does not apply to hpcg jobs",
 		"-problem stencil:5pt:32x24 -variant sstep:auto": "field sstep: does not apply to stencil jobs",
 		"-problem stencil:5pt:32x24 -variant resilient":  "field resilient: checkpoint/restart needs an assembled matrix",
+		"-problem stencil:5pt:32x24 -variant bicg":       "field method: bicg needs an assembled matrix, not a stencil job",
+		"-problem hpcg:4x4x4 -variant bicg":              "field method: bicg needs an assembled matrix, not a hpcg job",
 
 		"-problem stencil:5pt:32x24junk":         `problem "stencil:5pt:32x24junk"`,
 		"-problem stencil:27pt:4x4x4x4":          `problem "stencil:27pt:4x4x4x4"`,

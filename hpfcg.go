@@ -29,11 +29,11 @@
 // This file is the high-level facade — build a simulated machine, pick
 // a method and a data layout, and solve — used by cmd/cgsolve,
 // examples/laplace2d and the Example functions. Its layouts are the
-// directive programs of internal/hpfexec, and CG runs through that
-// package's prepared path: the one behind cmd/hpfrun and the solver
-// service (internal/serve, cmd/hpfserve), which hpfexec's conformance
-// suite holds to the sequential reference. The §2.1 methods, which
-// have no directive program, run directly on internal/core.
+// directive programs of internal/hpfexec and its methods that package's
+// solver variants, so every solve runs through one loop: the prepared
+// path behind cmd/hpfrun and the solver service (internal/serve,
+// cmd/hpfserve), which hpfexec's conformance suite holds to the
+// sequential reference.
 package hpfcg
 
 import (
@@ -43,11 +43,8 @@ import (
 	"hpfcg/internal/comm"
 	"hpfcg/internal/core"
 	"hpfcg/internal/darray"
-	"hpfcg/internal/dist"
 	"hpfcg/internal/hpfexec"
-	"hpfcg/internal/partition"
 	"hpfcg/internal/sparse"
-	"hpfcg/internal/spmv"
 	"hpfcg/internal/topology"
 )
 
@@ -68,8 +65,6 @@ type (
 	CSC = sparse.CSC
 	// SolveStats reports a distributed solve's outcome.
 	SolveStats = core.Stats
-	// CostParams are the machine's communication/compute constants.
-	CostParams = topology.CostParams
 )
 
 // Config describes the simulated machine.
@@ -78,12 +73,10 @@ type Config struct {
 	NP int
 	// Topology is "hypercube" (default), "ring", "mesh2d" or "full".
 	Topology string
-	// Cost holds machine constants; the zero value selects
-	// topology.DefaultCostParams.
-	Cost CostParams
 }
 
-// NewMachine builds the simulated machine for cfg.
+// NewMachine builds the simulated machine for cfg under
+// topology.DefaultCostParams.
 func NewMachine(cfg Config) (*Machine, error) {
 	if cfg.NP < 1 {
 		return nil, fmt.Errorf("hpfcg: NP must be >= 1, got %d", cfg.NP)
@@ -96,19 +89,16 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	cost := cfg.Cost
-	if cost == (CostParams{}) {
-		cost = topology.DefaultCostParams()
-	}
-	return comm.NewMachine(cfg.NP, topo, cost), nil
+	return comm.NewMachine(cfg.NP, topo, topology.DefaultCostParams()), nil
 }
 
 // Method selects the iterative solver.
 type Method string
 
-// Supported methods (§2 and §2.1 of the paper).
+// Supported methods (§2 and §2.1 of the paper). cg is hpfexec's plain
+// variant; every other name is the hpfexec variant of that name.
 const (
-	MethodCG       Method = "cg"   // hpfexec's prepared path
+	MethodCG       Method = "cg"
 	MethodPCG      Method = "pcg"  // CG with the point-Jacobi preconditioner
 	MethodBiCG     Method = "bicg" // applies A^T as well as A
 	MethodCGS      Method = "cgs"
@@ -125,9 +115,9 @@ type Layout string
 // are Scenario 2 in its two executions (HPF-1 serialized vs the
 // proposed PRIVATE/MERGE(+) extension); Balanced is Scenario 1 with
 // rows redistributed by CG_BALANCED_PARTITIONER_1 (whole rows, stored
-// entries balanced — §5.2.2). For CG on the CSR layouts hpfexec picks
-// the halo or the broadcast executor from the halo width it measures;
-// the other methods run the broadcast executor, whose A^T BiCG needs.
+// entries balanced — §5.2.2). On the CSR layouts hpfexec picks the
+// halo or the broadcast executor from the halo width it measures, for
+// every method but BiCG, whose A^T only the broadcast executor applies.
 const (
 	LayoutCSR       Layout = "csr"
 	LayoutCSCSerial Layout = "csc-serial"
@@ -149,7 +139,6 @@ type SolveSpec struct {
 	// Machine configuration.
 	NP       int
 	Topology string
-	Cost     CostParams
 }
 
 // Result is a completed distributed solve.
@@ -192,22 +181,20 @@ func Solve(A *CSR, b []float64, spec SolveSpec) (*Result, error) {
 	if !slices.Contains(hpfexec.Layouts(), string(spec.Layout)) {
 		return nil, fmt.Errorf("hpfcg: unknown layout %q (have %v)", spec.Layout, hpfexec.Layouts())
 	}
-	m, err := NewMachine(Config{NP: spec.NP, Topology: spec.Topology, Cost: spec.Cost})
+	variant := hpfexec.Plain()
+	if spec.Method != MethodCG {
+		var err error
+		if variant, err = hpfexec.ParseVariant(string(spec.Method)); err != nil {
+			return nil, err
+		}
+	}
+	m, err := NewMachine(Config{NP: spec.NP, Topology: spec.Topology})
 	if err != nil {
 		return nil, err
 	}
-	opt := core.Options{Tol: spec.Tol, MaxIter: spec.MaxIter, History: spec.History}
-	if spec.Method == MethodCG {
-		return solvePrepared(m, A, b, spec.Layout, opt)
-	}
-	return solveDirect(m, A, b, spec, opt)
-}
-
-// solvePrepared is CG as cmd/hpfrun and the solver service run it: the
-// layout's directive program bound, prepared and solved as a batch of
-// one right-hand side.
-func solvePrepared(m *Machine, A *CSR, b []float64, layout Layout, opt core.Options) (*Result, error) {
-	plan, err := hpfexec.PlanForLayout(string(layout), m.NP(), A.NRows, A.NNZ())
+	// The layout's directive program, bound, prepared and solved as a
+	// batch of one right-hand side.
+	plan, err := hpfexec.PlanForLayout(string(spec.Layout), m.NP(), A.NRows, A.NNZ())
 	if err != nil {
 		return nil, err
 	}
@@ -215,6 +202,10 @@ func solvePrepared(m *Machine, A *CSR, b []float64, layout Layout, opt core.Opti
 	if err != nil {
 		return nil, err
 	}
+	if err := pr.WithVariant(variant); err != nil {
+		return nil, err
+	}
+	opt := core.Options{Tol: spec.Tol, MaxIter: spec.MaxIter, History: spec.History}
 	out, err := pr.SolveBatch([][]float64{b}, []core.Options{opt})
 	if err != nil {
 		return nil, err
@@ -224,72 +215,4 @@ func solvePrepared(m *Machine, A *CSR, b []float64, layout Layout, opt core.Opti
 		return nil, res.Err
 	}
 	return &Result{X: res.X, Stats: res.Stats, Run: out.Run}, nil
-}
-
-// solveDirect runs a §2.1 method in one SPMD body over the layout's
-// executor: the broadcast row-block CSR executor on the block or the
-// balanced distribution, or the column-block CSC executor in the
-// layout's mode.
-func solveDirect(m *Machine, A *CSR, b []float64, spec SolveSpec, opt core.Options) (*Result, error) {
-	var d dist.Contiguous = dist.NewBlock(A.NRows, spec.NP)
-	if spec.Layout == LayoutBalanced {
-		// CG_BALANCED_PARTITIONER_1, as hpf.Plan.BindPartitioner runs
-		// it: each row weighs its stored entries.
-		cuts := partition.BalancedContiguous(partition.AtomsFromPtr(A.RowPtr).Weights(), spec.NP)
-		d = dist.NewIrregular(cuts)
-	}
-	// Pre-build the shared CSC copy outside the SPMD region.
-	var csc *sparse.CSC
-	if spec.Layout == LayoutCSCSerial || spec.Layout == LayoutCSCMerge {
-		csc = A.ToCSC()
-	}
-
-	res := &Result{}
-	var solveErr error
-	run := m.Run(func(p *Proc) {
-		var op spmv.TransposeOperator
-		switch spec.Layout {
-		case LayoutCSCSerial:
-			op = spmv.NewColBlockCSC(p, csc, d, spmv.ModeSerialized)
-		case LayoutCSCMerge:
-			op = spmv.NewColBlockCSC(p, csc, d, spmv.ModePrivateMerge)
-		default:
-			op = spmv.NewRowBlockCSR(p, A, d)
-		}
-		bv := darray.New(p, d)
-		xv := darray.New(p, d)
-		bv.SetGlobal(func(g int) float64 { return b[g] })
-
-		var st core.Stats
-		var err error
-		switch spec.Method {
-		case MethodPCG:
-			var M *core.Jacobi
-			if M, err = core.NewJacobi(p, A, d); err == nil {
-				st, err = core.PCG(p, op, M, bv, xv, opt)
-			}
-		case MethodBiCG:
-			st, err = core.BiCG(p, op, bv, xv, opt)
-		case MethodCGS:
-			st, err = core.CGS(p, op, bv, xv, opt)
-		case MethodBiCGSTAB:
-			st, err = core.BiCGSTAB(p, op, bv, xv, opt)
-		}
-		if err != nil {
-			if p.Rank() == 0 {
-				solveErr = err
-			}
-			return
-		}
-		full := xv.Gather()
-		if p.Rank() == 0 {
-			res.X = full
-			res.Stats = st
-		}
-	})
-	if solveErr != nil {
-		return nil, solveErr
-	}
-	res.Run = run
-	return res, nil
 }

@@ -211,12 +211,16 @@ func TestSolveLayoutTopologyMatrix(t *testing.T) {
 	}
 }
 
-// The facade's CG is hpfexec's prepared path: X bits, iterations and
-// modeled time equal a batch of one through PlanForLayout, Prepare and
-// SolveBatch. Its answer is also core.CG's over the executor the layout
+// Every method of the facade is hpfexec's prepared path, and its
+// answer is the one the facade's direct SPMD body gave before the §2.1
+// methods became hpfexec variants: X bits and iterations equal
+// directSolve's, the method's recurrence over the executor the layout
 // names (broadcast row blocks on the block or balanced distribution, or
-// column blocks in the layout's mode): hpfexec may run the halo
-// executor instead, which changes the clock but not one bit of X.
+// column blocks in the layout's mode). hpfexec may run the halo
+// executor instead, which changes the clock but not one bit of X; where
+// it does not — the CSC layouts, BiCG, whose A^T only the broadcast
+// executor applies, and one processor — the modeled time is the direct
+// body's too.
 func TestSolveCGIsThePreparedPath(t *testing.T) {
 	for _, spec := range []string{"laplace2d:12:12", "powerlawc:500:1", "randspd:200:6:3"} {
 		A, err := sparse.GeneratorByName(spec)
@@ -224,51 +228,33 @@ func TestSolveCGIsThePreparedPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := sparse.RandomVector(A.NRows, 42)
-		for _, layout := range hpfexec.Layouts() {
-			for _, np := range []int{1, 3, 4, 8} {
-				name := fmt.Sprintf("%s/%s/np=%d", spec, layout, np)
-				got, err := Solve(A, b, SolveSpec{Layout: Layout(layout), NP: np})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				want := preparedCG(t, A, b, layout, np)
-				if got.Stats.Iterations != want.Results[0].Stats.Iterations || !sameBits(got.X, want.Results[0].X) {
-					t.Errorf("%s: facade differs from the prepared path", name)
-				}
-				if got.Run.ModelTime != want.Run.ModelTime {
-					t.Errorf("%s: facade model time %v, prepared path %v", name, got.Run.ModelTime, want.Run.ModelTime)
-				}
-				x, iters := directCG(t, A, b, layout, np)
-				if got.Stats.Iterations != iters || !sameBits(got.X, x) {
-					t.Errorf("%s: %d iterations, core.CG over the layout's executor %d, or X bits differ", name, got.Stats.Iterations, iters)
+		for _, method := range methods {
+			for _, layout := range hpfexec.Layouts() {
+				for _, np := range []int{1, 3, 4, 8} {
+					name := fmt.Sprintf("%s/%s/%s/np=%d", spec, method, layout, np)
+					got, err := Solve(A, b, SolveSpec{Method: method, Layout: Layout(layout), NP: np})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					x, iters, run := directSolve(t, A, b, method, layout, np)
+					if got.Stats.Iterations != iters || !sameBits(got.X, x) {
+						t.Errorf("%s: %d iterations, the direct body %d, or X bits differ", name, got.Stats.Iterations, iters)
+					}
+					sameClock := strings.HasPrefix(layout, "csc") || method == MethodBiCG || np == 1
+					if sameClock && got.Run.ModelTime != run.ModelTime {
+						t.Errorf("%s: model time %v, the direct body %v", name, got.Run.ModelTime, run.ModelTime)
+					}
 				}
 			}
 		}
 	}
 }
 
-func preparedCG(t *testing.T, A *CSR, b []float64, layout string, np int) *hpfexec.BatchResult {
-	t.Helper()
-	m, err := NewMachine(Config{NP: np})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := hpfexec.PlanForLayout(layout, np, A.NRows, A.NNZ())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := hpfexec.Prepare(m, plan, A)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := pr.SolveBatch([][]float64{b}, []core.Options{{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-func directCG(t *testing.T, A *CSR, b []float64, layout string, np int) ([]float64, int) {
+// directSolve is the facade's retired direct body: one SPMD run of the
+// method over the layout's broadcast row-block or column-block
+// executor, the balanced distribution cut by
+// CG_BALANCED_PARTITIONER_1's weights (each row's stored entries).
+func directSolve(t *testing.T, A *CSR, b []float64, method Method, layout string, np int) ([]float64, int, RunStats) {
 	t.Helper()
 	m, err := NewMachine(Config{NP: np})
 	if err != nil {
@@ -281,8 +267,8 @@ func directCG(t *testing.T, A *CSR, b []float64, layout string, np int) ([]float
 	csc := A.ToCSC()
 	var x []float64
 	var iters int
-	m.Run(func(p *Proc) {
-		var op spmv.Operator
+	run := m.Run(func(p *Proc) {
+		var op spmv.TransposeOperator
 		switch layout {
 		case "csc-serial":
 			op = spmv.NewColBlockCSC(p, csc, d, spmv.ModeSerialized)
@@ -293,15 +279,31 @@ func directCG(t *testing.T, A *CSR, b []float64, layout string, np int) ([]float
 		}
 		bv, xv := darray.New(p, d), darray.New(p, d)
 		bv.SetGlobal(func(g int) float64 { return b[g] })
-		st, err := core.CG(p, op, bv, xv, core.Options{})
+		var st core.Stats
+		var err error
+		switch method {
+		case MethodCG:
+			st, err = core.CG(p, op, bv, xv, core.Options{})
+		case MethodPCG:
+			var M *core.Jacobi
+			if M, err = core.NewJacobi(p, A, d); err == nil {
+				st, err = core.PCG(p, op, M, bv, xv, core.Options{})
+			}
+		case MethodBiCG:
+			st, err = core.BiCG(p, op, bv, xv, core.Options{})
+		case MethodCGS:
+			st, err = core.CGS(p, op, bv, xv, core.Options{})
+		case MethodBiCGSTAB:
+			st, err = core.BiCGSTAB(p, op, bv, xv, core.Options{})
+		}
 		if err != nil {
-			t.Errorf("%s np=%d: %v", layout, np, err)
+			t.Errorf("%s %s np=%d: %v", method, layout, np, err)
 		}
 		if full := xv.Gather(); p.Rank() == 0 {
 			x, iters = full, st.Iterations
 		}
 	})
-	return x, iters
+	return x, iters, run
 }
 
 func sameBits(a, b []float64) bool {

@@ -150,7 +150,7 @@ func E26(cfg Config) ([]*report.Table, error) {
 		frontierScales = []float64{0.05, 1, 125}
 	}
 	for _, scale := range frontierScales {
-		models := hpfexec.Frontier(at(scale).machine(np), A2, d2, hpfexec.SStepCandidates)
+		models := hpfexec.Frontier(at(scale).machine(np), A2, d2)
 		winner := hpfexec.Cheapest(models, nil).Variant.String()
 		var tPlain, tPipe, tSBest, hiddenPipe float64
 		first := true

@@ -28,7 +28,7 @@ import (
 // the per-np cost-model frontier and that the auto-selector's choice
 // (the frontier argmin) is confirmed by the simulated machine.
 func E23(cfg Config) ([]*report.Table, error) {
-	factors := []int{1, 2, 4, 8}
+	factors := hpfexec.SStepCandidates
 
 	// One s-step solve on a fresh machine, its solution gathered.
 	solve := func(np int, A *sparse.CSR, b []float64, s int, opt core.Options) (solved, error) {
@@ -76,8 +76,8 @@ func E23(cfg Config) ([]*report.Table, error) {
 	}
 	// prices is the cost-model frontier at np, and each blocking row's
 	// per-iteration price by factor (s = 1 is the plain row).
-	prices := func(np int, factors []int) ([]hpfexec.FrontierRow, map[int]float64) {
-		rows := hpfexec.Frontier(cfg.machine(np), A, dist.NewBlock(n, np), factors)
+	prices := func(np int) ([]hpfexec.FrontierRow, map[int]float64) {
+		rows := hpfexec.Frontier(cfg.machine(np), A, dist.NewBlock(n, np))
 		perIter := map[int]float64{}
 		for _, row := range rows {
 			if hpfexec.AutoServes(row.Variant) {
@@ -87,7 +87,7 @@ func E23(cfg Config) ([]*report.Table, error) {
 		return rows, perIter
 	}
 	for _, np := range nps {
-		_, pred := prices(np, factors)
+		_, pred := prices(np)
 		var baseT float64 // the s = 1 run's makespan, the first factor
 		for _, s := range factors {
 			r, err := solve(np, A, b, s, core.Options{Tol: 1e-8})
@@ -166,7 +166,7 @@ func E23(cfg Config) ([]*report.Table, error) {
 		selNPs = []int{1, 2, 4}
 	}
 	for _, np := range selNPs {
-		frontier, perIter := prices(np, hpfexec.SStepCandidates)
+		frontier, perIter := prices(np)
 		chosen := hpfexec.Cheapest(frontier, hpfexec.AutoServes).Variant.Factor()
 		s1, err := solve(np, A, b, 1, core.Options{Tol: 1e-8})
 		if err != nil {

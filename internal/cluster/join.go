@@ -27,8 +27,6 @@ type JoinOptions struct {
 	AdvertiseURL string
 	// HeartbeatEvery is the heartbeat period (default 1s).
 	HeartbeatEvery time.Duration
-	// Client performs the HTTP calls (default 5s-timeout client).
-	Client *http.Client
 	// Logf logs membership events (default log.Printf).
 	Logf func(format string, args ...any)
 }
@@ -48,10 +46,7 @@ func NewJoiner(opts JoinOptions) (*Joiner, error) {
 	if opts.HeartbeatEvery <= 0 {
 		opts.HeartbeatEvery = time.Second
 	}
-	j := &Joiner{opts: opts, cli: opts.Client, logf: opts.Logf}
-	if j.cli == nil {
-		j.cli = &http.Client{Timeout: 5 * time.Second}
-	}
+	j := &Joiner{opts: opts, cli: &http.Client{Timeout: 5 * time.Second}, logf: opts.Logf}
 	if j.logf == nil {
 		j.logf = log.Printf
 	}

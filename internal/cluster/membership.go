@@ -33,26 +33,21 @@ type Node struct {
 	LastBeat time.Time `json:"last_beat"`
 }
 
+// The failure detector's windows: a node whose last heartbeat is older
+// than suspectAfter turns suspect, and a suspect silent past evictAfter
+// is removed entirely.
+const (
+	suspectAfter = 3 * time.Second
+	evictAfter   = 15 * time.Second
+)
+
 // MembershipOptions tune failure detection.
 type MembershipOptions struct {
-	// SuspectAfter marks a node suspect when its last heartbeat is
-	// older than this (default 3s).
-	SuspectAfter time.Duration
-	// EvictAfter removes a suspect entirely (default 15s).
-	EvictAfter time.Duration
-	// VNodes is the ring's virtual-node count (default DefaultVNodes).
-	VNodes int
 	// Now overrides the clock for deterministic tests.
 	Now func() time.Time
 }
 
 func (o MembershipOptions) withDefaults() MembershipOptions {
-	if o.SuspectAfter == 0 {
-		o.SuspectAfter = 3 * time.Second
-	}
-	if o.EvictAfter == 0 {
-		o.EvictAfter = 15 * time.Second
-	}
 	if o.Now == nil {
 		o.Now = time.Now
 	}
@@ -74,7 +69,7 @@ func NewMembership(opts MembershipOptions) *Membership {
 		opts:  opts.withDefaults(),
 		nodes: map[string]*Node{},
 	}
-	m.ring = NewRing(nil, m.opts.VNodes)
+	m.ring = NewRing(nil, DefaultVNodes)
 	return m
 }
 
@@ -86,7 +81,7 @@ func (m *Membership) rebuild() {
 			alive = append(alive, name)
 		}
 	}
-	m.ring = NewRing(alive, m.opts.VNodes)
+	m.ring = NewRing(alive, DefaultVNodes)
 }
 
 // Register adds (or refreshes) a shard. Re-registering an evicted or
@@ -135,8 +130,8 @@ func (m *Membership) Deregister(name string) {
 }
 
 // Sweep applies the failure detector: alive nodes silent past
-// SuspectAfter turn suspect (and leave the ring); suspects silent past
-// EvictAfter are removed. Returns what changed, for logging.
+// suspectAfter turn suspect (and leave the ring); suspects silent past
+// evictAfter are removed. Returns what changed, for logging.
 func (m *Membership) Sweep() (suspected, evicted []string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -145,11 +140,11 @@ func (m *Membership) Sweep() (suspected, evicted []string) {
 	for name, n := range m.nodes {
 		silent := now.Sub(n.LastBeat)
 		switch {
-		case n.State == StateAlive && silent > m.opts.SuspectAfter:
+		case n.State == StateAlive && silent > suspectAfter:
 			n.State = StateSuspect
 			suspected = append(suspected, name)
 			changed = true
-		case n.State == StateSuspect && silent > m.opts.EvictAfter:
+		case n.State == StateSuspect && silent > evictAfter:
 			delete(m.nodes, name)
 			evicted = append(evicted, name)
 			changed = true

@@ -12,11 +12,7 @@ func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1_000_000, 0)} }
 func memWithClock(c *fakeClock) *Membership {
-	return NewMembership(MembershipOptions{
-		SuspectAfter: 3 * time.Second,
-		EvictAfter:   15 * time.Second,
-		Now:          c.now,
-	})
+	return NewMembership(MembershipOptions{Now: c.now})
 }
 
 // TestSuspectThenEvict walks a shard through the full failure-detector
@@ -35,7 +31,7 @@ func TestSuspectThenEvict(t *testing.T) {
 		t.Fatalf("alive %d, want 2", m.AliveCount())
 	}
 
-	// b goes silent past SuspectAfter.
+	// b goes silent past suspectAfter.
 	clk.advance(4 * time.Second)
 	m.Heartbeat("a")
 	suspected, evicted := m.Sweep()
@@ -64,7 +60,7 @@ func TestSuspectThenEvict(t *testing.T) {
 		t.Fatalf("alive %d after restore, want 2", m.AliveCount())
 	}
 
-	// Silent for good: suspect, then evicted after EvictAfter more.
+	// Silent for good: suspect, then evicted after evictAfter more.
 	clk.advance(4 * time.Second)
 	m.Heartbeat("a")
 	if s, _ := m.Sweep(); len(s) != 1 || s[0] != "b" {

@@ -26,8 +26,6 @@ import (
 
 // RouterOptions configures a Router.
 type RouterOptions struct {
-	// Membership tuning (suspect/evict windows, vnode count, clock).
-	Membership MembershipOptions
 	// SweepEvery is the failure-detector period (default 1s; <0
 	// disables the background sweeper — tests drive Sweep directly).
 	SweepEvery time.Duration
@@ -59,7 +57,7 @@ type Router struct {
 func NewRouter(opts RouterOptions) *Router {
 	rt := &Router{
 		opts:   opts,
-		mem:    NewMembership(opts.Membership),
+		mem:    NewMembership(MembershipOptions{}),
 		cli:    opts.Client,
 		logf:   opts.Logf,
 		routed: map[string]uint64{},

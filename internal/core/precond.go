@@ -25,9 +25,9 @@ func (Identity) Apply(r, z *darray.Vector) { z.CopyFrom(r) }
 // Jacobi is distributed diagonal scaling. Because the diagonal is
 // aligned with the vectors, the application is purely local — the only
 // preconditioner the paper's alignment scheme supports without extra
-// communication.
+// communication. It charges through the vectors' processor handle, so a
+// cached Jacobi serves a later run without rebinding.
 type Jacobi struct {
-	p       *comm.Proc
 	invDiag []float64 // local block of 1/diag(A)
 }
 
@@ -57,7 +57,7 @@ func NewJacobi(p *comm.Proc, A *sparse.CSR, d dist.Dist) (*Jacobi, error) {
 	if worst := p.AllreduceScalar(bad, comm.OpMin); !math.IsInf(worst, 1) {
 		return nil, fmt.Errorf("core: zero diagonal at %d, Jacobi undefined", int(worst))
 	}
-	return &Jacobi{p: p, invDiag: inv}, nil
+	return &Jacobi{invDiag: inv}, nil
 }
 
 // Apply implements Preconditioner: a local element-wise product.
@@ -69,5 +69,5 @@ func (j *Jacobi) Apply(r, z *darray.Vector) {
 	for i := range rl {
 		zl[i] = rl[i] * j.invDiag[i]
 	}
-	j.p.Compute(len(rl))
+	r.Proc().Compute(len(rl))
 }

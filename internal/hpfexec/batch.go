@@ -19,7 +19,7 @@
 //
 // There is one loop. Every backend (assembled matrix, multigrid
 // hierarchy, matrix-free stencil) and every variant (plain, s-step,
-// pipelined, resilient) runs through Prepared.run; they differ in the
+// pipelined, resilient, the §2.1 methods) runs through Prepared.run; they differ in the
 // per-rank cold build and in the recurrence the resolved variant runs,
 // both fixed before the SPMD region starts. A resilient variant calls
 // it once per attempt.
@@ -119,9 +119,10 @@ type backend interface {
 	// build constructs rank p's operator state inside the SPMD region.
 	// It is collective: every rank calls it at the same point, and an
 	// error is deterministic in (spec, np), so all ranks fail alike and
-	// control flow stays aligned. sstep is the handle's resolved
-	// blocking factor (only the CSR executor choice depends on it).
-	build(p *comm.Proc, sstep int) (rankOps, error)
+	// control flow stays aligned. v is the handle's resolved variant
+	// (only the assembled matrix's executor and preconditioner depend
+	// on it).
+	build(p *comm.Proc, v Variant) (rankOps, error)
 }
 
 // rankOps is one rank's solver inputs, cached in the handle after the
@@ -378,7 +379,7 @@ func (pr *Prepared) run(ctx context.Context, rhs [][]float64, opts []core.Option
 			// no executor-selection collective — modeled setup is zero.
 			ro.op.Rebind(p)
 		} else {
-			built, err := pr.be.build(p, pr.strategy.Variant.Factor())
+			built, err := pr.be.build(p, pr.strategy.Variant)
 			if err != nil {
 				if r == 0 {
 					buildErr = err

@@ -26,10 +26,11 @@ type confBackend struct {
 	matrix   func(np int) (*sparse.CSR, error)
 	variants []string
 	// coldSetupZero: the backend's cold build charges nothing, at any
-	// rank count. inspects: it exchanges an inspector schedule, so at
-	// np > 1 the cold build must charge something.
+	// rank count. inspects: whether the cell's variant exchanges an
+	// inspector schedule, so at np > 1 the cold build must charge
+	// something.
 	coldSetupZero bool
-	inspects      bool
+	inspects      func(variant string) bool
 }
 
 func layoutBackend(layout string, A *sparse.CSR, variants []string) confBackend {
@@ -44,7 +45,9 @@ func layoutBackend(layout string, A *sparse.CSR, variants []string) confBackend 
 		},
 		matrix:   func(int) (*sparse.CSR, error) { return A, nil },
 		variants: variants,
-		inspects: !strings.HasPrefix(layout, "csc"),
+		// BiCG on a CSR layout runs the broadcast executor, which
+		// exchanges no schedule.
+		inspects: func(variant string) bool { return !strings.HasPrefix(layout, "csc") && variant != "bicg" },
 	}
 }
 
@@ -60,11 +63,11 @@ func stencilBackendRow(name string, spec mfree.Spec) confBackend {
 
 func conformanceBackends() []confBackend {
 	A := sparse.Laplace2D(12, 12)
-	csrVariants := []string{"plain", "sstep-1", "sstep-4", "sstep-auto", "pipelined"}
+	csrVariants := []string{"plain", "sstep-1", "sstep-4", "sstep-auto", "pipelined", "pcg", "bicg", "cgs", "bicgstab"}
 	brick := mg.Spec{Nx: 4, Ny: 4, Nz: 4, Levels: 3}
 	return []confBackend{
 		layoutBackend("csr", A, csrVariants),
-		layoutBackend("csc-merge", A, []string{"plain", "sstep-1", "sstep-auto"}),
+		layoutBackend("csc-merge", A, []string{"plain", "sstep-1", "sstep-auto", "pcg", "bicg", "cgs", "bicgstab"}),
 		layoutBackend("balanced", A, csrVariants),
 		{
 			name:    "mg-3level",
@@ -198,7 +201,7 @@ func TestSolvePathConformance(t *testing.T) {
 					if be.coldSetupZero && cold.SetupModelTime != 0 {
 						t.Errorf("cold setup %g, want exactly 0", cold.SetupModelTime)
 					}
-					if be.inspects && np > 1 && cold.SetupModelTime <= 0 {
+					if be.inspects != nil && be.inspects(name) && np > 1 && cold.SetupModelTime <= 0 {
 						t.Errorf("cold setup %g, want > 0 (inspector exchange)", cold.SetupModelTime)
 					}
 
@@ -457,6 +460,12 @@ func TestVariantLegality(t *testing.T) {
 		BackendStencil: {Plain(): true, Pipelined(): true},
 	}
 	variants := []Variant{Plain(), SStep(4), SStepAuto(), SStep(MaxSStep + 1), Pipelined(), Resilient(0, 0)}
+	// The §2.1 methods run on the assembled matrix alone.
+	for _, kind := range methodKinds {
+		v := cellVariant(t, kind)
+		variants = append(variants, v)
+		legal[BackendCSR][v], legal[BackendCSC][v] = true, true
+	}
 	for backend, prepare := range handles {
 		for _, v := range variants {
 			name := backend + "/" + v.String()

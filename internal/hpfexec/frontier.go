@@ -60,13 +60,12 @@ type FrontierRow struct {
 	Ghosts       int
 }
 
-// Frontier prices plain CG, s-step CG at every factor >= 2 in factors
-// (SStepCandidates is what the auto-selector uses), and pipelined CG
-// for matrix A distributed by d over the machine's ranks. Rows come in
-// that order, the s-step rows in the order of factors — the order
-// Cheapest breaks ties in. The depth-1 closure is swept once and shared
+// Frontier prices plain CG, s-step CG at every factor >= 2 in
+// SStepCandidates, and pipelined CG for matrix A distributed by d over
+// the machine's ranks. Rows come in that order, the s-step rows by
+// rising factor — the order Cheapest breaks ties in. The depth-1 closure is swept once and shared
 // by the plain and pipelined rows.
-func Frontier(m *comm.Machine, A *sparse.CSR, d dist.Contiguous, factors []int) []FrontierRow {
+func Frontier(m *comm.Machine, A *sparse.CSR, d dist.Contiguous) []FrontierRow {
 	np := m.NP()
 	topo, c := m.Topology(), m.Cost()
 	nloc := 0
@@ -79,7 +78,7 @@ func Frontier(m *comm.Machine, A *sparse.CSR, d dist.Contiguous, factors []int) 
 
 	// Plain CG: per iteration, one mat-vec (halo g1), two scalar
 	// allreduces, and the 5 length-n vector ops of Figure 2.
-	rows := append(make([]FrontierRow, 0, len(factors)+2), FrontierRow{
+	rows := append(make([]FrontierRow, 0, len(SStepCandidates)+2), FrontierRow{
 		Variant:       Plain(),
 		RoundsPerIter: 2,
 		BlockEntries:  entries,
@@ -89,7 +88,7 @@ func Frontier(m *comm.Machine, A *sparse.CSR, d dist.Contiguous, factors []int) 
 			c.TFlop*(2*float64(entries)+10*float64(nloc)),
 	})
 
-	for _, s := range factors {
+	for _, s := range SStepCandidates {
 		if s <= 1 {
 			continue
 		}

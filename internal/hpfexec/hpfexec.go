@@ -50,8 +50,8 @@ func (s Strategy) String() string {
 	switch s.Variant.Kind() {
 	case "sstep":
 		out += fmt.Sprintf(" / s-step(s=%d)", s.Variant.s)
-	case "pipelined":
-		out += " / pipelined"
+	case "pipelined", "pcg", "bicg", "cgs", "bicgstab":
+		out += " / " + s.Variant.Kind()
 	}
 	return out
 }
@@ -94,27 +94,39 @@ func (mb *matrixBackend) memoryBytes() int64 {
 	return 2*sz + int64(mb.A.NRows)*2*floatB
 }
 
-// build constructs this rank's mat-vec operator. For CSR that is the
-// halo executor, inspected to the s-step depth; at depth 1 the build
-// falls back to the broadcast executor when the widest halo exceeds a
-// quarter of the vector (E14/E15) — a collective, so all ranks agree.
-// At depth >= 2 the widened closure is what makes one exchange serve a
-// whole basis block, so the fallback never applies.
-func (mb *matrixBackend) build(p *comm.Proc, sstep int) (rankOps, error) {
+// build constructs this rank's mat-vec operator, then pcg's
+// preconditioner. For CSR that is the halo executor, inspected to the
+// s-step depth; at depth 1 the build falls back to the broadcast
+// executor when the widest halo exceeds a quarter of the vector
+// (E14/E15) — a collective, so all ranks agree. At depth >= 2 the
+// widened closure is what makes one exchange serve a whole basis block,
+// so the fallback never applies. BiCG's A^T needs the broadcast
+// executor outright: the halo executor has no ApplyT.
+func (mb *matrixBackend) build(p *comm.Proc, v Variant) (rankOps, error) {
 	ro := rankOps{d: mb.d}
-	if mb.format == "csc" {
+	depth := max(1, v.Factor())
+	switch {
+	case mb.format == BackendCSC:
 		mode := spmv.ModeSerialized
 		if mb.hasMerge {
 			mode = spmv.ModePrivateMerge
 		}
 		ro.op = spmv.NewColBlockCSC(p, mb.csc, mb.d, mode)
-		return ro, nil
-	}
-	depth := max(1, sstep)
-	halo := spmv.NewRowBlockCSRPowers(p, mb.A, mb.d, depth)
-	ro.op, ro.mode = halo, "local(ghost)"
-	if depth == 1 && p.AllreduceScalar(float64(halo.NGhosts()), comm.OpMax) > 0.25*float64(mb.A.NRows) {
+	case v.Kind() == "bicg":
 		ro.op, ro.mode = spmv.NewRowBlockCSR(p, mb.A, mb.d), "local(broadcast)"
+	default:
+		halo := spmv.NewRowBlockCSRPowers(p, mb.A, mb.d, depth)
+		ro.op, ro.mode = halo, "local(ghost)"
+		if depth == 1 && p.AllreduceScalar(float64(halo.NGhosts()), comm.OpMax) > 0.25*float64(mb.A.NRows) {
+			ro.op, ro.mode = spmv.NewRowBlockCSR(p, mb.A, mb.d), "local(broadcast)"
+		}
+	}
+	if v.Kind() == "pcg" {
+		M, err := core.NewJacobi(p, mb.A, mb.d)
+		if err != nil {
+			return rankOps{}, err
+		}
+		ro.M = M
 	}
 	return ro, nil
 }

@@ -54,7 +54,7 @@ func (b *mgBackend) memoryBytes() int64 { return b.bytes }
 
 // build constructs the rank's level hierarchy. Rebinding the cached
 // operator rebinds the whole problem, preconditioner included.
-func (b *mgBackend) build(p *comm.Proc, _ int) (rankOps, error) {
+func (b *mgBackend) build(p *comm.Proc, _ Variant) (rankOps, error) {
 	pb, err := mg.NewProblem(p, b.spec)
 	if err != nil {
 		return rankOps{}, err

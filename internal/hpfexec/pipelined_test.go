@@ -171,7 +171,7 @@ func TestVariantFrontier(t *testing.T) {
 		c.TStartup *= tc.scale
 		c.THop *= tc.scale
 		m := comm.NewMachine(np, topology.Hypercube{}, c)
-		models := Frontier(m, A, d, SStepCandidates)
+		models := Frontier(m, A, d)
 		best := Cheapest(models, nil).Variant.String()
 		if best != tc.want {
 			t.Fatalf("scale %g: chose %q, want %q (%+v)", tc.scale, best, tc.want, models)

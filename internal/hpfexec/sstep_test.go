@@ -133,7 +133,7 @@ func TestSStepCostModelSelection(t *testing.T) {
 	n := A.NRows
 
 	d1 := dist.NewBlock(n, 1)
-	models1 := Frontier(machine(1), A, d1, SStepCandidates)
+	models1 := Frontier(machine(1), A, d1)
 	s1 := Cheapest(models1, AutoServes).Variant.Factor()
 	if s1 != 1 {
 		t.Fatalf("np=1 chose s=%d, want 1 (allreduces are free, overlap flops are not)", s1)
@@ -150,7 +150,7 @@ func TestSStepCostModelSelection(t *testing.T) {
 
 	np := 4
 	d4 := dist.NewBlock(n, np)
-	models4 := blocking(Frontier(machine(np), A, d4, SStepCandidates))
+	models4 := blocking(Frontier(machine(np), A, d4))
 	s4 := Cheapest(models4, AutoServes).Variant.Factor()
 	if s4 <= 1 {
 		t.Fatalf("np=%d chose s=%d; latency-dominated regime should pick s>1", np, s4)

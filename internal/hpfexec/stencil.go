@@ -47,7 +47,7 @@ func (b *stencilBackend) n() int             { return b.spec.N() }
 func (b *stencilBackend) memoryBytes() int64 { return b.bytes }
 
 // build constructs the rank's operator locally — no collective.
-func (b *stencilBackend) build(p *comm.Proc, _ int) (rankOps, error) {
+func (b *stencilBackend) build(p *comm.Proc, _ Variant) (rankOps, error) {
 	op, err := mfree.New(p, b.spec)
 	if err != nil {
 		return rankOps{}, err

@@ -1,15 +1,17 @@
 // The solver variant of a Prepared handle, and the one table that says
 // which variant runs on which backend. A variant differs from its
 // siblings in the recurrence (core.PCG, core.CGSStep, core.CGPipelined,
-// core.CGResilient), not in plumbing: it is resolved once, and the
-// shared loop (Prepared.run) runs the resolved variant's recurrence for
-// every right-hand side. Like a Problem, a Variant is a value with one
-// canonical string, and every variant that arrives as text (hpfrun's
-// -variant) is parsed here.
+// core.CGResilient, the §2.1 methods), not in plumbing: it is resolved
+// once, and the shared loop (Prepared.run) runs the resolved variant's
+// recurrence for every right-hand side. Like a Problem, a Variant is a
+// value with one canonical string, and every variant that arrives as
+// text (hpfrun's -variant, the facade's method names) is parsed here.
 //
 // The text grammar is the canonical form String prints:
 //
 //	plain                        the Figure 2 recurrence (core.PCG under the backend's preconditioner)
+//	pcg                          core.PCG under the point-Jacobi preconditioner (core.NewJacobi)
+//	bicg | cgs | bicgstab        the §2.1 methods (core.BiCG, core.CGS, core.BiCGSTAB)
 //	sstep:<s>                    s-step CG at a fixed factor, 2 <= s <= MaxSStep (core.CGSStep)
 //	sstep:auto                   s-step CG at the §4 cost model's factor
 //	pipelined                    the overlap solver (core.CGPipelined)
@@ -27,12 +29,14 @@ import (
 	"errors"
 	"fmt"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 
 	"hpfcg/internal/comm"
 	"hpfcg/internal/core"
 	"hpfcg/internal/darray"
+	"hpfcg/internal/spmv"
 )
 
 // The backend names of the legality table. The assembled-matrix
@@ -45,7 +49,7 @@ const (
 	BackendStencil = "stencil"
 )
 
-// Variant is the CG recurrence a handle's solves run. Build it with
+// Variant is the Krylov recurrence a handle's solves run. Build it with
 // ParseVariant, Plain, SStep, SStepAuto, Pipelined or Resilient; the
 // zero value is Plain.
 type Variant struct {
@@ -93,7 +97,7 @@ func Resilient(ckpt, restarts int) Variant {
 
 // variantForm is the grammar of the file comment: the s-step factor is
 // group 1, the resilient interval group 2, the budget group 3 or 4.
-var variantForm = regexp.MustCompile(`^(?:plain|pipelined|sstep:auto|sstep:(-?\d+)|resilient(?::ckpt=(-?\d+)(?:,restarts=(-?\d+))?|:restarts=(-?\d+))?)$`)
+var variantForm = regexp.MustCompile(`^(?:plain|pipelined|pcg|bicg|cgs|bicgstab|sstep:auto|sstep:(-?\d+)|resilient(?::ckpt=(-?\d+)(?:,restarts=(-?\d+))?|:restarts=(-?\d+))?)$`)
 
 // ParseVariant reads the text grammar of the file comment. The grammar
 // is exact: an unknown kind, a malformed or trailing field, a factor
@@ -103,10 +107,10 @@ func ParseVariant(s string) (Variant, error) {
 	m := variantForm.FindStringSubmatch(s)
 	var err error // the first field that does not parse
 	num := func(t string) int { n, e := strconv.Atoi(cmp.Or(t, "0")); err = cmp.Or(err, e); return n }
-	v := Variant{key: s} // pipelined and sstep:auto are their own keys
+	v := Variant{key: s} // the words without a field are their own keys
 	switch {
 	case m == nil:
-		return Variant{}, fmt.Errorf("hpfexec: variant %q: want plain, sstep:<s>, sstep:auto, pipelined or resilient[:ckpt=<n>[,restarts=<n>]]", s)
+		return Variant{}, fmt.Errorf("hpfexec: variant %q: want plain, pcg, bicg, cgs, bicgstab, sstep:<s>, sstep:auto, pipelined or resilient[:ckpt=<n>[,restarts=<n>]]", s)
 	case s == "plain":
 		v = Plain()
 	case m[1] != "":
@@ -127,7 +131,7 @@ func ParseVariant(s string) (Variant, error) {
 func (v Variant) String() string { return cmp.Or(v.key, "plain") }
 
 // Kind is the prefix of String that names the recurrence: "plain",
-// "sstep", "pipelined" or "resilient".
+// "sstep", "pipelined", "resilient" or a word of methodKinds.
 func (v Variant) Kind() string { kind, _, _ := strings.Cut(v.String(), ":"); return kind }
 
 // Factor is the s-step blocking factor the variant's recurrence runs
@@ -146,7 +150,8 @@ func (v Variant) Factor() int {
 // WithVariant consults it for a handle; the service consults it at
 // admission, before any handle exists, and returns its error as the
 // 400 verbatim. Every error names the request field (sstep, pipelined,
-// resilient, ckpt_interval, max_restarts) that has to change.
+// resilient, ckpt_interval, max_restarts, or the facade's method) that
+// has to change.
 func CheckVariant(backend string, v Variant) error {
 	matrix := backend == BackendCSR || backend == BackendCSC
 	var why error
@@ -167,11 +172,18 @@ func CheckVariant(backend string, v Variant) error {
 		why = fmt.Errorf("field pipelined: does not apply to hpcg jobs (the V-cycle is the inner solve)")
 	case kind == "resilient" && !matrix:
 		why = fmt.Errorf("field resilient: checkpoint/restart needs an assembled matrix, not a %s job", backend)
+	case slices.Contains(methodKinds, kind) && !matrix:
+		why = fmt.Errorf("field method: %s needs an assembled matrix, not a %s job", kind, backend)
 	default:
 		return nil
 	}
 	return fmt.Errorf("hpfexec: %w", why)
 }
+
+// methodKinds are the §2.1 recurrences: the assembled-matrix backends
+// run them over their own executor, the CSR layouts' broadcast one for
+// bicg, whose A^T the halo executor does not apply.
+var methodKinds = []string{"pcg", "bicg", "cgs", "bicgstab"}
 
 // solve runs the variant's recurrence for one right-hand side on rank
 // p over the rank's operators; res is the checkpoint store and interval
@@ -184,16 +196,24 @@ func (v Variant) solve(p *comm.Proc, ro *rankOps, b, x *darray.Vector, opt core.
 		return core.CGPipelined(p, ro.op, b, x, opt)
 	case "resilient":
 		return core.CGResilient(p, ro.op, b, x, opt, res)
+	case "bicg":
+		return core.BiCG(p, ro.op.(spmv.TransposeOperator), b, x, opt)
+	case "cgs":
+		return core.CGS(p, ro.op, b, x, opt)
+	case "bicgstab":
+		return core.BiCGSTAB(p, ro.op, b, x, opt)
 	}
+	// plain and pcg: the cold build set M to pcg's point-Jacobi.
 	return core.PCG(p, ro.op, ro.M, b, x, opt)
 }
 
 // WithVariant sets the recurrence the handle's solves run, checked
 // against the legality table. It resolves everything the variant
 // implies before any run: sstep:auto becomes a concrete factor or
-// plain, and the factor picks the operator the cold build constructs
+// plain, and the variant picks the operators the cold build constructs
 // (s >= 2 runs the matrix-powers executor, whose widened inspector
-// schedule is cached in the handle like every other operator).
+// schedule is cached in the handle like every other operator; bicg the
+// broadcast executor on CSR; pcg adds point Jacobi).
 // Strategy().Variant reports the resolved variant, which every solve
 // then runs. Call it on a fresh handle: a warm handle already holds
 // the operators of its current variant.
@@ -207,7 +227,7 @@ func (pr *Prepared) WithVariant(v Variant) error {
 	if v == SStepAuto() {
 		v = Plain()
 		if mb, ok := pr.be.(*matrixBackend); ok && mb.format == BackendCSR {
-			v = Cheapest(Frontier(pr.m, mb.A, mb.d, SStepCandidates), AutoServes).Variant
+			v = Cheapest(Frontier(pr.m, mb.A, mb.d), AutoServes).Variant
 		}
 	}
 	pr.strategy.Variant = v

@@ -7,7 +7,8 @@ import (
 )
 
 // TestParseVariant: every form of the grammar parses to the value its
-// constructor builds, String writes the canonical form, and that parses
+// constructor builds (a §2.1 method word, which has none, to the value
+// keyed by the word), String writes the canonical form, and that parses
 // back to the same value; a kind the grammar does not have, a trailing
 // or malformed field, a factor outside [2, MaxSStep] — s = 1 is plain —
 // or a negative bound is an error naming the argument.
@@ -23,6 +24,10 @@ func TestParseVariant(t *testing.T) {
 		{"sstep:04", SStep(4), "sstep:4"},
 		{"sstep:auto", SStepAuto(), "sstep:auto"},
 		{"pipelined", Pipelined(), "pipelined"},
+		{"pcg", Variant{key: "pcg"}, "pcg"},
+		{"bicg", Variant{key: "bicg"}, "bicg"},
+		{"cgs", Variant{key: "cgs"}, "cgs"},
+		{"bicgstab", Variant{key: "bicgstab"}, "bicgstab"},
 		{"resilient", Resilient(0, 0), "resilient:ckpt=10,restarts=3"},
 		{"resilient:ckpt=10,restarts=3", Resilient(10, 3), "resilient:ckpt=10,restarts=3"},
 		{"resilient:ckpt=5", Resilient(5, 0), "resilient:ckpt=5,restarts=3"},
@@ -46,6 +51,8 @@ func TestParseVariant(t *testing.T) {
 		"":                              "want plain",
 		"Plain":                         "want plain",
 		"cg":                            "want plain",
+		"bicg:2":                        "want plain",
+		"bicgstab,pcg":                  "want plain",
 		"plain:1":                       "want plain",
 		"sstep":                         "want plain",
 		"sstep:":                        "want plain",
@@ -81,7 +88,7 @@ func TestParseVariant(t *testing.T) {
 func FuzzParseVariant(f *testing.F) {
 	for _, s := range []string{
 		"plain", "sstep:4", "sstep:auto", "sstep:1", "sstep:0", "sstep:-1", "sstep:17", "sstep:04",
-		"pipelined", "resilient", "resilient:ckpt=10,restarts=3", "resilient:ckpt=0", "resilient:restarts=9",
+		"pipelined", "pcg", "bicg", "cgs", "bicgstab", "resilient", "resilient:ckpt=10,restarts=3", "resilient:ckpt=0", "resilient:restarts=9",
 		"resilient:ckpt=-3", "resilient:ckpt=5,restarts=2junk", "", "sstep:4,pipelined", "resilient:ckpt=99999999999999999999",
 	} {
 		f.Add(s)

@@ -104,7 +104,6 @@ func GMRES(A *sparse.CSR, b, x []float64, restart int, opt Options) (Stats, erro
 			g[k] = cs[k] * g[k]
 
 			rel := math.Abs(g[k+1]) / bn
-			c.record(rel, opt)
 			if rel <= opt.Tol {
 				k++
 				break

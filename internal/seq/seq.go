@@ -36,8 +36,6 @@ type Options struct {
 	Tol float64
 	// MaxIter limits the iteration count. Zero means 2*n.
 	MaxIter int
-	// History, when true, records the relative residual per iteration.
-	History bool
 	// EstimateSpectrum, when true, makes CG record its alpha/beta
 	// coefficients and report Ritz-value estimates of A's extremal
 	// eigenvalues in Stats.Spectrum (the CG-Lanczos connection).
@@ -64,7 +62,6 @@ type Stats struct {
 	DotProducts  int
 	AXPYs        int // SAXPY-class vector updates
 	WorkVectors  int // working vectors allocated (storage, §2.1)
-	History      []float64
 	// Spectrum holds Ritz-value eigenvalue estimates when
 	// Options.EstimateSpectrum was set (CG only).
 	Spectrum *SpectrumEstimate
@@ -118,12 +115,6 @@ func (c counters) matvecT(A *sparse.CSR, x, y []float64) {
 func (c counters) newVec(n int) []float64 {
 	c.s.WorkVectors++
 	return make([]float64, n)
-}
-
-func (c counters) record(rel float64, opt Options) {
-	if opt.History {
-		c.s.History = append(c.s.History, rel)
-	}
 }
 
 func checkSystem(A *sparse.CSR, b, x []float64) {
@@ -190,7 +181,6 @@ func CG(A *sparse.CSR, b, x []float64, opt Options) (Stats, error) {
 		c.axpy(r, -alpha, q) // r = r - alpha q
 		rn = c.norm(r)
 		rel := rn / bn
-		c.record(rel, opt)
 		if opt.EstimateSpectrum {
 			alphas = append(alphas, alpha)
 		}
@@ -257,7 +247,6 @@ func PCG(A *sparse.CSR, M Preconditioner, b, x []float64, opt Options) (Stats, e
 		c.axpy(r, -alpha, q)
 		rn = c.norm(r)
 		rel := rn / bn
-		c.record(rel, opt)
 		if rel <= opt.Tol {
 			st.Converged = true
 			st.Residual = rel
@@ -321,7 +310,6 @@ func BiCG(A *sparse.CSR, b, x []float64, opt Options) (Stats, error) {
 		c.axpy(rt, -alpha, qt)
 		rn = c.norm(r)
 		rel := rn / bn
-		c.record(rel, opt)
 		if rel <= opt.Tol {
 			st.Converged = true
 			st.Residual = rel
@@ -395,7 +383,6 @@ func CGS(A *sparse.CSR, b, x []float64, opt Options) (Stats, error) {
 		c.axpy(r, -alpha, vh)
 		rn = c.norm(r)
 		rel := rn / bn
-		c.record(rel, opt)
 		if rel <= opt.Tol {
 			st.Converged = true
 			st.Residual = rel
@@ -477,7 +464,6 @@ func BiCGSTAB(A *sparse.CSR, b, x []float64, opt Options) (Stats, error) {
 			copy(r, s)
 			rn = c.norm(r)
 			rel := rn / bn
-			c.record(rel, opt)
 			if rel <= opt.Tol {
 				st.Converged = true
 				st.Residual = rel
@@ -494,7 +480,6 @@ func BiCGSTAB(A *sparse.CSR, b, x []float64, opt Options) (Stats, error) {
 		}
 		rn = c.norm(r)
 		rel := rn / bn
-		c.record(rel, opt)
 		if rel <= opt.Tol {
 			st.Converged = true
 			st.Residual = rel

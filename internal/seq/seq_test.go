@@ -342,25 +342,6 @@ func TestMaxIterNoConvergence(t *testing.T) {
 	}
 }
 
-func TestHistoryRecorded(t *testing.T) {
-	A := sparse.Laplace1D(25)
-	b := sparse.Ones(25)
-	x := make([]float64, 25)
-	st, err := CG(A, b, x, Options{History: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.History) != st.Iterations {
-		t.Fatalf("history length %d != iterations %d", len(st.History), st.Iterations)
-	}
-	if st.History[len(st.History)-1] > st.History[0] {
-		t.Error("residual did not decrease overall")
-	}
-	if st.String() == "" {
-		t.Error("Stats.String empty")
-	}
-}
-
 func TestBreakdownDetected(t *testing.T) {
 	// An indefinite matrix can make p·Ap vanish; engineered 2x2 case:
 	// A = [[0,1],[1,0]], b = [1,0], x0 = 0: r = b, p = r, Ap = [0,1],

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"testing"
 
 	"hpfcg/internal/hpfexec"
@@ -15,7 +16,7 @@ import (
 // np, every dimension, the iteration cap and the variant knobs are in
 // range (sstep only where it is read: a resilient job runs plain), the
 // variant the workers run is one the legality table admits on the
-// job's backend, and a generator spec is one GeneratorByName will
+// job's backend and a CG kind (no §2.1 method), and a generator spec is one GeneratorByName will
 // build.
 func FuzzJobSpec(f *testing.F) {
 	for _, s := range []string{
@@ -57,6 +58,10 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if err != nil {
 			t.Fatalf("accepted variant %v on %+v: %v", sp.variant, sp, err)
+		}
+		// The JSON spells no §2.1 method: a served job runs CG.
+		if kind := sp.variant.Kind(); !slices.Contains([]string{"plain", "sstep", "pipelined", "resilient"}, kind) {
+			t.Fatalf("accepted variant kind %q on %+v", kind, sp)
 		}
 		switch sp.Method {
 		case "cg":

@@ -36,7 +36,7 @@ func TestSStepAutoSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := comm.NewMachine(4, topology.Hypercube{}, topology.DefaultCostParams())
-	want := hpfexec.Cheapest(hpfexec.Frontier(m, A, dist.NewBlock(A.NRows, 4), hpfexec.SStepCandidates), hpfexec.AutoServes).Variant.Factor()
+	want := hpfexec.Cheapest(hpfexec.Frontier(m, A, dist.NewBlock(A.NRows, 4)), hpfexec.AutoServes).Variant.Factor()
 	if v.Result.SStep != want {
 		t.Fatalf("service chose s=%d, cost model says %d", v.Result.SStep, want)
 	}
