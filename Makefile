@@ -74,34 +74,31 @@ golden:
 # local source planes both occur, plain and pipelined), a generator under
 # -demo and under a directive file, and one -variant string per
 # recurrence: pipelined CSR, fixed-factor s-step CG, s-step CG at the
-# cost model's factor, BiCGSTAB on the CSC private-merge layout, and a
-# resilient
-# solve absorbing an injected crash under a restart budget — each of
-# multigrid, 5-point and resilient once more under the -timeout deadline
-# every mode shares — and one absorbing a dropped message; hpfrun and
-# cgsolve on a Matrix Market file on a ring at a chosen tolerance with
-# the communication matrix (cgsolve also under an iteration cap, with its
-# residual history; a solve that does not converge exits 2), and hpfrun
-# on a directive file. Then hpfserve's self-checks: a table of jobs over
-# real HTTP on a shard sized by every pool flag (each job field set, each
-# result and view field read back, traces, probes, metrics, the -maxnp
-# bound, readiness 503 after the drain), and a router plus two shards
-# listed by GET /cluster/nodes, routing repeat traffic to the shard that
-# holds the plan and a trace back through the router. Then the kept
-# examples, each of which exits non-zero when its own check fails (heat
-# and laplace2d under both operator backends), the directive dump (the
-# paper's block, then the directive file by argument and on stdin), two
-# experiments (one on a ring with another seed, one under an injected
-# straggler), three traced experiments (one of them E17, whose machines
-# change a cost constant per row; one on a ring under a straggler with
-# a chosen detail run and timeline width), cgsolve's three documented
-# generator examples (block rows, the balanced partitioner, the CSC
-# private-merge layout), BiCG on cgsolve's default layout, whose
-# executor must apply A^T, and the two other §2.1 methods: PCG with
-# point Jacobi on a matrix whose diagonal varies, and CGS on the CSC
-# serial layout. The Matrix Market file (the 4 x 4 1-D Laplacian, stored
-# symmetric) and the directive file (the CSR program) are written into
-# SMOKE_DIR first, not committed.
+# cost model's factor, and each §2.1 method — BiCGSTAB on the CSC
+# private-merge layout, BiCG on the default layout, whose executor must
+# apply A^T, PCG with point Jacobi on a matrix whose diagonal varies, and
+# CGS on the CSC serial layout; plain CG on block rows and under the
+# balanced partitioner; a resilient solve absorbing an injected crash
+# under a restart budget — each of multigrid, 5-point and resilient once
+# more under the -timeout deadline every mode shares — and one absorbing
+# a dropped message; a Matrix Market file on a ring at a chosen tolerance
+# and iteration cap, with the communication matrix and the residual
+# history (a solve that does not converge exits 2), and a directive file.
+# Then hpfserve's self-checks: a table of jobs over real HTTP on a shard
+# sized by every pool flag (each job field set, each result and view
+# field read back, traces, probes, metrics, the -maxnp bound, readiness
+# 503 after the drain), and a router plus two shards listed by GET
+# /cluster/nodes, routing repeat traffic to the shard that holds the
+# plan and a trace back through the router. Then the kept examples, each
+# of which exits non-zero when its own check fails (heat and laplace2d
+# under both operator backends), the directive dump (the paper's block,
+# then the directive file by argument and on stdin), two experiments
+# (one on a ring with another seed, one under an injected straggler),
+# and three traced experiments (one of them E17, whose machines change a
+# cost constant per row; one on a ring under a straggler with a chosen
+# detail run and timeline width). The Matrix Market file (the 4 x 4 1-D
+# Laplacian, stored symmetric) and the directive file (the CSR program)
+# are written into SMOKE_DIR first, not committed.
 SMOKE_DIR = .smoke
 smoke:
 	mkdir -p $(SMOKE_DIR)
@@ -117,11 +114,15 @@ smoke:
 	$(GO) run ./cmd/hpfrun -np 4 -demo csr -variant sstep:4 > /dev/null
 	$(GO) run ./cmd/hpfrun -np 8 -problem laplace2d:32:32 -variant sstep:auto > /dev/null
 	$(GO) run ./cmd/hpfrun -np 4 -problem randspd:500:6:1 -demo csc-merge -variant bicgstab > /dev/null
+	$(GO) run ./cmd/hpfrun -np 8 -problem laplace2d:64:64 > /dev/null
+	$(GO) run ./cmd/hpfrun -np 8 -problem powerlaw:2000:1 -demo balanced > /dev/null
+	$(GO) run ./cmd/hpfrun -np 4 -problem laplace2d:32:32 -variant bicg > /dev/null
+	$(GO) run ./cmd/hpfrun -np 4 -problem randspd:500:6:1 -variant pcg > /dev/null
+	$(GO) run ./cmd/hpfrun -np 4 -problem laplace2d:32:32 -demo csc-serial -variant cgs > /dev/null
 	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "crash:rank=2@t=0.5ms" -variant resilient:ckpt=5,restarts=2 > /dev/null
 	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "crash:rank=2@t=0.5ms" -variant resilient:ckpt=5 -timeout 30s > /dev/null
 	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "drop:rank=1,n=1,dst=0" -variant resilient > /dev/null
-	$(GO) run ./cmd/hpfrun -np 2 -file $(SMOKE_DIR)/laplace1d4.mtx -demo csr -topology ring -tol 1e-8 -commmatrix > /dev/null
-	$(GO) run ./cmd/cgsolve -file $(SMOKE_DIR)/laplace1d4.mtx -np 2 -topology ring -tol 1e-8 -maxiter 50 -commmatrix -history > /dev/null
+	$(GO) run ./cmd/hpfrun -np 2 -file $(SMOKE_DIR)/laplace1d4.mtx -demo csr -topology ring -tol 1e-8 -maxiter 50 -commmatrix -history > /dev/null
 	$(GO) run ./cmd/hpfrun -np 4 -problem banded:256:4 $(SMOKE_DIR)/csr.hpf > /dev/null
 	$(GO) run ./cmd/hpfserve -smoke -workers 1 -queue 8 -batch 2 -maxnp 8 -plan-cache-mb 16
 	$(GO) run ./cmd/hpfserve -cluster-smoke
@@ -138,12 +139,7 @@ smoke:
 	$(GO) run ./cmd/hpftrace -exp E2 -quick -o '' > /dev/null
 	$(GO) run ./cmd/hpftrace -exp E17 -quick -o '' -notables -notimeline -nomatrix > /dev/null
 	$(GO) run ./cmd/hpftrace -exp E2 -quick -o '' -topology ring -seed 7 -run 0 -width 60 -fault "straggle:rank=1,x=4" > /dev/null
-	$(GO) run ./cmd/cgsolve -matrix laplace2d:64:64 -np 8 -q > /dev/null
-	$(GO) run ./cmd/cgsolve -matrix powerlaw:2000:1 -np 8 -layout balanced -q > /dev/null
-	$(GO) run ./cmd/cgsolve -matrix randspd:500:6:1 -method bicgstab -layout csc-merge -q > /dev/null
-	$(GO) run ./cmd/cgsolve -matrix laplace2d:32:32 -np 4 -method bicg -q > /dev/null
-	$(GO) run ./cmd/cgsolve -matrix randspd:500:6:1 -np 4 -method pcg -q > /dev/null
-	$(GO) run ./cmd/cgsolve -matrix laplace2d:32:32 -np 4 -method cgs -layout csc-serial -q > /dev/null
+
 
 # Non-test, non-blank, non-comment lines: internal/hpfexec +
 # internal/serve (the solve path and the service), then internal/bench +

@@ -73,18 +73,6 @@ var ledger = map[string]string{
 	"cmd/cgbench -seed":     "Makefile: cmd/cgbench -quick -exp E1 -topology ring -seed 7",
 	"cmd/cgbench -fault":    `Makefile: cmd/cgbench -quick -exp E2 -fault "straggle:rank=1,x=4"`,
 
-	"cmd/cgsolve -matrix":     "Makefile: cmd/cgsolve -matrix laplace2d:64:64",
-	"cmd/cgsolve -file":       "Makefile: cmd/cgsolve -file $(SMOKE_DIR)/laplace1d4.mtx",
-	"cmd/cgsolve -method":     "Makefile: -method bicgstab",
-	"cmd/cgsolve -layout":     "Makefile: -layout csc-merge",
-	"cmd/cgsolve -np":         "Makefile: cmd/cgsolve -matrix laplace2d:64:64 -np 8",
-	"cmd/cgsolve -topology":   "Makefile: laplace1d4.mtx -np 2 -topology ring",
-	"cmd/cgsolve -tol":        "Makefile: -topology ring -tol 1e-8 -maxiter 50",
-	"cmd/cgsolve -maxiter":    "Makefile: -maxiter 50",
-	"cmd/cgsolve -commmatrix": "Makefile: -maxiter 50 -commmatrix",
-	"cmd/cgsolve -history":    "Makefile: -maxiter 50 -commmatrix -history",
-	"cmd/cgsolve -q":          "Makefile: -np 8 -q",
-
 	"cmd/hpfdump -np":   "Makefile: cmd/hpfdump -np 2",
 	"cmd/hpfdump -n":    "Makefile: cmd/hpfdump -np 2 -n 100",
 	"cmd/hpfdump -nz":   "Makefile: cmd/hpfdump -np 2 -n 100 -nz 500",
@@ -97,8 +85,10 @@ var ledger = map[string]string{
 	"cmd/hpfrun -file":       "Makefile: cmd/hpfrun -np 2 -file $(SMOKE_DIR)/laplace1d4.mtx",
 	"cmd/hpfrun -topology":   "Makefile: -demo csr -topology ring",
 	"cmd/hpfrun -tol":        "Makefile: -demo csr -topology ring -tol 1e-8",
+	"cmd/hpfrun -maxiter":    "Makefile: -tol 1e-8 -maxiter 50",
+	"cmd/hpfrun -history":    "Makefile: -maxiter 50 -commmatrix -history",
 	"cmd/hpfrun -demo":       "Makefile: cmd/hpfrun -np 4 -demo csr",
-	"cmd/hpfrun -commmatrix": "Makefile: -demo csr -topology ring -tol 1e-8 -commmatrix",
+	"cmd/hpfrun -commmatrix": "Makefile: -tol 1e-8 -maxiter 50 -commmatrix",
 	"cmd/hpfrun -timeout":    "Makefile: cmd/hpfrun -problem hpcg:6x6x6 -timeout 30s",
 	"cmd/hpfrun -fault":      `Makefile: -fault "crash:rank=2@t=0.5ms"`,
 	"cmd/hpfrun -variant":    "Makefile: -variant resilient:ckpt=5,restarts=2",

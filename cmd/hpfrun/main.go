@@ -20,6 +20,7 @@
 //	hpfrun -np 4 -problem banded:512:4 -demo csc-merge -commmatrix
 //	hpfrun -np 4 -problem banded:512:4 -demo csr -timeout 30s
 //	hpfrun -np 4 -file matrix.mtx -demo csr
+//	hpfrun -np 2 -file matrix.mtx -maxiter 50 -commmatrix -history
 //	hpfrun -np 4 -problem hpcg:8x8x8:L3
 //	hpfrun -np 4 -problem stencil:5pt:64x48
 //	hpfrun -np 8 -problem laplace2d:128:128 -variant sstep:auto
@@ -51,6 +52,8 @@ func main() {
 		matrixFile = flag.String("file", "", "Matrix Market file to solve instead of -problem")
 		topoName   = flag.String("topology", "hypercube", "hypercube | ring | mesh2d | full")
 		tol        = flag.Float64("tol", 1e-10, "relative residual tolerance")
+		maxIter    = flag.Int("maxiter", 0, "iteration cap (0 = 2n)")
+		history    = flag.Bool("history", false, "print the residual history as CSV (iteration,relres)")
 		demo       = flag.String("demo", "", "a matrix problem's built-in directive program: csr | csc-serial | csc-merge | balanced (csr without it or a directive file)")
 		commMatrix = flag.Bool("commmatrix", false, "print the communication matrix")
 		timeout    = flag.Duration("timeout", 0, "deadline on the whole solve: abort it after this long (0 = wait forever)")
@@ -108,7 +111,7 @@ func main() {
 		defer cancel()
 	}
 	start := time.Now()
-	out, err := pr.SolveBatchContext(ctx, [][]float64{b}, []core.Options{{Tol: *tol}})
+	out, err := pr.SolveBatchContext(ctx, [][]float64{b}, []core.Options{{Tol: *tol, MaxIter: *maxIter, History: *history}})
 	if err != nil {
 		fatal(err)
 	}
@@ -156,6 +159,12 @@ func main() {
 		fmt.Printf("fom:      model=%.4g GF/s wall=%.4g GF/s (flops=%d)\n",
 			report.GFlopRate(out.Run.TotalFlops, out.Run.ModelTime),
 			report.GFlopRate(out.Run.TotalFlops, wall), out.Run.TotalFlops)
+	}
+	if *history {
+		fmt.Println("iteration,relres")
+		for i, r := range res.Stats.History {
+			fmt.Printf("%d,%.6e\n", i+1, r)
+		}
 	}
 	if *commMatrix {
 		if err := report.BytesMatrixTable("communication matrix (bytes sent)", out.Run.BytesMatrix).Render(os.Stdout); err != nil {

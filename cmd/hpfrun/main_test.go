@@ -4,9 +4,41 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"hpfcg/internal/sparse"
 )
+
+// run runs the command (this test binary, re-entered as main through
+// the named test) with args and returns its stdout, stderr and exit
+// status.
+func run(t *testing.T, test, args string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^"+test+"$")
+	cmd.Env = append(os.Environ(), "HPFRUN_ARGS="+args)
+	var errBuf strings.Builder
+	cmd.Stderr = &errBuf
+	out, err := cmd.Output()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		code = exit.ExitCode()
+	} else if err != nil {
+		t.Fatalf("%s: %v", args, err)
+	}
+	return string(out), errBuf.String(), code
+}
+
+// reenter runs main with the arguments the parent test passed, when
+// this process is that re-entry.
+func reenter() {
+	if args := os.Getenv("HPFRUN_ARGS"); args != "" {
+		os.Args = append([]string{"hpfrun"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+}
 
 // TestRefusesOutOfRangeVariantFlags runs the command (this test binary,
 // re-entered as main) and wants every -variant the grammar does not
@@ -17,13 +49,11 @@ import (
 // not run is refused by the legality table. A -problem the grammar
 // does not take exactly is refused naming the argument, and a flag the
 // solve would not read is refused too: -problem with -file, a layout
-// (-demo) or a directive file with a stencil problem.
+// (-demo) or a directive file with a stencil problem. A negative -tol
+// or -maxiter is refused before the machine runs, not a solve that
+// stops at once or runs to the cap and reports "not converged".
 func TestRefusesOutOfRangeVariantFlags(t *testing.T) {
-	if args := os.Getenv("HPFRUN_ARGS"); args != "" {
-		os.Args = append([]string{"hpfrun"}, strings.Fields(args)...)
-		main()
-		os.Exit(0)
-	}
+	reenter()
 	const crash = "-np 4 -demo csr -fault crash:rank=2@t=0.5ms -variant "
 	for args, want := range map[string]string{
 		crash + "resilient:ckpt=-3":                      `variant "resilient:ckpt=-3": field ckpt_interval: negative bound -3`,
@@ -51,18 +81,47 @@ func TestRefusesOutOfRangeVariantFlags(t *testing.T) {
 		"-problem stencil:5pt:32x24 -demo csr":   "field layout: does not apply to stencil problems",
 		"-problem stencil:5pt:32x24 -file m.mtx": "-problem does not apply with -file",
 		"-problem stencil:5pt:32x24 figure2.hpf": "a stencil problem is never assembled",
+
+		"-problem laplace1d:16 -np 2 -tol -1":     "negative tolerance",
+		"-problem laplace1d:16 -np 2 -maxiter -5": "negative iteration cap",
 	} {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestRefusesOutOfRangeVariantFlags$")
-		cmd.Env = append(os.Environ(), "HPFRUN_ARGS="+args)
-		var stderr strings.Builder
-		cmd.Stderr = &stderr
-		out, err := cmd.Output()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Errorf("%s: err = %v, want exit status 1", args, err)
+		out, stderr, code := run(t, "TestRefusesOutOfRangeVariantFlags", args)
+		if code != 1 {
+			t.Errorf("%s: exit status %d, want 1", args, code)
 		}
-		if len(out) != 0 || strings.Count(stderr.String(), "\n") != 1 || !strings.Contains(stderr.String(), want) {
-			t.Errorf("%s: stdout %q stderr %q, want only a stderr line with %q", args, out, stderr.String(), want)
+		if len(out) != 0 || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, want) {
+			t.Errorf("%s: stdout %q stderr %q, want only a stderr line with %q", args, out, stderr, want)
 		}
+	}
+}
+
+// TestHistoryUnderIterationCap solves a Matrix Market file under an
+// iteration cap too small to converge: the solve stops at the cap, exits
+// 2, and -history prints one CSV row per iteration after the summary.
+func TestHistoryUnderIterationCap(t *testing.T) {
+	reenter()
+	path := filepath.Join(t.TempDir(), "laplace1d4.mtx")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sparse.WriteMatrixMarket(f, sparse.Laplace1D(4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	args := "-np 2 -file " + path + " -maxiter 2 -history"
+	out, stderr, code := run(t, "TestHistoryUnderIterationCap", args)
+	if code != 2 || stderr != "" {
+		t.Fatalf("%s: exit status %d stderr %q, want 2 and no stderr", args, code, stderr)
+	}
+	if !strings.Contains(out, " iters=2 ") {
+		t.Errorf("%s: stdout %q, want iters=2", args, out)
+	}
+	_, hist, ok := strings.Cut(out, "iteration,relres\n")
+	if rows := strings.Split(strings.TrimSuffix(hist, "\n"), "\n"); !ok || len(rows) != 2 ||
+		!strings.HasPrefix(rows[0], "1,") || !strings.HasPrefix(rows[1], "2,") {
+		t.Errorf("%s: stdout %q, want an iteration,relres header and exactly two rows", args, out)
 	}
 }

@@ -27,8 +27,8 @@
 //     (internal/bench, see EXPERIMENTS.md).
 //
 // This file is the high-level facade — build a simulated machine, pick
-// a method and a data layout, and solve — used by cmd/cgsolve,
-// examples/laplace2d and the Example functions. Its layouts are the
+// a method and a data layout, and solve — used by examples/laplace2d
+// and the Example functions. Its layouts are the
 // directive programs of internal/hpfexec and its methods that package's
 // solver variants, so every solve runs through one loop: the prepared
 // path behind cmd/hpfrun and the solver service (internal/serve,

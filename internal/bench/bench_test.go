@@ -582,7 +582,7 @@ func TestE18WeakScaling(t *testing.T) {
 
 // E19: the communication-avoidance ledger must show up in the harness —
 // reduction rounds per iteration strictly decreasing from the unfused
-// baseline through fused CG to the single-reduction variant, with the
+// baseline through fused CG to pipelined CG, with the
 // modeled time following.
 func TestE19FusionWins(t *testing.T) {
 	tables, err := E19(quickCfg())
@@ -606,7 +606,7 @@ func TestE19FusionWins(t *testing.T) {
 		model[k][row[0]] = parseF(t, row[5])
 	}
 	for k, r := range rounds {
-		if !(r["single_1round"] < r["fused_2round"] && r["fused_2round"] < r["unfused_3round"]) {
+		if !(r["pipe_1round"] < r["fused_2round"] && r["fused_2round"] < r["unfused_3round"]) {
 			t.Errorf("np=%s n=%s: rounds/it not decreasing: %v", k.np, k.n, r)
 		}
 		if r["fused_2round"] != 2 {

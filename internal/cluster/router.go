@@ -37,7 +37,6 @@ type RouterOptions struct {
 
 // Router is the cluster front tier.
 type Router struct {
-	opts RouterOptions
 	mem  *Membership
 	cli  *http.Client
 	logf func(format string, args ...any)
@@ -56,7 +55,6 @@ type Router struct {
 // failure-detector sweeper. Close releases it.
 func NewRouter(opts RouterOptions) *Router {
 	rt := &Router{
-		opts:   opts,
 		mem:    NewMembership(MembershipOptions{}),
 		cli:    opts.Client,
 		logf:   opts.Logf,

@@ -34,10 +34,10 @@
 // PCG are the prologue plus that loop, CGResilient a restore-or-clean
 // prologue plus a checkpoint hook on each iteration, CGSStep and
 // CGPipelined replacement loops whose guard-trip tail is restart +
-// iterate. CGFused, and CGUnfused — the literal three-round Figure 2
-// kept as E19's baseline, which keeps its unbatched setup rounds — are
-// different recurrences on the same skeleton, as are BiCG, CGS,
-// BiCGSTAB and Chebyshev.
+// iterate. CGUnfused — the literal three-round Figure 2 kept as E19's
+// baseline, which keeps its unbatched setup rounds — is a different
+// recurrence on the same skeleton, as are BiCG, CGS, BiCGSTAB and
+// Chebyshev.
 //
 // The solvers are communication-avoiding in the scalar merges: local
 // dot-product partials that the textbook form merges one at a time are
@@ -47,8 +47,9 @@
 // CG additionally reuses the merged ||r||² as the next rho — the
 // Figure 2 loop recomputes DOT_PRODUCT(r,r) the merge already produced
 // — dropping its synchronisation count from three rounds per iteration
-// to two; CGFused trades bit-compatibility for a single round. Stats
-// counts the rounds, and experiment E19 measures the effect.
+// to two; CGPipelined trades bit-compatibility for a single round,
+// overlapped with the mat-vec. Stats counts the rounds, and experiment
+// E19 measures the effect.
 package core
 
 import (
@@ -257,63 +258,6 @@ func PCG(p *comm.Proc, A spmv.Operator, M Preconditioner, b, x *darray.Vector, o
 	c := newCG(&o, A, M, b, x)
 	c.seed(&o, rnsq)
 	return c.iterate(&o, nil)
-}
-
-// CGFused is the single-reduction rearrangement of CG: the scalars an
-// iteration needs — p·q for alpha, r·q and q·q from which the updated
-// residual norm follows by the recurrence
-// ||r - αq||² = ||r||² - 2α(r·q) + α²(q·q), and a refreshed r·r — are
-// merged in ONE batched allreduce, halving CG's synchronisation count
-// again. The refreshed r·r is the stabiliser: rho is taken from the
-// explicit dot every iteration, so the recurrence is only ever one
-// step deep and its cancellation error (severe when ||r_new||² ≪
-// ||r||²) perturbs a single beta instead of compounding into every
-// later alpha — without the refresh the iterates themselves diverge
-// shortly after the residual bottoms out. Unlike CG's own fusions the
-// recurrence changes the floating-point trajectory (it is not
-// bit-identical to CG), so the stopping decision confirms with an
-// explicitly merged norm whenever the recurrence goes nonpositive or
-// signals convergence.
-func CGFused(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options) (Stats, error) {
-	var o solver
-	if _, done := o.open(p, A, b, x, opt); done {
-		return o.finish()
-	}
-	r := o.r
-	pv := o.w.copyOf(r)
-	q := o.w.take(b)
-	var d [4]float64
-
-	for k := 1; k <= o.opt.MaxIter; k++ {
-		o.Iterations = k
-		// The single round: {p·q, r·q, q·q, r·r} batched.
-		d[0] = o.applyDotLocal(A, pv, q)
-		d[1] = o.dotLocal(r, q)
-		d[2] = o.dotLocal(q, q)
-		d[3] = o.dotLocal(r, r)
-		o.merge(d[:])
-		pq, rq, qq := d[0], d[1], d[2]
-		rho := d[3]
-		if pq == 0 {
-			return o.breakdown("p·Ap", k)
-		}
-		alpha := rho / pq
-		o.axpy(x, alpha, pv)
-		o.axpy(r, -alpha, q)
-		rnsq := rho - 2*alpha*rq + alpha*alpha*qq
-		if rnsq <= 0 || math.Sqrt(rnsq)/o.bn <= o.opt.Tol {
-			// The recurrence has drifted or claims convergence:
-			// confirm with an explicit norm (one extra round, only
-			// paid near the end of the solve).
-			rnsq = o.normSq(r)
-		}
-		if o.check(math.Sqrt(rnsq) / o.bn) {
-			return o.finish()
-		}
-		beta := rnsq / rho
-		o.aypx(pv, beta, r)
-	}
-	return o.finish()
 }
 
 // CGUnfused is the literal Figure 2 transcription kept as the

@@ -59,8 +59,7 @@ func TestCGUnfusedBitIdenticalToCG(t *testing.T) {
 // TestCGReductionRounds: the communication-avoidance ledger. CG merges
 // twice per iteration (fused mat-vec dot, fused norm-and-rho) plus the
 // one batched setup round; CGUnfused pays the textbook three per
-// iteration plus three at setup; CGFused pays one per iteration plus
-// at most a few explicit-norm recomputations near convergence.
+// iteration plus three at setup.
 func TestCGReductionRounds(t *testing.T) {
 	A := sparse.Laplace2D(8, 8)
 	b := sparse.RandomVector(A.NRows, 3)
@@ -92,68 +91,7 @@ func TestCGReductionRounds(t *testing.T) {
 		if want := 2 + 3*st.Iterations; st.Reductions != want {
 			t.Errorf("CGUnfused: %d reductions over %d iterations, want %d (3/iter + setup - 1)", st.Reductions, st.Iterations, want)
 		}
-
-		x = darray.New(p, d)
-		st, err = CGFused(p, op, bv, x, opt)
-		if err != nil {
-			t.Errorf("CGFused: %v", err)
-			return
-		}
-		lo, hi := 1+st.Iterations, 1+st.Iterations+3
-		if st.Reductions < lo || st.Reductions > hi {
-			t.Errorf("CGFused: %d reductions over %d iterations, want within [%d, %d] (1/iter + setup + end-game norms)",
-				st.Reductions, st.Iterations, lo, hi)
-		}
 	})
-}
-
-// TestCGFusedSolvesLikeCG: the single-reduction variant follows a
-// different floating-point trajectory, but it must converge to the same
-// solution within tolerance and in a comparable number of iterations.
-func TestCGFusedSolvesLikeCG(t *testing.T) {
-	mats := map[string]*sparse.CSR{
-		"laplace2d": sparse.Laplace2D(8, 8),
-		"random":    sparse.RandomSPD(60, 5, 21),
-	}
-	for name, A := range mats {
-		b := sparse.RandomVector(A.NRows, 5)
-		for _, np := range []int{1, 3, 4} {
-			d := dist.NewBlock(A.NRows, np)
-			var ref, sol []float64
-			var stCG, stF Stats
-			machine(np).Run(func(p *comm.Proc) {
-				op := spmv.NewRowBlockCSR(p, A, d)
-				bv := darray.New(p, d)
-				bv.SetGlobal(func(g int) float64 { return b[g] })
-				x1 := darray.New(p, d)
-				x2 := darray.New(p, d)
-				s1, err1 := CG(p, op, bv, x1, Options{Tol: 1e-10})
-				s2, err2 := CGFused(p, op, bv, x2, Options{Tol: 1e-10})
-				if err1 != nil || err2 != nil {
-					t.Errorf("%s np=%d: %v %v", name, np, err1, err2)
-					return
-				}
-				f1, f2 := x1.Gather(), x2.Gather()
-				if p.Rank() == 0 {
-					ref, sol, stCG, stF = f1, f2, s1, s2
-				}
-			})
-			if !stF.Converged {
-				t.Fatalf("%s np=%d: CGFused did not converge: %v", name, np, stF)
-			}
-			if rr := relResidual(A, sol, b); rr > 1e-8 {
-				t.Errorf("%s np=%d: CGFused residual %g", name, np, rr)
-			}
-			if stF.Iterations > stCG.Iterations+5 {
-				t.Errorf("%s np=%d: CGFused took %d iterations, CG %d", name, np, stF.Iterations, stCG.Iterations)
-			}
-			for g := range sol {
-				if math.Abs(sol[g]-ref[g]) > 1e-6 {
-					t.Fatalf("%s np=%d: solutions differ at %d: %v vs %v", name, np, g, sol[g], ref[g])
-				}
-			}
-		}
-	}
 }
 
 // TestWorkspaceReuse: a workspace hands back the same vectors across
@@ -234,9 +172,6 @@ func TestCGSteadyStateIterationsNoAllocs(t *testing.T) {
 	solvers := map[string]func(p *comm.Proc, op spmv.Operator, bv, xv *darray.Vector, opt Options) (Stats, error){
 		"cg": func(p *comm.Proc, op spmv.Operator, bv, xv *darray.Vector, opt Options) (Stats, error) {
 			return CG(p, op, bv, xv, opt)
-		},
-		"cgfused": func(p *comm.Proc, op spmv.Operator, bv, xv *darray.Vector, opt Options) (Stats, error) {
-			return CGFused(p, op, bv, xv, opt)
 		},
 		// The recurrence's preconditioned branch (z vector, two-word
 		// merge) and its checkpoint hook, checkpoints being written.

@@ -15,7 +15,7 @@
 // A·s available without further applies, so each iteration is still one
 // operator application.
 //
-// Like CGFused and CGSStep, the recurrence changes the floating-point
+// Like CGSStep, the recurrence changes the floating-point
 // trajectory and can drift from the true residual, so stability is
 // priced rather than trusted: convergence claims are confirmed against
 // an explicitly recomputed residual (a residual replacement at the
@@ -56,7 +56,7 @@ func (o *solver) imerge(d []float64) *comm.ReduceHandle {
 // recurrence: one nonblocking allreduce per iteration whose modeled
 // cost hides behind the iteration's mat-vec (Wait charges only the
 // exposed remainder — see comm.IallreduceScalars). It changes the
-// floating-point trajectory like CGFused does, converges to the same
+// floating-point trajectory like CGSStep does, converges to the same
 // tolerance, and falls back to plain CG after one residual replacement
 // if the drift guard trips. Any spmv.Operator works, assembled or
 // matrix-free.

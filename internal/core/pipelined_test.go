@@ -12,7 +12,7 @@ import (
 )
 
 // The Ghysels–Vanroose trajectory differs from CG's in floating point
-// (like CGFused's does) but must converge to the same tolerance on the
+// but must converge to the same tolerance on the
 // whole suite, with exactly one reduction round per iteration: setup
 // merges once, every round merges once including the round that
 // detects convergence, and the confirmation adds one — Reductions =

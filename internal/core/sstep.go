@@ -1,6 +1,6 @@
-// The s-step (communication-avoiding) conjugate gradient. CGFused got
-// CG down to one allreduce round per iteration; the latency term of the
-// paper's §4 cost model still charges that round every iteration. The
+// The s-step (communication-avoiding) conjugate gradient. CG merges
+// twice per iteration and CGPipelined once; the latency term of the
+// paper's §4 cost model still charges a round every iteration. The
 // s-step reformulation (Chronopoulos/Gear; the basis treatment follows
 // Demmel/Hoemmen/Mohiyuddin and the CA-Krylov literature cited in
 // PAPERS.md) runs s iterations per ONE round: a matrix-powers kernel
@@ -19,9 +19,8 @@
 //
 // The monomial basis is numerically the worst choice (its conditioning
 // grows like the s-th power of A's spectral radius) but the simplest,
-// so stability is guarded rather than assumed, reusing CGFused's
-// refresh idea: G[r,r] is the exact merged ‖r‖² of the block's seed
-// residual, so every block start compares it against the rho the
+// so stability is guarded rather than assumed: G[r,r] is the exact
+// merged ‖r‖² of the block's seed residual, so every block start compares it against the rho the
 // coefficient recurrence carried over — for free, inside the Gram
 // round. If they disagree beyond driftTol, or an inner step produces a
 // non-SPD-shaped scalar (p·Ap ≤ 0, ‖r‖² < 0, NaN), the solver performs
@@ -49,7 +48,7 @@ const driftTol = 1e-3
 // and, when A implements spmv.PowersOperator, one widened ghost
 // exchange — per s iterations. s <= 1 delegates to CG (bit-identical
 // by construction); s > 1 changes the floating-point trajectory like
-// CGFused does, converges to the same tolerance, and typically spends
+// CGPipelined does, converges to the same tolerance, and typically spends
 // a few extra iterations per guard event (experiment E23 maps the
 // frontier). Any Operator works: without the powers contract the basis
 // falls back to 2s-1 plain applies, still merging one round per s
@@ -324,8 +323,8 @@ func CGSStep(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options, s 
 
 		if claimed {
 			// The recurrence says converged: confirm with an explicit
-			// merged norm, like CGFused (one extra round, paid only near
-			// the end). Unconfirmed claims are drift — guard trips.
+			// merged norm, like CGPipelined (one extra round, paid only
+			// near the end). Unconfirmed claims are drift — guard trips.
 			if o.stop(math.Sqrt(o.normSq(r)) / o.bn) {
 				return o.finish()
 			}

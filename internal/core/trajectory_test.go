@@ -29,9 +29,6 @@ var trajectoryPin = map[string]string{
 	"pcg-jacobi/np=1":          "x=aaaf9eeed46c0a6a iters=21 res=3dd5b193db8a8d4e mv=22 mvT=0 dot=66 axpy=63 red=44 ckpt=0 repl=0 model=3f36df3f961804d5",
 	"pcg-jacobi/np=3":          "x=91fa953fe8b072c1 iters=21 res=3dd5b193db8a8d21 mv=22 mvT=0 dot=66 axpy=63 red=44 ckpt=0 repl=0 model=3f606b11f1c4fed2",
 	"pcg-jacobi/np=4":          "x=b6775312ee8d8a09 iters=21 res=3dd5b193db8a8d67 mv=22 mvT=0 dot=66 axpy=63 red=44 ckpt=0 repl=0 model=3f64080f98fa3753",
-	"cgfused/np=1":             "x=d2c7e0ed16d9a931 iters=26 res=3dcf209f61b2d117 mv=27 mvT=0 dot=107 axpy=78 red=28 ckpt=0 repl=0 model=3f3d19157abb87e6",
-	"cgfused/np=3":             "x=ef82daf1f35f6a48 iters=26 res=3dcf209f61b2cc32 mv=27 mvT=0 dot=107 axpy=78 red=28 ckpt=0 repl=0 model=3f5b0594ea5d5696",
-	"cgfused/np=4":             "x=991bfee84c1167c9 iters=26 res=3dcf209f61b2cd6a mv=27 mvT=0 dot=107 axpy=78 red=28 ckpt=0 repl=0 model=3f5f5a02aad52b54",
 	"cgunfused/np=1":           "x=56fba3920a344112 iters=26 res=3dcf209f61b2cb73 mv=27 mvT=0 dot=80 axpy=78 red=80 ckpt=0 repl=0 model=3f3af98089fe1b06",
 	"cgunfused/np=3":           "x=1975a76bec1fcba3 iters=26 res=3dcf209f61b2cb79 mv=27 mvT=0 dot=80 axpy=78 red=80 ckpt=0 repl=0 model=3f6a3ac97f9058c1",
 	"cgunfused/np=4":           "x=de0aadcc6a36f50a iters=26 res=3dcf209f61b2cb8f mv=27 mvT=0 dot=80 axpy=78 red=80 ckpt=0 repl=0 model=3f705f3b4ee08da0",
@@ -82,9 +79,6 @@ var pinRuns = []struct {
 			return Stats{}, err
 		}
 		return PCG(p, spmv.NewRowBlockCSR(p, A, d), M, b, x, Options{Tol: 1e-10})
-	}},
-	{"cgfused", func(p *comm.Proc, A *sparse.CSR, d dist.Block, b, x *darray.Vector, _ *CheckpointStore) (Stats, error) {
-		return CGFused(p, spmv.NewRowBlockCSR(p, A, d), b, x, Options{Tol: 1e-10})
 	}},
 	{"cgunfused", func(p *comm.Proc, A *sparse.CSR, d dist.Block, b, x *darray.Vector, _ *CheckpointStore) (Stats, error) {
 		return CGUnfused(p, spmv.NewRowBlockCSR(p, A, d), b, x, Options{Tol: 1e-10})

@@ -28,7 +28,6 @@ type SparseCheckerboard struct {
 	val      []float64
 	rowGroup comm.Group
 	colGroup comm.Group
-	n        int
 	nnzLocal int
 }
 
@@ -72,7 +71,6 @@ func NewSparseCheckerboard(p *comm.Proc, A *sparse.CSR, g ProcGrid) *SparseCheck
 		val:      val,
 		rowGroup: comm.NewGroup(p, g.RowRanks(pr)),
 		colGroup: comm.NewGroup(p, g.ColRanks(pc)),
-		n:        n,
 		nnzLocal: len(val),
 	}
 }

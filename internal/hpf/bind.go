@@ -14,8 +14,7 @@ type ArrayPlan struct {
 	Name      string
 	Size      int
 	Dist      dist.Dist
-	AlignedTo string    // the ultimate alignment target ("" if directly distributed)
-	Dims      []DimSpec // source dims from the ALIGN directive, if any
+	AlignedTo string // the ultimate alignment target ("" if directly distributed)
 	Dynamic   bool
 }
 
@@ -78,7 +77,6 @@ func Bind(prog *Program, np int, sizes map[string]int, extra map[string]int) (*P
 
 	type alignEdge struct {
 		src, dst string
-		dims     []DimSpec
 		dynamic  bool
 		line     int
 	}
@@ -107,10 +105,10 @@ func Bind(prog *Program, np int, sizes map[string]int, extra map[string]int) (*P
 			pl.Arrays[d.Array] = &ArrayPlan{Name: d.Array, Size: n, Dist: dd, Dynamic: d.Dynamic}
 		case Align:
 			if d.Source != "" {
-				aligns = append(aligns, alignEdge{d.Source, d.Target, d.SourceDims, d.Dynamic, d.Line()})
+				aligns = append(aligns, alignEdge{d.Source, d.Target, d.Dynamic, d.Line()})
 			}
 			for _, e := range d.Extra {
-				aligns = append(aligns, alignEdge{e, d.Target, d.SourceDims, d.Dynamic, d.Line()})
+				aligns = append(aligns, alignEdge{e, d.Target, d.Dynamic, d.Line()})
 			}
 		case Redistribute:
 			if d.Partitioner != "" {
@@ -159,7 +157,6 @@ func Bind(prog *Program, np int, sizes map[string]int, extra map[string]int) (*P
 				Size:      n,
 				Dist:      target.Dist,
 				AlignedTo: root,
-				Dims:      e.dims,
 				Dynamic:   e.dynamic || target.Dynamic,
 			}
 			progress = true

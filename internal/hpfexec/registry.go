@@ -121,7 +121,6 @@ type RegistryStats struct {
 	Evictions uint64
 	Entries   int
 	Bytes     int64
-	Budget    int64
 }
 
 // Stats snapshots the registry counters.
@@ -134,6 +133,5 @@ func (r *Registry) Stats() RegistryStats {
 		Evictions: r.evictions,
 		Entries:   r.lru.Len(),
 		Bytes:     r.bytes,
-		Budget:    r.budget,
 	}
 }

@@ -30,7 +30,6 @@ const InnerIters = 25
 
 // Result reports one NAS-CG run.
 type Result struct {
-	Class    string
 	Zetas    []float64 // zeta after each outer iteration
 	RNorms   []float64 // inner-solve final residual norms
 	MatVecs  int
@@ -89,7 +88,7 @@ func RunWithMatrix(cls sparse.NASCGClass, A *sparse.CSR) Result {
 	n := cls.N
 	x := sparse.Ones(n)
 	z := make([]float64, n)
-	res := Result{Class: cls.Name, OuterIts: cls.NIter}
+	res := Result{OuterIts: cls.NIter}
 	for it := 0; it < cls.NIter; it++ {
 		rnorm := innerCG(A, x, z)
 		res.MatVecs += InnerIters
@@ -120,7 +119,7 @@ func RunDistributed(p *comm.Proc, cls sparse.NASCGClass, A *sparse.CSR) Result {
 	pd := darray.New(p, d)
 	q := darray.New(p, d)
 
-	res := Result{Class: cls.Name, OuterIts: cls.NIter}
+	res := Result{OuterIts: cls.NIter}
 	for it := 0; it < cls.NIter; it++ {
 		// Inner CG: z = A⁻¹x approximately, 25 iterations.
 		z.Fill(0)

@@ -230,7 +230,6 @@ func checkRebind(op string, old, new *comm.Proc) {
 type RowBlockCSR struct {
 	p        *comm.Proc
 	d        dist.Contiguous
-	lo       int
 	rowPtr   []int // local rows, rebased to 0
 	col      []int // global column indices
 	val      []float64
@@ -259,7 +258,6 @@ func NewRowBlockCSR(p *comm.Proc, A *sparse.CSR, d dist.Contiguous) *RowBlockCSR
 	return &RowBlockCSR{
 		p:        p,
 		d:        d,
-		lo:       lo,
 		rowPtr:   rowPtr,
 		col:      A.Col[base:A.RowPtr[hi]],
 		val:      A.Val[base:A.RowPtr[hi]],
@@ -327,7 +325,6 @@ func (a *RowBlockCSR) ApplyT(x, y *darray.Vector) {
 type ColBlockCSC struct {
 	p        *comm.Proc
 	d        dist.Contiguous
-	lo       int
 	colPtr   []int // local columns, rebased
 	row      []int // global row indices
 	val      []float64
@@ -371,7 +368,6 @@ func NewColBlockCSC(p *comm.Proc, A *sparse.CSC, d dist.Contiguous, mode Mode) *
 	a := &ColBlockCSC{
 		p:        p,
 		d:        d,
-		lo:       lo,
 		colPtr:   colPtr,
 		row:      A.Row[base:A.ColPtr[hi]],
 		val:      A.Val[base:A.ColPtr[hi]],
