@@ -11,7 +11,9 @@
 // problem's each rank's brick; neither takes a layout. The recurrence
 // the solve runs is one -variant string (hpfexec.ParseVariant's
 // grammar), plain CG by default; a matrix problem also takes the §2.1
-// methods (pcg, bicg, cgs, bicgstab).
+// methods (pcg, bicg, cgs, bicgstab) and auto, the cost model's
+// cheapest variant. The sstep: and overlap: lines report the variant
+// that ran, which auto resolves.
 //
 // Examples:
 //
@@ -23,7 +25,7 @@
 //	hpfrun -np 2 -file matrix.mtx -maxiter 50 -commmatrix -history
 //	hpfrun -np 4 -problem hpcg:8x8x8:L3
 //	hpfrun -np 4 -problem stencil:5pt:64x48
-//	hpfrun -np 8 -problem laplace2d:128:128 -variant sstep:auto
+//	hpfrun -np 8 -problem laplace2d:128:128 -variant auto
 //	hpfrun -np 4 -problem randspd:500:6:1 -demo csc-merge -variant bicgstab
 //	hpfrun -np 4 -demo csr -fault "crash:rank=2@t=0.5ms" -variant resilient:ckpt=5
 package main
@@ -58,7 +60,7 @@ func main() {
 		commMatrix = flag.Bool("commmatrix", false, "print the communication matrix")
 		timeout    = flag.Duration("timeout", 0, "deadline on the whole solve: abort it after this long (0 = wait forever)")
 		faultStr   = flag.String("fault", "", `fault spec, e.g. "crash:rank=2@t=0.5ms,straggle:rank=1,x=4"`)
-		variantArg = flag.String("variant", "plain", `the recurrence: "plain", "pcg", "bicg", "cgs" or "bicgstab" (the §2.1 methods, matrix problems), "sstep:<s>" (s-step CG, 2 <= s <= 16, CSR layouts), "sstep:auto" (the cost model's s), "pipelined" (CSR layouts and stencil problems) or "resilient[:ckpt=<n>[,restarts=<n>]]" (survive injected crashes by checkpoint/restart, default ckpt=10,restarts=3)`)
+		variantArg = flag.String("variant", "plain", `the recurrence: "plain", "pcg", "bicg", "cgs" or "bicgstab" (the §2.1 methods, matrix problems), "sstep:<s>" (s-step CG, 2 <= s <= 16, CSR layouts), "auto" (the cost model's cheapest of plain, s-step and pipelined; matrix problems), "pipelined" (CSR layouts and stencil problems) or "resilient[:ckpt=<n>[,restarts=<n>]]" (survive injected crashes by checkpoint/restart, default ckpt=10,restarts=3)`)
 	)
 	flag.Parse()
 	set := map[string]bool{}
@@ -128,17 +130,23 @@ func main() {
 			fmt.Printf("          %v\n", pf)
 		}
 	}
-	if variant.Kind() == "sstep" {
-		fmt.Printf("sstep:    s=%d (requested %s) guard_trips=%d\n",
-			res.Strategy.Variant.Factor(), variant, res.Stats.Replacements)
-	}
-	if variant == hpfexec.Pipelined() {
+	// The variant that ran: auto's s-step or plain choice prints as an
+	// s-step line (s=1 for plain), its pipelined choice as the overlap
+	// line.
+	switch ran := res.Strategy.Variant; {
+	case ran == hpfexec.Pipelined():
 		hidden, exposed := out.Run.ReduceOverlap()
 		fmt.Printf("overlap:  reductions=%d hidden=%.6gs exposed=%.6gs", res.Stats.Reductions, hidden, exposed)
 		if prob.Kind() != hpfexec.BackendStencil {
 			fmt.Printf(" guard_trips=%d", res.Stats.Replacements)
 		}
+		if variant != ran {
+			fmt.Printf(" (requested %s)", variant)
+		}
 		fmt.Println()
+	case ran.Kind() == "sstep" || variant == hpfexec.Auto():
+		fmt.Printf("sstep:    s=%d (requested %s) guard_trips=%d\n",
+			ran.Factor(), variant, res.Stats.Replacements)
 	}
 	fmt.Printf("problem:  %s n=%d np=%d\n", name, pr.N(), m.NP())
 	if plan != nil {

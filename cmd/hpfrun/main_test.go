@@ -56,21 +56,22 @@ func TestRefusesOutOfRangeVariantFlags(t *testing.T) {
 	reenter()
 	const crash = "-np 4 -demo csr -fault crash:rank=2@t=0.5ms -variant "
 	for args, want := range map[string]string{
-		crash + "resilient:ckpt=-3":                      `variant "resilient:ckpt=-3": field ckpt_interval: negative bound -3`,
-		crash + "resilient:ckpt=5,restarts=-2":           `variant "resilient:ckpt=5,restarts=-2": field max_restarts: negative bound -2`,
-		"-demo csr -variant sstep:-5":                    `variant "sstep:-5": field sstep: -5 outside [2,16]`,
-		"-demo csr -variant sstep:99":                    `variant "sstep:99": field sstep: 99 outside [2,16]`,
-		"-demo csr -variant sstep:1":                     `variant "sstep:1": s = 1 is plain CG`,
-		"-demo csr -variant gmres":                       `variant "gmres": want plain`,
-		"-demo csr -variant sstep:4junk":                 `variant "sstep:4junk": want plain`,
-		"-demo csr -variant pipelined,sstep:4":           `variant "pipelined,sstep:4": want plain`,
-		"-demo csr -variant resilient:ckpt=5:x":          `variant "resilient:ckpt=5:x": want plain`,
-		"-demo csc-merge -variant sstep:4":               "field sstep: 4 needs a CSR layout, got csc",
-		"-problem hpcg:4x4x4 -variant pipelined":         "field pipelined: does not apply to hpcg jobs",
-		"-problem stencil:5pt:32x24 -variant sstep:auto": "field sstep: does not apply to stencil jobs",
-		"-problem stencil:5pt:32x24 -variant resilient":  "field resilient: checkpoint/restart needs an assembled matrix",
-		"-problem stencil:5pt:32x24 -variant bicg":       "field method: bicg needs an assembled matrix, not a stencil job",
-		"-problem hpcg:4x4x4 -variant bicg":              "field method: bicg needs an assembled matrix, not a hpcg job",
+		crash + "resilient:ckpt=-3":                     `variant "resilient:ckpt=-3": field ckpt_interval: negative bound -3`,
+		crash + "resilient:ckpt=5,restarts=-2":          `variant "resilient:ckpt=5,restarts=-2": field max_restarts: negative bound -2`,
+		"-demo csr -variant sstep:-5":                   `variant "sstep:-5": field sstep: -5 outside [2,16]`,
+		"-demo csr -variant sstep:99":                   `variant "sstep:99": field sstep: 99 outside [2,16]`,
+		"-demo csr -variant sstep:1":                    `variant "sstep:1": s = 1 is plain CG`,
+		"-demo csr -variant gmres":                      `variant "gmres": want plain`,
+		"-demo csr -variant sstep:4junk":                `variant "sstep:4junk": want plain`,
+		"-demo csr -variant pipelined,sstep:4":          `variant "pipelined,sstep:4": want plain`,
+		"-demo csr -variant resilient:ckpt=5:x":         `variant "resilient:ckpt=5:x": want plain`,
+		"-demo csc-merge -variant sstep:4":              "field sstep: 4 needs a CSR layout, got csc",
+		"-problem hpcg:4x4x4 -variant pipelined":        "field pipelined: does not apply to hpcg jobs",
+		"-problem stencil:5pt:32x24 -variant auto":      "field sstep: auto does not apply to stencil jobs",
+		"-demo csr -variant sstep:auto":                 `variant "sstep:auto": want plain`,
+		"-problem stencil:5pt:32x24 -variant resilient": "field resilient: checkpoint/restart needs an assembled matrix",
+		"-problem stencil:5pt:32x24 -variant bicg":      "field method: bicg needs an assembled matrix, not a stencil job",
+		"-problem hpcg:4x4x4 -variant bicg":             "field method: bicg needs an assembled matrix, not a hpcg job",
 
 		"-problem stencil:5pt:32x24junk":         `problem "stencil:5pt:32x24junk"`,
 		"-problem stencil:27pt:4x4x4x4":          `problem "stencil:27pt:4x4x4x4"`,
@@ -123,5 +124,33 @@ func TestHistoryUnderIterationCap(t *testing.T) {
 	if rows := strings.Split(strings.TrimSuffix(hist, "\n"), "\n"); !ok || len(rows) != 2 ||
 		!strings.HasPrefix(rows[0], "1,") || !strings.HasPrefix(rows[1], "2,") {
 		t.Errorf("%s: stdout %q, want an iteration,relres header and exactly two rows", args, out)
+	}
+}
+
+// TestReportsResolvedVariant: the sstep: and overlap: lines report the
+// variant that ran, not the one requested. Auto at np 8 resolves to
+// pipelined, so the overlap line names the request and no sstep line
+// prints; at np 1 it resolves to plain, reported as s=1; a fixed factor
+// reports itself.
+func TestReportsResolvedVariant(t *testing.T) {
+	reenter()
+	for args, want := range map[string]struct{ line, strategy string }{
+		"-np 8 -problem laplace2d:32:32 -variant auto": {"overlap:  reductions=118 hidden=", "/ pipelined"},
+		"-np 1 -problem laplace2d:32:32 -variant auto": {"sstep:    s=1 (requested auto) guard_trips=0", "/ local(ghost)"},
+		"-np 4 -problem banded:256:4 -variant sstep:4": {"sstep:    s=4 (requested sstep:4) guard_trips=", "/ s-step(s=4)"},
+	} {
+		out, stderr, code := run(t, "TestReportsResolvedVariant", args)
+		if code != 0 || stderr != "" {
+			t.Fatalf("%s: exit status %d stderr %q, want 0 and no stderr", args, code, stderr)
+		}
+		first, _, _ := strings.Cut(out, "\n")
+		if !strings.HasPrefix(first, want.line) || !strings.Contains(out, "strategy: ") ||
+			!strings.Contains(out, want.strategy+"\n") {
+			t.Errorf("%s: stdout %q, want first line %q and a strategy ending %q", args, out, want.line, want.strategy)
+		}
+		if pipelined := want.strategy == "/ pipelined"; pipelined != strings.HasSuffix(first, " (requested auto)") ||
+			pipelined == strings.Contains(out, "sstep:") {
+			t.Errorf("%s: stdout %q, want the request on the overlap line alone", args, out)
+		}
 	}
 }

@@ -151,7 +151,7 @@ func E26(cfg Config) ([]*report.Table, error) {
 	}
 	for _, scale := range frontierScales {
 		models := hpfexec.Frontier(at(scale).machine(np), A2, d2)
-		winner := hpfexec.Cheapest(models, nil).Variant.String()
+		winner := hpfexec.Cheapest(models).Variant.String()
 		var tPlain, tPipe, tSBest, hiddenPipe float64
 		first := true
 		for _, mod := range models {

@@ -25,8 +25,9 @@ import (
 // ill-conditioned diagonal: where the monomial basis degrades, the
 // residual-replacement guard trips (repl > 0) and the solve finishes
 // at s=1 — degraded performance, never a wrong answer. Table 3 shows
-// the per-np cost-model frontier and that the auto-selector's choice
-// (the frontier argmin) is confirmed by the simulated machine.
+// the per-np cost-model frontier's blocking rows and that their argmin
+// (the blocking factor the model picks) is confirmed by the simulated
+// machine.
 func E23(cfg Config) ([]*report.Table, error) {
 	factors := hpfexec.SStepCandidates
 
@@ -74,15 +75,15 @@ func E23(cfg Config) ([]*report.Table, error) {
 			"stability guard fell back to plain CG (it must stay 0 on this band).",
 		},
 	}
-	// prices is the cost-model frontier at np, and each blocking row's
-	// per-iteration price by factor (s = 1 is the plain row).
+	// prices is the cost-model frontier's blocking rows at np (every
+	// row but the last, pipelined one), and each one's per-iteration
+	// price by factor (s = 1 is the plain row).
 	prices := func(np int) ([]hpfexec.FrontierRow, map[int]float64) {
 		rows := hpfexec.Frontier(cfg.machine(np), A, dist.NewBlock(n, np))
+		rows = rows[:len(rows)-1]
 		perIter := map[int]float64{}
 		for _, row := range rows {
-			if hpfexec.AutoServes(row.Variant) {
-				perIter[row.Variant.Factor()] = row.TimePerIter
-			}
+			perIter[row.Variant.Factor()] = row.TimePerIter
 		}
 		return rows, perIter
 	}
@@ -149,7 +150,7 @@ func E23(cfg Config) ([]*report.Table, error) {
 		}
 	}
 
-	// Table 3: the cost-model frontier the auto-selector walks.
+	// Table 3: which blocking factor the cost-model frontier picks.
 	t3 := &report.Table{
 		ID:     "E23",
 		Title:  fmt.Sprintf("cost-model s selection vs simulated machine (banded n=%d)", n),
@@ -166,8 +167,8 @@ func E23(cfg Config) ([]*report.Table, error) {
 		selNPs = []int{1, 2, 4}
 	}
 	for _, np := range selNPs {
-		frontier, perIter := prices(np)
-		chosen := hpfexec.Cheapest(frontier, hpfexec.AutoServes).Variant.Factor()
+		blocking, perIter := prices(np)
+		chosen := hpfexec.Cheapest(blocking).Variant.Factor()
 		s1, err := solve(np, A, b, 1, core.Options{Tol: 1e-8})
 		if err != nil {
 			return nil, err

@@ -90,11 +90,15 @@ func conformanceBackends() []confBackend {
 // cellVariant is the variant a conformance cell's name spells: its
 // canonical form with the colon written as a dash. sstep-1 is SStep(1),
 // which is plain CG, so that cell holds the s = 1 factor to the plain
-// cell's bits.
+// cell's bits. sstep-auto is Auto, named for the knob that requests it
+// in a served job (sstep 0).
 func cellVariant(t *testing.T, name string) Variant {
 	t.Helper()
-	if name == "sstep-1" {
+	switch name {
+	case "sstep-1":
 		return SStep(1)
+	case "sstep-auto":
+		return Auto()
 	}
 	v, err := ParseVariant(strings.Replace(name, "-", ":", 1))
 	if err != nil {
@@ -454,12 +458,12 @@ func TestVariantLegality(t *testing.T) {
 	// legal[backend] lists the variants that run; everything else in
 	// the enumeration must be refused, naming a field.
 	legal := map[string]map[Variant]bool{
-		BackendCSR:     {Plain(): true, SStep(4): true, SStepAuto(): true, Pipelined(): true, Resilient(0, 0): true},
-		BackendCSC:     {Plain(): true, SStepAuto(): true, Resilient(0, 0): true},
+		BackendCSR:     {Plain(): true, SStep(4): true, Auto(): true, Pipelined(): true, Resilient(0, 0): true},
+		BackendCSC:     {Plain(): true, Auto(): true, Resilient(0, 0): true},
 		BackendHPCG:    {Plain(): true},
 		BackendStencil: {Plain(): true, Pipelined(): true},
 	}
-	variants := []Variant{Plain(), SStep(4), SStepAuto(), SStep(MaxSStep + 1), Pipelined(), Resilient(0, 0)}
+	variants := []Variant{Plain(), SStep(4), Auto(), SStep(MaxSStep + 1), Pipelined(), Resilient(0, 0)}
 	// The §2.1 methods run on the assembled matrix alone.
 	for _, kind := range methodKinds {
 		v := cellVariant(t, kind)

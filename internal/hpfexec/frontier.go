@@ -1,6 +1,7 @@
 // The variant frontier: one price list, in the paper's §4 cost model
 // (topology.CostParams), of every CG variant a handle can run, and the
-// one argmin that both reports it (E23, E26) and resolves SStepAuto.
+// one argmin that both reports it (E23, E26) and resolves Auto — the
+// served default — over every row.
 //
 // Plain CG pays two one-word allreduce rounds and one halo exchange per
 // iteration. The s-step variant amortizes the latency: one
@@ -63,8 +64,10 @@ type FrontierRow struct {
 // Frontier prices plain CG, s-step CG at every factor >= 2 in
 // SStepCandidates, and pipelined CG for matrix A distributed by d over
 // the machine's ranks. Rows come in that order, the s-step rows by
-// rising factor — the order Cheapest breaks ties in. The depth-1 closure is swept once and shared
-// by the plain and pipelined rows.
+// rising factor — the order Cheapest breaks ties in — so the pipelined
+// row is always last and the rows before it are the blocking ones. The
+// depth-1 closure is swept once and shared by the plain and pipelined
+// rows.
 func Frontier(m *comm.Machine, A *sparse.CSR, d dist.Contiguous) []FrontierRow {
 	np := m.NP()
 	topo, c := m.Topology(), m.Cost()
@@ -140,25 +143,16 @@ func haloTime(c topology.CostParams, ghosts, k int) float64 {
 	return c.PtToPtTime(1, k*8*ghosts)
 }
 
-// AutoServes is the part of the frontier SStepAuto chooses from: the
-// blocking rows. Pipelined stays an explicit request — it reorders the
-// recurrence, so its iteration counts differ from plain CG's.
-func AutoServes(v Variant) bool { return v.Kind() != "pipelined" }
-
-// Cheapest returns the row of least TimePerIter among those keep admits
-// (nil admits every row). Ties go to the earlier row — plain, then
-// s-step by rising s, then pipelined — so blocking or overlap is never
-// bought for free. rows must hold a row keep admits; Frontier's plain
-// row passes AutoServes.
-func Cheapest(rows []FrontierRow, keep func(Variant) bool) FrontierRow {
-	var best FrontierRow
-	found := false
-	for _, row := range rows {
-		if keep != nil && !keep(row.Variant) {
-			continue
-		}
-		if !found || row.TimePerIter < best.TimePerIter {
-			best, found = row, true
+// Cheapest returns the row of least TimePerIter. Ties go to the
+// earlier row — plain, then s-step by rising s, then pipelined — so
+// blocking or overlap is never bought for free. A caller that asks only
+// which blocking factor wins passes Frontier's rows without the last
+// (pipelined) one. rows must not be empty.
+func Cheapest(rows []FrontierRow) FrontierRow {
+	best := rows[0]
+	for _, row := range rows[1:] {
+		if row.TimePerIter < best.TimePerIter {
+			best = row
 		}
 	}
 	return best

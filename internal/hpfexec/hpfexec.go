@@ -34,7 +34,7 @@ type Strategy struct {
 	Mode     string // "local", "serialized" or "private-merge"
 	Balanced bool   // partitioner-redistributed
 	// Variant is the recurrence the solves run, resolved: WithVariant
-	// turns sstep:auto into the factor it chose or plain.
+	// turns auto into the variant of the cheapest Frontier row.
 	Variant Variant
 	// Levels is the clamped multigrid hierarchy depth of an hpcg
 	// handle (0 for every other backend).

@@ -172,7 +172,7 @@ func TestVariantFrontier(t *testing.T) {
 		c.THop *= tc.scale
 		m := comm.NewMachine(np, topology.Hypercube{}, c)
 		models := Frontier(m, A, d)
-		best := Cheapest(models, nil).Variant.String()
+		best := Cheapest(models).Variant.String()
 		if best != tc.want {
 			t.Fatalf("scale %g: chose %q, want %q (%+v)", tc.scale, best, tc.want, models)
 		}

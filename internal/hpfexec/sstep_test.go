@@ -101,7 +101,8 @@ func TestSolveCGSStepReducesRounds(t *testing.T) {
 }
 
 // The CSC scenarios have no matrix-powers form: a fixed s >= 2 is a
-// plan error, and auto-selection degrades to plain CG.
+// plan error, and Auto, which the frontier does not price there,
+// degrades to plain CG.
 func TestSolveCGSStepCSCFallsBackToPlain(t *testing.T) {
 	A := sparse.Laplace2D(8, 8)
 	b := sparse.RandomVector(A.NRows, 6)
@@ -110,7 +111,7 @@ func TestSolveCGSStepCSCFallsBackToPlain(t *testing.T) {
 	if _, err := solveVariant(context.Background(), machine(np), plan, A, b, core.Options{}, SStep(4)); err == nil {
 		t.Fatal("fixed s=4 on a CSC plan did not error")
 	}
-	res, err := solveVariant(context.Background(), machine(np), plan, A, b, core.Options{Tol: 1e-10}, SStepAuto())
+	res, err := solveVariant(context.Background(), machine(np), plan, A, b, core.Options{Tol: 1e-10}, Auto())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,12 +134,12 @@ func TestSStepCostModelSelection(t *testing.T) {
 	n := A.NRows
 
 	d1 := dist.NewBlock(n, 1)
-	models1 := Frontier(machine(1), A, d1)
-	s1 := Cheapest(models1, AutoServes).Variant.Factor()
+	models1 := blocking(Frontier(machine(1), A, d1))
+	s1 := Cheapest(models1).Variant.Factor()
 	if s1 != 1 {
 		t.Fatalf("np=1 chose s=%d, want 1 (allreduces are free, overlap flops are not)", s1)
 	}
-	for _, mod := range blocking(models1) {
+	for _, mod := range models1 {
 		wantRounds := 2.0
 		if mod.Variant.Factor() > 1 {
 			wantRounds = 1 / float64(mod.Variant.Factor())
@@ -151,7 +152,7 @@ func TestSStepCostModelSelection(t *testing.T) {
 	np := 4
 	d4 := dist.NewBlock(n, np)
 	models4 := blocking(Frontier(machine(np), A, d4))
-	s4 := Cheapest(models4, AutoServes).Variant.Factor()
+	s4 := Cheapest(models4).Variant.Factor()
 	if s4 <= 1 {
 		t.Fatalf("np=%d chose s=%d; latency-dominated regime should pick s>1", np, s4)
 	}
@@ -182,16 +183,9 @@ func TestSStepCostModelSelection(t *testing.T) {
 	}
 }
 
-// blocking keeps the frontier rows the auto-selector chooses from.
-func blocking(rows []FrontierRow) []FrontierRow {
-	var out []FrontierRow
-	for _, row := range rows {
-		if AutoServes(row.Variant) {
-			out = append(out, row)
-		}
-	}
-	return out
-}
+// blocking is the frontier's blocking rows: every row but the last,
+// pipelined one.
+func blocking(rows []FrontierRow) []FrontierRow { return rows[:len(rows)-1] }
 
 // Satellite: a registry hit on an s-step Prepared must reuse the
 // cached matrix-powers operator — widened inspector schedule included —

@@ -13,7 +13,7 @@
 //	pcg                          core.PCG under the point-Jacobi preconditioner (core.NewJacobi)
 //	bicg | cgs | bicgstab        the §2.1 methods (core.BiCG, core.CGS, core.BiCGSTAB)
 //	sstep:<s>                    s-step CG at a fixed factor, 2 <= s <= MaxSStep (core.CGSStep)
-//	sstep:auto                   s-step CG at the §4 cost model's factor
+//	auto                         the cheapest row of the §4 cost model's Frontier (plain, s-step or pipelined)
 //	pipelined                    the overlap solver (core.CGPipelined)
 //	resilient[:ckpt=<n>[,restarts=<n>]]
 //	resilient:restarts=<n>       checkpoint/rollback-restart (core.CGResilient)
@@ -50,11 +50,11 @@ const (
 )
 
 // Variant is the Krylov recurrence a handle's solves run. Build it with
-// ParseVariant, Plain, SStep, SStepAuto, Pipelined or Resilient; the
+// ParseVariant, Plain, SStep, Auto, Pipelined or Resilient; the
 // zero value is Plain.
 type Variant struct {
 	key            string // String(), computed once by the constructor; "" for plain
-	s              int    // an s-step variant's fixed factor, 0 for sstep:auto
+	s              int    // an s-step variant's fixed factor
 	ckpt, restarts int    // a resilient variant's interval and budget
 }
 
@@ -72,11 +72,11 @@ func SStep(s int) Variant {
 	return Variant{key: "sstep:" + strconv.Itoa(s), s: s}
 }
 
-// SStepAuto is s-step CG at the blocking factor the §4 cost model
-// chooses for the handle's machine, matrix and distribution: the
-// cheapest Frontier row AutoServes admits, which may be the plain row.
-// Storage formats with no matrix-powers form resolve it to Plain.
-func SStepAuto() Variant { return Variant{key: "sstep:auto"} }
+// Auto is the variant the §4 cost model chooses for the handle's
+// machine, matrix and distribution: the cheapest Frontier row — plain,
+// s-step at a candidate factor, or pipelined. Storage formats the
+// frontier does not price (CSC) resolve it to Plain.
+func Auto() Variant { return Variant{key: "auto"} }
 
 // Pipelined is the overlap-based solver (core.CGPipelined): one
 // nonblocking allreduce per iteration, hidden behind the mat-vec. It
@@ -97,7 +97,7 @@ func Resilient(ckpt, restarts int) Variant {
 
 // variantForm is the grammar of the file comment: the s-step factor is
 // group 1, the resilient interval group 2, the budget group 3 or 4.
-var variantForm = regexp.MustCompile(`^(?:plain|pipelined|pcg|bicg|cgs|bicgstab|sstep:auto|sstep:(-?\d+)|resilient(?::ckpt=(-?\d+)(?:,restarts=(-?\d+))?|:restarts=(-?\d+))?)$`)
+var variantForm = regexp.MustCompile(`^(?:plain|pipelined|pcg|bicg|cgs|bicgstab|auto|sstep:(-?\d+)|resilient(?::ckpt=(-?\d+)(?:,restarts=(-?\d+))?|:restarts=(-?\d+))?)$`)
 
 // ParseVariant reads the text grammar of the file comment. The grammar
 // is exact: an unknown kind, a malformed or trailing field, a factor
@@ -110,7 +110,7 @@ func ParseVariant(s string) (Variant, error) {
 	v := Variant{key: s} // the words without a field are their own keys
 	switch {
 	case m == nil:
-		return Variant{}, fmt.Errorf("hpfexec: variant %q: want plain, pcg, bicg, cgs, bicgstab, sstep:<s>, sstep:auto, pipelined or resilient[:ckpt=<n>[,restarts=<n>]]", s)
+		return Variant{}, fmt.Errorf("hpfexec: variant %q: want plain, pcg, bicg, cgs, bicgstab, sstep:<s>, auto, pipelined or resilient[:ckpt=<n>[,restarts=<n>]]", s)
 	case s == "plain":
 		v = Plain()
 	case m[1] != "":
@@ -131,12 +131,12 @@ func ParseVariant(s string) (Variant, error) {
 func (v Variant) String() string { return cmp.Or(v.key, "plain") }
 
 // Kind is the prefix of String that names the recurrence: "plain",
-// "sstep", "pipelined", "resilient" or a word of methodKinds.
+// "sstep", "auto", "pipelined", "resilient" or a word of methodKinds.
 func (v Variant) Kind() string { kind, _, _ := strings.Cut(v.String(), ":"); return kind }
 
 // Factor is the s-step blocking factor the variant's recurrence runs
 // at: s for an s-step variant, 1 for the plain recurrence that plain and
-// resilient run (and for sstep:auto until WithVariant resolves it), 0
+// resilient run (and for auto until WithVariant resolves it), 0
 // for pipelined, which does not block.
 func (v Variant) Factor() int {
 	if v == Pipelined() {
@@ -156,7 +156,7 @@ func CheckVariant(backend string, v Variant) error {
 	matrix := backend == BackendCSR || backend == BackendCSC
 	var why error
 	switch kind := v.Kind(); {
-	case kind == "sstep" && v != SStepAuto() && (v.s < 2 || v.s > MaxSStep):
+	case kind == "sstep" && (v.s < 2 || v.s > MaxSStep):
 		why = fmt.Errorf("field sstep: %d outside [2,%d]", v.s, MaxSStep)
 	case v.ckpt < 0:
 		why = fmt.Errorf("field ckpt_interval: negative bound %d", v.ckpt)
@@ -164,7 +164,9 @@ func CheckVariant(backend string, v Variant) error {
 		why = fmt.Errorf("field max_restarts: negative bound %d", v.restarts)
 	case kind == "sstep" && !matrix:
 		why = fmt.Errorf("field sstep: does not apply to %s jobs (the matrix-powers kernel needs an assembled matrix)", backend)
-	case kind == "sstep" && backend == BackendCSC && v != SStepAuto():
+	case kind == "auto" && !matrix:
+		why = fmt.Errorf("field sstep: auto does not apply to %s jobs (the cost model prices an assembled matrix)", backend)
+	case kind == "sstep" && backend == BackendCSC:
 		why = fmt.Errorf("field sstep: %d needs a CSR layout, got %s", v.s, backend)
 	case kind == "pipelined" && backend == BackendCSC:
 		why = fmt.Errorf("field pipelined: needs a CSR layout, got %s", backend)
@@ -209,8 +211,8 @@ func (v Variant) solve(p *comm.Proc, ro *rankOps, b, x *darray.Vector, opt core.
 
 // WithVariant sets the recurrence the handle's solves run, checked
 // against the legality table. It resolves everything the variant
-// implies before any run: sstep:auto becomes a concrete factor or
-// plain, and the variant picks the operators the cold build constructs
+// implies before any run: auto becomes the variant of the cheapest
+// Frontier row, and the variant picks the operators the cold build constructs
 // (s >= 2 runs the matrix-powers executor, whose widened inspector
 // schedule is cached in the handle like every other operator; bicg the
 // broadcast executor on CSR; pcg adds point Jacobi).
@@ -224,10 +226,10 @@ func (pr *Prepared) WithVariant(v Variant) error {
 	if err := CheckVariant(pr.be.kind(), v); err != nil {
 		return err
 	}
-	if v == SStepAuto() {
+	if v == Auto() {
 		v = Plain()
 		if mb, ok := pr.be.(*matrixBackend); ok && mb.format == BackendCSR {
-			v = Cheapest(Frontier(pr.m, mb.A, mb.d), AutoServes).Variant
+			v = Cheapest(Frontier(pr.m, mb.A, mb.d)).Variant
 		}
 	}
 	pr.strategy.Variant = v

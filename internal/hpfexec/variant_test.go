@@ -22,7 +22,7 @@ func TestParseVariant(t *testing.T) {
 		{"sstep:4", SStep(4), "sstep:4"},
 		{"sstep:16", SStep(16), "sstep:16"},
 		{"sstep:04", SStep(4), "sstep:4"},
-		{"sstep:auto", SStepAuto(), "sstep:auto"},
+		{"auto", Auto(), "auto"},
 		{"pipelined", Pipelined(), "pipelined"},
 		{"pcg", Variant{key: "pcg"}, "pcg"},
 		{"bicg", Variant{key: "bicg"}, "bicg"},
@@ -42,7 +42,7 @@ func TestParseVariant(t *testing.T) {
 			t.Errorf("ParseVariant(%q) = %+v, %v; want the variant it was printed from", c.canon, back, err)
 		}
 	}
-	for _, v := range []Variant{Plain(), SStep(1), SStep(2), SStep(MaxSStep), SStepAuto(), Pipelined(), Resilient(0, 0), Resilient(7, 1)} {
+	for _, v := range []Variant{Plain(), SStep(1), SStep(2), SStep(MaxSStep), Auto(), Pipelined(), Resilient(0, 0), Resilient(7, 1)} {
 		if back, err := ParseVariant(v.String()); err != nil || back != v {
 			t.Errorf("ParseVariant(%v.String()) = %+v, %v; want %+v", v, back, err, v)
 		}
@@ -57,6 +57,8 @@ func TestParseVariant(t *testing.T) {
 		"sstep":                         "want plain",
 		"sstep:":                        "want plain",
 		"sstep:4junk":                   "want plain",
+		"sstep:auto":                    "want plain",
+		"auto:2":                        "want plain",
 		"sstep:4,pipelined":             "want plain",
 		"sstep:+4":                      "want plain",
 		"pipelined:sstep:4":             "want plain",
@@ -87,7 +89,7 @@ func TestParseVariant(t *testing.T) {
 // passes its own range check, and names its kind.
 func FuzzParseVariant(f *testing.F) {
 	for _, s := range []string{
-		"plain", "sstep:4", "sstep:auto", "sstep:1", "sstep:0", "sstep:-1", "sstep:17", "sstep:04",
+		"plain", "sstep:4", "auto", "sstep:auto", "sstep:1", "sstep:0", "sstep:-1", "sstep:17", "sstep:04",
 		"pipelined", "pcg", "bicg", "cgs", "bicgstab", "resilient", "resilient:ckpt=10,restarts=3", "resilient:ckpt=0", "resilient:restarts=9",
 		"resilient:ckpt=-3", "resilient:ckpt=5,restarts=2junk", "", "sstep:4,pipelined", "resilient:ckpt=99999999999999999999",
 	} {

@@ -28,7 +28,7 @@ func TestServedVariantAdmissionPinned(t *testing.T) {
 		{"stencil", JobSpec{Method: "stencil", Stencil: &StencilSpec{Stencil: "5pt", Nx: 12, Ny: 12}, NP: 4, Seed: 3}},
 	}
 	want := map[string]string{
-		"cg/s=0/p=false/r=false":       "ok sstep:4 sstep=4 pipelined=false it=44 t=0.00233949",
+		"cg/s=0/p=false/r=false":       "ok pipelined sstep=0 pipelined=true it=44 t=0.0022885",
 		"cg/s=0/p=false/r=true":        "ok resilient sstep=1 pipelined=false it=44 t=0.00497512",
 		"cg/s=0/p=true/r=false":        "ok pipelined sstep=0 pipelined=true it=44 t=0.0022885",
 		"cg/s=0/p=true/r=true":         "400 pipelined",

@@ -60,7 +60,7 @@ func FuzzJobSpec(f *testing.F) {
 			t.Fatalf("accepted variant %v on %+v: %v", sp.variant, sp, err)
 		}
 		// The JSON spells no §2.1 method: a served job runs CG.
-		if kind := sp.variant.Kind(); !slices.Contains([]string{"plain", "sstep", "pipelined", "resilient"}, kind) {
+		if kind := sp.variant.Kind(); !slices.Contains([]string{"plain", "sstep", "auto", "pipelined", "resilient"}, kind) {
 			t.Fatalf("accepted variant kind %q on %+v", kind, sp)
 		}
 		switch sp.Method {

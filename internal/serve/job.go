@@ -72,11 +72,12 @@ type JobSpec struct {
 	// Stencil sizes the matrix-free problem of a stencil job.
 	Stencil *StencilSpec `json:"stencil,omitempty"`
 	// SStep is the communication-avoiding blocking factor of a cg job:
-	// 0 (or absent) lets the cost model choose per machine shape, 1
-	// forces plain CG, 2..hpfexec.MaxSStep fixes the factor. Resilient
-	// jobs always run plain CG — the checkpoint machinery is
-	// per-iteration — and do not read it. SStep, Pipelined and
-	// Resilient become the job's one hpfexec.Variant at admission.
+	// 0 (or absent) lets the cost model choose the variant per machine
+	// shape (hpfexec.Auto: plain, s-step or pipelined), 1 forces plain
+	// CG, 2..hpfexec.MaxSStep fixes the factor. Resilient jobs always
+	// run plain CG — the checkpoint machinery is per-iteration — and do
+	// not read it. SStep, Pipelined and Resilient become the job's one
+	// hpfexec.Variant at admission.
 	SStep int `json:"sstep,omitempty"`
 	// Pipelined runs the overlap-based pipelined CG solver: one
 	// nonblocking two-word allreduce per iteration, hidden behind the
@@ -226,9 +227,10 @@ func (sp *JobSpec) validate(maxNP int) error {
 
 // readVariant turns the job's three variant knobs into its one
 // variant, checked against backend. A cg job that names neither sstep
-// nor pipelined gets sstep:auto, the served default; sstep 1 is plain,
-// and so is every job of another method; a resilient cg job runs the
-// plain recurrence and does not read sstep. The combinations only the
+// nor pipelined gets auto, the served default: the cheapest row of the
+// §4 frontier, pipelined included. sstep 1 is plain, and so is every
+// job of another method; a resilient cg job runs the plain recurrence
+// and does not read sstep. The combinations only the
 // JSON can spell — a factor out of range, sstep on hpcg or stencil,
 // pipelined with blocking or with resilient — are refused here, each
 // naming its field; a fixed factor the layout does not run is the
@@ -254,7 +256,7 @@ func (sp *JobSpec) readVariant(backend string) (hpfexec.Variant, error) {
 	case sp.Resilient:
 		v = hpfexec.Resilient(sp.CkptInterval, sp.MaxRestarts)
 	case s == 0 && cg:
-		v = hpfexec.SStepAuto()
+		v = hpfexec.Auto()
 	}
 	return v, hpfexec.CheckVariant(backend, v)
 }

@@ -105,8 +105,9 @@ func TestPipelinedPlanCacheSeparatesSolvers(t *testing.T) {
 		}
 	}
 
-	// Same matrix, blocking solver: must NOT hit the pipelined plan.
-	block := run(JobSpec{Matrix: "laplace2d:12:12", NP: 4, Seed: 3})
+	// Same matrix, blocking solver: must NOT hit the pipelined plan. A
+	// default job may resolve to pipelined, so this one asks for plain.
+	block := run(JobSpec{Matrix: "laplace2d:12:12", NP: 4, Seed: 3, SStep: 1})
 	if block.PlanCacheHit {
 		t.Fatal("blocking job hit the pipelined plan cache entry")
 	}

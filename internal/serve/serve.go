@@ -338,8 +338,8 @@ func (s *Scheduler) nextBatch() []*Job {
 
 // prepare opens the job's problem on m (hpfexec.Open, the one front
 // over the backends) and sets its solver variant. hpfexec.WithVariant
-// consults the same legality table validation did, and resolves
-// sstep:auto through the cost model.
+// consults the same legality table validation did, and resolves auto
+// through the cost model.
 func (sp *JobSpec) prepare(m *comm.Machine) (*hpfexec.Prepared, error) {
 	pr, err := hpfexec.Open(m, sp.prob, sp.Layout)
 	if err != nil {

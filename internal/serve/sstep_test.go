@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"hpfcg/internal/comm"
@@ -11,10 +12,11 @@ import (
 	"hpfcg/internal/topology"
 )
 
-// A default job (sstep absent) gets the cost model's blocking factor
-// automatically: on a 4-processor machine the latency term dominates
-// and the service must report s > 1 with the s-step strategy marker.
-func TestSStepAutoSelection(t *testing.T) {
+// A default job (sstep absent) runs the variant of the cost model's
+// cheapest Frontier row, pipelined included: on a 4-processor machine
+// the pipelined row hides the latency term, and the service must report
+// it — the pipelined flag, sstep 0 and the strategy's pipelined marker.
+func TestAutoSelection(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Drain(testCtx(t))
 	j, err := s.Submit(JobSpec{Matrix: "laplace2d:12:12", NP: 4, Seed: 3})
@@ -28,17 +30,17 @@ func TestSStepAutoSelection(t *testing.T) {
 	if v.State != StateDone || !v.Result.Converged {
 		t.Fatalf("job %+v", v)
 	}
-	if v.Result.SStep <= 1 {
-		t.Fatalf("auto-selection reported s=%d; np=4 should pick s>1", v.Result.SStep)
-	}
 	A, err := sparse.GeneratorByName("laplace2d:12:12")
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := comm.NewMachine(4, topology.Hypercube{}, topology.DefaultCostParams())
-	want := hpfexec.Cheapest(hpfexec.Frontier(m, A, dist.NewBlock(A.NRows, 4)), hpfexec.AutoServes).Variant.Factor()
-	if v.Result.SStep != want {
-		t.Fatalf("service chose s=%d, cost model says %d", v.Result.SStep, want)
+	want := hpfexec.Cheapest(hpfexec.Frontier(m, A, dist.NewBlock(A.NRows, 4))).Variant
+	if want != hpfexec.Pipelined() {
+		t.Fatalf("cost model chose %v at np=4, want pipelined", want)
+	}
+	if !v.Result.Pipelined || v.Result.SStep != want.Factor() || !strings.HasSuffix(v.Result.Strategy, "/ pipelined") {
+		t.Fatalf("service ran pipelined=%v sstep=%d strategy %q, cost model says %v", v.Result.Pipelined, v.Result.SStep, v.Result.Strategy, want)
 	}
 }
 
