@@ -5,8 +5,9 @@
 // running" the paper's Figure 2.
 //
 // What is solved is one -problem string (hpfexec.ParseProblem's
-// grammar) or a Matrix Market -file; how it runs is a directive file,
-// or -demo's canonical layout for a matrix (csr when neither is given).
+// grammar) or a Matrix Market -file; how it runs is one directive file
+// or -demo's canonical layout for a matrix, never both (csr when
+// neither is given).
 // A stencil problem's dimensions are the global grid, an hpcg
 // problem's each rank's brick; neither takes a layout. The recurrence
 // the solve runs is one -variant string (hpfexec.ParseVariant's
@@ -68,6 +69,12 @@ func main() {
 	if set["problem"] && set["file"] {
 		fatal(fmt.Errorf("-problem does not apply with -file"))
 	}
+	if flag.NArg() > 1 {
+		fatal(fmt.Errorf("one directive file at most, got %d arguments", flag.NArg()))
+	}
+	if set["demo"] && flag.NArg() > 0 {
+		fatal(fmt.Errorf("-demo does not apply with a directive file"))
+	}
 	// Which backend the variant combines with is hpfexec.CheckVariant's
 	// table, consulted by WithVariant below.
 	variant, err := hpfexec.ParseVariant(*variantArg)
@@ -96,7 +103,7 @@ func main() {
 	prob, name := problem(*problemArg, *matrixFile)
 	var pr *hpfexec.Prepared
 	var plan *hpf.Plan
-	if *demo == "" && flag.NArg() > 0 {
+	if flag.NArg() > 0 {
 		pr, plan = prepareDirectives(m, prob, flag.Arg(0))
 	} else if pr, err = hpfexec.Open(m, prob, *demo); err != nil {
 		fatal(err)

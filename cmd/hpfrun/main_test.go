@@ -73,15 +73,17 @@ func TestRefusesOutOfRangeVariantFlags(t *testing.T) {
 		"-problem stencil:5pt:32x24 -variant bicg":      "field method: bicg needs an assembled matrix, not a stencil job",
 		"-problem hpcg:4x4x4 -variant bicg":             "field method: bicg needs an assembled matrix, not a hpcg job",
 
-		"-problem stencil:5pt:32x24junk":         `problem "stencil:5pt:32x24junk"`,
-		"-problem stencil:27pt:4x4x4x4":          `problem "stencil:27pt:4x4x4x4"`,
-		"-problem hpcg:4x4x4junk":                `problem "hpcg:4x4x4junk"`,
-		"-problem hpcg:4x4x4x9":                  `problem "hpcg:4x4x4x9"`,
-		"-problem hpcg:0x4x4":                    "field mg.nx: 0 outside [1, 256]",
-		"-problem hpcg:4x4x4 -demo csc-merge":    "field layout: does not apply to hpcg problems",
-		"-problem stencil:5pt:32x24 -demo csr":   "field layout: does not apply to stencil problems",
-		"-problem stencil:5pt:32x24 -file m.mtx": "-problem does not apply with -file",
-		"-problem stencil:5pt:32x24 figure2.hpf": "a stencil problem is never assembled",
+		"-problem stencil:5pt:32x24junk":                    `problem "stencil:5pt:32x24junk"`,
+		"-problem stencil:27pt:4x4x4x4":                     `problem "stencil:27pt:4x4x4x4"`,
+		"-problem hpcg:4x4x4junk":                           `problem "hpcg:4x4x4junk"`,
+		"-problem hpcg:4x4x4x9":                             `problem "hpcg:4x4x4x9"`,
+		"-problem hpcg:0x4x4":                               "field mg.nx: 0 outside [1, 256]",
+		"-problem hpcg:4x4x4 -demo csc-merge":               "field layout: does not apply to hpcg problems",
+		"-problem stencil:5pt:32x24 -demo csr":              "field layout: does not apply to stencil problems",
+		"-problem stencil:5pt:32x24 -file m.mtx":            "-problem does not apply with -file",
+		"-problem stencil:5pt:32x24 figure2.hpf":            "a stencil problem is never assembled",
+		"-problem laplace2d:16:16 -demo csr nosuchfile.hpf": "-demo does not apply with a directive file",
+		"-problem laplace2d:16:16 a.hpf b.hpf":              "one directive file at most, got 2 arguments",
 
 		"-problem laplace1d:16 -np 2 -tol -1":     "negative tolerance",
 		"-problem laplace1d:16 -np 2 -maxiter -5": "negative iteration cap",

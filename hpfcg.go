@@ -17,7 +17,7 @@
 //     PRIVATE/MERGE(+), ON PROCESSOR iteration maps (internal/forall) —
 //     and as parsable directives (internal/hpf);
 //   - the solver family: CG, preconditioned CG, BiCG, CGS, BiCGSTAB,
-//     distributed (internal/core) and sequential with GMRES and
+//     distributed (internal/core), sequential CG, PCG and GMRES with
 //     Jacobi/SSOR/IC(0) preconditioners (internal/seq), plus dense
 //     direct baselines (internal/direct);
 //   - beyond the paper, matrix-free stencil operators and an

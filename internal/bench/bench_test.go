@@ -35,7 +35,7 @@ var claims = map[string]struct{ claim, test string }{
 	"E2":  {"Figure 3, Scenario 1: the broadcast costs §4's t_s·log NP + t_w·n·(NP-1)/NP", "TestE2MatchesFormula"},
 	"E3":  {"Figure 4, Scenario 2: the serialized CSC loop does not scale, PRIVATE/MERGE does", "TestE4ExtensionWins"},
 	"E4":  {"Figure 5, §5.1: the PRIVATE/MERGE(+) extension beats the serialized loop", "TestE4ExtensionWins"},
-	"E5":  {"§2, §2.1: the per-iteration products, inner products and SAXPYs of each solver", "internal/seq.TestComputationalStructure"},
+	"E5":  {"§2, §2.1: the per-iteration products, inner products and SAXPYs of each solver", "TestE5OperationCounts"},
 	"E6":  {"§2.1: BiCG's transpose product brings back the merge phase", "TestE6TransposePenalty"},
 	"E7":  {"§5.2.1: ATOM:BLOCK never splits an atom", "internal/partition.TestElemDistNeverSplitsAtoms"},
 	"E8":  {"§5.2.2: the balanced partitioner beats uniform atom blocks", "TestE8BalancedWins"},
@@ -215,8 +215,8 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 }
 
 // machineFree lists the experiments that run no SPMD program and so
-// build no machine: E5, E7, E9 and E12.
-var machineFree = map[string]bool{"E5": true, "E7": true, "E9": true, "E12": true}
+// build no machine: E7, E9 and E12.
+var machineFree = map[string]bool{"E7": true, "E9": true, "E12": true}
 
 // Config.Tracer reaches every machine an experiment builds: each
 // machine-building experiment deposits at least one recorder, so
@@ -361,6 +361,41 @@ func TestE4ExtensionWins(t *testing.T) {
 			t.Errorf("np=%s: inspected merge moved %g bytes > dense merge %g", row[0], inspected, dense)
 		}
 	}
+}
+
+// E5: the per-iteration structure §2 and §2.1 give each method — CG's
+// 1 mat-vec, 2 inner products and ~3 SAXPYs, BiCG's A^T product, the
+// two forward products of CGS and BiCGSTAB, and BiCGSTAB's 4 inner
+// products (+1 stop test).
+func TestE5OperationCounts(t *testing.T) {
+	tables, err := E5(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string][]string{}
+	for _, row := range tables[0].Rows {
+		rows[row[0]] = row
+	}
+	near := func(method string, col int, what string, want, tol float64) {
+		t.Helper()
+		row, ok := rows[method]
+		if !ok {
+			t.Fatalf("no %s row in %v", method, tables[0].Rows)
+		}
+		if got := parseF(t, row[col]); math.Abs(got-want) > tol {
+			t.Errorf("%s %s/it = %g, want %g", method, what, got, want)
+		}
+	}
+	near("cg", 2, "matvec", 1, 0)
+	near("cg", 3, "matvecT", 0, 0)
+	near("cg", 4, "dot", 2, 0)
+	near("cg", 5, "axpy", 3, 0.1)
+	near("bicg", 3, "matvecT", 1, 0)
+	for _, m := range []string{"cgs", "bicgstab"} {
+		near(m, 2, "matvec", 2, 0.01)
+		near(m, 3, "matvecT", 0, 0)
+	}
+	near("bicgstab", 4, "dot", 5, 0.2)
 }
 
 // E6: the transpose product must move at least as many bytes as the

@@ -157,9 +157,10 @@ func E23(cfg Config) ([]*report.Table, error) {
 		Header: []string{"np", "t/it_s1", "t/it_s2", "t/it_s4", "t/it_s8", "chosen", "sim_s1", "sim_chosen", "sim_agrees"},
 		Notes: []string{
 			"t/it_sK = modeled per-iteration time at blocking factor K; chosen = the",
-			"frontier argmin sstep:auto resolves to (ties to smaller s). sim_s1 and",
-			"sim_chosen are simulated makespans; sim_agrees marks that the simulated",
-			"machine confirms the model's verdict on whether s>1 wins.",
+			"argmin of the blocking rows only, ties to smaller s (auto also prices the",
+			"pipelined row, E26). sim_s1 and sim_chosen are simulated makespans;",
+			"sim_agrees marks that the simulated machine confirms the model's verdict",
+			"on whether s>1 wins.",
 		},
 	}
 	selNPs := []int{1, 2, 4, 8, 16}

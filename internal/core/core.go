@@ -1,9 +1,10 @@
 // Package core implements the paper's subject matter: conjugate
 // gradient iterative solvers expressed over the HPF-style data-parallel
 // runtime — distributed vectors (darray), HPF distributions (dist) and
-// the two matrix-vector partitionings (spmv). Each solver is the
-// direct data-parallel transcription of its sequential counterpart in
-// package seq; the code shape matches the paper's Figure 2:
+// the two matrix-vector partitionings (spmv). CG and PCG are the
+// direct data-parallel transcriptions of their sequential counterparts
+// in package seq, and BiCG, CGS and BiCGSTAB live only here; the code
+// shape matches the paper's Figure 2:
 //
 //	DO k=1,Niter
 //	  rho0 = rho

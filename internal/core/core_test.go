@@ -204,17 +204,31 @@ func TestDistributedBiCGOnNonsymmetric(t *testing.T) {
 	}
 	A := coo.ToCSR()
 	b := sparse.RandomVector(n, 6)
-	sol, st := distSolve(t, 4, A, func(p *comm.Proc, op spmv.TransposeOperator, bv, xv *darray.Vector) (Stats, error) {
-		return BiCG(p, op, bv, xv, Options{Tol: 1e-10})
-	}, b)
-	if !st.Converged {
-		t.Fatalf("BiCG: %v", st)
-	}
-	if st.TransMatVecs == 0 {
-		t.Error("BiCG should use transpose products")
-	}
-	if rr := relResidual(A, sol, b); rr > 1e-7 {
-		t.Errorf("residual %g", rr)
+	opt := Options{Tol: 1e-10}
+	for _, m := range []struct {
+		name  string
+		solve func(p *comm.Proc, op spmv.TransposeOperator, bv, xv *darray.Vector) (Stats, error)
+	}{
+		{"BiCG", func(p *comm.Proc, op spmv.TransposeOperator, bv, xv *darray.Vector) (Stats, error) {
+			return BiCG(p, op, bv, xv, opt)
+		}},
+		{"CGS", func(p *comm.Proc, op spmv.TransposeOperator, bv, xv *darray.Vector) (Stats, error) {
+			return CGS(p, op, bv, xv, opt)
+		}},
+		{"BiCGSTAB", func(p *comm.Proc, op spmv.TransposeOperator, bv, xv *darray.Vector) (Stats, error) {
+			return BiCGSTAB(p, op, bv, xv, opt)
+		}},
+	} {
+		sol, st := distSolve(t, 4, A, m.solve, b)
+		if !st.Converged {
+			t.Fatalf("%s: %v", m.name, st)
+		}
+		if (st.TransMatVecs > 0) != (m.name == "BiCG") {
+			t.Errorf("%s: %d transpose products; only BiCG uses them", m.name, st.TransMatVecs)
+		}
+		if rr := relResidual(A, sol, b); rr > 1e-7 {
+			t.Errorf("%s: residual %g", m.name, rr)
+		}
 	}
 }
 

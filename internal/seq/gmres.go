@@ -25,7 +25,7 @@ func GMRES(A *sparse.CSR, b, x []float64, restart int, opt Options) (Stats, erro
 	var st Stats
 	c := counters{&st}
 
-	r := c.newVec(n)
+	r := make([]float64, n)
 	rn, bn := residual0(c, A, b, x, r)
 	if bn == 0 {
 		bn = 1
@@ -39,7 +39,7 @@ func GMRES(A *sparse.CSR, b, x []float64, restart int, opt Options) (Stats, erro
 	// Krylov basis (m+1 vectors: the storage cost §2.1 highlights).
 	V := make([][]float64, m+1)
 	for i := range V {
-		V[i] = c.newVec(n)
+		V[i] = make([]float64, n)
 	}
 	h := make([][]float64, m+1) // Hessenberg, h[i][j], i row, j col
 	for i := range h {
@@ -48,7 +48,7 @@ func GMRES(A *sparse.CSR, b, x []float64, restart int, opt Options) (Stats, erro
 	cs := make([]float64, m) // Givens cosines
 	sn := make([]float64, m) // Givens sines
 	g := make([]float64, m+1)
-	w := c.newVec(n)
+	w := make([]float64, n)
 
 	for st.Iterations < opt.MaxIter {
 		// Outer (restart) cycle: r already holds b - A x.

@@ -208,22 +208,6 @@ func (m *CSR) MulVec(x, y []float64) {
 	}
 }
 
-// MulVecT computes y = A^T*x sequentially. y must have length NCols.
-func (m *CSR) MulVecT(x, y []float64) {
-	if len(x) != m.NRows || len(y) != m.NCols {
-		panic(fmt.Sprintf("sparse: MulVecT shapes: A %dx%d, x %d, y %d", m.NRows, m.NCols, len(x), len(y)))
-	}
-	for j := range y {
-		y[j] = 0
-	}
-	for i := 0; i < m.NRows; i++ {
-		xi := x[i]
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			y[m.Col[k]] += m.Val[k] * xi
-		}
-	}
-}
-
 // Diag returns the main diagonal as a dense vector (zeros where no
 // entry is stored).
 func (m *CSR) Diag() []float64 {

@@ -111,33 +111,6 @@ func TestMulVecAgainstDense(t *testing.T) {
 	}
 }
 
-func TestMulVecT(t *testing.T) {
-	coo := NewCOO(3, 4)
-	coo.Add(0, 1, 2)
-	coo.Add(1, 3, 5)
-	coo.Add(2, 0, -1)
-	m := coo.ToCSR()
-	x := []float64{1, 2, 3}
-	y := make([]float64, 4)
-	m.MulVecT(x, y)
-	// A^T x: col0 gets -1*3, col1 gets 2*1, col3 gets 5*2.
-	want := []float64{-3, 2, 0, 10}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("MulVecT = %v, want %v", y, want)
-		}
-	}
-	// Cross-check against explicit transpose.
-	tm := m.Transpose()
-	y2 := make([]float64, 4)
-	tm.MulVec(x, y2)
-	for i := range y2 {
-		if math.Abs(y[i]-y2[i]) > 1e-14 {
-			t.Fatal("MulVecT != Transpose().MulVec")
-		}
-	}
-}
-
 func TestTransposeInvolution(t *testing.T) {
 	m := PowerLaw(60, 1.1, 20, 3)
 	tt := m.Transpose().Transpose()

@@ -51,10 +51,9 @@ func reference(A *sparse.CSR, transpose bool) []float64 {
 	}
 	y := make([]float64, n)
 	if transpose {
-		A.MulVecT(x, y)
-	} else {
-		A.MulVec(x, y)
+		A = A.Transpose()
 	}
+	A.MulVec(x, y)
 	return y
 }
 
