@@ -74,7 +74,8 @@ golden:
 # local source planes both occur, plain and pipelined), a generator under
 # -demo and under a directive file, and one -variant string per
 # recurrence: pipelined CSR, fixed-factor s-step CG, auto (the cost
-# model's cheapest variant, pipelined at np 8), and each §2.1 method — BiCGSTAB on the CSC
+# model's cheapest variant, pipelined at np 8 on a matrix and at np 4 on
+# a 5-point stencil), and each §2.1 method — BiCGSTAB on the CSC
 # private-merge layout, BiCG on the default layout, whose executor must
 # apply A^T, PCG with point Jacobi on a matrix whose diagonal varies, and
 # CGS on the CSC serial layout; plain CG on block rows and under the
@@ -113,6 +114,7 @@ smoke:
 	$(GO) run ./cmd/hpfrun -np 4 -problem banded:256:4 -demo csr -variant pipelined > /dev/null
 	$(GO) run ./cmd/hpfrun -np 4 -demo csr -variant sstep:4 > /dev/null
 	$(GO) run ./cmd/hpfrun -np 8 -problem laplace2d:32:32 -variant auto > /dev/null
+	$(GO) run ./cmd/hpfrun -np 4 -problem stencil:5pt:48x48 -variant auto > /dev/null
 	$(GO) run ./cmd/hpfrun -np 4 -problem randspd:500:6:1 -demo csc-merge -variant bicgstab > /dev/null
 	$(GO) run ./cmd/hpfrun -np 8 -problem laplace2d:64:64 > /dev/null
 	$(GO) run ./cmd/hpfrun -np 8 -problem powerlaw:2000:1 -demo balanced > /dev/null

@@ -12,9 +12,9 @@
 // problem's each rank's brick; neither takes a layout. The recurrence
 // the solve runs is one -variant string (hpfexec.ParseVariant's
 // grammar), plain CG by default; a matrix problem also takes the §2.1
-// methods (pcg, bicg, cgs, bicgstab) and auto, the cost model's
-// cheapest variant. The sstep: and overlap: lines report the variant
-// that ran, which auto resolves.
+// methods (pcg, bicg, cgs, bicgstab), and a matrix or stencil problem
+// auto, the cost model's cheapest variant. The sstep: and overlap:
+// lines report the variant that ran, which auto resolves.
 //
 // Examples:
 //
@@ -27,6 +27,7 @@
 //	hpfrun -np 4 -problem hpcg:8x8x8:L3
 //	hpfrun -np 4 -problem stencil:5pt:64x48
 //	hpfrun -np 8 -problem laplace2d:128:128 -variant auto
+//	hpfrun -np 4 -problem stencil:5pt:48x48 -variant auto
 //	hpfrun -np 4 -problem randspd:500:6:1 -demo csc-merge -variant bicgstab
 //	hpfrun -np 4 -demo csr -fault "crash:rank=2@t=0.5ms" -variant resilient:ckpt=5
 package main
@@ -61,7 +62,7 @@ func main() {
 		commMatrix = flag.Bool("commmatrix", false, "print the communication matrix")
 		timeout    = flag.Duration("timeout", 0, "deadline on the whole solve: abort it after this long (0 = wait forever)")
 		faultStr   = flag.String("fault", "", `fault spec, e.g. "crash:rank=2@t=0.5ms,straggle:rank=1,x=4"`)
-		variantArg = flag.String("variant", "plain", `the recurrence: "plain", "pcg", "bicg", "cgs" or "bicgstab" (the §2.1 methods, matrix problems), "sstep:<s>" (s-step CG, 2 <= s <= 16, CSR layouts), "auto" (the cost model's cheapest of plain, s-step and pipelined; matrix problems), "pipelined" (CSR layouts and stencil problems) or "resilient[:ckpt=<n>[,restarts=<n>]]" (survive injected crashes by checkpoint/restart, default ckpt=10,restarts=3)`)
+		variantArg = flag.String("variant", "plain", `the recurrence: "plain", "pcg", "bicg", "cgs" or "bicgstab" (the §2.1 methods, matrix problems), "sstep:<s>" (s-step CG, 2 <= s <= 16, CSR layouts), "auto" (the cost model's cheapest of plain, s-step and pipelined; matrix and stencil problems), "pipelined" (CSR layouts and stencil problems) or "resilient[:ckpt=<n>[,restarts=<n>]]" (survive injected crashes by checkpoint/restart, default ckpt=10,restarts=3)`)
 	)
 	flag.Parse()
 	set := map[string]bool{}

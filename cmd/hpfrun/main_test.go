@@ -67,7 +67,7 @@ func TestRefusesOutOfRangeVariantFlags(t *testing.T) {
 		"-demo csr -variant resilient:ckpt=5:x":         `variant "resilient:ckpt=5:x": want plain`,
 		"-demo csc-merge -variant sstep:4":              "field sstep: 4 needs a CSR layout, got csc",
 		"-problem hpcg:4x4x4 -variant pipelined":        "field pipelined: does not apply to hpcg jobs",
-		"-problem stencil:5pt:32x24 -variant auto":      "field sstep: auto does not apply to stencil jobs",
+		"-problem hpcg:8x8x8 -variant auto":             "field sstep: auto does not apply to hpcg jobs",
 		"-demo csr -variant sstep:auto":                 `variant "sstep:auto": want plain`,
 		"-problem stencil:5pt:32x24 -variant resilient": "field resilient: checkpoint/restart needs an assembled matrix",
 		"-problem stencil:5pt:32x24 -variant bicg":      "field method: bicg needs an assembled matrix, not a stencil job",
@@ -133,13 +133,16 @@ func TestHistoryUnderIterationCap(t *testing.T) {
 // variant that ran, not the one requested. Auto at np 8 resolves to
 // pipelined, so the overlap line names the request and no sstep line
 // prints; at np 1 it resolves to plain, reported as s=1; a fixed factor
-// reports itself.
+// reports itself. A stencil problem resolves the same way: pipelined
+// at np 4 on a 48×48 grid, plain at np 1.
 func TestReportsResolvedVariant(t *testing.T) {
 	reenter()
 	for args, want := range map[string]struct{ line, strategy string }{
-		"-np 8 -problem laplace2d:32:32 -variant auto": {"overlap:  reductions=118 hidden=", "/ pipelined"},
-		"-np 1 -problem laplace2d:32:32 -variant auto": {"sstep:    s=1 (requested auto) guard_trips=0", "/ local(ghost)"},
-		"-np 4 -problem banded:256:4 -variant sstep:4": {"sstep:    s=4 (requested sstep:4) guard_trips=", "/ s-step(s=4)"},
+		"-np 8 -problem laplace2d:32:32 -variant auto":   {"overlap:  reductions=118 hidden=", "/ pipelined"},
+		"-np 1 -problem laplace2d:32:32 -variant auto":   {"sstep:    s=1 (requested auto) guard_trips=0", "/ local(ghost)"},
+		"-np 4 -problem banded:256:4 -variant sstep:4":   {"sstep:    s=4 (requested sstep:4) guard_trips=", "/ s-step(s=4)"},
+		"-np 4 -problem stencil:5pt:48x48 -variant auto": {"overlap:  reductions=", "/ pipelined"},
+		"-np 1 -problem stencil:5pt:48x48 -variant auto": {"sstep:    s=1 (requested auto) guard_trips=0", "/ mfree(geometric-halo)"},
 	} {
 		out, stderr, code := run(t, "TestReportsResolvedVariant", args)
 		if code != 0 || stderr != "" {

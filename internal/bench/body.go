@@ -7,6 +7,7 @@ import (
 	"hpfcg/internal/core"
 	"hpfcg/internal/darray"
 	"hpfcg/internal/dist"
+	"hpfcg/internal/hpfexec"
 	"hpfcg/internal/sparse"
 	"hpfcg/internal/spmv"
 )
@@ -139,4 +140,15 @@ func cgSolve(opt core.Options) solveFn {
 	return func(p *comm.Proc, op spmv.Operator, b, x *darray.Vector) (core.Stats, error) {
 		return core.CG(p, op, b, x, opt)
 	}
+}
+
+// frontierOf is the cost model's price list for the generated matrix
+// spec on m's default CSR layout: the rows the handle's Auto chooses
+// among (hpfexec.Prepared.Frontier).
+func frontierOf(m *comm.Machine, spec string) ([]hpfexec.FrontierRow, error) {
+	pr, err := hpfexec.Open(m, hpfexec.Generated(spec), "")
+	if err != nil {
+		return nil, err
+	}
+	return pr.Frontier(), nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hpfcg/internal/core"
-	"hpfcg/internal/dist"
 	"hpfcg/internal/hpfexec"
 	"hpfcg/internal/report"
 	"hpfcg/internal/sparse"
@@ -128,11 +127,10 @@ func E26(cfg Config) ([]*report.Table, error) {
 	// matrix big enough that the overlap window is wide (the measured
 	// table's full-size operator). The three-regime pins are enforced at
 	// the anchor scales; intermediate scales are charted as modeled.
-	A2 := sparse.Banded(1024, 8)
-	d2 := dist.NewBlock(A2.NRows, np)
+	const n2 = 1024
 	t2 := &report.Table{
 		ID:    "E26",
-		Title: fmt.Sprintf("Modeled solver-variant frontier vs latency scale (banded n=%d, np=%d)", A2.NRows, np),
+		Title: fmt.Sprintf("Modeled solver-variant frontier vs latency scale (banded n=%d, np=%d)", n2, np),
 		Header: []string{"latency_x", "winner", "t_plain_s", "t_sstep_best_s",
 			"t_pipe_s", "pipe_hidden_s"},
 		Notes: []string{
@@ -150,7 +148,10 @@ func E26(cfg Config) ([]*report.Table, error) {
 		frontierScales = []float64{0.05, 1, 125}
 	}
 	for _, scale := range frontierScales {
-		models := hpfexec.Frontier(at(scale).machine(np), A2, d2)
+		models, err := frontierOf(at(scale).machine(np), fmt.Sprintf("banded:%d:8", n2))
+		if err != nil {
+			return nil, fmt.Errorf("E26 frontier scale=%g: %w", scale, err)
+		}
 		winner := hpfexec.Cheapest(models).Variant.String()
 		var tPlain, tPipe, tSBest, hiddenPipe float64
 		first := true

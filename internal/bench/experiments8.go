@@ -78,17 +78,23 @@ func E23(cfg Config) ([]*report.Table, error) {
 	// prices is the cost-model frontier's blocking rows at np (every
 	// row but the last, pipelined one), and each one's per-iteration
 	// price by factor (s = 1 is the plain row).
-	prices := func(np int) ([]hpfexec.FrontierRow, map[int]float64) {
-		rows := hpfexec.Frontier(cfg.machine(np), A, dist.NewBlock(n, np))
+	prices := func(np int) ([]hpfexec.FrontierRow, map[int]float64, error) {
+		rows, err := frontierOf(cfg.machine(np), fmt.Sprintf("banded:%d:4", n))
+		if err != nil {
+			return nil, nil, err
+		}
 		rows = rows[:len(rows)-1]
 		perIter := map[int]float64{}
 		for _, row := range rows {
 			perIter[row.Variant.Factor()] = row.TimePerIter
 		}
-		return rows, perIter
+		return rows, perIter, nil
 	}
 	for _, np := range nps {
-		_, pred := prices(np)
+		_, pred, err := prices(np)
+		if err != nil {
+			return nil, fmt.Errorf("E23 np=%d: %w", np, err)
+		}
 		var baseT float64 // the s = 1 run's makespan, the first factor
 		for _, s := range factors {
 			r, err := solve(np, A, b, s, core.Options{Tol: 1e-8})
@@ -168,7 +174,10 @@ func E23(cfg Config) ([]*report.Table, error) {
 		selNPs = []int{1, 2, 4}
 	}
 	for _, np := range selNPs {
-		blocking, perIter := prices(np)
+		blocking, perIter, err := prices(np)
+		if err != nil {
+			return nil, fmt.Errorf("E23 np=%d: %w", np, err)
+		}
 		chosen := hpfexec.Cheapest(blocking).Variant.Factor()
 		s1, err := solve(np, A, b, 1, core.Options{Tol: 1e-8})
 		if err != nil {

@@ -42,8 +42,11 @@ func New(p *comm.Proc, d dist.Dist) *Vector {
 }
 
 // NewAligned creates a vector aligned with v (same descriptor) — HPF's
-// `ALIGN (:) WITH p(:)`.
-func NewAligned(v *Vector) *Vector { return New(v.p, v.d) }
+// `ALIGN (:) WITH p(:)`. It shares v's per-rank counts, which no
+// vector writes.
+func NewAligned(v *Vector) *Vector {
+	return &Vector{p: v.p, d: v.d, loc: make([]float64, len(v.loc)), counts: v.counts}
+}
 
 // Dist returns the vector's distribution descriptor.
 func (v *Vector) Dist() dist.Dist { return v.d }

@@ -270,10 +270,15 @@ func TestContiguousInterface(t *testing.T) {
 }
 
 func TestSameDirect(t *testing.T) {
+	shared := NewIrregular([]int{0, 4, 10})
 	cases := []struct {
 		a, b Dist
 		want bool
 	}{
+		{shared, shared, true}, // one cut array: the fast path
+		{NewIrregular([]int{0, 4, 7, 10}), NewIrregular([]int{0, 4, 7, 10}), true},  // distinct but equal cuts
+		{NewIrregular([]int{0, 4, 7, 10}), NewIrregular([]int{0, 4, 8, 10}), false}, // unequal cuts
+		{NewIrregular([]int{0, 4, 10}), NewIrregular([]int{0, 2, 4, 10}), false},    // unequal np
 		{NewBlock(10, 2), NewBlock(10, 2), true},
 		{NewBlock(10, 2), NewBlock(11, 2), false},
 		{NewBlock(10, 2), NewBlock(10, 5), false},
@@ -288,5 +293,32 @@ func TestSameDirect(t *testing.T) {
 		if got := Same(c.a, c.b); got != c.want {
 			t.Errorf("case %d: Same(%s, %s) = %v, want %v", i, c.a.Name(), c.b.Name(), got, c.want)
 		}
+	}
+}
+
+// BenchmarkSame is the alignment check every vector operation runs:
+// one descriptor against itself (the fast path), against a copy, and
+// a Block against an equal Block.
+func BenchmarkSame(b *testing.B) {
+	cuts := make([]int, 9)
+	for r := range cuts {
+		cuts[r] = r * 288
+	}
+	ir := NewIrregular(cuts)
+	for _, c := range []struct {
+		name string
+		a, b Dist
+	}{
+		{"irregular/shared", ir, ir},
+		{"irregular/copy", ir, NewIrregular(cuts)},
+		{"block", NewBlock(2304, 8), NewBlock(2304, 8)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if !Same(c.a, c.b) {
+					b.Fatal("not the same")
+				}
+			}
+		})
 	}
 }

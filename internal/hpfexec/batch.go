@@ -123,6 +123,8 @@ type backend interface {
 	// (only the assembled matrix's executor and preconditioner depend
 	// on it).
 	build(p *comm.Proc, v Variant) (rankOps, error)
+	// frontier prices the variants the backend runs on m (Frontier).
+	frontier(m *comm.Machine) []FrontierRow
 }
 
 // rankOps is one rank's solver inputs, cached in the handle after the

@@ -56,7 +56,7 @@ func stencilBackendRow(name string, spec mfree.Spec) confBackend {
 		name:          name,
 		prepare:       func(m *comm.Machine) (*Prepared, error) { return PrepareStencil(m, spec) },
 		matrix:        func(int) (*sparse.CSR, error) { return spec.Assemble() },
-		variants:      []string{"plain", "pipelined"},
+		variants:      []string{"plain", "sstep-auto", "pipelined"},
 		coldSetupZero: true,
 	}
 }
@@ -461,7 +461,7 @@ func TestVariantLegality(t *testing.T) {
 		BackendCSR:     {Plain(): true, SStep(4): true, Auto(): true, Pipelined(): true, Resilient(0, 0): true},
 		BackendCSC:     {Plain(): true, Auto(): true, Resilient(0, 0): true},
 		BackendHPCG:    {Plain(): true},
-		BackendStencil: {Plain(): true, Pipelined(): true},
+		BackendStencil: {Plain(): true, Auto(): true, Pipelined(): true},
 	}
 	variants := []Variant{Plain(), SStep(4), Auto(), SStep(MaxSStep + 1), Pipelined(), Resilient(0, 0)}
 	// The §2.1 methods run on the assembled matrix alone.

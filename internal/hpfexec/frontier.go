@@ -1,7 +1,12 @@
 // The variant frontier: one price list, in the paper's §4 cost model
-// (topology.CostParams), of every CG variant a handle can run, and the
-// one argmin that both reports it (E23, E26) and resolves Auto — the
-// served default — over every row.
+// (topology.CostParams), of every CG variant a handle's backend can
+// run, and the one argmin that both reports it (E23, E26) and resolves
+// Auto — the served default — over every row. The backend prices
+// itself (Prepared.Frontier): the assembled CSR matrix from
+// spmv.PowersStats — the exact per-rank reachability closure the
+// kernels sweep — and the matrix-free stencil from its brick
+// (mfree.Spec.Shape), which equals PowersStats on the assembled twin.
+// So the selector and the executors price the same work.
 //
 // Plain CG pays two one-word allreduce rounds and one halo exchange per
 // iteration. The s-step variant amortizes the latency: one
@@ -11,18 +16,16 @@
 // variant hides it: one two-word nonblocking allreduce runs
 // concurrently with the iteration's mat-vec, so the round costs
 // max(reduction, mat-vec) instead of their sum
-// (comm.IallreduceScalars). The flop side of every row comes from
-// spmv.PowersStats — the exact per-rank reachability closure the
-// kernels sweep — so the selector and the executors price the same
-// work.
+// (comm.IallreduceScalars). It also pays once per solve what plain CG
+// does not — the w = A·r apply before its first round and the
+// confirming restart's apply and merge — which the row carries spread
+// over the backend's iteration floor.
 package hpfexec
 
 import (
 	"math"
 
 	"hpfcg/internal/comm"
-	"hpfcg/internal/dist"
-	"hpfcg/internal/sparse"
 	"hpfcg/internal/spmv"
 	"hpfcg/internal/topology"
 )
@@ -38,7 +41,7 @@ const MaxSStep = 16
 var SStepCandidates = []int{1, 2, 4, 8}
 
 // FrontierRow is the modeled per-iteration cost of one CG variant on a
-// concrete machine/matrix/distribution triple.
+// concrete machine and backend.
 type FrontierRow struct {
 	// Variant is the servable variant the row prices — what WithVariant
 	// takes to run it: Plain, SStep(s) or Pipelined.
@@ -46,6 +49,12 @@ type FrontierRow struct {
 	// TimePerIter is the modeled makespan of one CG iteration (an s-step
 	// row's block cost divided by s).
 	TimePerIter float64
+	// Overhead is the modeled time the row's recurrence pays once per
+	// solve beyond plain CG's, divided by the backend's iteration floor
+	// (the fewest iterations a solve on it takes): nonzero only for
+	// the pipelined row, and 0 on a backend with no floor (+Inf, the
+	// assembled matrix), where every row's Price is its TimePerIter.
+	Overhead float64
 	// RoundsPerIter is the allreduce rounds per iteration a blocking
 	// clock would count: 2 for plain CG, 1/s for the batched Gram
 	// recovery, 1 for pipelined — which starts the round but hides it.
@@ -61,27 +70,31 @@ type FrontierRow struct {
 	Ghosts       int
 }
 
-// Frontier prices plain CG, s-step CG at every factor >= 2 in
-// SStepCandidates, and pipelined CG for matrix A distributed by d over
-// the machine's ranks. Rows come in that order, the s-step rows by
-// rising factor — the order Cheapest breaks ties in — so the pipelined
-// row is always last and the rows before it are the blocking ones. The
-// depth-1 closure is swept once and shared by the plain and pipelined
-// rows.
-func Frontier(m *comm.Machine, A *sparse.CSR, d dist.Contiguous) []FrontierRow {
+// Price is the per-iteration figure Cheapest minimises: TimePerIter
+// plus Overhead.
+func (r FrontierRow) Price() float64 { return r.TimePerIter + r.Overhead }
+
+// Frontier prices every variant the handle's backend runs on its
+// machine, the rows Auto chooses among: plain CG, then on a CSR layout
+// s-step CG at every factor >= 2 in SStepCandidates by rising factor,
+// then pipelined CG — the order Cheapest breaks ties in, so the
+// pipelined row is always last and the rows before it are the blocking
+// ones. It is nil for a backend the cost model does not price: a CSC
+// layout, whose Auto is Plain, and hpcg, which refuses Auto.
+func (pr *Prepared) Frontier() []FrontierRow { return pr.be.frontier(pr.m) }
+
+// cgRows prices plain and pipelined CG on an operator whose largest
+// per-rank apply sweeps entries stored entries and fetches ghosts
+// points, over vectors of at most nloc points per rank, on a backend
+// whose solves take at least floor iterations (+Inf where none is
+// known).
+func cgRows(m *comm.Machine, entries, ghosts, nloc int, floor float64) (plain, pipelined FrontierRow) {
 	np := m.NP()
 	topo, c := m.Topology(), m.Cost()
-	nloc := 0
-	for r := 0; r < np; r++ {
-		if cnt := d.Count(r); cnt > nloc {
-			nloc = cnt
-		}
-	}
-	entries, ghosts := spmv.PowersStats(A, d, np, 1)
 
 	// Plain CG: per iteration, one mat-vec (halo g1), two scalar
 	// allreduces, and the 5 length-n vector ops of Figure 2.
-	rows := append(make([]FrontierRow, 0, len(SStepCandidates)+2), FrontierRow{
+	plain = FrontierRow{
 		Variant:       Plain(),
 		RoundsPerIter: 2,
 		BlockEntries:  entries,
@@ -89,13 +102,50 @@ func Frontier(m *comm.Machine, A *sparse.CSR, d dist.Contiguous) []FrontierRow {
 		TimePerIter: 2*topology.AllreduceTime(topo, c, np, 1) +
 			haloTime(c, ghosts, 1) +
 			c.TFlop*(2*float64(entries)+10*float64(nloc)),
-	})
+	}
 
+	// Pipelined: the two-word allreduce overlaps the q = A·w halo
+	// exchange and matrix sweep (the iteration pays whichever is longer),
+	// plus the Ghysels–Vanroose recurrence's 16·nloc vector flops (two
+	// local dots and six axpy-shaped updates) outside the window. Once
+	// per solve it applies A twice more than plain CG (w = A·r, and the
+	// confirming restart's residual) and merges the restart's norm.
+	red := topology.AllreduceTime(topo, c, np, 2)
+	window := haloTime(c, ghosts, 1) + c.TFlop*2*float64(entries)
+	pipelined = FrontierRow{
+		Variant:       Pipelined(),
+		RoundsPerIter: 1,
+		HiddenTime:    math.Min(red, window),
+		BlockEntries:  entries,
+		Ghosts:        ghosts,
+		TimePerIter:   math.Max(red, window) + c.TFlop*16*float64(nloc),
+		Overhead:      (2*window + topology.AllreduceTime(topo, c, np, 1)) / floor,
+	}
+	return plain, pipelined
+}
+
+// frontier prices the CSR layouts: plain, each s-step candidate and
+// pipelined, from the matrix's own powers closure. The matrix knows no
+// iteration floor, so no row carries an overhead.
+func (mb *matrixBackend) frontier(m *comm.Machine) []FrontierRow {
+	if mb.format != BackendCSR {
+		return nil
+	}
+	np := m.NP()
+	topo, c := m.Topology(), m.Cost()
+	nloc := 0
+	for r := 0; r < np; r++ {
+		nloc = max(nloc, mb.d.Count(r))
+	}
+	entries, ghosts := spmv.PowersStats(mb.A, mb.d, np, 1)
+	plain, pipelined := cgRows(m, entries, ghosts, nloc, math.Inf(1))
+
+	rows := append(make([]FrontierRow, 0, len(SStepCandidates)+2), plain)
 	for _, s := range SStepCandidates {
 		if s <= 1 {
 			continue
 		}
-		sEntries, sGhosts := spmv.PowersStats(A, d, np, s)
+		sEntries, sGhosts := spmv.PowersStats(mb.A, mb.d, np, s)
 		mcols := 2*s + 1
 		nG := mcols * (mcols + 1) / 2
 		// Per block: the widened two-seed halo, the basis sweep over the
@@ -116,21 +166,7 @@ func Frontier(m *comm.Machine, A *sparse.CSR, d dist.Contiguous) []FrontierRow {
 			TimePerIter:   blockTime / float64(s),
 		})
 	}
-
-	// Pipelined: the two-word allreduce overlaps the q = A·w halo
-	// exchange and matrix sweep (the iteration pays whichever is longer),
-	// plus the Ghysels–Vanroose recurrence's 16·nloc vector flops (two
-	// local dots and six axpy-shaped updates) outside the window.
-	red := topology.AllreduceTime(topo, c, np, 2)
-	window := haloTime(c, ghosts, 1) + c.TFlop*2*float64(entries)
-	return append(rows, FrontierRow{
-		Variant:       Pipelined(),
-		RoundsPerIter: 1,
-		HiddenTime:    math.Min(red, window),
-		BlockEntries:  entries,
-		Ghosts:        ghosts,
-		TimePerIter:   math.Max(red, window) + c.TFlop*16*float64(nloc),
-	})
+	return append(rows, pipelined)
 }
 
 // haloTime prices one halo exchange of k vectors' ghost values: a
@@ -143,15 +179,15 @@ func haloTime(c topology.CostParams, ghosts, k int) float64 {
 	return c.PtToPtTime(1, k*8*ghosts)
 }
 
-// Cheapest returns the row of least TimePerIter. Ties go to the
-// earlier row — plain, then s-step by rising s, then pipelined — so
-// blocking or overlap is never bought for free. A caller that asks only
-// which blocking factor wins passes Frontier's rows without the last
+// Cheapest returns the row of least Price. Ties go to the earlier row
+// — plain, then s-step by rising s, then pipelined — so blocking or
+// overlap is never bought for free. A caller that asks only which
+// blocking factor wins passes Frontier's rows without the last
 // (pipelined) one. rows must not be empty.
 func Cheapest(rows []FrontierRow) FrontierRow {
 	best := rows[0]
 	for _, row := range rows[1:] {
-		if row.TimePerIter < best.TimePerIter {
+		if row.Price() < best.Price() {
 			best = row
 		}
 	}

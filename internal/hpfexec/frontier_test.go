@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"hpfcg/internal/comm"
 	"hpfcg/internal/core"
+	"hpfcg/internal/mfree"
 	"hpfcg/internal/sparse"
 )
 
@@ -15,7 +17,10 @@ import (
 // seeds), Auto's solve is bit-for-bit the explicit run of the variant
 // it resolved to, and the simulated machine charges it no more modeled
 // solve time than plain, s-step(2) or pipelined CG. At np 1 there is no
-// latency to hide, and Auto resolves to plain.
+// latency to hide, and Auto resolves to plain. On every cell of the
+// stencil grid (stencilGrid × np 1, 2, 4, 8) Auto's solve is again the
+// explicit run of its variant, and is charged no more than plain CG
+// (under -race, on the grids up to 4096 points).
 func TestAutoIsCheapestOnTheMachine(t *testing.T) {
 	type job struct {
 		name string
@@ -63,6 +68,19 @@ func TestAutoIsCheapestOnTheMachine(t *testing.T) {
 		}
 		return solved{r.Strategy.Variant, r.X, r.Stats.Iterations, out.SolveModelTime[0]}
 	}
+	// sameRun fails unless auto's solve is the explicit run got of the
+	// variant auto resolved to.
+	sameRun := func(t *testing.T, auto, got solved) {
+		t.Helper()
+		if got.it != auto.it {
+			t.Errorf("auto (%v) took %d iterations, the explicit run %d", auto.ran, auto.it, got.it)
+		}
+		for i := range got.x {
+			if got.x[i] != auto.x[i] {
+				t.Fatalf("auto (%v) x[%d] = %v, the explicit run %v", auto.ran, i, auto.x[i], got.x[i])
+			}
+		}
+	}
 	for _, j := range jobs {
 		t.Run(fmt.Sprintf("%s/seed=%d", j.name, j.seed), func(t *testing.T) {
 			if ran := solve(t, j.p, 1, Auto(), j.seed).ran; ran != Plain() {
@@ -76,14 +94,7 @@ func TestAutoIsCheapestOnTheMachine(t *testing.T) {
 			for _, v := range rows {
 				got := solve(t, j.p, 4, v, j.seed)
 				if v == auto.ran {
-					if got.it != auto.it {
-						t.Errorf("auto (%v) took %d iterations, the explicit run %d", auto.ran, auto.it, got.it)
-					}
-					for i := range got.x {
-						if got.x[i] != auto.x[i] {
-							t.Fatalf("auto (%v) x[%d] = %v, the explicit run %v", auto.ran, i, auto.x[i], got.x[i])
-						}
-					}
+					sameRun(t, auto, got)
 				}
 				if got.span < auto.span {
 					t.Errorf("auto chose %v (%.6g s), but %v is charged %.6g s", auto.ran, auto.span, v, got.span)
@@ -91,4 +102,97 @@ func TestAutoIsCheapestOnTheMachine(t *testing.T) {
 			}
 		})
 	}
+	for _, spec := range stencilGrid() {
+		for _, np := range []int{1, 2, 4, 8} {
+			t.Run(fmt.Sprintf("stencil:%s/np=%d", spec.Key(), np), func(t *testing.T) {
+				if raceEnabled && spec.N() > 4096 {
+					t.Skip("the race pass checks the grids up to 4096 points; larger ones run the same code")
+				}
+				p := Stencil(spec)
+				auto, plain := solve(t, p, np, Auto(), 1), solve(t, p, np, Plain(), 1)
+				explicit := plain
+				if auto.ran != Plain() {
+					explicit = solve(t, p, np, auto.ran, 1)
+				}
+				sameRun(t, auto, explicit)
+				if plain.span < auto.span {
+					t.Errorf("auto chose %v (%.6g s), but plain is charged %.6g s", auto.ran, auto.span, plain.span)
+				}
+			})
+		}
+	}
+}
+
+// stencilGrid is the stencil half of the auto tests: 5pt n×n and n×2n
+// for n = 8…128, 27pt n³ and n×n×32 for n = 8…32 (at n = 32 the two
+// coincide, and the grid holds it once).
+func stencilGrid() []mfree.Spec {
+	var specs []mfree.Spec
+	for _, n := range []int{8, 16, 24, 32, 48, 64, 96, 128} {
+		specs = append(specs, mfree.Spec{Stencil: "5pt", Nx: n, Ny: n}, mfree.Spec{Stencil: "5pt", Nx: n, Ny: 2 * n})
+	}
+	for _, n := range []int{8, 16, 24, 32} {
+		specs = append(specs, mfree.Spec{Stencil: "27pt", Nx: n, Ny: n, Nz: n})
+		if n != 32 {
+			specs = append(specs, mfree.Spec{Stencil: "27pt", Nx: n, Ny: n, Nz: 32})
+		}
+	}
+	return specs
+}
+
+// TestStencilFrontierMatchesAssembled: the stencil backend's rows,
+// priced from the brick, are the rows the matrix backend prices from
+// the assembled twin (Spec.Assemble over the brick's VectorDist) — the
+// same entries, ghosts and per-iteration times, bit for bit. Only the
+// pipelined row's Overhead differs: the twin, a matrix, knows no
+// iteration floor.
+func TestStencilFrontierMatchesAssembled(t *testing.T) {
+	specs := append(stencilGrid(), mfree.Spec{Stencil: "5pt", Nx: 13, Ny: 1}, mfree.Spec{Stencil: "27pt", Nx: 3, Ny: 5, Nz: 9})
+	for _, spec := range specs {
+		A, err := spec.WithDefaults().Assemble()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, np := range []int{1, 2, 3, 4, 8} {
+			m := machine(np)
+			pr, err := PrepareStencil(m, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := spec.Brick(np)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := pr.Frontier()
+			twin := (&matrixBackend{A: A, format: BackendCSR, d: b.VectorDist()}).frontier(m)
+			want := []FrontierRow{twin[0], twin[len(twin)-1]}
+			if len(got) != len(want) {
+				t.Fatalf("%s np=%d: %d rows, want plain and pipelined", spec.Key(), np, len(got))
+			}
+			if got[1].Overhead <= 0 {
+				t.Errorf("%s np=%d: pipelined overhead %g, want > 0", spec.Key(), np, got[1].Overhead)
+			}
+			got[1].Overhead = 0
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("%s np=%d: row %+v, the assembled twin's %+v", spec.Key(), np, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// csrFrontier is the frontier of a fresh handle over A on m's default
+// csr layout.
+func csrFrontier(t *testing.T, m *comm.Machine, A *sparse.CSR) []FrontierRow {
+	t.Helper()
+	plan, err := PlanForLayout("csr", m.NP(), A.NRows, A.NNZ())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := Prepare(m, plan, A)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr.Frontier()
 }

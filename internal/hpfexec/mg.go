@@ -52,6 +52,9 @@ func (b *mgBackend) kind() string       { return BackendHPCG }
 func (b *mgBackend) n() int             { return b.size }
 func (b *mgBackend) memoryBytes() int64 { return b.bytes }
 
+// frontier is nil: the cost model does not price the V-cycle.
+func (b *mgBackend) frontier(*comm.Machine) []FrontierRow { return nil }
+
 // build constructs the rank's level hierarchy. Rebinding the cached
 // operator rebinds the whole problem, preconditioner included.
 func (b *mgBackend) build(p *comm.Proc, _ Variant) (rankOps, error) {

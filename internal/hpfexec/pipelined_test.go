@@ -8,7 +8,6 @@ import (
 	"hpfcg/internal/comm"
 	"hpfcg/internal/core"
 	"hpfcg/internal/darray"
-	"hpfcg/internal/dist"
 	"hpfcg/internal/mfree"
 	"hpfcg/internal/sparse"
 	"hpfcg/internal/spmv"
@@ -158,7 +157,6 @@ func TestRegistryWarmPipelinedHit(t *testing.T) {
 func TestVariantFrontier(t *testing.T) {
 	A := sparse.Banded(1024, 8)
 	np := 4
-	d := dist.NewBlock(A.NRows, np)
 	for _, tc := range []struct {
 		scale float64
 		want  string
@@ -171,7 +169,7 @@ func TestVariantFrontier(t *testing.T) {
 		c.TStartup *= tc.scale
 		c.THop *= tc.scale
 		m := comm.NewMachine(np, topology.Hypercube{}, c)
-		models := Frontier(m, A, d)
+		models := csrFrontier(t, m, A)
 		best := Cheapest(models).Variant.String()
 		if best != tc.want {
 			t.Fatalf("scale %g: chose %q, want %q (%+v)", tc.scale, best, tc.want, models)

@@ -131,10 +131,7 @@ func TestSolveCGSStepCSCFallsBackToPlain(t *testing.T) {
 // modeled time beats plain CG.
 func TestSStepCostModelSelection(t *testing.T) {
 	A := sparse.Laplace2D(12, 12)
-	n := A.NRows
-
-	d1 := dist.NewBlock(n, 1)
-	models1 := blocking(Frontier(machine(1), A, d1))
+	models1 := blocking(csrFrontier(t, machine(1), A))
 	s1 := Cheapest(models1).Variant.Factor()
 	if s1 != 1 {
 		t.Fatalf("np=1 chose s=%d, want 1 (allreduces are free, overlap flops are not)", s1)
@@ -150,8 +147,7 @@ func TestSStepCostModelSelection(t *testing.T) {
 	}
 
 	np := 4
-	d4 := dist.NewBlock(n, np)
-	models4 := blocking(Frontier(machine(np), A, d4))
+	models4 := blocking(csrFrontier(t, machine(np), A))
 	s4 := Cheapest(models4).Variant.Factor()
 	if s4 <= 1 {
 		t.Fatalf("np=%d chose s=%d; latency-dominated regime should pick s>1", np, s4)

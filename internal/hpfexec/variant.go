@@ -13,7 +13,7 @@
 //	pcg                          core.PCG under the point-Jacobi preconditioner (core.NewJacobi)
 //	bicg | cgs | bicgstab        the §2.1 methods (core.BiCG, core.CGS, core.BiCGSTAB)
 //	sstep:<s>                    s-step CG at a fixed factor, 2 <= s <= MaxSStep (core.CGSStep)
-//	auto                         the cheapest row of the §4 cost model's Frontier (plain, s-step or pipelined)
+//	auto                         the cheapest row of the backend's §4 Frontier (plain, s-step or pipelined)
 //	pipelined                    the overlap solver (core.CGPipelined)
 //	resilient[:ckpt=<n>[,restarts=<n>]]
 //	resilient:restarts=<n>       checkpoint/rollback-restart (core.CGResilient)
@@ -73,9 +73,10 @@ func SStep(s int) Variant {
 }
 
 // Auto is the variant the §4 cost model chooses for the handle's
-// machine, matrix and distribution: the cheapest Frontier row — plain,
-// s-step at a candidate factor, or pipelined. Storage formats the
-// frontier does not price (CSC) resolve it to Plain.
+// machine and backend: the cheapest Frontier row — plain, s-step at a
+// candidate factor, or pipelined on a CSR layout; plain or pipelined
+// on a stencil. A CSC layout, which the frontier does not price,
+// resolves it to Plain; hpcg refuses it.
 func Auto() Variant { return Variant{key: "auto"} }
 
 // Pipelined is the overlap-based solver (core.CGPipelined): one
@@ -164,8 +165,8 @@ func CheckVariant(backend string, v Variant) error {
 		why = fmt.Errorf("field max_restarts: negative bound %d", v.restarts)
 	case kind == "sstep" && !matrix:
 		why = fmt.Errorf("field sstep: does not apply to %s jobs (the matrix-powers kernel needs an assembled matrix)", backend)
-	case kind == "auto" && !matrix:
-		why = fmt.Errorf("field sstep: auto does not apply to %s jobs (the cost model prices an assembled matrix)", backend)
+	case kind == "auto" && backend == BackendHPCG:
+		why = fmt.Errorf("field sstep: auto does not apply to hpcg jobs (the cost model does not price the V-cycle)")
 	case kind == "sstep" && backend == BackendCSC:
 		why = fmt.Errorf("field sstep: %d needs a CSR layout, got %s", v.s, backend)
 	case kind == "pipelined" && backend == BackendCSC:
@@ -212,7 +213,8 @@ func (v Variant) solve(p *comm.Proc, ro *rankOps, b, x *darray.Vector, opt core.
 // WithVariant sets the recurrence the handle's solves run, checked
 // against the legality table. It resolves everything the variant
 // implies before any run: auto becomes the variant of the cheapest
-// Frontier row, and the variant picks the operators the cold build constructs
+// row of the backend's Frontier (plain where there is none), and the
+// variant picks the operators the cold build constructs
 // (s >= 2 runs the matrix-powers executor, whose widened inspector
 // schedule is cached in the handle like every other operator; bicg the
 // broadcast executor on CSR; pcg adds point Jacobi).
@@ -228,8 +230,8 @@ func (pr *Prepared) WithVariant(v Variant) error {
 	}
 	if v == Auto() {
 		v = Plain()
-		if mb, ok := pr.be.(*matrixBackend); ok && mb.format == BackendCSR {
-			v = Cheapest(Frontier(pr.m, mb.A, mb.d)).Variant
+		if rows := pr.Frontier(); len(rows) > 0 {
+			v = Cheapest(rows).Variant
 		}
 	}
 	pr.strategy.Variant = v

@@ -79,10 +79,17 @@ func newOperator(p *comm.Proc, spec Spec, b grid.Brick3) *Operator {
 		nnz:   spec.NNZ(),
 		zeros: make([]float64, b.X),
 	}
-	// Stored entries of the owned rows in the (never-assembled) global
-	// matrix: every in-grid stencil neighbour is one entry, whether its
-	// column is owned or ghost. Per z-plane the x/y face factors are
-	// constant, so one term per owned plane suffices.
+	a.nnzLocal = localNNZ(spec.Stencil, b, zlo, zhi)
+	return a
+}
+
+// localNNZ counts the stored entries of the owned rows z in [zlo, zhi)
+// in the (never-assembled) global matrix: every in-grid stencil
+// neighbour is one entry, whether its column is owned or ghost. Per
+// z-plane the x/y face factors are constant, so one term per owned
+// plane suffices.
+func localNNZ(stencil string, b grid.Brick3, zlo, zhi int) int {
+	nnz := 0
 	for z := zlo; z < zhi; z++ {
 		zf := 1
 		if z > 0 {
@@ -91,15 +98,44 @@ func newOperator(p *comm.Proc, spec Spec, b grid.Brick3) *Operator {
 		if z < b.Z-1 {
 			zf++
 		}
-		if spec.Stencil == "5pt" {
+		if stencil == "5pt" {
 			// (3X-2) x-direction entries per plane; the diagonal is
 			// counted in the x factor, so z-neighbours add X·(zf-1).
-			a.nnzLocal += (3*b.X - 2) + b.X*(zf-1)
+			nnz += (3*b.X - 2) + b.X*(zf-1)
 		} else {
-			a.nnzLocal += (3*b.X - 2) * (3*b.Y - 2) * zf
+			nnz += (3*b.X - 2) * (3*b.Y - 2) * zf
 		}
 	}
-	return a
+	return nnz
+}
+
+// Shape reports, from the brick alone, the per-rank maxima one Apply
+// of the spec's operator incurs at np ranks: entries, the stored
+// entries a rank's rows sweep (each operator charges 2·entries flops
+// per Apply); owned, the points a rank holds; and ghosts, the points
+// its halo fetches, one X·Y plane per z-neighbour. They equal
+// spmv.PowersStats at depth 1 over Spec.Assemble() distributed by the
+// brick's VectorDist, and the rank counts over that distribution.
+func (s Spec) Shape(np int) (entries, owned, ghosts int, err error) {
+	b, err := s.Brick(np)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	plane := b.X * b.Y
+	for r := 0; r < np; r++ {
+		zlo, zhi := b.ZRange(r)
+		g := 0
+		if zlo > 0 {
+			g += plane
+		}
+		if zhi < b.Z {
+			g += plane
+		}
+		entries = max(entries, localNNZ(s.Stencil, b, zlo, zhi))
+		owned = max(owned, (zhi-zlo)*plane)
+		ghosts = max(ghosts, g)
+	}
+	return entries, owned, ghosts, nil
 }
 
 // N implements spmv.Operator.

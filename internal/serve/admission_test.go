@@ -88,11 +88,11 @@ func TestServedVariantAdmissionPinned(t *testing.T) {
 		"hpcg/s=-1/p=false/r=true":     "400 sstep",
 		"hpcg/s=-1/p=true/r=false":     "400 sstep",
 		"hpcg/s=-1/p=true/r=true":      "400 sstep",
-		"stencil/s=0/p=false/r=false":  "ok plain sstep=0 pipelined=false it=44 t=0.00490074",
+		"stencil/s=0/p=false/r=false":  "ok pipelined sstep=0 pipelined=true it=44 t=0.00228868",
 		"stencil/s=0/p=false/r=true":   "400 resilient",
 		"stencil/s=0/p=true/r=false":   "ok pipelined sstep=0 pipelined=true it=44 t=0.00228868",
 		"stencil/s=0/p=true/r=true":    "400 pipelined",
-		"stencil/s=1/p=false/r=false":  "400 sstep",
+		"stencil/s=1/p=false/r=false":  "ok plain sstep=0 pipelined=false it=44 t=0.00490074",
 		"stencil/s=1/p=false/r=true":   "400 sstep",
 		"stencil/s=1/p=true/r=false":   "400 sstep",
 		"stencil/s=1/p=true/r=true":    "400 sstep",

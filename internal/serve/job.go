@@ -74,10 +74,12 @@ type JobSpec struct {
 	// SStep is the communication-avoiding blocking factor of a cg job:
 	// 0 (or absent) lets the cost model choose the variant per machine
 	// shape (hpfexec.Auto: plain, s-step or pipelined), 1 forces plain
-	// CG, 2..hpfexec.MaxSStep fixes the factor. Resilient jobs always
-	// run plain CG — the checkpoint machinery is per-iteration — and do
-	// not read it. SStep, Pipelined and Resilient become the job's one
-	// hpfexec.Variant at admission.
+	// CG, 2..hpfexec.MaxSStep fixes the factor. A stencil job reads 0
+	// the same way (auto: plain or pipelined) and 1 as plain, and takes
+	// no factor; an hpcg job takes no sstep at all. Resilient jobs
+	// always run plain CG — the checkpoint machinery is per-iteration —
+	// and do not read it. SStep, Pipelined and Resilient become the
+	// job's one hpfexec.Variant at admission.
 	SStep int `json:"sstep,omitempty"`
 	// Pipelined runs the overlap-based pipelined CG solver: one
 	// nonblocking two-word allreduce per iteration, hidden behind the
@@ -226,18 +228,19 @@ func (sp *JobSpec) validate(maxNP int) error {
 }
 
 // readVariant turns the job's three variant knobs into its one
-// variant, checked against backend. A cg job that names neither sstep
-// nor pipelined gets auto, the served default: the cheapest row of the
-// §4 frontier, pipelined included. sstep 1 is plain, and so is every
-// job of another method; a resilient cg job runs the plain recurrence
-// and does not read sstep. The combinations only the
-// JSON can spell — a factor out of range, sstep on hpcg or stencil,
-// pipelined with blocking or with resilient — are refused here, each
-// naming its field; a fixed factor the layout does not run is the
-// library's refusal even beside pipelined. On a library refusal the
-// variant it refused is returned with the error.
+// variant, checked against backend. A cg or stencil job that names
+// neither sstep nor pipelined gets auto, the served default: the
+// cheapest row of the §4 frontier, pipelined included. sstep 1 is
+// plain, and an hpcg job always is; a resilient cg job runs the plain
+// recurrence and does not read sstep. The combinations only the JSON
+// can spell — a factor out of range, sstep on hpcg, a factor or plain
+// beside another knob on a stencil job, pipelined with blocking or
+// with resilient — are refused here, each naming its field; a fixed
+// factor the layout does not run is the library's refusal even beside
+// pipelined. On a library refusal the variant it refused is returned
+// with the error.
 func (sp *JobSpec) readVariant(backend string) (hpfexec.Variant, error) {
-	s, cg := sp.SStep, sp.Method == "cg"
+	s, cg, stencil := sp.SStep, sp.Method == "cg", sp.Method == "stencil"
 	if sp.Resilient && cg {
 		s = 1
 	}
@@ -245,8 +248,10 @@ func (sp *JobSpec) readVariant(backend string) (hpfexec.Variant, error) {
 	switch {
 	case s < 0 || s > hpfexec.MaxSStep:
 		return v, fieldErr("sstep", "%d outside [0,%d]", s, hpfexec.MaxSStep)
-	case s != 0 && !cg:
+	case s != 0 && !cg && (s != 1 || !stencil):
 		return v, fieldErr("sstep", "does not apply to %s jobs (the matrix-powers kernel needs an assembled matrix)", sp.Method)
+	case s == 1 && stencil && (sp.Pipelined || sp.Resilient):
+		return v, fieldErr("sstep", "1 is plain CG, which a stencil job cannot combine with pipelined or resilient")
 	case sp.Pipelined && s >= 2:
 		return v, cmp.Or(hpfexec.CheckVariant(backend, v), fieldErr("pipelined", "cannot combine with s-step blocking (sstep=%d)", s))
 	case sp.Pipelined && sp.Resilient:
@@ -255,7 +260,7 @@ func (sp *JobSpec) readVariant(backend string) (hpfexec.Variant, error) {
 		v = hpfexec.Pipelined()
 	case sp.Resilient:
 		v = hpfexec.Resilient(sp.CkptInterval, sp.MaxRestarts)
-	case s == 0 && cg:
+	case s == 0 && (cg || stencil):
 		v = hpfexec.Auto()
 	}
 	return v, hpfexec.CheckVariant(backend, v)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"hpfcg/internal/comm"
-	"hpfcg/internal/dist"
 	"hpfcg/internal/hpfexec"
 	"hpfcg/internal/sparse"
 	"hpfcg/internal/topology"
@@ -30,12 +29,11 @@ func TestAutoSelection(t *testing.T) {
 	if v.State != StateDone || !v.Result.Converged {
 		t.Fatalf("job %+v", v)
 	}
-	A, err := sparse.GeneratorByName("laplace2d:12:12")
+	pr, err := hpfexec.Open(comm.NewMachine(4, topology.Hypercube{}, topology.DefaultCostParams()), hpfexec.Generated("laplace2d:12:12"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := comm.NewMachine(4, topology.Hypercube{}, topology.DefaultCostParams())
-	want := hpfexec.Cheapest(hpfexec.Frontier(m, A, dist.NewBlock(A.NRows, 4))).Variant
+	want := hpfexec.Cheapest(pr.Frontier()).Variant
 	if want != hpfexec.Pipelined() {
 		t.Fatalf("cost model chose %v at np=4, want pipelined", want)
 	}
