@@ -84,7 +84,11 @@ golden:
 # more under the -timeout deadline every mode shares — and one absorbing
 # a dropped message; a Matrix Market file on a ring at a chosen tolerance
 # and iteration cap, with the communication matrix and the residual
-# history (a solve that does not converge exits 2), and a directive file.
+# history (a solve that does not converge exits 2), and two directive
+# files: the CSR program, and the CSC program whose ITERATION line's ON
+# PROCESSOR map Prepare evaluates over every column (n = 250 at np 4,
+# where np does not divide n) and would refuse if it were not the
+# executor's.
 # Then hpfserve's self-checks: a table of jobs over real HTTP on a shard
 # sized by every pool flag (each job field set, each result and view
 # field read back, traces, probes, metrics, the -maxnp bound, readiness
@@ -92,19 +96,19 @@ golden:
 # /cluster/nodes, routing repeat traffic to the shard that holds the
 # plan and a trace back through the router. Then the kept examples, each
 # of which exits non-zero when its own check fails (heat and laplace2d
-# under both operator backends), the directive dump (the paper's block,
-# then the directive file by argument and on stdin), two experiments
-# (one on a ring with another seed, one under an injected straggler),
-# and three traced experiments (one of them E17, whose machines change a
+# under both operator backends), two experiments (one on a ring with
+# another seed, one under an injected straggler), and three traced
+# experiments (one of them E17, whose machines change a
 # cost constant per row; one on a ring under a straggler with a chosen
 # detail run and timeline width). The Matrix Market file (the 4 x 4 1-D
-# Laplacian, stored symmetric) and the directive file (the CSR program)
-# are written into SMOKE_DIR first, not committed.
+# Laplacian, stored symmetric) and the two directive files are written
+# into SMOKE_DIR first, not committed.
 SMOKE_DIR = .smoke
 smoke:
 	mkdir -p $(SMOKE_DIR)
 	printf '%s\n' '%%MatrixMarket matrix coordinate real symmetric' '4 4 7' '1 1 2' '2 1 -1' '2 2 2' '3 2 -1' '3 3 2' '4 3 -1' '4 4 2' > $(SMOKE_DIR)/laplace1d4.mtx
 	printf '%s\n' '!HPF$$ PROCESSORS :: PROCS(NP)' '!HPF$$ DISTRIBUTE p(BLOCK)' '!HPF$$ SPARSE_MATRIX (CSR) :: smA(row, col, a)' > $(SMOKE_DIR)/csr.hpf
+	printf '%s\n' '!HPF$$ PROCESSORS :: PROCS(NP)' '!HPF$$ DISTRIBUTE p(BLOCK)' '!HPF$$ SPARSE_MATRIX (CSC) :: smA(colptr, rowidx, a)' '!EXT$$ ITERATION j ON PROCESSOR(((j+1)*np+n-1)/n-1), PRIVATE(q(n)) WITH MERGE(+)' > $(SMOKE_DIR)/csc-merge.hpf
 	$(GO) run ./cmd/hpfrun -problem hpcg:6x6x6:L2:S2 -np 4 > /dev/null
 	$(GO) run ./cmd/hpfrun -problem hpcg:6x6x6 -timeout 30s > /dev/null
 	$(GO) run ./cmd/hpfrun -problem stencil:5pt:32x24 -np 4 > /dev/null
@@ -126,16 +130,13 @@ smoke:
 	$(GO) run ./cmd/hpfrun -np 4 -demo csr -fault "drop:rank=1,n=1,dst=0" -variant resilient > /dev/null
 	$(GO) run ./cmd/hpfrun -np 2 -file $(SMOKE_DIR)/laplace1d4.mtx -demo csr -topology ring -tol 1e-8 -maxiter 50 -commmatrix -history > /dev/null
 	$(GO) run ./cmd/hpfrun -np 4 -problem banded:256:4 $(SMOKE_DIR)/csr.hpf > /dev/null
+	$(GO) run ./cmd/hpfrun -np 4 -problem banded:250:4 $(SMOKE_DIR)/csc-merge.hpf > /dev/null
 	$(GO) run ./cmd/hpfserve -smoke -workers 1 -queue 8 -batch 2 -maxnp 8 -plan-cache-mb 16
 	$(GO) run ./cmd/hpfserve -cluster-smoke
-	$(GO) run ./examples/directives > /dev/null
 	$(GO) run ./examples/heat -backend mfree > /dev/null
 	$(GO) run ./examples/heat -backend assembled > /dev/null
 	$(GO) run ./examples/laplace2d -backend mfree > /dev/null
 	$(GO) run ./examples/laplace2d -backend assembled > /dev/null
-	$(GO) run ./cmd/hpfdump -demo > /dev/null
-	$(GO) run ./cmd/hpfdump -np 2 -n 100 -nz 500 -size p=100 $(SMOKE_DIR)/csr.hpf > /dev/null
-	$(GO) run ./cmd/hpfdump -np 2 -size p=100 < $(SMOKE_DIR)/csr.hpf > /dev/null
 	$(GO) run ./cmd/cgbench -quick -exp E1 -topology ring -seed 7 > /dev/null
 	$(GO) run ./cmd/cgbench -quick -exp E2 -fault "straggle:rank=1,x=4" > /dev/null
 	$(GO) run ./cmd/hpftrace -exp E2 -quick -o '' > /dev/null

@@ -73,13 +73,6 @@ var ledger = map[string]string{
 	"cmd/cgbench -seed":     "Makefile: cmd/cgbench -quick -exp E1 -topology ring -seed 7",
 	"cmd/cgbench -fault":    `Makefile: cmd/cgbench -quick -exp E2 -fault "straggle:rank=1,x=4"`,
 
-	"cmd/hpfdump -np":   "Makefile: cmd/hpfdump -np 2",
-	"cmd/hpfdump -n":    "Makefile: cmd/hpfdump -np 2 -n 100",
-	"cmd/hpfdump -nz":   "Makefile: cmd/hpfdump -np 2 -n 100 -nz 500",
-	"cmd/hpfdump -size": "Makefile: -size p=100 $(SMOKE_DIR)/csr.hpf",
-	"cmd/hpfdump -demo": "Makefile: cmd/hpfdump -demo",
-	"cmd/hpfdump arg 0": "Makefile: -size p=100 $(SMOKE_DIR)/csr.hpf",
-
 	"cmd/hpfrun -np":         "Makefile: cmd/hpfrun -np 4",
 	"cmd/hpfrun -problem":    "Makefile: cmd/hpfrun -np 4 -problem banded:256:4",
 	"cmd/hpfrun -file":       "Makefile: cmd/hpfrun -np 2 -file $(SMOKE_DIR)/laplace1d4.mtx",

@@ -7,7 +7,10 @@
 // What is solved is one -problem string (hpfexec.ParseProblem's
 // grammar) or a Matrix Market -file; how it runs is one directive file
 // or -demo's canonical layout for a matrix, never both (csr when
-// neither is given).
+// neither is given). Either program is bound and printed under plan:,
+// and Prepare refuses, with its line, an extension directive the
+// execution would not follow (an ON PROCESSOR map that is not the
+// vectors' owner of every column, ATOM: CYCLIC, ...).
 // A stencil problem's dimensions are the global grid, an hpcg
 // problem's each rank's brick; neither takes a layout. The recurrence
 // the solve runs is one -variant string (hpfexec.ParseVariant's
@@ -33,6 +36,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -99,14 +103,19 @@ func main() {
 		m.AttachInjector(inj)
 	}
 
-	// One problem, opened through its backend — or, for a directive
-	// file, bound to its matrix; the solve is one call either way.
+	// One problem: a stencil or hpcg problem opened through its
+	// backend, a matrix bound to its directive program (the file, or
+	// else -demo's layout) and prepared; the solve is one call either
+	// way.
 	prob, name := problem(*problemArg, *matrixFile)
 	var pr *hpfexec.Prepared
 	var plan *hpf.Plan
-	if flag.NArg() > 0 {
-		pr, plan = prepareDirectives(m, prob, flag.Arg(0))
-	} else if pr, err = hpfexec.Open(m, prob, *demo); err != nil {
+	if k := prob.Kind(); flag.NArg() == 0 && (k == hpfexec.BackendStencil || k == hpfexec.BackendHPCG) {
+		pr, err = hpfexec.Open(m, prob, *demo)
+	} else {
+		pr, plan, err = prepareMatrix(m, prob, *demo, flag.Arg(0))
+	}
+	if err != nil {
 		fatal(err)
 	}
 	if err := pr.WithVariant(variant); err != nil {
@@ -209,26 +218,29 @@ func problem(arg, file string) (hpfexec.Problem, string) {
 	return hpfexec.Upload(string(doc)), file
 }
 
-// prepareDirectives binds a directive file to the problem's matrix and
-// prepares the execution the directives imply.
-func prepareDirectives(m *comm.Machine, prob hpfexec.Problem, file string) (*hpfexec.Prepared, *hpf.Plan) {
+// prepareMatrix binds the directive program, the file or else the
+// layout's canonical one, to the problem's matrix and prepares the
+// execution it implies; Prepare refuses a directive that execution
+// would not follow, with its line.
+func prepareMatrix(m *comm.Machine, prob hpfexec.Problem, layout, file string) (*hpfexec.Prepared, *hpf.Plan, error) {
 	A, err := prob.Matrix()
 	if err != nil {
-		fatal(err)
+		return nil, nil, err
 	}
-	src, err := os.ReadFile(file)
-	if err != nil {
-		fatal(err)
+	var plan *hpf.Plan
+	if file == "" {
+		plan, err = hpfexec.PlanForLayout(cmp.Or(layout, "csr"), m.NP(), A.NRows, A.NNZ())
+	} else {
+		var src []byte
+		if src, err = os.ReadFile(file); err == nil {
+			plan, err = hpfexec.BindProgram(string(src), m.NP(), A.NRows, A.NNZ())
+		}
 	}
-	plan, err := hpfexec.BindProgram(string(src), m.NP(), A.NRows, A.NNZ())
 	if err != nil {
-		fatal(err)
+		return nil, nil, err
 	}
 	pr, err := hpfexec.Prepare(m, plan, A)
-	if err != nil {
-		fatal(err)
-	}
-	return pr, plan
+	return pr, plan, err
 }
 
 func fatal(err error) {

@@ -159,3 +159,36 @@ func TestReportsResolvedVariant(t *testing.T) {
 		}
 	}
 }
+
+// TestDirectivePrograms: a -demo layout runs the same matrix path as a
+// directive file, so its bound plan prints too — csc-merge's ITERATION
+// line among it, the solve unchanged by the check (38 iterations,
+// 0.00467127 model-s on banded:250:4 at np 4). A file whose ON
+// PROCESSOR map is not the executor's exits 1 with one stderr line
+// naming the directive's line, and nothing on stdout.
+func TestDirectivePrograms(t *testing.T) {
+	reenter()
+	args := "-np 4 -problem banded:250:4 -demo csc-merge"
+	out, stderr, code := run(t, "TestDirectivePrograms", args)
+	if code != 0 || stderr != "" {
+		t.Fatalf("%s: exit status %d stderr %q, want 0 and no stderr", args, code, stderr)
+	}
+	for _, want := range []string{"\nplan:\nprocessors: 4 (PROCS)\n", "\niteration j ON PROCESSOR(", " iters=38 ", " time=0.00467127s "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("%s: stdout %q, want %q", args, out, want)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "one.hpf")
+	src := "!HPF$ PROCESSORS :: PROCS(NP)\n!HPF$ DISTRIBUTE p(BLOCK)\n!HPF$ SPARSE_MATRIX (CSC) :: smA(colptr, rowidx, a)\n" +
+		"!EXT$ ITERATION j ON PROCESSOR(0), PRIVATE(q(n)) WITH MERGE(+)\n"
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args = "-np 4 -problem banded:250:4 " + path
+	out, stderr, code = run(t, "TestDirectivePrograms", args)
+	if want := "hpfrun: hpf: line 4: ON PROCESSOR(0) maps j = 62 to processor 0"; code != 1 || out != "" ||
+		strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, want) {
+		t.Errorf("%s: exit status %d stdout %q stderr %q, want 1 and one stderr line starting %q", args, code, out, stderr, want)
+	}
+}

@@ -13,9 +13,10 @@
 //   - distributed vectors with the SAXPY / DOT_PRODUCT intrinsics
 //     (internal/darray) and the two sparse matrix-vector partitionings
 //     of §4 (internal/spmv);
-//   - the paper's proposed language extensions as runtime constructs —
-//     PRIVATE/MERGE(+), ON PROCESSOR iteration maps (internal/forall) —
-//     and as parsable directives (internal/hpf);
+//   - the paper's proposed language extensions as parsable directives
+//     (internal/hpf), each run as written or refused at Prepare — the
+//     PRIVATE/MERGE(+) region (internal/forall) under an ON PROCESSOR
+//     map that must be the vectors' owner of every column;
 //   - the solver family: CG, preconditioned CG, BiCG, CGS, BiCGSTAB,
 //     distributed (internal/core), sequential CG, PCG and GMRES with
 //     Jacobi/SSOR/IC(0) preconditioners (internal/seq), plus dense

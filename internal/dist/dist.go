@@ -330,9 +330,6 @@ func (ir Irregular) NP() int { return len(ir.cuts) - 1 }
 // Name implements Dist.
 func (ir Irregular) Name() string { return "IRREGULAR" }
 
-// Cuts returns a copy of the cut-point array.
-func (ir Irregular) Cuts() []int { return append([]int(nil), ir.cuts...) }
-
 // Lo implements Contiguous.
 func (ir Irregular) Lo(proc int) int { return ir.cuts[proc] }
 

@@ -187,11 +187,6 @@ func TestIrregular(t *testing.T) {
 	if ir.Owner(11) != 3 || ir.Owner(0) != 0 {
 		t.Errorf("boundary owners wrong")
 	}
-	cuts := ir.Cuts()
-	cuts[0] = 99 // must not alias internal state
-	if ir.Lo(0) != 0 {
-		t.Error("Cuts() exposed internal slice")
-	}
 }
 
 func TestIrregularValidation(t *testing.T) {

@@ -13,18 +13,19 @@
 // the outer loop independently under an explicit iteration mapping, and
 // merge the private copies with a global reduction at region end.
 //
-// This package provides exactly those pieces: IterMap (the ON
-// PROCESSOR(f(i)) construct), Indep (INDEPENDENT DO under a mapping)
-// and PrivateRegion (a PRIVATE array WITH MERGE(+)). PrivateRegion is
-// the repo's one private accumulator, in two sizes. The paper's region
-// (NewPrivate) holds a full-length copy merged by a reduce-scatter:
-// spmv's dense-merge CSC executor (experiments E3/E4/E15),
-// RowBlockCSR.ApplyT and examples/directives open one. An inspected
-// region (NewPrivateInspected) holds only the owned block and the ghost
-// slots of an inspector schedule and merges by running that schedule in
-// reverse: spmv's private-merge CSC executor, so the served csc-merge
-// layout, opens one. WITH DISCARD has no executor: hpfexec refuses it
-// with the directive's line.
+// This package provides the last piece, PrivateRegion (a PRIVATE array
+// WITH MERGE(+)), the repo's one private accumulator, in two sizes. The
+// loop's ON PROCESSOR(f(j)) map is not executed here: hpfexec evaluates
+// it once at Prepare and refuses a map that does not send column j to
+// the processor owning it, so the CSC executors' owner-computes column
+// blocks are the map as written. The paper's region (NewPrivate) holds
+// a full-length copy merged by a reduce-scatter: spmv's dense-merge CSC
+// executor (experiments E3/E4/E15) and RowBlockCSR.ApplyT open one. An
+// inspected region (NewPrivateInspected) holds only the owned block and
+// the ghost slots of an inspector schedule and merges by running that
+// schedule in reverse: spmv's private-merge CSC executor, so the served
+// csc-merge layout, opens one. WITH DISCARD has no executor: hpfexec
+// refuses it with the directive's line.
 package forall
 
 import (
@@ -33,41 +34,6 @@ import (
 	"hpfcg/internal/comm"
 	"hpfcg/internal/inspector"
 )
-
-// IterMap assigns loop iterations to processors: the paper's ON
-// PROCESSOR(f(i)) clause. Implementations must be deterministic and
-// identical on every processor.
-type IterMap interface {
-	// ProcOf returns the rank that executes iteration i.
-	ProcOf(i int) int
-}
-
-// MapFunc adapts a function to an IterMap — the literal ON
-// PROCESSOR(f(i)) form. MapFunc(d.Owner) for a dist.Dist d is the
-// owner-computes rule HPF compilers default to; under dist.NewBlock it
-// is the paper's ON PROCESSOR(j/np) example (with HPF BLOCK sizing).
-type MapFunc func(i int) int
-
-// ProcOf implements IterMap.
-func (f MapFunc) ProcOf(i int) int { return f(i) }
-
-// Indep executes body(i) for every owned iteration i in [lo, hi) — the
-// semantics of INDEPENDENT DO under an iteration mapping. Iterations
-// must be free of cross-iteration dependencies (Bernstein's
-// conditions); the runtime cannot check that, just like the HPF
-// directive it models, but unlike HPF each processor here really only
-// touches its own iterations. flopsPerIter charges the cost model.
-func Indep(p *comm.Proc, lo, hi int, m IterMap, flopsPerIter int, body func(i int)) {
-	r := p.Rank()
-	count := 0
-	for i := lo; i < hi; i++ {
-		if m.ProcOf(i) == r {
-			body(i)
-			count++
-		}
-	}
-	p.Compute(count * flopsPerIter)
-}
 
 // PrivateRegion is the paper's PRIVATE abstraction (Figure 5): each
 // processor holds a private copy of a distributed array that stays

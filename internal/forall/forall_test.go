@@ -2,7 +2,6 @@ package forall
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"hpfcg/internal/comm"
@@ -17,57 +16,6 @@ func machine(np int) *comm.Machine {
 
 var testNPs = []int{1, 2, 3, 4, 8}
 
-func TestIndepCoversEachIterationOnce(t *testing.T) {
-	for _, np := range testNPs {
-		n := 7*np + 3
-		var mu sync.Mutex
-		hits := make([]int, n)
-		machine(np).Run(func(p *comm.Proc) {
-			Indep(p, 0, n, MapFunc(dist.NewBlock(n, np).Owner), 1, func(i int) {
-				mu.Lock()
-				hits[i]++
-				mu.Unlock()
-			})
-		})
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("np=%d: iteration %d executed %d times", np, i, h)
-			}
-		}
-	}
-}
-
-func TestIndepRespectsMapping(t *testing.T) {
-	np := 4
-	n := 16
-	machine(np).Run(func(p *comm.Proc) {
-		Indep(p, 0, n, MapFunc(dist.NewCyclic(n, np).Owner), 0, func(i int) {
-			if i%np != p.Rank() {
-				t.Errorf("rank %d executed iteration %d under cyclic map", p.Rank(), i)
-			}
-		})
-		Indep(p, 0, n, MapFunc(func(i int) int { return 2 }), 0, func(i int) {
-			if p.Rank() != 2 {
-				t.Errorf("rank %d executed iteration %d mapped to 2", p.Rank(), i)
-			}
-		})
-	})
-}
-
-func TestIndepChargesOwnedIterationsOnly(t *testing.T) {
-	np := 4
-	n := 100
-	st := machine(np).Run(func(p *comm.Proc) {
-		Indep(p, 0, n, MapFunc(dist.NewBlock(n, np).Owner), 10, func(i int) {})
-	})
-	if st.TotalFlops != int64(n*10) {
-		t.Errorf("TotalFlops = %d, want %d", st.TotalFlops, n*10)
-	}
-	if st.MaxFlops != 250 {
-		t.Errorf("MaxFlops = %d, want 250", st.MaxFlops)
-	}
-}
-
 // The paper's Figure 5 workload: CSC-style many-to-one accumulation
 // parallelised with PRIVATE + MERGE(+), the merged blocks gathered
 // onto every processor.
@@ -79,10 +27,11 @@ func TestPrivateMergeReplicated(t *testing.T) {
 		machine(np).Run(func(p *comm.Proc) {
 			region := NewPrivate(counts)
 			q := region.Open()
-			// Every processor accumulates into scattered targets.
-			Indep(p, 0, n, MapFunc(d.Owner), 2, func(j int) {
+			// Every processor accumulates its own block's iterations
+			// into scattered targets.
+			for j := d.Lo(p.Rank()); j < d.Lo(p.Rank()+1); j++ {
 				q[(j*3)%n] += float64(j)
-			})
+			}
 			blk := make([]float64, counts[p.Rank()])
 			region.MergeDistributed(p, blk)
 			got := p.AllgatherV(blk, counts)

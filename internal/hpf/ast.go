@@ -1,9 +1,6 @@
 package hpf
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Expr is an integer block-size expression such as (n+NP-1)/NP.
 type Expr interface {
@@ -22,16 +19,15 @@ func (n NumExpr) Eval(map[string]int) (int, error) { return int(n), nil }
 // String implements Expr.
 func (n NumExpr) String() string { return fmt.Sprintf("%d", int(n)) }
 
-// IdentExpr is a named value (n, np, nz, ...). Lookup is
-// case-insensitive (the identifier is stored lowered).
+// IdentExpr is a named value (n, np, nz, ...), stored lowered as the
+// lexer reads it. Lookup is one map access, so env's keys must be
+// lowered too: Bind's are.
 type IdentExpr string
 
 // Eval implements Expr.
 func (id IdentExpr) Eval(env map[string]int) (int, error) {
-	for k, v := range env {
-		if strings.ToLower(k) == string(id) {
-			return v, nil
-		}
+	if v, ok := env[string(id)]; ok {
+		return v, nil
 	}
 	return 0, fmt.Errorf("hpf: undefined identifier %q", string(id))
 }

@@ -16,6 +16,7 @@ type ArrayPlan struct {
 	Dist      dist.Dist
 	AlignedTo string // the ultimate alignment target ("" if directly distributed)
 	Dynamic   bool
+	Line      int // the DISTRIBUTE or ALIGN directive that mapped it
 }
 
 // Plan is the result of binding a directive program to concrete array
@@ -30,7 +31,7 @@ type Plan struct {
 	// AtomsOf maps a data array to its INDIVISABLE declaration.
 	AtomsOf map[string]Indivisable
 	// AtomRedist maps an array to its ATOM-qualified REDISTRIBUTE.
-	AtomRedist map[string]Pattern
+	AtomRedist map[string]Redistribute
 	// Partitioners maps an array (or sparse-matrix name) to the
 	// partitioner named in REDISTRIBUTE ... USING.
 	Partitioners map[string]string
@@ -42,7 +43,9 @@ type Plan struct {
 
 // Bind resolves a parsed program against np processors and the given
 // array sizes. extra supplies values for identifiers used in block-size
-// expressions (e.g. "n", "nz"); "np" is always available.
+// expressions (e.g. "n", "nz"); "np" is always available. Both maps'
+// keys match case-insensitively, as the program's identifiers do: Bind
+// lowers them once.
 func Bind(prog *Program, np int, sizes map[string]int, extra map[string]int) (*Plan, error) {
 	if np < 1 {
 		return nil, fmt.Errorf("hpf: bind with np=%d", np)
@@ -51,8 +54,10 @@ func Bind(prog *Program, np int, sizes map[string]int, extra map[string]int) (*P
 	for k, v := range extra {
 		env[strings.ToLower(k)] = v
 	}
+	lowered := make(map[string]int, len(sizes))
 	for k, v := range sizes {
 		lk := strings.ToLower(k)
+		lowered[lk] = v
 		if _, dup := env[lk]; !dup {
 			env[lk] = v
 		}
@@ -62,15 +67,13 @@ func Bind(prog *Program, np int, sizes map[string]int, extra map[string]int) (*P
 		Arrays:       map[string]*ArrayPlan{},
 		Sparse:       map[string]SparseMatrix{},
 		AtomsOf:      map[string]Indivisable{},
-		AtomRedist:   map[string]Pattern{},
+		AtomRedist:   map[string]Redistribute{},
 		Partitioners: map[string]string{},
 		env:          env,
 	}
 	sizeOf := func(name string) (int, error) {
-		for k, v := range sizes {
-			if strings.ToLower(k) == name {
-				return v, nil
-			}
+		if v, ok := lowered[name]; ok {
+			return v, nil
 		}
 		return 0, fmt.Errorf("hpf: no size given for array %q", name)
 	}
@@ -102,7 +105,7 @@ func Bind(prog *Program, np int, sizes map[string]int, extra map[string]int) (*P
 			if err != nil {
 				return nil, fmt.Errorf("hpf: line %d: %w", d.Line(), err)
 			}
-			pl.Arrays[d.Array] = &ArrayPlan{Name: d.Array, Size: n, Dist: dd, Dynamic: d.Dynamic}
+			pl.Arrays[d.Array] = &ArrayPlan{Name: d.Array, Size: n, Dist: dd, Dynamic: d.Dynamic, Line: d.Line()}
 		case Align:
 			if d.Source != "" {
 				aligns = append(aligns, alignEdge{d.Source, d.Target, d.Dynamic, d.Line()})
@@ -114,7 +117,7 @@ func Bind(prog *Program, np int, sizes map[string]int, extra map[string]int) (*P
 			if d.Partitioner != "" {
 				pl.Partitioners[d.Array] = d.Partitioner
 			} else {
-				pl.AtomRedist[d.Array] = *d.Pat
+				pl.AtomRedist[d.Array] = d
 			}
 		case Indivisable:
 			pl.AtomsOf[d.Data] = d
@@ -158,6 +161,7 @@ func Bind(prog *Program, np int, sizes map[string]int, extra map[string]int) (*P
 				Dist:      target.Dist,
 				AlignedTo: root,
 				Dynamic:   e.dynamic || target.Dynamic,
+				Line:      e.line,
 			}
 			progress = true
 		}
@@ -180,7 +184,7 @@ func Bind(prog *Program, np int, sizes map[string]int, extra map[string]int) (*P
 
 func bindPattern(pat Pattern, n, np int, env map[string]int) (dist.Dist, error) {
 	if pat.Atom {
-		return nil, fmt.Errorf("ATOM patterns bind at REDISTRIBUTE time (use BindAtomRedistribution)")
+		return nil, fmt.Errorf("ATOM patterns apply to REDISTRIBUTE only")
 	}
 	var k int
 	if pat.Size != nil {
@@ -211,32 +215,6 @@ func bindPattern(pat Pattern, n, np int, env map[string]int) (dist.Dist, error) 
 	return nil, fmt.Errorf("unknown pattern kind %v", pat.Kind)
 }
 
-// BindAtomRedistribution realises a `REDISTRIBUTE arr(ATOM: BLOCK)` or
-// `REDISTRIBUTE arr(ATOM: CYCLIC)` for the array using its INDIVISABLE
-// declaration: ptr is the runtime indirection array (e.g. the CSC
-// column pointers). ATOM: BLOCK yields a contiguous (dist.Irregular)
-// element distribution; ATOM: CYCLIC deals whole atoms round-robin
-// (partition.AtomCyclic, non-contiguous). Either way no atom is ever
-// split.
-func (pl *Plan) BindAtomRedistribution(array string, ptr []int) (dist.Dist, error) {
-	pat, ok := pl.AtomRedist[array]
-	if !ok {
-		return nil, fmt.Errorf("hpf: no ATOM redistribution declared for %q", array)
-	}
-	if _, ok := pl.AtomsOf[array]; !ok {
-		return nil, fmt.Errorf("hpf: %q has no INDIVISABLE declaration", array)
-	}
-	atoms := partition.AtomsFromPtr(ptr)
-	switch pat.Kind {
-	case PatBlock:
-		cuts := partition.UniformAtomBlock(atoms.NAtoms(), pl.NP)
-		return atoms.ElemDist(cuts), nil
-	case PatCyclic:
-		return partition.NewAtomCyclic(atoms, pl.NP), nil
-	}
-	return nil, fmt.Errorf("hpf: unsupported ATOM pattern %s", pat.Kind)
-}
-
 // BindPartitioner realises a `REDISTRIBUTE name USING partitioner`:
 // ptr is the indirection array whose atom weights (nonzeros per
 // row/column) the partitioner balances. CG_BALANCED_PARTITIONER_1 is
@@ -261,32 +239,8 @@ func (pl *Plan) BindPartitioner(name string, ptr []int) (elem dist.Irregular, at
 	return dist.Irregular{}, nil, fmt.Errorf("hpf: unknown partitioner %q", part)
 }
 
-// IterationMap compiles an ITERATION directive's ON PROCESSOR(f(i))
-// expression into a Go function of the iteration variable. The
-// returned map clamps results into [0, NP).
-func (pl *Plan) IterationMap(it Iteration) func(i int) int {
-	np := pl.NP
-	varName := it.Var
-	return func(i int) int {
-		env := make(map[string]int, len(pl.env)+1)
-		for k, v := range pl.env {
-			env[k] = v
-		}
-		env[varName] = i
-		v, err := it.MapExpr.Eval(env)
-		if err != nil {
-			panic(fmt.Sprintf("hpf: iteration map: %v", err))
-		}
-		v %= np
-		if v < 0 {
-			v += np
-		}
-		return v
-	}
-}
-
-// Describe renders the plan as a human-readable table (used by the
-// hpfdump tool).
+// Describe renders the plan as a human-readable table, one line per
+// array and per extension directive, in the same order every call.
 func (pl *Plan) Describe() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "processors: %d", pl.NP)
@@ -294,12 +248,7 @@ func (pl *Plan) Describe() string {
 		fmt.Fprintf(&b, " (%s)", strings.ToUpper(pl.ProcName))
 	}
 	b.WriteByte('\n')
-	names := make([]string, 0, len(pl.Arrays))
-	for n := range pl.Arrays {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range sortedKeys(pl.Arrays) {
 		a := pl.Arrays[n]
 		fmt.Fprintf(&b, "array %-8s size %-8d dist %-12s", a.Name, a.Size, a.Dist.Name())
 		if a.AlignedTo != "" {
@@ -310,23 +259,35 @@ func (pl *Plan) Describe() string {
 		}
 		b.WriteByte('\n')
 	}
-	for name, sm := range pl.Sparse {
+	for _, name := range sortedKeys(pl.Sparse) {
+		sm := pl.Sparse[name]
 		fmt.Fprintf(&b, "sparse %s format %s trio (%s, %s, %s)\n",
 			name, strings.ToUpper(sm.Format), sm.Arrays[0], sm.Arrays[1], sm.Arrays[2])
 	}
-	for data, ind := range pl.AtomsOf {
+	for _, data := range sortedKeys(pl.AtomsOf) {
+		ind := pl.AtomsOf[data]
 		fmt.Fprintf(&b, "atoms  %s(ATOM:%s) :: %s(%s:%s)\n",
 			data, ind.AtomVar, ind.Indir, ind.LoExpr, ind.HiExpr)
 	}
-	for arr, pat := range pl.AtomRedist {
-		fmt.Fprintf(&b, "redistribute %s (%s)\n", arr, pat)
+	for _, arr := range sortedKeys(pl.AtomRedist) {
+		fmt.Fprintf(&b, "redistribute %s (%s)\n", arr, *pl.AtomRedist[arr].Pat)
 	}
-	for arr, part := range pl.Partitioners {
-		fmt.Fprintf(&b, "redistribute %s USING %s\n", arr, strings.ToUpper(part))
+	for _, arr := range sortedKeys(pl.Partitioners) {
+		fmt.Fprintf(&b, "redistribute %s USING %s\n", arr, strings.ToUpper(pl.Partitioners[arr]))
 	}
 	for _, it := range pl.Iterations {
 		fmt.Fprintf(&b, "iteration %s ON PROCESSOR(%s), %d clause(s)\n",
-			it.Var, it.MapExpr, len(it.Clauses))
+			it.Var, exprSrc(it.MapExpr), len(it.Clauses))
 	}
 	return b.String()
+}
+
+// sortedKeys lists m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -177,25 +177,27 @@ func TestBindSection521(t *testing.T) {
 	if _, ok := pl.AtomsOf["row"]; !ok {
 		t.Fatal("INDIVISABLE row not recorded")
 	}
-	if pat, ok := pl.AtomRedist["row"]; !ok || pat.Kind != PatBlock || !pat.Atom {
-		t.Fatalf("ATOM redistribution: %+v ok=%v", pat, ok)
+	if r, ok := pl.AtomRedist["row"]; !ok || r.Pat.Kind != PatBlock || !r.Pat.Atom || r.Line() != 7 {
+		t.Fatalf("ATOM redistribution: %+v ok=%v", r, ok)
 	}
 
-	// Realise the redistribution with the Figure 1 matrix's CSC column
-	// pointers: atoms must never split.
-	csc := sparse.Figure1Matrix().ToCSC()
-	ed, err := pl.BindAtomRedistribution("row", csc.ColPtr)
-	if err != nil {
-		t.Fatal(err)
+	// The CSC executors keep every column whole on its BLOCK owner, so
+	// ATOM: BLOCK of the trio's row indices over the column pointers
+	// describes them exactly when its uniform cut is the vectors' cut;
+	// under another cut (a partitioner's) it is refused with its line.
+	sm := SparseMatrix{Format: "csc", Name: "sma", Arrays: [3]string{"col", "row", "a"}}
+	root := &ArrayPlan{Name: "p", Size: n, Dist: dist.NewBlock(n, np)}
+	if err := pl.CheckExecution(sm, root, dist.NewBlock(n, np)); err != nil {
+		t.Errorf("ATOM: BLOCK under BLOCK vectors refused: %v", err)
 	}
-	if ed.N() != csc.NNZ() || ed.NP() != np {
-		t.Fatalf("element dist %dx%d", ed.N(), ed.NP())
+	err = pl.CheckExecution(sm, root, dist.NewIrregular([]int{0, 2, 3, 4, 5, 6}))
+	if err == nil || !strings.HasPrefix(err.Error(), "hpf: line 7: REDISTRIBUTE row(ATOM: BLOCK) starts processor 1 at atom 1") {
+		t.Errorf("ATOM: BLOCK under another cut: err = %v, want a line 7 refusal", err)
 	}
-	for j := 0; j < csc.NCols; j++ {
-		lo, hi := csc.ColPtr[j], csc.ColPtr[j+1]
-		if hi > lo && ed.Owner(lo) != ed.Owner(hi-1) {
-			t.Errorf("column %d split by ATOM:BLOCK redistribution", j)
-		}
+	// Atoms that are not the trio's rows or columns are refused too.
+	sm.Arrays = [3]string{"colptr", "row", "a"}
+	if err := pl.CheckExecution(sm, root, dist.NewBlock(n, np)); err == nil || !strings.Contains(err.Error(), "line 7: REDISTRIBUTE row(ATOM: BLOCK) needs row to be sma's data") {
+		t.Errorf("ATOM: BLOCK over a foreign pointer array: err = %v", err)
 	}
 }
 
@@ -286,40 +288,68 @@ func TestParseIteration(t *testing.T) {
 	}
 }
 
-func TestIterationMap(t *testing.T) {
-	pl, err := Bind(MustParse(iterationSrc), 4, nil, map[string]int{"n": 16})
+// checkCSC binds src on np processors against n-element vectors and
+// checks it against BLOCK vectors and the CSC trio smA(colptr, rowidx,
+// a); src distributes p and declares that trio.
+func checkCSC(t *testing.T, src string, n, np int) error {
+	t.Helper()
+	pl, err := Bind(MustParse(src), np, map[string]int{"p": n, "x": n}, map[string]int{"n": n})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pl.Iterations) != 1 {
-		t.Fatal("no iteration bound")
-	}
-	f := pl.IterationMap(pl.Iterations[0])
-	// j/np with np=4: iterations 0-3 -> 0, 4-7 -> 1, ... 12-15 -> 3,
-	// 16+ wraps mod np.
-	for j := 0; j < 16; j++ {
-		if got := f(j); got != j/4 {
-			t.Errorf("f(%d) = %d, want %d", j, got, j/4)
+	root := pl.Arrays["p"]
+	return pl.CheckExecution(pl.Sparse["sma"], root, root.Dist.(dist.Contiguous))
+}
+
+const cscHead = `!HPF$ DISTRIBUTE p(BLOCK)
+!HPF$ SPARSE_MATRIX (CSC) :: smA(colptr, rowidx, a)
+`
+
+// TestIterationMap: an ON PROCESSOR(f(j)) map is evaluated over every
+// column and accepted only when it sends each to its BLOCK owner. The
+// inverse of Lo(r) = ⌊r·n/np⌋ does at every n and np; ⌊j·np/n⌋ does
+// not when np does not divide n (n = 10, np = 4 sends column 2 to 0,
+// whose BLOCK owner is 1). The paper's j/np is BLOCK at n = np², and a
+// value past the last processor is refused, not wrapped mod NP.
+func TestIterationMap(t *testing.T) {
+	const inverse = cscHead + "!EXT$ ITERATION j ON PROCESSOR(((j+1)*np+n-1)/n-1)\n"
+	for np := 1; np <= 9; np++ {
+		for n := 1; n <= 64; n++ {
+			if err := checkCSC(t, inverse, n, np); err != nil {
+				t.Fatalf("n=%d np=%d: %v", n, np, err)
+			}
 		}
 	}
-	if got := f(17); got != 0 { // 17/4 = 4 -> mod np = 0
-		t.Errorf("f(17) = %d, want 0 (clamped)", got)
+	floor := cscHead + "!EXT$ ITERATION j ON PROCESSOR(j*np/n)\n"
+	if err := checkCSC(t, floor, 10, 4); err == nil || err.Error() !=
+		"hpf: line 3: ON PROCESSOR((j*np)/n) maps j = 2 to processor 0, but the vectors (BLOCK) own it on 1" {
+		t.Errorf("floor map at n=10 np=4: err = %v", err)
+	}
+	paper := cscHead + iterationSrc
+	if err := checkCSC(t, paper, 16, 4); err != nil {
+		t.Errorf("j/np at n=16 np=4: %v", err)
+	}
+	if err := checkCSC(t, paper, 17, 4); err == nil || !strings.Contains(err.Error(),
+		"line 4: ON PROCESSOR(j/np) maps j = 16 to processor 4, outside [0, 4)") {
+		t.Errorf("j/np at n=17 np=4: err = %v, want j = 16 refused", err)
 	}
 }
 
+// TestIterationWithDiscard: WITH DISCARD parses but no executor runs
+// it, and a map value below 0 is refused rather than wrapped mod NP.
 func TestIterationWithDiscard(t *testing.T) {
 	prog := MustParse(`!EXT$ ITERATION i ON PROCESSOR(i-1), PRIVATE(tmp(n)) WITH DISCARD`)
 	it := Find[Iteration](prog)[0]
 	if it.Clauses[0].Merge != "discard" {
 		t.Errorf("merge %q", it.Clauses[0].Merge)
 	}
-	pl, err := Bind(prog, 3, nil, map[string]int{"n": 5})
-	if err != nil {
-		t.Fatal(err)
+	if err := checkCSC(t, cscHead+Format(prog), 5, 3); err == nil ||
+		err.Error() != "hpf: line 3: PRIVATE(tmp) WITH DISCARD has no executor; only WITH MERGE(+) runs" {
+		t.Errorf("WITH DISCARD: err = %v", err)
 	}
-	f := pl.IterationMap(it)
-	if f(0) != 2 { // (0-1) mod 3 = 2
-		t.Errorf("negative map should wrap, got %d", f(0))
+	if err := checkCSC(t, cscHead+"!EXT$ ITERATION i ON PROCESSOR(i-1)\n", 5, 3); err == nil ||
+		!strings.Contains(err.Error(), "line 3: ON PROCESSOR(i-1) maps i = 0 to processor -1, outside [0, 3)") {
+		t.Errorf("negative map: err = %v, want a refusal, not a wrap", err)
 	}
 }
 
@@ -441,13 +471,10 @@ func TestBindErrors(t *testing.T) {
 	if _, err := Bind(MustParse(``), 0, nil, nil); err == nil {
 		t.Error("np=0 accepted")
 	}
-	// BindAtomRedistribution without declarations.
+	// BindPartitioner without a declaration.
 	pl, err := Bind(MustParse(`!HPF$ DISTRIBUTE p(BLOCK)`), 2, map[string]int{"p": 4}, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := pl.BindAtomRedistribution("p", []int{0, 2, 4}); err == nil {
-		t.Error("missing ATOM redistribution accepted")
 	}
 	if _, _, err := pl.BindPartitioner("p", []int{0, 2, 4}); err == nil {
 		t.Error("missing partitioner accepted")
@@ -500,33 +527,42 @@ func TestSplitDirectivePrefixes(t *testing.T) {
 	}
 }
 
+// TestBindAtomCyclicRedistribution: ATOM: CYCLIC binds (the plan
+// records it) but no executor deals whole columns round-robin, so the
+// check refuses it with its line; so does a second array of the vector
+// size mapped unlike the vectors.
 func TestBindAtomCyclicRedistribution(t *testing.T) {
-	src := `
-!HPF$ DISTRIBUTE col(BLOCK)
-!EXT$ INDIVISABLE row(ATOM:i) :: col(i:i+1)
-!EXT$ REDISTRIBUTE row(ATOM: CYCLIC)
+	src := cscHead + `!EXT$ INDIVISABLE rowidx(ATOM:i) :: colptr(i:i+1)
+!EXT$ REDISTRIBUTE rowidx(ATOM: CYCLIC)
 `
-	np := 3
-	pl, err := Bind(MustParse(src), np,
-		map[string]int{"col": 7, "row": 15}, map[string]int{"n": 6})
+	err := checkCSC(t, src, 6, 3)
+	if err == nil || err.Error() != "hpf: line 4: REDISTRIBUTE rowidx(ATOM: CYCLIC) has no executor; only ATOM: BLOCK runs" {
+		t.Errorf("ATOM: CYCLIC: err = %v", err)
+	}
+	if err := checkCSC(t, cscHead+"!HPF$ DISTRIBUTE x(CYCLIC)\n"+"!EXT$ REDISTRIBUTE rowidx(ATOM: CYCLIC)\n", 6, 3); err == nil ||
+		err.Error() != "hpf: line 3: x is distributed CYCLIC, the vectors BLOCK (as p); one mapping runs every array of the vector size 6" {
+		t.Errorf("DISTRIBUTE x(CYCLIC) beside p(BLOCK): err = %v, want the earlier line 3", err)
+	}
+}
+
+// TestDescribeIsDeterministic: the plan table lists each map-held
+// declaration in name order, so two INDIVISABLE lines (and two
+// partitioners) print the same way on every call.
+func TestDescribeIsDeterministic(t *testing.T) {
+	pl, err := Bind(MustParse(sec522+"!EXT$ REDISTRIBUTE col USING CG_GREEDY_PARTITIONER\n"), 3,
+		map[string]int{"p": 8, "q": 8, "r": 8, "x": 8, "b": 8, "row": 9, "col": 30, "a": 30},
+		map[string]int{"n": 8, "nz": 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	csc := sparse.Figure1Matrix().ToCSC()
-	d, err := pl.BindAtomRedistribution("row", csc.ColPtr)
-	if err != nil {
-		t.Fatal(err)
+	first := pl.Describe()
+	if !strings.Contains(first, "atoms  a(ATOM:i) :: col(i:(i+1))\natoms  row(ATOM:i)") ||
+		!strings.Contains(first, "redistribute col USING CG_GREEDY_PARTITIONER\nredistribute sma USING") {
+		t.Fatalf("Describe:\n%s\nwant the atoms and partitioners in name order", first)
 	}
-	if d.Name() != "ATOM:CYCLIC" {
-		t.Fatalf("got %s", d.Name())
-	}
-	// Column j (atom j) must live on processor j mod np, entirely.
-	for j := 0; j < csc.NCols; j++ {
-		lo, hi := csc.ColPtr[j], csc.ColPtr[j+1]
-		for e := lo; e < hi; e++ {
-			if d.Owner(e) != j%np {
-				t.Fatalf("column %d element %d on %d, want %d", j, e, d.Owner(e), j%np)
-			}
+	for i := 0; i < 20; i++ {
+		if got := pl.Describe(); got != first {
+			t.Fatalf("call %d differs:\n%s\nvs\n%s", i, got, first)
 		}
 	}
 }

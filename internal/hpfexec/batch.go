@@ -43,7 +43,10 @@ import (
 // select without shipping directive text. They mirror cmd/hpfrun's
 // -demo listings: the paper's Scenario 1 (row-block CSR), Scenario 2
 // in its HPF-1 serialized and PRIVATE/MERGE(+) parallel executions,
-// and the §5.2.2 balanced-partitioner redistribution.
+// and the §5.2.2 balanced-partitioner redistribution. csc-merge's ON
+// PROCESSOR map is the exact inverse of BLOCK's Lo(r) = ⌊r·n/np⌋, so
+// column j runs on its BLOCK owner at every n and np (⌊j·np/n⌋ is not,
+// when np does not divide n).
 var layoutPrograms = map[string]string{
 	"csr": `
 !HPF$ PROCESSORS :: PROCS(NP)
@@ -60,7 +63,7 @@ var layoutPrograms = map[string]string{
 !HPF$ PROCESSORS :: PROCS(NP)
 !HPF$ DISTRIBUTE p(BLOCK)
 !HPF$ SPARSE_MATRIX (CSC) :: smA(colptr, rowidx, a)
-!EXT$ ITERATION j ON PROCESSOR(j*np/n), PRIVATE(q(n)) WITH MERGE(+)
+!EXT$ ITERATION j ON PROCESSOR(((j+1)*np+n-1)/n-1), PRIVATE(q(n)) WITH MERGE(+)
 `,
 	"balanced": `
 !HPF$ PROCESSORS :: PROCS(NP)

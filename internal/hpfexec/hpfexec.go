@@ -14,6 +14,18 @@
 //   - `REDISTRIBUTE smA USING CG_BALANCED_PARTITIONER_1` (§5.2.2)
 //     replaces the vectors' BLOCK distribution with the balanced
 //     whole-row (atom) distribution before solving.
+//
+// Every other extension line is checked at Prepare
+// (hpf.Plan.CheckExecution) and either describes that execution or is
+// refused with its line. Accepted: the ITERATION's ON PROCESSOR(f(j)),
+// evaluated once per column, when it sends every j to the vectors'
+// owner of j, and `REDISTRIBUTE … (ATOM: BLOCK)` of the trio's data
+// over its rows or columns when its uniform cut is the vectors' (both
+// executors keep every row or column whole). Refused: any other map
+// (one that errors, or leaves [0, NP)), an ITERATION in a CSR program
+// or a second one, PRIVATE … WITH DISCARD, ATOM: CYCLIC and ATOM:
+// BLOCK(k), and an array of the vector size outside the SPARSE_MATRIX
+// trio distributed unlike the vectors.
 package hpfexec
 
 import (
@@ -146,9 +158,8 @@ func analyzeCG(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR) (*matrixBackend, 
 		return fail(fmt.Errorf("hpfexec: need exactly one SPARSE_MATRIX declaration, have %d", len(plan.Sparse)))
 	}
 	var sm hpf.SparseMatrix
-	var smName string
-	for name, d := range plan.Sparse {
-		smName, sm = name, d
+	for _, d := range plan.Sparse {
+		sm = d
 	}
 
 	// The vector distribution: the ultimate alignment target among the
@@ -167,12 +178,12 @@ func analyzeCG(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR) (*matrixBackend, 
 
 	// The §5.2.2 partitioner redistribution, if declared: rebalance the
 	// rows (CSR) or columns (CSC) and align the vectors with the atoms.
-	if _, declared := plan.Partitioners[smName]; declared {
+	if _, declared := plan.Partitioners[sm.Name]; declared {
 		ptr := A.RowPtr
 		if sm.Format == "csc" {
 			ptr = A.ToCSC().ColPtr
 		}
-		_, atomCuts, err := plan.BindPartitioner(smName, ptr)
+		_, atomCuts, err := plan.BindPartitioner(sm.Name, ptr)
 		if err != nil {
 			return fail(err)
 		}
@@ -180,15 +191,15 @@ func analyzeCG(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR) (*matrixBackend, 
 		strategy.Balanced = true
 	}
 
-	// The §5.1 extension: any ITERATION clause PRIVATE ... WITH MERGE(+)
-	// unlocks the parallel execution of the CSC accumulation. WITH
-	// DISCARD parses but has no executor, so it is refused.
+	// Every extension directive describes the execution below or is
+	// refused with its line. The §5.1 ITERATION's PRIVATE ... WITH
+	// MERGE(+) unlocks the parallel execution of the CSC accumulation.
+	if err := plan.CheckExecution(sm, vecPlan, d); err != nil {
+		return fail(err)
+	}
 	hasMerge := false
 	for _, it := range plan.Iterations {
 		for _, cl := range it.Clauses {
-			if cl.Kind == "private" && cl.Merge == "discard" {
-				return fail(fmt.Errorf("hpf: line %d: PRIVATE(%s) WITH DISCARD has no executor; only WITH MERGE(+) runs", it.Line(), cl.Array))
-			}
 			hasMerge = hasMerge || cl.Kind == "private" && cl.Merge == "+"
 		}
 	}

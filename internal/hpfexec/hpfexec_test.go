@@ -76,7 +76,7 @@ const cscPlanSerial = `
 `
 
 const cscPlanMerge = cscPlanSerial + `
-!EXT$ ITERATION j ON PROCESSOR(j*np/n), PRIVATE(q(n)) WITH MERGE(+)
+!EXT$ ITERATION j ON PROCESSOR(((j+1)*np+n-1)/n-1), PRIVATE(q(n)) WITH MERGE(+)
 `
 
 const balancedPlan = csrPlan + `
@@ -303,7 +303,9 @@ func TestSolveCGTimeoutCompletes(t *testing.T) {
 // FuzzBindPrepare drives the directive front door end to end, not just
 // the parser: any directive text is bound against laplace2d:4:4 on 1 to
 // 8 processors, prepared, and solved once under a 40-iteration cap. Each
-// step returns an error or a result; none panics or hangs.
+// step returns an error or a result; none panics or hangs. The seeds
+// include every program TestPrepareRefusesUnrunDirectives refuses, at
+// np 4.
 func FuzzBindPrepare(f *testing.F) {
 	for i, name := range Layouts() {
 		f.Add(layoutPrograms[name], uint8(i))
@@ -317,6 +319,9 @@ func FuzzBindPrepare(f *testing.F) {
 		"!HPF$ PROCESSORS :: PROCS(NP)\n!HPF$ DISTRIBUTE p(BLOCK)\n!HPF$ SPARSE_MATRIX (CSC) :: smA(colptr, rowidx, a)\n!EXT$ ITERATION j ON PROCESSOR(j/np), &\n!EXT$ PRIVATE(q(n)) WITH DISCARD\n",
 	} {
 		f.Add(src, uint8(i+5))
+	}
+	for _, c := range refusals {
+		f.Add(c.src, uint8(3))
 	}
 	A := sparse.Laplace2D(4, 4)
 	b := sparse.RandomVector(A.NRows, 1)

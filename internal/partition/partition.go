@@ -1,10 +1,10 @@
 // Package partition implements the data-mapping machinery of §5.2 of
 // the paper: indivisible entities ("atoms") within larger arrays, the
-// proposed ATOM:BLOCK / ATOM:CYCLIC redistributions that never split a
-// sparse row or column across processors, and the load-balancing
-// partitioners (the paper's CG_BALANCED_PARTITIONER_1) that place
-// whole rows/columns so the per-processor nonzero counts are as even
-// as possible.
+// proposed ATOM:BLOCK redistribution that never splits a sparse row or
+// column across processors (ATOM:CYCLIC has no executor: hpf refuses
+// it), and the load-balancing partitioners (the paper's
+// CG_BALANCED_PARTITIONER_1) that place whole rows/columns so the
+// per-processor nonzero counts are as even as possible.
 //
 // An atom i of the data array a is the chunk a[Bounds[i]:Bounds[i+1]]
 // "enclosed within two border elements" of an indirection array — for

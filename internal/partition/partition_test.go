@@ -243,76 +243,6 @@ func TestPartitionValidation(t *testing.T) {
 	}
 }
 
-func TestAtomCyclicRoundTrip(t *testing.T) {
-	// Atoms of varying sizes incl. an empty one.
-	a := AtomsFromPtr([]int{0, 3, 3, 7, 9, 14, 15})
-	for _, np := range []int{1, 2, 3, 4} {
-		ac := NewAtomCyclic(a, np)
-		if ac.N() != a.NElems() || ac.NP() != np {
-			t.Fatalf("np=%d: shape %d/%d", np, ac.N(), ac.NP())
-		}
-		if ac.Name() != "ATOM:CYCLIC" {
-			t.Errorf("name %q", ac.Name())
-		}
-		total := 0
-		for r := 0; r < np; r++ {
-			total += ac.Count(r)
-		}
-		if total != a.NElems() {
-			t.Fatalf("np=%d: counts sum %d != %d", np, total, a.NElems())
-		}
-		seen := map[[2]int]bool{}
-		for g := 0; g < ac.N(); g++ {
-			r, off := ac.Local(g)
-			if r != ac.Owner(g) {
-				t.Fatalf("np=%d: Local(%d) proc %d != Owner %d", np, g, r, ac.Owner(g))
-			}
-			if off < 0 || off >= ac.Count(r) {
-				t.Fatalf("np=%d: Local(%d) offset %d out of range", np, g, off)
-			}
-			if back := ac.Global(r, off); back != g {
-				t.Fatalf("np=%d: Global(Local(%d)) = %d", np, g, back)
-			}
-			key := [2]int{r, off}
-			if seen[key] {
-				t.Fatalf("np=%d: duplicate slot %v", np, key)
-			}
-			seen[key] = true
-		}
-	}
-}
-
-func TestAtomCyclicNeverSplitsAtoms(t *testing.T) {
-	m := sparse.PowerLaw(150, 1.1, 40, 4)
-	a := AtomsFromPtr(m.RowPtr)
-	ac := NewAtomCyclic(a, 4)
-	for i := 0; i < a.NAtoms(); i++ {
-		lo, hi := a.Bounds[i], a.Bounds[i+1]
-		if hi == lo {
-			continue
-		}
-		owner := ac.Owner(lo)
-		if owner != i%4 {
-			t.Fatalf("atom %d on proc %d, want %d", i, owner, i%4)
-		}
-		for e := lo; e < hi; e++ {
-			if ac.Owner(e) != owner {
-				t.Fatalf("atom %d split", i)
-			}
-		}
-	}
-}
-
-func TestAtomCyclicValidation(t *testing.T) {
-	a := AtomsFromPtr([]int{0, 2})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("np=0 should panic")
-		}
-	}()
-	NewAtomCyclic(a, 0)
-}
-
 // TestMoreProcessorsThanRows: np > nAtoms leaves processors empty but
 // every partitioner must still produce valid monotone cuts covering
 // all atoms, and the distributions must round-trip.
@@ -365,40 +295,5 @@ func TestSingleRowMatrix(t *testing.T) {
 		if Bottleneck(a.Weights(), cuts) != 5 {
 			t.Errorf("np=%d: bottleneck != 5", np)
 		}
-	}
-}
-
-// TestAtomCyclicUnevenAtoms: nAtoms not a multiple of np — the last
-// deal round is short, so counts differ by one atom's weight and the
-// round-trip must still be exact.
-func TestAtomCyclicUnevenAtoms(t *testing.T) {
-	// 7 atoms over np=3: procs own {0,3,6}, {1,4}, {2,5}.
-	a := AtomsFromPtr([]int{0, 2, 5, 6, 10, 11, 14, 15})
-	ac := NewAtomCyclic(a, 3)
-	wantCounts := []int{2 + 4 + 1, 3 + 1, 1 + 3}
-	for r, want := range wantCounts {
-		if got := ac.Count(r); got != want {
-			t.Errorf("proc %d: count %d, want %d", r, got, want)
-		}
-	}
-	for g := 0; g < ac.N(); g++ {
-		r, off := ac.Local(g)
-		if back := ac.Global(r, off); back != g {
-			t.Fatalf("Global(Local(%d)) = %d", g, back)
-		}
-	}
-	// np > nAtoms: trailing processors own nothing.
-	wide := NewAtomCyclic(a, 10)
-	for r := 7; r < 10; r++ {
-		if wide.Count(r) != 0 {
-			t.Errorf("proc %d: count %d, want 0 (no atom dealt)", r, wide.Count(r))
-		}
-	}
-	total := 0
-	for r := 0; r < 10; r++ {
-		total += wide.Count(r)
-	}
-	if total != a.NElems() {
-		t.Errorf("np=10: counts sum %d != %d", total, a.NElems())
 	}
 }
