@@ -98,11 +98,12 @@ golden:
 # of which exits non-zero when its own check fails (heat and laplace2d
 # under both operator backends), two experiments (one on a ring with
 # another seed, one under an injected straggler), and three traced
-# experiments (one of them E17, whose machines change a
-# cost constant per row; one on a ring under a straggler with a chosen
-# detail run and timeline width). The Matrix Market file (the 4 x 4 1-D
-# Laplacian, stored symmetric) and the two directive files are written
-# into SMOKE_DIR first, not committed.
+# experiments that write their trace.json files into SMOKE_DIR/traces:
+# E7, which builds no machine and so traces none; E17, whose machines
+# change a cost constant per row; and E2 on a ring at another seed under
+# a straggler. The Matrix Market file (the 4 x 4 1-D Laplacian, stored
+# symmetric) and the two directive files are written into SMOKE_DIR
+# first, not committed.
 SMOKE_DIR = .smoke
 smoke:
 	mkdir -p $(SMOKE_DIR)
@@ -139,9 +140,8 @@ smoke:
 	$(GO) run ./examples/laplace2d -backend assembled > /dev/null
 	$(GO) run ./cmd/cgbench -quick -exp E1 -topology ring -seed 7 > /dev/null
 	$(GO) run ./cmd/cgbench -quick -exp E2 -fault "straggle:rank=1,x=4" > /dev/null
-	$(GO) run ./cmd/hpftrace -exp E2 -quick -o '' > /dev/null
-	$(GO) run ./cmd/hpftrace -exp E17 -quick -o '' -notables -notimeline -nomatrix > /dev/null
-	$(GO) run ./cmd/hpftrace -exp E2 -quick -o '' -topology ring -seed 7 -run 0 -width 60 -fault "straggle:rank=1,x=4" > /dev/null
+	$(GO) run ./cmd/cgbench -quick -exp E7,E17 -trace $(SMOKE_DIR)/traces > /dev/null
+	$(GO) run ./cmd/cgbench -quick -exp E2 -topology ring -seed 7 -fault "straggle:rank=1,x=4" -trace $(SMOKE_DIR)/traces > /dev/null
 
 
 # Non-test, non-blank, non-comment lines: internal/hpfexec +

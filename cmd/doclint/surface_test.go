@@ -72,6 +72,7 @@ var ledger = map[string]string{
 	"cmd/cgbench -topology": "Makefile: cmd/cgbench -quick -exp E1 -topology ring",
 	"cmd/cgbench -seed":     "Makefile: cmd/cgbench -quick -exp E1 -topology ring -seed 7",
 	"cmd/cgbench -fault":    `Makefile: cmd/cgbench -quick -exp E2 -fault "straggle:rank=1,x=4"`,
+	"cmd/cgbench -trace":    "Makefile: -trace $(SMOKE_DIR)/traces",
 
 	"cmd/hpfrun -np":         "Makefile: cmd/hpfrun -np 4",
 	"cmd/hpfrun -problem":    "Makefile: cmd/hpfrun -np 4 -problem banded:256:4",
@@ -99,18 +100,6 @@ var ledger = map[string]string{
 	"cmd/hpfserve -name":           "deployment: a shard's cluster-unique name",
 	"cmd/hpfserve -advertise":      "deployment: the URL other hosts reach a shard at",
 	"cmd/hpfserve -cluster-smoke":  "Makefile: cmd/hpfserve -cluster-smoke",
-
-	"cmd/hpftrace -exp":        "Makefile: cmd/hpftrace -exp E2",
-	"cmd/hpftrace -quick":      "Makefile: cmd/hpftrace -exp E2 -quick",
-	"cmd/hpftrace -topology":   "Makefile: -o '' -topology ring",
-	"cmd/hpftrace -seed":       "Makefile: -o '' -topology ring -seed 7",
-	"cmd/hpftrace -o":          "Makefile: cmd/hpftrace -exp E2 -quick -o ''",
-	"cmd/hpftrace -run":        "Makefile: -seed 7 -run 0",
-	"cmd/hpftrace -width":      "Makefile: -run 0 -width 60",
-	"cmd/hpftrace -notimeline": "Makefile: -notables -notimeline",
-	"cmd/hpftrace -nomatrix":   "Makefile: -notimeline -nomatrix",
-	"cmd/hpftrace -notables":   "Makefile: -o '' -notables",
-	"cmd/hpftrace -fault":      `Makefile: -width 60 -fault "straggle:rank=1,x=4"`,
 
 	"examples/heat -backend":      "Makefile: examples/heat -backend mfree",
 	"examples/laplace2d -backend": "Makefile: examples/laplace2d -backend assembled",

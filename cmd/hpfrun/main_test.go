@@ -140,7 +140,7 @@ func TestReportsResolvedVariant(t *testing.T) {
 	for args, want := range map[string]struct{ line, strategy string }{
 		"-np 8 -problem laplace2d:32:32 -variant auto":   {"overlap:  reductions=118 hidden=", "/ pipelined"},
 		"-np 1 -problem laplace2d:32:32 -variant auto":   {"sstep:    s=1 (requested auto) guard_trips=0", "/ local(ghost)"},
-		"-np 4 -problem banded:256:4 -variant sstep:4":   {"sstep:    s=4 (requested sstep:4) guard_trips=", "/ s-step(s=4)"},
+		"-np 4 -problem banded:256:4 -variant sstep:4":   {"sstep:    s=4 (requested sstep:4) guard_trips=", "/ sstep:4"},
 		"-np 4 -problem stencil:5pt:48x48 -variant auto": {"overlap:  reductions=", "/ pipelined"},
 		"-np 1 -problem stencil:5pt:48x48 -variant auto": {"sstep:    s=1 (requested auto) guard_trips=0", "/ mfree(geometric-halo)"},
 	} {

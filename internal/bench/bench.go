@@ -36,8 +36,9 @@ type Config struct {
 	Seed int64
 	// Tracer, when non-nil, is attached to every machine the
 	// experiment builds: each run deposits a trace.Recorder on it, so
-	// any experiment gains event-level drill-down (see cmd/hpftrace)
-	// without the runner knowing about tracing.
+	// any experiment gains event-level drill-down (`cgbench -trace`)
+	// without the runner knowing about tracing, and its tables are the
+	// same bytes as without one (TestTracerReachesEveryMachine).
 	Tracer *trace.Tracer
 	// Injector, when non-nil, is attached to every machine the
 	// experiment builds (cmd/cgbench's -fault flag): the same

@@ -220,18 +220,23 @@ var machineFree = map[string]bool{"E7": true, "E9": true, "E12": true}
 
 // Config.Tracer reaches every machine an experiment builds: each
 // machine-building experiment deposits at least one recorder, so
-// cmd/hpftrace can drill into any of them, and the exempt ones none.
+// `cgbench -trace` can drill into any of them, and the exempt ones
+// none. Tracing changes no table: the traced rendering is byte-equal
+// to the untraced one.
 func TestTracerReachesEveryMachine(t *testing.T) {
 	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
-			cfg := quickCfg()
-			cfg.Tracer = &trace.Tracer{}
-			r, err := Get(id)
-			if err != nil {
+			var plain, traced bytes.Buffer
+			if err := RunAndRender(&plain, id, quickCfg()); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := r(cfg); err != nil {
+			cfg := quickCfg()
+			cfg.Tracer = &trace.Tracer{}
+			if err := RunAndRender(&traced, id, cfg); err != nil {
 				t.Fatal(err)
+			}
+			if !bytes.Equal(traced.Bytes(), plain.Bytes()) {
+				t.Errorf("tables differ under a tracer at %s", firstDiff(traced.Bytes(), plain.Bytes()))
 			}
 			got := len(cfg.Tracer.Runs())
 			if machineFree[id] && got != 0 {

@@ -85,6 +85,19 @@ func Bind(prog *Program, np int, sizes map[string]int, extra map[string]int) (*P
 	}
 	var aligns []alignEdge
 
+	// A name is mapped once by each kind of directive (DISTRIBUTE and
+	// ALIGN together): a second such line is refused, never a
+	// replacement of the first.
+	firstLine := map[[2]string]int{}
+	once := func(kind, name string, line int) error {
+		key := [2]string{kind, name}
+		if first, dup := firstLine[key]; dup {
+			return fmt.Errorf("hpf: line %d: a second mapping of %s (first mapped at line %d)", line, name, first)
+		}
+		firstLine[key] = line
+		return nil
+	}
+
 	for _, d := range prog.Directives {
 		switch d := d.(type) {
 		case Processors:
@@ -97,6 +110,9 @@ func Bind(prog *Program, np int, sizes map[string]int, extra map[string]int) (*P
 			}
 			pl.ProcName = d.Name
 		case Distribute:
+			if err := once("DISTRIBUTE", d.Array, d.Line()); err != nil {
+				return nil, err
+			}
 			n, err := sizeOf(d.Array)
 			if err != nil {
 				return nil, fmt.Errorf("hpf: line %d: %w", d.Line(), err)
@@ -107,21 +123,34 @@ func Bind(prog *Program, np int, sizes map[string]int, extra map[string]int) (*P
 			}
 			pl.Arrays[d.Array] = &ArrayPlan{Name: d.Array, Size: n, Dist: dd, Dynamic: d.Dynamic, Line: d.Line()}
 		case Align:
+			srcs := d.Extra
 			if d.Source != "" {
-				aligns = append(aligns, alignEdge{d.Source, d.Target, d.Dynamic, d.Line()})
+				srcs = append([]string{d.Source}, d.Extra...)
 			}
-			for _, e := range d.Extra {
-				aligns = append(aligns, alignEdge{e, d.Target, d.Dynamic, d.Line()})
+			for _, src := range srcs {
+				if err := once("DISTRIBUTE", src, d.Line()); err != nil {
+					return nil, err
+				}
+				aligns = append(aligns, alignEdge{src, d.Target, d.Dynamic, d.Line()})
 			}
 		case Redistribute:
+			if err := once("REDISTRIBUTE", d.Array, d.Line()); err != nil {
+				return nil, err
+			}
 			if d.Partitioner != "" {
 				pl.Partitioners[d.Array] = d.Partitioner
 			} else {
 				pl.AtomRedist[d.Array] = d
 			}
 		case Indivisable:
+			if err := once("INDIVISABLE", d.Data, d.Line()); err != nil {
+				return nil, err
+			}
 			pl.AtomsOf[d.Data] = d
 		case SparseMatrix:
+			if err := once("SPARSE_MATRIX", d.Name, d.Line()); err != nil {
+				return nil, err
+			}
 			pl.Sparse[d.Name] = d
 		case Iteration:
 			pl.Iterations = append(pl.Iterations, d)

@@ -1,6 +1,7 @@
 package hpf
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -497,6 +498,34 @@ func TestAlignChains(t *testing.T) {
 	}
 	if !dist.Same(pl.Arrays["b"].Dist, pl.Arrays["p"].Dist) {
 		t.Error("chained alignment distribution mismatch")
+	}
+}
+
+// TestBindRefusesSecondMapping: a second DISTRIBUTE or ALIGN of one
+// array, a second REDISTRIBUTE of it (by pattern or by partitioner), a
+// second INDIVISABLE of it or a second SPARSE_MATRIX of one name is
+// refused with both lines, never a silent replacement of the first.
+func TestBindRefusesSecondMapping(t *testing.T) {
+	const procs = "!HPF$ PROCESSORS :: PROCS(NP)\n"
+	sizes := map[string]int{"p": 10, "q": 10, "x": 10, "row": 11, "col": 30, "a": 30, "colptr": 11, "rowidx": 30}
+	for _, c := range []struct {
+		name, src   string
+		line, first int
+	}{
+		{"DISTRIBUTE twice", procs + "!HPF$ DISTRIBUTE p(CYCLIC)\n!HPF$ DISTRIBUTE p(BLOCK)\n", 3, 2},
+		{"ATOM: CYCLIC then ATOM: BLOCK", procs + "!HPF$ DISTRIBUTE p(BLOCK)\n!EXT$ REDISTRIBUTE rowidx(ATOM: CYCLIC)\n!EXT$ REDISTRIBUTE rowidx(ATOM: BLOCK)\n", 4, 3},
+		{"pattern then partitioner", procs + "!EXT$ REDISTRIBUTE smA(ATOM: BLOCK)\n!EXT$ REDISTRIBUTE smA USING CG_BALANCED_PARTITIONER_1\n", 3, 2},
+		{"ALIGN of a distributed array", procs + "!HPF$ DISTRIBUTE p(BLOCK)\n!HPF$ DISTRIBUTE x(CYCLIC)\n!HPF$ ALIGN x(:) WITH p(:)\n", 4, 3},
+		{"DISTRIBUTE of an aligned array", procs + "!HPF$ ALIGN (:) WITH p(:) :: q, x\n!HPF$ DISTRIBUTE p(BLOCK)\n!HPF$ DISTRIBUTE x(CYCLIC)\n", 4, 2},
+		{"ALIGN twice", procs + "!HPF$ DISTRIBUTE p(BLOCK)\n!HPF$ DISTRIBUTE q(BLOCK)\n!HPF$ ALIGN x(:) WITH p(:)\n!HPF$ ALIGN x(:) WITH q(:)\n", 5, 4},
+		{"INDIVISABLE twice", procs + "!EXT$ INDIVISABLE a(ATOM:i) :: row(i:i+1)\n!EXT$ INDIVISABLE a(ATOM:i) :: colptr(i:i+1)\n", 3, 2},
+		{"SPARSE_MATRIX twice", procs + "!HPF$ SPARSE_MATRIX (CSR) :: smA(row, col, a)\n!HPF$ SPARSE_MATRIX (CSC) :: smA(colptr, rowidx, a)\n", 3, 2},
+	} {
+		_, err := Bind(MustParse(c.src), 4, sizes, nil)
+		prefix, suffix := fmt.Sprintf("hpf: line %d: ", c.line), fmt.Sprintf("(first mapped at line %d)", c.first)
+		if err == nil || !strings.HasPrefix(err.Error(), prefix) || !strings.HasSuffix(err.Error(), suffix) {
+			t.Errorf("%s: err = %v, want %q…%q", c.name, err, prefix, suffix)
+		}
 	}
 }
 

@@ -32,6 +32,9 @@ var refusals = []struct {
 	{"map divides by zero", cscHead + "!EXT$ ITERATION j ON PROCESSOR(j/0), PRIVATE(q(n)) WITH MERGE(+)\n", 4, false},
 	{"ATOM: CYCLIC", cscHead + "!EXT$ ITERATION j ON PROCESSOR(" + blockMap + "), PRIVATE(q(n)) WITH MERGE(+)\n!EXT$ REDISTRIBUTE a(ATOM: CYCLIC)\n", 5, false},
 	{"second vector mapping", "!HPF$ PROCESSORS :: PROCS(NP)\n!HPF$ DISTRIBUTE p(BLOCK)\n!HPF$ DISTRIBUTE x(CYCLIC)\n!HPF$ SPARSE_MATRIX (CSR) :: smA(row, col, a)\n", 3, false},
+	{"CYCLIC vector mapping first", "!HPF$ PROCESSORS :: PROCS(NP)\n!HPF$ DISTRIBUTE x(CYCLIC)\n!HPF$ DISTRIBUTE p(BLOCK)\n!HPF$ SPARSE_MATRIX (CSR) :: smA(row, col, a)\n", 2, false},
+	{"b CYCLIC beside p BLOCK", "!HPF$ PROCESSORS :: PROCS(NP)\n!HPF$ DISTRIBUTE p(BLOCK)\n!HPF$ DISTRIBUTE b(CYCLIC)\n!HPF$ SPARSE_MATRIX (CSR) :: smA(row, col, a)\n", 3, false},
+	{"b CYCLIC before p BLOCK", "!HPF$ PROCESSORS :: PROCS(NP)\n!HPF$ DISTRIBUTE b(CYCLIC)\n!HPF$ DISTRIBUTE p(BLOCK)\n!HPF$ SPARSE_MATRIX (CSR) :: smA(row, col, a)\n", 2, false},
 	{"ITERATION in CSR", csrHead + "!EXT$ ITERATION i ON PROCESSOR(i*np/n)\n", 4, false},
 	{"second ITERATION", cscHead + "!EXT$ ITERATION j ON PROCESSOR(" + blockMap + "), PRIVATE(q(n)) WITH MERGE(+)\n!EXT$ ITERATION j ON PROCESSOR(" + blockMap + ")\n", 5, false},
 	{"floor map when np does not divide n", cscHead + "!EXT$ ITERATION j ON PROCESSOR(j*np/n), PRIVATE(q(n)) WITH MERGE(+)\n", 4, false},
@@ -41,6 +44,29 @@ var refusals = []struct {
 	{"ATOM: BLOCK(k)", csrHead + "!EXT$ INDIVISABLE a(ATOM:i) :: row(i:i+1)\n!EXT$ REDISTRIBUTE a(ATOM: BLOCK(3))\n", 5, false},
 	{"ATOM: BLOCK without INDIVISABLE", csrHead + "!EXT$ REDISTRIBUTE a(ATOM: BLOCK)\n", 4, false},
 	{"ATOM: BLOCK under a partitioner", csrHead + "!EXT$ INDIVISABLE a(ATOM:i) :: row(i:i+1)\n!EXT$ REDISTRIBUTE a(ATOM: BLOCK)\n!EXT$ REDISTRIBUTE smA USING CG_BALANCED_PARTITIONER_1\n", 5, true},
+}
+
+// bindRefusals map one array twice, each with the line BindProgram
+// must name and the line of the first mapping: the two programs whose
+// second line used to replace the first.
+var bindRefusals = []struct {
+	name, src   string
+	line, first int
+}{
+	{"ATOM: CYCLIC then ATOM: BLOCK", layoutPrograms["csc-merge"] + "!EXT$ REDISTRIBUTE rowidx(ATOM: CYCLIC)\n!EXT$ REDISTRIBUTE rowidx(ATOM: BLOCK)\n", 7, 6},
+	{"DISTRIBUTE p twice", "!HPF$ PROCESSORS :: PROCS(NP)\n!HPF$ DISTRIBUTE p(CYCLIC)\n!HPF$ DISTRIBUTE p(BLOCK)\n!HPF$ SPARSE_MATRIX (CSR) :: smA(row, col, a)\n", 3, 2},
+}
+
+// TestBindRefusesSecondMapping: each program is refused at bind with
+// both lines, before Prepare sees a plan without its first mapping.
+func TestBindRefusesSecondMapping(t *testing.T) {
+	for _, c := range bindRefusals {
+		_, err := BindProgram(c.src, 4, 10, 28)
+		prefix, suffix := fmt.Sprintf("hpf: line %d: ", c.line), fmt.Sprintf("(first mapped at line %d)", c.first)
+		if err == nil || !strings.HasPrefix(err.Error(), prefix) || !strings.HasSuffix(err.Error(), suffix) {
+			t.Errorf("%s: BindProgram err = %v, want %q…%q", c.name, err, prefix, suffix)
+		}
+	}
 }
 
 // TestPrepareRefusesUnrunDirectives: each program binds, and Prepare

@@ -30,7 +30,7 @@ package hpfexec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"hpfcg/internal/comm"
 	"hpfcg/internal/core"
@@ -53,17 +53,15 @@ type Strategy struct {
 	Levels int
 }
 
-// String renders the strategy for logs.
+// String renders the strategy for logs: scenario / mode, then
+// "balanced" and any variant but plain in its ParseVariant spelling.
 func (s Strategy) String() string {
 	out := s.Scenario + " / " + s.Mode
 	if s.Balanced {
 		out += " / balanced"
 	}
-	switch s.Variant.Kind() {
-	case "sstep":
-		out += fmt.Sprintf(" / s-step(s=%d)", s.Variant.s)
-	case "pipelined", "pcg", "bicg", "cgs", "bicgstab":
-		out += " / " + s.Variant.Kind()
+	if v := s.Variant.String(); v != "plain" {
+		out += " / " + v
 	}
 	return out
 }
@@ -163,15 +161,16 @@ func analyzeCG(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR) (*matrixBackend, 
 	}
 
 	// The vector distribution: the ultimate alignment target among the
-	// n-sized arrays (the paper's p), or any directly distributed
-	// n-sized array.
-	vecPlan, err := vectorRoot(plan, n)
+	// n-sized arrays (the paper's p), or the earliest directly
+	// distributed one.
+	vecPlan, err := vectorRoot(plan, sm, n)
 	if err != nil {
 		return fail(err)
 	}
 	d, ok := vecPlan.Dist.(dist.Contiguous)
 	if !ok {
-		return fail(fmt.Errorf("hpfexec: vector distribution %s is not contiguous; the mat-vec scenarios need BLOCK-like mappings", vecPlan.Dist.Name()))
+		return fail(fmt.Errorf("hpf: line %d: the vectors' mapping %s(%s) is not contiguous; the mat-vec scenarios need BLOCK-like mappings",
+			vecPlan.Line, vecPlan.Name, vecPlan.Dist.Name()))
 	}
 
 	strategy := Strategy{}
@@ -226,34 +225,28 @@ func analyzeCG(m *comm.Machine, plan *hpf.Plan, A *sparse.CSR) (*matrixBackend, 
 	return &matrixBackend{A: A, csc: csc, format: sm.Format, hasMerge: hasMerge, d: d}, strategy, nil
 }
 
-// vectorRoot finds the array plan that plays the role of p in
-// Figure 2: an n-sized array that others align to, falling back to any
-// directly distributed n-sized array.
-func vectorRoot(plan *hpf.Plan, n int) (*hpf.ArrayPlan, error) {
-	targets := map[string]bool{}
-	names := make([]string, 0, len(plan.Arrays))
+// vectorRoot finds the array plan that plays the role of p in Figure
+// 2, among the n-sized arrays outside sm's trio: the target the others
+// ALIGN to or, with no ALIGN, the array on the earliest directly
+// distributing line (of several targets, the earliest too).
+// CheckExecution refuses every other n-sized array mapped otherwise.
+func vectorRoot(plan *hpf.Plan, sm hpf.SparseMatrix, n int) (*hpf.ArrayPlan, error) {
+	var root *hpf.ArrayPlan
+	rootIsTarget := false
 	for name, a := range plan.Arrays {
-		names = append(names, name)
-		if a.AlignedTo != "" {
-			targets[a.AlignedTo] = true
-		}
-	}
-	sort.Strings(names) // deterministic fallback choice
-	var fallback *hpf.ArrayPlan
-	for _, name := range names {
-		a := plan.Arrays[name]
-		if a.Size != n || a.AlignedTo != "" {
+		if a.Size != n || slices.Contains(sm.Arrays[:], name) {
 			continue
 		}
-		if targets[name] {
-			return a, nil
+		cand, isTarget := a, a.AlignedTo != ""
+		if isTarget {
+			cand = plan.Arrays[a.AlignedTo]
 		}
-		if fallback == nil {
-			fallback = a
+		if root == nil || isTarget && !rootIsTarget || isTarget == rootIsTarget && cand.Line < root.Line {
+			root, rootIsTarget = cand, isTarget
 		}
 	}
-	if fallback != nil {
-		return fallback, nil
+	if root == nil {
+		return nil, fmt.Errorf("hpfexec: no distributed array of the vector size %d in the plan", n)
 	}
-	return nil, fmt.Errorf("hpfexec: no distributed array of the vector size %d in the plan", n)
+	return root, nil
 }

@@ -304,8 +304,8 @@ func TestSolveCGTimeoutCompletes(t *testing.T) {
 // the parser: any directive text is bound against laplace2d:4:4 on 1 to
 // 8 processors, prepared, and solved once under a 40-iteration cap. Each
 // step returns an error or a result; none panics or hangs. The seeds
-// include every program TestPrepareRefusesUnrunDirectives refuses, at
-// np 4.
+// include every program TestPrepareRefusesUnrunDirectives and
+// TestBindRefusesSecondMapping refuse, at np 4.
 func FuzzBindPrepare(f *testing.F) {
 	for i, name := range Layouts() {
 		f.Add(layoutPrograms[name], uint8(i))
@@ -321,6 +321,9 @@ func FuzzBindPrepare(f *testing.F) {
 		f.Add(src, uint8(i+5))
 	}
 	for _, c := range refusals {
+		f.Add(c.src, uint8(3))
+	}
+	for _, c := range bindRefusals {
 		f.Add(c.src, uint8(3))
 	}
 	A := sparse.Laplace2D(4, 4)

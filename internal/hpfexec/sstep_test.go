@@ -94,7 +94,7 @@ func TestSolveCGSStepReducesRounds(t *testing.T) {
 		if st.Reductions != want {
 			t.Fatalf("%s: %d reductions for %d iterations, want %d", layout, st.Reductions, st.Iterations, want)
 		}
-		if !strings.Contains(res.Strategy.String(), "s-step(s=4)") {
+		if !strings.HasSuffix(res.Strategy.String(), " / sstep:4") {
 			t.Fatalf("%s: strategy string %q lacks the s-step marker", layout, res.Strategy)
 		}
 	}

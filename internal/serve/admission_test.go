@@ -145,7 +145,7 @@ func TestServedVariantAdmissionPinned(t *testing.T) {
 					}
 					r := v.Result
 					rec := "plain"
-					switch m := regexp.MustCompile(`s-step\(s=(\d+)\)`).FindStringSubmatch(r.Strategy); {
+					switch m := regexp.MustCompile(` / sstep:(\d+)$`).FindStringSubmatch(r.Strategy); {
 					case r.Attempts > 0:
 						rec = "resilient"
 					case r.Pipelined:
