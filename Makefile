@@ -168,11 +168,14 @@ loc:
 # of solve_mfree and serve_hot at np 2, 4, 8 over 1 and 2 vectors (ns/op,
 # zero allocs), the same executor run in reverse — the csc-merge merge —
 # on the halos of serve_hot's csc-merge matrix and solve_csr's at np 2,
-# 4, 8 (ns/op, zero allocs), CG's local vector updates and dot partials
-# at a served job's block and a large one (ns/element, zero allocs), the
-# CSR halo and broadcast executors and the two CSC merges at
-# solve_csr's matrix and an out-of-cache one (ns/nnz, GFLOP/s, zero
-# allocs), the matrix-free apply kernels (ns/point, GFLOP/s, zero
+# 4, 8 (ns/op, zero allocs), the inspector that builds those schedules
+# on solve_csr's matrix and a serve_cold upload (ns/op, allocs), CG's
+# local vector updates and dot partials at a served job's block and a
+# large one (ns/element, zero allocs), the CSR halo and broadcast
+# executors and the two CSC merges at solve_csr's matrix and an
+# out-of-cache one (ns/nnz, GFLOP/s, zero allocs), the s-step pricing
+# walk (spmv.PowersStats, every depth to 8) at serve_cold's upload shape
+# (ns/op, a constant handful of allocs), the matrix-free apply kernels (ns/point, GFLOP/s, zero
 # allocs), the multigrid smoother, residual and V-cycle at
 # solve_hpcg's shape (ns/point-pass, GFLOP/s over charged flops, zero
 # allocs) and the Matrix Market reader and COO-to-CSR conversion at serve_cold's upload

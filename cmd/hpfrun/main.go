@@ -17,7 +17,8 @@
 // grammar), plain CG by default; a matrix problem also takes the §2.1
 // methods (pcg, bicg, cgs, bicgstab), and a matrix or stencil problem
 // auto, the cost model's cheapest variant. The sstep: and overlap:
-// lines report the variant that ran, which auto resolves.
+// lines report the variant that ran, which auto resolves, and an auto
+// run's frontier: line every row it chose among, with its price.
 //
 // Examples:
 //
@@ -164,6 +165,21 @@ func main() {
 	case ran.Kind() == "sstep" || variant == hpfexec.Auto():
 		fmt.Printf("sstep:    s=%d (requested %s) guard_trips=%d\n",
 			ran.Factor(), variant, res.Stats.Replacements)
+	}
+	// Why auto chose: every row the cost model priced, in modeled
+	// seconds per iteration, the one that ran marked with *.
+	if variant == hpfexec.Auto() {
+		if rows := pr.Frontier(); len(rows) > 0 {
+			fmt.Print("frontier:")
+			for _, row := range rows {
+				mark := ""
+				if row.Variant == res.Strategy.Variant {
+					mark = "*"
+				}
+				fmt.Printf(" %s=%.6g%s", row.Variant, row.Price(), mark)
+			}
+			fmt.Println(" s/it")
+		}
 	}
 	fmt.Printf("problem:  %s n=%d np=%d\n", name, pr.N(), m.NP())
 	if plan != nil {

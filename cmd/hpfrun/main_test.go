@@ -154,8 +154,41 @@ func TestReportsResolvedVariant(t *testing.T) {
 			t.Errorf("%s: stdout %q, want first line %q and a strategy ending %q", args, out, want.line, want.strategy)
 		}
 		if pipelined := want.strategy == "/ pipelined"; pipelined != strings.HasSuffix(first, " (requested auto)") ||
-			pipelined == strings.Contains(out, "sstep:") {
+			pipelined == strings.Contains("\n"+out, "\nsstep:") {
 			t.Errorf("%s: stdout %q, want the request on the overlap line alone", args, out)
+		}
+	}
+}
+
+// TestAutoReportsFrontier: an auto solve prints, as its second line,
+// why it chose: every row of the cost model's frontier with its price
+// in modeled s/it, the variant that ran marked with * — pipelined of
+// plain, s-step 2, 4, 8 and pipelined on laplace2d:32:32 at np 8, and
+// plain of a stencil's two rows at np 1. A fixed variant, and auto on a
+// layout the cost model does not price (csc-merge, where auto is
+// plain), print no frontier line.
+func TestAutoReportsFrontier(t *testing.T) {
+	reenter()
+	for args, want := range map[string]string{
+		"-np 8 -problem laplace2d:32:32 -variant auto":                 "frontier: plain=0.00016528 sstep:2=0.000112135 sstep:4=0.000120693 sstep:8=0.000170271 pipelined=8.33e-05* s/it",
+		"-np 1 -problem stencil:5pt:48x48 -variant auto":               "frontier: plain=0.00045696* pipelined=0.000604841 s/it",
+		"-np 8 -problem laplace2d:32:32 -variant pipelined":            "",
+		"-np 4 -problem laplace2d:32:32 -demo csc-merge -variant auto": "",
+	} {
+		out, stderr, code := run(t, "TestAutoReportsFrontier", args)
+		if code != 0 || stderr != "" {
+			t.Fatalf("%s: exit status %d stderr %q, want 0 and no stderr", args, code, stderr)
+		}
+		lines := strings.Split(out, "\n")
+		if len(lines) < 2 {
+			t.Fatalf("%s: stdout %q, want at least two lines", args, out)
+		}
+		if want == "" {
+			if strings.Contains(out, "frontier:") {
+				t.Errorf("%s: stdout %q, want no frontier line", args, out)
+			}
+		} else if lines[1] != want {
+			t.Errorf("%s: second line %q, want %q", args, lines[1], want)
 		}
 	}
 }

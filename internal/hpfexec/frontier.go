@@ -4,9 +4,11 @@
 // Auto — the served default — over every row. The backend prices
 // itself (Prepared.Frontier): the assembled CSR matrix from
 // spmv.PowersStats — the exact per-rank reachability closure the
-// kernels sweep — and the matrix-free stencil from its brick
-// (mfree.Spec.Shape), which equals PowersStats on the assembled twin.
-// So the selector and the executors price the same work.
+// kernels sweep, one count-only walk per rank to the deepest candidate
+// pricing every depth at once, so a cold auto job's pricing costs a
+// small share of its solve — and the matrix-free stencil from its
+// brick (mfree.Spec.Shape), which equals PowersStats on the assembled
+// twin. So the selector and the executors price the same work.
 //
 // Plain CG pays two one-word allreduce rounds and one halo exchange per
 // iteration. The s-step variant amortizes the latency: one
@@ -24,6 +26,7 @@ package hpfexec
 
 import (
 	"math"
+	"slices"
 
 	"hpfcg/internal/comm"
 	"hpfcg/internal/spmv"
@@ -64,8 +67,8 @@ type FrontierRow struct {
 	// pipelined row.
 	HiddenTime float64
 	// BlockEntries is the max per-rank matrix entries one sweep of the
-	// row's closure visits (spmv.PowersStats at depth s; depth 1 for
-	// plain and pipelined); Ghosts the halo width it fetches.
+	// row's closure visits (spmv.PowersStats's depth-s entry; depth 1
+	// for plain and pipelined); Ghosts the halo width it fetches.
 	BlockEntries int
 	Ghosts       int
 }
@@ -125,8 +128,9 @@ func cgRows(m *comm.Machine, entries, ghosts, nloc int, floor float64) (plain, p
 }
 
 // frontier prices the CSR layouts: plain, each s-step candidate and
-// pipelined, from the matrix's own powers closure. The matrix knows no
-// iteration floor, so no row carries an overhead.
+// pipelined, from the matrix's own powers closure, walked once to the
+// deepest candidate. The matrix knows no iteration floor, so no row
+// carries an overhead.
 func (mb *matrixBackend) frontier(m *comm.Machine) []FrontierRow {
 	if mb.format != BackendCSR {
 		return nil
@@ -137,32 +141,31 @@ func (mb *matrixBackend) frontier(m *comm.Machine) []FrontierRow {
 	for r := 0; r < np; r++ {
 		nloc = max(nloc, mb.d.Count(r))
 	}
-	entries, ghosts := spmv.PowersStats(mb.A, mb.d, np, 1)
-	plain, pipelined := cgRows(m, entries, ghosts, nloc, math.Inf(1))
+	entries, ghosts := spmv.PowersStats(mb.A, mb.d, np, slices.Max(SStepCandidates))
+	plain, pipelined := cgRows(m, entries[1], ghosts[1], nloc, math.Inf(1))
 
 	rows := append(make([]FrontierRow, 0, len(SStepCandidates)+2), plain)
 	for _, s := range SStepCandidates {
 		if s <= 1 {
 			continue
 		}
-		sEntries, sGhosts := spmv.PowersStats(mb.A, mb.d, np, s)
 		mcols := 2*s + 1
 		nG := mcols * (mcols + 1) / 2
 		// Per block: the widened two-seed halo, the basis sweep over the
 		// closure, the local Gram triangle, one nG-word allreduce, three
 		// recovery gemvs, and s inner steps on m-length coefficients.
-		blockFlops := 2*float64(sEntries) + // matrix-powers sweep
+		blockFlops := 2*float64(entries[s]) + // matrix-powers sweep
 			2*float64(nloc*nG) + // Gram triangle partials
 			6*float64(mcols*nloc) + // recover x, r, p
 			float64(s)*(4*float64(mcols*mcols)+12*float64(mcols)) // quads + coeff updates
 		blockTime := topology.AllreduceTime(topo, c, np, nG) +
-			haloTime(c, sGhosts, 2) +
+			haloTime(c, ghosts[s], 2) +
 			c.TFlop*blockFlops
 		rows = append(rows, FrontierRow{
 			Variant:       SStep(s),
 			RoundsPerIter: 1 / float64(s),
-			BlockEntries:  sEntries,
-			Ghosts:        sGhosts,
+			BlockEntries:  entries[s],
+			Ghosts:        ghosts[s],
 			TimePerIter:   blockTime / float64(s),
 		})
 	}

@@ -2,6 +2,7 @@ package hpfexec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -195,4 +196,101 @@ func csrFrontier(t *testing.T, m *comm.Machine, A *sparse.CSR) []FrontierRow {
 		t.Fatal(err)
 	}
 	return pr.Frontier()
+}
+
+// TestFrontierChoicesPinned: every CSR row's closure sizes and the
+// choice Cheapest makes over them, recorded as literals — the
+// served-default generator keys, randspd:320:8 at seeds 1–5 (serve_cold's
+// uploads), a 128×128 mesh where plain wins and a power-law matrix, at
+// np 2, 3, 4 and 8 (3 divides none of the sizes). Each row is
+// {BlockEntries, Ghosts} in Frontier's order: plain, s-step 2, 4, 8,
+// pipelined. The pricing's data flow may change; these numbers may not.
+func TestFrontierChoicesPinned(t *testing.T) {
+	for _, c := range []struct {
+		spec   string
+		np     int
+		choice string
+		rows   [][2]int
+	}{
+		{"randspd:320:8:1", 2, "pipelined", [][2]int{{1752, 159}, {6966, 160}, {20838, 160}, {48598, 160}, {1752, 159}}},
+		{"randspd:320:8:1", 3, "pipelined", [][2]int{{1170, 208}, {5769, 214}, {19608, 214}, {47368, 214}, {1170, 208}}},
+		{"randspd:320:8:1", 4, "pipelined", [][2]int{{878, 227}, {5089, 240}, {18840, 240}, {46600, 240}, {878, 227}}},
+		{"randspd:320:8:1", 8, "pipelined", [][2]int{{460, 212}, {3694, 280}, {16878, 280}, {44638, 280}, {460, 212}}},
+		{"randspd:320:8:2", 2, "pipelined", [][2]int{{1745, 159}, {6949, 160}, {20842, 160}, {48666, 160}, {1745, 159}}},
+		{"randspd:320:8:2", 3, "pipelined", [][2]int{{1171, 210}, {5784, 214}, {19672, 214}, {47496, 214}, {1171, 210}}},
+		{"randspd:320:8:2", 4, "pipelined", [][2]int{{888, 227}, {5143, 240}, {18944, 240}, {46768, 240}, {888, 227}}},
+		{"randspd:320:8:2", 8, "pipelined", [][2]int{{447, 212}, {3677, 280}, {16894, 280}, {44718, 280}, {447, 212}}},
+		{"randspd:320:8:3", 2, "pipelined", [][2]int{{1731, 160}, {6914, 160}, {20722, 160}, {48338, 160}, {1731, 160}}},
+		{"randspd:320:8:3", 3, "pipelined", [][2]int{{1163, 209}, {5709, 214}, {19478, 214}, {47094, 214}, {1163, 209}}},
+		{"randspd:320:8:3", 4, "pipelined", [][2]int{{869, 233}, {5119, 240}, {18862, 240}, {46478, 240}, {869, 233}}},
+		{"randspd:320:8:3", 8, "pipelined", [][2]int{{441, 212}, {3617, 280}, {16720, 280}, {44336, 280}, {441, 212}}},
+		{"randspd:320:8:4", 2, "pipelined", [][2]int{{1757, 160}, {6980, 160}, {20844, 160}, {48572, 160}, {1757, 160}}},
+		{"randspd:320:8:4", 3, "pipelined", [][2]int{{1175, 212}, {5772, 214}, {19592, 214}, {47320, 214}, {1175, 212}}},
+		{"randspd:320:8:4", 4, "pipelined", [][2]int{{885, 225}, {5073, 240}, {18774, 240}, {46502, 240}, {885, 225}}},
+		{"randspd:320:8:4", 8, "pipelined", [][2]int{{447, 210}, {3655, 280}, {16814, 280}, {44542, 280}, {447, 210}}},
+		{"randspd:320:8:5", 2, "pipelined", [][2]int{{1753, 160}, {6964, 160}, {20820, 160}, {48548, 160}, {1753, 160}}},
+		{"randspd:320:8:5", 3, "pipelined", [][2]int{{1168, 212}, {5755, 214}, {19610, 214}, {47338, 214}, {1168, 212}}},
+		{"randspd:320:8:5", 4, "pipelined", [][2]int{{895, 229}, {5161, 240}, {18930, 240}, {46658, 240}, {895, 229}}},
+		{"randspd:320:8:5", 8, "pipelined", [][2]int{{450, 208}, {3630, 280}, {16758, 280}, {44486, 280}, {450, 208}}},
+		{"laplace2d:32:32", 2, "pipelined", [][2]int{{2496, 32}, {7646, 64}, {18894, 128}, {45182, 256}, {2496, 32}}},
+		{"laplace2d:32:32", 3, "pipelined", [][2]int{{1683, 64}, {5365, 128}, {14625, 256}, {40729, 512}, {1683, 64}}},
+		{"laplace2d:32:32", 4, "pipelined", [][2]int{{1264, 64}, {4108, 128}, {11692, 256}, {34444, 512}, {1264, 64}}},
+		{"laplace2d:32:32", 8, "pipelined", [][2]int{{632, 64}, {2212, 128}, {7268, 256}, {24964, 512}, {632, 64}}},
+		{"laplace2d:128:128", 2, "plain", [][2]int{{40704, 128}, {122750, 256}, {290670, 512}, {641822, 1024}, {40704, 128}}},
+		{"laplace2d:128:128", 3, "plain", [][2]int{{27219, 256}, {82933, 512}, {202017, 1024}, {470809, 2048}, {27219, 256}}},
+		{"laplace2d:128:128", 4, "plain", [][2]int{{20416, 256}, {62524, 512}, {154396, 1024}, {368764, 2048}, {20416, 256}}},
+		{"laplace2d:128:128", 8, "pipelined", [][2]int{{10208, 256}, {31900, 512}, {82940, 1024}, {215644, 2048}, {10208, 256}}},
+		{"banded:512:4", 2, "pipelined", [][2]int{{2294, 4}, {6918, 8}, {16382, 16}, {36174, 32}, {2294, 4}}},
+		{"banded:512:4", 3, "pipelined", [][2]int{{1539, 8}, {4689, 16}, {11421, 32}, {26613, 64}, {1539, 8}}},
+		{"banded:512:4", 4, "pipelined", [][2]int{{1152, 8}, {3528, 16}, {8712, 32}, {20808, 64}, {1152, 8}}},
+		{"banded:512:4", 8, "pipelined", [][2]int{{576, 8}, {1800, 16}, {4680, 32}, {12168, 64}, {576, 8}}},
+		{"banded:768:2", 2, "pipelined", [][2]int{{1917, 2}, {5761, 4}, {13509, 8}, {29245, 16}, {1917, 2}}},
+		{"banded:768:2", 3, "pipelined", [][2]int{{1280, 4}, {3860, 8}, {9140, 16}, {20180, 32}, {1280, 4}}},
+		{"banded:768:2", 4, "pipelined", [][2]int{{960, 4}, {2900, 8}, {6900, 16}, {15380, 32}, {960, 4}}},
+		{"banded:768:2", 8, "pipelined", [][2]int{{480, 4}, {1460, 8}, {3540, 16}, {8180, 32}, {480, 4}}},
+		{"powerlaw:400:1", 2, "pipelined", [][2]int{{1553, 192}, {5814, 200}, {16724, 200}, {38596, 200}, {1553, 192}}},
+		{"powerlaw:400:1", 3, "pipelined", [][2]int{{1059, 236}, {4726, 267}, {15536, 267}, {37408, 267}, {1059, 236}}},
+		{"powerlaw:400:1", 4, "pipelined", [][2]int{{847, 244}, {4179, 300}, {14866, 300}, {36738, 300}, {847, 244}}},
+		{"powerlaw:400:1", 8, "pipelined", [][2]int{{452, 216}, {2934, 346}, {13134, 350}, {35006, 350}, {452, 216}}},
+	} {
+		p, err := ParseProblem(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := Open(machine(c.np), p, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := pr.Frontier()
+		got := make([][2]int, len(rows))
+		for i, r := range rows {
+			got[i] = [2]int{r.BlockEntries, r.Ghosts}
+		}
+		if !slices.Equal(got, c.rows) {
+			t.Errorf("%s np=%d: rows %v, want %v", c.spec, c.np, got, c.rows)
+		}
+		if v := Cheapest(rows).Variant.String(); v != c.choice {
+			t.Errorf("%s np=%d: Cheapest chose %s, want %s", c.spec, c.np, v, c.choice)
+		}
+	}
+}
+
+// TestFrontierAllocs guards the price of pricing: Frontier on a
+// serve_cold upload's matrix at the service's np walks one closure per
+// rank for every depth, with one stamp array and two frontier buffers,
+// in a constant handful of allocations (four closures per rank, each
+// with its own visited array and sorted rings, took 312).
+func TestFrontierAllocs(t *testing.T) {
+	const want = 26
+	p, err := ParseProblem("randspd:320:8:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := Open(machine(4), p, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(20, func() { pr.Frontier() }); got != want {
+		t.Errorf("Frontier allocated %.1f times per call, want %d", got, want)
+	}
 }

@@ -2,6 +2,7 @@ package inspector_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"hpfcg/internal/comm"
@@ -82,6 +83,57 @@ func BenchmarkExchange(b *testing.B) {
 						}
 						for i := 0; i < b.N; i++ {
 							exchange()
+						}
+						if p.Rank() == 0 {
+							b.StopTimer()
+						}
+					})
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkBuild times the inspector itself — the sorted unique remote
+// indices, the request exchange and the schedule — on the CSR halos of
+// solve_csr's matrix and of a serve_cold upload (randspd:320:8) at np 2,
+// 4, 8, from two lists: the rows' raw columns (owned, duplicate and
+// unsorted indices included: the csc-merge strip's shape) and the
+// sorted ghosts the CSR halo executor passes. Every rank builds in
+// lockstep and rank 0 owns the timer, so ns/op is the wall time of one
+// collective Build.
+func BenchmarkBuild(b *testing.B) {
+	for _, sh := range []struct {
+		name string
+		A    *sparse.CSR
+	}{
+		{"laplace2d:128:128", sparse.Laplace2D(128, 128)},
+		{"randspd:320:8", sparse.RandomSPD(320, 8, 1)},
+	} {
+		for _, sorted := range []bool{false, true} {
+			for _, np := range []int{2, 4, 8} {
+				name := fmt.Sprintf("cols/%s/np=%d", sh.name, np)
+				if sorted {
+					name = fmt.Sprintf("ghosts/%s/np=%d", sh.name, np)
+				}
+				b.Run(name, func(b *testing.B) {
+					b.ReportAllocs()
+					d := dist.NewBlock(sh.A.NRows, np)
+					comm.NewMachine(np, topology.Hypercube{}, topology.DefaultCostParams()).Run(func(p *comm.Proc) {
+						lo, hi := d.Lo(p.Rank()), d.Lo(p.Rank())+d.Count(p.Rank())
+						needs := sh.A.Col[sh.A.RowPtr[lo]:sh.A.RowPtr[hi]]
+						if sorted {
+							needs = slices.DeleteFunc(slices.Clone(needs), func(g int) bool { return g >= lo && g < hi })
+							slices.Sort(needs)
+							needs = slices.Compact(needs)
+						}
+						inspector.Build(p, d, needs)
+						p.Barrier()
+						if p.Rank() == 0 {
+							b.ResetTimer()
+						}
+						for i := 0; i < b.N; i++ {
+							inspector.Build(p, d, needs)
 						}
 						if p.Rank() == 0 {
 							b.StopTimer()

@@ -25,7 +25,7 @@ package inspector
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"hpfcg/internal/comm"
 	"hpfcg/internal/dist"
@@ -96,21 +96,20 @@ func FromLists(p *comm.Proc, nloc int, sendTo [][]int, recvCount []int) *Schedul
 func Build(p *comm.Proc, d dist.Dist, needs []int) *Schedule {
 	np, r := p.NP(), p.Rank()
 
-	// Unique, sorted remote indices.
-	uniq := make(map[int]bool)
+	// Unique, sorted remote indices: sorting brings duplicates together.
+	// The CSR halo executor passes its ghosts sorted already, which the
+	// sort finishes in one linear pass.
+	remote := make([]int, 0, len(needs))
 	for _, g := range needs {
 		if g < 0 || g >= d.N() {
 			panic(fmt.Sprintf("inspector: needed index %d outside [0,%d)", g, d.N()))
 		}
 		if d.Owner(g) != r {
-			uniq[g] = true
+			remote = append(remote, g)
 		}
 	}
-	remote := make([]int, 0, len(uniq))
-	for g := range uniq {
-		remote = append(remote, g)
-	}
-	sort.Ints(remote)
+	slices.Sort(remote)
+	remote = slices.Compact(remote)
 
 	// Group requests by owner; remote is sorted so each owner's request
 	// list is sorted too, and ghost slots are assigned in global order

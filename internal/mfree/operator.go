@@ -113,9 +113,9 @@ func localNNZ(stencil string, b grid.Brick3, zlo, zhi int) int {
 // of the spec's operator incurs at np ranks: entries, the stored
 // entries a rank's rows sweep (each operator charges 2·entries flops
 // per Apply); owned, the points a rank holds; and ghosts, the points
-// its halo fetches, one X·Y plane per z-neighbour. They equal
-// spmv.PowersStats at depth 1 over Spec.Assemble() distributed by the
-// brick's VectorDist, and the rank counts over that distribution.
+// its halo fetches, one X·Y plane per z-neighbour. They equal the
+// depth-1 entries of spmv.PowersStats over Spec.Assemble() distributed
+// by the brick's VectorDist, and the rank counts over that distribution.
 func (s Spec) Shape(np int) (entries, owned, ghosts int, err error) {
 	b, err := s.Brick(np)
 	if err != nil {

@@ -101,3 +101,20 @@ func BenchmarkApply(b *testing.B) { benchSweep(b, false) }
 
 // BenchmarkApplyDot measures the apply with the fused x·y partial.
 func BenchmarkApplyDot(b *testing.B) { benchSweep(b, true) }
+
+// BenchmarkPowersStats times the s-step pricing walk at serve_cold's
+// upload shape: a randspd:320:8 matrix at the service's np 4, priced at
+// every depth up to 8 (hpfexec's deepest s-step candidate) in one call.
+// A cold auto upload pays it once; allocs/op is a constant handful.
+func BenchmarkPowersStats(b *testing.B) {
+	A := sparse.RandomSPD(320, 8, 1)
+	const np = 4
+	d := dist.NewBlock(A.NRows, np)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchStats, _ = PowersStats(A, d, np, 8)
+	}
+}
+
+// benchStats keeps BenchmarkPowersStats's result alive.
+var benchStats []int

@@ -19,8 +19,8 @@
 // builds ONE inspector.Schedule over the ring 1..s indices. Every
 // basis block then needs a single (wider) halo exchange; the redundant
 // flops on the overlap rows are the latency-for-flops trade the s-step
-// cost model (hpfexec.Frontier) weighs against saved allreduce and
-// exchange startups.
+// cost model (hpfexec's Prepared.Frontier, from PowersStats) weighs
+// against saved allreduce and exchange startups.
 //
 // Level j of a depth-dep basis is computed only on the row prefix
 // rings 0..dep-j (the rows whose level-j values later levels still
@@ -360,38 +360,65 @@ func (a *RowBlockCSRPowers) ApplyPowersBlock(seeds []*darray.Vector, outs [][]*d
 }
 
 // PowersStats reports, without any communication, the per-rank maxima
-// a depth-deep kernel under d would incur producing the CG s-step basis
-// pair (one depth-deep chain for p, one (depth-1)-deep chain for r) per
-// block: maxBlockEntries is the largest per-rank count of stored
-// entries swept (local + replicated overlap, all levels), maxGhosts the
-// widest per-rank ghost set of the closure. These are the exact
+// a kernel under d would incur producing the CG s-step basis pair (one
+// s-deep chain for p, one (s-1)-deep chain for r) per block, at every
+// depth s = 1..maxDepth: maxBlockEntries[s] is the largest per-rank
+// count of stored entries swept (local + replicated overlap, all
+// levels), maxGhosts[s] the widest per-rank ghost set of the depth-s
+// closure (index 0 of both is unused). These are the exact
 // flops-vs-rounds inputs of the s-selection cost model — the same
-// numbers the kernel itself will charge, obtained by running only the
-// closure inspection.
-func PowersStats(A *sparse.CSR, d dist.Contiguous, np, depth int) (maxBlockEntries, maxGhosts int) {
+// numbers the kernel itself will charge.
+//
+// The closure's rings are breadth-first levels, so rings 0..s of one
+// depth-maxDepth walk are the depth-s closure: one walk per rank prices
+// every depth. It counts each ring's rows and stored entries and keeps
+// no ring: ring order matters only to the kernel (powersClosure), and
+// one stamp array (marked rank+1) and two frontier buffers serve all
+// ranks.
+func PowersStats(A *sparse.CSR, d dist.Contiguous, np, maxDepth int) (maxBlockEntries, maxGhosts []int) {
+	maxBlockEntries = make([]int, maxDepth+1)
+	maxGhosts = make([]int, maxDepth+1)
+	// ringRows[t] is ring t's row count (t = 1..maxDepth), ringNNZ[t]
+	// its rows' stored entries (t = 0..maxDepth-1).
+	ringRows := make([]int, maxDepth+1)
+	ringNNZ := make([]int, maxDepth)
+	stamp := make([]int32, A.NRows)
+	var frontier, next []int
 	for r := 0; r < np; r++ {
-		extRows, ringEnd, ghosts := powersClosure(A, d, r, depth)
-		rowNNZ := func(i int) int { return A.RowPtr[extRows[i]+1] - A.RowPtr[extRows[i]] }
-		nnzAt := make([]int, depth)
-		pos, sum := 0, 0
-		for t := 0; t < depth; t++ {
-			for ; pos < ringEnd[t]; pos++ {
-				sum += rowNNZ(pos)
+		mark := int32(r + 1)
+		lo, cnt := d.Lo(r), d.Count(r)
+		frontier = frontier[:0]
+		for i := lo; i < lo+cnt; i++ {
+			stamp[i] = mark
+			frontier = append(frontier, i)
+		}
+		for t := 1; t <= maxDepth; t++ {
+			next = next[:0]
+			nnz := 0
+			for _, i := range frontier {
+				nnz += A.RowPtr[i+1] - A.RowPtr[i]
+				for _, c := range A.Col[A.RowPtr[i]:A.RowPtr[i+1]] {
+					if stamp[c] != mark {
+						stamp[c] = mark
+						next = append(next, c)
+					}
+				}
 			}
-			nnzAt[t] = sum
+			ringNNZ[t-1], ringRows[t] = nnz, len(next)
+			frontier, next = next, frontier
 		}
-		entries := 0
-		for t := 0; t < depth; t++ {
-			entries += nnzAt[t] // p-chain level depth-t
-			if t < depth-1 {
-				entries += nnzAt[t] // r-chain level depth-1-t
-			}
-		}
-		if entries > maxBlockEntries {
-			maxBlockEntries = entries
-		}
-		if len(ghosts) > maxGhosts {
-			maxGhosts = len(ghosts)
+		// At depth s the p chain sweeps the prefixes rings 0..t for
+		// t = 0..s-1 and the r chain those for t = 0..s-2, so with
+		// sweep(s) = the p chain's entries, entries(s) = sweep(s) +
+		// sweep(s-1).
+		prefix, sweep, ghosts := 0, 0, 0
+		for s := 1; s <= maxDepth; s++ {
+			prefix += ringNNZ[s-1]
+			entries := 2*sweep + prefix
+			sweep += prefix
+			ghosts += ringRows[s]
+			maxBlockEntries[s] = max(maxBlockEntries[s], entries)
+			maxGhosts[s] = max(maxGhosts[s], ghosts)
 		}
 	}
 	return maxBlockEntries, maxGhosts

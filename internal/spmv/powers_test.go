@@ -1,6 +1,7 @@
 package spmv
 
 import (
+	"slices"
 	"testing"
 
 	"hpfcg/internal/comm"
@@ -215,65 +216,46 @@ func TestPowersBlockSteadyStateNoAllocs(t *testing.T) {
 
 // PowersStats must price exactly the work the kernel itself reports —
 // it is the input of the s-selection cost model, so any disagreement
-// would make hpfexec pick s against the wrong numbers.
+// would make hpfexec pick s against the wrong numbers. One call's
+// slices must equal, at every depth 1..8, the kernel built at that
+// depth: the widest ghost set and the largest basis-pair sweep (the
+// kernel's flop-charge table for a depth-s p chain plus a depth-(s-1)
+// r chain). At depth 1 the sweep is exactly the local rows. np 3
+// divides none of the sizes.
 func TestPowersStatsMatchesKernel(t *testing.T) {
-	A := sparse.Laplace2D(9, 8)
-	n := A.NRows
-	const np = 4
-	d := dist.NewBlock(n, np)
-	for _, depth := range []int{1, 2, 3} {
-		entries, ghosts := PowersStats(A, d, np, depth)
-		wantGhosts := make([]int, np)
-		wantLocal := make([]int, np)
-		wantOverlap := make([]int, np)
-		machine(np).Run(func(p *comm.Proc) {
-			op := NewRowBlockCSRPowers(p, A, d, depth)
-			r := p.Rank()
-			wantGhosts[r] = op.NGhosts()
-			wantLocal[r] = op.LocalNNZ()
-			wantOverlap[r] = op.OverlapNNZ()
-		})
-		maxG := 0
-		for _, g := range wantGhosts {
-			if g > maxG {
-				maxG = g
+	const maxDepth = 8
+	for name, A := range map[string]*sparse.CSR{
+		"laplace2d": sparse.Laplace2D(20, 17),
+		"banded":    sparse.Banded(200, 3),
+		"randspd":   sparse.RandomSPD(121, 6, 11),
+		"powerlaw":  sparse.PowerLaw(151, 1.2, 151/4, 1),
+	} {
+		for _, np := range []int{1, 2, 3, 8} {
+			d := dist.NewBlock(A.NRows, np)
+			entries, ghosts := PowersStats(A, d, np, maxDepth)
+			if len(entries) != maxDepth+1 || len(ghosts) != maxDepth+1 {
+				t.Fatalf("%s np=%d: %d entries and %d ghosts, want depths 0..%d", name, np, len(entries), len(ghosts), maxDepth)
 			}
-		}
-		if ghosts != maxG {
-			t.Errorf("depth %d: PowersStats ghosts %d, kernels report max %d", depth, ghosts, maxG)
-		}
-		// Depth 1 block = one p-chain level over exactly the local rows:
-		// entries must be the largest per-rank local nnz, and the ghost
-		// width the single-level halo.
-		if depth == 1 {
-			maxLocal := 0
-			for r := 0; r < np; r++ {
-				if wantLocal[r] > maxLocal {
-					maxLocal = wantLocal[r]
+			for depth := 1; depth <= maxDepth; depth++ {
+				rankEntries, rankGhosts, rankLocal := make([]int, np), make([]int, np), make([]int, np)
+				machine(np).Run(func(p *comm.Proc) {
+					op, r := NewRowBlockCSRPowers(p, A, d, depth), p.Rank()
+					rankEntries[r] = op.cumEntries[depth] + op.cumEntries[depth-1]
+					rankGhosts[r] = op.NGhosts()
+					rankLocal[r] = op.LocalNNZ()
+					if depth == 1 && op.OverlapNNZ() != 0 {
+						t.Errorf("%s np=%d depth 1 rank %d: overlap nnz %d, want 0", name, np, r, op.OverlapNNZ())
+					}
+				})
+				wantEntries, wantGhosts, maxLocal := slices.Max(rankEntries), slices.Max(rankGhosts), slices.Max(rankLocal)
+				if entries[depth] != wantEntries || ghosts[depth] != wantGhosts {
+					t.Errorf("%s np=%d depth %d: PowersStats (%d entries, %d ghosts), kernels (%d, %d)",
+						name, np, depth, entries[depth], ghosts[depth], wantEntries, wantGhosts)
 				}
-				if wantOverlap[r] != 0 {
-					t.Errorf("depth 1 rank %d: overlap nnz %d, want 0", r, wantOverlap[r])
-				}
-			}
-			if entries != maxLocal {
-				t.Errorf("depth 1: PowersStats entries %d, want max local nnz %d", entries, maxLocal)
-			}
-			var singleHalo [np]int
-			machine(np).Run(func(p *comm.Proc) {
-				singleHalo[p.Rank()] = NewRowBlockCSRGhost(p, A, d).NGhosts()
-			})
-			for r := 0; r < np; r++ {
-				if wantGhosts[r] != singleHalo[r] {
-					t.Errorf("depth 1 rank %d: powers halo %d, ghost op halo %d", r, wantGhosts[r], singleHalo[r])
+				if depth == 1 && entries[1] != maxLocal {
+					t.Errorf("%s np=%d: depth-1 entries %d, want the max local nnz %d", name, np, entries[1], maxLocal)
 				}
 			}
 		}
-	}
-	// Widening monotonicity: deeper closures fetch at least as many
-	// ghosts and sweep at least as many entries.
-	e1, g1 := PowersStats(A, d, np, 1)
-	e3, g3 := PowersStats(A, d, np, 3)
-	if g3 <= g1 || e3 <= e1 {
-		t.Errorf("depth 3 (%d entries, %d ghosts) should dominate depth 1 (%d, %d)", e3, g3, e1, g1)
 	}
 }
