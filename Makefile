@@ -171,7 +171,10 @@ loc:
 # 4, 8 (ns/op, zero allocs), the inspector that builds those schedules
 # on solve_csr's matrix and a serve_cold upload (ns/op, allocs), CG's
 # local vector updates and dot partials at a served job's block and a
-# large one (ns/element, zero allocs), the CSR halo and broadcast
+# large one, with pipelined CG's fused update beside the eight calls it
+# replaces (BenchmarkVectorKernels: ns/element, zero allocs), a warm
+# SolveBatch of the served pipelined keys, plain beside pipelined at np
+# 4 (BenchmarkWarmSolveBatch: ns/op, allocs/op), the CSR halo and broadcast
 # executors and the two CSC merges at solve_csr's matrix and an
 # out-of-cache one (ns/nnz, GFLOP/s, zero allocs), the s-step pricing
 # walk (spmv.PowersStats, every depth to 8) at serve_cold's upload shape
@@ -183,7 +186,7 @@ loc:
 # a serve_cold body beside encoding/json over the same bytes (MB/s,
 # allocs). Every other wall number comes from benchmark/.
 bench:
-	$(GO) test -bench . -benchmem -run NONE ./internal/comm/... ./internal/inspector/... ./internal/darray/... ./internal/spmv/... ./internal/mfree/... ./internal/mg/... ./internal/sparse/... ./internal/serve/...
+	$(GO) test -bench . -benchmem -run NONE ./internal/comm/... ./internal/inspector/... ./internal/darray/... ./internal/spmv/... ./internal/mfree/... ./internal/mg/... ./internal/sparse/... ./internal/serve/... ./internal/hpfexec/...
 
 # Every fuzz target, FUZZTIME each (`go test -fuzz` takes one target and
 # one package per run). Under `test` they only replay their seeds. A

@@ -13,7 +13,10 @@
 // once the Wait completes (for free when the mat-vec covered the
 // reduction). Auxiliary recurrences z = q + βz, s = w + βs keep A·p and
 // A·s available without further applies, so each iteration is still one
-// operator application.
+// operator application. Because α and β are both known before any
+// vector moves, the six vector updates and the next round's two
+// partials run as one fused pass (darray.PipelinedUpdate), so each
+// iteration touches every vector entry once.
 //
 // Like CGSStep, the recurrence changes the floating-point
 // trajectory and can drift from the true residual, so stability is
@@ -55,7 +58,11 @@ func (o *solver) imerge(d []float64) *comm.ReduceHandle {
 // CGPipelined solves A·x = b with the Ghysels–Vanroose pipelined
 // recurrence: one nonblocking allreduce per iteration whose modeled
 // cost hides behind the iteration's mat-vec (Wait charges only the
-// exposed remainder — see comm.IallreduceScalars). It changes the
+// exposed remainder — see comm.IallreduceScalars), and per iteration
+// one operator apply and one fused vector pass, which from the second
+// iteration on makes all six updates and the next round's two dot
+// partials (the first iteration copies p, s and z and runs three axpy,
+// and the first two rounds' partials are separate dots). It changes the
 // floating-point trajectory like CGSStep does, converges to the same
 // tolerance, and falls back to plain CG after one residual replacement
 // if the drift guard trips. Any spmv.Operator works, assembled or
@@ -79,15 +86,19 @@ func CGPipelined(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options
 	bestGamma := rnsq
 	sinceBest := 0
 	first := true
+	fused := false // the last update left the next round's partials in d
 	claimed := false
 	fallback := false
 
 	for {
 		// The round: {γ = r·r, δ = w·r} start one nonblocking merge;
 		// q = A·w runs while it is in flight; Wait charges only what
-		// the mat-vec did not cover.
-		d[0] = o.dotLocal(r, r)
-		d[1] = o.dotLocal(wv, r)
+		// the mat-vec did not cover. From the third round on the
+		// previous update's fused pass left the two partials in d.
+		if !fused {
+			d[0] = o.dotLocal(r, r)
+			d[1] = o.dotLocal(wv, r)
+		}
 		h := o.imerge(d[:])
 		o.apply(A, wv, qv)
 		h.Wait()
@@ -121,28 +132,30 @@ func CGPipelined(p *comm.Proc, A spmv.Operator, b, x *darray.Vector, opt Options
 			break
 		}
 		o.Iterations++
-		var alpha, beta float64
+		var alpha float64
 		if first {
 			first = false
 			alpha = gamma / delta
 			zv.CopyFrom(qv)
 			sv.CopyFrom(wv)
 			pv.CopyFrom(r)
+			o.axpy(x, alpha, pv)   // x += α·p
+			o.axpy(r, -alpha, sv)  // r -= α·s
+			o.axpy(wv, -alpha, zv) // w -= α·z   (keeps w = A·r)
 		} else {
-			beta = gamma / gammaOld
+			beta := gamma / gammaOld
 			den := delta - beta*gamma/alphaOld
 			if math.IsNaN(den) || den <= 0 {
 				fallback = true
 				break
 			}
 			alpha = gamma / den
-			o.aypx(zv, beta, qv) // z = q + β·z   (= A·s)
-			o.aypx(sv, beta, wv) // s = w + β·s   (= A·p)
-			o.aypx(pv, beta, r)  // p = r + β·p
+			// z = q + β·z (= A·s), s = w + β·s (= A·p), p = r + β·p,
+			// x += α·p, r -= α·s, w -= α·z (keeps w = A·r), and the next
+			// round's partials of r·r and w·r: one pass over the vectors.
+			d[0], d[1] = o.pipelinedUpdate(x, r, wv, pv, sv, zv, qv, alpha, beta)
+			fused = true
 		}
-		o.axpy(x, alpha, pv)   // x += α·p
-		o.axpy(r, -alpha, sv)  // r -= α·s
-		o.axpy(wv, -alpha, zv) // w -= α·z   (keeps w = A·r)
 		gammaOld, alphaOld = gamma, alpha
 	}
 

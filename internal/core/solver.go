@@ -154,6 +154,15 @@ func (o *solver) aypx(y *darray.Vector, beta float64, x *darray.Vector) {
 	y.AYPX(beta, x)
 }
 
+// pipelinedUpdate is one pipelined iteration's three aypx, three axpy
+// and the next round's two local partials in one pass
+// (darray.PipelinedUpdate, bit-identical to the eight calls).
+func (o *solver) pipelinedUpdate(x, r, w, p, s, z, q *darray.Vector, alpha, beta float64) (rr, wr float64) {
+	o.AXPYs += 6
+	o.DotProducts += 2
+	return darray.PipelinedUpdate(x, r, w, p, s, z, q, alpha, beta)
+}
+
 func (o *solver) apply(A spmv.Operator, x, y *darray.Vector) {
 	o.MatVecs++
 	A.Apply(x, y)

@@ -9,6 +9,7 @@ import (
 	"hpfcg/internal/comm"
 	"hpfcg/internal/darray"
 	"hpfcg/internal/dist"
+	"hpfcg/internal/mfree"
 	"hpfcg/internal/sparse"
 	"hpfcg/internal/spmv"
 )
@@ -50,6 +51,9 @@ var trajectoryPin = map[string]string{
 	"cgpipelined/np=1":         "x=557b834333d557f3 iters=26 res=3dcf209af9a428f4 mv=30 mvT=0 dot=57 axpy=155 red=29 ckpt=0 repl=0 model=3f406fb9cc3f083b",
 	"cgpipelined/np=3":         "x=df541a5bf4cd2a81 iters=26 res=3dcf208cb00661c6 mv=30 mvT=0 dot=57 axpy=155 red=29 ckpt=0 repl=0 model=3f5144a0eecd7db1",
 	"cgpipelined/np=4":         "x=e287b03c418dcad5 iters=26 res=3dcf209245c080ea mv=30 mvT=0 dot=57 axpy=155 red=29 ckpt=0 repl=0 model=3f55d1ce695a0ba9",
+	"cgpipelined-mfree/np=1":   "x=b3d6effdf200712a iters=35 res=3dd0e7f481e5c614 mv=39 mvT=0 dot=75 axpy=209 red=38 ckpt=0 repl=0 model=3f43000ceb1ff40c",
+	"cgpipelined-mfree/np=3":   "x=78a121b1b7fb4d19 iters=35 res=3dd0e80392371177 mv=39 mvT=0 dot=75 axpy=209 red=38 ckpt=0 repl=0 model=3f5637e5499b54b4",
+	"cgpipelined-mfree/np=4":   "x=519ebc1d2eb2236f iters=35 res=3dd0e7fb8d85bc90 mv=39 mvT=0 dot=75 axpy=209 red=38 ckpt=0 repl=0 model=3f5ca10afd092aef",
 	"cgresilient/np=1":         "x=56fba3920a344112 iters=26 res=3dcf209f61b2cb73 mv=27 mvT=0 dot=54 axpy=78 red=53 ckpt=5 repl=0 model=3f40766fc8e5b77d",
 	"cgresilient/np=3":         "x=1975a76bec1fcba3 iters=26 res=3dcf209f61b2cb79 mv=27 mvT=0 dot=54 axpy=78 red=53 ckpt=5 repl=0 model=3f6403f8b304a4a1",
 	"cgresilient/np=4":         "x=de0aadcc6a36f50a iters=26 res=3dcf209f61b2cb8f mv=27 mvT=0 dot=54 axpy=78 red=53 ckpt=5 repl=0 model=3f683a9983f51770",
@@ -136,46 +140,74 @@ func pinLine(st Stats, x []float64, model float64) string {
 		st.DotProducts, st.AXPYs, st.Reductions, st.Checkpoints, st.Replacements, math.Float64bits(model))
 }
 
+// mfreePinSpec is the operator of the cgpipelined-mfree rows: a
+// matrix-free 5-point stencil of 9 planes of 7 points, so no rank's
+// block (63 points at np 1, 21 at np 3, 21 and 14 at np 4) is a
+// multiple of four.
+var mfreePinSpec = mfree.Spec{Stencil: "5pt", Nx: 9, Ny: 7}
+
 // TestSolverTrajectoriesPinned runs every exported solver at np 1, 3
-// and 4 and holds each run to its recorded line in trajectoryPin.
+// and 4 and holds each run to its recorded line in trajectoryPin, then
+// CGPipelined on the matrix-free mfreePinSpec.
 func TestSolverTrajectoriesPinned(t *testing.T) {
 	for _, run := range pinRuns {
 		A := sparse.RandomSPD(60, 5, 21)
 		if run.name == "chebyshev" {
 			A = sparse.Laplace2D(8, 8)
 		}
-		n := A.NRows
-		b := sparse.RandomVector(n, 8)
+		b := sparse.RandomVector(A.NRows, 8)
 		for _, np := range []int{1, 3, 4} {
-			d := dist.NewBlock(n, np)
+			d := dist.NewBlock(A.NRows, np)
 			store := NewCheckpointStore(np)
-			x := make([]float64, n)
-			var st Stats
-			rs := machine(np).Run(func(p *comm.Proc) {
-				bv := darray.New(p, d)
-				bv.SetGlobal(func(g int) float64 { return b[g] })
-				xv := darray.New(p, d)
-				s, err := run.solve(p, A, d, bv, xv, store)
-				if err != nil {
-					t.Errorf("%s np=%d: %v", run.name, np, err)
-				}
-				// Each rank writes its own block: no gather, so no
-				// communication joins the modeled clock.
-				for off, v := range xv.Local() {
-					x[d.Global(p.Rank(), off)] = v
-				}
-				if p.Rank() == 0 {
-					st = s
-				}
+			pinRun(t, fmt.Sprintf("%s/np=%d", run.name, np), np, d, b, func(p *comm.Proc, bv, xv *darray.Vector) (Stats, error) {
+				return run.solve(p, A, d, bv, xv, store)
 			})
-			key := fmt.Sprintf("%s/np=%d", run.name, np)
-			if !st.Converged {
-				t.Errorf("%s: did not converge: %v", key, st)
-			}
-			got := pinLine(st, x, rs.ModelTime)
-			if want := trajectoryPin[key]; got != want {
-				t.Errorf("%s moved:\n\t%q: %q,\nwant %q", key, key, got, want)
-			}
 		}
+	}
+	b := sparse.RandomVector(mfreePinSpec.N(), 8)
+	for _, np := range []int{1, 3, 4} {
+		brick, err := mfreePinSpec.Brick(np)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinRun(t, fmt.Sprintf("cgpipelined-mfree/np=%d", np), np, brick.VectorDist(), b, func(p *comm.Proc, bv, xv *darray.Vector) (Stats, error) {
+			A, err := mfree.New(p, mfreePinSpec)
+			if err != nil {
+				return Stats{}, err
+			}
+			return CGPipelined(p, A, bv, xv, Options{Tol: 1e-10})
+		})
+	}
+}
+
+// pinRun runs solve on an np-rank machine, over vectors distributed by
+// d with right-hand side b, and holds the run to trajectoryPin[key].
+func pinRun(t *testing.T, key string, np int, d dist.Dist, b []float64, solve func(p *comm.Proc, bv, xv *darray.Vector) (Stats, error)) {
+	t.Helper()
+	x := make([]float64, len(b))
+	var st Stats
+	rs := machine(np).Run(func(p *comm.Proc) {
+		bv := darray.New(p, d)
+		bv.SetGlobal(func(g int) float64 { return b[g] })
+		xv := darray.New(p, d)
+		s, err := solve(p, bv, xv)
+		if err != nil {
+			t.Errorf("%s: %v", key, err)
+		}
+		// Each rank writes its own block: no gather, so no
+		// communication joins the modeled clock.
+		for off, v := range xv.Local() {
+			x[d.Global(p.Rank(), off)] = v
+		}
+		if p.Rank() == 0 {
+			st = s
+		}
+	})
+	if !st.Converged {
+		t.Errorf("%s: did not converge: %v", key, st)
+	}
+	got := pinLine(st, x, rs.ModelTime)
+	if want := trajectoryPin[key]; got != want {
+		t.Errorf("%s moved:\n\t%q: %q,\nwant %q", key, key, got, want)
 	}
 }

@@ -102,7 +102,10 @@ func (v *Vector) AXPY(alpha float64, x *Vector) {
 	// through fixed-length subslices, then a scalar tail: the rolled
 	// loop's speed swung 1.5× with where the linker placed it, and the
 	// unrolled body does not. Every element keeps its expression, so the
-	// bits do not depend on the unrolling.
+	// bits do not depend on the unrolling. A fused kernel that chains
+	// updates (PipelinedUpdate) computes each new value into a local and
+	// stores it once: storing it and loading it straight back for the
+	// next update measured no faster than the separate calls.
 	y, xl := v.loc, x.loc[:len(v.loc)]
 	i := 0
 	for ; i+4 <= len(y); i += 4 {
@@ -202,6 +205,48 @@ func (v *Vector) AXPYNormSqLocal(alpha float64, x *Vector) float64 {
 	}
 	v.p.Compute(4 * len(y))
 	return s
+}
+
+// PipelinedUpdate is the whole vector update of one pipelined CG
+// iteration (Ghysels–Vanroose), where α and β are both known before any
+// vector moves, in one pass over the seven vectors:
+//
+//	z = β·z + q,  s = β·s + w,  p = β·p + r,
+//	x += α·p,     r -= α·s,     w -= α·z,
+//
+// returning the next round's local partials rr = r·r and wr = w·r of
+// the updated r and w. Per element every new value is computed into a
+// local from the old ones and stored once, with the expression AYPX,
+// AXPY (with −α) and DotLocal give it, and each partial is one serial
+// sum in index order, so vectors and partials are bit-identical to the
+// eight separate calls. The clock is charged as those calls charge it:
+// eight 2n Computes, three AYPX, three AXPY, two dots, in that order.
+// The loop stays rolled: unlike AXPY's, its body spans several cache
+// lines, so the linker's placement moved it by 3 % at most, and a
+// four-wide body measured slower.
+func PipelinedUpdate(x, r, w, p, s, z, q *Vector, alpha, beta float64) (rr, wr float64) {
+	for _, v := range [...]*Vector{r, w, p, s, z, q} {
+		x.sameDist(v)
+	}
+	n := len(x.loc)
+	xl, rl, wl, pl := x.loc, r.loc[:n], w.loc[:n], p.loc[:n]
+	sl, zl, ql := s.loc[:n], z.loc[:n], q.loc[:n]
+	na := -alpha
+	for i := range xl {
+		zi := beta*zl[i] + ql[i]
+		si := beta*sl[i] + wl[i]
+		pi := beta*pl[i] + rl[i]
+		ri := rl[i] + na*si
+		wi := wl[i] + na*zi
+		xl[i] += alpha * pi
+		zl[i], sl[i], pl[i], rl[i], wl[i] = zi, si, pi, ri, wi
+		rr += ri * ri
+		wr += wi * ri
+	}
+	for k := 0; k < 8; k++ {
+		x.p.Compute(2 * n)
+	}
+	return rr, wr
 }
 
 // DiffNormSqLocal returns the local partial of ||v - w||², with no

@@ -98,15 +98,29 @@ func Build(p *comm.Proc, d dist.Dist, needs []int) *Schedule {
 
 	// Unique, sorted remote indices: sorting brings duplicates together.
 	// The CSR halo executor passes its ghosts sorted already, which the
-	// sort finishes in one linear pass.
+	// sort finishes in one linear pass. A contiguous layout owns one
+	// range [lo, hi), so telling an owned index costs two compares;
+	// any other layout asks Owner.
+	n := d.N()
+	c, contiguous := d.(dist.Contiguous)
+	lo, hi := 0, 0
+	if contiguous {
+		lo = c.Lo(r)
+		hi = lo + c.Count(r)
+	}
 	remote := make([]int, 0, len(needs))
 	for _, g := range needs {
-		if g < 0 || g >= d.N() {
-			panic(fmt.Sprintf("inspector: needed index %d outside [0,%d)", g, d.N()))
+		if g < 0 || g >= n {
+			panic(fmt.Sprintf("inspector: needed index %d outside [0,%d)", g, n))
 		}
-		if d.Owner(g) != r {
-			remote = append(remote, g)
+		if contiguous {
+			if lo <= g && g < hi {
+				continue
+			}
+		} else if d.Owner(g) == r {
+			continue
 		}
+		remote = append(remote, g)
 	}
 	slices.Sort(remote)
 	remote = slices.Compact(remote)

@@ -2,13 +2,16 @@ package inspector
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"hpfcg/internal/comm"
 	"hpfcg/internal/dist"
+	"hpfcg/internal/sparse"
 	"hpfcg/internal/topology"
 )
 
@@ -316,4 +319,57 @@ func TestReverseExchangeWrongLengthPanics(t *testing.T) {
 		sendTo[other], recvCount[other] = []int{0}, 1
 		FromLists(p, 3, sendTo, recvCount).ReverseExchange(make([]float64, 1), make([]float64, 2))
 	})
+}
+
+// ownerOnly hides a layout's Lo, so Build tells owned indices by Owner
+// as it does for every non-contiguous layout.
+type ownerOnly struct{ dist.Dist }
+
+// TestBuildOwnedRangeMatchesOwner: Build's owned-range test on a
+// contiguous layout yields the schedule Owner yields — every slot, count
+// and send list — from a rank's raw row columns (owned, duplicate and
+// unsorted indices) and from its sorted ghosts, at np that do and do
+// not divide n, on an irregular layout and on a CYCLIC one.
+func TestBuildOwnedRangeMatchesOwner(t *testing.T) {
+	for _, A := range []*sparse.CSR{sparse.Laplace2D(8, 8), sparse.RandomSPD(61, 5, 3)} {
+		n := A.NRows
+		for _, np := range []int{1, 2, 3, 4, 8} {
+			// Irregular cuts at n·r²/np² leave the first ranks small or empty.
+			cuts := make([]int, np+1)
+			for r := range cuts {
+				cuts[r] = n * r * r / (np * np)
+			}
+			for _, d := range []dist.Dist{dist.NewBlock(n, np), dist.NewIrregular(cuts), dist.NewCyclic(n, np)} {
+				for _, sorted := range []bool{false, true} {
+					var got, want [8]*Schedule
+					run := func(d dist.Dist, out *[8]*Schedule) {
+						machine(np).Run(func(p *comm.Proc) {
+							var needs []int
+							for g := 0; g < n; g++ {
+								if d.Owner(g) == p.Rank() {
+									needs = append(needs, A.Col[A.RowPtr[g]:A.RowPtr[g+1]]...)
+								}
+							}
+							if sorted {
+								needs = slices.DeleteFunc(needs, func(g int) bool { return d.Owner(g) == p.Rank() })
+								slices.Sort(needs)
+								needs = slices.Compact(needs)
+							}
+							out[p.Rank()] = Build(p, d, needs)
+						})
+					}
+					run(d, &got)
+					run(ownerOnly{d}, &want)
+					for r := 0; r < np; r++ {
+						g, w := got[r], want[r]
+						if g.nloc != w.nloc || g.nGhost != w.nGhost || !maps.Equal(g.ghostOf, w.ghostOf) ||
+							!slices.Equal(g.recvCount, w.recvCount) || !slices.Equal(g.recvStart, w.recvStart) ||
+							!slices.EqualFunc(g.sendTo, w.sendTo, slices.Equal[[]int]) {
+							t.Errorf("n=%d %s np=%d sorted=%v rank %d: schedule differs from Owner's", n, d.Name(), np, sorted, r)
+						}
+					}
+				}
+			}
+		}
+	}
 }
