@@ -161,7 +161,9 @@ loc:
 	@ls internal/comm/*.go internal/topology/*.go | grep -v _test.go | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'
 
-# Kernel guards in their own units: the modeled machine's send path
+# Kernel guards in their own units: an empty Run on one reused machine
+# at np 2, 4, 8 (BenchmarkRun: ns/op, allocs/op — the unit behind the
+# benchmark's comm.allocs_per_run), the modeled machine's send path
 # (allocation counts) and its one tree allreduce at np 2, 4, 8 over 1, 2
 # and 45 words (ns/op, zero allocs), the one ghost exchange on a CSR
 # halo schedule (solve_csr's matrix) and on the stencil plane schedules

@@ -56,14 +56,22 @@ type message struct {
 }
 
 // Machine is an NP-processor virtual parallel computer with a fixed
-// interconnection topology and cost parameters. A Machine is reusable:
-// each Run gets fresh mailboxes.
+// interconnection topology and cost parameters — the paper's
+// PROCESSORS :: PROCS(NP). Its processors are built once and live as
+// long as the machine, so anything built inside one run (an operator, a
+// schedule, a vector) serves every later run as it is. A Machine is
+// reusable: each Run gets fresh mailboxes and resets every processor's
+// run state, and concurrent Runs take turns (so a run's program must not
+// Run its own machine).
 type Machine struct {
 	np     int
 	topo   topology.Topology
 	cost   topology.CostParams
 	tracer *trace.Tracer
 	inj    Injector // nil = fault injection disabled
+	// mu is held for the whole of a run: the runs share procs.
+	mu    sync.Mutex
+	procs []*Proc
 }
 
 // NewMachine creates a machine of np processors connected by topo and
@@ -72,7 +80,15 @@ func NewMachine(np int, topo topology.Topology, cost topology.CostParams) *Machi
 	if np < 1 {
 		panic(fmt.Sprintf("comm: NewMachine with np=%d", np))
 	}
-	return &Machine{np: np, topo: topo, cost: cost}
+	m := &Machine{np: np, topo: topo, cost: cost, procs: make([]*Proc, np)}
+	for r := range m.procs {
+		m.procs[r] = &Proc{
+			m: m, rank: r,
+			pool:    make([][]float64, 0, poolCap),
+			intPool: make([][]int, 0, intPoolCap),
+		}
+	}
+	return m
 }
 
 // NP returns the number of processors.
@@ -258,6 +274,8 @@ func (m *Machine) RunContext(ctx context.Context, fn func(p *Proc)) (RunStats, e
 }
 
 func (m *Machine) run(ctx context.Context, fn func(p *Proc)) (RunStats, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	rc := &runCtx{
 		mail:  make([][]chan message, m.np),
 		bytes: make([][]int64, m.np),
@@ -292,26 +310,18 @@ func (m *Machine) run(ctx context.Context, fn func(p *Proc)) (RunStats, error) {
 		rc.rdv = getRendezvous(m.np)
 	}
 
-	procs := make([]*Proc, m.np)
 	panics := make([]any, m.np)
 	var wg sync.WaitGroup
-	for r := 0; r < m.np; r++ {
-		p := &Proc{
-			m: m, rc: rc, rank: r,
-			pool:       make([][]float64, 0, poolCap),
-			intPool:    make([][]int, 0, intPoolCap),
-			lastFactor: 1,
-		}
+	for r, p := range m.procs {
+		var tr *trace.RankLog
 		if rec != nil {
-			p.tr = rec.Rank(r)
+			tr = rec.Rank(r)
 		}
-		if r < len(injs) && injs[r] != nil {
-			p.inj = injs[r]
-			if at, ok := p.inj.CrashTime(); ok {
-				p.crashAt, p.hasCrash = at, true
-			}
+		var inj RankInjector
+		if r < len(injs) {
+			inj = injs[r]
 		}
-		procs[r] = p
+		p.start(rc, tr, inj)
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
@@ -326,7 +336,7 @@ func (m *Machine) run(ctx context.Context, fn func(p *Proc)) (RunStats, error) {
 					}
 				}
 			}()
-			fn(procs[rank])
+			fn(m.procs[rank])
 		}(r)
 	}
 	wg.Wait()
@@ -375,7 +385,7 @@ func (m *Machine) run(ctx context.Context, fn func(p *Proc)) (RunStats, error) {
 	var rs RunStats
 	rs.Procs = make([]ProcStats, m.np)
 	rs.BytesMatrix = rc.bytes
-	for r, p := range procs {
+	for r, p := range m.procs {
 		rs.Procs[r] = p.stats
 		if p.clock > rs.ModelTime {
 			rs.ModelTime = p.clock
@@ -403,8 +413,9 @@ func (m *Machine) run(ctx context.Context, fn func(p *Proc)) (RunStats, error) {
 	return rs, err
 }
 
-// Proc is one virtual processor inside a Run. All methods must be
-// called from the goroutine Run started for this rank.
+// Proc is one virtual processor of a Machine: the same *Proc serves
+// its rank in every run. All methods must be called from the goroutine
+// Run started for this rank.
 type Proc struct {
 	m     *Machine
 	rc    *runCtx
@@ -431,6 +442,24 @@ type Proc struct {
 	// parts holds the blocks ReduceScatterSum has received until its
 	// ordered sum, also goroutine-owned.
 	parts [][]float64
+}
+
+// start readies p for the run rc: every run-scoped field starts as it
+// would on a new processor. The buffer pools are emptied too, so a
+// machine held between runs (a cached plan's) keeps no block copies
+// alive; the handle freelist stays, since its handles hold no data.
+func (p *Proc) start(rc *runCtx, tr *trace.RankLog, inj RankInjector) {
+	p.rc, p.clock, p.seq, p.stats = rc, 0, 0, ProcStats{}
+	p.tr, p.inj = tr, inj
+	p.crashAt, p.hasCrash, p.lastFactor = 0, false, 1
+	if inj != nil {
+		p.crashAt, p.hasCrash = inj.CrashTime()
+	}
+	clear(p.pool)
+	p.pool = p.pool[:0]
+	clear(p.intPool)
+	p.intPool = p.intPool[:0]
+	clear(p.parts)
 }
 
 // Rank returns this processor's rank in [0, NP).

@@ -15,6 +15,7 @@ type stubRank struct {
 	hasCrash bool
 	factor   float64 // 0 = healthy
 	delay    float64
+	drops    int // the rank's next drops sends are lost
 }
 
 func (s *stubRank) CrashTime() (float64, bool) { return s.crashAt, s.hasCrash }
@@ -27,6 +28,10 @@ func (s *stubRank) FlopFactor(t float64) float64 {
 }
 
 func (s *stubRank) SendFault(dst int, t, hop float64) (bool, float64) {
+	if s.drops > 0 {
+		s.drops--
+		return true, 0
+	}
 	return false, s.delay
 }
 

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"fmt"
 	"testing"
 
 	"hpfcg/internal/trace"
@@ -176,6 +177,22 @@ func TestSendPathNoAllocsWhenDetached(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Send allocated %.1f times per call with tracing detached, want 0", allocs)
+	}
+}
+
+// BenchmarkRun is what an empty SPMD run costs on one reused machine:
+// the fresh mailboxes, dead flags and byte matrix, one goroutine per
+// rank, and resetting each rank's run state (ns/op, allocs/op). It is
+// the kernel-level unit behind the benchmark's comm.allocs_per_run.
+func BenchmarkRun(b *testing.B) {
+	for _, np := range []int{2, 4, 8} {
+		b.Run(fmt.Sprintf("np=%d", np), func(b *testing.B) {
+			m := testMachine(np)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.Run(func(*Proc) {})
+			}
+		})
 	}
 }
 

@@ -25,8 +25,8 @@ func (Identity) Apply(r, z *darray.Vector) { z.CopyFrom(r) }
 // Jacobi is distributed diagonal scaling. Because the diagonal is
 // aligned with the vectors, the application is purely local — the only
 // preconditioner the paper's alignment scheme supports without extra
-// communication. It charges through the vectors' processor handle, so a
-// cached Jacobi serves a later run without rebinding.
+// communication. It charges through the vectors' processor handle and
+// holds none itself.
 type Jacobi struct {
 	invDiag []float64 // local block of 1/diag(A)
 }

@@ -42,10 +42,8 @@ import (
 // region ends with a merge. The copy is allocated once and reused by
 // every region opened on it, so an operator that builds its region once
 // applies with no allocation. A dense region holds no processor
-// handle: operators carried across runs by a plan cache are rebound to
-// each run's processor, and the merge takes the calling rank's. An
-// inspected region merges on its schedule's processor, which the
-// operator rebinds with the schedule.
+// handle: the merge takes the calling rank's. An inspected region
+// merges on its schedule's processor.
 type PrivateRegion struct {
 	priv []float64
 	// counts are the blocks of the dense region's reduce-scatter; sched
@@ -79,8 +77,7 @@ func NewPrivate(counts []int) *PrivateRegion {
 // particularly if n >> NP" cut to what the region's iterations write.
 // Iterations accumulate into an owned element at its local offset and
 // into remote element g at nloc + s.GhostSlot(g). The merge runs the schedule in
-// reverse on the schedule's own processor, so whoever rebinds the
-// schedule to a new run rebinds the merge with it.
+// reverse on the schedule's own processor.
 func NewPrivateInspected(nloc int, s *inspector.Schedule) *PrivateRegion {
 	return &PrivateRegion{priv: make([]float64, nloc+s.NGhosts()), sched: s}
 }

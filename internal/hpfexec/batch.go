@@ -8,7 +8,9 @@
 // then solves a whole slice of right-hand sides in a single SPMD run,
 // building the operator (and exchanging the inspector schedule) once
 // and reusing one pooled core.Workspace per processor, so every solve
-// after the first is allocation-free on the hot path.
+// after the first is allocation-free on the hot path. A later
+// SolveBatch reuses that operator as built: a machine's processors are
+// the same in every run, so nothing is re-pointed between runs.
 //
 // Bit-identity: each RHS's solution is bit-identical to what a batch
 // of one with the same spec would produce — the workspace hands back
@@ -130,10 +132,10 @@ type backend interface {
 	frontier(m *comm.Machine) []FrontierRow
 }
 
-// rankOps is one rank's solver inputs, cached in the handle after the
-// cold build and rebound into each later run.
+// rankOps is one rank's solver inputs, cached in the handle by the cold
+// build and used as built by every later run.
 type rankOps struct {
-	op spmv.Rebindable
+	op spmv.Operator
 	M  core.Preconditioner // nil = unpreconditioned
 	d  dist.Dist
 	// mode, when set, is the executor choice the cold build made
@@ -148,7 +150,7 @@ type rankOps struct {
 // bound to one machine. One Prepared serves any number of SolveBatch
 // calls; after the first, the per-rank operators (including the ghost
 // executor's inspector schedule or the multigrid hierarchy) are cached
-// and rebound into each new run, so a warm SolveBatch pays zero
+// and serve each later run as built, so a warm SolveBatch pays zero
 // modeled setup — the property the plan registry (Registry) exposes to
 // the serving tier.
 //
@@ -378,12 +380,10 @@ func (pr *Prepared) run(ctx context.Context, rhs [][]float64, opts []core.Option
 	body := func(p *comm.Proc) {
 		r := p.Rank()
 		ro := &pr.ranks[r]
-		if warm {
-			// Warm start: reuse the rank's cached operator, rebound to
-			// this run's Proc. No partitioning, no inspector exchange,
-			// no executor-selection collective — modeled setup is zero.
-			ro.op.Rebind(p)
-		} else {
+		// A warm run reuses the rank's cached operator as it is: no
+		// partitioning, no inspector exchange, no executor-selection
+		// collective — modeled setup is zero.
+		if !warm {
 			built, err := pr.be.build(p, pr.strategy.Variant)
 			if err != nil {
 				if r == 0 {

@@ -55,8 +55,8 @@ func (b *mgBackend) memoryBytes() int64 { return b.bytes }
 // frontier is nil: the cost model does not price the V-cycle.
 func (b *mgBackend) frontier(*comm.Machine) []FrontierRow { return nil }
 
-// build constructs the rank's level hierarchy. Rebinding the cached
-// operator rebinds the whole problem, preconditioner included.
+// build constructs the rank's level hierarchy; the operator and the
+// preconditioner share it.
 func (b *mgBackend) build(p *comm.Proc, _ Variant) (rankOps, error) {
 	pb, err := mg.NewProblem(p, b.spec)
 	if err != nil {

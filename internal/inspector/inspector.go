@@ -32,7 +32,9 @@ import (
 )
 
 // Schedule is a reusable communication plan for gathering a set of
-// remote elements of a distributed vector.
+// remote elements of a distributed vector. It holds the processor it
+// was built on, which is its rank's in every run of that machine, so a
+// cached schedule serves a later run without the inspector's exchange.
 type Schedule struct {
 	p *comm.Proc
 	// nloc is the length of the local block every exchanged vector must
@@ -165,20 +167,6 @@ func Build(p *comm.Proc, d dist.Dist, needs []int) *Schedule {
 
 // NGhosts returns how many remote elements the schedule fetches.
 func (s *Schedule) NGhosts() int { return s.nGhost }
-
-// Rebind re-attaches the schedule to a fresh processor handle of the
-// same rank — the warm-start path of plan caching. The schedule's data
-// (ghost slots, send/recv lists, the reusable ghost buffers) is
-// machine-shape-specific but run-independent, so a cached schedule can
-// serve a new SPMD run without re-running the inspector exchange; only
-// the Proc, whose mailboxes belong to the current run, must be swapped.
-func (s *Schedule) Rebind(p *comm.Proc) {
-	if p.Rank() != s.p.Rank() || p.NP() != s.p.NP() {
-		panic(fmt.Sprintf("inspector: rebind rank %d/%d onto schedule built for %d/%d",
-			p.Rank(), p.NP(), s.p.Rank(), s.p.NP()))
-	}
-	s.p = p
-}
 
 // GhostSlot returns the ghost-buffer slot of a remote global index,
 // panicking if the index was not declared to Build.

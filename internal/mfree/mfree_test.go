@@ -312,16 +312,17 @@ func TestApplyAllocFree(t *testing.T) {
 	}
 }
 
-// TestRebindBitIdentical: rebinding a cached operator onto a fresh
-// run's Proc (the warm plan-registry path) reproduces the cold Apply
-// bit for bit.
-func TestRebindBitIdentical(t *testing.T) {
+// TestReuseBitIdentical: an operator built in one run applies in a
+// later run on the same machine (the warm plan-registry path) bit for
+// bit as it did in the run that built it.
+func TestReuseBitIdentical(t *testing.T) {
 	s := spec27
 	np := 3
 	xs := sparse.RandomVector(s.N(), 5)
 	ops := make([]*Operator, np)
 	cold := make([]float64, 0, s.N())
-	machine(np).Run(func(p *comm.Proc) {
+	m := machine(np)
+	m.Run(func(p *comm.Proc) {
 		op, err := New(p, s)
 		if err != nil {
 			t.Error(err)
@@ -337,9 +338,8 @@ func TestRebindBitIdentical(t *testing.T) {
 			cold = append(cold, full...)
 		}
 	})
-	machine(np).Run(func(p *comm.Proc) {
+	m.Run(func(p *comm.Proc) {
 		op := ops[p.Rank()]
-		op.Rebind(p)
 		x := darray.New(p, op.Dist())
 		y := darray.New(p, op.Dist())
 		x.SetGlobal(func(g int) float64 { return xs[g] })

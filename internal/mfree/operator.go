@@ -10,9 +10,9 @@ import (
 	"hpfcg/internal/inspector"
 )
 
-// Operator is the matrix-free stencil executor: spmv.Operator,
-// spmv.FusedOperator and spmv.Rebindable over a slab-decomposed
-// regular grid, with no stored matrix. Each Apply runs the geometric
+// Operator is the matrix-free stencil executor: spmv.Operator and
+// spmv.FusedOperator over a slab-decomposed regular grid, with no
+// stored matrix. Each Apply runs the geometric
 // halo schedule (NewHalo) and evaluates the stencil row by row (see
 // sweep), reading owned values from the local block and the two
 // boundary planes from the schedule's ghost buffer.
@@ -155,15 +155,6 @@ func (a *Operator) NGhosts() int { return a.halo.NGhosts() }
 // Dist returns the operator's vector distribution — the brick's slab
 // layout callers must align operand vectors with.
 func (a *Operator) Dist() dist.Irregular { return a.d }
-
-// Rebind implements spmv.Rebindable: the warm plan-cache path swaps in
-// the new run's processor handle; buffers and geometry carry over. The
-// halo schedule's Rebind refuses a handle of another rank or machine
-// shape before anything changes.
-func (a *Operator) Rebind(p *comm.Proc) {
-	a.halo.Rebind(p)
-	a.p = p
-}
 
 func (a *Operator) checkAligned(op string, x, y *darray.Vector) {
 	if !dist.Same(a.dd, x.Dist()) || !dist.Same(a.dd, y.Dist()) {

@@ -160,18 +160,6 @@ func (lv *asmLevel) buildTransfer(p *comm.Proc, f *asmLevel) {
 	}
 }
 
-// rebind re-attaches the level's schedules to a fresh Proc of the
-// same rank — the warm path of plan caching.
-func (lv *asmLevel) rebind(p *comm.Proc) {
-	lv.sched.Rebind(p)
-	if lv.restrictSched != nil {
-		lv.restrictSched.Rebind(p)
-	}
-	if lv.prolongSched != nil {
-		lv.prolongSched.Rebind(p)
-	}
-}
-
 // symgs runs one symmetric Gauss-Seidel sweep on A·x = r: ONE halo
 // exchange, then a forward and a backward pass with the ghost values
 // frozen — Gauss-Seidel within the rank, block-Jacobi across ranks,
@@ -313,13 +301,6 @@ func newAsmProblem(p *comm.Proc, pb *Problem) *asmProblem {
 		ap.levels = append(ap.levels, al)
 	}
 	return ap
-}
-
-func (ap *asmProblem) rebind(p *comm.Proc) {
-	ap.p = p
-	for _, lv := range ap.levels {
-		lv.rebind(p)
-	}
 }
 
 func (ap *asmProblem) vcycle(l int, rl, xl []float64) {
@@ -521,7 +502,7 @@ func compareWithAssembled(t *testing.T, np int, spec Spec) {
 		return
 	}
 
-	// A whole solve on each side, rebound into its own fresh run so both
+	// A whole solve on each side, each in its own run of m so both
 	// modeled clocks start from zero.
 	type outcome struct {
 		clock float64
@@ -529,10 +510,10 @@ func compareWithAssembled(t *testing.T, np int, spec Spec) {
 		x     []float64
 		iters int
 	}
-	solve := func(bind func(p *comm.Proc) (spmv.Operator, core.Preconditioner)) []outcome {
+	solve := func(ops func(r int) (spmv.Operator, core.Preconditioner)) []outcome {
 		out := make([]outcome, np)
 		m.Run(func(p *comm.Proc) {
-			op, M := bind(p)
+			op, M := ops(p.Rank())
 			d := pbs[p.Rank()].Dist()
 			b, x := darray.New(p, d), darray.New(p, d)
 			fill(b.Local(), d.Lo(p.Rank()), 17)
@@ -544,15 +525,11 @@ func compareWithAssembled(t *testing.T, np int, spec Spec) {
 		})
 		return out
 	}
-	got := solve(func(p *comm.Proc) (spmv.Operator, core.Preconditioner) {
-		pb := pbs[p.Rank()]
-		pb.Operator().Rebind(p)
-		return pb.Operator(), pb.Precond()
+	got := solve(func(r int) (spmv.Operator, core.Preconditioner) {
+		return pbs[r].Operator(), pbs[r].Precond()
 	})
-	want := solve(func(p *comm.Proc) (spmv.Operator, core.Preconditioner) {
-		ap := aps[p.Rank()]
-		ap.rebind(p)
-		return asmOperator{ap}, asmPrecond{ap}
+	want := solve(func(r int) (spmv.Operator, core.Preconditioner) {
+		return asmOperator{aps[r]}, asmPrecond{aps[r]}
 	})
 	for r := range got {
 		g, w := got[r], want[r]

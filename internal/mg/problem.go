@@ -1,6 +1,6 @@
 // Problem assembles the level hierarchy and exposes the two faces the
 // solver stack consumes: the fine-grid stencil as an spmv.Operator
-// (fused and rebindable, so core.CG/PCG and the plan registry treat
+// (fused, so core.CG/PCG and the plan registry treat
 // it like any matrix operator) and the V-cycle as a
 // core.Preconditioner.
 package mg
@@ -14,8 +14,9 @@ import (
 
 // Problem is one rank's handle on a prepared HPCG-style problem. It
 // is built inside an SPMD run (construction is collective), owns all
-// per-level scratch, and can be rebound to a later run's Proc — the
-// warm path that lets hpfexec cache hierarchies across batch windows.
+// per-level scratch, and serves every later run on the same machine —
+// the warm path that lets hpfexec cache hierarchies across batch
+// windows.
 type Problem struct {
 	p       *comm.Proc
 	levels  []*level
@@ -62,15 +63,6 @@ func (pb *Problem) Levels() int { return len(pb.levels) }
 // align with.
 func (pb *Problem) Dist() dist.Irregular { return pb.levels[0].op.Dist() }
 
-// Rebind re-attaches the problem (every level's halo) to a fresh Proc of
-// the same rank and shape — the warm registry path.
-func (pb *Problem) Rebind(p *comm.Proc) {
-	pb.p = p
-	for _, lv := range pb.levels {
-		lv.op.Rebind(p)
-	}
-}
-
 // checkAligned panics unless v aligns with the fine grid — the same
 // HPF alignment rule darray enforces between vectors.
 func (pb *Problem) checkAligned(v *darray.Vector) []float64 {
@@ -110,8 +102,7 @@ func (pb *Problem) Operator() *Operator { return &Operator{pb: pb} }
 func (pb *Problem) Precond() *Precond { return &Precond{pb: pb} }
 
 // Operator is the fine-grid stencil mat-vec — the fine level's
-// mfree.Operator, whose Rebind must take the whole hierarchy along. It
-// implements spmv.Operator, spmv.FusedOperator and spmv.Rebindable.
+// mfree.Operator. It implements spmv.Operator and spmv.FusedOperator.
 type Operator struct {
 	pb *Problem
 }
@@ -128,10 +119,6 @@ func (a *Operator) Apply(x, y *darray.Vector) { a.pb.levels[0].op.Apply(x, y) }
 
 // ApplyDot implements spmv.FusedOperator.
 func (a *Operator) ApplyDot(x, y *darray.Vector) float64 { return a.pb.levels[0].op.ApplyDot(x, y) }
-
-// Rebind implements spmv.Rebindable by rebinding the whole problem
-// (the preconditioner's levels travel with the operator).
-func (a *Operator) Rebind(p *comm.Proc) { a.pb.Rebind(p) }
 
 // Precond is the V-cycle preconditioner z = M⁻¹·r.
 type Precond struct {

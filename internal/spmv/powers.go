@@ -267,16 +267,6 @@ func (a *RowBlockCSRPowers) NGhosts() int { return a.sched.NGhosts() }
 // MaxDepth implements PowersOperator.
 func (a *RowBlockCSRPowers) MaxDepth() int { return a.depth }
 
-// Rebind implements Rebindable: re-attach the kernel and its widened
-// inspector schedule to a new run's processor handle, so a cached
-// s-step plan (hpfexec.Registry) skips the closure inspection and the
-// request exchange entirely on warm traffic.
-func (a *RowBlockCSRPowers) Rebind(p *comm.Proc) {
-	checkRebind("RowBlockCSRPowers", a.p, p)
-	a.p = p
-	a.sched.Rebind(p)
-}
-
 // fill lays a vector out in value slots in dst: its local block, then
 // the ghosts the exchange delivered for it.
 func (a *RowBlockCSRPowers) fill(dst, local, ghosts []float64) []float64 {

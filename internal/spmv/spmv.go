@@ -55,7 +55,11 @@ import (
 )
 
 // Operator is a distributed linear operator y = A*x over aligned
-// distributed vectors.
+// distributed vectors. An operator is built inside one SPMD run and
+// holds that rank's Proc, which a machine keeps for all its runs, so a
+// plan cache (hpfexec.Registry) applies it in later runs as built —
+// skipping the construction cost, for the ghost executor the whole
+// inspector exchange, with the same buffers and the same bits.
 type Operator interface {
 	// N returns the (square) global dimension.
 	N() int
@@ -71,20 +75,6 @@ type TransposeOperator interface {
 	Operator
 	// ApplyT computes y = A^T*x.
 	ApplyT(x, y *darray.Vector)
-}
-
-// Rebindable is an Operator that can be re-attached to a fresh
-// processor handle of the same rank and machine shape. Operators are
-// built inside one SPMD run and hold that run's Proc; a plan cache
-// (hpfexec.Registry) that carries operators across runs rebinds them
-// at the start of each new run, skipping the construction cost — for
-// the ghost executor, the whole inspector exchange — while reusing the
-// same buffers, so warm runs stay bit-identical to cold ones.
-type Rebindable interface {
-	Operator
-	// Rebind swaps in the new run's processor handle. p must have the
-	// rank and NP the operator was built with.
-	Rebind(p *comm.Proc)
 }
 
 // FusedOperator is an Operator that can compute y = A*x and the local
@@ -217,13 +207,6 @@ func scatterCols(q []float64, ptr, idx []int, val, x []float64) {
 	}
 }
 
-func checkRebind(op string, old, new *comm.Proc) {
-	if new.Rank() != old.Rank() || new.NP() != old.NP() {
-		panic(fmt.Sprintf("spmv: %s rebind rank %d/%d onto operator built for %d/%d",
-			op, new.Rank(), new.NP(), old.Rank(), old.NP()))
-	}
-}
-
 // RowBlockCSR is Scenario 1 with CSR storage: processor r holds the
 // whole rows [Lo(r), Lo(r)+Count(r)) of A (the paper's
 // ALIGN A(:,*) WITH p(:), DISTRIBUTE row/col/a accordingly).
@@ -276,12 +259,6 @@ func (a *RowBlockCSR) NNZ() int { return a.nnz }
 
 // LocalNNZ returns this processor's stored entries (load metric).
 func (a *RowBlockCSR) LocalNNZ() int { return a.nnzLocal }
-
-// Rebind implements Rebindable.
-func (a *RowBlockCSR) Rebind(p *comm.Proc) {
-	checkRebind("RowBlockCSR", a.p, p)
-	a.p = p
-}
 
 // Apply implements Operator: allgather p, then local row loop — the
 // Figure 2 FORALL over j with the inner DO over row(j):row(j+1)-1.
@@ -417,15 +394,6 @@ func (a *ColBlockCSC) NGhosts() int {
 		return 0
 	}
 	return a.sched.NGhosts()
-}
-
-// Rebind implements Rebindable.
-func (a *ColBlockCSC) Rebind(p *comm.Proc) {
-	checkRebind("ColBlockCSC", a.p, p)
-	a.p = p
-	if a.sched != nil {
-		a.sched.Rebind(p)
-	}
 }
 
 // Apply implements Operator in the configured mode.
